@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -136,10 +137,7 @@ type Store struct {
 	fsyncHist *telemetry.Histogram
 }
 
-var (
-	_ storage.BatchStore    = (*Store)(nil)
-	_ storage.ExchangeStore = (*Store)(nil)
-)
+var _ storage.AppendExchangeStore = (*Store)(nil)
 
 // OpenStore opens or creates the store persisted at basePath+".seg" /
 // basePath+".wal". Creating requires positive slots and blockSize; opening
@@ -380,10 +378,12 @@ func (s *Store) slotOff(i int64) int64 {
 	return segHeaderSize + i*int64(s.slotSize)
 }
 
-// readSlot reads one slot (checksum-verified on v1 segments). Callers hold
-// s.mu.
-func (s *Store) readSlot(i int64) ([]byte, error) {
-	buf := make([]byte, s.slotSize)
+// readSlotTo appends slot i's block to dst, reading straight into dst's
+// spare capacity (checksum-verified on v1 segments). Callers hold s.mu.
+func (s *Store) readSlotTo(dst []byte, i int64) ([]byte, error) {
+	off := len(dst)
+	dst = slices.Grow(dst, s.slotSize)[:off+s.slotSize]
+	buf := dst[off:]
 	if _, err := s.seg.ReadAt(buf, s.slotOff(i)); err != nil {
 		return nil, fmt.Errorf("diskstore: read slot %d (%s): %w", i, s.name, err)
 	}
@@ -392,10 +392,24 @@ func (s *Store) readSlot(i int64) ([]byte, error) {
 		if got := crc32.Checksum(buf[4:], crcTable) ^ s.zeroCRC; got != stored {
 			return nil, fmt.Errorf("%w: slot %d of %s (crc %#x, want %#x)", ErrCorrupt, i, s.name, got, stored)
 		}
-		buf = buf[4:]
+		copy(buf, buf[4:])
+		dst = dst[:off+s.blockSize]
 	}
 	s.stats.BlocksRead++
-	return buf, nil
+	return dst, nil
+}
+
+// readSlotsTo appends the (already range-checked) slots to dst, growing it
+// at most once. Callers hold s.mu.
+func (s *Store) readSlotsTo(dst []byte, idxs []int64) ([]byte, error) {
+	dst = slices.Grow(dst, len(idxs)*s.slotSize)
+	for _, i := range idxs {
+		var err error
+		if dst, err = s.readSlotTo(dst, i); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // writeSlot writes one slot (checksum-prefixed on v1 segments). Callers hold
@@ -503,7 +517,7 @@ func (s *Store) Read(i int64) ([]byte, error) {
 	if err := s.checkRange("read", i); err != nil {
 		return nil, err
 	}
-	blk, err := s.readSlot(i)
+	blk, err := s.readSlotTo(nil, i)
 	if err != nil {
 		return nil, err
 	}
@@ -538,31 +552,36 @@ func (s *Store) Write(i int64, data []byte) error {
 	return nil
 }
 
-// ReadMany implements storage.BatchStore.
+// ReadMany implements storage.BatchStore: ReadManyTo into fresh memory,
+// carved.
 func (s *Store) ReadMany(idxs []int64) ([][]byte, error) {
+	flat, err := s.ReadManyTo(nil, idxs)
+	return storage.Carve(flat, s.blockSize), err
+}
+
+// ReadManyTo implements storage.AppendStore.
+func (s *Store) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
 	if len(idxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	out := make([][]byte, len(idxs))
-	for k, i := range idxs {
+	for _, i := range idxs {
 		if err := s.checkRange("batch read", i); err != nil {
 			return nil, err
 		}
-		blk, err := s.readSlot(i)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = blk
+	}
+	dst, err := s.readSlotsTo(dst, idxs)
+	if err != nil {
+		return nil, err
 	}
 	if m := s.opts.Meter; m != nil {
 		m.CountBatch(s.name, storage.KindRead, idxs, s.blockSize)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // WriteMany implements storage.BatchStore: the whole batch commits
@@ -597,15 +616,22 @@ func (s *Store) WriteMany(idxs []int64, data [][]byte) error {
 	return nil
 }
 
-// Exchange implements storage.ExchangeStore: the writes commit as one
-// atomic WAL record, then the reads are served, all under one lock so the
-// reads observe the freshly written blocks.
+// Exchange implements storage.ExchangeStore: ExchangeTo into fresh memory,
+// carved.
 func (s *Store) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
+	flat, err := s.ExchangeTo(nil, writeIdxs, writeData, readIdxs)
+	return storage.Carve(flat, s.blockSize), err
+}
+
+// ExchangeTo implements storage.AppendExchangeStore: the writes commit as
+// one atomic WAL record, then the reads are served, all under one lock so
+// the reads observe the freshly written blocks.
+func (s *Store) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if len(writeIdxs) != len(writeData) {
 		return nil, fmt.Errorf("diskstore: exchange of %d write blocks with %d payloads (%s)", len(writeIdxs), len(writeData), s.name)
 	}
 	if len(writeIdxs) == 0 && len(readIdxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -630,21 +656,14 @@ func (s *Store) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64
 			return nil, err
 		}
 	}
-	var out [][]byte
-	if len(readIdxs) > 0 {
-		out = make([][]byte, len(readIdxs))
-		for k, i := range readIdxs {
-			blk, err := s.readSlot(i)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = blk
-		}
+	dst, err := s.readSlotsTo(dst, readIdxs)
+	if err != nil {
+		return nil, err
 	}
 	if m := s.opts.Meter; m != nil {
 		m.CountExchange(s.name, writeIdxs, readIdxs, s.blockSize)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Sync checkpoints the store: every committed batch becomes durable and the

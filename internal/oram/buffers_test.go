@@ -1,0 +1,249 @@
+package oram
+
+import (
+	"bytes"
+	"fmt"
+	mrand "math/rand"
+	"reflect"
+	"testing"
+
+	"oblivjoin/internal/storage"
+	"oblivjoin/internal/storage/storetest"
+	"oblivjoin/internal/tracecheck"
+)
+
+// bufferWorkload drives a seeded mix of writes, updates, reads, coalesced
+// batch reads and dummies against o and a plain map, failing on any
+// divergence, and calls got with every slice the ORAM hands back.
+func bufferWorkload(t *testing.T, o *PathORAM, capacity, steps int, seed int64, got func([]byte)) {
+	t.Helper()
+	ref := map[uint64][]byte{}
+	r := mrand.New(mrand.NewSource(seed))
+	check := func(step int, key uint64, data []byte) {
+		t.Helper()
+		if want := ref[key]; !bytes.Equal(data[:len(want)], want) {
+			t.Fatalf("step %d: key %d = %v, want %v", step, key, data[:len(want)], want)
+		}
+		got(data)
+	}
+	for step := 0; step < steps; step++ {
+		key := uint64(r.Intn(capacity))
+		_, known := ref[key]
+		switch op := r.Intn(6); {
+		case op == 0 || !known:
+			// Short payloads exercise the zeroed tail of a recycled buffer.
+			val := []byte{byte(step), byte(step >> 8), byte(key)}[:1+r.Intn(3)]
+			if err := o.Write(key, val); err != nil {
+				t.Fatalf("step %d write: %v", step, err)
+			}
+			ref[key] = append(make([]byte, 0, o.PayloadSize()), val...)
+			ref[key] = ref[key][:o.PayloadSize()]
+		case op == 1:
+			data, err := o.Update(key, func(p []byte) error { p[0]++; return nil })
+			if err != nil {
+				t.Fatalf("step %d update: %v", step, err)
+			}
+			ref[key][0]++
+			check(step, key, data)
+		case op == 2:
+			if err := o.DummyAccess(); err != nil {
+				t.Fatalf("step %d dummy: %v", step, err)
+			}
+		case op == 3:
+			keys := []uint64{key}
+			for d := 1; d < capacity && len(keys) < 3; d++ {
+				if k := (key + uint64(d)) % uint64(capacity); ref[k] != nil {
+					keys = append(keys, k)
+				}
+			}
+			datas, err := o.ReadBatch(keys)
+			if err != nil {
+				t.Fatalf("step %d batch read: %v", step, err)
+			}
+			for i, k := range keys {
+				check(step, k, datas[i])
+			}
+		default:
+			data, err := o.Read(key)
+			if err != nil {
+				t.Fatalf("step %d read: %v", step, err)
+			}
+			check(step, key, data)
+		}
+	}
+}
+
+// TestReturnedSlicesAreNeverRecycled keeps every slice Read, Update and
+// ReadBatch ever returned and asserts no later access mutated one: a stash
+// payload buffer escaping to a caller and then being recycled would show
+// here as a returned block changing under its holder.
+func TestReturnedSlicesAreNeverRecycled(t *testing.T) {
+	for _, batch := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("k=%d", batch), func(t *testing.T) {
+			o := newBatchORAM(t, 64, 16, nil, batch, 31)
+			var held, snapshots [][]byte
+			bufferWorkload(t, o, 64, 5000, int64(batch), func(data []byte) {
+				held = append(held, data)
+				snapshots = append(snapshots, bytes.Clone(data))
+			})
+			if err := o.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range held {
+				if !bytes.Equal(held[i], snapshots[i]) {
+					t.Fatalf("returned slice %d of %d was mutated by a later access: %v, was %v",
+						i, len(held), held[i], snapshots[i])
+				}
+			}
+			if len(o.free) == 0 {
+				t.Fatal("workload never recycled a stash buffer; the test exercised nothing")
+			}
+			assertFreeListDisjoint(t, o)
+		})
+	}
+}
+
+// assertFreeListDisjoint fails if a buffer on the free list is also a live
+// stash payload, or is listed twice.
+func assertFreeListDisjoint(t *testing.T, o *PathORAM) {
+	t.Helper()
+	seen := map[*byte]bool{}
+	for _, buf := range o.free {
+		if p := &buf[0]; seen[p] {
+			t.Fatal("free list holds one buffer twice")
+		} else {
+			seen[p] = true
+		}
+	}
+	for key, e := range o.stash {
+		if seen[&e.payload[0]] {
+			t.Fatalf("stash payload of key %d is also on the free list", key)
+		}
+	}
+}
+
+// TestHiddenAppendFormsTraceIdentical: the same seeded workload against a
+// raw MemStore and against a wrapper that hides ReadManyTo/ExchangeTo (as a
+// decorator written against the slice forms does) must produce identical
+// results, identical meter totals and an identical server-visible trace, at
+// every eviction batch — the fallback is only slower.
+func TestHiddenAppendFormsTraceIdentical(t *testing.T) {
+	for _, batch := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("k=%d", batch), func(t *testing.T) {
+			run := func(hide bool) (results [][]byte, stats storage.Stats, trace []storage.Access, ps PathStats) {
+				m := storage.NewMeter()
+				o, err := NewPathORAM(PathConfig{
+					Name: "hide", Capacity: 64, PayloadSize: 16, Meter: m,
+					Sealer: testSealer(t), Rand: NewSeededSource(5), EvictionBatch: batch,
+					OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
+						st := storage.NewMemStore(name, slots, blockSize, m)
+						if hide {
+							return storetest.HideAppend(st), nil
+						}
+						return st, nil
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Reset()
+				m.SetTracing(true)
+				bufferWorkload(t, o, 64, 1500, 9, func(data []byte) { results = append(results, data) })
+				if err := o.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				return results, m.Snapshot(), m.Trace(), o.Telemetry()
+			}
+			wantRes, wantStats, wantTrace, wantPS := run(false)
+			gotRes, gotStats, gotTrace, gotPS := run(true)
+			if d := tracecheck.Diff(wantTrace, gotTrace); d != "" {
+				t.Fatalf("hidden append forms changed the trace: %s", d)
+			}
+			if !reflect.DeepEqual(wantTrace, gotTrace) {
+				t.Fatal("hidden append forms changed the physical indices of the trace")
+			}
+			if wantStats != gotStats {
+				t.Fatalf("stats: native %+v, hidden %+v", wantStats, gotStats)
+			}
+			if !reflect.DeepEqual(wantRes, gotRes) {
+				t.Fatal("hidden append forms changed a result")
+			}
+			// Which block sinks to which level follows map iteration order;
+			// the counts the server could observe do not.
+			wantPS.LevelPlaced, gotPS.LevelPlaced = nil, nil
+			wantPS.StashSize, gotPS.StashSize = 0, 0
+			wantPS.StashPeak, gotPS.StashPeak = 0, 0
+			if !reflect.DeepEqual(wantPS, gotPS) {
+				t.Fatalf("telemetry: native %+v, hidden %+v", wantPS, gotPS)
+			}
+			if batch > 1 && gotPS.Exchanges == 0 {
+				t.Fatal("no flush rode a fetch; the exchange fallback went unexercised")
+			}
+		})
+	}
+}
+
+// TestPathORAMAccessAllocs is the allocation guard for a steady-state
+// access over MemStore on the classic path: a Read allocates the result
+// copy it hands the caller and nothing else block-sized, a dummy access
+// nothing block-sized at all. (The budgets leave one allocation for the
+// stash map's occasional internal growth.)
+func TestPathORAMAccessAllocs(t *testing.T) {
+	if storetest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const capacity, payload = 256, 4096
+	o := newBatchORAM(t, capacity, payload, storage.NewMeter(), 1, 3)
+	blocks := make([][]byte, capacity)
+	for i := range blocks {
+		blocks[i] = make([]byte, payload)
+	}
+	if err := o.BulkLoad(blocks); err != nil {
+		t.Fatal(err)
+	}
+	key := uint64(0)
+	read := func() {
+		key = (key + 1) % capacity
+		if _, err := o.Read(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*capacity; i++ { // fill the free list and scratch
+		read()
+	}
+	n, b := storetest.AllocsAndBytes(500, read)
+	if n > 2 || b > payload+payload/2 {
+		t.Errorf("steady-state Read: %v allocs and %d bytes per access, want <= 2 and one %d-byte result copy", n, b, payload)
+	}
+	n, b = storetest.AllocsAndBytes(500, func() {
+		if err := o.DummyAccess(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 1 || b > payload/2 {
+		t.Errorf("steady-state DummyAccess: %v allocs and %d bytes per access, want <= 1 and nothing block-sized", n, b)
+	}
+}
+
+// TestUploaderSizedToTree: building a small tree must not allocate a
+// full-chunk upload buffer (uploadChunk sealed buckets, 4 MB at 4 KB
+// payloads) for a handful of nodes.
+func TestUploaderSizedToTree(t *testing.T) {
+	o := newTestORAM(t, 4, 4096, nil, false) // 7 nodes
+	up := newUploader(o, 7)
+	if want := 7 * len(mustSeal(t, o)); cap(up.buf) != want {
+		t.Fatalf("uploader for a 7-node tree holds %d bytes, want %d", cap(up.buf), want)
+	}
+	if big := newUploader(o, 10*uploadChunk); cap(big.idxs) != uploadChunk {
+		t.Fatalf("uploader for a large tree batches %d buckets, want %d", cap(big.idxs), uploadChunk)
+	}
+}
+
+func mustSeal(t *testing.T, o *PathORAM) []byte {
+	t.Helper()
+	sealed, err := o.sealer.Seal(make([]byte, o.bucketSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sealed
+}

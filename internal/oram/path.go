@@ -83,16 +83,15 @@ type stashEntry struct {
 // map and maintains the invariant that block b always resides on the path
 // to the leaf the position map assigns it.
 type PathORAM struct {
-	cfg        PathConfig
-	sealer     *xcrypto.Sealer // resolved from cfg.Keyring (per store name) or cfg.Sealer
-	store      storage.Store
-	batch      storage.BatchStore    // non-nil when store supports batched paths
-	exch       storage.ExchangeStore // non-nil when store supports write+read exchanges
-	leaves     int64
-	levels     int // path length in buckets (root..leaf inclusive)
-	z          int
-	slotSize   int
-	bucketSize int // plaintext bucket bytes
+	cfg         PathConfig
+	sealer      *xcrypto.Sealer // resolved from cfg.Keyring (per store name) or cfg.Sealer
+	store       storage.Store
+	canExchange bool // store serves write+read exchanges, so a due flush may ride a fetch
+	leaves      int64
+	levels      int // path length in buckets (root..leaf inclusive)
+	z           int
+	slotSize    int
+	bucketSize  int // plaintext bucket bytes
 
 	pos      posMap
 	stash    map[uint64]stashEntry
@@ -100,14 +99,24 @@ type PathORAM struct {
 	rand     LeafSource
 	sched    *scheduler
 
-	// Scratch buffers reused by the seal/open hot loops so a steady-state
-	// access allocates nothing per bucket. Safe because a PathORAM serves
-	// one access at a time and every store implementation consumes batch
-	// payloads before returning (storage.BatchStore contract).
-	openBuf  []byte   // OpenTo target for path downloads
-	plainBuf []byte   // one plaintext bucket, reused per level
-	sealBuf  []byte   // SealTo target for a whole path write-back
-	sealView [][]byte // per-level views into sealBuf
+	// Scratch reused across accesses so a steady-state access allocates
+	// nothing but the result copy it hands the caller. Safe because a
+	// PathORAM serves one access at a time and every store consumes batch
+	// payloads and index lists before returning (storage package comment).
+	fetchBuf []byte     // ReadManyTo/ExchangeTo target: one download's sealed buckets
+	openBuf  []byte     // OpenTo target, one bucket at a time out of fetchBuf
+	plainBuf []byte     // one plaintext bucket, reused per level
+	sealBuf  []byte     // SealTo target for a whole path write-back
+	sealView [][]byte   // per-level views into sealBuf
+	pathBuf  []int64    // pathNodes result
+	leafBuf  [1]uint32  // the single-access leaf list handed to the scheduler
+	planBuf  accessPlan // the single-access plan
+	// free holds stash payload buffers whose blocks were evicted in a round
+	// the store has accepted; parseBucketInto and Write take from it before
+	// allocating. evicted stages one write-back's buffers until that point
+	// (a failed write-back leaves them to the collector).
+	free    [][]byte
+	evicted [][]byte
 
 	// Client-side telemetry counters (see Telemetry); never server-visible.
 	accesses       int64
@@ -174,14 +183,14 @@ func NewPathORAM(cfg PathConfig) (*PathORAM, error) {
 		return nil, fmt.Errorf("oram: open store %q: %w", cfg.Name, err)
 	}
 	o.store = st
-	o.batch, _ = st.(storage.BatchStore)
-	o.exch, _ = st.(storage.ExchangeStore)
+	_, o.canExchange = st.(storage.ExchangeStore)
+	o.pathBuf = make([]int64, levels)
 	o.sched = newScheduler(o, cfg.EvictionBatch)
 	// Initialize every bucket to a sealed empty bucket so the adversary sees
 	// a fully populated, uniformly encrypted tree from the start. Each bucket
 	// gets its own fresh ciphertext; the upload itself is batched.
 	empty := make([]byte, bucketSize)
-	up := newUploader(o)
+	up := newUploader(o, nodes)
 	for i := int64(0); i < nodes; i++ {
 		if err := up.add(i, empty); err != nil {
 			return nil, err
@@ -235,10 +244,9 @@ func nextPow2(n int64) int64 {
 const uploadChunk = 256
 
 // uploader seals plaintext buckets into one reusable batch buffer and
-// streams them to the server in bounded batches, using one round per batch
-// when the store supports it. Only the preprocessing paths (construction,
-// BulkLoad) use it; query-time accesses always move exactly one path per
-// batch.
+// streams them to the server in bounded batches, one round per batch. Only
+// the preprocessing paths (construction, BulkLoad) use it; query-time
+// accesses always move exactly one path per batch.
 type uploader struct {
 	o    *PathORAM
 	idxs []int64
@@ -246,12 +254,15 @@ type uploader struct {
 	data [][]byte // per-bucket views into buf
 }
 
-func newUploader(o *PathORAM) *uploader {
+// newUploader sizes the batch buffer for a tree of the given node count: a
+// small tree never fills a whole chunk.
+func newUploader(o *PathORAM, nodes int64) *uploader {
+	chunk := int(min(nodes, uploadChunk))
 	return &uploader{
 		o:    o,
-		idxs: make([]int64, 0, uploadChunk),
-		buf:  make([]byte, 0, uploadChunk*xcrypto.SealedLen(o.bucketSize)),
-		data: make([][]byte, 0, uploadChunk),
+		idxs: make([]int64, 0, chunk),
+		buf:  make([]byte, 0, chunk*xcrypto.SealedLen(o.bucketSize)),
+		data: make([][]byte, 0, chunk),
 	}
 }
 
@@ -274,19 +285,7 @@ func (u *uploader) flush() error {
 	if len(u.idxs) == 0 {
 		return nil
 	}
-	var err error
-	if u.o.batch != nil {
-		err = u.o.batch.WriteMany(u.idxs, u.data)
-	} else {
-		for k, i := range u.idxs {
-			if err = u.o.store.Write(i, u.data[k]); err != nil {
-				break
-			}
-		}
-		if err == nil && u.o.cfg.Meter != nil {
-			u.o.cfg.Meter.CountRound()
-		}
-	}
+	err := u.o.writeBuckets(u.idxs, u.data)
 	u.idxs = u.idxs[:0]
 	u.buf = u.buf[:0]
 	u.data = u.data[:0]
@@ -343,10 +342,21 @@ func (o *PathORAM) Write(key uint64, payload []byte) error {
 	if len(payload) > o.cfg.PayloadSize {
 		return fmt.Errorf("oram: payload %d exceeds block payload size %d", len(payload), o.cfg.PayloadSize)
 	}
-	buf := make([]byte, o.cfg.PayloadSize)
-	copy(buf, payload)
+	buf := o.payloadBuf()
+	clear(buf[copy(buf, payload):])
 	_, err := o.access(key, buf, false, nil)
 	return err
+}
+
+// payloadBuf returns a PayloadSize stash buffer with unspecified contents,
+// recycled from the free list when it has one.
+func (o *PathORAM) payloadBuf() []byte {
+	if n := len(o.free); n > 0 {
+		buf := o.free[n-1]
+		o.free = o.free[:n-1]
+		return buf
+	}
+	return make([]byte, o.cfg.PayloadSize)
 }
 
 // Update implements ORAM: a single path access that reads, mutates, and
@@ -382,30 +392,27 @@ type accessPlan struct {
 	newLeaf  uint32 // position installed in the map (real accesses)
 }
 
-// plan runs the position-remap stage: pick the new leaf, read-and-replace
-// the position-map entry (or a dummy position-map operation), and record
-// which path the access must fetch.
-func (o *PathORAM) plan(key uint64, newData []byte, dummy bool, update func([]byte) error) (*accessPlan, error) {
+// plan runs the position-remap stage into p: pick the new leaf,
+// read-and-replace the position-map entry (or a dummy position-map
+// operation), and record which path the access must fetch.
+func (o *PathORAM) plan(p *accessPlan, key uint64, newData []byte, dummy bool, update func([]byte) error) error {
 	o.accesses++
-	p := &accessPlan{key: key, newData: newData, update: update, dummy: dummy}
+	*p = accessPlan{key: key, newData: newData, update: update, dummy: dummy}
 	if dummy {
 		o.dummyAccesses++
 		p.leaf = o.randomLeaf()
 		// Keep position-map access counts uniform across real and dummy
 		// operations so they remain indistinguishable even when the position
 		// map itself lives in a recursive ORAM.
-		if err := o.pos.dummyOp(); err != nil {
-			return nil, err
-		}
-		return p, nil
+		return o.pos.dummyOp()
 	}
 	if key >= uint64(o.cfg.Capacity) {
-		return nil, fmt.Errorf("oram: key %d out of capacity %d", key, o.cfg.Capacity)
+		return fmt.Errorf("oram: key %d out of capacity %d", key, o.cfg.Capacity)
 	}
 	p.newLeaf = o.randomLeaf()
 	old, ok, err := o.pos.getAndSet(key, p.newLeaf)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ok {
 		p.leaf = old
@@ -413,7 +420,7 @@ func (o *PathORAM) plan(key uint64, newData []byte, dummy bool, update func([]by
 		p.leaf = o.randomLeaf()
 		p.notFound = true
 	}
-	return p, nil
+	return nil
 }
 
 // apply runs the stash-apply stage: with the plan's path already fetched
@@ -426,6 +433,10 @@ func (o *PathORAM) apply(p *accessPlan) ([]byte, error) {
 	entry, ok := o.stash[p.key]
 	switch {
 	case p.newData != nil:
+		if ok {
+			// The overwritten copy is referenced by nothing else.
+			o.free = append(o.free, entry.payload)
+		}
 		o.stash[p.key] = stashEntry{leaf: p.newLeaf, payload: p.newData}
 		return nil, nil
 	case !ok || p.notFound:
@@ -450,11 +461,12 @@ func (o *PathORAM) apply(p *accessPlan) ([]byte, error) {
 // immediately (the classic two-round protocol); otherwise the scheduler
 // defers it.
 func (o *PathORAM) access(key uint64, newData []byte, dummy bool, update func([]byte) error) ([]byte, error) {
-	p, err := o.plan(key, newData, dummy, update)
-	if err != nil {
+	p := &o.planBuf
+	if err := o.plan(p, key, newData, dummy, update); err != nil {
 		return nil, err
 	}
-	if err := o.sched.fetch([]uint32{p.leaf}); err != nil {
+	o.leafBuf[0] = p.leaf
+	if err := o.sched.fetch(o.leafBuf[:]); err != nil {
 		return nil, err
 	}
 	result, err := o.apply(p)
@@ -467,36 +479,31 @@ func (o *PathORAM) access(key uint64, newData []byte, dummy bool, update func([]
 	return result, err
 }
 
-// readPath fetches the sealed buckets at the given nodes into the stash.
-// With a BatchStore this is one ReadMany — the single download round of a
-// Path-ORAM access; otherwise it degrades to per-bucket reads accounted as
-// one simulated round.
+// readPath fetches the sealed buckets at the given nodes into the stash:
+// one ReadManyTo round — the single download round of a Path-ORAM access —
+// into the instance's download buffer.
 func (o *PathORAM) readPath(path []int64) error {
-	o.bucketsRead += int64(len(path))
-	var sealedBuckets [][]byte
-	if o.batch != nil {
-		var err error
-		sealedBuckets, err = o.batch.ReadMany(path)
-		if err != nil {
-			return err
-		}
-	} else {
-		sealedBuckets = make([][]byte, len(path))
-		for k, node := range path {
-			sealed, err := o.store.Read(node)
-			if err != nil {
-				return err
-			}
-			sealedBuckets[k] = sealed
-		}
-		if o.cfg.Meter != nil {
-			o.cfg.Meter.CountRound()
-		}
+	buf, err := storage.ReadManyTo(o.store, o.cfg.Meter, o.fetchBuf[:0], path)
+	if err != nil {
+		return err
 	}
-	for k, sealed := range sealedBuckets {
-		plain, err := o.sealer.OpenTo(o.openBuf[:0], sealed)
+	return o.openFetched(buf, path)
+}
+
+// openFetched decrypts a download — the sealed buckets of nodes, back to
+// back in buf — straight out of the download buffer into the stash, and
+// keeps the (possibly grown) buffer for the next round.
+func (o *PathORAM) openFetched(buf []byte, nodes []int64) error {
+	o.fetchBuf = buf[:0]
+	o.bucketsRead += int64(len(nodes))
+	stride := xcrypto.SealedLen(o.bucketSize)
+	if len(buf) != len(nodes)*stride {
+		return fmt.Errorf("oram: store %q returned %d bytes for %d buckets of %d", o.cfg.Name, len(buf), len(nodes), stride)
+	}
+	for k, node := range nodes {
+		plain, err := o.sealer.OpenTo(o.openBuf[:0], buf[k*stride:(k+1)*stride])
 		if err != nil {
-			return fmt.Errorf("oram: store %q bucket %d: %w", o.cfg.Name, path[k], err)
+			return fmt.Errorf("oram: store %q bucket %d: %w", o.cfg.Name, node, err)
 		}
 		o.openBuf = plain[:0]
 		o.parseBucketInto(plain)
@@ -505,9 +512,10 @@ func (o *PathORAM) readPath(path []int64) error {
 }
 
 // pathNodes returns the 0-based store indices of the buckets on the path
-// from the root to the given leaf, root first.
+// from the root to the given leaf, root first. The result is instance
+// scratch, valid until the next call.
 func (o *PathORAM) pathNodes(leaf uint32) []int64 {
-	nodes := make([]int64, o.levels)
+	nodes := o.pathBuf
 	// 1-based heap index of the leaf bucket.
 	idx := o.leaves + int64(leaf)
 	for i := o.levels - 1; i >= 0; i-- {
@@ -546,7 +554,7 @@ func (o *PathORAM) parseBucketInto(plain []byte) {
 		if _, already := o.stash[key]; already {
 			continue // stash copy is authoritative
 		}
-		payload := make([]byte, o.cfg.PayloadSize)
+		payload := o.payloadBuf()
 		copy(payload, slot[slotHeader:])
 		o.stash[key] = stashEntry{
 			leaf:    binary.LittleEndian.Uint32(slot[9:13]),
@@ -567,6 +575,13 @@ func (o *PathORAM) bucketScratch() []byte {
 	return bucket
 }
 
+// writeBuckets stores sealed buckets in one round through the best write
+// form the store offers (storage.ExchangeTo with nothing to read).
+func (o *PathORAM) writeBuckets(idxs []int64, sealed [][]byte) error {
+	_, err := storage.ExchangeTo(o.store, o.cfg.Meter, nil, idxs, sealed, nil)
+	return err
+}
+
 func (o *PathORAM) writePath(leaf uint32, path []int64) error {
 	// Fill bottom-up (deepest bucket first) so blocks sink as far as
 	// allowed, then upload the whole path in one write-back round. Buckets
@@ -582,6 +597,7 @@ func (o *PathORAM) writePath(leaf uint32, path []int64) error {
 	}
 	seal := o.sealBuf[:0]
 	sealedBuckets := o.sealView[:o.levels]
+	o.evicted = o.evicted[:0]
 	for lvl := o.levels - 1; lvl >= 0; lvl-- {
 		bucket := o.bucketScratch()
 		filled := 0
@@ -597,6 +613,7 @@ func (o *PathORAM) writePath(leaf uint32, path []int64) error {
 			putSlotHeader(slot, key, entry.leaf)
 			copy(slot[slotHeader:], entry.payload)
 			delete(o.stash, key)
+			o.evicted = append(o.evicted, entry.payload)
 			filled++
 		}
 		o.levelPlaced[lvl] += int64(filled)
@@ -608,17 +625,12 @@ func (o *PathORAM) writePath(leaf uint32, path []int64) error {
 		}
 		sealedBuckets[lvl] = seal[off:]
 	}
-	if o.batch != nil {
-		return o.batch.WriteMany(path, sealedBuckets)
+	if err := o.writeBuckets(path, sealedBuckets); err != nil {
+		return err
 	}
-	for lvl := o.levels - 1; lvl >= 0; lvl-- {
-		if err := o.store.Write(path[lvl], sealedBuckets[lvl]); err != nil {
-			return err
-		}
-	}
-	if o.cfg.Meter != nil {
-		o.cfg.Meter.CountRound()
-	}
+	// The store has accepted the round: only now are the evicted blocks'
+	// buffers free for reuse.
+	o.free = append(o.free, o.evicted...)
 	return nil
 }
 
@@ -664,7 +676,7 @@ func (o *PathORAM) BulkLoad(payloads [][]byte) error {
 	}
 	// Serialize and upload every bucket once, in batched rounds; the
 	// uploader seals each bucket into its batch buffer.
-	up := newUploader(o)
+	up := newUploader(o, 2*o.leaves-1)
 	for n := int64(0); n < 2*o.leaves-1; n++ {
 		bucket := o.bucketScratch()
 		for s, pl := range buckets[n] {

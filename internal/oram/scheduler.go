@@ -1,9 +1,9 @@
 package oram
 
 import (
-	"fmt"
 	"sort"
 
+	"oblivjoin/internal/storage"
 	"oblivjoin/internal/xcrypto"
 )
 
@@ -75,7 +75,8 @@ func newScheduler(o *PathORAM, batch int) *scheduler {
 }
 
 // unionNodes returns the sorted union of the root-to-leaf paths of the
-// given leaves. For a single leaf it is exactly pathNodes (root first).
+// given leaves. For a single leaf it is exactly pathNodes (root first) and,
+// like it, instance scratch.
 func (s *scheduler) unionNodes(leaves []uint32) []int64 {
 	if len(leaves) == 1 {
 		return s.o.pathNodes(leaves[0])
@@ -100,7 +101,7 @@ func (s *scheduler) unionNodes(leaves []uint32) []int64 {
 // all in the same round trip.
 func (s *scheduler) fetch(leaves []uint32) error {
 	if s.due {
-		if s.o.exch != nil && len(s.pending) > 0 {
+		if s.o.canExchange && len(s.pending) > 0 {
 			return s.exchangeFetch(leaves)
 		}
 		if err := s.flushNow(); err != nil {
@@ -122,7 +123,8 @@ func (s *scheduler) evict(leaf uint32) error {
 	if s.batch <= 1 {
 		return s.o.writePath(leaf, s.o.pathNodes(leaf))
 	}
-	return s.evictBatch([]uint32{leaf})
+	s.o.leafBuf[0] = leaf
+	return s.evictBatch(s.o.leafBuf[:])
 }
 
 // evictBatch queues a coalesced batch's fetched paths for write-back as one
@@ -143,7 +145,7 @@ func (s *scheduler) evictBatch(leaves []uint32) error {
 		return s.flushNow()
 	}
 	if len(s.pending) >= s.batch {
-		if s.o.exch != nil {
+		if s.o.canExchange {
 			s.due = true
 			return nil
 		}
@@ -169,20 +171,8 @@ func (s *scheduler) flushNow() error {
 	if err != nil {
 		return err
 	}
-	if s.o.batch != nil {
-		if err := s.o.batch.WriteMany(es.idxs, es.data); err != nil {
-			return err
-		}
-		s.commit(es)
-		return nil
-	}
-	for k, i := range es.idxs {
-		if err := s.o.store.Write(i, es.data[k]); err != nil {
-			return err
-		}
-	}
-	if s.o.cfg.Meter != nil {
-		s.o.cfg.Meter.CountRound()
+	if err := s.o.writeBuckets(es.idxs, es.data); err != nil {
+		return err
 	}
 	s.commit(es)
 	return nil
@@ -202,7 +192,7 @@ func (s *scheduler) exchangeFetch(leaves []uint32) error {
 	// The combined round carries the deferred write-back; label it as the
 	// flush it is (the ride-along fetch is what makes the round free).
 	restore := s.o.cfg.Flight.PushPhase("oram.flush")
-	sealed, err := s.o.exch.Exchange(es.idxs, es.data, ridxs)
+	buf, err := storage.ExchangeTo(s.o.store, s.o.cfg.Meter, s.o.fetchBuf[:0], es.idxs, es.data, ridxs)
 	restore()
 	if err != nil {
 		return err
@@ -216,16 +206,7 @@ func (s *scheduler) exchangeFetch(leaves []uint32) error {
 		s.batchFetches++
 		s.batchedAccesses += int64(len(leaves))
 	}
-	s.o.bucketsRead += int64(len(ridxs))
-	for k, sb := range sealed {
-		plain, err := s.o.sealer.OpenTo(s.o.openBuf[:0], sb)
-		if err != nil {
-			return fmt.Errorf("oram: store %q bucket %d: %w", s.o.cfg.Name, ridxs[k], err)
-		}
-		s.o.openBuf = plain[:0]
-		s.o.parseBucketInto(plain)
-	}
-	return nil
+	return s.o.openFetched(buf, ridxs)
 }
 
 // evictionSet is a sealed flush staged for the store: the bucket writes,
@@ -326,11 +307,13 @@ func (s *scheduler) sealEvictionSet() (*evictionSet, error) {
 
 // commit drains the client state a successfully stored eviction set covered:
 // the placed blocks leave the stash (their authoritative copies now live in
-// the written buckets), the pending queue empties, and the flush telemetry
-// advances.
+// the written buckets) and their payload buffers join the free list — here
+// and never in sealEvictionSet, so a failed flush recycles nothing — the
+// pending queue empties, and the flush telemetry advances.
 func (s *scheduler) commit(es *evictionSet) {
 	o := s.o
 	for _, key := range es.placed {
+		o.free = append(o.free, o.stash[key].payload)
 		delete(o.stash, key)
 	}
 	s.pending = s.pending[:0]
@@ -362,15 +345,13 @@ func (o *PathORAM) ReadBatch(keys []uint64) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	plans := make([]*accessPlan, len(keys))
+	plans := make([]accessPlan, len(keys))
 	leaves := make([]uint32, len(keys))
 	for i, k := range keys {
-		p, err := o.plan(k, nil, false, nil)
-		if err != nil {
+		if err := o.plan(&plans[i], k, nil, false, nil); err != nil {
 			return nil, err
 		}
-		plans[i] = p
-		leaves[i] = p.leaf
+		leaves[i] = plans[i].leaf
 	}
 	return o.finishBatch(plans, leaves)
 }
@@ -381,15 +362,13 @@ func (o *PathORAM) DummyBatch(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	plans := make([]*accessPlan, n)
+	plans := make([]accessPlan, n)
 	leaves := make([]uint32, n)
 	for i := range plans {
-		p, err := o.plan(0, nil, true, nil)
-		if err != nil {
+		if err := o.plan(&plans[i], 0, nil, true, nil); err != nil {
 			return err
 		}
-		plans[i] = p
-		leaves[i] = p.leaf
+		leaves[i] = plans[i].leaf
 	}
 	_, err := o.finishBatch(plans, leaves)
 	return err
@@ -399,14 +378,14 @@ func (o *PathORAM) DummyBatch(n int) error {
 // All plans are applied before any path is queued for eviction, so an
 // eviction cannot sink a block that a later plan in the same batch still
 // needs out of the stash.
-func (o *PathORAM) finishBatch(plans []*accessPlan, leaves []uint32) ([][]byte, error) {
+func (o *PathORAM) finishBatch(plans []accessPlan, leaves []uint32) ([][]byte, error) {
 	if err := o.sched.fetch(leaves); err != nil {
 		return nil, err
 	}
 	results := make([][]byte, len(plans))
 	var firstErr error
-	for i, p := range plans {
-		res, err := o.apply(p)
+	for i := range plans {
+		res, err := o.apply(&plans[i])
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}

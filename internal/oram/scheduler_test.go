@@ -412,6 +412,7 @@ func TestSchedulerFlushFailureKeepsState(t *testing.T) {
 				}
 			}
 			fs.fail = true
+			freeBefore := len(o.free)
 			var failed bool
 			for i := 0; i < 2*k && !failed; i++ {
 				if err := o.DummyAccess(); err != nil {
@@ -424,6 +425,13 @@ func TestSchedulerFlushFailureKeepsState(t *testing.T) {
 			if o.PendingEvictions() == 0 {
 				t.Fatal("failed flush cleared the pending queue")
 			}
+			// Nothing was committed during the outage, so nothing may have
+			// been recycled: the sealed-but-unstored blocks' buffers are
+			// still the stash's.
+			if len(o.free) > freeBefore {
+				t.Fatalf("failed flush recycled %d stash buffers", len(o.free)-freeBefore)
+			}
+			assertFreeListDisjoint(t, o)
 
 			// The outage ends: every block must still be readable (stash
 			// copies were never dropped) and a retried flush settles.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -116,8 +117,9 @@ func (e *errTransient) Unwrap() error { return e.err }
 
 // frame is a reusable request/response buffer pair. One frame serves one
 // round trip; pooling them makes steady-state encoding and frame reads
-// allocation-free — decode still copies block payloads out, so nothing
-// returned to a caller aliases pooled memory.
+// allocation-free. roundTrip moves the response's blocks out of the frame
+// into the caller's buffer before releasing it, so nothing returned to a
+// caller aliases pooled memory.
 type frame struct{ out, in []byte }
 
 var framePool = sync.Pool{New: func() any { return &frame{} }}
@@ -316,8 +318,10 @@ func (c *Client) EndSession() error {
 // roundTrip performs one request over one connection under the per-request
 // deadline, tightened by the bound context's deadline if that is sooner.
 // The remaining budget is declared to the server in DeadlineMS.
-// Network-level failures come back wrapped as transient.
-func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *Request) (*Response, error) {
+// Network-level failures come back wrapped as transient. The response's
+// blocks are appended back to back to dst (nil: fresh memory) and
+// resp.Blocks re-pointed at those copies; the extended dst is returned.
+func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *Request, dst []byte) (*Response, []byte, error) {
 	deadline := time.Now().Add(c.opts.requestTimeout())
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -328,20 +332,37 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *Request) (*R
 		req.DeadlineMS = 1 // declare an (expired) deadline rather than none
 	}
 	if err := conn.SetDeadline(deadline); err != nil {
-		return nil, &errTransient{err}
+		return nil, nil, &errTransient{err}
 	}
 	f := framePool.Get().(*frame)
 	defer framePool.Put(f)
 	f.out = AppendFramedRequest(f.out[:0], req)
 	if _, err := conn.Write(f.out); err != nil {
-		return nil, &errTransient{err}
+		return nil, nil, &errTransient{err}
 	}
 	payload, err := ReadFrameInto(conn, c.opts.MaxFrame, f.in[:0])
 	if err != nil {
-		return nil, &errTransient{err}
+		return nil, nil, &errTransient{err}
 	}
 	f.in = payload[:0]
-	return DecodeResponse(payload)
+	resp, err := decodeResponse(payload, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The blocks are views into the pooled frame: copy them out, growing
+	// dst at most once so the re-pointed views stay valid.
+	total := 0
+	for _, blk := range resp.Blocks {
+		total += len(blk)
+	}
+	off := len(dst)
+	dst = slices.Grow(dst, total)
+	for k, blk := range resp.Blocks {
+		dst = append(dst, blk...)
+		resp.Blocks[k] = dst[off:len(dst):len(dst)]
+		off = len(dst)
+	}
+	return resp, dst, nil
 }
 
 // call executes a request with bounded retry and exponential backoff on
@@ -350,6 +371,13 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *Request) (*R
 // bound context stops the retry loop at its deadline or cancellation —
 // a hung server costs at most one I/O deadline, never an unbounded wait.
 func (c *Client) call(req *Request) (*Response, error) {
+	resp, _, err := c.callTo(req, nil)
+	return resp, err
+}
+
+// callTo is call with the response's blocks appended to the caller-owned
+// dst (see roundTrip); on error the returned slice is nil.
+func (c *Client) callTo(req *Request, dst []byte) (*Response, []byte, error) {
 	ctx := c.boundCtx()
 	if req.Session == 0 && req.Op != OpHello {
 		req.Session = c.sessionID()
@@ -372,19 +400,19 @@ func (c *Client) call(req *Request) (*Response, error) {
 		}
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
-				return nil, fmt.Errorf("remote: %s %q: %w (last error: %v)", req.Op, req.Store, err, lastErr)
+				return nil, nil, fmt.Errorf("remote: %s %q: %w (last error: %v)", req.Op, req.Store, err, lastErr)
 			}
-			return nil, fmt.Errorf("remote: %s %q: %w", req.Op, req.Store, err)
+			return nil, nil, fmt.Errorf("remote: %s %q: %w", req.Op, req.Store, err)
 		}
 		conn, err := c.get()
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
-				return nil, err
+				return nil, nil, err
 			}
 			lastErr = err
 			continue
 		}
-		resp, err := c.roundTrip(ctx, conn, req)
+		resp, out, err := c.roundTrip(ctx, conn, req, dst)
 		if err != nil {
 			// The connection is in an unknown state mid-protocol: discard it.
 			conn.Close()
@@ -393,22 +421,22 @@ func (c *Client) call(req *Request) (*Response, error) {
 				lastErr = err
 				continue
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		c.put(conn)
 		switch resp.Status {
 		case StatusOK:
-			return resp, nil
+			return resp, out, nil
 		case StatusTransient:
 			lastErr = &errTransient{errors.New(resp.Msg)}
 			continue
 		case StatusBusy:
-			return nil, &RemoteError{Msg: resp.Msg, Busy: true}
+			return nil, nil, &RemoteError{Msg: resp.Msg, Busy: true}
 		default:
-			return nil, &RemoteError{Msg: resp.Msg}
+			return nil, nil, &RemoteError{Msg: resp.Msg}
 		}
 	}
-	return nil, fmt.Errorf("remote: %s %q failed after %d attempts: %w",
+	return nil, nil, fmt.Errorf("remote: %s %q failed after %d attempts: %w",
 		req.Op, req.Store, c.opts.maxRetries()+1, lastErr)
 }
 
@@ -455,8 +483,9 @@ func (c *Client) Opener() storage.Opener {
 }
 
 // RemoteStore is a client-side handle to one named store on the server. It
-// implements storage.Store and storage.BatchStore: batch operations move a
-// whole ORAM path in one round trip.
+// implements storage.AppendExchangeStore: batch operations move a whole ORAM
+// path in one round trip, and the append forms land the response's blocks in
+// the caller's buffer straight from the pooled receive frame.
 type RemoteStore struct {
 	c         *Client
 	name      string
@@ -464,10 +493,7 @@ type RemoteStore struct {
 	blockSize int
 }
 
-var (
-	_ storage.BatchStore    = (*RemoteStore)(nil)
-	_ storage.ExchangeStore = (*RemoteStore)(nil)
-)
+var _ storage.AppendExchangeStore = (*RemoteStore)(nil)
 
 // Name returns the server-side store name.
 func (s *RemoteStore) Name() string { return s.name }
@@ -505,24 +531,46 @@ func (s *RemoteStore) Write(i int64, data []byte) error {
 	return nil
 }
 
-// ReadMany implements storage.BatchStore: the whole batch is one request,
+// ReadMany implements storage.BatchStore: ReadManyTo into fresh memory,
+// carved.
+func (s *RemoteStore) ReadMany(idxs []int64) ([][]byte, error) {
+	flat, err := s.ReadManyTo(nil, idxs)
+	return storage.Carve(flat, s.blockSize), err
+}
+
+// ReadManyTo implements storage.AppendStore: the whole batch is one request,
 // hence one round trip — the fast path that lets Path-ORAM fetch a full
 // tree path per round.
-func (s *RemoteStore) ReadMany(idxs []int64) ([][]byte, error) {
+func (s *RemoteStore) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
 	if len(idxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	resp, err := s.c.call(&Request{Op: OpReadMany, Store: s.name, Indices: idxs})
+	resp, out, err := s.c.callTo(&Request{Op: OpReadMany, Store: s.name, Indices: idxs}, dst)
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Blocks) != len(idxs) {
-		return nil, fmt.Errorf("%w: batch read returned %d of %d blocks", ErrMalformed, len(resp.Blocks), len(idxs))
+	if err := s.checkBlocks("batch read", resp, len(idxs)); err != nil {
+		return nil, err
 	}
 	if m := s.c.opts.Meter; m != nil {
 		m.CountBatch(s.name, storage.KindRead, idxs, s.blockSize)
 	}
-	return resp.Blocks, nil
+	return out, nil
+}
+
+// checkBlocks refuses a response the caller could not carve at blockSize
+// stride: the server is untrusted, and a short block would shift every
+// block after it.
+func (s *RemoteStore) checkBlocks(op string, resp *Response, want int) error {
+	if len(resp.Blocks) != want {
+		return fmt.Errorf("%w: %s returned %d of %d blocks", ErrMalformed, op, len(resp.Blocks), want)
+	}
+	for _, blk := range resp.Blocks {
+		if len(blk) != s.blockSize {
+			return fmt.Errorf("%w: %s returned a %d-byte block, want %d", ErrMalformed, op, len(blk), s.blockSize)
+		}
+	}
+	return nil
 }
 
 // WriteMany implements storage.BatchStore.
@@ -543,39 +591,46 @@ func (s *RemoteStore) WriteMany(idxs []int64, data [][]byte) error {
 	return nil
 }
 
-// Exchange implements storage.ExchangeStore: the writes and reads travel in
-// one OpExchange request, and the server applies the writes before serving
-// the reads. Degenerate forms collapse to the plain batch ops (which skip
-// the wire entirely when empty), and a retried exchange is idempotent for
-// the same reason batch writes are: absolute indices, absolute contents.
+// Exchange implements storage.ExchangeStore: ExchangeTo into fresh memory,
+// carved.
 func (s *RemoteStore) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
+	flat, err := s.ExchangeTo(nil, writeIdxs, writeData, readIdxs)
+	return storage.Carve(flat, s.blockSize), err
+}
+
+// ExchangeTo implements storage.AppendExchangeStore: the writes and reads
+// travel in one OpExchange request, and the server applies the writes before
+// serving the reads. Degenerate forms collapse to the plain batch ops (which
+// skip the wire entirely when empty), and a retried exchange is idempotent
+// for the same reason batch writes are: absolute indices, absolute contents.
+func (s *RemoteStore) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if len(writeIdxs) != len(writeData) {
 		return nil, fmt.Errorf("remote: exchange of %d write blocks with %d payloads", len(writeIdxs), len(writeData))
 	}
-	if len(writeIdxs) == 0 && len(readIdxs) == 0 {
-		return nil, nil
-	}
 	if len(readIdxs) == 0 {
-		return nil, s.WriteMany(writeIdxs, writeData)
+		if err := s.WriteMany(writeIdxs, writeData); err != nil {
+			return nil, err
+		}
+		return dst, nil
 	}
 	if len(writeIdxs) == 0 {
-		return s.ReadMany(readIdxs)
+		return s.ReadManyTo(dst, readIdxs)
 	}
-	resp, err := s.c.call(&Request{
+	resp, out, err := s.c.callTo(&Request{
 		Op:           OpExchange,
 		Store:        s.name,
 		Indices:      readIdxs,
 		WriteIndices: writeIdxs,
 		Blocks:       writeData,
-	})
+	}, dst)
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Blocks) != len(readIdxs) {
-		return nil, fmt.Errorf("%w: exchange returned %d of %d blocks", ErrMalformed, len(resp.Blocks), len(readIdxs))
+	if err := s.checkBlocks("exchange", resp, len(readIdxs)); err != nil {
+		return nil, err
 	}
 	if m := s.c.opts.Meter; m != nil {
 		m.CountExchange(s.name, writeIdxs, readIdxs, s.blockSize)
 	}
-	return resp.Blocks, nil
+	return out, nil
 }

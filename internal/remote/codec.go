@@ -1,8 +1,7 @@
 // Package remote is the networked block-store transport: a length-prefixed
 // binary wire protocol, a TCP server that hosts named storage.Store
-// instances, and a client that implements storage.Store and
-// storage.BatchStore so the oblivious join engine runs unchanged against a
-// remote block server.
+// instances, and a client that implements storage.AppendExchangeStore so
+// the oblivious join engine runs unchanged against a remote block server.
 //
 // The paper's deployment (Section 9.1) separates the trusted client from an
 // untrusted storage server and argues costs in network round trips. The
@@ -27,6 +26,19 @@
 // round, on success. The server's deterministic FaultModel (Shaper) injects
 // latency and transient faults for tests and WAN experiments. See DESIGN.md
 // §2.6 for the batching semantics and failure model in full.
+//
+// Block memory on the hot path (DESIGN.md §2.14, storage package comment):
+// nothing block-sized is allocated per request on either side. The server
+// decodes each request in place into a per-connection Request whose Blocks
+// are views into the connection's frame buffer, and serves batch reads from
+// a per-connection scratch the Response's Blocks point into; both are valid
+// only until the response has been encoded, which is why hosted stores must
+// consume write payloads before returning and a handler must never retain a
+// Request, its index lists or its Blocks. The client decodes a response's
+// blocks as views into a pooled frame and copies them into the caller's
+// buffer (RemoteStore.ReadManyTo / ExchangeTo) before the frame returns to
+// the pool. DecodeRequest and DecodeResponse, the exported entry points,
+// always copy blocks out of the payload.
 package remote
 
 import (
@@ -34,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // DefaultMaxFrame bounds a single wire frame (64 MiB), comfortably above
@@ -287,13 +300,17 @@ func (r *reader) length(itemSize int) (int, error) {
 	return int(v), nil
 }
 
-func (r *reader) bytes() ([]byte, error) {
+// str decodes a length-prefixed string of at most max bytes (0 = no bound
+// beyond the payload itself); what names the field in the error.
+func (r *reader) str(max int, what string) (string, error) {
 	n, err := r.length(1)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	out := make([]byte, n)
-	copy(out, r.b[:n])
+	if max > 0 && n > max {
+		return "", fmt.Errorf("%w: %s of %d bytes", ErrMalformed, what, n)
+	}
+	out := string(r.b[:n])
 	r.b = r.b[n:]
 	return out, nil
 }
@@ -314,6 +331,52 @@ func (r *reader) bytesSlab(slab *[]byte) ([]byte, error) {
 	*slab = append(*slab, r.b[:n]...)
 	r.b = r.b[n:]
 	return (*slab)[start : start+n : start+n], nil
+}
+
+// blocks decodes a counted list of length-prefixed blocks into dst's
+// capacity. With view set the blocks alias the payload (capacity-limited,
+// so an append to one can never reach the bytes after it) and live exactly
+// as long as the frame buffer that holds it; otherwise they are carved from
+// one fresh slab.
+func (r *reader) blocks(dst [][]byte, view bool) ([][]byte, error) {
+	n, err := r.length(1)
+	if err != nil || n == 0 {
+		return dst, err
+	}
+	dst = slices.Grow(dst, n)[:n]
+	if view {
+		for k := range dst {
+			size, err := r.length(1)
+			if err != nil {
+				return nil, err
+			}
+			dst[k] = r.b[:size:size]
+			r.b = r.b[size:]
+		}
+		return dst, nil
+	}
+	slab := make([]byte, 0, len(r.b))
+	for k := range dst {
+		if dst[k], err = r.bytesSlab(&slab); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// int64s decodes a counted list of indices into dst's capacity.
+func (r *reader) int64s(dst []int64) ([]int64, error) {
+	n, err := r.length(1)
+	if err != nil || n == 0 {
+		return dst, err
+	}
+	dst = slices.Grow(dst, n)[:n]
+	for k := range dst {
+		if dst[k], err = r.int64(); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 func (r *reader) int64() (int64, error) {
@@ -377,57 +440,50 @@ func AppendRequest(b []byte, req *Request) []byte {
 	return b
 }
 
-// DecodeRequest parses a frame payload into a Request. Malformed input
-// yields an error, never a panic or an allocation beyond the frame size.
+// DecodeRequest parses a frame payload into a Request that shares no memory
+// with it. Malformed input yields an error, never a panic or an allocation
+// beyond the frame size.
 func DecodeRequest(payload []byte) (*Request, error) {
-	r := &reader{b: payload}
+	req := new(Request)
+	if err := decodeRequest(req, payload, false); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// decodeRequest is DecodeRequest into a caller-owned Request, overwriting
+// every field and reusing the capacity of its index and block lists, with
+// the choice of how Blocks are held: with view set they alias payload — the
+// server's mode, where the frame buffer outlives the handler and every store
+// consumes write payloads before returning (storage package comment), so
+// nothing block-sized is copied or allocated between the socket and the
+// store. Names and indices are copied either way. On error req is garbage.
+func decodeRequest(req *Request, payload []byte, view bool) error {
+	r := reader{b: payload}
 	if len(r.b) < 1 {
-		return nil, fmt.Errorf("%w: empty request", ErrMalformed)
+		return fmt.Errorf("%w: empty request", ErrMalformed)
 	}
 	op := Op(r.b[0])
 	r.b = r.b[1:]
 	if op < OpRead || op > OpTrace {
-		return nil, fmt.Errorf("%w: unknown op %d", ErrMalformed, op)
+		return fmt.Errorf("%w: unknown op %d", ErrMalformed, op)
 	}
-	req := &Request{Op: op}
-	name, err := r.bytes()
-	if err != nil {
-		return nil, err
+	*req = Request{Op: op, Indices: req.Indices[:0], Blocks: req.Blocks[:0], WriteIndices: req.WriteIndices[:0]}
+	var err error
+	if req.Store, err = r.str(maxStoreName, "store name"); err != nil {
+		return err
 	}
-	if len(name) > maxStoreName {
-		return nil, fmt.Errorf("%w: store name of %d bytes", ErrMalformed, len(name))
-	}
-	req.Store = string(name)
 	if req.Slots, err = r.int64(); err != nil {
-		return nil, err
+		return err
 	}
 	if req.BlockSize, err = r.int64(); err != nil {
-		return nil, err
+		return err
 	}
-	nIdx, err := r.length(1)
-	if err != nil {
-		return nil, err
+	if req.Indices, err = r.int64s(req.Indices); err != nil {
+		return err
 	}
-	if nIdx > 0 {
-		req.Indices = make([]int64, nIdx)
-		for k := range req.Indices {
-			if req.Indices[k], err = r.int64(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	nBlk, err := r.length(1)
-	if err != nil {
-		return nil, err
-	}
-	if nBlk > 0 {
-		req.Blocks = make([][]byte, nBlk)
-		slab := make([]byte, 0, len(r.b))
-		for k := range req.Blocks {
-			if req.Blocks[k], err = r.bytesSlab(&slab); err != nil {
-				return nil, err
-			}
-		}
+	if req.Blocks, err = r.blocks(req.Blocks, view); err != nil {
+		return err
 	}
 	// The trailing WriteIndices field was added with OpExchange. A request
 	// encoded by the previous wire format simply ends here, so treat an
@@ -435,36 +491,22 @@ func DecodeRequest(payload []byte) (*Request, error) {
 	// frame: version skew then only costs the peer the OpExchange fast path
 	// (which older clients never send), not the whole protocol.
 	if len(r.b) > 0 {
-		nWIdx, err := r.length(1)
-		if err != nil {
-			return nil, err
-		}
-		if nWIdx > 0 {
-			req.WriteIndices = make([]int64, nWIdx)
-			for k := range req.WriteIndices {
-				if req.WriteIndices[k], err = r.int64(); err != nil {
-					return nil, err
-				}
-			}
+		if req.WriteIndices, err = r.int64s(req.WriteIndices); err != nil {
+			return err
 		}
 	}
 	// The session section (tenant, session ID, deadline) trails WriteIndices
 	// under the same skew rule: absent means a sessionless request from any
 	// wire-format generation, so old traffic decodes unchanged.
 	if len(r.b) > 0 {
-		tenant, err := r.bytes()
-		if err != nil {
-			return nil, err
+		if req.Tenant, err = r.str(maxStoreName, "tenant name"); err != nil {
+			return err
 		}
-		if len(tenant) > maxStoreName {
-			return nil, fmt.Errorf("%w: tenant name of %d bytes", ErrMalformed, len(tenant))
-		}
-		req.Tenant = string(tenant)
 		if req.Session, err = r.int64(); err != nil {
-			return nil, err
+			return err
 		}
 		if req.DeadlineMS, err = r.int64(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// The trace section (trace ID, span ID, phase) trails the session
@@ -474,27 +516,22 @@ func DecodeRequest(payload []byte) (*Request, error) {
 	// accepting it would break the canonical re-encode round trip.
 	if len(r.b) > 0 {
 		if req.TraceID, err = r.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		if req.TraceID == 0 {
-			return nil, fmt.Errorf("%w: trace section without trace ID", ErrMalformed)
+			return fmt.Errorf("%w: trace section without trace ID", ErrMalformed)
 		}
 		if req.SpanID, err = r.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
-		phase, err := r.bytes()
-		if err != nil {
-			return nil, err
+		if req.Phase, err = r.str(maxPhase, "phase label"); err != nil {
+			return err
 		}
-		if len(phase) > maxPhase {
-			return nil, fmt.Errorf("%w: phase label of %d bytes", ErrMalformed, len(phase))
-		}
-		req.Phase = string(phase)
 	}
 	if len(r.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.b))
+		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.b))
 	}
-	return req, nil
+	return nil
 }
 
 // EncodeResponse serializes a response into a fresh frame payload.
@@ -525,8 +562,16 @@ func AppendResponse(b []byte, resp *Response) []byte {
 	return b
 }
 
-// DecodeResponse parses a frame payload into a Response.
+// DecodeResponse parses a frame payload into a Response that shares no
+// memory with it.
 func DecodeResponse(payload []byte) (*Response, error) {
+	return decodeResponse(payload, false)
+}
+
+// decodeResponse is DecodeResponse with Blocks optionally held as views into
+// payload (see decodeRequest) — the client's mode, which then moves them
+// from its pooled frame into the caller's buffer.
+func decodeResponse(payload []byte, view bool) (*Response, error) {
 	r := &reader{b: payload}
 	if len(r.b) < 1 {
 		return nil, fmt.Errorf("%w: empty response", ErrMalformed)
@@ -537,23 +582,12 @@ func DecodeResponse(payload []byte) (*Response, error) {
 		return nil, fmt.Errorf("%w: unknown status %d", ErrMalformed, status)
 	}
 	resp := &Response{Status: status}
-	msg, err := r.bytes()
-	if err != nil {
+	var err error
+	if resp.Msg, err = r.str(0, "message"); err != nil {
 		return nil, err
 	}
-	resp.Msg = string(msg)
-	nBlk, err := r.length(1)
-	if err != nil {
+	if resp.Blocks, err = r.blocks(nil, view); err != nil {
 		return nil, err
-	}
-	if nBlk > 0 {
-		resp.Blocks = make([][]byte, nBlk)
-		slab := make([]byte, 0, len(r.b))
-		for k := range resp.Blocks {
-			if resp.Blocks[k], err = r.bytesSlab(&slab); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if resp.Slots, err = r.int64(); err != nil {
 		return nil, err

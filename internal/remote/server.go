@@ -356,10 +356,13 @@ func (s *Server) serveConn(cs *connState) {
 		s.mu.Unlock()
 		cs.c.Close()
 	}()
-	// Per-connection frame buffers: one goroutine serves the connection, so
-	// reuse across iterations is race-free, and DecodeRequest copies block
-	// payloads out of inBuf before the handler runs.
-	var inBuf, outBuf []byte
+	// Per-connection buffers: one goroutine serves the connection, so reuse
+	// across iterations is race-free. The request's write payloads are views
+	// into inBuf and the response's read blocks views into readBuf; both are
+	// dead once the response is encoded into outBuf, before the next frame
+	// is read.
+	var inBuf, outBuf, readBuf []byte
+	var req Request // decoded in place: its index and block lists are reused too
 	for {
 		payload, err := ReadFrameInto(cs.c, s.opts.maxFrame(), inBuf[:0])
 		if err != nil {
@@ -371,11 +374,11 @@ func (s *Server) serveConn(cs *connState) {
 		s.mu.Unlock()
 
 		var resp *Response
-		req, derr := DecodeRequest(payload)
+		derr := decodeRequest(&req, payload, true)
 		if derr != nil {
 			resp = &Response{Status: StatusError, Msg: derr.Error()}
 		} else {
-			resp = s.handle(req)
+			resp = s.handle(&req, &readBuf)
 		}
 		outBuf = AppendFramedResponse(outBuf[:0], resp)
 		_, werr := cs.c.Write(outBuf)
@@ -391,8 +394,11 @@ func (s *Server) serveConn(cs *connState) {
 }
 
 // handle executes one request. The fault model runs first so injected
-// latency and transient failures shape every operation uniformly.
-func (s *Server) handle(req *Request) *Response {
+// latency and transient failures shape every operation uniformly. req.Blocks
+// may alias the connection's frame buffer and the response's Blocks alias
+// *readBuf (the connection's reusable read scratch): neither may be
+// retained past the encoding of the response.
+func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
 	start := time.Now()
 	if f := s.opts.Faults; f != nil {
 		delay, transient := f.Next(req)
@@ -454,14 +460,26 @@ func (s *Server) handle(req *Request) *Response {
 	if g, ok := st.(*session.Guard); ok {
 		st = g.Timed(&tm)
 	}
-	resp := s.dispatch(st, req)
+	resp := s.dispatch(st, req, readBuf)
 	s.observe(req, tenant, time.Since(start), tm)
 	return resp
 }
 
 // dispatch executes a store-scoped op against the (possibly timed) store.
-func (s *Server) dispatch(st storage.Store, req *Request) *Response {
+// Batch ops go through storage.ReadManyTo / storage.ExchangeTo, which use
+// the hosted store's best form — either way the client paid exactly one
+// round trip — and read into the connection's scratch.
+func (s *Server) dispatch(st storage.Store, req *Request, readBuf *[]byte) *Response {
 	fail := func(err error) *Response { return &Response{Status: StatusError, Msg: err.Error()} }
+	// blocks wraps a batch read's result for the response and keeps the
+	// grown scratch for the connection's next request.
+	blocks := func(flat []byte, err error) *Response {
+		if err != nil {
+			return fail(err)
+		}
+		*readBuf = flat[:0]
+		return &Response{Blocks: storage.Carve(flat, st.BlockSize())}
+	}
 	switch req.Op {
 	case OpRead:
 		if len(req.Indices) != 1 {
@@ -481,28 +499,14 @@ func (s *Server) dispatch(st storage.Store, req *Request) *Response {
 		}
 		return &Response{}
 	case OpReadMany:
-		blocks, err := readMany(st, req.Indices)
-		if err != nil {
-			return fail(err)
-		}
-		return &Response{Blocks: blocks}
+		return blocks(storage.ReadManyTo(st, nil, (*readBuf)[:0], req.Indices))
 	case OpWriteMany:
-		if len(req.Indices) != len(req.Blocks) {
-			return fail(fmt.Errorf("remote: batch write of %d indices with %d blocks", len(req.Indices), len(req.Blocks)))
-		}
-		if err := writeMany(st, req.Indices, req.Blocks); err != nil {
+		if _, err := storage.ExchangeTo(st, nil, nil, req.Indices, req.Blocks, nil); err != nil {
 			return fail(err)
 		}
 		return &Response{}
 	case OpExchange:
-		if len(req.WriteIndices) != len(req.Blocks) {
-			return fail(fmt.Errorf("remote: exchange of %d write indices with %d blocks", len(req.WriteIndices), len(req.Blocks)))
-		}
-		blocks, err := exchange(st, req.WriteIndices, req.Blocks, req.Indices)
-		if err != nil {
-			return fail(err)
-		}
-		return &Response{Blocks: blocks}
+		return blocks(storage.ExchangeTo(st, nil, (*readBuf)[:0], req.WriteIndices, req.Blocks, req.Indices))
 	case OpStat:
 		return &Response{Slots: st.Len(), BlockSize: int64(st.BlockSize())}
 	default:
@@ -576,52 +580,6 @@ func (s *Server) handleTrace(req *Request) *Response {
 		return &Response{Status: StatusError, Msg: fmt.Sprintf("remote: trace: %v", err)}
 	}
 	return &Response{Blocks: [][]byte{data}}
-}
-
-// readMany / writeMany prefer the hosted store's native batch support and
-// fall back to per-block operations otherwise — either way the client paid
-// exactly one round trip.
-func readMany(st storage.Store, idxs []int64) ([][]byte, error) {
-	if b, ok := st.(storage.BatchStore); ok {
-		return b.ReadMany(idxs)
-	}
-	out := make([][]byte, len(idxs))
-	for k, i := range idxs {
-		blk, err := st.Read(i)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = blk
-	}
-	return out, nil
-}
-
-func writeMany(st storage.Store, idxs []int64, blocks [][]byte) error {
-	if b, ok := st.(storage.BatchStore); ok {
-		return b.WriteMany(idxs, blocks)
-	}
-	for k, i := range idxs {
-		if err := st.Write(i, blocks[k]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// exchange applies the writes, then serves the reads — the order the ORAM
-// scheduler's correctness argument depends on. A store with native exchange
-// support runs both under one lock; the fallback composes the batch ops.
-func exchange(st storage.Store, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
-	if x, ok := st.(storage.ExchangeStore); ok {
-		return x.Exchange(writeIdxs, writeData, readIdxs)
-	}
-	if err := writeMany(st, writeIdxs, writeData); err != nil {
-		return nil, err
-	}
-	if len(readIdxs) == 0 {
-		return nil, nil
-	}
-	return readMany(st, readIdxs)
 }
 
 // handleHello admits a new session. The request's Slots field carries the

@@ -1,0 +1,200 @@
+package remote
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"oblivjoin/internal/storage"
+	"oblivjoin/internal/storage/storetest"
+)
+
+// within reports whether blk lies entirely inside frame's backing bytes.
+func within(blk, frame []byte) bool {
+	if len(blk) == 0 {
+		return true
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(frame)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(blk)))
+	return p >= lo && p+uintptr(cap(blk)) <= lo+uintptr(len(frame))
+}
+
+// FuzzDecodeViewMatchesSlab decodes every input twice — blocks as views into
+// the frame (the server's and client's mode) and blocks copied into a fresh
+// slab (DecodeRequest / DecodeResponse) — and requires the two to agree on
+// success, on every field and on every block byte for byte, and every view
+// to lie inside the frame with no capacity beyond its own bytes.
+func FuzzDecodeViewMatchesSlab(f *testing.F) {
+	f.Add(EncodeRequest(&Request{Op: OpWriteMany, Store: "t", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("a"), []byte("bb")}}))
+	f.Add(EncodeRequest(&Request{Op: OpExchange, Store: "t", Indices: []int64{0, 2},
+		WriteIndices: []int64{1, 3}, Blocks: [][]byte{[]byte("x"), {}}, Session: 3, DeadlineMS: 50}))
+	f.Add(EncodeRequest(&Request{Op: OpReadMany, Store: "t", Indices: []int64{4, 1}, TraceID: 7, SpanID: 1, Phase: "merge"}))
+	f.Add(EncodeResponse(&Response{Status: StatusOK, Blocks: [][]byte{[]byte("blk"), []byte("other")}}))
+	f.Add(EncodeResponse(&Response{Status: StatusError, Msg: "no"}))
+	f.Add([]byte{byte(OpWriteMany), 0, 0, 0, 0, 2, 1, 'a', 200}) // second block overruns the frame
+
+	dirty := EncodeRequest(&Request{Op: OpExchange, Store: "previous", Indices: []int64{9, 8, 7}, WriteIndices: []int64{6, 5},
+		Blocks: [][]byte{[]byte("old"), []byte("older")}, Slots: 3, BlockSize: 4, Tenant: "them", Session: 11, DeadlineMS: 12,
+		TraceID: 13, SpanID: 14, Phase: "stale"})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frame := bytes.Clone(data)
+		check := func(kind string, view, slab [][]byte) {
+			t.Helper()
+			if len(view) != len(slab) {
+				t.Fatalf("%s: %d views, %d slab blocks", kind, len(view), len(slab))
+			}
+			for k := range view {
+				if !bytes.Equal(view[k], slab[k]) {
+					t.Fatalf("%s block %d: view %q, slab %q", kind, k, view[k], slab[k])
+				}
+				if !within(view[k], frame) || cap(view[k]) != len(view[k]) {
+					t.Fatalf("%s block %d: view escapes the frame (len %d cap %d)", kind, k, len(view[k]), cap(view[k]))
+				}
+				if within(slab[k], frame) && len(slab[k]) > 0 {
+					t.Fatalf("%s block %d: slab mode aliases the frame", kind, k)
+				}
+			}
+		}
+		// The view decode lands in a Request that already served another
+		// frame, as the server's per-connection Request does: every field
+		// must be overwritten, only list capacity may survive.
+		vreq, sreq := new(Request), new(Request)
+		if err := decodeRequest(vreq, dirty, true); err != nil {
+			t.Fatal(err)
+		}
+		verr := decodeRequest(vreq, frame, true)
+		serr := decodeRequest(sreq, frame, false)
+		if (verr == nil) != (serr == nil) {
+			t.Fatalf("request: view mode err %v, slab mode err %v", verr, serr)
+		}
+		if verr == nil {
+			check("request", vreq.Blocks, sreq.Blocks)
+			vreq.Blocks, sreq.Blocks = nil, nil
+			if len(vreq.Indices) == 0 { // reused capacity: empty, where a fresh decode has nil
+				vreq.Indices = sreq.Indices
+			}
+			if len(vreq.WriteIndices) == 0 {
+				vreq.WriteIndices = sreq.WriteIndices
+			}
+			if !reflect.DeepEqual(vreq, sreq) {
+				t.Fatalf("request fields differ: %+v vs %+v", vreq, sreq)
+			}
+		}
+		vresp, verr := decodeResponse(frame, true)
+		sresp, serr := decodeResponse(frame, false)
+		if (verr == nil) != (serr == nil) {
+			t.Fatalf("response: view mode err %v, slab mode err %v", verr, serr)
+		}
+		if verr == nil {
+			check("response", vresp.Blocks, sresp.Blocks)
+			vresp.Blocks, sresp.Blocks = nil, nil
+			if !reflect.DeepEqual(vresp, sresp) {
+				t.Fatalf("response fields differ: %+v vs %+v", vresp, sresp)
+			}
+		}
+		if !bytes.Equal(frame, data) {
+			t.Fatal("decoding wrote to the frame")
+		}
+	})
+}
+
+// TestServerConsumesViewsBeforeNextFrame: request payloads reach the hosted
+// store as views into the connection's frame buffer, which the next request
+// on the same connection overwrites. Alternating writes of different blocks
+// over one pooled connection must each be stored intact.
+func TestServerConsumesViewsBeforeNextFrame(t *testing.T) {
+	_, c := startServer(t, ServerOptions{}, ClientOptions{PoolSize: 1})
+	const bs = 64
+	st, err := c.Create("views", 8, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for round := 0; round < 16; round++ {
+		idxs := []int64{int64(round % 8), int64((round + 3) % 8)}
+		data := [][]byte{bytes.Repeat([]byte{byte(round)}, bs), bytes.Repeat([]byte{byte(100 + round)}, bs)}
+		if buf, err = st.ExchangeTo(buf[:0], idxs, data, idxs); err != nil {
+			t.Fatal(err)
+		}
+		if got := storage.Carve(buf, bs); !bytes.Equal(got[0], data[0]) || !bytes.Equal(got[1], data[1]) {
+			t.Fatalf("round %d: exchange read back %v %v", round, got[0][0], got[1][0])
+		}
+		one, err := st.Read(idxs[1])
+		if err != nil || !bytes.Equal(one, data[1]) {
+			t.Fatalf("round %d: slot %d holds %v (%v)", round, idxs[1], one[0], err)
+		}
+	}
+}
+
+// wrongSize serves batch reads whose blocks are one byte short.
+type wrongSize struct{ storage.ExchangeStore }
+
+func (w wrongSize) ReadMany(idxs []int64) ([][]byte, error) {
+	blocks, err := w.ExchangeStore.ReadMany(idxs)
+	for k := range blocks {
+		blocks[k] = blocks[k][:len(blocks[k])-1]
+	}
+	return blocks, err
+}
+
+// TestAppendReadRejectsMissizedBlocks: the server is untrusted; a response
+// whose blocks are not BlockSize long must fail rather than shift every
+// block the caller carves after it. (The server's own read helper refuses
+// such a store first; either refusal is an error, which is the point.)
+func TestAppendReadRejectsMissizedBlocks(t *testing.T) {
+	_, c := startServer(t, ServerOptions{
+		OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
+			return wrongSize{storage.NewMemStore(name, slots, blockSize, nil)}, nil
+		},
+	}, ClientOptions{})
+	st, err := c.Create("short", 4, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.ReadManyTo(nil, []int64{0, 1}); err == nil || got != nil {
+		t.Fatalf("mis-sized batch read accepted: %d bytes, %v", len(got), err)
+	}
+	resp := &Response{Blocks: [][]byte{make([]byte, 31), make([]byte, 33)}}
+	if err := st.checkBlocks("batch read", resp, 2); err == nil {
+		t.Fatal("checkBlocks accepted 31- and 33-byte blocks for a 32-byte store")
+	}
+}
+
+// TestLoopbackReadPathAllocs is the allocation guard for the wire: one
+// path's ReadManyTo over loopback TCP, client and server in this process,
+// stays within the framed codec's 7 allocations per round trip, and none of
+// them is block-sized on either side — the path's blocks travel socket →
+// pooled frame → caller's buffer and store → connection scratch → frame.
+func TestLoopbackReadPathAllocs(t *testing.T) {
+	if storetest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	_, c := startServer(t, ServerOptions{}, ClientOptions{})
+	const bs = 4096 + 32
+	path := []int64{0, 1, 3, 7, 15, 31, 63}
+	st, err := c.Create("allocs", 128, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := st.ReadManyTo(nil, path) // warm both sides' buffers
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs, perRun := storetest.AllocsAndBytes(300, func() {
+		if buf, err = st.ReadManyTo(buf[:0], path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("loopback ReadManyTo of %d blocks: %v allocs, %d bytes per round trip", len(path), allocs, perRun)
+	if allocs > 7 {
+		t.Errorf("loopback ReadManyTo: %v allocs per round trip, want <= 7", allocs)
+	}
+	if perRun >= bs {
+		t.Errorf("loopback ReadManyTo allocates %d bytes per round trip: something block-sized (%d) is still allocated", perRun, bs)
+	}
+	if len(buf) != len(path)*bs {
+		t.Fatalf("read %d bytes, want %d", len(buf), len(path)*bs)
+	}
+}

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -141,12 +140,11 @@ func (b *Broker) Checkpoint(names []string) error {
 }
 
 // Guard serializes all traffic against one store. It implements the full
-// ExchangeStore surface regardless of the wrapped store's capabilities:
-// missing batch support is emulated per-block *inside* the critical
-// section, which keeps even the emulated round atomic — stronger than the
-// unguarded server fallback, which could interleave with other traffic
-// mid-batch. Error semantics pass through unchanged (out-of-range errors
-// still match storage.ErrOutOfRange via errors.Is).
+// AppendExchangeStore surface regardless of the wrapped store's
+// capabilities: whatever form the wrapped store lacks, storage.ReadManyTo
+// and storage.ExchangeTo emulate *inside* the critical section, which keeps
+// even an emulated round atomic. Error semantics pass through unchanged
+// (out-of-range errors still match storage.ErrOutOfRange via errors.Is).
 type Guard struct {
 	name string
 	st   storage.Store
@@ -203,7 +201,7 @@ func (g *Guard) WaitNS() int64 { return g.waitNS.Load() }
 // is cheap (two words) and single-use-friendly: the server builds one per
 // request around its dispatch. The underlying guard, counters, and lock
 // are shared with every other view of the same store.
-func (g *Guard) Timed(t *Timing) storage.ExchangeStore { return timedGuard{g: g, t: t} }
+func (g *Guard) Timed(t *Timing) storage.AppendExchangeStore { return timedGuard{g: g, t: t} }
 
 // Len implements storage.Store.
 func (g *Guard) Len() int64 { return g.len(nil) }
@@ -211,7 +209,7 @@ func (g *Guard) Len() int64 { return g.len(nil) }
 func (g *Guard) len(t *Timing) int64 {
 	g.lock(t)
 	defer g.mu.Unlock()
-	defer clockIO(t)()
+	defer ioDone(t, ioStart(t))
 	return g.st.Len()
 }
 
@@ -219,14 +217,21 @@ func (g *Guard) len(t *Timing) int64 {
 // is taken.
 func (g *Guard) BlockSize() int { return g.st.BlockSize() }
 
-// clockIO starts the store-I/O clock for a round and returns its stop
-// function; a nil Timing costs a single pointer test.
-func clockIO(t *Timing) func() {
+// ioStart reads the store-I/O clock for a round and ioDone, deferred with
+// that reading, charges the round to t; a nil Timing costs a pointer test
+// each and no clock read. Two plain functions, not one returning a closure,
+// so timing a round allocates nothing.
+func ioStart(t *Timing) time.Time {
 	if t == nil {
-		return func() {}
+		return time.Time{}
 	}
-	start := time.Now()
-	return func() { t.StoreIO += time.Since(start) }
+	return time.Now()
+}
+
+func ioDone(t *Timing, start time.Time) {
+	if t != nil {
+		t.StoreIO += time.Since(start)
+	}
 }
 
 // Read implements storage.Store.
@@ -235,7 +240,7 @@ func (g *Guard) Read(i int64) ([]byte, error) { return g.read(i, nil) }
 func (g *Guard) read(i int64, t *Timing) ([]byte, error) {
 	g.lock(t)
 	defer g.mu.Unlock()
-	defer clockIO(t)()
+	defer ioDone(t, ioStart(t))
 	return g.st.Read(i)
 }
 
@@ -245,98 +250,61 @@ func (g *Guard) Write(i int64, data []byte) error { return g.write(i, data, nil)
 func (g *Guard) write(i int64, data []byte, t *Timing) error {
 	g.lock(t)
 	defer g.mu.Unlock()
-	defer clockIO(t)()
+	defer ioDone(t, ioStart(t))
 	return g.st.Write(i, data)
 }
 
-// ReadMany implements storage.BatchStore as one atomic round.
-func (g *Guard) ReadMany(idxs []int64) ([][]byte, error) { return g.readMany(idxs, nil) }
+// ReadMany implements storage.BatchStore: ReadManyTo into fresh memory,
+// carved.
+func (g *Guard) ReadMany(idxs []int64) ([][]byte, error) {
+	flat, err := g.readManyTo(nil, idxs, nil)
+	return storage.Carve(flat, g.BlockSize()), err
+}
 
-func (g *Guard) readMany(idxs []int64, t *Timing) ([][]byte, error) {
+// ReadManyTo implements storage.AppendStore as one atomic round.
+func (g *Guard) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
+	return g.readManyTo(dst, idxs, nil)
+}
+
+func (g *Guard) readManyTo(dst []byte, idxs []int64, t *Timing) ([]byte, error) {
 	if len(idxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	g.lock(t)
 	defer g.mu.Unlock()
-	defer clockIO(t)()
-	if b, ok := g.st.(storage.BatchStore); ok {
-		return b.ReadMany(idxs)
-	}
-	out := make([][]byte, len(idxs))
-	for k, i := range idxs {
-		blk, err := g.st.Read(i)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = blk
-	}
-	return out, nil
+	defer ioDone(t, ioStart(t))
+	return storage.ReadManyTo(g.st, nil, dst, idxs)
 }
 
 // WriteMany implements storage.BatchStore as one atomic round, applying
 // positions in slice order so duplicate indices stay last-writer-wins.
-func (g *Guard) WriteMany(idxs []int64, data [][]byte) error { return g.writeMany(idxs, data, nil) }
-
-func (g *Guard) writeMany(idxs []int64, data [][]byte, t *Timing) error {
-	if len(idxs) == 0 && len(data) == 0 {
-		return nil
-	}
-	g.lock(t)
-	defer g.mu.Unlock()
-	defer clockIO(t)()
-	return g.writeManyLocked(idxs, data)
+func (g *Guard) WriteMany(idxs []int64, data [][]byte) error {
+	_, err := g.exchangeTo(nil, idxs, data, nil, nil)
+	return err
 }
 
-func (g *Guard) writeManyLocked(idxs []int64, data [][]byte) error {
-	if b, ok := g.st.(storage.BatchStore); ok {
-		return b.WriteMany(idxs, data)
-	}
-	if len(idxs) != len(data) {
-		return fmt.Errorf("storage: batch write of %d blocks with %d payloads (%s)", len(idxs), len(data), g.name)
-	}
-	for k, i := range idxs {
-		if err := g.st.Write(i, data[k]); err != nil {
-			return err
-		}
-	}
-	return nil
+// Exchange implements storage.ExchangeStore: ExchangeTo into fresh memory,
+// carved.
+func (g *Guard) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
+	flat, err := g.exchangeTo(nil, writeIdxs, writeData, readIdxs, nil)
+	return storage.Carve(flat, g.BlockSize()), err
 }
 
-// Exchange implements storage.ExchangeStore as one atomic round: all
+// ExchangeTo implements storage.AppendExchangeStore as one atomic round: all
 // writes land, then the reads are served, with no other session's round
 // in between — exactly the ordering the deferred-eviction flush relies on.
-func (g *Guard) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
-	return g.exchange(writeIdxs, writeData, readIdxs, nil)
+func (g *Guard) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
+	return g.exchangeTo(dst, writeIdxs, writeData, readIdxs, nil)
 }
 
-func (g *Guard) exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64, t *Timing) ([][]byte, error) {
-	if len(writeIdxs) == 0 && len(readIdxs) == 0 {
-		return nil, nil
+func (g *Guard) exchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64, t *Timing) ([]byte, error) {
+	if len(writeIdxs) == 0 && len(writeData) == 0 && len(readIdxs) == 0 {
+		return dst, nil
 	}
 	g.lock(t)
 	defer g.mu.Unlock()
-	defer clockIO(t)()
-	if x, ok := g.st.(storage.ExchangeStore); ok {
-		return x.Exchange(writeIdxs, writeData, readIdxs)
-	}
-	if err := g.writeManyLocked(writeIdxs, writeData); err != nil {
-		return nil, err
-	}
-	if len(readIdxs) == 0 {
-		return nil, nil
-	}
-	if b, ok := g.st.(storage.BatchStore); ok {
-		return b.ReadMany(readIdxs)
-	}
-	out := make([][]byte, len(readIdxs))
-	for k, i := range readIdxs {
-		blk, err := g.st.Read(i)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = blk
-	}
-	return out, nil
+	defer ioDone(t, ioStart(t))
+	return storage.ExchangeTo(g.st, nil, dst, writeIdxs, writeData, readIdxs)
 }
 
 // Close implements io.Closer, forwarding to the wrapped store if it is
@@ -363,17 +331,26 @@ func (v timedGuard) BlockSize() int                   { return v.g.BlockSize() }
 func (v timedGuard) Read(i int64) ([]byte, error)     { return v.g.read(i, v.t) }
 func (v timedGuard) Write(i int64, data []byte) error { return v.g.write(i, data, v.t) }
 func (v timedGuard) ReadMany(i []int64) ([][]byte, error) {
-	return v.g.readMany(i, v.t)
+	flat, err := v.g.readManyTo(nil, i, v.t)
+	return storage.Carve(flat, v.g.BlockSize()), err
+}
+func (v timedGuard) ReadManyTo(dst []byte, i []int64) ([]byte, error) {
+	return v.g.readManyTo(dst, i, v.t)
 }
 func (v timedGuard) WriteMany(i []int64, d [][]byte) error {
-	return v.g.writeMany(i, d, v.t)
+	_, err := v.g.exchangeTo(nil, i, d, nil, v.t)
+	return err
 }
 func (v timedGuard) Exchange(wi []int64, wd [][]byte, ri []int64) ([][]byte, error) {
-	return v.g.exchange(wi, wd, ri, v.t)
+	flat, err := v.g.exchangeTo(nil, wi, wd, ri, v.t)
+	return storage.Carve(flat, v.g.BlockSize()), err
+}
+func (v timedGuard) ExchangeTo(dst []byte, wi []int64, wd [][]byte, ri []int64) ([]byte, error) {
+	return v.g.exchangeTo(dst, wi, wd, ri, v.t)
 }
 
 var (
-	_ storage.ExchangeStore = (*Guard)(nil)
-	_ io.Closer             = (*Guard)(nil)
-	_ storage.ExchangeStore = timedGuard{}
+	_ storage.AppendExchangeStore = (*Guard)(nil)
+	_ io.Closer                   = (*Guard)(nil)
+	_ storage.AppendExchangeStore = timedGuard{}
 )

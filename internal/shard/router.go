@@ -340,10 +340,13 @@ func (r *Router) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int6
 			wSub[k] = writeData[pos]
 		}
 		start := time.Now()
-		blks, err := r.subExchange(s, wLocals[s], wSub, rLocals[s])
+		// A sub-store without the exchange op pays an extra physical trip
+		// (write, then read) inside the same logical round.
+		flat, err := storage.ExchangeTo(r.subs[s], nil, nil, wLocals[s], wSub, rLocals[s])
 		if err != nil {
 			return err
 		}
+		blks := storage.Carve(flat, r.blockSize)
 		if len(blks) != len(rLocals[s]) {
 			return fmt.Errorf("shard: %d of %d blocks returned", len(blks), len(rLocals[s]))
 		}
@@ -363,17 +366,4 @@ func (r *Router) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int6
 		r.meter.CountExchange(r.name, writeIdxs, readIdxs, r.blockSize)
 	}
 	return out, nil
-}
-
-// subExchange issues one shard's share of an exchange, falling back to
-// write-then-read when the sub-store lacks the exchange op (the fallback
-// costs that shard an extra physical trip but is still one logical round).
-func (r *Router) subExchange(s int, wIdxs []int64, wData [][]byte, rIdxs []int64) ([][]byte, error) {
-	if x, ok := r.subs[s].(storage.ExchangeStore); ok {
-		return x.Exchange(wIdxs, wData, rIdxs)
-	}
-	if err := r.subs[s].WriteMany(wIdxs, wData); err != nil {
-		return nil, err
-	}
-	return r.subs[s].ReadMany(rIdxs)
 }

@@ -8,11 +8,37 @@
 // that counts every transferred block, byte, and network round trip. A
 // CostModel turns those counters into a simulated query time so benchmark
 // output is directly comparable in shape with the paper's wall-clock plots.
+//
+// # Buffer ownership on the block path
+//
+// Batch reads come in an append form, ReadManyTo and ExchangeTo, which
+// append the blocks read back to back to a caller-owned dst and return the
+// extended slice; the caller carves it at BlockSize() stride and reuses it
+// for the next round, so a steady-state round allocates nothing. The rules,
+// which every backend and every caller in this module follow:
+//
+//   - dst belongs to the caller before and after the call. A store never
+//     retains it, nor any slice of it, past the call.
+//   - On error the returned slice is nil and the contents of dst beyond
+//     len(dst) are unspecified; dst[:len(dst)] is never touched.
+//   - Write payloads are consumed before the call returns, so the caller may
+//     reuse them — and a server may pass views into its receive frame.
+//   - What ORAM clients hand their own callers (PathORAM.Read, Update,
+//     ReadBatch) are copies the caller owns; no later access touches them.
+//     Inside PathORAM a stash payload buffer is recycled only after the store
+//     has accepted the round that evicted its block.
+//
+// ReadMany and Exchange are the same rounds in slice-of-blocks form: every
+// backend implements them as ReadManyTo(nil, …) / ExchangeTo(nil, …) carved
+// by Carve, so each backend has one read implementation. Callers holding a
+// plain Store go through the package-level ReadManyTo and ExchangeTo, the
+// one place that picks the best form a store offers.
 package storage
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -54,8 +80,10 @@ type Store interface {
 // live state (see storetest.TestBatchContract, which every backend runs).
 type BatchStore interface {
 	Store
-	// ReadMany returns copies of the blocks at the given indices, in order,
-	// in a single round trip. An empty batch performs no round. A repeated
+	// ReadMany returns the blocks at the given indices, in order, in a single
+	// round trip. The blocks are the caller's: fresh memory no later call
+	// touches (in-tree backends carve them from one allocation, so retaining
+	// one retains the batch). An empty batch performs no round. A repeated
 	// index yields the same block at each of its positions.
 	ReadMany(idxs []int64) ([][]byte, error)
 	// WriteMany replaces the block at idxs[i] with data[i] for every i, in a
@@ -75,9 +103,135 @@ type ExchangeStore interface {
 	BatchStore
 	// Exchange writes writeData[i] to writeIdxs[i] for every i — in slice
 	// order, so duplicate write indices resolve last-writer-wins exactly as
-	// in WriteMany — then returns copies of the blocks at readIdxs, all in
-	// one round trip.
+	// in WriteMany — then returns the blocks at readIdxs, caller-owned as in
+	// ReadMany, all in one round trip.
 	Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error)
+}
+
+// AppendStore is a BatchStore with the append form of the batch read (see
+// the package comment for the ownership rules).
+type AppendStore interface {
+	BatchStore
+	// ReadManyTo appends the blocks at idxs, in order and back to back, to
+	// dst and returns the extended slice — the same single metered round as
+	// ReadMany. An empty batch performs no round and returns dst unchanged;
+	// an out-of-range index rejects the whole batch.
+	ReadManyTo(dst []byte, idxs []int64) ([]byte, error)
+}
+
+// AppendExchangeStore is an ExchangeStore with the append form of the
+// exchange.
+type AppendExchangeStore interface {
+	ExchangeStore
+	AppendStore
+	// ExchangeTo applies the writes exactly as Exchange does, then appends
+	// the blocks at readIdxs to dst as ReadManyTo does — one metered round,
+	// accounted identically to Exchange. The whole exchange is validated
+	// before any slot is written.
+	ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error)
+}
+
+// Carve splits blocks laid back to back, as the append forms return them,
+// into one capacity-limited slice per block. Empty input carves to nil.
+func Carve(flat []byte, blockSize int) [][]byte {
+	if len(flat) == 0 {
+		return nil
+	}
+	out := make([][]byte, len(flat)/blockSize)
+	for k := range out {
+		out[k] = flat[k*blockSize : (k+1)*blockSize : (k+1)*blockSize]
+	}
+	return out
+}
+
+// ReadManyTo appends the blocks at idxs to dst through the best form st
+// offers: its native ReadManyTo, else ReadMany, else one Read per block.
+// Batch forms meter their own round; single-block operations account none,
+// so the last rung counts the one simulated round on m (nil where nothing
+// is metered, as on a server). Whichever rung runs, the meter and the store
+// see the same round — a store that hides the faster forms is only slower.
+func ReadManyTo(st Store, m *Meter, dst []byte, idxs []int64) ([]byte, error) {
+	if len(idxs) == 0 {
+		return dst, nil
+	}
+	switch b := st.(type) {
+	case AppendStore:
+		return b.ReadManyTo(dst, idxs)
+	case BatchStore:
+		blocks, err := b.ReadMany(idxs)
+		if err != nil {
+			return nil, err
+		}
+		return appendBlocks(dst, blocks, len(idxs), st.BlockSize())
+	}
+	for _, i := range idxs {
+		blk, err := st.Read(i)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, blk...)
+	}
+	if m != nil {
+		m.CountRound()
+	}
+	return dst, nil
+}
+
+// ExchangeTo applies the writes, then appends the blocks at readIdxs to dst,
+// through the best form st offers: its native ExchangeTo, else Exchange,
+// else the writes in their own round (WriteMany, else one Write per block
+// plus a simulated round on m) followed by ReadManyTo. An exchange with
+// nothing to read is a plain batch write and one with nothing to write a
+// plain batch read, on every rung — a one-sided exchange meters exactly as
+// the one-sided batch op, so nothing depends on which ran.
+func ExchangeTo(st Store, m *Meter, dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
+	if len(writeIdxs) != len(writeData) {
+		return nil, fmt.Errorf("storage: batch write of %d blocks with %d payloads", len(writeIdxs), len(writeData))
+	}
+	if len(writeIdxs) > 0 && len(readIdxs) > 0 {
+		switch x := st.(type) {
+		case AppendExchangeStore:
+			return x.ExchangeTo(dst, writeIdxs, writeData, readIdxs)
+		case ExchangeStore:
+			blocks, err := x.Exchange(writeIdxs, writeData, readIdxs)
+			if err != nil {
+				return nil, err
+			}
+			return appendBlocks(dst, blocks, len(readIdxs), st.BlockSize())
+		}
+	}
+	if len(writeIdxs) > 0 {
+		if b, ok := st.(BatchStore); ok {
+			if err := b.WriteMany(writeIdxs, writeData); err != nil {
+				return nil, err
+			}
+		} else {
+			for k, i := range writeIdxs {
+				if err := st.Write(i, writeData[k]); err != nil {
+					return nil, err
+				}
+			}
+			if m != nil {
+				m.CountRound()
+			}
+		}
+	}
+	return ReadManyTo(st, m, dst, readIdxs)
+}
+
+// appendBlocks flattens a slice-form batch result onto dst, refusing a
+// result the caller could not carve at blockSize stride.
+func appendBlocks(dst []byte, blocks [][]byte, want, blockSize int) ([]byte, error) {
+	if len(blocks) != want {
+		return nil, fmt.Errorf("storage: batch read returned %d of %d blocks", len(blocks), want)
+	}
+	for _, blk := range blocks {
+		if len(blk) != blockSize {
+			return nil, fmt.Errorf("storage: batch read returned a %d-byte block, want %d", len(blk), blockSize)
+		}
+		dst = append(dst, blk...)
+	}
+	return dst, nil
 }
 
 // Opener provisions a named block store with the given geometry. It is how
@@ -95,6 +249,8 @@ type MemStore struct {
 	meter     *Meter
 	name      string
 }
+
+var _ AppendExchangeStore = (*MemStore)(nil)
 
 // NewMemStore creates a store with n slots of blockSize bytes each, reporting
 // traffic to meter (which may be nil). The name labels the store in traces.
@@ -159,28 +315,42 @@ func (s *MemStore) Write(i int64, data []byte) error {
 	return nil
 }
 
-// ReadMany implements BatchStore. All blocks are copied under one lock
-// acquisition and metered as a single network round.
+// ReadMany implements BatchStore: ReadManyTo into fresh memory, carved.
 func (s *MemStore) ReadMany(idxs []int64) ([][]byte, error) {
+	flat, err := s.ReadManyTo(nil, idxs)
+	return Carve(flat, s.blockSize), err
+}
+
+// ReadManyTo implements AppendStore. All blocks are copied under one lock
+// acquisition and metered as a single network round.
+func (s *MemStore) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
 	if len(idxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	out := make([][]byte, len(idxs))
 	s.mu.RLock()
-	for k, i := range idxs {
+	for _, i := range idxs {
 		if i < 0 || i >= s.n {
 			s.mu.RUnlock()
 			return nil, fmt.Errorf("%w: batch read %d of %d (%s)", ErrOutOfRange, i, s.n, s.name)
 		}
-		blk := make([]byte, s.blockSize)
-		copy(blk, s.data[i*int64(s.blockSize):])
-		out[k] = blk
 	}
+	dst = s.appendLocked(dst, idxs)
 	s.mu.RUnlock()
 	if s.meter != nil {
 		s.meter.CountBatch(s.name, KindRead, idxs, s.blockSize)
 	}
-	return out, nil
+	return dst, nil
+}
+
+// appendLocked appends the (already range-checked) blocks at idxs to dst,
+// growing it at most once. Callers hold s.mu.
+func (s *MemStore) appendLocked(dst []byte, idxs []int64) []byte {
+	bs := int64(s.blockSize)
+	dst = slices.Grow(dst, len(idxs)*s.blockSize)
+	for _, i := range idxs {
+		dst = append(dst, s.data[i*bs:(i+1)*bs]...)
+	}
+	return dst
 }
 
 // WriteMany implements BatchStore.
@@ -210,14 +380,20 @@ func (s *MemStore) WriteMany(idxs []int64, data [][]byte) error {
 	return nil
 }
 
-// Exchange implements ExchangeStore: the writes are applied, then the reads
-// served, under a single lock acquisition, metered as one round.
+// Exchange implements ExchangeStore: ExchangeTo into fresh memory, carved.
 func (s *MemStore) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
+	flat, err := s.ExchangeTo(nil, writeIdxs, writeData, readIdxs)
+	return Carve(flat, s.blockSize), err
+}
+
+// ExchangeTo implements AppendExchangeStore: the writes are applied, then
+// the reads served, under a single lock acquisition, metered as one round.
+func (s *MemStore) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if len(writeIdxs) != len(writeData) {
 		return nil, fmt.Errorf("storage: exchange of %d write blocks with %d payloads (%s)", len(writeIdxs), len(writeData), s.name)
 	}
 	if len(writeIdxs) == 0 && len(readIdxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	// Validate the whole exchange — writes and reads — before touching any
 	// slot, so a malformed request can never commit a partial batch.
@@ -234,24 +410,16 @@ func (s *MemStore) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []in
 			return nil, fmt.Errorf("%w: exchange read %d of %d (%s)", ErrOutOfRange, i, s.n, s.name)
 		}
 	}
-	var out [][]byte
 	s.mu.Lock()
 	for k, i := range writeIdxs {
 		copy(s.data[i*int64(s.blockSize):], writeData[k])
 	}
-	if len(readIdxs) > 0 {
-		out = make([][]byte, len(readIdxs))
-		for k, i := range readIdxs {
-			blk := make([]byte, s.blockSize)
-			copy(blk, s.data[i*int64(s.blockSize):])
-			out[k] = blk
-		}
-	}
+	dst = s.appendLocked(dst, readIdxs)
 	s.mu.Unlock()
 	if s.meter != nil {
 		s.meter.CountExchange(s.name, writeIdxs, readIdxs, s.blockSize)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // SizeBytes returns the total server-side footprint of the store.

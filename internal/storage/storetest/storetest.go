@@ -6,11 +6,18 @@
 // diverge between the simulated, persistent, and networked backends. The
 // WAL replay path in particular re-applies logged batches verbatim and is
 // only correct because live application agrees on this ordering.
+//
+// The append forms (storage.ReadManyTo / storage.ExchangeTo) are checked
+// through the package-level helpers, so a backend with native ReadManyTo /
+// ExchangeTo methods is checked on those and one without (the shard router)
+// on the fallback — both against the same expectations, and both against
+// the slice forms byte for byte.
 package storetest
 
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -42,6 +49,15 @@ func TestBatchContract(t *testing.T, name string, mk Factory) {
 	})
 	t.Run(name+"/empty-batches", func(t *testing.T) {
 		testEmptyBatches(t, mk)
+	})
+	t.Run(name+"/append-forms", func(t *testing.T) {
+		testAppendForms(t, mk)
+	})
+	t.Run(name+"/append-forms-reject-whole-batch", func(t *testing.T) {
+		testAppendFormsReject(t, mk)
+	})
+	t.Run(name+"/append-forms-empty", func(t *testing.T) {
+		testAppendFormsEmpty(t, mk)
 	})
 }
 
@@ -160,4 +176,139 @@ func testEmptyBatches(t *testing.T, mk Factory) {
 			t.Fatalf("empty Exchange: %v, %v", blks, err)
 		}
 	}
+}
+
+// flat concatenates blocks the way the append forms lay them out.
+func flat(blocks [][]byte) []byte {
+	return bytes.Join(blocks, nil)
+}
+
+// testAppendForms: results land after dst's existing content, duplicate
+// indices repeat, an exchange's writes are visible to its own reads, and
+// everything equals the slice forms byte for byte.
+func testAppendForms(t *testing.T, mk Factory) {
+	const bs = 32
+	s := mk(t, 8, bs)
+	if err := s.WriteMany([]int64{1, 3, 5}, [][]byte{block(bs, 0x11), block(bs, 0x33), block(bs, 0x55)}); err != nil {
+		t.Fatalf("WriteMany: %v", err)
+	}
+	idxs := []int64{3, 3, 1, 0, 5}
+	want, err := s.ReadMany(idxs)
+	if err != nil {
+		t.Fatalf("ReadMany: %v", err)
+	}
+	prefix := []byte("already here")
+	dst := append(make([]byte, 0, 4096), prefix...)
+	got, err := storage.ReadManyTo(s, nil, dst, idxs)
+	if err != nil {
+		t.Fatalf("ReadManyTo: %v", err)
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) {
+		t.Fatalf("ReadManyTo clobbered dst's existing content: %q", got[:len(prefix)])
+	}
+	if !bytes.Equal(got[len(prefix):], flat(want)) {
+		t.Fatal("ReadManyTo differs from ReadMany")
+	}
+	if &got[0] != &dst[0] {
+		t.Fatal("ReadManyTo reallocated a dst with room to spare")
+	}
+	// Into nil: fresh memory, same bytes.
+	if got, err = storage.ReadManyTo(s, nil, nil, idxs); err != nil || !bytes.Equal(got, flat(want)) {
+		t.Fatalf("ReadManyTo(nil): %v", err)
+	}
+
+	// ExchangeTo: duplicate write index (last writer wins) and a read of the
+	// slots just written; then the same exchange through the slice form on a
+	// twin store.
+	wIdxs := []int64{2, 2, 4}
+	wData := [][]byte{block(bs, 0x01), block(bs, 0x02), block(bs, 0x44)}
+	rIdxs := []int64{4, 2, 2, 1}
+	got, err = storage.ExchangeTo(s, nil, dst, wIdxs, wData, rIdxs)
+	if err != nil {
+		t.Fatalf("ExchangeTo: %v", err)
+	}
+	wantX := flat([][]byte{block(bs, 0x44), block(bs, 0x02), block(bs, 0x02), block(bs, 0x11)})
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], wantX) {
+		t.Fatal("ExchangeTo: reads did not observe the exchange's own writes after dst's content")
+	}
+	if x, ok := s.(storage.ExchangeStore); ok {
+		blocks, err := x.Exchange(wIdxs, wData, rIdxs)
+		if err != nil {
+			t.Fatalf("Exchange: %v", err)
+		}
+		if !bytes.Equal(flat(blocks), wantX) {
+			t.Fatal("ExchangeTo differs from Exchange")
+		}
+	}
+	// One-sided exchanges are the plain batch ops.
+	if got, err = storage.ExchangeTo(s, nil, nil, []int64{6}, [][]byte{block(bs, 0x66)}, nil); err != nil || len(got) != 0 {
+		t.Fatalf("write-only ExchangeTo: %d bytes, %v", len(got), err)
+	}
+	if got, err = storage.ExchangeTo(s, nil, nil, nil, nil, []int64{6}); err != nil || !bytes.Equal(got, block(bs, 0x66)) {
+		t.Fatalf("read-only ExchangeTo: %v", err)
+	}
+}
+
+// testAppendFormsReject: an out-of-range index anywhere rejects the whole
+// batch — nil result, matching error, nothing written.
+func testAppendFormsReject(t *testing.T, mk Factory) {
+	const bs = 16
+	s := mk(t, 4, bs)
+	dst := make([]byte, 3, 256)
+	check := func(op string, got []byte, err error) {
+		t.Helper()
+		if !errors.Is(err, storage.ErrOutOfRange) || !strings.Contains(err.Error(), "99") {
+			t.Fatalf("%s: error %v does not match storage.ErrOutOfRange naming 99", op, err)
+		}
+		if got != nil {
+			t.Fatalf("%s: returned %d bytes alongside its error", op, len(got))
+		}
+	}
+	got, err := storage.ReadManyTo(s, nil, dst, []int64{0, 99})
+	check("ReadManyTo", got, err)
+	got, err = storage.ExchangeTo(s, nil, dst, []int64{0, 99}, [][]byte{block(bs, 1), block(bs, 2)}, []int64{1})
+	check("ExchangeTo write", got, err)
+	got, err = storage.ExchangeTo(s, nil, dst, []int64{0}, [][]byte{block(bs, 1)}, []int64{1, 99})
+	check("ExchangeTo read", got, err)
+	blk, err := s.Read(0)
+	if err != nil {
+		t.Fatalf("Read(0): %v", err)
+	}
+	if blk[0] != 0 {
+		t.Fatalf("rejected exchange leaked a write into slot 0 (fill %#x)", blk[0])
+	}
+}
+
+// testAppendFormsEmpty: an empty batch performs no round and hands dst
+// back untouched.
+func testAppendFormsEmpty(t *testing.T, mk Factory) {
+	s := mk(t, 4, 16)
+	dst := []byte("keep")
+	got, err := storage.ReadManyTo(s, nil, dst, nil)
+	if err != nil || !bytes.Equal(got, dst) {
+		t.Fatalf("empty ReadManyTo: %q, %v", got, err)
+	}
+	got, err = storage.ExchangeTo(s, nil, dst, nil, nil, nil)
+	if err != nil || !bytes.Equal(got, dst) {
+		t.Fatalf("empty ExchangeTo: %q, %v", got, err)
+	}
+}
+
+// HideAppend returns st with its ReadManyTo / ExchangeTo methods hidden
+// behind the plain ExchangeStore interface — the shape of any decorator
+// written against the slice forms. Through the storage helpers it must
+// behave and meter exactly as st does, only slower.
+func HideAppend(st storage.ExchangeStore) storage.ExchangeStore {
+	return struct{ storage.ExchangeStore }{st}
+}
+
+// AllocsAndBytes reports the allocations (testing.AllocsPerRun) and the
+// allocated bytes per call of f — the second number is what tells a
+// block-sized allocation from a slice header.
+func AllocsAndBytes(runs int, f func()) (allocs float64, bytesPerRun uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, f)
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / uint64(runs+1) // AllocsPerRun warms up once
 }
