@@ -103,22 +103,31 @@ func TestReturnedSlicesAreNeverRecycled(t *testing.T) {
 	}
 }
 
-// assertFreeListDisjoint fails if a buffer on the free list is also a live
-// stash payload, or is listed twice.
+// assertFreeListDisjoint fails if one payload buffer is held twice among
+// the free list, the stash and the known set, or if a key is both in the
+// stash and in the known set.
 func assertFreeListDisjoint(t *testing.T, o *PathORAM) {
 	t.Helper()
 	seen := map[*byte]bool{}
-	for _, buf := range o.free {
+	hold := func(buf []byte, what string) {
+		t.Helper()
 		if p := &buf[0]; seen[p] {
-			t.Fatal("free list holds one buffer twice")
+			t.Fatalf("%s shares its buffer with another holder", what)
 		} else {
 			seen[p] = true
 		}
 	}
+	for _, buf := range o.free {
+		hold(buf, "a free-list entry")
+	}
 	for key, e := range o.stash {
-		if seen[&e.payload[0]] {
-			t.Fatalf("stash payload of key %d is also on the free list", key)
+		hold(e.payload, fmt.Sprintf("stash payload of key %d", key))
+	}
+	for _, b := range o.known {
+		if _, dup := o.stash[b.key]; dup {
+			t.Fatalf("key %d is in the stash and in the known set", b.key)
 		}
+		hold(b.entry.payload, fmt.Sprintf("known block %d", b.key))
 	}
 }
 

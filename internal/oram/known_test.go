@@ -1,0 +1,523 @@
+package oram
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	mrand "math/rand"
+	"strings"
+	"testing"
+
+	"oblivjoin/internal/storage"
+	"oblivjoin/internal/storage/storetest"
+	"oblivjoin/internal/tracecheck"
+	"oblivjoin/internal/xcrypto"
+)
+
+// oramStack lists o and the Path-ORAMs of its recursive position map,
+// outermost first.
+func oramStack(o *PathORAM) []*PathORAM {
+	stack := []*PathORAM{o}
+	for {
+		pm, ok := o.pos.(*oramPosMap)
+		if !ok {
+			return stack
+		}
+		o = pm.child
+		stack = append(stack, o)
+	}
+}
+
+// fetchedLeaves recovers, from one store's recorded trace, the leaves each
+// download round named — what the server sees. Every round, read or write,
+// covers the root and lists it first, so an access to bucket 0 opens a
+// round.
+func fetchedLeaves(trace []storage.Access, levels int) [][]uint32 {
+	leafBase := int64(1)<<uint(levels-1) - 1
+	var rounds [][]uint32
+	reading := false
+	for _, a := range trace {
+		if a.Index == 0 {
+			if reading = a.Kind == storage.KindRead; reading {
+				rounds = append(rounds, nil)
+			}
+		}
+		if reading && a.Index >= leafBase {
+			last := len(rounds) - 1
+			rounds[last] = append(rounds[last], uint32(a.Index-leafBase))
+		}
+	}
+	return rounds
+}
+
+// TestKnownBucketsDifferential is the known-bucket set's end-to-end check:
+// a seeded random mix of every operation against a map model, at every
+// eviction batch, over stores with and without exchanges, with a flat and
+// a recursive position map. Every result must equal the model; each
+// store's recorded trace must be the one tracecheck.PathORAMSim computes
+// from the leaves that trace itself names (so skipping decryption moved no
+// server-visible index); every downloaded bucket must still be counted in
+// BucketsRead, and fewer of them opened. Eviction ranges over a Go map, so
+// each run places blocks differently — CI repeats this test.
+func TestKnownBucketsDifferential(t *testing.T) {
+	const capacity, payload, steps = 64, 16, 800
+	for _, batch := range []int{1, 4, 16} {
+		for _, exchange := range []bool{true, false} {
+			for _, recurse := range []bool{false, true} {
+				name := fmt.Sprintf("k=%d/exchange=%v/recursive=%v", batch, exchange, recurse)
+				t.Run(name, func(t *testing.T) {
+					m := storage.NewMeter()
+					o, err := NewPathORAM(PathConfig{
+						Name: "diff", Capacity: capacity, PayloadSize: payload, Meter: m,
+						Sealer: testSealer(t), Rand: NewSeededSource(uint64(77 + batch)),
+						EvictionBatch: batch, RecursePosMap: recurse, RecurseCutoff: 4,
+						OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
+							st := storage.NewMemStore(name, slots, blockSize, m)
+							if exchange {
+								return st, nil
+							}
+							return batchOnlyStore{st}, nil
+						},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					stack := oramStack(o)
+					if recurse && len(stack) != 3 {
+						t.Fatalf("recursive position map is %d ORAMs deep, want 3", len(stack))
+					}
+					// Building a recursive position map already accesses its
+					// inner ORAMs: settle them, and count from here.
+					if err := o.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					built := make([]int64, len(stack))
+					for depth, lvl := range stack {
+						built[depth] = lvl.Telemetry().BucketsRead
+					}
+					m.Reset()
+					m.SetTracing(true)
+
+					// events is the top-level schedule: n > 0 a round of n
+					// coalesced accesses, 0 a Flush. Level d of the stack makes
+					// 2^d single accesses per top-level access.
+					var events []int
+					ref := map[uint64][]byte{}
+					r := mrand.New(mrand.NewSource(int64(batch)))
+					check := func(step int, key uint64, data []byte, err error) {
+						t.Helper()
+						want, ok := ref[key]
+						if !ok {
+							if !errors.Is(err, ErrNotFound) {
+								t.Fatalf("step %d: absent key %d: err = %v, want ErrNotFound", step, key, err)
+							}
+							return
+						}
+						if err != nil {
+							t.Fatalf("step %d key %d: %v", step, key, err)
+						}
+						if !bytes.Equal(data, want) {
+							t.Fatalf("step %d: key %d = %v, want %v", step, key, data, want)
+						}
+					}
+					for step := 0; step < steps; step++ {
+						key := uint64(r.Intn(capacity))
+						switch r.Intn(8) {
+						case 0, 1:
+							val := []byte{byte(step), byte(step >> 8), byte(key)}[:1+r.Intn(3)]
+							if err := o.Write(key, val); err != nil {
+								t.Fatalf("step %d write: %v", step, err)
+							}
+							ref[key] = append(val, make([]byte, payload-len(val))...)
+							events = append(events, 1)
+						case 2:
+							data, err := o.Update(key, func(p []byte) error { p[0]++; return nil })
+							if ref[key] != nil {
+								ref[key][0]++
+							}
+							check(step, key, data, err)
+							events = append(events, 1)
+						case 3:
+							if err := o.DummyAccess(); err != nil {
+								t.Fatalf("step %d dummy: %v", step, err)
+							}
+							events = append(events, 1)
+						case 4:
+							var keys []uint64
+							for d := 0; d < capacity && len(keys) < 1+int(key%4); d++ {
+								if k := (key + uint64(d)) % capacity; ref[k] != nil {
+									keys = append(keys, k)
+								}
+							}
+							if len(keys) == 0 {
+								continue
+							}
+							datas, err := o.ReadBatch(keys)
+							if err != nil {
+								t.Fatalf("step %d batch read: %v", step, err)
+							}
+							for i, k := range keys {
+								check(step, k, datas[i], nil)
+							}
+							events = append(events, len(keys))
+						case 5:
+							n := 1 + int(key%4)
+							if err := o.DummyBatch(n); err != nil {
+								t.Fatalf("step %d dummy batch: %v", step, err)
+							}
+							events = append(events, n)
+						case 6:
+							if step%5 != 0 {
+								continue // a flush every step would leave nothing deferred
+							}
+							if err := o.Flush(); err != nil {
+								t.Fatalf("step %d flush: %v", step, err)
+							}
+							events = append(events, 0)
+						default:
+							data, err := o.Read(key)
+							check(step, key, data, err)
+							events = append(events, 1)
+						}
+						if step%8 == 0 {
+							assertBuffersDisjoint(t, o)
+						}
+					}
+					if err := o.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					events = append(events, 0)
+					trace := m.Trace()
+					for key, want := range ref {
+						data, err := o.Read(key)
+						if err != nil || !bytes.Equal(data, want) {
+							t.Fatalf("final read %d = %v, %v; want %v", key, data, err, want)
+						}
+					}
+
+					for depth, lvl := range stack {
+						var own []storage.Access
+						for _, a := range trace {
+							if a.Store == lvl.cfg.Name {
+								own = append(own, a)
+							}
+						}
+						rounds := fetchedLeaves(own, lvl.levels)
+						sim := &tracecheck.PathORAMSim{
+							Store: lvl.cfg.Name, Bytes: xcrypto.SealedLen(lvl.bucketSize),
+							Levels: lvl.levels, Batch: batch, Exchange: exchange,
+						}
+						for _, n := range events {
+							if n == 0 {
+								sim.Flush()
+								continue
+							}
+							if depth > 0 {
+								for i := 0; i < n<<uint(depth); i++ {
+									sim.Access(rounds[0][0])
+									rounds = rounds[1:]
+								}
+								continue
+							}
+							// Two accesses of a round that drew the same leaf show
+							// the server one path; which one repeats changes
+							// neither the union nor the pending count.
+							leaves := rounds[0]
+							for len(leaves) < n {
+								leaves = append(leaves, leaves[0])
+							}
+							rounds = rounds[1:]
+							if n == 1 {
+								sim.Access(leaves[0])
+							} else {
+								sim.AccessBatch(leaves)
+							}
+						}
+						if len(rounds) != 0 {
+							t.Fatalf("%s: %d download rounds the schedule does not explain", lvl.cfg.Name, len(rounds))
+						}
+						if d := tracecheck.DiffExact(sim.Trace(), own); d != "" {
+							t.Fatalf("%s: trace is not the simulator's: %s", lvl.cfg.Name, d)
+						}
+						var reads int64
+						for _, a := range own {
+							if a.Kind == storage.KindRead {
+								reads++
+							}
+						}
+						// The final read-back ran after the trace was taken.
+						ps := lvl.Telemetry()
+						if ps.BucketsOpened >= ps.BucketsRead {
+							t.Fatalf("%s: opened %d of %d downloaded buckets; nothing was skipped", lvl.cfg.Name, ps.BucketsOpened, ps.BucketsRead)
+						}
+						tail := int64(len(ref)<<uint(depth)) * int64(lvl.levels)
+						if got := ps.BucketsRead - built[depth]; got != reads+tail {
+							t.Fatalf("%s: BucketsRead = %d, the server served %d", lvl.cfg.Name, got, reads+tail)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// assertBuffersDisjoint runs assertFreeListDisjoint down the whole
+// position-map stack.
+func assertBuffersDisjoint(t *testing.T, o *PathORAM) {
+	t.Helper()
+	for _, lvl := range oramStack(o) {
+		assertFreeListDisjoint(t, lvl)
+	}
+}
+
+// corrupt flips one ciphertext byte of bucket i on the server.
+func corrupt(t *testing.T, st storage.Store, i int64) {
+	t.Helper()
+	blk, err := st.Read(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk[len(blk)/2] ^= 0x20
+	if err := st.Write(i, blk); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKnownBucketTamperIsIgnored: the bytes of a bucket the client sealed
+// itself and has not let go of are never consumed, so a server that
+// corrupts its copy changes nothing and the next write-back overwrites the
+// damage; corruption of any bucket the client does decrypt still surfaces
+// as ErrAuthFailed naming the store and the bucket.
+func TestKnownBucketTamperIsIgnored(t *testing.T) {
+	const capacity = 32
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("k=%d", batch), func(t *testing.T) {
+			o := newBatchORAM(t, capacity, 16, nil, batch, 19)
+			for i := uint64(0); i < capacity; i++ {
+				if err := o.Write(i, []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The root is on every path: just written, or still pending.
+			r := mrand.New(mrand.NewSource(3))
+			for i := 0; i < 200; i++ {
+				corrupt(t, o.store, 0)
+				key := uint64(r.Intn(capacity))
+				got, err := o.Read(key)
+				if err != nil || got[0] != byte(key) {
+					t.Fatalf("access %d over a corrupted known root: %v, %v", i, got, err)
+				}
+			}
+			// Settled, the client holds nothing back: every bucket is read
+			// from the server again, and the root it finds is its own.
+			if err := o.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < capacity; i++ {
+				if got, err := o.Read(i); err != nil || got[0] != byte(i) {
+					t.Fatalf("read %d after the root was rewritten: %v, %v", i, got, err)
+				}
+			}
+
+			// Everything the client does not know stays authenticated: spare
+			// only the buckets it would skip, and pick a key whose path
+			// leaves them.
+			if err := o.Write(0, []byte{0}); err != nil {
+				t.Fatal(err)
+			}
+			skipped := append(append([]uint32{}, o.knownLeaves...), o.sched.pending...)
+			for i := int64(0); i < o.store.Len(); i++ {
+				if !o.onPath(i, skipped) {
+					corrupt(t, o.store, i)
+				}
+			}
+			leaves := o.pos.(*flatPosMap).leaves
+			key := uint64(1)
+			for o.onPath(o.leaves-1+int64(leaves[key]), skipped) {
+				key++
+			}
+			_, err := o.Read(key)
+			if !errors.Is(err, xcrypto.ErrAuthFailed) {
+				t.Fatalf("read over a corrupted unknown bucket: err = %v, want ErrAuthFailed", err)
+			}
+			if !strings.Contains(err.Error(), `"sched"`) || !strings.Contains(err.Error(), "bucket") {
+				t.Fatalf("error %q lacks store/bucket context", err)
+			}
+		})
+	}
+}
+
+// flakyWriteStore fails every period-th batch write after applying the
+// first half of it: a write-back torn by a transport error.
+type flakyWriteStore struct {
+	batchOnlyStore
+	period, calls, failures int
+}
+
+func (w *flakyWriteStore) WriteMany(idxs []int64, d [][]byte) error {
+	if w.calls++; w.calls%w.period != 0 {
+		return w.s.WriteMany(idxs, d)
+	}
+	w.failures++
+	half := len(idxs) / 2
+	if err := w.s.WriteMany(idxs[:half], d[:half]); err != nil {
+		return err
+	}
+	return fmt.Errorf("injected write failure")
+}
+
+// TestClassicWriteBackFailureKeepsBlocks: with EvictionBatch <= 1 a
+// write-back the store refuses must lose nothing — the evicted blocks
+// return to the stash and the torn path stays queued until a later
+// write-back has rewritten all of it, so a retried operation succeeds and
+// no stale server copy ever resurfaces.
+func TestClassicWriteBackFailureKeepsBlocks(t *testing.T) {
+	const capacity = 64
+	for _, period := range []int{2, 3, 7} {
+		t.Run(fmt.Sprintf("every-%d", period), func(t *testing.T) {
+			var fs *flakyWriteStore
+			o, err := NewPathORAM(PathConfig{
+				Name: "flaky", Capacity: capacity, PayloadSize: 16,
+				Sealer: testSealer(t), Rand: NewSeededSource(uint64(period)),
+				OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
+					fs = &flakyWriteStore{batchOnlyStore: batchOnlyStore{storage.NewMemStore(name, slots, blockSize, nil)}, period: period}
+					return fs, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs.calls, fs.failures = 0, 0 // construction uploads through the same store
+			ref := map[uint64]byte{}
+			r := mrand.New(mrand.NewSource(int64(period)))
+			// retry repeats an idempotent operation until the store takes
+			// its write-back; every failure must be the injected one.
+			retry := func(step int, op func() error) {
+				t.Helper()
+				for attempt := 0; ; attempt++ {
+					err := op()
+					if err == nil {
+						return
+					}
+					if attempt == 3 || !strings.Contains(err.Error(), "injected") {
+						t.Fatalf("step %d attempt %d: %v", step, attempt, err)
+					}
+				}
+			}
+			for step := 0; step < 3000; step++ {
+				key := uint64(r.Intn(capacity))
+				_, known := ref[key]
+				switch op := r.Intn(4); {
+				case op == 0 || !known:
+					val := byte(step)
+					retry(step, func() error { return o.Write(key, []byte{val}) })
+					ref[key] = val
+				case op == 1:
+					retry(step, o.DummyAccess)
+				default:
+					retry(step, func() error {
+						got, err := o.Read(key)
+						if got != nil && got[0] != ref[key] {
+							t.Fatalf("step %d: key %d = %d, want %d", step, key, got[0], ref[key])
+						}
+						return err
+					})
+				}
+				assertBuffersDisjoint(t, o)
+			}
+			if fs.failures == 0 {
+				t.Fatal("no write-back failed; the test exercised nothing")
+			}
+			retry(-1, o.Flush)
+			if o.PendingEvictions() != 0 {
+				t.Fatalf("%d paths still pending after a clean flush", o.PendingEvictions())
+			}
+			for key, want := range ref {
+				got, err := o.Read(key)
+				for err != nil && strings.Contains(err.Error(), "injected") {
+					got, err = o.Read(key)
+				}
+				if err != nil || got[0] != want {
+					t.Fatalf("final read %d = %v, %v; want %d", key, got, err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestKnownSetLifetime pins the set's edges: it holds blocks between a
+// write-back and the next fetch and ClientBytes counts them; Flush, Close
+// and BulkLoad let go of it, so a settled instance reports exactly its
+// stash and position map.
+func TestKnownSetLifetime(t *testing.T) {
+	o := newBatchORAM(t, 64, 16, nil, 1, 5)
+	for i := uint64(0); i < 64; i++ {
+		if err := o.Write(i, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perBlock := int64(12 + o.PayloadSize())
+	quiet := func() int64 { return int64(o.StashSize())*perBlock + o.pos.clientBytes() }
+	if len(o.known) == 0 || len(o.knownLeaves) != 1 {
+		t.Fatalf("after a write-back: %d known blocks on %d paths", len(o.known), len(o.knownLeaves))
+	}
+	if got, want := o.ClientBytes(), quiet()+int64(len(o.known))*perBlock; got != want {
+		t.Fatalf("ClientBytes between accesses = %d, want %d (known blocks counted)", got, want)
+	}
+	for _, settle := range []func() error{o.Flush, o.Close, func() error { return o.BulkLoad(nil) }} {
+		if err := o.DummyAccess(); err != nil {
+			t.Fatal(err)
+		}
+		free := len(o.free) + len(o.known)
+		if err := settle(); err != nil {
+			t.Fatal(err)
+		}
+		if len(o.known) != 0 || len(o.knownLeaves) != 0 {
+			t.Fatalf("settled instance still knows %d blocks on %d paths", len(o.known), len(o.knownLeaves))
+		}
+		if len(o.free) != free {
+			t.Fatalf("released buffers: free list %d, want %d", len(o.free), free)
+		}
+		if got := o.ClientBytes(); got != quiet() {
+			t.Fatalf("settled ClientBytes = %d, want %d", got, quiet())
+		}
+	}
+}
+
+// TestPathORAMDeferredAccessAllocs extends the block-path allocation guard
+// to the deferred path: a steady-state EvictionBatch=4 access whose flushes
+// ride the next fetch as exchanges allocates what a classic access does —
+// the result copy — with the flush's bucket union, eviction staging and
+// known set all living in reused scratch.
+func TestPathORAMDeferredAccessAllocs(t *testing.T) {
+	if storetest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const capacity, payload = 256, 4096
+	o := newBatchORAM(t, capacity, payload, storage.NewMeter(), 4, 3)
+	blocks := make([][]byte, capacity)
+	for i := range blocks {
+		blocks[i] = make([]byte, payload)
+	}
+	if err := o.BulkLoad(blocks); err != nil {
+		t.Fatal(err)
+	}
+	key := uint64(0)
+	read := func() {
+		key = (key + 1) % capacity
+		if _, err := o.Read(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*capacity; i++ { // fill the free list and scratch
+		read()
+	}
+	before := o.Telemetry().Exchanges
+	n, b := storetest.AllocsAndBytes(500, read)
+	if n > 2 || b > payload+payload/2 {
+		t.Errorf("steady-state deferred Read: %v allocs and %d bytes per access, want <= 2 and one %d-byte result copy", n, b, payload)
+	}
+	if o.Telemetry().Exchanges == before {
+		t.Fatal("no flush rode a fetch; the deferred path went unmeasured")
+	}
+}

@@ -3,6 +3,8 @@ package oram
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/telemetry"
@@ -78,6 +80,14 @@ type stashEntry struct {
 	payload []byte
 }
 
+// knownBlock is a block the last write-back placed into bucket node: out of
+// the stash, but still held by the client until the next fetch.
+type knownBlock struct {
+	key   uint64
+	node  int64
+	entry stashEntry
+}
+
 // PathORAM is the client handle to a Path-ORAM: the server holds a full
 // binary tree of Z-slot buckets; the client holds the stash and position
 // map and maintains the invariant that block b always resides on the path
@@ -106,22 +116,31 @@ type PathORAM struct {
 	fetchBuf []byte     // ReadManyTo/ExchangeTo target: one download's sealed buckets
 	openBuf  []byte     // OpenTo target, one bucket at a time out of fetchBuf
 	plainBuf []byte     // one plaintext bucket, reused per level
-	sealBuf  []byte     // SealTo target for a whole path write-back
-	sealView [][]byte   // per-level views into sealBuf
+	sealBuf  []byte     // SealTo target for one write-back's buckets
+	sealView [][]byte   // per-bucket views into sealBuf
 	pathBuf  []int64    // pathNodes result
 	leafBuf  [1]uint32  // the single-access leaf list handed to the scheduler
 	planBuf  accessPlan // the single-access plan
-	// free holds stash payload buffers whose blocks were evicted in a round
-	// the store has accepted; parseBucketInto and Write take from it before
-	// allocating. evicted stages one write-back's buffers until that point
-	// (a failed write-back leaves them to the collector).
-	free    [][]byte
-	evicted [][]byte
+	// free holds stash payload buffers no block lives in any more;
+	// parseBucketInto and Write take from it before allocating.
+	free [][]byte
+
+	// The known-bucket set (DESIGN.md §2.9): the client sealed every bucket
+	// of the last write-back itself, so until something else is written
+	// there it knows their plaintext without asking. known holds the real
+	// blocks that write-back placed — staged here by sealNodes, returned to
+	// the stash if the store refuses the round — and knownLeaves the leaves
+	// whose paths it wrote. The next fetch reclaims the blocks of the
+	// buckets it downloads by pointer instead of decrypting them and hands
+	// the rest to the free list, so the set never outlives one fetch.
+	known       []knownBlock
+	knownLeaves []uint32
 
 	// Client-side telemetry counters (see Telemetry); never server-visible.
 	accesses       int64
 	dummyAccesses  int64
 	bucketsRead    int64
+	bucketsOpened  int64
 	bucketsWritten int64
 	levelPlaced    []int64
 }
@@ -306,9 +325,11 @@ func (o *PathORAM) Capacity() int64 { return o.cfg.Capacity }
 // costs.
 func (o *PathORAM) AccessesPerOp() int { return 2*o.levels + o.pos.accessesPerOp() }
 
-// ClientBytes implements ORAM: stash plus position-map footprint.
+// ClientBytes implements ORAM: stash plus position-map footprint, plus —
+// between a write-back and the next fetch — the blocks of the known-bucket
+// set (none once Flush has settled the instance).
 func (o *PathORAM) ClientBytes() int64 {
-	return int64(len(o.stash))*int64(12+o.cfg.PayloadSize) + o.pos.clientBytes()
+	return int64(len(o.stash)+len(o.known))*int64(12+o.cfg.PayloadSize) + o.pos.clientBytes()
 }
 
 // ServerBytes implements ORAM.
@@ -490,9 +511,14 @@ func (o *PathORAM) readPath(path []int64) error {
 	return o.openFetched(buf, path)
 }
 
-// openFetched decrypts a download — the sealed buckets of nodes, back to
-// back in buf — straight out of the download buffer into the stash, and
-// keeps the (possibly grown) buffer for the next round.
+// openFetched moves a download — the sealed buckets of nodes (ascending),
+// back to back in buf — into the stash, and keeps the (possibly grown)
+// buffer for the next round. A bucket whose plaintext the client already
+// holds is not decrypted: one the last write-back wrote gives its blocks
+// back from the known set by pointer, and one on a still-pending eviction
+// path has held nothing but stale copies of stash blocks since it was last
+// fetched. Their downloaded bytes are never looked at, so whatever the
+// server put there cannot reach the client.
 func (o *PathORAM) openFetched(buf []byte, nodes []int64) error {
 	o.fetchBuf = buf[:0]
 	o.bucketsRead += int64(len(nodes))
@@ -500,7 +526,21 @@ func (o *PathORAM) openFetched(buf []byte, nodes []int64) error {
 	if len(buf) != len(nodes)*stride {
 		return fmt.Errorf("oram: store %q returned %d bytes for %d buckets of %d", o.cfg.Name, len(buf), len(nodes), stride)
 	}
+	for _, b := range o.known {
+		if _, fetched := slices.BinarySearch(nodes, b.node); fetched {
+			o.stash[b.key] = b.entry
+		} else {
+			o.free = append(o.free, b.entry.payload)
+		}
+	}
+	o.known = o.known[:0]
+	written := o.knownLeaves
+	o.knownLeaves = o.knownLeaves[:0]
 	for k, node := range nodes {
+		if o.onPath(node, written) || o.onPath(node, o.sched.pending) {
+			continue
+		}
+		o.bucketsOpened++
 		plain, err := o.sealer.OpenTo(o.openBuf[:0], buf[k*stride:(k+1)*stride])
 		if err != nil {
 			return fmt.Errorf("oram: store %q bucket %d: %w", o.cfg.Name, node, err)
@@ -525,17 +565,22 @@ func (o *PathORAM) pathNodes(leaf uint32) []int64 {
 	return nodes
 }
 
-// sharesBucket reports whether the paths to leaves a and b pass through the
-// same bucket at level lvl (root is level 0).
-func (o *PathORAM) sharesBucket(a, b uint32, lvl int) bool {
-	shift := uint(o.levels - 1 - lvl)
-	return (int64(a) >> shift) == (int64(b) >> shift)
+// pathShift is how far a 1-based leaf heap index shifts right to reach its
+// ancestor at the level of bucket node (0-based store index).
+func (o *PathORAM) pathShift(node int64) uint {
+	return uint(o.levels - bits.Len64(uint64(node+1)))
 }
 
-// nodeAtLevel returns the store index of the bucket at level lvl (root = 0)
-// on the path to leaf.
-func (o *PathORAM) nodeAtLevel(leaf uint32, lvl int) int64 {
-	return ((o.leaves + int64(leaf)) >> uint(o.levels-1-lvl)) - 1
+// onPath reports whether bucket node lies on the root-to-leaf path of any
+// of the given leaves.
+func (o *PathORAM) onPath(node int64, leaves []uint32) bool {
+	shift := o.pathShift(node)
+	for _, leaf := range leaves {
+		if (o.leaves+int64(leaf))>>shift == node+1 {
+			return true
+		}
+	}
+	return false
 }
 
 // putSlotHeader writes the key and leaf fields of an occupied slot.
@@ -582,30 +627,33 @@ func (o *PathORAM) writeBuckets(idxs []int64, sealed [][]byte) error {
 	return err
 }
 
-func (o *PathORAM) writePath(leaf uint32, path []int64) error {
-	// Fill bottom-up (deepest bucket first) so blocks sink as far as
-	// allowed, then upload the whole path in one write-back round. Buckets
-	// are sealed back to back into the reusable path scratch, so a
-	// steady-state write-back allocates nothing.
-	o.bucketsWritten += int64(o.levels)
-	need := o.levels * xcrypto.SealedLen(o.bucketSize)
-	if cap(o.sealBuf) < need {
+// sealNodes fills the buckets at nodes (ascending store indices, which is
+// root first) from the stash — deepest bucket first, so blocks sink as far
+// as the written paths allow — and seals them back to back into the
+// reusable scratch, so a steady-state write-back allocates nothing. The
+// returned views align with nodes. The placed blocks move from the stash
+// to the known set; the caller settles them with keepKnown once the store
+// has accepted the round, or restoreKnown if it has not.
+func (o *PathORAM) sealNodes(nodes []int64) ([][]byte, error) {
+	o.releaseKnown() // a failed fetch may have left the previous set behind
+	if need := len(nodes) * xcrypto.SealedLen(o.bucketSize); cap(o.sealBuf) < need {
 		o.sealBuf = make([]byte, 0, need)
 	}
-	if cap(o.sealView) < o.levels {
-		o.sealView = make([][]byte, o.levels)
+	if cap(o.sealView) < len(nodes) {
+		o.sealView = make([][]byte, len(nodes))
 	}
 	seal := o.sealBuf[:0]
-	sealedBuckets := o.sealView[:o.levels]
-	o.evicted = o.evicted[:0]
-	for lvl := o.levels - 1; lvl >= 0; lvl-- {
+	sealed := o.sealView[:len(nodes)]
+	for k := len(nodes) - 1; k >= 0; k-- {
+		node := nodes[k]
+		shift := o.pathShift(node)
 		bucket := o.bucketScratch()
 		filled := 0
 		for key, entry := range o.stash {
 			if filled == o.z {
 				break
 			}
-			if !o.sharesBucket(entry.leaf, leaf, lvl) {
+			if (o.leaves+int64(entry.leaf))>>shift != node+1 {
 				continue
 			}
 			slot := bucket[filled*o.slotSize:]
@@ -613,24 +661,65 @@ func (o *PathORAM) writePath(leaf uint32, path []int64) error {
 			putSlotHeader(slot, key, entry.leaf)
 			copy(slot[slotHeader:], entry.payload)
 			delete(o.stash, key)
-			o.evicted = append(o.evicted, entry.payload)
+			o.known = append(o.known, knownBlock{key: key, node: node, entry: entry})
 			filled++
 		}
-		o.levelPlaced[lvl] += int64(filled)
 		off := len(seal)
 		var err error
-		seal, err = o.sealer.SealTo(seal, bucket)
-		if err != nil {
-			return err
+		if seal, err = o.sealer.SealTo(seal, bucket); err != nil {
+			o.restoreKnown()
+			return nil, err
 		}
-		sealedBuckets[lvl] = seal[off:]
+		sealed[k] = seal[off:]
 	}
-	if err := o.writeBuckets(path, sealedBuckets); err != nil {
+	return sealed, nil
+}
+
+// keepKnown records a write-back the store has accepted: the paths of
+// leaves, nodes buckets in all, now hold exactly the blocks sealNodes
+// staged, and the client keeps knowing that until its next fetch.
+func (o *PathORAM) keepKnown(leaves []uint32, nodes int) {
+	o.knownLeaves = append(o.knownLeaves[:0], leaves...)
+	o.bucketsWritten += int64(nodes)
+	for _, b := range o.known {
+		o.levelPlaced[bits.Len64(uint64(b.node+1))-1]++
+	}
+}
+
+// restoreKnown undoes sealNodes after a write-back the store did not
+// accept: the staged blocks return to the stash, which stays authoritative
+// for them whatever part of the round reached the server.
+func (o *PathORAM) restoreKnown() {
+	for _, b := range o.known {
+		o.stash[b.key] = b.entry
+	}
+	o.known = o.known[:0]
+}
+
+// releaseKnown forgets the known-bucket set: its blocks live on the server,
+// so their buffers are free for reuse.
+func (o *PathORAM) releaseKnown() {
+	for _, b := range o.known {
+		o.free = append(o.free, b.entry.payload)
+	}
+	o.known = o.known[:0]
+	o.knownLeaves = o.knownLeaves[:0]
+}
+
+// writePath is the classic eviction: fill the fetched path from the stash
+// and upload it in one write-back round.
+func (o *PathORAM) writePath(leaf uint32) error {
+	path := o.pathNodes(leaf)
+	sealed, err := o.sealNodes(path)
+	if err != nil {
 		return err
 	}
-	// The store has accepted the round: only now are the evicted blocks'
-	// buffers free for reuse.
-	o.free = append(o.free, o.evicted...)
+	if err := o.writeBuckets(path, sealed); err != nil {
+		o.restoreKnown()
+		return err
+	}
+	o.leafBuf[0] = leaf
+	o.keepKnown(o.leafBuf[:], len(path))
 	return nil
 }
 
@@ -641,6 +730,7 @@ func (o *PathORAM) BulkLoad(payloads [][]byte) error {
 	if int64(len(payloads)) > o.cfg.Capacity {
 		return fmt.Errorf("oram: bulk load of %d blocks exceeds capacity %d", len(payloads), o.cfg.Capacity)
 	}
+	o.releaseKnown() // the whole tree is about to be overwritten
 	type placed struct {
 		key  uint64
 		leaf uint32

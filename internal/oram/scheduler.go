@@ -1,10 +1,9 @@
 package oram
 
 import (
-	"sort"
+	"slices"
 
 	"oblivjoin/internal/storage"
-	"oblivjoin/internal/xcrypto"
 )
 
 // scheduler is the staged data path in front of a PathORAM's fetch and
@@ -38,14 +37,16 @@ import (
 // re-read freshly written buckets (whose blocks then safely re-enter the
 // stash on a path that is itself queued again).
 //
-// Failure atomicity: a flush (or exchange) seals the pending paths into a
-// staging evictionSet and mutates client state — stash, pending queue, due
-// flag, telemetry — only via commit, after the store has accepted the
-// round. A transport error therefore leaves the instance exactly as it
-// was: the blocks stay in the stash, the paths stay pending, and the flush
-// can simply be retried. Buckets a failed attempt may have partially
-// written stay covered by the still-pending paths, so the stash copies
-// remain authoritative until a later flush rewrites them.
+// Failure atomicity: a write-back (classic, flush or exchange) stages the
+// blocks it seals out of the stash (PathORAM.sealNodes) and touches the
+// pending queue, the due flag and the telemetry only via commit, after the
+// store has accepted the round. On a transport error the staged blocks go
+// straight back (restoreKnown) and the instance is exactly as it was: the
+// blocks in the stash, the paths pending, the write-back free to be
+// retried. Buckets a failed attempt may have partially written stay covered
+// by the still-pending paths, so the stash copies remain authoritative
+// until a later flush rewrites them — which is why a classic write-back
+// that fails queues its path here too.
 type scheduler struct {
 	o     *PathORAM
 	batch int // flush threshold k; <= 1 means evict immediately
@@ -53,10 +54,10 @@ type scheduler struct {
 	pending []uint32 // leaves of fetched paths awaiting write-back
 	due     bool     // flush has reached the threshold and should ride the next fetch
 
-	// sealBuf is the reusable SealTo target for a flush's eviction set; the
-	// staged views into it stay valid until the store accepts the round, and
-	// a failed flush simply re-seals over it on retry.
-	sealBuf []byte
+	// Scratch for the bucket unions of one round: the flush's write set and
+	// the fetch's read set, both alive during an exchange.
+	writeNodes []int64
+	readNodes  []int64
 
 	// Telemetry (client-side only).
 	flushes         int64
@@ -74,25 +75,18 @@ func newScheduler(o *PathORAM, batch int) *scheduler {
 	return &scheduler{o: o, batch: batch}
 }
 
-// unionNodes returns the sorted union of the root-to-leaf paths of the
-// given leaves. For a single leaf it is exactly pathNodes (root first) and,
-// like it, instance scratch.
-func (s *scheduler) unionNodes(leaves []uint32) []int64 {
-	if len(leaves) == 1 {
-		return s.o.pathNodes(leaves[0])
-	}
-	seen := make(map[int64]bool, len(leaves)*s.o.levels)
-	var nodes []int64
+// unionNodes appends to dst the ascending union of the root-to-leaf paths
+// of the given leaves; for a single leaf that is the path itself, root
+// first.
+func (s *scheduler) unionNodes(dst []int64, leaves []uint32) []int64 {
 	for _, leaf := range leaves {
-		for _, n := range s.o.pathNodes(leaf) {
-			if !seen[n] {
-				seen[n] = true
-				nodes = append(nodes, n)
-			}
-		}
+		dst = append(dst, s.o.pathNodes(leaf)...)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return nodes
+	if len(leaves) > 1 {
+		slices.Sort(dst)
+		dst = slices.Compact(dst)
+	}
+	return dst
 }
 
 // fetch downloads the union of the given leaves' paths into the stash in
@@ -112,7 +106,8 @@ func (s *scheduler) fetch(leaves []uint32) error {
 		s.batchFetches++
 		s.batchedAccesses += int64(len(leaves))
 	}
-	return s.o.readPath(s.unionNodes(leaves))
+	s.readNodes = s.unionNodes(s.readNodes[:0], leaves)
+	return s.o.readPath(s.readNodes)
 }
 
 // evict queues the fetched path for write-back. With batch <= 1 it writes
@@ -120,8 +115,14 @@ func (s *scheduler) fetch(leaves []uint32) error {
 // flushed once it holds batch paths — via the next fetch's exchange when
 // the store supports it, in its own WriteMany round otherwise.
 func (s *scheduler) evict(leaf uint32) error {
-	if s.batch <= 1 {
-		return s.o.writePath(leaf, s.o.pathNodes(leaf))
+	if s.batch <= 1 && len(s.pending) == 0 {
+		err := s.o.writePath(leaf)
+		if err != nil {
+			// The path may be half written: keep it queued so the next
+			// write-back (or Flush) rewrites all of it from the stash.
+			s.pending = append(s.pending, leaf)
+		}
+		return err
 	}
 	s.o.leafBuf[0] = leaf
 	return s.evictBatch(s.o.leafBuf[:])
@@ -154,11 +155,10 @@ func (s *scheduler) evictBatch(leaves []uint32) error {
 	return nil
 }
 
-// flushNow writes every pending path back in one round. The stash and the
-// pending queue are mutated only after the store accepts the write, so a
-// transport failure leaves the client state exactly as it was — the flush
-// can simply be retried (the still-pending paths keep every server bucket
-// they cover rewritable, so nothing is lost to the partial write).
+// flushNow writes every pending path back in one round. A transport
+// failure leaves the client state exactly as it was, so the flush can
+// simply be retried (the still-pending paths keep every server bucket they
+// cover rewritable, so nothing is lost to the partial write).
 func (s *scheduler) flushNow() error {
 	if len(s.pending) == 0 {
 		s.due = false
@@ -167,164 +167,67 @@ func (s *scheduler) flushNow() error {
 	// The flush round belongs to the (public) eviction schedule, not to
 	// whichever engine phase triggered it — label its wire requests so.
 	defer s.o.cfg.Flight.PushPhase("oram.flush")()
-	es, err := s.sealEvictionSet()
+	sealed, err := s.sealPending()
 	if err != nil {
 		return err
 	}
-	if err := s.o.writeBuckets(es.idxs, es.data); err != nil {
+	if err := s.o.writeBuckets(s.writeNodes, sealed); err != nil {
+		s.o.restoreKnown()
 		return err
 	}
-	s.commit(es)
+	s.commit()
 	return nil
 }
 
 // exchangeFetch performs a due flush and the next fetch in one round trip:
 // the store applies the pending eviction writes first, then serves the
-// read union. Client state (stash, pending queue, due flag, telemetry) is
-// committed only after the exchange succeeds; on a transport error the
-// flush stays due (and its blocks in the stash) for the next fetch.
+// read union. On a transport error the flush stays due (and its blocks in
+// the stash) for the next fetch.
 func (s *scheduler) exchangeFetch(leaves []uint32) error {
-	es, err := s.sealEvictionSet()
+	sealed, err := s.sealPending()
 	if err != nil {
 		return err
 	}
-	ridxs := s.unionNodes(leaves)
+	s.readNodes = s.unionNodes(s.readNodes[:0], leaves)
 	// The combined round carries the deferred write-back; label it as the
 	// flush it is (the ride-along fetch is what makes the round free).
 	restore := s.o.cfg.Flight.PushPhase("oram.flush")
-	buf, err := storage.ExchangeTo(s.o.store, s.o.cfg.Meter, s.o.fetchBuf[:0], es.idxs, es.data, ridxs)
+	buf, err := storage.ExchangeTo(s.o.store, s.o.cfg.Meter, s.o.fetchBuf[:0], s.writeNodes, sealed, s.readNodes)
 	restore()
 	if err != nil {
+		s.o.restoreKnown()
 		return err
 	}
-	// Commit before parsing the read buckets back in: a bucket written by
-	// this very exchange may be re-read by it, and its blocks must re-enter
-	// the stash *after* the commit drained their evicted copies.
-	s.commit(es)
+	// Commit before taking the read buckets in: a bucket written by this
+	// very exchange may be re-read by it, and its blocks re-enter the stash
+	// from the known set the commit has just established.
+	s.commit()
 	s.exchanges++
 	if len(leaves) > 1 {
 		s.batchFetches++
 		s.batchedAccesses += int64(len(leaves))
 	}
-	return s.o.openFetched(buf, ridxs)
+	return s.o.openFetched(buf, s.readNodes)
 }
 
-// evictionSet is a sealed flush staged for the store: the bucket writes,
-// plus everything commit needs to drain the client state once the store
-// has durably accepted them.
-type evictionSet struct {
-	idxs        []int64  // ascending store indices
-	data        [][]byte // sealed buckets, aligned with idxs
-	placed      []uint64 // stash keys serialized into the buckets
-	levelPlaced []int64  // per-level placement counts
-	paths       int      // pending paths covered by the set
-	dedupSaved  int64    // bucket writes avoided by intra-flush dedup
+// sealPending seals the union of the pending paths into writeNodes-aligned
+// buckets: shared upper-tree buckets appear once, in ascending store-index
+// order — for a single path the root-to-leaf order writePath uses.
+func (s *scheduler) sealPending() ([][]byte, error) {
+	s.writeNodes = s.unionNodes(s.writeNodes[:0], s.pending)
+	return s.o.sealNodes(s.writeNodes)
 }
 
-// sealEvictionSet serializes the pending queue into sealed buckets for the
-// union of the pending paths: shared upper-tree buckets appear once, the
-// stash is drained deepest-level-first so blocks sink as far as any pending
-// path allows, and the result is ordered by ascending store index. It is
-// read-only on the client state — the stash entries it places, the pending
-// queue, and the telemetry counters are touched by commit, after the store
-// write succeeds — so a failed flush loses nothing.
-func (s *scheduler) sealEvictionSet() (*evictionSet, error) {
-	o := s.o
-	type node struct {
-		idx int64
-		lvl int
-	}
-	seen := make(map[int64]bool, len(s.pending)*o.levels)
-	var nodes []node
-	for _, leaf := range s.pending {
-		for lvl := 0; lvl < o.levels; lvl++ {
-			idx := o.nodeAtLevel(leaf, lvl)
-			if !seen[idx] {
-				seen[idx] = true
-				nodes = append(nodes, node{idx: idx, lvl: lvl})
-			}
-		}
-	}
-	es := &evictionSet{
-		paths:       len(s.pending),
-		dedupSaved:  int64(len(s.pending)*o.levels - len(nodes)),
-		levelPlaced: make([]int64, o.levels),
-	}
-	// Fill deepest buckets first so blocks sink as far as allowed.
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].lvl != nodes[j].lvl {
-			return nodes[i].lvl > nodes[j].lvl
-		}
-		return nodes[i].idx < nodes[j].idx
-	})
-	taken := make(map[uint64]bool)
-	sealedByIdx := make(map[int64][]byte, len(nodes))
-	if need := len(nodes) * xcrypto.SealedLen(o.bucketSize); cap(s.sealBuf) < need {
-		s.sealBuf = make([]byte, 0, need)
-	}
-	seal := s.sealBuf[:0]
-	for _, n := range nodes {
-		bucket := o.bucketScratch()
-		filled := 0
-		for key, entry := range o.stash {
-			if filled == o.z {
-				break
-			}
-			if taken[key] || o.nodeAtLevel(entry.leaf, n.lvl) != n.idx {
-				continue
-			}
-			slot := bucket[filled*o.slotSize:]
-			slot[0] = 1
-			putSlotHeader(slot, key, entry.leaf)
-			copy(slot[slotHeader:], entry.payload)
-			taken[key] = true
-			es.placed = append(es.placed, key)
-			filled++
-		}
-		es.levelPlaced[n.lvl] += int64(filled)
-		off := len(seal)
-		var serr error
-		seal, serr = o.sealer.SealTo(seal, bucket)
-		if serr != nil {
-			return nil, serr
-		}
-		sealedByIdx[n.idx] = seal[off:]
-	}
-	s.sealBuf = seal
-	// Write in ascending store-index order: for a single path this is the
-	// same root-to-leaf order writePath uses.
-	es.idxs = make([]int64, 0, len(nodes))
-	for idx := range sealedByIdx {
-		es.idxs = append(es.idxs, idx)
-	}
-	sort.Slice(es.idxs, func(i, j int) bool { return es.idxs[i] < es.idxs[j] })
-	es.data = make([][]byte, len(es.idxs))
-	for k, idx := range es.idxs {
-		es.data[k] = sealedByIdx[idx]
-	}
-	return es, nil
-}
-
-// commit drains the client state a successfully stored eviction set covered:
-// the placed blocks leave the stash (their authoritative copies now live in
-// the written buckets) and their payload buffers join the free list — here
-// and never in sealEvictionSet, so a failed flush recycles nothing — the
-// pending queue empties, and the flush telemetry advances.
-func (s *scheduler) commit(es *evictionSet) {
-	o := s.o
-	for _, key := range es.placed {
-		o.free = append(o.free, o.stash[key].payload)
-		delete(o.stash, key)
-	}
+// commit settles a stored flush of the pending paths: their buckets join
+// the known set, the pending queue empties, and the flush telemetry
+// advances.
+func (s *scheduler) commit() {
+	s.o.keepKnown(s.pending, len(s.writeNodes))
+	s.flushes++
+	s.flushedPaths += int64(len(s.pending))
+	s.dedupSaved += int64(len(s.pending)*s.o.levels - len(s.writeNodes))
 	s.pending = s.pending[:0]
 	s.due = false
-	s.flushes++
-	s.flushedPaths += int64(es.paths)
-	s.dedupSaved += es.dedupSaved
-	o.bucketsWritten += int64(len(es.idxs))
-	for lvl, n := range es.levelPlaced {
-		o.levelPlaced[lvl] += n
-	}
 }
 
 // ReadBatch reads several keys with their path downloads coalesced into a
@@ -401,13 +304,15 @@ func (o *PathORAM) finishBatch(plans []accessPlan, leaves []uint32) ([][]byte, e
 }
 
 // Flush writes every deferred eviction path back to the server, including
-// the recursive position map's. Callers settle the instance at the end of
-// a query (or before reading ServerBytes-style footprints) so no stash
-// state is pinned by pending paths.
+// the recursive position map's, and lets go of the known-bucket set.
+// Callers settle the instance at the end of a query (or before reading
+// ClientBytes-style footprints) so no client state is pinned by pending
+// paths or by the last write-back.
 func (o *PathORAM) Flush() error {
 	if err := o.sched.flushNow(); err != nil {
 		return err
 	}
+	o.releaseKnown()
 	return o.pos.flush()
 }
 

@@ -360,9 +360,9 @@ func (w exchangelessFaultableStore) WriteMany(idxs []int64, d [][]byte) error {
 }
 
 // TestSchedulerFlushFailureKeepsState: a failed flush must not strand
-// blocks. sealEvictionSet stages the bucket writes without touching the
-// stash or the pending queue; only a successful store round commits them,
-// so after a transport outage every block is still readable and a retried
+// blocks. sealNodes stages the evicted blocks out of the stash and a
+// refused store round puts them straight back, pending queue untouched, so
+// after a transport outage every block is still readable and a retried
 // Flush drains the queue.
 func TestSchedulerFlushFailureKeepsState(t *testing.T) {
 	const k, capacity = 4, 64

@@ -18,6 +18,12 @@ type PathStats struct {
 	// moves Levels() buckets in each direction.
 	BucketsRead    int64
 	BucketsWritten int64
+	// BucketsOpened counts the downloaded buckets the client decrypted;
+	// BucketsRead - BucketsOpened were skipped because the client already
+	// held their plaintext (the known-bucket set, DESIGN.md §2.9). A
+	// function of the fetched leaves alone, but like LevelPlaced it
+	// describes client work, not traffic, and stays client-side.
+	BucketsOpened int64
 	// LevelPlaced[l] counts blocks the eviction pass placed into the bucket
 	// at level l (root = 0) across all accesses — the standard view of how
 	// deep eviction manages to sink blocks.
@@ -29,7 +35,8 @@ type PathStats struct {
 	// FlushedPaths the paths they wrote back; DedupedBuckets the bucket
 	// writes saved by deduplicating shared upper-tree buckets within a
 	// flush; Exchanges the flushes that rode a path download in a single
-	// combined round. All zero when EvictionBatch <= 1.
+	// combined round. With EvictionBatch <= 1 only coalesced batches and the
+	// retry of a failed write-back flush.
 	Flushes        int64
 	FlushedPaths   int64
 	DedupedBuckets int64
@@ -50,6 +57,7 @@ func (o *PathORAM) Telemetry() PathStats {
 		DummyAccesses:    o.dummyAccesses,
 		BucketsRead:      o.bucketsRead,
 		BucketsWritten:   o.bucketsWritten,
+		BucketsOpened:    o.bucketsOpened,
 		StashPeak:        o.maxStash,
 		StashSize:        len(o.stash),
 		Flushes:          o.sched.flushes,
