@@ -19,7 +19,8 @@ import (
 //	              and broker tallies (aggregate and per store), per-op
 //	              latency histograms with the queue-wait / store-I/O
 //	              decomposition, and (with -data-dir) the persistence
-//	              counters plus the WAL fsync latency histogram
+//	              counters plus the log and segment fsync latency
+//	              histograms
 //	/debug/trace  recent server spans as JSON, ?trace=<id> filters to one
 //	              distributed trace (see DESIGN.md §2.13)
 //	/debug/vars   the same counters as expvar JSON

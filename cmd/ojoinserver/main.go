@@ -22,11 +22,12 @@
 // by -drain-timeout) so no store is checkpointed mid-batch.
 //
 // With -data-dir the server is persistent: every store lives in a
-// crash-safe segment + write-ahead-log file pair under the directory
-// (internal/diskstore). Stores persisted by earlier runs are recovered at
-// startup and re-hosted automatically; -sync-every trades the durability of
-// the most recent batches for fewer fsyncs (batches are never torn either
-// way). Without -data-dir stores are in-memory and vanish at exit.
+// crash-safe segment file and two alternating write-ahead logs under the
+// directory (internal/diskstore). Stores persisted by earlier runs are
+// recovered at startup and re-hosted automatically; -sync-every N trades
+// fewer fsyncs for what a power loss may do to the most recent N-1 batches
+// (lose or tear them; a crash of the server process alone never does
+// either). Without -data-dir stores are in-memory and vanish at exit.
 //
 // Example:
 //
@@ -58,7 +59,7 @@ func main() {
 		maxBytes  = flag.Int64("max-store-bytes", 1<<30, "cap on dynamically created store footprint")
 		httpAddr  = flag.String("http", "", "optional HTTP address serving /metrics, /healthz, and /debug/pprof")
 		dataDir   = flag.String("data-dir", "", "directory for persistent stores (empty = in-memory)")
-		syncEvery = flag.Int("sync-every", 1, "fsync the write-ahead log every Nth batch commit (group commit)")
+		syncEvery = flag.Int("sync-every", 1, "fsync the write-ahead log every Nth batch commit (group commit); above 1 a power loss may lose or tear the last N-1 batches")
 
 		maxSessions    = flag.Int("max-sessions", 0, "admission cap on concurrent client sessions (0 = default 64)")
 		sessionTimeout = flag.Duration("session-timeout", 0, "idle deadline after which a silent session is reaped (0 = default 2m)")

@@ -15,8 +15,8 @@ import (
 // Dir manages every store persisted under one data directory: it recovers
 // all of them at open, provisions new ones through a storage.Opener, and
 // threads the Close/Sync lifecycle through server shutdown. The directory
-// holds one <escaped-name>.seg / .wal pair per store; the segment header
-// carries the authoritative (unescaped) name.
+// holds one <escaped-name>.seg plus its .wal0/.wal1 logs per store; the
+// segment header carries the authoritative (unescaped) name.
 type Dir struct {
 	mu     sync.Mutex
 	dir    string

@@ -16,17 +16,8 @@ import (
 
 const (
 	segSuffix = ".seg"
-	walSuffix = ".wal"
 
-	segMagic = 0x4F4A5347 // "OJSG"
-	// segVersionCRC (v1) prefixes every slot with a CRC32-C of its contents.
-	// That predates the authenticated sealer: blocks are AEAD-sealed before
-	// they reach the store, so the per-slot checksum duplicated the GCM tag's
-	// integrity check at 4 bytes and one CRC pass per transfer. segVersion
-	// (v2) stores bare slots; torn in-place writes are still caught, by the
-	// WAL record CRC during replay (the only path that repairs them anyway).
-	// v1 segments remain fully readable and writable.
-	segVersionCRC = 1
+	segMagic      = 0x4F4A5347 // "OJSG"
 	segVersion    = 2
 	segHeaderSize = 4096
 	maxNameLen    = 4000
@@ -34,25 +25,30 @@ const (
 	defaultCheckpointBytes = 1 << 20
 )
 
+// logSuffixes name the two log files of a store (wal.go).
+var logSuffixes = [2]string{".wal0", ".wal1"}
+
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("diskstore: store is closed")
 
 // Options configures a Store (and every store a Dir opens).
 type Options struct {
-	// SyncEvery fsyncs the WAL every Nth batch commit (group commit).
+	// SyncEvery fsyncs the log every Nth batch commit (group commit).
 	// Values <= 1 fsync on every commit: a batch is durable the moment the
-	// call returns. Larger values amortize the fsync across up to N batches
-	// and may lose — but by the WAL-before-data rule never tear — the most
-	// recent unsynced batches on a whole-machine crash.
+	// call returns. Larger values amortize the fsync across up to N batches.
+	// A process crash never loses or tears a batch either way; a power loss
+	// may lose or tear the most recent N-1 batches (a segment page can reach
+	// the disk before the unsynced record that would repair it).
 	SyncEvery int
-	// CheckpointBytes bounds the WAL: when it grows past this, the segment
-	// is fsynced and the log truncated. 0 means 1 MiB.
+	// CheckpointBytes bounds a log generation: when the log grows past
+	// this, the segment is fsynced and the next generation starts in the
+	// other log file. 0 means 1 MiB.
 	CheckpointBytes int64
 	// Meter, when non-nil, receives the same traffic accounting a MemStore
 	// reports — used when the disk store backs an in-process benchmark.
 	Meter *storage.Meter
 	// FS substitutes the filesystem; nil means the operating system. Tests
-	// inject a CrashFS to kill the store at exact operation boundaries.
+	// inject one that kills the store at exact operation boundaries.
 	FS FS
 }
 
@@ -83,13 +79,14 @@ func (o Options) fs() FS {
 type Stats struct {
 	// WALRecords and WALBytes count batch records appended to the log.
 	WALRecords, WALBytes int64
-	// WALFsyncs and SegFsyncs count fsync calls per file.
+	// WALFsyncs and SegFsyncs count fsync calls per file kind.
 	WALFsyncs, SegFsyncs int64
-	// Checkpoints counts WAL truncations after a segment fsync.
+	// Checkpoints counts log generations retired by a segment fsync.
 	Checkpoints int64
-	// Recoveries counts opens that found a non-empty log (unclean
-	// shutdown); RecoveredRecords the complete records replayed;
-	// TornTailBytes the incomplete tail bytes discarded.
+	// Recoveries counts opens that found a log chain or a torn record
+	// (unclean shutdown); RecoveredRecords the records replayed;
+	// TornTailBytes the bytes of interrupted records discarded. Space a
+	// dead generation left behind a chain is not a tail and is not counted.
 	Recoveries, RecoveredRecords, TornTailBytes int64
 	// BlocksRead and BlocksWritten count slot-level transfers.
 	BlocksRead, BlocksWritten int64
@@ -114,83 +111,100 @@ func (s Stats) Add(o Stats) Stats {
 // Store is one named, file-backed block store. It implements storage.Store,
 // storage.BatchStore, and storage.ExchangeStore with the same semantics as
 // MemStore — batches apply in order, so duplicate indices resolve
-// last-writer-wins both live and through WAL replay — plus Close/Sync
+// last-writer-wins both live and through log replay — plus Close/Sync
 // lifecycle and crash recovery. It is safe for concurrent use.
 type Store struct {
 	mu        sync.Mutex
 	name      string
 	slots     int64
 	blockSize int
-	ver       uint32
-	slotSize  int
-	zeroCRC   uint32
-	seg, wal  File
+	seg       File
+	logs      [2]File
 	opts      Options
-	walSize   int64
-	seq       uint64
-	unsynced  int
-	closed    bool
-	stats     Stats
-	// fsyncHist records WAL fsync durations on the commit and checkpoint
-	// paths — the durability component of server-side op latency
-	// (DESIGN.md §2.13).
-	fsyncHist *telemetry.Histogram
+
+	// The current generation gen appends to logs[cur] at walSize; the other
+	// log holds the previous generation's chain. genRecords counts the
+	// current generation's records and unsynced the commits since the last
+	// log fsync, so unsynced < genRecords exactly when an fsync has covered
+	// this generation's first record. logSize tracks each file's length.
+	cur        int
+	gen, seq   uint64
+	walSize    int64
+	logSize    [2]int64
+	genRecords int
+	unsynced   int
+	// recBuf is the commit path's record buffer, reused across commits.
+	recBuf []byte
+
+	// failed is the first I/O error on a mutating path. It fails every
+	// later operation: the files may hold half of what the caller was told
+	// failed, and only reopening (recovery) restores a whole-batch state.
+	failed error
+	closed bool
+	stats  Stats
+	// fsyncHist and segFsyncHist record log and segment fsync durations —
+	// the durability component of server-side op latency (DESIGN.md §2.13).
+	fsyncHist, segFsyncHist *telemetry.Histogram
 }
 
 var _ storage.AppendExchangeStore = (*Store)(nil)
 
-// OpenStore opens or creates the store persisted at basePath+".seg" /
-// basePath+".wal". Creating requires positive slots and blockSize; opening
-// an existing store reads the geometry from the segment header and, when
-// slots/blockSize/name are non-zero, verifies they match. Opening replays
-// the WAL: complete records are applied to the segment, a torn tail is
-// discarded, and the log is checkpointed, so the returned store always
-// reflects exactly the batches that committed before the last shutdown or
-// crash.
+// OpenStore opens or creates the store persisted at basePath+".seg" and its
+// two logs. Creating requires positive slots and blockSize; opening an
+// existing store reads the geometry from the segment header and, when
+// slots/blockSize/name are non-zero, verifies they match. Opening runs
+// recovery: the newest log chain is replayed into the segment and the
+// segment fsynced, so the returned store always reflects exactly the
+// batches that committed before the last shutdown or crash.
 func OpenStore(basePath, name string, slots int64, blockSize int, opts Options) (*Store, error) {
-	fs := opts.fs()
-	seg, err := fs.OpenFile(basePath+segSuffix, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("diskstore: open segment: %w", err)
-	}
-	s := &Store{name: name, slots: slots, blockSize: blockSize, opts: opts, seg: seg,
-		fsyncHist: telemetry.NewHistogram()}
-	size, err := seg.Size()
-	if err == nil {
-		if size == 0 {
-			err = s.create()
-		} else {
-			err = s.openExisting()
-		}
-	}
-	if err != nil {
-		seg.Close()
-		return nil, err
-	}
-	wal, err := fs.OpenFile(basePath+walSuffix, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		seg.Close()
-		return nil, fmt.Errorf("diskstore: open wal: %w", err)
-	}
-	s.wal = wal
-	if err := s.recover(); err != nil {
-		seg.Close()
-		wal.Close()
+	s := &Store{name: name, slots: slots, blockSize: blockSize, opts: opts,
+		fsyncHist: telemetry.NewHistogram(), segFsyncHist: telemetry.NewHistogram()}
+	if err := s.open(basePath); err != nil {
+		s.closeFiles()
 		return nil, err
 	}
 	return s, nil
 }
 
-// initGeom derives the slot layout from the segment version: v1 slots carry
-// a 4-byte CRC32-C prefix (all-zero slots validate against the XORed zero
-// CRC), v2 slots are the bare block.
-func (s *Store) initGeom() {
-	if s.ver == segVersionCRC {
-		s.slotSize = 4 + s.blockSize
-		s.zeroCRC = crc32.Checksum(make([]byte, s.blockSize), crcTable)
-	} else {
-		s.slotSize = s.blockSize
+func (s *Store) open(basePath string) error {
+	fs := s.opts.fs()
+	seg, err := fs.OpenFile(basePath+segSuffix, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("diskstore: open segment: %w", err)
 	}
+	s.seg = seg
+	size, err := seg.Size()
+	if err != nil {
+		return err
+	}
+	if size == 0 {
+		err = s.create()
+	} else {
+		err = s.openExisting()
+	}
+	if err != nil {
+		return err
+	}
+	for i, suffix := range logSuffixes {
+		if s.logs[i], err = fs.OpenFile(basePath+suffix, os.O_RDWR|os.O_CREATE, 0o644); err != nil {
+			return fmt.Errorf("diskstore: open log: %w", err)
+		}
+	}
+	return s.recover()
+}
+
+// closeFiles releases whichever files are open, reporting the first error.
+func (s *Store) closeFiles() error {
+	var first error
+	for _, f := range []File{s.logs[0], s.logs[1], s.seg} {
+		if f == nil {
+			continue
+		}
+		if err := f.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // create initializes a fresh segment: header first, then a sparse truncate
@@ -206,11 +220,9 @@ func (s *Store) create() error {
 	if len(s.name) > maxNameLen {
 		return fmt.Errorf("diskstore: store name of %d bytes exceeds %d", len(s.name), maxNameLen)
 	}
-	s.ver = segVersion
-	s.initGeom()
 	hdr := make([]byte, segHeaderSize)
 	binary.LittleEndian.PutUint32(hdr[0:4], segMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], s.ver)
+	binary.LittleEndian.PutUint32(hdr[4:8], segVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(s.slots))
 	binary.LittleEndian.PutUint32(hdr[16:20], uint32(s.blockSize))
 	binary.LittleEndian.PutUint32(hdr[20:24], uint32(len(s.name)))
@@ -223,18 +235,14 @@ func (s *Store) create() error {
 	if err := s.seg.Truncate(s.fullSize()); err != nil {
 		return fmt.Errorf("diskstore: size segment: %w", err)
 	}
-	if err := s.seg.Sync(); err != nil {
-		return fmt.Errorf("diskstore: sync segment: %w", err)
-	}
-	s.stats.SegFsyncs++
-	return nil
+	return s.syncSeg()
 }
 
 // openExisting validates the header and fills in (or checks) the geometry.
 // A header that fails its CRC refuses to open: it means either real
 // corruption or a crash during creation, and since creation syncs the
 // header before acknowledging, no committed data can live behind a bad
-// header — delete the .seg/.wal pair to recreate.
+// header — delete the store's files to recreate.
 func (s *Store) openExisting() error {
 	hdr := make([]byte, segHeaderSize)
 	if _, err := s.seg.ReadAt(hdr, 0); err != nil {
@@ -243,11 +251,9 @@ func (s *Store) openExisting() error {
 	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != segMagic {
 		return fmt.Errorf("diskstore: bad segment magic %#x", m)
 	}
-	v := binary.LittleEndian.Uint32(hdr[4:8])
-	if v != segVersionCRC && v != segVersion {
-		return fmt.Errorf("diskstore: unsupported segment version %d", v)
+	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != segVersion {
+		return fmt.Errorf("diskstore: unsupported segment version %d (this build reads version %d)", v, segVersion)
 	}
-	s.ver = v
 	slots := int64(binary.LittleEndian.Uint64(hdr[8:16]))
 	blockSize := int(binary.LittleEndian.Uint32(hdr[16:20]))
 	nameLen := int(binary.LittleEndian.Uint32(hdr[20:24]))
@@ -269,7 +275,6 @@ func (s *Store) openExisting() error {
 		return fmt.Errorf("diskstore: store %q has %d-byte blocks, not %d", name, blockSize, s.blockSize)
 	}
 	s.name, s.slots, s.blockSize = name, slots, blockSize
-	s.initGeom()
 	// A crash between the header write and the sizing truncate can leave the
 	// slot region short; re-extend it (sparse zeros are valid empty slots).
 	if size, err := s.seg.Size(); err != nil {
@@ -283,74 +288,141 @@ func (s *Store) openExisting() error {
 }
 
 func (s *Store) fullSize() int64 {
-	return segHeaderSize + s.slots*int64(s.slotSize)
+	return segHeaderSize + s.slots*int64(s.blockSize)
 }
 
-// recover replays the WAL into the segment. Complete records re-apply in
-// order (idempotent: absolute slots, absolute contents); the first torn or
-// corrupt record ends the committed prefix and the tail is discarded. The
-// log is then checkpointed so a second crash cannot replay stale records
-// over newer commits.
+// recover reads both logs, replays the chain with the highest generation
+// into the segment (idempotent: absolute slots, absolute contents), fsyncs
+// the segment, and starts the next generation in the other log, durably
+// emptied. Everything else in the logs is dead: by invariant I1 (doc.go) the
+// existence of the newest chain's first record proves every older generation
+// is durable in the segment. The newest chain is only read, and nothing else
+// is touched before it and the segment are durable, so a crash during
+// recovery leaves the next attempt the same input.
 func (s *Store) recover() error {
-	size, err := s.wal.Size()
-	if err != nil {
-		return err
-	}
-	if size < walHeaderSize {
-		// Fresh log (or one whose creation never completed — in which case
-		// no record was ever appended, let alone acknowledged).
-		return s.resetWAL()
-	}
-	buf := make([]byte, size)
-	if _, err := s.wal.ReadAt(buf, 0); err != nil {
-		return fmt.Errorf("diskstore: read wal: %w", err)
-	}
-	if err := parseWALHeader(buf, s.blockSize); err != nil {
-		return err
-	}
-	off := walHeaderSize
-	replayed := 0
-	for off < len(buf) {
-		rec, n, err := parseWALRecord(buf[off:], s.blockSize, s.slots)
+	var bufs [2][]byte
+	var chains [2][]walRecord
+	var ends [2]int
+	for i, f := range s.logs {
+		size, err := f.Size()
 		if err != nil {
-			s.stats.TornTailBytes += int64(len(buf) - off)
-			break
+			return err
 		}
-		for k, i := range rec.Idxs {
-			if err := s.writeSlot(i, rec.Data[k]); err != nil {
+		s.logSize[i] = size
+		if size < walHeaderSize {
+			// Fresh log (or one whose creation never completed — in which
+			// case no record was ever appended to it, let alone acknowledged):
+			// it holds no chain, and emptyLog below gives it its header.
+			continue
+		}
+		bufs[i] = make([]byte, size)
+		if _, err := f.ReadAt(bufs[i], 0); err != nil {
+			return fmt.Errorf("diskstore: read log: %w", err)
+		}
+		if err := parseWALHeader(bufs[i], s.blockSize); err != nil {
+			return err
+		}
+		chains[i], ends[i] = scanChain(bufs[i], s.blockSize, s.slots)
+	}
+	newest := -1
+	for i, chain := range chains {
+		if len(chain) > 0 && (newest < 0 || chain[0].Gen > chains[newest][0].Gen) {
+			newest = i
+		}
+	}
+	if len(chains[0]) > 0 && len(chains[1]) > 0 && chains[0][0].Gen == chains[1][0].Gen {
+		return fmt.Errorf("%w: both logs of %s hold generation %d", ErrCorrupt, s.name, chains[0][0].Gen)
+	}
+	var minGen uint64
+	if newest >= 0 {
+		minGen = chains[newest][0].Gen
+	}
+	var torn int64
+	for i := range bufs {
+		if bufs[i] != nil {
+			torn += tornRecordLen(bufs[i][ends[i]:], s.blockSize, s.slots, minGen)
+		}
+	}
+	s.stats.TornTailBytes += torn
+	if newest < 0 {
+		// No chain: nothing was committed since the last clean Close (or
+		// ever). Whatever the logs hold is an interrupted first record and
+		// what lay behind it; empty them so generation numbering can restart
+		// below any stamp that might survive there. A log found empty is
+		// fsynced all the same: a process that died inside Close may have
+		// left its truncate in the page cache and its chain on the disk.
+		for i := range s.logs {
+			if err := s.emptyLog(i); err != nil {
 				return err
 			}
 		}
-		if rec.Seq > s.seq {
-			s.seq = rec.Seq
+		if torn > 0 {
+			s.stats.Recoveries++
 		}
-		off += n
-		replayed++
+		return s.startGeneration(1, 0)
 	}
-	s.walSize = size
-	if off < int(size) || replayed > 0 {
-		s.stats.Recoveries++
-		s.stats.RecoveredRecords += int64(replayed)
-		return s.checkpointLocked()
+	chain := chains[newest]
+	for _, rec := range chain {
+		for k := 0; k < rec.Count; k++ {
+			i, blk := rec.slot(k, s.blockSize)
+			if err := s.writeSlot(i, blk); err != nil {
+				return err
+			}
+		}
+	}
+	s.seq = chain[len(chain)-1].Seq
+	s.stats.Recoveries++
+	s.stats.RecoveredRecords += int64(len(chain))
+	// After a process crash the chain just read may still sit in the page
+	// cache; I3 needs it durable before a newer generation exists.
+	if err := s.syncLog(newest); err != nil {
+		return err
+	}
+	if err := s.syncSeg(); err != nil {
+		return err
+	}
+	s.stats.Checkpoints++
+	// The other log may hold what a power loss left of a generation newer
+	// than the chain — its first record lost, later ones not — on the disk if
+	// not in the page cache (a recovery that died here before). This one is
+	// about to issue that generation number again in that file, and a
+	// survivor must not line up behind the new first record.
+	if err := s.emptyLog(1 - newest); err != nil {
+		return err
+	}
+	return s.startGeneration(chain[0].Gen+1, 1-newest)
+}
+
+// startGeneration points the commit path at the start of log file cur under
+// generation number gen. The file's old contents — a generation at least
+// two behind — are overwritten in place as records arrive, unless a
+// bulk-load record made the file long enough to be worth shrinking (doc.go).
+func (s *Store) startGeneration(gen uint64, cur int) error {
+	s.gen, s.cur = gen, cur
+	s.walSize = walHeaderSize
+	s.genRecords = 0
+	if s.logSize[cur] > 2*s.opts.checkpointBytes() {
+		return s.emptyLog(cur)
 	}
 	return nil
 }
 
-// resetWAL truncates the log to an empty, headered state.
-func (s *Store) resetWAL() error {
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("diskstore: truncate wal: %w", err)
+// emptyLog durably reduces log i, which must hold nothing recovery could
+// need, to a bare header. The fsync is what lets logSize[i] == walHeaderSize
+// mean "holds no chain" on the disk as well as in the page cache for as long
+// as this process lives — Close and startGeneration rely on it.
+func (s *Store) emptyLog(i int) error {
+	if s.logSize[i] < walHeaderSize {
+		if _, err := s.logs[i].WriteAt(appendWALHeader(nil, s.blockSize), 0); err != nil {
+			return s.fail("log header write", err)
+		}
+	} else if s.logSize[i] > walHeaderSize {
+		if err := s.logs[i].Truncate(walHeaderSize); err != nil {
+			return s.fail("log truncate", err)
+		}
 	}
-	if _, err := s.wal.WriteAt(appendWALHeader(nil, s.blockSize), 0); err != nil {
-		return fmt.Errorf("diskstore: write wal header: %w", err)
-	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("diskstore: sync wal: %w", err)
-	}
-	s.stats.WALFsyncs++
-	s.walSize = walHeaderSize
-	s.unsynced = 0
-	return nil
+	s.logSize[i] = walHeaderSize
+	return s.syncLog(i)
 }
 
 // Name returns the store's registered name.
@@ -369,61 +441,83 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// FsyncHistogram snapshots the serving-path WAL fsync latency histogram.
+// FsyncHistogram snapshots the serving-path log fsync latency histogram.
 func (s *Store) FsyncHistogram() telemetry.HistogramSnapshot {
 	return s.fsyncHist.Snapshot()
 }
 
+// SegFsyncHistogram snapshots the segment fsync latency histogram — the
+// whole cost of a checkpoint.
+func (s *Store) SegFsyncHistogram() telemetry.HistogramSnapshot {
+	return s.segFsyncHist.Snapshot()
+}
+
+// usable gates every operation: a closed store reports ErrClosed, a failed
+// one its first I/O error. Callers hold s.mu.
+func (s *Store) usable() error {
+	if s.closed {
+		return ErrClosed
+	}
+	if s.failed != nil {
+		return fmt.Errorf("diskstore: store %s failed and must be reopened: %w", s.name, s.failed)
+	}
+	return nil
+}
+
+// fail records the first I/O error of a mutating path and returns it.
+func (s *Store) fail(op string, err error) error {
+	s.failed = fmt.Errorf("diskstore: %s (%s): %w", op, s.name, err)
+	return s.failed
+}
+
 func (s *Store) slotOff(i int64) int64 {
-	return segHeaderSize + i*int64(s.slotSize)
+	return segHeaderSize + i*int64(s.blockSize)
 }
 
-// readSlotTo appends slot i's block to dst, reading straight into dst's
-// spare capacity (checksum-verified on v1 segments). Callers hold s.mu.
-func (s *Store) readSlotTo(dst []byte, i int64) ([]byte, error) {
-	off := len(dst)
-	dst = slices.Grow(dst, s.slotSize)[:off+s.slotSize]
-	buf := dst[off:]
-	if _, err := s.seg.ReadAt(buf, s.slotOff(i)); err != nil {
-		return nil, fmt.Errorf("diskstore: read slot %d (%s): %w", i, s.name, err)
-	}
-	if s.ver == segVersionCRC {
-		stored := binary.LittleEndian.Uint32(buf[:4])
-		if got := crc32.Checksum(buf[4:], crcTable) ^ s.zeroCRC; got != stored {
-			return nil, fmt.Errorf("%w: slot %d of %s (crc %#x, want %#x)", ErrCorrupt, i, s.name, got, stored)
-		}
-		copy(buf, buf[4:])
-		dst = dst[:off+s.blockSize]
-	}
-	s.stats.BlocksRead++
-	return dst, nil
-}
-
-// readSlotsTo appends the (already range-checked) slots to dst, growing it
-// at most once. Callers hold s.mu.
+// readSlotsTo appends the (already range-checked) slots to dst, reading
+// straight into its spare capacity and growing it at most once. Callers
+// hold s.mu.
 func (s *Store) readSlotsTo(dst []byte, idxs []int64) ([]byte, error) {
-	dst = slices.Grow(dst, len(idxs)*s.slotSize)
+	dst = slices.Grow(dst, len(idxs)*s.blockSize)
 	for _, i := range idxs {
-		var err error
-		if dst, err = s.readSlotTo(dst, i); err != nil {
-			return nil, err
+		off := len(dst)
+		dst = dst[:off+s.blockSize]
+		if _, err := s.seg.ReadAt(dst[off:], s.slotOff(i)); err != nil {
+			return nil, fmt.Errorf("diskstore: read slot %d (%s): %w", i, s.name, err)
 		}
 	}
+	s.stats.BlocksRead += int64(len(idxs))
 	return dst, nil
 }
 
-// writeSlot writes one slot (checksum-prefixed on v1 segments). Callers hold
-// s.mu and guarantee len(data) == blockSize.
+// writeSlot writes one slot. Callers hold s.mu and guarantee len(data) ==
+// blockSize.
 func (s *Store) writeSlot(i int64, data []byte) error {
-	if s.ver == segVersionCRC {
-		buf := make([]byte, s.slotSize)
-		binary.LittleEndian.PutUint32(buf[:4], crc32.Checksum(data, crcTable)^s.zeroCRC)
-		copy(buf[4:], data)
-		data = buf
-	}
 	if _, err := s.seg.WriteAt(data, s.slotOff(i)); err != nil {
-		return fmt.Errorf("diskstore: write slot %d (%s): %w", i, s.name, err)
+		return s.fail(fmt.Sprintf("write slot %d", i), err)
 	}
+	return nil
+}
+
+// syncSeg fsyncs the segment.
+func (s *Store) syncSeg() error {
+	start := time.Now()
+	if err := s.seg.Sync(); err != nil {
+		return s.fail("segment sync", err)
+	}
+	s.segFsyncHist.Observe(time.Since(start))
+	s.stats.SegFsyncs++
+	return nil
+}
+
+// syncLog fsyncs log i.
+func (s *Store) syncLog(i int) error {
+	start := time.Now()
+	if err := s.logs[i].Sync(); err != nil {
+		return s.fail("log sync", err)
+	}
+	s.fsyncHist.Observe(time.Since(start))
+	s.stats.WALFsyncs++
 	return nil
 }
 
@@ -444,31 +538,36 @@ func (s *Store) checkBlock(op string, data []byte) error {
 	return nil
 }
 
-// commit runs the atomic batch protocol: append one WAL record, fsync per
+// commit runs the atomic batch protocol: append one log record, fsync per
 // the group-commit knob, apply the slots in order (duplicate indices:
 // last-writer-wins, matching replay), maybe checkpoint. Callers hold s.mu
 // and have validated every index and payload — a record must never carry an
-// index its own replay would reject.
+// index its own replay would reject. Any I/O error fails the store: the
+// record may or may not be in the log and the batch may be half applied, so
+// nothing may be served from it until recovery has made the batch whole or
+// absent.
 func (s *Store) commit(idxs []int64, data [][]byte) error {
-	if s.closed {
-		return ErrClosed
+	rec := slices.Grow(s.recBuf[:0], recordLen(len(idxs), s.blockSize))
+	rec = appendWALRecord(rec, s.gen, s.seq+1, idxs, data, s.blockSize)
+	if int64(cap(rec)) <= s.opts.checkpointBytes() {
+		s.recBuf = rec
+	} else {
+		s.recBuf = nil // a bulk-load record does not keep its buffer
+	}
+	if _, err := s.logs[s.cur].WriteAt(rec, s.walSize); err != nil {
+		return s.fail("log append", err)
 	}
 	s.seq++
-	rec := appendWALRecord(make([]byte, 0, recordLen(len(idxs), s.blockSize)), s.seq, idxs, data, s.blockSize)
-	if _, err := s.wal.WriteAt(rec, s.walSize); err != nil {
-		return fmt.Errorf("diskstore: wal append (%s): %w", s.name, err)
-	}
 	s.walSize += int64(len(rec))
+	s.logSize[s.cur] = max(s.logSize[s.cur], s.walSize)
+	s.genRecords++
 	s.stats.WALRecords++
 	s.stats.WALBytes += int64(len(rec))
 	s.unsynced++
 	if s.unsynced >= s.opts.syncEvery() {
-		fsyncStart := time.Now()
-		if err := s.wal.Sync(); err != nil {
-			return fmt.Errorf("diskstore: wal sync (%s): %w", s.name, err)
+		if err := s.syncLog(s.cur); err != nil {
+			return err
 		}
-		s.fsyncHist.Observe(time.Since(fsyncStart))
-		s.stats.WALFsyncs++
 		s.unsynced = 0
 	}
 	for k, i := range idxs {
@@ -478,64 +577,89 @@ func (s *Store) commit(idxs []int64, data [][]byte) error {
 	}
 	s.stats.BlocksWritten += int64(len(idxs))
 	if s.walSize >= s.opts.checkpointBytes() {
-		return s.checkpointLocked()
+		return s.checkpoint()
 	}
 	return nil
 }
 
-// checkpointLocked makes the segment durable and empties the log. Ordering
-// matters: the segment fsync must complete before the log truncates, or a
-// crash in between could lose committed batches that only the (now gone)
-// log could replay.
-func (s *Store) checkpointLocked() error {
-	if err := s.seg.Sync(); err != nil {
-		return fmt.Errorf("diskstore: segment sync (%s): %w", s.name, err)
+// checkpoint retires the current generation, which must hold a record: one
+// segment fsync, after which the next generation starts at the head of the
+// other log. No log is truncated or fsynced: by I1 the first record of the
+// next generation can only be written after this fsync, so its existence is
+// the durable checkpoint marker, and by I2 it lands in the file of the
+// generation before this one, never on this generation's chain.
+//
+// The one exception keeps I3: a generation no log fsync has covered (it is
+// shorter than SyncEvery commits) is fsynced here, so that the chain of the
+// generation before the newest is always durable from its first record and
+// a power loss can never promote a still older chain.
+func (s *Store) checkpoint() error {
+	if s.unsynced >= s.genRecords {
+		if err := s.syncLog(s.cur); err != nil {
+			return err
+		}
+		s.unsynced = 0
 	}
-	s.stats.SegFsyncs++
-	if err := s.wal.Truncate(walHeaderSize); err != nil {
-		return fmt.Errorf("diskstore: wal truncate (%s): %w", s.name, err)
+	if err := s.syncSeg(); err != nil {
+		return err
 	}
-	s.walSize = walHeaderSize
-	fsyncStart := time.Now()
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("diskstore: wal sync (%s): %w", s.name, err)
-	}
-	s.fsyncHist.Observe(time.Since(fsyncStart))
-	s.stats.WALFsyncs++
 	s.stats.Checkpoints++
-	s.unsynced = 0
-	return nil
+	return s.startGeneration(s.gen+1, 1-s.cur)
+}
+
+// syncLocked makes every committed batch durable. Unlike the checkpoint the
+// commit path takes, it first fsyncs the log holding the unsynced records
+// (the current one, or the previous one's tail when this generation is
+// still empty): otherwise a power loss could replay a durable prefix of
+// that chain over the fuller segment and undo the batches behind it. With
+// nothing committed since the last checkpoint it does nothing.
+func (s *Store) syncLocked() error {
+	if s.unsynced > 0 {
+		i := s.cur
+		if s.genRecords == 0 {
+			i = 1 - s.cur
+		}
+		if err := s.syncLog(i); err != nil {
+			return err
+		}
+		s.unsynced = 0
+	}
+	if s.genRecords == 0 {
+		return nil
+	}
+	return s.checkpoint()
 }
 
 // Read implements storage.Store. The returned slice is a copy.
 func (s *Store) Read(i int64) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
+	if err := s.usable(); err != nil {
+		return nil, err
 	}
 	if err := s.checkRange("read", i); err != nil {
 		return nil, err
 	}
-	blk, err := s.readSlotTo(nil, i)
+	idxs := []int64{i}
+	blk, err := s.readSlotsTo(nil, idxs)
 	if err != nil {
 		return nil, err
 	}
 	if m := s.opts.Meter; m != nil {
-		m.CountBatch(s.name, storage.KindRead, []int64{i}, s.blockSize)
+		m.CountBatch(s.name, storage.KindRead, idxs, s.blockSize)
 	}
 	return blk, nil
 }
 
 // Write implements storage.Store. Even a single-block write goes through
-// the WAL: an in-place slot update could tear mid-block, and only the log
+// the log: an in-place slot update could tear mid-block, and only the log
 // (whose record CRC detects its own torn tail) can repair it to a whole
 // value on replay.
 func (s *Store) Write(i int64, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.usable(); err != nil {
+		return err
 	}
 	if err := s.checkRange("write", i); err != nil {
 		return err
@@ -566,8 +690,8 @@ func (s *Store) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
+	if err := s.usable(); err != nil {
+		return nil, err
 	}
 	for _, i := range idxs {
 		if err := s.checkRange("batch read", i); err != nil {
@@ -596,8 +720,8 @@ func (s *Store) WriteMany(idxs []int64, data [][]byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.usable(); err != nil {
+		return err
 	}
 	for k, i := range idxs {
 		if err := s.checkRange("batch write", i); err != nil {
@@ -635,8 +759,8 @@ func (s *Store) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, re
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
+	if err := s.usable(); err != nil {
+		return nil, err
 	}
 	for k, i := range writeIdxs {
 		if err := s.checkRange("exchange write", i); err != nil {
@@ -666,32 +790,56 @@ func (s *Store) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, re
 	return dst, nil
 }
 
-// Sync checkpoints the store: every committed batch becomes durable and the
-// WAL empties. Safe to call at any time.
+// Sync checkpoints the store: every committed batch becomes durable in the
+// segment. Safe to call at any time; free when nothing was committed since
+// the last checkpoint.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.usable(); err != nil {
+		return err
 	}
-	return s.checkpointLocked()
+	return s.syncLocked()
 }
 
-// Close checkpoints and releases the store. It is idempotent; operations
-// after Close return ErrClosed.
+// Close checkpoints, empties both logs so the next open replays nothing,
+// and releases the store. It is idempotent; operations after Close return
+// ErrClosed. A failed store is released as it is — its logs are what
+// recovery needs — and Close reports the failure.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	err := s.checkpointLocked()
-	if cerr := s.wal.Close(); err == nil {
-		err = cerr
+	err := s.failed
+	if err == nil {
+		err = s.syncLocked()
 	}
-	if cerr := s.seg.Close(); err == nil {
+	if err == nil {
+		err = s.emptyLogs()
+	}
+	if cerr := s.closeFiles(); err == nil {
 		err = cerr
 	}
 	s.closed = true
 	return err
+}
+
+// emptyLogs durably empties both logs after a checkpoint. Order matters:
+// the log about to be overwritten holds a chain older than the newest one,
+// and if the newest vanished first a crash in between would leave that
+// older chain the highest and recovery would replay it over newer slots. So
+// the older log goes first. The newest goes durably too: the next open will
+// start generation 1 at the head of log 0 whichever log that is, and must
+// not find itself overwriting a chain the disk still holds.
+func (s *Store) emptyLogs() error {
+	for _, i := range []int{s.cur, 1 - s.cur} {
+		if s.logSize[i] > walHeaderSize {
+			if err := s.emptyLog(i); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"oblivjoin/internal/storage"
@@ -35,7 +35,7 @@ func TestDiskStoreBatchContract(t *testing.T) {
 }
 
 // TestFreshStoreReadsZeros checks the sparse-create trick: a never-written
-// slot must validate its (XOR-masked) checksum and read as a zero block.
+// slot reads as a zero block.
 func TestFreshStoreReadsZeros(t *testing.T) {
 	s := openTemp(t, 16, 64, Options{})
 	blk, err := s.Read(15)
@@ -104,105 +104,40 @@ func TestGeometryMismatchRejected(t *testing.T) {
 	}
 }
 
-// writeV1Segment crafts a version-1 (CRC-prefixed-slot) segment file by
-// hand, as the pre-v2 code wrote them: sparse all-zero slot region, which
-// the XOR-masked checksum validates without initialization.
-func writeV1Segment(t *testing.T, path, name string, slots int64, blockSize int) {
-	t.Helper()
-	hdr := make([]byte, segHeaderSize)
-	binary.LittleEndian.PutUint32(hdr[0:4], segMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], segVersionCRC)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(slots))
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(blockSize))
-	binary.LittleEndian.PutUint32(hdr[20:24], uint32(len(name)))
-	copy(hdr[24:], name)
-	crc := crc32.Checksum(hdr[:24+len(name)], crcTable)
-	binary.LittleEndian.PutUint32(hdr[24+len(name):], crc)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := f.WriteAt(hdr, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Truncate(segHeaderSize + slots*int64(4+blockSize)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLegacyV1SegmentOpens checks the on-disk compatibility promise: a
-// segment written by the version-1 (per-slot CRC) code opens, serves reads
-// and CRC-maintained writes, and keeps its version across reopens.
-func TestLegacyV1SegmentOpens(t *testing.T) {
+// TestUnknownVersionsRefused checks that a segment or log written by another
+// format version is refused with an error naming the version, never read as
+// if it were the current one.
+func TestUnknownVersionsRefused(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "s")
-	writeV1Segment(t, base+segSuffix, "s", 8, 32)
-	s, err := OpenStore(base, "s", 8, 32, Options{})
-	if err != nil {
-		t.Fatalf("opening v1 segment: %v", err)
-	}
-	if s.ver != segVersionCRC {
-		t.Fatalf("opened as version %d, want %d", s.ver, segVersionCRC)
-	}
-	if blk, err := s.Read(5); err != nil || blk[0] != 0 {
-		t.Fatalf("fresh v1 slot: %v, %v", blk, err)
-	}
-	if err := s.Write(3, block(32, 9)); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	r, err := OpenStore(base, "", 0, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.ver != segVersionCRC {
-		t.Fatalf("reopened as version %d, want %d", r.ver, segVersionCRC)
-	}
-	if blk, err := r.Read(3); err != nil || blk[0] != 9 {
-		t.Fatalf("v1 slot after reopen: %v, %v", blk, err)
-	}
-}
-
-// TestCorruptSlotDetected flips one payload byte behind a version-1 store's
-// back and expects ErrCorrupt on read. (Version-2 slots carry no store-level
-// checksum: bit rot there is caught by the GCM tag when the sealer opens the
-// block, which is why the v1 check could be retired.)
-func TestCorruptSlotDetected(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "s")
-	writeV1Segment(t, base+segSuffix, "s", 8, 32)
 	s, err := OpenStore(base, "s", 8, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write(3, block(32, 9)); err != nil {
-		t.Fatal(err)
-	}
 	s.Close()
-	f, err := os.OpenFile(base+segSuffix, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
+	patchVersion := func(path string, v uint32) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt(binary.LittleEndian.AppendUint32(nil, v), 4); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Flip a byte in slot 3's payload (skip the 4-byte slot CRC).
-	if _, err := f.WriteAt([]byte{0xFF}, segHeaderSize+3*(4+32)+4+10); err != nil {
-		t.Fatal(err)
+	patchVersion(base+logSuffixes[1], 1)
+	if _, err := OpenStore(base, "s", 8, 32, Options{}); err == nil || !strings.Contains(err.Error(), "WAL version 1") {
+		t.Fatalf("version-1 log: %v, want a refusal naming the version", err)
 	}
-	f.Close()
-	r, err := OpenStore(base, "s", 8, 32, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, err := r.Read(3); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupt slot read: %v, want ErrCorrupt", err)
-	}
-	if blk, err := r.Read(2); err != nil || blk[0] != 0 {
-		t.Fatalf("neighbor slot: %v, %v", blk, err)
+	patchVersion(base+logSuffixes[1], walVersion)
+	patchVersion(base+segSuffix, 1)
+	if _, err := OpenStore(base, "s", 8, 32, Options{}); err == nil || !strings.Contains(err.Error(), "segment version 1") {
+		t.Fatalf("version-1 segment: %v, want a refusal naming the version", err)
 	}
 }
 
 // TestWALReplayAfterDirtyClose simulates a crash by never closing the first
-// handle: committed batches live only in the WAL-plus-unsynced-segment
+// handle: committed batches live only in the log-plus-unsynced-segment
 // state, and a reopen must replay them.
 func TestWALReplayAfterDirtyClose(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "s")
@@ -252,8 +187,9 @@ func TestGroupCommitFsyncCadence(t *testing.T) {
 	}
 }
 
-// TestCheckpointBoundsWAL checks that the log never outgrows the checkpoint
-// threshold by more than one record and that data survives checkpoints.
+// TestCheckpointBoundsWAL checks that generations turn over at the
+// checkpoint threshold, that data survives them, and that a clean Close
+// leaves both logs empty so the next open replays nothing.
 func TestCheckpointBoundsWAL(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "s")
 	s, err := OpenStore(base, "s", 8, 64, Options{CheckpointBytes: 512})
@@ -269,13 +205,24 @@ func TestCheckpointBoundsWAL(t *testing.T) {
 	if st.Checkpoints == 0 {
 		t.Fatalf("no checkpoints after %d bytes of WAL: %+v", st.WALBytes, st)
 	}
-	s.Close()
-	wst, err := os.Stat(base + walSuffix)
-	if err != nil {
-		t.Fatal(err)
+	for _, suffix := range logSuffixes {
+		wst, err := os.Stat(base + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit := int64(512 + recordLen(1, 64)); wst.Size() > limit {
+			t.Fatalf("log %s grew to %d bytes, want <= threshold plus one record (%d)", suffix, wst.Size(), limit)
+		}
 	}
-	if wst.Size() != walHeaderSize {
-		t.Fatalf("closed WAL is %d bytes, want %d", wst.Size(), walHeaderSize)
+	s.Close()
+	for _, suffix := range logSuffixes {
+		wst, err := os.Stat(base + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wst.Size() != walHeaderSize {
+			t.Fatalf("closed log %s is %d bytes, want %d", suffix, wst.Size(), walHeaderSize)
+		}
 	}
 	r, err := OpenStore(base, "s", 8, 64, Options{})
 	if err != nil {

@@ -1,17 +1,12 @@
 package diskstore
 
-import (
-	"errors"
-	"fmt"
-	"os"
-	"sync"
-)
+import "os"
 
 // FS abstracts the handful of file operations the store performs. The
-// default implementation is the operating system; tests substitute a
-// CrashFS to kill the store at an exact operation boundary and then reopen
-// the surviving bytes through the real OS, exercising recovery precisely as
-// a process crash would.
+// default implementation is the operating system; the package's tests
+// substitute one that kills the store at an exact operation boundary and
+// then reopen the surviving bytes, exercising recovery precisely as a crash
+// would.
 type FS interface {
 	// OpenFile opens or creates the file at path with os.OpenFile semantics.
 	OpenFile(path string, flag int, perm os.FileMode) (File, error)
@@ -51,117 +46,4 @@ func (f osFile) Size() (int64, error) {
 		return 0, err
 	}
 	return st.Size(), nil
-}
-
-// ErrCrashed is returned by every file operation after a CrashFS kill point
-// fires. The store surfaces it like any other I/O error; the test then
-// reopens the files with the real FS to run recovery.
-var ErrCrashed = errors.New("diskstore: injected crash")
-
-// CrashFS wraps an FS and simulates a process crash at the Nth mutating
-// file operation (WriteAt, Truncate, or Sync): the fatal operation either
-// does nothing or — in torn mode — applies only a prefix of the write, then
-// fails with ErrCrashed, and every subsequent mutating operation fails too.
-// Reads keep working so the dying process can still limp through error
-// paths; the bytes written before the kill point persist in the underlying
-// files, which is exactly the fail-stop state a real crash leaves behind.
-//
-// A kill point of 0 never fires; Ops() then counts the mutating operations
-// of a clean run, which bounds the kill points worth enumerating.
-type CrashFS struct {
-	inner FS
-
-	mu        sync.Mutex
-	remaining int
-	armed     bool
-	crashed   bool
-	torn      bool
-	ops       int64
-}
-
-// NewCrashFS returns a CrashFS over the real filesystem that fails the
-// killAfter-th mutating operation (1-based; 0 disables). In torn mode the
-// fatal WriteAt persists only the first half of its bytes, modeling a write
-// torn mid-sector by the crash.
-func NewCrashFS(killAfter int, torn bool) *CrashFS {
-	return &CrashFS{inner: osFS{}, remaining: killAfter, armed: killAfter > 0, torn: torn}
-}
-
-// Ops reports the mutating operations observed so far.
-func (c *CrashFS) Ops() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ops
-}
-
-// Crashed reports whether the kill point has fired.
-func (c *CrashFS) Crashed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.crashed
-}
-
-// beforeMutation accounts one mutating operation and decides its fate:
-// proceed normally, tear (write a prefix then fail), or fail outright.
-func (c *CrashFS) beforeMutation() (tear bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.crashed {
-		return false, ErrCrashed
-	}
-	c.ops++
-	if !c.armed {
-		return false, nil
-	}
-	c.remaining--
-	if c.remaining > 0 {
-		return false, nil
-	}
-	c.crashed = true
-	return c.torn, ErrCrashed
-}
-
-// OpenFile implements FS.
-func (c *CrashFS) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
-	f, err := c.inner.OpenFile(path, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &crashFile{fs: c, f: f}, nil
-}
-
-type crashFile struct {
-	fs *CrashFS
-	f  File
-}
-
-func (f *crashFile) ReadAt(p []byte, off int64) (int, error) { return f.f.ReadAt(p, off) }
-func (f *crashFile) Size() (int64, error)                    { return f.f.Size() }
-func (f *crashFile) Close() error                            { return f.f.Close() }
-
-func (f *crashFile) WriteAt(p []byte, off int64) (int, error) {
-	tear, err := f.fs.beforeMutation()
-	if err == nil {
-		return f.f.WriteAt(p, off)
-	}
-	if tear && len(p) > 1 {
-		if n, werr := f.f.WriteAt(p[:len(p)/2], off); werr != nil {
-			return n, fmt.Errorf("%w (torn write also failed: %v)", err, werr)
-		}
-	}
-	return 0, err
-}
-
-func (f *crashFile) Truncate(size int64) error {
-	if _, err := f.fs.beforeMutation(); err != nil {
-		return err
-	}
-	return f.f.Truncate(size)
-}
-
-func (f *crashFile) Sync() error {
-	if _, err := f.fs.beforeMutation(); err != nil {
-		return err
-	}
-	return f.f.Sync()
 }

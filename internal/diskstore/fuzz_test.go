@@ -39,14 +39,15 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(uint64(1), []byte("hello world"), uint64(3), []byte{})
 	f.Add(uint64(7), bytes.Repeat([]byte{0xAB}, 3*blockSize), uint64(63), []byte{0x4C, 0x57, 0x4A, 0x4F})
 	f.Add(uint64(1<<60), []byte{}, uint64(0), bytes.Repeat([]byte{0}, 40))
-	seed := appendWALRecord(nil, 9, []int64{5, 5, 11}, [][]byte{
+	seed := appendWALRecord(nil, 2, 9, []int64{5, 5, 11}, [][]byte{
 		make([]byte, blockSize), bytes.Repeat([]byte{1}, blockSize), bytes.Repeat([]byte{2}, blockSize),
 	}, blockSize)
 	f.Add(uint64(9), []byte("seed"), uint64(5), seed)
 
 	f.Fuzz(func(t *testing.T, seq uint64, raw []byte, idxSeed uint64, junk []byte) {
 		idxs, data := buildRecord(seq, raw, idxSeed, blockSize, slots)
-		enc := appendWALRecord(nil, seq, idxs, data, blockSize)
+		gen := idxSeed>>3 + 1
+		enc := appendWALRecord(nil, gen, seq, idxs, data, blockSize)
 		if len(enc) != recordLen(len(idxs), blockSize) {
 			t.Fatalf("encoded %d blocks into %d bytes, want %d", len(idxs), len(enc), recordLen(len(idxs), blockSize))
 		}
@@ -56,12 +57,13 @@ func FuzzWALRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("parse of fresh record: %v", err)
 		}
-		if n != len(enc) || rec.Seq != seq {
-			t.Fatalf("round trip consumed %d of %d bytes, seq %d want %d", n, len(enc), rec.Seq, seq)
+		if n != len(enc) || rec.Gen != gen || rec.Seq != seq || rec.Count != len(idxs) {
+			t.Fatalf("round trip consumed %d of %d bytes: gen %d seq %d count %d, want %d %d %d",
+				n, len(enc), rec.Gen, rec.Seq, rec.Count, gen, seq, len(idxs))
 		}
 		for k := range idxs {
-			if rec.Idxs[k] != idxs[k] || !bytes.Equal(rec.Data[k], data[k]) {
-				t.Fatalf("round trip block %d: idx %d want %d", k, rec.Idxs[k], idxs[k])
+			if idx, blk := rec.slot(k, blockSize); idx != idxs[k] || !bytes.Equal(blk, data[k]) {
+				t.Fatalf("round trip block %d: idx %d want %d", k, idx, idxs[k])
 			}
 		}
 
@@ -75,7 +77,7 @@ func FuzzWALRecord(f *testing.F) {
 			}
 		}
 
-		// Every single-byte flip must be rejected: the CRC covers seq through
+		// Every single-byte flip must be rejected: the CRC covers gen through
 		// blocks, the magic guards the front, and the CRC field guards itself.
 		flip := int(seq % uint64(len(enc)))
 		mut := append([]byte(nil), enc...)
@@ -87,7 +89,11 @@ func FuzzWALRecord(f *testing.F) {
 		// Arbitrary bytes: no panic, and anything accepted must re-encode to
 		// exactly the bytes consumed (so replay is faithful by construction).
 		if rec, n, err := parseWALRecord(junk, blockSize, slots); err == nil {
-			back := appendWALRecord(nil, rec.Seq, rec.Idxs, rec.Data, blockSize)
+			ridxs, rdata := make([]int64, rec.Count), make([][]byte, rec.Count)
+			for k := range ridxs {
+				ridxs[k], rdata[k] = rec.slot(k, blockSize)
+			}
+			back := appendWALRecord(nil, rec.Gen, rec.Seq, ridxs, rdata, blockSize)
 			if !bytes.Equal(back, junk[:n]) {
 				t.Fatalf("accepted junk does not re-encode: %x != %x", back, junk[:n])
 			}

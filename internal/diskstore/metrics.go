@@ -7,10 +7,20 @@ import (
 	"oblivjoin/internal/telemetry"
 )
 
-// FsyncHistogram returns the directory-wide WAL fsync latency histogram:
+// FsyncHistogram returns the directory-wide log fsync latency histogram:
 // the per-store histograms merged bucket-wise (all stores share the fixed
 // boundaries).
 func (d *Dir) FsyncHistogram() telemetry.HistogramSnapshot {
+	return d.mergeHistograms((*Store).FsyncHistogram)
+}
+
+// SegFsyncHistogram returns the directory-wide segment fsync latency
+// histogram — what checkpoints cost.
+func (d *Dir) SegFsyncHistogram() telemetry.HistogramSnapshot {
+	return d.mergeHistograms((*Store).SegFsyncHistogram)
+}
+
+func (d *Dir) mergeHistograms(of func(*Store) telemetry.HistogramSnapshot) telemetry.HistogramSnapshot {
 	d.mu.Lock()
 	stores := make([]*Store, 0, len(d.stores))
 	for _, st := range d.stores {
@@ -19,14 +29,15 @@ func (d *Dir) FsyncHistogram() telemetry.HistogramSnapshot {
 	d.mu.Unlock()
 	var merged telemetry.HistogramSnapshot
 	for _, st := range stores {
-		merged = merged.Merge(st.FsyncHistogram())
+		merged = merged.Merge(of(st))
 	}
 	return merged
 }
 
-// WriteMetrics renders the persistence layer's durability counters — WAL
-// traffic, fsync cadence, checkpointing, and crash recovery — plus the
-// WAL fsync latency histogram, in the Prometheus text exposition format.
+// WriteMetrics renders the persistence layer's durability counters — log
+// traffic, fsync cadence, checkpointing, and crash recovery — plus the log
+// and segment fsync latency histograms, in the Prometheus text exposition
+// format.
 // Like the request counters these are functions of request sizes and
 // timing only, never of block contents.
 func WriteMetrics(w io.Writer, dir *Dir) {
@@ -44,13 +55,13 @@ func WriteMetrics(w io.Writer, dir *Dir) {
 			func(s Stats) int64 { return s.WALFsyncs }},
 		{"ojoin_disk_seg_fsyncs_total", "Segment-file fsync calls (checkpoints).",
 			func(s Stats) int64 { return s.SegFsyncs }},
-		{"ojoin_disk_checkpoints_total", "WAL truncations after a durable segment sync.",
+		{"ojoin_disk_checkpoints_total", "Log generations retired by a segment fsync.",
 			func(s Stats) int64 { return s.Checkpoints }},
-		{"ojoin_disk_recoveries_total", "Opens that found a non-empty WAL (unclean shutdown).",
+		{"ojoin_disk_recoveries_total", "Opens that found a log chain or a torn record (unclean shutdown).",
 			func(s Stats) int64 { return s.Recoveries }},
-		{"ojoin_disk_recovered_records_total", "Complete WAL records replayed during recovery.",
+		{"ojoin_disk_recovered_records_total", "Log records replayed during recovery.",
 			func(s Stats) int64 { return s.RecoveredRecords }},
-		{"ojoin_disk_torn_tail_bytes_total", "Incomplete WAL tail bytes discarded during recovery.",
+		{"ojoin_disk_torn_tail_bytes_total", "Bytes of interrupted log records discarded during recovery.",
 			func(s Stats) int64 { return s.TornTailBytes }},
 		{"ojoin_disk_blocks_read_total", "Slot reads served from the segment files.",
 			func(s Stats) int64 { return s.BlocksRead }},
@@ -63,7 +74,10 @@ func WriteMetrics(w io.Writer, dir *Dir) {
 			fmt.Fprintf(w, "%s{store=%q} %d\n", m.name, n, m.value(perStore[n]))
 		}
 	}
-	fmt.Fprintf(w, "# HELP ojoin_disk_wal_fsync_seconds WAL fsync latency on the commit and checkpoint paths.\n")
+	fmt.Fprintf(w, "# HELP ojoin_disk_wal_fsync_seconds Log fsync latency on the commit path (group commit).\n")
 	fmt.Fprintf(w, "# TYPE ojoin_disk_wal_fsync_seconds histogram\n")
 	telemetry.WriteHistogramText(w, "ojoin_disk_wal_fsync_seconds", "", dir.FsyncHistogram())
+	fmt.Fprintf(w, "# HELP ojoin_disk_seg_fsync_seconds Segment fsync latency: the cost of a checkpoint.\n")
+	fmt.Fprintf(w, "# TYPE ojoin_disk_seg_fsync_seconds histogram\n")
+	telemetry.WriteHistogramText(w, "ojoin_disk_seg_fsync_seconds", "", dir.SegFsyncHistogram())
 }
