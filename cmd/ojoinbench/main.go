@@ -39,7 +39,7 @@ func main() {
 		workers    = flag.Int("workers", 1, "oblivious sort worker pool size for the join experiments (1 = serial)")
 		evictBatch = flag.Int("evict-batch", 1, "defer ORAM evictions and flush k paths per write round (1 = classic)")
 		prefetch   = flag.Int("prefetch", 0, "coalesce up to this many pad-loop dummy downloads per round; honored only in non-padded mode (0 = off; defaults to -evict-batch)")
-		jsonOut    = flag.String("json", "", "with -exp sort, rounds, disk, concurrency, shard, latency, crypto, or planner: also write the machine-readable report to this path (e.g. BENCH_sort.json)")
+		jsonOut    = flag.String("json", "", "with -exp sort, rounds, disk, concurrency, shard, latency, or planner: also write the machine-readable report to this path (e.g. BENCH_sort.json)")
 		traceOut   = flag.String("trace-out", "", "write a span-tree JSON trace of every traced join to this path")
 	)
 	flag.Parse()
@@ -162,25 +162,6 @@ func main() {
 				}
 			}
 			fmt.Printf("   [latency regenerated in %.1fs]\n\n", time.Since(start).Seconds())
-			continue
-		}
-		if id == "crypto" {
-			rep, err := bench.RunCrypto(os.Stdout, env)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ojoinbench: crypto: %v\n", err)
-				os.Exit(1)
-			}
-			if *jsonOut != "" {
-				out, err := bench.MarshalCryptoReport(rep)
-				if err == nil {
-					err = os.WriteFile(*jsonOut, out, 0o644)
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ojoinbench: writing %s: %v\n", *jsonOut, err)
-					os.Exit(1)
-				}
-			}
-			fmt.Printf("   [crypto regenerated in %.1fs]\n\n", time.Since(start).Seconds())
 			continue
 		}
 		if id == "planner" {

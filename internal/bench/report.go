@@ -158,8 +158,7 @@ func WriteTable1(w io.Writer, rows []Table1Row) {
 // backend invariance check ("disk"), the multi-session serving-layer
 // throughput sweep ("concurrency"), the striped-store fan-out scaling
 // sweep ("shard"), the per-op server-side latency-histogram profile
-// ("latency"), the authenticated-crypto/zero-copy-codec micro-bench
-// ("crypto"), and the cost-based planner's multi-query cache-reuse session
+// ("latency"), and the cost-based planner's multi-query cache-reuse session
 // ("planner").
 func Experiments() []string {
 	ids := []string{"table1"}
@@ -169,7 +168,7 @@ func Experiments() []string {
 	return append(ids,
 		"ablation-blocksize", "ablation-z", "ablation-posmap",
 		"ablation-writeback", "ablation-scheme", "ablation-chained", "ablation-dppad",
-		"sort", "phases", "rounds", "disk", "concurrency", "shard", "latency", "crypto", "planner")
+		"sort", "phases", "rounds", "disk", "concurrency", "shard", "latency", "planner")
 }
 
 // Run executes one experiment by ID and writes its report.
@@ -200,10 +199,6 @@ func Run(w io.Writer, e *Env, id string) error {
 	}
 	if id == "latency" {
 		_, err := RunLatency(w, e)
-		return err
-	}
-	if id == "crypto" {
-		_, err := RunCrypto(w, e)
 		return err
 	}
 	if id == "planner" {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"oblivjoin/internal/oram"
+	"oblivjoin/internal/remote"
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/xcrypto"
 )
@@ -16,6 +17,14 @@ import (
 const testPayload = 160
 
 func newTestTree(t testing.TB, keys []int64, m *storage.Meter) *Tree {
+	t.Helper()
+	return newTestTreeOver(t, keys, oram.PathConfig{Meter: m})
+}
+
+// newTestTreeOver builds the test tree over an ORAM configured by cfg, which
+// says where the buckets live and how evictions are scheduled; geometry,
+// key and seed are the fixture's.
+func newTestTreeOver(t testing.TB, keys []int64, cfg oram.PathConfig) *Tree {
 	t.Helper()
 	sealer, err := xcrypto.NewSealer(bytes.Repeat([]byte{19}, xcrypto.KeySize), nil)
 	if err != nil {
@@ -25,14 +34,12 @@ func newTestTree(t testing.TB, keys []int64, m *storage.Meter) *Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	po, err := oram.NewPosORAM(oram.PathConfig{
-		Name:        "obt",
-		Capacity:    nodes,
-		PayloadSize: testPayload,
-		Meter:       m,
-		Sealer:      sealer,
-		Rand:        oram.NewSeededSource(23),
-	})
+	cfg.Name = "obt"
+	cfg.Capacity = nodes
+	cfg.PayloadSize = testPayload
+	cfg.Sealer = sealer
+	cfg.Rand = oram.NewSeededSource(23)
+	po, err := oram.NewPosORAM(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,6 +177,82 @@ func levelsOf(t *testing.T, tr *Tree) int {
 // TestClientMemoryIsLogarithmic is the point of the oblivious B-tree: the
 // client state (root tag + geometry) stays tiny as the data grows, unlike
 // the O(N) position map of ORAM+B-tree.
+// TestTreeOverRemoteStoreDeferred: the tree's ORAM is the one Path-ORAM data
+// path, so it runs over whatever store an opener provides and under any
+// eviction batch. Built and probed over a loopback block server with
+// EvictionBatch=4, it must answer exactly as the in-memory tree does and
+// move exactly the same traffic — the leaves come from the same seed, and
+// where the buckets live changes nothing a meter counts — in fewer than the
+// classic two rounds per access.
+func TestTreeOverRemoteStoreDeferred(t *testing.T) {
+	srv := remote.NewServer(remote.ServerOptions{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	far := storage.NewMeter()
+	c, err := remote.Dial(remote.ClientOptions{Addr: addr.String(), Meter: far})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	keys := make([]int64, 120)
+	for i := range keys {
+		keys[i] = int64(i % 40)
+	}
+	near := storage.NewMeter()
+	local := newTestTreeOver(t, keys, oram.PathConfig{Meter: near, EvictionBatch: 4})
+	hosted := newTestTreeOver(t, keys, oram.PathConfig{Meter: far, EvictionBatch: 4, OpenStore: c.Opener()})
+	if built, want := far.Snapshot(), near.Snapshot(); built != want {
+		t.Fatalf("build traffic over the server %+v, in memory %+v", built, want)
+	}
+	near.Reset()
+	far.Reset()
+
+	accesses := 0
+	r := mrand.New(mrand.NewSource(11))
+	for i := 0; i < 300; i++ {
+		var want, got Entry
+		var wantOK, gotOK bool
+		var werr, gerr error
+		switch k := int64(r.Intn(45)); r.Intn(3) {
+		case 0:
+			want, wantOK, werr = local.LookupGE(k)
+			got, gotOK, gerr = hosted.LookupGE(k)
+		case 1:
+			want, wantOK, werr = local.LookupOrdGE(k)
+			got, gotOK, gerr = hosted.LookupOrdGE(k)
+		default:
+			werr, gerr = local.DummyLookup(), hosted.DummyLookup()
+		}
+		if werr != nil || gerr != nil {
+			t.Fatalf("probe %d: in memory %v, over the server %v", i, werr, gerr)
+		}
+		if gotOK != wantOK || got.Key != want.Key || got.Ord != want.Ord || !bytes.Equal(got.Value, want.Value) {
+			t.Fatalf("probe %d: over the server %+v (%v), in memory %+v (%v)", i, got, gotOK, want, wantOK)
+		}
+		accesses += local.AccessesPerLookup()
+	}
+	if err := local.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := hosted.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := far.Snapshot(), near.Snapshot()
+	if got != want {
+		t.Fatalf("traffic over the server %+v, in memory %+v", got, want)
+	}
+	if got.BlockReads != int64(accesses*hosted.store.Levels()) {
+		t.Fatalf("%d blocks downloaded in %d accesses of %d levels", got.BlockReads, accesses, hosted.store.Levels())
+	}
+	if got.NetworkRounds >= int64(2*accesses) {
+		t.Fatalf("%d rounds for %d accesses: evictions were not deferred", got.NetworkRounds, accesses)
+	}
+}
+
 func TestClientMemoryIsLogarithmic(t *testing.T) {
 	small := newTestTree(t, make([]int64, 20), nil)
 	big := newTestTree(t, make([]int64, 2000), nil)

@@ -50,10 +50,76 @@ func fetchedLeaves(trace []storage.Access, levels int) [][]uint32 {
 	return rounds
 }
 
-// TestKnownBucketsDifferential is the known-bucket set's end-to-end check:
-// a seeded random mix of every operation against a map model, at every
-// eviction batch, over stores with and without exchanges, with a flat and
-// a recursive position map. Every result must equal the model; each
+// diffClient is what the differential test drives: a PathORAM, or a PosORAM
+// behind the caller's half of its contract (callerHeld).
+type diffClient interface {
+	Write(key uint64, payload []byte) error
+	Update(key uint64, fn func([]byte) error) ([]byte, error)
+	Read(key uint64) ([]byte, error)
+	DummyAccess() error
+	ReadBatch(keys []uint64) ([][]byte, error)
+	DummyBatch(n int) error
+	Flush() error
+}
+
+// callerHeld is a PosORAM with the position tags held the way its callers
+// hold them: outside the ORAM, presented and replaced on every access. It
+// has no coalesced fetch, so a batch is that many single accesses.
+type callerHeld struct {
+	*PosORAM
+	tags map[uint64]uint32
+}
+
+func (c callerHeld) Update(key uint64, fn func([]byte) error) ([]byte, error) {
+	old, ok := c.tags[key]
+	if !ok {
+		// A miss still costs one access to a random path, as it does with a
+		// position map.
+		return c.Access(key, c.RandomPos(), c.RandomPos(), fn)
+	}
+	c.tags[key] = c.RandomPos()
+	return c.Access(key, old, c.tags[key], fn)
+}
+
+func (c callerHeld) Read(key uint64) ([]byte, error) { return c.Update(key, nil) }
+
+func (c callerHeld) Write(key uint64, payload []byte) error {
+	if _, ok := c.tags[key]; !ok {
+		c.tags[key] = c.RandomPos()
+		return c.Insert(key, c.tags[key], payload)
+	}
+	_, err := c.Update(key, func(p []byte) error {
+		clear(p[copy(p, payload):])
+		return nil
+	})
+	return err
+}
+
+func (c callerHeld) ReadBatch(keys []uint64) ([][]byte, error) {
+	out := make([][]byte, len(keys))
+	for i, k := range keys {
+		var err error
+		if out[i], err = c.Read(k); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func (c callerHeld) DummyBatch(n int) error {
+	for i := 0; i < n; i++ {
+		if err := c.DummyAccess(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestKnownBucketsDifferential is the data path's end-to-end check: a
+// seeded random mix of every operation against a map model, at every
+// eviction batch, over stores with and without exchanges, with a flat, a
+// recursive and a caller-held position map (the one path NewPathORAM and
+// NewPosORAM share). Every result must equal the model; each
 // store's recorded trace must be the one tracecheck.PathORAMSim computes
 // from the leaves that trace itself names (so skipping decryption moved no
 // server-visible index); every downloaded bucket must still be counted in
@@ -63,11 +129,12 @@ func TestKnownBucketsDifferential(t *testing.T) {
 	const capacity, payload, steps = 64, 16, 800
 	for _, batch := range []int{1, 4, 16} {
 		for _, exchange := range []bool{true, false} {
-			for _, recurse := range []bool{false, true} {
-				name := fmt.Sprintf("k=%d/exchange=%v/recursive=%v", batch, exchange, recurse)
+			for _, positions := range []string{"recursive=false", "recursive=true", "positions=caller"} {
+				recurse := positions == "recursive=true"
+				name := fmt.Sprintf("k=%d/exchange=%v/%s", batch, exchange, positions)
 				t.Run(name, func(t *testing.T) {
 					m := storage.NewMeter()
-					o, err := NewPathORAM(PathConfig{
+					cfg := PathConfig{
 						Name: "diff", Capacity: capacity, PayloadSize: payload, Meter: m,
 						Sealer: testSealer(t), Rand: NewSeededSource(uint64(77 + batch)),
 						EvictionBatch: batch, RecursePosMap: recurse, RecurseCutoff: 4,
@@ -78,11 +145,26 @@ func TestKnownBucketsDifferential(t *testing.T) {
 							}
 							return batchOnlyStore{st}, nil
 						},
-					})
-					if err != nil {
-						t.Fatal(err)
 					}
-					stack := oramStack(o)
+					// tree is the PathORAM the trace and telemetry checks read;
+					// o is what the operations go through.
+					var tree *PathORAM
+					var o diffClient
+					coalesces := positions != "positions=caller"
+					if !coalesces {
+						h, err := NewPosORAM(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						tree, o = h.o, callerHeld{h, map[uint64]uint32{}}
+					} else {
+						p, err := NewPathORAM(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						tree, o = p, p
+					}
+					stack := oramStack(tree)
 					if recurse && len(stack) != 3 {
 						t.Fatalf("recursive position map is %d ORAMs deep, want 3", len(stack))
 					}
@@ -102,6 +184,15 @@ func TestKnownBucketsDifferential(t *testing.T) {
 					// coalesced accesses, 0 a Flush. Level d of the stack makes
 					// 2^d single accesses per top-level access.
 					var events []int
+					batchOf := func(n int) {
+						if coalesces {
+							events = append(events, n)
+							return
+						}
+						for i := 0; i < n; i++ {
+							events = append(events, 1)
+						}
+					}
 					ref := map[uint64][]byte{}
 					r := mrand.New(mrand.NewSource(int64(batch)))
 					check := func(step int, key uint64, data []byte, err error) {
@@ -159,13 +250,13 @@ func TestKnownBucketsDifferential(t *testing.T) {
 							for i, k := range keys {
 								check(step, k, datas[i], nil)
 							}
-							events = append(events, len(keys))
+							batchOf(len(keys))
 						case 5:
 							n := 1 + int(key%4)
 							if err := o.DummyBatch(n); err != nil {
 								t.Fatalf("step %d dummy batch: %v", step, err)
 							}
-							events = append(events, n)
+							batchOf(n)
 						case 6:
 							if step%5 != 0 {
 								continue // a flush every step would leave nothing deferred
@@ -180,7 +271,7 @@ func TestKnownBucketsDifferential(t *testing.T) {
 							events = append(events, 1)
 						}
 						if step%8 == 0 {
-							assertBuffersDisjoint(t, o)
+							assertBuffersDisjoint(t, tree)
 						}
 					}
 					if err := o.Flush(); err != nil {

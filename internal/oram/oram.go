@@ -8,6 +8,14 @@
 // write interface, while hiding access patterns"), and so does every join
 // algorithm in this repository: they program against the ORAM interface
 // below and can be instantiated with any implementation.
+//
+// There is one Path-ORAM data path (PathORAM.run: fetch a path, apply the
+// operation to the stash, evict through the scheduler). Who holds the
+// position of each block is a choice made at construction, not a second
+// implementation: NewPathORAM keeps a position map (client-side, or
+// recursively outsourced), NewPosORAM keeps none and takes positions from
+// its caller — the store under the paper's Section 4.2 oblivious B-tree.
+// Either way the tree lives wherever PathConfig.OpenStore puts it.
 package oram
 
 import (

@@ -150,6 +150,28 @@ type PathORAM struct {
 // preprocessing step; callers reset meters afterwards so setup traffic is
 // not charged to queries.
 func NewPathORAM(cfg PathConfig) (*PathORAM, error) {
+	o, err := newTree(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if !cfg.RecursePosMap {
+		o.pos = newFlatPosMap(cfg.Capacity)
+		return o, nil
+	}
+	cutoff := cfg.RecurseCutoff
+	if cutoff <= 0 {
+		cutoff = 64
+	}
+	if o.pos, err = newORAMPosMap(cfg, cfg.Capacity, cutoff, o.rand); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// newTree is NewPathORAM short of the position map: who holds positions is
+// the constructor's choice (NewPathORAM, NewPosORAM), the tree and the data
+// path under it are the same.
+func newTree(cfg PathConfig) (*PathORAM, error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("oram: capacity must be positive, got %d", cfg.Capacity)
 	}
@@ -217,19 +239,6 @@ func NewPathORAM(cfg PathConfig) (*PathORAM, error) {
 	}
 	if err := up.flush(); err != nil {
 		return nil, err
-	}
-	if cfg.RecursePosMap {
-		cutoff := cfg.RecurseCutoff
-		if cutoff <= 0 {
-			cutoff = 64
-		}
-		pm, err := newORAMPosMap(cfg, cfg.Capacity, cutoff, rnd)
-		if err != nil {
-			return nil, err
-		}
-		o.pos = pm
-	} else {
-		o.pos = newFlatPosMap(cfg.Capacity)
 	}
 	return o, nil
 }
@@ -360,13 +369,22 @@ func (o *PathORAM) Read(key uint64) ([]byte, error) {
 
 // Write implements ORAM.
 func (o *PathORAM) Write(key uint64, payload []byte) error {
+	buf, err := o.padded(payload)
+	if err != nil {
+		return err
+	}
+	_, err = o.access(key, buf, false, nil)
+	return err
+}
+
+// padded copies payload into a stash buffer, zero-padded to PayloadSize.
+func (o *PathORAM) padded(payload []byte) ([]byte, error) {
 	if len(payload) > o.cfg.PayloadSize {
-		return fmt.Errorf("oram: payload %d exceeds block payload size %d", len(payload), o.cfg.PayloadSize)
+		return nil, fmt.Errorf("oram: payload %d exceeds block payload size %d", len(payload), o.cfg.PayloadSize)
 	}
 	buf := o.payloadBuf()
 	clear(buf[copy(buf, payload):])
-	_, err := o.access(key, buf, false, nil)
-	return err
+	return buf, nil
 }
 
 // payloadBuf returns a PayloadSize stash buffer with unspecified contents,
@@ -478,14 +496,21 @@ func (o *PathORAM) apply(p *accessPlan) ([]byte, error) {
 // access is the Path-ORAM protocol core, staged as plan → fetch → apply →
 // evict. If newData is non-nil the access is a write; if update is non-nil
 // it mutates the fetched payload in place; if dummy, no logical block is
-// touched. With EvictionBatch <= 1 the eviction stage writes the path back
-// immediately (the classic two-round protocol); otherwise the scheduler
-// defers it.
+// touched.
 func (o *PathORAM) access(key uint64, newData []byte, dummy bool, update func([]byte) error) ([]byte, error) {
 	p := &o.planBuf
 	if err := o.plan(p, key, newData, dummy, update); err != nil {
 		return nil, err
 	}
+	return o.run(p)
+}
+
+// run executes a planned access — fetch → apply → evict — wherever the
+// plan's leaves came from: the position map (plan) or the caller (PosORAM).
+// With EvictionBatch <= 1 the eviction stage writes the path back
+// immediately (the classic two-round protocol); otherwise the scheduler
+// defers it.
+func (o *PathORAM) run(p *accessPlan) ([]byte, error) {
 	o.leafBuf[0] = p.leaf
 	if err := o.sched.fetch(o.leafBuf[:]); err != nil {
 		return nil, err
@@ -727,6 +752,16 @@ func (o *PathORAM) writePath(leaf uint32) error {
 // directly into the tree, modeling the client-side preprocessing upload.
 // It must be called before any access; it overwrites the whole tree.
 func (o *PathORAM) BulkLoad(payloads [][]byte) error {
+	return o.bulkLoad(payloads, func(i int) (uint32, error) {
+		leaf := o.randomLeaf()
+		return leaf, o.pos.set(uint64(i), leaf)
+	})
+}
+
+// bulkLoad places payloads[i] under key i on the path of leafOf(i), asked
+// once per block in key order: a fresh draw recorded in the position map,
+// or a position the caller chose.
+func (o *PathORAM) bulkLoad(payloads [][]byte, leafOf func(i int) (uint32, error)) error {
 	if int64(len(payloads)) > o.cfg.Capacity {
 		return fmt.Errorf("oram: bulk load of %d blocks exceeds capacity %d", len(payloads), o.cfg.Capacity)
 	}
@@ -735,15 +770,14 @@ func (o *PathORAM) BulkLoad(payloads [][]byte) error {
 		key  uint64
 		leaf uint32
 	}
-	occ := make([]int, 2*o.leaves-1)
 	buckets := make([][]placed, 2*o.leaves-1)
 	for i, p := range payloads {
 		if len(p) > o.cfg.PayloadSize {
 			return fmt.Errorf("oram: bulk payload %d is %d bytes, exceeds %d", i, len(p), o.cfg.PayloadSize)
 		}
 		key := uint64(i)
-		leaf := o.randomLeaf()
-		if err := o.pos.set(key, leaf); err != nil {
+		leaf, err := leafOf(i)
+		if err != nil {
 			return err
 		}
 		// Place in the deepest non-full bucket on the path.
@@ -751,9 +785,8 @@ func (o *PathORAM) BulkLoad(payloads [][]byte) error {
 		done := false
 		for lvl := o.levels - 1; lvl >= 0; lvl-- {
 			n := nodes[lvl]
-			if occ[n] < o.z {
+			if len(buckets[n]) < o.z {
 				buckets[n] = append(buckets[n], placed{key, leaf})
-				occ[n]++
 				done = true
 				break
 			}
@@ -772,8 +805,7 @@ func (o *PathORAM) BulkLoad(payloads [][]byte) error {
 		for s, pl := range buckets[n] {
 			slot := bucket[s*o.slotSize:]
 			slot[0] = 1
-			binary.LittleEndian.PutUint64(slot[1:9], pl.key)
-			binary.LittleEndian.PutUint32(slot[9:13], pl.leaf)
+			putSlotHeader(slot, pl.key, pl.leaf)
 			copy(slot[slotHeader:], payloads[pl.key])
 		}
 		if err := up.add(n, bucket); err != nil {

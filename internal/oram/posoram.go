@@ -1,234 +1,114 @@
 package oram
 
-import (
-	"encoding/binary"
-	"fmt"
+import "fmt"
 
-	"oblivjoin/internal/storage"
-	"oblivjoin/internal/xcrypto"
-)
-
-// PosORAM is a Path-ORAM variant with no position map at all: the caller
-// tracks every block's current position tag and presents it on each access,
-// together with the freshly drawn tag the block moves to. It is the storage
-// layer of oblivious data structures (Wang et al., CCS'14) and of the
-// paper's oblivious B-tree (Section 4.2): tree nodes store their children's
+// PosORAM is Path-ORAM with no position map at all: the caller tracks every
+// block's current position tag and presents it on each access, together
+// with the freshly drawn tag the block moves to. It is the storage layer of
+// oblivious data structures (Wang et al., CCS'14) and of the paper's
+// oblivious B-tree (Section 4.2): tree nodes store their children's
 // position tags, so the client only remembers the root's tag and fetches
 // the rest on the fly during descents.
-type PosORAM struct {
-	cfg        PathConfig
-	sealer     *xcrypto.Sealer
-	store      *storage.MemStore
-	leaves     int64
-	levels     int
-	z          int
-	slotSize   int
-	bucketSize int
-	stash      map[uint64]stashEntry
-	maxStash   int
-	rand       LeafSource
-}
+//
+// It is a handle on a PathORAM whose position map is empty: the handle
+// fills in the two leaves a plan would have taken from the map and enters
+// the same data path (PathORAM.run), so every PathConfig setting — store
+// opener, eviction batch, keyring — means here what it means there, except
+// RecursePosMap and RecurseCutoff, which have no map to act on.
+type PosORAM struct{ o *PathORAM }
 
 // NewPosORAM builds the server tree with every bucket sealed empty.
 func NewPosORAM(cfg PathConfig) (*PosORAM, error) {
-	if cfg.Capacity <= 0 {
-		return nil, fmt.Errorf("oram: capacity must be positive, got %d", cfg.Capacity)
-	}
-	if cfg.PayloadSize <= 0 {
-		return nil, fmt.Errorf("oram: payload size must be positive, got %d", cfg.PayloadSize)
-	}
-	sealer, err := resolveSealer(cfg)
+	o, err := newTree(cfg)
 	if err != nil {
 		return nil, err
 	}
-	z := cfg.Z
-	if z == 0 {
-		z = DefaultZ
-	}
-	rnd := cfg.Rand
-	if rnd == nil {
-		rnd = NewCryptoSource()
-	}
-	leaves := nextPow2(cfg.Capacity)
-	levels := 1
-	for l := leaves; l > 1; l >>= 1 {
-		levels++
-	}
-	slotSize := slotHeader + cfg.PayloadSize
-	o := &PosORAM{
-		cfg:        cfg,
-		sealer:     sealer,
-		leaves:     leaves,
-		levels:     levels,
-		z:          z,
-		slotSize:   slotSize,
-		bucketSize: z * slotSize,
-		stash:      make(map[uint64]stashEntry),
-		rand:       rnd,
-	}
-	nodes := 2*leaves - 1
-	o.store = storage.NewMemStore(cfg.Name, nodes, xcrypto.SealedLen(o.bucketSize), cfg.Meter)
-	empty := make([]byte, o.bucketSize)
-	for i := int64(0); i < nodes; i++ {
-		sealed, err := sealer.Seal(empty)
-		if err != nil {
-			return nil, err
-		}
-		if err := o.store.Write(i, sealed); err != nil {
-			return nil, err
-		}
-	}
-	return o, nil
+	o.pos = newFlatPosMap(0)
+	return &PosORAM{o}, nil
 }
 
 // Levels returns the path length in buckets.
-func (o *PosORAM) Levels() int { return o.levels }
+func (h *PosORAM) Levels() int { return h.o.Levels() }
 
 // PayloadSize returns the usable bytes per block.
-func (o *PosORAM) PayloadSize() int { return o.cfg.PayloadSize }
+func (h *PosORAM) PayloadSize() int { return h.o.PayloadSize() }
 
 // Capacity returns the logical block capacity.
-func (o *PosORAM) Capacity() int64 { return o.cfg.Capacity }
+func (h *PosORAM) Capacity() int64 { return h.o.Capacity() }
 
 // AccessesPerOp returns the block operations per access (one path read +
 // one path write).
-func (o *PosORAM) AccessesPerOp() int { return 2 * o.levels }
+func (h *PosORAM) AccessesPerOp() int { return h.o.AccessesPerOp() }
 
-// ClientBytes returns the stash footprint — there is no position map, which
-// is the whole point.
-func (o *PosORAM) ClientBytes() int64 {
-	return int64(len(o.stash)) * int64(12+o.cfg.PayloadSize)
-}
+// ClientBytes returns the stash footprint (and, until the next fetch or
+// Flush, the blocks of the last write-back) — there is no position map,
+// which is the whole point.
+func (h *PosORAM) ClientBytes() int64 { return h.o.ClientBytes() }
 
 // ServerBytes returns the server footprint.
-func (o *PosORAM) ServerBytes() int64 { return o.store.SizeBytes() }
+func (h *PosORAM) ServerBytes() int64 { return h.o.ServerBytes() }
 
 // MaxStash reports the high-water stash occupancy.
-func (o *PosORAM) MaxStash() int { return o.maxStash }
+func (h *PosORAM) MaxStash() int { return h.o.MaxStash() }
+
+// Flush settles the instance (PathORAM.Flush): every deferred eviction path
+// is written back and the blocks of the last write-back are let go of.
+func (h *PosORAM) Flush() error { return h.o.Flush() }
 
 // RandomPos draws a fresh uniformly random position tag.
-func (o *PosORAM) RandomPos() uint32 {
-	return uint32(o.rand.Uint64() % uint64(o.leaves))
+func (h *PosORAM) RandomPos() uint32 { return h.o.randomLeaf() }
+
+// plan starts a real access to key that fetches the path of leaf and leaves
+// the block on newLeaf.
+func (h *PosORAM) plan(key uint64, leaf, newLeaf uint32) (*accessPlan, error) {
+	o := h.o
+	if key >= uint64(o.cfg.Capacity) {
+		return nil, fmt.Errorf("oram: key %d out of capacity %d", key, o.cfg.Capacity)
+	}
+	o.accesses++
+	p := &o.planBuf
+	*p = accessPlan{key: key, leaf: leaf, newLeaf: newLeaf}
+	return p, nil
 }
 
 // Access fetches block key from the path of oldPos, applies update (which
 // may mutate the payload in place; nil for plain reads), reassigns the
 // block to newPos, and evicts along the read path. The caller owns position
 // bookkeeping: oldPos must be the tag it recorded at the previous access.
-func (o *PosORAM) Access(key uint64, oldPos, newPos uint32, update func([]byte) error) ([]byte, error) {
-	if key >= uint64(o.cfg.Capacity) {
-		return nil, fmt.Errorf("oram: key %d out of capacity %d", key, o.cfg.Capacity)
+func (h *PosORAM) Access(key uint64, oldPos, newPos uint32, update func([]byte) error) ([]byte, error) {
+	p, err := h.plan(key, oldPos, newPos)
+	if err != nil {
+		return nil, err
 	}
-	path := o.pathNodes(oldPos)
-	for _, node := range path {
-		sealed, err := o.store.Read(node)
-		if err != nil {
-			return nil, err
-		}
-		plain, err := o.sealer.Open(sealed)
-		if err != nil {
-			return nil, fmt.Errorf("oram: store %q bucket %d: %w", o.cfg.Name, node, err)
-		}
-		o.parseBucketInto(plain)
-	}
-	entry, ok := o.stash[key]
-	var result []byte
-	var err error
-	if !ok {
-		err = fmt.Errorf("%w: key %d (position %d)", ErrNotFound, key, oldPos)
-	} else {
-		entry.leaf = newPos
-		if update != nil {
-			if uerr := update(entry.payload); uerr != nil && err == nil {
-				err = uerr
-			}
-		}
-		o.stash[key] = entry
-		result = make([]byte, len(entry.payload))
-		copy(result, entry.payload)
-	}
-	if werr := o.writePath(oldPos, path); werr != nil && err == nil {
-		err = werr
-	}
-	if len(o.stash) > o.maxStash {
-		o.maxStash = len(o.stash)
-	}
-	if o.cfg.Meter != nil {
-		o.cfg.Meter.CountRound()
-	}
-	return result, err
+	p.update = update
+	return h.o.run(p)
 }
 
-// Insert places a new block under key with the given position, via a dummy
-// path access (so inserts are indistinguishable from reads).
-func (o *PosORAM) Insert(key uint64, pos uint32, payload []byte) error {
-	if key >= uint64(o.cfg.Capacity) {
-		return fmt.Errorf("oram: key %d out of capacity %d", key, o.cfg.Capacity)
-	}
-	if len(payload) > o.cfg.PayloadSize {
-		return fmt.Errorf("oram: payload %d exceeds block size %d", len(payload), o.cfg.PayloadSize)
-	}
-	buf := make([]byte, o.cfg.PayloadSize)
-	copy(buf, payload)
-	// Read and rewrite a random path while adding the block to the stash.
-	p := o.RandomPos()
-	path := o.pathNodes(p)
-	for _, node := range path {
-		sealed, err := o.store.Read(node)
-		if err != nil {
-			return err
-		}
-		plain, err := o.sealer.Open(sealed)
-		if err != nil {
-			return fmt.Errorf("oram: store %q bucket %d: %w", o.cfg.Name, node, err)
-		}
-		o.parseBucketInto(plain)
-	}
-	o.stash[key] = stashEntry{leaf: pos, payload: buf}
-	if err := o.writePath(p, path); err != nil {
+// Insert places a new block under key with the given position, via an
+// access to a random path (so inserts are indistinguishable from reads).
+func (h *PosORAM) Insert(key uint64, pos uint32, payload []byte) error {
+	p, err := h.plan(key, h.RandomPos(), pos)
+	if err != nil {
 		return err
 	}
-	if len(o.stash) > o.maxStash {
-		o.maxStash = len(o.stash)
+	if p.newData, err = h.o.padded(payload); err != nil {
+		return err
 	}
-	if o.cfg.Meter != nil {
-		o.cfg.Meter.CountRound()
-	}
-	return nil
+	_, err = h.o.run(p)
+	return err
 }
 
 // DummyAccess reads and rewrites a random path, touching nothing.
-func (o *PosORAM) DummyAccess() error {
-	p := o.RandomPos()
-	path := o.pathNodes(p)
-	for _, node := range path {
-		sealed, err := o.store.Read(node)
-		if err != nil {
-			return err
-		}
-		plain, err := o.sealer.Open(sealed)
-		if err != nil {
-			return fmt.Errorf("oram: store %q bucket %d: %w", o.cfg.Name, node, err)
-		}
-		o.parseBucketInto(plain)
-	}
-	if err := o.writePath(p, path); err != nil {
-		return err
-	}
-	if o.cfg.Meter != nil {
-		o.cfg.Meter.CountRound()
-	}
-	return nil
-}
+func (h *PosORAM) DummyAccess() error { return h.o.DummyAccess() }
 
 // BulkLoad places payloads[i] under key i and returns each block's assigned
 // position tag, for the caller to embed in its data structure.
-func (o *PosORAM) BulkLoad(payloads [][]byte) ([]uint32, error) {
+func (h *PosORAM) BulkLoad(payloads [][]byte) ([]uint32, error) {
 	positions := make([]uint32, len(payloads))
 	for i := range positions {
-		positions[i] = o.RandomPos()
+		positions[i] = h.RandomPos()
 	}
-	if err := o.BulkLoadAt(payloads, positions); err != nil {
+	if err := h.BulkLoadAt(payloads, positions); err != nil {
 		return nil, err
 	}
 	return positions, nil
@@ -238,127 +118,14 @@ func (o *PosORAM) BulkLoad(payloads [][]byte) ([]uint32, error) {
 // positions[i]. Data structures whose nodes embed child positions draw all
 // positions first, serialize parents with them, and load everything at
 // once.
-func (o *PosORAM) BulkLoadAt(payloads [][]byte, positions []uint32) error {
-	if int64(len(payloads)) > o.cfg.Capacity {
-		return fmt.Errorf("oram: bulk load of %d exceeds capacity %d", len(payloads), o.cfg.Capacity)
-	}
+func (h *PosORAM) BulkLoadAt(payloads [][]byte, positions []uint32) error {
 	if len(positions) != len(payloads) {
 		return fmt.Errorf("oram: %d payloads but %d positions", len(payloads), len(positions))
 	}
-	occ := make([]int, 2*o.leaves-1)
-	type placed struct {
-		key  uint64
-		leaf uint32
-	}
-	buckets := make([][]placed, 2*o.leaves-1)
-	for i, p := range payloads {
-		if len(p) > o.cfg.PayloadSize {
-			return fmt.Errorf("oram: bulk payload %d is %d bytes, exceeds %d", i, len(p), o.cfg.PayloadSize)
+	return h.o.bulkLoad(payloads, func(i int) (uint32, error) {
+		if int64(positions[i]) >= h.o.leaves {
+			return 0, fmt.Errorf("oram: position %d out of %d leaves", positions[i], h.o.leaves)
 		}
-		pos := positions[i]
-		if pos >= uint32(o.leaves) {
-			return fmt.Errorf("oram: position %d out of %d leaves", pos, o.leaves)
-		}
-		nodes := o.pathNodes(pos)
-		done := false
-		for lvl := o.levels - 1; lvl >= 0; lvl-- {
-			n := nodes[lvl]
-			if occ[n] < o.z {
-				buckets[n] = append(buckets[n], placed{uint64(i), pos})
-				occ[n]++
-				done = true
-				break
-			}
-		}
-		if !done {
-			buf := make([]byte, o.cfg.PayloadSize)
-			copy(buf, p)
-			o.stash[uint64(i)] = stashEntry{leaf: pos, payload: buf}
-		}
-	}
-	for n := int64(0); n < 2*o.leaves-1; n++ {
-		bucket := make([]byte, o.bucketSize)
-		for s, pl := range buckets[n] {
-			slot := bucket[s*o.slotSize:]
-			slot[0] = 1
-			binary.LittleEndian.PutUint64(slot[1:9], pl.key)
-			binary.LittleEndian.PutUint32(slot[9:13], pl.leaf)
-			copy(slot[slotHeader:], payloads[pl.key])
-		}
-		sealed, err := o.sealer.Seal(bucket)
-		if err != nil {
-			return err
-		}
-		if err := o.store.Write(n, sealed); err != nil {
-			return err
-		}
-	}
-	if len(o.stash) > o.maxStash {
-		o.maxStash = len(o.stash)
-	}
-	return nil
-}
-
-func (o *PosORAM) pathNodes(leaf uint32) []int64 {
-	nodes := make([]int64, o.levels)
-	idx := o.leaves + int64(leaf)
-	for i := o.levels - 1; i >= 0; i-- {
-		nodes[i] = idx - 1
-		idx >>= 1
-	}
-	return nodes
-}
-
-func (o *PosORAM) sharesBucket(a, b uint32, lvl int) bool {
-	shift := uint(o.levels - 1 - lvl)
-	return (int64(a) >> shift) == (int64(b) >> shift)
-}
-
-func (o *PosORAM) parseBucketInto(plain []byte) {
-	for s := 0; s < o.z; s++ {
-		slot := plain[s*o.slotSize : (s+1)*o.slotSize]
-		if slot[0] == 0 {
-			continue
-		}
-		key := binary.LittleEndian.Uint64(slot[1:9])
-		if _, already := o.stash[key]; already {
-			continue
-		}
-		payload := make([]byte, o.cfg.PayloadSize)
-		copy(payload, slot[slotHeader:])
-		o.stash[key] = stashEntry{
-			leaf:    binary.LittleEndian.Uint32(slot[9:13]),
-			payload: payload,
-		}
-	}
-}
-
-func (o *PosORAM) writePath(leaf uint32, path []int64) error {
-	for lvl := o.levels - 1; lvl >= 0; lvl-- {
-		bucket := make([]byte, o.bucketSize)
-		filled := 0
-		for key, entry := range o.stash {
-			if filled == o.z {
-				break
-			}
-			if !o.sharesBucket(entry.leaf, leaf, lvl) {
-				continue
-			}
-			slot := bucket[filled*o.slotSize:]
-			slot[0] = 1
-			binary.LittleEndian.PutUint64(slot[1:9], key)
-			binary.LittleEndian.PutUint32(slot[9:13], entry.leaf)
-			copy(slot[slotHeader:], entry.payload)
-			delete(o.stash, key)
-			filled++
-		}
-		sealed, err := o.sealer.Seal(bucket)
-		if err != nil {
-			return err
-		}
-		if err := o.store.Write(path[lvl], sealed); err != nil {
-			return err
-		}
-	}
-	return nil
+		return positions[i], nil
+	})
 }

@@ -27,9 +27,11 @@ func BenchmarkCodecRequestRoundTrip(b *testing.B) {
 		idxs[i] = int64(i * 3)
 	}
 	req := &Request{Op: OpWriteMany, Store: "bench", Indices: idxs, Blocks: blocks}
+	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeRequest(EncodeRequest(req)); err != nil {
+		buf = AppendRequest(buf[:0], req)
+		if _, err := DecodeRequest(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,7 +32,9 @@ type ClientOptions struct {
 	// RetryBase is the first backoff delay; 0 means 5ms. Doubles per
 	// attempt, capped at 1s.
 	RetryBase time.Duration
-	// MaxFrame bounds accepted response frames; 0 means DefaultMaxFrame.
+	// MaxFrame bounds frames in both directions — a request is checked
+	// before it is sent, a response before it is read; 0 means
+	// DefaultMaxFrame. Either overrun is ErrFrameTooLarge, never retried.
 	MaxFrame int
 	// Meter, when non-nil, receives client-side traffic accounting: every
 	// successful RPC is one network round, batch ops are one round with
@@ -318,9 +320,11 @@ func (c *Client) EndSession() error {
 // roundTrip performs one request over one connection under the per-request
 // deadline, tightened by the bound context's deadline if that is sooner.
 // The remaining budget is declared to the server in DeadlineMS.
-// Network-level failures come back wrapped as transient. The response's
-// blocks are appended back to back to dst (nil: fresh memory) and
-// resp.Blocks re-pointed at those copies; the extended dst is returned.
+// Network-level failures come back wrapped as transient; a frame over
+// MaxFrame in either direction is ErrFrameTooLarge, which no retry of the
+// same request can cure. The response's blocks are appended back to back to
+// dst (nil: fresh memory) and resp.Blocks re-pointed at those copies; the
+// extended dst is returned.
 func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *Request, dst []byte) (*Response, []byte, error) {
 	deadline := time.Now().Add(c.opts.requestTimeout())
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -337,10 +341,17 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *Request, dst
 	f := framePool.Get().(*frame)
 	defer framePool.Put(f)
 	f.out = AppendFramedRequest(f.out[:0], req)
+	if n, limit := uint64(len(f.out)-4), frameLimit(c.opts.MaxFrame); n > limit {
+		// The server would drop the connection on the length prefix alone.
+		return nil, nil, fmt.Errorf("remote: %s %q request: %w: %d > %d", req.Op, req.Store, ErrFrameTooLarge, n, limit)
+	}
 	if _, err := conn.Write(f.out); err != nil {
 		return nil, nil, &errTransient{err}
 	}
 	payload, err := ReadFrameInto(conn, c.opts.MaxFrame, f.in[:0])
+	if errors.Is(err, ErrFrameTooLarge) {
+		return nil, nil, fmt.Errorf("remote: %s %q response: %w", req.Op, req.Store, err)
+	}
 	if err != nil {
 		return nil, nil, &errTransient{err}
 	}

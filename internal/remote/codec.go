@@ -39,6 +39,15 @@
 // buffer (RemoteStore.ReadManyTo / ExchangeTo) before the frame returns to
 // the pool. DecodeRequest and DecodeResponse, the exported entry points,
 // always copy blocks out of the payload.
+//
+// There is one codec and one grammar. Messages are encoded by appending
+// (AppendRequest / AppendResponse, or the AppendFramed forms that add the
+// length prefix) and frames read with ReadFrameInto. Every payload leads
+// with the wire-version byte and then carries every field of its message,
+// always, in one fixed order; a field that does not apply is zero (empty
+// list, empty string, 0). Nothing is optional, so every accepted payload
+// re-encodes to exactly itself, and a peer speaking anything else gets
+// ErrMalformed naming the version it sent.
 package remote
 
 import (
@@ -46,8 +55,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 )
+
+// wireVersion is the first byte of every frame payload, request or
+// response. Only this one is spoken: an unknown version is ErrMalformed. It
+// sits above every op and status code, so a payload of the unversioned
+// grammars this one replaced — which led with its op or status — fails the
+// version check instead of being misparsed.
+const wireVersion = 0x20
 
 // DefaultMaxFrame bounds a single wire frame (64 MiB), comfortably above
 // any realistic batched ORAM path while preventing a malformed length
@@ -166,9 +183,7 @@ type Request struct {
 	DeadlineMS int64
 	// TraceID and SpanID carry the distributed-trace context (0 = no
 	// trace): the server records a ServerSpan per traced op, and OpTrace
-	// fetches them back by TraceID. Encoded as an optional trailing
-	// section, so traceless requests stay byte-identical to the previous
-	// wire format.
+	// fetches them back by TraceID.
 	TraceID uint64
 	SpanID  uint64
 	// Phase is the client phase label that caused this op. Labels are
@@ -189,9 +204,7 @@ type Response struct {
 	// (and the granted idle timeout in milliseconds for OpHello).
 	Slots     int64
 	BlockSize int64
-	// Session carries the session ID granted by OpHello; 0 otherwise. It is
-	// encoded only when non-zero so replies to pre-session clients stay
-	// byte-identical to the old wire format.
+	// Session carries the session ID granted by OpHello; 0 otherwise.
 	Session int64
 }
 
@@ -202,9 +215,9 @@ var (
 )
 
 // AppendFramedRequest appends req's complete wire frame — length prefix
-// included — to b. It is the single-buffer equivalent of EncodeRequest +
-// WriteFrame: one conn.Write sends the whole frame (one syscall, no
-// header-array allocation), and the bytes on the wire are identical.
+// included — to b, so one conn.Write sends the whole frame (one syscall, no
+// header-array allocation). The sender checks the frame against its limit
+// (frameLimit) before writing it.
 func AppendFramedRequest(b []byte, req *Request) []byte {
 	return fixupFrame(AppendRequest(append(b, 0, 0, 0, 0), req), len(b))
 }
@@ -220,31 +233,23 @@ func fixupFrame(b []byte, off int) []byte {
 	return b
 }
 
-// WriteFrame writes a length-prefixed payload.
-func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one length-prefixed payload, rejecting frames larger than
-// max (0 means DefaultMaxFrame) before allocating anything.
-func ReadFrame(r io.Reader, max int) ([]byte, error) {
-	return ReadFrameInto(r, max, nil)
-}
-
-// ReadFrameInto is ReadFrame reading into buf's capacity, allocating only
-// when the frame outgrows it — the steady-state zero-allocation read path.
-// The returned slice aliases buf (when it fit), so callers reusing a buffer
-// must finish consuming one frame before reading the next.
-func ReadFrameInto(r io.Reader, max int, buf []byte) ([]byte, error) {
+// frameLimit resolves a MaxFrame option: 0 means DefaultMaxFrame, and no
+// limit exceeds what the 4-byte length prefix can carry.
+func frameLimit(max int) uint64 {
 	if max <= 0 {
-		max = DefaultMaxFrame
+		return DefaultMaxFrame
 	}
+	return min(uint64(max), math.MaxUint32)
+}
+
+// ReadFrameInto reads one length-prefixed payload into buf's capacity,
+// rejecting frames larger than max (0 means DefaultMaxFrame) before
+// allocating anything and allocating only when the frame outgrows buf — the
+// steady-state zero-allocation read path. The returned slice aliases buf
+// (when it fit), so callers reusing a buffer must finish consuming one frame
+// before reading the next.
+func ReadFrameInto(r io.Reader, max int, buf []byte) ([]byte, error) {
+	limit := frameLimit(max)
 	// The length prefix is read into buf's own spare capacity so the
 	// steady state allocates nothing (a stack [4]byte would escape through
 	// the io.Reader interface and cost one heap allocation per frame).
@@ -256,8 +261,8 @@ func ReadFrameInto(r io.Reader, max int, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr)
-	if n > uint32(max) {
-		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
+	if uint64(n) > limit {
+		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, limit)
 	}
 	if uint32(cap(buf)) < n {
 		buf = make([]byte, n)
@@ -274,9 +279,26 @@ func ReadFrameInto(r io.Reader, max int, buf []byte) ([]byte, error) {
 
 type reader struct{ b []byte }
 
+// head opens a payload: it checks the wire-version byte — the one place a
+// version is looked at — and returns the kind byte after it, a request's op
+// or a response's status.
+func (r *reader) head(what string) (byte, error) {
+	if len(r.b) < 2 {
+		return 0, fmt.Errorf("%w: %d-byte %s", ErrMalformed, len(r.b), what)
+	}
+	if r.b[0] != wireVersion {
+		return 0, fmt.Errorf("%w: wire version %d, this side speaks %d", ErrMalformed, r.b[0], wireVersion)
+	}
+	kind := r.b[1]
+	r.b = r.b[2:]
+	return kind, nil
+}
+
+// uvarint decodes one minimally encoded varint; a padded encoding is
+// refused, so a value has exactly one spelling on the wire.
 func (r *reader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
 		return 0, fmt.Errorf("%w: bad varint", ErrMalformed)
 	}
 	r.b = r.b[n:]
@@ -390,17 +412,11 @@ func (r *reader) int64() (int64, error) {
 	return int64(v), nil
 }
 
-// EncodeRequest serializes a request into a fresh frame payload.
-func EncodeRequest(req *Request) []byte {
-	return AppendRequest(make([]byte, 0, 64), req)
-}
-
-// AppendRequest serializes a request, appending to b — the zero-copy
-// variant EncodeRequest wraps. The hot path (client.roundTrip) passes a
-// reused frame buffer so steady-state encoding allocates nothing; the
-// encoded bytes are identical either way.
+// AppendRequest serializes a request, appending to b. The hot path
+// (client.roundTrip) passes a reused frame buffer so steady-state encoding
+// allocates nothing.
 func AppendRequest(b []byte, req *Request) []byte {
-	b = append(b, byte(req.Op))
+	b = append(b, wireVersion, byte(req.Op))
 	b = binary.AppendUvarint(b, uint64(len(req.Store)))
 	b = append(b, req.Store...)
 	b = binary.AppendUvarint(b, uint64(req.Slots))
@@ -418,26 +434,14 @@ func AppendRequest(b []byte, req *Request) []byte {
 	for _, i := range req.WriteIndices {
 		b = binary.AppendUvarint(b, uint64(i))
 	}
-	// The session section is appended only when in use, so a sessionless
-	// request stays byte-identical to the pre-session wire format and an
-	// old server keeps decoding it. A trace context forces the session
-	// section out too (zeroed if unused) because the trace section trails
-	// it positionally.
-	if req.Tenant != "" || req.Session != 0 || req.DeadlineMS != 0 || req.TraceID != 0 {
-		b = binary.AppendUvarint(b, uint64(len(req.Tenant)))
-		b = append(b, req.Tenant...)
-		b = binary.AppendUvarint(b, uint64(req.Session))
-		b = binary.AppendUvarint(b, uint64(req.DeadlineMS))
-	}
-	// The trace section is appended only when a trace is armed, so
-	// untraced requests stay byte-identical to the previous wire format.
-	if req.TraceID != 0 {
-		b = binary.AppendUvarint(b, req.TraceID)
-		b = binary.AppendUvarint(b, req.SpanID)
-		b = binary.AppendUvarint(b, uint64(len(req.Phase)))
-		b = append(b, req.Phase...)
-	}
-	return b
+	b = binary.AppendUvarint(b, uint64(len(req.Tenant)))
+	b = append(b, req.Tenant...)
+	b = binary.AppendUvarint(b, uint64(req.Session))
+	b = binary.AppendUvarint(b, uint64(req.DeadlineMS))
+	b = binary.AppendUvarint(b, req.TraceID)
+	b = binary.AppendUvarint(b, req.SpanID)
+	b = binary.AppendUvarint(b, uint64(len(req.Phase)))
+	return append(b, req.Phase...)
 }
 
 // DecodeRequest parses a frame payload into a Request that shares no memory
@@ -460,16 +464,15 @@ func DecodeRequest(payload []byte) (*Request, error) {
 // store. Names and indices are copied either way. On error req is garbage.
 func decodeRequest(req *Request, payload []byte, view bool) error {
 	r := reader{b: payload}
-	if len(r.b) < 1 {
-		return fmt.Errorf("%w: empty request", ErrMalformed)
+	kind, err := r.head("request")
+	if err != nil {
+		return err
 	}
-	op := Op(r.b[0])
-	r.b = r.b[1:]
+	op := Op(kind)
 	if op < OpRead || op > OpTrace {
 		return fmt.Errorf("%w: unknown op %d", ErrMalformed, op)
 	}
 	*req = Request{Op: op, Indices: req.Indices[:0], Blocks: req.Blocks[:0], WriteIndices: req.WriteIndices[:0]}
-	var err error
 	if req.Store, err = r.str(maxStoreName, "store name"); err != nil {
 		return err
 	}
@@ -485,48 +488,26 @@ func decodeRequest(req *Request, payload []byte, view bool) error {
 	if req.Blocks, err = r.blocks(req.Blocks, view); err != nil {
 		return err
 	}
-	// The trailing WriteIndices field was added with OpExchange. A request
-	// encoded by the previous wire format simply ends here, so treat an
-	// exhausted buffer as an absent (empty) field rather than a malformed
-	// frame: version skew then only costs the peer the OpExchange fast path
-	// (which older clients never send), not the whole protocol.
-	if len(r.b) > 0 {
-		if req.WriteIndices, err = r.int64s(req.WriteIndices); err != nil {
-			return err
-		}
+	if req.WriteIndices, err = r.int64s(req.WriteIndices); err != nil {
+		return err
 	}
-	// The session section (tenant, session ID, deadline) trails WriteIndices
-	// under the same skew rule: absent means a sessionless request from any
-	// wire-format generation, so old traffic decodes unchanged.
-	if len(r.b) > 0 {
-		if req.Tenant, err = r.str(maxStoreName, "tenant name"); err != nil {
-			return err
-		}
-		if req.Session, err = r.int64(); err != nil {
-			return err
-		}
-		if req.DeadlineMS, err = r.int64(); err != nil {
-			return err
-		}
+	if req.Tenant, err = r.str(maxStoreName, "tenant name"); err != nil {
+		return err
 	}
-	// The trace section (trace ID, span ID, phase) trails the session
-	// section under the same skew rule: absent means an untraced request
-	// from any wire-format generation. A present section must carry a
-	// non-zero trace ID — zero means "no trace" and is never encoded, so
-	// accepting it would break the canonical re-encode round trip.
-	if len(r.b) > 0 {
-		if req.TraceID, err = r.uvarint(); err != nil {
-			return err
-		}
-		if req.TraceID == 0 {
-			return fmt.Errorf("%w: trace section without trace ID", ErrMalformed)
-		}
-		if req.SpanID, err = r.uvarint(); err != nil {
-			return err
-		}
-		if req.Phase, err = r.str(maxPhase, "phase label"); err != nil {
-			return err
-		}
+	if req.Session, err = r.int64(); err != nil {
+		return err
+	}
+	if req.DeadlineMS, err = r.int64(); err != nil {
+		return err
+	}
+	if req.TraceID, err = r.uvarint(); err != nil {
+		return err
+	}
+	if req.SpanID, err = r.uvarint(); err != nil {
+		return err
+	}
+	if req.Phase, err = r.str(maxPhase, "phase label"); err != nil {
+		return err
 	}
 	if len(r.b) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.b))
@@ -534,16 +515,10 @@ func decodeRequest(req *Request, payload []byte, view bool) error {
 	return nil
 }
 
-// EncodeResponse serializes a response into a fresh frame payload.
-func EncodeResponse(resp *Response) []byte {
-	return AppendResponse(make([]byte, 0, 64), resp)
-}
-
-// AppendResponse serializes a response, appending to b — the zero-copy
-// variant EncodeResponse wraps, used by the server's per-connection frame
-// buffer. The encoded bytes are identical either way.
+// AppendResponse serializes a response, appending to b; the server passes
+// its per-connection frame buffer.
 func AppendResponse(b []byte, resp *Response) []byte {
-	b = append(b, byte(resp.Status))
+	b = append(b, wireVersion, byte(resp.Status))
 	b = binary.AppendUvarint(b, uint64(len(resp.Msg)))
 	b = append(b, resp.Msg...)
 	b = binary.AppendUvarint(b, uint64(len(resp.Blocks)))
@@ -553,13 +528,7 @@ func AppendResponse(b []byte, resp *Response) []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(resp.Slots))
 	b = binary.AppendUvarint(b, uint64(resp.BlockSize))
-	// Only session-opening replies carry the trailing session ID; every
-	// other response stays byte-identical to the pre-session format, so a
-	// pre-session client never sees trailing bytes it would reject.
-	if resp.Session != 0 {
-		b = binary.AppendUvarint(b, uint64(resp.Session))
-	}
-	return b
+	return binary.AppendUvarint(b, uint64(resp.Session))
 }
 
 // DecodeResponse parses a frame payload into a Response that shares no
@@ -573,16 +542,15 @@ func DecodeResponse(payload []byte) (*Response, error) {
 // from its pooled frame into the caller's buffer.
 func decodeResponse(payload []byte, view bool) (*Response, error) {
 	r := &reader{b: payload}
-	if len(r.b) < 1 {
-		return nil, fmt.Errorf("%w: empty response", ErrMalformed)
+	kind, err := r.head("response")
+	if err != nil {
+		return nil, err
 	}
-	status := Status(r.b[0])
-	r.b = r.b[1:]
+	status := Status(kind)
 	if status > StatusBusy {
 		return nil, fmt.Errorf("%w: unknown status %d", ErrMalformed, status)
 	}
 	resp := &Response{Status: status}
-	var err error
 	if resp.Msg, err = r.str(0, "message"); err != nil {
 		return nil, err
 	}
@@ -595,11 +563,8 @@ func decodeResponse(payload []byte, view bool) (*Response, error) {
 	if resp.BlockSize, err = r.int64(); err != nil {
 		return nil, err
 	}
-	// Trailing session ID, present only on OpHello replies.
-	if len(r.b) > 0 {
-		if resp.Session, err = r.int64(); err != nil {
-			return nil, err
-		}
+	if resp.Session, err = r.int64(); err != nil {
+		return nil, err
 	}
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.b))

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -30,7 +32,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpRead, Store: "t1.data", Indices: []int64{7}, Session: 3, DeadlineMS: 2500},
 		{Op: OpExchange, Store: "t1.data", Indices: []int64{0, 3},
 			WriteIndices: []int64{1}, Blocks: [][]byte{[]byte("w")}, Session: 9},
-		// Distributed-trace context rides an optional trailing section.
+		// Distributed-trace context.
 		{Op: OpRead, Store: "t1.data", Indices: []int64{7}, TraceID: 0xDEAD, SpanID: 3, Phase: "join.smj"},
 		{Op: OpReadMany, Store: "x", Indices: []int64{0, 5}, Session: 4, DeadlineMS: 900,
 			TraceID: 1, SpanID: 99, Phase: "sort.runs"},
@@ -42,7 +44,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpTrace}, // fetch everything buffered
 	}
 	for _, req := range cases {
-		got, err := DecodeRequest(EncodeRequest(req))
+		got, err := DecodeRequest(AppendRequest(nil, req))
 		if err != nil {
 			t.Fatalf("%s: %v", req.Op, err)
 		}
@@ -62,7 +64,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Status: StatusOK, Slots: 60_000, Session: 42},
 	}
 	for i, resp := range cases {
-		got, err := DecodeResponse(EncodeResponse(resp))
+		got, err := DecodeResponse(AppendResponse(nil, resp))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -73,36 +75,33 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("hello frames")
-	if err := WriteFrame(&buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf, 0)
+	req := &Request{Op: OpWrite, Store: "hello", Indices: []int64{3}, Blocks: [][]byte{[]byte("frames")}}
+	stream := bytes.NewReader(AppendFramedRequest(nil, req))
+	payload, err := ReadFrameInto(stream, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("got %q", got)
+	got, err := DecodeRequest(payload)
+	if err != nil || !reflect.DeepEqual(got, req) {
+		t.Fatalf("got %+v, %v", got, err)
+	}
+	if stream.Len() != 0 {
+		t.Fatalf("%d bytes left after the frame", stream.Len())
 	}
 }
 
 func TestReadFrameRejectsOversized(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 1<<30)
-	if _, err := ReadFrame(bytes.NewReader(hdr[:]), 1024); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrameInto(bytes.NewReader(hdr[:]), 1024, nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestReadFrameTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("truncate me")); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
+	whole := AppendFramedResponse(nil, &Response{Status: StatusError, Msg: "truncate me"})
 	for cut := 0; cut < len(whole); cut++ {
-		if _, err := ReadFrame(bytes.NewReader(whole[:cut]), 0); err == nil {
+		if _, err := ReadFrameInto(bytes.NewReader(whole[:cut]), 0, nil); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		} else if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("truncation at %d: %v", cut, err)
@@ -110,12 +109,28 @@ func TestReadFrameTruncated(t *testing.T) {
 	}
 }
 
-// TestDecodeRequestLegacyFormat pins wire compatibility across the
-// OpExchange protocol revision: a request encoded without the trailing
-// WriteIndices field — what a client from before the field existed sends —
-// must still decode, with WriteIndices empty. Version skew may cost a peer
-// the exchange fast path (which old clients never request), never the
-// whole protocol.
+// The request grammar ends with seven fields that are a single zero byte
+// each when unused: WriteIndices count | tenant length, session, deadline |
+// trace ID, span ID, phase length. The optional-tail decoders this grammar
+// replaced accepted a payload cut before any of the three groups.
+const (
+	cutPreExchange = 7 // ends after Blocks
+	cutSessionless = 6 // ends after WriteIndices
+	cutTraceless   = 3 // ends after the session section
+)
+
+func mustBeMalformed(t *testing.T, what string, payload []byte) {
+	t.Helper()
+	if _, err := DecodeRequest(payload); !errors.Is(err, ErrMalformed) {
+		t.Errorf("%s: err = %v, want ErrMalformed", what, err)
+	}
+}
+
+// TestDecodeRequestLegacyFormat: the short form a peer from before
+// OpExchange sent — a request that ends after Blocks, with no WriteIndices
+// field — is not part of the grammar, and neither is a payload of the
+// unversioned grammars, which led with the op: that one is refused at the
+// version byte, by name.
 func TestDecodeRequestLegacyFormat(t *testing.T) {
 	cases := []*Request{
 		{Op: OpRead, Store: "t1.data", Indices: []int64{7}},
@@ -126,77 +141,70 @@ func TestDecodeRequestLegacyFormat(t *testing.T) {
 		{Op: OpCreate, Store: "fresh", Slots: 128, BlockSize: 4096},
 	}
 	for _, req := range cases {
-		b := EncodeRequest(req)
-		// The current encoder always appends the WriteIndices field; with no
-		// write indices it is a single zero varint. Stripping it reproduces
-		// the previous wire format byte-for-byte.
-		if b[len(b)-1] != 0 {
-			t.Fatalf("%s: frame does not end with an empty WriteIndices field", req.Op)
+		b := AppendRequest(nil, req)
+		if !bytes.Equal(b[len(b)-cutPreExchange:], make([]byte, cutPreExchange)) {
+			t.Fatalf("%s: payload does not end with seven zero fields: % x", req.Op, b)
 		}
-		got, err := DecodeRequest(b[:len(b)-1])
-		if err != nil {
-			t.Fatalf("%s: legacy frame rejected: %v", req.Op, err)
-		}
-		if !reflect.DeepEqual(got, req) {
-			t.Fatalf("%s: legacy decode %+v != %+v", req.Op, got, req)
+		mustBeMalformed(t, req.Op.String()+" cut after Blocks", b[:len(b)-cutPreExchange])
+		_, err := DecodeRequest(b[1:]) // no version byte: the op leads
+		if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), fmt.Sprintf("wire version %d", req.Op)) {
+			t.Errorf("%s without a version byte: err = %v, want ErrMalformed naming version %d", req.Op, err, req.Op)
 		}
 	}
 }
 
-// TestSessionlessWireCompat pins the session protocol revision's skew rule
-// from the other side: a request that uses no session features must encode
-// byte-identically to the pre-session wire format (no trailing session
-// section), and a response without a session ID likewise — so new clients
-// keep talking to old servers and old clients to new servers.
+// TestSessionlessWireCompat: sessionless operation stays, its second
+// encoding does not. A request that uses no session carries the session
+// section as explicit zeros, a response that grants none an explicit zero
+// session ID, and the forms that used to leave them out are malformed.
 func TestSessionlessWireCompat(t *testing.T) {
 	req := &Request{Op: OpReadMany, Store: "x", Indices: []int64{0, 5}}
-	b := EncodeRequest(req)
-	// Pre-session format = current format minus nothing: the frame must end
-	// with the empty WriteIndices varint, exactly as before the revision.
-	if b[len(b)-1] != 0 {
-		t.Fatalf("sessionless request grew a trailing section: % x", b)
-	}
+	b := AppendRequest(nil, req)
 	got, err := DecodeRequest(b)
 	if err != nil || !reflect.DeepEqual(got, req) {
 		t.Fatalf("sessionless round trip: %+v, %v", got, err)
 	}
-	resp := &Response{Status: StatusOK, Slots: 8, BlockSize: 32}
-	rb := EncodeResponse(resp)
-	// A zero session ID must not be encoded at all.
-	want := len(EncodeResponse(&Response{Status: StatusOK, Slots: 8, BlockSize: 32, Session: 0}))
-	if len(rb) != want {
-		t.Fatalf("zero session changed the encoding: %d vs %d bytes", len(rb), want)
+	withSession := *req
+	withSession.Session = 5
+	if sb := AppendRequest(nil, &withSession); len(sb) != len(b) {
+		t.Fatalf("a session ID changed the frame length: %d vs %d bytes", len(sb), len(b))
 	}
-	if _, err := DecodeResponse(rb); err != nil {
-		t.Fatalf("sessionless response rejected: %v", err)
+	mustBeMalformed(t, "request cut after WriteIndices", b[:len(b)-cutSessionless])
+
+	resp := &Response{Status: StatusOK, Slots: 8, BlockSize: 32}
+	rb := AppendResponse(nil, resp)
+	if back, err := DecodeResponse(rb); err != nil || !reflect.DeepEqual(back, resp) {
+		t.Fatalf("sessionless response round trip: %+v, %v", back, err)
+	}
+	if rb[len(rb)-1] != 0 {
+		t.Fatalf("response does not end with a zero session ID: % x", rb)
+	}
+	if _, err := DecodeResponse(rb[:len(rb)-1]); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("response without a session field: err = %v, want ErrMalformed", err)
 	}
 }
 
-// TestTracelessWireCompat pins the trace protocol revision's skew rule: a
-// request without a trace context must encode byte-identically to the
-// pre-trace wire format (no trailing trace section), so untraced traffic —
-// including every legacy client's — is untouched by the revision.
+// TestTracelessWireCompat: an untraced request carries the trace section as
+// explicit zeros, so arming a trace changes those bytes and nothing before
+// them. Zero means absent, field by field: a zero trace ID beside a span ID
+// is an untraced request like any other, not a special case.
 func TestTracelessWireCompat(t *testing.T) {
 	cases := []*Request{
 		{Op: OpReadMany, Store: "x", Indices: []int64{0, 5}},
 		{Op: OpRead, Store: "t1.data", Indices: []int64{7}, Session: 3, DeadlineMS: 2500},
 		{Op: OpHello, Tenant: "acme", Slots: 30_000},
+		{Op: OpRead, Store: "s", Indices: []int64{1}, Session: 2, SpanID: 5},
 	}
 	for _, req := range cases {
-		b := EncodeRequest(req)
+		b := AppendRequest(nil, req)
 		traced := *req
 		traced.TraceID, traced.SpanID, traced.Phase = 9, 1, "load"
-		tb := EncodeRequest(&traced)
-		if len(tb) <= len(b) {
-			t.Fatalf("%s: trace section did not grow the frame", req.Op)
+		tb := AppendRequest(nil, &traced)
+		if len(tb) != len(b)+len("load") {
+			t.Fatalf("%s: arming a trace grew the frame by %d bytes, want the phase label's %d", req.Op, len(tb)-len(b), len("load"))
 		}
-		// The untraced frame must be a strict prefix of the traced one up to
-		// the session section: for session-carrying requests the encodings
-		// before the trace section are identical.
-		if req.Session != 0 || req.Tenant != "" || req.DeadlineMS != 0 {
-			if !bytes.HasPrefix(tb, b) {
-				t.Fatalf("%s: traced frame is not untraced frame + trace section", req.Op)
-			}
+		if !bytes.HasPrefix(tb, b[:len(b)-cutTraceless]) {
+			t.Fatalf("%s: arming a trace changed bytes before the trace section", req.Op)
 		}
 		got, err := DecodeRequest(b)
 		if err != nil || !reflect.DeepEqual(got, req) {
@@ -205,160 +213,146 @@ func TestTracelessWireCompat(t *testing.T) {
 	}
 }
 
-// TestDecodeRequestLegacyTraceless pins tolerance from the other side: a
-// traced request whose trailing trace section is stripped — what an old
-// proxy or a pre-trace peer would have produced for the same op — must
-// still decode, with the trace fields zero. Version skew costs the peer
-// span attribution, never the operation.
+// TestDecodeRequestLegacyTraceless: a request cut after the session section
+// — what a peer from before tracing sent — is not part of the grammar.
 func TestDecodeRequestLegacyTraceless(t *testing.T) {
-	req := &Request{Op: OpRead, Store: "t1.data", Indices: []int64{7},
-		Session: 3, DeadlineMS: 100, TraceID: 77, SpanID: 5, Phase: "join.smj"}
-	full := EncodeRequest(req)
-	bare := *req
-	bare.TraceID, bare.SpanID, bare.Phase = 0, 0, ""
-	stripped := EncodeRequest(&bare)
-	if !bytes.HasPrefix(full, stripped) {
-		t.Fatal("traced frame must extend the traceless frame")
-	}
-	got, err := DecodeRequest(stripped)
-	if err != nil {
-		t.Fatalf("traceless frame rejected: %v", err)
-	}
-	if !reflect.DeepEqual(got, &bare) {
-		t.Fatalf("traceless decode %+v != %+v", got, &bare)
-	}
+	b := AppendRequest(nil, &Request{Op: OpRead, Store: "t1.data", Indices: []int64{7}, Session: 3, DeadlineMS: 100})
+	mustBeMalformed(t, "request cut after the session section", b[:len(b)-cutTraceless])
 }
 
 func TestDecodeRequestTraceMalformed(t *testing.T) {
-	base := EncodeRequest(&Request{Op: OpRead, Store: "s", Indices: []int64{1},
+	base := AppendRequest(nil, &Request{Op: OpRead, Store: "s", Indices: []int64{1},
 		Session: 2, TraceID: 9, SpanID: 1, Phase: "load"})
-	longPhase := EncodeRequest(&Request{Op: OpRead, Store: "s", Indices: []int64{1},
+	longPhase := AppendRequest(nil, &Request{Op: OpRead, Store: "s", Indices: []int64{1},
 		TraceID: 9, SpanID: 1, Phase: string(bytes.Repeat([]byte{'p'}, 300))})
-	// A trace section whose trace ID is zero is never produced by the
-	// encoder; accepting it would break canonical re-encoding.
-	sess := EncodeRequest(&Request{Op: OpRead, Store: "s", Indices: []int64{1}, Session: 2})
-	zeroTrace := append(append([]byte{}, sess...), 0 /*traceID*/, 5 /*spanID*/, 0 /*phase len*/)
-	cases := map[string][]byte{
-		"truncated trace section": base[:len(base)-2],
-		"over-long phase":         longPhase,
-		"zero trace ID":           zeroTrace,
-	}
-	for name, payload := range cases {
-		if _, err := DecodeRequest(payload); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
+	mustBeMalformed(t, "truncated trace section", base[:len(base)-2])
+	mustBeMalformed(t, "over-long phase", longPhase)
 }
 
 func TestDecodeRequestMalformed(t *testing.T) {
-	base := EncodeRequest(&Request{Op: OpWriteMany, Store: "s", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("aa"), []byte("bb")}})
+	base := AppendRequest(nil, &Request{Op: OpWriteMany, Store: "s", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("aa"), []byte("bb")}})
+	padded := bytes.Clone(base)
+	padded = append(padded[:len(padded)-1], 0x80, 0x00) // phase length 0, spelled in two bytes
 	cases := map[string][]byte{
 		"empty":          {},
-		"unknown op":     {0xFF},
-		"zero op":        {0x00},
-		"trailing bytes": append(append([]byte{}, base...), 0x01),
+		"version only":   {wireVersion},
+		"wrong version":  append([]byte{wireVersion + 1}, base[1:]...),
+		"unknown op":     {wireVersion, 0xFF},
+		"zero op":        {wireVersion, 0x00},
+		"trailing bytes": append(bytes.Clone(base), 0x01),
 		"truncated":      base[:len(base)-3],
+		"padded varint":  padded,
 		// A count claiming more indices than the payload could possibly hold
 		// must be rejected before allocation.
-		"forged count": {byte(OpReadMany), 1, 's', 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
+		"forged count": {wireVersion, byte(OpReadMany), 1, 's', 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
 	}
 	for name, payload := range cases {
-		if _, err := DecodeRequest(payload); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+		mustBeMalformed(t, name, payload)
 	}
 }
 
 func TestDecodeResponseMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          {},
-		"bad status":     {0x09},
-		"truncated msg":  {byte(StatusError), 0x10, 'x'},
-		"trailing bytes": append(EncodeResponse(&Response{}), 0xAA),
+		"wrong version":  append([]byte{wireVersion + 1}, AppendResponse(nil, &Response{})[1:]...),
+		"bad status":     {wireVersion, 0x09},
+		"truncated msg":  {wireVersion, byte(StatusError), 0x10, 'x'},
+		"trailing bytes": append(AppendResponse(nil, &Response{}), 0xAA),
 	}
 	for name, payload := range cases {
-		if _, err := DecodeResponse(payload); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, err := DecodeResponse(payload); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
 		}
 	}
 }
 
 // FuzzDecodeFrame feeds arbitrary bytes through the frame reader and both
-// message decoders: none may panic, and any allocation they perform must be
+// message decoders: none may panic, any allocation they perform must be
 // bounded by the input length (enforced indirectly — a forged count that
-// over-allocates would OOM the fuzzer).
+// over-allocates would OOM the fuzzer), and the grammar is closed — whatever
+// either decoder accepts re-encodes to exactly the bytes it was given.
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add(EncodeRequest(&Request{Op: OpRead, Store: "t", Indices: []int64{1}}))
-	f.Add(EncodeRequest(&Request{Op: OpWriteMany, Store: "t", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("a"), []byte("b")}}))
-	f.Add(EncodeRequest(&Request{Op: OpCreate, Store: "t", Slots: 8, BlockSize: 64}))
-	f.Add(EncodeRequest(&Request{Op: OpExchange, Store: "t", Indices: []int64{0, 2},
-		WriteIndices: []int64{1, 3}, Blocks: [][]byte{[]byte("x"), []byte("y")}}))
-	// Legacy wire format: a request from before the WriteIndices field.
-	legacy := EncodeRequest(&Request{Op: OpReadMany, Store: "t", Indices: []int64{4, 1}})
-	f.Add(legacy[:len(legacy)-1])
-	f.Add(EncodeResponse(&Response{Status: StatusOK, Blocks: [][]byte{[]byte("blk")}}))
-	f.Add(EncodeResponse(&Response{Status: StatusTransient, Msg: "retry"}))
-	// Session protocol revision: handshake, session-scoped op, busy reply.
-	f.Add(EncodeRequest(&Request{Op: OpHello, Tenant: "acme", Slots: 30_000}))
-	f.Add(EncodeRequest(&Request{Op: OpRead, Store: "t", Indices: []int64{1}, Session: 5, DeadlineMS: 900}))
-	f.Add(EncodeResponse(&Response{Status: StatusBusy, Msg: "full"}))
-	f.Add(EncodeResponse(&Response{Status: StatusOK, Slots: 60_000, Session: 7}))
-	// Trace protocol revision: traced op, trace fetch, stripped trace section.
-	f.Add(EncodeRequest(&Request{Op: OpRead, Store: "t", Indices: []int64{1},
-		Session: 5, TraceID: 9, SpanID: 2, Phase: "join.smj"}))
-	f.Add(EncodeRequest(&Request{Op: OpTrace, TraceID: 9}))
-	f.Add(EncodeRequest(&Request{Op: OpExchange, Store: "t", Indices: []int64{0},
-		WriteIndices: []int64{1}, Blocks: [][]byte{[]byte("x")}, TraceID: 1, SpanID: 1, Phase: "oram.flush"}))
-	var framed bytes.Buffer
-	_ = WriteFrame(&framed, EncodeRequest(&Request{Op: OpStat, Store: "t"}))
-	f.Add(framed.Bytes())
+	add := func(req *Request) { f.Add(AppendRequest(nil, req)) }
+	add(&Request{Op: OpRead, Store: "t", Indices: []int64{1}})
+	add(&Request{Op: OpWriteMany, Store: "t", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("a"), []byte("b")}})
+	add(&Request{Op: OpCreate, Store: "t", Slots: 8, BlockSize: 64})
+	add(&Request{Op: OpExchange, Store: "t", Indices: []int64{0, 2},
+		WriteIndices: []int64{1, 3}, Blocks: [][]byte{[]byte("x"), []byte("y")}})
+	// The three short forms the optional-tail decoders accepted, and a
+	// version this side does not speak: all malformed now.
+	plain := AppendRequest(nil, &Request{Op: OpReadMany, Store: "t", Indices: []int64{4, 1}})
+	skewed := append([]byte{wireVersion + 1}, plain[1:]...)
+	for _, short := range [][]byte{plain[:len(plain)-cutPreExchange], plain[:len(plain)-cutSessionless], plain[:len(plain)-cutTraceless], skewed} {
+		if _, err := DecodeRequest(short); !errors.Is(err, ErrMalformed) {
+			f.Fatalf("seed % x: err = %v, want ErrMalformed", short, err)
+		}
+		f.Add(short)
+	}
+	f.Add(AppendResponse(nil, &Response{Status: StatusOK, Blocks: [][]byte{[]byte("blk")}}))
+	f.Add(AppendResponse(nil, &Response{Status: StatusTransient, Msg: "retry"}))
+	// Sessions: handshake, session-scoped op, busy reply, granted session.
+	add(&Request{Op: OpHello, Tenant: "acme", Slots: 30_000})
+	add(&Request{Op: OpRead, Store: "t", Indices: []int64{1}, Session: 5, DeadlineMS: 900})
+	f.Add(AppendResponse(nil, &Response{Status: StatusBusy, Msg: "full"}))
+	f.Add(AppendResponse(nil, &Response{Status: StatusOK, Slots: 60_000, Session: 7}))
+	// Tracing: traced op, trace fetch, traced exchange.
+	add(&Request{Op: OpRead, Store: "t", Indices: []int64{1},
+		Session: 5, TraceID: 9, SpanID: 2, Phase: "join.smj"})
+	add(&Request{Op: OpTrace, TraceID: 9})
+	add(&Request{Op: OpExchange, Store: "t", Indices: []int64{0},
+		WriteIndices: []int64{1}, Blocks: [][]byte{[]byte("x")}, TraceID: 1, SpanID: 1, Phase: "oram.flush"})
+	f.Add(AppendFramedRequest(nil, &Request{Op: OpStat, Store: "t"}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if payload, err := ReadFrame(bytes.NewReader(data), 1<<20); err == nil {
+		if payload, err := ReadFrameInto(bytes.NewReader(data), 1<<20, nil); err == nil {
 			_, _ = DecodeRequest(payload)
 			_, _ = DecodeResponse(payload)
 		}
 		if req, err := DecodeRequest(data); err == nil {
-			// Whatever decodes must re-encode and decode to the same value.
-			back, err := DecodeRequest(EncodeRequest(req))
-			if err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
-			if !reflect.DeepEqual(back, req) {
-				t.Fatalf("re-encode mismatch: %+v != %+v", back, req)
+			if back := AppendRequest(nil, req); !bytes.Equal(back, data) {
+				t.Fatalf("request re-encodes to % x, was % x", back, data)
 			}
 		}
 		if resp, err := DecodeResponse(data); err == nil {
-			back, err := DecodeResponse(EncodeResponse(resp))
-			if err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
-			if !reflect.DeepEqual(back, resp) {
-				t.Fatalf("re-encode mismatch: %+v != %+v", back, resp)
+			if back := AppendResponse(nil, resp); !bytes.Equal(back, data) {
+				t.Fatalf("response re-encodes to % x, was % x", back, data)
 			}
 		}
 	})
 }
 
-// TestAppendCodecMatchesEncode pins the zero-copy append variants to the
-// allocating encoders byte for byte, including when appending after an
-// existing prefix (the reused-buffer case).
+// TestAppendCodecMatchesEncode pins the append codec to the grammar, spelled
+// out byte by byte — the version byte, then every field in its fixed place,
+// zeros included — and to itself when appending after an existing prefix
+// (the reused-buffer case).
 func TestAppendCodecMatchesEncode(t *testing.T) {
-	req := &Request{Op: OpExchange, Store: "t1.data", Indices: []int64{0, 3, 7},
+	req := &Request{Op: OpExchange, Store: "t1", Indices: []int64{0, 300},
 		WriteIndices: []int64{1, 2}, Blocks: [][]byte{[]byte("wa"), []byte("wb")},
 		Session: 9, DeadlineMS: 500, TraceID: 3, SpanID: 8, Phase: "oram.flush"}
-	want := EncodeRequest(req)
+	want := []byte{wireVersion, byte(OpExchange),
+		2, 't', '1', // store
+		0, 0, // slots, block size
+		2, 0, 0xAC, 0x02, // indices
+		2, 2, 'w', 'a', 2, 'w', 'b', // blocks
+		2, 1, 2, // write indices
+		0, 9, 0xF4, 0x03, // tenant, session, deadline
+		3, 8, 10, 'o', 'r', 'a', 'm', '.', 'f', 'l', 'u', 's', 'h'} // trace ID, span ID, phase
 	if got := AppendRequest(nil, req); !bytes.Equal(got, want) {
-		t.Fatalf("AppendRequest(nil) = %x, want %x", got, want)
+		t.Fatalf("AppendRequest(nil) = % x, want % x", got, want)
 	}
-	buf := append([]byte(nil), "prefix"...)
-	if got := AppendRequest(buf, req); !bytes.Equal(got, append([]byte("prefix"), want...)) {
-		t.Fatal("AppendRequest after prefix diverges from EncodeRequest")
+	if got := AppendRequest([]byte("prefix"), req); !bytes.Equal(got, append([]byte("prefix"), want...)) {
+		t.Fatal("AppendRequest after a prefix diverges")
 	}
-	resp := &Response{Status: StatusOK, Blocks: [][]byte{[]byte("blk"), []byte("blk2")}, Slots: 7, Session: 42}
-	wantR := EncodeResponse(resp)
+	resp := &Response{Status: StatusOK, Blocks: [][]byte{[]byte("blk"), []byte("b2")}, Slots: 7, Session: 42}
+	wantR := []byte{wireVersion, byte(StatusOK),
+		0,                                // message
+		2, 3, 'b', 'l', 'k', 2, 'b', '2', // blocks
+		7, 0, 42} // slots, block size, session
 	if got := AppendResponse(nil, resp); !bytes.Equal(got, wantR) {
-		t.Fatalf("AppendResponse(nil) = %x, want %x", got, wantR)
+		t.Fatalf("AppendResponse(nil) = % x, want % x", got, wantR)
+	}
+	if got := AppendResponse([]byte("prefix"), resp); !bytes.Equal(got, append([]byte("prefix"), wantR...)) {
+		t.Fatal("AppendResponse after a prefix diverges")
 	}
 }
 
@@ -368,14 +362,14 @@ func TestAppendCodecMatchesEncode(t *testing.T) {
 func TestAppendCodecReusesCapacity(t *testing.T) {
 	req := &Request{Op: OpWriteMany, Store: "t1.data", Indices: []int64{1, 2},
 		Blocks: [][]byte{make([]byte, 4096), make([]byte, 4096)}}
-	buf := make([]byte, 0, len(EncodeRequest(req))+64)
+	buf := make([]byte, 0, len(AppendRequest(nil, req))+64)
 	if n := testing.AllocsPerRun(50, func() {
 		buf = AppendRequest(buf[:0], req)
 	}); n != 0 {
 		t.Fatalf("AppendRequest into sized buffer: %.1f allocs/op, want 0", n)
 	}
 	resp := &Response{Blocks: [][]byte{make([]byte, 4096)}}
-	rbuf := make([]byte, 0, len(EncodeResponse(resp))+64)
+	rbuf := make([]byte, 0, len(AppendResponse(nil, resp))+64)
 	if n := testing.AllocsPerRun(50, func() {
 		rbuf = AppendResponse(rbuf[:0], resp)
 	}); n != 0 {
@@ -387,15 +381,12 @@ func TestAppendCodecReusesCapacity(t *testing.T) {
 // array) and an undersized one grows without corrupting the payload.
 func TestReadFrameIntoReuse(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 256)
-	var stream bytes.Buffer
-	for i := 0; i < 3; i++ {
-		if err := WriteFrame(&stream, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
+	framed := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	framed = append(framed, payload...)
+	stream := bytes.NewBuffer(bytes.Repeat(framed, 3))
 	buf := make([]byte, 0, 512)
 	for i := 0; i < 3; i++ {
-		got, err := ReadFrameInto(&stream, 0, buf[:0])
+		got, err := ReadFrameInto(stream, 0, buf[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,11 +397,7 @@ func TestReadFrameIntoReuse(t *testing.T) {
 			t.Fatalf("frame %d did not reuse the buffer", i)
 		}
 	}
-	var small bytes.Buffer
-	if err := WriteFrame(&small, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrameInto(&small, 0, make([]byte, 0, 8))
+	got, err := ReadFrameInto(bytes.NewReader(framed), 0, make([]byte, 0, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,32 +407,29 @@ func TestReadFrameIntoReuse(t *testing.T) {
 }
 
 // TestAppendFramedMatchesWriteFrame checks the single-write framed-append
-// path (what client.roundTrip and server.serveConn send) puts exactly the
-// same bytes on the wire as EncodeRequest/EncodeResponse + WriteFrame, and
-// that a slab-decoded batch round-trips the payload contents intact.
+// path (what client.roundTrip and server.serveConn send) puts the 4-byte
+// big-endian payload length and then exactly the appended payload on the
+// wire, and that a slab-decoded batch round-trips the payload contents
+// intact.
 func TestAppendFramedMatchesWriteFrame(t *testing.T) {
+	frame := func(payload []byte) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
 	req := &Request{Op: OpWriteMany, Store: "t1.data", Indices: []int64{4, 9},
 		Blocks: [][]byte{[]byte("payload-a"), []byte("payload-b")}}
-	var want bytes.Buffer
-	if err := WriteFrame(&want, EncodeRequest(req)); err != nil {
-		t.Fatal(err)
+	want := frame(AppendRequest(nil, req))
+	if got := AppendFramedRequest(nil, req); !bytes.Equal(got, want) {
+		t.Fatalf("AppendFramedRequest = %x, want %x", got, want)
 	}
-	if got := AppendFramedRequest(nil, req); !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("AppendFramedRequest = %x, want %x", got, want.Bytes())
-	}
-	if got := AppendFramedRequest([]byte("pre"), req); !bytes.Equal(got, append([]byte("pre"), want.Bytes()...)) {
+	if got := AppendFramedRequest([]byte("pre"), req); !bytes.Equal(got, append([]byte("pre"), want...)) {
 		t.Fatal("AppendFramedRequest after prefix diverges")
 	}
 	resp := &Response{Status: StatusOK, Blocks: [][]byte{[]byte("ra"), []byte("rbb")}, Slots: 3}
-	var wantR bytes.Buffer
-	if err := WriteFrame(&wantR, EncodeResponse(resp)); err != nil {
-		t.Fatal(err)
-	}
 	framed := AppendFramedResponse(nil, resp)
-	if !bytes.Equal(framed, wantR.Bytes()) {
-		t.Fatalf("AppendFramedResponse = %x, want %x", framed, wantR.Bytes())
+	if wantR := frame(AppendResponse(nil, resp)); !bytes.Equal(framed, wantR) {
+		t.Fatalf("AppendFramedResponse = %x, want %x", framed, wantR)
 	}
-	payload, err := ReadFrame(bytes.NewReader(framed), DefaultMaxFrame)
+	payload, err := ReadFrameInto(bytes.NewReader(framed), DefaultMaxFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,6 +231,42 @@ func TestRemoteRetryExhaustion(t *testing.T) {
 	}
 }
 
+// TestFrameTooLargeIsNotRetried: a frame over MaxFrame is over it on every
+// attempt, so neither direction may enter the retry loop. An oversized
+// request never leaves the client; an oversized response costs the one
+// attempt that produced it.
+func TestFrameTooLargeIsNotRetried(t *testing.T) {
+	const bs, n = 1024, 8 // one block fits a 4 KB frame, the batch does not
+	shaper := &Shaper{}
+	_, c := startServer(t, ServerOptions{Faults: shaper}, ClientOptions{MaxFrame: 4096, MaxRetries: 3})
+	st, err := c.Create("big", n, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxs := make([]int64, n)
+	data := make([][]byte, n)
+	for i := range idxs {
+		idxs[i] = int64(i)
+		data[i] = make([]byte, bs)
+	}
+	before := shaper.Requests()
+	if _, err := st.ReadMany(idxs); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized response: err = %v, want ErrFrameTooLarge", err)
+	}
+	if got := shaper.Requests() - before; got != 1 {
+		t.Fatalf("oversized response: %d attempts reached the server, want 1", got)
+	}
+	if err := st.WriteMany(idxs, data); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized request: err = %v, want ErrFrameTooLarge", err)
+	}
+	if got := shaper.Requests() - before; got != 1 {
+		t.Fatalf("oversized request: %d more attempts reached the server, want 0", got-1)
+	}
+	if _, err := st.Read(0); err != nil {
+		t.Fatalf("client unusable after a refused frame: %v", err)
+	}
+}
+
 func TestRemoteLatencyInjection(t *testing.T) {
 	const rtt = 20 * time.Millisecond
 	_, c := startServer(t, ServerOptions{Faults: &Shaper{Latency: rtt}}, ClientOptions{})
@@ -304,10 +340,10 @@ func TestServerRejectsGarbageConnection(t *testing.T) {
 	defer conn.Close()
 	// A syntactically valid frame with garbage contents gets an error
 	// response and the connection is dropped.
-	if err := WriteFrame(conn, []byte{0xFF, 0xFF, 0xFF}); err != nil {
+	if _, err := conn.Write([]byte{0, 0, 0, 3, 0xFF, 0xFF, 0xFF}); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := ReadFrame(conn, 0)
+	payload, err := ReadFrameInto(conn, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +354,7 @@ func TestServerRejectsGarbageConnection(t *testing.T) {
 	if resp.Status != StatusError {
 		t.Fatalf("status %d", resp.Status)
 	}
-	if _, err := ReadFrame(conn, 0); err == nil {
+	if _, err := ReadFrameInto(conn, 0, nil); err == nil {
 		t.Fatal("connection survived protocol error")
 	}
 }

@@ -119,13 +119,6 @@ type ServerOptions struct {
 	SlowLog *slog.Logger
 }
 
-func (o ServerOptions) maxFrame() int {
-	if o.MaxFrame <= 0 {
-		return DefaultMaxFrame
-	}
-	return o.MaxFrame
-}
-
 func (o ServerOptions) maxStoreBytes() int64 {
 	if o.MaxStoreBytes <= 0 {
 		return 1 << 30
@@ -364,7 +357,7 @@ func (s *Server) serveConn(cs *connState) {
 	var inBuf, outBuf, readBuf []byte
 	var req Request // decoded in place: its index and block lists are reused too
 	for {
-		payload, err := ReadFrameInto(cs.c, s.opts.maxFrame(), inBuf[:0])
+		payload, err := ReadFrameInto(cs.c, s.opts.MaxFrame, inBuf[:0])
 		if err != nil {
 			return
 		}

@@ -327,13 +327,12 @@ func TestSlowOpLogging(t *testing.T) {
 	}
 }
 
-// TestTracelessClientEndToEnd pins backward compatibility at the protocol
-// level: a client with no flight attached (the legacy population) speaks
-// to an instrumented server with zero trace sections on the wire and zero
-// spans buffered.
+// TestTracelessClientEndToEnd: a client with no flight attached sends a
+// zero trace ID on every request, and an instrumented server buffers no
+// span for it.
 func TestTracelessClientEndToEnd(t *testing.T) {
 	srv, c := startServer(t, ServerOptions{}, ClientOptions{})
-	st, err := c.Create("legacy", 4, 16)
+	st, err := c.Create("untraced", 4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +347,7 @@ func TestTracelessClientEndToEnd(t *testing.T) {
 	if spans, err := c.FetchServerSpans(0); err != nil || len(spans) != 0 {
 		t.Fatalf("traceless run buffered %d spans (err %v)", len(spans), err)
 	}
-	if ct := srv.Counts("legacy"); ct.Reads != 1 || ct.Writes != 1 {
+	if ct := srv.Counts("untraced"); ct.Reads != 1 || ct.Writes != 1 {
 		t.Fatalf("counters = %+v, want 1 read + 1 write", ct)
 	}
 }

@@ -24,17 +24,26 @@ func within(blk, frame []byte) bool {
 // the frame (the server's and client's mode) and blocks copied into a fresh
 // slab (DecodeRequest / DecodeResponse) — and requires the two to agree on
 // success, on every field and on every block byte for byte, and every view
-// to lie inside the frame with no capacity beyond its own bytes.
+// to lie inside the frame with no capacity beyond its own bytes. What the
+// view decode accepts must also re-encode, views and all, to exactly the
+// frame.
 func FuzzDecodeViewMatchesSlab(f *testing.F) {
-	f.Add(EncodeRequest(&Request{Op: OpWriteMany, Store: "t", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("a"), []byte("bb")}}))
-	f.Add(EncodeRequest(&Request{Op: OpExchange, Store: "t", Indices: []int64{0, 2},
+	f.Add(AppendRequest(nil, &Request{Op: OpWriteMany, Store: "t", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("a"), []byte("bb")}}))
+	f.Add(AppendRequest(nil, &Request{Op: OpExchange, Store: "t", Indices: []int64{0, 2},
 		WriteIndices: []int64{1, 3}, Blocks: [][]byte{[]byte("x"), {}}, Session: 3, DeadlineMS: 50}))
-	f.Add(EncodeRequest(&Request{Op: OpReadMany, Store: "t", Indices: []int64{4, 1}, TraceID: 7, SpanID: 1, Phase: "merge"}))
-	f.Add(EncodeResponse(&Response{Status: StatusOK, Blocks: [][]byte{[]byte("blk"), []byte("other")}}))
-	f.Add(EncodeResponse(&Response{Status: StatusError, Msg: "no"}))
-	f.Add([]byte{byte(OpWriteMany), 0, 0, 0, 0, 2, 1, 'a', 200}) // second block overruns the frame
+	f.Add(AppendRequest(nil, &Request{Op: OpReadMany, Store: "t", Indices: []int64{4, 1}, TraceID: 7, SpanID: 1, Phase: "merge"}))
+	f.Add(AppendResponse(nil, &Response{Status: StatusOK, Blocks: [][]byte{[]byte("blk"), []byte("other")}}))
+	f.Add(AppendResponse(nil, &Response{Status: StatusError, Msg: "no"}))
+	f.Add([]byte{wireVersion, byte(OpWriteMany), 0, 0, 0, 0, 2, 1, 'a', 200}) // second block overruns the frame
+	// A request cut at each point where the optional-tail decoders once let
+	// one end, and a version this side does not speak.
+	short := AppendRequest(nil, &Request{Op: OpWriteMany, Store: "t", Indices: []int64{1}, Blocks: [][]byte{[]byte("a")}})
+	for _, cut := range []int{cutPreExchange, cutSessionless, cutTraceless} {
+		f.Add(short[:len(short)-cut])
+	}
+	f.Add(append([]byte{wireVersion + 1}, short[1:]...))
 
-	dirty := EncodeRequest(&Request{Op: OpExchange, Store: "previous", Indices: []int64{9, 8, 7}, WriteIndices: []int64{6, 5},
+	dirty := AppendRequest(nil, &Request{Op: OpExchange, Store: "previous", Indices: []int64{9, 8, 7}, WriteIndices: []int64{6, 5},
 		Blocks: [][]byte{[]byte("old"), []byte("older")}, Slots: 3, BlockSize: 4, Tenant: "them", Session: 11, DeadlineMS: 12,
 		TraceID: 13, SpanID: 14, Phase: "stale"})
 
@@ -70,6 +79,9 @@ func FuzzDecodeViewMatchesSlab(f *testing.F) {
 			t.Fatalf("request: view mode err %v, slab mode err %v", verr, serr)
 		}
 		if verr == nil {
+			if back := AppendRequest(nil, vreq); !bytes.Equal(back, frame) {
+				t.Fatalf("request re-encodes to % x, was % x", back, frame)
+			}
 			check("request", vreq.Blocks, sreq.Blocks)
 			vreq.Blocks, sreq.Blocks = nil, nil
 			if len(vreq.Indices) == 0 { // reused capacity: empty, where a fresh decode has nil
@@ -88,6 +100,9 @@ func FuzzDecodeViewMatchesSlab(f *testing.F) {
 			t.Fatalf("response: view mode err %v, slab mode err %v", verr, serr)
 		}
 		if verr == nil {
+			if back := AppendResponse(nil, vresp); !bytes.Equal(back, frame) {
+				t.Fatalf("response re-encodes to % x, was % x", back, frame)
+			}
 			check("response", vresp.Blocks, sresp.Blocks)
 			vresp.Blocks, sresp.Blocks = nil, nil
 			if !reflect.DeepEqual(vresp, sresp) {

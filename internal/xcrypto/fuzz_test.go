@@ -2,13 +2,47 @@ package xcrypto
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/rand"
+	"crypto/sha256"
 	"testing"
 )
 
+// retiredCTRHMACBlock hand-builds a block of the retired format 1 — AES-CTR
+// under a random IV, truncated HMAC-SHA256 tag, both keys HMAC-derived from
+// the master key — exactly as the deleted code sealed it. Nothing may open
+// one any more.
+func retiredCTRHMACBlock(tb testing.TB, master, plaintext []byte) []byte {
+	tb.Helper()
+	derive := func(label string) []byte {
+		h := hmac.New(sha256.New, master)
+		h.Write([]byte(label))
+		return h.Sum(nil)[:KeySize]
+	}
+	block, err := aes.NewCipher(derive("enc"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := make([]byte, aes.BlockSize+len(plaintext), aes.BlockSize+len(plaintext)+TagSize)
+	if _, err := rand.Read(out[:aes.BlockSize]); err != nil {
+		tb.Fatal(err)
+	}
+	cipher.NewCTR(block, out[:aes.BlockSize]).XORKeyStream(out[aes.BlockSize:], plaintext)
+	mac := hmac.New(sha256.New, derive("mac"))
+	mac.Write(out)
+	return append(out, mac.Sum(nil)[:TagSize]...)
+}
+
 // FuzzOpen hardens the client against arbitrary bytes from a malicious
-// server: Open must never panic and never accept unauthentic input.
+// server: Open must never panic, and every input either opens under GCM —
+// which only a block carrying the {FormatGCM, epoch, 0, 0} header can — or
+// fails with ErrAuthFailed or ErrCiphertextTooShort. There is no second
+// format to fall back to.
 func FuzzOpen(f *testing.F) {
-	s, err := NewSealer(bytes.Repeat([]byte{1}, KeySize), nil)
+	master := bytes.Repeat([]byte{1}, KeySize)
+	s, err := NewSealer(master, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -20,8 +54,8 @@ func FuzzOpen(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, Overhead))
 	f.Add(make([]byte, Overhead+100))
-	// GCM-format seeds: a genuine current-format block, one with the epoch
-	// byte flipped, and a bare GCM-looking header over junk.
+	// A genuine block at a later epoch, one with the epoch byte flipped, and
+	// bare GCM headers over zeros and over random bytes.
 	if err := s.SetEpoch(3); err != nil {
 		f.Fatal(err)
 	}
@@ -36,67 +70,41 @@ func FuzzOpen(f *testing.F) {
 	junk := make([]byte, Overhead+32)
 	junk[0] = FormatGCM
 	f.Add(junk)
-	// Legacy-format seeds: a genuine CTR+HMAC block and a truncated one.
-	legacy, err := s.LegacySeal([]byte("legacy block"))
-	if err != nil {
+	noise := make([]byte, Overhead+32)
+	if _, err := rand.Read(noise); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(legacy)
-	f.Add(legacy[:len(legacy)-1])
+	copy(noise, []byte{FormatGCM, 3, 0, 0})
+	f.Add(noise)
+	// The retired format: an authentic CTR+HMAC block under the same master
+	// key is as unauthentic as any other bytes.
+	retired := retiredCTRHMACBlock(f, master, []byte("ctr+hmac era block"))
+	if _, err := s.Open(retired); err != ErrAuthFailed {
+		f.Fatalf("retired-format block: got %v, want ErrAuthFailed", err)
+	}
+	f.Add(retired)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pt, err := s.Open(data)
-		if err == nil {
+		switch {
+		case err == nil:
+			if data[0] != FormatGCM || data[2] != 0 || data[3] != 0 {
+				t.Fatalf("opened a block with header % x", data[:headerSize])
+			}
 			// Only genuinely sealed blocks may open; re-seal and re-open to
 			// confirm self-consistency.
-			ct2, err2 := s.Seal(pt)
-			if err2 != nil {
-				t.Fatal(err2)
+			ct2, err := s.Seal(pt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if _, err3 := s.Open(ct2); err3 != nil {
-				t.Fatal(err3)
+			if _, err := s.Open(ct2); err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-}
-
-// FuzzCrossVersion round-trips arbitrary plaintexts through both sealed
-// formats: seal current → open, seal legacy → open via the compat path, on
-// the same sealer. Both must return the exact plaintext, and the two sealed
-// layouts must cost the same Overhead so block geometry stays
-// format-independent.
-func FuzzCrossVersion(f *testing.F) {
-	s, err := NewSealer(bytes.Repeat([]byte{3}, KeySize), nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add([]byte{})
-	f.Add([]byte("tuple data"))
-	f.Add(bytes.Repeat([]byte{0xAB}, 512))
-	f.Fuzz(func(t *testing.T, pt []byte) {
-		gcm, err := s.Seal(pt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := s.LegacySeal(pt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gcm) != len(legacy) || len(gcm) != SealedLen(len(pt)) {
-			t.Fatalf("layout sizes diverge: gcm %d legacy %d want %d", len(gcm), len(legacy), SealedLen(len(pt)))
-		}
-		got, err := s.Open(gcm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, pt) {
-			t.Fatal("gcm round trip mismatch")
-		}
-		got, err = s.Open(legacy)
-		if err != nil {
-			t.Fatalf("legacy compat open: %v", err)
-		}
-		if !bytes.Equal(got, pt) {
-			t.Fatal("legacy round trip mismatch")
+		case len(data) < Overhead:
+			if err != ErrCiphertextTooShort {
+				t.Fatalf("%d-byte input: got %v, want ErrCiphertextTooShort", len(data), err)
+			}
+		case err != ErrAuthFailed:
+			t.Fatalf("got %v, want ErrAuthFailed", err)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package xcrypto
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -13,13 +14,11 @@ import (
 //
 //	master ──"keyring root"──▶ root ──"store:<name>"──▶ store root
 //	                                     store root ──"epoch:<e>"──▶ AES-GCM subkey
-//	master ──"enc"/"mac" (legacy HMAC derivation)──▶ format-1 compat keys
 //
 // The master key is used only during construction and never retained; the
-// keyring keeps the 32-byte root (from which it derives store subkeys on
-// demand) and the legacy compat keys (shared by every store sealer, because
-// the pre-keyring code sealed all stores under one master-derived key pair).
-// Close zeroizes everything.
+// keyring keeps the 32-byte root, from which it derives store subkeys on
+// demand, and no two stores' sealers share any key. Close zeroizes
+// everything.
 //
 // Rotation: Rotate bumps the epoch on every sealer the ring has handed out
 // (and every future one). New writes seal under the new epoch's subkey;
@@ -28,15 +27,18 @@ import (
 // fixed-size sealed layout, so a rotation is invisible in the server's
 // access sequence — see the trace-identity guard in the oram tests.
 type Keyring struct {
-	mu        sync.Mutex
-	epoch     uint8
-	rand      io.Reader
-	root      [32]byte
-	legacyEnc [KeySize]byte
-	legacyMac [KeySize]byte
-	sealers   map[string]*Sealer
-	closed    bool
+	mu      sync.Mutex
+	epoch   uint8
+	rand    io.Reader
+	root    [32]byte
+	sealers map[string]*Sealer
+	closed  bool
 }
+
+// ErrEpochExhausted is returned by Rotate at epoch 255: the epoch is one
+// byte of the sealed layout, and wrapping to 0 would silently put the
+// epoch-0 subkey back in service.
+var ErrEpochExhausted = errors.New("xcrypto: key epochs exhausted")
 
 // NewKeyring builds a keyring from the 16-byte master key, starting at the
 // given epoch. randSrc supplies seal nonces for every derived sealer; nil
@@ -45,21 +47,18 @@ func NewKeyring(master []byte, epoch uint8, randSrc io.Reader) (*Keyring, error)
 	if len(master) != KeySize {
 		return nil, fmt.Errorf("xcrypto: master key must be %d bytes, got %d", KeySize, len(master))
 	}
-	k := &Keyring{
-		epoch:     epoch,
-		rand:      randSrc,
-		root:      hkdf(master, "oblivjoin keyring root v2"),
-		legacyEnc: deriveKey(master, "enc"),
-		legacyMac: deriveKey(master, "mac"),
-		sealers:   make(map[string]*Sealer),
-	}
-	return k, nil
+	return &Keyring{
+		epoch:   epoch,
+		rand:    randSrc,
+		root:    hkdf(master, "oblivjoin keyring root v2"),
+		sealers: make(map[string]*Sealer),
+	}, nil
 }
 
 // Sealer returns the store's sealer, deriving and caching it on first use.
 // Every store name gets an independent HKDF subkey chain, so a compromise of
 // one store's working keys does not expose another's; all sealers share the
-// ring's current epoch and the legacy compat keys.
+// ring's current epoch.
 func (k *Keyring) Sealer(name string) (*Sealer, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -70,7 +69,7 @@ func (k *Keyring) Sealer(name string) (*Sealer, error) {
 		return s, nil
 	}
 	storeRoot := hkdf(k.root[:], "store:"+name)
-	s, err := newSealer(storeRoot, k.legacyEnc, k.legacyMac, k.epoch, k.rand)
+	s, err := newSealer(storeRoot, k.epoch, k.rand)
 	zero(storeRoot[:])
 	if err != nil {
 		return nil, err
@@ -105,12 +104,16 @@ func (k *Keyring) Epoch() uint8 {
 // Rotate advances the ring to the next epoch and switches every derived
 // sealer to it. It returns the new epoch. Rotation is lazy: previously
 // sealed blocks stay openable and re-seal under the new epoch on their next
-// write-back.
+// write-back. At epoch 255 it fails with ErrEpochExhausted and changes
+// nothing.
 func (k *Keyring) Rotate() (uint8, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.closed {
 		return 0, ErrSealerClosed
+	}
+	if k.epoch == 255 {
+		return 0, ErrEpochExhausted
 	}
 	next := k.epoch + 1
 	for name, s := range k.sealers {
@@ -149,8 +152,6 @@ func (k *Keyring) Close() error {
 	}
 	k.closed = true
 	zero(k.root[:])
-	zero(k.legacyEnc[:])
-	zero(k.legacyMac[:])
 	for name, s := range k.sealers {
 		s.Close()
 		delete(k.sealers, name)

@@ -163,36 +163,32 @@ func TestKeyringDeterministicAcrossInstances(t *testing.T) {
 	}
 }
 
-func TestKeyringOpensLegacyMasterKeyBlocks(t *testing.T) {
-	// Pre-keyring deployments sealed every store with one sealer built
-	// directly from the master key, in the CTR+HMAC format. A keyring over
-	// the same master key must still open those blocks from any store.
-	master := bytes.Repeat([]byte{9}, KeySize)
-	oldStyle, err := NewSealer(master, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := oldStyle.LegacySeal([]byte("pre-refactor block"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := NewKeyring(master, 3, nil)
+// TestKeyringRotateExhaustion: the epoch is one byte, so a ring at 255 has
+// nowhere to rotate to. Wrapping to 0 would put the epoch-0 subkey back in
+// service without a word; Rotate must refuse and leave ring and sealers at
+// 255.
+func TestKeyringRotateExhaustion(t *testing.T) {
+	k, err := NewKeyring(bytes.Repeat([]byte{9}, KeySize), 255, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	for _, store := range []string{"T1.data", "T1.idx.a", "shared"} {
-		s, err := k.Sealer(store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pt, err := s.Open(legacy)
-		if err != nil {
-			t.Fatalf("store %q: open legacy block: %v", store, err)
-		}
-		if string(pt) != "pre-refactor block" {
-			t.Fatalf("store %q: got %q", store, pt)
-		}
+	s, err := k.Sealer("T1.data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := k.Rotate(); !errors.Is(err, ErrEpochExhausted) {
+		t.Fatalf("Rotate at epoch 255 = %d, %v; want ErrEpochExhausted", e, err)
+	}
+	if k.Epoch() != 255 || s.Epoch() != 255 {
+		t.Fatalf("after a refused Rotate: ring at %d, sealer at %d, want 255", k.Epoch(), s.Epoch())
+	}
+	ct, err := s.Seal([]byte("still epoch 255"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct[1] != 255 {
+		t.Fatalf("sealed under epoch %d, want 255", ct[1])
 	}
 }
 

@@ -9,18 +9,16 @@
 // used AES/CFB from Crypto++; an AEAD strengthens that to authenticated
 // encryption without changing the sealed-block size.
 //
-// The sealed layout is versioned. Format 2 (current) is
+// There is one sealed layout:
 //
 //	format(1) || epoch(1) || reserved(2) || nonce(12) || ciphertext || tag(16)
 //
 // where the 4 header bytes ride as GCM additional data (so the format and
 // key epoch are themselves authenticated) and the epoch byte selects the
 // HKDF-derived subkey the block was sealed under, enabling key rotation
-// (see Keyring). Format 1 — the original AES-CTR + HMAC-SHA256 construction,
-// IV(16) || ciphertext || truncated-HMAC(16) — has no format byte, but both
-// constructions authenticate, so Open disambiguates by trial: a block that
-// fails the GCM path is re-tried through the legacy path, and pre-refactor
-// disk stores keep loading. Both layouts cost exactly Overhead bytes.
+// (see Keyring). The format byte is FormatGCM and the reserved bytes are
+// zero; Open rejects anything else as ErrAuthFailed before touching a key,
+// and costs at most one AEAD pass either way.
 package xcrypto
 
 import (
@@ -38,29 +36,23 @@ import (
 // KeySize is the AES key length in bytes (AES-128, as in the paper).
 const KeySize = 16
 
-// IVSize is the legacy format's per-block initialization vector length; the
-// current GCM format spends the same 16 bytes on a 4-byte header plus a
-// 12-byte nonce, keeping the layouts size-compatible.
-const IVSize = aes.BlockSize
-
-// NonceSize is the GCM nonce length in the current sealed layout.
+// NonceSize is the GCM nonce length in the sealed layout.
 const NonceSize = 12
 
-// headerSize is the authenticated header of the current layout:
-// format byte, epoch byte, two reserved zero bytes.
+// headerSize is the authenticated header of the sealed layout: format byte,
+// epoch byte, two reserved zero bytes.
 const headerSize = 4
 
-// TagSize is the length of the authentication tag appended to each sealed
-// block (GCM tag now; truncated HMAC-SHA256 in the legacy format).
+// TagSize is the length of the GCM authentication tag appended to each
+// sealed block.
 const TagSize = 16
 
-// Overhead is the number of bytes Seal adds to a plaintext block. It is
-// identical for the GCM and legacy layouts, so block geometry — ORAM bucket
-// sizes, disk slots, wire frames — is format-independent.
+// Overhead is the number of bytes Seal adds to a plaintext block; ORAM
+// bucket sizes, disk slots and wire frames are all sized from it.
 const Overhead = headerSize + NonceSize + TagSize
 
-// FormatGCM is the format byte of the current AES-GCM sealed layout.
-// (Format 1 is the headerless legacy CTR+HMAC construction.)
+// FormatGCM is the format byte of the AES-GCM sealed layout. (The value 1
+// is retired: it named a headerless CTR+HMAC construction no store holds.)
 const FormatGCM = 2
 
 // Errors returned by Open.
@@ -73,48 +65,32 @@ var (
 // Sealer encrypts and decrypts fixed-size blocks. A Sealer is safe for
 // concurrent use by multiple goroutines; per-epoch AEADs are derived lazily
 // under a lock and immutable afterwards. Seal always uses the current epoch;
-// Open accepts any epoch (and the legacy format), which is what makes
-// rotation lazy: blocks re-seal at the new epoch whenever they are next
-// written back.
+// Open accepts any epoch, which is what makes rotation lazy: blocks re-seal
+// at the new epoch whenever they are next written back.
 type Sealer struct {
 	mu     sync.RWMutex
 	aeads  map[uint8]cipher.AEAD
 	epoch  uint8
 	keyFor func(epoch uint8) [KeySize]byte // epoch subkey derivation; nil after Close
-
-	// Legacy CTR+HMAC material, kept so pre-refactor ciphertexts under the
-	// same master key still open (and for LegacySeal fixtures/benches).
-	legacyBlock cipher.Block
-	legacyMac   [KeySize]byte
-
 	rand   io.Reader
 	closed bool
 }
 
-// NewSealer returns a Sealer using the given 16-byte key. All subkeys — the
-// per-epoch GCM keys and the legacy CTR/HMAC pair — are derived from it, and
-// the master key itself is not retained. randSrc supplies nonces; pass nil
-// for crypto/rand. Tests may inject a deterministic reader for
-// reproducibility. The sealer starts at epoch 0; see SetEpoch and Keyring
-// for rotation.
+// NewSealer returns a Sealer using the given 16-byte key. The per-epoch GCM
+// subkeys are derived from it, and the master key itself is not retained.
+// randSrc supplies nonces; pass nil for crypto/rand. Tests may inject a
+// deterministic reader for reproducibility. The sealer starts at epoch 0;
+// see SetEpoch and Keyring for rotation.
 func NewSealer(key []byte, randSrc io.Reader) (*Sealer, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("xcrypto: key must be %d bytes, got %d", KeySize, len(key))
 	}
-	root := hkdf(key, "oblivjoin sealer root v2")
-	legacyEnc := deriveKey(key, "enc")
-	legacyMac := deriveKey(key, "mac")
-	return newSealer(root, legacyEnc, legacyMac, 0, randSrc)
+	return newSealer(hkdf(key, "oblivjoin sealer root v2"), 0, randSrc)
 }
 
-// newSealer assembles a Sealer from already-derived material. root feeds the
-// per-epoch subkeys; legacyEnc/legacyMac serve the compat open path.
-func newSealer(root [sha256.Size]byte, legacyEnc, legacyMac [KeySize]byte, epoch uint8, randSrc io.Reader) (*Sealer, error) {
-	legacyBlock, err := aes.NewCipher(legacyEnc[:])
-	if err != nil {
-		return nil, fmt.Errorf("xcrypto: %w", err)
-	}
-	zero(legacyEnc[:])
+// newSealer assembles a Sealer from an already-derived root, which feeds the
+// per-epoch subkeys.
+func newSealer(root [sha256.Size]byte, epoch uint8, randSrc io.Reader) (*Sealer, error) {
 	if randSrc == nil {
 		randSrc = rand.Reader
 	}
@@ -128,9 +104,7 @@ func newSealer(root [sha256.Size]byte, legacyEnc, legacyMac [KeySize]byte, epoch
 			zero(sub[:])
 			return k
 		},
-		legacyBlock: legacyBlock,
-		legacyMac:   legacyMac,
-		rand:        randSrc,
+		rand: randSrc,
 	}
 	if _, err := s.aead(epoch); err != nil {
 		return nil, err
@@ -152,16 +126,6 @@ func NewRandomSealer() (*Sealer, []byte, error) {
 		return nil, nil, err
 	}
 	return s, key, nil
-}
-
-// deriveKey is the legacy (format 1) subkey derivation; it must stay
-// byte-for-byte stable so pre-refactor ciphertexts keep opening.
-func deriveKey(master []byte, label string) [KeySize]byte {
-	h := hmac.New(sha256.New, master)
-	h.Write([]byte(label))
-	var out [KeySize]byte
-	copy(out[:], h.Sum(nil))
-	return out
 }
 
 // hkdf derives a 32-byte subkey from secret bound to the info label, per
@@ -230,10 +194,10 @@ func (s *Sealer) Epoch() uint8 {
 }
 
 // SetEpoch rotates the sealer to the given key epoch: subsequent Seals use
-// the epoch's HKDF-derived subkey, while Open keeps accepting every epoch
-// (and the legacy format). Rotation is therefore lazy — blocks migrate to
-// the new epoch as they are rewritten — and, because the epoch byte rides
-// inside the fixed-size sealed layout, invisible in the access sequence.
+// the epoch's HKDF-derived subkey, while Open keeps accepting every epoch.
+// Rotation is therefore lazy — blocks migrate to the new epoch as they are
+// rewritten — and, because the epoch byte rides inside the fixed-size sealed
+// layout, invisible in the access sequence.
 func (s *Sealer) SetEpoch(epoch uint8) error {
 	if _, err := s.aead(epoch); err != nil {
 		return err
@@ -254,8 +218,6 @@ func (s *Sealer) Close() error {
 	}
 	s.closed = true
 	s.keyFor = nil
-	s.legacyBlock = nil
-	zero(s.legacyMac[:])
 	for e := range s.aeads {
 		delete(s.aeads, e)
 	}
@@ -302,41 +264,27 @@ func (s *Sealer) SealTo(dst, plaintext []byte) ([]byte, error) {
 	return aead.Seal(dst, nonce, plaintext, hdr), nil
 }
 
-// Open verifies and decrypts a block produced by Seal (any epoch) or by the
-// legacy CTR+HMAC construction.
+// Open verifies and decrypts a block produced by Seal at any epoch.
 func (s *Sealer) Open(sealed []byte) ([]byte, error) {
 	return s.OpenTo(nil, sealed)
 }
 
 // OpenTo appends the verified plaintext to dst (which may be nil) and
 // returns the extended slice, reusing dst's capacity when it suffices.
-// sealed must not alias dst's spare capacity.
+// sealed must not alias dst's spare capacity. A block whose header is not
+// {FormatGCM, epoch, 0, 0} or whose tag does not verify is ErrAuthFailed.
 func (s *Sealer) OpenTo(dst, sealed []byte) ([]byte, error) {
 	if len(sealed) < Overhead {
 		return nil, ErrCiphertextTooShort
 	}
-	// Current format first: the header is authenticated, so a block that
-	// merely *looks* like format 2 but isn't falls through to the legacy
-	// trial (a legacy IV starts with 0x02 0x?? 0x00 0x00 once in ~2^24
-	// random draws; both paths authenticate, so the trial is safe).
-	if sealed[0] == FormatGCM && sealed[2] == 0 && sealed[3] == 0 {
-		out, err := s.openGCM(dst, sealed)
-		if err == nil {
-			return out, nil
-		}
-		if err != ErrAuthFailed {
-			return nil, err
-		}
+	hdr := sealed[:headerSize]
+	if hdr[0] != FormatGCM || hdr[2] != 0 || hdr[3] != 0 {
+		return nil, ErrAuthFailed
 	}
-	return s.openLegacy(dst, sealed)
-}
-
-func (s *Sealer) openGCM(dst, sealed []byte) ([]byte, error) {
-	aead, err := s.aead(sealed[1])
+	aead, err := s.aead(hdr[1])
 	if err != nil {
 		return nil, err
 	}
-	hdr := sealed[:headerSize]
 	nonce := sealed[headerSize : headerSize+NonceSize]
 	ct := sealed[headerSize+NonceSize:]
 	off := len(dst)
@@ -351,72 +299,4 @@ func (s *Sealer) openGCM(dst, sealed []byte) ([]byte, error) {
 		return nil, ErrAuthFailed
 	}
 	return out, nil
-}
-
-// openLegacy verifies and decrypts a format-1 (CTR+HMAC) block.
-func (s *Sealer) openLegacy(dst, sealed []byte) ([]byte, error) {
-	s.mu.RLock()
-	block := s.legacyBlock
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return nil, ErrSealerClosed
-	}
-	if block == nil {
-		return nil, ErrAuthFailed
-	}
-	body := sealed[:len(sealed)-TagSize]
-	tag := sealed[len(sealed)-TagSize:]
-	want := s.legacyTag(body)
-	if !hmac.Equal(tag, want[:TagSize]) {
-		return nil, ErrAuthFailed
-	}
-	iv := body[:IVSize]
-	ct := body[IVSize:]
-	off := len(dst)
-	need := off + len(ct)
-	if cap(dst) < need {
-		grown := make([]byte, off, need)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:need]
-	cipher.NewCTR(block, iv).XORKeyStream(dst[off:], ct)
-	return dst, nil
-}
-
-// LegacySeal encrypts plaintext in the pre-rotation format-1 layout
-// (AES-CTR under a fresh random IV, truncated HMAC-SHA256 tag). It exists
-// for compatibility fixtures, the cross-version fuzz corpus, and the crypto
-// bench's old-vs-new comparison; production writes always use Seal.
-func (s *Sealer) LegacySeal(plaintext []byte) ([]byte, error) {
-	s.mu.RLock()
-	block := s.legacyBlock
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return nil, ErrSealerClosed
-	}
-	if block == nil {
-		return nil, errors.New("xcrypto: sealer has no legacy key material")
-	}
-	out := make([]byte, IVSize+len(plaintext)+TagSize)
-	iv := out[:IVSize]
-	if _, err := io.ReadFull(s.rand, iv); err != nil {
-		return nil, fmt.Errorf("xcrypto: reading IV: %w", err)
-	}
-	ct := out[IVSize : IVSize+len(plaintext)]
-	cipher.NewCTR(block, iv).XORKeyStream(ct, plaintext)
-	tag := s.legacyTag(out[:IVSize+len(plaintext)])
-	copy(out[IVSize+len(plaintext):], tag[:TagSize])
-	return out, nil
-}
-
-func (s *Sealer) legacyTag(data []byte) []byte {
-	s.mu.RLock()
-	mac := s.legacyMac
-	s.mu.RUnlock()
-	h := hmac.New(sha256.New, mac[:])
-	h.Write(data)
-	return h.Sum(nil)
 }

@@ -63,7 +63,7 @@ func TestOpenRejectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pos := range []int{0, IVSize, len(ct) - 1} {
+	for _, pos := range []int{0, headerSize + NonceSize, len(ct) - 1} {
 		bad := append([]byte(nil), ct...)
 		bad[pos] ^= 0x01
 		if _, err := s.Open(bad); err != ErrAuthFailed {
@@ -217,69 +217,6 @@ func TestSealToReusesCapacity(t *testing.T) {
 	}
 }
 
-func TestOpenAcceptsLegacyFormat(t *testing.T) {
-	key := bytes.Repeat([]byte{0x42}, KeySize)
-	s, err := NewSealer(key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := s.LegacySeal([]byte("ctr+hmac era block"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy) != SealedLen(len("ctr+hmac era block")) {
-		t.Fatalf("legacy layout must cost the same Overhead, got %d", len(legacy))
-	}
-	// A different sealer instance over the same key (a restart) opens it.
-	s2, err := NewSealer(key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := s2.Open(legacy)
-	if err != nil {
-		t.Fatalf("open legacy: %v", err)
-	}
-	if string(pt) != "ctr+hmac era block" {
-		t.Fatalf("got %q", pt)
-	}
-	// Tampered legacy blocks still fail closed.
-	bad := append([]byte(nil), legacy...)
-	bad[len(bad)/2] ^= 1
-	if _, err := s2.Open(bad); err != ErrAuthFailed {
-		t.Errorf("tampered legacy: got %v, want ErrAuthFailed", err)
-	}
-}
-
-func TestOpenLegacyCollidingWithGCMHeader(t *testing.T) {
-	// A legacy block whose random IV happens to start with the GCM header
-	// pattern (format byte, any epoch, two zero bytes) must still open via
-	// the fall-through trial.
-	s := newTestSealer(t)
-	iv := make([]byte, IVSize)
-	iv[0], iv[1], iv[2], iv[3] = FormatGCM, 0x05, 0, 0
-	for i := 4; i < IVSize; i++ {
-		iv[i] = byte(i)
-	}
-	fixed, err := NewSealer(bytes.Repeat([]byte{0x42}, KeySize), bytes.NewReader(iv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := fixed.LegacySeal([]byte("unlucky IV"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy[0] != FormatGCM || legacy[2] != 0 || legacy[3] != 0 {
-		t.Fatal("fixture IV did not produce the colliding header")
-	}
-	pt, err := s.Open(legacy)
-	if err != nil {
-		t.Fatalf("open colliding legacy block: %v", err)
-	}
-	if string(pt) != "unlucky IV" {
-		t.Fatalf("got %q", pt)
-	}
-}
-
 func TestSetEpochCrossOpen(t *testing.T) {
 	s := newTestSealer(t)
 	ct0, err := s.Seal([]byte("epoch 0"))
@@ -330,9 +267,6 @@ func TestSealerClose(t *testing.T) {
 	}
 	if _, err := s.Open(ct); err != ErrSealerClosed {
 		t.Errorf("Open after Close: got %v, want ErrSealerClosed", err)
-	}
-	if _, err := s.LegacySeal([]byte("z")); err != ErrSealerClosed {
-		t.Errorf("LegacySeal after Close: got %v, want ErrSealerClosed", err)
 	}
 }
 
