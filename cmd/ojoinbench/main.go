@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -69,150 +70,36 @@ func main() {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		if id == "sort" {
-			rep, err := bench.RunSort(os.Stdout, env)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ojoinbench: sort: %v\n", err)
-				os.Exit(1)
-			}
-			if *jsonOut != "" {
-				out, err := bench.MarshalSortReport(rep)
-				if err == nil {
-					err = os.WriteFile(*jsonOut, out, 0o644)
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ojoinbench: writing %s: %v\n", *jsonOut, err)
-					os.Exit(1)
-				}
-			}
-			fmt.Printf("   [sort regenerated in %.1fs]\n\n", time.Since(start).Seconds())
-			continue
+		// Standard output is a function of the flags alone, so that a
+		// regeneration can be diffed against figures_output.txt exactly:
+		// wall-clock goes to standard error — the timing trailers always, and
+		// under -exp all the whole report of this repo's own measurement
+		// experiments, whose tables are wall-clock.
+		out := io.Writer(os.Stdout)
+		measure, measured := measurements[id]
+		if measured && *exp == "all" {
+			out = os.Stderr
 		}
-		if id == "rounds" {
-			rep, err := bench.RunRounds(os.Stdout, env)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ojoinbench: rounds: %v\n", err)
-				os.Exit(1)
-			}
-			if *jsonOut != "" {
-				out, err := bench.MarshalRoundsReport(rep)
-				if err == nil {
-					err = os.WriteFile(*jsonOut, out, 0o644)
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ojoinbench: writing %s: %v\n", *jsonOut, err)
-					os.Exit(1)
+		var err error
+		switch {
+		case measured:
+			var snapshot func() ([]byte, error)
+			if snapshot, err = measure(out, env); err == nil && snapshot != nil && *jsonOut != "" {
+				var data []byte
+				if data, err = snapshot(); err == nil {
+					err = os.WriteFile(*jsonOut, data, 0o644)
 				}
 			}
-			fmt.Printf("   [rounds regenerated in %.1fs]\n\n", time.Since(start).Seconds())
-			continue
+		case *csv && id != "table1":
+			err = bench.RunCSV(out, env, id)
+		default:
+			err = bench.Run(out, env, id)
 		}
-		if id == "concurrency" {
-			rep, err := bench.RunConcurrency(os.Stdout, env)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ojoinbench: concurrency: %v\n", err)
-				os.Exit(1)
-			}
-			if *jsonOut != "" {
-				out, err := bench.MarshalConcurrencyReport(rep)
-				if err == nil {
-					err = os.WriteFile(*jsonOut, out, 0o644)
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ojoinbench: writing %s: %v\n", *jsonOut, err)
-					os.Exit(1)
-				}
-			}
-			fmt.Printf("   [concurrency regenerated in %.1fs]\n\n", time.Since(start).Seconds())
-			continue
-		}
-		if id == "shard" {
-			rep, err := bench.RunShard(os.Stdout, env)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ojoinbench: shard: %v\n", err)
-				os.Exit(1)
-			}
-			if *jsonOut != "" {
-				out, err := bench.MarshalShardReport(rep)
-				if err == nil {
-					err = os.WriteFile(*jsonOut, out, 0o644)
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ojoinbench: writing %s: %v\n", *jsonOut, err)
-					os.Exit(1)
-				}
-			}
-			fmt.Printf("   [shard regenerated in %.1fs]\n\n", time.Since(start).Seconds())
-			continue
-		}
-		if id == "latency" {
-			rep, err := bench.RunLatency(os.Stdout, env)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ojoinbench: latency: %v\n", err)
-				os.Exit(1)
-			}
-			if *jsonOut != "" {
-				out, err := bench.MarshalLatencyReport(rep)
-				if err == nil {
-					err = os.WriteFile(*jsonOut, out, 0o644)
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ojoinbench: writing %s: %v\n", *jsonOut, err)
-					os.Exit(1)
-				}
-			}
-			fmt.Printf("   [latency regenerated in %.1fs]\n\n", time.Since(start).Seconds())
-			continue
-		}
-		if id == "planner" {
-			rep, err := bench.RunPlanner(os.Stdout, env)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ojoinbench: planner: %v\n", err)
-				os.Exit(1)
-			}
-			if *jsonOut != "" {
-				out, err := bench.MarshalPlannerReport(rep)
-				if err == nil {
-					err = os.WriteFile(*jsonOut, out, 0o644)
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ojoinbench: writing %s: %v\n", *jsonOut, err)
-					os.Exit(1)
-				}
-			}
-			fmt.Printf("   [planner regenerated in %.1fs]\n\n", time.Since(start).Seconds())
-			continue
-		}
-		if id == "disk" {
-			rep, err := bench.RunDisk(os.Stdout, env)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ojoinbench: disk: %v\n", err)
-				os.Exit(1)
-			}
-			if *jsonOut != "" {
-				out, err := bench.MarshalDiskReport(rep)
-				if err == nil {
-					err = os.WriteFile(*jsonOut, out, 0o644)
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ojoinbench: writing %s: %v\n", *jsonOut, err)
-					os.Exit(1)
-				}
-			}
-			fmt.Printf("   [disk regenerated in %.1fs]\n\n", time.Since(start).Seconds())
-			continue
-		}
-		run := bench.Run
-		if *csv && id != "table1" {
-			run = bench.RunCSV
-		}
-		if err := run(os.Stdout, env, id); err != nil {
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "ojoinbench: %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		if !*csv {
-			fmt.Printf("   [%s regenerated in %.1fs]\n\n", id, time.Since(start).Seconds())
-		}
+		fmt.Fprintf(os.Stderr, "   [%s regenerated in %.1fs]\n", id, time.Since(start).Seconds())
 	}
 
 	if trace != nil {
@@ -226,5 +113,28 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("trace written to %s\n", *traceOut)
+	}
+}
+
+// measurements are this repo's own measurement experiments, each returning
+// the snapshot -json writes (the BENCH_*.json format), if it has one.
+var measurements = map[string]func(io.Writer, *bench.Env) (snapshot func() ([]byte, error), err error){
+	"sort":        measurement(bench.RunSort, bench.MarshalSortReport),
+	"rounds":      measurement(bench.RunRounds, bench.MarshalRoundsReport),
+	"disk":        measurement(bench.RunDisk, bench.MarshalDiskReport),
+	"concurrency": measurement(bench.RunConcurrency, bench.MarshalConcurrencyReport),
+	"shard":       measurement(bench.RunShard, bench.MarshalShardReport),
+	"latency":     measurement(bench.RunLatency, bench.MarshalLatencyReport),
+	"planner":     measurement(bench.RunPlanner, bench.MarshalPlannerReport),
+	"phases":      measurement[*telemetry.Node](bench.RunPhases, nil), // -trace-out is its machine-readable form
+}
+
+func measurement[R any](run func(io.Writer, *bench.Env) (R, error), marshal func(R) ([]byte, error)) func(io.Writer, *bench.Env) (func() ([]byte, error), error) {
+	return func(w io.Writer, e *bench.Env) (func() ([]byte, error), error) {
+		rep, err := run(w, e)
+		if marshal == nil {
+			return nil, err
+		}
+		return func() ([]byte, error) { return marshal(rep) }, err
 	}
 }

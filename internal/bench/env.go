@@ -12,6 +12,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	mrand "math/rand"
 
 	"oblivjoin/internal/baseline"
 	"oblivjoin/internal/core"
@@ -249,9 +250,18 @@ func (e *Env) coreOpts(m *storage.Meter) (core.Options, error) {
 		Sealer:        s,
 		OutBlockSize:  e.payload() + xcrypto.Overhead,
 		Padding:       e.Padding,
+		DPRand:        e.dpRand(),
 		SortWorkers:   e.SortWorkers,
 		PrefetchDepth: e.PrefetchDepth,
 	}, nil
+}
+
+// dpRand is the uniform (0,1] draw behind PadDP's noise, seeded from the
+// workload seed like everything else an experiment draws: a figure is a
+// function of its flags, so a regeneration can be compared byte for byte.
+func (e *Env) dpRand() func() float64 {
+	r := mrand.New(mrand.NewSource(e.Seed))
+	return func() float64 { return 1 - r.Float64() }
 }
 
 func (e *Env) baseOpts(m *storage.Meter) (baseline.Options, error) {
@@ -269,7 +279,7 @@ func (e *Env) baseOpts(m *storage.Meter) (baseline.Options, error) {
 // padTarget computes the Section 8 padded output size for the baselines
 // (which take an absolute PadTo rather than a mode).
 func (e *Env) padTarget(realR, cartesian int64) int64 {
-	opts := core.Options{Padding: e.Padding}
+	opts := core.Options{Padding: e.Padding, DPRand: e.dpRand()}
 	return opts.PadSize(realR, cartesian)
 }
 

@@ -482,25 +482,43 @@ func (t *Tree) DummyOp() error {
 // the sort-merge join. In WriteBackDescents mode the leaf is rewritten to
 // stay uniform with other retrievals.
 func (t *Tree) ReadLeaf(leafID uint64) ([]Entry, error) {
-	if leafID >= t.levels[0].count {
-		return nil, fmt.Errorf("btree: leaf %d of %d", leafID, t.levels[0].count)
+	req, err := t.LeafReq(leafID)
+	if err != nil {
+		return nil, err
 	}
-	var n *node
+	reqs := [1]oram.Req{req}
+	if err := oram.Together(reqs[:]); err != nil {
+		return nil, fmt.Errorf("btree: node %d: %w", leafID, err)
+	}
+	return LeafEntries(reqs[0].Data)
+}
+
+// LeafReq is ReadLeaf's access, not yet performed: a join step hands it to
+// oram.Together beside the other table's, so the two index accesses share
+// their rounds, and decodes the result with LeafEntries.
+func (t *Tree) LeafReq(leafID uint64) (oram.Req, error) {
+	if leafID >= t.levels[0].count {
+		return oram.Req{}, fmt.Errorf("btree: leaf %d of %d", leafID, t.levels[0].count)
+	}
+	req := oram.Req{ORAM: t.cfg.ORAM, Key: leafID}
 	if t.cfg.WriteBackDescents {
-		buf, err := t.cfg.ORAM.Update(leafID, func([]byte) error { return nil })
-		if err != nil {
-			return nil, err
-		}
-		n, err = decodeNode(buf)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		n, err = t.fetchNode(leafID)
-		if err != nil {
-			return nil, err
-		}
+		req.Update = keepPayload
+	}
+	return req, nil
+}
+
+// DummyReq is an index access indistinguishable from LeafReq's that touches
+// no node.
+func (t *Tree) DummyReq() oram.Req { return oram.Req{ORAM: t.cfg.ORAM, Dummy: true} }
+
+// keepPayload is the update of a read that must look like a write.
+func keepPayload([]byte) error { return nil }
+
+// LeafEntries decodes the leaf node a LeafReq fetched.
+func LeafEntries(payload []byte) ([]Entry, error) {
+	n, err := decodeNode(payload)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]Entry, len(n.leafEnts))
 	for i, e := range n.leafEnts {

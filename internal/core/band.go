@@ -42,54 +42,64 @@ func BandJoin(t1, t2 *table.StoredTable, a1, a2 string, op BandOp, opts Options)
 	ascending := op == BandGreater || op == BandGreaterEq
 	lastOrd := ic.Tree().NumEntries() - 1
 
+	// bandStep performs one join step: T1's retrieval (real when advance) and
+	// the given T2 retrieval. T2's index descent runs first, on its own — each
+	// level names the next — and then the two data accesses, both present in
+	// every step, share one download round and one write-back round
+	// (table.Step). The OneORAM setting elides T1's dummy instead and pads
+	// every retrieval to the common width, one retrieval after another.
+	bandStep := func(advance bool, inner table.Move) (row1, row2 table.Row, err error) {
+		outer := scan.Hold()
+		if advance {
+			outer = scan.Advance()
+		}
+		var rows [2]table.Row
+		if !one {
+			err = table.Step(rows[:], outer, inner)
+			return rows[0], rows[1], err
+		}
+		if advance {
+			if err = table.Step(rows[:1], outer); err != nil {
+				return row1, row2, err
+			}
+			if err = padder.pad(scanCost); err != nil {
+				return rows[0], row2, err
+			}
+		}
+		if err = table.Step(rows[1:], inner); err != nil {
+			return rows[0], row2, err
+		}
+		return rows[0], rows[1], padder.pad(seekCost)
+	}
+
 	scanSpan := sp.Child("scan")
 	var steps, retrievals int64
 	for i := 0; i < t1.NumTuples(); i++ {
 		steps++
 		retrievals += 2
-		row1, err := scan.Next()
-		if err != nil {
-			return nil, err
+		first := ic.MoveOrdLE(lastOrd)
+		if ascending {
+			first = ic.MoveOrdGE(0)
 		}
-		if err := padder.pad(scanCost); err != nil {
+		row1, row2, err := bandStep(true, first)
+		if err != nil {
 			return nil, err
 		}
 		if !row1.OK {
 			return nil, fmt.Errorf("core: scan of %s ended early at %d", t1.Schema().Table, i)
 		}
 		key := row1.Tuple.Values[col1]
-		var row2 table.Row
-		if ascending {
-			row2, err = ic.SeekOrdGE(0)
-		} else {
-			row2, err = ic.SeekOrdLE(lastOrd)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := padder.pad(seekCost); err != nil {
-			return nil, err
-		}
 		for row2.OK && op.Matches(key, row2.Entry.Key) {
 			if err := w.putJoin(row1.Tuple, row2.Tuple); err != nil {
 				return nil, err
 			}
 			steps++
 			retrievals++
-			if !one {
-				if err := scan.Dummy(); err != nil {
-					return nil, err
-				}
-			}
+			next := ic.MovePrev()
 			if ascending {
-				row2, err = ic.Next()
-			} else {
-				row2, err = ic.Prev()
+				next = ic.MoveNext()
 			}
-			if err != nil {
-				return nil, err
-			}
-			if err := padder.pad(seekCost); err != nil {
+			if _, row2, err = bandStep(false, next); err != nil {
 				return nil, err
 			}
 		}
@@ -119,10 +129,7 @@ func BandJoin(t1, t2 *table.StoredTable, a1, a2 string, op BandOp, opts Options)
 					return nil, err
 				}
 			} else {
-				if err := scan.Dummy(); err != nil {
-					return nil, err
-				}
-				if err := ic.Dummy(); err != nil {
+				if _, _, err := bandStep(false, ic.Hold()); err != nil {
 					return nil, err
 				}
 			}

@@ -15,6 +15,14 @@
 // closed-form bounds of Theorems 1–4, so the server-visible trace is a
 // function of the public input/output sizes only.
 //
+// Where the per-table retrievals of a step do not depend on one another —
+// the sort-merge joins and the band join, in every step, merge or pad — the
+// step issues them in lockstep (table.Step): the tables' accesses of a stage
+// share one download round and one write-back round, 4 rounds per
+// sort-merge step instead of 8. The index nested-loop join's probe needs the
+// outer tuple's key and the multiway join's children need the parent's row,
+// so their steps stay one access after another.
+//
 // The OneORAM setting of Section 7 is selected by Options.OneORAM: all
 // tables share a single Path-ORAM, per-retrieval access counts are padded
 // to the maximum across tables, and (for the binary joins) the per-step

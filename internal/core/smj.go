@@ -28,35 +28,62 @@ func cmpRows(a, b table.Row) int {
 }
 
 // mergeCursor is the retrieval primitive Algorithm 1 needs from each input
-// table: sequential attribute-order retrievals with uniform cost, dummy
-// retrievals, and a client-side position save/restore for the "begin"
-// rewind. Both the B-tree leaf cursor and the index-free pointer-chain
-// cursor satisfy it.
+// table: sequential attribute-order retrievals with uniform cost, real
+// (Advance) or dummy (Hold), and a client-side position save/restore for
+// the "begin" rewind. Both the B-tree leaf cursor and the index-free
+// pointer-chain cursor satisfy it.
 type mergeCursor interface {
-	Next() (table.Row, error)
-	Dummy() error
+	Advance() table.Move
+	Hold() table.Move
 	DummyBatch(n int) error
 	Mark() any
 	Restore(mark any)
 }
 
 // leafMerge adapts the indexed leaf cursor.
-type leafMerge struct{ c *table.LeafCursor }
+type leafMerge struct{ *table.LeafCursor }
 
-func (l leafMerge) Next() (table.Row, error) { return l.c.Next() }
-func (l leafMerge) Dummy() error             { return l.c.Dummy() }
-func (l leafMerge) DummyBatch(n int) error   { return l.c.DummyBatch(n) }
-func (l leafMerge) Mark() any                { return l.c.Pos() }
-func (l leafMerge) Restore(m any)            { l.c.SeekOrd(m.(int64)) }
+func (l leafMerge) Mark() any     { return l.Pos() }
+func (l leafMerge) Restore(m any) { l.SeekOrd(m.(int64)) }
 
 // chainMerge adapts the pointer-chain cursor.
-type chainMerge struct{ c *table.ChainCursor }
+type chainMerge struct{ *table.ChainCursor }
 
-func (l chainMerge) Next() (table.Row, error) { return l.c.Next() }
-func (l chainMerge) Dummy() error             { return l.c.Dummy() }
-func (l chainMerge) DummyBatch(n int) error   { return l.c.DummyBatch(n) }
-func (l chainMerge) Mark() any                { return l.c.Mark() }
-func (l chainMerge) Restore(m any)            { l.c.Restore(m.(table.ChainMark)) }
+func (l chainMerge) Mark() any     { return l.ChainCursor.Mark() }
+func (l chainMerge) Restore(m any) { l.ChainCursor.Restore(m.(table.ChainMark)) }
+
+// mergeStep performs one join step of Algorithm 1: a retrieval from each
+// table, real where the flag says so and a dummy otherwise, T1 first. Both
+// tables are present in every stage of the step, so its index accesses
+// share one download round and one write-back round, then its data accesses
+// do (table.Step) — and which side was real shows nowhere. The OneORAM
+// setting elides the dummy partner instead: there a step is the real
+// retrievals one after another, or T1's dummy alone when neither is real.
+func mergeStep(c1, c2 mergeCursor, real1, real2, one bool) (row1, row2 table.Row, err error) {
+	m1, m2 := c1.Hold(), c2.Hold()
+	if real1 {
+		m1 = c1.Advance()
+	}
+	if real2 {
+		m2 = c2.Advance()
+	}
+	var rows [2]table.Row
+	if !one {
+		err = table.Step(rows[:], m1, m2)
+		return rows[0], rows[1], err
+	}
+	if real1 || !real2 {
+		if err = table.Step(rows[:1], m1); err != nil {
+			return row1, row2, err
+		}
+		row1 = rows[0]
+	}
+	if real2 {
+		err = table.Step(rows[1:], m2)
+		row2 = rows[1]
+	}
+	return row1, row2, err
+}
 
 // runSortMerge executes Algorithm 1 over two merge cursors, writing one
 // output record per comparison. It returns the executed step and retrieval
@@ -66,38 +93,21 @@ func runSortMerge(c1, c2 mergeCursor, w *outWriter, one bool) (steps, retrievals
 	// Line 3-4: retrieve the first tuple from each table (one join step).
 	steps++
 	retrievals += 2
-	row1, err := c1.Next()
+	row1, row2, err := mergeStep(c1, c2, true, true, one)
 	if err != nil {
 		return steps, retrievals, err
 	}
-	row2, err := c2.Next()
-	if err != nil {
-		return steps, retrievals, err
-	}
-	// advance moves one cursor and issues the partner's dummy retrieval,
-	// always touching the tables in fixed order (T1 first) so the per-step
-	// store sequence is independent of which side advanced.
-	advance := func(first bool) (table.Row, error) {
+	// advance moves one cursor; the step says which, and the other table's
+	// retrieval is the dummy.
+	advance := func(first bool) (err error) {
 		steps++
 		retrievals++
 		if first {
-			row, err := c1.Next()
-			if err != nil {
-				return row, err
-			}
-			if !one {
-				if err := c2.Dummy(); err != nil {
-					return row, err
-				}
-			}
-			return row, nil
+			row1, _, err = mergeStep(c1, c2, true, false, one)
+		} else {
+			_, row2, err = mergeStep(c1, c2, false, true, one)
 		}
-		if !one {
-			if err := c1.Dummy(); err != nil {
-				return table.Row{}, err
-			}
-		}
-		return c2.Next()
+		return err
 	}
 
 	for row1.OK || row2.OK {
@@ -109,7 +119,7 @@ func runSortMerge(c1, c2 mergeCursor, w *outWriter, one bool) (steps, retrievals
 				if err := w.putJoin(row1.Tuple, row2.Tuple); err != nil {
 					return steps, retrievals, err
 				}
-				if row2, err = advance(false); err != nil {
+				if err := advance(false); err != nil {
 					return steps, retrievals, err
 				}
 				res = cmpRows(row1, row2)
@@ -119,7 +129,7 @@ func runSortMerge(c1, c2 mergeCursor, w *outWriter, one bool) (steps, retrievals
 			}
 			row2 = beginRow
 			c2.Restore(beginMark)
-			if row1, err = advance(true); err != nil {
+			if err := advance(true); err != nil {
 				return steps, retrievals, err
 			}
 			continue
@@ -128,14 +138,8 @@ func runSortMerge(c1, c2 mergeCursor, w *outWriter, one bool) (steps, retrievals
 		if err := w.putDummy(); err != nil {
 			return steps, retrievals, err
 		}
-		if res < 0 {
-			if row1, err = advance(true); err != nil {
-				return steps, retrievals, err
-			}
-		} else {
-			if row2, err = advance(false); err != nil {
-				return steps, retrievals, err
-			}
+		if err := advance(res < 0); err != nil {
+			return steps, retrievals, err
 		}
 	}
 	return steps, retrievals, nil
@@ -160,13 +164,8 @@ func finishSortMerge(w *outWriter, c1, c2 mergeCursor, one bool,
 	if depth := opts.prefetch(); depth <= 1 {
 		for ; padded < target; padded++ {
 			retrievals++
-			if err := c1.Dummy(); err != nil {
+			if _, _, err := mergeStep(c1, c2, false, false, one); err != nil {
 				return nil, err
-			}
-			if !one {
-				if err := c2.Dummy(); err != nil {
-					return nil, err
-				}
 			}
 			if err := w.putDummy(); err != nil {
 				return nil, err

@@ -6,6 +6,7 @@ import (
 	mrand "math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/storage/storetest"
@@ -255,4 +256,20 @@ func mustSeal(t *testing.T, o *PathORAM) []byte {
 		t.Fatal(err)
 	}
 	return sealed
+}
+
+// TestSealScratchOutOfStep: the plaintext bucket of a write-back's scratch
+// starts half a page out of step with the sealed bytes it is encrypted into,
+// in the same allocation, and neither can grow into the other.
+func TestSealScratchOutOfStep(t *testing.T) {
+	for _, need := range []int{1, 4095, 4096, 6 * 16468, 40 * 548} {
+		sealed, plain := sealScratch(need, 16436)
+		if len(sealed) != 0 || cap(sealed) != need || len(plain) != 16436 || cap(plain) != 16436 {
+			t.Fatalf("need %d: sealed %d/%d, plain %d/%d", need, len(sealed), cap(sealed), len(plain), cap(plain))
+		}
+		gap := uintptr(unsafe.Pointer(&plain[0])) - uintptr(unsafe.Pointer(&sealed[:1][0]))
+		if gap%4096 != 2048 || gap < uintptr(need) {
+			t.Fatalf("need %d: plaintext starts %d bytes behind the sealed bytes", need, gap)
+		}
+	}
 }

@@ -119,7 +119,8 @@ func (c callerHeld) DummyBatch(n int) error {
 // seeded random mix of every operation against a map model, at every
 // eviction batch, over stores with and without exchanges, with a flat, a
 // recursive and a caller-held position map (the one path NewPathORAM and
-// NewPosORAM share). Every result must equal the model; each
+// NewPosORAM share), and with the single accesses issued in lockstep with
+// a second tree's (Together). Every result must equal the model; each
 // store's recorded trace must be the one tracecheck.PathORAMSim computes
 // from the leaves that trace itself names (so skipping decryption moved no
 // server-visible index); every downloaded bucket must still be counted in
@@ -129,7 +130,7 @@ func TestKnownBucketsDifferential(t *testing.T) {
 	const capacity, payload, steps = 64, 16, 800
 	for _, batch := range []int{1, 4, 16} {
 		for _, exchange := range []bool{true, false} {
-			for _, positions := range []string{"recursive=false", "recursive=true", "positions=caller"} {
+			for _, positions := range []string{"recursive=false", "recursive=true", "positions=caller", "driver=together"} {
 				recurse := positions == "recursive=true"
 				name := fmt.Sprintf("k=%d/exchange=%v/%s", batch, exchange, positions)
 				t.Run(name, func(t *testing.T) {
@@ -163,6 +164,17 @@ func TestKnownBucketsDifferential(t *testing.T) {
 							t.Fatal(err)
 						}
 						tree, o = p, p
+					}
+					if positions == "driver=together" {
+						// The partner lives in its own store, so the trace
+						// filtered by store name below is the tree's alone.
+						pcfg := cfg
+						pcfg.Name, pcfg.Rand = "diff.partner", NewSeededSource(5)
+						partner, err := NewPathORAM(pcfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						o = paired{tree, partner}
 					}
 					stack := oramStack(tree)
 					if recurse && len(stack) != 3 {

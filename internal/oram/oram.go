@@ -16,6 +16,13 @@
 // recursively outsourced), NewPosORAM keeps none and takes positions from
 // its caller — the store under the paper's Section 4.2 oblivious B-tree.
 // Either way the tree lives wherever PathConfig.OpenStore puts it.
+//
+// An access issued on its own costs two network rounds with immediate
+// eviction (path download, write-back) and fewer with deferred eviction.
+// Together issues one access on each of several trees in lockstep — all
+// downloads in one round, all write-backs in one more — which is how a join
+// step that retrieves a tuple from every table pays for its round trips
+// once, not once per table.
 package oram
 
 import (

@@ -7,7 +7,9 @@ import (
 )
 
 // scheduler is the staged data path in front of a PathORAM's fetch and
-// eviction stages (DESIGN.md §2.9). It owns two round-trip optimizations:
+// eviction stages (DESIGN.md §2.9). It owns two round-trip optimizations
+// (a third, sharing a round with other trees, is Together's; the scheduler
+// only stages its share):
 //
 //   - Deferred eviction: with batch k > 1, evicted paths are queued and
 //     flushed k at a time in one WriteMany round, deduplicating the buckets
@@ -59,6 +61,12 @@ type scheduler struct {
 	writeNodes []int64
 	readNodes  []int64
 
+	// op is this tree's share of the round being prepared, issued or
+	// settled; flush says its write-back is a scheduler flush rather than
+	// the classic write-back of the one path just fetched.
+	op    storage.RoundOp
+	flush bool
+
 	// Telemetry (client-side only).
 	flushes         int64
 	flushedPaths    int64
@@ -89,143 +97,189 @@ func (s *scheduler) unionNodes(dst []int64, leaves []uint32) []int64 {
 	return dst
 }
 
-// fetch downloads the union of the given leaves' paths into the stash in
-// one round. If a deferred flush is due it rides along as one exchange:
-// the server applies the pending eviction writes, then serves the reads,
-// all in the same round trip.
-func (s *scheduler) fetch(leaves []uint32) error {
-	if s.due {
-		if s.o.canExchange && len(s.pending) > 0 {
-			return s.exchangeFetch(leaves)
-		}
+// The scheduler's two wire stages, fetch and evict, are each split into a
+// prepare half that stages this tree's share of a round in s.op (node lists,
+// sealed buckets — no traffic) and a complete half that settles the share
+// once its round has been issued (commit and openFetched, or restoreKnown).
+// A single access issues its own share alone (fetch, evict); Together puts
+// the prepared shares of several trees into one round.
+
+// prepareFetch stages the download of the union of the given leaves' paths.
+// If a deferred flush is due it rides along: the share carries the pending
+// eviction writes too, and the server applies them before serving the reads.
+func (s *scheduler) prepareFetch(leaves []uint32) error {
+	if s.due && !(s.o.canExchange && len(s.pending) > 0) {
 		if err := s.flushNow(); err != nil {
 			return err
 		}
+	}
+	s.op = storage.RoundOp{Store: s.o.store, Dst: s.o.fetchBuf[:0]}
+	// The combined round carries the deferred write-back; it is labelled as
+	// the flush it is (the ride-along fetch is what makes it free).
+	s.flush = s.due
+	if s.due {
+		sealed, err := s.sealPending()
+		if err != nil {
+			return err
+		}
+		s.op.WriteIdxs, s.op.WriteData = s.writeNodes, sealed
+	}
+	s.readNodes = s.unionNodes(s.readNodes[:0], leaves)
+	s.op.ReadIdxs = s.readNodes
+	return nil
+}
+
+// completeFetch settles an issued fetch share: the downloaded buckets enter
+// the stash. On a transport error a flush that rode along stays due (and
+// its blocks in the stash) for the next fetch.
+func (s *scheduler) completeFetch(leaves []uint32) error {
+	if s.op.Err != nil {
+		if s.flush {
+			s.o.restoreKnown()
+		}
+		return s.op.Err
+	}
+	if s.flush {
+		// Commit before taking the read buckets in: a bucket written by this
+		// very exchange may be re-read by it, and its blocks re-enter the
+		// stash from the known set the commit has just established.
+		s.commit()
+		s.exchanges++
 	}
 	if len(leaves) > 1 {
 		s.batchFetches++
 		s.batchedAccesses += int64(len(leaves))
 	}
-	s.readNodes = s.unionNodes(s.readNodes[:0], leaves)
-	return s.o.readPath(s.readNodes)
+	return s.o.openFetched(s.op.Out, s.readNodes)
 }
 
-// evict queues the fetched path for write-back. With batch <= 1 it writes
-// the path back immediately (the classic protocol); otherwise the queue is
-// flushed once it holds batch paths — via the next fetch's exchange when
-// the store supports it, in its own WriteMany round otherwise.
-func (s *scheduler) evict(leaf uint32) error {
-	if s.batch <= 1 && len(s.pending) == 0 {
-		err := s.o.writePath(leaf)
-		if err != nil {
-			// The path may be half written: keep it queued so the next
-			// write-back (or Flush) rewrites all of it from the stash.
-			s.pending = append(s.pending, leaf)
-		}
+// fetch downloads the union of the given leaves' paths into the stash in
+// one round of its own.
+func (s *scheduler) fetch(leaves []uint32) error {
+	if err := s.prepareFetch(leaves); err != nil {
 		return err
 	}
-	s.o.leafBuf[0] = leaf
-	return s.evictBatch(s.o.leafBuf[:])
+	s.issue()
+	return s.completeFetch(leaves)
 }
 
-// evictBatch queues a coalesced batch's fetched paths for write-back as one
-// unit and triggers at most one flush. The unit matters for correctness, not
-// just rounds: the batch's paths were downloaded in a single union read, so
-// writing them back as separate overlapping path writes would let a later
-// write rewrite a shared bucket (the root, at minimum) that an earlier write
-// in the same batch had just filled — erasing the placed blocks, which are
-// no longer in the stash. A flush seals the union instead: every bucket is
-// written exactly once, filled from the authoritative stash.
-func (s *scheduler) evictBatch(leaves []uint32) error {
+// issue sends the staged share as a round of its own.
+func (s *scheduler) issue() { issueRound(&s.o.cfg, s.flush, &s.op) }
+
+// issueRound sends staged shares as one round. A round that carries a
+// scheduler flush belongs to the (public) eviction schedule — every tree
+// flushes on the cadence its EvictionBatch fixes — not to whichever engine
+// phase triggered it, and its wire requests are labelled so.
+func issueRound(cfg *PathConfig, flush bool, ops ...*storage.RoundOp) {
+	if len(ops) == 0 {
+		return
+	}
+	if flush {
+		defer cfg.Flight.PushPhase("oram.flush")()
+	}
+	storage.DoRound(cfg.Meter, ops...)
+}
+
+// prepareEvict queues the fetched paths for write-back and reports whether
+// a write-back is owed now, staging it if so. With batch <= 1 the paths are
+// written straight back (the classic protocol); otherwise the queue is
+// flushed once it holds batch paths — by riding the next fetch when the
+// store supports exchanges (nothing owed now), in its own round otherwise.
+//
+// A coalesced batch's paths are queued as one unit, and that matters for
+// correctness, not just rounds: they were downloaded in a single union
+// read, so writing them back as separate overlapping path writes would let
+// a later write rewrite a shared bucket (the root, at minimum) that an
+// earlier write in the same batch had just filled — erasing the placed
+// blocks, which are no longer in the stash. The write-back seals the union
+// instead: every bucket is written exactly once, filled from the
+// authoritative stash.
+func (s *scheduler) prepareEvict(leaves []uint32) (owed bool, err error) {
+	// The classic write-back of one path is not a scheduler flush: it is
+	// neither labelled nor counted as one.
+	s.flush = s.batch > 1 || len(s.pending) > 0 || len(leaves) > 1
 	s.pending = append(s.pending, leaves...)
-	if s.batch <= 1 || len(s.pending) >= 2*s.batch {
-		// batch <= 1 flushes the coalesced unit immediately (the classic
-		// protocol plus fetch coalescing); past 2k the safety valve flushes
-		// rather than let the stash bound drift when coalesced batches keep
-		// queueing faster than fetches come in.
-		return s.flushNow()
+	switch {
+	case s.batch <= 1 || len(s.pending) >= 2*s.batch:
+		// Past 2k the safety valve flushes rather than let the stash bound
+		// drift when coalesced batches keep queueing faster than fetches
+		// come in.
+	case len(s.pending) < s.batch:
+		return false, nil
+	case s.o.canExchange:
+		s.due = true
+		return false, nil
 	}
-	if len(s.pending) >= s.batch {
-		if s.o.canExchange {
-			s.due = true
-			return nil
-		}
-		return s.flushNow()
+	return true, s.prepareFlush()
+}
+
+// prepareFlush stages the write-back of every pending path.
+func (s *scheduler) prepareFlush() error {
+	sealed, err := s.sealPending()
+	if err != nil {
+		return err
 	}
+	s.op = storage.RoundOp{Store: s.o.store, WriteIdxs: s.writeNodes, WriteData: sealed}
 	return nil
 }
 
-// flushNow writes every pending path back in one round. A transport
-// failure leaves the client state exactly as it was, so the flush can
-// simply be retried (the still-pending paths keep every server bucket they
-// cover rewritable, so nothing is lost to the partial write).
+// completeEvict settles an issued write-back. A transport failure leaves
+// the client state exactly as it was — the blocks in the stash, the paths
+// pending — so the write-back can simply be retried: the still-pending
+// paths keep every server bucket they cover rewritable, so nothing is lost
+// to a partial write.
+func (s *scheduler) completeEvict() error {
+	if s.op.Err != nil {
+		s.o.restoreKnown()
+		return s.op.Err
+	}
+	s.commit()
+	return nil
+}
+
+// evict queues the fetched paths and issues the write-back now owed, if
+// any, as a round of its own.
+func (s *scheduler) evict(leaves []uint32) error {
+	owed, err := s.prepareEvict(leaves)
+	if err != nil || !owed {
+		return err
+	}
+	s.issue()
+	return s.completeEvict()
+}
+
+// flushNow writes every pending path back in one round.
 func (s *scheduler) flushNow() error {
 	if len(s.pending) == 0 {
 		s.due = false
 		return nil
 	}
-	// The flush round belongs to the (public) eviction schedule, not to
-	// whichever engine phase triggered it — label its wire requests so.
-	defer s.o.cfg.Flight.PushPhase("oram.flush")()
-	sealed, err := s.sealPending()
-	if err != nil {
+	s.flush = true
+	if err := s.prepareFlush(); err != nil {
 		return err
 	}
-	if err := s.o.writeBuckets(s.writeNodes, sealed); err != nil {
-		s.o.restoreKnown()
-		return err
-	}
-	s.commit()
-	return nil
-}
-
-// exchangeFetch performs a due flush and the next fetch in one round trip:
-// the store applies the pending eviction writes first, then serves the
-// read union. On a transport error the flush stays due (and its blocks in
-// the stash) for the next fetch.
-func (s *scheduler) exchangeFetch(leaves []uint32) error {
-	sealed, err := s.sealPending()
-	if err != nil {
-		return err
-	}
-	s.readNodes = s.unionNodes(s.readNodes[:0], leaves)
-	// The combined round carries the deferred write-back; label it as the
-	// flush it is (the ride-along fetch is what makes the round free).
-	restore := s.o.cfg.Flight.PushPhase("oram.flush")
-	buf, err := storage.ExchangeTo(s.o.store, s.o.cfg.Meter, s.o.fetchBuf[:0], s.writeNodes, sealed, s.readNodes)
-	restore()
-	if err != nil {
-		s.o.restoreKnown()
-		return err
-	}
-	// Commit before taking the read buckets in: a bucket written by this
-	// very exchange may be re-read by it, and its blocks re-enter the stash
-	// from the known set the commit has just established.
-	s.commit()
-	s.exchanges++
-	if len(leaves) > 1 {
-		s.batchFetches++
-		s.batchedAccesses += int64(len(leaves))
-	}
-	return s.o.openFetched(buf, s.readNodes)
+	s.issue()
+	return s.completeEvict()
 }
 
 // sealPending seals the union of the pending paths into writeNodes-aligned
 // buckets: shared upper-tree buckets appear once, in ascending store-index
-// order — for a single path the root-to-leaf order writePath uses.
+// order — for a single path, root to leaf.
 func (s *scheduler) sealPending() ([][]byte, error) {
 	s.writeNodes = s.unionNodes(s.writeNodes[:0], s.pending)
 	return s.o.sealNodes(s.writeNodes)
 }
 
-// commit settles a stored flush of the pending paths: their buckets join
-// the known set, the pending queue empties, and the flush telemetry
-// advances.
+// commit settles a stored write-back of the pending paths: their buckets
+// join the known set, the pending queue empties, and — for a flush — the
+// flush telemetry advances.
 func (s *scheduler) commit() {
 	s.o.keepKnown(s.pending, len(s.writeNodes))
-	s.flushes++
-	s.flushedPaths += int64(len(s.pending))
-	s.dedupSaved += int64(len(s.pending)*s.o.levels - len(s.writeNodes))
+	if s.flush {
+		s.flushes++
+		s.flushedPaths += int64(len(s.pending))
+		s.dedupSaved += int64(len(s.pending)*s.o.levels - len(s.writeNodes))
+	}
 	s.pending = s.pending[:0]
 	s.due = false
 }
@@ -294,7 +348,7 @@ func (o *PathORAM) finishBatch(plans []accessPlan, leaves []uint32) ([][]byte, e
 		}
 		results[i] = res
 	}
-	if err := o.sched.evictBatch(leaves); err != nil && firstErr == nil {
+	if err := o.sched.evict(leaves); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	if len(o.stash) > o.maxStash {

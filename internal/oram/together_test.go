@@ -1,0 +1,528 @@
+package oram
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	mrand "math/rand"
+	"strings"
+	"testing"
+
+	"oblivjoin/internal/storage"
+	"oblivjoin/internal/storage/storetest"
+	"oblivjoin/internal/tracecheck"
+)
+
+// paired drives a PathORAM's single accesses through Together beside a
+// partner tree's dummy access, so the differential test's model, simulator
+// and telemetry checks run over the lockstep data path. Writes and
+// coalesced batches are not a lockstep operation and go to the tree alone.
+type paired struct {
+	*PathORAM
+	partner *PathORAM
+}
+
+func (p paired) together(r Req) ([]byte, error) {
+	reqs := [2]Req{r, {ORAM: p.partner, Dummy: true}}
+	err := Together(reqs[:])
+	if reqs[1].Err != nil {
+		return nil, fmt.Errorf("partner: %w", reqs[1].Err)
+	}
+	if err != reqs[0].Err {
+		return nil, fmt.Errorf("Together returned %v, first request failed with %v", err, reqs[0].Err)
+	}
+	return reqs[0].Data, reqs[0].Err
+}
+
+func (p paired) Read(key uint64) ([]byte, error) {
+	return p.together(Req{ORAM: p.PathORAM, Key: key})
+}
+
+func (p paired) Update(key uint64, fn func([]byte) error) ([]byte, error) {
+	return p.together(Req{ORAM: p.PathORAM, Key: key, Update: fn})
+}
+
+func (p paired) DummyAccess() error {
+	_, err := p.together(Req{ORAM: p.PathORAM, Dummy: true})
+	return err
+}
+
+func (p paired) Flush() error {
+	if err := p.partner.Flush(); err != nil {
+		return err
+	}
+	return p.PathORAM.Flush()
+}
+
+// ownTrace is the part of a trace that touched one store.
+func ownTrace(trace []storage.Access, store string) []storage.Access {
+	var own []storage.Access
+	for _, a := range trace {
+		if a.Store == store {
+			own = append(own, a)
+		}
+	}
+	return own
+}
+
+// togetherOp is one step of the parent-equivalence schedule: what each of
+// the two trees does in it.
+type togetherOp struct {
+	key   [2]uint64
+	dummy [2]bool
+	bump  [2]bool // through Update, incrementing the first payload byte
+}
+
+// runTogetherSchedule builds two trees with their own seeded leaf sources,
+// loads them, and performs the schedule — every step's two accesses through
+// one Together call, or each on its own — checking results against a model.
+// It returns the recorded trace and the rounds the schedule cost.
+func runTogetherSchedule(t *testing.T, batch int, exchange, together bool, ops []togetherOp) ([]storage.Access, int64) {
+	t.Helper()
+	const capacity, payload = 32, 16
+	m := storage.NewMeter()
+	names := [2]string{"left", "right"}
+	var trees [2]*PathORAM
+	model := [2][][]byte{}
+	for i := range trees {
+		o, err := NewPathORAM(PathConfig{
+			Name: names[i], Capacity: capacity, PayloadSize: payload, Meter: m,
+			Sealer: testSealer(t), Rand: NewSeededSource(uint64(31 + i)), EvictionBatch: batch,
+			OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
+				st := storage.NewMemStore(name, slots, blockSize, m)
+				if exchange {
+					return st, nil
+				}
+				return batchOnlyStore{st}, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		model[i] = make([][]byte, capacity)
+		for k := range model[i] {
+			model[i][k] = bytes.Repeat([]byte{byte(k + 100*i)}, payload)
+		}
+		if err := o.BulkLoad(model[i]); err != nil {
+			t.Fatal(err)
+		}
+		trees[i] = o
+	}
+	m.Reset()
+	m.SetTracing(true)
+	bump := func(p []byte) error { p[0]++; return nil }
+	for step, op := range ops {
+		var reqs [2]Req
+		for i := range reqs {
+			reqs[i] = Req{ORAM: trees[i], Key: op.key[i], Dummy: op.dummy[i]}
+			if op.bump[i] && !op.dummy[i] {
+				reqs[i].Update = bump
+				model[i][op.key[i]][0]++
+			}
+		}
+		if together {
+			if err := Together(reqs[:]); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		} else {
+			for i := range reqs {
+				if err := Together(reqs[i : i+1]); err != nil {
+					t.Fatalf("step %d tree %d: %v", step, i, err)
+				}
+			}
+		}
+		for i, r := range reqs {
+			if op.dummy[i] {
+				if r.Data != nil {
+					t.Fatalf("step %d: dummy on tree %d returned data", step, i)
+				}
+			} else if !bytes.Equal(r.Data, model[i][op.key[i]]) {
+				t.Fatalf("step %d tree %d key %d = %v, want %v", step, i, op.key[i], r.Data[:2], model[i][op.key[i]][:2])
+			}
+		}
+	}
+	for _, o := range trees {
+		if err := o.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m.Trace(), m.Snapshot().NetworkRounds
+}
+
+// TestTogetherMatchesAlone is the parent-equivalence check: two trees
+// driven through Together and the same two trees driven one access at a
+// time, under the same leaf randomness, show each store exactly the same
+// access sequence — lockstep moves no server-visible index, it only groups
+// rounds. Classic eviction halves the rounds exactly.
+func TestTogetherMatchesAlone(t *testing.T) {
+	r := mrand.New(mrand.NewSource(9))
+	ops := make([]togetherOp, 300)
+	for i := range ops {
+		for side := 0; side < 2; side++ {
+			ops[i].key[side] = uint64(r.Intn(32))
+			ops[i].dummy[side] = r.Intn(3) == 0
+			ops[i].bump[side] = r.Intn(2) == 0
+		}
+	}
+	for _, batch := range []int{1, 4, 16} {
+		for _, exchange := range []bool{true, false} {
+			t.Run(fmt.Sprintf("k=%d/exchange=%v", batch, exchange), func(t *testing.T) {
+				grouped, groupedRounds := runTogetherSchedule(t, batch, exchange, true, ops)
+				alone, aloneRounds := runTogetherSchedule(t, batch, exchange, false, ops)
+				for _, store := range []string{"left", "right"} {
+					if d := tracecheck.DiffExact(ownTrace(grouped, store), ownTrace(alone, store)); d != "" {
+						t.Fatalf("store %s sees a different sequence in lockstep: %s", store, d)
+					}
+				}
+				if groupedRounds >= aloneRounds {
+					t.Fatalf("lockstep cost %d rounds, one at a time %d", groupedRounds, aloneRounds)
+				}
+				if batch == 1 && (aloneRounds != int64(4*len(ops)) || groupedRounds != int64(2*len(ops))) {
+					t.Fatalf("classic eviction: %d rounds alone, %d in lockstep; want %d and %d",
+						aloneRounds, groupedRounds, 4*len(ops), 2*len(ops))
+				}
+				// In lockstep both trees' downloads of a step carry one round
+				// ordinal and the next round is their write-backs (classic).
+				if batch == 1 {
+					for i := 0; i+1 < len(grouped); i++ {
+						a, b := grouped[i], grouped[i+1]
+						if a.Store == "left" && b.Store == "right" && (a.Kind != b.Kind || a.Round != b.Round) {
+							t.Fatalf("access %d: left %s in round %d is followed by right %s in round %d",
+								i, a.Kind, a.Round, b.Kind, b.Round)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// failOnce is a store that refuses one chosen batch call — applying half of
+// a write first, as a transport failure might — and serves every other.
+type failOnce struct {
+	*storage.MemStore
+	failRead, failWrite bool
+}
+
+func (f *failOnce) ExchangeTo(dst []byte, wi []int64, wd [][]byte, ri []int64) ([]byte, error) {
+	switch {
+	case f.failRead && len(ri) > 0:
+		f.failRead = false
+		return nil, errors.New("injected read failure")
+	case f.failWrite && len(wi) > 0:
+		f.failWrite = false
+		half := len(wi) / 2
+		if err := f.MemStore.WriteMany(wi[:half], wd[:half]); err != nil {
+			return nil, err
+		}
+		return nil, errors.New("injected write failure")
+	}
+	return f.MemStore.ExchangeTo(dst, wi, wd, ri)
+}
+
+func (f *failOnce) Exchange(wi []int64, wd [][]byte, ri []int64) ([][]byte, error) {
+	flat, err := f.ExchangeTo(nil, wi, wd, ri)
+	return storage.Carve(flat, f.BlockSize()), err
+}
+
+func (f *failOnce) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
+	return f.ExchangeTo(dst, nil, nil, idxs)
+}
+
+func (f *failOnce) ReadMany(idxs []int64) ([][]byte, error) { return f.Exchange(nil, nil, idxs) }
+
+func (f *failOnce) WriteMany(idxs []int64, d [][]byte) error {
+	_, err := f.ExchangeTo(nil, idxs, d, nil)
+	return err
+}
+
+// TestTogetherShareFailure: when one store fails its share of a round the
+// other tree's access has completed and committed, and the failed tree is
+// left as a failed access leaves it — stash authoritative, paths pending —
+// so retrying brings it to the model's state. Both the download round and
+// the write-back round are failed, at every eviction batch. (A download
+// that fails under a real access strands that key's remap, in lockstep as
+// alone; the failed share is therefore a dummy wherever the failure can
+// land on the download — which with deferred eviction carries the flush.)
+func TestTogetherShareFailure(t *testing.T) {
+	const capacity, payload = 32, 16
+	for _, batch := range []int{1, 4, 16} {
+		for _, stage := range []string{"download", "write-back"} {
+			t.Run(fmt.Sprintf("k=%d/%s", batch, stage), func(t *testing.T) {
+				m := storage.NewMeter()
+				var flaky *failOnce
+				var trees [2]*PathORAM
+				for i := range trees {
+					o, err := NewPathORAM(PathConfig{
+						Name: fmt.Sprint("t", i), Capacity: capacity, PayloadSize: payload, Meter: m,
+						Sealer: testSealer(t), Rand: NewSeededSource(uint64(5 + i)), EvictionBatch: batch,
+						OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
+							st := storage.NewMemStore(name, slots, blockSize, m)
+							if i == 0 {
+								return st, nil
+							}
+							flaky = &failOnce{MemStore: st}
+							return flaky, nil
+						},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					blocks := make([][]byte, capacity)
+					for k := range blocks {
+						blocks[k] = bytes.Repeat([]byte{byte(k)}, payload)
+					}
+					if err := o.BulkLoad(blocks); err != nil {
+						t.Fatal(err)
+					}
+					trees[i] = o
+				}
+				bump := func(p []byte) error { p[0] += 100; return nil }
+				r := mrand.New(mrand.NewSource(int64(batch)))
+				want := [2]map[uint64]byte{{}, {}}
+				injected := 0
+				for step := 0; step < 300; step++ {
+					keys := [2]uint64{uint64(r.Intn(capacity)), uint64(r.Intn(capacity))}
+					inject := step%7 == 3
+					reqs := []Req{
+						{ORAM: trees[0], Key: keys[0], Update: bump},
+						{ORAM: trees[1], Key: keys[1], Update: bump},
+					}
+					if inject {
+						flaky.failRead, flaky.failWrite = stage == "download", stage == "write-back"
+						reqs[1].Dummy = stage == "download" || batch > 1
+					}
+					err := Together(reqs)
+					if reqs[0].Err != nil {
+						t.Fatalf("step %d: the healthy tree failed: %v", step, reqs[0].Err)
+					}
+					want[0][keys[0]] += 100
+					if got := reqs[0].Data[0]; got != byte(keys[0])+want[0][keys[0]] {
+						t.Fatalf("step %d: healthy tree key %d = %d", step, keys[0], got)
+					}
+					consumed := inject && !flaky.failRead && !flaky.failWrite
+					flaky.failRead, flaky.failWrite = false, false
+					if !consumed {
+						// No write-back was owed this step, so nothing failed.
+						if err != nil {
+							t.Fatalf("step %d: %v", step, err)
+						}
+						if !reqs[1].Dummy {
+							want[1][keys[1]] += 100
+						}
+						continue
+					}
+					injected++
+					if err == nil || err != reqs[1].Err || !strings.Contains(err.Error(), "injected") {
+						t.Fatalf("step %d: err = %v, share err = %v; want the injected failure", step, err, reqs[1].Err)
+					}
+					if !reqs[1].Dummy {
+						// The update reached the stash before the write-back was
+						// refused, and the evicted blocks went back to it.
+						want[1][keys[1]] += 100
+					}
+					if stage == "write-back" && trees[1].PendingEvictions() == 0 {
+						t.Fatalf("step %d: the refused write-back left no path pending", step)
+					}
+					assertBuffersDisjoint(t, trees[1])
+					if err := trees[1].DummyAccess(); err != nil {
+						t.Fatalf("step %d: retry after the failure: %v", step, err)
+					}
+				}
+				if injected == 0 {
+					t.Fatal("no share failed; the test exercised nothing")
+				}
+				for i, o := range trees {
+					if err := o.Flush(); err != nil {
+						t.Fatalf("tree %d flush: %v", i, err)
+					}
+					if o.PendingEvictions() != 0 {
+						t.Fatalf("tree %d: %d paths pending after a clean flush", i, o.PendingEvictions())
+					}
+					for k := uint64(0); k < capacity; k++ {
+						got, err := o.Read(k)
+						if err != nil || got[0] != byte(k)+want[i][k] || got[1] != byte(k) {
+							t.Fatalf("tree %d key %d = %v, %v; want first byte %d", i, k, got[:2], err, byte(k)+want[i][k])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTogetherFallsBackOneByOne: groups that are not distinct Path-ORAMs
+// with client-held positions — views of one shared tree, a recursive
+// position map, the linear-scan ORAM, the raw store, the same tree twice —
+// run their accesses one after another, moving exactly the blocks and
+// rounds of separate calls, in the same order.
+func TestTogetherFallsBackOneByOne(t *testing.T) {
+	const capacity, payload = 16, 16
+	build := map[string]func(m *storage.Meter) [2]ORAM{
+		"views": func(m *storage.Meter) [2]ORAM {
+			base := newBatchORAM(t, 2*capacity, payload, m, 1, 3)
+			a, err := NewView(base, 0, capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewView(base, capacity, capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return [2]ORAM{a, b}
+		},
+		"recursive": func(m *storage.Meter) [2]ORAM {
+			var out [2]ORAM
+			for i := range out {
+				o, err := NewPathORAM(PathConfig{
+					Name: fmt.Sprint("rec", i), Capacity: capacity, PayloadSize: payload, Meter: m,
+					Sealer: testSealer(t), Rand: NewSeededSource(uint64(i + 1)), RecursePosMap: true, RecurseCutoff: 2,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i] = o
+			}
+			return out
+		},
+		"linear": func(m *storage.Meter) [2]ORAM {
+			var out [2]ORAM
+			for i := range out {
+				o, err := NewLinearORAM(PathConfig{
+					Name: fmt.Sprint("lin", i), Capacity: capacity, PayloadSize: payload, Meter: m, Sealer: testSealer(t),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i] = o
+			}
+			return out
+		},
+		"raw": func(m *storage.Meter) [2]ORAM {
+			var out [2]ORAM
+			for i := range out {
+				o, err := NewRawStore(fmt.Sprint("raw", i), capacity, payload, m, NewSeededSource(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i] = o
+			}
+			return out
+		},
+		"same-tree": func(m *storage.Meter) [2]ORAM {
+			o := newBatchORAM(t, capacity, payload, m, 1, 3)
+			return [2]ORAM{o, o}
+		},
+	}
+	for name, mk := range build {
+		t.Run(name, func(t *testing.T) {
+			run := func(together bool) ([]storage.Access, storage.Stats) {
+				m := storage.NewMeter()
+				orams := mk(m)
+				for _, o := range orams {
+					for k := uint64(0); k < capacity; k++ {
+						if err := o.Write(k, []byte{byte(k)}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				m.Reset()
+				m.SetTracing(true)
+				for k := uint64(0); k < capacity; k++ {
+					reqs := []Req{{ORAM: orams[0], Key: k}, {ORAM: orams[1], Dummy: k%2 == 0, Key: capacity - 1 - k}}
+					if together {
+						if err := Together(reqs); err != nil {
+							t.Fatal(err)
+						}
+						if reqs[0].Data[0] != byte(k) {
+							t.Fatalf("key %d = %d", k, reqs[0].Data[0])
+						}
+						continue
+					}
+					if _, err := orams[0].Read(k); err != nil {
+						t.Fatal(err)
+					}
+					var err error
+					if reqs[1].Dummy {
+						err = orams[1].DummyAccess()
+					} else {
+						_, err = orams[1].Read(reqs[1].Key)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				return m.Trace(), m.Snapshot()
+			}
+			grouped, groupedStats := run(true)
+			separate, separateStats := run(false)
+			if groupedStats != separateStats {
+				t.Fatalf("Together moved %v, separate calls %v", groupedStats, separateStats)
+			}
+			if d := tracecheck.Diff(grouped, separate); d != "" {
+				t.Fatalf("Together is not the separate calls: %s", d)
+			}
+		})
+	}
+}
+
+// TestTogetherAllocs is the allocation guard for the lockstep path: two
+// steady-state accesses through Together allocate no more than the same two
+// accesses made alone (their result copies).
+func TestTogetherAllocs(t *testing.T) {
+	if storetest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const capacity, payload = 256, 4096
+	m := storage.NewMeter()
+	var trees [2]*PathORAM
+	for i := range trees {
+		o, err := NewPathORAM(PathConfig{
+			Name: fmt.Sprint("allocs", i), Capacity: capacity, PayloadSize: payload, Meter: m,
+			Sealer: testSealer(t), Rand: NewSeededSource(uint64(3 + i)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := make([][]byte, capacity)
+		for k := range blocks {
+			blocks[k] = make([]byte, payload)
+		}
+		if err := o.BulkLoad(blocks); err != nil {
+			t.Fatal(err)
+		}
+		trees[i] = o
+	}
+	key := uint64(0)
+	reqs := make([]Req, 2)
+	pair := func() {
+		key = (key + 1) % capacity
+		reqs[0] = Req{ORAM: trees[0], Key: key}
+		reqs[1] = Req{ORAM: trees[1], Dummy: true}
+		if err := Together(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alone := func() {
+		key = (key + 1) % capacity
+		if _, err := trees[0].Read(key); err != nil {
+			t.Fatal(err)
+		}
+		if err := trees[1].DummyAccess(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*capacity; i++ { // fill the free lists and scratch
+		pair()
+		alone()
+	}
+	aloneN, aloneB := storetest.AllocsAndBytes(500, alone)
+	pairN, pairB := storetest.AllocsAndBytes(500, pair)
+	t.Logf("two accesses alone: %v allocs, %d bytes; through Together: %v allocs, %d bytes", aloneN, aloneB, pairN, pairB)
+	if pairN > aloneN || pairB > aloneB+payload/8 {
+		t.Errorf("Together of two accesses: %v allocs and %d bytes, alone %v and %d", pairN, pairB, aloneN, aloneB)
+	}
+	if pairN > 3 || pairB > payload+payload/2 {
+		t.Errorf("Together of a read and a dummy: %v allocs and %d bytes, want <= 3 and one %d-byte result copy", pairN, pairB, payload)
+	}
+}

@@ -22,10 +22,25 @@ type Cost struct {
 	ORAMOps int64
 	// Blocks is the total predicted server block operations (reads+writes).
 	Blocks int64
-	// Rounds is the classic worst-case network rounds: two per ORAM access
-	// (one read round, one write-back round). Deferred eviction and dummy
-	// coalescing only lower it.
+	// Rounds is the predicted network rounds, priced per operator because
+	// operators differ in which accesses share a round. A Path-ORAM access
+	// alone costs two (path download, write-back); the operators whose
+	// per-table retrievals are independent in every step issue them in
+	// lockstep, one round pair per stage for both tables (table.Step):
+	//
+	//	sort-merge          4·n        index stage, data stage
+	//	band                2·(h+1)·n  h descent accesses, then both data accesses together
+	//	index nested-loop   2·(h+2)·n  the probe needs the outer tuple's key: sequential
+	//	multiway            2·ORAMOps  children depend on the parent's row: sequential
+	//
+	// with n the padded step count and h the inner index's accesses per
+	// retrieval. With immediate eviction (EvictionBatch <= 1) the number is
+	// exact; see RoundsExact.
 	Rounds int64
+	// RoundsExact reports that Rounds is what the Meter will count. It is
+	// false when an input table defers evictions (EvictionBatch > 1):
+	// flushes then ride later downloads and Rounds is an upper bound.
+	RoundsExact bool
 	// PerStore maps store name to predicted block operations — the exact
 	// counts the predicted-vs-measured guard checks against the Meter's
 	// trace, store by store.
@@ -40,7 +55,16 @@ func (c *Cost) add(store string, oramOps int64, accessesPerOp int) {
 	c.PerStore[store] += blocks
 	c.ORAMOps += oramOps
 	c.Blocks += blocks
-	c.Rounds += 2 * oramOps
+}
+
+// setRounds records the operator's round count over the given inputs.
+func (c *Cost) setRounds(rounds int64, inputs ...TableMeta) {
+	c.Rounds, c.RoundsExact = rounds, true
+	for _, m := range inputs {
+		if m.DeferredEviction {
+			c.RoundsExact = false
+		}
+	}
 }
 
 // smjCost prices the sort-merge equi-join t1.a1 = t2.a2: Numtr1 = |T1| +
@@ -69,6 +93,7 @@ func smjCost(cat Catalog, t1, a1, t2, a2 string, paddedR int64) (Cost, error) {
 	c.add(m1.DataStore, n, m1.DataAccessesPerOp)
 	c.add(i2.Store, n, i2.OramAccessesPerOp)
 	c.add(m2.DataStore, n, m2.DataAccessesPerOp)
+	c.setRounds(4*n, m1, m2)
 	return c, nil
 }
 
@@ -76,7 +101,9 @@ func smjCost(cat Catalog, t1, a1, t2, a2 string, paddedR int64) (Cost, error) {
 // roles (equi and band joins share the bound: Numtr = |outer| + |R̂|). Each
 // step is one outer data access plus one full index descent
 // (AccessesPerRetrieval index accesses) and one data access on the inner.
-func inljCost(cat Catalog, outer, inner, innerAttr string, paddedR int64) (Cost, error) {
+// The band join moves the same blocks but issues the step's two data
+// accesses together, which saves their two rounds.
+func inljCost(cat Catalog, outer, inner, innerAttr string, paddedR int64, band bool) (Cost, error) {
 	mo, err := cat.lookup(outer)
 	if err != nil {
 		return Cost{}, err
@@ -94,6 +121,11 @@ func inljCost(cat Catalog, outer, inner, innerAttr string, paddedR int64) (Cost,
 	c.add(mo.DataStore, n, mo.DataAccessesPerOp)
 	c.add(idx.Store, n*int64(idx.AccessesPerRetrieval), idx.OramAccessesPerOp)
 	c.add(mi.DataStore, n, mi.DataAccessesPerOp)
+	stages := int64(idx.AccessesPerRetrieval) + 2
+	if band {
+		stages--
+	}
+	c.setRounds(2*stages*n, mo, mi)
 	return c, nil
 }
 
@@ -130,6 +162,7 @@ func multiwayCost(cat Catalog, tree *jointree.Tree, paddedR int64) (Cost, error)
 			c.add(im.Store, im.ResetNodes, im.OramAccessesPerOp)
 		}
 	}
+	c.setRounds(2*c.ORAMOps, metas...)
 	return c, nil
 }
 

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"strings"
 	"testing"
 
 	"oblivjoin/internal/core"
@@ -19,11 +20,25 @@ func perStoreCounts(trace []storage.Access) map[string]int64 {
 	return out
 }
 
+// roundsOver counts the network rounds that carried an access to one of the
+// given stores: the distinct round ordinals among those accesses.
+func roundsOver(trace []storage.Access, stores map[string]int64) int64 {
+	seen := map[int64]bool{}
+	for _, a := range trace {
+		if _, priced := stores[a.Store]; priced {
+			seen[a.Round] = true
+		}
+	}
+	return int64(len(seen))
+}
+
 // checkPredicted compares a cost prediction against the measured trace:
 // every store the formula prices must match its measured block count
 // exactly (the Theorem 1–4 bounds are exact once the result size is fixed,
-// and the per-op ORAM costs are deterministic with in-process stores).
-// Stores the formula does not price (the output vector) are ignored.
+// and the per-op ORAM costs are deterministic with in-process stores), and
+// the rounds those stores' accesses travelled in must be the predicted
+// rounds (the guard tables evict immediately, where the prediction is
+// exact). Stores the formula does not price (the output vector) are ignored.
 func checkPredicted(t *testing.T, predicted Cost, trace []storage.Access, steps int64) {
 	t.Helper()
 	if predicted.Steps != steps {
@@ -34,6 +49,12 @@ func checkPredicted(t *testing.T, predicted Cost, trace []storage.Access, steps 
 		if got := measured[store]; got != want {
 			t.Errorf("store %s: predicted %d block ops, measured %d", store, want, got)
 		}
+	}
+	if !predicted.RoundsExact {
+		t.Errorf("rounds prediction is a bound, want exact at EvictionBatch <= 1")
+	}
+	if got := roundsOver(trace, predicted.PerStore); got != predicted.Rounds {
+		t.Errorf("predicted %d rounds, measured %d", predicted.Rounds, got)
 	}
 }
 
@@ -76,14 +97,15 @@ func TestPredictedCostINLJ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount))
+	cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPredicted(t, cost, env.meter.Trace(), res.PaddedSteps)
 }
 
-// TestPredictedCostBand: Theorem 3 shares the INLJ formula.
+// TestPredictedCostBand: Theorem 3 shares the INLJ formula for blocks; its
+// two data accesses per step share their rounds.
 func TestPredictedCostBand(t *testing.T) {
 	rels := map[string]*relation.Relation{
 		"a": makeRel("a", []int64{1, 4, 7}),
@@ -94,7 +116,7 @@ func TestPredictedCostBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount))
+	cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,4 +155,44 @@ func TestPredictedCostMultiway(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPredicted(t, cost, env.meter.Trace(), res.PaddedSteps)
+}
+
+// TestPredictedRoundsUnderDeferredEviction: with EvictionBatch > 1 flushes
+// ride later downloads, so the per-operator round count is an upper bound —
+// Explain says "rounds<=" there and "rounds=" where the number is exact —
+// and the measured rounds stay under it.
+func TestPredictedRoundsUnderDeferredEviction(t *testing.T) {
+	rels := map[string]*relation.Relation{
+		"a": makeRel("a", []int64{1, 2, 2, 3}),
+		"b": makeRel("b", []int64{1, 2, 2, 2}),
+	}
+	idx := map[string][]string{"a": {"k"}, "b": {"k"}}
+	spec := Spec{Tables: []string{"a", "b"}, Preds: []jointree.Pred{{Left: "a", LeftAttr: "k", Right: "b", RightAttr: "k"}}}
+	for _, tc := range []struct {
+		batch       int
+		shows, hide string
+	}{{1, "rounds=", "rounds<="}, {4, "rounds<=", "rounds="}} {
+		env := newEnv(t, envConfig{evictionBatch: tc.batch}, rels, idx)
+		env.meter.Reset()
+		env.meter.SetTracing(true)
+		p, err := env.ex.Plan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := p.Explain(); !strings.Contains(s, tc.shows) || strings.Contains(s, tc.hide) {
+			t.Errorf("EvictionBatch %d: Explain should print %q only:\n%s", tc.batch, tc.shows, s)
+		}
+		res, err := core.SortMergeJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", env.ex.JoinOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, err := smjCost(Describe(env.ex.Tables), "a", "k", "b", "k", int64(res.PaddedCount))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := roundsOver(env.meter.Trace(), cost.PerStore)
+		if cost.RoundsExact != (tc.batch <= 1) || got > cost.Rounds || (cost.RoundsExact && got != cost.Rounds) {
+			t.Errorf("EvictionBatch %d: predicted %d rounds (exact=%v), measured %d", tc.batch, cost.Rounds, cost.RoundsExact, got)
+		}
+	}
 }

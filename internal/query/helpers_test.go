@@ -32,9 +32,10 @@ type testEnv struct {
 }
 
 type envConfig struct {
-	padding  core.PaddingMode
-	multiway bool
-	seed     uint64
+	padding       core.PaddingMode
+	multiway      bool
+	seed          uint64
+	evictionBatch int
 }
 
 // newEnv stores each relation with indexes on the given attributes and
@@ -53,6 +54,7 @@ func newEnv(t testing.TB, cfg envConfig, rels map[string]*relation.Relation, ind
 		Sealer:            sealer,
 		Rand:              oram.NewSeededSource(seed),
 		WriteBackDescents: cfg.multiway,
+		EvictionBatch:     cfg.evictionBatch,
 	}
 	tables := make(map[string]*table.StoredTable, len(rels))
 	for name, rel := range rels {

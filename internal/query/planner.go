@@ -183,7 +183,7 @@ func binaryCandidates(cat Catalog, spec Spec, planned int64) []Candidate {
 			Kind: OpINLJ, Desc: fmt.Sprintf("inlj(outer=%s, inner=%s.%s)", o.ot, o.it, o.ia),
 			Outer: o.ot, OuterAttr: o.oa, Inner: o.it, InnerAttr: o.ia,
 		}
-		if c, err := inljCost(cat, o.ot, o.it, o.ia, planned); err != nil {
+		if c, err := inljCost(cat, o.ot, o.it, o.ia, planned, false); err != nil {
 			cand.Reason = err.Error()
 		} else {
 			cand.Viable, cand.Cost = true, c
@@ -210,7 +210,7 @@ func bandCandidates(cat Catalog, spec Spec, planned int64) []Candidate {
 				o.ot, o.ot, o.oa, bandOpString(o.op), o.it, o.ia),
 			Outer: o.ot, OuterAttr: o.oa, Inner: o.it, InnerAttr: o.ia, BandOp: o.op,
 		}
-		if c, err := inljCost(cat, o.ot, o.it, o.ia, planned); err != nil {
+		if c, err := inljCost(cat, o.ot, o.it, o.ia, planned, true); err != nil {
 			cand.Reason = err.Error()
 		} else {
 			cand.Viable, cand.Cost = true, c

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"oblivjoin/internal/storage"
@@ -136,6 +137,10 @@ var framePool = sync.Pool{New: func() any { return &frame{} }}
 type Client struct {
 	opts ClientOptions
 
+	// srtt is the smoothed time, in nanoseconds, a request waits for its
+	// reply — what having a second request in flight could hide (overlaps).
+	srtt atomic.Int64
+
 	mu      sync.Mutex
 	idle    []net.Conn
 	closed  bool
@@ -180,10 +185,12 @@ func (c *Client) stamp(req *Request) {
 // connection up front.
 func Dial(opts ClientOptions) (*Client, error) {
 	c := &Client{opts: opts}
+	start := time.Now()
 	conn, err := c.dial()
 	if err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", opts.Addr, err)
 	}
+	c.waited(time.Since(start)) // the handshake is the first round trip
 	c.put(conn)
 	return c, nil
 }
@@ -317,15 +324,13 @@ func (c *Client) EndSession() error {
 	return err
 }
 
-// roundTrip performs one request over one connection under the per-request
-// deadline, tightened by the bound context's deadline if that is sooner.
-// The remaining budget is declared to the server in DeadlineMS.
-// Network-level failures come back wrapped as transient; a frame over
-// MaxFrame in either direction is ErrFrameTooLarge, which no retry of the
-// same request can cure. The response's blocks are appended back to back to
-// dst (nil: fresh memory) and resp.Blocks re-pointed at those copies; the
-// extended dst is returned.
-func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *Request, dst []byte) (*Response, []byte, error) {
+// send writes one request on one connection under the per-request deadline,
+// tightened by the bound context's deadline if that is sooner, and returns
+// the pooled frame the reply is to be read into (receive). The remaining
+// budget is declared to the server in DeadlineMS. Network-level failures
+// come back wrapped as transient; a request over MaxFrame is
+// ErrFrameTooLarge, which no retry of the same request can cure.
+func (c *Client) send(ctx context.Context, conn net.Conn, req *Request) (*frame, error) {
 	deadline := time.Now().Add(c.opts.requestTimeout())
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -336,18 +341,29 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *Request, dst
 		req.DeadlineMS = 1 // declare an (expired) deadline rather than none
 	}
 	if err := conn.SetDeadline(deadline); err != nil {
-		return nil, nil, &errTransient{err}
+		return nil, &errTransient{err}
 	}
 	f := framePool.Get().(*frame)
-	defer framePool.Put(f)
 	f.out = AppendFramedRequest(f.out[:0], req)
 	if n, limit := uint64(len(f.out)-4), frameLimit(c.opts.MaxFrame); n > limit {
 		// The server would drop the connection on the length prefix alone.
-		return nil, nil, fmt.Errorf("remote: %s %q request: %w: %d > %d", req.Op, req.Store, ErrFrameTooLarge, n, limit)
+		framePool.Put(f)
+		return nil, fmt.Errorf("remote: %s %q request: %w: %d > %d", req.Op, req.Store, ErrFrameTooLarge, n, limit)
 	}
 	if _, err := conn.Write(f.out); err != nil {
-		return nil, nil, &errTransient{err}
+		framePool.Put(f)
+		return nil, &errTransient{err}
 	}
+	return f, nil
+}
+
+// receive reads the reply to a sent request and releases the frame.
+// Network-level failures come back wrapped as transient; a response over
+// MaxFrame is ErrFrameTooLarge. The response's blocks are appended back to
+// back to dst (nil: fresh memory) and resp.Blocks re-pointed at those
+// copies; the extended dst is returned.
+func (c *Client) receive(conn net.Conn, f *frame, req *Request, dst []byte) (*Response, []byte, error) {
+	defer framePool.Put(f)
 	payload, err := ReadFrameInto(conn, c.opts.MaxFrame, f.in[:0])
 	if errors.Is(err, ErrFrameTooLarge) {
 		return nil, nil, fmt.Errorf("remote: %s %q response: %w", req.Op, req.Store, err)
@@ -387,20 +403,94 @@ func (c *Client) call(req *Request) (*Response, error) {
 }
 
 // callTo is call with the response's blocks appended to the caller-owned
-// dst (see roundTrip); on error the returned slice is nil.
+// dst (see receive); on error the returned slice is nil.
 func (c *Client) callTo(req *Request, dst []byte) (*Response, []byte, error) {
+	ctx, a := c.start(req)
+	return c.finish(ctx, req, dst, a)
+}
+
+// start is the first half of callTo: it sends the request on a pooled
+// connection and returns at once; finish waits for the reply. Several
+// started requests are in flight together, each on its own connection, which
+// is how the shares of one round (storage.DoRound) overlap their latency
+// without a goroutine. If the first attempt fails transiently on either side
+// of the split, finish carries on with the retrying attempts.
+func (c *Client) start(req *Request) (context.Context, attempt) {
 	ctx := c.boundCtx()
 	if req.Session == 0 && req.Op != OpHello {
 		req.Session = c.sessionID()
 	}
-	// Stamp once, before the retry loop: a retried request is the same
-	// logical op, so it keeps its span ID and the server's ring holds one
-	// span per op regardless of transport luck.
+	// Stamp once, before any attempt: a retried request is the same logical
+	// op, so it keeps its span ID and the server's ring holds one span per
+	// op regardless of transport luck.
 	c.stamp(req)
+	if ctx.Err() != nil {
+		return ctx, attempt{}
+	}
+	return ctx, c.begin(ctx, req)
+}
+
+// attempt is one try at a request, sent and awaiting its reply — or failed
+// already, with err saying how (nil conn and nil err: never tried).
+type attempt struct {
+	conn net.Conn
+	f    *frame
+	sent time.Time
+	err  error
+}
+
+// minOverlapWait is the reply wait above which a round's requests go out
+// together (overlaps). A second request in flight means a second connection
+// and a second server goroutine to wake; against a server that answers in
+// tens of microseconds — loopback, in-memory — that costs more than the wait
+// it hides (≈ 50 µs a round, measured with client and server sharing two
+// cores), while any real link is far above it: the paper's LAN round trip is
+// 500 µs.
+const minOverlapWait = 250 * time.Microsecond
+
+// waited folds one request's wait for its reply into the smoothed estimate
+// (gain 1/8, as TCP smooths its round-trip time). A lost update between
+// concurrent requests only delays the estimate.
+func (c *Client) waited(d time.Duration) {
+	if old := c.srtt.Load(); old != 0 {
+		d = time.Duration(old) + (d-time.Duration(old))/8
+	}
+	c.srtt.Store(int64(d))
+}
+
+// overlaps reports whether the shares of a round are worth having in flight
+// together: whether requests have lately waited long enough for their
+// replies that hiding one wait behind another pays for the second
+// connection. It is measured, not configured — overlap where there is
+// latency, nothing where there is none.
+func (c *Client) overlaps() bool { return time.Duration(c.srtt.Load()) >= minOverlapWait }
+
+// begin makes one attempt's first half: a connection out of the pool and
+// the request written to it.
+func (c *Client) begin(ctx context.Context, req *Request) attempt {
+	conn, err := c.get()
+	if err != nil {
+		if !errors.Is(err, ErrClosed) {
+			err = &errTransient{err}
+		}
+		return attempt{err: err}
+	}
+	f, err := c.send(ctx, conn, req)
+	if err != nil {
+		// The connection is in an unknown state mid-protocol: discard it.
+		conn.Close()
+		return attempt{err: err}
+	}
+	return attempt{conn: conn, f: f, sent: time.Now()}
+}
+
+// finish settles the first attempt and, while the failure is transient,
+// makes the further ones with exponential backoff.
+func (c *Client) finish(ctx context.Context, req *Request, dst []byte, a attempt) (*Response, []byte, error) {
 	backoff := c.opts.retryBase()
 	var lastErr error
-	for attempt := 0; attempt <= c.opts.maxRetries(); attempt++ {
-		if attempt > 0 {
+	for n := 0; n <= c.opts.maxRetries(); n++ {
+		if n > 0 {
 			select {
 			case <-time.After(backoff):
 			case <-ctx.Done():
@@ -409,24 +499,28 @@ func (c *Client) callTo(req *Request, dst []byte) (*Response, []byte, error) {
 				backoff = time.Second
 			}
 		}
-		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return nil, nil, fmt.Errorf("remote: %s %q: %w (last error: %v)", req.Op, req.Store, err, lastErr)
+		if a.conn == nil && a.err == nil {
+			if err := ctx.Err(); err != nil {
+				if lastErr != nil {
+					return nil, nil, fmt.Errorf("remote: %s %q: %w (last error: %v)", req.Op, req.Store, err, lastErr)
+				}
+				return nil, nil, fmt.Errorf("remote: %s %q: %w", req.Op, req.Store, err)
 			}
-			return nil, nil, fmt.Errorf("remote: %s %q: %w", req.Op, req.Store, err)
+			a = c.begin(ctx, req)
 		}
-		conn, err := c.get()
-		if err != nil {
-			if errors.Is(err, ErrClosed) {
-				return nil, nil, err
+		var resp *Response
+		var out []byte
+		err := a.err
+		if err == nil {
+			if resp, out, err = c.receive(a.conn, a.f, req, dst); err != nil {
+				a.conn.Close()
+			} else {
+				c.waited(time.Since(a.sent))
+				c.put(a.conn)
 			}
-			lastErr = err
-			continue
 		}
-		resp, out, err := c.roundTrip(ctx, conn, req, dst)
+		a = attempt{}
 		if err != nil {
-			// The connection is in an unknown state mid-protocol: discard it.
-			conn.Close()
 			var tr *errTransient
 			if errors.As(err, &tr) {
 				lastErr = err
@@ -434,7 +528,6 @@ func (c *Client) callTo(req *Request, dst []byte) (*Response, []byte, error) {
 			}
 			return nil, nil, err
 		}
-		c.put(conn)
 		switch resp.Status {
 		case StatusOK:
 			return resp, out, nil
@@ -553,20 +646,7 @@ func (s *RemoteStore) ReadMany(idxs []int64) ([][]byte, error) {
 // hence one round trip — the fast path that lets Path-ORAM fetch a full
 // tree path per round.
 func (s *RemoteStore) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
-	if len(idxs) == 0 {
-		return dst, nil
-	}
-	resp, out, err := s.c.callTo(&Request{Op: OpReadMany, Store: s.name, Indices: idxs}, dst)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.checkBlocks("batch read", resp, len(idxs)); err != nil {
-		return nil, err
-	}
-	if m := s.c.opts.Meter; m != nil {
-		m.CountBatch(s.name, storage.KindRead, idxs, s.blockSize)
-	}
-	return out, nil
+	return s.ExchangeTo(dst, nil, nil, idxs)
 }
 
 // checkBlocks refuses a response the caller could not carve at blockSize
@@ -586,20 +666,8 @@ func (s *RemoteStore) checkBlocks(op string, resp *Response, want int) error {
 
 // WriteMany implements storage.BatchStore.
 func (s *RemoteStore) WriteMany(idxs []int64, data [][]byte) error {
-	if len(idxs) != len(data) {
-		return fmt.Errorf("remote: batch write of %d blocks with %d payloads", len(idxs), len(data))
-	}
-	if len(idxs) == 0 {
-		return nil
-	}
-	_, err := s.c.call(&Request{Op: OpWriteMany, Store: s.name, Indices: idxs, Blocks: data})
-	if err != nil {
-		return err
-	}
-	if m := s.c.opts.Meter; m != nil {
-		m.CountBatch(s.name, storage.KindWrite, idxs, s.blockSize)
-	}
-	return nil
+	_, err := s.ExchangeTo(nil, idxs, data, nil)
+	return err
 }
 
 // Exchange implements storage.ExchangeStore: ExchangeTo into fresh memory,
@@ -611,37 +679,80 @@ func (s *RemoteStore) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs [
 
 // ExchangeTo implements storage.AppendExchangeStore: the writes and reads
 // travel in one OpExchange request, and the server applies the writes before
-// serving the reads. Degenerate forms collapse to the plain batch ops (which
-// skip the wire entirely when empty), and a retried exchange is idempotent
-// for the same reason batch writes are: absolute indices, absolute contents.
+// serving the reads. One-sided forms travel as the plain batch ops (and skip
+// the wire entirely when empty), and a retried exchange is idempotent for
+// the same reason batch writes are: absolute indices, absolute contents. It
+// is the one implementation of every batch form of the store.
 func (s *RemoteStore) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
+	var x exchange
+	x.start(s, dst, writeIdxs, writeData, readIdxs)
+	return x.finish()
+}
+
+// StartExchangeTo implements storage.RoundStarter: the request is on the
+// wire when it returns, and finish collects the reply. Against a server that
+// answers faster than a second request in flight is worth (Client.overlaps)
+// it declines, and the round issues the share through ExchangeTo.
+func (s *RemoteStore) StartExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) (finish func() ([]byte, error)) {
+	if !s.c.overlaps() {
+		return nil
+	}
+	x := new(exchange)
+	x.start(s, dst, writeIdxs, writeData, readIdxs)
+	return x.finish
+}
+
+// exchange is one ExchangeTo call between its request and its reply.
+type exchange struct {
+	s         *RemoteStore
+	dst       []byte
+	writeIdxs []int64
+	readIdxs  []int64
+	req       Request
+	sent      bool  // req is on its way; otherwise err says whether that is a failure
+	err       error // the call was malformed
+	ctx       context.Context
+	first     attempt
+}
+
+func (x *exchange) start(s *RemoteStore, dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) {
+	x.s, x.dst, x.writeIdxs, x.readIdxs = s, dst, writeIdxs, readIdxs
 	if len(writeIdxs) != len(writeData) {
-		return nil, fmt.Errorf("remote: exchange of %d write blocks with %d payloads", len(writeIdxs), len(writeData))
+		x.err = fmt.Errorf("remote: batch write of %d blocks with %d payloads", len(writeIdxs), len(writeData))
+		return
 	}
-	if len(readIdxs) == 0 {
-		if err := s.WriteMany(writeIdxs, writeData); err != nil {
-			return nil, err
+	switch {
+	case len(writeIdxs) == 0 && len(readIdxs) == 0:
+		return
+	case len(readIdxs) == 0:
+		x.req = Request{Op: OpWriteMany, Store: s.name, Indices: writeIdxs, Blocks: writeData}
+	case len(writeIdxs) == 0:
+		x.req = Request{Op: OpReadMany, Store: s.name, Indices: readIdxs}
+	default:
+		x.req = Request{Op: OpExchange, Store: s.name, Indices: readIdxs, WriteIndices: writeIdxs, Blocks: writeData}
+	}
+	x.sent = true
+	x.ctx, x.first = s.c.start(&x.req)
+}
+
+func (x *exchange) finish() ([]byte, error) {
+	if !x.sent {
+		if x.err != nil {
+			return nil, x.err
 		}
-		return dst, nil
+		return x.dst, nil
 	}
-	if len(writeIdxs) == 0 {
-		return s.ReadManyTo(dst, readIdxs)
-	}
-	resp, out, err := s.c.callTo(&Request{
-		Op:           OpExchange,
-		Store:        s.name,
-		Indices:      readIdxs,
-		WriteIndices: writeIdxs,
-		Blocks:       writeData,
-	}, dst)
+	resp, out, err := x.s.c.finish(x.ctx, &x.req, x.dst, x.first)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.checkBlocks("exchange", resp, len(readIdxs)); err != nil {
+	if len(x.readIdxs) == 0 {
+		out = x.dst
+	} else if err := x.s.checkBlocks(x.req.Op.String(), resp, len(x.readIdxs)); err != nil {
 		return nil, err
 	}
-	if m := s.c.opts.Meter; m != nil {
-		m.CountExchange(s.name, writeIdxs, readIdxs, s.blockSize)
+	if m := x.s.c.opts.Meter; m != nil {
+		m.CountExchange(x.s.name, x.writeIdxs, x.readIdxs, x.s.blockSize)
 	}
 	return out, nil
 }

@@ -2,11 +2,14 @@ package remote
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"oblivjoin/internal/core"
 	"oblivjoin/internal/oram"
 	"oblivjoin/internal/storage"
+	"oblivjoin/internal/storage/storetest"
 	"oblivjoin/internal/table"
 	"oblivjoin/internal/xcrypto"
 )
@@ -78,17 +81,27 @@ func TestExchangeRPCOverLoopback(t *testing.T) {
 	}
 }
 
-// runLoopbackSMJRounds stores two relations on a loopback server with the
-// given eviction batch, runs the oblivious sort-merge join over the wire,
-// checks the result, and returns the network rounds each Path-ORAM access
-// cost. The tables' ORAM traffic is metered on the client transport while
+// binaryJoin is core.SortMergeJoin or core.IndexNestedLoopJoin.
+type binaryJoin func(t1, t2 *table.StoredTable, a1, a2 string, opts core.Options) (*core.Result, error)
+
+// runLoopbackJoinRounds stores two relations on a loopback server with the
+// given eviction batch, runs the given oblivious join over the wire, checks
+// the result, and returns the network rounds each Path-ORAM access cost. The tables' ORAM traffic is metered on the client transport while
 // the output filter is metered apart, so the ratio is exact; setup traffic
 // is excluded by resetting the meter after Store (bulk load bypasses the
 // access path, so telemetry accesses start at zero there too).
-func runLoopbackSMJRounds(t *testing.T, k int) (perAccess float64, exchanges int64) {
+func runLoopbackJoinRounds(t *testing.T, k int, join binaryJoin) (perAccess float64, exchanges int64) {
+	t.Helper()
+	rounds, accesses, exchanges, _ := runShapedLoopbackJoin(t, k, join, nil)
+	return float64(rounds) / float64(accesses), exchanges
+}
+
+// runShapedLoopbackJoin is runLoopbackJoinRounds with the server's transport
+// shaped by faults, returning the counts apart and the join's wall-clock.
+func runShapedLoopbackJoin(t *testing.T, k int, join binaryJoin, faults FaultModel) (rounds, accesses, exchanges int64, wall time.Duration) {
 	t.Helper()
 	mTab := storage.NewMeter()
-	_, c := startServer(t, ServerOptions{}, ClientOptions{Meter: mTab})
+	_, c := startServer(t, ServerOptions{Faults: faults}, ClientOptions{Meter: mTab})
 	sealer, err := xcrypto.NewSealer(bytes.Repeat([]byte{5}, xcrypto.KeySize), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -114,12 +127,14 @@ func runLoopbackSMJRounds(t *testing.T, k int) (perAccess float64, exchanges int
 		t.Fatal(err)
 	}
 	mTab.Reset() // setup traffic is not query cost
-	res, err := core.SortMergeJoin(t1, t2, "k", "k", core.Options{
+	start := time.Now()
+	res, err := join(t1, t2, "k", "k", core.Options{
 		Meter:         storage.NewMeter(), // output filter metered apart
 		Sealer:        sealer,
 		OutBlockSize:  256,
 		PrefetchDepth: k,
 	})
+	wall = time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +147,6 @@ func runLoopbackSMJRounds(t *testing.T, k int) (perAccess float64, exchanges int
 			t.Fatalf("tuple %s: got %d, want %d", key, got[key], n)
 		}
 	}
-	var accesses int64
 	for _, st := range []*table.StoredTable{t1, t2} {
 		for _, ps := range st.PathTelemetry() {
 			accesses += ps.Accesses
@@ -142,30 +156,194 @@ func runLoopbackSMJRounds(t *testing.T, k int) (perAccess float64, exchanges int
 	if accesses == 0 {
 		t.Fatal("no ORAM accesses recorded")
 	}
-	rounds := mTab.Snapshot().NetworkRounds
-	return float64(rounds) / float64(accesses), exchanges
+	return mTab.Snapshot().NetworkRounds, accesses, exchanges, wall
+}
+
+// overlapShaper is a Shaper that serves its latency itself, so it can see
+// how many requests are waiting it out at once.
+type overlapShaper struct {
+	Shaper
+	waiting, peak atomic.Int64
+}
+
+func (s *overlapShaper) Next(req *Request) (time.Duration, bool) {
+	delay, transient := s.Shaper.Next(req)
+	n := s.waiting.Add(1)
+	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
+	}
+	time.Sleep(delay)
+	s.waiting.Add(-1)
+	return 0, transient
+}
+
+// TestLoopbackLockstepRoundIsARealRound: what the Meter counts as one round
+// costs one round trip of latency on a real transport. Over a loopback
+// server that adds 2 ms to every request, the lockstep sort-merge join takes
+// its NetworkRounds times the cost of a round trip — the two requests of a
+// round are in flight together, each on its own pooled connection, from one
+// goroutine. The yardstick for a round trip is the sequential index
+// nested-loop join on the same server, which never has two requests in
+// flight and so pays every round in full: had a lockstep round cost its
+// two requests one after the other, the sort-merge join would come out at
+// twice that per round, not within 25 % of it.
+func TestLoopbackLockstepRoundIsARealRound(t *testing.T) {
+	const latency = 2 * time.Millisecond
+	perRound := func(join binaryJoin, wantPeak int64) time.Duration {
+		t.Helper()
+		shaper := &overlapShaper{Shaper: Shaper{Latency: latency}}
+		rounds, _, _, wall := runShapedLoopbackJoin(t, 1, join, shaper)
+		if got := shaper.peak.Load(); got != wantPeak {
+			t.Fatalf("the server saw at most %d requests of the client in flight, want %d", got, wantPeak)
+		}
+		if floor := time.Duration(rounds) * latency; wall < floor {
+			t.Fatalf("join took %v, less than its %d rounds of %v", wall, rounds, latency)
+		}
+		t.Logf("%d rounds in %v: %v per round (peak %d in flight)", rounds, wall, wall/time.Duration(rounds), wantPeak)
+		return wall / time.Duration(rounds)
+	}
+	sequential := perRound(core.IndexNestedLoopJoin, 1)
+	lockstep := perRound(core.SortMergeJoin, 2)
+	if !storetest.RaceEnabled && lockstep > sequential+sequential/4 {
+		t.Fatalf("a lockstep round took %v, a sequential round trip %v: a counted round cost more than one round trip", lockstep, sequential)
+	}
 }
 
 // TestLoopbackSMJDeferredRounds is the acceptance check for the staged data
-// path (DESIGN.md §2.9): over a real loopback server, EvictionBatch = 16
-// brings the join's cost from the classic two rounds per ORAM access down
-// to at most 1.25, with the deferred flushes riding path downloads as
-// combined exchange rounds.
+// path (DESIGN.md §2.9) over a real loopback server. The sort-merge join
+// issues each step's two index accesses, then its two data accesses, in
+// lockstep, so the classic protocol's two rounds per access are shared by
+// two trees: one round per ORAM access. The index nested-loop join's probe
+// needs the outer tuple's key, so it stays sequential at the classic two.
+// EvictionBatch = 16 lets the deferred flushes ride path downloads as
+// combined exchange rounds and brings the sort-merge join to at most 0.625.
 func TestLoopbackSMJDeferredRounds(t *testing.T) {
-	classic, classicEx := runLoopbackSMJRounds(t, 1)
-	if classic < 1.9 || classic > 2.0 {
-		t.Fatalf("classic data path cost %.3f rounds/access, want ~2.0", classic)
+	classic, classicEx := runLoopbackJoinRounds(t, 1, core.SortMergeJoin)
+	if classic != 1.0 {
+		t.Fatalf("classic data path, lockstep SMJ: %.3f rounds/access, want 1.0", classic)
 	}
 	if classicEx != 0 {
 		t.Fatalf("classic data path used %d exchanges", classicEx)
 	}
+	inlj, _ := runLoopbackJoinRounds(t, 1, core.IndexNestedLoopJoin)
+	if inlj != 2.0 {
+		t.Fatalf("classic data path, sequential INLJ: %.3f rounds/access, want 2.0", inlj)
+	}
 
-	deferred, deferredEx := runLoopbackSMJRounds(t, 16)
-	if deferred > 1.25 {
-		t.Fatalf("deferred data path cost %.3f rounds/access, want <= 1.25", deferred)
+	deferred, deferredEx := runLoopbackJoinRounds(t, 16, core.SortMergeJoin)
+	if deferred > 0.625 {
+		t.Fatalf("deferred data path cost %.3f rounds/access, want <= 0.625", deferred)
 	}
 	if deferredEx == 0 {
 		t.Fatal("no eviction flush rode a path download")
 	}
-	t.Logf("rounds/access: classic %.3f -> deferred %.3f (%d exchanges)", classic, deferred, deferredEx)
+	t.Logf("rounds/access: SMJ classic %.3f -> deferred %.3f (%d exchanges); INLJ classic %.3f", classic, deferred, deferredEx, inlj)
+}
+
+// TestStartedSharesRetryLikeCalls: the start/finish split of a request
+// keeps callTo's failure model. Against a server slow enough that the
+// client overlaps its rounds, and that fails every third request
+// transiently, every share of every round still succeeds — the
+// failed first attempt falls into the same retrying attempts — and a round
+// is metered once, on success, however many attempts its shares took; a
+// stale pooled connection is no different from a transient fault.
+func TestStartedSharesRetryLikeCalls(t *testing.T) {
+	m := storage.NewMeter()
+	shaper := &overlapShaper{Shaper: Shaper{Latency: time.Millisecond, FailEvery: 3}}
+	srv, c := startServer(t, ServerOptions{Faults: shaper}, ClientOptions{Meter: m})
+	const size = 32
+	var stores [2]*RemoteStore
+	for i, name := range []string{"a", "b"} {
+		st, err := c.Create(name, 8, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = st
+	}
+	m.Reset()
+	before := shaper.Requests()
+	const rounds = 40
+	for r := 0; r < rounds; r++ {
+		fill := byte(r + 1)
+		ops := []*storage.RoundOp{
+			{Store: stores[0], WriteIdxs: []int64{1}, WriteData: [][]byte{exBlock(fill, size)}, ReadIdxs: []int64{1, 2}},
+			{Store: stores[1], WriteIdxs: []int64{3}, WriteData: [][]byte{exBlock(fill, size)}},
+		}
+		storage.DoRound(m, ops...)
+		for i, op := range ops {
+			if op.Err != nil {
+				t.Fatalf("round %d share %d: %v", r, i, op.Err)
+			}
+		}
+		if !bytes.Equal(ops[0].Out[:size], exBlock(fill, size)) {
+			t.Fatalf("round %d: exchange read predates its write", r)
+		}
+		if r == rounds/2 {
+			// Drop every pooled connection under the client's feet.
+			srv.mu.Lock()
+			for cs := range srv.conns {
+				cs.c.Close()
+			}
+			srv.mu.Unlock()
+		}
+	}
+	if got := m.Snapshot().NetworkRounds; got != rounds {
+		t.Fatalf("%d rounds metered for %d rounds issued", got, rounds)
+	}
+	if attempts := shaper.Requests() - before; attempts <= 2*rounds {
+		t.Fatalf("%d attempts for %d requests: no fault was injected", attempts, 2*rounds)
+	}
+	got, err := stores[1].ReadMany([]int64{3})
+	if err != nil || !bytes.Equal(got[0], exBlock(rounds, size)) {
+		t.Fatalf("last started write did not land: %v, %v", got, err)
+	}
+	if shaper.peak.Load() < 2 {
+		t.Fatal("no two shares were in flight together: the split was never exercised")
+	}
+}
+
+// TestOverlapFollowsMeasuredWait: whether a round's requests go out together
+// is decided by how long requests have lately waited for their replies —
+// measured, smoothed, and compared with what a second connection costs —
+// and a store that declines is issued through ExchangeTo: same result, same
+// one round.
+func TestOverlapFollowsMeasuredWait(t *testing.T) {
+	m := storage.NewMeter()
+	_, c := startServer(t, ServerOptions{}, ClientOptions{Meter: m})
+	a, err := c.Create("a", 4, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Create("b", 4, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		t.Helper()
+		ops := []*storage.RoundOp{{Store: a, ReadIdxs: []int64{1}}, {Store: b, ReadIdxs: []int64{2, 3}}}
+		before := m.Snapshot().NetworkRounds
+		storage.DoRound(m, ops...)
+		if ops[0].Err != nil || ops[1].Err != nil || len(ops[0].Out) != 32 || len(ops[1].Out) != 64 {
+			t.Fatalf("round: %v / %v", ops[0].Err, ops[1].Err)
+		}
+		if got := m.Snapshot().NetworkRounds - before; got != 1 {
+			t.Fatalf("round metered as %d", got)
+		}
+	}
+	c.srtt.Store(int64(20 * time.Microsecond))
+	if c.overlaps() || a.StartExchangeTo(nil, nil, nil, []int64{0}) != nil {
+		t.Fatal("a 20 µs wait for replies is overlapped")
+	}
+	round()
+	c.srtt.Store(int64(2 * time.Millisecond))
+	if !c.overlaps() {
+		t.Fatal("a 2 ms wait for replies is not overlapped")
+	}
+	round()
+	// The estimate follows what it measures: fast replies bring it back down.
+	for i := 0; i < 200 && c.overlaps(); i++ {
+		c.waited(20 * time.Microsecond)
+	}
+	if c.overlaps() {
+		t.Fatal("the estimate never came down")
+	}
 }

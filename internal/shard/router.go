@@ -187,8 +187,14 @@ func (r *Router) fanOut(involved []int, fn func(s int) error) error {
 		}
 		return nil
 	}
+	return r.fanStart(involved, fn)()
+}
+
+// fanStart is fanOut split in two: every involved shard's fn is running in
+// its own goroutine when it returns, and wait collects them.
+func (r *Router) fanStart(involved []int, fn func(s int) error) (wait func() error) {
 	errs := make([]error, len(r.subs))
-	var wg sync.WaitGroup
+	wg := new(sync.WaitGroup)
 	for _, s := range involved {
 		wg.Add(1)
 		go func(s int) {
@@ -196,13 +202,15 @@ func (r *Router) fanOut(involved []int, fn func(s int) error) error {
 			errs[s] = fn(s)
 		}(s)
 	}
-	wg.Wait()
-	for _, s := range involved {
-		if errs[s] != nil {
-			return fmt.Errorf("shard %d: %w", s, errs[s])
+	return func() error {
+		wg.Wait()
+		for _, s := range involved {
+			if errs[s] != nil {
+				return fmt.Errorf("shard %d: %w", s, errs[s])
+			}
 		}
+		return nil
 	}
-	return nil
 }
 
 func involvedShards(locals [][]int64) []int {
@@ -300,41 +308,63 @@ func (r *Router) WriteMany(idxs []int64, data [][]byte) error {
 // shard, and every backend applies a sub-exchange's writes before serving
 // its reads, so the read-after-write contract holds globally.
 func (r *Router) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
+	return r.exchange(false, writeIdxs, writeData, readIdxs)()
+}
+
+// StartExchangeTo implements storage.RoundStarter through the fan-out: the
+// sub-exchanges are running when it returns, and finish — on the caller's
+// goroutine, so that several stores' shares of one round are metered in the
+// order they were issued — waits for them and appends the blocks to dst.
+func (r *Router) StartExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) (finish func() ([]byte, error)) {
+	wait := r.exchange(true, writeIdxs, writeData, readIdxs)
+	return func() ([]byte, error) {
+		blocks, err := wait()
+		if err != nil {
+			return nil, err
+		}
+		for _, blk := range blocks {
+			dst = append(dst, blk...)
+		}
+		return dst, nil
+	}
+}
+
+// exchange validates and splits an exchange, hands the sub-exchanges to the
+// fan-out — started and left running when async is set, run to completion
+// otherwise — and returns the function that merges and meters the result.
+func (r *Router) exchange(async bool, writeIdxs []int64, writeData [][]byte, readIdxs []int64) (finish func() ([][]byte, error)) {
+	fail := func(err error) func() ([][]byte, error) {
+		return func() ([][]byte, error) { return nil, err }
+	}
 	if len(writeIdxs) != len(writeData) {
-		return nil, fmt.Errorf("shard: exchange of %d write blocks with %d payloads (%s)", len(writeIdxs), len(writeData), r.name)
+		return fail(fmt.Errorf("shard: exchange of %d write blocks with %d payloads (%s)", len(writeIdxs), len(writeData), r.name))
 	}
 	if len(writeIdxs) == 0 && len(readIdxs) == 0 {
-		return nil, nil
+		return func() ([][]byte, error) { return nil, nil }
 	}
 	for k, i := range writeIdxs {
 		if i < 0 || i >= r.slots {
-			return nil, fmt.Errorf("%w: exchange write %d of %d (%s)", storage.ErrOutOfRange, i, r.slots, r.name)
+			return fail(fmt.Errorf("%w: exchange write %d of %d (%s)", storage.ErrOutOfRange, i, r.slots, r.name))
 		}
 		if len(writeData[k]) != r.blockSize {
-			return nil, fmt.Errorf("shard: exchange write of %d bytes to %d-byte block (%s)", len(writeData[k]), r.blockSize, r.name)
+			return fail(fmt.Errorf("shard: exchange write of %d bytes to %d-byte block (%s)", len(writeData[k]), r.blockSize, r.name))
 		}
 	}
 	for _, i := range readIdxs {
 		if i < 0 || i >= r.slots {
-			return nil, fmt.Errorf("%w: exchange read %d of %d (%s)", storage.ErrOutOfRange, i, r.slots, r.name)
+			return fail(fmt.Errorf("%w: exchange read %d of %d (%s)", storage.ErrOutOfRange, i, r.slots, r.name))
 		}
 	}
 	wLocals, wPositions := r.split(writeIdxs)
 	rLocals, rPositions := r.split(readIdxs)
-	involved := make(map[int]bool)
-	for s := range r.subs {
-		if len(wLocals[s]) > 0 || len(rLocals[s]) > 0 {
-			involved[s] = true
-		}
-	}
 	var shards []int
 	for s := range r.subs {
-		if involved[s] {
+		if len(wLocals[s]) > 0 || len(rLocals[s]) > 0 {
 			shards = append(shards, s)
 		}
 	}
 	out := make([][]byte, len(readIdxs))
-	err := r.fanOut(shards, func(s int) error {
+	sub := func(s int) error {
 		wSub := make([][]byte, len(wPositions[s]))
 		for k, pos := range wPositions[s] {
 			wSub[k] = writeData[pos]
@@ -355,15 +385,24 @@ func (r *Router) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int6
 		}
 		r.record(s, len(wLocals[s])+len(rLocals[s]), time.Since(start))
 		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	if len(readIdxs) == 0 {
-		out = nil
+	var wait func() error
+	if async {
+		wait = r.fanStart(shards, sub)
+	} else {
+		err := r.fanOut(shards, sub)
+		wait = func() error { return err }
 	}
-	if r.meter != nil {
-		r.meter.CountExchange(r.name, writeIdxs, readIdxs, r.blockSize)
+	return func() ([][]byte, error) {
+		if err := wait(); err != nil {
+			return nil, err
+		}
+		if len(readIdxs) == 0 {
+			out = nil
+		}
+		if r.meter != nil {
+			r.meter.CountExchange(r.name, writeIdxs, readIdxs, r.blockSize)
+		}
+		return out, nil
 	}
-	return out, nil
 }

@@ -354,6 +354,72 @@ func TestRouterOneLogicalRound(t *testing.T) {
 	}
 }
 
+// TestRoutersShareOneRound: two striped stores' shares of one round
+// (storage.DoRound) are started through the fan-out and finished on the
+// caller's goroutine, so the round is one logical round and the trace lists
+// the shares in the order they were issued, every time.
+func TestRoutersShareOneRound(t *testing.T) {
+	m := storage.NewMeter()
+	pool, err := NewPool(memOpeners(3, nil), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routers [2]storage.Store
+	for i, name := range []string{"left", "right"} {
+		if routers[i], err = pool.Opener()(name, 16, 8); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := routers[i].(storage.RoundStarter); !ok {
+			t.Fatalf("%T does not split start from finish", routers[i])
+		}
+	}
+	blk := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 8) }
+	for rep := 0; rep < 50; rep++ {
+		m.Reset()
+		m.SetTracing(true)
+		ops := []*storage.RoundOp{
+			{Store: routers[0], WriteIdxs: []int64{1, 5, 9}, WriteData: [][]byte{blk(1), blk(5), blk(9)}, ReadIdxs: []int64{9, 2, 1}},
+			{Store: routers[1], ReadIdxs: []int64{0, 1, 2, 3}},
+		}
+		storage.DoRound(m, ops...)
+		for i, op := range ops {
+			if op.Err != nil {
+				t.Fatalf("share %d: %v", i, op.Err)
+			}
+		}
+		if want := append(append(blk(9), make([]byte, 8)...), blk(1)...); !bytes.Equal(ops[0].Out, want) {
+			t.Fatalf("exchange over the stripe read %v", ops[0].Out)
+		}
+		if len(ops[1].Out) != 4*8 {
+			t.Fatalf("batch read over the stripe returned %d bytes", len(ops[1].Out))
+		}
+		if got := m.Snapshot(); got.NetworkRounds != 1 || got.BlockWrites != 3 || got.BlockReads != 7 {
+			t.Fatalf("one round of two striped shares metered as %+v", got)
+		}
+		var order []string
+		for _, a := range m.Trace() {
+			if a.Round != 1 {
+				t.Fatalf("access %+v outside the round", a)
+			}
+			if len(order) == 0 || order[len(order)-1] != a.Store {
+				order = append(order, a.Store)
+			}
+		}
+		if fmt.Sprint(order) != "[left right]" {
+			t.Fatalf("trace lists the shares as %v", order)
+		}
+	}
+	// A malformed share fails alone, before anything is sent.
+	ops := []*storage.RoundOp{
+		{Store: routers[0], ReadIdxs: []int64{99}},
+		{Store: routers[1], ReadIdxs: []int64{0}},
+	}
+	storage.DoRound(m, ops...)
+	if !errors.Is(ops[0].Err, storage.ErrOutOfRange) || ops[1].Err != nil {
+		t.Fatalf("out-of-range share: %v; healthy share: %v", ops[0].Err, ops[1].Err)
+	}
+}
+
 // TestRouterGeometryValidation pins constructor checks.
 func TestRouterGeometryValidation(t *testing.T) {
 	mem := func(slots int64, bs int) storage.BatchStore {

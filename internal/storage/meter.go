@@ -29,6 +29,12 @@ type Access struct {
 	Kind  AccessKind
 	Index int64
 	Bytes int
+	// Round is the ordinal of the network round the access travelled in,
+	// counted from 1 since tracing was enabled: accesses that share a value
+	// shared a round trip, whichever stores they touched (DoRound). Accesses
+	// made through single-block operations are recorded before their layer
+	// counts the round (CountRound) and carry the number of rounds before it.
+	Round int64
 }
 
 // DefaultTraceLimit bounds the recorded access sequence when tracing is
@@ -49,6 +55,9 @@ type Meter struct {
 	bytesRead  int64
 	bytesWrite int64
 	rounds     int64
+	inRound    bool  // between BeginRound and EndRound
+	counted    bool  // the open round has been added to rounds
+	traceBase  int64 // rounds when tracing was enabled: Access.Round counts from here
 	tracing    bool
 	trace      []Access
 	traceLimit int // 0 = DefaultTraceLimit, < 0 = unlimited
@@ -110,7 +119,42 @@ func (m *Meter) appendTrace(a Access) {
 		m.dropped++
 		return
 	}
+	a.Round = m.rounds - m.traceBase
 	m.trace = append(m.trace, a)
+}
+
+// countRound adds one network round, or joins the open round of BeginRound:
+// whatever is counted between BeginRound and EndRound is one round in all.
+// Caller holds mu.
+func (m *Meter) countRound() {
+	if m.inRound {
+		if m.counted {
+			return
+		}
+		m.counted = true
+	}
+	m.rounds++
+}
+
+// BeginRound opens a round that spans several stores: until EndRound, every
+// CountBatch, CountExchange and CountRound together add one to
+// NetworkRounds, while blocks, bytes and trace entries are recorded exactly
+// as outside a round. The issuer of the round calls it (DoRound), never a
+// store: a store decorated by something that hides its faster forms still
+// counts into the round its caller opened. A round belongs to the goroutine
+// that opened it — concurrent issuers each need their own Meter, which is
+// how every concurrent client in this module is built.
+func (m *Meter) BeginRound() {
+	m.mu.Lock()
+	m.inRound, m.counted = true, false
+	m.mu.Unlock()
+}
+
+// EndRound closes the round BeginRound opened.
+func (m *Meter) EndRound() {
+	m.mu.Lock()
+	m.inRound, m.counted = false, false
+	m.mu.Unlock()
 }
 
 func (m *Meter) countRead(store string, idx int64, n int) {
@@ -139,12 +183,13 @@ func (m *Meter) countWrite(store string, idx int64, n int) {
 // round and its block traffic together.
 func (m *Meter) CountRound() {
 	m.mu.Lock()
-	m.rounds++
+	m.countRound()
 	m.mu.Unlock()
 }
 
-// CountBatch records a batched transfer of the given blocks as exactly one
-// network round with len(idxs) accesses of blockBytes each. Transports call
+// CountBatch records a batched transfer of the given blocks as one network
+// round (or as part of the issuer's open round, see BeginRound) with
+// len(idxs) accesses of blockBytes each. Transports call
 // this once per batch RPC so NetworkRounds counts real round trips rather
 // than simulated ones; when tracing, every block in the batch is appended
 // to the trace individually so obliviousness checks see the full access
@@ -154,7 +199,7 @@ func (m *Meter) CountBatch(store string, kind AccessKind, idxs []int64, blockByt
 		return
 	}
 	m.mu.Lock()
-	m.rounds++
+	m.countRound()
 	if kind == KindRead {
 		m.reads += int64(len(idxs))
 		m.bytesRead += int64(len(idxs)) * int64(blockBytes)
@@ -170,8 +215,8 @@ func (m *Meter) CountBatch(store string, kind AccessKind, idxs []int64, blockByt
 	m.mu.Unlock()
 }
 
-// CountExchange records a combined write+read batch (ExchangeStore) as
-// exactly one network round. The trace records the writes before the reads,
+// CountExchange records a combined write+read batch (ExchangeStore) as one
+// network round (or as part of the issuer's open round, see BeginRound). The trace records the writes before the reads,
 // matching the order the server applies them. A fully empty exchange
 // records nothing.
 func (m *Meter) CountExchange(store string, writeIdxs, readIdxs []int64, blockBytes int) {
@@ -179,7 +224,7 @@ func (m *Meter) CountExchange(store string, writeIdxs, readIdxs []int64, blockBy
 		return
 	}
 	m.mu.Lock()
-	m.rounds++
+	m.countRound()
 	m.writes += int64(len(writeIdxs))
 	m.bytesWrite += int64(len(writeIdxs)) * int64(blockBytes)
 	m.reads += int64(len(readIdxs))
@@ -212,6 +257,7 @@ func (m *Meter) Snapshot() Stats {
 func (m *Meter) Reset() {
 	m.mu.Lock()
 	m.reads, m.writes, m.bytesRead, m.bytesWrite, m.rounds = 0, 0, 0, 0, 0
+	m.traceBase = 0
 	m.trace = nil
 	m.dropped = 0
 	m.mu.Unlock()
@@ -222,6 +268,7 @@ func (m *Meter) Reset() {
 func (m *Meter) SetTracing(on bool) {
 	m.mu.Lock()
 	m.tracing = on
+	m.traceBase = m.rounds
 	m.trace = nil
 	m.dropped = 0
 	m.mu.Unlock()

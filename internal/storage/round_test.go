@@ -1,0 +1,151 @@
+package storage_test
+
+import (
+	"bytes"
+	"errors"
+	"reflect"
+	"testing"
+
+	"oblivjoin/internal/storage"
+	"oblivjoin/internal/storage/storetest"
+)
+
+// startable is a MemStore with the start/finish split, recording the order
+// in which its halves run.
+type startable struct {
+	*storage.MemStore
+	log *[]string
+}
+
+func (s startable) StartExchangeTo(dst []byte, wi []int64, wd [][]byte, ri []int64) func() ([]byte, error) {
+	*s.log = append(*s.log, "start "+s.Name())
+	return func() ([]byte, error) {
+		*s.log = append(*s.log, "finish "+s.Name())
+		return s.MemStore.ExchangeTo(dst, wi, wd, ri)
+	}
+}
+
+// TestDoRoundIsOneRound: shares on distinct stores cost one network round
+// in all, whatever form each store offers — native, decorated down to the
+// slice forms or to single-block operations (counting belongs to the issuer
+// of the round, not to a store capability), or split into start and finish —
+// while blocks, bytes and trace entries are those of the shares issued one
+// after another, stamped with the one round they travelled in.
+func TestDoRoundIsOneRound(t *testing.T) {
+	const bs = 16
+	blk := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, bs) }
+	var log []string
+	wraps := map[string]func(*storage.MemStore) storage.Store{
+		"native":       func(s *storage.MemStore) storage.Store { return s },
+		"slice-forms":  func(s *storage.MemStore) storage.Store { return storetest.HideAppend(s) },
+		"single-block": func(s *storage.MemStore) storage.Store { return singleOps{s} },
+		"startable":    func(s *storage.MemStore) storage.Store { return startable{s, &log} },
+	}
+	for name, wrap := range wraps {
+		t.Run(name, func(t *testing.T) {
+			log = log[:0]
+			run := func(grouped bool) (storage.Stats, []storage.Access, [3][]byte) {
+				m := storage.NewMeter()
+				var ops [3]*storage.RoundOp
+				for i, store := range []string{"a", "b", "c"} {
+					st := storage.NewMemStore(store, 8, bs, m)
+					if err := st.WriteMany([]int64{1, 2}, [][]byte{blk(byte(10 * i)), blk(byte(10*i + 1))}); err != nil {
+						t.Fatal(err)
+					}
+					ops[i] = &storage.RoundOp{Store: wrap(st), ReadIdxs: []int64{2, 1}}
+				}
+				ops[1].WriteIdxs, ops[1].WriteData = []int64{2}, [][]byte{blk(99)} // an exchange
+				ops[2].ReadIdxs, ops[2].WriteIdxs, ops[2].WriteData = nil, []int64{5}, [][]byte{blk(7)}
+				m.Reset()
+				m.SetTracing(true)
+				if grouped {
+					storage.DoRound(m, ops[:]...)
+				} else {
+					for _, op := range ops {
+						storage.DoRound(m, op)
+					}
+				}
+				var out [3][]byte
+				for i, op := range ops {
+					if op.Err != nil {
+						t.Fatalf("share %d: %v", i, op.Err)
+					}
+					out[i] = op.Out
+				}
+				return m.Snapshot(), m.Trace(), out
+			}
+			together, trace, out := run(true)
+			apart, apartTrace, apartOut := run(false)
+			if !reflect.DeepEqual(out, apartOut) || !bytes.Equal(out[1], append(blk(99), blk(10)...)) {
+				t.Fatalf("results differ: %v vs %v", out, apartOut)
+			}
+			if together.NetworkRounds != 1 {
+				t.Fatalf("three shares cost %d rounds, want 1", together.NetworkRounds)
+			}
+			if apart.NetworkRounds < 3 {
+				t.Fatalf("three rounds of one share cost %d rounds", apart.NetworkRounds)
+			}
+			together.NetworkRounds, apart.NetworkRounds = 0, 0
+			if together != apart {
+				t.Fatalf("blocks and bytes: %+v in one round, %+v apart", together, apart)
+			}
+			if len(trace) != len(apartTrace) {
+				t.Fatalf("trace lengths %d vs %d", len(trace), len(apartTrace))
+			}
+			for i := range trace {
+				if trace[i].Round != 1 && name != "single-block" {
+					t.Fatalf("access %d travelled in round %d of a one-round trace", i, trace[i].Round)
+				}
+				trace[i].Round, apartTrace[i].Round = 0, 0
+			}
+			if !reflect.DeepEqual(trace, apartTrace) {
+				t.Fatalf("grouping changed the accesses:\n%v\n%v", trace, apartTrace)
+			}
+			if name == "startable" {
+				// Every share is on its way before any reply is waited for;
+				// the run of one-share rounds that followed used ExchangeTo.
+				want := []string{"start a", "start b", "start c", "finish a", "finish b", "finish c"}
+				if !reflect.DeepEqual(log, want) {
+					t.Fatalf("start/finish order %v, want %v", log, want)
+				}
+			}
+		})
+	}
+}
+
+// refusing fails every batch call.
+type refusing struct{ storage.ExchangeStore }
+
+func (refusing) Exchange([]int64, [][]byte, []int64) ([][]byte, error) {
+	return nil, errors.New("refused")
+}
+func (refusing) ReadMany([]int64) ([][]byte, error) { return nil, errors.New("refused") }
+
+// TestDoRoundSharesFailAlone: one store refusing its share leaves the other
+// shares' results intact, and the round still counts once.
+func TestDoRoundSharesFailAlone(t *testing.T) {
+	m := storage.NewMeter()
+	good := storage.NewMemStore("good", 4, 8, m)
+	bad := refusing{storage.NewMemStore("bad", 4, 8, m)}
+	ops := []*storage.RoundOp{
+		{Store: bad, ReadIdxs: []int64{0}},
+		{Store: good, ReadIdxs: []int64{1, 2}},
+	}
+	storage.DoRound(m, ops...)
+	if ops[0].Err == nil || ops[0].Out != nil {
+		t.Fatalf("refused share: out %v, err %v", ops[0].Out, ops[0].Err)
+	}
+	if ops[1].Err != nil || len(ops[1].Out) != 16 {
+		t.Fatalf("healthy share: %d bytes, %v", len(ops[1].Out), ops[1].Err)
+	}
+	if got := m.Snapshot().NetworkRounds; got != 1 {
+		t.Fatalf("%d rounds, want 1", got)
+	}
+	// The round is closed: the next batch is a round of its own.
+	if _, err := good.ReadManyTo(nil, []int64{0}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Snapshot().NetworkRounds; got != 2 {
+		t.Fatalf("%d rounds after a further batch, want 2", got)
+	}
+}

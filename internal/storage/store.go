@@ -9,6 +9,11 @@
 // CostModel turns those counters into a simulated query time so benchmark
 // output is directly comparable in shape with the paper's wall-clock plots.
 //
+// A network round is one batch against one store, or — DoRound — a set of
+// batches against distinct stores that are all fixed before any reply is
+// needed and so travel together: one round on the Meter, one round trip of
+// latency on a real transport.
+//
 // # Buffer ownership on the block path
 //
 // Batch reads come in an append form, ReadManyTo and ExchangeTo, which
@@ -69,7 +74,10 @@ type Store interface {
 // The paper argues oblivious join cost in round trips (Section 9.1): a
 // Path-ORAM access touches O(log n) buckets, and a transport that batches
 // the whole path pays one round instead of O(log n). Implementations that
-// report to a Meter must account each batch as exactly one round.
+// report to a Meter must account each batch with one CountBatch or
+// CountExchange call — one round, unless the issuer has opened a round
+// that spans several stores (Meter.BeginRound), which is the issuer's
+// business and never the store's.
 //
 // Duplicate-index contract: a batch MAY name the same index more than once,
 // and implementations MUST apply the batch in slice order, so the highest

@@ -267,12 +267,12 @@ func TestMeterCountBatchTrace(t *testing.T) {
 		t.Fatalf("trace length %d, want 6", len(tr))
 	}
 	want := []Access{
-		{Store: "tree", Kind: KindRead, Index: 5, Bytes: 16},
-		{Store: "tree", Kind: KindRead, Index: 2, Bytes: 16},
-		{Store: "tree", Kind: KindRead, Index: 8, Bytes: 16},
-		{Store: "tree", Kind: KindWrite, Index: 5, Bytes: 16},
-		{Store: "tree", Kind: KindWrite, Index: 2, Bytes: 16},
-		{Store: "tree", Kind: KindWrite, Index: 8, Bytes: 16},
+		{Store: "tree", Kind: KindRead, Index: 5, Bytes: 16, Round: 1},
+		{Store: "tree", Kind: KindRead, Index: 2, Bytes: 16, Round: 1},
+		{Store: "tree", Kind: KindRead, Index: 8, Bytes: 16, Round: 1},
+		{Store: "tree", Kind: KindWrite, Index: 5, Bytes: 16, Round: 2},
+		{Store: "tree", Kind: KindWrite, Index: 2, Bytes: 16, Round: 2},
+		{Store: "tree", Kind: KindWrite, Index: 8, Bytes: 16, Round: 2},
 	}
 	for i := range want {
 		if tr[i] != want[i] {

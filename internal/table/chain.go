@@ -118,12 +118,9 @@ func (c *ChainedTable) CloudBytes() int64 { return c.data.ServerBytes() }
 // ClientBytes returns the client footprint.
 func (c *ChainedTable) ClientBytes() int64 { return c.data.ClientBytes() }
 
-// readChained fetches the record at ref: the tuple plus its successor.
-func (c *ChainedTable) readChained(ref btree.Ref) (relation.Tuple, btree.Ref, bool, error) {
-	buf, err := c.data.Read(ref.Block)
-	if err != nil {
-		return relation.Tuple{}, btree.Ref{}, false, err
-	}
+// recordAt decodes the record at ref out of its fetched block: the tuple
+// plus its successor.
+func (c *ChainedTable) recordAt(ref btree.Ref, buf []byte) (relation.Tuple, btree.Ref, bool, error) {
 	off := ref.Slot * c.recSize
 	if off+c.recSize > len(buf) {
 		return relation.Tuple{}, btree.Ref{}, false, fmt.Errorf("table: chained slot %d out of block", ref.Slot)
@@ -158,15 +155,38 @@ func NewChainCursor(t *ChainedTable) *ChainCursor {
 	return &ChainCursor{t: t, next: t.head, hasNext: t.hasHead}
 }
 
+// Advance is the retrieval of the next tuple in attribute order (a dummy
+// past the end).
+func (c *ChainCursor) Advance() Move { return Move{c: c, kind: advance} }
+
+// Hold is a retrieval indistinguishable from Advance that leaves the cursor
+// where it is.
+func (c *ChainCursor) Hold() Move { return Move{c: c} }
+
 // Next retrieves the next tuple in attribute order, or a dummy past the end.
-func (c *ChainCursor) Next() (Row, error) {
-	if !c.hasNext {
-		if err := c.t.data.DummyAccess(); err != nil {
-			return Row{}, err
-		}
+func (c *ChainCursor) Next() (Row, error) { return step1(c.Advance()) }
+
+// Dummy performs an access indistinguishable from Next without advancing.
+func (c *ChainCursor) Dummy() error {
+	_, err := step1(c.Hold())
+	return err
+}
+
+// locate: the chain has no index stage, the previous record named this one.
+func (c *ChainCursor) locate(Move) (oram.Req, bool, error) { return oram.Req{}, false, nil }
+
+func (c *ChainCursor) load(mv Move, _ oram.Req) (oram.Req, error) {
+	if mv.kind == hold || !c.hasNext {
+		return oram.Req{ORAM: c.t.data, Dummy: true}, nil
+	}
+	return oram.Req{ORAM: c.t.data, Key: c.next.Block}, nil
+}
+
+func (c *ChainCursor) take(_ Move, loaded oram.Req) (Row, error) {
+	if loaded.Dummy {
 		return Row{}, nil
 	}
-	tu, next, hasNext, err := c.t.readChained(c.next)
+	tu, next, hasNext, err := c.t.recordAt(c.next, loaded.Data)
 	if err != nil {
 		return Row{}, err
 	}
@@ -175,9 +195,6 @@ func (c *ChainCursor) Next() (Row, error) {
 	c.next, c.hasNext = next, hasNext
 	return row, nil
 }
-
-// Dummy performs an access indistinguishable from Next without advancing.
-func (c *ChainCursor) Dummy() error { return c.t.data.DummyAccess() }
 
 // DummyBatch performs n dummy accesses with their path downloads coalesced
 // into one round when the data ORAM supports it.

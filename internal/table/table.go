@@ -389,6 +389,18 @@ func (t *StoredTable) ReadTuple(ref btree.Ref) (relation.Tuple, bool, error) {
 	if err != nil {
 		return relation.Tuple{}, false, err
 	}
+	return t.tupleAt(ref, buf)
+}
+
+// tupleReq is ReadTuple's access, not yet performed, and dummyReq the one
+// indistinguishable from it; tupleAt decodes what tupleReq fetched.
+func (t *StoredTable) tupleReq(ref btree.Ref) oram.Req {
+	return oram.Req{ORAM: t.data, Key: ref.Block}
+}
+
+func (t *StoredTable) dummyReq() oram.Req { return oram.Req{ORAM: t.data, Dummy: true} }
+
+func (t *StoredTable) tupleAt(ref btree.Ref, buf []byte) (relation.Tuple, bool, error) {
 	ts := t.rel.Schema.TupleSize()
 	off := ref.Slot * ts
 	if off+ts > len(buf) {
@@ -482,6 +494,11 @@ func IndexStoreName(prefix, tbl, attr string) string { return prefix + tbl + ".i
 // data-ORAM access moves (2·levels for Path-ORAM). Public metadata: a
 // constant of the instance geometry, independent of the data.
 func (t *StoredTable) DataAccessesPerOp() int { return t.data.AccessesPerOp() }
+
+// DeferredEviction reports whether the table's ORAMs queue eviction
+// write-backs (Options.EvictionBatch > 1) rather than write each fetched
+// path straight back. Public configuration the planner prices rounds with.
+func (t *StoredTable) DeferredEviction() bool { return t.opts.EvictionBatch > 1 }
 
 // IndexAttrs lists the attributes with a built index, sorted — the public
 // index inventory the planner enumerates candidates over.

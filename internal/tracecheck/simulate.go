@@ -148,20 +148,28 @@ func (s *PathORAMSim) flushNow() {
 
 // DiffExact compares two traces access by access — store, kind, physical
 // index, and size — and describes the first divergence, or returns "" when
-// the sequences are identical. This is the strongest of the trace
-// comparisons: Diff drops indices (ORAM randomizes them between runs) and
-// DiffUnordered drops ordering; DiffExact is for checking a simulator's
-// prediction against the very run whose randomness it was given.
+// the sequences are identical. Diff drops indices (ORAM randomizes them
+// between runs) and DiffUnordered drops ordering; DiffExact is for checking
+// a simulator's prediction against the very run whose randomness it was
+// given. It is a per-store projection: round ordinals say how a store's
+// accesses were grouped with other stores', which a simulator of one store
+// has no way to know, so they are not compared (Diff compares them).
 func DiffExact(a, b []storage.Access) string {
 	if len(a) != len(b) {
 		return fmt.Sprintf("trace lengths differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if !sameAccess(a[i], b[i]) {
 			return fmt.Sprintf("access %d differs: %s/%s/%d/%dB vs %s/%s/%d/%dB",
 				i, a[i].Store, a[i].Kind, a[i].Index, a[i].Bytes,
 				b[i].Store, b[i].Kind, b[i].Index, b[i].Bytes)
 		}
 	}
 	return ""
+}
+
+// sameAccess reports whether two accesses are the same block operation,
+// whatever rounds they travelled in.
+func sameAccess(a, b storage.Access) bool {
+	return a.Store == b.Store && a.Kind == b.Kind && a.Index == b.Index && a.Bytes == b.Bytes
 }

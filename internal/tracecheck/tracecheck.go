@@ -3,8 +3,9 @@
 // over databases with equal sizing information and equal input/output sizes
 // must be equal in length and — because ORAM randomizes physical locations —
 // identical in their *structural* sequence: which store was touched, read
-// or write, and how many bytes moved. That structural sequence is exactly
-// what the simulator of Theorem 5 reproduces from public information.
+// or write, how many bytes moved, and which accesses shared a network round.
+// That structural sequence is exactly what the simulator of Theorem 5
+// reproduces from public information.
 package tracecheck
 
 import (
@@ -32,8 +33,10 @@ func Structure(trace []storage.Access) []Op {
 	return out
 }
 
-// Diff compares two traces structurally and returns a description of the
-// first divergence, or "" when they are indistinguishable.
+// Diff compares two traces structurally — round boundaries included: how
+// accesses to different stores are grouped into rounds is server-visible
+// timing — and returns a description of the first divergence, or "" when
+// they are indistinguishable.
 func Diff(a, b []storage.Access) string {
 	if len(a) != len(b) {
 		return fmt.Sprintf("trace lengths differ: %d vs %d", len(a), len(b))
@@ -43,12 +46,51 @@ func Diff(a, b []storage.Access) string {
 			return fmt.Sprintf("op %d differs: %s/%s/%dB vs %s/%s/%dB",
 				i, a[i].Store, a[i].Kind, a[i].Bytes, b[i].Store, b[i].Kind, b[i].Bytes)
 		}
+		if a[i].Round != b[i].Round {
+			return fmt.Sprintf("op %d (%s/%s) travels in round %d vs round %d",
+				i, a[i].Store, a[i].Kind, a[i].Round, b[i].Round)
+		}
 	}
 	return ""
 }
 
-// DiffUnordered compares two traces as multisets of complete accesses
-// (store, kind, physical index, and bytes) and describes the first
+// DiffRounds compares two traces batch by batch — a batch being the
+// consecutive accesses one store saw of one kind in one round — and
+// describes the first divergence, or returns "" when the same stores were
+// read and written in the same rounds in the same order. It is Diff minus
+// the number of blocks a batch moved: with deferred eviction a flush writes
+// the deduplicated union of its paths, whose size follows the leaf
+// randomness, not the data.
+func DiffRounds(a, b []storage.Access) string {
+	ba, bb := batches(a), batches(b)
+	if len(ba) != len(bb) {
+		return fmt.Sprintf("batch counts differ: %d vs %d", len(ba), len(bb))
+	}
+	for i := range ba {
+		if ba[i] != bb[i] {
+			return fmt.Sprintf("batch %d differs: %s/%s/%dB in round %d vs %s/%s/%dB in round %d", i,
+				ba[i].Store, ba[i].Kind, ba[i].Bytes, ba[i].Round, bb[i].Store, bb[i].Kind, bb[i].Bytes, bb[i].Round)
+		}
+	}
+	return ""
+}
+
+// batches collapses each run of accesses that differ only in index to its
+// first access, index dropped.
+func batches(trace []storage.Access) []storage.Access {
+	var out []storage.Access
+	for _, a := range trace {
+		a.Index = 0
+		if len(out) == 0 || out[len(out)-1] != a {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// DiffUnordered compares two traces as multisets of block operations
+// (store, kind, physical index, and bytes; not the round, which is a
+// position in the order this comparison drops) and describes the first
 // mismatch, or returns "" when one trace is a permutation of the other.
 //
 // This is the check the parallel sort engine satisfies: its worker pool
@@ -63,7 +105,7 @@ func DiffUnordered(a, b []storage.Access) string {
 	}
 	sa, sb := sortedCopy(a), sortedCopy(b)
 	for i := range sa {
-		if sa[i] != sb[i] {
+		if !sameAccess(sa[i], sb[i]) {
 			return fmt.Sprintf("access multisets differ at sorted position %d: %s/%s/%d/%dB vs %s/%s/%d/%dB",
 				i, sa[i].Store, sa[i].Kind, sa[i].Index, sa[i].Bytes,
 				sb[i].Store, sb[i].Kind, sb[i].Index, sb[i].Bytes)

@@ -106,6 +106,41 @@ func TestDiffReportsDivergence(t *testing.T) {
 	}
 }
 
+// TestDiffSeesRoundBoundaries: the same accesses grouped into different
+// rounds are different traces to Diff and DiffRounds, and the same trace to
+// the comparisons that project the grouping out (DiffExact: one store's
+// view; DiffUnordered: no order at all).
+func TestDiffSeesRoundBoundaries(t *testing.T) {
+	lockstep := []storage.Access{
+		{Store: "x", Kind: storage.KindRead, Index: 1, Bytes: 8, Round: 1},
+		{Store: "y", Kind: storage.KindRead, Index: 4, Bytes: 8, Round: 1},
+		{Store: "x", Kind: storage.KindWrite, Index: 1, Bytes: 8, Round: 2},
+		{Store: "y", Kind: storage.KindWrite, Index: 4, Bytes: 8, Round: 2},
+	}
+	oneByOne := append([]storage.Access(nil), lockstep...)
+	for i := range oneByOne {
+		oneByOne[i].Round = int64(i + 1)
+	}
+	if Diff(lockstep, oneByOne) == "" || DiffRounds(lockstep, oneByOne) == "" {
+		t.Fatal("a regrouping of rounds reported indistinguishable")
+	}
+	if d := DiffExact(lockstep, oneByOne); d != "" {
+		t.Fatalf("DiffExact compared round ordinals: %s", d)
+	}
+	if d := DiffUnordered(lockstep, oneByOne); d != "" {
+		t.Fatalf("DiffUnordered compared round ordinals: %s", d)
+	}
+	// A batch that moved one more block is the same batch to DiffRounds.
+	longer := append([]storage.Access{lockstep[0]}, lockstep...)
+	longer[1].Index = 9
+	if d := DiffRounds(lockstep, longer); d != "" {
+		t.Fatalf("DiffRounds compared batch sizes: %s", d)
+	}
+	if Diff(lockstep, longer) == "" {
+		t.Fatal("Diff ignored a batch size")
+	}
+}
+
 func TestDiffUnordered(t *testing.T) {
 	a := []storage.Access{
 		{Store: "x", Kind: storage.KindRead, Index: 1, Bytes: 8},
