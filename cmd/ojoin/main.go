@@ -61,7 +61,7 @@ func main() {
 	cache := flag.Bool("cache", false, "cache index levels above the leaves (+Cache mode)")
 	one := flag.Bool("oneoram", false, "store all tables in a single shared ORAM (Section 7)")
 	workers := flag.Int("workers", 1, "oblivious sort worker pool size (1 = serial)")
-	evictBatch := flag.Int("evict-batch", 1, "defer ORAM evictions and flush k paths per write round (1 = classic)")
+	evictBatch := flag.Int("evict-batch", 1, "paths an ORAM write-back unions before it rides the next download (1 = the path just fetched)")
 	prefetch := flag.Int("prefetch", 0, "coalesce up to this many pad-loop dummy downloads per round; honored only in non-padded mode (0 = off; defaults to -evict-batch)")
 	maxPrint := flag.Int("n", 10, "print at most this many result rows")
 	traceOut := flag.String("trace-out", "", "write a phase-attributed span-tree JSON trace to this file")

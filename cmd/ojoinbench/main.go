@@ -38,9 +38,9 @@ func main() {
 		rttMicro   = flag.Int("rtt", 500, "simulated round-trip latency in microseconds")
 		csv        = flag.Bool("csv", false, "emit plot-ready CSV instead of tables (figures only)")
 		workers    = flag.Int("workers", 1, "oblivious sort worker pool size for the join experiments (1 = serial)")
-		evictBatch = flag.Int("evict-batch", 1, "defer ORAM evictions and flush k paths per write round (1 = classic)")
+		evictBatch = flag.Int("evict-batch", 1, "paths an ORAM write-back unions before it rides the next download (1 = the path just fetched)")
 		prefetch   = flag.Int("prefetch", 0, "coalesce up to this many pad-loop dummy downloads per round; honored only in non-padded mode (0 = off; defaults to -evict-batch)")
-		jsonOut    = flag.String("json", "", "with -exp sort, rounds, disk, concurrency, shard, latency, or planner: also write the machine-readable report to this path (e.g. BENCH_sort.json)")
+		jsonOut    = flag.String("json", "", "with -exp sort, disk, concurrency, shard, latency, or planner: also write the machine-readable report to this path (e.g. BENCH_sort.json)")
 		traceOut   = flag.String("trace-out", "", "write a span-tree JSON trace of every traced join to this path")
 	)
 	flag.Parse()
@@ -120,7 +120,6 @@ func main() {
 // the snapshot -json writes (the BENCH_*.json format), if it has one.
 var measurements = map[string]func(io.Writer, *bench.Env) (snapshot func() ([]byte, error), err error){
 	"sort":        measurement(bench.RunSort, bench.MarshalSortReport),
-	"rounds":      measurement(bench.RunRounds, bench.MarshalRoundsReport),
 	"disk":        measurement(bench.RunDisk, bench.MarshalDiskReport),
 	"concurrency": measurement(bench.RunConcurrency, bench.MarshalConcurrencyReport),
 	"shard":       measurement(bench.RunShard, bench.MarshalShardReport),

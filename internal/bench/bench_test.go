@@ -33,8 +33,8 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestExperimentsList(t *testing.T) {
 	ids := Experiments()
-	if len(ids) != 31 {
-		t.Fatalf("%d experiments, want 31 (table1 + fig7..fig21 + 7 ablations + sort + phases + rounds + disk + concurrency + shard + latency + planner)", len(ids))
+	if len(ids) != 30 {
+		t.Fatalf("%d experiments, want 30 (table1 + fig7..fig21 + 7 ablations + sort + phases + disk + concurrency + shard + latency + planner)", len(ids))
 	}
 }
 

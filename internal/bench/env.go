@@ -80,8 +80,9 @@ type Env struct {
 	// (named "method query") under it, so every measured join carries a
 	// phase-attributed breakdown (see RunPhases).
 	Trace *telemetry.Span
-	// EvictionBatch defers and batches Path-ORAM evictions, k paths per
-	// write round (DESIGN.md §2.9). 0 or 1 = classic per-access write-back.
+	// EvictionBatch is how many fetched paths a Path-ORAM write-back unions
+	// before it rides the next download (DESIGN.md §2.9). 0 or 1 = the one
+	// path just fetched.
 	EvictionBatch int
 	// PrefetchDepth coalesces the pad loops' dummy path downloads, up to
 	// this many per round; the join layer honors it only in non-padded

@@ -154,10 +154,9 @@ func WriteTable1(w io.Writer, rows []Table1Row) {
 // Experiments lists every runnable experiment by ID: the paper's Table 1
 // and Figures 7–21, plus this repo's ablations, the parallel-sort engine
 // comparison ("sort"), the telemetry-driven per-phase breakdown ("phases"),
-// the deferred-eviction round-trip comparison ("rounds"), the mem-vs-disk
-// backend invariance check ("disk"), the multi-session serving-layer
-// throughput sweep ("concurrency"), the striped-store fan-out scaling
-// sweep ("shard"), the per-op server-side latency-histogram profile
+// the mem-vs-disk backend invariance check ("disk"), the multi-session
+// serving-layer throughput sweep ("concurrency"), the striped-store fan-out
+// scaling sweep ("shard"), the per-op server-side latency-histogram profile
 // ("latency"), and the cost-based planner's multi-query cache-reuse session
 // ("planner").
 func Experiments() []string {
@@ -168,7 +167,7 @@ func Experiments() []string {
 	return append(ids,
 		"ablation-blocksize", "ablation-z", "ablation-posmap",
 		"ablation-writeback", "ablation-scheme", "ablation-chained", "ablation-dppad",
-		"sort", "phases", "rounds", "disk", "concurrency", "shard", "latency", "planner")
+		"sort", "phases", "disk", "concurrency", "shard", "latency", "planner")
 }
 
 // Run executes one experiment by ID and writes its report.
@@ -179,10 +178,6 @@ func Run(w io.Writer, e *Env, id string) error {
 	}
 	if id == "phases" {
 		_, err := RunPhases(w, e)
-		return err
-	}
-	if id == "rounds" {
-		_, err := RunRounds(w, e)
 		return err
 	}
 	if id == "disk" {

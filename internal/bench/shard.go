@@ -60,9 +60,9 @@ var ShardSweep = []int{1, 2, 4}
 // cost, as it does at the paper's block sizes.
 const shardPerBlock = 1 * time.Millisecond
 
-// shardEvictionBatch turns on the deferred-eviction scheduler for the
-// shard runs: coalesced write rounds are where fan-out pays — a k-path
-// eviction batch splits into N sub-batches of ~1/N the blocks each.
+// shardEvictionBatch makes the shard runs' write-backs union four paths:
+// big batches are where fan-out pays — a k-path eviction batch splits into
+// N sub-batches of ~1/N the blocks each.
 const shardEvictionBatch = 4
 
 // shardRun measures one shard count: N loopback servers with the injected

@@ -45,8 +45,7 @@ func BandJoin(t1, t2 *table.StoredTable, a1, a2 string, op BandOp, opts Options)
 	// bandStep performs one join step: T1's retrieval (real when advance) and
 	// the given T2 retrieval. T2's index descent runs first, on its own — each
 	// level names the next — and then the two data accesses, both present in
-	// every step, share one download round and one write-back round
-	// (table.Step). The OneORAM setting elides T1's dummy instead and pads
+	// every step, share one round (table.Step). The OneORAM setting elides T1's dummy instead and pads
 	// every retrieval to the common width, one retrieval after another.
 	bandStep := func(advance bool, inner table.Move) (row1, row2 table.Row, err error) {
 		outer := scan.Hold()

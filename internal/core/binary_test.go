@@ -558,10 +558,10 @@ func TestSortMergeJoinChained(t *testing.T) {
 
 // TestChainedCheaperPerRetrieval: the index-free layout pays one ORAM
 // access per retrieval against the indexed layout's two. Both joins run
-// their steps in lockstep — the two tables' accesses of a stage share a
-// download round and a write-back round — so a step costs 4 rounds indexed
-// (index stage, data stage) and 2 chained; the output table costs both the
-// same.
+// their steps in lockstep — the two tables' accesses of a stage share one
+// round, download and carried write-back alike — so a step costs 2 rounds
+// indexed (index stage, data stage) and 1 chained; the settle round and the
+// output table cost both the same.
 func TestChainedCheaperPerRetrieval(t *testing.T) {
 	k1 := []int64{1, 2, 2, 3, 4, 5, 5, 6}
 	k2 := []int64{2, 3, 3, 5, 7, 8, 9, 9}
@@ -592,8 +592,8 @@ func TestChainedCheaperPerRetrieval(t *testing.T) {
 		t.Fatalf("results diverge: %d/%d vs %d/%d",
 			chained.RealCount, chained.PaddedSteps, indexed.RealCount, indexed.PaddedSteps)
 	}
-	if got, want := indexed.Stats.NetworkRounds-chained.Stats.NetworkRounds, 2*indexed.PaddedSteps; got != want {
-		t.Fatalf("indexed %d rounds, chained %d: the index stage costs %d, want 2 per step = %d",
+	if got, want := indexed.Stats.NetworkRounds-chained.Stats.NetworkRounds, indexed.PaddedSteps; got != want {
+		t.Fatalf("indexed %d rounds, chained %d: the index stage costs %d, want 1 per step = %d",
 			indexed.Stats.NetworkRounds, chained.Stats.NetworkRounds, got, want)
 	}
 }

@@ -18,10 +18,11 @@
 // Where the per-table retrievals of a step do not depend on one another —
 // the sort-merge joins and the band join, in every step, merge or pad — the
 // step issues them in lockstep (table.Step): the tables' accesses of a stage
-// share one download round and one write-back round, 4 rounds per
-// sort-merge step instead of 8. The index nested-loop join's probe needs the
-// outer tuple's key and the multiway join's children need the parent's row,
-// so their steps stay one access after another.
+// share one round, 2 rounds per sort-merge step instead of 4. The index
+// nested-loop join's probe needs the outer tuple's key and the multiway
+// join's children need the parent's row, so their steps stay one access —
+// one round — after another. Every operator ends with one settle round that
+// carries the last write-back of every tree it touched.
 //
 // The OneORAM setting of Section 7 is selected by Options.OneORAM: all
 // tables share a single Path-ORAM, per-retrieval access counts are padded
@@ -259,33 +260,34 @@ func padChunk(depth int, remaining int64) int {
 	return depth
 }
 
-// flusher settles deferred ORAM eviction state: tables built with
-// table.Options.EvictionBatch > 1 queue eviction paths between accesses
-// and must be flushed before the query is considered complete.
-type flusher interface{ Flush() error }
+// settler is an input table, seen as the ORAMs a finished query has to
+// settle: every tree an access touched still has its last path queued (the
+// write-back rides the tree's next download, and there is none).
+type settler interface{ ORAMs() []oram.ORAM }
 
 // pathTelemeter exposes per-ORAM path statistics for phase attribution.
 type pathTelemeter interface{ PathTelemetry() []oram.PathStats }
 
-// settle flushes every input table's deferred eviction queue (and the
-// shared OneORAM, when set) under a "flush" child span, so the deferred
-// write rounds are charged to the query and the stash returns to its
-// steady-state bound. It then attaches the cumulative eviction-scheduler
-// counters (flushes, paths per flush, upper-tree buckets deduped, piggyback
-// exchanges) to the span — the telemetry that attributes rounds saved to
-// the deferral machinery.
-func settle(sp *telemetry.Span, opts Options, tables ...flusher) error {
+// settle writes back what every input table's ORAMs (and the shared
+// OneORAM, when set) still have queued, in one round for all of them
+// (oram.Settle) under a "flush" child span, so the write-backs are charged
+// to the query and the stashes return to their steady-state bound. The
+// shares travel in canonical order: tables as the operator lists them, each
+// table's ORAMs as StoredTable.ORAMs does. It then attaches the cumulative
+// eviction-scheduler counters (write-backs, paths per write-back,
+// upper-tree buckets deduped, write-backs that rode a download) to the span.
+func settle(sp *telemetry.Span, opts Options, tables ...settler) error {
 	fl := sp.Child("flush")
 	defer fl.End()
+	var all []oram.ORAM
 	for _, t := range tables {
-		if err := t.Flush(); err != nil {
-			return err
-		}
+		all = append(all, t.ORAMs()...)
 	}
 	if opts.OneORAM != nil {
-		if err := opts.OneORAM.Flush(); err != nil {
-			return err
-		}
+		all = append(all, opts.OneORAM)
+	}
+	if err := oram.Settle(all...); err != nil {
+		return err
 	}
 	var stats []oram.PathStats
 	for _, t := range tables {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"oblivjoin/internal/jointree"
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/table"
 	"oblivjoin/internal/tracecheck"
@@ -88,9 +90,9 @@ func storeWith(t *testing.T, k1, k2 []int64, topts table.Options) (*table.Stored
 // must be a function of the operator and the public sizes alone. Two
 // databases of equal geometry and different content give identical traces,
 // round boundaries included, for every lockstep operator, every padding
-// mode and both eviction disciplines. Under deferred eviction a flush's
-// block count follows the leaf randomness, so there the comparison is batch
-// by batch (tracecheck.DiffRounds).
+// mode and eviction batches 1 and 4. At 4 a write-back's block count
+// follows the leaf randomness, so there the comparison is batch by batch
+// (tracecheck.DiffRounds).
 func TestLockstepTwinTraces(t *testing.T) {
 	for _, op := range lockstepOperators {
 		for _, mode := range []PaddingMode{PadNone, PadClosestPower, PadCartesian, PadDP} {
@@ -148,12 +150,14 @@ func storesPerRound(trace []storage.Access, inputs ...string) map[int64][]string
 	return out
 }
 
-// TestLockstepRoundShape pins which stores share a round, per operator, at
-// immediate eviction: a sort-merge step is {T1.idx, T2.idx} twice (download,
-// write-back) then {T1.data, T2.data} twice; a band step runs T2's descent
-// alone and then {T1.data, T2.data} twice; the index nested-loop and
-// multiway joins, whose retrievals depend on one another inside a step,
-// never put two stores in a round.
+// TestLockstepRoundShape pins which stores share a round, per operator: a
+// sort-merge step is one {T1.idx, T2.idx} round and one {T1.data, T2.data}
+// round, each tree's download carrying its previous write-back; a band step
+// runs T2's descent alone and then one {T1.data, T2.data} round; the index
+// nested-loop and multiway joins, whose retrievals depend on one another
+// inside a step, never put two stores in a round. Every operator ends with
+// the one settle round, which carries the last write-back of every tree it
+// touched, in canonical order: tables as listed, data before indexes.
 func TestLockstepRoundShape(t *testing.T) {
 	trace := func(join func(s1, s2 *table.StoredTable, jopts Options) (*Result, error)) ([]storage.Access, *Result) {
 		m := storage.NewMeter()
@@ -164,19 +168,36 @@ func TestLockstepRoundShape(t *testing.T) {
 		return m.Trace(), res
 	}
 	inputs := []string{"t1.idx.k", "t1.data", "t2.idx.k", "t2.data"}
-	count := func(rounds map[int64][]string) map[string]int64 {
-		shapes := map[string]int64{}
-		for _, stores := range rounds {
-			shapes[fmt.Sprint(stores)]++
+	// shapes counts the fetch rounds by the stores they carried and checks
+	// that the last round is the settle round: writes only, to want.
+	shapes := func(name string, tr []storage.Access, want string) map[string]int64 {
+		rounds := storesPerRound(tr, inputs...)
+		last := int64(0)
+		for r := range rounds {
+			last = max(last, r)
 		}
-		return shapes
+		for _, a := range tr {
+			if a.Round == last && a.Kind != storage.KindWrite && slices.Contains(inputs, a.Store) {
+				t.Errorf("%s: the last round reads %s", name, a.Store)
+			}
+		}
+		if got := fmt.Sprint(rounds[last]); got != want {
+			t.Errorf("%s: the settle round carried %s, want %s", name, got, want)
+		}
+		delete(rounds, last)
+		out := map[string]int64{}
+		for _, stores := range rounds {
+			out[fmt.Sprint(stores)]++
+		}
+		return out
 	}
 
 	tr, res := trace(func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
 		return SortMergeJoin(s1, s2, "k", "k", jopts)
 	})
 	n := res.PaddedSteps
-	if got := count(storesPerRound(tr, inputs...)); len(got) != 2 || got["[t1.idx.k t2.idx.k]"] != 2*n || got["[t1.data t2.data]"] != 2*n {
+	got := shapes("sort-merge", tr, "[t1.data t1.idx.k t2.data t2.idx.k]")
+	if len(got) != 2 || got["[t1.idx.k t2.idx.k]"] != n || got["[t1.data t2.data]"] != n {
 		t.Errorf("sort-merge over %d steps: rounds by stores carried = %v", n, got)
 	}
 
@@ -184,18 +205,18 @@ func TestLockstepRoundShape(t *testing.T) {
 		return BandJoin(s1, s2, "k", "k", BandGreaterEq, jopts)
 	})
 	n = res.PaddedSteps
-	got := count(storesPerRound(tr, inputs...))
+	got = shapes("band", tr, "[t1.data t2.data t2.idx.k]")
 	descent := got["[t2.idx.k]"]
-	if len(got) != 2 || got["[t1.data t2.data]"] != 2*n || descent == 0 || descent%(2*n) != 0 {
+	if len(got) != 2 || got["[t1.data t2.data]"] != n || descent == 0 || descent%n != 0 {
 		t.Errorf("band over %d steps: rounds by stores carried = %v", n, got)
 	}
 
 	tr, _ = trace(func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
 		return IndexNestedLoopJoin(s1, s2, "k", "k", jopts)
 	})
-	for round, stores := range storesPerRound(tr, inputs...) {
-		if len(stores) != 1 {
-			t.Fatalf("index nested-loop: round %d carried %v", round, stores)
+	for stores := range shapes("index nested-loop", tr, "[t1.data t2.data t2.idx.k]") {
+		if strings.Contains(stores, " ") {
+			t.Fatalf("index nested-loop: a fetch round carried %s", stores)
 		}
 	}
 
@@ -218,5 +239,72 @@ func TestLockstepRoundShape(t *testing.T) {
 			}
 			byRound[a.Round] = a.Store
 		}
+	}
+}
+
+// TestSettleRoundTwinTraces: a query ends with every touched tree owing a
+// write-back, and the round that carries them lists the trees in an order
+// the server sees. The order is canonical — tables as the operator lists
+// them, each table's data ORAM and then its indexes by attribute name — not
+// the iteration order of the table's index map: a multiway join over a table
+// with two indexes (the reset pass walks both) gives twin databases
+// identical traces, round ordinals included, run after run, at k = 1
+// (tracecheck.Diff) and at k = 4 (batch by batch, tracecheck.DiffRounds: the
+// size of a unioned write-back follows the leaf randomness).
+func TestSettleRoundTwinTraces(t *testing.T) {
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("k=%d", batch), func(t *testing.T) {
+			run := func(shift int64) []storage.Access {
+				m := storage.NewMeter()
+				rels, q := figure6Data()
+				for i := range rels["T4"].Tuples { // no T4 match either way: |R| = 0
+					rels["T4"].Tuples[i].Values[0] += shift
+				}
+				tree, err := jointree.Build(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				topts := testTableOpts(t, m, true)
+				topts.EvictionBatch = batch
+				in := MultiwayInput{Tree: tree}
+				for _, n := range tree.Order {
+					var attrs []string
+					if n.Attr != "" {
+						attrs = []string{n.Attr}
+					}
+					if n.Table == "T3" {
+						attrs = []string{"B", "D"}
+					}
+					st, err := table.Store(rels[n.Table], attrs, topts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					in.Tables = append(in.Tables, st)
+				}
+				m.Reset()
+				m.SetTracing(true)
+				must(t)(MultiwayJoin(in, testJoinOpts(t, m)))
+				return m.Trace()
+			}
+			diff := tracecheck.Diff
+			if batch > 1 {
+				diff = tracecheck.DiffRounds
+			}
+			a := run(100)
+			var settle []string
+			for _, x := range a {
+				if x.Round == a[len(a)-1].Round && (len(settle) == 0 || settle[len(settle)-1] != x.Store) {
+					settle = append(settle, x.Store)
+				}
+			}
+			if got := strings.Join(settle, " "); !strings.Contains(got, "T3.data T3.idx.B T3.idx.D") {
+				t.Fatalf("the settle round carried %s; want T3's data, idx.B, idx.D in that order", got)
+			}
+			for rep := 0; rep < 8; rep++ { // a two-entry map walk comes out either way round
+				if d := diff(a, run(200)); d != "" {
+					t.Fatalf("run %d: twin databases are distinguishable: %s", rep, d)
+				}
+			}
+		})
 	}
 }

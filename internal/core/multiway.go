@@ -101,7 +101,7 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 	}
 
 	// Settle after the reset pass so its index writes are flushed too.
-	fs := make([]flusher, len(in.Tables))
+	fs := make([]settler, len(in.Tables))
 	for i, t := range in.Tables {
 		fs[i] = t
 	}

@@ -134,6 +134,12 @@ func IndexNestedLoopJoinObliviousIndex(t1 *table.StoredTable, a1 string, t2 *obt
 	if err := settle(sp, opts, t1); err != nil {
 		return nil, err
 	}
+	// The oblivious tree's store holds its positions in the tree itself and
+	// is not an ORAM the settle round can carry: it settles in a round of
+	// its own.
+	if err := t2.Flush(); err != nil {
+		return nil, err
+	}
 	tuples, real, paddedOut, err := w.finish(opts, cart, sp)
 	if err != nil {
 		return nil, err

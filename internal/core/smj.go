@@ -55,8 +55,8 @@ func (l chainMerge) Restore(m any) { l.ChainCursor.Restore(m.(table.ChainMark)) 
 // mergeStep performs one join step of Algorithm 1: a retrieval from each
 // table, real where the flag says so and a dummy otherwise, T1 first. Both
 // tables are present in every stage of the step, so its index accesses
-// share one download round and one write-back round, then its data accesses
-// do (table.Step) — and which side was real shows nowhere. The OneORAM
+// share one round, then its data accesses do (table.Step) — and which side
+// was real shows nowhere. The OneORAM
 // setting elides the dummy partner instead: there a step is the real
 // retrievals one after another, or T1's dummy alone when neither is real.
 func mergeStep(c1, c2 mergeCursor, real1, real2, one bool) (row1, row2 table.Row, err error) {
@@ -150,7 +150,7 @@ func runSortMerge(c1, c2 mergeCursor, w *outWriter, one bool) (steps, retrievals
 // nil); the pad and filter phases attach under it.
 func finishSortMerge(w *outWriter, c1, c2 mergeCursor, one bool,
 	n1, n2, steps, retrievals int64, opts Options, start storage.Stats,
-	join *telemetry.Span, tables ...flusher) (*Result, error) {
+	join *telemetry.Span, tables ...settler) (*Result, error) {
 	cart := Cartesian(n1, n2)
 	paddedR := opts.PadSize(int64(w.real), cart)
 	target := NumtrSortMerge(n1, n2, paddedR)

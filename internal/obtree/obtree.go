@@ -306,6 +306,11 @@ func (t *Tree) NumEntries() int64 { return t.nEnts }
 // level, with position patching folded into each access.
 func (t *Tree) AccessesPerLookup() int { return len(t.levels) }
 
+// Flush settles the tree's store at the end of a query: the last descent's
+// path is written back (its write-back rides the next download, and there is
+// none) and the stash returns to its steady-state bound.
+func (t *Tree) Flush() error { return t.store.Flush() }
+
 // ClientBytes is the client state beyond the ORAM stash: the root position
 // and geometry — O(log N).
 func (t *Tree) ClientBytes() int64 { return int64(4 + 16*len(t.levels)) }

@@ -194,7 +194,7 @@ func TestHiddenAppendFormsTraceIdentical(t *testing.T) {
 }
 
 // TestPathORAMAccessAllocs is the allocation guard for a steady-state
-// access over MemStore on the classic path: a Read allocates the result
+// access over MemStore at EvictionBatch 1: a Read allocates the result
 // copy it hands the caller and nothing else block-sized, a dummy access
 // nothing block-sized at all. (The budgets leave one allocation for the
 // stash map's occasional internal growth.)

@@ -123,7 +123,8 @@ func (c callerHeld) DummyBatch(n int) error {
 // a second tree's (Together). Every result must equal the model; each
 // store's recorded trace must be the one tracecheck.PathORAMSim computes
 // from the leaves that trace itself names (so skipping decryption moved no
-// server-visible index); every downloaded bucket must still be counted in
+// server-visible index, and at every batch, 1 included, each write-back
+// rides the next download); every downloaded bucket must still be counted in
 // BucketsRead, and fewer of them opened. Eviction ranges over a Go map, so
 // each run places blocks differently — CI repeats this test.
 func TestKnownBucketsDifferential(t *testing.T) {
@@ -342,6 +343,15 @@ func TestKnownBucketsDifferential(t *testing.T) {
 						if d := tracecheck.DiffExact(sim.Trace(), own); d != "" {
 							t.Fatalf("%s: trace is not the simulator's: %s", lvl.cfg.Name, d)
 						}
+						// A tree alone on its meter also takes its rounds where the
+						// simulator puts them: a write-back in the round of the next
+						// download (before it, over a store without exchanges), or
+						// in one of its own at a Flush and at the valve.
+						if len(stack) == 1 && positions != "driver=together" {
+							if d := tracecheck.Diff(sim.Trace(), own); d != "" {
+								t.Fatalf("%s: round boundaries are not the simulator's: %s", lvl.cfg.Name, d)
+							}
+						}
 						var reads int64
 						for _, a := range own {
 							if a.Kind == storage.KindRead {
@@ -469,10 +479,12 @@ func (w *flakyWriteStore) WriteMany(idxs []int64, d [][]byte) error {
 	return fmt.Errorf("injected write failure")
 }
 
-// TestClassicWriteBackFailureKeepsBlocks: with EvictionBatch <= 1 a
-// write-back the store refuses must lose nothing — the evicted blocks
-// return to the stash and the torn path stays queued until a later
-// write-back has rewritten all of it, so a retried operation succeeds and
+// TestClassicWriteBackFailureKeepsBlocks: with EvictionBatch <= 1 — every
+// download carries the previous path's write-back, here as a WriteMany of
+// its own in front of the read — a write-back the store refuses must lose
+// nothing: the evicted blocks return to the stash, the torn path stays
+// queued until a later write-back has rewritten all of it, and the access
+// that carried it takes its remap back, so a retried operation succeeds and
 // no stale server copy ever resurfaces.
 func TestClassicWriteBackFailureKeepsBlocks(t *testing.T) {
 	const capacity = 64
@@ -493,8 +505,8 @@ func TestClassicWriteBackFailureKeepsBlocks(t *testing.T) {
 			fs.calls, fs.failures = 0, 0 // construction uploads through the same store
 			ref := map[uint64]byte{}
 			r := mrand.New(mrand.NewSource(int64(period)))
-			// retry repeats an idempotent operation until the store takes
-			// its write-back; every failure must be the injected one.
+			// retry repeats an operation until the store takes the
+			// write-back it carries; every failure must be the injected one.
 			retry := func(step int, op func() error) {
 				t.Helper()
 				for attempt := 0; ; attempt++ {
@@ -548,10 +560,12 @@ func TestClassicWriteBackFailureKeepsBlocks(t *testing.T) {
 	}
 }
 
-// TestKnownSetLifetime pins the set's edges: it holds blocks between a
-// write-back and the next fetch and ClientBytes counts them; Flush, Close
-// and BulkLoad let go of it, so a settled instance reports exactly its
-// stash and position map.
+// TestKnownSetLifetime pins the set's edges. It lives inside a fetch, from
+// the commit of the write-back the fetch carried to the opening of its
+// download, so between accesses nothing is known: the last path's blocks
+// wait in the stash and ClientBytes counts them there. Flush, Close and
+// BulkLoad write nothing the client goes on knowing, so a settled instance
+// reports exactly its stash and position map.
 func TestKnownSetLifetime(t *testing.T) {
 	o := newBatchORAM(t, 64, 16, nil, 1, 5)
 	for i := uint64(0); i < 64; i++ {
@@ -561,25 +575,24 @@ func TestKnownSetLifetime(t *testing.T) {
 	}
 	perBlock := int64(12 + o.PayloadSize())
 	quiet := func() int64 { return int64(o.StashSize())*perBlock + o.pos.clientBytes() }
-	if len(o.known) == 0 || len(o.knownLeaves) != 1 {
-		t.Fatalf("after a write-back: %d known blocks on %d paths", len(o.known), len(o.knownLeaves))
-	}
-	if got, want := o.ClientBytes(), quiet()+int64(len(o.known))*perBlock; got != want {
-		t.Fatalf("ClientBytes between accesses = %d, want %d (known blocks counted)", got, want)
-	}
 	for _, settle := range []func() error{o.Flush, o.Close, func() error { return o.BulkLoad(nil) }} {
 		if err := o.DummyAccess(); err != nil {
 			t.Fatal(err)
 		}
-		free := len(o.free) + len(o.known)
+		if len(o.known) != 0 || o.PendingEvictions() != 1 || o.ClientBytes() != quiet() {
+			t.Fatalf("between accesses: %d known blocks, %d paths pending, ClientBytes %d with a stash of %d",
+				len(o.known), o.PendingEvictions(), o.ClientBytes(), quiet())
+		}
+		held := len(o.free) + o.StashSize()
 		if err := settle(); err != nil {
 			t.Fatal(err)
 		}
-		if len(o.known) != 0 || len(o.knownLeaves) != 0 {
-			t.Fatalf("settled instance still knows %d blocks on %d paths", len(o.known), len(o.knownLeaves))
+		if len(o.known) != 0 || len(o.knownLeaves) != 0 || o.PendingEvictions() != 0 {
+			t.Fatalf("settled instance still knows %d blocks on %d paths, %d pending",
+				len(o.known), len(o.knownLeaves), o.PendingEvictions())
 		}
-		if len(o.free) != free {
-			t.Fatalf("released buffers: free list %d, want %d", len(o.free), free)
+		if len(o.free)+o.StashSize() != held {
+			t.Fatalf("released buffers: free list %d + stash %d, want %d", len(o.free), o.StashSize(), held)
 		}
 		if got := o.ClientBytes(); got != quiet() {
 			t.Fatalf("settled ClientBytes = %d, want %d", got, quiet())
@@ -588,10 +601,10 @@ func TestKnownSetLifetime(t *testing.T) {
 }
 
 // TestPathORAMDeferredAccessAllocs extends the block-path allocation guard
-// to the deferred path: a steady-state EvictionBatch=4 access whose flushes
-// ride the next fetch as exchanges allocates what a classic access does —
-// the result copy — with the flush's bucket union, eviction staging and
-// known set all living in reused scratch.
+// to unioned write-backs: a steady-state EvictionBatch=4 access allocates
+// what an EvictionBatch=1 access does — the result copy — with the
+// write-back's bucket union, eviction staging and known set all living in
+// reused scratch.
 func TestPathORAMDeferredAccessAllocs(t *testing.T) {
 	if storetest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -618,9 +631,9 @@ func TestPathORAMDeferredAccessAllocs(t *testing.T) {
 	before := o.Telemetry().Exchanges
 	n, b := storetest.AllocsAndBytes(500, read)
 	if n > 2 || b > payload+payload/2 {
-		t.Errorf("steady-state deferred Read: %v allocs and %d bytes per access, want <= 2 and one %d-byte result copy", n, b, payload)
+		t.Errorf("steady-state k=4 Read: %v allocs and %d bytes per access, want <= 2 and one %d-byte result copy", n, b, payload)
 	}
 	if o.Telemetry().Exchanges == before {
-		t.Fatal("no flush rode a fetch; the deferred path went unmeasured")
+		t.Fatal("no write-back rode a fetch; the path went unmeasured")
 	}
 }

@@ -10,19 +10,20 @@
 // below and can be instantiated with any implementation.
 //
 // There is one Path-ORAM data path (PathORAM.run: fetch a path, apply the
-// operation to the stash, evict through the scheduler). Who holds the
+// operation to the stash, queue the path with the scheduler). Who holds the
 // position of each block is a choice made at construction, not a second
 // implementation: NewPathORAM keeps a position map (client-side, or
 // recursively outsourced), NewPosORAM keeps none and takes positions from
 // its caller — the store under the paper's Section 4.2 oblivious B-tree.
 // Either way the tree lives wherever PathConfig.OpenStore puts it.
 //
-// An access issued on its own costs two network rounds with immediate
-// eviction (path download, write-back) and fewer with deferred eviction.
-// Together issues one access on each of several trees in lockstep — all
-// downloads in one round, all write-backs in one more — which is how a join
-// step that retrieves a tuple from every table pays for its round trips
-// once, not once per table.
+// An access issued on its own costs one network round: its path download,
+// which carries the write-back of the paths fetched before it (the
+// scheduler). Together issues one access on each of several trees in
+// lockstep — all downloads, and the write-backs they carry, in one round —
+// which is how a join step that retrieves a tuple from every table pays for
+// its round trip once, not once per table; Settle does the same for the
+// write-backs left queued when a query ends.
 package oram
 
 import (
@@ -86,7 +87,7 @@ type BatchORAM interface {
 	// DummyBatch performs n dummy accesses in one coalesced round,
 	// indistinguishable from ReadBatch of n keys.
 	DummyBatch(n int) error
-	// Flush settles any deferred eviction state.
+	// Flush settles the instance: every queued write-back is sent.
 	Flush() error
 }
 
@@ -121,7 +122,7 @@ func DummyBatch(o ORAM, n int) error {
 	return nil
 }
 
-// Flush settles o's deferred eviction state when it has any; a no-op for
+// Flush settles o's queued write-backs when it can have any; a no-op for
 // ORAMs without a staged data path.
 func Flush(o ORAM) error {
 	if b, ok := o.(BatchORAM); ok {

@@ -2,6 +2,7 @@ package oram
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -59,19 +60,22 @@ type PathConfig struct {
 	// opener (e.g. remote.Client.Opener) so the tree lives on a networked
 	// block server.
 	OpenStore storage.Opener
-	// EvictionBatch defers eviction write-backs and flushes that many
-	// pending paths in one round trip, deduplicating the shared upper-tree
-	// buckets within a flush (DESIGN.md §2.9). Values <= 1 keep the classic
-	// protocol: every access writes its path back immediately. The setting
-	// propagates to recursive position-map ORAMs.
+	// EvictionBatch is how many fetched paths a write-back unions: once k
+	// paths are queued their write-back rides the next path download,
+	// writing each bucket they share near the root once (DESIGN.md §2.9).
+	// It never decides whether a write-back gets a round of its own: at
+	// every k an access is one round. Values <= 1 mean 1 — every download
+	// carries the path fetched before it. The price of a larger k is client
+	// memory: up to Z·Levels·k unevicted blocks wait in the stash between
+	// accesses. The setting propagates to recursive position-map ORAMs.
 	EvictionBatch int
 	// Flight, when non-nil, carries the distributed-trace context: the
-	// scheduler pushes the declared-public "oram.flush" phase around
-	// deferred write-backs so server spans attribute them separately from
-	// the engine phase that happened to trigger the flush. Phase labels
-	// are a function of public schedule state only (flush cadence is
-	// EvictionBatch, a config constant), so the annotation leaks nothing.
-	// Propagates to recursive position-map ORAMs.
+	// scheduler pushes the declared-public "oram.flush" phase around the
+	// rounds that exist only to write back (Flush and Settle, the valve), so
+	// server spans attribute them apart from the engine phases; a download
+	// keeps the phase of its access whether or not a write-back rides it.
+	// Phase labels are a function of public schedule state only, so the
+	// annotation leaks nothing. Propagates to recursive position-map ORAMs.
 	Flight *telemetry.Flight
 }
 
@@ -93,15 +97,14 @@ type knownBlock struct {
 // map and maintains the invariant that block b always resides on the path
 // to the leaf the position map assigns it.
 type PathORAM struct {
-	cfg         PathConfig
-	sealer      *xcrypto.Sealer // resolved from cfg.Keyring (per store name) or cfg.Sealer
-	store       storage.Store
-	canExchange bool // store serves write+read exchanges, so a due flush may ride a fetch
-	leaves      int64
-	levels      int // path length in buckets (root..leaf inclusive)
-	z           int
-	slotSize    int
-	bucketSize  int // plaintext bucket bytes
+	cfg        PathConfig
+	sealer     *xcrypto.Sealer // resolved from cfg.Keyring (per store name) or cfg.Sealer
+	store      storage.Store
+	leaves     int64
+	levels     int // path length in buckets (root..leaf inclusive)
+	z          int
+	slotSize   int
+	bucketSize int // plaintext bucket bytes
 
 	pos      posMap
 	stash    map[uint64]stashEntry
@@ -130,9 +133,10 @@ type PathORAM struct {
 	// there it knows their plaintext without asking. known holds the real
 	// blocks that write-back placed — staged here by sealNodes, returned to
 	// the stash if the store refuses the round — and knownLeaves the leaves
-	// whose paths it wrote. The next fetch reclaims the blocks of the
-	// buckets it downloads by pointer instead of decrypting them and hands
-	// the rest to the free list, so the set never outlives one fetch.
+	// whose paths it wrote. The next fetch — as a rule the very one that
+	// carried the write-back — reclaims the blocks of the buckets it
+	// downloads by pointer instead of decrypting them and hands the rest to
+	// the free list, so the set never outlives one fetch.
 	known       []knownBlock
 	knownLeaves []uint32
 
@@ -224,7 +228,6 @@ func newTree(cfg PathConfig) (*PathORAM, error) {
 		return nil, fmt.Errorf("oram: open store %q: %w", cfg.Name, err)
 	}
 	o.store = st
-	_, o.canExchange = st.(storage.ExchangeStore)
 	o.pathBuf = make([]int64, levels)
 	o.sched = newScheduler(o, cfg.EvictionBatch)
 	// Initialize every bucket to a sealed empty bucket so the adversary sees
@@ -329,14 +332,16 @@ func (o *PathORAM) PayloadSize() int { return o.cfg.PayloadSize }
 // Capacity implements ORAM.
 func (o *PathORAM) Capacity() int64 { return o.cfg.Capacity }
 
-// AccessesPerOp implements ORAM: each access reads then rewrites one full
-// root-to-leaf path, plus whatever the (possibly outsourced) position map
-// costs.
+// AccessesPerOp implements ORAM: each access reads one full root-to-leaf
+// path and has it rewritten — in the round of the next download, or at
+// Flush — plus whatever the (possibly outsourced) position map costs.
 func (o *PathORAM) AccessesPerOp() int { return 2*o.levels + o.pos.accessesPerOp() }
 
-// ClientBytes implements ORAM: stash plus position-map footprint, plus —
-// between a write-back and the next fetch — the blocks of the known-bucket
-// set (none once Flush has settled the instance).
+// ClientBytes implements ORAM: stash plus position-map footprint — between
+// accesses the stash includes the blocks of the paths whose write-back is
+// queued (none once Flush has settled the instance) — plus, between a
+// stand-alone write-back and the next fetch, the blocks of the known-bucket
+// set.
 func (o *PathORAM) ClientBytes() int64 {
 	return int64(len(o.stash)+len(o.known))*int64(12+o.cfg.PayloadSize) + o.pos.clientBytes()
 }
@@ -346,16 +351,17 @@ func (o *PathORAM) ServerBytes() int64 {
 	return o.store.Len()*int64(o.store.BlockSize()) + o.pos.serverBytes()
 }
 
-// RoundsPerOp is the worst-case number of network round trips one access
-// costs over a batching transport when issued on its own: the path download
-// plus the path write-back, plus whatever the (possibly outsourced)
-// position map adds. Like AccessesPerOp it is constant for a given instance
-// — dummy and real operations cost the same number of rounds. With
-// EvictionBatch k > 1 the amortized cost drops to 1 + 1/k (or ~1 when the
-// store supports exchanges), and accesses issued through Together share
-// their two rounds with the other trees of the group, but the reported
-// constant stays the per-access ceiling.
-func (o *PathORAM) RoundsPerOp() int { return 2 + o.pos.roundsPerOp() }
+// RoundsPerOp is the number of network round trips one access costs when
+// issued on its own over a store that serves exchanges: the path download,
+// which carries the write-back the previous accesses left queued, plus
+// whatever the (possibly outsourced) position map adds. Like AccessesPerOp
+// it is constant for a given instance — dummy and real operations cost the
+// same number of rounds — and the same at every EvictionBatch, which only
+// says how many paths a write-back unions. Not in it: the one round in which
+// Flush writes the last paths back; the second request per write-back that
+// a store without exchanges costs (storage.ExchangeTo's fallback rung); and
+// what Together saves by putting several trees' downloads into one round.
+func (o *PathORAM) RoundsPerOp() int { return 1 + o.pos.roundsPerOp() }
 
 // MaxStash reports the high-water stash occupancy, a standard Path-ORAM
 // health metric (stays O(log N)·ω(1) w.h.p. for Z=4).
@@ -429,6 +435,7 @@ type accessPlan struct {
 	update   func([]byte) error
 	dummy    bool
 	notFound bool
+	mapped   bool   // plan remapped the position map for it (unplan takes that back)
 	leaf     uint32 // path to fetch (old position, or fresh random)
 	newLeaf  uint32 // position installed in the map (real accesses)
 }
@@ -438,7 +445,7 @@ type accessPlan struct {
 // operation), and record which path the access must fetch.
 func (o *PathORAM) plan(p *accessPlan, key uint64, newData []byte, dummy bool, update func([]byte) error) error {
 	o.accesses++
-	*p = accessPlan{key: key, newData: newData, update: update, dummy: dummy}
+	*p = accessPlan{key: key, newData: newData, update: update, dummy: dummy, mapped: true}
 	if dummy {
 		o.dummyAccesses++
 		p.leaf = o.randomLeaf()
@@ -495,6 +502,31 @@ func (o *PathORAM) apply(p *accessPlan) ([]byte, error) {
 	}
 }
 
+// unplan takes back the position remap of a planned access whose fetch
+// failed, so that the access can be retried: the block is still where it
+// was — on its old path or in the stash — and the map must keep saying so.
+// The fetch carries the previous access's write-back, so a refused write
+// fails a download, before the operation has reached the stash. A dummy repeats its dummy map operation, so that
+// over an outsourced map a failed access looks the same either way; a plan
+// whose positions the caller holds (PosORAM) has nothing here to take back.
+// The result is fetchErr, joined with the map's error if it has one.
+func (o *PathORAM) unplan(p *accessPlan, fetchErr error) error {
+	var err error
+	switch {
+	case !p.mapped:
+	case p.dummy:
+		err = o.pos.dummyOp()
+	case p.notFound:
+		err = o.pos.set(p.key, noLeaf)
+	default:
+		err = o.pos.set(p.key, p.leaf)
+	}
+	if err != nil {
+		return errors.Join(fetchErr, err)
+	}
+	return fetchErr
+}
+
 // access is the Path-ORAM protocol core, staged as plan → fetch → apply →
 // evict. If newData is non-nil the access is a write; if update is non-nil
 // it mutates the fetched payload in place; if dummy, no logical block is
@@ -509,14 +541,22 @@ func (o *PathORAM) access(key uint64, newData []byte, dummy bool, update func([]
 
 // run executes a planned access — fetch → apply → evict — wherever the
 // plan's leaves came from: the position map (plan) or the caller (PosORAM).
-// With EvictionBatch <= 1 the eviction stage writes the path back
-// immediately (the classic two-round protocol); otherwise the scheduler
-// defers it. Together is the same stages run for several trees at once.
+// The fetch carries the write-back the scheduler has queued; the eviction
+// stage queues the path just fetched for the next one. A fetch that fails
+// leaves the access undone and retryable.
 func (o *PathORAM) run(p *accessPlan) ([]byte, error) {
 	o.leafBuf[0] = p.leaf
 	if err := o.sched.fetch(o.leafBuf[:]); err != nil {
-		return nil, err
+		return nil, o.unplan(p, err)
 	}
+	return o.finish(p)
+}
+
+// finish runs the stages of a single planned access that follow its fetch:
+// apply, then queue the fetched path (leafBuf), whose write-back rides the
+// tree's next fetch. Together is plan, fetch and finish run for several
+// trees at once.
+func (o *PathORAM) finish(p *accessPlan) ([]byte, error) {
 	result, err := o.apply(p)
 	if werr := o.sched.evict(o.leafBuf[:]); werr != nil && err == nil {
 		err = werr
@@ -756,7 +796,11 @@ func (o *PathORAM) bulkLoad(payloads [][]byte, leafOf func(i int) (uint32, error
 	if int64(len(payloads)) > o.cfg.Capacity {
 		return fmt.Errorf("oram: bulk load of %d blocks exceeds capacity %d", len(payloads), o.cfg.Capacity)
 	}
-	o.releaseKnown() // the whole tree is about to be overwritten
+	// The whole tree is about to be overwritten: nothing written before is
+	// known any more, and no bucket is left holding a stale copy for a queued
+	// write-back to clear — which would clear the freshly loaded blocks.
+	o.releaseKnown()
+	o.sched.pending = o.sched.pending[:0]
 	type placed struct {
 		key  uint64
 		leaf uint32

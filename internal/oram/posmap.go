@@ -25,7 +25,7 @@ type posMap interface {
 	// roundsPerOp is the number of network round trips one getAndSet (or
 	// dummyOp) costs over a batching transport.
 	roundsPerOp() int
-	// flush settles any deferred eviction state held by an outsourced map;
+	// flush settles the queued write-backs of an outsourced map's trees;
 	// a no-op for the client-side map.
 	flush() error
 	clientBytes() int64

@@ -51,7 +51,7 @@ func (h *PosORAM) ServerBytes() int64 { return h.o.ServerBytes() }
 // MaxStash reports the high-water stash occupancy.
 func (h *PosORAM) MaxStash() int { return h.o.MaxStash() }
 
-// Flush settles the instance (PathORAM.Flush): every deferred eviction path
+// Flush settles the instance (PathORAM.Flush): every queued eviction path
 // is written back and the blocks of the last write-back are let go of.
 func (h *PosORAM) Flush() error { return h.o.Flush() }
 

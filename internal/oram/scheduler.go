@@ -7,80 +7,91 @@ import (
 )
 
 // scheduler is the staged data path in front of a PathORAM's fetch and
-// eviction stages (DESIGN.md §2.9). It owns two round-trip optimizations
-// (a third, sharing a round with other trees, is Together's; the scheduler
-// only stages its share):
+// eviction stages (DESIGN.md §2.9). It keeps one protocol: the write-back of
+// an access rides the path download of the next access on the same tree, in
+// one combined write+read round, so an access costs one round. On top of
+// that it owns two optimizations (a third, sharing a round with other trees,
+// is Together's; the scheduler only stages its share):
 //
-//   - Deferred eviction: with batch k > 1, evicted paths are queued and
-//     flushed k at a time in one WriteMany round, deduplicating the buckets
-//     the paths share near the root so each bucket is written once per
-//     flush. When the store supports exchanges the flush instead rides
-//     along the next access's path download, making the write round free.
+//   - Unioned write-backs: fetched paths queue until there are batch = k of
+//     them, and the write-back that then rides the next download seals the
+//     union of the k paths, so each bucket they share near the root is
+//     written once. k says how many paths a write-back unions (k = 1: the
+//     single path just fetched) — never whether it gets a round of its own.
 //
 //   - Coalesced fetch: independent accesses planned together download the
-//     union of their read paths in one ReadMany round.
+//     union of their read paths in one round.
+//
+// A write-back travels alone only when there is no next download to carry
+// it: at Flush/Close (Settle puts those of several trees into one round),
+// at the 2k safety valve, and — below this layer — over a store that cannot
+// serve an exchange, where storage.ExchangeTo's fallback rung issues the
+// writes and then the reads as two requests.
 //
 // Security: every queued eviction path is the path of a completed fetch,
 // and Path-ORAM fetch paths are uniform random and independent of the data
 // (real accesses follow the fresh uniform leaf installed by the previous
-// remap; dummies and misses draw a fresh uniform leaf directly). Deferring
-// and deduplicating the write-backs therefore changes only *when* those
-// public bucket indices are written, never *which* buckets a retrieval
-// sequence touches as a function of non-public state — the flushed multiset
-// per window is exactly the union of the k fetched paths. The trace stays
+// remap; dummies and misses draw a fresh uniform leaf directly). Each store
+// sees exactly the sequence of bucket reads and writes of the textbook
+// protocol that writes every path straight back (at k = 1; at k > 1 the
+// deduplicated union per window of k); only the round boundaries move, and
+// they move by a fixed rule of position in the tree's access sequence: the
+// write-back of access i shares the round of the download of access i+1
+// (of the k accesses up to i, with the one after them). No data and no
+// client timing enters that rule. The trace stays
 // reproducible from public sizes plus the recorded leaf randomness
 // (tracecheck.PathORAMSim).
 //
 // Correctness invariant: a server bucket may hold a stale copy of a block
 // whose authoritative copy sits in the stash only while the path through
-// that bucket is still queued. Each flush rewrites every bucket of every
-// pending path from the stash, destroying all such copies; an exchange
-// applies its writes before serving reads, so a ride-along fetch can only
-// re-read freshly written buckets (whose blocks then safely re-enter the
-// stash on a path that is itself queued again).
+// that bucket is still queued. Each write-back rewrites every bucket of
+// every pending path from the stash, destroying all such copies; an exchange
+// applies its writes before serving reads, so the download it carries can
+// only re-read freshly written buckets (whose blocks then safely re-enter
+// the stash on a path that is itself queued again).
 //
-// Failure atomicity: a write-back (classic, flush or exchange) stages the
-// blocks it seals out of the stash (PathORAM.sealNodes) and touches the
-// pending queue, the due flag and the telemetry only via commit, after the
-// store has accepted the round. On a transport error the staged blocks go
-// straight back (restoreKnown) and the instance is exactly as it was: the
-// blocks in the stash, the paths pending, the write-back free to be
-// retried. Buckets a failed attempt may have partially written stay covered
-// by the still-pending paths, so the stash copies remain authoritative
-// until a later flush rewrites them — which is why a classic write-back
-// that fails queues its path here too.
+// One consequence: the block the next access is about to read may be evicted
+// by the write-back that access carries. It can only be placed on the path
+// it is mapped to, which is the path being downloaded, and commit comes
+// before openFetched, so it is back in the stash when apply looks for it.
+//
+// Failure atomicity: a write-back stages the blocks it seals out of the
+// stash (PathORAM.sealNodes) and touches the pending queue and the telemetry
+// only via commit, after the store has accepted the round. On a transport
+// error the staged blocks go straight back (restoreKnown) and the instance
+// is exactly as it was: the blocks in the stash, the paths pending, the
+// write-back free to ride the next download. Buckets a failed attempt may
+// have partially written stay covered by the still-pending paths, so the
+// stash copies remain authoritative until a later write-back rewrites them.
+// The access whose fetch failed has done nothing but plan; its caller takes
+// the planned remap back (PathORAM.unplan) so that it can be retried.
 type scheduler struct {
 	o     *PathORAM
-	batch int // flush threshold k; <= 1 means evict immediately
+	batch int // paths a write-back unions, k >= 1
 
 	pending []uint32 // leaves of fetched paths awaiting write-back
-	due     bool     // flush has reached the threshold and should ride the next fetch
 
-	// Scratch for the bucket unions of one round: the flush's write set and
-	// the fetch's read set, both alive during an exchange.
+	// Scratch for the bucket unions of one round: the write-back's write set
+	// and the fetch's read set, both alive during an exchange.
 	writeNodes []int64
 	readNodes  []int64
 
 	// op is this tree's share of the round being prepared, issued or
-	// settled; flush says its write-back is a scheduler flush rather than
-	// the classic write-back of the one path just fetched.
-	op    storage.RoundOp
-	flush bool
+	// settled; riding says the share of a fetch carries a write-back.
+	op     storage.RoundOp
+	riding bool
 
 	// Telemetry (client-side only).
-	flushes         int64
+	flushes         int64 // write-backs stored
 	flushedPaths    int64
-	dedupSaved      int64 // bucket writes avoided by intra-flush dedup
-	exchanges       int64 // flushes that rode a fetch in one exchange round
+	dedupSaved      int64 // bucket writes avoided by the union within a write-back
+	exchanges       int64 // write-backs that rode a fetch
 	batchFetches    int64 // coalesced multi-access fetch rounds
 	batchedAccesses int64 // accesses served by those rounds
 }
 
 func newScheduler(o *PathORAM, batch int) *scheduler {
-	if batch < 1 {
-		batch = 1
-	}
-	return &scheduler{o: o, batch: batch}
+	return &scheduler{o: o, batch: max(batch, 1)}
 }
 
 // unionNodes appends to dst the ascending union of the root-to-leaf paths
@@ -97,27 +108,20 @@ func (s *scheduler) unionNodes(dst []int64, leaves []uint32) []int64 {
 	return dst
 }
 
-// The scheduler's two wire stages, fetch and evict, are each split into a
-// prepare half that stages this tree's share of a round in s.op (node lists,
-// sealed buckets — no traffic) and a complete half that settles the share
-// once its round has been issued (commit and openFetched, or restoreKnown).
-// A single access issues its own share alone (fetch, evict); Together puts
-// the prepared shares of several trees into one round.
+// A wire stage is split into a prepare half that stages this tree's share of
+// a round in s.op (node lists, sealed buckets — no traffic) and a complete
+// half that settles the share once its round has been issued (commit and
+// openFetched, or restoreKnown). A single access issues its own share alone
+// (fetch); Together and Settle put the prepared shares of several trees into
+// one round.
 
 // prepareFetch stages the download of the union of the given leaves' paths.
-// If a deferred flush is due it rides along: the share carries the pending
-// eviction writes too, and the server applies them before serving the reads.
+// Once k paths are queued their write-back rides along: the share carries
+// the pending eviction writes too, and the server applies them before
+// serving the reads.
 func (s *scheduler) prepareFetch(leaves []uint32) error {
-	if s.due && !(s.o.canExchange && len(s.pending) > 0) {
-		if err := s.flushNow(); err != nil {
-			return err
-		}
-	}
 	s.op = storage.RoundOp{Store: s.o.store, Dst: s.o.fetchBuf[:0]}
-	// The combined round carries the deferred write-back; it is labelled as
-	// the flush it is (the ride-along fetch is what makes it free).
-	s.flush = s.due
-	if s.due {
+	if s.riding = len(s.pending) >= s.batch; s.riding {
 		sealed, err := s.sealPending()
 		if err != nil {
 			return err
@@ -130,16 +134,16 @@ func (s *scheduler) prepareFetch(leaves []uint32) error {
 }
 
 // completeFetch settles an issued fetch share: the downloaded buckets enter
-// the stash. On a transport error a flush that rode along stays due (and
-// its blocks in the stash) for the next fetch.
+// the stash. On a transport error a write-back that rode along stays queued
+// (and its blocks in the stash) for the next fetch.
 func (s *scheduler) completeFetch(leaves []uint32) error {
 	if s.op.Err != nil {
-		if s.flush {
+		if s.riding {
 			s.o.restoreKnown()
 		}
 		return s.op.Err
 	}
-	if s.flush {
+	if s.riding {
 		// Commit before taking the read buckets in: a bucket written by this
 		// very exchange may be re-read by it, and its blocks re-enter the
 		// stash from the known set the commit has just established.
@@ -159,17 +163,15 @@ func (s *scheduler) fetch(leaves []uint32) error {
 	if err := s.prepareFetch(leaves); err != nil {
 		return err
 	}
-	s.issue()
+	issueRound(&s.o.cfg, false, &s.op)
 	return s.completeFetch(leaves)
 }
 
-// issue sends the staged share as a round of its own.
-func (s *scheduler) issue() { issueRound(&s.o.cfg, s.flush, &s.op) }
-
-// issueRound sends staged shares as one round. A round that carries a
-// scheduler flush belongs to the (public) eviction schedule — every tree
-// flushes on the cadence its EvictionBatch fixes — not to whichever engine
-// phase triggered it, and its wire requests are labelled so.
+// issueRound sends staged shares as one round. A round that exists only to
+// write back — settle, or the valve — belongs to the (public) eviction
+// schedule rather than to whichever engine phase it fell in, and its wire
+// requests are labelled "oram.flush"; a download belongs to the engine
+// phase of its access whether or not a write-back rides it.
 func issueRound(cfg *PathConfig, flush bool, ops ...*storage.RoundOp) {
 	if len(ops) == 0 {
 		return
@@ -180,11 +182,8 @@ func issueRound(cfg *PathConfig, flush bool, ops ...*storage.RoundOp) {
 	storage.DoRound(cfg.Meter, ops...)
 }
 
-// prepareEvict queues the fetched paths for write-back and reports whether
-// a write-back is owed now, staging it if so. With batch <= 1 the paths are
-// written straight back (the classic protocol); otherwise the queue is
-// flushed once it holds batch paths — by riding the next fetch when the
-// store supports exchanges (nothing owed now), in its own round otherwise.
+// evict queues the fetched paths for write-back; the write-back rides the
+// next fetch once k are queued.
 //
 // A coalesced batch's paths are queued as one unit, and that matters for
 // correctness, not just rounds: they were downloaded in a single union
@@ -194,41 +193,43 @@ func issueRound(cfg *PathConfig, flush bool, ops ...*storage.RoundOp) {
 // blocks, which are no longer in the stash. The write-back seals the union
 // instead: every bucket is written exactly once, filled from the
 // authoritative stash.
-func (s *scheduler) prepareEvict(leaves []uint32) (owed bool, err error) {
-	// The classic write-back of one path is not a scheduler flush: it is
-	// neither labelled nor counted as one.
-	s.flush = s.batch > 1 || len(s.pending) > 0 || len(leaves) > 1
+//
+// The safety valve: a batch that lands on a part-filled queue and takes it
+// to 2k paths or beyond is written back at once, in a round of its own,
+// rather than left to add its blocks to those already waiting in the stash
+// until the next access. A batch on an empty queue holds nothing its own
+// download did not bring in, and rides the next one whatever its size, as a
+// single path does (at k = 1 the queue is always empty here, so the valve
+// never fires).
+func (s *scheduler) evict(leaves []uint32) error {
+	queued := len(s.pending)
 	s.pending = append(s.pending, leaves...)
-	switch {
-	case s.batch <= 1 || len(s.pending) >= 2*s.batch:
-		// Past 2k the safety valve flushes rather than let the stash bound
-		// drift when coalesced batches keep queueing faster than fetches
-		// come in.
-	case len(s.pending) < s.batch:
-		return false, nil
-	case s.o.canExchange:
-		s.due = true
-		return false, nil
+	if queued > 0 && len(s.pending) >= 2*s.batch {
+		return s.flushNow()
 	}
-	return true, s.prepareFlush()
-}
-
-// prepareFlush stages the write-back of every pending path.
-func (s *scheduler) prepareFlush() error {
-	sealed, err := s.sealPending()
-	if err != nil {
-		return err
-	}
-	s.op = storage.RoundOp{Store: s.o.store, WriteIdxs: s.writeNodes, WriteData: sealed}
 	return nil
 }
 
-// completeEvict settles an issued write-back. A transport failure leaves
-// the client state exactly as it was — the blocks in the stash, the paths
-// pending — so the write-back can simply be retried: the still-pending
-// paths keep every server bucket they cover rewritable, so nothing is lost
-// to a partial write.
-func (s *scheduler) completeEvict() error {
+// prepareFlush stages the write-back of every pending path as a share with
+// nothing to read, and reports whether there was anything to stage.
+func (s *scheduler) prepareFlush() (owed bool, err error) {
+	if len(s.pending) == 0 {
+		return false, nil
+	}
+	sealed, err := s.sealPending()
+	if err != nil {
+		return false, err
+	}
+	s.op = storage.RoundOp{Store: s.o.store, WriteIdxs: s.writeNodes, WriteData: sealed}
+	return true, nil
+}
+
+// completeFlush settles an issued stand-alone write-back. A transport
+// failure leaves the client state exactly as it was — the blocks in the
+// stash, the paths pending — so the write-back can simply be retried: the
+// still-pending paths keep every server bucket they cover rewritable, so
+// nothing is lost to a partial write.
+func (s *scheduler) completeFlush() error {
 	if s.op.Err != nil {
 		s.o.restoreKnown()
 		return s.op.Err
@@ -237,29 +238,14 @@ func (s *scheduler) completeEvict() error {
 	return nil
 }
 
-// evict queues the fetched paths and issues the write-back now owed, if
-// any, as a round of its own.
-func (s *scheduler) evict(leaves []uint32) error {
-	owed, err := s.prepareEvict(leaves)
+// flushNow writes every pending path back in a round of its own.
+func (s *scheduler) flushNow() error {
+	owed, err := s.prepareFlush()
 	if err != nil || !owed {
 		return err
 	}
-	s.issue()
-	return s.completeEvict()
-}
-
-// flushNow writes every pending path back in one round.
-func (s *scheduler) flushNow() error {
-	if len(s.pending) == 0 {
-		s.due = false
-		return nil
-	}
-	s.flush = true
-	if err := s.prepareFlush(); err != nil {
-		return err
-	}
-	s.issue()
-	return s.completeEvict()
+	issueRound(&s.o.cfg, true, &s.op)
+	return s.completeFlush()
 }
 
 // sealPending seals the union of the pending paths into writeNodes-aligned
@@ -271,17 +257,14 @@ func (s *scheduler) sealPending() ([][]byte, error) {
 }
 
 // commit settles a stored write-back of the pending paths: their buckets
-// join the known set, the pending queue empties, and — for a flush — the
-// flush telemetry advances.
+// join the known set, the pending queue empties, and the write-back
+// telemetry advances.
 func (s *scheduler) commit() {
 	s.o.keepKnown(s.pending, len(s.writeNodes))
-	if s.flush {
-		s.flushes++
-		s.flushedPaths += int64(len(s.pending))
-		s.dedupSaved += int64(len(s.pending)*s.o.levels - len(s.writeNodes))
-	}
+	s.flushes++
+	s.flushedPaths += int64(len(s.pending))
+	s.dedupSaved += int64(len(s.pending)*s.o.levels - len(s.writeNodes))
 	s.pending = s.pending[:0]
-	s.due = false
 }
 
 // ReadBatch reads several keys with their path downloads coalesced into a
@@ -337,6 +320,10 @@ func (o *PathORAM) DummyBatch(n int) error {
 // needs out of the stash.
 func (o *PathORAM) finishBatch(plans []accessPlan, leaves []uint32) ([][]byte, error) {
 	if err := o.sched.fetch(leaves); err != nil {
+		// Latest remap first: a key planned twice gets its first position back.
+		for i := len(plans) - 1; i >= 0; i-- {
+			err = o.unplan(&plans[i], err)
+		}
 		return nil, err
 	}
 	results := make([][]byte, len(plans))
@@ -357,11 +344,12 @@ func (o *PathORAM) finishBatch(plans []accessPlan, leaves []uint32) ([][]byte, e
 	return results, firstErr
 }
 
-// Flush writes every deferred eviction path back to the server, including
-// the recursive position map's, and lets go of the known-bucket set.
-// Callers settle the instance at the end of a query (or before reading
-// ClientBytes-style footprints) so no client state is pinned by pending
-// paths or by the last write-back.
+// Flush writes every queued eviction path back to the server in a round of
+// its own, including the recursive position map's, and lets go of the
+// known-bucket set. Callers settle the instance at the end of a query (or
+// before reading ClientBytes-style footprints) so no client state is pinned
+// by pending paths or by the last write-back; Settle does it for several
+// trees in one round.
 func (o *PathORAM) Flush() error {
 	if err := o.sched.flushNow(); err != nil {
 		return err
@@ -371,10 +359,10 @@ func (o *PathORAM) Flush() error {
 }
 
 // PendingEvictions reports the number of fetched paths whose write-back is
-// currently deferred.
+// still queued.
 func (o *PathORAM) PendingEvictions() int { return len(o.sched.pending) }
 
-// Close settles the instance at a session boundary: every deferred
+// Close settles the instance at a session boundary: every queued
 // eviction path — the tree's and the recursive position map's — is written
 // back, so no stash state is pinned by pending paths when the serving
 // layer checkpoints the backing store or hands the tree to another

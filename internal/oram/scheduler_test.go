@@ -2,17 +2,19 @@ package oram
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	mrand "math/rand"
 	"testing"
 
 	"oblivjoin/internal/storage"
+	"oblivjoin/internal/tracecheck"
 )
 
 // newBatchORAM builds a MemStore-backed Path-ORAM with the given eviction
-// batch. MemStore implements storage.ExchangeStore, so with batch > 1 the
-// scheduler's due flushes ride the next fetch in one exchange round.
+// batch. MemStore implements storage.ExchangeStore, so a write-back and the
+// fetch it rides are one round.
 func newBatchORAM(t testing.TB, capacity int64, payload int, meter *storage.Meter, batch int, seed uint64) *PathORAM {
 	t.Helper()
 	o, err := NewPathORAM(PathConfig{
@@ -31,8 +33,8 @@ func newBatchORAM(t testing.TB, capacity int64, payload int, meter *storage.Mete
 }
 
 // batchOnlyStore hides MemStore's Exchange method, leaving a plain
-// BatchStore: the scheduler must then flush deferred evictions in their own
-// WriteMany rounds instead of riding a fetch.
+// BatchStore: a write-back that rides a fetch then goes out as a WriteMany
+// round of its own in front of it (storage.ExchangeTo's fallback rung).
 type batchOnlyStore struct{ s *storage.MemStore }
 
 func (w batchOnlyStore) Read(i int64) ([]byte, error)             { return w.s.Read(i) }
@@ -143,8 +145,8 @@ func TestSchedulerMatchesReference(t *testing.T) {
 
 // TestSchedulerDeferredRounds pins the amortized round count on a store
 // without exchange support: each access costs its one download round, and
-// every k-th access adds one WriteMany flush round — 1 + 1/k instead of the
-// classic 2.
+// every k-th download carries a write-back that storage.ExchangeTo's
+// fallback rung has to send as a request of its own — 1 + 1/k.
 func TestSchedulerDeferredRounds(t *testing.T) {
 	const k, n, capacity = 4, 40, 64
 	m := storage.NewMeter()
@@ -163,14 +165,15 @@ func TestSchedulerDeferredRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// capacity writes leave the pending queue empty (capacity % k == 0).
+	// capacity writes leave a full queue (capacity % k == 0): its write-back
+	// is waiting for the next download.
 	for i := uint64(0); i < capacity; i++ {
 		if err := o.Write(i, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if o.PendingEvictions() != 0 {
-		t.Fatalf("pending after setup: %d", o.PendingEvictions())
+	if o.PendingEvictions() != k {
+		t.Fatalf("pending after setup: %d, want %d", o.PendingEvictions(), k)
 	}
 	m.Reset()
 	setup := o.Telemetry()
@@ -183,10 +186,10 @@ func TestSchedulerDeferredRounds(t *testing.T) {
 	if got := m.Snapshot().NetworkRounds; got != want {
 		t.Fatalf("%d deferred accesses used %d rounds, want %d (1+1/k amortized)", n, got, want)
 	}
-	// The worst-case constant the cost model uses stays the per-access
-	// ceiling regardless of batching.
-	if o.RoundsPerOp() != 2 {
-		t.Fatalf("RoundsPerOp = %d, want 2", o.RoundsPerOp())
+	// The constant the cost model uses is the cost over an exchange store,
+	// whatever the batch.
+	if o.RoundsPerOp() != 1 {
+		t.Fatalf("RoundsPerOp = %d, want 1", o.RoundsPerOp())
 	}
 	stats := o.Telemetry()
 	flushes, paths := stats.Flushes-setup.Flushes, stats.FlushedPaths-setup.FlushedPaths
@@ -196,54 +199,59 @@ func TestSchedulerDeferredRounds(t *testing.T) {
 	if stats.DedupedBuckets == setup.DedupedBuckets {
 		t.Fatal("no deduplicated buckets across flushes of a 6-level tree")
 	}
-	if stats.Exchanges != 0 {
-		t.Fatalf("exchange count %d on a store without exchange support", stats.Exchanges)
+	// Every one of them rode a download's share, whatever the store made of it.
+	if rode := stats.Exchanges - setup.Exchanges; rode != flushes {
+		t.Fatalf("%d of %d write-backs rode a fetch", rode, flushes)
 	}
 }
 
 // TestSchedulerExchangeRounds pins the round count when the store supports
-// exchanges: every due flush rides the next access's path download, so n
-// accesses cost exactly n rounds — ~1.0 per access amortized.
+// exchanges: every write-back rides the next access's path download, so n
+// accesses cost exactly n rounds, at k = 1 as at k = 4.
 func TestSchedulerExchangeRounds(t *testing.T) {
-	const k, n, capacity = 4, 40, 64
-	m := storage.NewMeter()
-	o := newBatchORAM(t, capacity, 16, m, k, 6)
-	for i := uint64(0); i < capacity; i++ {
-		if err := o.Write(i, []byte{byte(i)}); err != nil {
+	const n, capacity = 40, 64
+	for _, k := range []int{1, 4} {
+		m := storage.NewMeter()
+		o := newBatchORAM(t, capacity, 16, m, k, 6)
+		for i := uint64(0); i < capacity; i++ {
+			if err := o.Write(i, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Reset()
+		setup := o.Telemetry()
+		for i := 0; i < n; i++ {
+			if _, err := o.Read(uint64(i % capacity)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := m.Snapshot().NetworkRounds; got != int64(n) {
+			t.Fatalf("k=%d: %d accesses used %d rounds, want %d", k, n, got, n)
+		}
+		stats := o.Telemetry()
+		if rode := stats.Exchanges - setup.Exchanges; rode != int64(n/k) || rode != stats.Flushes-setup.Flushes {
+			t.Fatalf("k=%d: %d write-backs rode a download, %d were stored; want %d each",
+				k, rode, stats.Flushes-setup.Flushes, n/k)
+		}
+		// The terminal flush writes what is still pending in one more round.
+		before := m.Snapshot().NetworkRounds
+		if err := o.Flush(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	m.Reset()
-	for i := 0; i < n; i++ {
-		if _, err := o.Read(uint64(i % capacity)); err != nil {
-			t.Fatal(err)
+		if extra := m.Snapshot().NetworkRounds - before; extra != 1 {
+			t.Fatalf("k=%d: flush used %d rounds, want 1", k, extra)
 		}
-	}
-	if got := m.Snapshot().NetworkRounds; got != int64(n) {
-		t.Fatalf("%d exchange-batched accesses used %d rounds, want %d", n, got, n)
-	}
-	if stats := o.Telemetry(); stats.Exchanges == 0 {
-		t.Fatal("no flush rode an exchange round")
-	}
-	// The terminal flush drains whatever is still pending in one more round.
-	before := m.Snapshot().NetworkRounds
-	if err := o.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	extra := m.Snapshot().NetworkRounds - before
-	if extra > 1 {
-		t.Fatalf("flush used %d rounds, want at most 1", extra)
-	}
-	if o.PendingEvictions() != 0 {
-		t.Fatalf("pending after flush: %d", o.PendingEvictions())
+		if o.PendingEvictions() != 0 {
+			t.Fatalf("k=%d: pending after flush: %d", k, o.PendingEvictions())
+		}
 	}
 }
 
-// TestSchedulerStashHighWater is the deferred-eviction stash bound: between
-// flushes at most k paths' worth of blocks are pinned client-side, so the
-// high-water mark can exceed the classic run's by at most k·Z·L blocks
-// (DESIGN.md §2.9). The randomized workload runs the same seed at every
-// setting so the classic peak is a true baseline.
+// TestSchedulerStashHighWater is the stash bound of unioned write-backs:
+// between accesses at most k paths' worth of blocks wait client-side for
+// their write-back, so the high-water mark can exceed the k = 1 run's by at
+// most k·Z·L blocks (DESIGN.md §2.9). The randomized workload runs the same
+// seed at every setting so the k = 1 peak is a true baseline.
 func TestSchedulerStashHighWater(t *testing.T) {
 	const capacity, accesses = 256, 10000
 	run := func(batch int) int {
@@ -278,8 +286,6 @@ func TestSchedulerStashHighWater(t *testing.T) {
 func TestReadBatchCoalescedRounds(t *testing.T) {
 	const capacity = 64
 	m := storage.NewMeter()
-	// batch=1 isolates the fetch coalescing from eviction deferral: each of
-	// the b accesses still writes its path back in its own round.
 	o := newBatchORAM(t, capacity, 16, m, 1, 7)
 	for i := uint64(0); i < capacity; i++ {
 		if err := o.Write(i, []byte{byte(i)}); err != nil {
@@ -298,19 +304,26 @@ func TestReadBatchCoalescedRounds(t *testing.T) {
 		}
 	}
 	read := m.Snapshot()
-	// One union download plus one union write-back: the batch's paths are
-	// sealed as a single eviction set (overlapping per-path writes would
-	// erase each other's placements).
-	if gotRounds, want := read.NetworkRounds, int64(2); gotRounds != want {
-		t.Fatalf("ReadBatch(%d) used %d rounds, want %d (union fetch + union write-back)", b, gotRounds, want)
+	// One round: the union download, carrying the write-back of the last
+	// write. The batch's own paths are queued as a single eviction set
+	// (overlapping per-path writes would erase each other's placements) and
+	// ride the next download — the valve does not fire on a single batch.
+	if read.NetworkRounds != 1 || o.PendingEvictions() != b {
+		t.Fatalf("ReadBatch(%d) used %d rounds and left %d paths pending, want 1 and %d",
+			b, read.NetworkRounds, o.PendingEvictions(), b)
 	}
 	m.Reset()
 	if err := o.DummyBatch(b); err != nil {
 		t.Fatal(err)
 	}
 	dummy := m.Snapshot()
-	if dummy.NetworkRounds != read.NetworkRounds {
-		t.Fatalf("DummyBatch rounds %d != ReadBatch rounds %d", dummy.NetworkRounds, read.NetworkRounds)
+	if dummy.NetworkRounds != read.NetworkRounds || o.PendingEvictions() != b {
+		t.Fatalf("DummyBatch: %d rounds, %d paths pending; ReadBatch: %d rounds, %d pending",
+			dummy.NetworkRounds, o.PendingEvictions(), read.NetworkRounds, b)
+	}
+	// The union write-back the DummyBatch carried wrote each shared bucket once.
+	if up, paths := dummy.BlockWrites, int64(b*o.Levels()); up >= paths || up < int64(o.Levels()) {
+		t.Fatalf("DummyBatch carried %d bucket writes for %d paths of %d", up, b, o.Levels())
 	}
 	stats := o.Telemetry()
 	if stats.BatchFetches != 2 || stats.BatchedAccesses != 2*b {
@@ -359,99 +372,230 @@ func (w exchangelessFaultableStore) WriteMany(idxs []int64, d [][]byte) error {
 	return w.fs.WriteMany(idxs, d)
 }
 
-// TestSchedulerFlushFailureKeepsState: a failed flush must not strand
+// TestSchedulerFlushFailureKeepsState: a failed write-back must not strand
 // blocks. sealNodes stages the evicted blocks out of the stash and a
-// refused store round puts them straight back, pending queue untouched, so
-// after a transport outage every block is still readable and a retried
-// Flush drains the queue.
+// refused store round puts them straight back, pending queue untouched; the
+// access whose download carried the write-back takes its position remap
+// back (unplan). So after a transport outage every block is still readable
+// and a retried Flush drains the queue — at k = 1, where every download
+// carries a write-back, as at k = 4. The accesses driven into the outage are
+// real reads: without unplan a download that fails under one leaves the key
+// mapped to a leaf its block is not on, and the read-back below fails with
+// ErrNotFound.
 func TestSchedulerFlushFailureKeepsState(t *testing.T) {
-	const k, capacity = 4, 64
-	for _, tc := range []struct {
-		name string
-		open func(fs *faultableStore) storage.Store
-	}{
-		// WriteMany path: the k-th access triggers flushNow, which fails.
-		{"write-many", func(fs *faultableStore) storage.Store { return exchangelessFaultableStore{fs} }},
-		// Exchange path: the due flush rides a later fetch, which fails.
-		{"exchange", func(fs *faultableStore) storage.Store { return fs }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var fs *faultableStore
-			o, err := NewPathORAM(PathConfig{
-				Name:          "fault",
-				Capacity:      capacity,
-				PayloadSize:   16,
-				Sealer:        testSealer(t),
-				Rand:          NewSeededSource(23),
-				EvictionBatch: k,
-				OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
-					fs = &faultableStore{s: storage.NewMemStore(name, slots, blockSize, nil)}
-					return tc.open(fs), nil
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
+	const capacity = 64
+	for _, k := range []int{1, 4} {
+		for _, tc := range []struct {
+			name string
+			open func(fs *faultableStore) storage.Store
+		}{
+			// Fallback rung: the riding write-back goes out as a WriteMany, which fails.
+			{"write-many", func(fs *faultableStore) storage.Store { return exchangelessFaultableStore{fs} }},
+			// Exchange: the write-back and the download are one request, which fails.
+			{"exchange", func(fs *faultableStore) storage.Store { return fs }},
+		} {
+			name := tc.name // the k = 4 legs keep the names they had before k = 1 joined
+			if k != 4 {
+				name = fmt.Sprintf("k=%d/%s", k, tc.name)
 			}
-			for i := uint64(0); i < capacity; i++ {
-				if err := o.Write(i, []byte{byte(i)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := o.Flush(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Queue k-1 evictions cleanly, then drive dummy accesses into the
-			// outage until a flush attempt surfaces the store error. Dummies
-			// exercise the same flush paths as real accesses without remapping
-			// any real key's position, so a failed access strands nothing
-			// beyond the sealed eviction set under test.
-			for i := uint64(0); i < k-1; i++ {
-				if _, err := o.Read(i); err != nil {
-					t.Fatal(err)
-				}
-			}
-			fs.fail = true
-			freeBefore := len(o.free)
-			var failed bool
-			for i := 0; i < 2*k && !failed; i++ {
-				if err := o.DummyAccess(); err != nil {
-					failed = true
-				}
-			}
-			if !failed {
-				t.Fatal("no flush attempt reached the failing store")
-			}
-			if o.PendingEvictions() == 0 {
-				t.Fatal("failed flush cleared the pending queue")
-			}
-			// Nothing was committed during the outage, so nothing may have
-			// been recycled: the sealed-but-unstored blocks' buffers are
-			// still the stash's.
-			if len(o.free) > freeBefore {
-				t.Fatalf("failed flush recycled %d stash buffers", len(o.free)-freeBefore)
-			}
-			assertFreeListDisjoint(t, o)
-
-			// The outage ends: every block must still be readable (stash
-			// copies were never dropped) and a retried flush settles.
-			fs.fail = false
-			for i := uint64(0); i < capacity; i++ {
-				got, err := o.Read(i)
+			t.Run(name, func(t *testing.T) {
+				var fs *faultableStore
+				o, err := NewPathORAM(PathConfig{
+					Name:          "fault",
+					Capacity:      capacity,
+					PayloadSize:   16,
+					Sealer:        testSealer(t),
+					Rand:          NewSeededSource(23),
+					EvictionBatch: k,
+					OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
+						fs = &faultableStore{s: storage.NewMemStore(name, slots, blockSize, nil)}
+						return tc.open(fs), nil
+					},
+				})
 				if err != nil {
-					t.Fatalf("read %d after failed flush: %v", i, err)
+					t.Fatal(err)
 				}
-				if got[0] != byte(i) {
-					t.Fatalf("read %d = %d after failed flush", i, got[0])
+				for i := uint64(0); i < capacity; i++ {
+					if err := o.Write(i, []byte{byte(i)}); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			if err := o.Flush(); err != nil {
-				t.Fatalf("retried flush: %v", err)
-			}
-			if o.PendingEvictions() != 0 {
-				t.Fatalf("pending after retried flush: %d", o.PendingEvictions())
-			}
-		})
+				if err := o.Flush(); err != nil {
+					t.Fatal(err)
+				}
+
+				// Queue k-1 evictions cleanly, then drive reads into the outage
+				// until a download that carries a write-back surfaces the store
+				// error.
+				for i := uint64(0); i < uint64(k-1); i++ {
+					if _, err := o.Read(i); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fs.fail = true
+				freeBefore := len(o.free)
+				failures := 0
+				for i := uint64(0); i < uint64(2*k+2); i++ {
+					if _, err := o.Read(capacity - 1 - i); err != nil {
+						failures++
+					}
+				}
+				if failures == 0 {
+					t.Fatal("no write-back reached the failing store")
+				}
+				if o.PendingEvictions() == 0 {
+					t.Fatal("failed write-back cleared the pending queue")
+				}
+				// Nothing was committed during the outage, so nothing may have
+				// been recycled: the sealed-but-unstored blocks' buffers are
+				// still the stash's.
+				if len(o.free) > freeBefore {
+					t.Fatalf("failed write-back recycled %d stash buffers", len(o.free)-freeBefore)
+				}
+				assertFreeListDisjoint(t, o)
+
+				// The outage ends: every block must still be readable (stash
+				// copies were never dropped, no remap was stranded) and a
+				// retried flush settles.
+				fs.fail = false
+				for i := uint64(0); i < capacity; i++ {
+					got, err := o.Read(i)
+					if err != nil {
+						t.Fatalf("read %d after failed write-back: %v", i, err)
+					}
+					if got[0] != byte(i) {
+						t.Fatalf("read %d = %d after failed write-back", i, got[0])
+					}
+				}
+				if err := o.Flush(); err != nil {
+					t.Fatalf("retried flush: %v", err)
+				}
+				if o.PendingEvictions() != 0 {
+					t.Fatalf("pending after retried flush: %d", o.PendingEvictions())
+				}
+			})
+		}
+	}
+}
+
+// downStore fails every batch call while down: the whole store unreachable,
+// downloads included.
+type downStore struct {
+	*storage.MemStore
+	down bool
+}
+
+func (d *downStore) ExchangeTo(dst []byte, wi []int64, wd [][]byte, ri []int64) ([]byte, error) {
+	if d.down {
+		return nil, fmt.Errorf("injected outage")
+	}
+	return d.MemStore.ExchangeTo(dst, wi, wd, ri)
+}
+
+func (d *downStore) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
+	return d.ExchangeTo(dst, nil, nil, idxs)
+}
+
+func (d *downStore) WriteMany(idxs []int64, data [][]byte) error {
+	_, err := d.ExchangeTo(nil, idxs, data, nil)
+	return err
+}
+
+// TestFailedFetchIsRetryable: an access whose download fails has changed
+// nothing — the position remap it planned is taken back, in the client-side
+// map, in an outsourced one (only the data tree goes down here, so the map
+// can be reached to take the remap back), and for every plan of a coalesced
+// batch, a key planned twice included. Every operation that
+// failed during an outage succeeds when retried after it, on the first
+// download after a Flush (nothing riding) as on later ones.
+func TestFailedFetchIsRetryable(t *testing.T) {
+	const capacity = 64
+	for _, recurse := range []bool{false, true} {
+		for _, k := range []int{1, 4} {
+			t.Run(fmt.Sprintf("recurse=%v/k=%d", recurse, k), func(t *testing.T) {
+				var stores []*downStore
+				o, err := NewPathORAM(PathConfig{
+					Name: "down", Capacity: capacity, PayloadSize: 16,
+					Sealer: testSealer(t), Rand: NewSeededSource(uint64(40 + k)),
+					RecursePosMap: recurse, RecurseCutoff: 4, EvictionBatch: k,
+					OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
+						st := &downStore{MemStore: storage.NewMemStore(name, slots, blockSize, nil)}
+						if name == "down" { // the map's trees stay up: a remap can always be taken back
+							stores = append(stores, st)
+						}
+						return st, nil
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := uint64(0); i < capacity/2; i++ { // the upper half stays unwritten
+					if err := o.Write(i, []byte{byte(i)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				outage := func(down bool) {
+					for _, st := range stores {
+						st.down = down
+					}
+				}
+				ops := []struct {
+					name string
+					do   func() error
+				}{
+					{"read", func() error {
+						got, err := o.Read(7)
+						if err == nil && got[0] != 7 {
+							t.Fatalf("key 7 = %d", got[0])
+						}
+						return err
+					}},
+					{"write-new", func() error { return o.Write(capacity-1, []byte{200}) }},
+					{"dummy", o.DummyAccess},
+					{"batch", func() error {
+						got, err := o.ReadBatch([]uint64{3, 9, 3})
+						if err == nil && (got[0][0] != 3 || got[1][0] != 9 || got[2][0] != 3) {
+							t.Fatalf("batch = %v %v %v", got[0][:1], got[1][:1], got[2][:1])
+						}
+						return err
+					}},
+				}
+				for round := 0; round < 3; round++ {
+					if round == 1 {
+						if err := o.Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, op := range ops {
+						outage(true)
+						if err := op.do(); err == nil {
+							t.Fatalf("round %d: %s succeeded against a store that is down", round, op.name)
+						}
+						if _, err := o.Read(capacity - 2); err == nil || errors.Is(err, ErrNotFound) {
+							t.Fatalf("round %d: read of a missing key during the outage: %v", round, err)
+						}
+						outage(false)
+						if err := op.do(); err != nil {
+							t.Fatalf("round %d: %s retried after the outage: %v", round, op.name, err)
+						}
+						if _, err := o.Read(capacity - 2); !errors.Is(err, ErrNotFound) {
+							t.Fatalf("round %d: a never-written key reads %v, want ErrNotFound", round, err)
+						}
+					}
+				}
+				if err := o.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				for i := uint64(0); i < capacity/2; i++ {
+					if got, err := o.Read(i); err != nil || got[0] != byte(i) {
+						t.Fatalf("key %d = %v, %v after the outages", i, got, err)
+					}
+				}
+				if got, err := o.Read(capacity - 1); err != nil || got[0] != 200 {
+					t.Fatalf("the key written across an outage = %v, %v", got, err)
+				}
+			})
+		}
 	}
 }
 
@@ -521,5 +665,87 @@ func TestCloseSettlesPendingEvictions(t *testing.T) {
 	}
 	if got[0] != 7 {
 		t.Fatalf("post-Close read = %v", got[0])
+	}
+}
+
+// TestRideAlongMatchesTwoRoundProtocol is the parent-equivalence check of
+// "every download carries the previous write-back": over a store that hides
+// its exchange forms the scheduler's ExchangeTo falls to the fallback rung —
+// the write-back in a round, then the download in a round — which at k = 1
+// is the textbook protocol request for request: read a path, write it back,
+// 2n rounds for n accesses. Over the exchange store the same tree under the
+// same leaf randomness shows the store exactly the same sequence of bucket
+// reads and writes (DiffExact) in n + 1 rounds. Only the round boundaries
+// moved, and by position in the access sequence alone: access i's write-back
+// shares the round of access i + 1's download.
+func TestRideAlongMatchesTwoRoundProtocol(t *testing.T) {
+	const capacity, n = 64, 300
+	run := func(k int, exchange bool) ([]storage.Access, int64) {
+		m := storage.NewMeter()
+		o, err := NewPathORAM(PathConfig{
+			Name: "tree", Capacity: capacity, PayloadSize: 16, Meter: m,
+			Sealer: testSealer(t), Rand: NewSeededSource(99), EvictionBatch: k,
+			OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
+				st := storage.NewMemStore(name, slots, blockSize, m)
+				if exchange {
+					return st, nil
+				}
+				return batchOnlyStore{st}, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := make([][]byte, capacity)
+		for i := range blocks {
+			blocks[i] = []byte{byte(i)}
+		}
+		if err := o.BulkLoad(blocks); err != nil {
+			t.Fatal(err)
+		}
+		m.Reset()
+		m.SetTracing(true)
+		r := mrand.New(mrand.NewSource(4))
+		for i := 0; i < n; i++ {
+			key := uint64(r.Intn(capacity))
+			switch r.Intn(3) {
+			case 0:
+				err = o.DummyAccess()
+			case 1:
+				err = o.Write(key, []byte{byte(key)})
+			default:
+				var got []byte
+				if got, err = o.Read(key); err == nil && got[0] != byte(key) {
+					t.Fatalf("key %d = %d", key, got[0])
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := o.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Trace(), m.Snapshot().NetworkRounds
+	}
+	for _, k := range []int{1, 4} {
+		riding, ridingRounds := run(k, true)
+		apart, apartRounds := run(k, false)
+		if d := tracecheck.DiffExact(riding, apart); d != "" {
+			t.Fatalf("k=%d: the store sees a different sequence when write-backs ride: %s", k, d)
+		}
+		if want := int64(n + 1); ridingRounds != want {
+			t.Fatalf("k=%d: %d accesses over an exchange store took %d rounds, want %d", k, n, ridingRounds, want)
+		}
+		if want := int64(n + (n-1)/k + 1); apartRounds != want {
+			t.Fatalf("k=%d: %d accesses over a store without exchanges took %d rounds, want %d", k, n, apartRounds, want)
+		}
+		// The reads of a round and the writes it carries keep their order:
+		// writes first, so the download sees what was just written.
+		for i := 1; i < len(riding); i++ {
+			if a, b := riding[i-1], riding[i]; a.Round == b.Round && a.Kind == storage.KindRead && b.Kind == storage.KindWrite {
+				t.Fatalf("k=%d: round %d reads before it writes", k, a.Round)
+			}
+		}
 	}
 }

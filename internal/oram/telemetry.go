@@ -31,19 +31,18 @@ type PathStats struct {
 	// StashPeak is the high-water stash occupancy; StashSize the current.
 	StashPeak int
 	StashSize int
-	// Flushes counts eviction flush rounds performed by the scheduler;
-	// FlushedPaths the paths they wrote back; DedupedBuckets the bucket
-	// writes saved by deduplicating shared upper-tree buckets within a
-	// flush; Exchanges the flushes that rode a path download in a single
-	// combined round. With EvictionBatch <= 1 only coalesced batches and the
-	// retry of a failed write-back flush.
+	// Flushes counts the write-backs the store has accepted; FlushedPaths
+	// the paths they wrote back; DedupedBuckets the bucket writes saved by
+	// writing the buckets those paths share once; Exchanges the write-backs
+	// that rode a path download — all of them but the ones Flush, Settle and
+	// the valve sent in a round of their own.
 	Flushes        int64
 	FlushedPaths   int64
 	DedupedBuckets int64
 	Exchanges      int64
 	// BatchFetches counts coalesced multi-access download rounds;
 	// BatchedAccesses the accesses they served. PendingEvictions is the
-	// current depth of the deferred-eviction queue.
+	// number of fetched paths whose write-back is still queued.
 	BatchFetches     int64
 	BatchedAccesses  int64
 	PendingEvictions int

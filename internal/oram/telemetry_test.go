@@ -3,7 +3,8 @@ package oram
 import "testing"
 
 // TestPathTelemetry verifies the client-side access/eviction counters: each
-// access is one full-path read plus write-back, dummies are counted
+// access is one full-path read plus, once settled, its write-back; every
+// write-back but the settling one rode a download; dummies are counted
 // separately, per-level placements account for every block written back,
 // and the snapshot is a copy.
 func TestPathTelemetry(t *testing.T) {
@@ -19,6 +20,9 @@ func TestPathTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := o.Flush(); err != nil { // the last path's write-back had nothing to ride
+		t.Fatal(err)
+	}
 	s := o.Telemetry()
 	if s.Accesses != writes+dummies {
 		t.Fatalf("Accesses = %d, want %d", s.Accesses, writes+dummies)
@@ -30,6 +34,10 @@ func TestPathTelemetry(t *testing.T) {
 	if s.BucketsRead != s.Accesses*perPath || s.BucketsWritten != s.Accesses*perPath {
 		t.Fatalf("buckets read/written = %d/%d, want %d each",
 			s.BucketsRead, s.BucketsWritten, s.Accesses*perPath)
+	}
+	if s.Flushes != s.Accesses || s.FlushedPaths != s.Accesses || s.Exchanges != s.Accesses-1 || s.PendingEvictions != 0 {
+		t.Fatalf("%d write-backs of %d paths, %d riding, %d pending; want %d, %d, %d, 0",
+			s.Flushes, s.FlushedPaths, s.Exchanges, s.PendingEvictions, s.Accesses, s.Accesses, s.Accesses-1)
 	}
 	if len(s.LevelPlaced) != o.Levels() {
 		t.Fatalf("LevelPlaced levels = %d, want %d", len(s.LevelPlaced), o.Levels())

@@ -1,6 +1,10 @@
 package oram
 
-import "oblivjoin/internal/storage"
+import (
+	"slices"
+
+	"oblivjoin/internal/storage"
+)
 
 // Req is one access of a lockstep group (Together): a read of Key — through
 // Update when set, which may rewrite the payload in place exactly as
@@ -22,30 +26,29 @@ type Req struct {
 // paper's join step retrieves one tuple from every table and each
 // retrieval's path is fixed by client state before the step begins — the
 // accesses run in lockstep: all position remaps are planned in request
-// order, every tree's path download travels in one network round, the
-// operations are applied to the stashes, and every write-back now owed
-// travels in one more round. Beside ReadBatch's "k paths of one tree in a
-// round" this is "one path of each of k trees in a round". Any other group
-// (a shared tree, a View, a recursive position map, LinearORAM, RawStore)
-// runs its accesses one after another, exactly as separate calls would.
+// order, every tree's path download — each carrying the write-back its tree
+// has queued — travels in one network round, and the operations are applied
+// to the stashes. Beside ReadBatch's "k paths of one tree in a round" this is
+// "one path of each of k trees in a round". Any other group (a shared tree,
+// a View, a recursive position map, LinearORAM, RawStore) runs its accesses
+// one after another, exactly as separate calls would.
 //
 // Per-store access sequences are those of the accesses issued one after
 // another; only which stores share a round changes, and that grouping is
 // decided by the caller's choice to group — so callers must make that
 // choice from public information only, and present real and dummy requests
-// alike. With EvictionBatch > 1 a tree's share of the first round may carry
-// its due flush and it may owe nothing to the second; a round carries
-// whatever each scheduler staged, on the schedule each tree keeps on its own.
+// alike. Whether a tree's share carries a write-back is its own scheduler's
+// business, decided by how many paths it has queued (EvictionBatch).
 //
 // Failure atomicity is per tree, as for separate accesses: each share of a
 // round reports its own error, a tree whose share failed is left as a failed
 // access leaves it (stash authoritative, paths pending), and the others
 // complete.
 func Together(reqs []Req) error {
-	var few [4]member
+	var few [4]*PathORAM
 	group := few[:0]
 	if len(reqs) > len(few) {
-		group = make([]member, 0, len(reqs))
+		group = make([]*PathORAM, 0, len(reqs))
 	}
 	if group = lockstep(group, reqs); group == nil {
 		var first error
@@ -71,61 +74,34 @@ func Together(reqs []Req) error {
 	if len(reqs) > len(fewOps) {
 		ops = make([]*storage.RoundOp, 0, len(reqs))
 	}
-	cfg := &group[0].o.cfg
 
-	// Stage 1: plan every access and stage every download; one round.
-	flush := false
-	for i := range group {
-		o, r := group[i].o, &reqs[i]
+	// Plan every access and stage every download; one round.
+	for i, o := range group {
+		r := &reqs[i]
 		r.Data = nil
 		if r.Err = o.plan(&o.planBuf, r.Key, nil, r.Dummy, r.Update); r.Err != nil {
 			continue
 		}
 		o.leafBuf[0] = o.planBuf.leaf
 		if r.Err = o.sched.prepareFetch(o.leafBuf[:]); r.Err != nil {
+			r.Err = o.unplan(&o.planBuf, r.Err)
 			continue
 		}
-		flush = flush || o.sched.flush
 		ops = append(ops, &o.sched.op)
 	}
-	issueRound(cfg, flush, ops...)
+	issueRound(&group[0].cfg, false, ops...)
 
-	// Stage 2: settle the downloads, apply the operations, and stage every
-	// write-back now owed; one round.
-	ops, flush = ops[:0], false
-	for i := range group {
-		o, r := group[i].o, &reqs[i]
-		if r.Err != nil {
-			continue
-		}
-		if r.Err = o.sched.completeFetch(o.leafBuf[:]); r.Err != nil {
-			continue
-		}
-		r.Data, r.Err = o.apply(&o.planBuf)
-		owed, err := o.sched.prepareEvict(o.leafBuf[:])
-		if err != nil {
-			if r.Err == nil {
-				r.Err = err
-			}
-			continue
-		}
-		if group[i].owed = owed; owed {
-			flush = flush || o.sched.flush
-			ops = append(ops, &o.sched.op)
-		}
-	}
-	issueRound(cfg, flush, ops...)
-
+	// Settle the downloads, apply the operations, and queue the fetched
+	// paths: their write-backs ride each tree's next download.
 	var first error
-	for i := range group {
-		o, r := group[i].o, &reqs[i]
-		if group[i].owed {
-			if err := o.sched.completeEvict(); err != nil && r.Err == nil {
-				r.Err = err
+	for i, o := range group {
+		r := &reqs[i]
+		if r.Err == nil {
+			if err := o.sched.completeFetch(o.leafBuf[:]); err != nil {
+				r.Err = o.unplan(&o.planBuf, err)
+			} else {
+				r.Data, r.Err = o.finish(&o.planBuf)
 			}
-		}
-		if len(o.stash) > o.maxStash {
-			o.maxStash = len(o.stash)
 		}
 		if first == nil {
 			first = r.Err
@@ -134,34 +110,78 @@ func Together(reqs []Req) error {
 	return first
 }
 
-// member is one tree of a lockstep group.
-type member struct {
-	o    *PathORAM
-	owed bool // its write-back travels in the group's second round
+// Settle flushes the given ORAMs (Flush), with the write-backs the
+// Path-ORAMs among them still have queued travelling in a single round,
+// shares in the order given: the end of a query costs one round, not one per
+// tree. Which trees have a write-back queued depends on how many accesses
+// each has served since it was last settled, which is public; the order is
+// the caller's and must be canonical. Trees that cannot run in lockstep (a
+// recursive position map, a meter of their own) and other ORAMs are flushed
+// on their own, where they stand in the order. Every ORAM is attempted; the
+// first error is returned.
+func Settle(orams ...ORAM) error {
+	var few [8]*PathORAM
+	group := few[:0] // the trees with a share in the round
+	var first error
+	for _, x := range orams {
+		o, ok := x.(*PathORAM)
+		if ok && slices.Contains(group, o) {
+			continue
+		}
+		var err error
+		if !ok || !o.holdsPositions() || (len(group) > 0 && group[0].cfg.Meter != o.cfg.Meter) {
+			err = Flush(x)
+		} else if owed, perr := o.sched.prepareFlush(); owed {
+			group = append(group, o)
+		} else if err = perr; err == nil {
+			o.releaseKnown()
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	if len(group) == 0 {
+		return first
+	}
+	var fewOps [8]*storage.RoundOp
+	ops := fewOps[:0]
+	for _, o := range group {
+		ops = append(ops, &o.sched.op)
+	}
+	issueRound(&group[0].cfg, true, ops...)
+	for _, o := range group {
+		err := o.sched.completeFlush()
+		if err == nil {
+			o.releaseKnown()
+		} else if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// holdsPositions reports whether the tree keeps its positions client-side,
+// so that planning an access or settling the tree costs no round of its own.
+func (o *PathORAM) holdsPositions() bool {
+	_, flat := o.pos.(*flatPosMap)
+	return flat
 }
 
 // lockstep returns the requests' trees, appended to group, when they can run
 // in lockstep: every request on a Path-ORAM that holds its own positions
 // client-side, all distinct, all reporting to one meter. Otherwise it
 // returns nil.
-func lockstep(group []member, reqs []Req) []member {
+func lockstep(group []*PathORAM, reqs []Req) []*PathORAM {
 	if len(reqs) < 2 {
 		return nil
 	}
 	for i := range reqs {
 		o, ok := reqs[i].ORAM.(*PathORAM)
-		if !ok {
+		if !ok || !o.holdsPositions() || slices.Contains(group, o) ||
+			(len(group) > 0 && group[0].cfg.Meter != o.cfg.Meter) {
 			return nil
 		}
-		if _, flat := o.pos.(*flatPosMap); !flat {
-			return nil
-		}
-		for _, m := range group {
-			if m.o == o || m.o.cfg.Meter != o.cfg.Meter {
-				return nil
-			}
-		}
-		group = append(group, member{o: o})
+		group = append(group, o)
 	}
 	return group
 }

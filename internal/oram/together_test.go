@@ -153,7 +153,11 @@ func runTogetherSchedule(t *testing.T, batch int, exchange, together bool, ops [
 // driven through Together and the same two trees driven one access at a
 // time, under the same leaf randomness, show each store exactly the same
 // access sequence — lockstep moves no server-visible index, it only groups
-// rounds. Classic eviction halves the rounds exactly.
+// rounds. A step is one round — both trees' downloads, each carrying its
+// tree's queued write-back — so n steps and the two closing flushes cost
+// n + 2 rounds at every eviction batch, against 2n + 2 one at a time (4n
+// over stores without exchanges, where every carried write-back is a
+// request of its own).
 func TestTogetherMatchesAlone(t *testing.T) {
 	r := mrand.New(mrand.NewSource(9))
 	ops := make([]togetherOp, 300)
@@ -164,6 +168,7 @@ func TestTogetherMatchesAlone(t *testing.T) {
 			ops[i].bump[side] = r.Intn(2) == 0
 		}
 	}
+	n := int64(len(ops))
 	for _, batch := range []int{1, 4, 16} {
 		for _, exchange := range []bool{true, false} {
 			t.Run(fmt.Sprintf("k=%d/exchange=%v", batch, exchange), func(t *testing.T) {
@@ -174,22 +179,46 @@ func TestTogetherMatchesAlone(t *testing.T) {
 						t.Fatalf("store %s sees a different sequence in lockstep: %s", store, d)
 					}
 				}
-				if groupedRounds >= aloneRounds {
-					t.Fatalf("lockstep cost %d rounds, one at a time %d", groupedRounds, aloneRounds)
+				if groupedRounds != n+2 {
+					t.Fatalf("lockstep cost %d rounds, want %d", groupedRounds, n+2)
 				}
-				if batch == 1 && (aloneRounds != int64(4*len(ops)) || groupedRounds != int64(2*len(ops))) {
-					t.Fatalf("classic eviction: %d rounds alone, %d in lockstep; want %d and %d",
-						aloneRounds, groupedRounds, 4*len(ops), 2*len(ops))
+				wantAlone := 2*n + 2
+				if !exchange {
+					// Per tree: the first download, n-1 (k = 1) downloads
+					// preceded by a write request, the closing flush.
+					wantAlone = 2 * (n + (n-1)/int64(batch) + 1)
 				}
-				// In lockstep both trees' downloads of a step carry one round
-				// ordinal and the next round is their write-backs (classic).
-				if batch == 1 {
-					for i := 0; i+1 < len(grouped); i++ {
-						a, b := grouped[i], grouped[i+1]
-						if a.Store == "left" && b.Store == "right" && (a.Kind != b.Kind || a.Round != b.Round) {
-							t.Fatalf("access %d: left %s in round %d is followed by right %s in round %d",
-								i, a.Kind, a.Round, b.Kind, b.Round)
+				if aloneRounds != wantAlone {
+					t.Fatalf("one at a time cost %d rounds, want %d", aloneRounds, wantAlone)
+				}
+				// Round i of the lockstep run is step i: left's share — the
+				// write-back it carries, then its download — then right's.
+				var shape []string
+				round := int64(-1)
+				check := func() {
+					if round < 0 || round >= n {
+						return // the closing flushes
+					}
+					got := strings.Join(shape, " ")
+					var want []string
+					for _, store := range []string{"left", "right"} {
+						if round > 0 && round%int64(batch) == 0 {
+							want = append(want, store+"/write")
 						}
+						want = append(want, store+"/read")
+					}
+					if got != strings.Join(want, " ") {
+						t.Fatalf("round %d is %q, want %q", round, got, strings.Join(want, " "))
+					}
+				}
+				first := grouped[0].Round
+				for _, a := range grouped {
+					if a.Round-first != round {
+						check()
+						round, shape = a.Round-first, shape[:0]
+					}
+					if op := a.Store + "/" + a.Kind.String(); len(shape) == 0 || shape[len(shape)-1] != op {
+						shape = append(shape, op)
 					}
 				}
 			})
@@ -237,13 +266,13 @@ func (f *failOnce) WriteMany(idxs []int64, d [][]byte) error {
 }
 
 // TestTogetherShareFailure: when one store fails its share of a round the
-// other tree's access has completed and committed, and the failed tree is
-// left as a failed access leaves it — stash authoritative, paths pending —
-// so retrying brings it to the model's state. Both the download round and
-// the write-back round are failed, at every eviction batch. (A download
-// that fails under a real access strands that key's remap, in lockstep as
-// alone; the failed share is therefore a dummy wherever the failure can
-// land on the download — which with deferred eviction carries the flush.)
+// other tree's access has completed, and the failed tree is left as a failed
+// access leaves it — stash authoritative, paths pending, the planned remap
+// taken back — so the same access retried brings it to the model's state.
+// The share is failed on its download and on the write-back it carries
+// (half applied), under real accesses, at every eviction batch. At k = 1
+// the write-back rides every download, so a refused write-back leaves the
+// operation undone: the model advances when the retry succeeds.
 func TestTogetherShareFailure(t *testing.T) {
 	const capacity, payload = 32, 16
 	for _, batch := range []int{1, 4, 16} {
@@ -283,15 +312,15 @@ func TestTogetherShareFailure(t *testing.T) {
 				injected := 0
 				for step := 0; step < 300; step++ {
 					keys := [2]uint64{uint64(r.Intn(capacity)), uint64(r.Intn(capacity))}
-					inject := step%7 == 3
 					reqs := []Req{
 						{ORAM: trees[0], Key: keys[0], Update: bump},
 						{ORAM: trees[1], Key: keys[1], Update: bump},
 					}
+					inject := step%7 == 3
 					if inject {
 						flaky.failRead, flaky.failWrite = stage == "download", stage == "write-back"
-						reqs[1].Dummy = stage == "download" || batch > 1
 					}
+					pending := trees[1].PendingEvictions()
 					err := Together(reqs)
 					if reqs[0].Err != nil {
 						t.Fatalf("step %d: the healthy tree failed: %v", step, reqs[0].Err)
@@ -300,33 +329,29 @@ func TestTogetherShareFailure(t *testing.T) {
 					if got := reqs[0].Data[0]; got != byte(keys[0])+want[0][keys[0]] {
 						t.Fatalf("step %d: healthy tree key %d = %d", step, keys[0], got)
 					}
+					// With k > 1 not every download carries a write-back to refuse.
 					consumed := inject && !flaky.failRead && !flaky.failWrite
 					flaky.failRead, flaky.failWrite = false, false
-					if !consumed {
-						// No write-back was owed this step, so nothing failed.
-						if err != nil {
-							t.Fatalf("step %d: %v", step, err)
+					if consumed {
+						injected++
+						if err == nil || err != reqs[1].Err || !strings.Contains(err.Error(), "injected") {
+							t.Fatalf("step %d: err = %v, share err = %v; want the injected failure", step, err, reqs[1].Err)
 						}
-						if !reqs[1].Dummy {
-							want[1][keys[1]] += 100
+						if trees[1].PendingEvictions() != pending {
+							t.Fatalf("step %d: the failed share left %d paths pending, %d before it", step, trees[1].PendingEvictions(), pending)
 						}
-						continue
+						assertBuffersDisjoint(t, trees[1])
+						// The same access, retried on its own.
+						reqs[1].Data, reqs[1].Err = trees[1].Update(keys[1], bump)
+						if reqs[1].Err != nil {
+							t.Fatalf("step %d: retry after the failure: %v", step, reqs[1].Err)
+						}
+					} else if err != nil {
+						t.Fatalf("step %d: %v", step, err)
 					}
-					injected++
-					if err == nil || err != reqs[1].Err || !strings.Contains(err.Error(), "injected") {
-						t.Fatalf("step %d: err = %v, share err = %v; want the injected failure", step, err, reqs[1].Err)
-					}
-					if !reqs[1].Dummy {
-						// The update reached the stash before the write-back was
-						// refused, and the evicted blocks went back to it.
-						want[1][keys[1]] += 100
-					}
-					if stage == "write-back" && trees[1].PendingEvictions() == 0 {
-						t.Fatalf("step %d: the refused write-back left no path pending", step)
-					}
-					assertBuffersDisjoint(t, trees[1])
-					if err := trees[1].DummyAccess(); err != nil {
-						t.Fatalf("step %d: retry after the failure: %v", step, err)
+					want[1][keys[1]] += 100
+					if got := reqs[1].Data[0]; got != byte(keys[1])+want[1][keys[1]] {
+						t.Fatalf("step %d: flaky tree key %d = %d, want %d", step, keys[1], got, byte(keys[1])+want[1][keys[1]])
 					}
 				}
 				if injected == 0 {
@@ -463,6 +488,115 @@ func TestTogetherFallsBackOneByOne(t *testing.T) {
 				t.Fatalf("Together is not the separate calls: %s", d)
 			}
 		})
+	}
+}
+
+// TestSettleTogetherIsOneRound: Settle writes back what the given trees
+// still have queued in one round, shares in the order the trees were given;
+// a tree with nothing queued has no share, a tree listed twice has one, and
+// ORAMs that cannot share a round — a recursive position map (its map's
+// trees owe write-backs too), the linear-scan ORAM — are flushed where they
+// stand, each in rounds of its own. Afterwards nothing is pending and
+// nothing known anywhere, and the data is all there. A share that fails
+// fails alone: the other trees are settled, the failed one keeps its paths
+// pending and its blocks, and settles when retried.
+func TestSettleTogetherIsOneRound(t *testing.T) {
+	const capacity, payload = 16, 16
+	for _, k := range []int{1, 4} {
+		m := storage.NewMeter()
+		var flaky *failOnce
+		tree := func(name string, recurse bool) *PathORAM {
+			o, err := NewPathORAM(PathConfig{
+				Name: name, Capacity: capacity, PayloadSize: payload, Meter: m, Sealer: testSealer(t),
+				Rand: NewSeededSource(uint64(len(name))), EvictionBatch: k, RecursePosMap: recurse, RecurseCutoff: 2,
+				OpenStore: func(store string, slots int64, blockSize int) (storage.Store, error) {
+					st := storage.NewMemStore(store, slots, blockSize, m)
+					if store != "c" {
+						return st, nil
+					}
+					flaky = &failOnce{MemStore: st}
+					return flaky, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return o
+		}
+		a, b, c, idle, rec := tree("a", false), tree("bb", false), tree("c", false), tree("idle", false), tree("rec", true)
+		lin, err := NewLinearORAM(PathConfig{Name: "lin", Capacity: capacity, PayloadSize: payload, Meter: m, Sealer: testSealer(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		touched := []ORAM{a, b, c, rec, lin}
+		for _, o := range touched {
+			for key := uint64(0); key < capacity; key++ {
+				if err := o.Write(key, []byte{byte(key)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := rec.Flush(); err != nil { // so that what it owes below is one access's worth
+			t.Fatal(err)
+		}
+		if _, err := rec.Read(3); err != nil {
+			t.Fatal(err)
+		}
+		m.Reset()
+		m.SetTracing(true)
+		flaky.failWrite = true
+		err = Settle(b, a, idle, rec, lin, c, a)
+		if err == nil || !strings.Contains(err.Error(), "injected") {
+			t.Fatalf("k=%d: Settle = %v, want the injected failure of c's share", k, err)
+		}
+		if a.PendingEvictions() != 0 || b.PendingEvictions() != 0 || rec.PendingEvictions() != 0 || c.PendingEvictions() == 0 {
+			t.Fatalf("k=%d: pending after the failed settle: a %d, b %d, rec %d, c %d; want only c's kept",
+				k, a.PendingEvictions(), b.PendingEvictions(), rec.PendingEvictions(), c.PendingEvictions())
+		}
+		// rec and its map's two trees each flushed alone, then the shared round.
+		var order []string
+		rounds := map[int64][]string{}
+		for _, x := range m.Trace() {
+			if x.Kind != storage.KindWrite {
+				t.Fatalf("k=%d: settle read %s", k, x.Store)
+			}
+			if r := rounds[x.Round]; len(r) == 0 || r[len(r)-1] != x.Store {
+				if len(r) == 0 {
+					order = append(order, "|")
+				}
+				rounds[x.Round] = append(r, x.Store)
+				order = append(order, x.Store)
+			}
+		}
+		if got, want := strings.Join(order, " "), "| rec | rec.pos | rec.pos.pos | bb a c"; got != want {
+			t.Fatalf("k=%d: settle rounds carried %q, want %q", k, got, want)
+		}
+		if got := m.Snapshot().NetworkRounds; got != 4 {
+			t.Fatalf("k=%d: %d rounds, want 4", k, got)
+		}
+		before := m.Snapshot().NetworkRounds
+		if err := Settle(b, a, idle, rec, lin, c, a); err != nil {
+			t.Fatalf("k=%d: retried settle: %v", k, err)
+		}
+		if got := m.Snapshot().NetworkRounds - before; got != 1 || c.PendingEvictions() != 0 {
+			t.Fatalf("k=%d: the retry took %d rounds and left c %d paths pending; want c's share alone", k, got, c.PendingEvictions())
+		}
+		before = m.Snapshot().NetworkRounds
+		if err := Settle(b, a, idle, rec, lin, c, a); err != nil || m.Snapshot().NetworkRounds != before {
+			t.Fatalf("k=%d: settling settled trees: %v, %d rounds", k, err, m.Snapshot().NetworkRounds-before)
+		}
+		for _, o := range []*PathORAM{a, b, c, idle, rec} {
+			if len(o.known) != 0 || len(o.knownLeaves) != 0 {
+				t.Fatalf("k=%d: %s still knows %d blocks", k, o.cfg.Name, len(o.known))
+			}
+		}
+		for _, o := range touched {
+			for key := uint64(0); key < capacity; key++ {
+				if got, err := o.Read(key); err != nil || got[0] != byte(key) {
+					t.Fatalf("k=%d: key %d = %v, %v after settling", k, key, got, err)
+				}
+			}
+		}
 	}
 }
 

@@ -38,10 +38,6 @@ type TableMeta struct {
 	DataStore string
 	// Indexes maps attribute name to index metadata.
 	Indexes map[string]IndexMeta
-	// DeferredEviction reports that the table's ORAMs queue eviction
-	// write-backs (EvictionBatch > 1), which makes predicted rounds an upper
-	// bound instead of exact. A configuration constant, not data.
-	DeferredEviction bool
 }
 
 // Index returns the metadata of the index on attr, if built.
@@ -67,7 +63,6 @@ func Describe(tables map[string]*table.StoredTable) Catalog {
 			DataAccessesPerOp: st.DataAccessesPerOp(),
 			DataStore:         table.DataStoreName(st.StorePrefix(), st.Schema().Table),
 			Indexes:           make(map[string]IndexMeta),
-			DeferredEviction:  st.DeferredEviction(),
 		}
 		for _, attr := range st.IndexAttrs() {
 			tr, err := st.Index(attr)

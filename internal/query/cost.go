@@ -22,25 +22,23 @@ type Cost struct {
 	ORAMOps int64
 	// Blocks is the total predicted server block operations (reads+writes).
 	Blocks int64
-	// Rounds is the predicted network rounds, priced per operator because
-	// operators differ in which accesses share a round. A Path-ORAM access
-	// alone costs two (path download, write-back); the operators whose
-	// per-table retrievals are independent in every step issue them in
-	// lockstep, one round pair per stage for both tables (table.Step):
+	// Rounds is the predicted network rounds — what the Meter will count,
+	// at every EvictionBatch — priced per operator because operators differ
+	// in which accesses share a round. A Path-ORAM access costs one round:
+	// its path download, which carries the write-back the tree has queued.
+	// The operators whose per-table retrievals are independent in every step
+	// issue them in lockstep, one round per stage for both tables
+	// (table.Step):
 	//
-	//	sort-merge          4·n        index stage, data stage
-	//	band                2·(h+1)·n  h descent accesses, then both data accesses together
-	//	index nested-loop   2·(h+2)·n  the probe needs the outer tuple's key: sequential
-	//	multiway            2·ORAMOps  children depend on the parent's row: sequential
+	//	sort-merge          2·n        index stage, data stage
+	//	band                (h+1)·n    h descent accesses, then both data accesses together
+	//	index nested-loop   (h+2)·n    the probe needs the outer tuple's key: sequential
+	//	multiway            ORAMOps    children depend on the parent's row: sequential
 	//
 	// with n the padded step count and h the inner index's accesses per
-	// retrieval. With immediate eviction (EvictionBatch <= 1) the number is
-	// exact; see RoundsExact.
+	// retrieval — plus one settle round, in which every touched tree's last
+	// write-back travels when the query ends (core.settle).
 	Rounds int64
-	// RoundsExact reports that Rounds is what the Meter will count. It is
-	// false when an input table defers evictions (EvictionBatch > 1):
-	// flushes then ride later downloads and Rounds is an upper bound.
-	RoundsExact bool
 	// PerStore maps store name to predicted block operations — the exact
 	// counts the predicted-vs-measured guard checks against the Meter's
 	// trace, store by store.
@@ -57,13 +55,12 @@ func (c *Cost) add(store string, oramOps int64, accessesPerOp int) {
 	c.Blocks += blocks
 }
 
-// setRounds records the operator's round count over the given inputs.
-func (c *Cost) setRounds(rounds int64, inputs ...TableMeta) {
-	c.Rounds, c.RoundsExact = rounds, true
-	for _, m := range inputs {
-		if m.DeferredEviction {
-			c.RoundsExact = false
-		}
+// setRounds records the operator's round count: the rounds its accesses are
+// fetched in, and the one that settles the trees they touched.
+func (c *Cost) setRounds(fetch int64) {
+	c.Rounds = fetch
+	if c.ORAMOps > 0 {
+		c.Rounds++
 	}
 }
 
@@ -93,7 +90,7 @@ func smjCost(cat Catalog, t1, a1, t2, a2 string, paddedR int64) (Cost, error) {
 	c.add(m1.DataStore, n, m1.DataAccessesPerOp)
 	c.add(i2.Store, n, i2.OramAccessesPerOp)
 	c.add(m2.DataStore, n, m2.DataAccessesPerOp)
-	c.setRounds(4*n, m1, m2)
+	c.setRounds(2 * n)
 	return c, nil
 }
 
@@ -102,7 +99,7 @@ func smjCost(cat Catalog, t1, a1, t2, a2 string, paddedR int64) (Cost, error) {
 // step is one outer data access plus one full index descent
 // (AccessesPerRetrieval index accesses) and one data access on the inner.
 // The band join moves the same blocks but issues the step's two data
-// accesses together, which saves their two rounds.
+// accesses together, which saves a round per step.
 func inljCost(cat Catalog, outer, inner, innerAttr string, paddedR int64, band bool) (Cost, error) {
 	mo, err := cat.lookup(outer)
 	if err != nil {
@@ -125,7 +122,7 @@ func inljCost(cat Catalog, outer, inner, innerAttr string, paddedR int64, band b
 	if band {
 		stages--
 	}
-	c.setRounds(2*stages*n, mo, mi)
+	c.setRounds(stages * n)
 	return c, nil
 }
 
@@ -162,7 +159,7 @@ func multiwayCost(cat Catalog, tree *jointree.Tree, paddedR int64) (Cost, error)
 			c.add(im.Store, im.ResetNodes, im.OramAccessesPerOp)
 		}
 	}
-	c.setRounds(2*c.ORAMOps, metas...)
+	c.setRounds(c.ORAMOps)
 	return c, nil
 }
 

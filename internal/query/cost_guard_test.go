@@ -32,36 +32,38 @@ func roundsOver(trace []storage.Access, stores map[string]int64) int64 {
 	return int64(len(seen))
 }
 
-// checkPredicted compares a cost prediction against the measured trace:
-// every store the formula prices must match its measured block count
-// exactly (the Theorem 1–4 bounds are exact once the result size is fixed,
-// and the per-op ORAM costs are deterministic with in-process stores), and
-// the rounds those stores' accesses travelled in must be the predicted
-// rounds (the guard tables evict immediately, where the prediction is
-// exact). Stores the formula does not price (the output vector) are ignored.
-func checkPredicted(t *testing.T, predicted Cost, trace []storage.Access, steps int64) {
+// checkPredicted compares a cost prediction against the measured trace. The
+// rounds the priced stores' accesses travelled in must be the predicted
+// rounds, at every eviction batch: no write-back outside the settle round
+// has a round of its own. At batch 1 every store the formula prices must
+// also match its measured block count exactly (the Theorem 1–4 bounds are
+// exact once the result size is fixed, and the per-op ORAM costs are
+// deterministic with in-process stores); a larger batch unions the paths of
+// a write-back, which only takes blocks away. Stores the formula does not
+// price (the output vector) are ignored.
+func checkPredicted(t *testing.T, batch int, predicted Cost, trace []storage.Access, steps int64) {
 	t.Helper()
 	if predicted.Steps != steps {
-		t.Errorf("predicted %d steps, executed %d", predicted.Steps, steps)
+		t.Errorf("k=%d: predicted %d steps, executed %d", batch, predicted.Steps, steps)
 	}
 	measured := perStoreCounts(trace)
 	for store, want := range predicted.PerStore {
-		if got := measured[store]; got != want {
-			t.Errorf("store %s: predicted %d block ops, measured %d", store, want, got)
+		if got := measured[store]; got > want || (batch == 1 && got != want) {
+			t.Errorf("k=%d: store %s: predicted %d block ops, measured %d", batch, store, want, got)
 		}
 	}
-	if !predicted.RoundsExact {
-		t.Errorf("rounds prediction is a bound, want exact at EvictionBatch <= 1")
-	}
 	if got := roundsOver(trace, predicted.PerStore); got != predicted.Rounds {
-		t.Errorf("predicted %d rounds, measured %d", predicted.Rounds, got)
+		t.Errorf("k=%d: predicted %d rounds, measured %d", batch, predicted.Rounds, got)
 	}
 }
 
+// guardBatches are the eviction batches every cost guard runs at.
+var guardBatches = []int{1, 4}
+
 // guardEnv builds tables, clears the setup traffic, and turns tracing on.
-func guardEnv(t *testing.T, multiway bool, rels map[string]*relation.Relation, idx map[string][]string) *testEnv {
+func guardEnv(t *testing.T, multiway bool, batch int, rels map[string]*relation.Relation, idx map[string][]string) *testEnv {
 	t.Helper()
-	env := newEnv(t, envConfig{multiway: multiway}, rels, idx)
+	env := newEnv(t, envConfig{multiway: multiway, evictionBatch: batch}, rels, idx)
 	env.meter.Reset()
 	env.meter.SetTracing(true)
 	return env
@@ -74,16 +76,18 @@ func TestPredictedCostSMJ(t *testing.T) {
 		"a": makeRel("a", []int64{1, 2, 2, 3}),
 		"b": makeRel("b", []int64{1, 2, 2, 2}),
 	}
-	env := guardEnv(t, false, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
-	res, err := core.SortMergeJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", env.ex.JoinOpts)
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range guardBatches {
+		env := guardEnv(t, false, k, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
+		res, err := core.SortMergeJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", env.ex.JoinOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, err := smjCost(Describe(env.ex.Tables), "a", "k", "b", "k", int64(res.PaddedCount))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 	}
-	cost, err := smjCost(Describe(env.ex.Tables), "a", "k", "b", "k", int64(res.PaddedCount))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPredicted(t, cost, env.meter.Trace(), res.PaddedSteps)
 }
 
 // TestPredictedCostINLJ: Theorem 2, with the inner's full index descents.
@@ -92,35 +96,39 @@ func TestPredictedCostINLJ(t *testing.T) {
 		"a": makeRel("a", []int64{1, 2, 2, 3}),
 		"b": makeRel("b", []int64{1, 2, 2, 2, 5, 7, 9, 11, 13, 15, 17, 19}),
 	}
-	env := guardEnv(t, false, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
-	res, err := core.IndexNestedLoopJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", env.ex.JoinOpts)
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range guardBatches {
+		env := guardEnv(t, false, k, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
+		res, err := core.IndexNestedLoopJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", env.ex.JoinOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 	}
-	cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPredicted(t, cost, env.meter.Trace(), res.PaddedSteps)
 }
 
 // TestPredictedCostBand: Theorem 3 shares the INLJ formula for blocks; its
-// two data accesses per step share their rounds.
+// two data accesses per step share their round.
 func TestPredictedCostBand(t *testing.T) {
 	rels := map[string]*relation.Relation{
 		"a": makeRel("a", []int64{1, 4, 7}),
 		"b": makeRel("b", []int64{2, 5, 6, 8}),
 	}
-	env := guardEnv(t, false, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
-	res, err := core.BandJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", core.BandLess, env.ex.JoinOpts)
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range guardBatches {
+		env := guardEnv(t, false, k, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
+		res, err := core.BandJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", core.BandLess, env.ex.JoinOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 	}
-	cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPredicted(t, cost, env.meter.Trace(), res.PaddedSteps)
 }
 
 // TestPredictedCostMultiway: Theorem 4 plus the post-query index reset.
@@ -130,7 +138,6 @@ func TestPredictedCostMultiway(t *testing.T) {
 		"b": makeRel("b", []int64{2, 2, 3, 4}),
 		"c": makeRel("c", []int64{3, 3, 2}),
 	}
-	env := guardEnv(t, true, rels, map[string][]string{"a": {"k"}, "b": {"k"}, "c": {"k"}})
 	q := jointree.Query{
 		Tables: []string{"a", "b", "c"},
 		Preds: []jointree.Pred{
@@ -142,25 +149,29 @@ func TestPredictedCostMultiway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.MultiwayInput{Tree: tree}
-	for _, n := range tree.Order {
-		in.Tables = append(in.Tables, env.ex.Tables[n.Table])
+	for _, k := range guardBatches {
+		env := guardEnv(t, true, k, rels, map[string][]string{"a": {"k"}, "b": {"k"}, "c": {"k"}})
+		in := core.MultiwayInput{Tree: tree}
+		for _, n := range tree.Order {
+			in.Tables = append(in.Tables, env.ex.Tables[n.Table])
+		}
+		res, err := core.MultiwayJoin(in, env.ex.JoinOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, err := multiwayCost(Describe(env.ex.Tables), tree, int64(res.PaddedCount))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 	}
-	res, err := core.MultiwayJoin(in, env.ex.JoinOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost, err := multiwayCost(Describe(env.ex.Tables), tree, int64(res.PaddedCount))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPredicted(t, cost, env.meter.Trace(), res.PaddedSteps)
 }
 
-// TestPredictedRoundsUnderDeferredEviction: with EvictionBatch > 1 flushes
-// ride later downloads, so the per-operator round count is an upper bound —
-// Explain says "rounds<=" there and "rounds=" where the number is exact —
-// and the measured rounds stay under it.
+// TestPredictedRoundsUnderDeferredEviction: EvictionBatch says how many
+// paths a write-back unions, never whether it gets a round of its own, so
+// the planner's round prediction is the same number at every batch, Explain
+// prints it as an equality, and the Meter counts exactly it — two rounds per
+// sort-merge step and the settle round.
 func TestPredictedRoundsUnderDeferredEviction(t *testing.T) {
 	rels := map[string]*relation.Relation{
 		"a": makeRel("a", []int64{1, 2, 2, 3}),
@@ -168,19 +179,23 @@ func TestPredictedRoundsUnderDeferredEviction(t *testing.T) {
 	}
 	idx := map[string][]string{"a": {"k"}, "b": {"k"}}
 	spec := Spec{Tables: []string{"a", "b"}, Preds: []jointree.Pred{{Left: "a", LeftAttr: "k", Right: "b", RightAttr: "k"}}}
-	for _, tc := range []struct {
-		batch       int
-		shows, hide string
-	}{{1, "rounds=", "rounds<="}, {4, "rounds<=", "rounds="}} {
-		env := newEnv(t, envConfig{evictionBatch: tc.batch}, rels, idx)
+	var explained string
+	for _, batch := range []int{1, 4, 16} {
+		env := newEnv(t, envConfig{evictionBatch: batch}, rels, idx)
 		env.meter.Reset()
 		env.meter.SetTracing(true)
 		p, err := env.ex.Plan(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s := p.Explain(); !strings.Contains(s, tc.shows) || strings.Contains(s, tc.hide) {
-			t.Errorf("EvictionBatch %d: Explain should print %q only:\n%s", tc.batch, tc.shows, s)
+		s := p.Explain()
+		if !strings.Contains(s, "rounds=") || strings.Contains(s, "rounds<=") {
+			t.Errorf("EvictionBatch %d: Explain should print the rounds as an equality:\n%s", batch, s)
+		}
+		if explained == "" {
+			explained = s
+		} else if s != explained {
+			t.Errorf("EvictionBatch %d changes the explained plan:\n%s\nwas:\n%s", batch, s, explained)
 		}
 		res, err := core.SortMergeJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", env.ex.JoinOpts)
 		if err != nil {
@@ -190,9 +205,8 @@ func TestPredictedRoundsUnderDeferredEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := roundsOver(env.meter.Trace(), cost.PerStore)
-		if cost.RoundsExact != (tc.batch <= 1) || got > cost.Rounds || (cost.RoundsExact && got != cost.Rounds) {
-			t.Errorf("EvictionBatch %d: predicted %d rounds (exact=%v), measured %d", tc.batch, cost.Rounds, cost.RoundsExact, got)
+		if got := roundsOver(env.meter.Trace(), cost.PerStore); got != cost.Rounds || got != 2*res.PaddedSteps+1 {
+			t.Errorf("EvictionBatch %d: predicted %d rounds, measured %d, want %d", batch, cost.Rounds, got, 2*res.PaddedSteps+1)
 		}
 	}
 }

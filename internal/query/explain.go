@@ -35,8 +35,8 @@ func (p *Plan) Explain() string {
 	}
 	best := p.Best()
 	fmt.Fprintf(&b, "plan: %s\n", best.Desc)
-	fmt.Fprintf(&b, "  predicted: steps=%d oram_ops=%d blocks=%d %s\n",
-		best.Cost.Steps, best.Cost.ORAMOps, best.Cost.Blocks, best.Cost.rounds())
+	fmt.Fprintf(&b, "  predicted: steps=%d oram_ops=%d blocks=%d rounds=%d\n",
+		best.Cost.Steps, best.Cost.ORAMOps, best.Cost.Blocks, best.Cost.Rounds)
 	stores := make([]string, 0, len(best.Cost.PerStore))
 	for s := range best.Cost.PerStore {
 		stores = append(stores, s)
@@ -52,7 +52,7 @@ func (p *Plan) Explain() string {
 			mark = "*"
 		}
 		if c.Viable {
-			fmt.Fprintf(&b, "  %s %-44s blocks=%d %s\n", mark, c.Desc, c.Cost.Blocks, c.Cost.rounds())
+			fmt.Fprintf(&b, "  %s %-44s blocks=%d rounds=%d\n", mark, c.Desc, c.Cost.Blocks, c.Cost.Rounds)
 		} else {
 			fmt.Fprintf(&b, "    %-44s not viable: %s\n", c.Desc, c.Reason)
 		}
@@ -61,13 +61,4 @@ func (p *Plan) Explain() string {
 		fmt.Fprintf(&b, "project: %s (client-side)\n", strings.Join(p.Spec.Project, ", "))
 	}
 	return b.String()
-}
-
-// rounds renders the round prediction: exact where it is, a bound under
-// deferred eviction.
-func (c Cost) rounds() string {
-	if c.RoundsExact {
-		return fmt.Sprintf("rounds=%d", c.Rounds)
-	}
-	return fmt.Sprintf("rounds<=%d", c.Rounds)
 }

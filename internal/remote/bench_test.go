@@ -74,7 +74,7 @@ func BenchmarkPathORAMAccessLocal(b *testing.B) {
 }
 
 // BenchmarkPathORAMAccessRemote measures a full batched path access over a
-// loopback TCP server: two round trips per access. Compare against
+// loopback TCP server: one round trip per access. Compare against
 // BenchmarkPathORAMAccessLocal for pure transport overhead, and add
 // -latency via the Shaper to reproduce WAN-shaped curves.
 func BenchmarkPathORAMAccessRemote(b *testing.B) {

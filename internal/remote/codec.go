@@ -6,12 +6,10 @@
 // The paper's deployment (Section 9.1) separates the trusted client from an
 // untrusted storage server and argues costs in network round trips. The
 // protocol therefore exposes batch reads and writes as first-class
-// operations: a Path-ORAM access over this transport is at most two round
-// trips — one batched path download, one batched path write-back — instead
-// of the O(log n) single-block trips a naive transport would pay, and the
-// deferred-eviction scheduler (DESIGN.md §2.9) coalesces the write-backs of
-// several accesses into one exchange round, dropping the realized cost
-// below two.
+// operations: a Path-ORAM access over this transport is one round trip —
+// an exchange that writes back the path fetched before and downloads this
+// one's (DESIGN.md §2.9) — instead of the O(log n) single-block trips a
+// naive transport would pay.
 //
 // The server is untrusted by construction: it only ever sees sealed bucket
 // ciphertexts and physical indices, exactly the view the obliviousness
@@ -92,8 +90,8 @@ const (
 	OpStat
 	OpCreate
 	// OpExchange applies a batch of writes, then serves a batch of reads,
-	// in one round trip — the multi-path RPC behind the ORAM scheduler's
-	// deferred-eviction flush riding a path download.
+	// in one round trip — the RPC behind a Path-ORAM write-back riding the
+	// next path download.
 	OpExchange
 	// OpHello opens a client session: Tenant names the namespace every
 	// store the session touches is qualified into, Slots carries the

@@ -359,11 +359,12 @@ func TestServerRejectsGarbageConnection(t *testing.T) {
 	}
 }
 
-// TestPathORAMOverRemoteTwoRoundTrips is the acceptance check for the
+// TestPathORAMOverRemoteOneRoundTrip is the acceptance check for the
 // path-RPC fast path: one Path-ORAM access over the remote client costs
-// exactly two network round trips — one batched path read, one batched
-// path write-back — asserted against server-side request counts.
-func TestPathORAMOverRemoteTwoRoundTrips(t *testing.T) {
+// exactly one network round trip — an exchange that writes the previous
+// access's path back and reads this one's — asserted against server-side
+// request counts.
+func TestPathORAMOverRemoteOneRoundTrip(t *testing.T) {
 	// Over a real transport the client-side meter lives in the transport:
 	// the RemoteStore accounts each RPC, not the ORAM layer.
 	m := storage.NewMeter()
@@ -400,20 +401,28 @@ func TestPathORAMOverRemoteTwoRoundTrips(t *testing.T) {
 			t.Fatalf("op %d: %v", i, err)
 		}
 		d := srv.Counts("remote.oram")
-		if reqs := d.Requests - before.Requests; reqs != 2 {
-			t.Fatalf("op %d cost %d server round trips, want 2", i, reqs)
+		if reqs := d.Requests - before.Requests; reqs != 1 {
+			t.Fatalf("op %d cost %d server round trips, want 1", i, reqs)
 		}
-		if d.BatchReads-before.BatchReads != 1 || d.BatchWrites-before.BatchWrites != 1 {
+		if d.Exchanges-before.Exchanges != 1 || d.BatchReads != before.BatchReads || d.BatchWrites != before.BatchWrites {
 			t.Fatalf("op %d batches: %+v -> %+v", i, before, d)
 		}
-		// The whole path moved in those two trips.
-		if blocks := d.BlocksRead - before.BlocksRead; blocks != int64(o.Levels()) {
-			t.Fatalf("op %d read %d blocks, want %d", i, blocks, o.Levels())
+		// Two whole paths moved in that trip, one each way.
+		if down, up := d.BlocksRead-before.BlocksRead, d.BlocksWritten-before.BlocksWritten; down != int64(o.Levels()) || up != int64(o.Levels()) {
+			t.Fatalf("op %d read %d and wrote %d blocks, want %d each", i, down, up, o.Levels())
 		}
 		// Client-side meter agrees with the server.
-		if dm := m.Snapshot().Sub(mBefore); dm.NetworkRounds != 2 {
-			t.Fatalf("op %d client-side rounds %d, want 2", i, dm.NetworkRounds)
+		if dm := m.Snapshot().Sub(mBefore); dm.NetworkRounds != 1 {
+			t.Fatalf("op %d client-side rounds %d, want 1", i, dm.NetworkRounds)
 		}
+	}
+	// The last path goes up when the tree is settled: one batch write.
+	before := srv.Counts("remote.oram")
+	if err := o.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if d := srv.Counts("remote.oram"); d.Requests-before.Requests != 1 || d.BatchWrites-before.BatchWrites != 1 {
+		t.Fatalf("flush: %+v -> %+v", before, d)
 	}
 
 	// Data written over the wire reads back intact.

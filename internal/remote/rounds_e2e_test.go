@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/storage/storetest"
 	"oblivjoin/internal/table"
+	"oblivjoin/internal/telemetry"
 	"oblivjoin/internal/xcrypto"
 )
 
@@ -84,20 +86,15 @@ func TestExchangeRPCOverLoopback(t *testing.T) {
 // binaryJoin is core.SortMergeJoin or core.IndexNestedLoopJoin.
 type binaryJoin func(t1, t2 *table.StoredTable, a1, a2 string, opts core.Options) (*core.Result, error)
 
-// runLoopbackJoinRounds stores two relations on a loopback server with the
-// given eviction batch, runs the given oblivious join over the wire, checks
-// the result, and returns the network rounds each Path-ORAM access cost. The tables' ORAM traffic is metered on the client transport while
-// the output filter is metered apart, so the ratio is exact; setup traffic
-// is excluded by resetting the meter after Store (bulk load bypasses the
-// access path, so telemetry accesses start at zero there too).
-func runLoopbackJoinRounds(t *testing.T, k int, join binaryJoin) (perAccess float64, exchanges int64) {
-	t.Helper()
-	rounds, accesses, exchanges, _ := runShapedLoopbackJoin(t, k, join, nil)
-	return float64(rounds) / float64(accesses), exchanges
-}
-
-// runShapedLoopbackJoin is runLoopbackJoinRounds with the server's transport
-// shaped by faults, returning the counts apart and the join's wall-clock.
+// runShapedLoopbackJoin stores two relations on a loopback server with the
+// given eviction batch and its transport shaped by faults, runs the given
+// oblivious join over the wire, checks the result, and returns the network
+// rounds and Path-ORAM accesses it cost, the write-backs that rode a
+// download, and the join's wall-clock. The tables' ORAM traffic is metered
+// on the client transport while the output filter is metered apart, so the
+// ratio of the two counts is exact; setup traffic is excluded by resetting
+// the meter after Store (bulk load bypasses the access path, so telemetry
+// accesses start at zero there too).
 func runShapedLoopbackJoin(t *testing.T, k int, join binaryJoin, faults FaultModel) (rounds, accesses, exchanges int64, wall time.Duration) {
 	t.Helper()
 	mTab := storage.NewMeter()
@@ -182,61 +179,71 @@ func (s *overlapShaper) Next(req *Request) (time.Duration, bool) {
 // its NetworkRounds times the cost of a round trip — the two requests of a
 // round are in flight together, each on its own pooled connection, from one
 // goroutine. The yardstick for a round trip is the sequential index
-// nested-loop join on the same server, which never has two requests in
-// flight and so pays every round in full: had a lockstep round cost its
-// two requests one after the other, the sort-merge join would come out at
-// twice that per round, not within 25 % of it.
+// nested-loop join on the same server, which has one request in flight in
+// every round but its last (the settle round carries the write-backs of the
+// three trees it touched; the sort-merge join's, of all four) and so pays
+// every round in full: had a lockstep round cost its two requests one after
+// the other, the sort-merge join would come out at twice that per round,
+// not within 25 % of it. And an access is one round trip, not two: the
+// nested-loop join's accesses take little more than one latency each, where
+// a write-back round of their own would make it two.
 func TestLoopbackLockstepRoundIsARealRound(t *testing.T) {
 	const latency = 2 * time.Millisecond
-	perRound := func(join binaryJoin, wantPeak int64) time.Duration {
+	perRound := func(join binaryJoin, wantPeak int64) (time.Duration, time.Duration) {
 		t.Helper()
 		shaper := &overlapShaper{Shaper: Shaper{Latency: latency}}
-		rounds, _, _, wall := runShapedLoopbackJoin(t, 1, join, shaper)
+		rounds, accesses, _, wall := runShapedLoopbackJoin(t, 1, join, shaper)
 		if got := shaper.peak.Load(); got != wantPeak {
 			t.Fatalf("the server saw at most %d requests of the client in flight, want %d", got, wantPeak)
 		}
 		if floor := time.Duration(rounds) * latency; wall < floor {
 			t.Fatalf("join took %v, less than its %d rounds of %v", wall, rounds, latency)
 		}
-		t.Logf("%d rounds in %v: %v per round (peak %d in flight)", rounds, wall, wall/time.Duration(rounds), wantPeak)
-		return wall / time.Duration(rounds)
+		t.Logf("%d rounds in %v: %v per round, %v per access (peak %d in flight)",
+			rounds, wall, wall/time.Duration(rounds), wall/time.Duration(accesses), wantPeak)
+		return wall / time.Duration(rounds), wall / time.Duration(accesses)
 	}
-	sequential := perRound(core.IndexNestedLoopJoin, 1)
-	lockstep := perRound(core.SortMergeJoin, 2)
-	if !storetest.RaceEnabled && lockstep > sequential+sequential/4 {
+	sequential, perAccess := perRound(core.IndexNestedLoopJoin, 3)
+	lockstep, _ := perRound(core.SortMergeJoin, 4)
+	if storetest.RaceEnabled {
+		return
+	}
+	if lockstep > sequential+sequential/4 {
 		t.Fatalf("a lockstep round took %v, a sequential round trip %v: a counted round cost more than one round trip", lockstep, sequential)
+	}
+	// Two round trips per access cost 2 × latency at the very least; one
+	// and a half leaves half a latency for everything that is not waiting.
+	if limit := latency * 3 / 2; perAccess > limit {
+		t.Fatalf("a sequential access took %v, want at most %v (one round trip of %v, not two)", perAccess, limit, latency)
 	}
 }
 
 // TestLoopbackSMJDeferredRounds is the acceptance check for the staged data
-// path (DESIGN.md §2.9) over a real loopback server. The sort-merge join
-// issues each step's two index accesses, then its two data accesses, in
-// lockstep, so the classic protocol's two rounds per access are shared by
-// two trees: one round per ORAM access. The index nested-loop join's probe
-// needs the outer tuple's key, so it stays sequential at the classic two.
-// EvictionBatch = 16 lets the deferred flushes ride path downloads as
-// combined exchange rounds and brings the sort-merge join to at most 0.625.
+// path (DESIGN.md §2.9) over a real loopback server, counted on the client
+// transport. Every write-back rides its tree's next download, so an ORAM
+// access is one round at every EvictionBatch. The sort-merge join issues
+// each step's two index accesses, then its two data accesses, in lockstep:
+// half a round per access. The index nested-loop join's probe needs the
+// outer tuple's key, so it stays sequential at one round per access. Both
+// add the one settle round. EvictionBatch only changes how many paths a
+// write-back unions — never the rounds: rounds per access against
+// EvictionBatch is a flat line.
 func TestLoopbackSMJDeferredRounds(t *testing.T) {
-	classic, classicEx := runLoopbackJoinRounds(t, 1, core.SortMergeJoin)
-	if classic != 1.0 {
-		t.Fatalf("classic data path, lockstep SMJ: %.3f rounds/access, want 1.0", classic)
+	for _, k := range []int{1, 4, 16} {
+		rounds, accesses, exchanges, _ := runShapedLoopbackJoin(t, k, core.SortMergeJoin, nil)
+		if want := accesses/2 + 1; rounds != want {
+			t.Fatalf("k=%d, lockstep SMJ: %d rounds for %d accesses, want %d", k, rounds, accesses, want)
+		}
+		if exchanges == 0 {
+			t.Fatalf("k=%d: no write-back rode a path download", k)
+		}
+		smj := float64(rounds) / float64(accesses)
+		rounds, accesses, _, _ = runShapedLoopbackJoin(t, k, core.IndexNestedLoopJoin, nil)
+		if want := accesses + 1; rounds != want {
+			t.Fatalf("k=%d, sequential INLJ: %d rounds for %d accesses, want %d", k, rounds, accesses, want)
+		}
+		t.Logf("k=%d rounds/access: SMJ %.3f, INLJ %.3f (%d exchanges)", k, smj, float64(rounds)/float64(accesses), exchanges)
 	}
-	if classicEx != 0 {
-		t.Fatalf("classic data path used %d exchanges", classicEx)
-	}
-	inlj, _ := runLoopbackJoinRounds(t, 1, core.IndexNestedLoopJoin)
-	if inlj != 2.0 {
-		t.Fatalf("classic data path, sequential INLJ: %.3f rounds/access, want 2.0", inlj)
-	}
-
-	deferred, deferredEx := runLoopbackJoinRounds(t, 16, core.SortMergeJoin)
-	if deferred > 0.625 {
-		t.Fatalf("deferred data path cost %.3f rounds/access, want <= 0.625", deferred)
-	}
-	if deferredEx == 0 {
-		t.Fatal("no eviction flush rode a path download")
-	}
-	t.Logf("rounds/access: SMJ classic %.3f -> deferred %.3f (%d exchanges); INLJ classic %.3f", classic, deferred, deferredEx, inlj)
 }
 
 // TestStartedSharesRetryLikeCalls: the start/finish split of a request
@@ -345,5 +352,83 @@ func TestOverlapFollowsMeasuredWait(t *testing.T) {
 	}
 	if c.overlaps() {
 		t.Fatal("the estimate never came down")
+	}
+}
+
+// TestJoinRequestsCarryTheirEnginePhase: every download of a join carries a
+// write-back, and a wire request is labelled with the phase of the access
+// that issued it — the engine phase the join was in — never "oram.flush".
+// That label belongs to rounds that exist only to write back, which in a
+// join is the one settle round: one batch write per touched tree. (Labelling
+// by "the share carries a write-back" would stamp every request of the join
+// "oram.flush" at k = 1, as it did every k-th at k = 4, and the server's
+// per-phase tables would show nothing else.)
+func TestJoinRequestsCarryTheirEnginePhase(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		for name, join := range map[string]binaryJoin{"smj": core.SortMergeJoin, "inlj": core.IndexNestedLoopJoin} {
+			m := storage.NewMeter()
+			_, c := startServer(t, ServerOptions{}, ClientOptions{Meter: m})
+			f := telemetry.NewFlight()
+			c.SetFlight(f)
+			sealer, err := xcrypto.NewSealer(bytes.Repeat([]byte{5}, xcrypto.KeySize), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			topts := table.Options{
+				BlockPayload: 256, Meter: m, Sealer: sealer, Rand: oram.NewSeededSource(7),
+				OpenStore: c.Opener(), EvictionBatch: k, Flight: f,
+			}
+			k1 := []int64{1, 2, 2, 4, 6, 7, 7, 9}
+			k2 := []int64{2, 2, 3, 4, 7, 7, 7, 10}
+			t1, err := table.Store(e2eRel("t1", k1), []string{"k"}, topts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t2, err := table.Store(e2eRel("t2", k2), []string{"k"}, topts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := f.Activate(0)
+			root := telemetry.Start("query", m)
+			root.SetFlight(f)
+			if _, err := join(t1, t2, "k", "k", core.Options{
+				Meter: storage.NewMeter(), Sealer: sealer, OutBlockSize: 256, Span: root,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			root.End()
+			f.Deactivate()
+			spans, err := c.FetchServerSpans(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byPhase := map[string]int{}
+			var flushed []string
+			for _, sp := range spans {
+				if !strings.HasPrefix(sp.Store, "t1.") && !strings.HasPrefix(sp.Store, "t2.") {
+					continue // the output table
+				}
+				byPhase[sp.Phase]++
+				switch {
+				case sp.Phase == "oram.flush":
+					if sp.Op != "write-many" {
+						t.Fatalf("k=%d %s: a %s on %s is labelled oram.flush", k, name, sp.Op, sp.Store)
+					}
+					flushed = append(flushed, sp.Store)
+				case sp.Op == "write-many":
+					t.Fatalf("k=%d %s: a stand-alone write-back on %s is labelled %q", k, name, sp.Store, sp.Phase)
+				}
+			}
+			want := "t1.data t1.idx.k t2.data t2.idx.k"
+			if name == "inlj" {
+				want = "t1.data t2.data t2.idx.k" // the outer's index is never touched
+			}
+			if got := strings.Join(flushed, " "); got != want {
+				t.Fatalf("k=%d %s: oram.flush requests went to %q, want the settle round's %q", k, name, got, want)
+			}
+			if byPhase["merge"]+byPhase["scan"] == 0 || byPhase[""] != 0 || byPhase["flush"] != 0 {
+				t.Fatalf("k=%d %s: requests by phase = %v", k, name, byPhase)
+			}
+		}
 	}
 }

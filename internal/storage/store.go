@@ -102,8 +102,8 @@ type BatchStore interface {
 
 // ExchangeStore is a BatchStore that can apply a batch of writes and serve
 // a batch of reads in the same round trip — the transport primitive behind
-// the ORAM scheduler's deferred-eviction flush riding along the next path
-// download (DESIGN.md §2.9). Implementations MUST apply every write before
+// every Path-ORAM write-back riding along the next path download
+// (DESIGN.md §2.9). Implementations MUST apply every write before
 // serving any read: the ORAM layer relies on reads observing the freshly
 // written buckets, never stale pre-write copies. A fully empty exchange
 // performs no round.

@@ -200,8 +200,9 @@ func (c *ChainCursor) take(_ Move, loaded oram.Req) (Row, error) {
 // into one round when the data ORAM supports it.
 func (c *ChainCursor) DummyBatch(n int) error { return oram.DummyBatch(c.t.data, n) }
 
-// Flush settles any deferred eviction state in the chained table's ORAM.
-func (c *ChainedTable) Flush() error { return oram.Flush(c.data) }
+// ORAMs lists the chained table's one ORAM (the layout has no index), for
+// the query's settle round.
+func (c *ChainedTable) ORAMs() []oram.ORAM { return []oram.ORAM{c.data} }
 
 // PathTelemetry returns the data ORAM's path statistics when it exposes
 // them (the chained layout has no index ORAMs).

@@ -73,9 +73,9 @@ type Options struct {
 	// inputs never collide with base tables and tenant qualification can
 	// route them into an isolated per-tenant subtree.
 	StorePrefix string
-	// EvictionBatch defers Path-ORAM eviction write-backs, flushing that
-	// many pending paths per round trip (<= 1 keeps the classic two-round
-	// access). See oram.PathConfig.EvictionBatch.
+	// EvictionBatch is how many fetched paths a Path-ORAM write-back unions
+	// before it rides the next download (<= 1: the one path just fetched).
+	// See oram.PathConfig.EvictionBatch.
 	EvictionBatch int
 	// PrefetchDepth coalesces the path downloads of up to that many
 	// independent dummy accesses in the join padding loops into one round
@@ -84,8 +84,9 @@ type Options struct {
 	// leakage argument.
 	PrefetchDepth int
 	// Flight carries the distributed-trace context down to the Path-ORAM
-	// schedulers so deferred eviction flushes annotate their wire requests
-	// with the "oram.flush" phase; may be nil. See oram.PathConfig.Flight.
+	// schedulers so the rounds that only write back (settle, the valve)
+	// annotate their wire requests with the "oram.flush" phase; may be nil.
+	// See oram.PathConfig.Flight.
 	Flight *telemetry.Flight
 }
 
@@ -416,19 +417,17 @@ func (t *StoredTable) DummyData() error { return t.data.DummyAccess() }
 // downloads coalesced into one round when the ORAM supports it.
 func (t *StoredTable) DummyDataBatch(n int) error { return oram.DummyBatch(t.data, n) }
 
-// Flush settles any deferred eviction state in the table's data and index
-// ORAMs — called when a query finishes so no stash state is left pinned by
-// pending write-backs.
-func (t *StoredTable) Flush() error {
-	if err := oram.Flush(t.data); err != nil {
-		return err
+// ORAMs lists the table's ORAMs in canonical order: the data ORAM, then the
+// index ORAMs by attribute name. It is the order in which a query's settle
+// round carries their last write-backs (oram.Settle) — public, like the
+// index inventory itself.
+func (t *StoredTable) ORAMs() []oram.ORAM {
+	out := make([]oram.ORAM, 0, 1+len(t.indexes))
+	out = append(out, t.data)
+	for _, attr := range t.IndexAttrs() {
+		out = append(out, t.indexes[attr].ORAM())
 	}
-	for attr, tr := range t.indexes {
-		if err := oram.Flush(tr.ORAM()); err != nil {
-			return fmt.Errorf("table: flushing %s.%s: %w", t.rel.Schema.Table, attr, err)
-		}
-	}
-	return nil
+	return out
 }
 
 // PathTelemetry returns the Path-ORAM scheduler/stash statistics for each
@@ -439,8 +438,8 @@ func (t *StoredTable) PathTelemetry() []oram.PathStats {
 	if p, ok := t.data.(pathTelemeter); ok {
 		out = append(out, p.Telemetry())
 	}
-	for _, tr := range t.indexes {
-		if p, ok := tr.ORAM().(pathTelemeter); ok {
+	for _, o := range t.ORAMs()[1:] {
+		if p, ok := o.(pathTelemeter); ok {
 			out = append(out, p.Telemetry())
 		}
 	}
@@ -468,10 +467,11 @@ func (t *StoredTable) ClientBytes() int64 {
 }
 
 // ResetIndexes restores liveness tags on every index (the multiway join's
-// post-query cleanup).
+// post-query cleanup), in attribute order: which index store is walked first
+// is server-visible.
 func (t *StoredTable) ResetIndexes() error {
-	for attr, tr := range t.indexes {
-		if err := tr.Reset(); err != nil {
+	for _, attr := range t.IndexAttrs() {
+		if err := t.indexes[attr].Reset(); err != nil {
 			return fmt.Errorf("table: resetting %s.%s: %w", t.rel.Schema.Table, attr, err)
 		}
 	}
@@ -494,11 +494,6 @@ func IndexStoreName(prefix, tbl, attr string) string { return prefix + tbl + ".i
 // data-ORAM access moves (2·levels for Path-ORAM). Public metadata: a
 // constant of the instance geometry, independent of the data.
 func (t *StoredTable) DataAccessesPerOp() int { return t.data.AccessesPerOp() }
-
-// DeferredEviction reports whether the table's ORAMs queue eviction
-// write-backs (Options.EvictionBatch > 1) rather than write each fetched
-// path straight back. Public configuration the planner prices rounds with.
-func (t *StoredTable) DeferredEviction() bool { return t.opts.EvictionBatch > 1 }
 
 // IndexAttrs lists the attributes with a built index, sorted — the public
 // index inventory the planner enumerates candidates over.

@@ -7,15 +7,19 @@ import (
 	"oblivjoin/internal/storage"
 )
 
-// PathORAMSim replays the server-visible bucket-index trace of the staged
-// Path-ORAM data path (oram.PathORAM over a batching store) from public
-// information alone: the tree geometry, the scheduler's eviction batch, and
-// the sequence of fetched leaves — which the server observes directly, since
-// every path download names its buckets. Recovering the leaves from a
-// recorded classic trace and obtaining the batched run's exact trace back is
-// the simulator argument of DESIGN.md §2.9: deferred, deduplicated eviction
-// leaks nothing beyond the classic protocol, because an adversary can
-// compute the entire batched trace from what any single run already reveals.
+// PathORAMSim replays the server-visible trace of the staged Path-ORAM data
+// path (oram.PathORAM over a batching store) — bucket indices and round
+// boundaries — from public information alone: the tree geometry, the
+// scheduler's eviction batch, and the sequence of fetched leaves — which the
+// server observes directly, since every path download names its buckets.
+// Recovering the leaves from one recorded trace and obtaining any other
+// setting's exact trace back is the simulator argument of DESIGN.md §2.9:
+// unioned, riding write-backs leak nothing beyond the textbook protocol that
+// writes every path straight back, because an adversary can compute the
+// entire trace from what any single run already reveals. The rule that
+// places the round boundaries is all here, and no data enters it: the
+// write-back of the k paths queued so far shares the round of the next
+// download.
 type PathORAMSim struct {
 	// Store names the simulated store and Bytes its sealed bucket size; both
 	// are copied verbatim into the emitted accesses.
@@ -24,15 +28,17 @@ type PathORAMSim struct {
 	// Levels is the tree depth (root = level 0): the tree has 1<<(Levels-1)
 	// leaves and (1<<Levels)-1 buckets.
 	Levels int
-	// Batch is the eviction batch k; <= 1 replays the classic protocol
-	// (every access writes its path straight back).
+	// Batch is the eviction batch k, the number of queued paths a write-back
+	// unions; <= 1 means 1, every download carries the previous path.
 	Batch int
-	// Exchange simulates a store with combined write+read rounds: a due
-	// flush rides the next fetch, its writes traced before the reads.
+	// Exchange simulates a store with combined write+read rounds: a riding
+	// write-back shares its download's round. Without it the same accesses
+	// take two rounds, the writes' then the reads' (storage.ExchangeTo's
+	// fallback rung).
 	Exchange bool
 
 	pending []uint32
-	due     bool
+	round   int64
 	trace   []storage.Access
 }
 
@@ -43,13 +49,14 @@ func (s *PathORAMSim) Access(leaf uint32) {
 }
 
 // AccessBatch replays a coalesced batch: one union download for all the
-// given leaves, then one union write-back (scheduler.evictBatch).
+// given leaves, which are then queued as a unit (scheduler.evict).
 func (s *PathORAMSim) AccessBatch(leaves []uint32) {
 	s.fetch(leaves)
 	s.evictBatch(leaves)
 }
 
-// Flush replays the terminal flush that drains the deferred queue.
+// Flush replays the settling flush that writes the queued paths back in a
+// round of their own.
 func (s *PathORAMSim) Flush() {
 	s.flushNow()
 }
@@ -98,50 +105,36 @@ func (s *PathORAMSim) unionNodes(leaves []uint32) []int64 {
 
 func (s *PathORAMSim) emit(kind storage.AccessKind, idxs []int64) {
 	for _, i := range idxs {
-		s.trace = append(s.trace, storage.Access{Store: s.Store, Kind: kind, Index: i, Bytes: s.Bytes})
+		s.trace = append(s.trace, storage.Access{Store: s.Store, Kind: kind, Index: i, Bytes: s.Bytes, Round: s.round})
 	}
 }
 
 func (s *PathORAMSim) fetch(leaves []uint32) {
-	if s.due && s.Exchange && len(s.pending) > 0 {
-		// The due flush rides the fetch: writes applied before reads.
+	s.round++
+	if len(s.pending) >= max(s.Batch, 1) {
+		// The queued write-back rides the fetch: writes applied before reads.
 		s.emit(storage.KindWrite, s.unionNodes(s.pending))
 		s.pending = s.pending[:0]
-		s.due = false
-		s.emit(storage.KindRead, s.unionNodes(leaves))
-		return
-	}
-	if s.due {
-		s.flushNow()
+		if !s.Exchange {
+			s.round++
+		}
 	}
 	s.emit(storage.KindRead, s.unionNodes(leaves))
 }
 
 func (s *PathORAMSim) evictBatch(leaves []uint32) {
-	if s.Batch <= 1 && len(leaves) == 1 {
-		// Classic write-back: the path, root first.
-		s.emit(storage.KindWrite, s.pathNodes(leaves[0]))
-		return
-	}
+	queued := len(s.pending)
 	s.pending = append(s.pending, leaves...)
-	if s.Batch <= 1 || len(s.pending) >= 2*s.Batch {
-		s.flushNow()
-		return
-	}
-	if len(s.pending) >= s.Batch {
-		if s.Exchange {
-			s.due = true
-			return
-		}
-		s.flushNow()
+	if queued > 0 && len(s.pending) >= 2*max(s.Batch, 1) {
+		s.flushNow() // the safety valve
 	}
 }
 
 func (s *PathORAMSim) flushNow() {
-	s.due = false
 	if len(s.pending) == 0 {
 		return
 	}
+	s.round++
 	s.emit(storage.KindWrite, s.unionNodes(s.pending))
 	s.pending = s.pending[:0]
 }

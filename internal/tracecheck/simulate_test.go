@@ -32,11 +32,23 @@ func simWorkload(capacity int) []simOp {
 	return ops
 }
 
+// noExchange hides a MemStore's combined write+read forms, leaving a store
+// that takes a write-back and a download as two requests.
+type noExchange struct{ s *storage.MemStore }
+
+func (w noExchange) Read(i int64) ([]byte, error)             { return w.s.Read(i) }
+func (w noExchange) Write(i int64, d []byte) error            { return w.s.Write(i, d) }
+func (w noExchange) Len() int64                               { return w.s.Len() }
+func (w noExchange) BlockSize() int                           { return w.s.BlockSize() }
+func (w noExchange) ReadMany(idxs []int64) ([][]byte, error)  { return w.s.ReadMany(idxs) }
+func (w noExchange) WriteMany(idxs []int64, d [][]byte) error { return w.s.WriteMany(idxs, d) }
+
 // simRun drives the workload through a fresh Path-ORAM with the given
-// eviction batch and a fixed randomness seed, returning the recorded trace.
-// Identical seeds give identical leaf draws across batch settings, because
-// the scheduler never consumes randomness — that is the point under test.
-func simRun(t *testing.T, capacity int, batch int, ops []simOp) []storage.Access {
+// eviction batch and a fixed randomness seed, over a store with or without
+// exchanges, returning the recorded trace. Identical seeds give identical
+// leaf draws across settings, because the scheduler never consumes
+// randomness — that is the point under test.
+func simRun(t *testing.T, capacity int, batch int, exchange bool, ops []simOp) []storage.Access {
 	t.Helper()
 	sealer, err := xcrypto.NewSealer(bytes.Repeat([]byte{9}, xcrypto.KeySize), nil)
 	if err != nil {
@@ -51,6 +63,13 @@ func simRun(t *testing.T, capacity int, batch int, ops []simOp) []storage.Access
 		Sealer:        sealer,
 		Rand:          oram.NewSeededSource(321),
 		EvictionBatch: batch,
+		OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
+			st := storage.NewMemStore(name, slots, blockSize, m)
+			if exchange {
+				return st, nil
+			}
+			return noExchange{st}, nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,10 +94,11 @@ func simRun(t *testing.T, capacity int, batch int, ops []simOp) []storage.Access
 	return m.Trace()
 }
 
-// leavesFromClassicTrace recovers the fetched-leaf sequence from a classic
-// (EvictionBatch = 1) trace: each access is Levels reads (root first) then
-// Levels writes, and the deepest read names the leaf — exactly what the
-// untrusted server sees.
+// leavesFromClassicTrace recovers the fetched-leaf sequence from an
+// EvictionBatch = 1 trace: what the store sees of each access is Levels
+// reads (root first) and then, in the round of the next download or of the
+// closing flush, Levels writes; the deepest read names the leaf — exactly
+// what the untrusted server sees.
 func leavesFromClassicTrace(t *testing.T, trace []storage.Access, levels int) []uint32 {
 	t.Helper()
 	per := 2 * levels
@@ -99,17 +119,17 @@ func leavesFromClassicTrace(t *testing.T, trace []storage.Access, levels int) []
 }
 
 // TestBatchedEvictionTraceSimulable is the §2.9 simulator argument as a
-// test: the deferred-eviction run's entire bucket-index trace — which
-// buckets are read and written, in which order, grouped into which rounds —
-// is computed by PathORAMSim from public information alone (tree geometry,
-// batch setting, and the leaf sequence the classic run already reveals).
-// Batching therefore leaks nothing the classic protocol does not.
+// test: the k = 4 run's entire trace — which buckets are read and written,
+// in which order, grouped into which rounds — is computed by PathORAMSim
+// from public information alone (tree geometry, batch setting, and the leaf
+// sequence the k = 1 run already reveals). Unioning write-backs therefore
+// leaks nothing the one-path write-back does not.
 func TestBatchedEvictionTraceSimulable(t *testing.T) {
 	const capacity, batch = 64, 4
 	ops := simWorkload(capacity)
 
-	classic := simRun(t, capacity, 1, ops)
-	batched := simRun(t, capacity, batch, ops)
+	classic := simRun(t, capacity, 1, true, ops)
+	batched := simRun(t, capacity, batch, true, ops)
 
 	levels := 7 // capacity 64 -> 64 leaves, 7 levels
 	leaves := leavesFromClassicTrace(t, classic, levels)
@@ -127,6 +147,9 @@ func TestBatchedEvictionTraceSimulable(t *testing.T) {
 	sim.Flush()
 	if d := DiffExact(sim.Trace(), batched); d != "" {
 		t.Fatalf("batched trace not reproduced from public data: %s", d)
+	}
+	if d := Diff(sim.Trace(), batched); d != "" {
+		t.Fatalf("batched round boundaries not reproduced from public data: %s", d)
 	}
 
 	// The two runs touch the same buckets overall: deferral changes when and
@@ -159,20 +182,43 @@ func TestBatchedEvictionTraceSimulable(t *testing.T) {
 	}
 }
 
-// TestClassicTraceSimulable pins the simulator on the classic protocol too:
-// with Batch = 1 it must reproduce the unbatched trace it was derived from.
+// TestClassicTraceSimulable pins the simulator at Batch = 1, where every
+// download carries the path before it: the store sees the sequence of the
+// textbook protocol that writes each path straight back — read a path, write
+// it, read the next — and what the simulator adds is where the rounds fall.
+// Over an exchange store a write-back shares the round of the download that
+// follows it, n + 1 rounds for n accesses; over a store without exchanges
+// the same accesses take 2n rounds, the textbook's count. One simulator,
+// one leaf sequence, both traces, indices and round ordinals alike.
 func TestClassicTraceSimulable(t *testing.T) {
 	const capacity = 64
 	ops := simWorkload(capacity)
-	classic := simRun(t, capacity, 1, ops)
 	levels := 7
-	leaves := leavesFromClassicTrace(t, classic, levels)
-	sim := &PathORAMSim{Store: classic[0].Store, Bytes: classic[0].Bytes, Levels: levels, Batch: 1}
-	for _, leaf := range leaves {
-		sim.Access(leaf)
+	riding := simRun(t, capacity, 1, true, ops)
+	apart := simRun(t, capacity, 1, false, ops)
+	leaves := leavesFromClassicTrace(t, riding, levels)
+	if d := DiffExact(riding, apart); d != "" {
+		t.Fatalf("the store sees a different sequence when write-backs ride: %s", d)
 	}
-	sim.Flush()
-	if d := DiffExact(sim.Trace(), classic); d != "" {
-		t.Fatalf("classic trace not reproduced: %s", d)
+	n := int64(len(ops))
+	for _, tc := range []struct {
+		exchange bool
+		trace    []storage.Access
+		rounds   int64
+	}{{true, riding, n + 1}, {false, apart, 2 * n}} {
+		sim := &PathORAMSim{Store: "sim", Bytes: riding[0].Bytes, Levels: levels, Batch: 1, Exchange: tc.exchange}
+		for _, leaf := range leaves {
+			sim.Access(leaf)
+		}
+		sim.Flush()
+		if d := DiffExact(sim.Trace(), tc.trace); d != "" {
+			t.Fatalf("exchange=%v: trace not reproduced: %s", tc.exchange, d)
+		}
+		if d := Diff(sim.Trace(), tc.trace); d != "" {
+			t.Fatalf("exchange=%v: round boundaries not reproduced: %s", tc.exchange, d)
+		}
+		if last := tc.trace[len(tc.trace)-1].Round; last != tc.rounds {
+			t.Fatalf("exchange=%v: %d accesses took %d rounds, want %d", tc.exchange, n, last, tc.rounds)
+		}
 	}
 }

@@ -58,8 +58,8 @@ func Diff(a, b []storage.Access) string {
 // consecutive accesses one store saw of one kind in one round — and
 // describes the first divergence, or returns "" when the same stores were
 // read and written in the same rounds in the same order. It is Diff minus
-// the number of blocks a batch moved: with deferred eviction a flush writes
-// the deduplicated union of its paths, whose size follows the leaf
+// the number of blocks a batch moved: with EvictionBatch > 1 a write-back
+// writes the deduplicated union of its paths, whose size follows the leaf
 // randomness, not the data.
 func DiffRounds(a, b []storage.Access) string {
 	ba, bb := batches(a), batches(b)

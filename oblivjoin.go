@@ -170,12 +170,15 @@ type Config struct {
 	// Cost converts traffic into simulated time; zero value uses the
 	// paper's 1 Gbps model.
 	Cost CostModel
-	// EvictionBatch defers Path-ORAM evictions and flushes them k paths at
-	// a time in one write round, deduplicating shared upper-tree buckets
-	// (DESIGN.md §2.9). Eviction paths are uniform random and independent
-	// of the data, so deferral changes only when the public-path writes
-	// happen, never which buckets they touch. 0 or 1 keeps the classic
-	// write-back-per-access data path.
+	// EvictionBatch is how many fetched paths a Path-ORAM write-back unions:
+	// the write-back of the last k paths rides the tree's next download,
+	// each bucket they share near the root written once (DESIGN.md §2.9).
+	// It never decides whether a write-back gets a round of its own — none
+	// does before the query settles, at any k; 0 or 1 means every download
+	// carries the one path before it. Eviction paths are uniform random and
+	// independent of the data, so k changes only when and how many times
+	// the public-path buckets are written, never which ones. The price of a
+	// larger k is client memory: up to k paths' blocks wait in the stash.
 	EvictionBatch int
 	// PrefetchDepth coalesces the read paths of the all-dummy padding
 	// loops, up to this many per round. Honored only in the non-padded
