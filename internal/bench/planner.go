@@ -142,12 +142,13 @@ func PlannerBench(e *Env) (*PlannerReport, error) {
 		}
 		moved := m.Snapshot().Sub(before).BlocksMoved()
 		best := out.Plan.Best()
-		// The planner must have picked the block-minimal viable candidate.
+		// The planner must have picked the viable candidate the cost model
+		// says is fastest.
 		for _, c := range out.Plan.Candidates {
-			if c.Viable && c.Cost.Blocks < best.Cost.Blocks {
+			if c.Viable && c.Cost.Time() < best.Cost.Time() {
 				return PlannerQueryPoint{}, fmt.Errorf(
-					"bench: %s chose %s (%d blocks) but %s costs %d",
-					name, best.Desc, best.Cost.Blocks, c.Desc, c.Cost.Blocks)
+					"bench: %s chose %s (%s) but %s costs %s",
+					name, best.Desc, best.Cost.Time(), c.Desc, c.Cost.Time())
 			}
 		}
 		return PlannerQueryPoint{

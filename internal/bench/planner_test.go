@@ -7,8 +7,8 @@ import (
 )
 
 // TestPlannerBenchSmoke runs the multi-query planner session end to end:
-// the chosen plan is block-minimal per query (PlannerBench itself enforces
-// argmin), the cold query builds the filtered input, both warm queries hit
+// the chosen plan is the cost model's minimum per query (PlannerBench itself
+// enforces argmin), the cold query builds the filtered input, both warm queries hit
 // the plan cache — including Q2, a *different* join reusing the same
 // prepared input — the warm repeat moves measurably fewer blocks than the
 // cold run, and the snapshot JSON round-trips.

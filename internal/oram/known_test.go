@@ -28,24 +28,24 @@ func oramStack(o *PathORAM) []*PathORAM {
 	}
 }
 
-// fetchedLeaves recovers, from one store's recorded trace, the leaves each
-// download round named — what the server sees. Every round, read or write,
-// covers the root and lists it first, so an access to bucket 0 opens a
-// round.
-func fetchedLeaves(trace []storage.Access, levels int) [][]uint32 {
-	leafBase := int64(1)<<uint(levels-1) - 1
+// fetchedLeaves recovers, from the recorded trace of o's store, the leaves
+// each download round named — what the server sees. The leaf level is the
+// one level every tree keeps on the server, so the reads of one round at or
+// past the first leaf's store index are the round's leaves.
+func fetchedLeaves(trace []storage.Access, o *PathORAM) [][]uint32 {
+	leafBase := o.leaves - 1 - o.skip
 	var rounds [][]uint32
-	reading := false
+	round := int64(-1)
 	for _, a := range trace {
-		if a.Index == 0 {
-			if reading = a.Kind == storage.KindRead; reading {
-				rounds = append(rounds, nil)
-			}
+		if a.Kind != storage.KindRead || a.Index < leafBase {
+			continue
 		}
-		if reading && a.Index >= leafBase {
-			last := len(rounds) - 1
-			rounds[last] = append(rounds[last], uint32(a.Index-leafBase))
+		if a.Round != round {
+			round = a.Round
+			rounds = append(rounds, nil)
 		}
+		last := len(rounds) - 1
+		rounds[last] = append(rounds[last], uint32(a.Index-leafBase))
 	}
 	return rounds
 }
@@ -306,10 +306,10 @@ func TestKnownBucketsDifferential(t *testing.T) {
 								own = append(own, a)
 							}
 						}
-						rounds := fetchedLeaves(own, lvl.levels)
+						rounds := fetchedLeaves(own, lvl)
 						sim := &tracecheck.PathORAMSim{
 							Store: lvl.cfg.Name, Bytes: xcrypto.SealedLen(lvl.bucketSize),
-							Levels: lvl.levels, Batch: batch, Exchange: exchange,
+							Levels: lvl.top + lvl.levels, Treetop: lvl.top, Batch: batch, Exchange: exchange,
 						}
 						for _, n := range events {
 							if n == 0 {
@@ -411,24 +411,27 @@ func TestKnownBucketTamperIsIgnored(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// The root is on every path: just written, or still pending.
+			// Between accesses at least the path just fetched is pending. Its
+			// topmost stored bucket is the one the next download is likeliest
+			// to cover (one path in 2^t does), and it stays skipped until the
+			// write-back that rewrites it.
 			r := mrand.New(mrand.NewSource(3))
 			for i := 0; i < 200; i++ {
-				corrupt(t, o.store, 0)
+				corrupt(t, o.store, o.pathNodes(o.sched.pending[0])[0])
 				key := uint64(r.Intn(capacity))
 				got, err := o.Read(key)
 				if err != nil || got[0] != byte(key) {
-					t.Fatalf("access %d over a corrupted known root: %v, %v", i, got, err)
+					t.Fatalf("access %d over a corrupted known bucket: %v, %v", i, got, err)
 				}
 			}
 			// Settled, the client holds nothing back: every bucket is read
-			// from the server again, and the root it finds is its own.
+			// from the server again, and what it finds there is its own.
 			if err := o.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			for i := uint64(0); i < capacity; i++ {
 				if got, err := o.Read(i); err != nil || got[0] != byte(i) {
-					t.Fatalf("read %d after the root was rewritten: %v, %v", i, got, err)
+					t.Fatalf("read %d after the damage was rewritten: %v, %v", i, got, err)
 				}
 			}
 
@@ -446,7 +449,7 @@ func TestKnownBucketTamperIsIgnored(t *testing.T) {
 			}
 			leaves := o.pos.(*flatPosMap).leaves
 			key := uint64(1)
-			for o.onPath(o.leaves-1+int64(leaves[key]), skipped) {
+			for o.onPath(o.leaves-1-o.skip+int64(leaves[key]), skipped) {
 				key++
 			}
 			_, err := o.Read(key)

@@ -154,6 +154,9 @@ func (o *LinearORAM) Capacity() int64 { return o.n }
 // AccessesPerOp implements ORAM: the full scan, read and rewritten.
 func (o *LinearORAM) AccessesPerOp() int { return int(2 * o.n) }
 
+// BlockBytes implements ORAM.
+func (o *LinearORAM) BlockBytes() int { return o.store.BlockSize() }
+
 // ClientBytes implements ORAM: none.
 func (o *LinearORAM) ClientBytes() int64 { return 0 }
 

@@ -60,6 +60,9 @@ type ORAM interface {
 	// Read/Write/DummyAccess performs; constant for a given instance, which
 	// is the uniformity property the security proofs rely on.
 	AccessesPerOp() int
+	// BlockBytes is the size of one of those server block operations: the
+	// sealed block (for Path-ORAM, bucket) the store holds. Public geometry.
+	BlockBytes() int
 	// ClientBytes is the current client-side memory footprint (stash,
 	// position map, metadata). Zero for non-oblivious stores.
 	ClientBytes() int64

@@ -101,7 +101,9 @@ type PathORAM struct {
 	sealer     *xcrypto.Sealer // resolved from cfg.Keyring (per store name) or cfg.Sealer
 	store      storage.Store
 	leaves     int64
-	levels     int // path length in buckets (root..leaf inclusive)
+	top        int   // treetop: tree levels 0..top-1 never leave the client, their blocks live in the stash
+	skip       int64 // the 2^top - 1 treetop buckets: store index = 0-based heap index - skip
+	levels     int   // path length in buckets as stored and moved: tree levels top..top+levels-1
 	z          int
 	slotSize   int
 	bucketSize int // plaintext bucket bytes
@@ -154,7 +156,13 @@ type PathORAM struct {
 // preprocessing step; callers reset meters afterwards so setup traffic is
 // not charged to queries.
 func NewPathORAM(cfg PathConfig) (*PathORAM, error) {
-	o, err := newTree(cfg)
+	return newPathORAM(cfg, treetopLevels)
+}
+
+// newPathORAM is NewPathORAM with the treetop rule as an argument, so that
+// tests can build the vanilla tree (noTreetop) the rule is checked against.
+func newPathORAM(cfg PathConfig, treetop func(height int) int) (*PathORAM, error) {
+	o, err := newTree(cfg, treetop)
 	if err != nil {
 		return nil, err
 	}
@@ -166,16 +174,30 @@ func NewPathORAM(cfg PathConfig) (*PathORAM, error) {
 	if cutoff <= 0 {
 		cutoff = 64
 	}
-	if o.pos, err = newORAMPosMap(cfg, cfg.Capacity, cutoff, o.rand); err != nil {
+	if o.pos, err = newORAMPosMap(cfg, cfg.Capacity, cutoff, o.rand, treetop); err != nil {
 		return nil, err
 	}
 	return o, nil
 }
 
+// treetopLevels is how many top levels of a tree of the given height (path
+// length root..leaf) live in the stash instead of on the server (DESIGN.md
+// §2.9): floor(log2(height+1)), so that the treetop's 2^t - 1 buckets are
+// never more than the one path of blocks the client buffers between accesses
+// anyway, capped at height-1, so that the leaf level stays on the server and
+// every access is still one round naming one leaf. A function of the public
+// geometry alone.
+func treetopLevels(height int) int {
+	return min(bits.Len(uint(height+1))-1, height-1)
+}
+
+// noTreetop is the vanilla rule: every level on the server.
+func noTreetop(int) int { return 0 }
+
 // newTree is NewPathORAM short of the position map: who holds positions is
 // the constructor's choice (NewPathORAM, NewPosORAM), the tree and the data
 // path under it are the same.
-func newTree(cfg PathConfig) (*PathORAM, error) {
+func newTree(cfg PathConfig, treetop func(height int) int) (*PathORAM, error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("oram: capacity must be positive, got %d", cfg.Capacity)
 	}
@@ -198,17 +220,19 @@ func newTree(cfg PathConfig) (*PathORAM, error) {
 		rnd = NewCryptoSource()
 	}
 	leaves := nextPow2(cfg.Capacity)
-	levels := 1
-	for l := leaves; l > 1; l >>= 1 {
-		levels++
-	}
+	height := bits.Len64(uint64(leaves))
+	top := treetop(height)
+	levels := height - top
+	skip := int64(1)<<top - 1
 	slotSize := slotHeader + cfg.PayloadSize
 	bucketSize := z * slotSize
-	nodes := 2*leaves - 1
+	nodes := 2*leaves - 1 - skip
 	o := &PathORAM{
 		cfg:        cfg,
 		sealer:     sealer,
 		leaves:     leaves,
+		top:        top,
+		skip:       skip,
 		levels:     levels,
 		z:          z,
 		slotSize:   slotSize,
@@ -230,9 +254,9 @@ func newTree(cfg PathConfig) (*PathORAM, error) {
 	o.store = st
 	o.pathBuf = make([]int64, levels)
 	o.sched = newScheduler(o, cfg.EvictionBatch)
-	// Initialize every bucket to a sealed empty bucket so the adversary sees
-	// a fully populated, uniformly encrypted tree from the start. Each bucket
-	// gets its own fresh ciphertext; the upload itself is batched.
+	// Initialize every stored bucket to a sealed empty bucket so the adversary
+	// sees a fully populated, uniformly encrypted tree from the start. Each
+	// bucket gets its own fresh ciphertext; the upload itself is batched.
 	empty := make([]byte, bucketSize)
 	up := newUploader(o, nodes)
 	for i := int64(0); i < nodes; i++ {
@@ -323,7 +347,9 @@ func (u *uploader) flush() error {
 	return err
 }
 
-// Levels returns the path length in buckets (tree height + 1).
+// Levels returns the path length in buckets: what one access moves in each
+// direction, the tree's levels below the treetop (all of them down to the
+// leaf for a tree too shallow to have one).
 func (o *PathORAM) Levels() int { return o.levels }
 
 // PayloadSize implements ORAM.
@@ -332,16 +358,20 @@ func (o *PathORAM) PayloadSize() int { return o.cfg.PayloadSize }
 // Capacity implements ORAM.
 func (o *PathORAM) Capacity() int64 { return o.cfg.Capacity }
 
-// AccessesPerOp implements ORAM: each access reads one full root-to-leaf
-// path and has it rewritten — in the round of the next download, or at
-// Flush — plus whatever the (possibly outsourced) position map costs.
+// AccessesPerOp implements ORAM: each access reads the Levels() stored
+// buckets of one root-to-leaf path and has them rewritten — in the round of
+// the next download, or at Flush — plus whatever the (possibly outsourced)
+// position map costs.
 func (o *PathORAM) AccessesPerOp() int { return 2*o.levels + o.pos.accessesPerOp() }
 
-// ClientBytes implements ORAM: stash plus position-map footprint — between
-// accesses the stash includes the blocks of the paths whose write-back is
-// queued (none once Flush has settled the instance) — plus, between a
-// stand-alone write-back and the next fetch, the blocks of the known-bucket
-// set.
+// BlockBytes implements ORAM: one sealed bucket.
+func (o *PathORAM) BlockBytes() int { return o.store.BlockSize() }
+
+// ClientBytes implements ORAM: stash plus position-map footprint — the stash
+// includes the treetop's blocks and, between accesses, the blocks of the
+// paths whose write-back is queued (none once Flush has settled the
+// instance) — plus, between a stand-alone write-back and the next fetch, the
+// blocks of the known-bucket set.
 func (o *PathORAM) ClientBytes() int64 {
 	return int64(len(o.stash)+len(o.known))*int64(12+o.cfg.PayloadSize) + o.pos.clientBytes()
 }
@@ -364,10 +394,12 @@ func (o *PathORAM) ServerBytes() int64 {
 func (o *PathORAM) RoundsPerOp() int { return 1 + o.pos.roundsPerOp() }
 
 // MaxStash reports the high-water stash occupancy, a standard Path-ORAM
-// health metric (stays O(log N)·ω(1) w.h.p. for Z=4).
+// health metric (stays O(log N)·ω(1) w.h.p. for Z=4). The treetop's blocks
+// are stash entries, so it sits at most Z·(2^t - 1) above the vanilla
+// tree's.
 func (o *PathORAM) MaxStash() int { return o.maxStash }
 
-// StashSize reports the current stash occupancy.
+// StashSize reports the current stash occupancy, treetop blocks included.
 func (o *PathORAM) StashSize() int { return len(o.stash) }
 
 // Read implements ORAM.
@@ -607,32 +639,41 @@ func (o *PathORAM) openFetched(buf []byte, nodes []int64) error {
 	return nil
 }
 
-// pathNodes returns the 0-based store indices of the buckets on the path
-// from the root to the given leaf, root first. The result is instance
-// scratch, valid until the next call.
+// pathNodes returns the 0-based store indices of the stored buckets on the
+// path from the root to the given leaf, topmost first. The result is
+// instance scratch, valid until the next call.
 func (o *PathORAM) pathNodes(leaf uint32) []int64 {
 	nodes := o.pathBuf
 	// 1-based heap index of the leaf bucket.
 	idx := o.leaves + int64(leaf)
 	for i := o.levels - 1; i >= 0; i-- {
-		nodes[i] = idx - 1
+		nodes[i] = idx - 1 - o.skip
 		idx >>= 1
 	}
 	return nodes
 }
 
+// heapIndex is the 1-based heap index of the bucket at store index node.
+func (o *PathORAM) heapIndex(node int64) int64 { return node + o.skip + 1 }
+
+// nodeLevel is the stored level of bucket node: 0 for the first level below
+// the treetop, Levels()-1 for a leaf.
+func (o *PathORAM) nodeLevel(node int64) int {
+	return bits.Len64(uint64(o.heapIndex(node))) - 1 - o.top
+}
+
 // pathShift is how far a 1-based leaf heap index shifts right to reach its
 // ancestor at the level of bucket node (0-based store index).
 func (o *PathORAM) pathShift(node int64) uint {
-	return uint(o.levels - bits.Len64(uint64(node+1)))
+	return uint(o.levels - 1 - o.nodeLevel(node))
 }
 
 // onPath reports whether bucket node lies on the root-to-leaf path of any
 // of the given leaves.
 func (o *PathORAM) onPath(node int64, leaves []uint32) bool {
-	shift := o.pathShift(node)
+	shift, heap := o.pathShift(node), o.heapIndex(node)
 	for _, leaf := range leaves {
-		if (o.leaves+int64(leaf))>>shift == node+1 {
+		if (o.leaves+int64(leaf))>>shift == heap {
 			return true
 		}
 	}
@@ -701,12 +742,14 @@ func sealScratch(need, bucketSize int) (sealed, plain []byte) {
 }
 
 // sealNodes fills the buckets at nodes (ascending store indices, which is
-// root first) from the stash — deepest bucket first, so blocks sink as far
-// as the written paths allow — and seals them back to back into the
-// reusable scratch, so a steady-state write-back allocates nothing. The
-// returned views align with nodes. The placed blocks move from the stash
-// to the known set; the caller settles them with keepKnown once the store
-// has accepted the round, or restoreKnown if it has not.
+// topmost first) from the stash — deepest bucket first, so blocks sink as
+// far as the written paths allow — and seals them back to back into the
+// reusable scratch, so a steady-state write-back allocates nothing. A block
+// that can sink no deeper than the treetop stays in the stash: the treetop
+// is the part of the stash that vanilla Path-ORAM would have written to the
+// levels above. The returned views align with nodes. The placed blocks move
+// from the stash to the known set; the caller settles them with keepKnown
+// once the store has accepted the round, or restoreKnown if it has not.
 func (o *PathORAM) sealNodes(nodes []int64) ([][]byte, error) {
 	o.releaseKnown() // a failed fetch may have left the previous set behind
 	if need := len(nodes) * xcrypto.SealedLen(o.bucketSize); cap(o.sealBuf) < need {
@@ -719,14 +762,14 @@ func (o *PathORAM) sealNodes(nodes []int64) ([][]byte, error) {
 	sealed := o.sealView[:len(nodes)]
 	for k := len(nodes) - 1; k >= 0; k-- {
 		node := nodes[k]
-		shift := o.pathShift(node)
+		shift, heap := o.pathShift(node), o.heapIndex(node)
 		bucket := o.bucketScratch()
 		filled := 0
 		for key, entry := range o.stash {
 			if filled == o.z {
 				break
 			}
-			if (o.leaves+int64(entry.leaf))>>shift != node+1 {
+			if (o.leaves+int64(entry.leaf))>>shift != heap {
 				continue
 			}
 			slot := bucket[filled*o.slotSize:]
@@ -755,7 +798,7 @@ func (o *PathORAM) keepKnown(leaves []uint32, nodes int) {
 	o.knownLeaves = append(o.knownLeaves[:0], leaves...)
 	o.bucketsWritten += int64(nodes)
 	for _, b := range o.known {
-		o.levelPlaced[bits.Len64(uint64(b.node+1))-1]++
+		o.levelPlaced[o.nodeLevel(b.node)]++
 	}
 }
 
@@ -805,7 +848,8 @@ func (o *PathORAM) bulkLoad(payloads [][]byte, leafOf func(i int) (uint32, error
 		key  uint64
 		leaf uint32
 	}
-	buckets := make([][]placed, 2*o.leaves-1)
+	stored := o.store.Len()
+	buckets := make([][]placed, stored)
 	for i, p := range payloads {
 		if len(p) > o.cfg.PayloadSize {
 			return fmt.Errorf("oram: bulk payload %d is %d bytes, exceeds %d", i, len(p), o.cfg.PayloadSize)
@@ -815,7 +859,8 @@ func (o *PathORAM) bulkLoad(payloads [][]byte, leafOf func(i int) (uint32, error
 		if err != nil {
 			return err
 		}
-		// Place in the deepest non-full bucket on the path.
+		// Place in the deepest non-full stored bucket on the path; a block
+		// that finds none starts out in the stash (the treetop, or beyond).
 		nodes := o.pathNodes(leaf)
 		done := false
 		for lvl := o.levels - 1; lvl >= 0; lvl-- {
@@ -834,8 +879,8 @@ func (o *PathORAM) bulkLoad(payloads [][]byte, leafOf func(i int) (uint32, error
 	}
 	// Serialize and upload every bucket once, in batched rounds; the
 	// uploader seals each bucket into its batch buffer.
-	up := newUploader(o, 2*o.leaves-1)
-	for n := int64(0); n < 2*o.leaves-1; n++ {
+	up := newUploader(o, stored)
+	for n := int64(0); n < stored; n++ {
 		bucket := o.bucketScratch()
 		for s, pl := range buckets[n] {
 			slot := bucket[s*o.slotSize:]

@@ -143,12 +143,14 @@ func TestPathORAMUniformAccessCost(t *testing.T) {
 	}
 }
 
+// TestPathORAMLevels pins Levels() — the buckets one access moves each way:
+// the tree's height less its treetop (TestTreetopGeometry has the rule).
 func TestPathORAMLevels(t *testing.T) {
 	cases := []struct {
 		capacity int64
 		levels   int
 	}{
-		{1, 1}, {2, 2}, {3, 3}, {4, 3}, {5, 4}, {64, 7}, {100, 8},
+		{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 2}, {64, 4}, {100, 5},
 	}
 	for _, c := range cases {
 		o := newTestORAM(t, c.capacity, 8, nil, false)

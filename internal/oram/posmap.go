@@ -73,7 +73,7 @@ type oramPosMap struct {
 	buf      []byte // scratch payload, child.PayloadSize bytes
 }
 
-func newORAMPosMap(parent PathConfig, capacity, cutoff int64, rnd LeafSource) (*oramPosMap, error) {
+func newORAMPosMap(parent PathConfig, capacity, cutoff int64, rnd LeafSource, treetop func(height int) int) (*oramPosMap, error) {
 	perBlock := int64(parent.PayloadSize / 4)
 	if perBlock < 1 {
 		return nil, fmt.Errorf("oram: payload size %d too small for position-map entries", parent.PayloadSize)
@@ -94,7 +94,7 @@ func newORAMPosMap(parent PathConfig, capacity, cutoff int64, rnd LeafSource) (*
 		EvictionBatch: parent.EvictionBatch,
 		Flight:        parent.Flight,
 	}
-	child, err := NewPathORAM(childCfg)
+	child, err := newPathORAM(childCfg, treetop)
 	if err != nil {
 		return nil, err
 	}

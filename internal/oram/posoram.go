@@ -19,7 +19,13 @@ type PosORAM struct{ o *PathORAM }
 
 // NewPosORAM builds the server tree with every bucket sealed empty.
 func NewPosORAM(cfg PathConfig) (*PosORAM, error) {
-	o, err := newTree(cfg)
+	return newPosORAM(cfg, treetopLevels)
+}
+
+// newPosORAM is NewPosORAM with the treetop rule as an argument
+// (newPathORAM).
+func newPosORAM(cfg PathConfig, treetop func(height int) int) (*PosORAM, error) {
+	o, err := newTree(cfg, treetop)
 	if err != nil {
 		return nil, err
 	}
@@ -27,7 +33,7 @@ func NewPosORAM(cfg PathConfig) (*PosORAM, error) {
 	return &PosORAM{o}, nil
 }
 
-// Levels returns the path length in buckets.
+// Levels returns the path length in buckets (PathORAM.Levels).
 func (h *PosORAM) Levels() int { return h.o.Levels() }
 
 // PayloadSize returns the usable bytes per block.

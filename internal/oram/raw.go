@@ -95,6 +95,9 @@ func (r *RawStore) Capacity() int64 { return r.store.Len() }
 // AccessesPerOp implements ORAM.
 func (r *RawStore) AccessesPerOp() int { return 1 }
 
+// BlockBytes implements ORAM.
+func (r *RawStore) BlockBytes() int { return r.store.BlockSize() }
+
 // ClientBytes implements ORAM; the raw client keeps no state.
 func (r *RawStore) ClientBytes() int64 { return 0 }
 

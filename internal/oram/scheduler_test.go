@@ -253,30 +253,59 @@ func TestSchedulerExchangeRounds(t *testing.T) {
 // most k·Z·L blocks (DESIGN.md §2.9). The randomized workload runs the same
 // seed at every setting so the k = 1 peak is a true baseline.
 func TestSchedulerStashHighWater(t *testing.T) {
-	const capacity, accesses = 256, 10000
-	run := func(batch int) int {
-		o := newBatchORAM(t, capacity, 8, nil, batch, 31)
-		for i := uint64(0); i < capacity; i++ {
-			if err := o.Write(i, []byte{byte(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		r := mrand.New(mrand.NewSource(17))
-		for i := 0; i < accesses; i++ {
-			if _, err := o.Read(uint64(r.Intn(capacity))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return o.Telemetry().StashPeak
-	}
-	base := run(1)
-	levels := newBatchORAM(t, capacity, 8, nil, 1, 31).Levels()
+	base := stashPeak(t, 1, treetopLevels)
+	levels := newBatchORAM(t, stashCapacity, 8, nil, 1, 31).Levels()
 	for _, k := range []int{4, 16} {
-		peak := run(k)
+		peak := stashPeak(t, k, treetopLevels)
 		bound := base + k*DefaultZ*levels
 		if peak > bound {
 			t.Fatalf("k=%d stash peak %d exceeds base %d + k·Z·L = %d", k, peak, base, bound)
 		}
+	}
+}
+
+const stashCapacity = 256
+
+// stashPeak is the stash high-water mark of 10 000 seeded random reads over
+// a full tree built with the given eviction batch and treetop rule.
+func stashPeak(t *testing.T, batch int, treetop func(int) int) int {
+	t.Helper()
+	o, err := newPathORAM(PathConfig{
+		Name: "sched", Capacity: stashCapacity, PayloadSize: 8,
+		Sealer: testSealer(t), Rand: NewSeededSource(31), EvictionBatch: batch,
+	}, treetop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < stashCapacity; i++ {
+		if err := o.Write(i, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := mrand.New(mrand.NewSource(17))
+	for i := 0; i < 10000; i++ {
+		if _, err := o.Read(uint64(r.Intn(stashCapacity))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return o.Telemetry().StashPeak
+}
+
+// TestTreetopStashBound: the treetop's blocks are the blocks a vanilla tree
+// keeps in its top 2^t - 1 buckets — what sinks below the treetop on a path
+// is what would have sunk below it there — so under the same leaf draws the
+// stash peaks at most Z·(2^t - 1) above the vanilla tree's.
+func TestTreetopStashBound(t *testing.T) {
+	top := newBatchORAM(t, stashCapacity, 8, nil, 1, 31).Telemetry().TreetopLevels
+	if top == 0 {
+		t.Fatal("the tree has no treetop; nothing to bound")
+	}
+	for _, k := range []int{1, 4} {
+		vanilla, peak := stashPeak(t, k, noTreetop), stashPeak(t, k, treetopLevels)
+		if bound := vanilla + DefaultZ*(1<<top-1); peak > bound {
+			t.Fatalf("k=%d: stash peak %d exceeds vanilla %d + Z·(2^%d - 1) = %d", k, peak, vanilla, top, bound)
+		}
+		t.Logf("k=%d: stash peak %d, vanilla %d", k, peak, vanilla)
 	}
 }
 

@@ -5,9 +5,10 @@ package oram
 // The counters live entirely on the client and are never sent to the
 // server, so recording them changes nothing about the server-visible trace.
 // Access counts are functions of public quantities (every access touches
-// one full path); per-level placement and stash occupancy reflect the
-// client's secret randomness and must stay client-side — they are exposed
-// here for health monitoring, not for export to an untrusted party.
+// the stored levels of one path); per-level placement and stash occupancy
+// reflect the client's secret randomness and must stay client-side — they
+// are exposed here for health monitoring, not for export to an untrusted
+// party.
 type PathStats struct {
 	// Accesses counts completed path accesses (one read-path + write-path
 	// pair each), including dummy accesses.
@@ -15,9 +16,14 @@ type PathStats struct {
 	// DummyAccesses counts the subset of Accesses that were dummies.
 	DummyAccesses int64
 	// BucketsRead and BucketsWritten count bucket transfers; each access
-	// moves Levels() buckets in each direction.
+	// moves Levels() buckets in each direction — the levels of its path
+	// below the treetop, which never travels.
 	BucketsRead    int64
 	BucketsWritten int64
+	// TreetopLevels is how many top levels of the tree live in the stash
+	// instead of on the server (DESIGN.md §2.9), a function of the tree's
+	// height alone; the tree is TreetopLevels + Levels() deep.
+	TreetopLevels int
 	// BucketsOpened counts the downloaded buckets the client decrypted;
 	// BucketsRead - BucketsOpened were skipped because the client already
 	// held their plaintext (the known-bucket set, DESIGN.md §2.9). A
@@ -25,10 +31,14 @@ type PathStats struct {
 	// describes client work, not traffic, and stays client-side.
 	BucketsOpened int64
 	// LevelPlaced[l] counts blocks the eviction pass placed into the bucket
-	// at level l (root = 0) across all accesses — the standard view of how
-	// deep eviction manages to sink blocks.
+	// at stored level l (0 = the first level below the treetop, Levels()-1
+	// the leaves) across all accesses — the standard view of how deep
+	// eviction manages to sink blocks.
 	LevelPlaced []int64
 	// StashPeak is the high-water stash occupancy; StashSize the current.
+	// Both include the treetop's blocks, which are stash entries: up to
+	// Z·(2^TreetopLevels - 1) blocks a vanilla tree would keep in its top
+	// buckets.
 	StashPeak int
 	StashSize int
 	// Flushes counts the write-backs the store has accepted; FlushedPaths
@@ -57,6 +67,7 @@ func (o *PathORAM) Telemetry() PathStats {
 		BucketsRead:      o.bucketsRead,
 		BucketsWritten:   o.bucketsWritten,
 		BucketsOpened:    o.bucketsOpened,
+		TreetopLevels:    o.top,
 		StashPeak:        o.maxStash,
 		StashSize:        len(o.stash),
 		Flushes:          o.sched.flushes,

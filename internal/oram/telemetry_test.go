@@ -6,7 +6,8 @@ import "testing"
 // access is one full-path read plus, once settled, its write-back; every
 // write-back but the settling one rode a download; dummies are counted
 // separately, per-level placements account for every block written back,
-// and the snapshot is a copy.
+// the treetop's blocks are stash entries and nothing else (so ClientBytes
+// counts them as it counts the stash), and the snapshot is a copy.
 func TestPathTelemetry(t *testing.T) {
 	o := newTestORAM(t, 64, 32, nil, false)
 	const writes, dummies = 20, 5
@@ -54,6 +55,32 @@ func TestPathTelemetry(t *testing.T) {
 	}
 	if s.StashPeak < s.StashSize {
 		t.Fatalf("StashPeak %d < StashSize %d", s.StashPeak, s.StashSize)
+	}
+	// The tree is 7 levels deep and keeps 3 of them client-side — in the
+	// stash: every block written is in a stored bucket or a stash entry, and
+	// a settled instance's footprint is its stash and its position map.
+	if s.TreetopLevels != 3 || s.TreetopLevels+o.Levels() != 7 {
+		t.Fatalf("treetop of %d levels over %d stored, want 3 over 4", s.TreetopLevels, o.Levels())
+	}
+	stored := 0
+	for i := int64(0); i < o.store.Len(); i++ {
+		sealed, err := o.store.Read(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := o.sealer.Open(sealed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for slot := 0; slot < o.z; slot++ {
+			stored += int(plain[slot*o.slotSize])
+		}
+	}
+	if stored+s.StashSize != writes {
+		t.Fatalf("%d blocks on the server and %d in the stash, %d written", stored, s.StashSize, writes)
+	}
+	if got, want := o.ClientBytes(), int64(s.StashSize)*int64(12+o.PayloadSize())+o.pos.clientBytes(); got != want {
+		t.Fatalf("settled ClientBytes = %d, want stash + position map = %d", got, want)
 	}
 	// Snapshot isolation: mutating the returned slice must not affect the
 	// instance.

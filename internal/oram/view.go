@@ -69,6 +69,9 @@ func (v *View) Capacity() int64 { return v.capacity }
 // AccessesPerOp implements ORAM.
 func (v *View) AccessesPerOp() int { return v.base.AccessesPerOp() }
 
+// BlockBytes implements ORAM.
+func (v *View) BlockBytes() int { return v.base.BlockBytes() }
+
 // ClientBytes implements ORAM; the base owner accounts for client state, a
 // view adds none.
 func (v *View) ClientBytes() int64 { return 0 }

@@ -16,8 +16,12 @@ type IndexMeta struct {
 	// lookup/disable/dummy performs (Δ, or 2Δ with write-back descents).
 	AccessesPerRetrieval int
 	// OramAccessesPerOp is the server block operations one index-ORAM
-	// access moves (2·levels for Path-ORAM).
+	// access moves (for Path-ORAM 2·Levels(): the path's levels below the
+	// treetop, down and up).
 	OramAccessesPerOp int
+	// BlockBytes is the size of one of those block operations: the index
+	// store's sealed block.
+	BlockBytes int
 	// ResetNodes is the number of index nodes a post-multiway Reset pass
 	// touches with one ORAM access each (leaves only in "+Cache" mode).
 	ResetNodes int64
@@ -34,6 +38,9 @@ type TableMeta struct {
 	// DataAccessesPerOp is the server block operations one data-ORAM
 	// access moves.
 	DataAccessesPerOp int
+	// DataBlockBytes is the size of one of those block operations: the
+	// data store's sealed block.
+	DataBlockBytes int
 	// DataStore is the data ORAM's store name.
 	DataStore string
 	// Indexes maps attribute name to index metadata.
@@ -52,7 +59,7 @@ type Catalog map[string]TableMeta
 
 // Describe extracts the catalog from a set of stored tables. Every field
 // read here is instance geometry (row counts, tree shapes, ORAM level
-// counts, store names) — public sizing information under the paper's
+// counts, block sizes, store names) — public sizing information under the paper's
 // leakage definition, and exactly what the server already observes.
 func Describe(tables map[string]*table.StoredTable) Catalog {
 	cat := make(Catalog, len(tables))
@@ -61,6 +68,7 @@ func Describe(tables map[string]*table.StoredTable) Catalog {
 			Name:              name,
 			Rows:              int64(st.NumTuples()),
 			DataAccessesPerOp: st.DataAccessesPerOp(),
+			DataBlockBytes:    st.DataBlockBytes(),
 			DataStore:         table.DataStoreName(st.StorePrefix(), st.Schema().Table),
 			Indexes:           make(map[string]IndexMeta),
 		}
@@ -77,6 +85,7 @@ func Describe(tables map[string]*table.StoredTable) Catalog {
 				Attr:                 attr,
 				AccessesPerRetrieval: tr.AccessesPerRetrieval(),
 				OramAccessesPerOp:    tr.ORAM().AccessesPerOp(),
+				BlockBytes:           tr.ORAM().BlockBytes(),
 				ResetNodes:           resetNodes,
 				Store:                table.IndexStoreName(st.StorePrefix(), st.Schema().Table, attr),
 			}

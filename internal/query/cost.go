@@ -3,9 +3,11 @@ package query
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"oblivjoin/internal/core"
 	"oblivjoin/internal/jointree"
+	"oblivjoin/internal/storage"
 )
 
 // Cost is a candidate plan's predicted input-side access cost, derived from
@@ -22,6 +24,9 @@ type Cost struct {
 	ORAMOps int64
 	// Blocks is the total predicted server block operations (reads+writes).
 	Blocks int64
+	// Bytes is what those operations move: each store's blocks at that
+	// store's sealed block size.
+	Bytes int64
 	// Rounds is the predicted network rounds — what the Meter will count,
 	// at every EvictionBatch — priced per operator because operators differ
 	// in which accesses share a round. A Path-ORAM access costs one round:
@@ -45,7 +50,17 @@ type Cost struct {
 	PerStore map[string]int64
 }
 
-func (c *Cost) add(store string, oramOps int64, accessesPerOp int) {
+// addData prices oramOps accesses to a table's data ORAM; addIndex to one of
+// its index ORAMs.
+func (c *Cost) addData(m TableMeta, oramOps int64) {
+	c.add(m.DataStore, oramOps, m.DataAccessesPerOp, m.DataBlockBytes)
+}
+
+func (c *Cost) addIndex(m IndexMeta, oramOps int64) {
+	c.add(m.Store, oramOps, m.OramAccessesPerOp, m.BlockBytes)
+}
+
+func (c *Cost) add(store string, oramOps int64, accessesPerOp, blockBytes int) {
 	if c.PerStore == nil {
 		c.PerStore = make(map[string]int64)
 	}
@@ -53,6 +68,15 @@ func (c *Cost) add(store string, oramOps int64, accessesPerOp int) {
 	c.PerStore[store] += blocks
 	c.ORAMOps += oramOps
 	c.Blocks += blocks
+	c.Bytes += blocks * int64(blockBytes)
+}
+
+// Time is the cost the planner ranks by: the paper's cost model
+// (storage.DefaultCostModel, the one every figure is rendered with) applied
+// to the predicted bytes and rounds. Operators differ several-fold in rounds
+// per block, so the fewest blocks is not the fastest plan.
+func (c *Cost) Time() time.Duration {
+	return storage.DefaultCostModel().Cost(storage.Stats{BytesRead: c.Bytes, NetworkRounds: c.Rounds})
 }
 
 // setRounds records the operator's round count: the rounds its accesses are
@@ -86,10 +110,10 @@ func smjCost(cat Catalog, t1, a1, t2, a2 string, paddedR int64) (Cost, error) {
 	}
 	n := core.NumtrSortMerge(m1.Rows, m2.Rows, paddedR)
 	c := Cost{Steps: n}
-	c.add(i1.Store, n, i1.OramAccessesPerOp)
-	c.add(m1.DataStore, n, m1.DataAccessesPerOp)
-	c.add(i2.Store, n, i2.OramAccessesPerOp)
-	c.add(m2.DataStore, n, m2.DataAccessesPerOp)
+	c.addIndex(i1, n)
+	c.addData(m1, n)
+	c.addIndex(i2, n)
+	c.addData(m2, n)
 	c.setRounds(2 * n)
 	return c, nil
 }
@@ -115,9 +139,9 @@ func inljCost(cat Catalog, outer, inner, innerAttr string, paddedR int64, band b
 	}
 	n := core.NumtrINLJ(mo.Rows, paddedR)
 	c := Cost{Steps: n}
-	c.add(mo.DataStore, n, mo.DataAccessesPerOp)
-	c.add(idx.Store, n*int64(idx.AccessesPerRetrieval), idx.OramAccessesPerOp)
-	c.add(mi.DataStore, n, mi.DataAccessesPerOp)
+	c.addData(mo, n)
+	c.addIndex(idx, n*int64(idx.AccessesPerRetrieval))
+	c.addData(mi, n)
 	stages := int64(idx.AccessesPerRetrieval) + 2
 	if band {
 		stages--
@@ -143,7 +167,7 @@ func multiwayCost(cat Catalog, tree *jointree.Tree, paddedR int64) (Cost, error)
 	}
 	n := core.NumtrMultiway(sizes, paddedR)
 	c := Cost{Steps: n}
-	c.add(metas[0].DataStore, n, metas[0].DataAccessesPerOp)
+	c.addData(metas[0], n)
 	for i, node := range tree.Order {
 		if i == 0 {
 			continue
@@ -152,11 +176,11 @@ func multiwayCost(cat Catalog, tree *jointree.Tree, paddedR int64) (Cost, error)
 		if !ok {
 			return Cost{}, fmt.Errorf("no index on %s.%s", node.Table, node.Attr)
 		}
-		c.add(idx.Store, n*int64(idx.AccessesPerRetrieval), idx.OramAccessesPerOp)
-		c.add(metas[i].DataStore, n, metas[i].DataAccessesPerOp)
+		c.addIndex(idx, n*int64(idx.AccessesPerRetrieval))
+		c.addData(metas[i], n)
 		// Reset pass: ResetIndexes walks every index of the table.
 		for _, im := range sortedIndexes(metas[i]) {
-			c.add(im.Store, im.ResetNodes, im.OramAccessesPerOp)
+			c.addIndex(im, im.ResetNodes)
 		}
 	}
 	c.setRounds(c.ORAMOps)

@@ -37,10 +37,12 @@ func roundsOver(trace []storage.Access, stores map[string]int64) int64 {
 // rounds, at every eviction batch: no write-back outside the settle round
 // has a round of its own. At batch 1 every store the formula prices must
 // also match its measured block count exactly (the Theorem 1–4 bounds are
-// exact once the result size is fixed, and the per-op ORAM costs are
-// deterministic with in-process stores); a larger batch unions the paths of
-// a write-back, which only takes blocks away. Stores the formula does not
-// price (the output vector) are ignored.
+// exact once the result size is fixed, and the per-op ORAM costs — the
+// levels below each tree's treetop, down and up — are deterministic with
+// in-process stores), and the bytes the planner ranks by must be the bytes
+// those blocks moved; a larger batch unions the paths of a write-back, which
+// only takes blocks away. Stores the formula does not price (the output
+// vector) are ignored.
 func checkPredicted(t *testing.T, batch int, predicted Cost, trace []storage.Access, steps int64) {
 	t.Helper()
 	if predicted.Steps != steps {
@@ -51,6 +53,15 @@ func checkPredicted(t *testing.T, batch int, predicted Cost, trace []storage.Acc
 		if got := measured[store]; got > want || (batch == 1 && got != want) {
 			t.Errorf("k=%d: store %s: predicted %d block ops, measured %d", batch, store, want, got)
 		}
+	}
+	var bytes int64
+	for _, a := range trace {
+		if _, priced := predicted.PerStore[a.Store]; priced {
+			bytes += int64(a.Bytes)
+		}
+	}
+	if bytes > predicted.Bytes || (batch == 1 && bytes != predicted.Bytes) {
+		t.Errorf("k=%d: predicted %d bytes, measured %d", batch, predicted.Bytes, bytes)
 	}
 	if got := roundsOver(trace, predicted.PerStore); got != predicted.Rounds {
 		t.Errorf("k=%d: predicted %d rounds, measured %d", batch, predicted.Rounds, got)

@@ -2,8 +2,9 @@
 // library: a logical query description (Spec — tables, equi-/band-join
 // predicates, per-column selections, projection), a cost-based planner
 // that enumerates the candidate physical operators (sort-merge, index
-// nested-loop, multiway) and prices each with the paper's Theorem 1–4
-// retrieval bounds expanded into per-store block-access counts, oblivious
+// nested-loop, multiway), prices each with the paper's Theorem 1–4
+// retrieval bounds expanded into per-store block-access counts, bytes and
+// rounds, and ranks them by the paper's cost model (Cost.Time), oblivious
 // selection pushdown that filters join inputs under the configured padding
 // policy, and a cache of filtered-and-indexed intermediates so a series of
 // queries amortizes the dominant build cost (Shafieinejad et al.; see

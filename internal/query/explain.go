@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 )
 
 // Explain renders the plan deterministically: the query shape, the
 // per-input pushdown decisions, the chosen operator with its predicted
-// block-access and round counts, and the full candidate slate. Identical
-// public metadata produces byte-identical output — the property the
-// trace-identity test pins.
+// block-access and round counts and the cost-model time they rank by, and
+// the full candidate slate. Identical public metadata produces
+// byte-identical output — the property the trace-identity test pins.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", p.Spec.describe())
@@ -35,8 +36,8 @@ func (p *Plan) Explain() string {
 	}
 	best := p.Best()
 	fmt.Fprintf(&b, "plan: %s\n", best.Desc)
-	fmt.Fprintf(&b, "  predicted: steps=%d oram_ops=%d blocks=%d rounds=%d\n",
-		best.Cost.Steps, best.Cost.ORAMOps, best.Cost.Blocks, best.Cost.Rounds)
+	fmt.Fprintf(&b, "  predicted: steps=%d oram_ops=%d blocks=%d rounds=%d time=%s\n",
+		best.Cost.Steps, best.Cost.ORAMOps, best.Cost.Blocks, best.Cost.Rounds, explainTime(best.Cost))
 	stores := make([]string, 0, len(best.Cost.PerStore))
 	for s := range best.Cost.PerStore {
 		stores = append(stores, s)
@@ -52,7 +53,7 @@ func (p *Plan) Explain() string {
 			mark = "*"
 		}
 		if c.Viable {
-			fmt.Fprintf(&b, "  %s %-44s blocks=%d rounds=%d\n", mark, c.Desc, c.Cost.Blocks, c.Cost.Rounds)
+			fmt.Fprintf(&b, "  %s %-44s blocks=%d rounds=%d time=%s\n", mark, c.Desc, c.Cost.Blocks, c.Cost.Rounds, explainTime(c.Cost))
 		} else {
 			fmt.Fprintf(&b, "    %-44s not viable: %s\n", c.Desc, c.Reason)
 		}
@@ -62,3 +63,6 @@ func (p *Plan) Explain() string {
 	}
 	return b.String()
 }
+
+// explainTime renders a candidate's cost-model time to the microsecond.
+func explainTime(c Cost) string { return c.Time().Round(time.Microsecond).String() }

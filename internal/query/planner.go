@@ -108,9 +108,10 @@ type Plan struct {
 func (p *Plan) Best() *Candidate { return &p.Candidates[p.Chosen] }
 
 // planSpec enumerates and prices the candidate slate over the catalog (all
-// public metadata) and picks the block-access minimum. The enumeration
-// order and tie-break (first minimum wins) are deterministic, so identical
-// catalogs yield identical plans.
+// public metadata) and picks the candidate the paper's cost model says is
+// fastest (Cost.Time: predicted bytes over the link plus predicted rounds at
+// one RTT each). The enumeration order and tie-break (first minimum wins)
+// are deterministic, so identical catalogs yield identical plans.
 func planSpec(cat Catalog, spec Spec, po PlanOptions) (*Plan, error) {
 	sizes := make([]int64, len(spec.Tables))
 	for i, t := range spec.Tables {
@@ -142,10 +143,7 @@ func planSpec(cat Catalog, spec Spec, po PlanOptions) (*Plan, error) {
 
 	best := -1
 	for i, c := range p.Candidates {
-		if !c.Viable {
-			continue
-		}
-		if best < 0 || c.Cost.Blocks < p.Candidates[best].Cost.Blocks {
+		if c.Viable && (best < 0 || c.Cost.Time() < p.Candidates[best].Cost.Time()) {
 			best = i
 		}
 	}

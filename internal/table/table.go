@@ -491,9 +491,14 @@ func DataStoreName(prefix, tbl string) string { return prefix + tbl + ".data" }
 func IndexStoreName(prefix, tbl, attr string) string { return prefix + tbl + ".idx." + attr }
 
 // DataAccessesPerOp reports the fixed number of server block operations one
-// data-ORAM access moves (2·levels for Path-ORAM). Public metadata: a
-// constant of the instance geometry, independent of the data.
+// data-ORAM access moves (for Path-ORAM 2·Levels(): the path's levels below
+// the treetop, down and up). Public metadata: a constant of the instance
+// geometry, independent of the data.
 func (t *StoredTable) DataAccessesPerOp() int { return t.data.AccessesPerOp() }
+
+// DataBlockBytes reports the size of one of those block operations, the
+// data store's sealed block. Public metadata like DataAccessesPerOp.
+func (t *StoredTable) DataBlockBytes() int { return t.data.BlockBytes() }
 
 // IndexAttrs lists the attributes with a built index, sorted — the public
 // index inventory the planner enumerates candidates over.

@@ -9,9 +9,10 @@ import (
 
 // PathORAMSim replays the server-visible trace of the staged Path-ORAM data
 // path (oram.PathORAM over a batching store) — bucket indices and round
-// boundaries — from public information alone: the tree geometry, the
-// scheduler's eviction batch, and the sequence of fetched leaves — which the
-// server observes directly, since every path download names its buckets.
+// boundaries — from public information alone: the tree geometry (depth and
+// how much of the top the client keeps), the scheduler's eviction batch, and
+// the sequence of fetched leaves — which the server observes directly, since
+// every path download names its buckets.
 // Recovering the leaves from one recorded trace and obtaining any other
 // setting's exact trace back is the simulator argument of DESIGN.md §2.9:
 // unioned, riding write-backs leak nothing beyond the textbook protocol that
@@ -28,6 +29,12 @@ type PathORAMSim struct {
 	// Levels is the tree depth (root = level 0): the tree has 1<<(Levels-1)
 	// leaves and (1<<Levels)-1 buckets.
 	Levels int
+	// Treetop is how many top levels the client keeps in its stash (a
+	// function of Levels, oram.PathStats.TreetopLevels): the store holds
+	// levels Treetop..Levels-1 only, a bucket at its heap index less the
+	// (1<<Treetop)-1 buckets above, and a path is its buckets on those
+	// levels. Zero is the vanilla tree.
+	Treetop int
 	// Batch is the eviction batch k, the number of queued paths a write-back
 	// unions; <= 1 means 1, every download carries the previous path.
 	Batch int
@@ -68,23 +75,25 @@ func (s *PathORAMSim) Trace() []storage.Access {
 	return out
 }
 
+// nodeAtLevel is the store index of the leaf's ancestor at tree level lvl.
 func (s *PathORAMSim) nodeAtLevel(leaf uint32, lvl int) int64 {
 	leaves := int64(1) << uint(s.Levels-1)
-	return ((leaves + int64(leaf)) >> uint(s.Levels-1-lvl)) - 1
+	return ((leaves + int64(leaf)) >> uint(s.Levels-1-lvl)) - int64(1)<<uint(s.Treetop)
 }
 
-// pathNodes lists the buckets from the root to the leaf, root first — the
-// order a batching store reads and writes a single path.
+// pathNodes lists the stored buckets on the way from the root to the leaf,
+// topmost first — the order a batching store reads and writes a single
+// path.
 func (s *PathORAMSim) pathNodes(leaf uint32) []int64 {
-	nodes := make([]int64, s.Levels)
-	for lvl := range nodes {
-		nodes[lvl] = s.nodeAtLevel(leaf, lvl)
+	nodes := make([]int64, s.Levels-s.Treetop)
+	for i := range nodes {
+		nodes[i] = s.nodeAtLevel(leaf, s.Treetop+i)
 	}
 	return nodes
 }
 
 // unionNodes is the sorted union of the given leaves' paths; for one leaf it
-// is the path itself (root first, which is already ascending).
+// is the path itself (topmost first, which is already ascending).
 func (s *PathORAMSim) unionNodes(leaves []uint32) []int64 {
 	if len(leaves) == 1 {
 		return s.pathNodes(leaves[0])

@@ -45,10 +45,11 @@ func (w noExchange) WriteMany(idxs []int64, d [][]byte) error { return w.s.Write
 
 // simRun drives the workload through a fresh Path-ORAM with the given
 // eviction batch and a fixed randomness seed, over a store with or without
-// exchanges, returning the recorded trace. Identical seeds give identical
-// leaf draws across settings, because the scheduler never consumes
-// randomness — that is the point under test.
-func simRun(t *testing.T, capacity int, batch int, exchange bool, ops []simOp) []storage.Access {
+// exchanges, returning the recorded trace and the tree's public geometry:
+// its depth and how many of its top levels the client keeps. Identical seeds
+// give identical leaf draws across settings, because the scheduler never
+// consumes randomness — that is the point under test.
+func simRun(t *testing.T, capacity int, batch int, exchange bool, ops []simOp) (trace []storage.Access, levels, treetop int) {
 	t.Helper()
 	sealer, err := xcrypto.NewSealer(bytes.Repeat([]byte{9}, xcrypto.KeySize), nil)
 	if err != nil {
@@ -91,29 +92,32 @@ func simRun(t *testing.T, capacity int, batch int, exchange bool, ops []simOp) [
 	if err := o.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return m.Trace()
+	treetop = o.Telemetry().TreetopLevels
+	return m.Trace(), treetop + o.Levels(), treetop
 }
 
 // leavesFromClassicTrace recovers the fetched-leaf sequence from an
-// EvictionBatch = 1 trace: what the store sees of each access is Levels
-// reads (root first) and then, in the round of the next download or of the
-// closing flush, Levels writes; the deepest read names the leaf — exactly
-// what the untrusted server sees.
-func leavesFromClassicTrace(t *testing.T, trace []storage.Access, levels int) []uint32 {
+// EvictionBatch = 1 trace of a tree with the given depth and treetop: what
+// the store sees of each access is one read per stored level (topmost
+// first) and then, in the round of the next download or of the closing
+// flush, as many writes; the deepest read names the leaf — exactly what the
+// untrusted server sees.
+func leavesFromClassicTrace(t *testing.T, trace []storage.Access, levels, treetop int) []uint32 {
 	t.Helper()
-	per := 2 * levels
+	stored := levels - treetop
+	per := 2 * stored
 	if len(trace)%per != 0 {
 		t.Fatalf("classic trace length %d not a multiple of %d", len(trace), per)
 	}
-	leafBase := int64(1)<<uint(levels-1) - 1
+	leafBase := int64(1)<<uint(levels-1) - int64(1)<<uint(treetop)
 	var leaves []uint32
 	for at := 0; at < len(trace); at += per {
-		for i := 0; i < levels; i++ {
-			if trace[at+i].Kind != storage.KindRead || trace[at+levels+i].Kind != storage.KindWrite {
-				t.Fatalf("access at %d is not %d reads then %d writes", at, levels, levels)
+		for i := 0; i < stored; i++ {
+			if trace[at+i].Kind != storage.KindRead || trace[at+stored+i].Kind != storage.KindWrite {
+				t.Fatalf("access at %d is not %d reads then %d writes", at, stored, stored)
 			}
 		}
-		leaves = append(leaves, uint32(trace[at+levels-1].Index-leafBase))
+		leaves = append(leaves, uint32(trace[at+stored-1].Index-leafBase))
 	}
 	return leaves
 }
@@ -121,23 +125,25 @@ func leavesFromClassicTrace(t *testing.T, trace []storage.Access, levels int) []
 // TestBatchedEvictionTraceSimulable is the §2.9 simulator argument as a
 // test: the k = 4 run's entire trace — which buckets are read and written,
 // in which order, grouped into which rounds — is computed by PathORAMSim
-// from public information alone (tree geometry, batch setting, and the leaf
-// sequence the k = 1 run already reveals). Unioning write-backs therefore
-// leaks nothing the one-path write-back does not.
+// from public information alone (tree geometry, treetop included, batch
+// setting, and the leaf sequence the k = 1 run already reveals). Unioning
+// write-backs therefore leaks nothing the one-path write-back does not.
 func TestBatchedEvictionTraceSimulable(t *testing.T) {
 	const capacity, batch = 64, 4
 	ops := simWorkload(capacity)
 
-	classic := simRun(t, capacity, 1, true, ops)
-	batched := simRun(t, capacity, batch, true, ops)
-
-	levels := 7 // capacity 64 -> 64 leaves, 7 levels
-	leaves := leavesFromClassicTrace(t, classic, levels)
+	classic, levels, treetop := simRun(t, capacity, 1, true, ops)
+	batched, _, _ := simRun(t, capacity, batch, true, ops)
+	if levels != 7 || treetop != 3 { // capacity 64 -> 64 leaves, 7 levels, the top 3 client-side
+		t.Fatalf("tree is %d levels deep with a treetop of %d, want 7 and 3", levels, treetop)
+	}
+	leaves := leavesFromClassicTrace(t, classic, levels, treetop)
 
 	sim := &PathORAMSim{
 		Store:    classic[0].Store,
 		Bytes:    classic[0].Bytes,
 		Levels:   levels,
+		Treetop:  treetop,
 		Batch:    batch,
 		Exchange: true, // MemStore supports combined write+read rounds
 	}
@@ -193,10 +199,9 @@ func TestBatchedEvictionTraceSimulable(t *testing.T) {
 func TestClassicTraceSimulable(t *testing.T) {
 	const capacity = 64
 	ops := simWorkload(capacity)
-	levels := 7
-	riding := simRun(t, capacity, 1, true, ops)
-	apart := simRun(t, capacity, 1, false, ops)
-	leaves := leavesFromClassicTrace(t, riding, levels)
+	riding, levels, treetop := simRun(t, capacity, 1, true, ops)
+	apart, _, _ := simRun(t, capacity, 1, false, ops)
+	leaves := leavesFromClassicTrace(t, riding, levels, treetop)
 	if d := DiffExact(riding, apart); d != "" {
 		t.Fatalf("the store sees a different sequence when write-backs ride: %s", d)
 	}
@@ -206,7 +211,7 @@ func TestClassicTraceSimulable(t *testing.T) {
 		trace    []storage.Access
 		rounds   int64
 	}{{true, riding, n + 1}, {false, apart, 2 * n}} {
-		sim := &PathORAMSim{Store: "sim", Bytes: riding[0].Bytes, Levels: levels, Batch: 1, Exchange: tc.exchange}
+		sim := &PathORAMSim{Store: "sim", Bytes: riding[0].Bytes, Levels: levels, Treetop: treetop, Batch: 1, Exchange: tc.exchange}
 		for _, leaf := range leaves {
 			sim.Access(leaf)
 		}
