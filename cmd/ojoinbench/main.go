@@ -37,7 +37,6 @@ func main() {
 		bwMbps     = flag.Float64("bandwidth", 1000, "simulated link bandwidth in Mbit/s")
 		rttMicro   = flag.Int("rtt", 500, "simulated round-trip latency in microseconds")
 		csv        = flag.Bool("csv", false, "emit plot-ready CSV instead of tables (figures only)")
-		workers    = flag.Int("workers", 1, "oblivious sort worker pool size for the join experiments (1 = serial)")
 		evictBatch = flag.Int("evict-batch", 1, "paths an ORAM write-back unions before it rides the next download (1 = the path just fetched)")
 		prefetch   = flag.Int("prefetch", 0, "coalesce up to this many pad-loop dummy downloads per round; honored only in non-padded mode (0 = off; defaults to -evict-batch)")
 		jsonOut    = flag.String("json", "", "with -exp sort, disk, concurrency, shard, latency, or planner: also write the machine-readable report to this path (e.g. BENCH_sort.json)")
@@ -51,7 +50,6 @@ func main() {
 	env := bench.Default()
 	env.Seed = *seed
 	env.BlockPayload = *payload
-	env.SortWorkers = *workers
 	env.EvictionBatch = *evictBatch
 	env.PrefetchDepth = *prefetch
 	env.Cost = storage.CostModel{

@@ -72,10 +72,6 @@ type Env struct {
 	ObliDBSampleCap int64
 	// Padding applies a Section 8 strategy to the oblivious methods.
 	Padding core.PaddingMode
-	// SortWorkers sizes the oblivious sort engine's worker pool for the
-	// core joins (0 or 1 = serial). Traffic counts are identical either
-	// way; only client-side wall-clock changes.
-	SortWorkers int
 	// Trace, when non-nil, attaches one child span per oblivious execution
 	// (named "method query") under it, so every measured join carries a
 	// phase-attributed breakdown (see RunPhases).
@@ -252,7 +248,6 @@ func (e *Env) coreOpts(m *storage.Meter) (core.Options, error) {
 		OutBlockSize:  e.payload() + xcrypto.Overhead,
 		Padding:       e.Padding,
 		DPRand:        e.dpRand(),
-		SortWorkers:   e.SortWorkers,
 		PrefetchDepth: e.PrefetchDepth,
 	}, nil
 }

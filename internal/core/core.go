@@ -96,7 +96,7 @@ func (p PaddingMode) String() string {
 
 // Options configures a join execution.
 type Options struct {
-	// Mem is the trusted client memory for oblivious sorting, in output
+	// Mem is the trusted client memory of the output filter, in output
 	// records — the paper's M (default: two blocks' worth, M = 2B).
 	Mem int
 	// Padding selects the Section 8 output padding strategy.
@@ -116,11 +116,6 @@ type Options struct {
 	Meter *storage.Meter
 	// Sealer encrypts the output table; required.
 	Sealer *xcrypto.Sealer
-	// SortWorkers sizes the worker pool of the oblivious sort engine used by
-	// the final output filter (0 or 1 = serial). Parallel execution permutes
-	// server accesses only within one bitonic stage, so the trace stays a
-	// function of public sizes (DESIGN.md §2.7).
-	SortWorkers int
 	// OneORAM, when non-nil, is the shared Path-ORAM all input tables live
 	// in: the join runs in the Section 7 OneORAM setting, padding every
 	// retrieval to the maximum per-table access count.

@@ -54,12 +54,12 @@ func (w *outWriter) putDummy() error {
 }
 
 // finish applies the Section 8 padding strategy and the paper's final
-// oblivious filter: the output vector is sorted so real records precede
-// dummies (bitonic external sort with mem trusted records) and truncated to
-// the padded size. It returns the decoded real join tuples. join is the
-// algorithm's telemetry span (may be nil); the filter and decode phases
-// attach under it, with the compaction sort's sub-phases nesting under the
-// filter via the Sorter's own span.
+// oblivious filter: the output vector is compacted so real records precede
+// dummies in their emission order (obliv.CompactReal with mem trusted
+// records) and truncated to the padded size. It returns the decoded real
+// join tuples. join is the algorithm's telemetry span (may be nil); the
+// filter and decode phases attach under it, with the compaction's own span
+// nesting under the filter.
 func (w *outWriter) finish(opts Options, cartesian int64, join *telemetry.Span) (tuples []relation.Tuple, realCount, paddedCount int, err error) {
 	filter := join.Child("filter")
 	if err := w.vec.Flush(); err != nil {
@@ -76,8 +76,7 @@ func (w *outWriter) finish(opts Options, cartesian int64, join *telemetry.Span) 
 		}
 	}
 	mem := opts.mem(w.recSize, opts.outBlockSize())
-	sorter := obliv.Sorter{Workers: opts.SortWorkers, Span: filter}
-	if err := sorter.CompactReal(w.vec, mem, relation.IsDummy, int(padded), dummy); err != nil {
+	if err := (obliv.Sorter{Span: filter}).CompactReal(w.vec, mem, relation.IsDummy, int(padded), dummy); err != nil {
 		return nil, 0, 0, err
 	}
 	filter.End()

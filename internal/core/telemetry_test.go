@@ -3,9 +3,12 @@ package core
 import (
 	"testing"
 
+	"oblivjoin/internal/obliv"
 	"oblivjoin/internal/storage"
+	"oblivjoin/internal/table"
 	"oblivjoin/internal/telemetry"
 	"oblivjoin/internal/tracecheck"
+	"oblivjoin/internal/xcrypto"
 )
 
 // tracedSMJ runs a fixed sort-merge join with tracing enabled, optionally
@@ -154,5 +157,87 @@ func TestSpanAttributionINLJ(t *testing.T) {
 	}
 	if join.Find("scan") == nil || join.Find("pad") == nil {
 		t.Fatal("scan/pad phases missing")
+	}
+}
+
+// padAppends is what BlockVector.PadTo spends growing a flushed vector from
+// from to to records: one write round per block it touches, plus a read
+// round first when the last block is partly filled.
+func padAppends(from, to, perBlock int) (blocks, rounds int64) {
+	if to <= from {
+		return 0, 0
+	}
+	n := int64((to+perBlock-1)/perBlock - from/perBlock)
+	if from%perBlock != 0 {
+		n++
+	}
+	return n, n
+}
+
+// TestFilterSpanIsTheCompactionFormula: the filter phase of every operator
+// moves exactly what its public sizes say — the output vector's last
+// partial block, the appends that pad it (to the padded result size, then
+// to the compaction's power-of-two shape), and obliv.CompactTransfers of
+// the padded vector at M = 2B.
+func TestFilterSpanIsTheCompactionFormula(t *testing.T) {
+	k1 := []int64{1, 2, 2, 3, 5, 8, 8, 9, 9, 9, 12, 14}
+	k2 := []int64{1, 2, 2, 2, 8, 9, 9, 13}
+	binary := map[string]func(s1, s2 *table.StoredTable, opts Options) (*Result, error){
+		"smj": func(s1, s2 *table.StoredTable, opts Options) (*Result, error) {
+			return SortMergeJoin(s1, s2, "k", "k", opts)
+		},
+		"inlj": func(s1, s2 *table.StoredTable, opts Options) (*Result, error) {
+			return IndexNestedLoopJoin(s1, s2, "k", "k", opts)
+		},
+		"band": func(s1, s2 *table.StoredTable, opts Options) (*Result, error) {
+			return BandJoin(s1, s2, "k", "k", BandLess, opts)
+		},
+	}
+	for _, mode := range []PaddingMode{PadNone, PadCartesian} {
+		for _, op := range []string{"smj", "inlj", "band", "multiway"} {
+			m := storage.NewMeter()
+			var run func(opts Options) (*Result, error)
+			opts := testJoinOpts(t, m)
+			if op == "multiway" {
+				rels, q := figure6Data()
+				in, mopts := storeMultiway(t, rels, q, m, false)
+				opts = mopts
+				run = func(opts Options) (*Result, error) { return MultiwayJoin(in, opts) }
+			} else {
+				s1, s2, _, _ := storePair(t, k1, k2, m)
+				run = func(opts Options) (*Result, error) { return binary[op](s1, s2, opts) }
+			}
+			opts.Padding = mode
+			root := telemetry.Start("query", m)
+			opts.Span = root
+			res, err := run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root.End()
+			filter := root.Export().Find("filter")
+			if filter == nil {
+				t.Fatalf("%s: no filter span", op)
+			}
+			out, padded := int(filter.Attrs["out"]), int(filter.Attrs["padded"])
+			perBlock := (opts.outBlockSize() - xcrypto.Overhead) / res.Schema.TupleSize()
+			var blocks, rounds int64
+			add := func(b, r int64) { blocks, rounds = blocks+b, rounds+r }
+			if out%perBlock != 0 { // the output writer's last partial block
+				add(1, 1)
+			}
+			add(padAppends(out, padded, perBlock))
+			n := max(out, padded)
+			nb := (n + perBlock - 1) / perBlock
+			if nb > 2 {
+				add(padAppends(n, obliv.NextPow2(nb)*perBlock, perBlock))
+			}
+			b, r := obliv.CompactTransfers(nb, 2)
+			add(int64(b), int64(r))
+			if got := filter.Stats; got.BlocksMoved() != blocks || got.NetworkRounds != rounds {
+				t.Errorf("%s %v (%d records, padded %d, %d per block): filter moved %d blocks in %d rounds, want %d in %d",
+					op, mode, out, padded, perBlock, got.BlocksMoved(), got.NetworkRounds, blocks, rounds)
+			}
+		}
 	}
 }

@@ -195,13 +195,15 @@ func TestSorterSortVectorUnalignedChunks(t *testing.T) {
 	}
 }
 
-// TestSorterCompactRealParallel checks the worker-pool form of the final
-// oblivious filter against the serial one.
+// TestSorterCompactRealParallel: the compaction is not a sort and ignores
+// the worker pool — every pool size gives the serial run's output, counters
+// and trace, round ordinals and block indices included.
 func TestSorterCompactRealParallel(t *testing.T) {
 	const n, mem = 90, 16
 	isDummy := func(rec []byte) bool { return u64of(rec) == ^uint64(0) }
-	run := func(workers int) []uint64 {
-		v := newTestBlockVector(t, 256, 8, 96, nil)
+	run := func(workers int) ([]uint64, storage.Stats, []storage.Access) {
+		m := storage.NewMeter()
+		v := newTestBlockVector(t, 256, 8, 96, m)
 		r := mrand.New(mrand.NewSource(3))
 		real := 0
 		for i := 0; i < n; i++ {
@@ -215,10 +217,13 @@ func TestSorterCompactRealParallel(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		m.Reset()
+		m.SetTracing(true)
 		s := Sorter{Workers: workers}
 		if err := s.CompactReal(v, mem, isDummy, real, u64rec(^uint64(0))); err != nil {
 			t.Fatal(err)
 		}
+		stats, trace := m.Snapshot(), m.Trace()
 		if v.Len() != real {
 			t.Fatalf("workers=%d: compacted length %d, want %d", workers, v.Len(), real)
 		}
@@ -233,20 +238,21 @@ func TestSorterCompactRealParallel(t *testing.T) {
 			}
 			out[i] = u64of(rec)
 		}
-		return out
+		return out, stats, trace
 	}
-	want := run(1)
+	want, wantStats, wantTrace := run(1)
 	for _, w := range []int{2, 8} {
-		got := run(w)
-		wantSet, gotSet := map[uint64]int{}, map[uint64]int{}
+		got, stats, trace := run(w)
 		for i := range want {
-			wantSet[want[i]]++
-			gotSet[got[i]]++
-		}
-		for k, c := range wantSet {
-			if gotSet[k] != c {
-				t.Fatalf("workers=%d: value %d appears %d times, want %d", w, k, gotSet[k], c)
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: position %d holds %d, serial %d", w, i, got[i], want[i])
 			}
+		}
+		if stats != wantStats {
+			t.Fatalf("workers=%d: stats %v, serial %v", w, stats, wantStats)
+		}
+		if d := tracecheck.Diff(wantTrace, trace) + tracecheck.DiffExact(wantTrace, trace); d != "" {
+			t.Fatalf("workers=%d: trace differs from the serial one: %s", w, d)
 		}
 	}
 }

@@ -298,10 +298,10 @@ func (s Sorter) SortVector(v Vector, mem int, less func(a, b []byte) bool) error
 	})
 }
 
-// CompactReal is the worker-pool form of the package-level CompactReal: it
-// obliviously moves the real records in front of the dummies with
-// s.SortVector and truncates to realCount. The padding appends and the
-// truncation are sequential; only the sort itself is parallel.
+// CompactReal is the package-level CompactReal with its compact span nested
+// under s.Span. The compaction is not a sort and ignores s.Workers: each
+// transfer's read carries the previous transfer's write-back, so transfers
+// run one after another.
 func (s Sorter) CompactReal(v *BlockVector, mem int, isDummy func([]byte) bool, realCount int, pad []byte) error {
 	return compactReal(s, v, mem, isDummy, realCount, pad)
 }

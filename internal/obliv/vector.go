@@ -2,16 +2,20 @@
 // algorithms compose: bitonic sorting networks (Network, SortSlice), an
 // external oblivious sort that exploits trusted client memory as in Opaque
 // and ObliDB (SortVector, ChunkShape, SortTransfers), oblivious dummy
-// filtering (CompactReal), and server-resident record vectors whose access
-// patterns depend only on public sizes (Vector, BlockVector, MemVector).
+// filtering (CompactReal, CompactTransfers), and server-resident record
+// vectors whose access patterns depend only on public sizes (Vector,
+// BlockVector, MemVector).
 //
-// All sorts come in two forms: the serial package-level functions, and the
+// The dummy filter is not a sort: it is an order-preserving offset
+// compaction with a fixed O(c log c) schedule over units of whole blocks,
+// each transfer one round carrying the previous transfer's write-back. The
+// sorts come in two forms: the serial package-level functions, and the
 // Sorter engine, which executes the identical fixed compare-exchange
 // schedule with each stage's independent exchanges fanned out over a
 // configurable worker pool. Because the schedule is data-independent,
 // parallel execution permutes server accesses only within a stage and the
 // trace stays a function of public sizes — see DESIGN.md §2.7 for the
-// security argument and the cost model.
+// security argument and the cost model of both.
 package obliv
 
 import (
@@ -105,7 +109,9 @@ func (v *MemVector) StoreRange(lo int, recs [][]byte) error {
 // BlockVector stores fixed-size records packed into encrypted fixed-size
 // blocks on the untrusted server — the layout of every table (including join
 // outputs) in the engine. Appends buffer one block client-side and flush
-// sealed blocks; loads fetch, decrypt, and unpack whole blocks.
+// sealed blocks; loads fetch, decrypt, and unpack whole blocks. Every block
+// operation is a batch the store meters itself: a LoadRange is one round
+// whatever it covers, a flushed or stored block one round per block.
 //
 // Concurrency: a BlockVector supports concurrent LoadRange/StoreRange calls
 // over pairwise disjoint record ranges — the access pattern of the parallel
@@ -119,7 +125,6 @@ func (v *MemVector) StoreRange(lo int, recs [][]byte) error {
 type BlockVector struct {
 	store    *storage.MemStore
 	sealer   *xcrypto.Sealer
-	meter    *storage.Meter
 	recSize  int
 	perBlock int
 	capacity int
@@ -156,7 +161,6 @@ func NewBlockVector(name string, capacity, recSize, blockSize int, meter *storag
 	return &BlockVector{
 		store:        storage.NewMemStore(name, int64(blocks), blockSize, meter),
 		sealer:       sealer,
-		meter:        meter,
 		recSize:      recSize,
 		perBlock:     perBlock,
 		capacity:     capacity,
@@ -253,14 +257,7 @@ func (v *BlockVector) flushLocked() error {
 	for i, r := range v.pending {
 		copy(payload[(v.pendingStart+i)*v.recSize:], r)
 	}
-	sealed, err := v.sealer.Seal(payload)
-	if err != nil {
-		return err
-	}
-	if v.meter != nil {
-		v.meter.CountRound()
-	}
-	if err := v.store.Write(int64(v.pendingBlock), sealed); err != nil {
+	if err := v.sealWrite(v.pendingBlock, payload); err != nil {
 		return err
 	}
 	v.pending = nil
@@ -269,27 +266,41 @@ func (v *BlockVector) flushLocked() error {
 	return nil
 }
 
+// readBlock fetches and opens one block in a round of its own.
 func (v *BlockVector) readBlock(blk int) ([]byte, error) {
-	sealed, err := v.store.Read(int64(blk))
+	sealed, err := v.store.ReadManyTo(nil, []int64{int64(blk)})
 	if err != nil {
 		return nil, err
 	}
-	if v.meter != nil {
-		v.meter.CountRound()
+	return v.open(nil, int64(blk), sealed)
+}
+
+// sealWrite seals one block's payload and writes it in a round of its own.
+func (v *BlockVector) sealWrite(blk int, payload []byte) error {
+	sealed, err := v.sealer.Seal(payload)
+	if err != nil {
+		return err
 	}
-	plain, err := v.sealer.Open(sealed)
+	return v.store.WriteMany([]int64{int64(blk)}, [][]byte{sealed})
+}
+
+// open authenticates and decrypts block blk, appending its payload to dst
+// as xcrypto.Sealer.OpenTo does.
+func (v *BlockVector) open(dst []byte, blk int64, sealed []byte) ([]byte, error) {
+	plain, err := v.sealer.OpenTo(dst, sealed)
 	if err != nil {
 		return nil, fmt.Errorf("obliv: store %q block %d: %w", v.store.Name(), blk, err)
 	}
 	return plain, nil
 }
 
-// LoadRange implements Vector. It fetches each covered block once. Blocks
-// are read without holding the vector mutex, so disjoint-range loads from
-// concurrent sort workers decrypt in parallel.
+// LoadRange implements Vector. It reads the blocks the range covers in one
+// round, without holding the vector mutex, so disjoint-range loads from
+// concurrent sort workers decrypt in parallel. The records it returns share
+// one allocation.
 func (v *BlockVector) LoadRange(lo, n int) ([][]byte, error) {
 	v.mu.Lock()
-	if lo < 0 || lo+n > v.length {
+	if lo < 0 || n < 0 || lo+n > v.length {
 		v.mu.Unlock()
 		return nil, fmt.Errorf("obliv: load [%d,%d) of %d", lo, lo+n, v.length)
 	}
@@ -298,20 +309,31 @@ func (v *BlockVector) LoadRange(lo, n int) ([][]byte, error) {
 		return nil, err
 	}
 	v.mu.Unlock()
-	out := make([][]byte, 0, n)
-	for b := lo / v.perBlock; len(out) < n; b++ {
-		payload, err := v.readBlock(b)
-		if err != nil {
+	out := make([][]byte, n)
+	if n == 0 {
+		return out, nil
+	}
+	first := lo / v.perBlock
+	idxs := make([]int64, (lo+n-1)/v.perBlock-first+1)
+	for k := range idxs {
+		idxs[k] = int64(first + k)
+	}
+	flat, err := v.store.ReadManyTo(nil, idxs)
+	if err != nil {
+		return nil, err
+	}
+	bs, rs := v.store.BlockSize(), v.recSize
+	recs := make([]byte, n*rs)
+	var payload []byte
+	for k, blk := range idxs {
+		if payload, err = v.open(payload[:0], blk, flat[k*bs:(k+1)*bs]); err != nil {
 			return nil, err
 		}
-		first := 0
-		if b == lo/v.perBlock {
-			first = lo % v.perBlock
-		}
-		for i := first; i < v.perBlock && len(out) < n; i++ {
-			rec := make([]byte, v.recSize)
-			copy(rec, payload[i*v.recSize:(i+1)*v.recSize])
-			out = append(out, rec)
+		for s := 0; s < v.perBlock; s++ {
+			if i := int(blk)*v.perBlock + s - lo; i >= 0 && i < n {
+				out[i] = recs[i*rs : (i+1)*rs : (i+1)*rs]
+				copy(out[i], payload[s*rs:])
+			}
 		}
 	}
 	return out, nil
@@ -378,18 +400,11 @@ func (v *BlockVector) storeBlock(b, lo int, recs [][]byte, rmw bool) error {
 			copy(payload[s*v.recSize:], r)
 		}
 	}
-	sealed, err := v.sealer.Seal(payload)
-	if err != nil {
-		return err
-	}
-	if v.meter != nil {
-		v.meter.CountRound()
-	}
-	return v.store.Write(int64(b), sealed)
+	return v.sealWrite(b, payload)
 }
 
 // Truncate shortens the vector to n records (n <= Len). Used after
-// oblivious filtering once dummies have been sorted past position n.
+// oblivious filtering once dummies have been compacted past position n.
 func (v *BlockVector) Truncate(n int) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -27,8 +27,8 @@ const DefaultMaxEntries = 64
 // Cache holds prepared join inputs — filtered, padded, re-indexed copies of
 // base tables — keyed by a keyed-MAC signature of the public input
 // description. A hit hands the second query in a session the already
-// sorted-and-indexed intermediate, skipping the oblivious filter, the
-// compaction sort, and the ORAM re-upload entirely (the dominant costs
+// sorted-and-indexed intermediate, skipping the oblivious filter, its
+// compaction, and the ORAM re-upload entirely (the dominant costs
 // Shafieinejad et al. amortize across query series).
 //
 // Invalidation: a signature covers the table name, its row count, its

@@ -67,7 +67,7 @@ type Output struct {
 	// CacheHits and CacheMisses count this query's prepared-input lookups.
 	CacheHits, CacheMisses int
 	// PrepareStats is the traffic the pushdown phase consumed (selection
-	// scans, compaction sorts, intermediate uploads); zero on full reuse.
+	// scans, compactions, intermediate uploads); zero on full reuse.
 	PrepareStats storage.Stats
 }
 
