@@ -60,7 +60,6 @@ func main() {
 	alg := flag.String("alg", "inlj", "binary algorithm: inlj or smj (ignored with -where/-explain: the planner picks)")
 	cache := flag.Bool("cache", false, "cache index levels above the leaves (+Cache mode)")
 	one := flag.Bool("oneoram", false, "store all tables in a single shared ORAM (Section 7)")
-	workers := flag.Int("workers", 1, "oblivious sort worker pool size (1 = serial)")
 	evictBatch := flag.Int("evict-batch", 1, "paths an ORAM write-back unions before it rides the next download (1 = the path just fetched)")
 	prefetch := flag.Int("prefetch", 0, "coalesce up to this many pad-loop dummy downloads per round; honored only in non-padded mode (0 = off; defaults to -evict-batch)")
 	maxPrint := flag.Int("n", 10, "print at most this many result rows")
@@ -116,7 +115,6 @@ func main() {
 		Setting:        setting,
 		CacheIndexes:   *cache,
 		EnableMultiway: len(joins) > 1,
-		SortWorkers:    *workers,
 		EvictionBatch:  *evictBatch,
 		PrefetchDepth:  *prefetch,
 	})
