@@ -74,16 +74,8 @@ type Env struct {
 	Padding core.PaddingMode
 	// Trace, when non-nil, attaches one child span per oblivious execution
 	// (named "method query") under it, so every measured join carries a
-	// phase-attributed breakdown (see RunPhases).
+	// phase-attributed breakdown (cmd/ojoinbench -trace-out).
 	Trace *telemetry.Span
-	// EvictionBatch is how many fetched paths a Path-ORAM write-back unions
-	// before it rides the next download (DESIGN.md §2.9). 0 or 1 = the one
-	// path just fetched.
-	EvictionBatch int
-	// PrefetchDepth coalesces the pad loops' dummy path downloads, up to
-	// this many per round; the join layer honors it only in non-padded
-	// mode (see core.Options.PrefetchDepth). 0 or 1 = off.
-	PrefetchDepth int
 	// Scales sizes the workloads per figure.
 	Scales Scales
 }
@@ -224,8 +216,6 @@ func (e *Env) tableOpts(m *storage.Meter, raw, cache, writeBack bool) (table.Opt
 		CacheIndex:        cache,
 		WriteBackDescents: writeBack,
 		Raw:               raw,
-		EvictionBatch:     e.EvictionBatch,
-		PrefetchDepth:     e.PrefetchDepth,
 	}
 	if !raw {
 		s, err := e.sealer()
@@ -243,12 +233,11 @@ func (e *Env) coreOpts(m *storage.Meter) (core.Options, error) {
 		return core.Options{}, err
 	}
 	return core.Options{
-		Meter:         m,
-		Sealer:        s,
-		OutBlockSize:  e.payload() + xcrypto.Overhead,
-		Padding:       e.Padding,
-		DPRand:        e.dpRand(),
-		PrefetchDepth: e.PrefetchDepth,
+		Meter:        m,
+		Sealer:       s,
+		OutBlockSize: e.payload() + xcrypto.Overhead,
+		Padding:      e.Padding,
+		DPRand:       e.dpRand(),
 	}, nil
 }
 

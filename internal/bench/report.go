@@ -152,13 +152,7 @@ func WriteTable1(w io.Writer, rows []Table1Row) {
 }
 
 // Experiments lists every runnable experiment by ID: the paper's Table 1
-// and Figures 7–21, plus this repo's ablations, the parallel-sort engine
-// comparison ("sort"), the telemetry-driven per-phase breakdown ("phases"),
-// the mem-vs-disk backend invariance check ("disk"), the multi-session
-// serving-layer throughput sweep ("concurrency"), the striped-store fan-out
-// scaling sweep ("shard"), the per-op server-side latency-histogram profile
-// ("latency"), and the cost-based planner's multi-query cache-reuse session
-// ("planner").
+// and Figures 7–21, plus this repo's ablations.
 func Experiments() []string {
 	ids := []string{"table1"}
 	for i := 7; i <= 21; i++ {
@@ -166,40 +160,11 @@ func Experiments() []string {
 	}
 	return append(ids,
 		"ablation-blocksize", "ablation-z", "ablation-posmap",
-		"ablation-writeback", "ablation-scheme", "ablation-chained", "ablation-dppad",
-		"sort", "phases", "disk", "concurrency", "shard", "latency", "planner")
+		"ablation-writeback", "ablation-scheme", "ablation-chained", "ablation-dppad")
 }
 
 // Run executes one experiment by ID and writes its report.
 func Run(w io.Writer, e *Env, id string) error {
-	if id == "sort" {
-		_, err := RunSort(w, e)
-		return err
-	}
-	if id == "phases" {
-		_, err := RunPhases(w, e)
-		return err
-	}
-	if id == "disk" {
-		_, err := RunDisk(w, e)
-		return err
-	}
-	if id == "concurrency" {
-		_, err := RunConcurrency(w, e)
-		return err
-	}
-	if id == "shard" {
-		_, err := RunShard(w, e)
-		return err
-	}
-	if id == "latency" {
-		_, err := RunLatency(w, e)
-		return err
-	}
-	if id == "planner" {
-		_, err := RunPlanner(w, e)
-		return err
-	}
 	if id == "table1" {
 		rows, err := Table1(e)
 		if err != nil {

@@ -43,8 +43,8 @@ func TestInstrumentedTraceIdentical(t *testing.T) {
 	if d := tracecheck.Diff(plain, instr); d != "" {
 		t.Fatalf("instrumented trace differs from uninstrumented:\n%s", d)
 	}
-	if d := tracecheck.DiffUnordered(plain, instr); d != "" {
-		t.Fatalf("instrumented trace multiset differs:\n%s", d)
+	if d := tracecheck.DiffExact(plain, instr); d != "" {
+		t.Fatalf("instrumented trace touched different blocks:\n%s", d)
 	}
 }
 

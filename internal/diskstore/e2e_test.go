@@ -166,3 +166,80 @@ func TestJoinSurvivesServerRestart(t *testing.T) {
 		t.Fatalf("restart changed the ORAM access count: %d vs %d", acc1, acc2)
 	}
 }
+
+// TestBackendInvisibleToObliviousCost runs one seeded sort-merge join over
+// in-memory stores and over a diskstore.Dir syncing every commit and every
+// 16th. Persistence sits below the access pattern, so the join's ORAM
+// accesses, network rounds and blocks moved must be identical on all three
+// backends — a backend that changed them would be a leak — while group
+// commit must cost fewer WAL fsyncs than per-commit sync.
+func TestBackendInvisibleToObliviousCost(t *testing.T) {
+	sealer, err := xcrypto.NewSealer(bytes.Repeat([]byte{9}, xcrypto.KeySize), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1 := []int64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3}
+	k2 := []int64{2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5, 9, 0, 4, 5}
+	want := fmt.Sprint(multiset(core.ReferenceEquiJoin(e2eRel("t1", k1), e2eRel("t2", k2), "k", "k")))
+
+	type cost struct{ accesses, rounds, blocks, walFsyncs int64 }
+	run := func(syncEvery int) cost {
+		m := storage.NewMeter()
+		topts := table.Options{
+			BlockPayload: 256,
+			Meter:        m,
+			Sealer:       sealer,
+			Rand:         oram.NewSeededSource(7),
+		}
+		var dir *diskstore.Dir
+		if syncEvery > 0 {
+			d, err := diskstore.Open(t.TempDir(), diskstore.Options{SyncEvery: syncEvery, Meter: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			dir = d
+			topts.OpenStore = d.Opener()
+		}
+		t1, err := table.Store(e2eRel("t1", k1), []string{"k"}, topts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t2, err := table.Store(e2eRel("t2", k2), []string{"k"}, topts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Reset()
+		pre := accesses(t1) + accesses(t2)
+		res, err := core.SortMergeJoin(t1, t2, "k", "k", core.Options{Meter: m, Sealer: sealer, OutBlockSize: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(multiset(res.Tuples)); got != want {
+			t.Fatalf("sync-every %d: join %s, want %s", syncEvery, got, want)
+		}
+		st := m.Snapshot()
+		c := cost{accesses: accesses(t1) + accesses(t2) - pre, rounds: st.NetworkRounds, blocks: st.BlocksMoved()}
+		if dir != nil {
+			_, _, total := dir.Stats()
+			c.walFsyncs = total.WALFsyncs
+		}
+		return c
+	}
+
+	mem, sync1, sync16 := run(0), run(1), run(16)
+	if mem.accesses == 0 || mem.rounds == 0 || mem.blocks == 0 {
+		t.Fatalf("in-memory join measured nothing: %+v", mem)
+	}
+	for _, c := range []cost{sync1, sync16} {
+		if c.accesses != mem.accesses || c.rounds != mem.rounds || c.blocks != mem.blocks {
+			t.Fatalf("disk backend changed the oblivious cost: %+v vs in-memory %+v", c, mem)
+		}
+	}
+	if sync1.walFsyncs == 0 || sync16.walFsyncs >= sync1.walFsyncs {
+		t.Fatalf("WAL fsyncs: %d at sync-every 16, %d at sync-every 1 — group commit saved nothing",
+			sync16.walFsyncs, sync1.walFsyncs)
+	}
+	t.Logf("accesses %d, rounds %d, blocks %d on every backend; WAL fsyncs %d at sync-every 1, %d at 16",
+		mem.accesses, mem.rounds, mem.blocks, sync1.walFsyncs, sync16.walFsyncs)
+}

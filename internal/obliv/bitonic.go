@@ -15,8 +15,7 @@ func errNotPow2(n int) error {
 //
 // Batcher's bitonic network performs O(n log² n) exchanges, the standard
 // choice of the oblivious-query literature for its small constants
-// (Section 4.1 of the paper). Sorter.Network executes the same schedule
-// with each stage's independent exchanges fanned out over a worker pool.
+// (Section 4.1 of the paper).
 func Network(n int, exchange func(i, j int, ascending bool) error) error {
 	if n == 0 {
 		return nil
@@ -69,8 +68,36 @@ func NextPow2(n int) int {
 // to a power of two with +infinity sentinels (bitonic networks require real
 // exchanges on padding elements; virtual padding is not sound). The
 // comparison sequence depends only on len(items), so the sort is oblivious
-// when items live in observable memory. It is the serial form of
-// Sorter.SortSlice.
+// when items live in observable memory.
 func SortSlice(items [][]byte, less func(a, b []byte) bool) error {
-	return Sorter{}.SortSlice(items, less)
+	n := len(items)
+	p := NextPow2(n)
+	work := make([][]byte, p)
+	copy(work, items) // indices >= n stay nil, treated as +infinity
+	lessInf := func(a, b []byte) bool {
+		switch {
+		case b == nil:
+			return a != nil // anything < +inf, +inf !< +inf
+		case a == nil:
+			return false
+		default:
+			return less(a, b)
+		}
+	}
+	err := Network(p, func(i, j int, asc bool) error {
+		a, b := work[i], work[j]
+		swap := lessInf(b, a)
+		if !asc {
+			swap = lessInf(a, b)
+		}
+		if swap {
+			work[i], work[j] = work[j], work[i]
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	copy(items, work[:n])
+	return nil
 }

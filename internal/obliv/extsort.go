@@ -32,10 +32,6 @@ func errUnpadded(padded, chunk, n int) error {
 // ChunkShape (callers pad with records that sort last); the sort then runs
 // a bitonic network over sorted chunks with in-memory merge-splits. Every
 // server access depends only on v.Len() and mem.
-//
-// SortVector is the serial form of Sorter.SortVector, which performs the
-// identical record transfers with the chunk sorts and per-stage merge-splits
-// fanned out over a worker pool.
 func SortVector(v Vector, mem int, less func(a, b []byte) bool) error {
 	return Sorter{}.SortVector(v, mem, less)
 }

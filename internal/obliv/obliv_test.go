@@ -455,6 +455,48 @@ func TestSortVectorOnBlockVector(t *testing.T) {
 	}
 }
 
+// TestSorterSortVectorUnalignedChunks exercises the edge-block
+// read-modify-write path: 12-byte records in 96-byte blocks hold
+// (96-32)/12 = 5 records per block, so the 8-record chunks of the external
+// sort straddle block boundaries and neighbouring chunks share edge blocks.
+func TestSorterSortVectorUnalignedChunks(t *testing.T) {
+	const n, mem = 64, 16
+	v := newTestBlockVector(t, 256, 12, 96, nil)
+	r := mrand.New(mrand.NewSource(9))
+	padded, _ := ChunkShape(n, mem)
+	want := make([]uint64, 0, padded)
+	for i := 0; i < n; i++ {
+		x := uint64(r.Intn(500))
+		want = append(want, x)
+		rec := make([]byte, 12)
+		copy(rec, u64rec(x))
+		if err := v.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pad := make([]byte, 12)
+	copy(pad, u64rec(^uint64(0)))
+	if err := v.PadTo(padded, pad); err != nil {
+		t.Fatal(err)
+	}
+	for i := n; i < padded; i++ {
+		want = append(want, ^uint64(0))
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if err := (Sorter{}).SortVector(v, mem, lessU64); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := v.LoadRange(0, padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		if u64of(rec) != want[i] {
+			t.Fatalf("pos %d = %d, want %d", i, u64of(rec), want[i])
+		}
+	}
+}
+
 func TestSortVectorPatternDependsOnlyOnSize(t *testing.T) {
 	run := func(seed int64) []storage.Access {
 		m := storage.NewMeter()

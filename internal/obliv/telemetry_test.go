@@ -24,9 +24,9 @@ func fillShuffled(t *testing.T, v *BlockVector, n int, seed int64) {
 	}
 }
 
-// TestSorterSpanPhases runs the parallel external sort under a live span
-// and verifies the phase tree: sort.runs and sort.merge are present, carry
-// the pool size, and their stats sum to the root's meter delta.
+// TestSorterSpanPhases runs the external sort under a live span and
+// verifies the phase tree: sort.runs and sort.merge are present, carry their
+// public sizes, and their stats sum to the root's meter delta.
 func TestSorterSpanPhases(t *testing.T) {
 	const n, mem = 1 << 10, 1 << 7
 	m := storage.NewMeter()
@@ -34,8 +34,7 @@ func TestSorterSpanPhases(t *testing.T) {
 	fillShuffled(t, v, n, 3)
 
 	root := telemetry.Start("sort", m)
-	s := Sorter{Workers: 4, Span: root}
-	if err := s.SortVector(v, mem, lessU64); err != nil {
+	if err := (Sorter{Span: root}).SortVector(v, mem, lessU64); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -55,21 +54,21 @@ func TestSorterSpanPhases(t *testing.T) {
 	if runs == nil || merge == nil {
 		t.Fatal("sort.runs / sort.merge spans missing")
 	}
-	if runs.Workers != 4 || merge.Workers != 4 {
-		t.Fatalf("workers = %d/%d, want 4", runs.Workers, merge.Workers)
-	}
 	if runs.Attrs["n"] != n || runs.Attrs["chunk"] != mem/2 {
 		t.Fatalf("runs attrs = %v", runs.Attrs)
+	}
+	if merge.Attrs["chunks"] != 2*n/mem {
+		t.Fatalf("merge attrs = %v", merge.Attrs)
 	}
 	if sum := node.ChildSum(); sum != node.Stats {
 		t.Fatalf("phase sum %+v != sort stats %+v", sum, node.Stats)
 	}
 }
 
-// TestConcurrentSortersShareRoot drives several parallel sorts at once,
-// each attaching its phases under one shared root span — the concurrent
-// usage shape CI checks under -race. The meterless root must aggregate the
-// per-sort meters' deltas.
+// TestConcurrentSortersShareRoot drives several sorts at once from their
+// own goroutines, each attaching its phases under one shared root span — the
+// concurrent usage shape CI checks under -race. The meterless root must
+// aggregate the per-sort meters' deltas.
 func TestConcurrentSortersShareRoot(t *testing.T) {
 	const n, mem = 1 << 8, 1 << 6
 	root := telemetry.Start("para", nil)
@@ -84,8 +83,7 @@ func TestConcurrentSortersShareRoot(t *testing.T) {
 			v := newTestBlockVector(t, n, 8, 256, m)
 			fillShuffled(t, v, n, int64(g))
 			sp := root.ChildMeter(fmt.Sprintf("sort%d", g), m)
-			s := Sorter{Workers: 2, Span: sp}
-			if err := s.SortVector(v, mem, lessU64); err != nil {
+			if err := (Sorter{Span: sp}).SortVector(v, mem, lessU64); err != nil {
 				t.Error(err)
 			}
 			sp.End()

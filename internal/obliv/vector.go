@@ -8,14 +8,9 @@
 //
 // The dummy filter is not a sort: it is an order-preserving offset
 // compaction with a fixed O(c log c) schedule over units of whole blocks,
-// each transfer one round carrying the previous transfer's write-back. The
-// sorts come in two forms: the serial package-level functions, and the
-// Sorter engine, which executes the identical fixed compare-exchange
-// schedule with each stage's independent exchanges fanned out over a
-// configurable worker pool. Because the schedule is data-independent,
-// parallel execution permutes server accesses only within a stage and the
-// trace stays a function of public sizes — see DESIGN.md §2.7 for the
-// security argument and the cost model of both.
+// each transfer one round carrying the previous transfer's write-back. Sorter
+// runs the external sort and the compaction with their phases attached to a
+// telemetry span. See DESIGN.md §2.7 for the cost model of both.
 package obliv
 
 import (
@@ -32,9 +27,8 @@ import (
 // request index sequences that depend only on public sizes.
 //
 // Concurrency contract: implementations must support concurrent LoadRange
-// and StoreRange calls whose record ranges are pairwise disjoint — the
-// access pattern of the parallel sort engine (Sorter). Operations that
-// change Len (appends, truncation) and overlapping-range access require
+// and StoreRange calls whose record ranges are pairwise disjoint.
+// Operations that change Len (appends, truncation) and overlapping-range access require
 // external synchronization.
 type Vector interface {
 	// Len is the number of records currently in the vector.
@@ -114,14 +108,13 @@ func (v *MemVector) StoreRange(lo int, recs [][]byte) error {
 // whatever it covers, a flushed or stored block one round per block.
 //
 // Concurrency: a BlockVector supports concurrent LoadRange/StoreRange calls
-// over pairwise disjoint record ranges — the access pattern of the parallel
-// sort engine (Sorter). Record ranges need not be block-aligned: a mutex
-// makes the read-modify-write of a partially covered edge block atomic, so
-// two neighbouring ranges sharing an edge block cannot lose each other's
-// slots, and the same mutex guards the client-side append buffer. Length-
-// changing operations (Append, PadTo, Truncate) and overlapping ranges
-// still require exclusive access: they are individually data-race-free but
-// their interleavings have no useful semantics.
+// over pairwise disjoint record ranges. Record ranges need not be
+// block-aligned: a mutex makes the read-modify-write of a partially covered
+// edge block atomic, so two neighbouring ranges sharing an edge block cannot
+// lose each other's slots, and the same mutex guards the client-side append
+// buffer. Length-changing operations (Append, PadTo, Truncate) and
+// overlapping ranges still require exclusive access: they are individually
+// data-race-free but their interleavings have no useful semantics.
 type BlockVector struct {
 	store    *storage.MemStore
 	sealer   *xcrypto.Sealer
@@ -295,8 +288,8 @@ func (v *BlockVector) open(dst []byte, blk int64, sealed []byte) ([]byte, error)
 }
 
 // LoadRange implements Vector. It reads the blocks the range covers in one
-// round, without holding the vector mutex, so disjoint-range loads from
-// concurrent sort workers decrypt in parallel. The records it returns share
+// round, without holding the vector mutex, so concurrent disjoint-range
+// loads decrypt in parallel. The records it returns share
 // one allocation.
 func (v *BlockVector) LoadRange(lo, n int) ([][]byte, error) {
 	v.mu.Lock()

@@ -188,6 +188,53 @@ func TestPlanCacheWarmRun(t *testing.T) {
 	equalMultiset(t, warm.Tuples, cold.Tuples)
 }
 
+// TestPlanCacheReuseAcrossJoins: a *different* join over the same filtered
+// input must hit the cache entry the first join built and move no prepare
+// blocks — the signature names the filtered input, not the query around it.
+func TestPlanCacheReuseAcrossJoins(t *testing.T) {
+	keys := make([]int64, 48)
+	for i := range keys {
+		keys[i] = int64(i % 12)
+	}
+	rels := map[string]*relation.Relation{
+		"a": makeRel("a", keys),
+		"b": makeRel("b", []int64{0, 1, 2, 3, 4, 5}),
+		"c": makeRel("c", []int64{1, 3, 5, 7, 9, 11}),
+	}
+	env := newEnv(t, envConfig{padding: core.PadClosestPower}, rels,
+		map[string][]string{"a": {"k"}, "b": {"k"}, "c": {"k"}})
+	filter := []operators.Pred{{Column: "k", Op: operators.LT, Value: 6}}
+
+	first := equiSpec("a", "b")
+	first.Filters = []Filter{{Table: "a", Preds: filter}}
+	cold, err := env.ex.Run(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.CacheMisses != 1 || cold.PrepareStats.BlocksMoved() == 0 {
+		t.Fatalf("first join: %d misses, %d prepare blocks — it should build the filtered input",
+			cold.CacheMisses, cold.PrepareStats.BlocksMoved())
+	}
+
+	second := equiSpec("a", "c")
+	second.Filters = []Filter{{Table: "a", Preds: filter}}
+	second.Project = []string{"a.k", "a.id", "c.k", "c.id"}
+	out, err := env.ex.Run(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.CacheHits != 1 || out.CacheMisses != 0 || !out.Plan.Inputs[0].Cached {
+		t.Fatalf("second join: %d hits %d misses, want the filtered input from the cache", out.CacheHits, out.CacheMisses)
+	}
+	if out.PrepareStats.BlocksMoved() != 0 {
+		t.Fatalf("second join prepare moved %d blocks, want 0", out.PrepareStats.BlocksMoved())
+	}
+	equalMultiset(t, out.Tuples, core.ReferenceEquiJoin(filterRel(rels["a"], filter), rels["c"], "k", "k"))
+	if st := env.ex.Cache.Stats(); st.Entries != 1 || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats %+v, want 1 entry, 1 hit, 1 miss", st)
+	}
+}
+
 // TestPreparedStoresUseReservedNamespace: every store a prepared input
 // provisions must live under the plan-cache prefix the session layer
 // reserves.

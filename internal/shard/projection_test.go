@@ -66,7 +66,7 @@ func driveORAM(t *testing.T, open storage.Opener, meter *storage.Meter) {
 // unsharded run's trace — same stores, kinds, global indices, sizes, in
 // the same order — and (2) each shard's physical trace is exactly the
 // image of the unsharded trace under the public projection
-// i ↦ (i mod N, i div N), as a multiset. The adversary at any shard sees a
+// i ↦ (i mod N, i div N), access for access and in order. The adversary at any shard sees a
 // fixed geometric projection of the already-proven single-server trace.
 func TestShardTraceProjection(t *testing.T) {
 	for _, n := range []int{2, 4} {
@@ -109,7 +109,7 @@ func TestShardTraceProjection(t *testing.T) {
 					a.Index = LocalIndex(a.Index, n)
 					projected = append(projected, a)
 				}
-				if d := tracecheck.DiffUnordered(projected, shardMeters[s].Trace()); d != "" {
+				if d := tracecheck.DiffExact(projected, shardMeters[s].Trace()); d != "" {
 					t.Fatalf("shard %d/%d trace is not the geometry projection of the unsharded trace:\n%s", s, n, d)
 				}
 			}

@@ -14,7 +14,7 @@ func NewLogger(w io.Writer) *slog.Logger {
 }
 
 // Log emits one structured record per span, depth-first, with the dotted
-// phase path, wall time, traffic counters, worker count, and the span's
+// phase path, wall time, traffic counters, and the span's
 // public-size annotations (prefixed "attr_"). Use with NewLogger or any
 // slog.Logger the host application already runs.
 func (n *Node) Log(l *slog.Logger) {
@@ -30,9 +30,6 @@ func (n *Node) Log(l *slog.Logger) {
 			slog.Int64("block_writes", node.Stats.BlockWrites),
 			slog.Int64("bytes_moved", node.Stats.BytesMoved()),
 			slog.Int64("rounds", node.Stats.NetworkRounds),
-		}
-		if node.Workers > 0 {
-			attrs = append(attrs, slog.Int("workers", node.Workers))
 		}
 		keys := make([]string, 0, len(node.Attrs))
 		for k := range node.Attrs {

@@ -1,25 +1,23 @@
 // Package telemetry provides hierarchical, phase-attributed measurement
 // for the oblivious join pipeline: span trees over query phases (join →
-// load → merge → pad → filter → sort runs/merge), each span capturing wall
+// load → merge → pad → filter → compact → decode), each span capturing wall
 // time, a goroutine-safe storage.Meter delta (block reads/writes, bytes,
-// network rounds), the worker-pool size that executed the phase, and
-// public-size annotations.
+// network rounds), and public-size annotations.
 //
 // Leakage discipline (DESIGN.md §2.8): a span may record *only* quantities
 // that are public under Definition 1 — input sizes, padded step counts,
-// IOSize-derived values, worker counts, and aggregate traffic counters.
+// IOSize-derived values, and aggregate traffic counters.
 // Key values, per-tuple outcomes, or any data-dependent quantity beyond
 // the (already leaked) output size must never be attached to a span. The
 // telemetry layer itself performs no server accesses: it only snapshots
 // Meter counters, so an instrumented execution produces a server-visible
 // trace identical to an uninstrumented one (asserted by tests with
-// tracecheck.DiffUnordered).
+// tracecheck.Diff).
 //
 // All Span methods are safe on a nil receiver and no-op there, so
 // instrumented code paths cost a single pointer test when telemetry is
-// disabled. Spans are safe for concurrent use: the parallel sort engine
-// attaches children and ends phases from its worker goroutines' caller
-// under -race.
+// disabled. Spans are safe for concurrent use: goroutines may attach
+// children to, annotate, and end spans of one tree at once.
 package telemetry
 
 import (
@@ -49,7 +47,6 @@ type Span struct {
 	dur        time.Duration
 	stats      storage.Stats
 	ended      bool
-	workers    int
 	attrs      []Attr
 	children   []*Span
 }
@@ -175,16 +172,6 @@ func (s *Span) SetAttr(key string, v int64) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: v})
 }
 
-// SetWorkers records the worker-pool size that executed the phase.
-func (s *Span) SetWorkers(n int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.workers = n
-	s.mu.Unlock()
-}
-
 // End closes the span: wall time stops and the meter delta since the span
 // opened is captured. End is idempotent; spans still open at Export time
 // are measured as of the export.
@@ -225,7 +212,6 @@ func (s *Span) Stats() storage.Stats {
 type Node struct {
 	Name       string           `json:"name"`
 	DurationNS int64            `json:"duration_ns"`
-	Workers    int              `json:"workers,omitempty"`
 	Attrs      map[string]int64 `json:"attrs,omitempty"`
 	Stats      storage.Stats    `json:"stats"`
 	Children   []*Node          `json:"children,omitempty"`
@@ -239,7 +225,7 @@ func (s *Span) Export() *Node {
 		return nil
 	}
 	s.mu.Lock()
-	n := &Node{Name: s.name, Workers: s.workers}
+	n := &Node{Name: s.name}
 	if s.ended {
 		n.DurationNS = int64(s.dur)
 		n.Stats = s.stats

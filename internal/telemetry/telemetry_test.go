@@ -31,7 +31,6 @@ func TestNilSpanSafe(t *testing.T) {
 		t.Fatalf("nil.Child returned non-nil")
 	}
 	c.SetAttr("n", 1)
-	c.SetWorkers(4)
 	c.End()
 	if c.Export() != nil {
 		t.Fatalf("nil.Export returned non-nil")
@@ -113,7 +112,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	root.SetAttr("n1", 1024)
 	root.SetAttr("io_size", 512)
 	c := root.Child("filter")
-	c.SetWorkers(4)
 	c.SetAttr("padded", 2048)
 	touch(t, st, 4)
 	c.End()
@@ -142,8 +140,8 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 // TestConcurrentSpans attaches children and annotations from many
-// goroutines at once — the parallel sorter's usage shape, run under -race
-// in CI.
+// goroutines at once, with live reads racing the writers; CI runs it under
+// -race.
 func TestConcurrentSpans(t *testing.T) {
 	m := storage.NewMeter()
 	st := storage.NewMemStore("conc", 64, 32, m)
@@ -156,7 +154,6 @@ func TestConcurrentSpans(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				c := root.Child(fmt.Sprintf("w%d", g))
 				c.SetAttr("i", int64(i))
-				c.SetWorkers(g)
 				buf := make([]byte, 32)
 				if err := st.Write(int64(g), buf); err != nil {
 					t.Error(err)

@@ -151,7 +151,7 @@ func (s *PathORAMSim) flushNow() {
 // DiffExact compares two traces access by access — store, kind, physical
 // index, and size — and describes the first divergence, or returns "" when
 // the sequences are identical. Diff drops indices (ORAM randomizes them
-// between runs) and DiffUnordered drops ordering; DiffExact is for checking
+// between runs); DiffExact is for checking
 // a simulator's prediction against the very run whose randomness it was
 // given. It is a per-store projection: round ordinals say how a store's
 // accesses were grouped with other stores', which a simulator of one store

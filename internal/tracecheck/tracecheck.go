@@ -10,7 +10,6 @@ package tracecheck
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"oblivjoin/internal/storage"
@@ -85,51 +84,6 @@ func batches(trace []storage.Access) []storage.Access {
 			out = append(out, a)
 		}
 	}
-	return out
-}
-
-// DiffUnordered compares two traces as multisets of block operations
-// (store, kind, physical index, and bytes; not the round, which is a
-// position in the order this comparison drops) and describes the first
-// mismatch, or returns "" when one trace is a permutation of the other.
-//
-// This is the check the parallel sort engine satisfies: its worker pool
-// reorders accesses within one bitonic stage but performs exactly the
-// serial engine's accesses, so the parallel trace is stage-wise — and hence
-// globally — a permutation of the serial one. (Equality of the multisets
-// plus equal length is what an adversary who cannot observe intra-stage
-// timing distinguishes on; see DESIGN.md §2.7.)
-func DiffUnordered(a, b []storage.Access) string {
-	if len(a) != len(b) {
-		return fmt.Sprintf("trace lengths differ: %d vs %d", len(a), len(b))
-	}
-	sa, sb := sortedCopy(a), sortedCopy(b)
-	for i := range sa {
-		if !sameAccess(sa[i], sb[i]) {
-			return fmt.Sprintf("access multisets differ at sorted position %d: %s/%s/%d/%dB vs %s/%s/%d/%dB",
-				i, sa[i].Store, sa[i].Kind, sa[i].Index, sa[i].Bytes,
-				sb[i].Store, sb[i].Kind, sb[i].Index, sb[i].Bytes)
-		}
-	}
-	return ""
-}
-
-func sortedCopy(t []storage.Access) []storage.Access {
-	out := make([]storage.Access, len(t))
-	copy(out, t)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Store != b.Store {
-			return a.Store < b.Store
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Index != b.Index {
-			return a.Index < b.Index
-		}
-		return a.Bytes < b.Bytes
-	})
 	return out
 }
 

@@ -108,8 +108,7 @@ func TestDiffReportsDivergence(t *testing.T) {
 
 // TestDiffSeesRoundBoundaries: the same accesses grouped into different
 // rounds are different traces to Diff and DiffRounds, and the same trace to
-// the comparisons that project the grouping out (DiffExact: one store's
-// view; DiffUnordered: no order at all).
+// DiffExact, which projects the grouping out (one store's view).
 func TestDiffSeesRoundBoundaries(t *testing.T) {
 	lockstep := []storage.Access{
 		{Store: "x", Kind: storage.KindRead, Index: 1, Bytes: 8, Round: 1},
@@ -127,9 +126,6 @@ func TestDiffSeesRoundBoundaries(t *testing.T) {
 	if d := DiffExact(lockstep, oneByOne); d != "" {
 		t.Fatalf("DiffExact compared round ordinals: %s", d)
 	}
-	if d := DiffUnordered(lockstep, oneByOne); d != "" {
-		t.Fatalf("DiffUnordered compared round ordinals: %s", d)
-	}
 	// A batch that moved one more block is the same batch to DiffRounds.
 	longer := append([]storage.Access{lockstep[0]}, lockstep...)
 	longer[1].Index = 9
@@ -138,26 +134,6 @@ func TestDiffSeesRoundBoundaries(t *testing.T) {
 	}
 	if Diff(lockstep, longer) == "" {
 		t.Fatal("Diff ignored a batch size")
-	}
-}
-
-func TestDiffUnordered(t *testing.T) {
-	a := []storage.Access{
-		{Store: "x", Kind: storage.KindRead, Index: 1, Bytes: 8},
-		{Store: "x", Kind: storage.KindWrite, Index: 2, Bytes: 8},
-		{Store: "y", Kind: storage.KindRead, Index: 0, Bytes: 16},
-	}
-	perm := []storage.Access{a[2], a[0], a[1]}
-	if d := DiffUnordered(a, perm); d != "" {
-		t.Fatalf("permutation reported different: %s", d)
-	}
-	if DiffUnordered(a, a[:2]) == "" {
-		t.Fatal("length mismatch reported equal")
-	}
-	other := append([]storage.Access(nil), a...)
-	other[1].Index = 7 // same structure, different physical slot
-	if DiffUnordered(a, other) == "" {
-		t.Fatal("index change reported as a permutation")
 	}
 }
 
