@@ -1,0 +1,235 @@
+package btree
+
+import (
+	"fmt"
+
+	"oblivjoin/internal/oram"
+)
+
+// Mode says what a descent looks for.
+type Mode uint8
+
+const (
+	// Dummy touches no node: every access of the descent is a dummy one.
+	Dummy Mode = iota
+	// KeyGE finds the first live entry with key >= the target.
+	KeyGE
+	// OrdGE finds the first live entry with ordinal >= the target.
+	OrdGE
+	// OrdLE finds the last live entry with ordinal <= the target.
+	OrdLE
+	// DisableOrd disables the live entry whose ordinal is the target
+	// (WriteBackDescents only).
+	DisableOrd
+)
+
+// pathStep records one visited node during a descent.
+type pathStep struct {
+	id    uint64
+	node  *node
+	entry int // entry index descended through (internal nodes) or picked (leaf)
+}
+
+// Descent is one lookup, disable or dummy operation on a tree, performed one
+// ORAM access at a time: the reads root to leaf, then — in WriteBackDescents
+// mode — the write-ups leaf to root. Req builds the next access from what
+// the previous one brought in and Land takes its outcome, so the caller
+// decides which round each access travels in and may put it beside other
+// trees' accesses. Every descent of a tree, whatever its mode, target or
+// outcome, makes the same AccessesPerRetrieval accesses: when routing finds
+// no candidate the walk continues through the last entry of each node and
+// the descent reports not found, and a Dummy descent makes dummy accesses.
+//
+// Only the first KeyFree accesses can be built before the target is known;
+// a descent started with Defer gets its target from Target before then.
+// A Descent is reusable: its decode buffers carry over from one descent to
+// the next.
+type Descent struct {
+	t      *Tree
+	mode   Mode
+	target int64
+	keyed  bool // the target is known
+	found  bool
+	done   int // accesses landed
+	ent    Entry
+	path   []pathStep
+	nodes  []node // decode buffers, one per outsourced level
+	buf    []byte // write-up encode buffer
+}
+
+// Start begins a descent for the given target.
+func (d *Descent) Start(t *Tree, m Mode, target int64) {
+	d.Defer(t, m)
+	d.Target(target, true)
+}
+
+// Defer begins a descent whose target follows (Target).
+func (d *Descent) Defer(t *Tree, m Mode) {
+	d.t, d.mode, d.keyed, d.found, d.done, d.ent = t, m, false, true, 0, Entry{}
+	d.path = d.path[:0]
+	if cap(d.path) < t.Height() {
+		d.path = make([]pathStep, 0, t.Height())
+	}
+	if n := t.OutsourcedLevels(); cap(d.nodes) < n {
+		d.nodes = make([]node, n)
+	}
+}
+
+// Target gives the descent its target; ok=false says there is none, and the
+// descent completes as a miss with the same accesses.
+func (d *Descent) Target(target int64, ok bool) {
+	d.target, d.keyed = target, true
+	d.found = d.found && ok
+}
+
+// Done reports whether every access of the descent has landed.
+func (d *Descent) Done() bool { return d.done == d.t.AccessesPerRetrieval() }
+
+// Landed returns how many of the descent's accesses have landed.
+func (d *Descent) Landed() int { return d.done }
+
+// Result returns the entry the descent found, valid once its leaf access —
+// access OutsourcedLevels() − 1 — has landed. A disable reports the entry
+// it disabled.
+func (d *Descent) Result() (Entry, bool) { return d.ent, d.found }
+
+// Req builds the descent's next access.
+func (d *Descent) Req() (oram.Req, error) {
+	t := d.t
+	req := oram.Req{ORAM: t.cfg.ORAM}
+	switch reads := t.OutsourcedLevels(); {
+	case d.mode == Dummy:
+		req.Dummy = true
+	case d.mode == DisableOrd && !t.cfg.WriteBackDescents:
+		return req, fmt.Errorf("btree: Disable requires WriteBackDescents")
+	case d.done >= reads:
+		return d.writeUp(req, d.done-reads)
+	case !d.keyed && d.done >= t.KeyFree():
+		return req, fmt.Errorf("btree: access %d of a descent built before its target", d.done)
+	default:
+		id := t.rootID()
+		if d.done > 0 {
+			id = d.route(&d.path[len(d.path)-1])
+		}
+		for n, ok := t.cache[id]; ok; n, ok = t.cache[id] { // cached levels cost no access
+			d.path = append(d.path, pathStep{id: id, node: n})
+			id = d.route(&d.path[len(d.path)-1])
+		}
+		req.Key = id
+	}
+	return req, nil
+}
+
+// route picks the child of an internal path node to descend into.
+func (d *Descent) route(s *pathStep) uint64 {
+	n := s.node
+	idx := -1
+	if d.found {
+		switch d.mode {
+		case KeyGE:
+			idx = n.routeKeyGE(d.target)
+		case OrdGE, DisableOrd:
+			idx = n.routeOrdGE(d.target)
+		case OrdLE:
+			idx = n.routeOrdLE(d.target)
+		}
+	}
+	if idx < 0 {
+		d.found = false
+		idx = len(n.intEnts) - 1 // fixed dummy continuation
+	}
+	s.entry = idx
+	return n.intEnts[idx].child
+}
+
+// Land takes the outcome of the access Req built last.
+func (d *Descent) Land(req oram.Req) error {
+	t := d.t
+	k := d.done
+	d.done++
+	if req.Err != nil {
+		if req.Dummy {
+			return req.Err
+		}
+		return fmt.Errorf("btree: node %d: %w", req.Key, req.Err)
+	}
+	reads := t.OutsourcedLevels()
+	if d.mode == Dummy || k >= reads {
+		return nil
+	}
+	n := &d.nodes[k]
+	if err := n.decode(req.Data); err != nil {
+		return err
+	}
+	if n.leaf != (k == reads-1) {
+		return fmt.Errorf("btree: node %d is read %d of a %d-read descent, leaf=%v", req.Key, k, reads, n.leaf)
+	}
+	d.path = append(d.path, pathStep{id: req.Key, node: n, entry: -1})
+	if !n.leaf {
+		return nil
+	}
+	idx := -1
+	if d.found {
+		switch d.mode {
+		case KeyGE:
+			idx = n.leafKeyGE(d.target)
+		case OrdGE, DisableOrd:
+			idx = n.leafOrdGE(d.target)
+		case OrdLE:
+			idx = n.leafOrdLE(d.target)
+		}
+	}
+	d.path[len(d.path)-1].entry = idx
+	if idx < 0 {
+		d.found = false
+	}
+	if d.mode == DisableOrd {
+		if idx < 0 {
+			return fmt.Errorf("btree: disable of ordinal %d: not found or already disabled", d.target)
+		}
+		e := &n.leafEnts[idx]
+		if e.ord != d.target {
+			return fmt.Errorf("btree: disable of ordinal %d reached entry %d", d.target, e.ord)
+		}
+		e.live = false
+	}
+	if idx >= 0 {
+		d.ent = n.leafEnts[idx].public()
+	}
+	return nil
+}
+
+// writeUp builds write-up j (0 = the leaf) of a WriteBackDescents descent:
+// the path's outsourced nodes are rewritten bottom-up, with every parent's
+// live aggregates refreshed from the child it was descended through.
+func (d *Descent) writeUp(req oram.Req, j int) (oram.Req, error) {
+	if j == 0 {
+		for i := len(d.path) - 1; i > 0; i-- {
+			p := &d.path[i-1]
+			e := &p.node.intEnts[p.entry]
+			e.maxLiveKey, e.maxLiveOrd, e.minLiveOrd = d.path[i].node.liveAgg()
+		}
+	}
+	s := d.path[len(d.path)-1-j]
+	size := d.t.cfg.ORAM.PayloadSize()
+	if cap(d.buf) < size {
+		d.buf = make([]byte, size)
+	}
+	d.buf = d.buf[:size]
+	if err := s.node.encode(d.buf); err != nil {
+		return req, err
+	}
+	req.Key, req.Put = s.id, d.buf
+	return req, nil
+}
+
+// KeyFree returns how many leading accesses of a descent can be built before
+// its target is known: 1 when the first is a read of the root (no level is
+// cached client-side) and another read follows it, else 0. Public geometry,
+// like AccessesPerRetrieval.
+func (t *Tree) KeyFree() int {
+	if t.cfg.CacheInternal || len(t.levels) < 2 {
+		return 0
+	}
+	return 1
+}

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Ref locates a data tuple: block ID within the table's data ORAM and slot
@@ -141,36 +142,39 @@ func (n *node) encode(dst []byte) error {
 }
 
 func decodeNode(src []byte) (*node, error) {
+	n := new(node)
+	if err := n.decode(src); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// decode overwrites n with the node serialized in src, reusing n's entry
+// slices.
+func (n *node) decode(src []byte) error {
 	if len(src) < nodeHeader {
-		return nil, fmt.Errorf("btree: node buffer too short (%d bytes)", len(src))
+		return fmt.Errorf("btree: node buffer too short (%d bytes)", len(src))
 	}
-	n := &node{
-		leaf: src[0] == 1,
-		next: binary.LittleEndian.Uint64(src[3:]),
-	}
+	n.leaf = src[0] == 1
+	n.next = binary.LittleEndian.Uint64(src[3:])
 	count := int(binary.LittleEndian.Uint16(src[1:]))
+	n.leafEnts, n.intEnts = n.leafEnts[:0], n.intEnts[:0]
 	off := nodeHeader
 	if n.leaf {
 		if len(src) < off+count*leafEntSize {
-			return nil, fmt.Errorf("btree: leaf with %d entries exceeds buffer", count)
+			return fmt.Errorf("btree: leaf with %d entries exceeds buffer", count)
 		}
-		n.leafEnts = make([]leafEnt, count)
+		n.leafEnts = slices.Grow(n.leafEnts, count)[:count]
 		for i := range n.leafEnts {
-			n.leafEnts[i] = leafEnt{
-				key:      int64(binary.LittleEndian.Uint64(src[off:])),
-				ord:      int64(binary.LittleEndian.Uint64(src[off+8:])),
-				ref:      Ref{Block: binary.LittleEndian.Uint64(src[off+16:]), Slot: int(binary.LittleEndian.Uint16(src[off+24:]))},
-				live:     src[off+26] == 1,
-				sameNext: src[off+27] == 1,
-			}
+			n.leafEnts[i] = leafEntAt(src[off:])
 			off += leafEntSize
 		}
-		return n, nil
+		return nil
 	}
 	if len(src) < off+count*intEntSize {
-		return nil, fmt.Errorf("btree: internal node with %d entries exceeds buffer", count)
+		return fmt.Errorf("btree: internal node with %d entries exceeds buffer", count)
 	}
-	n.intEnts = make([]intEnt, count)
+	n.intEnts = slices.Grow(n.intEnts, count)[:count]
 	for i := range n.intEnts {
 		e := &n.intEnts[i]
 		e.child = binary.LittleEndian.Uint64(src[off:])
@@ -182,7 +186,18 @@ func decodeNode(src []byte) (*node, error) {
 		e.minLiveOrd = int64(binary.LittleEndian.Uint64(src[off+48:]))
 		off += intEntSize
 	}
-	return n, nil
+	return nil
+}
+
+// leafEntAt decodes the leaf entry serialized at the start of src.
+func leafEntAt(src []byte) leafEnt {
+	return leafEnt{
+		key:      int64(binary.LittleEndian.Uint64(src)),
+		ord:      int64(binary.LittleEndian.Uint64(src[8:])),
+		ref:      Ref{Block: binary.LittleEndian.Uint64(src[16:]), Slot: int(binary.LittleEndian.Uint16(src[24:]))},
+		live:     src[26] == 1,
+		sameNext: src[27] == 1,
+	}
 }
 
 // liveAgg computes the node's live aggregates for its parent's entry.

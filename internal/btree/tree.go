@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -286,152 +287,36 @@ func (t *Tree) LeafFanoutEntries() int { return t.leafFanout }
 // rootID returns the block ID of the root node.
 func (t *Tree) rootID() uint64 { return t.levels[len(t.levels)-1].first }
 
-func (t *Tree) isCached(id uint64) bool {
-	if !t.cfg.CacheInternal {
-		return false
-	}
-	_, ok := t.cache[id]
-	return ok
-}
-
-// fetchNode returns the decoded node, from cache or via one ORAM access.
-func (t *Tree) fetchNode(id uint64) (*node, error) {
-	if n, ok := t.cache[id]; ok {
-		return n, nil
-	}
-	buf, err := t.cfg.ORAM.Read(id)
-	if err != nil {
-		return nil, fmt.Errorf("btree: node %d: %w", id, err)
-	}
-	return decodeNode(buf)
-}
-
-func (t *Tree) writeNode(id uint64, n *node) error {
-	if t.isCached(id) {
-		t.cache[id] = n
-		return nil
-	}
-	buf := make([]byte, t.cfg.ORAM.PayloadSize())
-	if err := n.encode(buf); err != nil {
-		return err
-	}
-	return t.cfg.ORAM.Write(id, buf)
-}
-
-// pathStep records one visited node during a descent.
-type pathStep struct {
-	id    uint64
-	node  *node
-	entry int // entry index descended through (internal nodes)
-}
-
-// descend walks root to leaf, choosing children with route; when route finds
-// no candidate it continues through the last entry so the access count is
-// preserved, and reports found=false. leafPick selects the leaf entry the
-// same way. mutate, if non-nil, runs on the full path before write-back and
-// may modify nodes (used by Disable). In WriteBackDescents mode every
-// non-cached visited node is written back bottom-up, with parent aggregates
-// refreshed from the traversed child.
-func (t *Tree) descend(route func(*node) int, leafPick func(*node) int, mutate func([]pathStep) error) (Entry, bool, error) {
-	path := make([]pathStep, 0, len(t.levels))
-	id := t.rootID()
-	found := true
-	for {
-		n, err := t.fetchNode(id)
+// descend performs a whole descent on its own, one access after another.
+func (t *Tree) descend(m Mode, target int64) (Entry, bool, error) {
+	var d Descent
+	d.Start(t, m, target)
+	var one [1]oram.Req
+	for !d.Done() {
+		req, err := d.Req()
 		if err != nil {
 			return Entry{}, false, err
 		}
-		if n.leaf {
-			idx := -1
-			if found {
-				idx = leafPick(n)
-			}
-			path = append(path, pathStep{id: id, node: n, entry: idx})
-			var ent Entry
-			if idx >= 0 {
-				ent = n.leafEnts[idx].public()
-			} else {
-				found = false
-			}
-			if mutate != nil {
-				if err := mutate(path); err != nil {
-					return Entry{}, false, err
-				}
-				if idx >= 0 {
-					// Re-read the (possibly mutated) entry.
-					ent = n.leafEnts[idx].public()
-				}
-			}
-			if err := t.writeBack(path); err != nil {
-				return Entry{}, false, err
-			}
-			return ent, found, nil
-		}
-		idx := -1
-		if found {
-			idx = route(n)
-		}
-		if idx < 0 {
-			found = false
-			idx = len(n.intEnts) - 1 // fixed dummy continuation
-		}
-		path = append(path, pathStep{id: id, node: n, entry: idx})
-		id = n.intEnts[idx].child
-	}
-}
-
-// writeBack refreshes parent aggregates along the path and rewrites each
-// non-cached node (cached nodes were mutated in place). Only active in
-// WriteBackDescents mode.
-func (t *Tree) writeBack(path []pathStep) error {
-	if !t.cfg.WriteBackDescents {
-		return nil
-	}
-	for i := len(path) - 1; i >= 0; i-- {
-		step := path[i]
-		if i > 0 {
-			parent := path[i-1]
-			e := &parent.node.intEnts[parent.entry]
-			e.maxLiveKey, e.maxLiveOrd, e.minLiveOrd = step.node.liveAgg()
-		}
-		if !t.isCached(step.id) {
-			buf := make([]byte, t.cfg.ORAM.PayloadSize())
-			if err := step.node.encode(buf); err != nil {
-				return err
-			}
-			if err := t.cfg.ORAM.Write(step.id, buf); err != nil {
-				return err
-			}
+		one[0] = req
+		oram.Together(one[:])
+		if err := d.Land(one[0]); err != nil {
+			return Entry{}, false, err
 		}
 	}
-	return nil
+	ent, found := d.Result()
+	return ent, found, nil
 }
 
 // LookupGE returns the first live entry with key >= k. When none exists the
 // descent still performs its full fixed-length access sequence.
-func (t *Tree) LookupGE(k int64) (Entry, bool, error) {
-	return t.descend(
-		func(n *node) int { return n.routeKeyGE(k) },
-		func(n *node) int { return n.leafKeyGE(k) },
-		nil)
-}
+func (t *Tree) LookupGE(k int64) (Entry, bool, error) { return t.descend(KeyGE, k) }
 
 // LookupOrdGE returns the first live entry with ordinal >= o.
-func (t *Tree) LookupOrdGE(o int64) (Entry, bool, error) {
-	return t.descend(
-		func(n *node) int { return n.routeOrdGE(o) },
-		func(n *node) int { return n.leafOrdGE(o) },
-		nil)
-}
+func (t *Tree) LookupOrdGE(o int64) (Entry, bool, error) { return t.descend(OrdGE, o) }
 
 // LookupOrdLE returns the last live entry with ordinal <= o (used by
 // descending band-join cursors).
-func (t *Tree) LookupOrdLE(o int64) (Entry, bool, error) {
-	return t.descend(
-		func(n *node) int { return n.routeOrdLE(o) },
-		func(n *node) int { return n.leafOrdLE(o) },
-		nil)
-}
+func (t *Tree) LookupOrdLE(o int64) (Entry, bool, error) { return t.descend(OrdLE, o) }
 
 // Disable marks the live entry with the given ordinal disabled and updates
 // live aggregates along the path — the paper's tuple-disabling operation,
@@ -439,42 +324,15 @@ func (t *Tree) LookupOrdLE(o int64) (Entry, bool, error) {
 // only then do lookups and disables share one uniform read-down/write-up
 // access pattern.
 func (t *Tree) Disable(ord int64) error {
-	if !t.cfg.WriteBackDescents {
-		return fmt.Errorf("btree: Disable requires WriteBackDescents")
-	}
-	_, found, err := t.descend(
-		func(n *node) int { return n.routeOrdGE(ord) },
-		func(n *node) int { return n.leafOrdGE(ord) },
-		func(path []pathStep) error {
-			leaf := path[len(path)-1]
-			if leaf.entry < 0 {
-				return fmt.Errorf("btree: disable of ordinal %d: not found or already disabled", ord)
-			}
-			e := &leaf.node.leafEnts[leaf.entry]
-			if e.ord != ord {
-				return fmt.Errorf("btree: disable of ordinal %d reached entry %d", ord, e.ord)
-			}
-			e.live = false
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	if !found {
-		return fmt.Errorf("btree: disable of ordinal %d: no live entry", ord)
-	}
-	return nil
+	_, _, err := t.descend(DisableOrd, ord)
+	return err
 }
 
 // DummyOp performs index-ORAM accesses indistinguishable from a lookup or
 // disable, touching nothing.
 func (t *Tree) DummyOp() error {
-	for i := 0; i < t.AccessesPerRetrieval(); i++ {
-		if err := t.cfg.ORAM.DummyAccess(); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, _, err := t.descend(Dummy, 0)
+	return err
 }
 
 // ReadLeaf fetches leaf node leafID (0-based, sequential) with exactly one
@@ -490,12 +348,20 @@ func (t *Tree) ReadLeaf(leafID uint64) ([]Entry, error) {
 	if err := oram.Together(reqs[:]); err != nil {
 		return nil, fmt.Errorf("btree: node %d: %w", leafID, err)
 	}
-	return LeafEntries(reqs[0].Data)
+	n, err := decodeNode(reqs[0].Data)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Entry, len(n.leafEnts))
+	for i, e := range n.leafEnts {
+		out[i] = e.public()
+	}
+	return out, nil
 }
 
 // LeafReq is ReadLeaf's access, not yet performed: a join step hands it to
-// oram.Together beside the other table's, so the two index accesses share
-// their rounds, and decodes the result with LeafEntries.
+// oram.Together beside other trees' accesses, so they share their rounds,
+// and decodes the entry it wants with LeafEntry.
 func (t *Tree) LeafReq(leafID uint64) (oram.Req, error) {
 	if leafID >= t.levels[0].count {
 		return oram.Req{}, fmt.Errorf("btree: leaf %d of %d", leafID, t.levels[0].count)
@@ -514,17 +380,17 @@ func (t *Tree) DummyReq() oram.Req { return oram.Req{ORAM: t.cfg.ORAM, Dummy: tr
 // keepPayload is the update of a read that must look like a write.
 func keepPayload([]byte) error { return nil }
 
-// LeafEntries decodes the leaf node a LeafReq fetched.
-func LeafEntries(payload []byte) ([]Entry, error) {
-	n, err := decodeNode(payload)
-	if err != nil {
-		return nil, err
+// LeafEntry decodes entry i of the leaf node a LeafReq fetched, without
+// decoding the rest.
+func LeafEntry(payload []byte, i int) (Entry, error) {
+	if len(payload) < nodeHeader || payload[0] != 1 {
+		return Entry{}, fmt.Errorf("btree: block is not a leaf node")
 	}
-	out := make([]Entry, len(n.leafEnts))
-	for i, e := range n.leafEnts {
-		out[i] = e.public()
+	off := nodeHeader + i*leafEntSize
+	if count := int(binary.LittleEndian.Uint16(payload[1:])); i < 0 || i >= count || len(payload) < off+leafEntSize {
+		return Entry{}, fmt.Errorf("btree: leaf entry %d of %d", i, count)
 	}
-	return out, nil
+	return leafEntAt(payload[off:]).public(), nil
 }
 
 // Reset restores every liveness tag, walking all index blocks once — the

@@ -382,6 +382,53 @@ func TestPaddedPrefetchGated(t *testing.T) {
 	}
 }
 
+// TestPrefetchDrainsThePipeline: in the non-padded mode PrefetchDepth is
+// honoured, and the chunked pad tail first lands the data accesses the
+// pipeline still has in flight. The joins still give the reference results —
+// and move exactly the rounds and blocks they move without it: in PadNone the
+// executed steps of Theorems 1–3 are the bound itself, so the tail it would
+// coalesce is empty.
+func TestPrefetchDrainsThePipeline(t *testing.T) {
+	k1 := []int64{1, 2, 2, 3, 5, 5, 8, 9}
+	k2 := []int64{2, 2, 3, 5, 8, 10, 11, 12}
+	r1, r2 := makeRel("t1", k1), makeRel("t2", k2)
+	for _, tc := range []struct {
+		name string
+		join func(s1, s2 *table.StoredTable, o Options) (*Result, error)
+		want []relation.Tuple
+	}{
+		{"smj", func(s1, s2 *table.StoredTable, o Options) (*Result, error) {
+			return SortMergeJoin(s1, s2, "k", "k", o)
+		}, ReferenceEquiJoin(r1, r2, "k", "k")},
+		{"inlj", func(s1, s2 *table.StoredTable, o Options) (*Result, error) {
+			return IndexNestedLoopJoin(s1, s2, "k", "k", o)
+		}, ReferenceEquiJoin(r1, r2, "k", "k")},
+		{"band", func(s1, s2 *table.StoredTable, o Options) (*Result, error) {
+			return BandJoin(s1, s2, "k", "k", BandGreater, o)
+		}, ReferenceBandJoin(r1, r2, "k", "k", BandGreater)},
+	} {
+		var stats [2]storage.Stats
+		for i, depth := range []int{0, 8} {
+			m := storage.NewMeter()
+			topts := testTableOpts(t, m, false)
+			topts.BlockPayload = 140
+			s1, s2 := storeWith(t, k1, k2, topts)
+			m.Reset()
+			opts := testJoinOpts(t, m)
+			opts.PrefetchDepth = depth
+			res, err := tc.join(s1, s2, opts)
+			if err != nil {
+				t.Fatalf("%s, depth %d: %v", tc.name, depth, err)
+			}
+			equalMultiset(t, res.Tuples, tc.want)
+			stats[i] = res.Stats
+		}
+		if stats[0] != stats[1] {
+			t.Errorf("%s: PrefetchDepth 8 moved %v, 0 moved %v", tc.name, stats[1], stats[0])
+		}
+	}
+}
+
 func TestOneORAMBinaryJoins(t *testing.T) {
 	m := storage.NewMeter()
 	r1 := makeRel("t1", []int64{1, 2, 2, 3, 5, 5})
@@ -557,10 +604,11 @@ func TestSortMergeJoinChained(t *testing.T) {
 }
 
 // TestChainedCheaperPerRetrieval: the index-free layout pays one ORAM
-// access per retrieval against the indexed layout's two. Both joins run
-// their steps in lockstep — the two tables' accesses of a stage share one
-// round, download and carried write-back alike — so a step costs 2 rounds
-// indexed (index stage, data stage) and 1 chained; the settle round and the
+// access per retrieval against the indexed layout's two. In rounds the two
+// are one apart: a chained step is its two data accesses in one round, and
+// it decides the next step from them; an indexed step decides from its leaf
+// accesses, so its data accesses ride the next step's leaf round and only
+// the last step's data has a round of its own. The settle round and the
 // output table cost both the same.
 func TestChainedCheaperPerRetrieval(t *testing.T) {
 	k1 := []int64{1, 2, 2, 3, 4, 5, 5, 6}
@@ -592,8 +640,11 @@ func TestChainedCheaperPerRetrieval(t *testing.T) {
 		t.Fatalf("results diverge: %d/%d vs %d/%d",
 			chained.RealCount, chained.PaddedSteps, indexed.RealCount, indexed.PaddedSteps)
 	}
-	if got, want := indexed.Stats.NetworkRounds-chained.Stats.NetworkRounds, indexed.PaddedSteps; got != want {
-		t.Fatalf("indexed %d rounds, chained %d: the index stage costs %d, want 1 per step = %d",
-			indexed.Stats.NetworkRounds, chained.Stats.NetworkRounds, got, want)
+	if got := indexed.Stats.NetworkRounds - chained.Stats.NetworkRounds; got != 1 {
+		t.Fatalf("indexed %d rounds, chained %d: the index stage costs %d, want 1 in all",
+			indexed.Stats.NetworkRounds, chained.Stats.NetworkRounds, got)
+	}
+	if indexed.Stats.BlocksMoved() <= chained.Stats.BlocksMoved() {
+		t.Fatalf("indexed moved %d blocks, chained %d", indexed.Stats.BlocksMoved(), chained.Stats.BlocksMoved())
 	}
 }

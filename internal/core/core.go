@@ -15,14 +15,19 @@
 // closed-form bounds of Theorems 1–4, so the server-visible trace is a
 // function of the public input/output sizes only.
 //
-// Where the per-table retrievals of a step do not depend on one another —
-// the sort-merge joins and the band join, in every step, merge or pad — the
-// step issues them in lockstep (table.Step): the tables' accesses of a stage
-// share one round, 2 rounds per sort-merge step instead of 4. The index
-// nested-loop join's probe needs the outer tuple's key and the multiway
-// join's children need the parent's row, so their steps stay one access —
-// one round — after another. Every operator ends with one settle round that
-// carries the last write-back of every tree it touched.
+// In the SepORAM setting every operator runs its steps through a
+// table.Pipeline: each tree serves one access per round, every access
+// travels in the first round in which what it is built from has landed, and
+// a step returns once its index stages have — the next step is decided from
+// Row.Entry and Row.OK while the step's data accesses still ride the next
+// step's first round, and a step's output record is written when its data
+// lands. A descent's first access, the root, needs no key, so it rides
+// there too. A sort-merge step is one round, an index nested-loop or band
+// step the inner descent's accesses, a multiway step one stage per level of
+// the join tree. Which rounds a step takes depends on the operator, the step
+// index and public sizes only — real, dummy and pad steps alike. Every
+// operator ends with one settle round that carries the last write-back of
+// every tree it touched.
 //
 // The OneORAM setting of Section 7 is selected by Options.OneORAM: all
 // tables share a single Path-ORAM, per-retrieval access counts are padded
@@ -253,6 +258,42 @@ func padChunk(depth int, remaining int64) int {
 		return int(remaining)
 	}
 	return depth
+}
+
+// padPhase opens the pad phase under sp once the executed steps are checked
+// against the theorem's bound, target.
+func padPhase(sp *telemetry.Span, join, theorem string, steps, target int64) (*telemetry.Span, error) {
+	if steps > target {
+		return nil, fmt.Errorf("core: %s executed %d steps, exceeding the %s bound %d", join, steps, theorem, target)
+	}
+	pad := sp.Child("pad")
+	pad.SetAttr("steps", steps)
+	pad.SetAttr("target", target)
+	return pad, nil
+}
+
+// padChunks pads n steps in chunks of up to depth retrievals, each chunk's
+// dummies issued through every given batch entry point and followed by a
+// dummy record per retrieval, and returns the chunk count. Only reached in
+// PadNone (Options.prefetch), where the executed step count — the index at
+// which the round shape changes — is itself declared leakage.
+func padChunks(depth int, n int64, w *outWriter, batches ...func(int) error) (chunks int64, err error) {
+	for n > 0 {
+		chunk := padChunk(depth, n)
+		chunks++
+		for _, batch := range batches {
+			if err := batch(chunk); err != nil {
+				return chunks, err
+			}
+		}
+		for i := 0; i < chunk; i++ {
+			if err := w.putDummy(); err != nil {
+				return chunks, err
+			}
+		}
+		n -= int64(chunk)
+	}
+	return chunks, nil
 }
 
 // settler is an input table, seen as the ORAMs a finished query has to

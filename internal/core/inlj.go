@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 
+	"oblivjoin/internal/storage"
 	"oblivjoin/internal/table"
+	"oblivjoin/internal/telemetry"
 )
 
 // onePadder pads each tuple retrieval in the OneORAM setting to the maximum
@@ -56,8 +58,6 @@ func IndexNestedLoopJoin(t1, t2 *table.StoredTable, a1, a2 string, opts Options)
 	sp.SetAttr("n2", int64(t2.NumTuples()))
 	defer sp.End()
 	load := sp.Child("load")
-	col1 := t1.Schema().MustCol(a1)
-	scan := table.NewScanCursor(t1)
 	ic, err := table.NewIndexCursor(t2, a2)
 	if err != nil {
 		return nil, err
@@ -68,145 +68,217 @@ func IndexNestedLoopJoin(t1, t2 *table.StoredTable, a1, a2 string, opts Options)
 		return nil, err
 	}
 	load.End()
-	var padder *onePadder
-	scanCost := 1
-	seekCost := ic.Tree().AccessesPerRetrieval() + 1
+	pr := &probe{
+		join: "INLJ", theorem: "Theorem 2", outer: t1, scan: table.NewScanCursor(t1), ic: ic,
+		col: t1.Schema().MustCol(a1), keyed: true,
+		next:  ic.MoveNext,
+		match: func(key, inner int64) bool { return inner == key },
+	}
+	return pr.run(w, Cartesian(int64(t1.NumTuples()), int64(t2.NumTuples())), opts, start, sp, t1, t2)
+}
+
+// probe is an index nested-loop join — Algorithm 2 or the band join of
+// Section 5.3 — as its outer scan and inner retrievals: every outer tuple is
+// retrieved once, then the inner index is walked from a first entry while
+// the inner rows match, a join record per match and a dummy record to end
+// each outer tuple.
+type probe struct {
+	join, theorem string
+	outer         *table.StoredTable
+	scan          *table.ScanCursor
+	ic            *table.IndexCursor
+	col           int  // the outer's join column
+	keyed         bool // the first inner retrieval seeks the outer's key (else first)
+	first         table.Move
+	next          func() table.Move
+	match         func(key, inner int64) bool
+}
+
+// run executes the join, pads it to the theorem's bound (|T1| + |R| either
+// way), settles the input trees and filters the output.
+func (pr *probe) run(w *outWriter, cart int64, opts Options, start storage.Stats,
+	sp *telemetry.Span, tables ...settler) (*Result, error) {
+	var steps, padded, retrievals int64
+	var err error
 	if opts.OneORAM != nil {
-		padder = &onePadder{opts: opts, max: max(scanCost, seekCost)}
-	}
-	one := padder != nil
-
-	scanSpan := sp.Child("scan")
-	var steps, retrievals int64
-	for i := 0; i < t1.NumTuples(); i++ {
-		// Lines 4-5: one join step retrieves the next T1 tuple and the first
-		// matching T2 tuple.
-		steps++
-		retrievals += 2
-		row1, err := scan.Next()
-		if err != nil {
-			return nil, err
-		}
-		if err := padder.pad(scanCost); err != nil {
-			return nil, err
-		}
-		if !row1.OK {
-			return nil, fmt.Errorf("core: scan of %s ended early at %d", t1.Schema().Table, i)
-		}
-		key := row1.Tuple.Values[col1]
-		row2, err := ic.SeekGE(key)
-		if err != nil {
-			return nil, err
-		}
-		if err := padder.pad(seekCost); err != nil {
-			return nil, err
-		}
-		// Lines 6-9: emit one join record per match, advancing T2 with a
-		// dummy T1 retrieval alongside.
-		for row2.OK && row2.Entry.Key == key {
-			if err := w.putJoin(row1.Tuple, row2.Tuple); err != nil {
-				return nil, err
-			}
-			steps++
-			retrievals++
-			if !one {
-				if err := scan.Dummy(); err != nil {
-					return nil, err
-				}
-			}
-			if row2, err = ic.Next(); err != nil {
-				return nil, err
-			}
-			if err := padder.pad(seekCost); err != nil {
-				return nil, err
-			}
-		}
-		// Line 10: the terminating dummy record.
-		if err := w.putDummy(); err != nil {
-			return nil, err
-		}
-	}
-	scanSpan.SetAttr("steps", steps)
-	scanSpan.End()
-
-	n1, n2 := int64(t1.NumTuples()), int64(t2.NumTuples())
-	cart := Cartesian(n1, n2)
-	paddedR := opts.PadSize(int64(w.real), cart)
-	target := NumtrINLJ(n1, paddedR)
-	if steps > target {
-		return nil, fmt.Errorf("core: INLJ executed %d steps, exceeding the Theorem 2 bound %d", steps, target)
-	}
-	pad := sp.Child("pad")
-	pad.SetAttr("steps", steps)
-	pad.SetAttr("target", target)
-	padded := steps
-	if depth := opts.prefetch(); depth <= 1 {
-		for ; padded < target; padded++ {
-			retrievals++
-			if one {
-				if err := padder.dummyRetrieval(); err != nil {
-					return nil, err
-				}
-			} else {
-				if err := scan.Dummy(); err != nil {
-					return nil, err
-				}
-				if err := ic.Dummy(); err != nil {
-					return nil, err
-				}
-			}
-			if err := w.putDummy(); err != nil {
-				return nil, err
-			}
-		}
+		steps, padded, retrievals, err = pr.runOne(w, cart, opts, sp)
 	} else {
-		var chunks int64
-		for padded < target {
-			chunk := padChunk(depth, target-padded)
-			chunks++
-			retrievals += int64(chunk)
-			if one {
-				if err := padder.dummyRetrievalBatch(chunk); err != nil {
-					return nil, err
-				}
-			} else {
-				if err := scan.DummyBatch(chunk); err != nil {
-					return nil, err
-				}
-				if err := ic.DummyBatch(chunk); err != nil {
-					return nil, err
-				}
-			}
-			for i := 0; i < chunk; i++ {
-				if err := w.putDummy(); err != nil {
-					return nil, err
-				}
-			}
-			padded += int64(chunk)
-		}
-		pad.SetAttr("chunks", chunks)
+		steps, padded, err = pr.runPipelined(w, cart, opts, sp)
+		retrievals = padded
 	}
-	pad.End()
-
-	if err := settle(sp, opts, t1, t2); err != nil {
+	if err != nil {
+		return nil, err
+	}
+	if err := settle(sp, opts, tables...); err != nil {
 		return nil, err
 	}
 	tuples, real, paddedOut, err := w.finish(opts, cart, sp)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
+	return &Result{
 		Schema:      w.schema,
 		Tuples:      tuples,
 		RealCount:   real,
 		PaddedCount: paddedOut,
 		Steps:       steps,
 		PaddedSteps: padded,
-		Retrievals:  padded,
+		Retrievals:  retrievals,
 		Stats:       diff(opts.Meter, start),
+	}, nil
+}
+
+// target is the theorem's step bound at the padded result size.
+func (pr *probe) target(real, cart int64, opts Options) int64 {
+	return NumtrINLJ(int64(pr.outer.NumTuples()), opts.PadSize(real, cart))
+}
+
+// runPipelined runs the join's steps — the outer's retrieval and one inner
+// retrieval each — through a table.Pipeline: an inner descent's root access
+// rides the round of the step's outer data access and of the previous step's
+// inner data access, so a step costs the descent's accesses in rounds. The
+// equi-join's probe waits for the outer tuple only where its descent first
+// needs the key; the band join's first inner retrieval is a fixed end of the
+// index and waits for nothing.
+func (pr *probe) runPipelined(w *outWriter, cart int64, opts Options, sp *telemetry.Span) (steps, padded int64, err error) {
+	var row1, row2 held
+	after := -1
+	if pr.keyed {
+		after = 0
 	}
-	if one {
-		res.Retrievals = retrievals
+	s := newStepper(w, []*held{&row1, &row2}, -1, after)
+	scan := sp.Child("scan")
+	for i := 0; i < pr.outer.NumTuples(); i++ {
+		inner := pr.first
+		if pr.keyed {
+			inner = pr.ic.MoveKeyGE(&s.nextRows()[0], pr.col)
+		}
+		rows, err := s.step(pr.scan.Advance(), inner)
+		if err != nil {
+			return 0, 0, err
+		}
+		if !rows[0].OK {
+			return 0, 0, fmt.Errorf("core: scan of %s ended early at %d", pr.outer.Schema().Table, i)
+		}
+		s.take(&row1, rows, 0)
+		s.take(&row2, rows, 1)
+		key := row1.Tuple.Values[pr.col]
+		for row2.OK && pr.match(key, row2.Entry.Key) {
+			if err := s.record(true); err != nil {
+				return 0, 0, err
+			}
+			if rows, err = s.step(pr.scan.Hold(), pr.next()); err != nil {
+				return 0, 0, err
+			}
+			s.take(&row2, rows, 1)
+		}
+		if err := s.record(false); err != nil {
+			return 0, 0, err
+		}
 	}
-	return res, nil
+	steps = s.steps
+	scan.SetAttr("steps", steps)
+	scan.End()
+
+	target := pr.target(s.real(), cart, opts)
+	pad, err := padPhase(sp, pr.join, pr.theorem, steps, target)
+	if err != nil {
+		return steps, 0, err
+	}
+	defer pad.End()
+	if depth := opts.prefetch(); depth > 1 {
+		if err := s.drain(); err != nil {
+			return steps, 0, err
+		}
+		chunks, err := padChunks(depth, target-steps, w, pr.scan.DummyBatch, pr.ic.DummyBatch)
+		pad.SetAttr("chunks", chunks)
+		return steps, target, err
+	}
+	for s.steps < target {
+		if _, err := s.step(pr.scan.Hold(), pr.ic.Hold()); err != nil {
+			return steps, 0, err
+		}
+		if err := s.record(false); err != nil {
+			return steps, 0, err
+		}
+	}
+	return steps, target, s.drain()
+}
+
+// runOne runs the join in the OneORAM setting: one retrieval after another,
+// each padded to the widest (onePadder), the outer's dummy partner of an
+// inner-run step elided. It returns the executed and padded step counts and
+// the retrievals made.
+func (pr *probe) runOne(w *outWriter, cart int64, opts Options, sp *telemetry.Span) (steps, padded, retrievals int64, err error) {
+	scanCost := 1
+	seekCost := pr.ic.Tree().AccessesPerRetrieval() + 1
+	padder := &onePadder{opts: opts, max: max(scanCost, seekCost)}
+	retrieve := func(mv table.Move, cost int) (table.Row, error) {
+		var row [1]table.Row
+		if err := table.Step(row[:], mv); err != nil {
+			return row[0], err
+		}
+		return row[0], padder.pad(cost)
+	}
+	scan := sp.Child("scan")
+	for i := 0; i < pr.outer.NumTuples(); i++ {
+		steps++
+		retrievals += 2
+		row1, err := retrieve(pr.scan.Advance(), scanCost)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if !row1.OK {
+			return 0, 0, 0, fmt.Errorf("core: scan of %s ended early at %d", pr.outer.Schema().Table, i)
+		}
+		key := row1.Tuple.Values[pr.col]
+		var row2 table.Row
+		if pr.keyed {
+			if row2, err = pr.ic.SeekGE(key); err == nil {
+				err = padder.pad(seekCost)
+			}
+		} else {
+			row2, err = retrieve(pr.first, seekCost)
+		}
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		for row2.OK && pr.match(key, row2.Entry.Key) {
+			if err := w.putJoin(row1.Tuple, row2.Tuple); err != nil {
+				return 0, 0, 0, err
+			}
+			steps++
+			retrievals++
+			if row2, err = retrieve(pr.next(), seekCost); err != nil {
+				return 0, 0, 0, err
+			}
+		}
+		if err := w.putDummy(); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	scan.SetAttr("steps", steps)
+	scan.End()
+
+	target := pr.target(int64(w.real), cart, opts)
+	pad, err := padPhase(sp, pr.join, pr.theorem, steps, target)
+	if err != nil {
+		return steps, 0, 0, err
+	}
+	defer pad.End()
+	retrievals += target - steps
+	if depth := opts.prefetch(); depth > 1 {
+		chunks, err := padChunks(depth, target-steps, w, padder.dummyRetrievalBatch)
+		pad.SetAttr("chunks", chunks)
+		return steps, target, retrievals, err
+	}
+	for padded = steps; padded < target; padded++ {
+		if err := padder.dummyRetrieval(); err != nil {
+			return steps, 0, 0, err
+		}
+		if err := w.putDummy(); err != nil {
+			return steps, 0, 0, err
+		}
+	}
+	return steps, padded, retrievals, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/table"
 	"oblivjoin/internal/tracecheck"
+	"oblivjoin/internal/xcrypto"
 )
 
 // twin is a pair of databases with equal geometry and equal result size but
@@ -17,38 +19,74 @@ import (
 type twin struct{ a1, a2, b1, b2 []int64 }
 
 var (
-	// |T1| = |T2| = 4 and |R| = 4: one key matching 2×2 against four
+	// |T1| = |T2| = 6 and |R| = 4: one key matching 2×2 against four
 	// distinct keys matching 1×1.
-	equiTwin = twin{[]int64{7, 7, 1, 2}, []int64{7, 7, 3, 4}, []int64{1, 2, 3, 4}, []int64{1, 2, 3, 4}}
-	// |T1| = |T2| = 4 and |{(x, y): x >= y}| = 10 both ways.
-	bandTwin = twin{[]int64{1, 2, 3, 4}, []int64{1, 2, 3, 4}, []int64{5, 5, 1, 1}, []int64{1, 2, 3, 4}}
+	equiTwin = twin{[]int64{7, 7, 1, 2, 5, 6}, []int64{7, 7, 3, 4, 8, 9}, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 3, 4, 10, 11}}
+	// |T1| = |T2| = 6 and |{(x, y): x >= y}| = 21 both ways.
+	bandTwin = twin{[]int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 3, 4, 5, 6}, []int64{6, 6, 6, 1, 1, 1}, []int64{1, 2, 3, 4, 5, 6}}
+	// The multiway join over T1 (root, scanned in storage order) and T2: 8
+	// steps and |R| = 4 both ways, the four join records first in one and
+	// last in the other.
+	multiwayTwin = twin{[]int64{7, 7, 1, 2, 5, 6}, []int64{7, 7, 3, 4, 8, 9}, []int64{1, 5, 6, 2, 7, 7}, []int64{3, 4, 7, 7, 8, 9}}
 )
 
-// lockstepOperators are the joins whose per-table retrievals are independent
-// in every step, each as a function from two key columns to a trace.
+// twinPayload is the block payload the twin tests store tables with: leaves
+// of four entries, so a six-row index is two levels deep — a descent reads
+// the root, which needs no key, and then the leaf.
+const twinPayload = 140
+
+// lockstepOperators are the SepORAM joins, each as a function from two key
+// columns to a trace, with twin data for it and boundary data: the a side
+// of the twin beside a database of equal geometry and a smaller result, so
+// that under a padding mode that hides the result size the two execute
+// different numbers of real steps before the same padded total.
 var lockstepOperators = []struct {
-	name string
-	data twin
-	run  func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options) *Result
+	name              string
+	data              twin
+	boundary1, bound2 []int64
+	run               func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options) *Result
 }{
-	{"smj", equiTwin, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options) *Result {
+	{"smj", equiTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 13, 14, 15, 16}, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options) *Result {
 		s1, s2 := storeWith(t, k1, k2, topts)
 		topts.Meter.Reset()
 		topts.Meter.SetTracing(true)
 		return must(t)(SortMergeJoin(s1, s2, "k", "k", jopts))
 	}},
-	{"smj-chained", equiTwin, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options) *Result {
+	{"smj-chained", equiTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 13, 14, 15, 16}, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options) *Result {
 		c1 := mustChain(t)(table.StoreChained(makeRel("t1", k1), "k", topts))
 		c2 := mustChain(t)(table.StoreChained(makeRel("t2", k2), "k", topts))
 		topts.Meter.Reset()
 		topts.Meter.SetTracing(true)
 		return must(t)(SortMergeJoinChained(c1, c2, jopts))
 	}},
-	{"band", bandTwin, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options) *Result {
+	{"band", bandTwin, []int64{1, 1, 1, 1, 1, 1}, []int64{1, 2, 3, 4, 5, 6}, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options) *Result {
 		s1, s2 := storeWith(t, k1, k2, topts)
 		topts.Meter.Reset()
 		topts.Meter.SetTracing(true)
 		return must(t)(BandJoin(s1, s2, "k", "k", BandGreaterEq, jopts))
+	}},
+	{"inlj", equiTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 13, 14, 15, 16}, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options) *Result {
+		s1, s2 := storeWith(t, k1, k2, topts)
+		topts.Meter.Reset()
+		topts.Meter.SetTracing(true)
+		return must(t)(IndexNestedLoopJoin(s1, s2, "k", "k", jopts))
+	}},
+	{"multiway", multiwayTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{7, 8, 9, 10, 11, 12}, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options) *Result {
+		topts.WriteBackDescents = true
+		s1, s2 := storeWith(t, k1, k2, topts)
+		tree, err := jointree.Build(jointree.Query{
+			Tables: []string{"t1", "t2"},
+			Preds:  []jointree.Pred{{Left: "t1", LeftAttr: "k", Right: "t2", RightAttr: "k"}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.Order[0].Table != "t1" {
+			t.Fatalf("the join tree is rooted at %s", tree.Order[0].Table)
+		}
+		topts.Meter.Reset()
+		topts.Meter.SetTracing(true)
+		return must(t)(MultiwayJoin(MultiwayInput{Tree: tree, Tables: []*table.StoredTable{s1, s2}}, jopts))
 	}},
 }
 
@@ -89,40 +127,95 @@ func storeWith(t *testing.T, k1, k2 []int64, topts table.Options) (*table.Stored
 // itself server-visible, so it is in the trace (storage.Access.Round) and
 // must be a function of the operator and the public sizes alone. Two
 // databases of equal geometry and different content give identical traces,
-// round boundaries included, for every lockstep operator, every padding
-// mode and eviction batches 1 and 4. At 4 a write-back's block count
-// follows the leaf randomness, so there the comparison is batch by batch
-// (tracecheck.DiffRounds).
+// round boundaries included, for every SepORAM operator, every padding mode,
+// eviction batches 1 and 4, and indexes whose root is read (and needs no
+// key) or cached (where the one read is keyed). At 4 a write-back's block
+// count follows the leaf randomness, so there the comparison is batch by
+// batch (tracecheck.DiffRounds).
 func TestLockstepTwinTraces(t *testing.T) {
 	for _, op := range lockstepOperators {
 		for _, mode := range []PaddingMode{PadNone, PadClosestPower, PadCartesian, PadDP} {
-			for _, batch := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%v/k=%d", op.name, mode, batch), func(t *testing.T) {
-					run := func(k1, k2 []int64) ([]storage.Access, storage.Stats) {
-						m := storage.NewMeter()
-						topts := testTableOpts(t, m, false)
-						topts.EvictionBatch = batch
-						jopts := testJoinOpts(t, m)
-						jopts.Padding = mode
-						jopts.DPRand = func() float64 { return 0.25 }
-						op.run(t, k1, k2, topts, jopts)
-						return m.Trace(), m.Snapshot()
+			for _, tc := range twinConfigs {
+				t.Run(fmt.Sprintf("%s/%v/%s", op.name, mode, tc.name), func(t *testing.T) {
+					a := twinTrace(t, op.run, op.data.a1, op.data.a2, mode, tc)
+					b := twinTrace(t, op.run, op.data.b1, op.data.b2, mode, tc)
+					if a.res.Steps != b.res.Steps || a.res.RealCount != b.res.RealCount {
+						t.Fatalf("the twins are not twins: %d/%d steps, %d/%d real", a.res.Steps, b.res.Steps, a.res.RealCount, b.res.RealCount)
 					}
-					a, aStats := run(op.data.a1, op.data.a2)
-					b, bStats := run(op.data.b1, op.data.b2)
-					if aStats.NetworkRounds != bStats.NetworkRounds {
-						t.Fatalf("rounds differ: %d vs %d", aStats.NetworkRounds, bStats.NetworkRounds)
-					}
-					diff := tracecheck.Diff
-					if batch > 1 {
-						diff = tracecheck.DiffRounds
-					}
-					if d := diff(a, b); d != "" {
-						t.Fatalf("twin databases are distinguishable: %s", d)
-					}
+					sameTrace(t, tc.batch, a, b)
 				})
 			}
 		}
+	}
+}
+
+// TestLockstepRealPadBoundary: where the real steps end and the pad steps
+// begin must not show. Two databases of equal geometry whose results differ
+// in size execute different numbers of real steps; padded to the Cartesian
+// product they run the same number of steps in all, and the server sees the
+// same trace, round ordinals and the output table's writes included — which
+// rules out a round shape, or an output record, that differs between a
+// real step and a pad step.
+func TestLockstepRealPadBoundary(t *testing.T) {
+	for _, op := range lockstepOperators {
+		for _, tc := range twinConfigs {
+			t.Run(fmt.Sprintf("%s/%s", op.name, tc.name), func(t *testing.T) {
+				a := twinTrace(t, op.run, op.data.a1, op.data.a2, PadCartesian, tc)
+				b := twinTrace(t, op.run, op.boundary1, op.bound2, PadCartesian, tc)
+				if a.res.Steps == b.res.Steps || a.res.PaddedSteps != b.res.PaddedSteps {
+					t.Fatalf("want different executed steps before the same padded total: %d/%d of %d/%d",
+						a.res.Steps, b.res.Steps, a.res.PaddedSteps, b.res.PaddedSteps)
+				}
+				sameTrace(t, tc.batch, a, b)
+			})
+		}
+	}
+}
+
+// traced is one run of an operator: its result, trace and traffic.
+type traced struct {
+	res   *Result
+	trace []storage.Access
+	stats storage.Stats
+}
+
+// twinConfig is an eviction batch and an index mode the twin tests run at.
+type twinConfig struct {
+	name  string
+	batch int
+	cache bool
+}
+
+var twinConfigs = []twinConfig{{"k=1", 1, false}, {"k=4", 4, false}, {"k=1/cached", 1, true}}
+
+func twinTrace(t *testing.T, run func(*testing.T, []int64, []int64, table.Options, Options) *Result,
+	k1, k2 []int64, mode PaddingMode, tc twinConfig) traced {
+	t.Helper()
+	m := storage.NewMeter()
+	topts := testTableOpts(t, m, false)
+	topts.BlockPayload = twinPayload
+	topts.EvictionBatch = tc.batch
+	topts.CacheIndex = tc.cache
+	jopts := testJoinOpts(t, m)
+	jopts.OutBlockSize = 2*33 + xcrypto.Overhead // two output records a block: the output table's writes follow the records closely
+	jopts.Padding = mode
+	jopts.DPRand = func() float64 { return 0.25 }
+	res := run(t, k1, k2, topts, jopts)
+	return traced{res, m.Trace(), m.Snapshot()}
+}
+
+// sameTrace fails unless the two runs are indistinguishable to the server.
+func sameTrace(t *testing.T, batch int, a, b traced) {
+	t.Helper()
+	if a.stats.NetworkRounds != b.stats.NetworkRounds {
+		t.Fatalf("rounds differ: %d vs %d", a.stats.NetworkRounds, b.stats.NetworkRounds)
+	}
+	diff := tracecheck.Diff
+	if batch > 1 {
+		diff = tracecheck.DiffRounds
+	}
+	if d := diff(a.trace, b.trace); d != "" {
+		t.Fatalf("twin databases are distinguishable: %s", d)
 	}
 }
 
@@ -150,27 +243,43 @@ func storesPerRound(trace []storage.Access, inputs ...string) map[int64][]string
 	return out
 }
 
-// TestLockstepRoundShape pins which stores share a round, per operator: a
-// sort-merge step is one {T1.idx, T2.idx} round and one {T1.data, T2.data}
-// round, each tree's download carrying its previous write-back; a band step
-// runs T2's descent alone and then one {T1.data, T2.data} round; the index
-// nested-loop and multiway joins, whose retrievals depend on one another
-// inside a step, never put two stores in a round. Every operator ends with
-// the one settle round, which carries the last write-back of every tree it
-// touched, in canonical order: tables as listed, data before indexes.
+// TestLockstepRoundShape pins which stores share a round, per operator, with
+// two-level indexes (a descent is a root access, which needs no key, and a
+// leaf access) and n padded steps. Every tree serves at most one access per
+// round, and a step's first accesses ride the round of the previous step's
+// last ones:
+//
+//   - sort-merge: {T1.idx, T2.idx} once, then n−1 rounds of {T1.data(i),
+//     T2.data(i), T1.idx(i+1), T2.idx(i+1)}, then {T1.data, T2.data} —
+//     n + 1 in all;
+//   - band and index nested-loop alike: {T1.data, T2.idx} once, n−1 rounds of
+//     {T2.data(i−1), T1.data(i), T2.idx root(i)}, n leaf rounds {T2.idx} and
+//     {T2.data} — 2n + 1 (the equi-join's leaf access waits for T1's tuple,
+//     the band join's for nothing, and the shape is the same);
+//   - multiway over Figure 6's join tree (T1 → T2, T1 → T3 → T4, one-level
+//     indexes with write-backs: a leaf read and its write-up): one stage per
+//     level of the join tree — T1's tuple, the leaves of T2 and T3, their
+//     write-ups beside their data, T4's leaf, T4's write-up and data beside
+//     the next step's T1 — four rounds a step where the accesses one after
+//     another took ten, then the reset pass a round per node.
+//
+// Every operator ends with the one settle round, which carries the last
+// write-back of every tree it touched, in canonical order: tables as listed,
+// data before indexes.
 func TestLockstepRoundShape(t *testing.T) {
 	trace := func(join func(s1, s2 *table.StoredTable, jopts Options) (*Result, error)) ([]storage.Access, *Result) {
 		m := storage.NewMeter()
-		s1, s2 := storeWith(t, equiTwin.a1, equiTwin.a2, testTableOpts(t, m, false))
+		topts := testTableOpts(t, m, false)
+		topts.BlockPayload = twinPayload
+		s1, s2 := storeWith(t, equiTwin.a1, equiTwin.a2, topts)
 		m.Reset()
 		m.SetTracing(true)
 		res := must(t)(join(s1, s2, testJoinOpts(t, m)))
 		return m.Trace(), res
 	}
-	inputs := []string{"t1.idx.k", "t1.data", "t2.idx.k", "t2.data"}
-	// shapes counts the fetch rounds by the stores they carried and checks
-	// that the last round is the settle round: writes only, to want.
-	shapes := func(name string, tr []storage.Access, want string) map[string]int64 {
+	// shapes counts the rounds by the stores they carried and checks that
+	// the last round is the settle round: writes only, to want.
+	shapes := func(name string, tr []storage.Access, inputs []string, want string) map[string]int64 {
 		rounds := storesPerRound(tr, inputs...)
 		last := int64(0)
 		for r := range rounds {
@@ -191,55 +300,63 @@ func TestLockstepRoundShape(t *testing.T) {
 		}
 		return out
 	}
+	check := func(name string, got, want map[string]int64) {
+		t.Helper()
+		if !maps.Equal(got, want) {
+			t.Errorf("%s: rounds by stores carried = %v, want %v", name, got, want)
+		}
+	}
+	inputs := []string{"t1.idx.k", "t1.data", "t2.idx.k", "t2.data"}
 
 	tr, res := trace(func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
 		return SortMergeJoin(s1, s2, "k", "k", jopts)
 	})
 	n := res.PaddedSteps
-	got := shapes("sort-merge", tr, "[t1.data t1.idx.k t2.data t2.idx.k]")
-	if len(got) != 2 || got["[t1.idx.k t2.idx.k]"] != n || got["[t1.data t2.data]"] != n {
-		t.Errorf("sort-merge over %d steps: rounds by stores carried = %v", n, got)
-	}
-
-	tr, res = trace(func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
-		return BandJoin(s1, s2, "k", "k", BandGreaterEq, jopts)
+	check("sort-merge", shapes("sort-merge", tr, inputs, "[t1.data t1.idx.k t2.data t2.idx.k]"), map[string]int64{
+		"[t1.idx.k t2.idx.k]":                 1,
+		"[t1.data t2.data t1.idx.k t2.idx.k]": n - 1,
+		"[t1.data t2.data]":                   1,
 	})
-	n = res.PaddedSteps
-	got = shapes("band", tr, "[t1.data t2.data t2.idx.k]")
-	descent := got["[t2.idx.k]"]
-	if len(got) != 2 || got["[t1.data t2.data]"] != n || descent == 0 || descent%n != 0 {
-		t.Errorf("band over %d steps: rounds by stores carried = %v", n, got)
-	}
 
-	tr, _ = trace(func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
-		return IndexNestedLoopJoin(s1, s2, "k", "k", jopts)
-	})
-	for stores := range shapes("index nested-loop", tr, "[t1.data t2.data t2.idx.k]") {
-		if strings.Contains(stores, " ") {
-			t.Fatalf("index nested-loop: a fetch round carried %s", stores)
-		}
+	for name, join := range map[string]func(s1, s2 *table.StoredTable, jopts Options) (*Result, error){
+		"band": func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
+			return BandJoin(s1, s2, "k", "k", BandGreaterEq, jopts)
+		},
+		"index nested-loop": func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
+			return IndexNestedLoopJoin(s1, s2, "k", "k", jopts)
+		},
+	} {
+		tr, res = trace(join)
+		n = res.PaddedSteps
+		check(name, shapes(name, tr, inputs, "[t1.data t2.data t2.idx.k]"), map[string]int64{
+			"[t1.data t2.idx.k]":         1,
+			"[t2.data t1.data t2.idx.k]": n - 1,
+			"[t2.idx.k]":                 n,
+			"[t2.data]":                  1,
+		})
 	}
 
 	rels, q := figure6Data()
 	m := storage.NewMeter()
 	in, jopts := storeMultiway(t, rels, q, m, false)
+	if got := fmt.Sprintln(in.Tree.Order[0].Table, in.Tree.Order[1].Table, in.Tree.Order[2].Table, in.Tree.Order[3].Table); got != "T1 T2 T3 T4\n" {
+		t.Fatalf("pre-order %s", got)
+	}
 	m.Reset()
 	m.SetTracing(true)
-	if _, err := MultiwayJoin(in, jopts); err != nil {
-		t.Fatal(err)
-	}
-	byRound := map[int64]string{}
-	for _, a := range m.Trace() {
-		if strings.Contains(a.Store, "⋈") {
-			continue // the output table: single-block operations, stamped with the round before theirs
-		}
-		if a.Kind == storage.KindRead && a.Index == 0 { // a path download opens with the root
-			if prev, ok := byRound[a.Round]; ok && prev != a.Store {
-				t.Fatalf("multiway: round %d carried %s and %s", a.Round, prev, a.Store)
-			}
-			byRound[a.Round] = a.Store
-		}
-	}
+	res = must(t)(MultiwayJoin(in, jopts))
+	n = res.PaddedSteps
+	inputs = []string{"T1.data", "T2.data", "T2.idx.A", "T3.data", "T3.idx.B", "T4.data", "T4.idx.D"}
+	check("multiway", shapes("multiway", m.Trace(), inputs, "[T1.data T2.data T2.idx.A T3.data T3.idx.B T4.data T4.idx.D]"), map[string]int64{
+		"[T1.data]":                           1,
+		"[T2.idx.A T3.idx.B]":                 n,
+		"[T2.idx.A T2.data T3.idx.B T3.data]": n,
+		"[T4.idx.D]":                          n + 1, // and its reset
+		"[T4.idx.D T4.data T1.data]":          n - 1,
+		"[T4.idx.D T4.data]":                  1,
+		"[T2.idx.A]":                          1, // the reset pass
+		"[T3.idx.B]":                          1,
+	})
 }
 
 // TestSettleRoundTwinTraces: a query ends with every touched tree owing a

@@ -47,7 +47,24 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 	}
 	load.End()
 	scan := sp.Child("scan")
-	if err := m.run(); err != nil {
+	var st *stepper
+	if m.padder != nil {
+		err = m.run()
+	} else {
+		cur := make([]*held, l)
+		for j := range cur {
+			cur[j] = &m.cur[j]
+		}
+		after := make([]int, l)
+		for j, node := range in.Tree.Order {
+			after[j] = node.Parent
+		}
+		after[0] = -1
+		st = newStepper(m.w, cur, after...)
+		err = m.runPipelined(st)
+		m.steps = st.steps
+	}
+	if err != nil {
 		return nil, err
 	}
 	scan.SetAttr("steps", m.steps)
@@ -59,7 +76,11 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 		sizes[i] = int64(t.NumTuples())
 	}
 	cart := Cartesian(sizes...)
-	paddedR := opts.PadSize(int64(m.w.real), cart)
+	real := int64(m.w.real)
+	if st != nil {
+		real = st.real()
+	}
+	paddedR := opts.PadSize(real, cart)
 	target := NumtrMultiway(sizes, paddedR)
 	rawSteps := m.steps
 	exceeded := rawSteps > target
@@ -70,20 +91,27 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 	// unlike Theorems 1–3, the executed step count here is not an exact
 	// function of the input sizes and the result size (the Observation 3
 	// corner can shift it), so there is no padding mode under which the
-	// index where batched rounds would begin is public. Dummy steps stay
-	// sequential and round-for-round identical to real ones.
+	// index where batched rounds would begin is public. Dummy steps have
+	// the round shape of real ones.
 	padded := rawSteps
 	for ; padded < target; padded++ {
-		if err := m.dummyStep(); err != nil {
+		if st != nil {
+			err = m.stepPipelined(st, m.holds())
+		} else if err = m.dummyStep(); err == nil {
+			err = m.w.putDummy()
+		}
+		if err != nil {
 			return nil, err
 		}
-		if err := m.w.putDummy(); err != nil {
+	}
+	if st != nil {
+		if err := st.drain(); err != nil {
 			return nil, err
 		}
 	}
 	pad.End()
 
-	tuples, real, paddedOut, err := m.w.finish(opts, cart, sp)
+	tuples, realCount, paddedOut, err := m.w.finish(opts, cart, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +140,7 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 	res := &Result{
 		Schema:        m.w.schema,
 		Tuples:        tuples,
-		RealCount:     real,
+		RealCount:     realCount,
 		PaddedCount:   paddedOut,
 		Steps:         rawSteps,
 		PaddedSteps:   padded,
@@ -136,7 +164,8 @@ type multiwayState struct {
 	costs   []int                // per-table retrieval access counts
 	padder  *onePadder
 
-	cur        []table.Row
+	cur        []held // the current row of every position
+	moves      []table.Move
 	parentCols []int // column of Order[j].ParentAttr in the parent's schema
 	rootSeen   int
 
@@ -164,7 +193,8 @@ func newMultiwayState(in MultiwayInput, opts Options) (*multiwayState, error) {
 		scan:             table.NewScanCursor(in.Tables[0]),
 		cursors:          make([]*table.IndexCursor, l),
 		costs:            make([]int, l),
-		cur:              make([]table.Row, l),
+		cur:              make([]held, l),
+		moves:            make([]table.Move, l),
 		parentCols:       make([]int, l),
 		exhausted:        make([]map[int64]bool, l),
 		disabledSameNext: make([]map[int64]bool, l),
@@ -211,9 +241,10 @@ func newMultiwayState(in MultiwayInput, opts Options) (*multiwayState, error) {
 // stepOp is the action one table performs within a join step.
 type stepOp func() error
 
-// execStep runs one join step: each table, in pre-order, performs its
-// scheduled op or a dummy retrieval, then one output record is written by
-// the caller. The per-table access pattern is identical in every step.
+// execStep runs one join step in the OneORAM setting: each table, in
+// pre-order, performs its scheduled op or a dummy retrieval, padded to the
+// widest, then one output record is written by the caller. The per-table
+// access pattern is identical in every step.
 func (m *multiwayState) execStep(ops []stepOp) error {
 	m.steps++
 	for j := 0; j < m.l; j++ {
@@ -300,7 +331,8 @@ func (m *multiwayState) scheduleAdvance(a int) action {
 	}
 }
 
-// run executes the main join loop.
+// run executes the main join loop in the OneORAM setting, one retrieval
+// after another.
 func (m *multiwayState) run() error {
 	next := m.scheduleAdvance(0)
 	for next.kind != aDone {
@@ -351,7 +383,7 @@ func (m *multiwayState) advanceStep(a int) (action, error) {
 				return fmt.Errorf("core: root scan ended early at %d", m.rootSeen)
 			}
 			m.rootSeen++
-			m.cur[0] = row
+			m.cur[0].Row = row
 			return nil
 		}
 	} else {
@@ -363,7 +395,7 @@ func (m *multiwayState) advanceStep(a int) (action, error) {
 				return err
 			}
 			if row.OK && row.Entry.Key == target {
-				m.cur[a] = row
+				m.cur[a].Row = row
 				return nil
 			}
 			// No live same-key successor: memoize so the discovery step is
@@ -389,7 +421,7 @@ func (m *multiwayState) advanceStep(a int) (action, error) {
 				return err
 			}
 			if row.OK && row.Entry.Key == target {
-				m.cur[j] = row
+				m.cur[j].Row = row
 				return nil
 			}
 			// Zero live matches for the parent tuple: Observations 1/2.
@@ -411,22 +443,136 @@ func (m *multiwayState) advanceStep(a int) (action, error) {
 		if err := m.w.putJoin(tuples...); err != nil {
 			return action{}, err
 		}
-		return m.scheduleAdvance(m.l - 1), nil
-	}
-	if err := m.w.putDummy(); err != nil {
+	} else if err := m.w.putDummy(); err != nil {
 		return action{}, err
+	}
+	return m.after(a, matched, failAt), nil
+}
+
+// after returns the action that follows an advance step at position a:
+// the next match after a complete one; the pre-order predecessor after a
+// key run is exhausted (failAt -2); otherwise the disabling of the parent
+// of failAt, the first position that found no match for its parent.
+func (m *multiwayState) after(a int, matched bool, failAt int) action {
+	if matched {
+		return m.scheduleAdvance(m.l - 1)
 	}
 	if failAt == -2 {
 		// Position a exhausted its key run: odometer falls back to the
 		// pre-order predecessor.
-		return m.scheduleAdvance(a - 1), nil
+		return m.scheduleAdvance(a - 1)
 	}
 	// Refill failure at failAt: the parent tuple can never contribute.
 	p := m.in.Tree.Order[failAt].Parent
 	if p == 0 {
 		// Root tuples are never physically disabled; the outer loop simply
 		// moves on (Section 6, Observation 2 discussion).
-		return m.scheduleAdvance(0), nil
+		return m.scheduleAdvance(0)
 	}
-	return action{kind: aDisable, pos: p, disable: m.cur[p].Entry.Ord}, nil
+	return action{kind: aDisable, pos: p, disable: m.cur[p].Entry.Ord}
+}
+
+// runPipelined executes the main join loop in the SepORAM setting, every
+// step one retrieval per table through the stepper's table.Pipeline: a
+// child's descent starts with the step — its root access needs no key — and
+// its keyed accesses wait for its parent's data access, so a step takes one
+// stage per level of the join tree rather than one round per access. A
+// child whose parent failed to match still probes, with whatever key the
+// parent's row holds (a miss when it holds none): that is what a dummy
+// retrieval looks like to the server, and the outcome is only committed,
+// as the one-table-at-a-time step would, up to the first failure in
+// pre-order.
+func (m *multiwayState) runPipelined(s *stepper) error {
+	next := m.scheduleAdvance(0)
+	for next.kind != aDone {
+		switch next.kind {
+		case aDisable:
+			j, ord := next.pos, next.disable
+			m.disabledSameNext[j][ord] = m.cur[j].Entry.SameNext
+			mv := m.holds()
+			mv[j] = m.cursors[j].MoveDisable(ord)
+			if err := m.stepPipelined(s, mv); err != nil {
+				return err
+			}
+			// The disabled entry is dead; try the rest of its key run.
+			next = m.scheduleAdvance(j)
+
+		case aAdvance:
+			var err error
+			if next, err = m.advancePipelined(s, next.pos); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// holds returns every table's dummy retrieval, in m.moves.
+func (m *multiwayState) holds() []table.Move {
+	m.moves[0] = m.scan.Hold()
+	for j := 1; j < m.l; j++ {
+		m.moves[j] = m.cursors[j].Hold()
+	}
+	return m.moves
+}
+
+// stepPipelined performs a step that writes a dummy record: a disable step
+// or a pad step.
+func (m *multiwayState) stepPipelined(s *stepper, mv []table.Move) error {
+	if _, err := s.step(mv...); err != nil {
+		return fmt.Errorf("core: step %d: %w", s.steps, err)
+	}
+	return s.record(false)
+}
+
+// advancePipelined performs one join step that advances position a and
+// refills every later pre-order position, and returns the next action.
+func (m *multiwayState) advancePipelined(s *stepper, a int) (action, error) {
+	rows := s.nextRows()
+	mv := m.holds()
+	if a == 0 {
+		mv[0] = m.scan.Advance()
+	} else {
+		mv[a] = m.cursors[a].MoveOrdGE(m.cur[a].Entry.Ord + 1)
+	}
+	for j := a + 1; j < m.l; j++ {
+		p := m.in.Tree.Order[j].Parent
+		src := &m.cur[p].Row
+		if p >= a {
+			src = &rows[p]
+		}
+		mv[j] = m.cursors[j].MoveKeyGE(src, m.parentCols[j])
+	}
+	rows, err := s.step(mv...)
+	if err != nil {
+		return action{}, fmt.Errorf("core: step %d: %w", s.steps, err)
+	}
+	// Commit in pre-order, as the one-table-at-a-time step does.
+	matched, failAt := true, -1
+	if a == 0 {
+		if !rows[0].OK {
+			return action{}, fmt.Errorf("core: root scan ended early at %d", m.rootSeen)
+		}
+		m.rootSeen++
+		s.take(&m.cur[0], rows, 0)
+	} else if rows[a].OK && rows[a].Entry.Key == m.targetKey(a) {
+		s.take(&m.cur[a], rows, a)
+	} else {
+		// No live same-key successor: memoize so the discovery step is never
+		// repeated for this entry.
+		m.exhausted[a][m.cur[a].Entry.Ord] = true
+		matched, failAt = false, -2
+	}
+	for j := a + 1; j < m.l && matched; j++ {
+		if rows[j].OK && rows[j].Entry.Key == m.targetKey(j) {
+			s.take(&m.cur[j], rows, j)
+		} else {
+			// Zero live matches for the parent tuple: Observations 1/2.
+			matched, failAt = false, j
+		}
+	}
+	if err := s.record(matched); err != nil {
+		return action{}, err
+	}
+	return m.after(a, matched, failAt), nil
 }

@@ -52,174 +52,123 @@ type chainMerge struct{ *table.ChainCursor }
 func (l chainMerge) Mark() any     { return l.ChainCursor.Mark() }
 func (l chainMerge) Restore(m any) { l.ChainCursor.Restore(m.(table.ChainMark)) }
 
-// mergeStep performs one join step of Algorithm 1: a retrieval from each
-// table, real where the flag says so and a dummy otherwise, T1 first. Both
-// tables are present in every stage of the step, so its index accesses
-// share one round, then its data accesses do (table.Step) — and which side
-// was real shows nowhere. The OneORAM
-// setting elides the dummy partner instead: there a step is the real
-// retrievals one after another, or T1's dummy alone when neither is real.
-func mergeStep(c1, c2 mergeCursor, real1, real2, one bool) (row1, row2 table.Row, err error) {
-	m1, m2 := c1.Hold(), c2.Hold()
+// merge is Algorithm 1's decision procedure over two merge cursors: from
+// the current rows of both inputs — their entries are all it looks at — it
+// says what the comparison writes and which cursor the next step advances.
+type merge struct {
+	c1, c2     mergeCursor
+	row1, row2 held
+	begin      held // T2's row where the current run of matches began
+	mark       any  // and T2's cursor position there
+	inRun      bool
+}
+
+// next decides after a step: whether the comparison writes a join record,
+// whether the next step advances T1 (else T2), and done once both inputs
+// are exhausted (no record, no step).
+func (m *merge) next() (join, adv1, done bool) {
+	if m.inRun {
+		if cmpRows(m.row1.Row, m.row2.Row) == 0 {
+			return true, false, false // lines 8-15: the run goes on
+		}
+		// The run has ended: one dummy record, rewind T2 to "begin" and
+		// advance T1.
+		m.row2, m.inRun = m.begin, false
+		m.c2.Restore(m.mark)
+		return false, true, false
+	}
+	if !m.row1.OK && !m.row2.OK {
+		return false, false, true
+	}
+	res := cmpRows(m.row1.Row, m.row2.Row)
+	if res == 0 {
+		m.begin, m.mark, m.inRun = m.row2, m.c2.Mark(), true
+		return true, false, false
+	}
+	// Lines 17-21: no match; one dummy record, advance the lagging side.
+	return false, res < 0, false
+}
+
+// moves returns the step's retrievals: real where the flag says so, a dummy
+// otherwise.
+func (m *merge) moves(real1, real2 bool) (table.Move, table.Move) {
+	m1, m2 := m.c1.Hold(), m.c2.Hold()
 	if real1 {
-		m1 = c1.Advance()
+		m1 = m.c1.Advance()
 	}
 	if real2 {
-		m2 = c2.Advance()
+		m2 = m.c2.Advance()
 	}
-	var rows [2]table.Row
-	if !one {
-		err = table.Step(rows[:], m1, m2)
-		return rows[0], rows[1], err
-	}
-	if real1 || !real2 {
-		if err = table.Step(rows[:1], m1); err != nil {
-			return row1, row2, err
-		}
-		row1 = rows[0]
-	}
-	if real2 {
-		err = table.Step(rows[1:], m2)
-		row2 = rows[1]
-	}
-	return row1, row2, err
+	return m1, m2
 }
 
-// runSortMerge executes Algorithm 1 over two merge cursors, writing one
-// output record per comparison. It returns the executed step and retrieval
-// counts (one step = one retrieval per table in the SepORAM setting; the
-// OneORAM setting elides partner dummies).
-func runSortMerge(c1, c2 mergeCursor, w *outWriter, one bool) (steps, retrievals int64, err error) {
-	// Line 3-4: retrieve the first tuple from each table (one join step).
-	steps++
-	retrievals += 2
-	row1, row2, err := mergeStep(c1, c2, true, true, one)
+// runPipelined executes Algorithm 1 in the SepORAM setting and pads it to
+// Theorem 1's bound: a retrieval from each table per step, the steps
+// overlapping in a table.Pipeline — step i+1's leaf accesses ride the round
+// of step i's data accesses — and each comparison's record written once the
+// step's tuples are in. Every step but the last owes one record, so a step's
+// record is written at the same point of the sequence whether it is real,
+// dummy or pad. It returns the executed and padded step counts.
+func (m *merge) runPipelined(w *outWriter, opts Options, cart int64, bound func(paddedR int64) int64, sp *telemetry.Span) (steps, padded int64, err error) {
+	s := newStepper(w, []*held{&m.row1, &m.row2}, -1, -1)
+	s.also = []*held{&m.begin}
+	step := func(adv1, adv2 bool) error {
+		rows, err := s.step(m.moves(adv1, adv2))
+		if err != nil {
+			return err
+		}
+		if adv1 {
+			s.take(&m.row1, rows, 0)
+		}
+		if adv2 {
+			s.take(&m.row2, rows, 1)
+		}
+		return nil
+	}
+	merge := sp.Child("merge")
+	// Lines 3-4: retrieve the first tuple from each table (one join step).
+	if err := step(true, true); err != nil {
+		return 0, 0, err
+	}
+	for {
+		join, adv1, done := m.next()
+		if done {
+			break
+		}
+		if err := s.record(join); err != nil {
+			return 0, 0, err
+		}
+		if err := step(adv1, !adv1); err != nil {
+			return 0, 0, err
+		}
+	}
+	steps = s.steps
+	merge.SetAttr("steps", steps)
+	merge.End()
+
+	target := bound(opts.PadSize(s.real(), cart))
+	pad, err := padPhase(sp, "sort-merge", "Theorem 1", steps, target)
 	if err != nil {
-		return steps, retrievals, err
+		return steps, 0, err
 	}
-	// advance moves one cursor; the step says which, and the other table's
-	// retrieval is the dummy.
-	advance := func(first bool) (err error) {
-		steps++
-		retrievals++
-		if first {
-			row1, _, err = mergeStep(c1, c2, true, false, one)
-		} else {
-			_, row2, err = mergeStep(c1, c2, false, true, one)
+	defer pad.End()
+	if depth := opts.prefetch(); depth > 1 {
+		if err := s.drain(); err != nil {
+			return steps, 0, err
 		}
-		return err
-	}
-
-	for row1.OK || row2.OK {
-		res := cmpRows(row1, row2)
-		if res == 0 {
-			// Lines 8-15: emit the run of matches, then rewind T2 to "begin".
-			beginRow, beginMark := row2, c2.Mark()
-			for res == 0 {
-				if err := w.putJoin(row1.Tuple, row2.Tuple); err != nil {
-					return steps, retrievals, err
-				}
-				if err := advance(false); err != nil {
-					return steps, retrievals, err
-				}
-				res = cmpRows(row1, row2)
-			}
-			if err := w.putDummy(); err != nil {
-				return steps, retrievals, err
-			}
-			row2 = beginRow
-			c2.Restore(beginMark)
-			if err := advance(true); err != nil {
-				return steps, retrievals, err
-			}
-			continue
-		}
-		// Lines 17-21: no match; one dummy record, advance the lagging side.
-		if err := w.putDummy(); err != nil {
-			return steps, retrievals, err
-		}
-		if err := advance(res < 0); err != nil {
-			return steps, retrievals, err
-		}
-	}
-	return steps, retrievals, nil
-}
-
-// finishSortMerge pads the step count to Theorem 1's bound and runs the
-// final oblivious filter. join is the algorithm's telemetry span (may be
-// nil); the pad and filter phases attach under it.
-func finishSortMerge(w *outWriter, c1, c2 mergeCursor, one bool,
-	n1, n2, steps, retrievals int64, opts Options, start storage.Stats,
-	join *telemetry.Span, tables ...settler) (*Result, error) {
-	cart := Cartesian(n1, n2)
-	paddedR := opts.PadSize(int64(w.real), cart)
-	target := NumtrSortMerge(n1, n2, paddedR)
-	if steps > target {
-		return nil, fmt.Errorf("core: sort-merge executed %d steps, exceeding the Theorem 1 bound %d", steps, target)
-	}
-	pad := join.Child("pad")
-	pad.SetAttr("steps", steps)
-	pad.SetAttr("target", target)
-	padded := steps
-	if depth := opts.prefetch(); depth <= 1 {
-		for ; padded < target; padded++ {
-			retrievals++
-			if _, _, err := mergeStep(c1, c2, false, false, one); err != nil {
-				return nil, err
-			}
-			if err := w.putDummy(); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// The pad tail is all dummies, so chunks of PrefetchDepth retrievals
-		// can share one download round per store. Only reached in PadNone
-		// (see Options.prefetch), where `steps` — the index at which the
-		// round shape changes — is itself declared leakage.
-		var chunks int64
-		for padded < target {
-			chunk := padChunk(depth, target-padded)
-			chunks++
-			retrievals += int64(chunk)
-			if err := c1.DummyBatch(chunk); err != nil {
-				return nil, err
-			}
-			if !one {
-				if err := c2.DummyBatch(chunk); err != nil {
-					return nil, err
-				}
-			}
-			for i := 0; i < chunk; i++ {
-				if err := w.putDummy(); err != nil {
-					return nil, err
-				}
-			}
-			padded += int64(chunk)
-		}
+		chunks, err := padChunks(depth, target-steps, w, m.c1.DummyBatch, m.c2.DummyBatch)
 		pad.SetAttr("chunks", chunks)
+		return steps, target, err
 	}
-	pad.End()
-	if err := settle(join, opts, tables...); err != nil {
-		return nil, err
+	for s.steps < target {
+		if err := s.record(false); err != nil {
+			return steps, 0, err
+		}
+		if err := step(false, false); err != nil {
+			return steps, 0, err
+		}
 	}
-	tuples, real, paddedOut, err := w.finish(opts, cart, join)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Schema:      w.schema,
-		Tuples:      tuples,
-		RealCount:   real,
-		PaddedCount: paddedOut,
-		Steps:       steps,
-		PaddedSteps: padded,
-		Retrievals:  padded,
-		Stats:       diff(opts.Meter, start),
-	}
-	if one {
-		res.Retrievals = retrievals
-	}
-	return res, nil
+	return steps, target, s.drain()
 }
 
 // SortMergeJoin computes T1 ⋈ T2 on a1 = a2 with the paper's oblivious
@@ -249,17 +198,8 @@ func SortMergeJoin(t1, t2 *table.StoredTable, a1, a2 string, opts Options) (*Res
 		return nil, err
 	}
 	load.End()
-	one := opts.OneORAM != nil
-	m1, m2 := leafMerge{c1}, leafMerge{c2}
-	merge := sp.Child("merge")
-	steps, retrievals, err := runSortMerge(m1, m2, w, one)
-	merge.SetAttr("steps", steps)
-	merge.End()
-	if err != nil {
-		return nil, err
-	}
-	return finishSortMerge(w, m1, m2, one,
-		int64(t1.NumTuples()), int64(t2.NumTuples()), steps, retrievals, opts, start, sp, t1, t2)
+	m := &merge{c1: leafMerge{c1}, c2: leafMerge{c2}}
+	return m.run(w, int64(t1.NumTuples()), int64(t2.NumTuples()), opts, start, sp, t1, t2)
 }
 
 // SortMergeJoinChained is Algorithm 1 over the index-free pointer-chain
@@ -268,7 +208,8 @@ func SortMergeJoin(t1, t2 *table.StoredTable, a1, a2 string, opts Options) (*Res
 // succeeding tuples can be retrieved when needed through ORAM using the
 // pointers." Each retrieval is a single data-ORAM access instead of the
 // indexed layout's leaf+data pair; the step count and Theorem 1 bound are
-// unchanged.
+// unchanged. A chained step decides from its data, so the next step cannot
+// start before it lands: one round per step.
 func SortMergeJoinChained(t1, t2 *table.ChainedTable, opts Options) (*Result, error) {
 	start := snapshot(opts.Meter)
 	sp := opts.span("join.smj.chain")
@@ -282,16 +223,125 @@ func SortMergeJoinChained(t1, t2 *table.ChainedTable, opts Options) (*Result, er
 		return nil, err
 	}
 	load.End()
-	one := opts.OneORAM != nil
-	m1 := chainMerge{table.NewChainCursor(t1)}
-	m2 := chainMerge{table.NewChainCursor(t2)}
-	merge := sp.Child("merge")
-	steps, retrievals, err := runSortMerge(m1, m2, w, one)
-	merge.SetAttr("steps", steps)
-	merge.End()
+	m := &merge{c1: chainMerge{table.NewChainCursor(t1)}, c2: chainMerge{table.NewChainCursor(t2)}}
+	return m.run(w, int64(t1.NumTuples()), int64(t2.NumTuples()), opts, start, sp, t1, t2)
+}
+
+// run executes Algorithm 1, pads it to Theorem 1's bound, settles the input
+// trees and filters the output.
+func (m *merge) run(w *outWriter, n1, n2 int64, opts Options, start storage.Stats,
+	sp *telemetry.Span, tables ...settler) (*Result, error) {
+	cart := Cartesian(n1, n2)
+	bound := func(paddedR int64) int64 { return NumtrSortMerge(n1, n2, paddedR) }
+	var steps, padded, retrievals int64
+	var err error
+	if opts.OneORAM != nil {
+		steps, padded, retrievals, err = m.runOne(w, opts, cart, bound, sp)
+	} else {
+		steps, padded, err = m.runPipelined(w, opts, cart, bound, sp)
+		retrievals = padded
+	}
 	if err != nil {
 		return nil, err
 	}
-	return finishSortMerge(w, m1, m2, one,
-		int64(t1.NumTuples()), int64(t2.NumTuples()), steps, retrievals, opts, start, sp, t1, t2)
+	if err := settle(sp, opts, tables...); err != nil {
+		return nil, err
+	}
+	tuples, real, paddedOut, err := w.finish(opts, cart, sp)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Schema:      w.schema,
+		Tuples:      tuples,
+		RealCount:   real,
+		PaddedCount: paddedOut,
+		Steps:       steps,
+		PaddedSteps: padded,
+		Retrievals:  retrievals,
+		Stats:       diff(opts.Meter, start),
+	}, nil
+}
+
+// runOne executes Algorithm 1 in the OneORAM setting, one retrieval after
+// another, and pads it: there the dummy partner of a step is elided — a
+// step is its real retrievals, or T1's dummy alone when neither is real —
+// and each comparison's record is written before the next step. It returns
+// the executed and padded step counts and the retrievals made.
+func (m *merge) runOne(w *outWriter, opts Options, cart int64, bound func(int64) int64,
+	sp *telemetry.Span) (steps, padded, retrievals int64, err error) {
+	merge := sp.Child("merge")
+	step := func(real1, real2 bool) error {
+		steps++
+		m1, m2 := m.moves(real1, real2)
+		var rows [2]table.Row
+		if real1 || !real2 {
+			if err := table.Step(rows[:1], m1); err != nil {
+				return err
+			}
+			retrievals++
+		}
+		if real2 {
+			if err := table.Step(rows[1:], m2); err != nil {
+				return err
+			}
+			retrievals++
+		}
+		if real1 {
+			m.row1.Row = rows[0]
+		}
+		if real2 {
+			m.row2.Row = rows[1]
+		}
+		return nil
+	}
+	if err := step(true, true); err != nil {
+		return 0, 0, 0, err
+	}
+	for {
+		join, adv1, done := m.next()
+		if done {
+			break
+		}
+		if join {
+			err = w.putJoin(m.row1.Tuple, m.row2.Tuple)
+		} else {
+			err = w.putDummy()
+		}
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if err := step(adv1, !adv1); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	merge.SetAttr("steps", steps)
+	merge.End()
+
+	target := bound(opts.PadSize(int64(w.real), cart))
+	pad, err := padPhase(sp, "sort-merge", "Theorem 1", steps, target)
+	if err != nil {
+		return steps, 0, 0, err
+	}
+	defer pad.End()
+	retrievals += target - steps
+	if depth := opts.prefetch(); depth > 1 {
+		// The pad tail is all dummies, so chunks of PrefetchDepth retrievals
+		// can share one download round. Only reached in PadNone (see
+		// Options.prefetch), where the executed step count — the index at
+		// which the round shape changes — is itself declared leakage.
+		chunks, err := padChunks(depth, target-steps, w, m.c1.DummyBatch)
+		pad.SetAttr("chunks", chunks)
+		return steps, target, retrievals, err
+	}
+	for padded = steps; padded < target; padded++ {
+		var row [1]table.Row
+		if err := table.Step(row[:], m.c1.Hold()); err != nil {
+			return steps, 0, 0, err
+		}
+		if err := w.putDummy(); err != nil {
+			return steps, 0, 0, err
+		}
+	}
+	return steps, padded, retrievals, nil
 }

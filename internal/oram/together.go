@@ -8,13 +8,15 @@ import (
 
 // Req is one access of a lockstep group (Together): a read of Key — through
 // Update when set, which may rewrite the payload in place exactly as
-// ORAM.Update does — or, with Dummy set, an access that touches no block.
-// Data and Err are the access's own outcome.
+// ORAM.Update does — a write of Put to Key when Put is set, as ORAM.Write
+// does, or, with Dummy set, an access that touches no block. Data and Err
+// are the access's own outcome.
 type Req struct {
 	ORAM   ORAM
 	Key    uint64
 	Dummy  bool
 	Update func(payload []byte) error
+	Put    []byte
 
 	Data []byte
 	Err  error
@@ -57,6 +59,8 @@ func Together(reqs []Req) error {
 			switch {
 			case r.Dummy:
 				r.Data, r.Err = nil, r.ORAM.DummyAccess()
+			case r.Put != nil:
+				r.Data, r.Err = nil, r.ORAM.Write(r.Key, r.Put)
 			case r.Update != nil:
 				r.Data, r.Err = r.ORAM.Update(r.Key, r.Update)
 			default:
@@ -79,7 +83,13 @@ func Together(reqs []Req) error {
 	for i, o := range group {
 		r := &reqs[i]
 		r.Data = nil
-		if r.Err = o.plan(&o.planBuf, r.Key, nil, r.Dummy, r.Update); r.Err != nil {
+		var put []byte
+		if r.Put != nil && !r.Dummy {
+			if put, r.Err = o.padded(r.Put); r.Err != nil {
+				continue
+			}
+		}
+		if r.Err = o.plan(&o.planBuf, r.Key, put, r.Dummy, r.Update); r.Err != nil {
 			continue
 		}
 		o.leafBuf[0] = o.planBuf.leaf

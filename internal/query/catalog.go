@@ -15,6 +15,12 @@ type IndexMeta struct {
 	// AccessesPerRetrieval is the exact number of index-ORAM accesses one
 	// lookup/disable/dummy performs (Δ, or 2Δ with write-back descents).
 	AccessesPerRetrieval int
+	// Reads is how many of those accesses read the path down to the entry
+	// (OutsourcedLevels); the rest are write-ups.
+	Reads int
+	// KeyFree is how many leading accesses of a descent need no key
+	// (btree.Tree.KeyFree): the root read, when the root is not cached.
+	KeyFree int
 	// OramAccessesPerOp is the server block operations one index-ORAM
 	// access moves (for Path-ORAM 2·Levels(): the path's levels below the
 	// treetop, down and up).
@@ -84,6 +90,8 @@ func Describe(tables map[string]*table.StoredTable) Catalog {
 			tm.Indexes[attr] = IndexMeta{
 				Attr:                 attr,
 				AccessesPerRetrieval: tr.AccessesPerRetrieval(),
+				Reads:                tr.OutsourcedLevels(),
+				KeyFree:              tr.KeyFree(),
 				OramAccessesPerOp:    tr.ORAM().AccessesPerOp(),
 				BlockBytes:           tr.ORAM().BlockBytes(),
 				ResetNodes:           resetNodes,

@@ -8,6 +8,7 @@ import (
 	"oblivjoin/internal/core"
 	"oblivjoin/internal/jointree"
 	"oblivjoin/internal/storage"
+	"oblivjoin/internal/table"
 )
 
 // Cost is a candidate plan's predicted input-side access cost, derived from
@@ -31,18 +32,23 @@ type Cost struct {
 	// at every EvictionBatch — priced per operator because operators differ
 	// in which accesses share a round. A Path-ORAM access costs one round:
 	// its path download, which carries the write-back the tree has queued.
-	// The operators whose per-table retrievals are independent in every step
-	// issue them in lockstep, one round per stage for both tables
-	// (table.Step):
+	// The join steps run in a table.Pipeline — every tree serves one access
+	// per round, and a step's first index accesses ride the previous step's
+	// last round — so the rounds are table.PipelineRounds over the inputs'
+	// public geometry. With n the padded step count and h the inner index's
+	// accesses per retrieval, that is
 	//
-	//	sort-merge          2·n        index stage, data stage
-	//	band                (h+1)·n    h descent accesses, then both data accesses together
-	//	index nested-loop   (h+2)·n    the probe needs the outer tuple's key: sequential
-	//	multiway            ORAMOps    children depend on the parent's row: sequential
+	//	sort-merge          n + 1      {T1.idx(i+1), T2.idx(i+1), T1.data(i), T2.data(i)}
+	//	band                h·n + 1    T1.data(i) and T2.data(i−1) ride T2's root access
+	//	index nested-loop   h·n + 1    the same, the probe keyed from the root down
+	//	multiway            one stage per join-tree level per step, write-ups in free rounds
 	//
-	// with n the padded step count and h the inner index's accesses per
-	// retrieval — plus one settle round, in which every touched tree's last
-	// write-back travels when the query ends (core.settle).
+	// for an uncached index without write-ups (h ≥ 2; with write-ups the
+	// last data access rides a write-up and the + 1 goes, and a cached index
+	// keys its only read, so an equi-join step takes 2), plus the multiway
+	// join's reset pass, one round per node, and one settle round, in which
+	// every touched tree's last write-back travels when the query ends
+	// (core.settle).
 	Rounds int64
 	// PerStore maps store name to predicted block operations — the exact
 	// counts the predicted-vs-measured guard checks against the Meter's
@@ -79,13 +85,31 @@ func (c *Cost) Time() time.Duration {
 	return storage.DefaultCostModel().Cost(storage.Stats{BytesRead: c.Bytes, NetworkRounds: c.Rounds})
 }
 
-// setRounds records the operator's round count: the rounds its accesses are
-// fetched in, and the one that settles the trees they touched.
-func (c *Cost) setRounds(fetch int64) {
-	c.Rounds = fetch
+// setRounds records the operator's round count: the rounds its steps take
+// over the given lanes, extra rounds of its own, and the one that settles
+// the trees they touched.
+func (c *Cost) setRounds(lanes []table.Lane, extra int64) {
+	c.Rounds = table.PipelineRounds(lanes, c.Steps) + extra
 	if c.ORAMOps > 0 {
 		c.Rounds++
 	}
+}
+
+// scanLane is a table scanned by block, indexLane a table retrieved through
+// a descent of the given index whose keyed accesses wait for lane after.
+func scanLane(m TableMeta) table.Lane { return table.Lane{Data: m.DataStore, After: -1} }
+
+func indexLane(m TableMeta, idx IndexMeta, after int) table.Lane {
+	return table.Lane{
+		Index: idx.Store, Data: m.DataStore,
+		Accesses: idx.AccessesPerRetrieval, Reads: idx.Reads, KeyFree: idx.KeyFree, After: after,
+	}
+}
+
+// leafLane is a table walked along its index's leaves (table.LeafCursor):
+// one leaf access, keyed by nothing.
+func leafLane(m TableMeta, idx IndexMeta) table.Lane {
+	return table.Lane{Index: idx.Store, Data: m.DataStore, Accesses: 1, Reads: 1, KeyFree: 1, After: -1}
 }
 
 // smjCost prices the sort-merge equi-join t1.a1 = t2.a2: Numtr1 = |T1| +
@@ -114,7 +138,7 @@ func smjCost(cat Catalog, t1, a1, t2, a2 string, paddedR int64) (Cost, error) {
 	c.addData(m1, n)
 	c.addIndex(i2, n)
 	c.addData(m2, n)
-	c.setRounds(2 * n)
+	c.setRounds([]table.Lane{leafLane(m1, i1), leafLane(m2, i2)}, 0)
 	return c, nil
 }
 
@@ -122,8 +146,9 @@ func smjCost(cat Catalog, t1, a1, t2, a2 string, paddedR int64) (Cost, error) {
 // roles (equi and band joins share the bound: Numtr = |outer| + |R̂|). Each
 // step is one outer data access plus one full index descent
 // (AccessesPerRetrieval index accesses) and one data access on the inner.
-// The band join moves the same blocks but issues the step's two data
-// accesses together, which saves a round per step.
+// The band join moves the same blocks, but its first inner retrieval of an
+// outer tuple seeks a fixed end of the index, so no access waits for the
+// outer tuple.
 func inljCost(cat Catalog, outer, inner, innerAttr string, paddedR int64, band bool) (Cost, error) {
 	mo, err := cat.lookup(outer)
 	if err != nil {
@@ -142,11 +167,11 @@ func inljCost(cat Catalog, outer, inner, innerAttr string, paddedR int64, band b
 	c.addData(mo, n)
 	c.addIndex(idx, n*int64(idx.AccessesPerRetrieval))
 	c.addData(mi, n)
-	stages := int64(idx.AccessesPerRetrieval) + 2
+	after := 0
 	if band {
-		stages--
+		after = -1
 	}
-	c.setRounds(stages * n)
+	c.setRounds([]table.Lane{scanLane(mo), indexLane(mi, idx, after)}, 0)
 	return c, nil
 }
 
@@ -168,6 +193,8 @@ func multiwayCost(cat Catalog, tree *jointree.Tree, paddedR int64) (Cost, error)
 	n := core.NumtrMultiway(sizes, paddedR)
 	c := Cost{Steps: n}
 	c.addData(metas[0], n)
+	lanes := []table.Lane{scanLane(metas[0])}
+	var reset int64
 	for i, node := range tree.Order {
 		if i == 0 {
 			continue
@@ -178,12 +205,15 @@ func multiwayCost(cat Catalog, tree *jointree.Tree, paddedR int64) (Cost, error)
 		}
 		c.addIndex(idx, n*int64(idx.AccessesPerRetrieval))
 		c.addData(metas[i], n)
-		// Reset pass: ResetIndexes walks every index of the table.
+		lanes = append(lanes, indexLane(metas[i], idx, node.Parent))
+		// Reset pass: ResetIndexes walks every index of the table, one
+		// access — one round — per node.
 		for _, im := range sortedIndexes(metas[i]) {
 			c.addIndex(im, im.ResetNodes)
+			reset += im.ResetNodes
 		}
 	}
-	c.setRounds(c.ORAMOps)
+	c.setRounds(lanes, reset)
 	return c, nil
 }
 

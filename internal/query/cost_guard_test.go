@@ -74,7 +74,12 @@ var guardBatches = []int{1, 4}
 // guardEnv builds tables, clears the setup traffic, and turns tracing on.
 func guardEnv(t *testing.T, multiway bool, batch int, rels map[string]*relation.Relation, idx map[string][]string) *testEnv {
 	t.Helper()
-	env := newEnv(t, envConfig{multiway: multiway, evictionBatch: batch}, rels, idx)
+	return guardEnvOf(t, envConfig{multiway: multiway, evictionBatch: batch}, rels, idx)
+}
+
+func guardEnvOf(t *testing.T, cfg envConfig, rels map[string]*relation.Relation, idx map[string][]string) *testEnv {
+	t.Helper()
+	env := newEnv(t, cfg, rels, idx)
 	env.meter.Reset()
 	env.meter.SetTracing(true)
 	return env
@@ -101,88 +106,115 @@ func TestPredictedCostSMJ(t *testing.T) {
 	}
 }
 
+// guardConfigs are the index shapes the binary cost guards run over: plain
+// two-level descents, whose root access rides the outer's data access; with
+// write-backs, where the last data access rides a write-up; and with the
+// internal level cached, where the one outsourced access is keyed.
+var guardConfigs = []envConfig{{}, {multiway: true}, {cacheIndex: true}}
+
 // TestPredictedCostINLJ: Theorem 2, with the inner's full index descents.
 func TestPredictedCostINLJ(t *testing.T) {
 	rels := map[string]*relation.Relation{
 		"a": makeRel("a", []int64{1, 2, 2, 3}),
 		"b": makeRel("b", []int64{1, 2, 2, 2, 5, 7, 9, 11, 13, 15, 17, 19}),
 	}
-	for _, k := range guardBatches {
-		env := guardEnv(t, false, k, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
-		res, err := core.IndexNestedLoopJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", env.ex.JoinOpts)
-		if err != nil {
-			t.Fatal(err)
+	for _, cfg := range guardConfigs {
+		for _, k := range guardBatches {
+			cfg.evictionBatch = k
+			env := guardEnvOf(t, cfg, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
+			res, err := core.IndexNestedLoopJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", env.ex.JoinOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 		}
-		cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 	}
 }
 
 // TestPredictedCostBand: Theorem 3 shares the INLJ formula for blocks; its
-// two data accesses per step share their round.
+// inner descents wait for nothing.
 func TestPredictedCostBand(t *testing.T) {
 	rels := map[string]*relation.Relation{
 		"a": makeRel("a", []int64{1, 4, 7}),
-		"b": makeRel("b", []int64{2, 5, 6, 8}),
+		"b": makeRel("b", []int64{2, 5, 6, 8, 10, 12, 14, 16, 18, 20}),
 	}
-	for _, k := range guardBatches {
-		env := guardEnv(t, false, k, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
-		res, err := core.BandJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", core.BandLess, env.ex.JoinOpts)
-		if err != nil {
-			t.Fatal(err)
+	for _, cfg := range guardConfigs {
+		for _, k := range guardBatches {
+			cfg.evictionBatch = k
+			env := guardEnvOf(t, cfg, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
+			res, err := core.BandJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", core.BandLess, env.ex.JoinOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 		}
-		cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 	}
 }
 
-// TestPredictedCostMultiway: Theorem 4 plus the post-query index reset.
+// TestPredictedCostMultiway: Theorem 4 plus the post-query index reset, over
+// one-level indexes and over a chain of deeper ones, where a step takes a
+// stage per level of the join tree.
 func TestPredictedCostMultiway(t *testing.T) {
-	rels := map[string]*relation.Relation{
+	keys := func(n int, f func(i int) int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	for _, rels := range []map[string]*relation.Relation{{
 		"a": makeRel("a", []int64{1, 2, 3}),
 		"b": makeRel("b", []int64{2, 2, 3, 4}),
 		"c": makeRel("c", []int64{3, 3, 2}),
-	}
-	q := jointree.Query{
-		Tables: []string{"a", "b", "c"},
-		Preds: []jointree.Pred{
-			{Left: "a", LeftAttr: "k", Right: "b", RightAttr: "k"},
-			{Left: "b", LeftAttr: "k", Right: "c", RightAttr: "k"},
-		},
-	}
-	tree, err := jointree.Build(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range guardBatches {
-		env := guardEnv(t, true, k, rels, map[string][]string{"a": {"k"}, "b": {"k"}, "c": {"k"}})
-		in := core.MultiwayInput{Tree: tree}
-		for _, n := range tree.Order {
-			in.Tables = append(in.Tables, env.ex.Tables[n.Table])
+	}, {
+		"a": makeRel("a", keys(6, func(i int) int64 { return int64(3 * i) })),
+		"b": makeRel("b", keys(20, func(i int) int64 { return int64(i) })),
+		"c": makeRel("c", keys(30, func(i int) int64 { return int64(i % 15) })),
+	}} {
+		q := jointree.Query{
+			Tables: []string{"a", "b", "c"},
+			Preds: []jointree.Pred{
+				{Left: "a", LeftAttr: "k", Right: "b", RightAttr: "k"},
+				{Left: "b", LeftAttr: "k", Right: "c", RightAttr: "k"},
+			},
 		}
-		res, err := core.MultiwayJoin(in, env.ex.JoinOpts)
+		tree, err := jointree.Build(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cost, err := multiwayCost(Describe(env.ex.Tables), tree, int64(res.PaddedCount))
-		if err != nil {
-			t.Fatal(err)
+		for _, k := range guardBatches {
+			env := guardEnv(t, true, k, rels, map[string][]string{"a": {"k"}, "b": {"k"}, "c": {"k"}})
+			in := core.MultiwayInput{Tree: tree}
+			for _, n := range tree.Order {
+				in.Tables = append(in.Tables, env.ex.Tables[n.Table])
+			}
+			res, err := core.MultiwayJoin(in, env.ex.JoinOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost, err := multiwayCost(Describe(env.ex.Tables), tree, int64(res.PaddedCount))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 		}
-		checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 	}
 }
 
 // TestPredictedRoundsUnderDeferredEviction: EvictionBatch says how many
 // paths a write-back unions, never whether it gets a round of its own, so
 // the planner's round prediction is the same number at every batch, Explain
-// prints it as an equality, and the Meter counts exactly it — two rounds per
-// sort-merge step and the settle round.
+// prints it as an equality, and the Meter counts exactly it — one round per
+// pipelined sort-merge step, the round that lands the last step's data, and
+// the settle round.
 func TestPredictedRoundsUnderDeferredEviction(t *testing.T) {
 	rels := map[string]*relation.Relation{
 		"a": makeRel("a", []int64{1, 2, 2, 3}),
@@ -216,8 +248,8 @@ func TestPredictedRoundsUnderDeferredEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := roundsOver(env.meter.Trace(), cost.PerStore); got != cost.Rounds || got != 2*res.PaddedSteps+1 {
-			t.Errorf("EvictionBatch %d: predicted %d rounds, measured %d, want %d", batch, cost.Rounds, got, 2*res.PaddedSteps+1)
+		if got := roundsOver(env.meter.Trace(), cost.PerStore); got != cost.Rounds || got != res.PaddedSteps+2 {
+			t.Errorf("EvictionBatch %d: predicted %d rounds, measured %d, want %d", batch, cost.Rounds, got, res.PaddedSteps+2)
 		}
 	}
 }

@@ -36,6 +36,7 @@ type envConfig struct {
 	multiway      bool
 	seed          uint64
 	evictionBatch int
+	cacheIndex    bool
 }
 
 // newEnv stores each relation with indexes on the given attributes and
@@ -55,6 +56,7 @@ func newEnv(t testing.TB, cfg envConfig, rels map[string]*relation.Relation, ind
 		Rand:              oram.NewSeededSource(seed),
 		WriteBackDescents: cfg.multiway,
 		EvictionBatch:     cfg.evictionBatch,
+		CacheIndex:        cfg.cacheIndex,
 	}
 	tables := make(map[string]*table.StoredTable, len(rels))
 	for name, rel := range rels {

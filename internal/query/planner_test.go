@@ -35,6 +35,8 @@ func synthCatalogOf(depth, blockBytes int, rows map[string]int64, indexed map[st
 			tm.Indexes[attr] = IndexMeta{
 				Attr:                 attr,
 				AccessesPerRetrieval: depth,
+				Reads:                depth,
+				KeyFree:              min(1, depth-1),
 				OramAccessesPerOp:    10,
 				BlockBytes:           blockBytes,
 				ResetNodes:           n,
@@ -57,11 +59,12 @@ func equiSpec(t1, t2 string) Spec {
 // cost model (1 Gbps, 500 µs a round). With equal table sizes INLJ moves
 // fewer blocks at a shallow index (Numtr2 = t+R̂ steps at Δ+2 ops each
 // against Numtr1 = 2t+R̂+1 at 2 ops per table) and SMJ, whose leaf-level
-// cursors never pay the descent, at a deep one; but an INLJ step is Δ+2
-// sequential rounds where a lockstep SMJ step is two, so what Δ = 2 buys
-// depends on what a block costs beside a round: 16 KB blocks are
-// bandwidth-bound and the fewer blocks win, 512 B blocks are round-bound
-// and SMJ wins with more blocks — the choice a block count alone gets wrong.
+// cursors never pay the descent, at a deep one; but a pipelined INLJ step is
+// max(Δ, 2) rounds — its descent, keyed by the outer tuple below the root —
+// where a pipelined SMJ step is one, so what a shallow index buys depends on
+// what a block costs beside a round: 16 KB blocks are bandwidth-bound and the
+// fewer blocks win, 512 B blocks are round-bound and SMJ wins with more
+// blocks — the choice a block count alone gets wrong.
 func TestOperatorChoiceCrossover(t *testing.T) {
 	rows := map[string]int64{"a": 1000, "b": 1000}
 	idx := map[string][]string{"a": {"k"}, "b": {"k"}}
@@ -73,7 +76,8 @@ func TestOperatorChoiceCrossover(t *testing.T) {
 		want              OpKind
 		fewestBlocks      bool
 	}{
-		{depth: 1, blockBytes: 512, want: OpINLJ, fewestBlocks: true},
+		{depth: 1, blockBytes: 512, want: OpSMJ, fewestBlocks: false},
+		{depth: 1, blockBytes: 16 << 10, want: OpINLJ, fewestBlocks: true},
 		{depth: 2, blockBytes: 16 << 10, want: OpINLJ, fewestBlocks: true},
 		{depth: 2, blockBytes: 512, want: OpSMJ, fewestBlocks: false},
 		{depth: 6, blockBytes: 16 << 10, want: OpSMJ, fewestBlocks: true},
@@ -100,19 +104,19 @@ func TestOperatorChoiceCrossover(t *testing.T) {
 // (24 suppliers against a filtered customer input of 360 rows padded to a
 // result of 512, 512 B payloads, write-back descents) at its catalog's own
 // geometry: probing the small supplier index from the customer side moves
-// the fewest blocks, 19 184 against sort-merge's 21 528, in 5 233 rounds
-// against 1 795 — 2.9 s against 1.3 s under the cost model. The planner
+// the fewest blocks, 19 184 against sort-merge's 21 528, in 3 489 rounds
+// against 899 — 2.07 s against 0.82 s under the cost model. The planner
 // ranks by that time.
 func TestRoundBoundEquiJoinChoosesSMJ(t *testing.T) {
 	bucket := xcrypto.SealedLen(4 * (13 + 512))
 	cat := Catalog{
 		"supplier": {
 			Name: "supplier", Rows: 24, DataAccessesPerOp: 4, DataBlockBytes: bucket, DataStore: "supplier.data",
-			Indexes: map[string]IndexMeta{"k": {Attr: "k", AccessesPerRetrieval: 4, OramAccessesPerOp: 2, BlockBytes: bucket, Store: "supplier.idx.k"}},
+			Indexes: map[string]IndexMeta{"k": {Attr: "k", AccessesPerRetrieval: 4, Reads: 2, KeyFree: 1, OramAccessesPerOp: 2, BlockBytes: bucket, Store: "supplier.idx.k"}},
 		},
 		"customer": {
 			Name: "customer", Rows: 360, DataAccessesPerOp: 10, DataBlockBytes: bucket, DataStore: "customer.data",
-			Indexes: map[string]IndexMeta{"k": {Attr: "k", AccessesPerRetrieval: 6, OramAccessesPerOp: 8, BlockBytes: bucket, Store: "customer.idx.k"}},
+			Indexes: map[string]IndexMeta{"k": {Attr: "k", AccessesPerRetrieval: 6, Reads: 3, KeyFree: 1, OramAccessesPerOp: 8, BlockBytes: bucket, Store: "customer.idx.k"}},
 		},
 	}
 	spec := equiSpec("supplier", "customer")
@@ -122,13 +126,13 @@ func TestRoundBoundEquiJoinChoosesSMJ(t *testing.T) {
 		t.Fatal(err)
 	}
 	smj, inlj := p.Candidates[0], p.Candidates[2]
-	if smj.Cost.Blocks != 21528 || smj.Cost.Rounds != 1795 || inlj.Cost.Blocks != 19184 || inlj.Cost.Rounds != 5233 || inlj.Outer != "customer" {
+	if smj.Cost.Blocks != 21528 || smj.Cost.Rounds != 899 || inlj.Cost.Blocks != 19184 || inlj.Cost.Rounds != 3489 || inlj.Outer != "customer" {
 		t.Fatalf("the candidates are not the benchmark's:\n%s", p.Explain())
 	}
 	if p.Best().Kind != OpSMJ || smj.Cost.Time() >= inlj.Cost.Time() {
 		t.Fatalf("chose %s, want smj\n%s", p.Best().Desc, p.Explain())
 	}
-	for _, want := range []string{"rounds=1795 time=1.26", "rounds=5233 time=2.94"} {
+	for _, want := range []string{"rounds=899 time=816.68", "rounds=3489 time=2.07"} {
 		if !strings.Contains(p.Explain(), want) {
 			t.Errorf("Explain does not print %q:\n%s", want, p.Explain())
 		}

@@ -10,6 +10,7 @@ import (
 
 	"oblivjoin/internal/core"
 	"oblivjoin/internal/oram"
+	"oblivjoin/internal/relation"
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/storage/storetest"
 	"oblivjoin/internal/table"
@@ -88,15 +89,16 @@ func TestExchangeRPCOverLoopback(t *testing.T) {
 type binaryJoin func(t1, t2 *table.StoredTable, a1, a2 string, opts core.Options) (*core.Result, error)
 
 // runShapedLoopbackJoin stores two relations on a loopback server with the
-// given eviction batch and its transport shaped by faults, runs the given
-// oblivious join over the wire, checks the result, and returns the network
-// rounds and Path-ORAM accesses it cost, the write-backs that rode a
+// given eviction batch and its transport shaped by faults — each table in
+// its own trees (SepORAM), or both in one shared tree (OneORAM) — runs the
+// given oblivious join over the wire, checks the result, and returns the
+// network rounds and Path-ORAM accesses it cost, the write-backs that rode a
 // download, and the join's wall-clock. The tables' ORAM traffic is metered
 // on the client transport while the output filter is metered apart, so the
 // ratio of the two counts is exact; setup traffic is excluded by resetting
 // the meter after Store (bulk load bypasses the access path, so telemetry
 // accesses start at zero there too).
-func runShapedLoopbackJoin(t *testing.T, k int, join binaryJoin, faults FaultModel) (rounds, accesses, exchanges int64, wall time.Duration) {
+func runShapedLoopbackJoin(t *testing.T, k int, join binaryJoin, faults FaultModel, oneORAM bool) (rounds, accesses, exchanges int64, wall time.Duration) {
 	t.Helper()
 	mTab := storage.NewMeter()
 	_, c := startServer(t, ServerOptions{Faults: faults}, ClientOptions{Meter: mTab})
@@ -116,22 +118,39 @@ func runShapedLoopbackJoin(t *testing.T, k int, join binaryJoin, faults FaultMod
 		EvictionBatch: k,
 		PrefetchDepth: k,
 	}
-	t1, err := table.Store(e2eRel("t1", k1), []string{"k"}, topts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := table.Store(e2eRel("t2", k2), []string{"k"}, topts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mTab.Reset() // setup traffic is not query cost
-	start := time.Now()
-	res, err := join(t1, t2, "k", "k", core.Options{
+	jopts := core.Options{
 		Meter:         storage.NewMeter(), // output filter metered apart
 		Sealer:        sealer,
 		OutBlockSize:  256,
 		PrefetchDepth: k,
-	})
+	}
+	var t1, t2 *table.StoredTable
+	var trees []interface{ Telemetry() oram.PathStats }
+	if oneORAM {
+		tabs, shared, err := table.StoreShared([]*relation.Relation{e2eRel("t1", k1), e2eRel("t2", k2)},
+			map[string][]string{"t1": {"k"}, "t2": {"k"}}, topts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t1, t2, jopts.OneORAM = tabs["t1"], tabs["t2"], shared
+		trees = append(trees, shared)
+	} else {
+		var err error
+		if t1, err = table.Store(e2eRel("t1", k1), []string{"k"}, topts); err != nil {
+			t.Fatal(err)
+		}
+		if t2, err = table.Store(e2eRel("t2", k2), []string{"k"}, topts); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range []*table.StoredTable{t1, t2} {
+			for _, o := range st.ORAMs() {
+				trees = append(trees, o.(interface{ Telemetry() oram.PathStats }))
+			}
+		}
+	}
+	mTab.Reset() // setup traffic is not query cost
+	start := time.Now()
+	res, err := join(t1, t2, "k", "k", jopts)
 	wall = time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -145,11 +164,10 @@ func runShapedLoopbackJoin(t *testing.T, k int, join binaryJoin, faults FaultMod
 			t.Fatalf("tuple %s: got %d, want %d", key, got[key], n)
 		}
 	}
-	for _, st := range []*table.StoredTable{t1, t2} {
-		for _, ps := range st.PathTelemetry() {
-			accesses += ps.Accesses
-			exchanges += ps.Exchanges
-		}
+	for _, tr := range trees {
+		ps := tr.Telemetry()
+		accesses += ps.Accesses
+		exchanges += ps.Exchanges
 	}
 	if accesses == 0 {
 		t.Fatal("no ORAM accesses recorded")
@@ -158,42 +176,53 @@ func runShapedLoopbackJoin(t *testing.T, k int, join binaryJoin, faults FaultMod
 }
 
 // overlapShaper is a Shaper that serves its latency itself, so it can see
-// how many requests are waiting it out at once.
+// how many requests are waiting it out at once. Given the shares a round is
+// expected to carry, it holds each request until that many are waiting or
+// its latency is up, and serves what is left of the latency after: a
+// round's requests are counted together however the scheduler spaces out
+// their arrival inside one latency, and no request waits longer than it
+// would have.
 type overlapShaper struct {
 	Shaper
+	shares        int64
 	waiting, peak atomic.Int64
 }
 
 func (s *overlapShaper) Next(req *Request) (time.Duration, bool) {
 	delay, transient := s.Shaper.Next(req)
+	start := time.Now()
 	n := s.waiting.Add(1)
 	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
 	}
-	time.Sleep(delay)
+	for s.waiting.Load() < s.shares && time.Since(start) < delay {
+		time.Sleep(delay / 50)
+	}
+	time.Sleep(delay - time.Since(start))
 	s.waiting.Add(-1)
 	return 0, transient
 }
 
 // TestLoopbackLockstepRoundIsARealRound: what the Meter counts as one round
 // costs one round trip of latency on a real transport. Over a loopback
-// server that adds 2 ms to every request, the lockstep sort-merge join takes
-// its NetworkRounds times the cost of a round trip — the two requests of a
-// round are in flight together, each on its own pooled connection, from one
-// goroutine. The yardstick for a round trip is the sequential index
-// nested-loop join on the same server, which has one request in flight in
-// every round but its last (the settle round carries the write-backs of the
-// three trees it touched; the sort-merge join's, of all four) and so pays
-// every round in full: had a lockstep round cost its two requests one after
-// the other, the sort-merge join would come out at twice that per round,
-// not within 25 % of it. And an access is one round trip, not two: the
-// nested-loop join's accesses take little more than one latency each, where
-// a write-back round of their own would make it two.
+// server that adds 2 ms to every request, the pipelined sort-merge join takes
+// its NetworkRounds times the cost of a round trip — the four requests of a
+// round (both tables' leaf accesses and data accesses) are in flight
+// together, each on its own pooled connection, from one goroutine. The
+// yardstick for a round trip is the same join in the OneORAM setting, whose
+// single shared tree serves one access per round, one request in flight, and
+// so pays every round in full: had a lockstep round cost its requests one
+// after the other, the sort-merge join would come out at four times that per
+// round — twice, had only pairs of them overlapped — not within half of it,
+// the margin being the client work of four accesses against one. And an
+// access is one round trip, not two:
+// the yardstick's accesses take little more than one latency each, where a
+// write-back round of their own would make it two.
 func TestLoopbackLockstepRoundIsARealRound(t *testing.T) {
 	const latency = 2 * time.Millisecond
-	perRound := func(join binaryJoin, wantPeak int64) (time.Duration, time.Duration) {
+	perRound := func(oneORAM bool, wantPeak int64) (time.Duration, time.Duration) {
 		t.Helper()
-		shaper := &overlapShaper{Shaper: Shaper{Latency: latency}}
-		rounds, accesses, _, wall := runShapedLoopbackJoin(t, 1, join, shaper)
+		shaper := &overlapShaper{Shaper: Shaper{Latency: latency}, shares: wantPeak}
+		rounds, accesses, _, wall := runShapedLoopbackJoin(t, 1, core.SortMergeJoin, shaper, oneORAM)
 		if got := shaper.peak.Load(); got != wantPeak {
 			t.Fatalf("the server saw at most %d requests of the client in flight, want %d", got, wantPeak)
 		}
@@ -204,12 +233,12 @@ func TestLoopbackLockstepRoundIsARealRound(t *testing.T) {
 			rounds, wall, wall/time.Duration(rounds), wall/time.Duration(accesses), wantPeak)
 		return wall / time.Duration(rounds), wall / time.Duration(accesses)
 	}
-	sequential, perAccess := perRound(core.IndexNestedLoopJoin, 3)
-	lockstep, _ := perRound(core.SortMergeJoin, 4)
+	sequential, perAccess := perRound(true, 1)
+	lockstep, _ := perRound(false, 4)
 	if storetest.RaceEnabled {
 		return
 	}
-	if lockstep > sequential+sequential/4 {
+	if lockstep > sequential+sequential/2 {
 		t.Fatalf("a lockstep round took %v, a sequential round trip %v: a counted round cost more than one round trip", lockstep, sequential)
 	}
 	// Two round trips per access cost 2 × latency at the very least; one
@@ -222,26 +251,30 @@ func TestLoopbackLockstepRoundIsARealRound(t *testing.T) {
 // TestLoopbackSMJDeferredRounds is the acceptance check for the staged data
 // path (DESIGN.md §2.9) over a real loopback server, counted on the client
 // transport. Every write-back rides its tree's next download, so an ORAM
-// access is one round at every EvictionBatch. The sort-merge join issues
-// each step's two index accesses, then its two data accesses, in lockstep:
-// half a round per access. The index nested-loop join's probe needs the
-// outer tuple's key, so it stays sequential at one round per access. Both
-// add the one settle round. EvictionBatch only changes how many paths a
-// write-back unions — never the rounds: rounds per access against
+// access is one round at every EvictionBatch, and the joins' steps run in a
+// pipeline where every tree serves one access per round. A sort-merge step
+// is four accesses (two leaves, two data blocks) and one round — step i+1's
+// leaf accesses ride step i's data accesses — so n steps take n + 1 rounds,
+// the last for the last step's data. The index nested-loop join's inner
+// index here is two levels: a step is four accesses (the outer's data, the
+// root, the leaf, the inner's data) in two rounds, the outer's data access
+// and the previous step's inner data access riding the root's round, so 2n +
+// 1. Both add the one settle round. EvictionBatch only changes how many paths
+// a write-back unions — never the rounds: rounds per access against
 // EvictionBatch is a flat line.
 func TestLoopbackSMJDeferredRounds(t *testing.T) {
 	for _, k := range []int{1, 4, 16} {
-		rounds, accesses, exchanges, _ := runShapedLoopbackJoin(t, k, core.SortMergeJoin, nil)
-		if want := accesses/2 + 1; rounds != want {
-			t.Fatalf("k=%d, lockstep SMJ: %d rounds for %d accesses, want %d", k, rounds, accesses, want)
+		rounds, accesses, exchanges, _ := runShapedLoopbackJoin(t, k, core.SortMergeJoin, nil, false)
+		if want := accesses/4 + 2; rounds != want {
+			t.Fatalf("k=%d, pipelined SMJ: %d rounds for %d accesses, want %d", k, rounds, accesses, want)
 		}
 		if exchanges == 0 {
 			t.Fatalf("k=%d: no write-back rode a path download", k)
 		}
 		smj := float64(rounds) / float64(accesses)
-		rounds, accesses, _, _ = runShapedLoopbackJoin(t, k, core.IndexNestedLoopJoin, nil)
-		if want := accesses + 1; rounds != want {
-			t.Fatalf("k=%d, sequential INLJ: %d rounds for %d accesses, want %d", k, rounds, accesses, want)
+		rounds, accesses, _, _ = runShapedLoopbackJoin(t, k, core.IndexNestedLoopJoin, nil, false)
+		if want := accesses/2 + 2; rounds != want {
+			t.Fatalf("k=%d, pipelined INLJ: %d rounds for %d accesses, want %d", k, rounds, accesses, want)
 		}
 		t.Logf("k=%d rounds/access: SMJ %.3f, INLJ %.3f (%d exchanges)", k, smj, float64(rounds)/float64(accesses), exchanges)
 	}

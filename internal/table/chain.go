@@ -172,19 +172,27 @@ func (c *ChainCursor) Dummy() error {
 	return err
 }
 
-// locate: the chain has no index stage, the previous record named this one.
-func (c *ChainCursor) locate(Move) (oram.Req, bool, error) { return oram.Req{}, false, nil }
+func (c *ChainCursor) shape() shape { return shape{data: c.t.data} }
 
-func (c *ChainCursor) load(mv Move, _ oram.Req) (oram.Req, error) {
-	if mv.kind == hold || !c.hasNext {
-		return oram.Req{ORAM: c.t.data, Dummy: true}, nil
-	}
-	return oram.Req{ORAM: c.t.data, Key: c.next.Block}, nil
+func (c *ChainCursor) begin(Move) (int8, error) { return 0, nil }
+
+// indexReq: the chain has no index stage, the previous record named this one.
+func (c *ChainCursor) indexReq(Move, int8, int) (oram.Req, error) { return oram.Req{}, errNoIndex }
+
+func (c *ChainCursor) landIndex(Move, int8, oram.Req) (Row, bool, error) {
+	return Row{}, false, errNoIndex
 }
 
-func (c *ChainCursor) take(_ Move, loaded oram.Req) (Row, error) {
-	if loaded.Dummy {
-		return Row{}, nil
+func (c *ChainCursor) dataReq(mv Move, _ Row) oram.Req {
+	if mv.kind == hold || !c.hasNext {
+		return oram.Req{ORAM: c.t.data, Dummy: true}
+	}
+	return oram.Req{ORAM: c.t.data, Key: c.next.Block}
+}
+
+func (c *ChainCursor) landData(_ Move, _ Row, loaded oram.Req) (Row, error) {
+	if loaded.Err != nil || loaded.Dummy {
+		return Row{}, loaded.Err
 	}
 	tu, next, hasNext, err := c.t.recordAt(c.next, loaded.Data)
 	if err != nil {

@@ -49,18 +49,26 @@ func (c *ScanCursor) ref() btree.Ref {
 	return btree.Ref{Block: uint64(c.pos / c.t.perBlock), Slot: c.pos % c.t.perBlock}
 }
 
-func (c *ScanCursor) locate(Move) (oram.Req, bool, error) { return oram.Req{}, false, nil }
+func (c *ScanCursor) shape() shape { return shape{data: c.t.data} }
 
-func (c *ScanCursor) load(mv Move, _ oram.Req) (oram.Req, error) {
-	if mv.kind == hold || c.pos >= c.t.NumTuples() {
-		return c.t.dummyReq(), nil
-	}
-	return c.t.tupleReq(c.ref()), nil
+func (c *ScanCursor) begin(Move) (int8, error) { return 0, nil }
+
+func (c *ScanCursor) indexReq(Move, int8, int) (oram.Req, error) { return oram.Req{}, errNoIndex }
+
+func (c *ScanCursor) landIndex(Move, int8, oram.Req) (Row, bool, error) {
+	return Row{}, false, errNoIndex
 }
 
-func (c *ScanCursor) take(_ Move, loaded oram.Req) (Row, error) {
-	if loaded.Dummy {
-		return Row{}, nil
+func (c *ScanCursor) dataReq(mv Move, _ Row) oram.Req {
+	if mv.kind == hold || c.pos >= c.t.NumTuples() {
+		return c.t.dummyReq()
+	}
+	return c.t.tupleReq(c.ref())
+}
+
+func (c *ScanCursor) landData(_ Move, _ Row, loaded oram.Req) (Row, error) {
+	if loaded.Err != nil || loaded.Dummy {
+		return Row{}, loaded.Err
 	}
 	tu, ok, err := c.t.tupleAt(c.ref(), loaded.Data)
 	if err != nil {
@@ -88,8 +96,7 @@ func (c *ScanCursor) Pos() int { return c.pos }
 type LeafCursor struct {
 	t    *StoredTable
 	tree *btree.Tree
-	pos  int64       // ordinal of the next entry to retrieve
-	ent  btree.Entry // the entry of the retrieval in progress
+	pos  int64 // ordinal of the next entry to retrieve
 }
 
 // NewLeafCursor returns a cursor over the index on attr, positioned before
@@ -121,44 +128,44 @@ func (c *LeafCursor) Dummy() error {
 	return err
 }
 
-func (c *LeafCursor) dummy(mv Move) bool { return mv.kind == hold || c.pos >= c.tree.NumEntries() }
-
-// locate is the leaf access: one index-ORAM access a step can share.
-func (c *LeafCursor) locate(mv Move) (oram.Req, bool, error) {
-	if c.dummy(mv) {
-		return c.tree.DummyReq(), true, nil
-	}
-	req, err := c.tree.LeafReq(c.tree.LeafFor(c.pos))
-	return req, true, err
+func (c *LeafCursor) shape() shape {
+	return shape{index: c.tree.ORAM(), data: c.t.data, n: 1, leaf: 1, free: 1}
 }
 
-// load picks the cursor's entry out of the fetched leaf — the cursor keeps
-// it until take — and asks for the block it points at.
-func (c *LeafCursor) load(mv Move, located oram.Req) (oram.Req, error) {
-	if c.dummy(mv) {
-		return c.t.dummyReq(), nil
+func (c *LeafCursor) begin(Move) (int8, error) { return 0, nil }
+
+// indexReq is the leaf access: the leaf holding the entry at the cursor, or
+// a dummy past the end.
+func (c *LeafCursor) indexReq(mv Move, _ int8, _ int) (oram.Req, error) {
+	if mv.kind == hold || c.pos >= c.tree.NumEntries() {
+		return c.tree.DummyReq(), nil
 	}
-	ents, err := btree.LeafEntries(located.Data)
-	if err != nil {
-		return oram.Req{}, err
-	}
-	c.ent = ents[int(c.pos)%c.tree.LeafFanoutEntries()]
-	return c.t.tupleReq(c.ent.Ref), nil
+	return c.tree.LeafReq(c.tree.LeafFor(c.pos))
 }
 
-func (c *LeafCursor) take(_ Move, loaded oram.Req) (Row, error) {
-	if loaded.Dummy {
-		return Row{}, nil
+// landIndex picks the cursor's entry out of the fetched leaf and moves the
+// cursor on.
+func (c *LeafCursor) landIndex(_ Move, _ int8, located oram.Req) (Row, bool, error) {
+	if located.Err != nil || located.Dummy {
+		return Row{}, true, located.Err
 	}
-	tu, ok, err := c.t.tupleAt(c.ent.Ref, loaded.Data)
+	ent, err := btree.LeafEntry(located.Data, int(c.pos)%c.tree.LeafFanoutEntries())
 	if err != nil {
-		return Row{}, err
-	}
-	if !ok {
-		return Row{}, fmt.Errorf("table: leaf entry ord %d points at dummy slot", c.pos)
+		return Row{}, true, err
 	}
 	c.pos++
-	return Row{Tuple: tu, Entry: c.ent, OK: true}, nil
+	return Row{Entry: ent, OK: true}, true, nil
+}
+
+func (c *LeafCursor) dataReq(_ Move, row Row) oram.Req {
+	if !row.OK {
+		return c.t.dummyReq()
+	}
+	return c.t.tupleReq(row.Entry.Ref)
+}
+
+func (c *LeafCursor) landData(_ Move, row Row, loaded oram.Req) (Row, error) {
+	return c.t.landTuple(row, loaded)
 }
 
 // DummyBatch performs n dummy retrievals (n index accesses, then n data
@@ -188,6 +195,10 @@ type IndexCursor struct {
 	tree *btree.Tree
 	cur  btree.Entry
 	ok   bool
+	// desc are the cursor's descents: it has at most two retrievals in
+	// flight, a step's and its successor's.
+	desc [2]btree.Descent
+	flip int8
 }
 
 // NewIndexCursor returns a cursor over the index on attr.
@@ -205,59 +216,96 @@ func (c *IndexCursor) Tree() *btree.Tree { return c.tree }
 // Current returns the entry the cursor rests on.
 func (c *IndexCursor) Current() (btree.Entry, bool) { return c.cur, c.ok }
 
-// locate runs the whole descent. Each level's node names the next, so the
-// accesses depend on one another and the cursor performs them itself; a step
-// has nothing of this stage to share.
-func (c *IndexCursor) locate(mv Move) (oram.Req, bool, error) {
-	var ent btree.Entry
-	var found bool
-	var err error
+func (c *IndexCursor) shape() shape {
+	return shape{
+		index: c.tree.ORAM(), data: c.t.data,
+		n: c.tree.AccessesPerRetrieval(), leaf: c.tree.OutsourcedLevels(), free: c.tree.KeyFree(),
+	}
+}
+
+// begin starts the retrieval's descent on the cursor's next descent slot.
+func (c *IndexCursor) begin(mv Move) (int8, error) {
+	slot := c.flip
+	c.flip ^= 1
+	d := &c.desc[slot]
 	switch mv.kind {
 	case hold:
-		return oram.Req{}, false, c.tree.DummyOp()
+		d.Start(c.tree, btree.Dummy, 0)
 	case seekKeyGE:
-		ent, found, err = c.tree.LookupGE(mv.arg)
+		if mv.src != nil {
+			d.Defer(c.tree, btree.KeyGE)
+		} else {
+			d.Start(c.tree, btree.KeyGE, mv.arg)
+		}
 	case seekOrdGE:
-		ent, found, err = c.tree.LookupOrdGE(mv.arg)
+		d.Start(c.tree, btree.OrdGE, mv.arg)
 	case seekOrdLE:
-		ent, found, err = c.tree.LookupOrdLE(mv.arg)
+		d.Start(c.tree, btree.OrdLE, mv.arg)
+	case disable:
+		d.Start(c.tree, btree.DisableOrd, mv.arg)
 	case advance, retreat:
 		if !c.ok {
-			return oram.Req{}, false, fmt.Errorf("table: Next or Prev on unpositioned cursor")
+			return 0, fmt.Errorf("table: Next or Prev on unpositioned cursor")
 		}
 		if mv.kind == advance {
-			ent, found, err = c.tree.LookupOrdGE(c.cur.Ord + 1)
+			d.Start(c.tree, btree.OrdGE, c.cur.Ord+1)
 		} else {
-			ent, found, err = c.tree.LookupOrdLE(c.cur.Ord - 1)
+			d.Start(c.tree, btree.OrdLE, c.cur.Ord-1)
 		}
 	}
-	if err != nil {
-		return oram.Req{}, false, err
-	}
-	c.cur, c.ok = ent, found
-	return oram.Req{}, false, nil
+	return slot, nil
 }
 
-func (c *IndexCursor) load(mv Move, _ oram.Req) (oram.Req, error) {
-	if mv.kind == hold || !c.ok {
-		return c.t.dummyReq(), nil
+// indexReq builds access k of the descent; the first keyed one takes a
+// deferred key from its source row (a row without a tuple: a miss).
+func (c *IndexCursor) indexReq(mv Move, slot int8, k int) (oram.Req, error) {
+	d := &c.desc[slot]
+	if mv.src != nil && k == c.tree.KeyFree() {
+		var key int64
+		if mv.src.OK {
+			key = mv.src.Tuple.Values[mv.col]
+		}
+		d.Target(key, mv.src.OK)
 	}
-	return c.t.tupleReq(c.cur.Ref), nil
+	return d.Req()
 }
 
-func (c *IndexCursor) take(_ Move, loaded oram.Req) (Row, error) {
-	if loaded.Dummy {
-		return Row{}, nil
+// landIndex lands a descent access; once the leaf is in, the cursor rests on
+// the entry found (a disable leaves it where it was).
+func (c *IndexCursor) landIndex(mv Move, slot int8, req oram.Req) (Row, bool, error) {
+	d := &c.desc[slot]
+	if err := d.Land(req); err != nil {
+		return Row{}, false, err
 	}
-	tu, ok, err := c.t.tupleAt(c.cur.Ref, loaded.Data)
-	if err != nil {
-		return Row{}, err
+	if d.Landed() != c.tree.OutsourcedLevels() || mv.kind == hold || mv.kind == disable {
+		return Row{}, d.Landed() == c.tree.OutsourcedLevels(), nil
 	}
-	if !ok {
-		return Row{}, fmt.Errorf("table: entry ord %d points at dummy slot", c.cur.Ord)
-	}
-	return Row{Tuple: tu, Entry: c.cur, OK: true}, nil
+	c.cur, c.ok = d.Result()
+	return Row{Entry: c.cur, OK: c.ok}, true, nil
 }
+
+func (c *IndexCursor) dataReq(_ Move, row Row) oram.Req {
+	if !row.OK {
+		return c.t.dummyReq()
+	}
+	return c.t.tupleReq(row.Entry.Ref)
+}
+
+func (c *IndexCursor) landData(_ Move, row Row, loaded oram.Req) (Row, error) {
+	return c.t.landTuple(row, loaded)
+}
+
+// MoveKeyGE is the retrieval of the first live entry with key >= column col
+// of *src, read when the descent first needs it; a src without a tuple
+// (OK=false) makes it a miss with the same accesses. The step's pipeline
+// must have the cursor's keyed accesses wait for the retrieval landing in
+// *src (NewPipeline), or src must already be complete.
+func (c *IndexCursor) MoveKeyGE(src *Row, col int) Move {
+	return Move{c: c, kind: seekKeyGE, src: src, col: col}
+}
+
+// MoveDisable is the operation Disable performs.
+func (c *IndexCursor) MoveDisable(ord int64) Move { return Move{c: c, kind: disable, arg: ord} }
 
 // MoveOrdGE is the retrieval SeekOrdGE performs.
 func (c *IndexCursor) MoveOrdGE(o int64) Move { return Move{c: c, kind: seekOrdGE, arg: o} }
@@ -318,8 +366,6 @@ func (c *IndexCursor) DummyBatch(n int) error {
 // indistinguishable from a retrieval (Section 6: "a tuple disabling
 // operation, which is indistinguishable from a tuple retrieval").
 func (c *IndexCursor) Disable(ord int64) error {
-	if err := c.tree.Disable(ord); err != nil {
-		return err
-	}
-	return c.t.DummyData()
+	_, err := step1(c.MoveDisable(ord))
+	return err
 }

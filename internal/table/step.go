@@ -1,17 +1,24 @@
 package table
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+
 	"oblivjoin/internal/oram"
 )
 
 // Move is one table's part in a join step: a tuple retrieval, real or dummy
-// (Advance / Hold on the cursor), not yet performed. A retrieval runs in two
-// stages — locate the tuple through the index, then load its data block —
-// and Step performs the same stage of every table's retrieval together.
+// (Advance / Hold on the cursor), not yet performed. A retrieval is a
+// sequence of ORAM accesses — its index accesses, one after another, then
+// its data access — and a Pipeline decides which round each of them travels
+// in.
 type Move struct {
 	c    stager
 	kind moveKind
 	arg  int64 // the key or ordinal a seek looks for
+	src  *Row  // IndexCursor: when set, the key is column col of *src
+	col  int
 }
 
 // moveKind says what a retrieval does to its cursor. Every kind presents
@@ -25,80 +32,323 @@ const (
 	seekKeyGE                 // IndexCursor: the first live entry with key >= arg
 	seekOrdGE                 // IndexCursor: the first live entry with ordinal >= arg
 	seekOrdLE                 // IndexCursor: the last live entry with ordinal <= arg
+	disable                   // IndexCursor: disable the entry with ordinal arg
 )
 
-// stager is a cursor, seen as the stages of its retrievals.
-type stager interface {
-	// locate is the index stage. A cursor whose index stage is a single
-	// access returns it for the step to issue (LeafCursor); one that has no
-	// index (ScanCursor, ChainCursor), or whose index accesses depend on one
-	// another and so were performed on the spot (IndexCursor), returns false.
-	locate(mv Move) (req oram.Req, share bool, err error)
-	// load returns the data access, given the settled index access (the
-	// zero Req when locate shared none).
-	load(mv Move, located oram.Req) (oram.Req, error)
-	// take turns the settled data access into the retrieved row and, for a
-	// real retrieval, moves the cursor.
-	take(mv Move, loaded oram.Req) (Row, error)
+// shape is what scheduling a retrieval needs to know about it: the trees
+// its accesses use and how they depend on one another — public geometry,
+// the same for every retrieval of a cursor, real or dummy.
+type shape struct {
+	index, data any // the trees: ORAMs, or store names for PipelineRounds; index nil without index accesses
+	n           int // index accesses
+	leaf        int // index accesses after which the entry is known and the data access can be built
+	free        int // leading index accesses that need no key
 }
 
-// Step performs one join step: every move's retrieval, stage by stage, with
-// the accesses of a stage issued through oram.Together — in the SepORAM
-// setting the tables' index accesses share their rounds, then their data
-// accesses do, instead of each access paying its own. The retrieved rows go
-// to rows, which aligns with moves.
+// stager is a cursor, seen as the accesses of its retrievals. Everything
+// passes by value, so a one-off Step keeps its scratch on the stack.
+type stager interface {
+	shape() shape
+	// begin starts a retrieval; the result names the cursor's state for it
+	// (an IndexCursor's descent), handed back to the calls below.
+	begin(mv Move) (slot int8, err error)
+	// indexReq builds index access k; landIndex takes it and returns the row
+	// once access leaf-1 has landed (ok=false before).
+	indexReq(mv Move, slot int8, k int) (oram.Req, error)
+	landIndex(mv Move, slot int8, req oram.Req) (row Row, ok bool, err error)
+	// dataReq builds the data access for the row the index stage found;
+	// landData fills in its tuple.
+	dataReq(mv Move, row Row) oram.Req
+	landData(mv Move, row Row, req oram.Req) (Row, error)
+}
+
+// flight is a retrieval in progress.
+type flight struct {
+	mv      Move
+	sh      shape
+	row     Row // what has landed
+	slot    int8
+	idx     int  // index accesses landed
+	data    bool // the data access has landed
+	inIdx   bool // the round being formed carries an index access ...
+	inData  bool // ... the data access
+	decided bool // row.Entry and row.OK are known
+}
+
+func (f *flight) landed() bool { return f.data && f.idx == f.sh.n }
+
+// Pipeline runs a join's steps — one retrieval per input table each, lane j
+// being table j — so that consecutive steps overlap: every tree serves at
+// most one access per round, and an access travels in the first round in
+// which what it is built from has landed and its tree is free, its tree's
+// earlier accesses going first. Step returns as soon as the step's index
+// stages have landed — Row.Entry and Row.OK, which decide the next step —
+// and leaves its data accesses and write-ups to ride the next step's rounds.
+// A step's first index access does not wait: the root of a descent, and the
+// leaf of a LeafCursor, are known before the step's keys are, so they travel
+// with the previous step's data accesses.
 //
-// Which cursors take part in a step, and in which order, is the operator's
-// choice and must not depend on the data; which of them are real is
-// invisible, because a dummy retrieval presents the same accesses at the
-// same stages. Retrievals of different shapes align at the data stage: an
-// IndexCursor runs its descent alone, then its data access shares the
-// ScanCursor's rounds.
-func Step(rows []Row, moves ...Move) error {
-	// A step is a retrieval per input table — two for the binary joins; the
-	// scratch of a step of up to four stays on the stack, as Together's does.
-	var atBuf [4]int // 1 + the move's place among the shared index accesses
-	var reqBuf, loadBuf [4]oram.Req
-	at, reqs, loads := atBuf[:], reqBuf[:0], loadBuf[:]
-	if n := len(moves); n > len(atBuf) {
-		at, reqs, loads = make([]int, n), make([]oram.Req, 0, n), make([]oram.Req, n)
+// The rounds a step takes are a function of the lanes' shapes (trees,
+// index accesses, KeyFree) and the declared key dependencies only — never of
+// which retrievals are real — so real, dummy and pad steps alike present the
+// same round shape, including across the boundary between them.
+// PipelineRounds counts them from the same public geometry.
+type Pipeline struct {
+	lanes  int
+	after  []int   // after[j]: the lane whose data lane j's keyed accesses wait for (-1: none); nil: none waits
+	begun  int64   // steps begun
+	done   int64   // steps landed in full
+	rounds int64   // rounds issued
+	serial bool    // a retrieval's data access waits for all its index accesses
+	dry    []shape // PipelineRounds: the lanes' shapes; plan rounds, perform nothing
+
+	// The flights of the steps in flight, by step parity (at most two steps
+	// are), and the scratch of a round: in few and round's own buffers for up
+	// to four lanes, so that a one-off Step keeps all of it on the stack.
+	few   [2][4]flight
+	many  [2][]flight
+	reqs  []oram.Req
+	claim []any
+	// rows are the caller's rows of the steps in flight, by step parity:
+	// every flight's row is copied there as it lands.
+	rows [2][]Row
+}
+
+// NewPipeline returns a pipeline over len(after) lanes whose keyed index
+// accesses — those past their descent's KeyFree — wait for lane after[j]'s
+// data access of the same step to land (after[j] < 0: they do not wait).
+// The dependency holds in every step, whatever the moves, which is what
+// keeps the round shape independent of the data.
+func NewPipeline(after ...int) *Pipeline {
+	p := &Pipeline{lanes: len(after), after: slices.Clone(after)}
+	if p.lanes > len(p.few[0]) {
+		p.many = [2][]flight{make([]flight, p.lanes), make([]flight, p.lanes)}
 	}
-	for i, mv := range moves {
-		req, share, err := mv.c.locate(mv)
+	p.reqs = make([]oram.Req, 0, 4*p.lanes)
+	p.claim = make([]any, 0, 4*p.lanes)
+	return p
+}
+
+// flights returns step s's flights.
+func (p *Pipeline) flights(s int64) []flight {
+	if p.many[0] != nil {
+		return p.many[s&1]
+	}
+	return p.few[s&1][:p.lanes]
+}
+
+// waitsFor returns the lane whose data lane j's keyed accesses wait for.
+func (p *Pipeline) waitsFor(j int) int {
+	if p.after == nil {
+		return -1
+	}
+	return p.after[j]
+}
+
+// Step begins a step: moves[j] is lane j's retrieval, landing in rows[j]. It
+// returns once every retrieval's entry is known (rows[j].Entry, .OK) and the
+// previous step has landed in full (its rows' tuples are in). rows must stay
+// untouched until the next Step or Drain returns.
+func (p *Pipeline) Step(rows []Row, moves ...Move) error {
+	if len(moves) != p.lanes || len(rows) < len(moves) {
+		return fmt.Errorf("table: a step of %d moves into %d rows on a %d-lane pipeline", len(moves), len(rows), p.lanes)
+	}
+	clear(rows[:len(moves)])
+	p.rows[p.begun&1] = rows
+	return p.run(moves)
+}
+
+// run begins a step of the given moves and issues rounds until it is decided
+// and its predecessor has landed.
+func (p *Pipeline) run(moves []Move) error {
+	fl := p.flights(p.begun)
+	for j, mv := range moves {
+		fl[j] = flight{mv: mv}
+		if p.dry != nil {
+			fl[j].sh = p.dry[j]
+			continue
+		}
+		slot, err := mv.c.begin(mv)
 		if err != nil {
 			return err
 		}
-		if share {
-			reqs = append(reqs, req)
-			at[i] = len(reqs)
-		}
+		fl[j].sh, fl[j].slot = mv.c.shape(), slot
 	}
-	if len(reqs) > 0 {
-		if err := oram.Together(reqs); err != nil {
-			return err
-		}
-	}
-	loads = loads[:len(moves)]
-	for i, mv := range moves {
-		var located oram.Req
-		if at[i] > 0 {
-			located = reqs[at[i]-1]
-		}
-		var err error
-		if loads[i], err = mv.c.load(mv, located); err != nil {
-			return err
-		}
-	}
-	if err := oram.Together(loads); err != nil {
-		return err
-	}
-	for i, mv := range moves {
-		var err error
-		if rows[i], err = mv.c.take(mv, loads[i]); err != nil {
+	p.begun++
+	for !p.decided(p.begun-1) || p.done < p.begun-1 {
+		if err := p.round(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Drain issues rounds until every step begun has landed.
+func (p *Pipeline) Drain() error {
+	for p.done < p.begun {
+		if err := p.round(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Landed returns how many steps have landed in full: the rows of every step
+// before that are complete.
+func (p *Pipeline) Landed() int64 { return p.done }
+
+func (p *Pipeline) decided(s int64) bool {
+	for _, f := range p.flights(s) {
+		if !f.decided {
+			return false
+		}
+	}
+	return true
+}
+
+// plan marks the accesses the next round carries: for every step in flight,
+// oldest first, and every lane in order, the retrieval's next index access
+// and its data access, each if it can be built and its tree has no earlier
+// access waiting. An access that cannot be built yet still holds its tree,
+// so a tree serves its accesses in the order the steps issue them.
+func (p *Pipeline) plan(claim []any) {
+	// claimed reports whether tree already has a place in the round, and
+	// gives it one if not.
+	claimed := func(tree any) bool {
+		if slices.Contains(claim, tree) {
+			return true
+		}
+		claim = append(claim, tree)
+		return false
+	}
+	for s := p.done; s < p.begun; s++ {
+		fl := p.flights(s)
+		for j := range fl {
+			f := &fl[j]
+			f.inIdx, f.inData = false, false
+			if f.idx < f.sh.n && !claimed(f.sh.index) {
+				a := p.waitsFor(j)
+				f.inIdx = f.idx < f.sh.free || a < 0 || fl[a].data
+			}
+			if !f.data && !claimed(f.sh.data) {
+				at := f.sh.leaf
+				if p.serial {
+					at = f.sh.n
+				}
+				f.inData = f.idx >= at
+			}
+		}
+	}
+}
+
+// round plans a round, issues it through oram.Together and lands what it
+// carried.
+func (p *Pipeline) round() error {
+	var claimBuf [8]any
+	var reqBuf [8]oram.Req
+	claim, reqs := claimBuf[:0], reqBuf[:0]
+	if p.claim != nil {
+		claim, reqs = p.claim[:0], p.reqs[:0]
+	}
+	p.plan(claim)
+	var err error
+	for s := p.done; s < p.begun && p.dry == nil; s++ {
+		fl := p.flights(s)
+		for j := range fl {
+			f := &fl[j]
+			if f.inIdx {
+				req, rerr := f.mv.c.indexReq(f.mv, f.slot, f.idx)
+				reqs = append(reqs, req)
+				err = errors.Join(err, rerr)
+			}
+			if f.inData {
+				reqs = append(reqs, f.mv.c.dataReq(f.mv, f.row))
+			}
+		}
+	}
+	if err != nil {
+		return err
+	}
+	if len(reqs) > 0 {
+		oram.Together(reqs)
+	}
+	p.rounds++
+	k, progress := 0, false
+	for s := p.done; s < p.begun; s++ {
+		fl := p.flights(s)
+		for j := range fl {
+			f := &fl[j]
+			if f.inIdx {
+				progress = true
+				f.idx++
+				if p.dry == nil {
+					row, ok, lerr := f.mv.c.landIndex(f.mv, f.slot, reqs[k])
+					k++
+					if err == nil {
+						err = lerr
+					}
+					if ok {
+						f.row = row
+					}
+				}
+			}
+			if f.inData {
+				progress = true
+				f.data = true
+				if p.dry == nil {
+					row, lerr := f.mv.c.landData(f.mv, f.row, reqs[k])
+					k++
+					if err == nil {
+						err = lerr
+					}
+					f.row = row
+				}
+			}
+			f.decided = f.idx >= f.sh.leaf && (f.sh.leaf > 0 || f.data)
+			if out := p.rows[s&1]; out != nil && (f.inIdx || f.inData) {
+				out[j] = f.row
+			}
+		}
+	}
+	for p.done < p.begun && p.stepLanded(p.done) {
+		p.done++
+	}
+	if err == nil && !progress {
+		err = errors.New("table: pipeline round with nothing to carry")
+	}
+	return err
+}
+
+func (p *Pipeline) stepLanded(s int64) bool {
+	for i := range p.flights(s) {
+		if !p.flights(s)[i].landed() {
+			return false
+		}
+	}
+	return true
+}
+
+// Step performs one join step on its own: every move's retrieval, index
+// accesses first, through a pipeline of its own — in the SepORAM setting the
+// tables' leaf accesses share a round, then their data accesses do — and
+// returns with the rows complete. Which cursors take part in a step, and in
+// which order, is the operator's choice and must not depend on the data.
+func Step(rows []Row, moves ...Move) error {
+	p := Pipeline{lanes: len(moves), serial: true}
+	if p.lanes > len(p.few[0]) {
+		p.many = [2][]flight{make([]flight, p.lanes), make([]flight, p.lanes)}
+	}
+	if len(rows) < len(moves) {
+		return fmt.Errorf("table: a step of %d moves into %d rows", len(moves), len(rows))
+	}
+	err := p.run(moves)
+	if err == nil {
+		err = p.Drain()
+	}
+	for j, f := range p.flights(0) {
+		rows[j] = f.row
+	}
+	return err
 }
 
 // step1 performs a single retrieval on its own.
@@ -106,4 +356,70 @@ func step1(mv Move) (Row, error) {
 	var row [1]Row
 	err := Step(row[:], mv)
 	return row[0], err
+}
+
+// Lane is one input of a pipelined join as PipelineRounds sees it: the
+// stores its retrievals use and the shape of its index stage, all public
+// geometry.
+type Lane struct {
+	// Index is the index store (empty when the lane has no index stage),
+	// Data the data store.
+	Index, Data string
+	// Accesses is the index accesses per retrieval (btree
+	// AccessesPerRetrieval; 1 for a leaf cursor), Reads how many of them
+	// find the entry (OutsourcedLevels; 1 for a leaf cursor), KeyFree how
+	// many lead without needing the key (btree KeyFree).
+	Accesses, Reads, KeyFree int
+	// After is the lane whose data access this lane's keyed index accesses
+	// wait for, or -1.
+	After int
+}
+
+// PipelineRounds returns the rounds a Pipeline over the given lanes takes
+// for steps steps and the Drain after them.
+func PipelineRounds(lanes []Lane, steps int64) int64 {
+	after := make([]int, len(lanes))
+	for j, l := range lanes {
+		after[j] = l.After
+	}
+	p := NewPipeline(after...)
+	p.dry = make([]shape, len(lanes))
+	for j, l := range lanes {
+		p.dry[j] = shape{data: l.Data, n: l.Accesses, leaf: l.Reads, free: l.KeyFree}
+		if l.Index != "" {
+			p.dry[j].index = l.Index
+		}
+	}
+	moves := make([]Move, len(lanes))
+	// Every step has the same shape, so once a step begins from the state
+	// its predecessor began from, the rest repeat its rounds.
+	var prev []int
+	var prevRounds int64
+	for s := int64(0); s < steps; s++ {
+		state := p.state()
+		if s > 0 && slices.Equal(state, prev) {
+			p.rounds += (steps - s) * (p.rounds - prevRounds)
+			break
+		}
+		prev, prevRounds = state, p.rounds
+		p.run(moves) // a dry round cannot fail
+	}
+	p.Drain()
+	return p.rounds
+}
+
+// state describes what the pipeline has in flight between steps: the
+// landed accesses of the last step begun, and whether it has landed.
+func (p *Pipeline) state() []int {
+	st := []int{int(p.begun - p.done)}
+	if p.begun > 0 {
+		for _, f := range p.flights(p.begun - 1) {
+			d := 0
+			if f.data {
+				d = 1
+			}
+			st = append(st, f.idx, d)
+		}
+	}
+	return st
 }

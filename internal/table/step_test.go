@@ -1,0 +1,195 @@
+package table
+
+import (
+	"testing"
+
+	"oblivjoin/internal/oram"
+	"oblivjoin/internal/relation"
+	"oblivjoin/internal/storage"
+	"oblivjoin/internal/storage/storetest"
+)
+
+// pipelineTables stores two 64-row tables with three-level indexes (leaves of
+// eight entries at 256 B blocks).
+func pipelineTables(t *testing.T) (*StoredTable, *StoredTable) {
+	t.Helper()
+	keys := make([]int64, 64)
+	for i := range keys {
+		keys[i] = int64(i / 2)
+	}
+	opts := testOpts(t, storage.NewMeter())
+	t1, err := Store(testRelation("t1", keys), []string{"k"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := Store(testRelation("t2", keys), []string{"k"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return t1, t2
+}
+
+// alone returns what performing the given accesses one by one, and decoding
+// tuples tuples of t's schema, allocates.
+func alone(t *testing.T, st *StoredTable, tuples int, reqs ...oram.Req) float64 {
+	t.Helper()
+	buf := make([]byte, st.Schema().TupleSize())
+	if err := relation.Encode(st.Schema(), relation.Tuple{Values: []int64{1, 2}}, buf); err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(50, func() {
+		for _, r := range reqs {
+			one := [1]oram.Req{r}
+			if err := oram.Together(one[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < tuples; i++ {
+			if _, _, err := relation.Decode(st.Schema(), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestPipelineStepAllocs: a pipelined join step allocates what its ORAM
+// accesses and its tuple decodes allocate alone, and nothing for being a
+// step — the pipeline's flights, rounds and rows are set up once per join,
+// an index cursor's descents keep their decode buffers, and a leaf cursor
+// decodes only the entry it retrieves. Dummy steps, the pad tail, allocate
+// nothing at all.
+func TestPipelineStepAllocs(t *testing.T) {
+	if storetest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	t1, t2 := pipelineTables(t)
+	i1, _ := t1.Index("k")
+	i2, _ := t2.Index("k")
+
+	// Sort-merge: a leaf access and a data access per table.
+	c1, err := NewLeafCursor(t1, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := NewLeafCursor(t2, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPipeline(-1, -1)
+	var rows [2][2]Row
+	var n int
+	smj := func(real bool) func() {
+		return func() {
+			m1, m2 := c1.Hold(), c2.Hold()
+			if real {
+				c1.SeekOrd(9)
+				c2.SeekOrd(20)
+				m1, m2 = c1.Advance(), c2.Advance()
+			}
+			n++
+			if err := p.Step(rows[n&1][:], m1, m2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		smj(true)()
+	}
+	leaf1, _ := i1.LeafReq(1)
+	leaf2, _ := i2.LeafReq(2)
+	real := alone(t, t1, 2, leaf1, leaf2, t1.tupleReq(rows[n&1][0].Entry.Ref), t2.tupleReq(rows[n&1][1].Entry.Ref))
+	if got := testing.AllocsPerRun(50, smj(true)); got != real {
+		t.Errorf("a real sort-merge step allocated %.1f, its accesses and decodes alone %.1f", got, real)
+	}
+	if r := rows[n&1]; !r[0].OK || !r[1].OK || r[0].Entry.Ord != 9 {
+		t.Fatalf("the real sort-merge step retrieved %+v", r)
+	}
+	t.Logf("a real sort-merge step allocates %.0f, as its accesses and decodes do", real)
+	dummy := alone(t, t1, 0, i1.DummyReq(), i2.DummyReq(), t1.dummyReq(), t2.dummyReq())
+	if got := testing.AllocsPerRun(50, smj(false)); got != dummy || got != 0 {
+		t.Errorf("a dummy sort-merge step allocated %.1f, its accesses alone %.1f", got, dummy)
+	}
+	if err := p.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Index nested-loop: the outer's data access, a keyed descent and the
+	// inner's data access.
+	scan := NewScanCursor(t1)
+	ic, err := NewIndexCursor(t2, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = NewPipeline(-1, 0)
+	inlj := func(real bool) func() {
+		return func() {
+			n++
+			r := rows[n&1][:]
+			m1, m2 := scan.Hold(), ic.Hold()
+			if real {
+				scan.pos = 17
+				m1, m2 = scan.Advance(), ic.MoveKeyGE(&r[0], 0)
+			}
+			if err := p.Step(r, m1, m2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		inlj(true)()
+	}
+	h := i2.AccessesPerRetrieval()
+	reqs := []oram.Req{t1.tupleReq(scan.ref())}
+	for i := 0; i < h; i++ {
+		reqs = append(reqs, oram.Req{ORAM: i2.ORAM(), Key: uint64(i2.NumNodes() - 1 - int64(i))}) // any h nodes
+	}
+	reqs = append(reqs, t2.tupleReq(rows[n&1][1].Entry.Ref))
+	real = alone(t, t1, 2, reqs...)
+	if got := testing.AllocsPerRun(50, inlj(true)); got != real {
+		t.Errorf("a real nested-loop step allocated %.1f, its accesses and decodes alone %.1f", got, real)
+	}
+	if r := rows[n&1]; !r[0].OK || !r[1].OK || r[1].Entry.Key != r[0].Tuple.Values[0] {
+		t.Fatalf("the real nested-loop step retrieved %+v", r)
+	}
+	t.Logf("a real nested-loop step (%d index accesses) allocates %.0f, as its accesses and decodes do", h, real)
+	reqs = []oram.Req{t1.dummyReq(), t2.dummyReq()}
+	for i := 0; i < h; i++ {
+		reqs = append(reqs, i2.DummyReq())
+	}
+	dummy = alone(t, t1, 0, reqs...)
+	if got := testing.AllocsPerRun(50, inlj(false)); got != dummy || got != 0 {
+		t.Errorf("a dummy nested-loop step allocated %.1f, its accesses alone %.1f", got, dummy)
+	}
+}
+
+// TestPipelineRoundsClosedForms pins the closed forms PipelineRounds
+// evaluates for the binary joins (n steps, the Drain included), and checks
+// that a long run costs what its repeating steps say.
+func TestPipelineRoundsClosedForms(t *testing.T) {
+	leaf := func(s string) Lane {
+		return Lane{Index: s + ".idx", Data: s + ".data", Accesses: 1, Reads: 1, KeyFree: 1, After: -1}
+	}
+	scan := Lane{Data: "t1.data", After: -1}
+	descent := func(accesses, reads, free, after int) Lane {
+		return Lane{Index: "t2.idx", Data: "t2.data", Accesses: accesses, Reads: reads, KeyFree: free, After: after}
+	}
+	for _, tc := range []struct {
+		name  string
+		lanes []Lane
+		want  func(n int64) int64
+	}{
+		{"sort-merge", []Lane{leaf("t1"), leaf("t2")}, func(n int64) int64 { return n + 1 }},
+		{"nested-loop, h=3", []Lane{scan, descent(3, 3, 1, 0)}, func(n int64) int64 { return 3*n + 1 }},
+		{"band, h=3", []Lane{scan, descent(3, 3, 1, -1)}, func(n int64) int64 { return 3*n + 1 }},
+		{"nested-loop, cached", []Lane{scan, descent(1, 1, 0, 0)}, func(n int64) int64 { return 2*n + 1 }},
+		{"band, cached", []Lane{scan, descent(1, 1, 0, -1)}, func(n int64) int64 { return n + 1 }},
+		{"nested-loop, write-backs", []Lane{scan, descent(4, 2, 1, 0)}, func(n int64) int64 { return 4 * n }},
+		{"chained sort-merge", []Lane{{Data: "t1.chain", After: -1}, {Data: "t2.chain", After: -1}}, func(n int64) int64 { return n }},
+	} {
+		for _, n := range []int64{1, 2, 3, 10, 1000} {
+			if got, want := PipelineRounds(tc.lanes, n), tc.want(n); got != want {
+				t.Errorf("%s, %d steps: %d rounds, want %d", tc.name, n, got, want)
+			}
+		}
+	}
+}

@@ -14,6 +14,7 @@
 package table
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -400,6 +401,26 @@ func (t *StoredTable) tupleReq(ref btree.Ref) oram.Req {
 }
 
 func (t *StoredTable) dummyReq() oram.Req { return oram.Req{ORAM: t.data, Dummy: true} }
+
+// errNoIndex is what asking a cursor without an index stage for one gets.
+var errNoIndex = errors.New("table: the cursor has no index stage")
+
+// landTuple fills in the tuple of a row whose entry the index stage found,
+// from the data access dataReq built for it.
+func (t *StoredTable) landTuple(row Row, loaded oram.Req) (Row, error) {
+	if loaded.Err != nil || loaded.Dummy {
+		return row, loaded.Err
+	}
+	tu, ok, err := t.tupleAt(row.Entry.Ref, loaded.Data)
+	if err != nil {
+		return row, err
+	}
+	if !ok {
+		return row, fmt.Errorf("table: entry ord %d points at dummy slot", row.Entry.Ord)
+	}
+	row.Tuple = tu
+	return row, nil
+}
 
 func (t *StoredTable) tupleAt(ref btree.Ref, buf []byte) (relation.Tuple, bool, error) {
 	ts := t.rel.Schema.TupleSize()
