@@ -61,7 +61,6 @@ func main() {
 	cache := flag.Bool("cache", false, "cache index levels above the leaves (+Cache mode)")
 	one := flag.Bool("oneoram", false, "store all tables in a single shared ORAM (Section 7)")
 	evictBatch := flag.Int("evict-batch", 1, "paths an ORAM write-back unions before it rides the next download (1 = the path just fetched)")
-	prefetch := flag.Int("prefetch", 0, "coalesce up to this many pad-loop dummy downloads per round; honored only in non-padded mode (0 = off; defaults to -evict-batch)")
 	maxPrint := flag.Int("n", 10, "print at most this many result rows")
 	traceOut := flag.String("trace-out", "", "write a phase-attributed span-tree JSON trace to this file")
 	remoteAddr := flag.String("remote", "", "store sealed tables on a networked ojoinserver at this address")
@@ -95,9 +94,6 @@ func main() {
 	if *one {
 		setting = oblivjoin.OneORAM
 	}
-	if *prefetch == 0 {
-		*prefetch = *evictBatch
-	}
 	if *rotateEpoch < 0 || *rotateEpoch > 255 {
 		fatal("-rotate-epoch %d out of range 0-255", *rotateEpoch)
 	}
@@ -116,7 +112,6 @@ func main() {
 		CacheIndexes:   *cache,
 		EnableMultiway: len(joins) > 1,
 		EvictionBatch:  *evictBatch,
-		PrefetchDepth:  *prefetch,
 	})
 
 	type pred struct {

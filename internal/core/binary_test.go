@@ -298,59 +298,11 @@ func TestPaddingModes(t *testing.T) {
 }
 
 // TestPaddedTraceHidesRealSize: with ClosestPower padding, two runs whose
-// real sizes land in the same power bucket must be indistinguishable.
+// real sizes land in the same power bucket must be indistinguishable — the
+// same operations on the same stores, op for op, in the same number of
+// rounds — although their executed step counts differ, so the real→pad
+// boundary must not show.
 func TestPaddedTraceHidesRealSize(t *testing.T) {
-	run := func(k1, k2 []int64) []storage.Access {
-		m := storage.NewMeter()
-		s1, s2, _, _ := storePair(t, k1, k2, m)
-		m.Reset()
-		m.SetTracing(true)
-		opts := testJoinOpts(t, m)
-		opts.Padding = PadClosestPower
-		if _, err := IndexNestedLoopJoin(s1, s2, "k", "k", opts); err != nil {
-			t.Fatal(err)
-		}
-		return m.Trace()
-	}
-	// |R| = 3 and |R| = 4 both pad to 4.
-	a := run([]int64{1, 2, 3, 4}, []int64{1, 2, 3}) // R=3
-	b := run([]int64{1, 2, 3, 3}, []int64{1, 2, 3}) // R=4
-	if len(a) != len(b) {
-		t.Fatalf("padded traces differ in length: %d vs %d", len(a), len(b))
-	}
-}
-
-// TestPrefetchGatedByPadding: pad-loop coalescing switches the round shape
-// at the executed step count, which only the non-padded mode declares as
-// leakage, so every padding mode that hides the real result size must force
-// the depth back to 1.
-func TestPrefetchGatedByPadding(t *testing.T) {
-	for _, tc := range []struct {
-		mode PaddingMode
-		want int
-	}{
-		{PadNone, 8},
-		{PadClosestPower, 1},
-		{PadCartesian, 1},
-		{PadDP, 1},
-	} {
-		o := Options{PrefetchDepth: 8, Padding: tc.mode}
-		if got := o.prefetch(); got != tc.want {
-			t.Errorf("%v: prefetch depth %d, want %d", tc.mode, got, tc.want)
-		}
-	}
-	if got := (Options{}).prefetch(); got != 1 {
-		t.Errorf("zero options: prefetch depth %d, want 1", got)
-	}
-}
-
-// TestPaddedPrefetchGated: with a padding mode that hides the real result
-// size, setting PrefetchDepth must not change the server's view at all —
-// otherwise the access index where batched rounds begin would reveal the
-// pre-padding step count (and with it the real result size) that the pad
-// target exists to hide. Two runs in the same power bucket must stay
-// identical op-for-op and round-for-round.
-func TestPaddedPrefetchGated(t *testing.T) {
 	run := func(k1, k2 []int64) ([]storage.Access, storage.Stats) {
 		m := storage.NewMeter()
 		s1, s2, _, _ := storePair(t, k1, k2, m)
@@ -358,14 +310,12 @@ func TestPaddedPrefetchGated(t *testing.T) {
 		m.SetTracing(true)
 		opts := testJoinOpts(t, m)
 		opts.Padding = PadClosestPower
-		opts.PrefetchDepth = 8
 		if _, err := IndexNestedLoopJoin(s1, s2, "k", "k", opts); err != nil {
 			t.Fatal(err)
 		}
 		return m.Trace(), m.Snapshot()
 	}
-	// |R| = 3 and |R| = 4 both pad to 4, so the executed step counts differ
-	// while every public size matches.
+	// |R| = 3 and |R| = 4 both pad to 4.
 	a, sa := run([]int64{1, 2, 3, 4}, []int64{1, 2, 3}) // R=3
 	b, sb := run([]int64{1, 2, 3, 3}, []int64{1, 2, 3}) // R=4
 	if len(a) != len(b) {
@@ -377,55 +327,8 @@ func TestPaddedPrefetchGated(t *testing.T) {
 		}
 	}
 	if sa.NetworkRounds != sb.NetworkRounds {
-		t.Fatalf("round counts differ: %d vs %d — the batching boundary leaks the step count",
+		t.Fatalf("round counts differ: %d vs %d — the real→pad boundary leaks the step count",
 			sa.NetworkRounds, sb.NetworkRounds)
-	}
-}
-
-// TestPrefetchDrainsThePipeline: in the non-padded mode PrefetchDepth is
-// honoured, and the chunked pad tail first lands the data accesses the
-// pipeline still has in flight. The joins still give the reference results —
-// and move exactly the rounds and blocks they move without it: in PadNone the
-// executed steps of Theorems 1–3 are the bound itself, so the tail it would
-// coalesce is empty.
-func TestPrefetchDrainsThePipeline(t *testing.T) {
-	k1 := []int64{1, 2, 2, 3, 5, 5, 8, 9}
-	k2 := []int64{2, 2, 3, 5, 8, 10, 11, 12}
-	r1, r2 := makeRel("t1", k1), makeRel("t2", k2)
-	for _, tc := range []struct {
-		name string
-		join func(s1, s2 *table.StoredTable, o Options) (*Result, error)
-		want []relation.Tuple
-	}{
-		{"smj", func(s1, s2 *table.StoredTable, o Options) (*Result, error) {
-			return SortMergeJoin(s1, s2, "k", "k", o)
-		}, ReferenceEquiJoin(r1, r2, "k", "k")},
-		{"inlj", func(s1, s2 *table.StoredTable, o Options) (*Result, error) {
-			return IndexNestedLoopJoin(s1, s2, "k", "k", o)
-		}, ReferenceEquiJoin(r1, r2, "k", "k")},
-		{"band", func(s1, s2 *table.StoredTable, o Options) (*Result, error) {
-			return BandJoin(s1, s2, "k", "k", BandGreater, o)
-		}, ReferenceBandJoin(r1, r2, "k", "k", BandGreater)},
-	} {
-		var stats [2]storage.Stats
-		for i, depth := range []int{0, 8} {
-			m := storage.NewMeter()
-			topts := testTableOpts(t, m, false)
-			topts.BlockPayload = 140
-			s1, s2 := storeWith(t, k1, k2, topts)
-			m.Reset()
-			opts := testJoinOpts(t, m)
-			opts.PrefetchDepth = depth
-			res, err := tc.join(s1, s2, opts)
-			if err != nil {
-				t.Fatalf("%s, depth %d: %v", tc.name, depth, err)
-			}
-			equalMultiset(t, res.Tuples, tc.want)
-			stats[i] = res.Stats
-		}
-		if stats[0] != stats[1] {
-			t.Errorf("%s: PrefetchDepth 8 moved %v, 0 moved %v", tc.name, stats[1], stats[0])
-		}
 	}
 }
 
@@ -484,8 +387,39 @@ func TestJoinStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestTheoremsQuick drives Theorems 1-3 with testing/quick generated keys.
+// TestTheoremsQuick drives Theorems 1-3 with testing/quick generated keys,
+// in the SepORAM and the OneORAM setting. Under PadNone the executed steps
+// are the bound itself: the pad tail is empty (Steps == PaddedSteps).
 func TestTheoremsQuick(t *testing.T) {
+	exact := func(res *Result, err error, theorem int64) bool {
+		return err == nil && res.Steps == theorem && res.PaddedSteps == res.Steps
+	}
+	check := func(k1, k2 []int64, one bool) bool {
+		opts := testJoinOpts(t, nil)
+		var s1, s2 *table.StoredTable
+		r1, r2 := makeRel("t1", k1), makeRel("t2", k2)
+		if one {
+			tables, shared, err := table.StoreShared([]*relation.Relation{r1, r2},
+				map[string][]string{"t1": {"k"}, "t2": {"k"}}, testTableOpts(t, nil, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1, s2, opts.OneORAM = tables["t1"], tables["t2"], shared
+		} else {
+			s1, s2, _, _ = storePair(t, k1, k2, nil)
+		}
+		n1, n2 := int64(len(k1)), int64(len(k2))
+		want := int64(len(ReferenceEquiJoin(r1, r2, "k", "k")))
+		if res, err := SortMergeJoin(s1, s2, "k", "k", opts); !exact(res, err, NumtrSortMerge(n1, n2, want)) {
+			return false
+		}
+		if res, err := IndexNestedLoopJoin(s1, s2, "k", "k", opts); !exact(res, err, NumtrINLJ(n1, want)) {
+			return false
+		}
+		bandWant := int64(len(ReferenceBandJoin(r1, r2, "k", "k", BandGreaterEq)))
+		res, err := BandJoin(s1, s2, "k", "k", BandGreaterEq, opts)
+		return exact(res, err, NumtrBand(n1, bandWant))
+	}
 	f := func(a, b []uint8) bool {
 		if len(a) == 0 || len(b) == 0 {
 			return true
@@ -504,19 +438,7 @@ func TestTheoremsQuick(t *testing.T) {
 		for i, v := range b {
 			k2[i] = int64(v % 5)
 		}
-		s1, s2, r1, r2 := storePair(t, k1, k2, nil)
-		want := int64(len(ReferenceEquiJoin(r1, r2, "k", "k")))
-		smj, err := SortMergeJoin(s1, s2, "k", "k", testJoinOpts(t, nil))
-		if err != nil || smj.Steps != NumtrSortMerge(int64(len(k1)), int64(len(k2)), want) {
-			return false
-		}
-		inlj, err := IndexNestedLoopJoin(s1, s2, "k", "k", testJoinOpts(t, nil))
-		if err != nil || inlj.Steps != NumtrINLJ(int64(len(k1)), want) {
-			return false
-		}
-		bandWant := int64(len(ReferenceBandJoin(r1, r2, "k", "k", BandGreaterEq)))
-		band, err := BandJoin(s1, s2, "k", "k", BandGreaterEq, testJoinOpts(t, nil))
-		return err == nil && band.Steps == NumtrBand(int64(len(k1)), bandWant)
+		return check(k1, k2, false) && check(k1, k2, true)
 	}
 	cfg := &quick.Config{MaxCount: 15, Rand: mrand.New(mrand.NewSource(83))}
 	if err := quick.Check(f, cfg); err != nil {

@@ -131,22 +131,6 @@ type Options struct {
 	// sizes only. Telemetry performs no server accesses, so the trace is
 	// identical with or without it (DESIGN.md §2.8).
 	Span *telemetry.Span
-	// IncludeReset charges post-query index-tag resets (multiway only) to
-	// the query cost. Defaults to true via MultiwayJoin.
-	SkipReset bool
-	// PrefetchDepth coalesces the path downloads of the all-dummy padding
-	// loops: chunks of up to PrefetchDepth dummy retrievals are issued
-	// through the batch ORAM entry points so their read paths travel in one
-	// round. The switch from single-path to multi-path rounds is server
-	// visible and happens at the executed step count, so the depth is
-	// honored only in the non-padded mode (PadNone), where Theorems 1–3
-	// make that count an exact function of the input sizes and the real
-	// result size the mode already leaks. Under every padding mode that
-	// hides the real result size the depth is forced to 1 — batching the
-	// pad tail would mark exactly the boundary the padding exists to hide.
-	// The per-store access counts are identical to the sequential loops
-	// either way. 0 or 1 disables coalescing.
-	PrefetchDepth int
 }
 
 func (o Options) mem(recSize, blockSize int) int {
@@ -231,35 +215,6 @@ func (o Options) dpNoise() int64 {
 	return n
 }
 
-// prefetch returns the effective pad-loop coalescing depth. The server can
-// distinguish a multi-path union round from a single-path round, so the
-// access index where chunking begins — the executed step count — becomes
-// part of the trace the moment any chunking happens. Coalescing is
-// therefore only honored when that index is public: in PadNone the step
-// count equals the theorem bound evaluated at the (declared-leakage) real
-// result size, so the whole chunk schedule is a function of quantities the
-// server already learns. Every other padding mode exists to hide the real
-// result size, so the depth collapses to 1 and the pad tail stays
-// round-for-round indistinguishable from the real phase.
-func (o Options) prefetch() int {
-	if o.PrefetchDepth > 1 && o.Padding == PadNone {
-		return o.PrefetchDepth
-	}
-	return 1
-}
-
-// padChunk clips the prefetch depth to the remaining pad budget. When
-// chunking is enabled at all (prefetch gates it to PadNone), both inputs
-// are functions of declared leakage — the theorem target and the executed
-// step count, each determined by the input sizes and the leaked real
-// result size — so the resulting chunk schedule is too.
-func padChunk(depth int, remaining int64) int {
-	if int64(depth) > remaining {
-		return int(remaining)
-	}
-	return depth
-}
-
 // padPhase opens the pad phase under sp once the executed steps are checked
 // against the theorem's bound, target.
 func padPhase(sp *telemetry.Span, join, theorem string, steps, target int64) (*telemetry.Span, error) {
@@ -270,30 +225,6 @@ func padPhase(sp *telemetry.Span, join, theorem string, steps, target int64) (*t
 	pad.SetAttr("steps", steps)
 	pad.SetAttr("target", target)
 	return pad, nil
-}
-
-// padChunks pads n steps in chunks of up to depth retrievals, each chunk's
-// dummies issued through every given batch entry point and followed by a
-// dummy record per retrieval, and returns the chunk count. Only reached in
-// PadNone (Options.prefetch), where the executed step count — the index at
-// which the round shape changes — is itself declared leakage.
-func padChunks(depth int, n int64, w *outWriter, batches ...func(int) error) (chunks int64, err error) {
-	for n > 0 {
-		chunk := padChunk(depth, n)
-		chunks++
-		for _, batch := range batches {
-			if err := batch(chunk); err != nil {
-				return chunks, err
-			}
-		}
-		for i := 0; i < chunk; i++ {
-			if err := w.putDummy(); err != nil {
-				return chunks, err
-			}
-		}
-		n -= int64(chunk)
-	}
-	return chunks, nil
 }
 
 // settler is an input table, seen as the ORAMs a finished query has to
@@ -334,13 +265,12 @@ func settle(sp *telemetry.Span, opts Options, tables ...settler) error {
 	if opts.OneORAM != nil {
 		stats = append(stats, opts.OneORAM.Telemetry())
 	}
-	var flushes, paths, deduped, exchanges, batched int64
+	var flushes, paths, deduped, exchanges int64
 	for _, s := range stats {
 		flushes += s.Flushes
 		paths += s.FlushedPaths
 		deduped += s.DedupedBuckets
 		exchanges += s.Exchanges
-		batched += s.BatchedAccesses
 	}
 	if flushes > 0 {
 		fl.SetAttr("evict.flushes", flushes)
@@ -349,9 +279,6 @@ func settle(sp *telemetry.Span, opts Options, tables ...settler) error {
 	}
 	if exchanges > 0 {
 		fl.SetAttr("evict.exchanges", exchanges)
-	}
-	if batched > 0 {
-		fl.SetAttr("fetch.batchedAccesses", batched)
 	}
 	return nil
 }

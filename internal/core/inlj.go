@@ -33,18 +33,6 @@ func (p *onePadder) pad(cost int) error {
 // dummyRetrieval performs one full-width dummy retrieval.
 func (p *onePadder) dummyRetrieval() error { return p.pad(0) }
 
-// dummyRetrievalBatch performs n full-width dummy retrievals with the path
-// downloads coalesced through the shared ORAM's batch entry point. Callers
-// reach it only through the PadNone-gated pad loops (Options.prefetch), so
-// n·max is a function of declared leakage (executed step count, pad target,
-// maximum index height).
-func (p *onePadder) dummyRetrievalBatch(n int) error {
-	if p == nil || n <= 0 {
-		return nil
-	}
-	return p.opts.OneORAM.DummyBatch(n * p.max)
-}
-
 // IndexNestedLoopJoin computes T1 ⋈ T2 on a1 = a2 with the paper's
 // oblivious index nested-loop equi-join (Algorithm 2): T1 is scanned
 // sequentially by block ID, matching T2 tuples are fetched through a whole
@@ -186,14 +174,6 @@ func (pr *probe) runPipelined(w *outWriter, cart int64, opts Options, sp *teleme
 		return steps, 0, err
 	}
 	defer pad.End()
-	if depth := opts.prefetch(); depth > 1 {
-		if err := s.drain(); err != nil {
-			return steps, 0, err
-		}
-		chunks, err := padChunks(depth, target-steps, w, pr.scan.DummyBatch, pr.ic.DummyBatch)
-		pad.SetAttr("chunks", chunks)
-		return steps, target, err
-	}
 	for s.steps < target {
 		if _, err := s.step(pr.scan.Hold(), pr.ic.Hold()); err != nil {
 			return steps, 0, err
@@ -267,11 +247,6 @@ func (pr *probe) runOne(w *outWriter, cart int64, opts Options, sp *telemetry.Sp
 	}
 	defer pad.End()
 	retrievals += target - steps
-	if depth := opts.prefetch(); depth > 1 {
-		chunks, err := padChunks(depth, target-steps, w, padder.dummyRetrievalBatch)
-		pad.SetAttr("chunks", chunks)
-		return steps, target, retrievals, err
-	}
 	for padded = steps; padded < target; padded++ {
 		if err := padder.dummyRetrieval(); err != nil {
 			return steps, 0, 0, err

@@ -87,12 +87,7 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 	pad := sp.Child("pad")
 	pad.SetAttr("steps", rawSteps)
 	pad.SetAttr("target", target)
-	// The multiway pad loop never coalesces, regardless of PrefetchDepth:
-	// unlike Theorems 1–3, the executed step count here is not an exact
-	// function of the input sizes and the result size (the Observation 3
-	// corner can shift it), so there is no padding mode under which the
-	// index where batched rounds would begin is public. Dummy steps have
-	// the round shape of real ones.
+	// Dummy steps have the round shape of real ones.
 	padded := rawSteps
 	for ; padded < target; padded++ {
 		if st != nil {
@@ -118,15 +113,13 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 
 	// The paper's post-query cleanup: "go over all index blocks and reset
 	// boolean tags in each entry."
-	if !opts.SkipReset {
-		reset := sp.Child("reset")
-		for _, t := range in.Tables[1:] {
-			if err := t.ResetIndexes(); err != nil {
-				return nil, err
-			}
+	reset := sp.Child("reset")
+	for _, t := range in.Tables[1:] {
+		if err := t.ResetIndexes(); err != nil {
+			return nil, err
 		}
-		reset.End()
 	}
+	reset.End()
 
 	// Settle after the reset pass so its index writes are flushed too.
 	fs := make([]settler, len(in.Tables))

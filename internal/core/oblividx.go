@@ -93,41 +93,16 @@ func IndexNestedLoopJoinObliviousIndex(t1 *table.StoredTable, a1 string, t2 *obt
 	pad.SetAttr("steps", steps)
 	pad.SetAttr("target", target)
 	padded := steps
-	if depth := opts.prefetch(); depth <= 1 {
-		for ; padded < target; padded++ {
-			if err := scan.Dummy(); err != nil {
-				return nil, err
-			}
-			if err := t2.DummyLookup(); err != nil {
-				return nil, err
-			}
-			if err := w.putDummy(); err != nil {
-				return nil, err
-			}
+	for ; padded < target; padded++ {
+		if err := scan.Dummy(); err != nil {
+			return nil, err
 		}
-	} else {
-		// Only reached in PadNone, where `steps` is declared leakage (see
-		// Options.prefetch). T1's dummy scans coalesce; the oblivious-tree
-		// descents stay sequential (each level's fetch depends on the
-		// previous one).
-		var chunks int64
-		for padded < target {
-			chunk := padChunk(depth, target-padded)
-			chunks++
-			if err := scan.DummyBatch(chunk); err != nil {
-				return nil, err
-			}
-			for i := 0; i < chunk; i++ {
-				if err := t2.DummyLookup(); err != nil {
-					return nil, err
-				}
-				if err := w.putDummy(); err != nil {
-					return nil, err
-				}
-			}
-			padded += int64(chunk)
+		if err := t2.DummyLookup(); err != nil {
+			return nil, err
 		}
-		pad.SetAttr("chunks", chunks)
+		if err := w.putDummy(); err != nil {
+			return nil, err
+		}
 	}
 	pad.End()
 

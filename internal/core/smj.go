@@ -35,7 +35,6 @@ func cmpRows(a, b table.Row) int {
 type mergeCursor interface {
 	Advance() table.Move
 	Hold() table.Move
-	DummyBatch(n int) error
 	Mark() any
 	Restore(mark any)
 }
@@ -152,14 +151,6 @@ func (m *merge) runPipelined(w *outWriter, opts Options, cart int64, bound func(
 		return steps, 0, err
 	}
 	defer pad.End()
-	if depth := opts.prefetch(); depth > 1 {
-		if err := s.drain(); err != nil {
-			return steps, 0, err
-		}
-		chunks, err := padChunks(depth, target-steps, w, m.c1.DummyBatch, m.c2.DummyBatch)
-		pad.SetAttr("chunks", chunks)
-		return steps, target, err
-	}
 	for s.steps < target {
 		if err := s.record(false); err != nil {
 			return steps, 0, err
@@ -325,15 +316,6 @@ func (m *merge) runOne(w *outWriter, opts Options, cart int64, bound func(int64)
 	}
 	defer pad.End()
 	retrievals += target - steps
-	if depth := opts.prefetch(); depth > 1 {
-		// The pad tail is all dummies, so chunks of PrefetchDepth retrievals
-		// can share one download round. Only reached in PadNone (see
-		// Options.prefetch), where the executed step count — the index at
-		// which the round shape changes — is itself declared leakage.
-		chunks, err := padChunks(depth, target-steps, w, m.c1.DummyBatch)
-		pad.SetAttr("chunks", chunks)
-		return steps, target, retrievals, err
-	}
 	for padded = steps; padded < target; padded++ {
 		var row [1]table.Row
 		if err := table.Step(row[:], m.c1.Hold()); err != nil {

@@ -43,13 +43,6 @@ type Options struct {
 	// Span, when non-nil, is the parent telemetry span; each operator
 	// attaches a phase sub-tree under it (DESIGN.md §2.8).
 	Span *telemetry.Span
-	// EvictionBatch and PrefetchDepth mirror the staged-ORAM knobs of
-	// core.Options (DESIGN.md §2.9) so pipelines can carry one option set.
-	// The vector operators scan encrypted block vectors sequentially — there
-	// is no ORAM data path here — so both are currently accepted and
-	// ignored; they take effect in the join stages of a pipeline.
-	EvictionBatch int
-	PrefetchDepth int
 }
 
 // sorter returns the sort engine with its phases nesting under sp.

@@ -13,8 +13,8 @@ import (
 	"oblivjoin/internal/tracecheck"
 )
 
-// bufferWorkload drives a seeded mix of writes, updates, reads, coalesced
-// batch reads and dummies against o and a plain map, failing on any
+// bufferWorkload drives a seeded mix of writes, updates, reads, runs of
+// neighbouring reads and dummies against o and a plain map, failing on any
 // divergence, and calls got with every slice the ORAM hands back.
 func bufferWorkload(t *testing.T, o *PathORAM, capacity, steps int, seed int64, got func([]byte)) {
 	t.Helper()
@@ -57,12 +57,12 @@ func bufferWorkload(t *testing.T, o *PathORAM, capacity, steps int, seed int64, 
 					keys = append(keys, k)
 				}
 			}
-			datas, err := o.ReadBatch(keys)
-			if err != nil {
-				t.Fatalf("step %d batch read: %v", step, err)
-			}
-			for i, k := range keys {
-				check(step, k, datas[i])
+			for _, k := range keys {
+				data, err := o.Read(k)
+				if err != nil {
+					t.Fatalf("step %d read of neighbour %d: %v", step, k, err)
+				}
+				check(step, k, data)
 			}
 		default:
 			data, err := o.Read(key)
@@ -74,14 +74,14 @@ func bufferWorkload(t *testing.T, o *PathORAM, capacity, steps int, seed int64, 
 	}
 }
 
-// TestReturnedSlicesAreNeverRecycled keeps every slice Read, Update and
-// ReadBatch ever returned and asserts no later access mutated one: a stash
+// TestReturnedSlicesAreNeverRecycled keeps every slice Read and Update ever
+// returned and asserts no later access mutated one: a stash
 // payload buffer escaping to a caller and then being recycled would show
 // here as a returned block changing under its holder.
 func TestReturnedSlicesAreNeverRecycled(t *testing.T) {
 	for _, batch := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("k=%d", batch), func(t *testing.T) {
-			o := newBatchORAM(t, 64, 16, nil, batch, 31)
+			o := newEvictionORAM(t, 64, 16, nil, batch, 31)
 			var held, snapshots [][]byte
 			bufferWorkload(t, o, 64, 5000, int64(batch), func(data []byte) {
 				held = append(held, data)
@@ -203,7 +203,7 @@ func TestPathORAMAccessAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const capacity, payload = 256, 4096
-	o := newBatchORAM(t, capacity, payload, storage.NewMeter(), 1, 3)
+	o := newEvictionORAM(t, capacity, payload, storage.NewMeter(), 1, 3)
 	blocks := make([][]byte, capacity)
 	for i := range blocks {
 		blocks[i] = make([]byte, payload)

@@ -57,14 +57,11 @@ type diffClient interface {
 	Update(key uint64, fn func([]byte) error) ([]byte, error)
 	Read(key uint64) ([]byte, error)
 	DummyAccess() error
-	ReadBatch(keys []uint64) ([][]byte, error)
-	DummyBatch(n int) error
 	Flush() error
 }
 
 // callerHeld is a PosORAM with the position tags held the way its callers
-// hold them: outside the ORAM, presented and replaced on every access. It
-// has no coalesced fetch, so a batch is that many single accesses.
+// hold them: outside the ORAM, presented and replaced on every access.
 type callerHeld struct {
 	*PosORAM
 	tags map[uint64]uint32
@@ -95,34 +92,15 @@ func (c callerHeld) Write(key uint64, payload []byte) error {
 	return err
 }
 
-func (c callerHeld) ReadBatch(keys []uint64) ([][]byte, error) {
-	out := make([][]byte, len(keys))
-	for i, k := range keys {
-		var err error
-		if out[i], err = c.Read(k); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (c callerHeld) DummyBatch(n int) error {
-	for i := 0; i < n; i++ {
-		if err := c.DummyAccess(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // TestKnownBucketsDifferential is the data path's end-to-end check: a
 // seeded random mix of every operation against a map model, at every
 // eviction batch, over stores with and without exchanges, with a flat, a
 // recursive and a caller-held position map (the one path NewPathORAM and
-// NewPosORAM share), and with the single accesses issued in lockstep with
-// a second tree's (Together). Every result must equal the model; each
-// store's recorded trace must be the one tracecheck.PathORAMSim computes
-// from the leaves that trace itself names (so skipping decryption moved no
+// NewPosORAM share), and with the accesses issued in lockstep with a second
+// tree's (Together). Every result must equal the model; after every access,
+// failed ones included, no tree has more than k paths pending; each store's
+// recorded trace must be the one tracecheck.PathORAMSim computes from the
+// leaves that trace itself names (so skipping decryption moved no
 // server-visible index, and at every batch, 1 included, each write-back
 // rides the next download); every downloaded bucket must still be counted in
 // BucketsRead, and fewer of them opened. Eviction ranges over a Go map, so
@@ -152,8 +130,7 @@ func TestKnownBucketsDifferential(t *testing.T) {
 					// o is what the operations go through.
 					var tree *PathORAM
 					var o diffClient
-					coalesces := positions != "positions=caller"
-					if !coalesces {
+					if positions == "positions=caller" {
 						h, err := NewPosORAM(cfg)
 						if err != nil {
 							t.Fatal(err)
@@ -193,19 +170,10 @@ func TestKnownBucketsDifferential(t *testing.T) {
 					m.Reset()
 					m.SetTracing(true)
 
-					// events is the top-level schedule: n > 0 a round of n
-					// coalesced accesses, 0 a Flush. Level d of the stack makes
-					// 2^d single accesses per top-level access.
-					var events []int
-					batchOf := func(n int) {
-						if coalesces {
-							events = append(events, n)
-							return
-						}
-						for i := 0; i < n; i++ {
-							events = append(events, 1)
-						}
-					}
+					// events is the top-level schedule: true a Flush, false an
+					// access. Level d of the stack makes 2^d accesses per
+					// top-level access.
+					var events []bool
 					ref := map[uint64][]byte{}
 					r := mrand.New(mrand.NewSource(int64(batch)))
 					check := func(step int, key uint64, data []byte, err error) {
@@ -233,43 +201,33 @@ func TestKnownBucketsDifferential(t *testing.T) {
 								t.Fatalf("step %d write: %v", step, err)
 							}
 							ref[key] = append(val, make([]byte, payload-len(val))...)
-							events = append(events, 1)
+							events = append(events, false)
 						case 2:
 							data, err := o.Update(key, func(p []byte) error { p[0]++; return nil })
 							if ref[key] != nil {
 								ref[key][0]++
 							}
 							check(step, key, data, err)
-							events = append(events, 1)
+							events = append(events, false)
 						case 3:
 							if err := o.DummyAccess(); err != nil {
 								t.Fatalf("step %d dummy: %v", step, err)
 							}
-							events = append(events, 1)
-						case 4:
-							var keys []uint64
-							for d := 0; d < capacity && len(keys) < 1+int(key%4); d++ {
-								if k := (key + uint64(d)) % capacity; ref[k] != nil {
-									keys = append(keys, k)
+							events = append(events, false)
+						case 4: // a run of reads of neighbouring keys, misses included
+							for d := uint64(0); d <= key%4; d++ {
+								k := (key + d) % capacity
+								data, err := o.Read(k)
+								check(step, k, data, err)
+								events = append(events, false)
+							}
+						case 5: // a run of dummies
+							for n := 1 + int(key%4); n > 0; n-- {
+								if err := o.DummyAccess(); err != nil {
+									t.Fatalf("step %d dummy: %v", step, err)
 								}
+								events = append(events, false)
 							}
-							if len(keys) == 0 {
-								continue
-							}
-							datas, err := o.ReadBatch(keys)
-							if err != nil {
-								t.Fatalf("step %d batch read: %v", step, err)
-							}
-							for i, k := range keys {
-								check(step, k, datas[i], nil)
-							}
-							batchOf(len(keys))
-						case 5:
-							n := 1 + int(key%4)
-							if err := o.DummyBatch(n); err != nil {
-								t.Fatalf("step %d dummy batch: %v", step, err)
-							}
-							batchOf(n)
 						case 6:
 							if step%5 != 0 {
 								continue // a flush every step would leave nothing deferred
@@ -277,11 +235,16 @@ func TestKnownBucketsDifferential(t *testing.T) {
 							if err := o.Flush(); err != nil {
 								t.Fatalf("step %d flush: %v", step, err)
 							}
-							events = append(events, 0)
+							events = append(events, true)
 						default:
 							data, err := o.Read(key)
 							check(step, key, data, err)
-							events = append(events, 1)
+							events = append(events, false)
+						}
+						for _, lvl := range stack {
+							if n := lvl.PendingEvictions(); n > batch {
+								t.Fatalf("step %d: %s has %d paths pending, more than k = %d", step, lvl.cfg.Name, n, batch)
+							}
 						}
 						if step%8 == 0 {
 							assertBuffersDisjoint(t, tree)
@@ -290,7 +253,7 @@ func TestKnownBucketsDifferential(t *testing.T) {
 					if err := o.Flush(); err != nil {
 						t.Fatal(err)
 					}
-					events = append(events, 0)
+					events = append(events, true)
 					trace := m.Trace()
 					for key, want := range ref {
 						data, err := o.Read(key)
@@ -311,30 +274,14 @@ func TestKnownBucketsDifferential(t *testing.T) {
 							Store: lvl.cfg.Name, Bytes: xcrypto.SealedLen(lvl.bucketSize),
 							Levels: lvl.top + lvl.levels, Treetop: lvl.top, Batch: batch, Exchange: exchange,
 						}
-						for _, n := range events {
-							if n == 0 {
+						for _, flush := range events {
+							if flush {
 								sim.Flush()
 								continue
 							}
-							if depth > 0 {
-								for i := 0; i < n<<uint(depth); i++ {
-									sim.Access(rounds[0][0])
-									rounds = rounds[1:]
-								}
-								continue
-							}
-							// Two accesses of a round that drew the same leaf show
-							// the server one path; which one repeats changes
-							// neither the union nor the pending count.
-							leaves := rounds[0]
-							for len(leaves) < n {
-								leaves = append(leaves, leaves[0])
-							}
-							rounds = rounds[1:]
-							if n == 1 {
-								sim.Access(leaves[0])
-							} else {
-								sim.AccessBatch(leaves)
+							for i := 0; i < 1<<uint(depth); i++ {
+								sim.Access(rounds[0][0])
+								rounds = rounds[1:]
 							}
 						}
 						if len(rounds) != 0 {
@@ -346,7 +293,7 @@ func TestKnownBucketsDifferential(t *testing.T) {
 						// A tree alone on its meter also takes its rounds where the
 						// simulator puts them: a write-back in the round of the next
 						// download (before it, over a store without exchanges), or
-						// in one of its own at a Flush and at the valve.
+						// in one of its own at a Flush.
 						if len(stack) == 1 && positions != "driver=together" {
 							if d := tracecheck.Diff(sim.Trace(), own); d != "" {
 								t.Fatalf("%s: round boundaries are not the simulator's: %s", lvl.cfg.Name, d)
@@ -405,7 +352,7 @@ func TestKnownBucketTamperIsIgnored(t *testing.T) {
 	const capacity = 32
 	for _, batch := range []int{1, 4} {
 		t.Run(fmt.Sprintf("k=%d", batch), func(t *testing.T) {
-			o := newBatchORAM(t, capacity, 16, nil, batch, 19)
+			o := newEvictionORAM(t, capacity, 16, nil, batch, 19)
 			for i := uint64(0); i < capacity; i++ {
 				if err := o.Write(i, []byte{byte(i)}); err != nil {
 					t.Fatal(err)
@@ -570,7 +517,7 @@ func TestClassicWriteBackFailureKeepsBlocks(t *testing.T) {
 // BulkLoad write nothing the client goes on knowing, so a settled instance
 // reports exactly its stash and position map.
 func TestKnownSetLifetime(t *testing.T) {
-	o := newBatchORAM(t, 64, 16, nil, 1, 5)
+	o := newEvictionORAM(t, 64, 16, nil, 1, 5)
 	for i := uint64(0); i < 64; i++ {
 		if err := o.Write(i, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -613,7 +560,7 @@ func TestPathORAMDeferredAccessAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const capacity, payload = 256, 4096
-	o := newBatchORAM(t, capacity, payload, storage.NewMeter(), 4, 3)
+	o := newEvictionORAM(t, capacity, payload, storage.NewMeter(), 4, 3)
 	blocks := make([][]byte, capacity)
 	for i := range blocks {
 		blocks[i] = make([]byte, payload)

@@ -17,13 +17,13 @@
 // its caller — the store under the paper's Section 4.2 oblivious B-tree.
 // Either way the tree lives wherever PathConfig.OpenStore puts it.
 //
-// An access issued on its own costs one network round: its path download,
-// which carries the write-back of the paths fetched before it (the
-// scheduler). Together issues one access on each of several trees in
-// lockstep — all downloads, and the write-backs they carry, in one round —
-// which is how a join step that retrieves a tuple from every table pays for
-// its round trip once, not once per table; Settle does the same for the
-// write-backs left queued when a query ends.
+// Every access fetches one path, and an access issued on its own costs one
+// network round: its path download, which carries the write-back of the
+// paths fetched before it (the scheduler). Together issues one access on
+// each of several trees in lockstep — all downloads, and the write-backs
+// they carry, in one round — which is how a join step that retrieves a
+// tuple from every table pays for its round trip once, not once per table;
+// Settle does the same for the write-backs left queued when a query ends.
 package oram
 
 import (
@@ -77,59 +77,11 @@ type LeafSource interface {
 	Uint64() uint64
 }
 
-// BatchORAM is implemented by ORAMs whose staged data path can coalesce
-// the server rounds of independent accesses (PathORAM's scheduler, and
-// Views over it). Callers must treat the batch size as public: batching is
-// only safe where the grouping is a function of public quantities, e.g.
-// the all-dummy padding streams of the join algorithms.
-type BatchORAM interface {
-	ORAM
-	// ReadBatch reads several keys with their path downloads coalesced
-	// into one round. Results align with keys.
-	ReadBatch(keys []uint64) ([][]byte, error)
-	// DummyBatch performs n dummy accesses in one coalesced round,
-	// indistinguishable from ReadBatch of n keys.
-	DummyBatch(n int) error
-	// Flush settles the instance: every queued write-back is sent.
-	Flush() error
-}
-
-// ReadBatch reads keys through o's batched data path when it has one,
-// falling back to sequential reads otherwise.
-func ReadBatch(o ORAM, keys []uint64) ([][]byte, error) {
-	if b, ok := o.(BatchORAM); ok {
-		return b.ReadBatch(keys)
-	}
-	results := make([][]byte, len(keys))
-	for i, k := range keys {
-		data, err := o.Read(k)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = data
-	}
-	return results, nil
-}
-
-// DummyBatch performs n dummy accesses through o's batched data path when
-// it has one, falling back to sequential dummies otherwise.
-func DummyBatch(o ORAM, n int) error {
-	if b, ok := o.(BatchORAM); ok {
-		return b.DummyBatch(n)
-	}
-	for i := 0; i < n; i++ {
-		if err := o.DummyAccess(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Flush settles o's queued write-backs when it can have any; a no-op for
-// ORAMs without a staged data path.
+// Flush settles o's queued write-backs when it can have any (a PathORAM, or
+// a View over one); a no-op for ORAMs without a staged data path.
 func Flush(o ORAM) error {
-	if b, ok := o.(BatchORAM); ok {
-		return b.Flush()
+	if f, ok := o.(interface{ Flush() error }); ok {
+		return f.Flush()
 	}
 	return nil
 }

@@ -71,7 +71,7 @@ type PathConfig struct {
 	EvictionBatch int
 	// Flight, when non-nil, carries the distributed-trace context: the
 	// scheduler pushes the declared-public "oram.flush" phase around the
-	// rounds that exist only to write back (Flush and Settle, the valve), so
+	// rounds that exist only to write back (Flush and Settle), so
 	// server spans attribute them apart from the engine phases; a download
 	// keeps the phase of its access whether or not a write-back rides it.
 	// Phase labels are a function of public schedule state only, so the
@@ -124,7 +124,6 @@ type PathORAM struct {
 	sealBuf  []byte     // SealTo target for one write-back's buckets
 	sealView [][]byte   // per-bucket views into sealBuf
 	pathBuf  []int64    // pathNodes result
-	leafBuf  [1]uint32  // the single-access leaf list handed to the scheduler
 	planBuf  accessPlan // the single-access plan
 	// free holds stash payload buffers no block lives in any more;
 	// parseBucketInto and Write take from it before allocating.
@@ -459,8 +458,7 @@ func (o *PathORAM) randomLeaf() uint32 {
 // accessPlan is the position-remap stage's output: everything the later
 // fetch/apply/evict stages need to execute one access. Plans carry only the
 // leaf choices (uniform random, data-independent) and the client-side
-// operation, so building several plans before fetching leaks nothing beyond
-// the (public) number of coalesced accesses.
+// operation.
 type accessPlan struct {
 	key      uint64
 	newData  []byte
@@ -577,22 +575,18 @@ func (o *PathORAM) access(key uint64, newData []byte, dummy bool, update func([]
 // stage queues the path just fetched for the next one. A fetch that fails
 // leaves the access undone and retryable.
 func (o *PathORAM) run(p *accessPlan) ([]byte, error) {
-	o.leafBuf[0] = p.leaf
-	if err := o.sched.fetch(o.leafBuf[:]); err != nil {
+	if err := o.sched.fetch(p.leaf); err != nil {
 		return nil, o.unplan(p, err)
 	}
 	return o.finish(p)
 }
 
-// finish runs the stages of a single planned access that follow its fetch:
-// apply, then queue the fetched path (leafBuf), whose write-back rides the
-// tree's next fetch. Together is plan, fetch and finish run for several
-// trees at once.
+// finish runs the stages of a planned access that follow its fetch: apply,
+// then queue the fetched path, whose write-back rides the tree's next fetch.
+// Together is plan, fetch and finish run for several trees at once.
 func (o *PathORAM) finish(p *accessPlan) ([]byte, error) {
 	result, err := o.apply(p)
-	if werr := o.sched.evict(o.leafBuf[:]); werr != nil && err == nil {
-		err = werr
-	}
+	o.sched.evict(p.leaf)
 	if len(o.stash) > o.maxStash {
 		o.maxStash = len(o.stash)
 	}

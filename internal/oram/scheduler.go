@@ -9,24 +9,22 @@ import (
 // scheduler is the staged data path in front of a PathORAM's fetch and
 // eviction stages (DESIGN.md §2.9). It keeps one protocol: the write-back of
 // an access rides the path download of the next access on the same tree, in
-// one combined write+read round, so an access costs one round. On top of
-// that it owns two optimizations (a third, sharing a round with other trees,
-// is Together's; the scheduler only stages its share):
-//
-//   - Unioned write-backs: fetched paths queue until there are batch = k of
-//     them, and the write-back that then rides the next download seals the
-//     union of the k paths, so each bucket they share near the root is
-//     written once. k says how many paths a write-back unions (k = 1: the
-//     single path just fetched) — never whether it gets a round of its own.
-//
-//   - Coalesced fetch: independent accesses planned together download the
-//     union of their read paths in one round.
+// one combined write+read round, so an access — one path — costs one round.
+// On top of that it owns one optimization (sharing a round with other trees
+// is Together's; the scheduler only stages its share): unioned write-backs.
+// Fetched paths queue until there are batch = k of them, and the write-back
+// that then rides the next download seals the union of the k paths, so each
+// bucket they share near the root is written once. k says how many paths a
+// write-back unions (k = 1: the single path just fetched) — never whether it
+// gets a round of its own. A download that finds k paths queued carries them
+// all and the path it fetches is queued alone, so at most k paths are ever
+// pending after an access, failed ones included.
 //
 // A write-back travels alone only when there is no next download to carry
 // it: at Flush/Close (Settle puts those of several trees into one round),
-// at the 2k safety valve, and — below this layer — over a store that cannot
-// serve an exchange, where storage.ExchangeTo's fallback rung issues the
-// writes and then the reads as two requests.
+// and — below this layer — over a store that cannot serve an exchange, where
+// storage.ExchangeTo's fallback rung issues the writes and then the reads as
+// two requests.
 //
 // Security: every queued eviction path is the path of a completed fetch,
 // and Path-ORAM fetch paths are uniform random and independent of the data
@@ -82,30 +80,14 @@ type scheduler struct {
 	riding bool
 
 	// Telemetry (client-side only).
-	flushes         int64 // write-backs stored
-	flushedPaths    int64
-	dedupSaved      int64 // bucket writes avoided by the union within a write-back
-	exchanges       int64 // write-backs that rode a fetch
-	batchFetches    int64 // coalesced multi-access fetch rounds
-	batchedAccesses int64 // accesses served by those rounds
+	flushes      int64 // write-backs stored
+	flushedPaths int64
+	dedupSaved   int64 // bucket writes avoided by the union within a write-back
+	exchanges    int64 // write-backs that rode a fetch
 }
 
 func newScheduler(o *PathORAM, batch int) *scheduler {
 	return &scheduler{o: o, batch: max(batch, 1)}
-}
-
-// unionNodes appends to dst the ascending union of the root-to-leaf paths
-// of the given leaves; for a single leaf that is the path itself, root
-// first.
-func (s *scheduler) unionNodes(dst []int64, leaves []uint32) []int64 {
-	for _, leaf := range leaves {
-		dst = append(dst, s.o.pathNodes(leaf)...)
-	}
-	if len(leaves) > 1 {
-		slices.Sort(dst)
-		dst = slices.Compact(dst)
-	}
-	return dst
 }
 
 // A wire stage is split into a prepare half that stages this tree's share of
@@ -115,11 +97,10 @@ func (s *scheduler) unionNodes(dst []int64, leaves []uint32) []int64 {
 // (fetch); Together and Settle put the prepared shares of several trees into
 // one round.
 
-// prepareFetch stages the download of the union of the given leaves' paths.
-// Once k paths are queued their write-back rides along: the share carries
-// the pending eviction writes too, and the server applies them before
-// serving the reads.
-func (s *scheduler) prepareFetch(leaves []uint32) error {
+// prepareFetch stages the download of the path to leaf. Once k paths are
+// queued their write-back rides along: the share carries the pending
+// eviction writes too, and the server applies them before serving the reads.
+func (s *scheduler) prepareFetch(leaf uint32) error {
 	s.op = storage.RoundOp{Store: s.o.store, Dst: s.o.fetchBuf[:0]}
 	if s.riding = len(s.pending) >= s.batch; s.riding {
 		sealed, err := s.sealPending()
@@ -128,7 +109,7 @@ func (s *scheduler) prepareFetch(leaves []uint32) error {
 		}
 		s.op.WriteIdxs, s.op.WriteData = s.writeNodes, sealed
 	}
-	s.readNodes = s.unionNodes(s.readNodes[:0], leaves)
+	s.readNodes = append(s.readNodes[:0], s.o.pathNodes(leaf)...)
 	s.op.ReadIdxs = s.readNodes
 	return nil
 }
@@ -136,7 +117,7 @@ func (s *scheduler) prepareFetch(leaves []uint32) error {
 // completeFetch settles an issued fetch share: the downloaded buckets enter
 // the stash. On a transport error a write-back that rode along stays queued
 // (and its blocks in the stash) for the next fetch.
-func (s *scheduler) completeFetch(leaves []uint32) error {
+func (s *scheduler) completeFetch() error {
 	if s.op.Err != nil {
 		if s.riding {
 			s.o.restoreKnown()
@@ -150,28 +131,23 @@ func (s *scheduler) completeFetch(leaves []uint32) error {
 		s.commit()
 		s.exchanges++
 	}
-	if len(leaves) > 1 {
-		s.batchFetches++
-		s.batchedAccesses += int64(len(leaves))
-	}
 	return s.o.openFetched(s.op.Out, s.readNodes)
 }
 
-// fetch downloads the union of the given leaves' paths into the stash in
-// one round of its own.
-func (s *scheduler) fetch(leaves []uint32) error {
-	if err := s.prepareFetch(leaves); err != nil {
+// fetch downloads the path to leaf into the stash in one round of its own.
+func (s *scheduler) fetch(leaf uint32) error {
+	if err := s.prepareFetch(leaf); err != nil {
 		return err
 	}
 	issueRound(&s.o.cfg, false, &s.op)
-	return s.completeFetch(leaves)
+	return s.completeFetch()
 }
 
 // issueRound sends staged shares as one round. A round that exists only to
-// write back — settle, or the valve — belongs to the (public) eviction
-// schedule rather than to whichever engine phase it fell in, and its wire
-// requests are labelled "oram.flush"; a download belongs to the engine
-// phase of its access whether or not a write-back rides it.
+// write back — settle — belongs to the (public) eviction schedule rather
+// than to whichever engine phase it fell in, and its wire requests are
+// labelled "oram.flush"; a download belongs to the engine phase of its
+// access whether or not a write-back rides it.
 func issueRound(cfg *PathConfig, flush bool, ops ...*storage.RoundOp) {
 	if len(ops) == 0 {
 		return
@@ -182,33 +158,9 @@ func issueRound(cfg *PathConfig, flush bool, ops ...*storage.RoundOp) {
 	storage.DoRound(cfg.Meter, ops...)
 }
 
-// evict queues the fetched paths for write-back; the write-back rides the
+// evict queues the fetched path for write-back; the write-back rides the
 // next fetch once k are queued.
-//
-// A coalesced batch's paths are queued as one unit, and that matters for
-// correctness, not just rounds: they were downloaded in a single union
-// read, so writing them back as separate overlapping path writes would let
-// a later write rewrite a shared bucket (the root, at minimum) that an
-// earlier write in the same batch had just filled — erasing the placed
-// blocks, which are no longer in the stash. The write-back seals the union
-// instead: every bucket is written exactly once, filled from the
-// authoritative stash.
-//
-// The safety valve: a batch that lands on a part-filled queue and takes it
-// to 2k paths or beyond is written back at once, in a round of its own,
-// rather than left to add its blocks to those already waiting in the stash
-// until the next access. A batch on an empty queue holds nothing its own
-// download did not bring in, and rides the next one whatever its size, as a
-// single path does (at k = 1 the queue is always empty here, so the valve
-// never fires).
-func (s *scheduler) evict(leaves []uint32) error {
-	queued := len(s.pending)
-	s.pending = append(s.pending, leaves...)
-	if queued > 0 && len(s.pending) >= 2*s.batch {
-		return s.flushNow()
-	}
-	return nil
-}
+func (s *scheduler) evict(leaf uint32) { s.pending = append(s.pending, leaf) }
 
 // prepareFlush stages the write-back of every pending path as a share with
 // nothing to read, and reports whether there was anything to stage.
@@ -252,7 +204,14 @@ func (s *scheduler) flushNow() error {
 // buckets: shared upper-tree buckets appear once, in ascending store-index
 // order — for a single path, root to leaf.
 func (s *scheduler) sealPending() ([][]byte, error) {
-	s.writeNodes = s.unionNodes(s.writeNodes[:0], s.pending)
+	s.writeNodes = s.writeNodes[:0]
+	for _, leaf := range s.pending {
+		s.writeNodes = append(s.writeNodes, s.o.pathNodes(leaf)...)
+	}
+	if len(s.pending) > 1 {
+		slices.Sort(s.writeNodes)
+		s.writeNodes = slices.Compact(s.writeNodes)
+	}
 	return s.o.sealNodes(s.writeNodes)
 }
 
@@ -265,83 +224,6 @@ func (s *scheduler) commit() {
 	s.flushedPaths += int64(len(s.pending))
 	s.dedupSaved += int64(len(s.pending)*s.o.levels - len(s.writeNodes))
 	s.pending = s.pending[:0]
-}
-
-// ReadBatch reads several keys with their path downloads coalesced into a
-// single round: all accesses are planned first, the union of their paths is
-// fetched in one ReadMany (or exchange), every access is applied against
-// the stash, and only then are the paths queued for eviction. Each access
-// still remaps its block to a fresh uniform leaf, so the server-visible
-// read set is the union of len(keys) independent uniform paths — the batch
-// leaks only its (public) size. The caller must ensure its batching
-// *schedule* — which accesses coalesce, and at which point in the access
-// sequence batched rounds appear — is itself a function of public
-// quantities: a multi-path round is distinguishable from a single-path
-// round, so a data-dependent switch between the two leaks the switch index
-// (see core.Options.PrefetchDepth). Results align with keys; the first
-// error is returned after all accesses completed their server-visible
-// work.
-func (o *PathORAM) ReadBatch(keys []uint64) ([][]byte, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	plans := make([]accessPlan, len(keys))
-	leaves := make([]uint32, len(keys))
-	for i, k := range keys {
-		if err := o.plan(&plans[i], k, nil, false, nil); err != nil {
-			return nil, err
-		}
-		leaves[i] = plans[i].leaf
-	}
-	return o.finishBatch(plans, leaves)
-}
-
-// DummyBatch performs n dummy accesses with their path downloads coalesced
-// into a single round, indistinguishable from ReadBatch of n keys.
-func (o *PathORAM) DummyBatch(n int) error {
-	if n <= 0 {
-		return nil
-	}
-	plans := make([]accessPlan, n)
-	leaves := make([]uint32, n)
-	for i := range plans {
-		if err := o.plan(&plans[i], 0, nil, true, nil); err != nil {
-			return err
-		}
-		leaves[i] = plans[i].leaf
-	}
-	_, err := o.finishBatch(plans, leaves)
-	return err
-}
-
-// finishBatch runs the fetch, apply, and evict stages for a planned batch.
-// All plans are applied before any path is queued for eviction, so an
-// eviction cannot sink a block that a later plan in the same batch still
-// needs out of the stash.
-func (o *PathORAM) finishBatch(plans []accessPlan, leaves []uint32) ([][]byte, error) {
-	if err := o.sched.fetch(leaves); err != nil {
-		// Latest remap first: a key planned twice gets its first position back.
-		for i := len(plans) - 1; i >= 0; i-- {
-			err = o.unplan(&plans[i], err)
-		}
-		return nil, err
-	}
-	results := make([][]byte, len(plans))
-	var firstErr error
-	for i := range plans {
-		res, err := o.apply(&plans[i])
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		results[i] = res
-	}
-	if err := o.sched.evict(leaves); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if len(o.stash) > o.maxStash {
-		o.maxStash = len(o.stash)
-	}
-	return results, firstErr
 }
 
 // Flush writes every queued eviction path back to the server in a round of

@@ -12,10 +12,10 @@ import (
 	"oblivjoin/internal/tracecheck"
 )
 
-// newBatchORAM builds a MemStore-backed Path-ORAM with the given eviction
+// newEvictionORAM builds a MemStore-backed Path-ORAM with the given eviction
 // batch. MemStore implements storage.ExchangeStore, so a write-back and the
 // fetch it rides are one round.
-func newBatchORAM(t testing.TB, capacity int64, payload int, meter *storage.Meter, batch int, seed uint64) *PathORAM {
+func newEvictionORAM(t testing.TB, capacity int64, payload int, meter *storage.Meter, batch int, seed uint64) *PathORAM {
 	t.Helper()
 	o, err := NewPathORAM(PathConfig{
 		Name:          "sched",
@@ -51,7 +51,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 	for _, batch := range []int{1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("k=%d", batch), func(t *testing.T) {
 			const capacity = 64
-			o := newBatchORAM(t, capacity, 16, nil, batch, 11)
+			o := newEvictionORAM(t, capacity, 16, nil, batch, 11)
 			ref := map[uint64][]byte{}
 			r := mrand.New(mrand.NewSource(int64(batch)))
 			for step := 0; step < 3000; step++ {
@@ -75,7 +75,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 					if err := o.DummyAccess(); err != nil {
 						t.Fatalf("step %d dummy: %v", step, err)
 					}
-				case 3: // coalesced batch read
+				case 3: // a run of reads of written keys, one access each
 					keys := make([]uint64, 1+r.Intn(4))
 					for i := range keys {
 						for {
@@ -95,14 +95,13 @@ func TestSchedulerMatchesReference(t *testing.T) {
 					if len(keys) == 0 {
 						continue
 					}
-					got, err := o.ReadBatch(keys)
-					if err != nil {
-						t.Fatalf("step %d batch read: %v", step, err)
-					}
-					for i, k := range keys {
-						want := ref[k]
-						if !bytes.Equal(got[i][:len(want)], want) {
-							t.Fatalf("step %d batch read key %d = %v, want %v", step, k, got[i][:len(want)], want)
+					for _, k := range keys {
+						got, err := o.Read(k)
+						if err != nil {
+							t.Fatalf("step %d read of key %d: %v", step, k, err)
+						}
+						if want := ref[k]; !bytes.Equal(got[:len(want)], want) {
+							t.Fatalf("step %d read key %d = %v, want %v", step, k, got[:len(want)], want)
 						}
 					}
 				default: // read
@@ -212,7 +211,7 @@ func TestSchedulerExchangeRounds(t *testing.T) {
 	const n, capacity = 40, 64
 	for _, k := range []int{1, 4} {
 		m := storage.NewMeter()
-		o := newBatchORAM(t, capacity, 16, m, k, 6)
+		o := newEvictionORAM(t, capacity, 16, m, k, 6)
 		for i := uint64(0); i < capacity; i++ {
 			if err := o.Write(i, []byte{byte(i)}); err != nil {
 				t.Fatal(err)
@@ -254,7 +253,7 @@ func TestSchedulerExchangeRounds(t *testing.T) {
 // seed at every setting so the k = 1 peak is a true baseline.
 func TestSchedulerStashHighWater(t *testing.T) {
 	base := stashPeak(t, 1, treetopLevels)
-	levels := newBatchORAM(t, stashCapacity, 8, nil, 1, 31).Levels()
+	levels := newEvictionORAM(t, stashCapacity, 8, nil, 1, 31).Levels()
 	for _, k := range []int{4, 16} {
 		peak := stashPeak(t, k, treetopLevels)
 		bound := base + k*DefaultZ*levels
@@ -296,7 +295,7 @@ func stashPeak(t *testing.T, batch int, treetop func(int) int) int {
 // is what would have sunk below it there — so under the same leaf draws the
 // stash peaks at most Z·(2^t - 1) above the vanilla tree's.
 func TestTreetopStashBound(t *testing.T) {
-	top := newBatchORAM(t, stashCapacity, 8, nil, 1, 31).Telemetry().TreetopLevels
+	top := newEvictionORAM(t, stashCapacity, 8, nil, 1, 31).Telemetry().TreetopLevels
 	if top == 0 {
 		t.Fatal("the tree has no treetop; nothing to bound")
 	}
@@ -306,57 +305,6 @@ func TestTreetopStashBound(t *testing.T) {
 			t.Fatalf("k=%d: stash peak %d exceeds vanilla %d + Z·(2^%d - 1) = %d", k, peak, vanilla, top, bound)
 		}
 		t.Logf("k=%d: stash peak %d, vanilla %d", k, peak, vanilla)
-	}
-}
-
-// TestReadBatchCoalescedRounds verifies the coalesced-fetch entry point:
-// a ReadBatch of b keys downloads the union of their paths in one round and
-// is indistinguishable in cost from a DummyBatch of the same size.
-func TestReadBatchCoalescedRounds(t *testing.T) {
-	const capacity = 64
-	m := storage.NewMeter()
-	o := newBatchORAM(t, capacity, 16, m, 1, 7)
-	for i := uint64(0); i < capacity; i++ {
-		if err := o.Write(i, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const b = 5
-	m.Reset()
-	got, err := o.ReadBatch([]uint64{3, 9, 27, 3, 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []byte{3, 9, 27, 3, 50} {
-		if got[i][0] != want {
-			t.Fatalf("batch result %d = %d, want %d", i, got[i][0], want)
-		}
-	}
-	read := m.Snapshot()
-	// One round: the union download, carrying the write-back of the last
-	// write. The batch's own paths are queued as a single eviction set
-	// (overlapping per-path writes would erase each other's placements) and
-	// ride the next download — the valve does not fire on a single batch.
-	if read.NetworkRounds != 1 || o.PendingEvictions() != b {
-		t.Fatalf("ReadBatch(%d) used %d rounds and left %d paths pending, want 1 and %d",
-			b, read.NetworkRounds, o.PendingEvictions(), b)
-	}
-	m.Reset()
-	if err := o.DummyBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	dummy := m.Snapshot()
-	if dummy.NetworkRounds != read.NetworkRounds || o.PendingEvictions() != b {
-		t.Fatalf("DummyBatch: %d rounds, %d paths pending; ReadBatch: %d rounds, %d pending",
-			dummy.NetworkRounds, o.PendingEvictions(), read.NetworkRounds, b)
-	}
-	// The union write-back the DummyBatch carried wrote each shared bucket once.
-	if up, paths := dummy.BlockWrites, int64(b*o.Levels()); up >= paths || up < int64(o.Levels()) {
-		t.Fatalf("DummyBatch carried %d bucket writes for %d paths of %d", up, b, o.Levels())
-	}
-	stats := o.Telemetry()
-	if stats.BatchFetches != 2 || stats.BatchedAccesses != 2*b {
-		t.Fatalf("batch telemetry: %d fetches of %d accesses, want 2 of %d", stats.BatchFetches, stats.BatchedAccesses, 2*b)
 	}
 }
 
@@ -533,10 +481,10 @@ func (d *downStore) WriteMany(idxs []int64, data [][]byte) error {
 // TestFailedFetchIsRetryable: an access whose download fails has changed
 // nothing — the position remap it planned is taken back, in the client-side
 // map, in an outsourced one (only the data tree goes down here, so the map
-// can be reached to take the remap back), and for every plan of a coalesced
-// batch, a key planned twice included. Every operation that
-// failed during an outage succeeds when retried after it, on the first
-// download after a Flush (nothing riding) as on later ones.
+// can be reached to take the remap back), and for a run of reads that reads
+// one key twice. Every operation that failed during an outage succeeds when
+// retried after it, on the first download after a Flush (nothing riding) as
+// on later ones.
 func TestFailedFetchIsRetryable(t *testing.T) {
 	const capacity = 64
 	for _, recurse := range []bool{false, true} {
@@ -581,12 +529,17 @@ func TestFailedFetchIsRetryable(t *testing.T) {
 					}},
 					{"write-new", func() error { return o.Write(capacity-1, []byte{200}) }},
 					{"dummy", o.DummyAccess},
-					{"batch", func() error {
-						got, err := o.ReadBatch([]uint64{3, 9, 3})
-						if err == nil && (got[0][0] != 3 || got[1][0] != 9 || got[2][0] != 3) {
-							t.Fatalf("batch = %v %v %v", got[0][:1], got[1][:1], got[2][:1])
+					{"reads", func() error {
+						for _, key := range []uint64{3, 9, 3} {
+							got, err := o.Read(key)
+							if err != nil {
+								return err
+							}
+							if got[0] != byte(key) {
+								t.Fatalf("key %d = %d", key, got[0])
+							}
 						}
-						return err
+						return nil
 					}},
 				}
 				for round := 0; round < 3; round++ {
@@ -599,6 +552,9 @@ func TestFailedFetchIsRetryable(t *testing.T) {
 						outage(true)
 						if err := op.do(); err == nil {
 							t.Fatalf("round %d: %s succeeded against a store that is down", round, op.name)
+						}
+						if n := o.PendingEvictions(); n > k {
+							t.Fatalf("round %d: the failed %s left %d paths pending, more than k = %d", round, op.name, n, k)
 						}
 						if _, err := o.Read(capacity - 2); err == nil || errors.Is(err, ErrNotFound) {
 							t.Fatalf("round %d: read of a missing key during the outage: %v", round, err)
@@ -668,7 +624,7 @@ func TestSchedulerRecursivePosMap(t *testing.T) {
 // usable — the serving layer calls it before checkpointing a store another
 // session may pick up.
 func TestCloseSettlesPendingEvictions(t *testing.T) {
-	o := newBatchORAM(t, 64, 16, nil, 8, 23)
+	o := newEvictionORAM(t, 64, 16, nil, 8, 23)
 	for i := uint64(0); i < 20; i++ {
 		if err := o.Write(i, []byte{byte(i)}); err != nil {
 			t.Fatalf("write %d: %v", i, err)

@@ -44,17 +44,14 @@ type PathStats struct {
 	// Flushes counts the write-backs the store has accepted; FlushedPaths
 	// the paths they wrote back; DedupedBuckets the bucket writes saved by
 	// writing the buckets those paths share once; Exchanges the write-backs
-	// that rode a path download — all of them but the ones Flush, Settle and
-	// the valve sent in a round of their own.
+	// that rode a path download — all of them but the ones Flush and Settle
+	// sent in a round of their own.
 	Flushes        int64
 	FlushedPaths   int64
 	DedupedBuckets int64
 	Exchanges      int64
-	// BatchFetches counts coalesced multi-access download rounds;
-	// BatchedAccesses the accesses they served. PendingEvictions is the
-	// number of fetched paths whose write-back is still queued.
-	BatchFetches     int64
-	BatchedAccesses  int64
+	// PendingEvictions is the number of fetched paths whose write-back is
+	// still queued.
 	PendingEvictions int
 }
 
@@ -74,8 +71,6 @@ func (o *PathORAM) Telemetry() PathStats {
 		FlushedPaths:     o.sched.flushedPaths,
 		DedupedBuckets:   o.sched.dedupSaved,
 		Exchanges:        o.sched.exchanges,
-		BatchFetches:     o.sched.batchFetches,
-		BatchedAccesses:  o.sched.batchedAccesses,
 		PendingEvictions: len(o.sched.pending),
 	}
 	s.LevelPlaced = make([]int64, len(o.levelPlaced))

@@ -30,10 +30,9 @@ type Req struct {
 // accesses run in lockstep: all position remaps are planned in request
 // order, every tree's path download — each carrying the write-back its tree
 // has queued — travels in one network round, and the operations are applied
-// to the stashes. Beside ReadBatch's "k paths of one tree in a round" this is
-// "one path of each of k trees in a round". Any other group (a shared tree,
-// a View, a recursive position map, LinearORAM, RawStore) runs its accesses
-// one after another, exactly as separate calls would.
+// to the stashes: one path of each of k trees in a round. Any other group
+// (a shared tree, a View, a recursive position map, LinearORAM, RawStore)
+// runs its accesses one after another, exactly as separate calls would.
 //
 // Per-store access sequences are those of the accesses issued one after
 // another; only which stores share a round changes, and that grouping is
@@ -92,8 +91,7 @@ func Together(reqs []Req) error {
 		if r.Err = o.plan(&o.planBuf, r.Key, put, r.Dummy, r.Update); r.Err != nil {
 			continue
 		}
-		o.leafBuf[0] = o.planBuf.leaf
-		if r.Err = o.sched.prepareFetch(o.leafBuf[:]); r.Err != nil {
+		if r.Err = o.sched.prepareFetch(o.planBuf.leaf); r.Err != nil {
 			r.Err = o.unplan(&o.planBuf, r.Err)
 			continue
 		}
@@ -107,7 +105,7 @@ func Together(reqs []Req) error {
 	for i, o := range group {
 		r := &reqs[i]
 		if r.Err == nil {
-			if err := o.sched.completeFetch(o.leafBuf[:]); err != nil {
+			if err := o.sched.completeFetch(); err != nil {
 				r.Err = o.unplan(&o.planBuf, err)
 			} else {
 				r.Data, r.Err = o.finish(&o.planBuf)

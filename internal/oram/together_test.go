@@ -15,8 +15,8 @@ import (
 
 // paired drives a PathORAM's single accesses through Together beside a
 // partner tree's dummy access, so the differential test's model, simulator
-// and telemetry checks run over the lockstep data path. Writes and
-// coalesced batches are not a lockstep operation and go to the tree alone.
+// and telemetry checks run over the lockstep data path. Writes go to the
+// tree alone.
 type paired struct {
 	*PathORAM
 	partner *PathORAM
@@ -385,7 +385,7 @@ func TestTogetherFallsBackOneByOne(t *testing.T) {
 	const capacity, payload = 16, 16
 	build := map[string]func(m *storage.Meter) [2]ORAM{
 		"views": func(m *storage.Meter) [2]ORAM {
-			base := newBatchORAM(t, 2*capacity, payload, m, 1, 3)
+			base := newEvictionORAM(t, 2*capacity, payload, m, 1, 3)
 			a, err := NewView(base, 0, capacity)
 			if err != nil {
 				t.Fatal(err)
@@ -435,7 +435,7 @@ func TestTogetherFallsBackOneByOne(t *testing.T) {
 			return out
 		},
 		"same-tree": func(m *storage.Meter) [2]ORAM {
-			o := newBatchORAM(t, capacity, payload, m, 1, 3)
+			o := newEvictionORAM(t, capacity, payload, m, 1, 3)
 			return [2]ORAM{o, o}
 		},
 	}

@@ -129,27 +129,23 @@ func treetopRun(t *testing.T, positions string, batch int, treetop func(int) int
 				t.Fatal(err)
 			}
 		case 5:
-			var keys []uint64
 			for d := uint64(0); d < 3; d++ {
 				if k := (key + d) % capacity; ref[k] != nil {
-					keys = append(keys, k)
+					data, err := o.Read(k)
+					check(step, k, data, err)
 				}
-			}
-			datas, err := o.ReadBatch(keys)
-			if err != nil {
-				t.Fatalf("step %d batch read: %v", step, err)
-			}
-			for i, k := range keys {
-				check(step, k, datas[i], nil)
 			}
 		case 6:
 			if step%5 == 0 {
-				err = o.Flush()
-			} else {
-				err = o.DummyBatch(1 + int(key%3))
+				if err := o.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				break
 			}
-			if err != nil {
-				t.Fatal(err)
+			for n := 1 + int(key%3); n > 0; n-- {
+				if err := o.DummyAccess(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		default:
 			data, err := o.Read(key)

@@ -81,24 +81,7 @@ func (v *View) ServerBytes() int64 {
 	return v.base.ServerBytes() * v.capacity / v.base.Capacity()
 }
 
-// ReadBatch implements BatchORAM by offsetting the keys and delegating to
-// the base's batched data path (or its sequential fallback).
-func (v *View) ReadBatch(keys []uint64) ([][]byte, error) {
-	shifted := make([]uint64, len(keys))
-	for i, k := range keys {
-		if err := v.check(k); err != nil {
-			return nil, err
-		}
-		shifted[i] = v.offset + k
-	}
-	return ReadBatch(v.base, shifted)
-}
-
-// DummyBatch implements BatchORAM; dummies on the shared ORAM are
-// indistinguishable no matter which view issues them.
-func (v *View) DummyBatch(n int) error { return DummyBatch(v.base, n) }
-
-// Flush implements BatchORAM by settling the base ORAM.
+// Flush settles the base ORAM.
 func (v *View) Flush() error { return Flush(v.base) }
 
 // BulkLoad stores payloads[i] under view key i via individual writes. Prefer

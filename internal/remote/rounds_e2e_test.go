@@ -116,13 +116,11 @@ func runShapedLoopbackJoin(t *testing.T, k int, join binaryJoin, faults FaultMod
 		Rand:          oram.NewSeededSource(7),
 		OpenStore:     c.Opener(),
 		EvictionBatch: k,
-		PrefetchDepth: k,
 	}
 	jopts := core.Options{
-		Meter:         storage.NewMeter(), // output filter metered apart
-		Sealer:        sealer,
-		OutBlockSize:  256,
-		PrefetchDepth: k,
+		Meter:        storage.NewMeter(), // output filter metered apart
+		Sealer:       sealer,
+		OutBlockSize: 256,
 	}
 	var t1, t2 *table.StoredTable
 	var trees []interface{ Telemetry() oram.PathStats }

@@ -11,7 +11,7 @@ import (
 )
 
 // driveORAM runs a fixed, seeded Path-ORAM workload: bulk writes, reads,
-// batched reads, dummies, and a final flush — touching the classic path,
+// dummies, and a final flush — touching the classic path,
 // the deferred-eviction scheduler, and the exchange piggyback.
 func driveORAM(t *testing.T, open storage.Opener, meter *storage.Meter) {
 	t.Helper()
@@ -48,8 +48,10 @@ func driveORAM(t *testing.T, open storage.Opener, meter *storage.Meter) {
 			t.Fatalf("key %d read back %#x", k, got[0])
 		}
 	}
-	if _, err := o.ReadBatch([]uint64{1, 17, 33, 49}); err != nil {
-		t.Fatal(err)
+	for _, k := range []uint64{1, 17, 33, 49} {
+		if _, err := o.Read(k); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 8; i++ {
 		if err := o.DummyAccess(); err != nil {

@@ -28,8 +28,8 @@
 //     len(dst) are unspecified; dst[:len(dst)] is never touched.
 //   - Write payloads are consumed before the call returns, so the caller may
 //     reuse them — and a server may pass views into its receive frame.
-//   - What ORAM clients hand their own callers (PathORAM.Read, Update,
-//     ReadBatch) are copies the caller owns; no later access touches them.
+//   - What ORAM clients hand their own callers (PathORAM.Read, Update) are
+//     copies the caller owns; no later access touches them.
 //     Inside PathORAM a stash payload buffer is recycled only after the store
 //     has accepted the round that evicted its block.
 //

@@ -204,10 +204,6 @@ func (c *ChainCursor) landData(_ Move, _ Row, loaded oram.Req) (Row, error) {
 	return row, nil
 }
 
-// DummyBatch performs n dummy accesses with their path downloads coalesced
-// into one round when the data ORAM supports it.
-func (c *ChainCursor) DummyBatch(n int) error { return oram.DummyBatch(c.t.data, n) }
-
 // ORAMs lists the chained table's one ORAM (the layout has no index), for
 // the query's settle round.
 func (c *ChainedTable) ORAMs() []oram.ORAM { return []oram.ORAM{c.data} }

@@ -81,11 +81,6 @@ func (c *ScanCursor) landData(_ Move, _ Row, loaded oram.Req) (Row, error) {
 	return Row{Tuple: tu, OK: true}, nil
 }
 
-// DummyBatch performs n dummy accesses with their path downloads coalesced
-// into one round when the data ORAM supports it. Only safe where n is a
-// function of public quantities (the all-dummy padding loops).
-func (c *ScanCursor) DummyBatch(n int) error { return c.t.DummyDataBatch(n) }
-
 // Pos returns the number of tuples consumed.
 func (c *ScanCursor) Pos() int { return c.pos }
 
@@ -166,17 +161,6 @@ func (c *LeafCursor) dataReq(_ Move, row Row) oram.Req {
 
 func (c *LeafCursor) landData(_ Move, row Row, loaded oram.Req) (Row, error) {
 	return c.t.landTuple(row, loaded)
-}
-
-// DummyBatch performs n dummy retrievals (n index accesses, then n data
-// accesses) with each ORAM's downloads coalesced when supported. The
-// per-store access counts match n sequential Dummy calls exactly; only the
-// round grouping — a function of the public batch size — changes.
-func (c *LeafCursor) DummyBatch(n int) error {
-	if err := oram.DummyBatch(c.tree.ORAM(), n); err != nil {
-		return err
-	}
-	return c.t.DummyDataBatch(n)
 }
 
 // Pos returns the ordinal of the next entry.
@@ -347,18 +331,6 @@ func (c *IndexCursor) Prev() (Row, error) { return step1(c.MovePrev()) }
 func (c *IndexCursor) Dummy() error {
 	_, err := step1(c.Hold())
 	return err
-}
-
-// DummyBatch performs n dummy operations. The B-tree descents stay
-// sequential (each is a dependent root-to-leaf walk), but the n trailing
-// data accesses are coalesced when the data ORAM supports it.
-func (c *IndexCursor) DummyBatch(n int) error {
-	for i := 0; i < n; i++ {
-		if err := c.tree.DummyOp(); err != nil {
-			return err
-		}
-	}
-	return c.t.DummyDataBatch(n)
 }
 
 // Disable marks the cursor's table entry with the given ordinal disabled and

@@ -78,16 +78,10 @@ type Options struct {
 	// before it rides the next download (<= 1: the one path just fetched).
 	// See oram.PathConfig.EvictionBatch.
 	EvictionBatch int
-	// PrefetchDepth coalesces the path downloads of up to that many
-	// independent dummy accesses in the join padding loops into one round
-	// trip (<= 1 keeps one access per round). The join layer honors it only
-	// in the non-padded mode; see core.Options.PrefetchDepth for the
-	// leakage argument.
-	PrefetchDepth int
 	// Flight carries the distributed-trace context down to the Path-ORAM
-	// schedulers so the rounds that only write back (settle, the valve)
-	// annotate their wire requests with the "oram.flush" phase; may be nil.
-	// See oram.PathConfig.Flight.
+	// schedulers so the rounds that only write back (settle) annotate their
+	// wire requests with the "oram.flush" phase; may be nil. See
+	// oram.PathConfig.Flight.
 	Flight *telemetry.Flight
 }
 
@@ -433,10 +427,6 @@ func (t *StoredTable) tupleAt(ref btree.Ref, buf []byte) (relation.Tuple, bool, 
 
 // DummyData performs one data-ORAM access indistinguishable from ReadTuple.
 func (t *StoredTable) DummyData() error { return t.data.DummyAccess() }
-
-// DummyDataBatch performs n data-ORAM dummy accesses with their path
-// downloads coalesced into one round when the ORAM supports it.
-func (t *StoredTable) DummyDataBatch(n int) error { return oram.DummyBatch(t.data, n) }
 
 // ORAMs lists the table's ORAMs in canonical order: the data ORAM, then the
 // index ORAMs by attribute name. It is the order in which a query's settle

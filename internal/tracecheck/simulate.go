@@ -49,23 +49,32 @@ type PathORAMSim struct {
 	trace   []storage.Access
 }
 
-// Access replays one ORAM access that fetched the path to the given leaf.
+// Access replays one ORAM access that fetched the path to the given leaf:
+// its download, carrying the write-back of the k paths queued before it,
+// then the path queued in turn.
 func (s *PathORAMSim) Access(leaf uint32) {
-	s.fetch([]uint32{leaf})
-	s.evictBatch([]uint32{leaf})
-}
-
-// AccessBatch replays a coalesced batch: one union download for all the
-// given leaves, which are then queued as a unit (scheduler.evict).
-func (s *PathORAMSim) AccessBatch(leaves []uint32) {
-	s.fetch(leaves)
-	s.evictBatch(leaves)
+	s.round++
+	if len(s.pending) >= max(s.Batch, 1) {
+		// The queued write-back rides the fetch: writes applied before reads.
+		s.emit(storage.KindWrite, s.unionNodes(s.pending))
+		s.pending = s.pending[:0]
+		if !s.Exchange {
+			s.round++
+		}
+	}
+	s.emit(storage.KindRead, s.pathNodes(leaf))
+	s.pending = append(s.pending, leaf)
 }
 
 // Flush replays the settling flush that writes the queued paths back in a
 // round of their own.
 func (s *PathORAMSim) Flush() {
-	s.flushNow()
+	if len(s.pending) == 0 {
+		return
+	}
+	s.round++
+	s.emit(storage.KindWrite, s.unionNodes(s.pending))
+	s.pending = s.pending[:0]
 }
 
 // Trace returns the accesses emitted so far.
@@ -116,36 +125,6 @@ func (s *PathORAMSim) emit(kind storage.AccessKind, idxs []int64) {
 	for _, i := range idxs {
 		s.trace = append(s.trace, storage.Access{Store: s.Store, Kind: kind, Index: i, Bytes: s.Bytes, Round: s.round})
 	}
-}
-
-func (s *PathORAMSim) fetch(leaves []uint32) {
-	s.round++
-	if len(s.pending) >= max(s.Batch, 1) {
-		// The queued write-back rides the fetch: writes applied before reads.
-		s.emit(storage.KindWrite, s.unionNodes(s.pending))
-		s.pending = s.pending[:0]
-		if !s.Exchange {
-			s.round++
-		}
-	}
-	s.emit(storage.KindRead, s.unionNodes(leaves))
-}
-
-func (s *PathORAMSim) evictBatch(leaves []uint32) {
-	queued := len(s.pending)
-	s.pending = append(s.pending, leaves...)
-	if queued > 0 && len(s.pending) >= 2*max(s.Batch, 1) {
-		s.flushNow() // the safety valve
-	}
-}
-
-func (s *PathORAMSim) flushNow() {
-	if len(s.pending) == 0 {
-		return
-	}
-	s.round++
-	s.emit(storage.KindWrite, s.unionNodes(s.pending))
-	s.pending = s.pending[:0]
 }
 
 // DiffExact compares two traces access by access — store, kind, physical

@@ -174,13 +174,6 @@ type Config struct {
 	// the public-path buckets are written, never which ones. The price of a
 	// larger k is client memory: up to k paths' blocks wait in the stash.
 	EvictionBatch int
-	// PrefetchDepth coalesces the read paths of the all-dummy padding
-	// loops, up to this many per round. Honored only in the non-padded
-	// mode (PadNone): the switch to multi-path rounds happens at the
-	// executed step count, which is public there but is exactly what the
-	// padded modes exist to hide, so they force the depth to 1 (see
-	// core.Options.PrefetchDepth). 0 or 1 disables coalescing.
-	PrefetchDepth int
 }
 
 // Database is the client-side handle: it holds the encryption key, ORAM
@@ -293,7 +286,6 @@ func (db *Database) Seal() error {
 		WriteBackDescents: db.cfg.EnableMultiway,
 		Raw:               db.cfg.Setting == Insecure,
 		EvictionBatch:     db.cfg.EvictionBatch,
-		PrefetchDepth:     db.cfg.PrefetchDepth,
 		Flight:            db.flight,
 	}
 	if db.remote != nil {
@@ -348,14 +340,13 @@ func (db *Database) lookup(name string) (*table.StoredTable, error) {
 
 func (db *Database) joinOpts() core.Options {
 	return core.Options{
-		Mem:           0, // paper default M = 2B
-		Padding:       db.cfg.Padding,
-		Meter:         db.meter,
-		Sealer:        db.sealer,
-		OutBlockSize:  db.blockPayload() + xcrypto.Overhead,
-		OneORAM:       db.shared,
-		Span:          db.span,
-		PrefetchDepth: db.cfg.PrefetchDepth,
+		Mem:          0, // paper default M = 2B
+		Padding:      db.cfg.Padding,
+		Meter:        db.meter,
+		Sealer:       db.sealer,
+		OutBlockSize: db.blockPayload() + xcrypto.Overhead,
+		OneORAM:      db.shared,
+		Span:         db.span,
 	}
 }
 
