@@ -374,6 +374,47 @@ func TestOneORAMBinaryJoins(t *testing.T) {
 	equalMultiset(t, res.Tuples, wantBand)
 }
 
+// TestOneORAMRetrievalWidth pins the OneORAM padding rule: every retrieval
+// is topped up with dummy accesses to the widest of its join's lanes, so the
+// shared tree serves exactly Retrievals × that width accesses — a leaf and a
+// data access for sort-merge, the inner descent and its data access for the
+// index nested-loop and band joins — with the index's root read or cached.
+func TestOneORAMRetrievalWidth(t *testing.T) {
+	k1 := []int64{1, 2, 2, 3, 5, 5, 7, 8, 9, 9, 9, 12}
+	k2 := []int64{2, 2, 3, 5, 8, 9, 10, 11, 12, 12}
+	for _, cache := range []bool{false, true} {
+		topts := testTableOpts(t, nil, false)
+		topts.BlockPayload = twinPayload
+		topts.CacheIndex = cache
+		s1, s2, shared := storeWith(t, k1, k2, topts, true)
+		idx, err := s2.Index("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		descent := idx.AccessesPerRetrieval() + 1
+		opts := testJoinOpts(t, nil)
+		opts.OneORAM = shared
+		for _, tc := range []struct {
+			name string
+			wide int64
+			join func() (*Result, error)
+		}{
+			{"smj", 2, func() (*Result, error) { return SortMergeJoin(s1, s2, "k", "k", opts) }},
+			{"inlj", int64(descent), func() (*Result, error) { return IndexNestedLoopJoin(s1, s2, "k", "k", opts) }},
+			{"band", int64(descent), func() (*Result, error) { return BandJoin(s1, s2, "k", "k", BandLess, opts) }},
+		} {
+			before := shared.Telemetry().Accesses
+			res, err := tc.join()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := shared.Telemetry().Accesses-before, res.Retrievals*tc.wide; got != want {
+				t.Errorf("cache=%v %s: the shared tree served %d accesses, want %d retrievals × %d", cache, tc.name, got, res.Retrievals, tc.wide)
+			}
+		}
+	}
+}
+
 func TestJoinStatsPopulated(t *testing.T) {
 	m := storage.NewMeter()
 	s1, s2, _, _ := storePair(t, []int64{1, 2, 3}, []int64{2, 3, 4}, m)
@@ -389,10 +430,13 @@ func TestJoinStatsPopulated(t *testing.T) {
 
 // TestTheoremsQuick drives Theorems 1-3 with testing/quick generated keys,
 // in the SepORAM and the OneORAM setting. Under PadNone the executed steps
-// are the bound itself: the pad tail is empty (Steps == PaddedSteps).
+// are the bound itself: the pad tail is empty (Steps == PaddedSteps). The
+// retrievals are one per table and step in the SepORAM setting, and the
+// NumtrOne* totals in the OneORAM setting, where a binary join skips the
+// dummy partner of a real retrieval.
 func TestTheoremsQuick(t *testing.T) {
-	exact := func(res *Result, err error, theorem int64) bool {
-		return err == nil && res.Steps == theorem && res.PaddedSteps == res.Steps
+	exact := func(res *Result, err error, theorem, retrievals int64) bool {
+		return err == nil && res.Steps == theorem && res.PaddedSteps == res.Steps && res.Retrievals == retrievals
 	}
 	check := func(k1, k2 []int64, one bool) bool {
 		opts := testJoinOpts(t, nil)
@@ -410,15 +454,20 @@ func TestTheoremsQuick(t *testing.T) {
 		}
 		n1, n2 := int64(len(k1)), int64(len(k2))
 		want := int64(len(ReferenceEquiJoin(r1, r2, "k", "k")))
-		if res, err := SortMergeJoin(s1, s2, "k", "k", opts); !exact(res, err, NumtrSortMerge(n1, n2, want)) {
-			return false
-		}
-		if res, err := IndexNestedLoopJoin(s1, s2, "k", "k", opts); !exact(res, err, NumtrINLJ(n1, want)) {
-			return false
-		}
 		bandWant := int64(len(ReferenceBandJoin(r1, r2, "k", "k", BandGreaterEq)))
+		smj, inlj, band := NumtrSortMerge(n1, n2, want), NumtrINLJ(n1, want), NumtrBand(n1, bandWant)
+		oneSMJ, oneINLJ, oneBand := smj, inlj, band
+		if one {
+			oneSMJ, oneINLJ, oneBand = NumtrOneSortMerge(n1, n2, want), NumtrOneINLJ(n1, want), NumtrOneBand(n1, bandWant)
+		}
+		if res, err := SortMergeJoin(s1, s2, "k", "k", opts); !exact(res, err, smj, oneSMJ) {
+			return false
+		}
+		if res, err := IndexNestedLoopJoin(s1, s2, "k", "k", opts); !exact(res, err, inlj, oneINLJ) {
+			return false
+		}
 		res, err := BandJoin(s1, s2, "k", "k", BandGreaterEq, opts)
-		return exact(res, err, NumtrBand(n1, bandWant))
+		return exact(res, err, band, oneBand)
 	}
 	f := func(a, b []uint8) bool {
 		if len(a) == 0 || len(b) == 0 {

@@ -30,10 +30,13 @@
 // every tree it touched.
 //
 // The OneORAM setting of Section 7 is selected by Options.OneORAM: all
-// tables share a single Path-ORAM, per-retrieval access counts are padded
-// to the maximum across tables, and (for the binary joins) the per-step
-// dummy partner retrievals are elided with one output record written after
-// every retrieval instead of every step.
+// tables share a single Path-ORAM. Every operator runs the same driver in
+// both settings; only the stepper that performs its steps reads the
+// setting. There a step's retrievals run one after another, each padded
+// with dummy accesses on the shared tree to the widest of the join's lanes,
+// and the binary joins skip a dummy partner beside a real retrieval — which
+// the output table would betray were it not for one output record written
+// after every retrieval rather than every step.
 package core
 
 import (
@@ -122,8 +125,10 @@ type Options struct {
 	// Sealer encrypts the output table; required.
 	Sealer *xcrypto.Sealer
 	// OneORAM, when non-nil, is the shared Path-ORAM all input tables live
-	// in: the join runs in the Section 7 OneORAM setting, padding every
-	// retrieval to the maximum per-table access count.
+	// in: the join runs in the Section 7 OneORAM setting, one retrieval at a
+	// time, each padded to the widest of the join's tables; a binary join
+	// skips the dummy partner of a real retrieval and writes an output
+	// record after every retrieval.
 	OneORAM *oram.PathORAM
 	// Span, when non-nil, is the parent telemetry span: the join attaches a
 	// phase-attributed sub-tree (load → scan/merge → pad → filter → decode)
@@ -321,8 +326,10 @@ type Result struct {
 	// server-visible trace length is determined by this value.
 	PaddedSteps int64
 	// Retrievals is the per-table tuple-retrieval count (Numtr of Theorems
-	// 1–4); equal to PaddedSteps in the SepORAM setting. In the OneORAM
-	// setting it is the total retrieval count across tables.
+	// 1–4), equal to PaddedSteps, in the SepORAM setting. In the OneORAM
+	// setting it is the retrievals performed across all tables (the NumtrOne*
+	// totals; PaddedSteps × tables for multiway), and for a binary join also
+	// the number of output records the steps wrote.
 	Retrievals int64
 	// BoundExceeded reports that the executed steps exceeded the theorem
 	// bound before padding (never observed on the paper's workloads; see

@@ -8,31 +8,6 @@ import (
 	"oblivjoin/internal/telemetry"
 )
 
-// onePadder pads each tuple retrieval in the OneORAM setting to the maximum
-// per-retrieval access count over all input tables, so every retrieval is
-// indistinguishable no matter which table it served (Section 7: "padding
-// the number of ORAM accesses to the maximum height of all B-tree indices").
-type onePadder struct {
-	opts Options
-	max  int
-}
-
-// pad tops a retrieval that used cost accesses up to the maximum.
-func (p *onePadder) pad(cost int) error {
-	if p == nil {
-		return nil
-	}
-	for i := cost; i < p.max; i++ {
-		if err := p.opts.OneORAM.DummyAccess(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// dummyRetrieval performs one full-width dummy retrieval.
-func (p *onePadder) dummyRetrieval() error { return p.pad(0) }
-
 // IndexNestedLoopJoin computes T1 ⋈ T2 on a1 = a2 with the paper's
 // oblivious index nested-loop equi-join (Algorithm 2): T1 is scanned
 // sequentially by block ID, matching T2 tuples are fetched through a whole
@@ -86,14 +61,7 @@ type probe struct {
 // way), settles the input trees and filters the output.
 func (pr *probe) run(w *outWriter, cart int64, opts Options, start storage.Stats,
 	sp *telemetry.Span, tables ...settler) (*Result, error) {
-	var steps, padded, retrievals int64
-	var err error
-	if opts.OneORAM != nil {
-		steps, padded, retrievals, err = pr.runOne(w, cart, opts, sp)
-	} else {
-		steps, padded, err = pr.runPipelined(w, cart, opts, sp)
-		retrievals = padded
-	}
+	steps, padded, retrievals, err := pr.drive(w, cart, opts, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -121,20 +89,22 @@ func (pr *probe) target(real, cart int64, opts Options) int64 {
 	return NumtrINLJ(int64(pr.outer.NumTuples()), opts.PadSize(real, cart))
 }
 
-// runPipelined runs the join's steps — the outer's retrieval and one inner
-// retrieval each — through a table.Pipeline: an inner descent's root access
-// rides the round of the step's outer data access and of the previous step's
-// inner data access, so a step costs the descent's accesses in rounds. The
-// equi-join's probe waits for the outer tuple only where its descent first
-// needs the key; the band join's first inner retrieval is a fixed end of the
-// index and waits for nothing.
-func (pr *probe) runPipelined(w *outWriter, cart int64, opts Options, sp *telemetry.Span) (steps, padded int64, err error) {
+// drive runs the join's steps — the outer's retrieval and one inner
+// retrieval each — and pads them. In the SepORAM setting they run through a
+// table.Pipeline: an inner descent's root access rides the round of the
+// step's outer data access and of the previous step's inner data access, so
+// a step costs the descent's accesses in rounds. The equi-join's probe waits
+// for the outer tuple only where its descent first needs the key; the band
+// join's first inner retrieval is a fixed end of the index and waits for
+// nothing. It returns the executed and padded step counts and the
+// retrievals made.
+func (pr *probe) drive(w *outWriter, cart int64, opts Options, sp *telemetry.Span) (steps, padded, retrievals int64, err error) {
 	var row1, row2 held
 	after := -1
 	if pr.keyed {
 		after = 0
 	}
-	s := newStepper(w, []*held{&row1, &row2}, -1, after)
+	s := newStepper(w, opts, true, []*held{&row1, &row2}, -1, after)
 	scan := sp.Child("scan")
 	for i := 0; i < pr.outer.NumTuples(); i++ {
 		inner := pr.first
@@ -143,25 +113,25 @@ func (pr *probe) runPipelined(w *outWriter, cart int64, opts Options, sp *teleme
 		}
 		rows, err := s.step(pr.scan.Advance(), inner)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 		if !rows[0].OK {
-			return 0, 0, fmt.Errorf("core: scan of %s ended early at %d", pr.outer.Schema().Table, i)
+			return 0, 0, 0, fmt.Errorf("core: scan of %s ended early at %d", pr.outer.Schema().Table, i)
 		}
 		s.take(&row1, rows, 0)
 		s.take(&row2, rows, 1)
 		key := row1.Tuple.Values[pr.col]
 		for row2.OK && pr.match(key, row2.Entry.Key) {
 			if err := s.record(true); err != nil {
-				return 0, 0, err
+				return 0, 0, 0, err
 			}
 			if rows, err = s.step(pr.scan.Hold(), pr.next()); err != nil {
-				return 0, 0, err
+				return 0, 0, 0, err
 			}
 			s.take(&row2, rows, 1)
 		}
 		if err := s.record(false); err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 	}
 	steps = s.steps
@@ -171,89 +141,16 @@ func (pr *probe) runPipelined(w *outWriter, cart int64, opts Options, sp *teleme
 	target := pr.target(s.real(), cart, opts)
 	pad, err := padPhase(sp, pr.join, pr.theorem, steps, target)
 	if err != nil {
-		return steps, 0, err
+		return steps, 0, 0, err
 	}
 	defer pad.End()
 	for s.steps < target {
 		if _, err := s.step(pr.scan.Hold(), pr.ic.Hold()); err != nil {
-			return steps, 0, err
+			return steps, 0, 0, err
 		}
 		if err := s.record(false); err != nil {
-			return steps, 0, err
-		}
-	}
-	return steps, target, s.drain()
-}
-
-// runOne runs the join in the OneORAM setting: one retrieval after another,
-// each padded to the widest (onePadder), the outer's dummy partner of an
-// inner-run step elided. It returns the executed and padded step counts and
-// the retrievals made.
-func (pr *probe) runOne(w *outWriter, cart int64, opts Options, sp *telemetry.Span) (steps, padded, retrievals int64, err error) {
-	scanCost := 1
-	seekCost := pr.ic.Tree().AccessesPerRetrieval() + 1
-	padder := &onePadder{opts: opts, max: max(scanCost, seekCost)}
-	retrieve := func(mv table.Move, cost int) (table.Row, error) {
-		var row [1]table.Row
-		if err := table.Step(row[:], mv); err != nil {
-			return row[0], err
-		}
-		return row[0], padder.pad(cost)
-	}
-	scan := sp.Child("scan")
-	for i := 0; i < pr.outer.NumTuples(); i++ {
-		steps++
-		retrievals += 2
-		row1, err := retrieve(pr.scan.Advance(), scanCost)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if !row1.OK {
-			return 0, 0, 0, fmt.Errorf("core: scan of %s ended early at %d", pr.outer.Schema().Table, i)
-		}
-		key := row1.Tuple.Values[pr.col]
-		var row2 table.Row
-		if pr.keyed {
-			if row2, err = pr.ic.SeekGE(key); err == nil {
-				err = padder.pad(seekCost)
-			}
-		} else {
-			row2, err = retrieve(pr.first, seekCost)
-		}
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		for row2.OK && pr.match(key, row2.Entry.Key) {
-			if err := w.putJoin(row1.Tuple, row2.Tuple); err != nil {
-				return 0, 0, 0, err
-			}
-			steps++
-			retrievals++
-			if row2, err = retrieve(pr.next(), seekCost); err != nil {
-				return 0, 0, 0, err
-			}
-		}
-		if err := w.putDummy(); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	scan.SetAttr("steps", steps)
-	scan.End()
-
-	target := pr.target(int64(w.real), cart, opts)
-	pad, err := padPhase(sp, pr.join, pr.theorem, steps, target)
-	if err != nil {
-		return steps, 0, 0, err
-	}
-	defer pad.End()
-	retrievals += target - steps
-	for padded = steps; padded < target; padded++ {
-		if err := padder.dummyRetrieval(); err != nil {
-			return steps, 0, 0, err
-		}
-		if err := w.putDummy(); err != nil {
 			return steps, 0, 0, err
 		}
 	}
-	return steps, padded, retrievals, nil
+	return steps, target, s.retrievals, s.drain()
 }

@@ -47,27 +47,21 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 	}
 	load.End()
 	scan := sp.Child("scan")
-	var st *stepper
-	if m.padder != nil {
-		err = m.run()
-	} else {
-		cur := make([]*held, l)
-		for j := range cur {
-			cur[j] = &m.cur[j]
-		}
-		after := make([]int, l)
-		for j, node := range in.Tree.Order {
-			after[j] = node.Parent
-		}
-		after[0] = -1
-		st = newStepper(m.w, cur, after...)
-		err = m.runPipelined(st)
-		m.steps = st.steps
+	cur := make([]*held, l)
+	for j := range cur {
+		cur[j] = &m.cur[j]
 	}
-	if err != nil {
+	after := make([]int, l)
+	for j, node := range in.Tree.Order {
+		after[j] = node.Parent
+	}
+	after[0] = -1
+	st := newStepper(m.w, opts, false, cur, after...)
+	if err := m.run(st); err != nil {
 		return nil, err
 	}
-	scan.SetAttr("steps", m.steps)
+	rawSteps := st.steps
+	scan.SetAttr("steps", rawSteps)
 	scan.End()
 
 	// Pad steps to the Theorem 4 bound for the padded output size.
@@ -76,33 +70,19 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 		sizes[i] = int64(t.NumTuples())
 	}
 	cart := Cartesian(sizes...)
-	real := int64(m.w.real)
-	if st != nil {
-		real = st.real()
-	}
-	paddedR := opts.PadSize(real, cart)
+	paddedR := opts.PadSize(st.real(), cart)
 	target := NumtrMultiway(sizes, paddedR)
-	rawSteps := m.steps
-	exceeded := rawSteps > target
 	pad := sp.Child("pad")
 	pad.SetAttr("steps", rawSteps)
 	pad.SetAttr("target", target)
 	// Dummy steps have the round shape of real ones.
-	padded := rawSteps
-	for ; padded < target; padded++ {
-		if st != nil {
-			err = m.stepPipelined(st, m.holds())
-		} else if err = m.dummyStep(); err == nil {
-			err = m.w.putDummy()
-		}
-		if err != nil {
+	for st.steps < target {
+		if err := m.blankStep(st, m.holds()); err != nil {
 			return nil, err
 		}
 	}
-	if st != nil {
-		if err := st.drain(); err != nil {
-			return nil, err
-		}
+	if err := st.drain(); err != nil {
+		return nil, err
 	}
 	pad.End()
 
@@ -130,32 +110,25 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{
+	return &Result{
 		Schema:        m.w.schema,
 		Tuples:        tuples,
 		RealCount:     realCount,
 		PaddedCount:   paddedOut,
 		Steps:         rawSteps,
-		PaddedSteps:   padded,
-		Retrievals:    padded,
-		BoundExceeded: exceeded,
+		PaddedSteps:   st.steps,
+		Retrievals:    st.retrievals,
+		BoundExceeded: rawSteps > target,
 		Stats:         diff(opts.Meter, start),
-	}
-	if m.padder != nil {
-		res.Retrievals = padded * int64(l)
-	}
-	return res, nil
+	}, nil
 }
 
 // multiwayState drives the step machine.
 type multiwayState struct {
 	in      MultiwayInput
-	opts    Options
 	l       int
 	scan    *table.ScanCursor
 	cursors []*table.IndexCursor // 1..l-1
-	costs   []int                // per-table retrieval access counts
-	padder  *onePadder
 
 	cur        []held // the current row of every position
 	moves      []table.Move
@@ -173,27 +146,22 @@ type multiwayState struct {
 	// walkthrough level).
 	disabledSameNext []map[int64]bool
 
-	steps int64
-	w     *outWriter
+	w *outWriter
 }
 
 func newMultiwayState(in MultiwayInput, opts Options) (*multiwayState, error) {
 	l := in.Tree.Len()
 	m := &multiwayState{
 		in:               in,
-		opts:             opts,
 		l:                l,
 		scan:             table.NewScanCursor(in.Tables[0]),
 		cursors:          make([]*table.IndexCursor, l),
-		costs:            make([]int, l),
 		cur:              make([]held, l),
 		moves:            make([]table.Move, l),
 		parentCols:       make([]int, l),
 		exhausted:        make([]map[int64]bool, l),
 		disabledSameNext: make([]map[int64]bool, l),
 	}
-	m.costs[0] = 1
-	maxCost := 1
 	schemas := make([]relation.Schema, l)
 	var names string
 	for j := 0; j < l; j++ {
@@ -210,18 +178,11 @@ func newMultiwayState(in MultiwayInput, opts Options) (*multiwayState, error) {
 				return nil, err
 			}
 			m.cursors[j] = ic
-			m.costs[j] = ic.Tree().AccessesPerRetrieval() + 1
-			if m.costs[j] > maxCost {
-				maxCost = m.costs[j]
-			}
 			m.parentCols[j] = in.Tables[node.Parent].Schema().MustCol(node.ParentAttr)
 			m.exhausted[j] = make(map[int64]bool)
 			m.disabledSameNext[j] = make(map[int64]bool)
 		}
 		names += node.Table
-	}
-	if opts.OneORAM != nil {
-		m.padder = &onePadder{opts: opts, max: maxCost}
 	}
 	w, err := newOutWriter(names, opts, schemas...)
 	if err != nil {
@@ -230,37 +191,6 @@ func newMultiwayState(in MultiwayInput, opts Options) (*multiwayState, error) {
 	m.w = w
 	return m, nil
 }
-
-// stepOp is the action one table performs within a join step.
-type stepOp func() error
-
-// execStep runs one join step in the OneORAM setting: each table, in
-// pre-order, performs its scheduled op or a dummy retrieval, padded to the
-// widest, then one output record is written by the caller. The per-table
-// access pattern is identical in every step.
-func (m *multiwayState) execStep(ops []stepOp) error {
-	m.steps++
-	for j := 0; j < m.l; j++ {
-		var err error
-		if ops != nil && ops[j] != nil {
-			err = ops[j]()
-		} else if j == 0 {
-			err = m.scan.Dummy()
-		} else {
-			err = m.cursors[j].Dummy()
-		}
-		if err != nil {
-			return fmt.Errorf("core: step %d table %d: %w", m.steps, j, err)
-		}
-		if err := m.padder.pad(m.costs[j]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// dummyStep is an all-dummy padding step.
-func (m *multiwayState) dummyStep() error { return m.execStep(nil) }
 
 // targetKey returns the join key position j must match: the parent's
 // current attribute value.
@@ -324,124 +254,6 @@ func (m *multiwayState) scheduleAdvance(a int) action {
 	}
 }
 
-// run executes the main join loop in the OneORAM setting, one retrieval
-// after another.
-func (m *multiwayState) run() error {
-	next := m.scheduleAdvance(0)
-	for next.kind != aDone {
-		switch next.kind {
-		case aDisable:
-			j := next.pos
-			ord := next.disable
-			m.disabledSameNext[j][ord] = m.cur[j].Entry.SameNext
-			ops := make([]stepOp, m.l)
-			ops[j] = func() error { return m.cursors[j].Disable(ord) }
-			if err := m.execStep(ops); err != nil {
-				return err
-			}
-			if err := m.w.putDummy(); err != nil {
-				return err
-			}
-			// The disabled entry is dead; try the rest of its key run.
-			next = m.scheduleAdvance(j)
-
-		case aAdvance:
-			a := next.pos
-			var err error
-			next, err = m.advanceStep(a)
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// advanceStep performs one join step that advances position a and refills
-// every later pre-order position, emitting a real record on a complete
-// match and a dummy otherwise. It returns the next action.
-func (m *multiwayState) advanceStep(a int) (action, error) {
-	ops := make([]stepOp, m.l)
-	matched := true
-	failAt := -1
-
-	// Advance op for position a.
-	if a == 0 {
-		ops[0] = func() error {
-			row, err := m.scan.Next()
-			if err != nil {
-				return err
-			}
-			if !row.OK {
-				return fmt.Errorf("core: root scan ended early at %d", m.rootSeen)
-			}
-			m.rootSeen++
-			m.cur[0].Row = row
-			return nil
-		}
-	} else {
-		target := m.targetKey(a)
-		fromOrd := m.cur[a].Entry.Ord
-		ops[a] = func() error {
-			row, err := m.cursors[a].Next()
-			if err != nil {
-				return err
-			}
-			if row.OK && row.Entry.Key == target {
-				m.cur[a].Row = row
-				return nil
-			}
-			// No live same-key successor: memoize so the discovery step is
-			// never repeated for this entry.
-			m.exhausted[a][fromOrd] = true
-			matched = false
-			failAt = -2 // exhaustion, not a zero-match failure
-			return nil
-		}
-	}
-
-	// Refill ops for positions a+1 .. l-1 (executed in pre-order; they
-	// observe `matched` as set by earlier ops in the same step).
-	for j := a + 1; j < m.l; j++ {
-		j := j
-		ops[j] = func() error {
-			if !matched {
-				return m.cursors[j].Dummy()
-			}
-			target := m.targetKey(j)
-			row, err := m.cursors[j].SeekGE(target)
-			if err != nil {
-				return err
-			}
-			if row.OK && row.Entry.Key == target {
-				m.cur[j].Row = row
-				return nil
-			}
-			// Zero live matches for the parent tuple: Observations 1/2.
-			matched = false
-			failAt = j
-			return nil
-		}
-	}
-
-	if err := m.execStep(ops); err != nil {
-		return action{}, err
-	}
-
-	if matched {
-		tuples := make([]relation.Tuple, m.l)
-		for j := range tuples {
-			tuples[j] = m.cur[j].Tuple
-		}
-		if err := m.w.putJoin(tuples...); err != nil {
-			return action{}, err
-		}
-	} else if err := m.w.putDummy(); err != nil {
-		return action{}, err
-	}
-	return m.after(a, matched, failAt), nil
-}
-
 // after returns the action that follows an advance step at position a:
 // the next match after a complete one; the pre-order predecessor after a
 // key run is exhausted (failAt -2); otherwise the disabling of the parent
@@ -465,17 +277,16 @@ func (m *multiwayState) after(a int, matched bool, failAt int) action {
 	return action{kind: aDisable, pos: p, disable: m.cur[p].Entry.Ord}
 }
 
-// runPipelined executes the main join loop in the SepORAM setting, every
-// step one retrieval per table through the stepper's table.Pipeline: a
+// run executes the main join loop, every step one retrieval per table. In
+// the SepORAM setting the steps run through the stepper's table.Pipeline: a
 // child's descent starts with the step — its root access needs no key — and
 // its keyed accesses wait for its parent's data access, so a step takes one
 // stage per level of the join tree rather than one round per access. A
 // child whose parent failed to match still probes, with whatever key the
 // parent's row holds (a miss when it holds none): that is what a dummy
-// retrieval looks like to the server, and the outcome is only committed,
-// as the one-table-at-a-time step would, up to the first failure in
-// pre-order.
-func (m *multiwayState) runPipelined(s *stepper) error {
+// retrieval looks like to the server, and the outcome is only committed up
+// to the first failure in pre-order.
+func (m *multiwayState) run(s *stepper) error {
 	next := m.scheduleAdvance(0)
 	for next.kind != aDone {
 		switch next.kind {
@@ -484,7 +295,7 @@ func (m *multiwayState) runPipelined(s *stepper) error {
 			m.disabledSameNext[j][ord] = m.cur[j].Entry.SameNext
 			mv := m.holds()
 			mv[j] = m.cursors[j].MoveDisable(ord)
-			if err := m.stepPipelined(s, mv); err != nil {
+			if err := m.blankStep(s, mv); err != nil {
 				return err
 			}
 			// The disabled entry is dead; try the rest of its key run.
@@ -492,7 +303,7 @@ func (m *multiwayState) runPipelined(s *stepper) error {
 
 		case aAdvance:
 			var err error
-			if next, err = m.advancePipelined(s, next.pos); err != nil {
+			if next, err = m.advance(s, next.pos); err != nil {
 				return err
 			}
 		}
@@ -509,18 +320,18 @@ func (m *multiwayState) holds() []table.Move {
 	return m.moves
 }
 
-// stepPipelined performs a step that writes a dummy record: a disable step
-// or a pad step.
-func (m *multiwayState) stepPipelined(s *stepper, mv []table.Move) error {
+// blankStep performs a step that writes a dummy record: a disable step or a
+// pad step.
+func (m *multiwayState) blankStep(s *stepper, mv []table.Move) error {
 	if _, err := s.step(mv...); err != nil {
 		return fmt.Errorf("core: step %d: %w", s.steps, err)
 	}
 	return s.record(false)
 }
 
-// advancePipelined performs one join step that advances position a and
-// refills every later pre-order position, and returns the next action.
-func (m *multiwayState) advancePipelined(s *stepper, a int) (action, error) {
+// advance performs one join step that advances position a and refills
+// every later pre-order position, and returns the next action.
+func (m *multiwayState) advance(s *stepper, a int) (action, error) {
 	rows := s.nextRows()
 	mv := m.holds()
 	if a == 0 {
@@ -540,7 +351,7 @@ func (m *multiwayState) advancePipelined(s *stepper, a int) (action, error) {
 	if err != nil {
 		return action{}, fmt.Errorf("core: step %d: %w", s.steps, err)
 	}
-	// Commit in pre-order, as the one-table-at-a-time step does.
+	// Commit in pre-order, up to the first failure.
 	matched, failAt := true, -1
 	if a == 0 {
 		if !rows[0].OK {

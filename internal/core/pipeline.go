@@ -1,6 +1,7 @@
 package core
 
 import (
+	"oblivjoin/internal/oram"
 	"oblivjoin/internal/relation"
 	"oblivjoin/internal/table"
 )
@@ -23,20 +24,38 @@ func (h *held) land(done int64) {
 	}
 }
 
-// stepper drives a join's steps through a table.Pipeline in the SepORAM
-// setting. A step returns once its entries are known; the operator decides
-// from them — which record the step writes, which moves the next step makes —
-// and the record is written once the step's data stage has landed, with the
-// tuples of the current rows (cur, in output order). Every step owes one
-// record and writes it at the same point of the step sequence, real, dummy
-// or pad alike.
+// stepper drives a join's steps, and is all of a join that knows which
+// setting it runs in. A step returns once its entries are known; the
+// operator decides from them — which record the step writes, which moves
+// the next step makes — and the record is written once the step's data
+// stage has landed, with the tuples of the current rows (cur, in output
+// order). Every step owes one record and writes it at the same point of the
+// step sequence, real, dummy or pad alike.
+//
+// In the SepORAM setting the steps run through a table.Pipeline. In the
+// OneORAM setting every table lives in one shared tree, so a step's
+// retrievals run one after another, each topped up with dummy accesses on
+// the shared tree to the widest retrieval of the step's lanes: which table
+// a retrieval served does not show. A multiway step retrieves from every
+// table. A binary join's step skips a partner's Hold beside a real
+// retrieval (a step of holds alone keeps lane 0's), so how many retrievals
+// a step makes follows the data; that stays hidden because every retrieval
+// is followed by one record — a dummy after each but the step's last, the
+// step's own record after that one.
 type stepper struct {
-	p     *table.Pipeline
+	p     *table.Pipeline // nil in the OneORAM setting
+	one   *oram.PathORAM  // the shared tree of the OneORAM setting
+	elide bool            // OneORAM binary join: skip holds beside a real retrieval, a record per retrieval
 	w     *outWriter
 	rows  [2][]table.Row // step rows, by step parity
 	cur   []*held        // the rows a join record concatenates
 	also  []*held        // further rows to land (sort-merge's rewind point)
 	steps int64          // steps begun
+
+	// retrievals counts the retrievals made: one per table and step in the
+	// SepORAM setting (Result.Retrievals), every one performed in the
+	// OneORAM setting.
+	retrievals int64
 
 	owed     int8 // the record of step owedStep, not yet written: 0 none, 1 dummy, 2 join
 	owedStep int64
@@ -48,10 +67,18 @@ const (
 	owesJoin  = 2
 )
 
-// newStepper returns a stepper over one lane per current row; after is the
-// pipeline's key dependencies (table.NewPipeline).
-func newStepper(w *outWriter, cur []*held, after ...int) *stepper {
-	s := &stepper{p: table.NewPipeline(after...), w: w, cur: cur, tuples: make([]relation.Tuple, len(cur))}
+// newStepper returns a stepper over one lane per current row in the setting
+// opts selects; after is the pipeline's key dependencies (table.NewPipeline),
+// and elide says the join is binary, which in the OneORAM setting skips
+// partner holds.
+func newStepper(w *outWriter, opts Options, elide bool, cur []*held, after ...int) *stepper {
+	s := &stepper{
+		one: opts.OneORAM, elide: elide && opts.OneORAM != nil,
+		w: w, cur: cur, tuples: make([]relation.Tuple, len(cur)),
+	}
+	if s.one == nil {
+		s.p = table.NewPipeline(after...)
+	}
 	for i := range s.rows {
 		s.rows[i] = make([]table.Row, len(after))
 	}
@@ -63,10 +90,52 @@ func newStepper(w *outWriter, cur []*held, after ...int) *stepper {
 func (s *stepper) step(moves ...table.Move) ([]table.Row, error) {
 	rows := s.rows[s.steps&1]
 	s.steps++
-	if err := s.p.Step(rows, moves...); err != nil {
+	var err error
+	if s.p == nil {
+		err = s.serial(rows, moves)
+	} else {
+		s.retrievals++
+		err = s.p.Step(rows, moves...)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return rows, s.landed()
+}
+
+// serial performs a step in the OneORAM setting, in full: its retrievals one
+// after another on the shared tree, each padded to the widest.
+func (s *stepper) serial(rows []table.Row, moves []table.Move) error {
+	clear(rows)
+	wide, real := 0, 0
+	for _, mv := range moves {
+		wide = max(wide, mv.Accesses())
+		if !mv.Held() {
+			real++
+		}
+	}
+	made := 0
+	for j, mv := range moves {
+		if s.elide && mv.Held() && (real > 0 || j > 0) {
+			continue
+		}
+		if s.elide && made > 0 {
+			if err := s.w.putDummy(); err != nil {
+				return err
+			}
+		}
+		if err := table.Step(rows[j:j+1], mv); err != nil {
+			return err
+		}
+		for i := mv.Accesses(); i < wide; i++ {
+			if err := s.one.DummyAccess(); err != nil {
+				return err
+			}
+		}
+		made++
+	}
+	s.retrievals += int64(made)
+	return nil
 }
 
 // nextRows returns the rows the next step lands in, for a move that takes
@@ -94,18 +163,31 @@ func (s *stepper) real() int64 {
 	return n
 }
 
-// drain lands every step begun and writes what is owed.
+// drain lands every step begun and writes what is owed: in a binary join in
+// the OneORAM setting that includes the last step's record, which
+// sort-merge, deciding nothing after its last comparison, leaves unwritten.
 func (s *stepper) drain() error {
-	if err := s.p.Drain(); err != nil {
+	if s.p != nil {
+		if err := s.p.Drain(); err != nil {
+			return err
+		}
+	}
+	if err := s.landed(); err != nil {
 		return err
 	}
-	return s.landed()
+	if s.elide && int64(s.w.total) < s.retrievals {
+		return s.w.putDummy()
+	}
+	return nil
 }
 
 // landed lands the current rows and writes the owed record once its step
 // has landed.
 func (s *stepper) landed() error {
-	done := s.p.Landed()
+	done := s.steps // the OneORAM setting performs a step in full
+	if s.p != nil {
+		done = s.p.Landed()
+	}
 	for _, h := range s.cur {
 		h.land(done)
 	}

@@ -101,15 +101,16 @@ func (m *merge) moves(real1, real2 bool) (table.Move, table.Move) {
 	return m1, m2
 }
 
-// runPipelined executes Algorithm 1 in the SepORAM setting and pads it to
-// Theorem 1's bound: a retrieval from each table per step, the steps
-// overlapping in a table.Pipeline — step i+1's leaf accesses ride the round
-// of step i's data accesses — and each comparison's record written once the
-// step's tuples are in. Every step but the last owes one record, so a step's
-// record is written at the same point of the sequence whether it is real,
-// dummy or pad. It returns the executed and padded step counts.
-func (m *merge) runPipelined(w *outWriter, opts Options, cart int64, bound func(paddedR int64) int64, sp *telemetry.Span) (steps, padded int64, err error) {
-	s := newStepper(w, []*held{&m.row1, &m.row2}, -1, -1)
+// drive executes Algorithm 1 and pads it to Theorem 1's bound: a retrieval
+// from each table per step — in the SepORAM setting the steps overlap in a
+// table.Pipeline, step i+1's leaf accesses riding the round of step i's data
+// accesses — and each comparison's record written once the step's tuples
+// are in. Every step but the last owes one record, so a step's record is
+// written at the same point of the sequence whether it is real, dummy or
+// pad. It returns the executed and padded step counts and the retrievals
+// made.
+func (m *merge) drive(w *outWriter, opts Options, cart int64, bound func(paddedR int64) int64, sp *telemetry.Span) (steps, padded, retrievals int64, err error) {
+	s := newStepper(w, opts, true, []*held{&m.row1, &m.row2}, -1, -1)
 	s.also = []*held{&m.begin}
 	step := func(adv1, adv2 bool) error {
 		rows, err := s.step(m.moves(adv1, adv2))
@@ -127,7 +128,7 @@ func (m *merge) runPipelined(w *outWriter, opts Options, cart int64, bound func(
 	merge := sp.Child("merge")
 	// Lines 3-4: retrieve the first tuple from each table (one join step).
 	if err := step(true, true); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	for {
 		join, adv1, done := m.next()
@@ -135,10 +136,10 @@ func (m *merge) runPipelined(w *outWriter, opts Options, cart int64, bound func(
 			break
 		}
 		if err := s.record(join); err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 		if err := step(adv1, !adv1); err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 	}
 	steps = s.steps
@@ -148,18 +149,18 @@ func (m *merge) runPipelined(w *outWriter, opts Options, cart int64, bound func(
 	target := bound(opts.PadSize(s.real(), cart))
 	pad, err := padPhase(sp, "sort-merge", "Theorem 1", steps, target)
 	if err != nil {
-		return steps, 0, err
+		return steps, 0, 0, err
 	}
 	defer pad.End()
 	for s.steps < target {
 		if err := s.record(false); err != nil {
-			return steps, 0, err
+			return steps, 0, 0, err
 		}
 		if err := step(false, false); err != nil {
-			return steps, 0, err
+			return steps, 0, 0, err
 		}
 	}
-	return steps, target, s.drain()
+	return steps, target, s.retrievals, s.drain()
 }
 
 // SortMergeJoin computes T1 ⋈ T2 on a1 = a2 with the paper's oblivious
@@ -224,14 +225,7 @@ func (m *merge) run(w *outWriter, n1, n2 int64, opts Options, start storage.Stat
 	sp *telemetry.Span, tables ...settler) (*Result, error) {
 	cart := Cartesian(n1, n2)
 	bound := func(paddedR int64) int64 { return NumtrSortMerge(n1, n2, paddedR) }
-	var steps, padded, retrievals int64
-	var err error
-	if opts.OneORAM != nil {
-		steps, padded, retrievals, err = m.runOne(w, opts, cart, bound, sp)
-	} else {
-		steps, padded, err = m.runPipelined(w, opts, cart, bound, sp)
-		retrievals = padded
-	}
+	steps, padded, retrievals, err := m.drive(w, opts, cart, bound, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -252,78 +246,4 @@ func (m *merge) run(w *outWriter, n1, n2 int64, opts Options, start storage.Stat
 		Retrievals:  retrievals,
 		Stats:       diff(opts.Meter, start),
 	}, nil
-}
-
-// runOne executes Algorithm 1 in the OneORAM setting, one retrieval after
-// another, and pads it: there the dummy partner of a step is elided — a
-// step is its real retrievals, or T1's dummy alone when neither is real —
-// and each comparison's record is written before the next step. It returns
-// the executed and padded step counts and the retrievals made.
-func (m *merge) runOne(w *outWriter, opts Options, cart int64, bound func(int64) int64,
-	sp *telemetry.Span) (steps, padded, retrievals int64, err error) {
-	merge := sp.Child("merge")
-	step := func(real1, real2 bool) error {
-		steps++
-		m1, m2 := m.moves(real1, real2)
-		var rows [2]table.Row
-		if real1 || !real2 {
-			if err := table.Step(rows[:1], m1); err != nil {
-				return err
-			}
-			retrievals++
-		}
-		if real2 {
-			if err := table.Step(rows[1:], m2); err != nil {
-				return err
-			}
-			retrievals++
-		}
-		if real1 {
-			m.row1.Row = rows[0]
-		}
-		if real2 {
-			m.row2.Row = rows[1]
-		}
-		return nil
-	}
-	if err := step(true, true); err != nil {
-		return 0, 0, 0, err
-	}
-	for {
-		join, adv1, done := m.next()
-		if done {
-			break
-		}
-		if join {
-			err = w.putJoin(m.row1.Tuple, m.row2.Tuple)
-		} else {
-			err = w.putDummy()
-		}
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if err := step(adv1, !adv1); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	merge.SetAttr("steps", steps)
-	merge.End()
-
-	target := bound(opts.PadSize(int64(w.real), cart))
-	pad, err := padPhase(sp, "sort-merge", "Theorem 1", steps, target)
-	if err != nil {
-		return steps, 0, 0, err
-	}
-	defer pad.End()
-	retrievals += target - steps
-	for padded = steps; padded < target; padded++ {
-		var row [1]table.Row
-		if err := table.Step(row[:], m.c1.Hold()); err != nil {
-			return steps, 0, 0, err
-		}
-		if err := w.putDummy(); err != nil {
-			return steps, 0, 0, err
-		}
-	}
-	return steps, padded, retrievals, nil
 }

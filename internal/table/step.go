@@ -21,6 +21,15 @@ type Move struct {
 	col  int
 }
 
+// Held reports whether the move is a Hold: a dummy retrieval that leaves
+// its cursor where it is.
+func (m Move) Held() bool { return m.kind == hold }
+
+// Accesses returns the ORAM accesses the retrieval performs, its index
+// accesses and its data access: public geometry, the same for every
+// retrieval of the cursor.
+func (m Move) Accesses() int { return m.c.shape().n + 1 }
+
 // moveKind says what a retrieval does to its cursor. Every kind presents
 // the server with the same accesses.
 type moveKind uint8
