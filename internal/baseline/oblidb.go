@@ -24,7 +24,8 @@ type EquiPred struct {
 // not a practical solution" (Section 1, Table 1): every combination of
 // input tuples is enumerated through the ORAMs, one output record (real
 // join tuple or dummy) is written per combination, and dummies are filtered
-// obliviously at the end. Supports any number of tables and predicates.
+// obliviously at the end by ObliDB's bitonic sort. Supports any number of
+// tables and predicates.
 func ObliDBHashJoin(tables []*table.StoredTable, preds []EquiPred, opts Options) (*Result, error) {
 	if len(tables) < 2 {
 		return nil, fmt.Errorf("baseline: hash join needs at least 2 tables")
@@ -105,9 +106,6 @@ func ObliDBHashJoin(tables []*table.StoredTable, preds []EquiPred, opts Options)
 	if err := loop(0); err != nil {
 		return nil, err
 	}
-	if err := vec.Flush(); err != nil {
-		return nil, err
-	}
 
 	keep := int64(real)
 	if opts.PadTo > keep {
@@ -133,9 +131,18 @@ func ObliDBHashJoin(tables []*table.StoredTable, preds []EquiPred, opts Options)
 			}
 		}
 	} else {
+		// ObliDB's filter as published: an oblivious bitonic sort that ranks
+		// every real record before every dummy, then truncation.
 		mem := opts.mem(recSize)
-		dummy := make([]byte, recSize)
-		if err := obliv.CompactReal(vec, mem, relation.IsDummy, int(keep), dummy); err != nil {
+		padded, _ := obliv.ChunkShape(vec.Len(), mem)
+		if err := vec.PadTo(padded, make([]byte, recSize)); err != nil {
+			return nil, err
+		}
+		realFirst := func(a, b []byte) bool { return !relation.IsDummy(a) && relation.IsDummy(b) }
+		if err := obliv.SortVector(vec, mem, realFirst); err != nil {
+			return nil, err
+		}
+		if err := vec.Truncate(int(keep)); err != nil {
 			return nil, err
 		}
 		if real > 0 {

@@ -105,6 +105,11 @@ func sortW(v *obliv.BlockVector, mem int, less func(a, b wrec) bool) error {
 	if err := v.PadTo(padded, pad); err != nil {
 		return err
 	}
+	// ODBJ writes every block in a round of its own; the padding goes out
+	// before the sort starts.
+	if err := v.Flush(); err != nil {
+		return err
+	}
 	lessB := func(a, b []byte) bool { return less(unmarshalW(a), unmarshalW(b)) }
 	if err := obliv.SortVector(v, mem, lessB); err != nil {
 		return err

@@ -456,3 +456,60 @@ func TestSettleRoundTwinTraces(t *testing.T) {
 		})
 	}
 }
+
+// TestOutputWritesRide: a join never spends a round on its output table
+// alone while it runs. A block of output records that fills is held and
+// rides the next round the join issues — a pipelined step's, or in the
+// OneORAM setting a retrieval's on the shared tree — so, for every operator
+// in both settings, no round up to the join's last input access before the
+// output filter carries output-table writes without an input access beside
+// them. (The multiway join resets its indexes after the filter; the filter
+// reads the output table, so its first read is where the join has ended.)
+func TestOutputWritesRide(t *testing.T) {
+	for _, op := range lockstepOperators {
+		for _, tc := range []twinConfig{{"sep", 1, false, false}, {"one", 1, false, true}} {
+			if tc.one && op.name == "smj-chained" {
+				continue
+			}
+			for _, mode := range []PaddingMode{PadNone, PadCartesian} {
+				t.Run(fmt.Sprintf("%s/%s/%v", op.name, tc.name, mode), func(t *testing.T) {
+					tr := twinTrace(t, op.run, op.data.a1, op.data.a2, mode, tc)
+					out := tr.res.Schema.Table
+					filter := int64(-1) // the round of the filter's first read
+					for _, a := range tr.trace {
+						if a.Store == out && a.Kind == storage.KindRead {
+							filter = a.Round
+							break
+						}
+					}
+					if filter < 0 {
+						t.Fatalf("no read of the output table %s", out)
+					}
+					wrote, input := map[int64]bool{}, map[int64]bool{}
+					last := int64(0)
+					for _, a := range tr.trace {
+						switch {
+						case a.Round >= filter:
+						case a.Store == out:
+							wrote[a.Round] = true
+						default:
+							input[a.Round], last = true, a.Round
+						}
+					}
+					rode := 0
+					for r := range wrote {
+						switch {
+						case input[r]:
+							rode++
+						case r <= last:
+							t.Errorf("round %d carries output writes alone, before the join's last access in round %d", r, last)
+						}
+					}
+					if rode == 0 {
+						t.Errorf("no output block rode a round of the join")
+					}
+				})
+			}
+		}
+	}
+}

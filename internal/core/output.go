@@ -56,24 +56,21 @@ func (w *outWriter) putDummy() error {
 // finish applies the Section 8 padding strategy and the paper's final
 // oblivious filter: the output vector is compacted so real records precede
 // dummies in their emission order (obliv.CompactReal with mem trusted
-// records) and truncated to the padded size. It returns the decoded real
-// join tuples. join is the algorithm's telemetry span (may be nil); the
-// filter and decode phases attach under it, with the compaction's own span
-// nesting under the filter.
+// records) and truncated to the padded size. The padding is appended in
+// client memory, so the partly filled last block is written once, riding
+// the compaction's first load, and the compaction's closing write-back rides
+// the decode read. It returns the decoded real join tuples. join is the
+// algorithm's telemetry span (may be nil); the filter and decode phases
+// attach under it, with the compaction's own span nesting under the filter.
 func (w *outWriter) finish(opts Options, cartesian int64, join *telemetry.Span) (tuples []relation.Tuple, realCount, paddedCount int, err error) {
 	filter := join.Child("filter")
-	if err := w.vec.Flush(); err != nil {
-		return nil, 0, 0, err
-	}
 	padded := opts.PadSize(int64(w.real), cartesian)
 	filter.SetAttr("out", int64(w.total))
 	filter.SetAttr("padded", padded)
 	// A heavily padded target can exceed the records the join steps emitted.
 	dummy := make([]byte, w.recSize)
-	if int(padded) > w.vec.Len() {
-		if err := w.vec.PadTo(int(padded), dummy); err != nil {
-			return nil, 0, 0, err
-		}
+	if err := w.vec.PadTo(int(padded), dummy); err != nil {
+		return nil, 0, 0, err
 	}
 	mem := opts.mem(w.recSize, opts.outBlockSize())
 	if err := (obliv.Sorter{Span: filter}).CompactReal(w.vec, mem, relation.IsDummy, int(padded), dummy); err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"oblivjoin/internal/oram"
 	"oblivjoin/internal/relation"
 	"oblivjoin/internal/table"
@@ -30,7 +32,10 @@ func (h *held) land(done int64) {
 // the next step makes — and the record is written once the step's data
 // stage has landed, with the tuples of the current rows (cur, in output
 // order). Every step owes one record and writes it at the same point of the
-// step sequence, real, dummy or pad alike.
+// step sequence, real, dummy or pad alike. The output block a record fills
+// is held (obliv.BlockVector.Ride) and rides the next round the stepper
+// issues, so no round of the join carries output writes alone; which round
+// that is follows from the step count.
 //
 // In the SepORAM setting the steps run through a table.Pipeline. In the
 // OneORAM setting every table lives in one shared tree, so a step's
@@ -95,7 +100,8 @@ func (s *stepper) step(moves ...table.Move) ([]table.Row, error) {
 		err = s.serial(rows, moves)
 	} else {
 		s.retrievals++
-		err = s.p.Step(rows, moves...)
+		s.p.Carry(s.w.vec.Ride())
+		err = errors.Join(s.p.Step(rows, moves...), s.w.vec.Rode())
 	}
 	if err != nil {
 		return nil, err
@@ -124,7 +130,7 @@ func (s *stepper) serial(rows []table.Row, moves []table.Move) error {
 				return err
 			}
 		}
-		if err := table.Step(rows[j:j+1], mv); err != nil {
+		if err := errors.Join(table.Step(rows[j:j+1], s.w.vec.Ride(), mv), s.w.vec.Rode()); err != nil {
 			return err
 		}
 		for i := mv.Accesses(); i < wide; i++ {
@@ -168,7 +174,8 @@ func (s *stepper) real() int64 {
 // sort-merge, deciding nothing after its last comparison, leaves unwritten.
 func (s *stepper) drain() error {
 	if s.p != nil {
-		if err := s.p.Drain(); err != nil {
+		s.p.Carry(s.w.vec.Ride())
+		if err := errors.Join(s.p.Drain(), s.w.vec.Rode()); err != nil {
 			return err
 		}
 	}

@@ -160,25 +160,29 @@ func TestSpanAttributionINLJ(t *testing.T) {
 	}
 }
 
-// padAppends is what BlockVector.PadTo spends growing a flushed vector from
-// from to to records: one write round per block it touches, plus a read
-// round first when the last block is partly filled.
+// padAppends is what padding a join's output vector from from to to records
+// spends before the compaction's first transfer. The join leaves its last
+// block unwritten — held when full, pending when not — so every block from
+// that one on is written once, the last riding the first transfer, and each
+// block the padding fills while another is held is written alone, a round
+// each.
 func padAppends(from, to, perBlock int) (blocks, rounds int64) {
-	if to <= from {
-		return 0, 0
+	last := (from + perBlock - 1) / perBlock
+	blocks = int64(max(last, (to+perBlock-1)/perBlock) - last + 1)
+	if fills := to/perBlock - from/perBlock; fills > 0 {
+		rounds = int64(fills)
+		if from%perBlock != 0 {
+			rounds-- // the first fill completes the pending block, nothing held
+		}
 	}
-	n := int64((to+perBlock-1)/perBlock - from/perBlock)
-	if from%perBlock != 0 {
-		n++
-	}
-	return n, n
+	return blocks, rounds
 }
 
 // TestFilterSpanIsTheCompactionFormula: the filter phase of every operator
-// moves exactly what its public sizes say — the output vector's last
-// partial block, the appends that pad it (to the padded result size, then
-// to the compaction's power-of-two shape), and obliv.CompactTransfers of
-// the padded vector at M = 2B.
+// moves exactly what its public sizes say — the output vector's last block,
+// the appends that pad it (to the padded result size, then to its last unit
+// boundary), and obliv.CompactTransfers of the padded vector at M = 2B, less
+// the closing write-back, which rides the decode read.
 func TestFilterSpanIsTheCompactionFormula(t *testing.T) {
 	k1 := []int64{1, 2, 2, 3, 5, 8, 8, 9, 9, 9, 12, 14}
 	k2 := []int64{1, 2, 2, 2, 8, 9, 9, 13}
@@ -221,19 +225,15 @@ func TestFilterSpanIsTheCompactionFormula(t *testing.T) {
 			}
 			out, padded := int(filter.Attrs["out"]), int(filter.Attrs["padded"])
 			perBlock := (opts.outBlockSize() - xcrypto.Overhead) / res.Schema.TupleSize()
-			var blocks, rounds int64
-			add := func(b, r int64) { blocks, rounds = blocks+b, rounds+r }
-			if out%perBlock != 0 { // the output writer's last partial block
-				add(1, 1)
-			}
-			add(padAppends(out, padded, perBlock))
 			n := max(out, padded)
 			nb := (n + perBlock - 1) / perBlock
+			to, closing := n, nb
 			if nb > 2 {
-				add(padAppends(n, obliv.NextPow2(nb)*perBlock, perBlock))
+				to, closing = nb*perBlock, 2
 			}
+			blocks, rounds := padAppends(out, to, perBlock)
 			b, r := obliv.CompactTransfers(nb, 2)
-			add(int64(b), int64(r))
+			blocks, rounds = blocks+int64(b-closing), rounds+int64(r)
 			if got := filter.Stats; got.BlocksMoved() != blocks || got.NetworkRounds != rounds {
 				t.Errorf("%s %v (%d records, padded %d, %d per block): filter moved %d blocks in %d rounds, want %d in %d",
 					op, mode, out, padded, perBlock, got.BlocksMoved(), got.NetworkRounds, blocks, rounds)

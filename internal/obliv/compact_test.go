@@ -19,7 +19,8 @@ func isDummyRec(r []byte) bool { return bytes.Equal(r, dummyRec) }
 
 // compactVector builds a BlockVector of perBlock 8-byte records per block
 // (three bytes of block slack, so a record never ends its block) holding
-// recs, flushed.
+// recs, appended and not flushed: its last full block is held and a partly
+// filled last block is pending, as a join leaves its output vector.
 func compactVector(t testing.TB, perBlock int, m *storage.Meter, recs [][]byte) *BlockVector {
 	t.Helper()
 	sealer, err := xcrypto.NewSealer(bytes.Repeat([]byte{3}, xcrypto.KeySize), nil)
@@ -34,9 +35,6 @@ func compactVector(t testing.TB, perBlock int, m *storage.Meter, recs [][]byte) 
 		if err := v.Append(r); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := v.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	return v
 }
@@ -83,7 +81,7 @@ func checkCompacted(t *testing.T, what string, v *BlockVector, in [][]byte) {
 // order (then dummies when realCount exceeds them) — the model of a stable
 // filter. The recursion below the top call is also driven at arbitrary
 // offsets: off(0, c, z) must leave the reals in order at the cyclic slots
-// z, z+1, … of the padded vector.
+// z, z+1, … of a vector of c units, c a power of two.
 func TestCompactRealMatchesModel(t *testing.T) {
 	r := mrand.New(mrand.NewSource(27))
 	blockCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 255, 256}
@@ -132,9 +130,6 @@ func TestCompactRealMatchesModel(t *testing.T) {
 		z := r.Intn(n)
 		c := newCompactor(v, 2*unit*perBlock, isDummyRec)
 		got, err := c.off(0, units, z)
-		if err == nil {
-			err = c.settle()
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,31 +153,33 @@ func TestCompactRealMatchesModel(t *testing.T) {
 	}
 }
 
-// padCost is what BlockVector.PadTo spends growing a flushed vector from
-// from to to records: one round per block it writes, plus a read round for
-// a partly filled first block.
-func padCost(from, to, perBlock int) (blocks, rounds int) {
-	if to <= from {
-		return 0, 0
+// owedCost is what a vector of n appended records — its last full block
+// held, a partly filled last block pending — spends before a compaction's
+// first transfer when padded to to records: a round per block the padding
+// fills while another is held, written alone, and then the blocks that ride
+// the first transfer.
+func owedCost(n, to, perBlock int) (blocks, rounds int) {
+	full := n / perBlock
+	held := min(full, 1)
+	if to <= n {
+		return held + ceilDiv(n, perBlock) - full, 0
 	}
-	writes := ceilDiv(to, perBlock) - from/perBlock
-	reads := 0
-	if from%perBlock != 0 {
-		reads = 1
-	}
-	return writes + reads, writes + reads
+	fills := to/perBlock - full
+	return fills + held, fills - (1 - held)
 }
 
-// TestCompactTransfersExact: the Meter's blocks and rounds of a compaction
-// equal CompactTransfers plus the padding appends, from one block to 512,
-// in one unit and in many, on and off a power of two.
+// TestCompactTransfersExact: the Meter's blocks and rounds of a compaction,
+// and of the Flush that then writes its closing write-back, equal
+// CompactTransfers plus what padding the vector to its last unit boundary
+// and writing what it held back cost, from one block to 512, in one unit and
+// in many, on and off a power of two.
 func TestCompactTransfersExact(t *testing.T) {
 	var blockCounts []int
 	for c := 1; c <= 40; c++ {
 		blockCounts = append(blockCounts, c)
 	}
-	blockCounts = append(blockCounts, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512)
-	for _, tc := range []struct{ perBlock, memBlocks int }{{1, 2}, {3, 2}, {13, 2}, {2, 4}, {3, 7}, {1, 1}} {
+	blockCounts = append(blockCounts, 63, 64, 65, 90, 127, 128, 129, 139, 255, 256, 257, 511, 512)
+	for _, tc := range []struct{ perBlock, memBlocks int }{{1, 2}, {3, 2}, {13, 2}, {2, 4}, {3, 7}, {1, 1}, {2, 6}} {
 		for _, c := range blockCounts {
 			n := c*tc.perBlock - tc.perBlock/2
 			mem := tc.memBlocks * tc.perBlock
@@ -192,13 +189,19 @@ func TestCompactTransfersExact(t *testing.T) {
 			if err := CompactReal(v, mem, isDummyRec, n/3, dummyRec); err != nil {
 				t.Fatal(err)
 			}
+			if err := v.Flush(); err != nil {
+				t.Fatal(err)
+			}
 			got := m.Snapshot().Sub(before)
 			blocks, rounds := CompactTransfers(c, tc.memBlocks)
+			rounds++ // the Flush
 			unit := max(1, tc.memBlocks/2)
-			if units := compactUnits(c, unit); units > 0 {
-				pb, pr := padCost(n, units*unit*tc.perBlock, tc.perBlock)
-				blocks, rounds = blocks+pb, rounds+pr
+			padded := n
+			if units := ceilDiv(c, unit); units > 2 {
+				padded = units * unit * tc.perBlock
 			}
+			ob, or := owedCost(n, padded, tc.perBlock)
+			blocks, rounds = blocks+ob, rounds+or
 			if got.BlocksMoved() != int64(blocks) || got.NetworkRounds != int64(rounds) {
 				t.Errorf("B=%d mem=%d blocks n=%d (%d records): measured %d blocks in %d rounds, predicted %d in %d",
 					tc.perBlock, tc.memBlocks, c, n, got.BlocksMoved(), got.NetworkRounds, blocks, rounds)
@@ -207,12 +210,24 @@ func TestCompactTransfersExact(t *testing.T) {
 	}
 }
 
-// modelTrace is the trace of compacting a flushed vector of n records,
-// perBlock to a block, with mem blocks of trusted memory, computed from
-// those sizes alone: the padding appends (a read-back of a partly filled
-// last block, then one write round per block), then the transfer schedule
-// of the recursion, each transfer's reads in the round that carries the
-// previous transfer's writes, and a closing round for the last write-back.
+// TestCompactTransfersRecursion pins CompactTransfers' rounds to the
+// recursion T(c) = T(c2) + (c1/2)·log₂c1 + c2 at one block per unit, and to
+// the power-of-two cost (c/2)·log₂c where c is one.
+func TestCompactTransfersRecursion(t *testing.T) {
+	for c, want := range map[int]int{1: 1, 2: 1, 3: 3, 4: 4, 5: 6, 6: 7, 7: 10, 8: 12, 9: 14, 16: 32, 90: 275, 128: 448, 139: 477, 256: 1024} {
+		if _, got := CompactTransfers(c, 2); got != want {
+			t.Errorf("T(%d) = %d, want %d", c, got, want)
+		}
+	}
+}
+
+// modelTrace is the trace of compacting a vector of n appended records,
+// perBlock to a block, with mem blocks of trusted memory, and then flushing
+// it, computed from those sizes alone: the padding appends (the block held
+// when the next fills written alone, a round each), the transfer schedule of
+// the recursion, each transfer's reads in the round that carries the
+// previous write-back — the first carries what the vector held back — and
+// the Flush's round for the last write-back.
 func modelTrace(store string, blockSize, n, perBlock, mem int) []storage.Access {
 	var trace []storage.Access
 	round := int64(0)
@@ -230,55 +245,71 @@ func modelTrace(store string, blockSize, n, perBlock, mem int) []storage.Access 
 	}
 	unit := max(1, mem/2)
 	blocks := ceilDiv(n, perBlock)
+	units := ceilDiv(blocks, unit)
 	var transfers [][]int64
-	var rec func(lo, units int)
-	rec = func(lo, units int) {
+	pair := func(a, b int) { transfers = append(transfers, append(span(a*unit, unit), span(b*unit, unit)...)) }
+	var off, compact func(lo, units int)
+	off = func(lo, units int) {
 		if units <= 2 {
 			transfers = append(transfers, span(lo*unit, units*unit))
 			return
 		}
 		h := units / 2
-		rec(lo, h)
-		rec(lo+h, h)
+		off(lo, h)
+		off(lo+h, h)
 		for k := 0; k < h; k++ {
-			transfers = append(transfers, append(span((lo+k)*unit, unit), span((lo+h+k)*unit, unit)...))
+			pair(lo+k, lo+h+k)
 		}
 	}
-	if blocks <= 2*unit {
+	compact = func(lo, units int) {
+		n1 := 1
+		for n1*2 <= units {
+			n1 *= 2
+		}
+		n2 := units - n1
+		if n2 > 0 {
+			compact(lo, n2)
+		}
+		off(lo+n2, n1)
+		for k := 0; k < n2; k++ {
+			pair(lo+k, lo+n1+k)
+		}
+	}
+	var owed []int64 // what the appends left held
+	if full := n / perBlock; full > 0 {
+		owed = span(full-1, 1)
+	}
+	if units <= 2 {
+		if n%perBlock != 0 {
+			owed = append(owed, int64(n/perBlock))
+		}
 		transfers = append(transfers, span(0, blocks))
 	} else {
-		units := 1
-		for units*unit < blocks {
-			units *= 2
-		}
-		if padded := units * unit * perBlock; padded > n {
-			if n%perBlock != 0 {
+		for b := n / perBlock; b < units*unit; b++ {
+			if len(owed) > 0 {
 				round++
-				emit(storage.KindRead, int64(n/perBlock))
+				emit(storage.KindWrite, owed...)
 			}
-			for b := n / perBlock; b < units*unit; b++ {
-				round++
-				emit(storage.KindWrite, int64(b))
-			}
+			owed = span(b, 1)
 		}
-		rec(0, units)
+		compact(0, units)
 	}
-	for r, tr := range transfers {
+	for _, tr := range transfers {
 		round++
-		if r > 0 {
-			emit(storage.KindWrite, transfers[r-1]...)
-		}
+		emit(storage.KindWrite, owed...)
 		emit(storage.KindRead, tr...)
+		owed = tr
 	}
 	round++
-	emit(storage.KindWrite, transfers[len(transfers)-1]...)
+	emit(storage.KindWrite, owed...)
 	return trace
 }
 
 // TestCompactRealTraceIsPublic: vectors of one length with different real
 // patterns give identical traces, round ordinals and block indices
 // included, and each is exactly the trace modelTrace computes from the
-// sizes alone.
+// sizes alone — on and off a power of two units, at one to three blocks a
+// unit.
 func TestCompactRealTraceIsPublic(t *testing.T) {
 	r := mrand.New(mrand.NewSource(5))
 	patterns := []struct {
@@ -291,16 +322,25 @@ func TestCompactRealTraceIsPublic(t *testing.T) {
 		{"random", func(int) bool { return r.Intn(2) == 0 }},
 	}
 	const perBlock = 3
-	for _, tc := range []struct{ n, memBlocks int }{
+	cases := []struct{ n, memBlocks int }{
+		{2, 2},                    // less than a block: one transfer
 		{5, 2},                    // one transfer
 		{2 * 2 * perBlock, 4},     // two units: one transfer
-		{16 * perBlock, 2},        // padded already
+		{16 * perBlock, 2},        // a power of two, no padding
 		{13*perBlock + 1, 2},      // padding appends first
 		{64 * perBlock, 2},        // deeper recursion
 		{8 * 3 * perBlock, 6},     // three-block units
 		{11*2*perBlock - 2, 4},    // two-block units, padding appends first
 		{3*perBlock*4 + 2, 2 * 3}, // three-block units, padding appends first
-	} {
+	}
+	for _, units := range []int{3, 5, 6, 7, 9, 90, 139} {
+		for unit := 1; unit <= 3; unit++ {
+			// The last unit one block and one record short of full, and full.
+			cases = append(cases, struct{ n, memBlocks int }{((units-1)*unit+1)*perBlock - 1, 2 * unit},
+				struct{ n, memBlocks int }{units * unit * perBlock, 2 * unit})
+		}
+	}
+	for _, tc := range cases {
 		want := modelTrace("cv", xcrypto.Overhead+8*perBlock+3, tc.n, perBlock, tc.memBlocks)
 		for _, p := range patterns {
 			m := storage.NewMeter()
@@ -308,6 +348,9 @@ func TestCompactRealTraceIsPublic(t *testing.T) {
 			m.Reset()
 			m.SetTracing(true)
 			if err := CompactReal(v, tc.memBlocks*perBlock, isDummyRec, tc.n/2, dummyRec); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			trace := m.Trace()
@@ -318,8 +361,8 @@ func TestCompactRealTraceIsPublic(t *testing.T) {
 	}
 }
 
-// TestCompactRealAllocs: a steady-state compaction (a padded vector, so no
-// appends) allocates its buffers once — nothing per record, the count does
+// TestCompactRealAllocs: a steady-state compaction (a vector of whole
+// units, so no appends) allocates its buffers once — nothing per record, the count does
 // not move with the records per block — and at most one allocation per
 // transfer on top.
 func TestCompactRealAllocs(t *testing.T) {

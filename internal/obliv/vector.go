@@ -6,14 +6,15 @@
 // vectors whose access patterns depend only on public sizes (Vector,
 // BlockVector, MemVector).
 //
-// The dummy filter is not a sort: it is an order-preserving offset
-// compaction with a fixed O(c log c) schedule over units of whole blocks,
+// The dummy filter is not a sort: it is an order-preserving compaction of
+// any length with a fixed O(c log c) schedule over units of whole blocks,
 // each transfer one round carrying the previous transfer's write-back. Sorter
 // runs the external sort and the compaction with their phases attached to a
 // telemetry span. See DESIGN.md §2.7 for the cost model of both.
 package obliv
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -102,19 +103,27 @@ func (v *MemVector) StoreRange(lo int, recs [][]byte) error {
 
 // BlockVector stores fixed-size records packed into encrypted fixed-size
 // blocks on the untrusted server — the layout of every table (including join
-// outputs) in the engine. Appends buffer one block client-side and flush
-// sealed blocks; loads fetch, decrypt, and unpack whole blocks. Every block
-// operation is a batch the store meters itself: a LoadRange is one round
-// whatever it covers, a flushed or stored block one round per block.
+// outputs) in the engine. Appends buffer one block client-side; loads fetch,
+// decrypt, and unpack whole blocks. Every block operation is a batch the
+// store meters itself: a LoadRange is one round whatever it covers.
+//
+// A block that fills is sealed and held, one at most, rather than written at
+// once: it rides a round already going — one its owner issues (Ride), such
+// as a join step's, or the vector's own next read exchange (LoadRange, the
+// compaction's first load) — and is written in a round of its own only when
+// the next block fills first, or at Flush. The compaction's closing
+// write-back is held the same way. Which round a held block travels in
+// depends on when its owner issues rounds and on the vector's length alone.
 //
 // Concurrency: a BlockVector supports concurrent LoadRange/StoreRange calls
 // over pairwise disjoint record ranges. Record ranges need not be
 // block-aligned: a mutex makes the read-modify-write of a partially covered
 // edge block atomic, so two neighbouring ranges sharing an edge block cannot
 // lose each other's slots, and the same mutex guards the client-side append
-// buffer. Length-changing operations (Append, PadTo, Truncate) and
-// overlapping ranges still require exclusive access: they are individually
-// data-race-free but their interleavings have no useful semantics.
+// buffer and the held write-back. Length-changing operations (Append, PadTo,
+// Truncate) and overlapping ranges still require exclusive access: they are
+// individually data-race-free but their interleavings have no useful
+// semantics.
 type BlockVector struct {
 	store    *storage.MemStore
 	sealer   *xcrypto.Sealer
@@ -123,14 +132,21 @@ type BlockVector struct {
 	capacity int
 	length   int
 
-	// mu guards the pending append buffer, the length/capacity fields, and
-	// every partial-block read-modify-write (Flush tails and StoreRange edge
-	// blocks). Fully covered block writes and block reads go to the store
-	// without holding mu — the store serializes individual block ops.
+	// mu guards the pending append buffer, the held write-back, the
+	// length/capacity fields, and every partial-block read-modify-write
+	// (StoreRange edge blocks). Fully covered block writes and block reads
+	// with nothing held go to the store without holding mu — the store
+	// serializes individual block ops.
 	mu           sync.Mutex
-	pending      [][]byte // buffered records not yet flushed
+	pending      [][]byte // buffered records not yet sealed
 	pendingBlock int      // block index the buffer belongs to
 	pendingStart int      // slot within pendingBlock of pending[0]
+
+	// held is what is sealed but not yet written, heldData[k] block held[k];
+	// ride is the share Ride hands out for it.
+	held     []int64
+	heldData [][]byte
+	ride     storage.RoundOp
 }
 
 // NewBlockVector creates a vector able to hold capacity records of
@@ -180,7 +196,7 @@ func (v *BlockVector) RecordsPerBlock() int { return v.perBlock }
 // ServerBytes returns the server-side footprint.
 func (v *BlockVector) ServerBytes() int64 { return v.store.SizeBytes() }
 
-// Append adds a record at the end, flushing a sealed block each time one
+// Append adds a record at the end, sealing and holding a block each time one
 // fills and growing the server store as needed (the growth schedule depends
 // only on the public record count). The server sees one uniform encrypted
 // block write per perBlock appends regardless of record contents.
@@ -204,9 +220,8 @@ func (v *BlockVector) appendLocked(rec []byte) error {
 	if len(rec) > v.recSize {
 		return fmt.Errorf("obliv: record of %d bytes exceeds record size %d", len(rec), v.recSize)
 	}
-	blk := v.length / v.perBlock
-	if v.pendingBlock != blk {
-		if err := v.flushLocked(); err != nil {
+	if blk := v.length / v.perBlock; v.pendingBlock != blk {
+		if err := v.sealPendingLocked(); err != nil {
 			return err
 		}
 		v.pendingBlock = blk
@@ -216,14 +231,19 @@ func (v *BlockVector) appendLocked(rec []byte) error {
 	copy(buf, rec)
 	v.pending = append(v.pending, buf)
 	v.length++
-	if v.pendingStart+len(v.pending) == v.perBlock {
-		return v.flushLocked()
+	if v.pendingStart+len(v.pending) < v.perBlock {
+		return nil
 	}
-	return nil
+	// The block is full: hold it, one block at most.
+	if err := v.writeHeldLocked(); err != nil {
+		return err
+	}
+	return v.sealPendingLocked()
 }
 
-// Flush writes any buffered partial block to the server, preserving records
-// already stored in the same block when the buffer started mid-block.
+// Flush writes everything the vector holds back to the server: the held
+// write-back, then the partly filled block being appended to, each in a round
+// of its own.
 func (v *BlockVector) Flush() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -231,27 +251,38 @@ func (v *BlockVector) Flush() error {
 }
 
 func (v *BlockVector) flushLocked() error {
-	if v.pendingBlock < 0 || len(v.pending) == 0 {
-		v.pending = nil
-		v.pendingBlock = -1
-		v.pendingStart = 0
-		return nil
+	if err := v.writeHeldLocked(); err != nil {
+		return err
 	}
-	var payload []byte
-	if v.pendingStart == 0 {
-		payload = make([]byte, v.store.BlockSize()-xcrypto.Overhead)
-	} else {
-		var err error
-		payload, err = v.readBlock(v.pendingBlock)
+	if err := v.sealPendingLocked(); err != nil {
+		return err
+	}
+	return v.writeHeldLocked()
+}
+
+// sealPendingLocked seals the block being appended to, as it stands, into
+// the held write-back, keeping the records already stored in it when the
+// buffer started mid-block (a read of its own, carrying what was held).
+func (v *BlockVector) sealPendingLocked() error {
+	if len(v.pending) > 0 {
+		var payload []byte
+		if v.pendingStart == 0 {
+			payload = make([]byte, v.store.BlockSize()-xcrypto.Overhead)
+		} else {
+			var err error
+			if payload, err = v.readBlock(v.pendingBlock); err != nil {
+				return err
+			}
+		}
+		for i, r := range v.pending {
+			copy(payload[(v.pendingStart+i)*v.recSize:], r)
+		}
+		sealed, err := v.sealer.Seal(payload)
 		if err != nil {
 			return err
 		}
-	}
-	for i, r := range v.pending {
-		copy(payload[(v.pendingStart+i)*v.recSize:], r)
-	}
-	if err := v.sealWrite(v.pendingBlock, payload); err != nil {
-		return err
+		v.held = append(v.held, int64(v.pendingBlock))
+		v.heldData = append(v.heldData, sealed)
 	}
 	v.pending = nil
 	v.pendingBlock = -1
@@ -259,22 +290,85 @@ func (v *BlockVector) flushLocked() error {
 	return nil
 }
 
-// readBlock fetches and opens one block in a round of its own.
+// writeHeldLocked writes the held write-back in a round of its own.
+func (v *BlockVector) writeHeldLocked() error {
+	if len(v.held) == 0 {
+		return nil
+	}
+	if err := v.store.WriteMany(v.held, v.heldData); err != nil {
+		return err
+	}
+	v.held, v.heldData = v.held[:0], v.heldData[:0]
+	return nil
+}
+
+// exchangeLocked reads the given blocks in one round that carries the held
+// write-back.
+func (v *BlockVector) exchangeLocked(dst []byte, reads []int64) ([]byte, error) {
+	out, err := v.store.ExchangeTo(dst, v.held, v.heldData, reads)
+	if err != nil {
+		return nil, err
+	}
+	v.held, v.heldData = v.held[:0], v.heldData[:0]
+	return out, nil
+}
+
+// readBlock fetches and opens one block in a round of its own, which carries
+// the held write-back. Caller holds mu.
 func (v *BlockVector) readBlock(blk int) ([]byte, error) {
-	sealed, err := v.store.ReadManyTo(nil, []int64{int64(blk)})
+	sealed, err := v.exchangeLocked(nil, []int64{int64(blk)})
 	if err != nil {
 		return nil, err
 	}
 	return v.open(nil, int64(blk), sealed)
 }
 
-// sealWrite seals one block's payload and writes it in a round of its own.
-func (v *BlockVector) sealWrite(blk int, payload []byte) error {
-	sealed, err := v.sealer.Seal(payload)
-	if err != nil {
-		return err
+// exchange reads the given blocks, appended to dst, in one round that
+// carries everything the vector holds back: the held write-back and the
+// block being appended to, sealed as it stands.
+func (v *BlockVector) exchange(dst []byte, reads []int64) ([]byte, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if err := v.sealPendingLocked(); err != nil {
+		return nil, err
 	}
-	return v.store.WriteMany([]int64{int64(blk)}, [][]byte{sealed})
+	return v.exchangeLocked(dst, reads)
+}
+
+// errUnissued marks a share handed out by Ride that no round has carried.
+var errUnissued = errors.New("obliv: held block not issued")
+
+// Ride hands the held block to a round the caller is about to issue, as one
+// more share of it (storage.DoRound), or returns nil when nothing is held.
+// The vector must not be used otherwise until Rode has settled the share.
+func (v *BlockVector) Ride() *storage.RoundOp {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if len(v.held) == 0 {
+		return nil
+	}
+	v.ride = storage.RoundOp{Store: v.store, WriteIdxs: v.held, WriteData: v.heldData, Err: errUnissued}
+	return &v.ride
+}
+
+// Rode settles the share Ride handed out. Once a round has carried it, the
+// held block is written and forgotten; a share no round carried stays held,
+// and so does one the store refused, whose error Rode returns.
+func (v *BlockVector) Rode() error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.ride.Store == nil {
+		return nil
+	}
+	err := v.ride.Err
+	v.ride = storage.RoundOp{}
+	switch err {
+	case errUnissued:
+		return nil
+	case nil:
+		v.held, v.heldData = v.held[:0], v.heldData[:0]
+	}
+	return err
 }
 
 // open authenticates and decrypts block blk, appending its payload to dst
@@ -288,22 +382,23 @@ func (v *BlockVector) open(dst []byte, blk int64, sealed []byte) ([]byte, error)
 }
 
 // LoadRange implements Vector. It reads the blocks the range covers in one
-// round, without holding the vector mutex, so concurrent disjoint-range
-// loads decrypt in parallel. The records it returns share
-// one allocation.
+// round, which carries whatever the vector holds back (the held write-back
+// and the block being appended to). With nothing to carry it reads without
+// holding the vector mutex, so concurrent disjoint-range loads decrypt in
+// parallel. The records it returns share one allocation.
 func (v *BlockVector) LoadRange(lo, n int) ([][]byte, error) {
 	v.mu.Lock()
 	if lo < 0 || n < 0 || lo+n > v.length {
 		v.mu.Unlock()
 		return nil, fmt.Errorf("obliv: load [%d,%d) of %d", lo, lo+n, v.length)
 	}
-	if err := v.flushLocked(); err != nil {
+	if err := v.sealPendingLocked(); err != nil {
 		v.mu.Unlock()
 		return nil, err
 	}
-	v.mu.Unlock()
 	out := make([][]byte, n)
 	if n == 0 {
+		v.mu.Unlock()
 		return out, nil
 	}
 	first := lo / v.perBlock
@@ -311,7 +406,15 @@ func (v *BlockVector) LoadRange(lo, n int) ([][]byte, error) {
 	for k := range idxs {
 		idxs[k] = int64(first + k)
 	}
-	flat, err := v.store.ReadManyTo(nil, idxs)
+	var flat []byte
+	var err error
+	if len(v.held) > 0 {
+		flat, err = v.exchangeLocked(nil, idxs)
+		v.mu.Unlock()
+	} else {
+		v.mu.Unlock()
+		flat, err = v.store.ReadManyTo(nil, idxs)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -332,13 +435,13 @@ func (v *BlockVector) LoadRange(lo, n int) ([][]byte, error) {
 	return out, nil
 }
 
-// StoreRange implements Vector. Partially covered edge blocks are
-// read-modify-written; that read-modify-write holds the vector mutex so a
-// concurrent neighbouring StoreRange sharing the edge block cannot lose
-// this range's slots (both only modify their own slots and preserve the
-// rest as last committed). Fully covered blocks are sealed and written
-// without the mutex, so the bulk of concurrent disjoint-range stores
-// encrypts in parallel.
+// StoreRange implements Vector. What the vector holds back is written first
+// (Flush). Partially covered edge blocks are read-modify-written; that
+// read-modify-write holds the vector mutex so a concurrent neighbouring
+// StoreRange sharing the edge block cannot lose this range's slots (both
+// only modify their own slots and preserve the rest as last committed).
+// Fully covered blocks are sealed and written without the mutex, so the bulk
+// of concurrent disjoint-range stores encrypts in parallel.
 func (v *BlockVector) StoreRange(lo int, recs [][]byte) error {
 	n := len(recs)
 	v.mu.Lock()
@@ -365,9 +468,9 @@ func (v *BlockVector) StoreRange(lo int, recs [][]byte) error {
 }
 
 // storeBlock writes the records of recs (starting at vector index lo) that
-// fall into block b. When rmw is set the block is partially covered: the
-// read-modify-write runs under the vector mutex to stay atomic with respect
-// to a neighbouring range's edge write.
+// fall into block b, sealed, in a round of its own. When rmw is set the
+// block is partially covered: the read-modify-write runs under the vector
+// mutex to stay atomic with respect to a neighbouring range's edge write.
 func (v *BlockVector) storeBlock(b, lo int, recs [][]byte, rmw bool) error {
 	var payload []byte
 	var err error
@@ -393,25 +496,32 @@ func (v *BlockVector) storeBlock(b, lo int, recs [][]byte, rmw bool) error {
 			copy(payload[s*v.recSize:], r)
 		}
 	}
-	return v.sealWrite(b, payload)
+	sealed, err := v.sealer.Seal(payload)
+	if err != nil {
+		return err
+	}
+	return v.store.WriteMany([]int64{int64(b)}, [][]byte{sealed})
 }
 
 // Truncate shortens the vector to n records (n <= Len). Used after
-// oblivious filtering once dummies have been compacted past position n.
+// oblivious filtering once dummies have been compacted past position n. It
+// issues no round: the block being appended to is sealed and held.
 func (v *BlockVector) Truncate(n int) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if n < 0 || n > v.length {
 		return fmt.Errorf("obliv: truncate to %d of %d", n, v.length)
 	}
-	if err := v.flushLocked(); err != nil {
+	if err := v.sealPendingLocked(); err != nil {
 		return err
 	}
 	v.length = n
 	return nil
 }
 
-// PadTo appends copies of rec until the vector holds n records.
+// PadTo appends copies of rec until the vector holds n records, as Append
+// does: the blocks it fills are held, the last one partly filled stays in
+// client memory.
 func (v *BlockVector) PadTo(n int, rec []byte) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -420,5 +530,5 @@ func (v *BlockVector) PadTo(n int, rec []byte) error {
 			return err
 		}
 	}
-	return v.flushLocked()
+	return nil
 }

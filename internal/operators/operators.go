@@ -225,9 +225,6 @@ func selectPadded(rel *relation.Relation, preds []Pred, padTo func(real int) int
 			return nil, err
 		}
 	}
-	if err := vec.Flush(); err != nil {
-		return nil, err
-	}
 	scan.End()
 	declared := real
 	if padTo != nil {
@@ -497,9 +494,6 @@ func GroupAggregate(rel *relation.Relation, groupCol, valueCol string, fn AggFun
 		if err := emit(false, 0, 0); err != nil {
 			return nil, err
 		}
-	}
-	if err := outVec.Flush(); err != nil {
-		return nil, err
 	}
 	foldSpan.End()
 	isDummy := func(rec []byte) bool { r, _, _ := decodeAgg(rec); return !r }

@@ -24,15 +24,17 @@ type Req struct {
 
 // Together performs the given accesses, one per ORAM, and returns the first
 // error among them in request order. When every request addresses its own
-// Path-ORAM with client-held positions — the SepORAM setting, where the
-// paper's join step retrieves one tuple from every table and each
-// retrieval's path is fixed by client state before the step begins — the
-// accesses run in lockstep: all position remaps are planned in request
+// Path-ORAM with client-held positions, directly or through a View — the
+// SepORAM setting, where the paper's join step retrieves one tuple from
+// every table and each retrieval's path is fixed by client state before the
+// step begins, or a single retrieval on the OneORAM setting's shared tree —
+// the accesses run in lockstep: all position remaps are planned in request
 // order, every tree's path download — each carrying the write-back its tree
 // has queued — travels in one network round, and the operations are applied
 // to the stashes: one path of each of k trees in a round. Any other group
-// (a shared tree, a View, a recursive position map, LinearORAM, RawStore)
-// runs its accesses one after another, exactly as separate calls would.
+// (two requests on one tree, a recursive position map, LinearORAM,
+// RawStore) runs its accesses one after another, exactly as separate calls
+// would.
 //
 // Per-store access sequences are those of the accesses issued one after
 // another; only which stores share a round changes, and that grouping is
@@ -41,11 +43,17 @@ type Req struct {
 // alike. Whether a tree's share carries a write-back is its own scheduler's
 // business, decided by how many paths it has queued (EvictionBatch).
 //
+// ride are shares of other stores (nil entries are skipped) that travel in
+// the round too, after the trees' shares: writes that have been waiting for
+// a round to carry them. A single request on such a tree is a round of one
+// tree, so it carries them as well. A group that runs one access after
+// another issues none of them, and leaves each untouched.
+//
 // Failure atomicity is per tree, as for separate accesses: each share of a
 // round reports its own error, a tree whose share failed is left as a failed
 // access leaves it (stash authoritative, paths pending), and the others
-// complete.
-func Together(reqs []Req) error {
+// complete. A ride share's outcome is its own (RoundOp.Err).
+func Together(reqs []Req, ride ...*storage.RoundOp) error {
 	var few [4]*PathORAM
 	group := few[:0]
 	if len(reqs) > len(few) {
@@ -72,23 +80,24 @@ func Together(reqs []Req) error {
 		return first
 	}
 
-	var fewOps [4]*storage.RoundOp
+	var fewOps [8]*storage.RoundOp
 	ops := fewOps[:0]
-	if len(reqs) > len(fewOps) {
-		ops = make([]*storage.RoundOp, 0, len(reqs))
+	if len(reqs)+len(ride) > len(fewOps) {
+		ops = make([]*storage.RoundOp, 0, len(reqs)+len(ride))
 	}
 
 	// Plan every access and stage every download; one round.
 	for i, o := range group {
 		r := &reqs[i]
 		r.Data = nil
+		_, key, _ := onTree(r) // lockstep has resolved every request
 		var put []byte
 		if r.Put != nil && !r.Dummy {
 			if put, r.Err = o.padded(r.Put); r.Err != nil {
 				continue
 			}
 		}
-		if r.Err = o.plan(&o.planBuf, r.Key, put, r.Dummy, r.Update); r.Err != nil {
+		if r.Err = o.plan(&o.planBuf, key, put, r.Dummy, r.Update); r.Err != nil {
 			continue
 		}
 		if r.Err = o.sched.prepareFetch(o.planBuf.leaf); r.Err != nil {
@@ -96,6 +105,11 @@ func Together(reqs []Req) error {
 			continue
 		}
 		ops = append(ops, &o.sched.op)
+	}
+	for _, op := range ride {
+		if op != nil {
+			ops = append(ops, op)
+		}
 	}
 	issueRound(&group[0].cfg, false, ops...)
 
@@ -177,19 +191,42 @@ func (o *PathORAM) holdsPositions() bool {
 
 // lockstep returns the requests' trees, appended to group, when they can run
 // in lockstep: every request on a Path-ORAM that holds its own positions
-// client-side, all distinct, all reporting to one meter. Otherwise it
-// returns nil.
+// client-side (directly or through a View), all distinct, all reporting to
+// one meter. Otherwise it returns nil.
 func lockstep(group []*PathORAM, reqs []Req) []*PathORAM {
-	if len(reqs) < 2 {
+	if len(reqs) == 0 {
 		return nil
 	}
 	for i := range reqs {
-		o, ok := reqs[i].ORAM.(*PathORAM)
-		if !ok || !o.holdsPositions() || slices.Contains(group, o) ||
+		o, _, _ := onTree(&reqs[i])
+		if o == nil || !o.holdsPositions() || slices.Contains(group, o) ||
 			(len(group) > 0 && group[0].cfg.Meter != o.cfg.Meter) {
 			return nil
 		}
 		group = append(group, o)
 	}
 	return group
+}
+
+// onTree returns the Path-ORAM a request runs on and the key it addresses
+// there: a View's requests address its base tree at the view's offset (the
+// OneORAM setting's tables are views of one tree). The tree is nil when the
+// request does not run on a Path-ORAM, and the error reports a key outside
+// its view.
+func onTree(r *Req) (*PathORAM, uint64, error) {
+	x, key := r.ORAM, r.Key
+	for {
+		v, ok := x.(*View)
+		if !ok {
+			break
+		}
+		if !r.Dummy {
+			if err := v.check(key); err != nil {
+				return nil, 0, err
+			}
+		}
+		x, key = v.base, key+v.offset
+	}
+	o, _ := x.(*PathORAM)
+	return o, key, nil
 }

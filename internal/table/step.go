@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"oblivjoin/internal/oram"
+	"oblivjoin/internal/storage"
 )
 
 // Move is one table's part in a join step: a tuple retrieval, real or dummy
@@ -121,6 +122,8 @@ type Pipeline struct {
 	// rows are the caller's rows of the steps in flight, by step parity:
 	// every flight's row is copied there as it lands.
 	rows [2][]Row
+	// ride is another store's share for the next round to carry (Carry).
+	ride *storage.RoundOp
 }
 
 // NewPipeline returns a pipeline over len(after) lanes whose keyed index
@@ -164,7 +167,9 @@ func (p *Pipeline) Step(rows []Row, moves ...Move) error {
 	}
 	clear(rows[:len(moves)])
 	p.rows[p.begun&1] = rows
-	return p.run(moves)
+	err := p.run(moves)
+	p.ride = nil
+	return err
 }
 
 // run begins a step of the given moves and issues rounds until it is decided
@@ -192,14 +197,22 @@ func (p *Pipeline) run(moves []Move) error {
 	return nil
 }
 
+// Carry has the next round the pipeline issues carry op, a share of another
+// store (oram.Together): a write waiting for a round to ride, such as a full
+// block of the join's output. The round is the first of the next Step or
+// Drain call, and the caller settles the share once that call returns; a
+// call that issues no round, or a round that does not run in lockstep,
+// leaves it unissued.
+func (p *Pipeline) Carry(op *storage.RoundOp) { p.ride = op }
+
 // Drain issues rounds until every step begun has landed.
 func (p *Pipeline) Drain() error {
-	for p.done < p.begun {
-		if err := p.round(); err != nil {
-			return err
-		}
+	var err error
+	for p.done < p.begun && err == nil {
+		err = p.round()
 	}
-	return nil
+	p.ride = nil
+	return err
 }
 
 // Landed returns how many steps have landed in full: the rows of every step
@@ -279,7 +292,8 @@ func (p *Pipeline) round() error {
 		return err
 	}
 	if len(reqs) > 0 {
-		oram.Together(reqs)
+		oram.Together(reqs, p.ride)
+		p.ride = nil
 	}
 	p.rounds++
 	k, progress := 0, false
@@ -340,10 +354,11 @@ func (p *Pipeline) stepLanded(s int64) bool {
 // Step performs one join step on its own: every move's retrieval, index
 // accesses first, through a pipeline of its own — in the SepORAM setting the
 // tables' leaf accesses share a round, then their data accesses do — and
-// returns with the rows complete. Which cursors take part in a step, and in
-// which order, is the operator's choice and must not depend on the data.
-func Step(rows []Row, moves ...Move) error {
-	p := Pipeline{lanes: len(moves), serial: true}
+// returns with the rows complete. Its first round carries ride when it is
+// not nil (Pipeline.Carry). Which cursors take part in a step, and in which
+// order, is the operator's choice and must not depend on the data.
+func Step(rows []Row, ride *storage.RoundOp, moves ...Move) error {
+	p := Pipeline{lanes: len(moves), serial: true, ride: ride}
 	if p.lanes > len(p.few[0]) {
 		p.many = [2][]flight{make([]flight, p.lanes), make([]flight, p.lanes)}
 	}
@@ -363,7 +378,7 @@ func Step(rows []Row, moves ...Move) error {
 // step1 performs a single retrieval on its own.
 func step1(mv Move) (Row, error) {
 	var row [1]Row
-	err := Step(row[:], mv)
+	err := Step(row[:], nil, mv)
 	return row[0], err
 }
 
