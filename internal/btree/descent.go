@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"oblivjoin/internal/oram"
@@ -44,6 +45,12 @@ type pathStep struct {
 // a descent started with Defer gets its target from Target before then.
 // A Descent is reusable: its decode buffers carry over from one descent to
 // the next.
+//
+// On a tagged tree every access of a real descent is an update that routes
+// with the node in hand and writes the chosen child's fresh position tag
+// into it (rotate), and carries the positions of its node: the root's from
+// the tree, every other node's from the entry its parent was routed
+// through.
 type Descent struct {
 	t      *Tree
 	mode   Mode
@@ -55,6 +62,9 @@ type Descent struct {
 	path   []pathStep
 	nodes  []node // decode buffers, one per outsourced level
 	buf    []byte // write-up encode buffer
+
+	pos      uint32             // tagged: the next node's tag before rotate replaced it
+	rotateFn func([]byte) error // d.rotate, bound once
 }
 
 // Start begins a descent for the given target.
@@ -72,6 +82,12 @@ func (d *Descent) Defer(t *Tree, m Mode) {
 	}
 	if n := t.OutsourcedLevels(); cap(d.nodes) < n {
 		d.nodes = make([]node, n)
+	}
+	for i := range d.nodes {
+		d.nodes[i].width = t.width
+	}
+	if d.rotateFn == nil {
+		d.rotateFn = d.rotate
 	}
 }
 
@@ -116,8 +132,32 @@ func (d *Descent) Req() (oram.Req, error) {
 			id = d.route(&d.path[len(d.path)-1])
 		}
 		req.Key = id
+		if t.width > 0 {
+			req.Update, req.Pos, req.NewPos = d.rotateFn, t.rootTag, t.drawTag()
+			if d.done > 0 {
+				s := d.path[len(d.path)-1]
+				req.Pos, req.NewPos = d.pos, s.node.intEnts[s.entry].tag
+			}
+		}
 	}
 	return req, nil
+}
+
+// rotate is the update of a tagged tree's descent access: with the node in
+// hand it routes, keeps the chosen child's tag for the next access and
+// writes a fresh one into the entry before the node goes back — the
+// position rotation of an oblivious data structure. Routing again once the
+// node has landed picks the same entry. A leaf is left as it is.
+func (d *Descent) rotate(payload []byte) error {
+	n := &d.nodes[d.done]
+	if err := n.decode(payload); err != nil || n.leaf {
+		return err
+	}
+	s := pathStep{node: n}
+	d.route(&s)
+	d.pos = n.intEnts[s.entry].tag
+	binary.LittleEndian.PutUint32(payload[tagOffset+s.entry*taggedIntSize:], d.t.drawTag())
+	return nil
 }
 
 // route picks the child of an internal path node to descend into.
@@ -156,6 +196,9 @@ func (d *Descent) Land(req oram.Req) error {
 	reads := t.OutsourcedLevels()
 	if d.mode == Dummy || k >= reads {
 		return nil
+	}
+	if t.width > 0 && k == 0 {
+		t.rootTag = req.NewPos
 	}
 	n := &d.nodes[k]
 	if err := n.decode(req.Data); err != nil {
@@ -225,11 +268,15 @@ func (d *Descent) writeUp(req oram.Req, j int) (oram.Req, error) {
 
 // KeyFree returns how many leading accesses of a descent can be built before
 // its target is known: 1 when the first is a read of the root (no level is
-// cached client-side) and another read follows it, else 0. Public geometry,
-// like AccessesPerRetrieval.
+// cached client-side) and another read follows it, else 0 — always 0 on a
+// tagged tree, whose every access routes to rotate its child's tag. Public
+// geometry, like AccessesPerRetrieval.
 func (t *Tree) KeyFree() int {
-	if t.cfg.CacheInternal || len(t.levels) < 2 {
+	if t.cfg.CacheInternal || t.width > 0 || len(t.levels) < 2 {
 		return 0
 	}
 	return 1
 }
+
+// drawTag draws a fresh position tag in a tagged tree's ORAM.
+func (t *Tree) drawTag() uint32 { return t.cfg.ORAM.(*oram.PathORAM).RandomPos() }

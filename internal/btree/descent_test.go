@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"reflect"
 	"testing"
 
 	"oblivjoin/internal/oram"
@@ -49,7 +50,7 @@ func TestDescentStaged(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, ok, n := run(t, &d, tr, KeyGE, k, true)
-			if got != want || ok != wantOK || n != tr.AccessesPerRetrieval() {
+			if !reflect.DeepEqual(got, want) || ok != wantOK || n != tr.AccessesPerRetrieval() {
 				t.Fatalf("%+v key %d: staged %+v %v in %d accesses, lookup %+v %v", cfg, k, got, ok, n, want, wantOK)
 			}
 		}

@@ -4,6 +4,12 @@
 // join of Section 6 — entries carry liveness tags that support the paper's
 // tuple-disabling Observations 1–3.
 //
+// The same tree has a second layout, the paper's Section 4.2 oblivious
+// B-tree (ConstructTagged, LoadTagged): its nodes live in a Path-ORAM that
+// keeps no position map, every internal entry carries its child's position
+// tag, so the client keeps only the root's, and every leaf entry carries the
+// tuple itself (clustered), so a retrieval is the descent alone.
+//
 // To keep every lookup a single fixed-length root-to-leaf descent even under
 // disabling (the paper's "skip the disabled entries during searching"),
 // internal entries store the maximum live key and the maximum/minimum live
@@ -51,6 +57,9 @@ type Entry struct {
 	// SameNext reports whether the next entry in key order carries the same
 	// key — the paper's Observation 3 tag.
 	SameNext bool
+	// Value is the tuple a tagged tree's leaf entry holds (clustered); nil
+	// in the plain layout.
+	Value []byte
 }
 
 type leafEnt struct {
@@ -59,28 +68,54 @@ type leafEnt struct {
 	ref      Ref
 	live     bool
 	sameNext bool
+	value    []byte // tagged layout
 }
 
 type intEnt struct {
 	child uint64
+	tag   uint32 // tagged layout: the child's position tag
 	// Static aggregates of the subtree, restored by Reset.
 	maxKey, maxOrd, minOrd int64
 	// Live aggregates, maintained by Disable.
 	maxLiveKey, maxLiveOrd, minLiveOrd int64
 }
 
+// node is one tree node. width is its layout: 0 for the plain one, or the
+// tuple bytes of a tagged leaf entry. A tagged tree never disables, so its
+// leaf entries hold key, ordinal and tuple and no liveness, and its internal
+// entries the child's tag and the static aggregates, which decode as the
+// live ones too.
 type node struct {
 	leaf     bool
 	next     uint64 // next-leaf pointer; NoLeaf when absent or internal
+	width    int
 	leafEnts []leafEnt
 	intEnts  []intEnt
 }
 
 const (
-	nodeHeader  = 1 + 2 + 8 // isLeaf, numEntries, nextLeaf
-	leafEntSize = 8 + 8 + 8 + 2 + 1 + 1
-	intEntSize  = 8 + 7*8
+	nodeHeader     = 1 + 2 + 8 // isLeaf, numEntries, nextLeaf
+	leafEntSize    = 8 + 8 + 8 + 2 + 1 + 1
+	intEntSize     = 8 + 7*8
+	taggedLeafHead = 8 + 8          // key, ordinal; the tuple follows
+	taggedIntSize  = 8 + 4 + 3*8    // child, tag, static aggregates
+	tagOffset      = nodeHeader + 8 // of entry 0's tag; entry i's is i·taggedIntSize on
 )
+
+// entSizes returns the leaf and internal entry sizes of layout width.
+func entSizes(width int) (leaf, internal int) {
+	if width > 0 {
+		return taggedLeafHead + width, taggedIntSize
+	}
+	return leafEntSize, intEntSize
+}
+
+// fanouts returns how many entries of layout width fit in a leaf and in an
+// internal node of payload bytes.
+func fanouts(payload, width int) (leaf, internal int) {
+	ls, is := entSizes(width)
+	return (payload - nodeHeader) / ls, (payload - nodeHeader) / is
+}
 
 // LeafFanout returns how many leaf entries fit in a node of payload bytes.
 func LeafFanout(payload int) int { return (payload - nodeHeader) / leafEntSize }
@@ -97,11 +132,12 @@ func (n *node) count() int {
 
 // encode serializes the node into dst (>= payload bytes, zero-padded).
 func (n *node) encode(dst []byte) error {
+	ls, is := entSizes(n.width)
 	need := nodeHeader
 	if n.leaf {
-		need += leafEntSize * len(n.leafEnts)
+		need += ls * len(n.leafEnts)
 	} else {
-		need += intEntSize * len(n.intEnts)
+		need += is * len(n.intEnts)
 	}
 	if len(dst) < need {
 		return fmt.Errorf("btree: node needs %d bytes, buffer has %d", need, len(dst))
@@ -119,6 +155,11 @@ func (n *node) encode(dst []byte) error {
 		for _, e := range n.leafEnts {
 			binary.LittleEndian.PutUint64(dst[off:], uint64(e.key))
 			binary.LittleEndian.PutUint64(dst[off+8:], uint64(e.ord))
+			if n.width > 0 {
+				copy(dst[off+taggedLeafHead:off+ls], e.value)
+				off += ls
+				continue
+			}
 			binary.LittleEndian.PutUint64(dst[off+16:], e.ref.Block)
 			binary.LittleEndian.PutUint16(dst[off+24:], uint16(e.ref.Slot))
 			if e.live {
@@ -133,10 +174,16 @@ func (n *node) encode(dst []byte) error {
 	}
 	for _, e := range n.intEnts {
 		binary.LittleEndian.PutUint64(dst[off:], e.child)
-		for i, v := range [...]int64{e.maxKey, e.maxOrd, e.minOrd, e.maxLiveKey, e.maxLiveOrd, e.minLiveOrd} {
-			binary.LittleEndian.PutUint64(dst[off+8+8*i:], uint64(v))
+		at, aggs := off+8, [...]int64{e.maxKey, e.maxOrd, e.minOrd, e.maxLiveKey, e.maxLiveOrd, e.minLiveOrd}
+		vals := aggs[:]
+		if n.width > 0 {
+			binary.LittleEndian.PutUint32(dst[at:], e.tag)
+			at, vals = at+4, vals[:3]
 		}
-		off += intEntSize
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(dst[at+8*i:], uint64(v))
+		}
+		off += is
 	}
 	return nil
 }
@@ -149,8 +196,8 @@ func decodeNode(src []byte) (*node, error) {
 	return n, nil
 }
 
-// decode overwrites n with the node serialized in src, reusing n's entry
-// slices.
+// decode overwrites n with the node serialized in src in n's layout,
+// reusing n's entry slices. A tagged leaf entry's value is a slice of src.
 func (n *node) decode(src []byte) error {
 	if len(src) < nodeHeader {
 		return fmt.Errorf("btree: node buffer too short (%d bytes)", len(src))
@@ -159,38 +206,55 @@ func (n *node) decode(src []byte) error {
 	n.next = binary.LittleEndian.Uint64(src[3:])
 	count := int(binary.LittleEndian.Uint16(src[1:]))
 	n.leafEnts, n.intEnts = n.leafEnts[:0], n.intEnts[:0]
+	ls, is := entSizes(n.width)
 	off := nodeHeader
 	if n.leaf {
-		if len(src) < off+count*leafEntSize {
+		if len(src) < off+count*ls {
 			return fmt.Errorf("btree: leaf with %d entries exceeds buffer", count)
 		}
 		n.leafEnts = slices.Grow(n.leafEnts, count)[:count]
 		for i := range n.leafEnts {
-			n.leafEnts[i] = leafEntAt(src[off:])
-			off += leafEntSize
+			n.leafEnts[i] = leafEntAt(src[off:off+ls], n.width)
+			off += ls
 		}
 		return nil
 	}
-	if len(src) < off+count*intEntSize {
+	if len(src) < off+count*is {
 		return fmt.Errorf("btree: internal node with %d entries exceeds buffer", count)
 	}
 	n.intEnts = slices.Grow(n.intEnts, count)[:count]
 	for i := range n.intEnts {
 		e := &n.intEnts[i]
 		e.child = binary.LittleEndian.Uint64(src[off:])
-		e.maxKey = int64(binary.LittleEndian.Uint64(src[off+8:]))
-		e.maxOrd = int64(binary.LittleEndian.Uint64(src[off+16:]))
-		e.minOrd = int64(binary.LittleEndian.Uint64(src[off+24:]))
-		e.maxLiveKey = int64(binary.LittleEndian.Uint64(src[off+32:]))
-		e.maxLiveOrd = int64(binary.LittleEndian.Uint64(src[off+40:]))
-		e.minLiveOrd = int64(binary.LittleEndian.Uint64(src[off+48:]))
-		off += intEntSize
+		at := off + 8
+		if n.width > 0 {
+			e.tag, at = binary.LittleEndian.Uint32(src[at:]), at+4
+		}
+		e.maxKey = int64(binary.LittleEndian.Uint64(src[at:]))
+		e.maxOrd = int64(binary.LittleEndian.Uint64(src[at+8:]))
+		e.minOrd = int64(binary.LittleEndian.Uint64(src[at+16:]))
+		if n.width > 0 {
+			e.maxLiveKey, e.maxLiveOrd, e.minLiveOrd = e.maxKey, e.maxOrd, e.minOrd
+		} else {
+			e.maxLiveKey = int64(binary.LittleEndian.Uint64(src[at+24:]))
+			e.maxLiveOrd = int64(binary.LittleEndian.Uint64(src[at+32:]))
+			e.minLiveOrd = int64(binary.LittleEndian.Uint64(src[at+40:]))
+		}
+		off += is
 	}
 	return nil
 }
 
-// leafEntAt decodes the leaf entry serialized at the start of src.
-func leafEntAt(src []byte) leafEnt {
+// leafEntAt decodes the leaf entry of layout width serialized in src.
+func leafEntAt(src []byte, width int) leafEnt {
+	if width > 0 {
+		return leafEnt{
+			key:   int64(binary.LittleEndian.Uint64(src)),
+			ord:   int64(binary.LittleEndian.Uint64(src[8:])),
+			live:  true,
+			value: src[taggedLeafHead : taggedLeafHead+width : taggedLeafHead+width],
+		}
+	}
 	return leafEnt{
 		key:      int64(binary.LittleEndian.Uint64(src)),
 		ord:      int64(binary.LittleEndian.Uint64(src[8:])),
@@ -326,5 +390,5 @@ func (n *node) leafOrdLE(o int64) int {
 }
 
 func (e leafEnt) public() Entry {
-	return Entry{Key: e.key, Ord: e.ord, Ref: e.ref, Live: e.live, SameNext: e.sameNext}
+	return Entry{Key: e.key, Ord: e.ord, Ref: e.ref, Live: e.live, SameNext: e.sameNext, Value: e.value}
 }

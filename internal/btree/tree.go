@@ -8,10 +8,12 @@ import (
 	"oblivjoin/internal/oram"
 )
 
-// Item is one index entry to build: key plus tuple reference.
+// Item is one index entry to build: key plus tuple reference, or in the
+// tagged layout the tuple itself.
 type Item struct {
-	Key int64
-	Ref Ref
+	Key   int64
+	Ref   Ref
+	Value []byte // ConstructTagged: at most its width bytes
 }
 
 // Config configures an index.
@@ -38,6 +40,9 @@ type Tree struct {
 
 	leafFanout int
 	intFanout  int
+
+	width   int    // the layout (node.width): 0 plain, > 0 tagged
+	rootTag uint32 // tagged: the root's position tag, all the client keeps
 }
 
 type levelRange struct {
@@ -55,6 +60,7 @@ type Built struct {
 	payload    int
 	leafFanout int
 	intFanout  int
+	width      int
 }
 
 // Payloads serializes every node in block-ID order.
@@ -76,8 +82,26 @@ func (b *Built) NumNodes() int64 { return int64(len(b.nodes)) }
 // Construct builds the index node set over the given items (sorted
 // internally by key, stable) for blocks of the given payload size. It is a
 // pure client-side computation — the preprocessing step before upload.
-func Construct(payload int, items []Item) (*Built, error) {
-	lf, inf := LeafFanout(payload), InternalFanout(payload)
+func Construct(payload int, items []Item) (*Built, error) { return construct(payload, 0, items) }
+
+// ConstructTagged is Construct in the tagged layout: each leaf entry holds
+// the item's Value, width bytes (the tuple: the tree is clustered), and
+// each internal entry will hold its child's position tag, drawn when
+// LoadTagged uploads the nodes.
+func ConstructTagged(payload, width int, items []Item) (*Built, error) {
+	if width <= 0 {
+		return nil, fmt.Errorf("btree: a tagged layout needs a positive value width, got %d", width)
+	}
+	for i, it := range items {
+		if len(it.Value) > width {
+			return nil, fmt.Errorf("btree: item %d value is %d bytes, exceeds %d", i, len(it.Value), width)
+		}
+	}
+	return construct(payload, width, items)
+}
+
+func construct(payload, width int, items []Item) (*Built, error) {
+	lf, inf := fanouts(payload, width)
 	if lf < 1 || inf < 2 {
 		return nil, fmt.Errorf("btree: payload %d too small (leaf fanout %d, internal fanout %d)", payload, lf, inf)
 	}
@@ -85,7 +109,7 @@ func Construct(payload int, items []Item) (*Built, error) {
 	copy(sorted, items)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
 
-	b := &Built{nEnts: int64(len(sorted)), payload: payload, leafFanout: lf, intFanout: inf}
+	b := &Built{nEnts: int64(len(sorted)), payload: payload, leafFanout: lf, intFanout: inf, width: width}
 
 	// Build the leaf level.
 	nLeaves := (len(sorted) + lf - 1) / lf
@@ -98,7 +122,7 @@ func Construct(payload int, items []Item) (*Built, error) {
 		if hi > len(sorted) {
 			hi = len(sorted)
 		}
-		n := &node{leaf: true, next: NoLeaf}
+		n := &node{leaf: true, next: NoLeaf, width: width}
 		for j := lo; j < hi; j++ {
 			n.leafEnts = append(n.leafEnts, leafEnt{
 				key:      sorted[j].Key,
@@ -106,6 +130,7 @@ func Construct(payload int, items []Item) (*Built, error) {
 				ref:      sorted[j].Ref,
 				live:     true,
 				sameNext: j+1 < len(sorted) && sorted[j+1].Key == sorted[j].Key,
+				value:    sorted[j].Value,
 			})
 		}
 		if i+1 < nLeaves {
@@ -126,7 +151,7 @@ func Construct(payload int, items []Item) (*Built, error) {
 			if hi > len(levelNodes) {
 				hi = len(levelNodes)
 			}
-			n := &node{next: NoLeaf}
+			n := &node{next: NoLeaf, width: width}
 			for j := i; j < hi; j++ {
 				maxKey, maxOrd, minOrd := levelNodes[j].staticAgg()
 				n.intEnts = append(n.intEnts, intEnt{
@@ -152,6 +177,55 @@ func Construct(payload int, items []Item) (*Built, error) {
 // New attaches a constructed index to an ORAM that already stores its node
 // payloads at keys 0..NumNodes-1.
 func New(cfg Config, b *Built) (*Tree, error) {
+	if b.width > 0 {
+		return nil, fmt.Errorf("btree: a tagged index is uploaded and attached by LoadTagged")
+	}
+	return attach(cfg, b)
+}
+
+// LoadTagged uploads a tagged index into cfg.ORAM, which must be a tree
+// that keeps no position map (oram.NewTagged) with room for its nodes, and
+// attaches it: every node gets a fresh position tag, written into its
+// parent's entry, the nodes go to the paths of their tags (BulkLoadAt), and
+// the tree keeps the root's tag — the only position the client holds. A
+// tagged tree caches no level and writes nothing up: CacheInternal and
+// WriteBackDescents are refused.
+func LoadTagged(cfg Config, b *Built) (*Tree, error) {
+	o, ok := cfg.ORAM.(*oram.PathORAM)
+	switch {
+	case b.width == 0:
+		return nil, fmt.Errorf("btree: LoadTagged of an index in the plain layout")
+	case !ok:
+		return nil, fmt.Errorf("btree: a tagged index needs a Path-ORAM, not %T", cfg.ORAM)
+	case cfg.CacheInternal || cfg.WriteBackDescents:
+		return nil, fmt.Errorf("btree: a tagged index has no cached levels and no write-ups")
+	}
+	tags := make([]uint32, len(b.nodes))
+	for id := range tags {
+		tags[id] = o.RandomPos()
+	}
+	for _, n := range b.nodes {
+		for i := range n.intEnts {
+			n.intEnts[i].tag = tags[n.intEnts[i].child]
+		}
+	}
+	payloads, err := b.Payloads()
+	if err != nil {
+		return nil, err
+	}
+	if err := o.BulkLoadAt(payloads, tags); err != nil {
+		return nil, err
+	}
+	t, err := attach(cfg, b)
+	if err != nil {
+		return nil, err
+	}
+	t.rootTag = tags[t.rootID()]
+	return t, nil
+}
+
+// attach makes the client handle of a constructed index stored in cfg.ORAM.
+func attach(cfg Config, b *Built) (*Tree, error) {
 	if cfg.ORAM == nil {
 		return nil, fmt.Errorf("btree: ORAM is required")
 	}
@@ -167,6 +241,7 @@ func New(cfg Config, b *Built) (*Tree, error) {
 		nEnts:      b.nEnts,
 		leafFanout: b.leafFanout,
 		intFanout:  b.intFanout,
+		width:      b.width,
 	}
 	if cfg.CacheInternal {
 		t.cache = make(map[uint64]*node)
@@ -265,6 +340,12 @@ func (t *Tree) AccessesPerRetrieval() int {
 	}
 	return d
 }
+
+// StateBytes returns the client memory of the tree handle itself, the root's
+// position tag and the level geometry: O(log N), and for a tagged tree all
+// the client keeps beside its ORAM's stash. Cached levels are
+// ClientCacheBytes.
+func (t *Tree) StateBytes() int64 { return 4 + 16*int64(len(t.levels)) }
 
 // ClientCacheBytes returns the client memory spent on cached index levels.
 func (t *Tree) ClientCacheBytes() int64 {
@@ -390,7 +471,7 @@ func LeafEntry(payload []byte, i int) (Entry, error) {
 	if count := int(binary.LittleEndian.Uint16(payload[1:])); i < 0 || i >= count || len(payload) < off+leafEntSize {
 		return Entry{}, fmt.Errorf("btree: leaf entry %d of %d", i, count)
 	}
-	return leafEntAt(payload[off:]).public(), nil
+	return leafEntAt(payload[off:], 0).public(), nil
 }
 
 // Reset restores every liveness tag, walking all index blocks once — the

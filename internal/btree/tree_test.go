@@ -2,8 +2,10 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	mrand "math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -88,7 +90,7 @@ func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 	if !got.leaf || got.next != 7 || len(got.leafEnts) != 2 {
 		t.Fatalf("leaf header: %+v", got)
 	}
-	if got.leafEnts[0] != leaf.leafEnts[0] || got.leafEnts[1] != leaf.leafEnts[1] {
+	if !reflect.DeepEqual(got.leafEnts, leaf.leafEnts) {
 		t.Fatalf("leaf entries: %+v", got.leafEnts)
 	}
 
@@ -104,6 +106,33 @@ func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got.leaf || got.intEnts[0] != intn.intEnts[0] {
 		t.Fatalf("internal round trip: %+v", got.intEnts)
+	}
+
+	// The tagged layout: leaf entries hold their tuple, internal entries
+	// their child's tag and the static aggregates, which decode as live too.
+	tleaf := &node{leaf: true, next: NoLeaf, width: 3, leafEnts: []leafEnt{
+		{key: 4, ord: 0, live: true, value: []byte{1, 2, 3}},
+		{key: 6, ord: 1, live: true, value: []byte{4, 5, 6}},
+	}}
+	if err := tleaf.encode(buf); err != nil {
+		t.Fatal(err)
+	}
+	back := &node{width: 3}
+	if err := back.decode(buf); err != nil || !reflect.DeepEqual(back.leafEnts, tleaf.leafEnts) {
+		t.Fatalf("tagged leaf round trip: %+v, %v", back.leafEnts, err)
+	}
+	tint := &node{next: NoLeaf, width: 3, intEnts: []intEnt{
+		{child: 4, tag: 77, maxKey: 100, maxOrd: 9, minOrd: 0, maxLiveKey: 100, maxLiveOrd: 9, minLiveOrd: 0},
+		{child: 5, tag: 78, maxKey: 200, maxOrd: 19, minOrd: 10, maxLiveKey: 200, maxLiveOrd: 19, minLiveOrd: 10},
+	}}
+	if err := tint.encode(buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.decode(buf); err != nil || !reflect.DeepEqual(back.intEnts, tint.intEnts) {
+		t.Fatalf("tagged internal round trip: %+v, %v", back.intEnts, err)
+	}
+	if tag := binary.LittleEndian.Uint32(buf[tagOffset+taggedIntSize:]); tag != 78 {
+		t.Fatalf("entry 1's tag at its offset reads %d", tag)
 	}
 }
 

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"oblivjoin/internal/storage"
+	"oblivjoin/internal/relation"
 	"oblivjoin/internal/table"
 	"oblivjoin/internal/telemetry"
 )
@@ -15,29 +15,43 @@ import (
 // lock-step, and one output record is written per join step. The per-table
 // retrieval count is padded to Theorem 2's bound |T1| + |R|.
 func IndexNestedLoopJoin(t1, t2 *table.StoredTable, a1, a2 string, opts Options) (*Result, error) {
-	start := snapshot(opts.Meter)
-	sp := opts.span("join.inlj")
-	sp.SetAttr("n1", int64(t1.NumTuples()))
-	sp.SetAttr("n2", int64(t2.NumTuples()))
-	defer sp.End()
-	load := sp.Child("load")
 	ic, err := table.NewIndexCursor(t2, a2)
 	if err != nil {
 		return nil, err
 	}
-	w, err := newOutWriter(fmt.Sprintf("%s⋈%s", t1.Schema().Table, t2.Schema().Table),
-		opts, t1.Schema(), t2.Schema())
-	if err != nil {
-		return nil, err
+	return equiProbe("join.inlj", t1, a1, t2, ic, opts)
+}
+
+// IndexNestedLoopJoinObliviousIndex is Algorithm 2 with the paper's Section
+// 4.2 oblivious B-tree as the inner index: T2 lives in the tree's leaves
+// (table.TreeTable), whose client holds only the root's position tag. It
+// runs the driver of IndexNestedLoopJoin; an inner retrieval is the
+// descent alone, whose every access needs the outer tuple's key (the tree
+// rotates each child's tag while routing to it), and the tree settles in
+// the join's one settle round. The tree has no OneORAM form.
+func IndexNestedLoopJoinObliviousIndex(t1 *table.StoredTable, a1 string, t2 *table.TreeTable, opts Options) (*Result, error) {
+	if opts.OneORAM != nil {
+		return nil, fmt.Errorf("core: an oblivious tree has no OneORAM form")
 	}
-	load.End()
-	pr := &probe{
-		join: "INLJ", theorem: "Theorem 2", outer: t1, scan: table.NewScanCursor(t1), ic: ic,
-		col: t1.Schema().MustCol(a1), keyed: true,
+	return equiProbe("join.inlj.tagged", t1, a1, t2, t2.Cursor(), opts)
+}
+
+// equiProbe runs Algorithm 2 with ic, a cursor over t2's index on the join
+// attribute.
+func equiProbe(span string, t1 *table.StoredTable, a1 string, t2 probed, ic *table.IndexCursor, opts Options) (*Result, error) {
+	return (&probe{
+		join: "INLJ", theorem: "Theorem 2", ic: ic, keyed: true,
 		next:  ic.MoveNext,
 		match: func(key, inner int64) bool { return inner == key },
-	}
-	return pr.run(w, Cartesian(int64(t1.NumTuples()), int64(t2.NumTuples())), opts, start, sp, t1, t2)
+	}).run(span, t1, a1, t2, opts)
+}
+
+// probed is the inner side of an index nested-loop join: a stored table, or
+// an oblivious tree.
+type probed interface {
+	settler
+	Schema() relation.Schema
+	NumTuples() int
 }
 
 // probe is an index nested-loop join — Algorithm 2 or the band join of
@@ -57,15 +71,29 @@ type probe struct {
 	match         func(key, inner int64) bool
 }
 
-// run executes the join, pads it to the theorem's bound (|T1| + |R| either
-// way), settles the input trees and filters the output.
-func (pr *probe) run(w *outWriter, cart int64, opts Options, start storage.Stats,
-	sp *telemetry.Span, tables ...settler) (*Result, error) {
+// run executes the join of t1, scanned, its join column a1, with t2 under a
+// span of the given name: it pads the join to the theorem's bound
+// (|T1| + |R| either way), settles the input trees and filters the output.
+func (pr *probe) run(span string, t1 *table.StoredTable, a1 string, t2 probed, opts Options) (*Result, error) {
+	start := snapshot(opts.Meter)
+	sp := opts.span(span)
+	sp.SetAttr("n1", int64(t1.NumTuples()))
+	sp.SetAttr("n2", int64(t2.NumTuples()))
+	defer sp.End()
+	load := sp.Child("load")
+	pr.outer, pr.scan, pr.col = t1, table.NewScanCursor(t1), t1.Schema().MustCol(a1)
+	w, err := newOutWriter(fmt.Sprintf("%s⋈%s", t1.Schema().Table, t2.Schema().Table),
+		opts, t1.Schema(), t2.Schema())
+	if err != nil {
+		return nil, err
+	}
+	load.End()
+	cart := Cartesian(int64(t1.NumTuples()), int64(t2.NumTuples()))
 	steps, padded, retrievals, err := pr.drive(w, cart, opts, sp)
 	if err != nil {
 		return nil, err
 	}
-	if err := settle(sp, opts, tables...); err != nil {
+	if err := settle(sp, opts, t1, t2); err != nil {
 		return nil, err
 	}
 	tuples, real, paddedOut, err := w.finish(opts, cart, sp)
@@ -94,10 +122,11 @@ func (pr *probe) target(real, cart int64, opts Options) int64 {
 // table.Pipeline: an inner descent's root access rides the round of the
 // step's outer data access and of the previous step's inner data access, so
 // a step costs the descent's accesses in rounds. The equi-join's probe waits
-// for the outer tuple only where its descent first needs the key; the band
-// join's first inner retrieval is a fixed end of the index and waits for
-// nothing. It returns the executed and padded step counts and the
-// retrievals made.
+// for the outer tuple only where its descent first needs the key — on an
+// oblivious tree at the root, so a step there costs one round more, and no
+// inner data access follows; the band join's first inner retrieval is a
+// fixed end of the index and waits for nothing. It returns the executed and
+// padded step counts and the retrievals made.
 func (pr *probe) drive(w *outWriter, cart int64, opts Options, sp *telemetry.Span) (steps, padded, retrievals int64, err error) {
 	var row1, row2 held
 	after := -1

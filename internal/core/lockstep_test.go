@@ -43,41 +43,55 @@ const twinPayload = 140
 // a side of the twin beside a database of equal geometry and a smaller
 // result, so that under a padding mode that hides the result size the two
 // execute different numbers of real steps before the same padded total.
+// A layout of its own may lack a setting: a pointer chain and an oblivious
+// tree have no OneORAM form (noOne), and an oblivious tree no cached levels
+// (noCache).
 var lockstepOperators = []struct {
 	name              string
 	data              twin
 	boundary1, bound2 []int64
+	noOne, noCache    bool
 	run               func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result
 }{
-	{"smj", equiTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 13, 14, 15, 16}, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
+	{"smj", equiTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 13, 14, 15, 16}, false, false, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
 		s1, s2, shared := storeWith(t, k1, k2, topts, one)
 		jopts.OneORAM = shared
 		topts.Meter.Reset()
 		topts.Meter.SetTracing(true)
 		return must(t)(SortMergeJoin(s1, s2, "k", "k", jopts))
 	}},
-	{"smj-chained", equiTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 13, 14, 15, 16}, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, _ bool) *Result {
+	{"smj-chained", equiTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 13, 14, 15, 16}, true, false, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, _ bool) *Result {
 		c1 := mustChain(t)(table.StoreChained(makeRel("t1", k1), "k", topts))
 		c2 := mustChain(t)(table.StoreChained(makeRel("t2", k2), "k", topts))
 		topts.Meter.Reset()
 		topts.Meter.SetTracing(true)
 		return must(t)(SortMergeJoinChained(c1, c2, jopts))
 	}},
-	{"band", bandTwin, []int64{1, 1, 1, 1, 1, 1}, []int64{1, 2, 3, 4, 5, 6}, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
+	{"band", bandTwin, []int64{1, 1, 1, 1, 1, 1}, []int64{1, 2, 3, 4, 5, 6}, false, false, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
 		s1, s2, shared := storeWith(t, k1, k2, topts, one)
 		jopts.OneORAM = shared
 		topts.Meter.Reset()
 		topts.Meter.SetTracing(true)
 		return must(t)(BandJoin(s1, s2, "k", "k", BandGreaterEq, jopts))
 	}},
-	{"inlj", equiTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 13, 14, 15, 16}, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
+	{"inlj", equiTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 13, 14, 15, 16}, false, false, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
 		s1, s2, shared := storeWith(t, k1, k2, topts, one)
 		jopts.OneORAM = shared
 		topts.Meter.Reset()
 		topts.Meter.SetTracing(true)
 		return must(t)(IndexNestedLoopJoin(s1, s2, "k", "k", jopts))
 	}},
-	{"multiway", multiwayTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{7, 8, 9, 10, 11, 12}, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
+	{"inlj-tree", equiTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 13, 14, 15, 16}, true, true, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, _ bool) *Result {
+		s1 := mustStore(t)(table.Store(makeRel("t1", k1), nil, topts))
+		t2, err := table.StoreObliviousTree(makeRel("t2", k2), "k", topts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topts.Meter.Reset()
+		topts.Meter.SetTracing(true)
+		return must(t)(IndexNestedLoopJoinObliviousIndex(s1, "k", t2, jopts))
+	}},
+	{"multiway", multiwayTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{7, 8, 9, 10, 11, 12}, false, false, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
 		topts.WriteBackDescents = true
 		s1, s2, shared := storeWith(t, k1, k2, topts, one)
 		jopts.OneORAM = shared
@@ -104,6 +118,16 @@ func must(t *testing.T) func(*Result, error) *Result {
 			t.Fatal(err)
 		}
 		return r
+	}
+}
+
+func mustStore(t *testing.T) func(*table.StoredTable, error) *table.StoredTable {
+	return func(s *table.StoredTable, err error) *table.StoredTable {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 }
 
@@ -156,8 +180,8 @@ func TestLockstepTwinTraces(t *testing.T) {
 	for _, op := range lockstepOperators {
 		for _, mode := range []PaddingMode{PadNone, PadClosestPower, PadCartesian, PadDP} {
 			for _, tc := range twinConfigs {
-				if tc.one && op.name == "smj-chained" {
-					continue // a pointer chain has no OneORAM form
+				if (op.noOne && tc.one) || (op.noCache && tc.cache) {
+					continue
 				}
 				t.Run(fmt.Sprintf("%s/%v/%s", op.name, mode, tc.name), func(t *testing.T) {
 					a := twinTrace(t, op.run, op.data.a1, op.data.a2, mode, tc)
@@ -182,7 +206,7 @@ func TestLockstepTwinTraces(t *testing.T) {
 func TestLockstepRealPadBoundary(t *testing.T) {
 	for _, op := range lockstepOperators {
 		for _, tc := range twinConfigs {
-			if tc.one && op.name == "smj-chained" {
+			if (op.noOne && tc.one) || (op.noCache && tc.cache) {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/%s", op.name, tc.name), func(t *testing.T) {
@@ -287,6 +311,9 @@ func storesPerRound(trace []storage.Access, inputs ...string) map[int64][]string
 //     {T2.data(i−1), T1.data(i), T2.idx root(i)}, n leaf rounds {T2.idx} and
 //     {T2.data} — 2n + 1 (the equi-join's leaf access waits for T1's tuple,
 //     the band join's for nothing, and the shape is the same);
+//   - index nested-loop over the oblivious tree: {T1.data(i)}, {T2 root(i)},
+//     {T2 leaf(i)} — 3n, every access of the descent keyed, since it rotates
+//     the tag of the child it routes to, and no data access after it;
 //   - multiway over Figure 6's join tree (T1 → T2, T1 → T3 → T4, one-level
 //     indexes with write-backs: a leaf read and its write-up): one stage per
 //     level of the join tree — T1's tuple, the leaves of T2 and T3, their
@@ -366,6 +393,29 @@ func TestLockstepRoundShape(t *testing.T) {
 			"[t2.data]":                  1,
 		})
 	}
+
+	tr, res = func() ([]storage.Access, *Result) {
+		m := storage.NewMeter()
+		topts := testTableOpts(t, m, false)
+		topts.BlockPayload = twinPayload
+		s1 := mustStore(t)(table.Store(makeRel("t1", equiTwin.a1), nil, topts))
+		t2, err := table.StoreObliviousTree(makeRel("t2", equiTwin.a2), "k", topts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if t2.Tree().Height() != 2 {
+			t.Fatalf("the oblivious tree is %d levels deep", t2.Tree().Height())
+		}
+		m.Reset()
+		m.SetTracing(true)
+		res := must(t)(IndexNestedLoopJoinObliviousIndex(s1, "k", t2, testJoinOpts(t, m)))
+		return m.Trace(), res
+	}()
+	n = res.PaddedSteps
+	check("oblivious tree", shapes("oblivious tree", tr, inputs, "[t1.data t2.idx.k]"), map[string]int64{
+		"[t1.data]":  n,
+		"[t2.idx.k]": 2 * n,
+	})
 
 	rels, q := figure6Data()
 	m := storage.NewMeter()
@@ -468,7 +518,7 @@ func TestSettleRoundTwinTraces(t *testing.T) {
 func TestOutputWritesRide(t *testing.T) {
 	for _, op := range lockstepOperators {
 		for _, tc := range []twinConfig{{"sep", 1, false, false}, {"one", 1, false, true}} {
-			if tc.one && op.name == "smj-chained" {
+			if op.noOne && tc.one {
 				continue
 			}
 			for _, mode := range []PaddingMode{PadNone, PadCartesian} {

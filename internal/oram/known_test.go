@@ -50,8 +50,8 @@ func fetchedLeaves(trace []storage.Access, o *PathORAM) [][]uint32 {
 	return rounds
 }
 
-// diffClient is what the differential test drives: a PathORAM, or a PosORAM
-// behind the caller's half of its contract (callerHeld).
+// diffClient is what the differential test drives: a PathORAM, or one built
+// by NewTagged behind the caller's half of its contract (callerHeld).
 type diffClient interface {
 	Write(key uint64, payload []byte) error
 	Update(key uint64, fn func([]byte) error) ([]byte, error)
@@ -60,35 +60,38 @@ type diffClient interface {
 	Flush() error
 }
 
-// callerHeld is a PosORAM with the position tags held the way its callers
-// hold them: outside the ORAM, presented and replaced on every access.
+// callerHeld is a tree built by NewTagged with the position tags held the
+// way its callers hold them: outside the ORAM, handed in with every access
+// (Req.Pos) and replaced by a fresh one (Req.NewPos).
 type callerHeld struct {
-	*PosORAM
+	*PathORAM
 	tags map[uint64]uint32
 }
 
-func (c callerHeld) Update(key uint64, fn func([]byte) error) ([]byte, error) {
-	old, ok := c.tags[key]
-	if !ok {
-		// A miss still costs one access to a random path, as it does with a
-		// position map.
-		return c.Access(key, c.RandomPos(), c.RandomPos(), fn)
+// access issues one access through Together, the only way to hand a tree
+// its positions. A key the caller holds no tag for fetches a random path, as
+// a miss does with a position map; a Put gives it one.
+func (c callerHeld) access(key uint64, put []byte, fn func([]byte) error) ([]byte, error) {
+	pos, held := c.tags[key]
+	if !held {
+		pos = c.RandomPos()
 	}
-	c.tags[key] = c.RandomPos()
-	return c.Access(key, old, c.tags[key], fn)
+	reqs := [1]Req{{ORAM: c.PathORAM, Key: key, Put: put, Update: fn, Pos: pos, NewPos: c.RandomPos()}}
+	err := Together(reqs[:])
+	if err == nil && (held || put != nil) {
+		c.tags[key] = reqs[0].NewPos
+	}
+	return reqs[0].Data, err
 }
 
-func (c callerHeld) Read(key uint64) ([]byte, error) { return c.Update(key, nil) }
+func (c callerHeld) Update(key uint64, fn func([]byte) error) ([]byte, error) {
+	return c.access(key, nil, fn)
+}
+
+func (c callerHeld) Read(key uint64) ([]byte, error) { return c.access(key, nil, nil) }
 
 func (c callerHeld) Write(key uint64, payload []byte) error {
-	if _, ok := c.tags[key]; !ok {
-		c.tags[key] = c.RandomPos()
-		return c.Insert(key, c.tags[key], payload)
-	}
-	_, err := c.Update(key, func(p []byte) error {
-		clear(p[copy(p, payload):])
-		return nil
-	})
+	_, err := c.access(key, payload, nil)
 	return err
 }
 
@@ -96,7 +99,7 @@ func (c callerHeld) Write(key uint64, payload []byte) error {
 // seeded random mix of every operation against a map model, at every
 // eviction batch, over stores with and without exchanges, with a flat, a
 // recursive and a caller-held position map (the one path NewPathORAM and
-// NewPosORAM share), and with the accesses issued in lockstep with a second
+// NewTagged share, the latter's positions handed in with each Req), and with the accesses issued in lockstep with a second
 // tree's (Together). Every result must equal the model; after every access,
 // failed ones included, no tree has more than k paths pending; each store's
 // recorded trace must be the one tracecheck.PathORAMSim computes from the
@@ -131,11 +134,11 @@ func TestKnownBucketsDifferential(t *testing.T) {
 					var tree *PathORAM
 					var o diffClient
 					if positions == "positions=caller" {
-						h, err := NewPosORAM(cfg)
+						h, err := NewTagged(cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
-						tree, o = h.o, callerHeld{h, map[uint64]uint32{}}
+						tree, o = h, callerHeld{h, map[uint64]uint32{}}
 					} else {
 						p, err := NewPathORAM(cfg)
 						if err != nil {

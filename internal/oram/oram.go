@@ -9,13 +9,15 @@
 // algorithm in this repository: they program against the ORAM interface
 // below and can be instantiated with any implementation.
 //
-// There is one Path-ORAM data path (PathORAM.run: fetch a path, apply the
+// There is one Path-ORAM data path (plan the leaves, fetch a path, apply the
 // operation to the stash, queue the path with the scheduler). Who holds the
 // position of each block is a choice made at construction, not a second
 // implementation: NewPathORAM keeps a position map (client-side, or
-// recursively outsourced), NewPosORAM keeps none and takes positions from
-// its caller — the store under the paper's Section 4.2 oblivious B-tree.
-// Either way the tree lives wherever PathConfig.OpenStore puts it.
+// recursively outsourced), NewTagged keeps none and each access's Req
+// carries the positions its caller holds — the store under the paper's
+// Section 4.2 oblivious B-tree. Either way it is a *PathORAM, which lives
+// wherever PathConfig.OpenStore puts it and takes part in Together's and
+// Settle's rounds like any other.
 //
 // Every access fetches one path, and an access issued on its own costs one
 // network round: its path download, which carries the write-back of the

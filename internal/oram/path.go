@@ -193,8 +193,31 @@ func treetopLevels(height int) int {
 // noTreetop is the vanilla rule: every level on the server.
 func noTreetop(int) int { return 0 }
 
+// NewTagged builds a Path-ORAM that keeps no position map: its caller holds
+// every block's position tag and hands it in with each access, through
+// Together (Req.Pos, Req.NewPos) — the store of oblivious data structures
+// (Wang et al., CCS'14) such as the paper's Section 4.2 oblivious B-tree,
+// whose nodes carry their children's tags, so the client keeps only the
+// root's. Read, Write and Update, which have no positions to hand in, fail;
+// DummyAccess, Flush and everything else behave as on any tree, and so do
+// the PathConfig settings, but for RecursePosMap and RecurseCutoff, which
+// have no map to act on. Load it with BulkLoadAt.
+func NewTagged(cfg PathConfig) (*PathORAM, error) {
+	return newTagged(cfg, treetopLevels)
+}
+
+// newTagged is NewTagged with the treetop rule as an argument (newPathORAM).
+func newTagged(cfg PathConfig, treetop func(height int) int) (*PathORAM, error) {
+	o, err := newTree(cfg, treetop)
+	if err != nil {
+		return nil, err
+	}
+	o.pos = noPosMap{}
+	return o, nil
+}
+
 // newTree is NewPathORAM short of the position map: who holds positions is
-// the constructor's choice (NewPathORAM, NewPosORAM), the tree and the data
+// the constructor's choice (NewPathORAM, NewTagged), the tree and the data
 // path under it are the same.
 func newTree(cfg PathConfig, treetop func(height int) int) (*PathORAM, error) {
 	if cfg.Capacity <= 0 {
@@ -451,7 +474,9 @@ func (o *PathORAM) DummyAccess() error {
 	return err
 }
 
-func (o *PathORAM) randomLeaf() uint32 {
+// RandomPos draws a fresh uniformly random position tag (leaf): where the
+// caller of a tree built by NewTagged moves a block on each access.
+func (o *PathORAM) RandomPos() uint32 {
 	return uint32(o.rand.Uint64() % uint64(o.leaves))
 }
 
@@ -478,7 +503,7 @@ func (o *PathORAM) plan(p *accessPlan, key uint64, newData []byte, dummy bool, u
 	*p = accessPlan{key: key, newData: newData, update: update, dummy: dummy, mapped: true}
 	if dummy {
 		o.dummyAccesses++
-		p.leaf = o.randomLeaf()
+		p.leaf = o.RandomPos()
 		// Keep position-map access counts uniform across real and dummy
 		// operations so they remain indistinguishable even when the position
 		// map itself lives in a recursive ORAM.
@@ -487,7 +512,7 @@ func (o *PathORAM) plan(p *accessPlan, key uint64, newData []byte, dummy bool, u
 	if key >= uint64(o.cfg.Capacity) {
 		return fmt.Errorf("oram: key %d out of capacity %d", key, o.cfg.Capacity)
 	}
-	p.newLeaf = o.randomLeaf()
+	p.newLeaf = o.RandomPos()
 	old, ok, err := o.pos.getAndSet(key, p.newLeaf)
 	if err != nil {
 		return err
@@ -495,9 +520,28 @@ func (o *PathORAM) plan(p *accessPlan, key uint64, newData []byte, dummy bool, u
 	if ok {
 		p.leaf = old
 	} else {
-		p.leaf = o.randomLeaf()
+		p.leaf = o.RandomPos()
 		p.notFound = true
 	}
+	return nil
+}
+
+// planReq plans r's access to key (on this tree; put is r.Put padded) into
+// o.planBuf. On a tree that keeps no position map a real access fetches the
+// path of r.Pos and moves its block to r.NewPos; anywhere else the leaves
+// come from plan.
+func (o *PathORAM) planReq(r *Req, key uint64, put []byte) error {
+	if _, tagged := o.pos.(noPosMap); !tagged || r.Dummy {
+		return o.plan(&o.planBuf, key, put, r.Dummy, r.Update)
+	}
+	switch {
+	case key >= uint64(o.cfg.Capacity):
+		return fmt.Errorf("oram: key %d out of capacity %d", key, o.cfg.Capacity)
+	case int64(r.Pos) >= o.leaves || int64(r.NewPos) >= o.leaves:
+		return fmt.Errorf("oram: key %d: positions %d, %d out of %d leaves", key, r.Pos, r.NewPos, o.leaves)
+	}
+	o.accesses++
+	o.planBuf = accessPlan{key: key, newData: put, update: r.Update, leaf: r.Pos, newLeaf: r.NewPos}
 	return nil
 }
 
@@ -536,9 +580,10 @@ func (o *PathORAM) apply(p *accessPlan) ([]byte, error) {
 // failed, so that the access can be retried: the block is still where it
 // was — on its old path or in the stash — and the map must keep saying so.
 // The fetch carries the previous access's write-back, so a refused write
-// fails a download, before the operation has reached the stash. A dummy repeats its dummy map operation, so that
-// over an outsourced map a failed access looks the same either way; a plan
-// whose positions the caller holds (PosORAM) has nothing here to take back.
+// fails a download, before the operation has reached the stash. A dummy
+// repeats its dummy map operation, so that over an outsourced map a failed
+// access looks the same either way; a plan whose positions the caller holds
+// (planReq on a tree built by NewTagged) has nothing here to take back.
 // The result is fetchErr, joined with the map's error if it has one.
 func (o *PathORAM) unplan(p *accessPlan, fetchErr error) error {
 	var err error
@@ -560,21 +605,14 @@ func (o *PathORAM) unplan(p *accessPlan, fetchErr error) error {
 // access is the Path-ORAM protocol core, staged as plan → fetch → apply →
 // evict. If newData is non-nil the access is a write; if update is non-nil
 // it mutates the fetched payload in place; if dummy, no logical block is
-// touched.
+// touched. The fetch carries the write-back the scheduler has queued; the
+// eviction stage queues the path just fetched for the next one. A fetch that
+// fails leaves the access undone and retryable.
 func (o *PathORAM) access(key uint64, newData []byte, dummy bool, update func([]byte) error) ([]byte, error) {
 	p := &o.planBuf
 	if err := o.plan(p, key, newData, dummy, update); err != nil {
 		return nil, err
 	}
-	return o.run(p)
-}
-
-// run executes a planned access — fetch → apply → evict — wherever the
-// plan's leaves came from: the position map (plan) or the caller (PosORAM).
-// The fetch carries the write-back the scheduler has queued; the eviction
-// stage queues the path just fetched for the next one. A fetch that fails
-// leaves the access undone and retryable.
-func (o *PathORAM) run(p *accessPlan) ([]byte, error) {
 	if err := o.sched.fetch(p.leaf); err != nil {
 		return nil, o.unplan(p, err)
 	}
@@ -821,8 +859,25 @@ func (o *PathORAM) releaseKnown() {
 // It must be called before any access; it overwrites the whole tree.
 func (o *PathORAM) BulkLoad(payloads [][]byte) error {
 	return o.bulkLoad(payloads, func(i int) (uint32, error) {
-		leaf := o.randomLeaf()
+		leaf := o.RandomPos()
 		return leaf, o.pos.set(uint64(i), leaf)
+	})
+}
+
+// BulkLoadAt is BulkLoad at caller-chosen positions: payloads[i] goes to the
+// path of positions[i]. It is how a tree built by NewTagged is loaded: a
+// data structure whose nodes embed their children's tags draws every tag
+// first (RandomPos), serializes the parents with them, and loads everything
+// at once.
+func (o *PathORAM) BulkLoadAt(payloads [][]byte, positions []uint32) error {
+	if len(positions) != len(payloads) {
+		return fmt.Errorf("oram: %d payloads but %d positions", len(payloads), len(positions))
+	}
+	return o.bulkLoad(payloads, func(i int) (uint32, error) {
+		if int64(positions[i]) >= o.leaves {
+			return 0, fmt.Errorf("oram: position %d out of %d leaves", positions[i], o.leaves)
+		}
+		return positions[i], o.pos.set(uint64(i), positions[i])
 	})
 }
 

@@ -687,24 +687,32 @@ func TestLinearORAM(t *testing.T) {
 	}
 }
 
-func TestPosORAMBasics(t *testing.T) {
+// TestTaggedPathORAMBasics: a tree built by NewTagged keeps no position
+// map; its caller hands each access the block's tag and the fresh one it
+// moves to (Req.Pos, Req.NewPos), and the block is found there.
+func TestTaggedPathORAMBasics(t *testing.T) {
 	m := storage.NewMeter()
-	o, err := NewPosORAM(PathConfig{
+	o, err := NewTagged(PathConfig{
 		Name: "pos", Capacity: 16, PayloadSize: 16, Meter: m,
 		Sealer: testSealer(t), Rand: NewSeededSource(3),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	positions, err := o.BulkLoad([][]byte{{1}, {2}, {3}})
-	if err != nil {
+	positions := []uint32{o.RandomPos(), o.RandomPos(), o.RandomPos()}
+	if err := o.BulkLoadAt([][]byte{{1}, {2}, {3}}, positions); err != nil {
 		t.Fatal(err)
+	}
+	at := func(key uint64, pos, np uint32, put []byte, fn func([]byte) error) ([]byte, error) {
+		reqs := [1]Req{{ORAM: o, Key: key, Pos: pos, NewPos: np, Put: put, Update: fn}}
+		err := Together(reqs[:])
+		return reqs[0].Data, err
 	}
 	// Rotate positions through a chain of accesses.
 	pos := positions[1]
 	for i := 0; i < 50; i++ {
 		np := o.RandomPos()
-		got, err := o.Access(1, pos, np, nil)
+		got, err := at(1, pos, np, nil, nil)
 		if err != nil {
 			t.Fatalf("iter %d: %v", i, err)
 		}
@@ -715,28 +723,35 @@ func TestPosORAMBasics(t *testing.T) {
 	}
 	// Update in passing.
 	np := o.RandomPos()
-	if _, err := o.Access(1, pos, np, func(p []byte) error { p[0] = 42; return nil }); err != nil {
+	if _, err := at(1, pos, np, nil, func(p []byte) error { p[0] = 42; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	pos = np
 	np = o.RandomPos()
-	got, err := o.Access(1, pos, np, nil)
+	got, err := at(1, pos, np, nil, nil)
 	if err != nil || got[0] != 42 {
 		t.Fatalf("update lost: %v %v", got, err)
 	}
-	// Insert a fresh block.
+	// Insert a fresh block: fetch any path, leave it on a fresh tag.
 	ip := o.RandomPos()
-	if err := o.Insert(7, ip, []byte{9}); err != nil {
+	if _, err := at(7, o.RandomPos(), ip, []byte{9}, nil); err != nil {
 		t.Fatal(err)
 	}
-	np = o.RandomPos()
-	got, err = o.Access(7, ip, np, nil)
+	got, err = at(7, ip, o.RandomPos(), nil, nil)
 	if err != nil || got[0] != 9 {
 		t.Fatalf("insert lost: %v %v", got, err)
 	}
 	// Accessing a never-inserted key fails.
-	if _, err := o.Access(9, o.RandomPos(), o.RandomPos(), nil); !errors.Is(err, ErrNotFound) {
+	if _, err := at(9, o.RandomPos(), o.RandomPos(), nil, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing access: %v", err)
+	}
+	// A position outside the tree, or an access with no positions to hand
+	// in, is refused.
+	if _, err := at(1, uint32(o.leaves), 0, nil, nil); err == nil {
+		t.Fatal("out-of-tree position accepted")
+	}
+	if _, err := o.Read(1); err == nil {
+		t.Fatal("a read without positions succeeded")
 	}
 	if err := o.DummyAccess(); err != nil {
 		t.Fatal(err)

@@ -63,6 +63,23 @@ func (m *flatPosMap) flush() error       { return nil }
 func (m *flatPosMap) clientBytes() int64 { return int64(len(m.leaves)) * 4 }
 func (m *flatPosMap) serverBytes() int64 { return 0 }
 
+// noPosMap is the position map of a tree built by NewTagged: there is none,
+// and every real access takes its positions from its request (planReq).
+// What a bulk load places, the caller recorded when it chose the positions.
+type noPosMap struct{}
+
+func (noPosMap) getAndSet(key uint64, _ uint32) (uint32, bool, error) {
+	return 0, false, fmt.Errorf("oram: key %d: the tree keeps no position map; its accesses carry their positions (Together, Req.Pos)", key)
+}
+
+func (noPosMap) set(uint64, uint32) error { return nil }
+func (noPosMap) dummyOp() error           { return nil }
+func (noPosMap) accessesPerOp() int       { return 0 }
+func (noPosMap) roundsPerOp() int         { return 0 }
+func (noPosMap) flush() error             { return nil }
+func (noPosMap) clientBytes() int64       { return 0 }
+func (noPosMap) serverBytes() int64       { return 0 }
+
 // oramPosMap stores position-map entries packed into blocks of a child
 // Path-ORAM. The child recursively outsources its own (numBlocks-entry)
 // position map until it fits under the cutoff, yielding the O(log N) client

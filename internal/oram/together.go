@@ -11,12 +11,18 @@ import (
 // ORAM.Update does — a write of Put to Key when Put is set, as ORAM.Write
 // does, or, with Dummy set, an access that touches no block. Data and Err
 // are the access's own outcome.
+//
+// On a tree that keeps no position map (NewTagged) a real request carries
+// the block's positions, which its caller holds: Pos is the path to fetch
+// (for a Put of a new block, any fresh tag) and NewPos the tag the block
+// moves to (RandomPos). Other ORAMs ignore them.
 type Req struct {
-	ORAM   ORAM
-	Key    uint64
-	Dummy  bool
-	Update func(payload []byte) error
-	Put    []byte
+	ORAM        ORAM
+	Key         uint64
+	Dummy       bool
+	Update      func(payload []byte) error
+	Put         []byte
+	Pos, NewPos uint32
 
 	Data []byte
 	Err  error
@@ -24,7 +30,8 @@ type Req struct {
 
 // Together performs the given accesses, one per ORAM, and returns the first
 // error among them in request order. When every request addresses its own
-// Path-ORAM with client-held positions, directly or through a View — the
+// Path-ORAM with client-held positions (a position map on the client, or
+// none: NewTagged), directly or through a View — the
 // SepORAM setting, where the paper's join step retrieves one tuple from
 // every table and each retrieval's path is fixed by client state before the
 // step begins, or a single retrieval on the OneORAM setting's shared tree —
@@ -97,7 +104,7 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 				continue
 			}
 		}
-		if r.Err = o.plan(&o.planBuf, key, put, r.Dummy, r.Update); r.Err != nil {
+		if r.Err = o.planReq(r, key, put); r.Err != nil {
 			continue
 		}
 		if r.Err = o.sched.prepareFetch(o.planBuf.leaf); r.Err != nil {
@@ -182,11 +189,15 @@ func Settle(orams ...ORAM) error {
 	return first
 }
 
-// holdsPositions reports whether the tree keeps its positions client-side,
-// so that planning an access or settling the tree costs no round of its own.
+// holdsPositions reports whether the tree's positions are on the client —
+// in its position map, or with its caller (NewTagged) — so that planning an
+// access or settling the tree costs no round of its own.
 func (o *PathORAM) holdsPositions() bool {
-	_, flat := o.pos.(*flatPosMap)
-	return flat
+	switch o.pos.(type) {
+	case *flatPosMap, noPosMap:
+		return true
+	}
+	return false
 }
 
 // lockstep returns the requests' trees, appended to group, when they can run

@@ -78,11 +78,10 @@ func treetopRun(t *testing.T, positions string, batch int, treetop func(int) int
 	var o diffClient
 	var err error
 	if positions == "caller" {
-		h, err := newPosORAM(cfg, treetop)
-		if err != nil {
+		if tree, err = newTagged(cfg, treetop); err != nil {
 			t.Fatal(err)
 		}
-		tree, o = h.o, callerHeld{h, map[uint64]uint32{}}
+		o = callerHeld{tree, map[uint64]uint32{}}
 	} else {
 		if tree, err = newPathORAM(cfg, treetop); err != nil {
 			t.Fatal(err)

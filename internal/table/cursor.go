@@ -173,12 +173,14 @@ func (c *LeafCursor) SeekOrd(ord int64) { c.pos = ord }
 // IndexCursor retrieves tuples through full B-tree descents — the inner
 // table role of the index nested-loop joins. Every operation (seek, advance,
 // or dummy) performs exactly tree.AccessesPerRetrieval() index-ORAM accesses
-// plus one data-ORAM access.
+// plus one data-ORAM access — or none over a TreeTable, whose leaf entries
+// hold the tuples.
 type IndexCursor struct {
-	t    *StoredTable
-	tree *btree.Tree
-	cur  btree.Entry
-	ok   bool
+	t      *StoredTable // nil over a TreeTable
+	tree   *btree.Tree
+	schema relation.Schema // TreeTable: the tuples' schema
+	cur    btree.Entry
+	ok     bool
 	// desc are the cursor's descents: it has at most two retrievals in
 	// flight, a step's and its successor's.
 	desc [2]btree.Descent
@@ -201,10 +203,14 @@ func (c *IndexCursor) Tree() *btree.Tree { return c.tree }
 func (c *IndexCursor) Current() (btree.Entry, bool) { return c.cur, c.ok }
 
 func (c *IndexCursor) shape() shape {
-	return shape{
-		index: c.tree.ORAM(), data: c.t.data,
-		n: c.tree.AccessesPerRetrieval(), leaf: c.tree.OutsourcedLevels(), free: c.tree.KeyFree(),
+	sh := shape{
+		index: c.tree.ORAM(),
+		n:     c.tree.AccessesPerRetrieval(), leaf: c.tree.OutsourcedLevels(), free: c.tree.KeyFree(),
 	}
+	if c.t != nil {
+		sh.data = c.t.data
+	}
+	return sh
 }
 
 // begin starts the retrieval's descent on the cursor's next descent slot.
@@ -255,7 +261,8 @@ func (c *IndexCursor) indexReq(mv Move, slot int8, k int) (oram.Req, error) {
 }
 
 // landIndex lands a descent access; once the leaf is in, the cursor rests on
-// the entry found (a disable leaves it where it was).
+// the entry found (a disable leaves it where it was), and over a TreeTable
+// the row has its tuple.
 func (c *IndexCursor) landIndex(mv Move, slot int8, req oram.Req) (Row, bool, error) {
 	d := &c.desc[slot]
 	if err := d.Land(req); err != nil {
@@ -265,7 +272,15 @@ func (c *IndexCursor) landIndex(mv Move, slot int8, req oram.Req) (Row, bool, er
 		return Row{}, d.Landed() == c.tree.OutsourcedLevels(), nil
 	}
 	c.cur, c.ok = d.Result()
-	return Row{Entry: c.cur, OK: c.ok}, true, nil
+	row := Row{Entry: c.cur, OK: c.ok}
+	if c.t == nil && c.ok {
+		tu, ok, err := relation.Decode(c.schema, c.cur.Value)
+		if err != nil || !ok {
+			return row, true, fmt.Errorf("table: tree entry ord %d holds no tuple (%v)", c.cur.Ord, err)
+		}
+		row.Tuple = tu
+	}
+	return row, true, nil
 }
 
 func (c *IndexCursor) dataReq(_ Move, row Row) oram.Req {

@@ -49,7 +49,7 @@ const (
 // its accesses use and how they depend on one another — public geometry,
 // the same for every retrieval of a cursor, real or dummy.
 type shape struct {
-	index, data any // the trees: ORAMs, or store names for PipelineRounds; index nil without index accesses
+	index, data any // the trees: ORAMs, or store names for PipelineRounds; nil without index accesses, or a data access
 	n           int // index accesses
 	leaf        int // index accesses after which the entry is known and the data access can be built
 	free        int // leading index accesses that need no key
@@ -180,13 +180,14 @@ func (p *Pipeline) run(moves []Move) error {
 		fl[j] = flight{mv: mv}
 		if p.dry != nil {
 			fl[j].sh = p.dry[j]
-			continue
+		} else {
+			slot, err := mv.c.begin(mv)
+			if err != nil {
+				return err
+			}
+			fl[j].sh, fl[j].slot = mv.c.shape(), slot
 		}
-		slot, err := mv.c.begin(mv)
-		if err != nil {
-			return err
-		}
-		fl[j].sh, fl[j].slot = mv.c.shape(), slot
+		fl[j].data = fl[j].sh.data == nil // a lane without a data store has no data access to land
 	}
 	p.begun++
 	for !p.decided(p.begun-1) || p.done < p.begun-1 {
@@ -387,7 +388,8 @@ func step1(mv Move) (Row, error) {
 // geometry.
 type Lane struct {
 	// Index is the index store (empty when the lane has no index stage),
-	// Data the data store.
+	// Data the data store (empty when it has no data stage: an oblivious
+	// tree's tuples are in its leaves).
 	Index, Data string
 	// Accesses is the index accesses per retrieval (btree
 	// AccessesPerRetrieval; 1 for a leaf cursor), Reads how many of them
@@ -409,9 +411,12 @@ func PipelineRounds(lanes []Lane, steps int64) int64 {
 	p := NewPipeline(after...)
 	p.dry = make([]shape, len(lanes))
 	for j, l := range lanes {
-		p.dry[j] = shape{data: l.Data, n: l.Accesses, leaf: l.Reads, free: l.KeyFree}
+		p.dry[j] = shape{n: l.Accesses, leaf: l.Reads, free: l.KeyFree}
 		if l.Index != "" {
 			p.dry[j].index = l.Index
+		}
+		if l.Data != "" {
+			p.dry[j].data = l.Data
 		}
 	}
 	moves := make([]Move, len(lanes))

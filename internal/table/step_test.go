@@ -185,6 +185,9 @@ func TestPipelineRoundsClosedForms(t *testing.T) {
 		{"band, cached", []Lane{scan, descent(1, 1, 0, -1)}, func(n int64) int64 { return n + 1 }},
 		{"nested-loop, write-backs", []Lane{scan, descent(4, 2, 1, 0)}, func(n int64) int64 { return 4 * n }},
 		{"chained sort-merge", []Lane{{Data: "t1.chain", After: -1}, {Data: "t2.chain", After: -1}}, func(n int64) int64 { return n }},
+		// An oblivious tree's lane has no data store and keys every access.
+		{"nested-loop, oblivious tree h=2", []Lane{scan, {Index: "t2.idx", Accesses: 2, Reads: 2, After: 0}}, func(n int64) int64 { return 3 * n }},
+		{"nested-loop, oblivious tree h=3", []Lane{scan, {Index: "t2.idx", Accesses: 3, Reads: 3, After: 0}}, func(n int64) int64 { return 4 * n }},
 	} {
 		for _, n := range []int64{1, 2, 3, 10, 1000} {
 			if got, want := PipelineRounds(tc.lanes, n), tc.want(n); got != want {

@@ -197,20 +197,7 @@ func StoreShared(rels []*relation.Relation, indexAttrs map[string][]string, opts
 		pieces = append(pieces, piece{t: t, built: built, attrs: attrs})
 	}
 
-	shared, err := oram.NewPathORAM(oram.PathConfig{
-		Name:          opts.StorePrefix + "shared",
-		Capacity:      int64(len(allPayloads)),
-		PayloadSize:   opts.payload(),
-		Z:             opts.Z,
-		Meter:         opts.Meter,
-		Sealer:        opts.Sealer,
-		Keyring:       opts.Keyring,
-		Rand:          opts.Rand,
-		RecursePosMap: opts.RecursePosMap,
-		OpenStore:     opts.OpenStore,
-		EvictionBatch: opts.EvictionBatch,
-		Flight:        opts.Flight,
-	})
+	shared, err := oram.NewPathORAM(pathConfig(opts.StorePrefix+"shared", int64(len(allPayloads)), opts))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -336,7 +323,13 @@ func newStore(name string, capacity int64, opts Options) (oram.ORAM, error) {
 			Keyring:     opts.Keyring,
 		})
 	}
-	return oram.NewPathORAM(oram.PathConfig{
+	return oram.NewPathORAM(pathConfig(name, capacity, opts))
+}
+
+// pathConfig is the Path-ORAM configuration of a store the table
+// provisions.
+func pathConfig(name string, capacity int64, opts Options) oram.PathConfig {
+	return oram.PathConfig{
 		Name:          name,
 		Capacity:      capacity,
 		PayloadSize:   opts.payload(),
@@ -349,7 +342,7 @@ func newStore(name string, capacity int64, opts Options) (oram.ORAM, error) {
 		OpenStore:     opts.OpenStore,
 		EvictionBatch: opts.EvictionBatch,
 		Flight:        opts.Flight,
-	})
+	}
 }
 
 func bulkLoad(o oram.ORAM, payloads [][]byte) error {

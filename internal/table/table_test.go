@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -646,5 +647,52 @@ func TestSettleOrderIsCanonical(t *testing.T) {
 		} else if got != first {
 			t.Fatalf("run %d: %s, run 0: %s", rep, got, first)
 		}
+	}
+}
+
+// TestStoreObliviousTree: a TreeTable's cursor walks the relation in key
+// order through descents alone — every retrieval, seek, advance or dummy,
+// is Height() accesses on the tree's one store, one round each, and no data
+// access — and hands back whole tuples from the leaf entries.
+func TestStoreObliviousTree(t *testing.T) {
+	m := storage.NewMeter()
+	rel := testRelation("t", []int64{5, 3, 8, 3, 1, 9, 2, 7, 7, 4, 6, 0})
+	tt, err := StoreObliviousTree(rel, "k", testOpts(t, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := tt.Tree().Height()
+	if h < 2 || len(tt.ORAMs()) != 1 || tt.NumTuples() != len(rel.Tuples) {
+		t.Fatalf("height %d, %d ORAMs, %d tuples", h, len(tt.ORAMs()), tt.NumTuples())
+	}
+	c := tt.Cursor()
+	m.Reset()
+	retrieval := func(what string, f func() (Row, error)) Row {
+		t.Helper()
+		before := m.Snapshot()
+		row, err := f()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if d := m.Snapshot().Sub(before); d.NetworkRounds != int64(h) {
+			t.Fatalf("%s took %d rounds, want %d", what, d.NetworkRounds, h)
+		}
+		return row
+	}
+	row := retrieval("seek", func() (Row, error) { return c.SeekGE(3) })
+	var got []int64
+	for row.OK {
+		if row.Tuple.Values[0] != row.Entry.Key || rel.Tuples[row.Tuple.Values[1]].Values[0] != row.Entry.Key {
+			t.Fatalf("entry %+v holds tuple %v", row.Entry, row.Tuple.Values)
+		}
+		got = append(got, row.Entry.Key)
+		row = retrieval("next", c.Next)
+	}
+	if want := []int64{3, 3, 4, 5, 6, 7, 7, 8, 9}; !slices.Equal(got, want) {
+		t.Fatalf("walked %v, want %v", got, want)
+	}
+	retrieval("dummy", func() (Row, error) { return Row{}, c.Dummy() })
+	if _, err := StoreObliviousTree(rel, "nope", testOpts(t, m)); err == nil {
+		t.Fatal("unknown attribute accepted")
 	}
 }

@@ -27,9 +27,9 @@ var (
 // They are all derived from algorithm structure and public sizes.
 var corePhases = []string{
 	"compact", "decode", "filter", "flush", "load", "merge", "pad",
-	"reset", "scan", "setup",
+	"reset", "scan",
 	"sort.local", "sort.merge", "sort.runs",
-	"join.band", "join.inlj", "join.inlj.obtree", "join.multiway",
+	"join.band", "join.inlj", "join.inlj.tagged", "join.multiway",
 	"join.smj", "join.smj.chain",
 	"oram.flush",
 }
