@@ -194,49 +194,6 @@ func AblationScheme(e *Env) (*Figure, error) {
 	return fig, nil
 }
 
-// AblationWriteBack measures what enabling the multiway join's uniform
-// write-back descents costs a plain binary INLJ (2Δ index accesses per
-// retrieval instead of Δ).
-func AblationWriteBack(e *Env) (*Figure, error) {
-	fig := queryFigure(e, "ablation-writeback", "write-back descent ablation on Query TE1",
-		fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.PadSuppliers, e.payload()))
-	r1, r2 := e.ablationRelations()
-	sealer, err := e.sealer()
-	if err != nil {
-		return nil, err
-	}
-	for _, wb := range []bool{false, true} {
-		m := storage.NewMeter()
-		opts := table.Options{
-			BlockPayload: e.payload(), Meter: m, Sealer: sealer,
-			Rand: oram.NewSeededSource(uint64(e.Seed)), WriteBackDescents: wb,
-		}
-		s1, err := table.Store(r1, []string{"s_nationkey"}, opts)
-		if err != nil {
-			return nil, err
-		}
-		s2, err := table.Store(r2, []string{"c_nationkey"}, opts)
-		if err != nil {
-			return nil, err
-		}
-		m.Reset()
-		copts, err := e.coreOpts(m)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.IndexNestedLoopJoin(s1, s2, "s_nationkey", "c_nationkey", copts)
-		if err != nil {
-			return nil, err
-		}
-		name := "lookup-only descents (Δ)"
-		if wb {
-			name = "write-back descents (2Δ)"
-		}
-		e.measurePoint(fig, Measure{Method: name, Query: "TE1", Stats: res.Stats, Real: res.RealCount}, "TE1")
-	}
-	return fig, nil
-}
-
 // AblationChained compares Algorithm 1 over the two storage layouts the
 // paper describes: B-tree leaf chains (one index + one data access per
 // retrieval) versus embedded next-tuple pointers (a single data access per

@@ -35,8 +35,8 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestExperimentsList(t *testing.T) {
 	ids := Experiments()
-	if len(ids) != 23 {
-		t.Fatalf("%d experiments, want 23 (table1 + fig7..fig21 + 7 ablations)", len(ids))
+	if len(ids) != 22 {
+		t.Fatalf("%d experiments, want 22 (table1 + fig7..fig21 + 6 ablations)", len(ids))
 	}
 }
 
@@ -181,7 +181,7 @@ func TestAllExperimentsRun(t *testing.T) {
 
 func TestRunCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunCSV(&buf, Quick(), "ablation-writeback"); err != nil {
+	if err := RunCSV(&buf, Quick(), "ablation-chained"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

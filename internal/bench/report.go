@@ -116,7 +116,6 @@ func figureRunners() map[string]func(*Env) (*Figure, error) {
 		"ablation-blocksize": AblationBlockSize,
 		"ablation-z":         AblationBucketSize,
 		"ablation-posmap":    AblationPosMap,
-		"ablation-writeback": AblationWriteBack,
 		"ablation-scheme":    AblationScheme,
 		"ablation-chained":   AblationChained,
 		"ablation-dppad":     AblationDPPad,
@@ -160,7 +159,7 @@ func Experiments() []string {
 	}
 	return append(ids,
 		"ablation-blocksize", "ablation-z", "ablation-posmap",
-		"ablation-writeback", "ablation-scheme", "ablation-chained", "ablation-dppad")
+		"ablation-scheme", "ablation-chained", "ablation-dppad")
 }
 
 // Run executes one experiment by ID and writes its report.

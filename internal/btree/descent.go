@@ -2,6 +2,7 @@ package btree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"oblivjoin/internal/oram"
@@ -28,18 +29,22 @@ const (
 type pathStep struct {
 	id    uint64
 	node  *node
-	entry int // entry index descended through (internal nodes) or picked (leaf)
+	entry int    // entry index descended through (internal nodes) or picked (leaf)
+	held  []byte // an outsourced node's payload, its block pinned if WriteBackDescents
 }
 
 // Descent is one lookup, disable or dummy operation on a tree, performed one
-// ORAM access at a time: the reads root to leaf, then — in WriteBackDescents
-// mode — the write-ups leaf to root. Req builds the next access from what
+// ORAM access at a time, root to leaf. Req builds the next access from what
 // the previous one brought in and Land takes its outcome, so the caller
 // decides which round each access travels in and may put it beside other
 // trees' accesses. Every descent of a tree, whatever its mode, target or
 // outcome, makes the same AccessesPerRetrieval accesses: when routing finds
 // no candidate the walk continues through the last entry of each node and
 // the descent reports not found, and a Dummy descent makes dummy accesses.
+//
+// In WriteBackDescents mode every read pins its node in the ORAM stash
+// (Req.Pin) until the leaf lands; a disable then edits the path and
+// releases it re-encoded, so it makes exactly a lookup's accesses.
 //
 // Only the first KeyFree accesses can be built before the target is known;
 // a descent started with Defer gets its target from Target before then.
@@ -61,7 +66,6 @@ type Descent struct {
 	ent    Entry
 	path   []pathStep
 	nodes  []node // decode buffers, one per outsourced level
-	buf    []byte // write-up encode buffer
 
 	pos      uint32             // tagged: the next node's tag before rotate replaced it
 	rotateFn func([]byte) error // d.rotate, bound once
@@ -101,9 +105,6 @@ func (d *Descent) Target(target int64, ok bool) {
 // Done reports whether every access of the descent has landed.
 func (d *Descent) Done() bool { return d.done == d.t.AccessesPerRetrieval() }
 
-// Landed returns how many of the descent's accesses have landed.
-func (d *Descent) Landed() int { return d.done }
-
 // Result returns the entry the descent found, valid once its leaf access —
 // access OutsourcedLevels() − 1 — has landed. A disable reports the entry
 // it disabled.
@@ -113,13 +114,11 @@ func (d *Descent) Result() (Entry, bool) { return d.ent, d.found }
 func (d *Descent) Req() (oram.Req, error) {
 	t := d.t
 	req := oram.Req{ORAM: t.cfg.ORAM}
-	switch reads := t.OutsourcedLevels(); {
+	switch {
 	case d.mode == Dummy:
 		req.Dummy = true
 	case d.mode == DisableOrd && !t.cfg.WriteBackDescents:
 		return req, fmt.Errorf("btree: Disable requires WriteBackDescents")
-	case d.done >= reads:
-		return d.writeUp(req, d.done-reads)
 	case !d.keyed && d.done >= t.KeyFree():
 		return req, fmt.Errorf("btree: access %d of a descent built before its target", d.done)
 	default:
@@ -131,7 +130,7 @@ func (d *Descent) Req() (oram.Req, error) {
 			d.path = append(d.path, pathStep{id: id, node: n})
 			id = d.route(&d.path[len(d.path)-1])
 		}
-		req.Key = id
+		req.Key, req.Pin = id, t.cfg.WriteBackDescents
 		if t.width > 0 {
 			req.Update, req.Pos, req.NewPos = d.rotateFn, t.rootTag, t.drawTag()
 			if d.done > 0 {
@@ -182,8 +181,17 @@ func (d *Descent) route(s *pathStep) uint64 {
 	return n.intEnts[idx].child
 }
 
-// Land takes the outcome of the access Req built last.
+// Land takes the outcome of the access Req built last. A write-back descent
+// releases its pinned nodes when its leaf has landed, or at the first error.
 func (d *Descent) Land(req oram.Req) error {
+	err := d.land(req)
+	if err != nil || d.Done() {
+		err = errors.Join(err, d.release(err == nil && d.mode == DisableOrd))
+	}
+	return err
+}
+
+func (d *Descent) land(req oram.Req) error {
 	t := d.t
 	k := d.done
 	d.done++
@@ -193,21 +201,21 @@ func (d *Descent) Land(req oram.Req) error {
 		}
 		return fmt.Errorf("btree: node %d: %w", req.Key, req.Err)
 	}
-	reads := t.OutsourcedLevels()
-	if d.mode == Dummy || k >= reads {
+	if d.mode == Dummy {
 		return nil
 	}
 	if t.width > 0 && k == 0 {
 		t.rootTag = req.NewPos
 	}
 	n := &d.nodes[k]
+	d.path = append(d.path, pathStep{id: req.Key, node: n, entry: -1, held: req.Data})
 	if err := n.decode(req.Data); err != nil {
 		return err
 	}
+	reads := t.OutsourcedLevels()
 	if n.leaf != (k == reads-1) {
 		return fmt.Errorf("btree: node %d is read %d of a %d-read descent, leaf=%v", req.Key, k, reads, n.leaf)
 	}
-	d.path = append(d.path, pathStep{id: req.Key, node: n, entry: -1})
 	if !n.leaf {
 		return nil
 	}
@@ -242,28 +250,41 @@ func (d *Descent) Land(req oram.Req) error {
 	return nil
 }
 
-// writeUp builds write-up j (0 = the leaf) of a WriteBackDescents descent:
-// the path's outsourced nodes are rewritten bottom-up, with every parent's
-// live aggregates refreshed from the child it was descended through.
-func (d *Descent) writeUp(req oram.Req, j int) (oram.Req, error) {
-	if j == 0 {
+// Abort ends a descent that will not complete: a write-back descent
+// releases the nodes it holds pinned, unchanged.
+func (d *Descent) Abort() error { return d.release(false) }
+
+// release unpins a write-back descent's nodes. With edit — a disable whose
+// leaf has landed — every parent's live aggregates are first refreshed from
+// the child it was descended through, bottom-up, and each outsourced node is
+// released with its new encoding (cached nodes are edited in place);
+// otherwise the nodes go back as they were read.
+func (d *Descent) release(edit bool) error {
+	if !d.t.cfg.WriteBackDescents {
+		return nil
+	}
+	if edit {
 		for i := len(d.path) - 1; i > 0; i-- {
 			p := &d.path[i-1]
 			e := &p.node.intEnts[p.entry]
 			e.maxLiveKey, e.maxLiveOrd, e.minLiveOrd = d.path[i].node.liveAgg()
 		}
 	}
-	s := d.path[len(d.path)-1-j]
-	size := d.t.cfg.ORAM.PayloadSize()
-	if cap(d.buf) < size {
-		d.buf = make([]byte, size)
+	pins := d.t.cfg.ORAM.(interface{ Release(uint64, []byte) error }) // attach checked
+	var errs error
+	for i := range d.path {
+		s := &d.path[i]
+		if s.held == nil {
+			continue
+		}
+		var put []byte
+		if edit { // encode fails before it writes: put is then as read
+			put, errs = s.held, errors.Join(errs, s.node.encode(s.held))
+		}
+		errs = errors.Join(errs, pins.Release(s.id, put))
+		s.held = nil
 	}
-	d.buf = d.buf[:size]
-	if err := s.node.encode(d.buf); err != nil {
-		return req, err
-	}
-	req.Key, req.Put = s.id, d.buf
-	return req, nil
+	return errs
 }
 
 // KeyFree returns how many leading accesses of a descent can be built before

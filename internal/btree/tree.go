@@ -23,10 +23,10 @@ type Config struct {
 	// CacheInternal keeps all levels above the leaves client-side, the
 	// paper's "+Cache" mode (number of outsourced levels Δ = 1).
 	CacheInternal bool
-	// WriteBackDescents makes every descent a read-down/write-up pass so
-	// lookups and disable operations perform identical access sequences.
-	// Required for the multiway join (Section 6); binary joins leave it off
-	// and pay Δ accesses per lookup instead of 2Δ.
+	// WriteBackDescents makes the index admit Disable (Section 6's tuple
+	// disabling, for the multiway join): descents pin their path in the
+	// stash of the ORAM — a Path-ORAM, or a View over one — and a disable
+	// edits it there, so every descent makes the same Δ accesses.
 	WriteBackDescents bool
 }
 
@@ -188,7 +188,7 @@ func New(cfg Config, b *Built) (*Tree, error) {
 // attaches it: every node gets a fresh position tag, written into its
 // parent's entry, the nodes go to the paths of their tags (BulkLoadAt), and
 // the tree keeps the root's tag — the only position the client holds. A
-// tagged tree caches no level and writes nothing up: CacheInternal and
+// tagged tree caches no level and disables nothing: CacheInternal and
 // WriteBackDescents are refused.
 func LoadTagged(cfg Config, b *Built) (*Tree, error) {
 	o, ok := cfg.ORAM.(*oram.PathORAM)
@@ -198,7 +198,7 @@ func LoadTagged(cfg Config, b *Built) (*Tree, error) {
 	case !ok:
 		return nil, fmt.Errorf("btree: a tagged index needs a Path-ORAM, not %T", cfg.ORAM)
 	case cfg.CacheInternal || cfg.WriteBackDescents:
-		return nil, fmt.Errorf("btree: a tagged index has no cached levels and no write-ups")
+		return nil, fmt.Errorf("btree: a tagged index has no cached levels and no disables")
 	}
 	tags := make([]uint32, len(b.nodes))
 	for id := range tags {
@@ -228,6 +228,9 @@ func LoadTagged(cfg Config, b *Built) (*Tree, error) {
 func attach(cfg Config, b *Built) (*Tree, error) {
 	if cfg.ORAM == nil {
 		return nil, fmt.Errorf("btree: ORAM is required")
+	}
+	if _, ok := cfg.ORAM.(interface{ Release(uint64, []byte) error }); cfg.WriteBackDescents && !ok {
+		return nil, fmt.Errorf("btree: write-back descents pin their path in a Path-ORAM's stash; %T pins nothing", cfg.ORAM)
 	}
 	if cfg.ORAM.PayloadSize() != b.payload {
 		return nil, fmt.Errorf("btree: index built for payload %d, ORAM has %d", b.payload, cfg.ORAM.PayloadSize())
@@ -331,15 +334,9 @@ func (t *Tree) OutsourcedLevels() int {
 }
 
 // AccessesPerRetrieval returns the exact number of index-ORAM accesses one
-// lookup, disable, or dummy operation performs. Fixed per tree, which is the
-// per-retrieval uniformity the security argument needs.
-func (t *Tree) AccessesPerRetrieval() int {
-	d := t.OutsourcedLevels()
-	if t.cfg.WriteBackDescents {
-		return 2 * d
-	}
-	return d
-}
+// lookup, disable, or dummy operation performs: Δ. Fixed per tree, which is
+// the per-retrieval uniformity the security argument needs.
+func (t *Tree) AccessesPerRetrieval() int { return t.OutsourcedLevels() }
 
 // StateBytes returns the client memory of the tree handle itself, the root's
 // position tag and the level geometry: O(log N), and for a tagged tree all
@@ -401,9 +398,8 @@ func (t *Tree) LookupOrdLE(o int64) (Entry, bool, error) { return t.descend(OrdL
 
 // Disable marks the live entry with the given ordinal disabled and updates
 // live aggregates along the path — the paper's tuple-disabling operation,
-// with the same access sequence as a lookup. Requires WriteBackDescents:
-// only then do lookups and disables share one uniform read-down/write-up
-// access pattern.
+// with the same access sequence as a lookup. Requires WriteBackDescents,
+// whose descents hold their path in the stash to edit it there.
 func (t *Tree) Disable(ord int64) error {
 	_, _, err := t.descend(DisableOrd, ord)
 	return err
@@ -416,50 +412,19 @@ func (t *Tree) DummyOp() error {
 	return err
 }
 
-// ReadLeaf fetches leaf node leafID (0-based, sequential) with exactly one
-// ORAM access and returns its entries — the sequential cursor primitive of
-// the sort-merge join. In WriteBackDescents mode the leaf is rewritten to
-// stay uniform with other retrievals.
-func (t *Tree) ReadLeaf(leafID uint64) ([]Entry, error) {
-	req, err := t.LeafReq(leafID)
-	if err != nil {
-		return nil, err
-	}
-	reqs := [1]oram.Req{req}
-	if err := oram.Together(reqs[:]); err != nil {
-		return nil, fmt.Errorf("btree: node %d: %w", leafID, err)
-	}
-	n, err := decodeNode(reqs[0].Data)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Entry, len(n.leafEnts))
-	for i, e := range n.leafEnts {
-		out[i] = e.public()
-	}
-	return out, nil
-}
-
-// LeafReq is ReadLeaf's access, not yet performed: a join step hands it to
-// oram.Together beside other trees' accesses, so they share their rounds,
+// LeafReq is the access that fetches leaf node leafID (0-based): a
+// sort-merge step hands it to oram.Together beside other trees' accesses,
 // and decodes the entry it wants with LeafEntry.
 func (t *Tree) LeafReq(leafID uint64) (oram.Req, error) {
 	if leafID >= t.levels[0].count {
 		return oram.Req{}, fmt.Errorf("btree: leaf %d of %d", leafID, t.levels[0].count)
 	}
-	req := oram.Req{ORAM: t.cfg.ORAM, Key: leafID}
-	if t.cfg.WriteBackDescents {
-		req.Update = keepPayload
-	}
-	return req, nil
+	return oram.Req{ORAM: t.cfg.ORAM, Key: leafID}, nil
 }
 
 // DummyReq is an index access indistinguishable from LeafReq's that touches
 // no node.
 func (t *Tree) DummyReq() oram.Req { return oram.Req{ORAM: t.cfg.ORAM, Dummy: true} }
-
-// keepPayload is the update of a read that must look like a write.
-func keepPayload([]byte) error { return nil }
 
 // LeafEntry decodes entry i of the leaf node a LeafReq fetched, without
 // decoding the rest.

@@ -244,7 +244,7 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok, err := tr.LookupGE(0); ok || err != nil {
 		t.Fatalf("empty lookup: ok=%v err=%v", ok, err)
 	}
-	ents, err := tr.ReadLeaf(0)
+	ents, err := readLeaf(tr, 0)
 	if err != nil || len(ents) != 0 {
 		t.Fatalf("empty leaf: %v %v", ents, err)
 	}
@@ -443,12 +443,34 @@ func TestUniformAccessCounts(t *testing.T) {
 	}
 }
 
+// readLeaf fetches leaf leafID with its LeafReq, on its own, and returns
+// its entries.
+func readLeaf(tr *Tree, leafID uint64) ([]Entry, error) {
+	req, err := tr.LeafReq(leafID)
+	if err != nil {
+		return nil, err
+	}
+	reqs := [1]oram.Req{req}
+	if err := oram.Together(reqs[:]); err != nil {
+		return nil, err
+	}
+	n, err := decodeNode(reqs[0].Data)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Entry, len(n.leafEnts))
+	for i, e := range n.leafEnts {
+		out[i] = e.public()
+	}
+	return out, nil
+}
+
 func TestReadLeafSequential(t *testing.T) {
 	keys := seqKeys(23)
 	tr := buildTree(t, keys, Config{}, nil, smallPayload)
 	var got []int64
 	for l := uint64(0); l < uint64(tr.LeafCount()); l++ {
-		ents, err := tr.ReadLeaf(l)
+		ents, err := readLeaf(tr, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,7 +484,7 @@ func TestReadLeafSequential(t *testing.T) {
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Fatal("leaf chain not sorted")
 	}
-	if _, err := tr.ReadLeaf(uint64(tr.LeafCount())); err == nil {
+	if _, err := readLeaf(tr, uint64(tr.LeafCount())); err == nil {
 		t.Fatal("out-of-range leaf accepted")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	mrand "math/rand"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"oblivjoin/internal/relation"
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/table"
+	"oblivjoin/internal/tracecheck"
 	"oblivjoin/internal/xcrypto"
 )
 
@@ -412,6 +414,92 @@ func TestOneORAMRetrievalWidth(t *testing.T) {
 				t.Errorf("cache=%v %s: the shared tree served %d accesses, want %d retrievals × %d", cache, tc.name, got, res.Retrievals, tc.wide)
 			}
 		}
+	}
+}
+
+// TestWriteBackIndexCostsNothing: an index that admits disables (the
+// multiway join's write-back descents) serves a binary join at a plain
+// index's cost. Its descents pin their path in the stash instead of
+// writing it up, so an index nested-loop join over write-back indexes
+// presents the server with exactly the trace over plain ones — every
+// block, every round — with the root read or cached, each table in its own
+// tree or all in one, and finds the same result.
+func TestWriteBackIndexCostsNothing(t *testing.T) {
+	k1 := []int64{1, 2, 2, 3, 5, 5, 7, 8, 9, 9, 9, 12}
+	k2 := []int64{2, 2, 3, 5, 8, 9, 10, 11, 12, 12}
+	for _, tc := range twinConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(writeBack bool) ([]storage.Access, *Result) {
+				m := storage.NewMeter()
+				topts := testTableOpts(t, m, writeBack)
+				topts.BlockPayload = twinPayload
+				topts.EvictionBatch = tc.batch
+				topts.CacheIndex = tc.cache
+				s1, s2, shared := storeWith(t, k1, k2, topts, tc.one)
+				jopts := testJoinOpts(t, m)
+				jopts.OneORAM = shared
+				m.Reset()
+				m.SetTracing(true)
+				res := must(t)(IndexNestedLoopJoin(s1, s2, "k", "k", jopts))
+				return m.Trace(), res
+			}
+			plain, want := run(false)
+			writeBack, got := run(true)
+			if d := tracecheck.Diff(plain, writeBack); d != "" {
+				t.Fatalf("write-back indexes change the trace: %s", d)
+			}
+			if got.Stats.BlocksMoved() != want.Stats.BlocksMoved() || got.Stats.NetworkRounds != want.Stats.NetworkRounds {
+				t.Fatalf("write-back indexes moved %d blocks in %d rounds, plain ones %d in %d",
+					got.Stats.BlocksMoved(), got.Stats.NetworkRounds, want.Stats.BlocksMoved(), want.Stats.NetworkRounds)
+			}
+			equalMultiset(t, got.Tuples, want.Tuples)
+		})
+	}
+}
+
+// failingReads is a store whose read number failAt fails.
+type failingReads struct {
+	storage.Store
+	reads, failAt *int
+}
+
+func (s failingReads) Read(i int64) ([]byte, error) {
+	if *s.reads++; *s.reads == *s.failAt {
+		return nil, errors.New("injected read failure")
+	}
+	return s.Store.Read(i)
+}
+
+// TestFailedJoinReleasesPins: a join that fails mid-step gives up the
+// descents it has in flight. The outer's data access fails in the round
+// that carries the inner's root read, whose node a write-back descent holds
+// pinned: it is released, so the inner index settles and serves afterwards.
+func TestFailedJoinReleasesPins(t *testing.T) {
+	k1, k2 := []int64{1, 2, 3, 4, 5, 6}, []int64{2, 3, 4, 5, 8, 9}
+	reads, failAt := 0, -1
+	topts := testTableOpts(t, nil, true)
+	topts.BlockPayload = twinPayload
+	topts.OpenStore = func(name string, slots int64, blockSize int) (storage.Store, error) {
+		st := storage.NewMemStore(name, slots, blockSize, nil)
+		if name != "t1.data" {
+			return st, nil
+		}
+		return failingReads{st, &reads, &failAt}, nil
+	}
+	s1, s2, _ := storeWith(t, k1, k2, topts, false)
+	failAt = reads + 10 // a few steps into the join
+	if _, err := IndexNestedLoopJoin(s1, s2, "k", "k", testJoinOpts(t, nil)); err == nil {
+		t.Fatal("the join survived a failed read")
+	}
+	idx, err := s2.Index("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oram.Flush(idx.ORAM()); err != nil {
+		t.Fatalf("the inner index does not settle after the failed join: %v", err)
+	}
+	if e, ok, err := idx.LookupGE(5); err != nil || !ok || e.Key != 5 {
+		t.Fatalf("lookup after the failed join: %+v %v %v", e, ok, err)
 	}
 }
 

@@ -30,6 +30,13 @@ var (
 	// steps and |R| = 4 both ways, the four join records first in one and
 	// last in the other.
 	multiwayTwin = twin{[]int64{7, 7, 1, 2, 5, 6}, []int64{7, 7, 3, 4, 8, 9}, []int64{1, 5, 6, 2, 7, 7}, []int64{3, 4, 7, 7, 8, 9}}
+	// The multiway join along the chain T1 → T2 → T3, T3 = chainT3: 10
+	// steps and |R| = 4 both ways. T3 holds odd keys only, so a T2 tuple
+	// with an even key that T1 matches finds no T3 partner and is disabled:
+	// both twins run disable steps (on T2's 6 and 4 in one, its 2s in the
+	// other).
+	chainTwin = twin{[]int64{6, 5, 1, 4, 7, 2}, []int64{6, 5, 4, 5, 1, 5}, []int64{5, 1, 2, 8, 2, 7}, []int64{2, 7, 2, 5, 5, 1}}
+	chainT3   = []int64{1, 3, 5, 7, 9, 11}
 )
 
 // twinPayload is the block payload the twin tests store tables with: leaves
@@ -108,6 +115,42 @@ var lockstepOperators = []struct {
 		topts.Meter.Reset()
 		topts.Meter.SetTracing(true)
 		return must(t)(MultiwayJoin(MultiwayInput{Tree: tree, Tables: []*table.StoredTable{s1, s2}}, jopts))
+	}},
+	{"multiway-chain", chainTwin, []int64{3, 1, 5, 6, 5, 4}, []int64{3, 7, 1, 6, 8, 7}, false, false, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
+		if !slices.ContainsFunc(k1, func(k int64) bool { return k%2 == 0 && slices.Contains(k2, k) }) {
+			t.Fatalf("no T2 tuple of %v is disabled", k2)
+		}
+		topts.WriteBackDescents = true
+		rels := []*relation.Relation{makeRel("t1", k1), makeRel("t2", k2), makeRel("t3", chainT3)}
+		attrs := map[string][]string{"t2": {"k"}, "t3": {"k"}}
+		tables := make([]*table.StoredTable, len(rels))
+		if one {
+			byName, shared, err := table.StoreShared(rels, attrs, topts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, rel := range rels {
+				tables[i] = byName[rel.Schema.Table]
+			}
+			jopts.OneORAM = shared
+		} else {
+			for i, rel := range rels {
+				tables[i] = mustStore(t)(table.Store(rel, attrs[rel.Schema.Table], topts))
+			}
+		}
+		tree, err := jointree.Build(jointree.Query{
+			Tables: []string{"t1", "t2", "t3"},
+			Preds: []jointree.Pred{
+				{Left: "t1", LeftAttr: "k", Right: "t2", RightAttr: "k"},
+				{Left: "t2", LeftAttr: "k", Right: "t3", RightAttr: "k"},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		topts.Meter.Reset()
+		topts.Meter.SetTracing(true)
+		return must(t)(MultiwayJoin(MultiwayInput{Tree: tree, Tables: tables}, jopts))
 	}},
 }
 
@@ -315,11 +358,11 @@ func storesPerRound(trace []storage.Access, inputs ...string) map[int64][]string
 //     {T2 leaf(i)} — 3n, every access of the descent keyed, since it rotates
 //     the tag of the child it routes to, and no data access after it;
 //   - multiway over Figure 6's join tree (T1 → T2, T1 → T3 → T4, one-level
-//     indexes with write-backs: a leaf read and its write-up): one stage per
-//     level of the join tree — T1's tuple, the leaves of T2 and T3, their
-//     write-ups beside their data, T4's leaf, T4's write-up and data beside
-//     the next step's T1 — four rounds a step where the accesses one after
-//     another took ten, then the reset pass a round per node.
+//     write-back indexes: a disable, like a lookup, is one leaf access): one
+//     stage per level of the join tree — T1's tuple, the leaves of T2 and
+//     T3, their data, T4's leaf, T4's data beside the next step's T1 — four
+//     rounds a step where the accesses one after another took seven, then
+//     the reset pass a round per node.
 //
 // Every operator ends with the one settle round, which carries the last
 // write-back of every tree it touched, in canonical order: tables as listed,
@@ -429,14 +472,14 @@ func TestLockstepRoundShape(t *testing.T) {
 	n = res.PaddedSteps
 	inputs = []string{"T1.data", "T2.data", "T2.idx.A", "T3.data", "T3.idx.B", "T4.data", "T4.idx.D"}
 	check("multiway", shapes("multiway", m.Trace(), inputs, "[T1.data T2.data T2.idx.A T3.data T3.idx.B T4.data T4.idx.D]"), map[string]int64{
-		"[T1.data]":                           1,
-		"[T2.idx.A T3.idx.B]":                 n,
-		"[T2.idx.A T2.data T3.idx.B T3.data]": n,
-		"[T4.idx.D]":                          n + 1, // and its reset
-		"[T4.idx.D T4.data T1.data]":          n - 1,
-		"[T4.idx.D T4.data]":                  1,
-		"[T2.idx.A]":                          1, // the reset pass
-		"[T3.idx.B]":                          1,
+		"[T1.data]":           1,
+		"[T2.idx.A T3.idx.B]": n,
+		"[T2.data T3.data]":   n,
+		"[T4.idx.D]":          n + 1, // and its reset
+		"[T4.data T1.data]":   n - 1,
+		"[T4.data]":           1,
+		"[T2.idx.A]":          1, // the reset pass
+		"[T3.idx.B]":          1,
 	})
 }
 

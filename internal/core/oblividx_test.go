@@ -133,7 +133,7 @@ func TestObliviousIndexPredictedRounds(t *testing.T) {
 	tree := tr.Tree()
 	lanes := []table.Lane{
 		{Data: "t1.data", After: -1},
-		{Index: store, Accesses: tree.AccessesPerRetrieval(), Reads: tree.OutsourcedLevels(), KeyFree: tree.KeyFree(), After: 0},
+		{Index: store, Accesses: tree.AccessesPerRetrieval(), KeyFree: tree.KeyFree(), After: 0},
 	}
 	if want := table.PipelineRounds(lanes, res.PaddedSteps) + 1; int64(len(rounds)) != want {
 		t.Fatalf("the inputs travelled in %d rounds, predicted %d", len(rounds), want)

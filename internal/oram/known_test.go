@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,12 +96,44 @@ func (c callerHeld) Write(key uint64, payload []byte) error {
 	return err
 }
 
+// pinning is a tree whose reads pin their block (Req.Pin), which it holds
+// until it has pinned three more, then releases unchanged; it releases every
+// block it holds before a Flush.
+type pinning struct {
+	*PathORAM
+	held *[]uint64
+}
+
+func (p pinning) Read(key uint64) ([]byte, error) {
+	reqs := [1]Req{{ORAM: p.PathORAM, Key: key, Pin: !slices.Contains(*p.held, key)}}
+	err := Together(reqs[:])
+	if err == nil && reqs[0].Pin {
+		*p.held = append(*p.held, key)
+		if len(*p.held) > 3 {
+			err = p.Release((*p.held)[0], nil)
+			*p.held = (*p.held)[1:]
+		}
+	}
+	return reqs[0].Data, err
+}
+
+func (p pinning) Flush() error {
+	for _, key := range *p.held {
+		if err := p.Release(key, nil); err != nil {
+			return err
+		}
+	}
+	*p.held = (*p.held)[:0]
+	return p.PathORAM.Flush()
+}
+
 // TestKnownBucketsDifferential is the data path's end-to-end check: a
 // seeded random mix of every operation against a map model, at every
 // eviction batch, over stores with and without exchanges, with a flat, a
 // recursive and a caller-held position map (the one path NewPathORAM and
 // NewTagged share, the latter's positions handed in with each Req), and with the accesses issued in lockstep with a second
-// tree's (Together). Every result must equal the model; after every access,
+// tree's (Together), and with reads that pin their blocks for a while
+// (pinning). Every result must equal the model; after every access,
 // failed ones included, no tree has more than k paths pending; each store's
 // recorded trace must be the one tracecheck.PathORAMSim computes from the
 // leaves that trace itself names (so skipping decryption moved no
@@ -112,7 +145,7 @@ func TestKnownBucketsDifferential(t *testing.T) {
 	const capacity, payload, steps = 64, 16, 800
 	for _, batch := range []int{1, 4, 16} {
 		for _, exchange := range []bool{true, false} {
-			for _, positions := range []string{"recursive=false", "recursive=true", "positions=caller", "driver=together"} {
+			for _, positions := range []string{"recursive=false", "recursive=true", "positions=caller", "driver=together", "driver=pin"} {
 				recurse := positions == "recursive=true"
 				name := fmt.Sprintf("k=%d/exchange=%v/%s", batch, exchange, positions)
 				t.Run(name, func(t *testing.T) {
@@ -156,6 +189,9 @@ func TestKnownBucketsDifferential(t *testing.T) {
 							t.Fatal(err)
 						}
 						o = paired{tree, partner}
+					}
+					if positions == "driver=pin" {
+						o = pinning{tree, new([]uint64)}
 					}
 					stack := oramStack(tree)
 					if recurse && len(stack) != 3 {
@@ -251,6 +287,13 @@ func TestKnownBucketsDifferential(t *testing.T) {
 						}
 						if step%8 == 0 {
 							assertBuffersDisjoint(t, tree)
+						}
+						if p, ok := o.(pinning); ok {
+							for _, key := range *p.held {
+								if e, in := tree.stash[key]; !in || !e.pinned {
+									t.Fatalf("step %d: pinned key %d left the stash", step, key)
+								}
+							}
 						}
 					}
 					if err := o.Flush(); err != nil {

@@ -81,6 +81,7 @@ type PathConfig struct {
 
 type stashEntry struct {
 	leaf    uint32
+	pinned  bool // no write-back places the block until Release
 	payload []byte
 }
 
@@ -426,7 +427,7 @@ func (o *PathORAM) StashSize() int { return len(o.stash) }
 
 // Read implements ORAM.
 func (o *PathORAM) Read(key uint64) ([]byte, error) {
-	return o.access(key, nil, false, nil)
+	return o.access(accessPlan{key: key})
 }
 
 // Write implements ORAM.
@@ -435,7 +436,7 @@ func (o *PathORAM) Write(key uint64, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = o.access(key, buf, false, nil)
+	_, err = o.access(accessPlan{key: key, newData: buf})
 	return err
 }
 
@@ -463,14 +464,14 @@ func (o *PathORAM) payloadBuf() []byte {
 // Update implements ORAM: a single path access that reads, mutates, and
 // rewrites the block — indistinguishable from Read and Write.
 func (o *PathORAM) Update(key uint64, fn func(payload []byte) error) ([]byte, error) {
-	return o.access(key, nil, false, fn)
+	return o.access(accessPlan{key: key, update: fn})
 }
 
 // DummyAccess implements ORAM: reads and rewrites a uniformly random path.
 // Indistinguishable from a real access because every access touches a fresh
 // uniformly random path and rewrites it re-encrypted.
 func (o *PathORAM) DummyAccess() error {
-	_, err := o.access(0, nil, true, nil)
+	_, err := o.access(accessPlan{dummy: true})
 	return err
 }
 
@@ -489,19 +490,21 @@ type accessPlan struct {
 	newData  []byte
 	update   func([]byte) error
 	dummy    bool
+	pin      bool // the block stays in the stash until Release
 	notFound bool
 	mapped   bool   // plan remapped the position map for it (unplan takes that back)
 	leaf     uint32 // path to fetch (old position, or fresh random)
 	newLeaf  uint32 // position installed in the map (real accesses)
 }
 
-// plan runs the position-remap stage into p: pick the new leaf,
-// read-and-replace the position-map entry (or a dummy position-map
-// operation), and record which path the access must fetch.
-func (o *PathORAM) plan(p *accessPlan, key uint64, newData []byte, dummy bool, update func([]byte) error) error {
+// plan runs the position-remap stage on p, whose operation is filled in:
+// pick the new leaf, read-and-replace the position-map entry (or a dummy
+// position-map operation), and record which path the access must fetch.
+func (o *PathORAM) plan(p *accessPlan) error {
 	o.accesses++
-	*p = accessPlan{key: key, newData: newData, update: update, dummy: dummy, mapped: true}
-	if dummy {
+	p.mapped = true
+	key := p.key
+	if p.dummy {
 		o.dummyAccesses++
 		p.leaf = o.RandomPos()
 		// Keep position-map access counts uniform across real and dummy
@@ -531,8 +534,9 @@ func (o *PathORAM) plan(p *accessPlan, key uint64, newData []byte, dummy bool, u
 // path of r.Pos and moves its block to r.NewPos; anywhere else the leaves
 // come from plan.
 func (o *PathORAM) planReq(r *Req, key uint64, put []byte) error {
+	o.planBuf = accessPlan{key: key, newData: put, update: r.Update, dummy: r.Dummy, pin: r.Pin}
 	if _, tagged := o.pos.(noPosMap); !tagged || r.Dummy {
-		return o.plan(&o.planBuf, key, put, r.Dummy, r.Update)
+		return o.plan(&o.planBuf)
 	}
 	switch {
 	case key >= uint64(o.cfg.Capacity):
@@ -541,39 +545,58 @@ func (o *PathORAM) planReq(r *Req, key uint64, put []byte) error {
 		return fmt.Errorf("oram: key %d: positions %d, %d out of %d leaves", key, r.Pos, r.NewPos, o.leaves)
 	}
 	o.accesses++
-	o.planBuf = accessPlan{key: key, newData: put, update: r.Update, leaf: r.Pos, newLeaf: r.NewPos}
+	o.planBuf.leaf, o.planBuf.newLeaf = r.Pos, r.NewPos
 	return nil
 }
 
 // apply runs the stash-apply stage: with the plan's path already fetched
 // into the stash, perform the client-side read/write/update against the
-// stash copy and remap the block to its new leaf.
+// stash copy, remap the block to its new leaf, and pin it if asked to.
 func (o *PathORAM) apply(p *accessPlan) ([]byte, error) {
 	if p.dummy {
 		return nil, nil
 	}
 	entry, ok := o.stash[p.key]
+	var result []byte
+	var err error
 	switch {
 	case p.newData != nil:
 		if ok {
 			// The overwritten copy is referenced by nothing else.
 			o.free = append(o.free, entry.payload)
 		}
-		o.stash[p.key] = stashEntry{leaf: p.newLeaf, payload: p.newData}
-		return nil, nil
+		entry.payload = p.newData
 	case !ok || p.notFound:
 		return nil, fmt.Errorf("%w: key %d", ErrNotFound, p.key)
+	case p.update != nil:
+		err = p.update(entry.payload)
+		fallthrough
 	default:
-		entry.leaf = p.newLeaf
-		var err error
-		if p.update != nil {
-			err = p.update(entry.payload)
-		}
-		o.stash[p.key] = entry
-		result := make([]byte, len(entry.payload))
-		copy(result, entry.payload)
-		return result, err
+		result = slices.Clone(entry.payload)
 	}
+	entry.leaf = p.newLeaf
+	entry.pinned = entry.pinned || p.pin && err == nil
+	o.stash[p.key] = entry
+	return result, err
+}
+
+// Release ends the pin a Req with Pin put on key's block, whose contents
+// payload replaces when not nil (zero-padded, as Write pads): the next
+// write-back may place it again. It moves nothing and costs no round.
+func (o *PathORAM) Release(key uint64, payload []byte) error {
+	entry, ok := o.stash[key]
+	switch {
+	case !ok || !entry.pinned:
+		return fmt.Errorf("oram: release of key %d, which is not pinned", key)
+	case len(payload) > o.cfg.PayloadSize:
+		return fmt.Errorf("oram: payload %d exceeds block payload size %d", len(payload), o.cfg.PayloadSize)
+	}
+	if payload != nil {
+		clear(entry.payload[copy(entry.payload, payload):])
+	}
+	entry.pinned = false
+	o.stash[key] = entry
+	return nil
 }
 
 // unplan takes back the position remap of a planned access whose fetch
@@ -603,14 +626,16 @@ func (o *PathORAM) unplan(p *accessPlan, fetchErr error) error {
 }
 
 // access is the Path-ORAM protocol core, staged as plan → fetch → apply →
-// evict. If newData is non-nil the access is a write; if update is non-nil
-// it mutates the fetched payload in place; if dummy, no logical block is
-// touched. The fetch carries the write-back the scheduler has queued; the
-// eviction stage queues the path just fetched for the next one. A fetch that
-// fails leaves the access undone and retryable.
-func (o *PathORAM) access(key uint64, newData []byte, dummy bool, update func([]byte) error) ([]byte, error) {
+// evict, of the operation op names: if newData is non-nil the access is a
+// write; if update is non-nil it mutates the fetched payload in place; if
+// dummy, no logical block is touched; pin keeps the block in the stash. The
+// fetch carries the write-back the scheduler has queued; the eviction stage
+// queues the path just fetched for the next one. A fetch that fails leaves
+// the access undone and retryable.
+func (o *PathORAM) access(op accessPlan) ([]byte, error) {
 	p := &o.planBuf
-	if err := o.plan(p, key, newData, dummy, update); err != nil {
+	*p = op
+	if err := o.plan(p); err != nil {
 		return nil, err
 	}
 	if err := o.sched.fetch(p.leaf); err != nil {
@@ -801,7 +826,7 @@ func (o *PathORAM) sealNodes(nodes []int64) ([][]byte, error) {
 			if filled == o.z {
 				break
 			}
-			if (o.leaves+int64(entry.leaf))>>shift != heap {
+			if entry.pinned || (o.leaves+int64(entry.leaf))>>shift != heap {
 				continue
 			}
 			slot := bucket[filled*o.slotSize:]

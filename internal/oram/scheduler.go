@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"fmt"
 	"slices"
 
 	"oblivjoin/internal/storage"
@@ -46,7 +47,9 @@ import (
 // every pending path from the stash, destroying all such copies; an exchange
 // applies its writes before serving reads, so the download it carries can
 // only re-read freshly written buckets (whose blocks then safely re-enter
-// the stash on a path that is itself queued again).
+// the stash on a path that is itself queued again). A pinned block
+// (Req.Pin) is such a block that no write-back places: pinning changes the
+// contents of written buckets, never an index, a size or a round.
 //
 // One consequence: the block the next access is about to read may be evicted
 // by the write-back that access carries. It can only be placed on the path
@@ -163,8 +166,14 @@ func issueRound(cfg *PathConfig, flush bool, ops ...*storage.RoundOp) {
 func (s *scheduler) evict(leaf uint32) { s.pending = append(s.pending, leaf) }
 
 // prepareFlush stages the write-back of every pending path as a share with
-// nothing to read, and reports whether there was anything to stage.
+// nothing to read, and reports whether there was anything to stage. A tree
+// with a block still pinned (Req.Pin) fails: nobody would release it.
 func (s *scheduler) prepareFlush() (owed bool, err error) {
+	for key, entry := range s.o.stash {
+		if entry.pinned {
+			return false, fmt.Errorf("oram: store %q: block %d is still pinned", s.o.cfg.Name, key)
+		}
+	}
 	if len(s.pending) == 0 {
 		return false, nil
 	}
@@ -229,7 +238,7 @@ func (s *scheduler) commit() {
 // Flush writes every queued eviction path back to the server in a round of
 // its own, including the recursive position map's, and lets go of the
 // known-bucket set. Callers settle the instance at the end of a query (or
-// before reading ClientBytes-style footprints) so no client state is pinned
+// before reading ClientBytes-style footprints) so no client state is held
 // by pending paths or by the last write-back; Settle does it for several
 // trees in one round.
 func (o *PathORAM) Flush() error {

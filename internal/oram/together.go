@@ -12,6 +12,10 @@ import (
 // does, or, with Dummy set, an access that touches no block. Data and Err
 // are the access's own outcome.
 //
+// Pin (on a Path-ORAM, or a View over one) keeps the block in the stash,
+// placed by no write-back until the caller Releases it, possibly edited: a
+// write-back B-tree descent so edits its path without an access.
+//
 // On a tree that keeps no position map (NewTagged) a real request carries
 // the block's positions, which its caller holds: Pos is the path to fetch
 // (for a Put of a new block, any fresh tag) and NewPos the tag the block
@@ -22,6 +26,7 @@ type Req struct {
 	Dummy       bool
 	Update      func(payload []byte) error
 	Put         []byte
+	Pin         bool
 	Pos, NewPos uint32
 
 	Data []byte
@@ -70,11 +75,14 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 		var first error
 		for i := range reqs {
 			r := &reqs[i]
+			o, key, _ := onTree(r) // a key outside its view fails below
 			switch {
 			case r.Dummy:
 				r.Data, r.Err = nil, r.ORAM.DummyAccess()
 			case r.Put != nil:
 				r.Data, r.Err = nil, r.ORAM.Write(r.Key, r.Put)
+			case r.Pin && o != nil:
+				r.Data, r.Err = o.access(accessPlan{key: key, update: r.Update, pin: true})
 			case r.Update != nil:
 				r.Data, r.Err = r.ORAM.Update(r.Key, r.Update)
 			default:
@@ -146,8 +154,8 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 // each has served since it was last settled, which is public; the order is
 // the caller's and must be canonical. Trees that cannot run in lockstep (a
 // recursive position map, a meter of their own) and other ORAMs are flushed
-// on their own, where they stand in the order. Every ORAM is attempted; the
-// first error is returned.
+// on their own, where they stand in the order. A tree with a block pinned
+// fails. Every ORAM is attempted; the first error is returned.
 func Settle(orams ...ORAM) error {
 	var few [8]*PathORAM
 	group := few[:0] // the trees with a share in the round

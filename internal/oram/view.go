@@ -1,6 +1,9 @@
 package oram
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // View exposes a contiguous key range [offset, offset+capacity) of a base
 // ORAM as a standalone ORAM with keys starting at zero. The paper's OneORAM
@@ -79,6 +82,15 @@ func (v *View) ClientBytes() int64 { return 0 }
 // ServerBytes implements ORAM; pro-rated share of the base footprint.
 func (v *View) ServerBytes() int64 {
 	return v.base.ServerBytes() * v.capacity / v.base.Capacity()
+}
+
+// Release ends a pin (Req.Pin) on the base Path-ORAM, at the view's offset.
+func (v *View) Release(key uint64, payload []byte) error {
+	o, key, err := onTree(&Req{ORAM: v, Key: key})
+	if o == nil {
+		return errors.Join(err, fmt.Errorf("oram: %T pins no block", v.base))
+	}
+	return o.Release(key, payload)
 }
 
 // Flush settles the base ORAM.

@@ -13,11 +13,8 @@ type IndexMeta struct {
 	// Attr is the indexed attribute.
 	Attr string
 	// AccessesPerRetrieval is the exact number of index-ORAM accesses one
-	// lookup/disable/dummy performs (Δ, or 2Δ with write-back descents).
+	// lookup/disable/dummy performs: Δ, the outsourced levels.
 	AccessesPerRetrieval int
-	// Reads is how many of those accesses read the path down to the entry
-	// (OutsourcedLevels); the rest are write-ups.
-	Reads int
 	// KeyFree is how many leading accesses of a descent need no key
 	// (btree.Tree.KeyFree): the root read, when the root is not cached.
 	KeyFree int
@@ -90,7 +87,6 @@ func Describe(tables map[string]*table.StoredTable) Catalog {
 			tm.Indexes[attr] = IndexMeta{
 				Attr:                 attr,
 				AccessesPerRetrieval: tr.AccessesPerRetrieval(),
-				Reads:                tr.OutsourcedLevels(),
 				KeyFree:              tr.KeyFree(),
 				OramAccessesPerOp:    tr.ORAM().AccessesPerOp(),
 				BlockBytes:           tr.ORAM().BlockBytes(),

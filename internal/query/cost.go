@@ -41,11 +41,10 @@ type Cost struct {
 	//	sort-merge          n + 1      {T1.idx(i+1), T2.idx(i+1), T1.data(i), T2.data(i)}
 	//	band                h·n + 1    T1.data(i) and T2.data(i−1) ride T2's root access
 	//	index nested-loop   h·n + 1    the same, the probe keyed from the root down
-	//	multiway            one stage per join-tree level per step, write-ups in free rounds
+	//	multiway            one stage per join-tree level per step
 	//
-	// for an uncached index without write-ups (h ≥ 2; with write-ups the
-	// last data access rides a write-up and the + 1 goes, and a cached index
-	// keys its only read, so an equi-join step takes 2), plus the multiway
+	// for an uncached index (h ≥ 2; a cached index keys its only read, so an
+	// equi-join step takes 2), plus the multiway
 	// join's reset pass, one round per node, and one settle round, in which
 	// every touched tree's last write-back travels when the query ends
 	// (core.settle).
@@ -102,14 +101,14 @@ func scanLane(m TableMeta) table.Lane { return table.Lane{Data: m.DataStore, Aft
 func indexLane(m TableMeta, idx IndexMeta, after int) table.Lane {
 	return table.Lane{
 		Index: idx.Store, Data: m.DataStore,
-		Accesses: idx.AccessesPerRetrieval, Reads: idx.Reads, KeyFree: idx.KeyFree, After: after,
+		Accesses: idx.AccessesPerRetrieval, KeyFree: idx.KeyFree, After: after,
 	}
 }
 
 // leafLane is a table walked along its index's leaves (table.LeafCursor):
 // one leaf access, keyed by nothing.
 func leafLane(m TableMeta, idx IndexMeta) table.Lane {
-	return table.Lane{Index: idx.Store, Data: m.DataStore, Accesses: 1, Reads: 1, KeyFree: 1, After: -1}
+	return table.Lane{Index: idx.Store, Data: m.DataStore, Accesses: 1, KeyFree: 1, After: -1}
 }
 
 // smjCost prices the sort-merge equi-join t1.a1 = t2.a2: Numtr1 = |T1| +

@@ -107,9 +107,10 @@ func TestPredictedCostSMJ(t *testing.T) {
 }
 
 // guardConfigs are the index shapes the binary cost guards run over: plain
-// two-level descents, whose root access rides the outer's data access; with
-// write-backs, where the last data access rides a write-up; and with the
-// internal level cached, where the one outsourced access is keyed.
+// two-level descents, whose root access rides the outer's data access; the
+// same with write-back descents, which must cost exactly what plain ones
+// do; and with the internal level cached, where the one outsourced access
+// is keyed.
 var guardConfigs = []envConfig{{}, {multiway: true}, {cacheIndex: true}}
 
 // TestPredictedCostINLJ: Theorem 2, with the inner's full index descents.

@@ -80,7 +80,7 @@ type PlanOptions struct {
 	// DPEpsilon is the PadDP privacy parameter (0 = 0.5).
 	DPEpsilon float64
 	// EnableMultiway reports whether indexes are in write-back mode, which
-	// multiway execution requires.
+	// multiway execution requires; it changes no other candidate's cost.
 	EnableMultiway bool
 }
 

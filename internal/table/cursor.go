@@ -124,7 +124,7 @@ func (c *LeafCursor) Dummy() error {
 }
 
 func (c *LeafCursor) shape() shape {
-	return shape{index: c.tree.ORAM(), data: c.t.data, n: 1, leaf: 1, free: 1}
+	return shape{index: c.tree.ORAM(), data: c.t.data, n: 1, free: 1}
 }
 
 func (c *LeafCursor) begin(Move) (int8, error) { return 0, nil }
@@ -205,7 +205,7 @@ func (c *IndexCursor) Current() (btree.Entry, bool) { return c.cur, c.ok }
 func (c *IndexCursor) shape() shape {
 	sh := shape{
 		index: c.tree.ORAM(),
-		n:     c.tree.AccessesPerRetrieval(), leaf: c.tree.OutsourcedLevels(), free: c.tree.KeyFree(),
+		n:     c.tree.AccessesPerRetrieval(), free: c.tree.KeyFree(),
 	}
 	if c.t != nil {
 		sh.data = c.t.data
@@ -268,8 +268,8 @@ func (c *IndexCursor) landIndex(mv Move, slot int8, req oram.Req) (Row, bool, er
 	if err := d.Land(req); err != nil {
 		return Row{}, false, err
 	}
-	if d.Landed() != c.tree.OutsourcedLevels() || mv.kind == hold || mv.kind == disable {
-		return Row{}, d.Landed() == c.tree.OutsourcedLevels(), nil
+	if !d.Done() || mv.kind == hold || mv.kind == disable {
+		return Row{}, d.Done(), nil
 	}
 	c.cur, c.ok = d.Result()
 	row := Row{Entry: c.cur, OK: c.ok}

@@ -50,8 +50,7 @@ const (
 // the same for every retrieval of a cursor, real or dummy.
 type shape struct {
 	index, data any // the trees: ORAMs, or store names for PipelineRounds; nil without index accesses, or a data access
-	n           int // index accesses
-	leaf        int // index accesses after which the entry is known and the data access can be built
+	n           int // index accesses, after which the entry is known and the data access can be built
 	free        int // leading index accesses that need no key
 }
 
@@ -63,7 +62,7 @@ type stager interface {
 	// (an IndexCursor's descent), handed back to the calls below.
 	begin(mv Move) (slot int8, err error)
 	// indexReq builds index access k; landIndex takes it and returns the row
-	// once access leaf-1 has landed (ok=false before).
+	// once the last one has landed (ok=false before).
 	indexReq(mv Move, slot int8, k int) (oram.Req, error)
 	landIndex(mv Move, slot int8, req oram.Req) (row Row, ok bool, err error)
 	// dataReq builds the data access for the row the index stage found;
@@ -93,7 +92,7 @@ func (f *flight) landed() bool { return f.data && f.idx == f.sh.n }
 // which what it is built from has landed and its tree is free, its tree's
 // earlier accesses going first. Step returns as soon as the step's index
 // stages have landed — Row.Entry and Row.OK, which decide the next step —
-// and leaves its data accesses and write-ups to ride the next step's rounds.
+// and leaves its data accesses to ride the next step's rounds.
 // A step's first index access does not wait: the root of a descent, and the
 // leaf of a LeafCursor, are known before the step's keys are, so they travel
 // with the previous step's data accesses.
@@ -109,7 +108,6 @@ type Pipeline struct {
 	begun  int64   // steps begun
 	done   int64   // steps landed in full
 	rounds int64   // rounds issued
-	serial bool    // a retrieval's data access waits for all its index accesses
 	dry    []shape // PipelineRounds: the lanes' shapes; plan rounds, perform nothing
 
 	// The flights of the steps in flight, by step parity (at most two steps
@@ -183,7 +181,7 @@ func (p *Pipeline) run(moves []Move) error {
 		} else {
 			slot, err := mv.c.begin(mv)
 			if err != nil {
-				return err
+				return p.abort(err)
 			}
 			fl[j].sh, fl[j].slot = mv.c.shape(), slot
 		}
@@ -192,10 +190,23 @@ func (p *Pipeline) run(moves []Move) error {
 	p.begun++
 	for !p.decided(p.begun-1) || p.done < p.begun-1 {
 		if err := p.round(); err != nil {
-			return err
+			return p.abort(err)
 		}
 	}
 	return nil
+}
+
+// abort gives up the retrievals in flight after err: their descents release
+// what they hold pinned (btree WriteBackDescents), so the trees can settle.
+func (p *Pipeline) abort(err error) error {
+	for s := p.done; s < p.begun; s++ {
+		for _, f := range p.flights(s) {
+			if c, ok := f.mv.c.(*IndexCursor); ok {
+				err = errors.Join(err, c.desc[f.slot].Abort())
+			}
+		}
+	}
+	return err
 }
 
 // Carry has the next round the pipeline issues carry op, a share of another
@@ -213,7 +224,7 @@ func (p *Pipeline) Drain() error {
 		err = p.round()
 	}
 	p.ride = nil
-	return err
+	return p.abort(err) // nothing is in flight unless err is set
 }
 
 // Landed returns how many steps have landed in full: the rows of every step
@@ -254,11 +265,7 @@ func (p *Pipeline) plan(claim []any) {
 				f.inIdx = f.idx < f.sh.free || a < 0 || fl[a].data
 			}
 			if !f.data && !claimed(f.sh.data) {
-				at := f.sh.leaf
-				if p.serial {
-					at = f.sh.n
-				}
-				f.inData = f.idx >= at
+				f.inData = f.idx == f.sh.n
 			}
 		}
 	}
@@ -328,7 +335,7 @@ func (p *Pipeline) round() error {
 					f.row = row
 				}
 			}
-			f.decided = f.idx >= f.sh.leaf && (f.sh.leaf > 0 || f.data)
+			f.decided = f.idx == f.sh.n && (f.sh.n > 0 || f.data)
 			if out := p.rows[s&1]; out != nil && (f.inIdx || f.inData) {
 				out[j] = f.row
 			}
@@ -359,7 +366,7 @@ func (p *Pipeline) stepLanded(s int64) bool {
 // not nil (Pipeline.Carry). Which cursors take part in a step, and in which
 // order, is the operator's choice and must not depend on the data.
 func Step(rows []Row, ride *storage.RoundOp, moves ...Move) error {
-	p := Pipeline{lanes: len(moves), serial: true, ride: ride}
+	p := Pipeline{lanes: len(moves), ride: ride}
 	if p.lanes > len(p.few[0]) {
 		p.many = [2][]flight{make([]flight, p.lanes), make([]flight, p.lanes)}
 	}
@@ -392,10 +399,9 @@ type Lane struct {
 	// tree's tuples are in its leaves).
 	Index, Data string
 	// Accesses is the index accesses per retrieval (btree
-	// AccessesPerRetrieval; 1 for a leaf cursor), Reads how many of them
-	// find the entry (OutsourcedLevels; 1 for a leaf cursor), KeyFree how
-	// many lead without needing the key (btree KeyFree).
-	Accesses, Reads, KeyFree int
+	// AccessesPerRetrieval; 1 for a leaf cursor), KeyFree how many lead
+	// without needing the key (btree KeyFree).
+	Accesses, KeyFree int
 	// After is the lane whose data access this lane's keyed index accesses
 	// wait for, or -1.
 	After int
@@ -411,7 +417,7 @@ func PipelineRounds(lanes []Lane, steps int64) int64 {
 	p := NewPipeline(after...)
 	p.dry = make([]shape, len(lanes))
 	for j, l := range lanes {
-		p.dry[j] = shape{n: l.Accesses, leaf: l.Reads, free: l.KeyFree}
+		p.dry[j] = shape{n: l.Accesses, free: l.KeyFree}
 		if l.Index != "" {
 			p.dry[j].index = l.Index
 		}

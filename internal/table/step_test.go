@@ -167,11 +167,11 @@ func TestPipelineStepAllocs(t *testing.T) {
 // that a long run costs what its repeating steps say.
 func TestPipelineRoundsClosedForms(t *testing.T) {
 	leaf := func(s string) Lane {
-		return Lane{Index: s + ".idx", Data: s + ".data", Accesses: 1, Reads: 1, KeyFree: 1, After: -1}
+		return Lane{Index: s + ".idx", Data: s + ".data", Accesses: 1, KeyFree: 1, After: -1}
 	}
 	scan := Lane{Data: "t1.data", After: -1}
-	descent := func(accesses, reads, free, after int) Lane {
-		return Lane{Index: "t2.idx", Data: "t2.data", Accesses: accesses, Reads: reads, KeyFree: free, After: after}
+	descent := func(accesses, free, after int) Lane {
+		return Lane{Index: "t2.idx", Data: "t2.data", Accesses: accesses, KeyFree: free, After: after}
 	}
 	for _, tc := range []struct {
 		name  string
@@ -179,15 +179,15 @@ func TestPipelineRoundsClosedForms(t *testing.T) {
 		want  func(n int64) int64
 	}{
 		{"sort-merge", []Lane{leaf("t1"), leaf("t2")}, func(n int64) int64 { return n + 1 }},
-		{"nested-loop, h=3", []Lane{scan, descent(3, 3, 1, 0)}, func(n int64) int64 { return 3*n + 1 }},
-		{"band, h=3", []Lane{scan, descent(3, 3, 1, -1)}, func(n int64) int64 { return 3*n + 1 }},
-		{"nested-loop, cached", []Lane{scan, descent(1, 1, 0, 0)}, func(n int64) int64 { return 2*n + 1 }},
-		{"band, cached", []Lane{scan, descent(1, 1, 0, -1)}, func(n int64) int64 { return n + 1 }},
-		{"nested-loop, write-backs", []Lane{scan, descent(4, 2, 1, 0)}, func(n int64) int64 { return 4 * n }},
+		{"nested-loop, h=3", []Lane{scan, descent(3, 1, 0)}, func(n int64) int64 { return 3*n + 1 }},
+		{"band, h=3", []Lane{scan, descent(3, 1, -1)}, func(n int64) int64 { return 3*n + 1 }},
+		{"nested-loop, cached", []Lane{scan, descent(1, 0, 0)}, func(n int64) int64 { return 2*n + 1 }},
+		{"band, cached", []Lane{scan, descent(1, 0, -1)}, func(n int64) int64 { return n + 1 }},
+		{"nested-loop, h=2", []Lane{scan, descent(2, 1, 0)}, func(n int64) int64 { return 2*n + 1 }},
 		{"chained sort-merge", []Lane{{Data: "t1.chain", After: -1}, {Data: "t2.chain", After: -1}}, func(n int64) int64 { return n }},
 		// An oblivious tree's lane has no data store and keys every access.
-		{"nested-loop, oblivious tree h=2", []Lane{scan, {Index: "t2.idx", Accesses: 2, Reads: 2, After: 0}}, func(n int64) int64 { return 3 * n }},
-		{"nested-loop, oblivious tree h=3", []Lane{scan, {Index: "t2.idx", Accesses: 3, Reads: 3, After: 0}}, func(n int64) int64 { return 4 * n }},
+		{"nested-loop, oblivious tree h=2", []Lane{scan, {Index: "t2.idx", Accesses: 2, After: 0}}, func(n int64) int64 { return 3 * n }},
+		{"nested-loop, oblivious tree h=3", []Lane{scan, {Index: "t2.idx", Accesses: 3, After: 0}}, func(n int64) int64 { return 4 * n }},
 	} {
 		for _, n := range []int64{1, 2, 3, 10, 1000} {
 			if got, want := PipelineRounds(tc.lanes, n), tc.want(n); got != want {

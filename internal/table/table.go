@@ -50,8 +50,10 @@ type Options struct {
 	// CacheIndex enables the paper's "+Cache" mode: all index levels above
 	// the leaves are kept client-side (Δ = 1).
 	CacheIndex bool
-	// WriteBackDescents puts indexes in the uniform read-down/write-up mode
-	// required by the multiway join's disable operations.
+	// WriteBackDescents builds indexes that admit the multiway join's
+	// disable operations (btree.Config.WriteBackDescents), at no extra
+	// accesses. Their ORAM must be a Path-ORAM: Raw and SchemeLinear are
+	// refused.
 	WriteBackDescents bool
 	// Raw disables encryption and ORAM — the insecure baseline.
 	Raw bool

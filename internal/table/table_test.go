@@ -366,6 +366,23 @@ func TestStoreSharedRejectsRaw(t *testing.T) {
 	}
 }
 
+// TestWriteBackNeedsPathORAM: write-back indexes pin their descents' paths
+// in a Path-ORAM's stash, so over the raw store or the linear ORAM they are
+// refused.
+func TestWriteBackNeedsPathORAM(t *testing.T) {
+	for name, set := range map[string]func(*Options){
+		"raw":    func(o *Options) { o.Raw, o.Sealer = true, nil },
+		"linear": func(o *Options) { o.Scheme = SchemeLinear },
+	} {
+		opts := testOpts(t, nil)
+		opts.WriteBackDescents = true
+		set(&opts)
+		if _, err := Store(testRelation("t", []int64{2, 1, 3}), []string{"k"}, opts); err == nil {
+			t.Errorf("%s: write-back indexes accepted", name)
+		}
+	}
+}
+
 func TestRawTable(t *testing.T) {
 	m := storage.NewMeter()
 	opts := testOpts(t, m)

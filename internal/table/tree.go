@@ -22,8 +22,8 @@ type TreeTable struct {
 
 // StoreObliviousTree uploads rel as an oblivious B-tree keyed on attr, in a
 // store named as Store names the index on attr. The tree has no cached
-// levels and no write-ups, so opts.CacheIndex and opts.WriteBackDescents
-// are refused; and it is a Path-ORAM, so Raw and SchemeLinear are too.
+// levels and admits no disables, so opts.CacheIndex and
+// opts.WriteBackDescents are refused; and it is a Path-ORAM, so Raw and SchemeLinear are too.
 func StoreObliviousTree(rel *relation.Relation, attr string, opts Options) (*TreeTable, error) {
 	switch {
 	case rel == nil:

@@ -155,9 +155,9 @@ type Config struct {
 	// CacheIndexes keeps all index levels above the leaves client-side —
 	// the paper's "+Cache" mode (Δ = 1).
 	CacheIndexes bool
-	// EnableMultiway puts indexes in the uniform write-back mode the
-	// multiway join's disable operations require; binary joins then cost 2Δ
-	// index accesses per retrieval instead of Δ.
+	// EnableMultiway builds every index in the write-back mode the multiway
+	// join's disable operations require. It costs binary joins nothing: a
+	// lookup, a disable and a dummy each make Δ index accesses either way.
 	EnableMultiway bool
 	// Padding selects the Section 8 output padding strategy.
 	Padding PaddingMode
