@@ -439,27 +439,54 @@ func LeafEntry(payload []byte, i int) (Entry, error) {
 	return leafEntAt(payload[off:], 0).public(), nil
 }
 
-// Reset restores every liveness tag, walking all index blocks once — the
-// paper's post-query cleanup ("go over all index blocks and reset all
-// boolean tags"). Each node is self-resetting (static aggregates are stored
-// alongside live ones), so the pass needs no cross-node information.
-func (t *Tree) Reset() error {
-	total := t.NumNodes()
-	for id := uint64(0); id < uint64(total); id++ {
-		if n, ok := t.cache[id]; ok {
+// Reset restores every liveness tag of the given trees, walking each one's
+// nodes once — the paper's post-query cleanup ("go over all index blocks
+// and reset all boolean tags"). The trees are walked in lockstep: round r
+// carries the r-th outsourced node of every tree that has one, in the order
+// given (oram.Together), so the pass takes as many rounds as the largest
+// tree has outsourced nodes, and each tree's own access sequence is that of
+// walking it alone. The order is server-visible, so the caller makes it
+// canonical. Cached nodes are reset client-side. Each node is
+// self-resetting (static aggregates are stored alongside live ones), so the
+// pass needs no cross-node information.
+func Reset(trees ...*Tree) error {
+	var rounds uint64
+	for _, t := range trees {
+		for _, n := range t.cache {
 			n.reset()
-			continue
 		}
-		if _, err := t.cfg.ORAM.Update(id, func(buf []byte) error {
-			n, err := decodeNode(buf)
-			if err != nil {
-				return err
+		rounds = max(rounds, t.outsourcedNodes())
+	}
+	reqs := make([]oram.Req, 0, len(trees))
+	for id := uint64(0); id < rounds; id++ {
+		reqs = reqs[:0]
+		for _, t := range trees {
+			if id < t.outsourcedNodes() {
+				reqs = append(reqs, oram.Req{ORAM: t.cfg.ORAM, Key: id, Update: resetNode})
 			}
-			n.reset()
-			return n.encode(buf)
-		}); err != nil {
-			return err
+		}
+		if err := oram.Together(reqs); err != nil {
+			return fmt.Errorf("btree: resetting node %d: %w", id, err)
 		}
 	}
 	return nil
+}
+
+// outsourcedNodes returns how many nodes the tree keeps in its ORAM: the
+// leaves, which come first, under CacheInternal; every node otherwise.
+func (t *Tree) outsourcedNodes() uint64 {
+	if t.cfg.CacheInternal {
+		return t.levels[0].count
+	}
+	return uint64(t.NumNodes())
+}
+
+// resetNode restores the liveness tags of the node encoded in buf.
+func resetNode(buf []byte) error {
+	n, err := decodeNode(buf)
+	if err != nil {
+		return err
+	}
+	n.reset()
+	return n.encode(buf)
 }

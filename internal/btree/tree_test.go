@@ -344,7 +344,7 @@ func TestReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tr.Reset(); err != nil {
+	if err := Reset(tr); err != nil {
 		t.Fatal(err)
 	}
 	for k := int64(0); k < 30; k++ {

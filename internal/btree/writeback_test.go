@@ -151,7 +151,7 @@ func TestWriteBackDifferential(t *testing.T) {
 						if r.Intn(4) > 0 {
 							continue
 						}
-						err = tr.Reset()
+						err = Reset(tr)
 						reset()
 						continue
 					}

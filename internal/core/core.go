@@ -24,10 +24,11 @@
 // lands. A descent's first access, the root, needs no key, so it rides
 // there too. A sort-merge step is one round, an index nested-loop or band
 // step the inner descent's accesses, a multiway step one stage per level of
-// the join tree. Which rounds a step takes depends on the operator, the step
-// index and public sizes only — real, dummy and pad steps alike. Every
-// operator ends with one settle round that carries the last write-back of
-// every tree it touched.
+// the join tree, or fewer where children take their key from their parent's
+// index entry (MultiwayWaits). Which rounds a step takes depends on the
+// operator, the step index and public sizes only — real, dummy and pad
+// steps alike. Every operator ends with one settle round that carries the
+// last write-back of every tree it touched.
 //
 // The OneORAM setting of Section 7 is selected by Options.OneORAM: all
 // tables share a single Path-ORAM. Every operator runs the same driver in

@@ -129,11 +129,11 @@ func (pr *probe) target(real, cart int64, opts Options) int64 {
 // padded step counts and the retrievals made.
 func (pr *probe) drive(w *outWriter, cart int64, opts Options, sp *telemetry.Span) (steps, padded, retrievals int64, err error) {
 	var row1, row2 held
-	after := -1
+	inner := table.Wait{After: -1}
 	if pr.keyed {
-		after = 0
+		inner.After = 0
 	}
-	s := newStepper(w, opts, true, []*held{&row1, &row2}, -1, after)
+	s := newStepper(w, opts, true, []*held{&row1, &row2}, table.Wait{After: -1}, inner)
 	scan := sp.Child("scan")
 	for i := 0; i < pr.outer.NumTuples(); i++ {
 		inner := pr.first

@@ -34,7 +34,11 @@ var (
 	// steps and |R| = 4 both ways. T3 holds odd keys only, so a T2 tuple
 	// with an even key that T1 matches finds no T3 partner and is disabled:
 	// both twins run disable steps (on T2's 6 and 4 in one, its 2s in the
-	// other).
+	// other). T3 is keyed by T2's leaf entry, and both twins have T1 keys
+	// that T2 misses, where T3 probes with the entry T2's retrieval found
+	// instead: T2's 4 for T1's 2 in one, no entry for T1's 8 in the other
+	// (nor for 7 in the first), and T2's 6 for T1's 5 and 4 in the boundary
+	// database.
 	chainTwin = twin{[]int64{6, 5, 1, 4, 7, 2}, []int64{6, 5, 4, 5, 1, 5}, []int64{5, 1, 2, 8, 2, 7}, []int64{2, 7, 2, 5, 5, 1}}
 	chainT3   = []int64{1, 3, 5, 7, 9, 11}
 )
@@ -119,6 +123,9 @@ var lockstepOperators = []struct {
 	{"multiway-chain", chainTwin, []int64{3, 1, 5, 6, 5, 4}, []int64{3, 7, 1, 6, 8, 7}, false, false, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
 		if !slices.ContainsFunc(k1, func(k int64) bool { return k%2 == 0 && slices.Contains(k2, k) }) {
 			t.Fatalf("no T2 tuple of %v is disabled", k2)
+		}
+		if !slices.ContainsFunc(k1, func(k int64) bool { return !slices.Contains(k2, k) }) {
+			t.Fatalf("T2 %v misses no T1 key of %v: T3 never probes with a key T2's retrieval missed", k2, k1)
 		}
 		topts.WriteBackDescents = true
 		rels := []*relation.Relation{makeRel("t1", k1), makeRel("t2", k2), makeRel("t3", chainT3)}
@@ -361,8 +368,15 @@ func storesPerRound(trace []storage.Access, inputs ...string) map[int64][]string
 //     write-back indexes: a disable, like a lookup, is one leaf access): one
 //     stage per level of the join tree — T1's tuple, the leaves of T2 and
 //     T3, their data, T4's leaf, T4's data beside the next step's T1 — four
-//     rounds a step where the accesses one after another took seven, then
-//     the reset pass a round per node.
+//     rounds a step where the accesses one after another took seven (T4
+//     joins T3 on D, not on B, T3's index attribute, so its probe waits for
+//     T3's tuple), then the reset pass, every index in lockstep: one round,
+//     each index being one node;
+//   - multiway along a chain T1 → T2 → T3 on k with two-level indexes: T3's
+//     probe takes its key from T2's leaf entry, so it rides T2's data
+//     access — {T3.data(i−1), T1.data(i), T2 root, T3 root}, {T2 leaf},
+//     {T2.data, T3 leaf}, three rounds a step — and the reset pass walks
+//     both three-node indexes in three rounds.
 //
 // Every operator ends with the one settle round, which carries the last
 // write-back of every tree it touched, in canonical order: tables as listed,
@@ -472,14 +486,49 @@ func TestLockstepRoundShape(t *testing.T) {
 	n = res.PaddedSteps
 	inputs = []string{"T1.data", "T2.data", "T2.idx.A", "T3.data", "T3.idx.B", "T4.data", "T4.idx.D"}
 	check("multiway", shapes("multiway", m.Trace(), inputs, "[T1.data T2.data T2.idx.A T3.data T3.idx.B T4.data T4.idx.D]"), map[string]int64{
-		"[T1.data]":           1,
-		"[T2.idx.A T3.idx.B]": n,
-		"[T2.data T3.data]":   n,
-		"[T4.idx.D]":          n + 1, // and its reset
-		"[T4.data T1.data]":   n - 1,
-		"[T4.data]":           1,
-		"[T2.idx.A]":          1, // the reset pass
-		"[T3.idx.B]":          1,
+		"[T1.data]":                    1,
+		"[T2.idx.A T3.idx.B]":          n,
+		"[T2.data T3.data]":            n,
+		"[T4.idx.D]":                   n,
+		"[T4.data T1.data]":            n - 1,
+		"[T4.data]":                    1,
+		"[T2.idx.A T3.idx.B T4.idx.D]": 1, // the reset pass
+	})
+
+	m = storage.NewMeter()
+	topts := testTableOpts(t, m, false)
+	topts.BlockPayload = twinPayload
+	topts.WriteBackDescents = true
+	chain := MultiwayInput{Tables: []*table.StoredTable{
+		mustStore(t)(table.Store(makeRel("t1", chainTwin.a1), nil, topts)),
+		mustStore(t)(table.Store(makeRel("t2", chainTwin.a2), []string{"k"}, topts)),
+		mustStore(t)(table.Store(makeRel("t3", chainT3), []string{"k"}, topts)),
+	}}
+	var err error
+	if chain.Tree, err = jointree.Build(jointree.Query{
+		Tables: []string{"t1", "t2", "t3"},
+		Preds: []jointree.Pred{
+			{Left: "t1", LeftAttr: "k", Right: "t2", RightAttr: "k"},
+			{Left: "t2", LeftAttr: "k", Right: "t3", RightAttr: "k"},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if w := MultiwayWaits(chain.Tree); w[1] != (table.Wait{After: 0}) || w[2] != (table.Wait{After: 1, Entry: true}) {
+		t.Fatalf("the chain's lanes wait %+v", w)
+	}
+	m.Reset()
+	m.SetTracing(true)
+	res = must(t)(MultiwayJoin(chain, testJoinOpts(t, m)))
+	n = res.PaddedSteps
+	inputs = []string{"t1.data", "t2.data", "t2.idx.k", "t3.data", "t3.idx.k"}
+	check("multiway chain", shapes("multiway chain", m.Trace(), inputs, "[t1.data t2.data t2.idx.k t3.data t3.idx.k]"), map[string]int64{
+		"[t1.data t2.idx.k t3.idx.k]":         1,
+		"[t3.data t1.data t2.idx.k t3.idx.k]": n - 1,
+		"[t2.idx.k]":                          n,
+		"[t2.data t3.idx.k]":                  n,
+		"[t3.data]":                           1,
+		"[t2.idx.k t3.idx.k]":                 3, // the reset pass
 	})
 }
 

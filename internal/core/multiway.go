@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"oblivjoin/internal/btree"
 	"oblivjoin/internal/jointree"
 	"oblivjoin/internal/relation"
 	"oblivjoin/internal/table"
@@ -26,7 +27,7 @@ type MultiwayInput struct {
 // (Observations 1 and 2); Observation 3's same-key tag avoids retrievals
 // past the end of a key run. Steps are padded to Theorem 4's bound
 // |T1| + 2·Σ_{j≥2}|Tj| + |R|, and all liveness tags are reset by a final
-// pass over the index blocks.
+// pass over the index blocks, every index in lockstep (btree.Reset).
 func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 	if in.Tree == nil || len(in.Tables) != in.Tree.Len() {
 		return nil, fmt.Errorf("core: multiway input needs one table per join-tree node")
@@ -51,12 +52,7 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 	for j := range cur {
 		cur[j] = &m.cur[j]
 	}
-	after := make([]int, l)
-	for j, node := range in.Tree.Order {
-		after[j] = node.Parent
-	}
-	after[0] = -1
-	st := newStepper(m.w, opts, false, cur, after...)
+	st := newStepper(m.w, opts, false, cur, m.waits...)
 	if err := m.run(st); err != nil {
 		return nil, err
 	}
@@ -92,12 +88,16 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 	}
 
 	// The paper's post-query cleanup: "go over all index blocks and reset
-	// boolean tags in each entry."
+	// boolean tags in each entry" — every index in lockstep, tables as
+	// listed and each table's indexes by attribute, so the pass takes as
+	// many rounds as the largest index has nodes.
 	reset := sp.Child("reset")
+	var indexes []*btree.Tree
 	for _, t := range in.Tables[1:] {
-		if err := t.ResetIndexes(); err != nil {
-			return nil, err
-		}
+		indexes = append(indexes, t.Indexes()...)
+	}
+	if err := btree.Reset(indexes...); err != nil {
+		return nil, err
 	}
 	reset.End()
 
@@ -123,6 +123,23 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 	}, nil
 }
 
+// MultiwayWaits returns the key dependencies of a multiway join's lanes over
+// tree (table.Wait), which the join and its cost model share. A child's
+// keyed accesses wait for its parent's retrieval of the same step: for its
+// entry when the parent is probed through its index on the attribute the
+// child joins on, since the entry's key is then the child's key, and for its
+// tuple otherwise — as under the root, which is scanned and has no entry.
+func MultiwayWaits(tree *jointree.Tree) []table.Wait {
+	waits := make([]table.Wait, tree.Len())
+	for j, node := range tree.Order {
+		waits[j].After = node.Parent // -1 at the root
+		if node.Parent > 0 {
+			waits[j].Entry = node.ParentAttr == tree.Order[node.Parent].Attr
+		}
+	}
+	return waits
+}
+
 // multiwayState drives the step machine.
 type multiwayState struct {
 	in      MultiwayInput
@@ -132,7 +149,9 @@ type multiwayState struct {
 
 	cur        []held // the current row of every position
 	moves      []table.Move
-	parentCols []int // column of Order[j].ParentAttr in the parent's schema
+	parentCols []int        // column of Order[j].ParentAttr in the parent's schema
+	keyCols    []int        // the column position j's probe reads its key from: parentCols[j], or table.EntryKey
+	waits      []table.Wait // MultiwayWaits
 	rootSeen   int
 
 	// exhausted memoizes "entry ord of table j has no live same-key
@@ -159,6 +178,8 @@ func newMultiwayState(in MultiwayInput, opts Options) (*multiwayState, error) {
 		cur:              make([]held, l),
 		moves:            make([]table.Move, l),
 		parentCols:       make([]int, l),
+		keyCols:          make([]int, l),
+		waits:            MultiwayWaits(in.Tree),
 		exhausted:        make([]map[int64]bool, l),
 		disabledSameNext: make([]map[int64]bool, l),
 	}
@@ -179,6 +200,10 @@ func newMultiwayState(in MultiwayInput, opts Options) (*multiwayState, error) {
 			}
 			m.cursors[j] = ic
 			m.parentCols[j] = in.Tables[node.Parent].Schema().MustCol(node.ParentAttr)
+			m.keyCols[j] = m.parentCols[j]
+			if m.waits[j].Entry {
+				m.keyCols[j] = table.EntryKey
+			}
 			m.exhausted[j] = make(map[int64]bool)
 			m.disabledSameNext[j] = make(map[int64]bool)
 		}
@@ -280,12 +305,16 @@ func (m *multiwayState) after(a int, matched bool, failAt int) action {
 // run executes the main join loop, every step one retrieval per table. In
 // the SepORAM setting the steps run through the stepper's table.Pipeline: a
 // child's descent starts with the step — its root access needs no key — and
-// its keyed accesses wait for its parent's data access, so a step takes one
-// stage per level of the join tree rather than one round per access. A
-// child whose parent failed to match still probes, with whatever key the
-// parent's row holds (a miss when it holds none): that is what a dummy
-// retrieval looks like to the server, and the outcome is only committed up
-// to the first failure in pre-order.
+// its keyed accesses wait for the earliest stage of its parent that holds
+// the key (MultiwayWaits): the parent's leaf, when the parent's index is on
+// the attribute the child joins on, its data access otherwise. A step so
+// takes a stage per level of the join tree, or fewer where children are
+// keyed by entries, rather than one round per access. A child whose parent
+// failed to match still probes, with whatever key the parent's row holds (a
+// miss when it holds none): that is what a dummy retrieval looks like to
+// the server, and the outcome is only committed up to the first failure in
+// pre-order. The key an entry holds is the parent tuple's join column, so
+// the probe is the same either way.
 func (m *multiwayState) run(s *stepper) error {
 	next := m.scheduleAdvance(0)
 	for next.kind != aDone {
@@ -345,7 +374,7 @@ func (m *multiwayState) advance(s *stepper, a int) (action, error) {
 		if p >= a {
 			src = &rows[p]
 		}
-		mv[j] = m.cursors[j].MoveKeyGE(src, m.parentCols[j])
+		mv[j] = m.cursors[j].MoveKeyGE(src, m.keyCols[j])
 	}
 	rows, err := s.step(mv...)
 	if err != nil {

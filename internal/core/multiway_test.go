@@ -41,13 +41,18 @@ func figure6Data() (map[string]*relation.Relation, jointree.Query) {
 // non-root table's join attribute) and returns the MultiwayInput.
 func storeMultiway(t testing.TB, rels map[string]*relation.Relation, q jointree.Query, m *storage.Meter, shared bool) (MultiwayInput, Options) {
 	t.Helper()
+	return storeMultiwayWith(t, rels, q, testTableOpts(t, m, true), shared)
+}
+
+// storeMultiwayWith is storeMultiway with the given table options.
+func storeMultiwayWith(t testing.TB, rels map[string]*relation.Relation, q jointree.Query, tblOpts table.Options, shared bool) (MultiwayInput, Options) {
+	t.Helper()
 	tree, err := jointree.Build(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tblOpts := testTableOpts(t, m, true)
 	in := MultiwayInput{Tree: tree, Tables: make([]*table.StoredTable, tree.Len())}
-	jopts := testJoinOpts(t, m)
+	jopts := testJoinOpts(t, tblOpts.Meter)
 	if shared {
 		attrs := map[string][]string{}
 		var ordered []*relation.Relation
@@ -152,6 +157,81 @@ func TestMultiwayMatchesReferenceRandomized(t *testing.T) {
 		sizes := []int64{int64(rels["x"].Len()), int64(rels["y"].Len()), int64(rels["z"].Len())}
 		if res.PaddedSteps != NumtrMultiway(sizes, int64(len(want))) {
 			t.Fatalf("trial %d: padded %d, theorem %d", trial, res.PaddedSteps, NumtrMultiway(sizes, int64(len(want))))
+		}
+	}
+}
+
+// TestMultiwayEntryKeyedMatchesReference: a child joined on the attribute
+// its parent is probed on takes its key from the parent's leaf entry
+// (MultiwayWaits), so its descent goes on before the parent's tuple is in.
+// Over seeded random data — a same-attribute chain, a star hung below a
+// probed table, and a chain whose grandchild joins on another attribute of
+// its parent, which keeps the tuple key — over indexes of one and two
+// levels, the result is the reference join's in both settings and every
+// padding mode, and the steps are Theorem 4's.
+func TestMultiwayEntryKeyedMatchesReference(t *testing.T) {
+	r := mrand.New(mrand.NewSource(61))
+	topts := testTableOpts(t, nil, true)
+	topts.BlockPayload = twinPayload // leaves of four entries: up to two levels
+	for _, tc := range []struct {
+		name  string
+		q     jointree.Query
+		entry []bool // which lanes are keyed by their parent's entry
+	}{
+		{"chain", jointree.Query{Tables: []string{"x", "y", "z", "w"}, Preds: []jointree.Pred{
+			{Left: "x", LeftAttr: "a", Right: "y", RightAttr: "a"},
+			{Left: "y", LeftAttr: "a", Right: "z", RightAttr: "a"},
+			{Left: "z", LeftAttr: "a", Right: "w", RightAttr: "a"},
+		}}, []bool{false, false, true, true}},
+		{"star", jointree.Query{Tables: []string{"r", "c", "s1", "s2"}, Preds: []jointree.Pred{
+			{Left: "r", LeftAttr: "b", Right: "c", RightAttr: "a"},
+			{Left: "c", LeftAttr: "a", Right: "s1", RightAttr: "a"},
+			{Left: "c", LeftAttr: "a", Right: "s2", RightAttr: "b"},
+		}}, []bool{false, false, true, true}},
+		{"mixed", jointree.Query{Tables: []string{"r", "c", "g"}, Preds: []jointree.Pred{
+			{Left: "r", LeftAttr: "a", Right: "c", RightAttr: "a"},
+			{Left: "c", LeftAttr: "b", Right: "g", RightAttr: "a"},
+		}}, []bool{false, false, false}},
+	} {
+		tree, err := jointree.Build(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, w := range MultiwayWaits(tree) {
+			if w.Entry != tc.entry[j] {
+				t.Fatalf("%s: lane %d waits %+v", tc.name, j, w)
+			}
+		}
+		for _, shared := range []bool{false, true} {
+			for _, mode := range []PaddingMode{PadNone, PadClosestPower, PadCartesian, PadDP} {
+				for trial := 0; trial < 2; trial++ {
+					rels := map[string]*relation.Relation{}
+					sizes := make([]int64, tree.Len())
+					for i, n := range tree.Order {
+						rel := &relation.Relation{Schema: relation.Schema{Table: n.Table, Columns: []string{"a", "b"}}}
+						for range 1 + r.Intn(8) {
+							rel.Tuples = append(rel.Tuples, relation.Tuple{Values: []int64{int64(r.Intn(4)), int64(r.Intn(4))}})
+						}
+						rels[n.Table], sizes[i] = rel, int64(rel.Len())
+					}
+					in, opts := storeMultiwayWith(t, rels, tc.q, topts, shared)
+					opts.Padding = mode
+					opts.DPRand = func() float64 { return 0.25 }
+					res, err := MultiwayJoin(in, opts)
+					if err != nil {
+						t.Fatalf("%s/%v/shared=%v/%d: %v", tc.name, mode, shared, trial, err)
+					}
+					want, err := ReferenceMultiwayJoin(rels, tree)
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalMultiset(t, res.Tuples, want)
+					if res.BoundExceeded || res.PaddedSteps != NumtrMultiway(sizes, int64(res.PaddedCount)) {
+						t.Fatalf("%s/%v/shared=%v/%d: %d steps, padded to %d for %d records", tc.name, mode, shared, trial,
+							res.Steps, res.PaddedSteps, res.PaddedCount)
+					}
+				}
+			}
 		}
 	}
 }

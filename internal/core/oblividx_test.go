@@ -132,8 +132,8 @@ func TestObliviousIndexPredictedRounds(t *testing.T) {
 	}
 	tree := tr.Tree()
 	lanes := []table.Lane{
-		{Data: "t1.data", After: -1},
-		{Index: store, Accesses: tree.AccessesPerRetrieval(), KeyFree: tree.KeyFree(), After: 0},
+		{Data: "t1.data", Wait: table.Wait{After: -1}},
+		{Index: store, Accesses: tree.AccessesPerRetrieval(), KeyFree: tree.KeyFree(), Wait: table.Wait{After: 0}},
 	}
 	if want := table.PipelineRounds(lanes, res.PaddedSteps) + 1; int64(len(rounds)) != want {
 		t.Fatalf("the inputs travelled in %d rounds, predicted %d", len(rounds), want)

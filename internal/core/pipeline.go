@@ -73,19 +73,19 @@ const (
 )
 
 // newStepper returns a stepper over one lane per current row in the setting
-// opts selects; after is the pipeline's key dependencies (table.NewPipeline),
+// opts selects; waits is the pipeline's key dependencies (table.NewPipeline),
 // and elide says the join is binary, which in the OneORAM setting skips
 // partner holds.
-func newStepper(w *outWriter, opts Options, elide bool, cur []*held, after ...int) *stepper {
+func newStepper(w *outWriter, opts Options, elide bool, cur []*held, waits ...table.Wait) *stepper {
 	s := &stepper{
 		one: opts.OneORAM, elide: elide && opts.OneORAM != nil,
 		w: w, cur: cur, tuples: make([]relation.Tuple, len(cur)),
 	}
 	if s.one == nil {
-		s.p = table.NewPipeline(after...)
+		s.p = table.NewPipeline(waits...)
 	}
 	for i := range s.rows {
-		s.rows[i] = make([]table.Row, len(after))
+		s.rows[i] = make([]table.Row, len(waits))
 	}
 	return s
 }

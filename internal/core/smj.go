@@ -110,7 +110,7 @@ func (m *merge) moves(real1, real2 bool) (table.Move, table.Move) {
 // pad. It returns the executed and padded step counts and the retrievals
 // made.
 func (m *merge) drive(w *outWriter, opts Options, cart int64, bound func(paddedR int64) int64, sp *telemetry.Span) (steps, padded, retrievals int64, err error) {
-	s := newStepper(w, opts, true, []*held{&m.row1, &m.row2}, -1, -1)
+	s := newStepper(w, opts, true, []*held{&m.row1, &m.row2}, table.Wait{After: -1}, table.Wait{After: -1})
 	s.also = []*held{&m.begin}
 	step := func(adv1, adv2 bool) error {
 		rows, err := s.step(m.moves(adv1, adv2))

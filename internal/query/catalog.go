@@ -25,8 +25,9 @@ type IndexMeta struct {
 	// BlockBytes is the size of one of those block operations: the index
 	// store's sealed block.
 	BlockBytes int
-	// ResetNodes is the number of index nodes a post-multiway Reset pass
-	// touches with one ORAM access each (leaves only in "+Cache" mode).
+	// ResetNodes is the number of index nodes the post-multiway reset pass
+	// (btree.Reset) touches with one ORAM access each (leaves only in
+	// "+Cache" mode).
 	ResetNodes int64
 	// Store is the index ORAM's store name, for per-store attribution.
 	Store string

@@ -41,13 +41,14 @@ type Cost struct {
 	//	sort-merge          n + 1      {T1.idx(i+1), T2.idx(i+1), T1.data(i), T2.data(i)}
 	//	band                h·n + 1    T1.data(i) and T2.data(i−1) ride T2's root access
 	//	index nested-loop   h·n + 1    the same, the probe keyed from the root down
-	//	multiway            one stage per join-tree level per step
+	//	multiway            one stage per join-tree level per step, fewer where
+	//	                    children are keyed by their parent's leaf entry
 	//
 	// for an uncached index (h ≥ 2; a cached index keys its only read, so an
-	// equi-join step takes 2), plus the multiway
-	// join's reset pass, one round per node, and one settle round, in which
-	// every touched tree's last write-back travels when the query ends
-	// (core.settle).
+	// equi-join step takes 2), plus the multiway join's reset pass, which
+	// walks every index in lockstep, one round per node of the largest, and
+	// one settle round, in which every touched tree's last write-back
+	// travels when the query ends (core.settle).
 	Rounds int64
 	// PerStore maps store name to predicted block operations — the exact
 	// counts the predicted-vs-measured guard checks against the Meter's
@@ -95,20 +96,22 @@ func (c *Cost) setRounds(lanes []table.Lane, extra int64) {
 }
 
 // scanLane is a table scanned by block, indexLane a table retrieved through
-// a descent of the given index whose keyed accesses wait for lane after.
-func scanLane(m TableMeta) table.Lane { return table.Lane{Data: m.DataStore, After: -1} }
+// a descent of the given index whose keyed accesses wait as w says.
+func scanLane(m TableMeta) table.Lane {
+	return table.Lane{Data: m.DataStore, Wait: table.Wait{After: -1}}
+}
 
-func indexLane(m TableMeta, idx IndexMeta, after int) table.Lane {
+func indexLane(m TableMeta, idx IndexMeta, w table.Wait) table.Lane {
 	return table.Lane{
 		Index: idx.Store, Data: m.DataStore,
-		Accesses: idx.AccessesPerRetrieval, KeyFree: idx.KeyFree, After: after,
+		Accesses: idx.AccessesPerRetrieval, KeyFree: idx.KeyFree, Wait: w,
 	}
 }
 
 // leafLane is a table walked along its index's leaves (table.LeafCursor):
 // one leaf access, keyed by nothing.
 func leafLane(m TableMeta, idx IndexMeta) table.Lane {
-	return table.Lane{Index: idx.Store, Data: m.DataStore, Accesses: 1, KeyFree: 1, After: -1}
+	return table.Lane{Index: idx.Store, Data: m.DataStore, Accesses: 1, KeyFree: 1, Wait: table.Wait{After: -1}}
 }
 
 // smjCost prices the sort-merge equi-join t1.a1 = t2.a2: Numtr1 = |T1| +
@@ -166,19 +169,21 @@ func inljCost(cat Catalog, outer, inner, innerAttr string, paddedR int64, band b
 	c.addData(mo, n)
 	c.addIndex(idx, n*int64(idx.AccessesPerRetrieval))
 	c.addData(mi, n)
-	after := 0
+	w := table.Wait{After: 0}
 	if band {
-		after = -1
+		w.After = -1
 	}
-	c.setRounds([]table.Lane{scanLane(mo), indexLane(mi, idx, after)}, 0)
+	c.setRounds([]table.Lane{scanLane(mo), indexLane(mi, idx, w)}, 0)
 	return c, nil
 }
 
 // multiwayCost prices the acyclic multiway join over the given join tree:
 // Numtr4 = |root| + 2·Σ_{j≥2}|Tj| + |R̂| steps, each retrieving one tuple
-// from every table (root by scan, non-roots by index descent), plus the
-// post-query Reset pass over every index of every non-root table (one ORAM
-// access per non-cached node).
+// from every table (root by scan, non-roots by index descent), their lanes
+// waiting as core.MultiwayWaits derives from the tree, plus the post-query
+// reset pass over every index of every non-root table: one ORAM access per
+// non-cached node, every index in lockstep (btree.Reset), so the pass takes
+// the rounds of the largest index.
 func multiwayCost(cat Catalog, tree *jointree.Tree, paddedR int64) (Cost, error) {
 	sizes := make([]int64, tree.Len())
 	metas := make([]TableMeta, tree.Len())
@@ -193,6 +198,7 @@ func multiwayCost(cat Catalog, tree *jointree.Tree, paddedR int64) (Cost, error)
 	c := Cost{Steps: n}
 	c.addData(metas[0], n)
 	lanes := []table.Lane{scanLane(metas[0])}
+	waits := core.MultiwayWaits(tree)
 	var reset int64
 	for i, node := range tree.Order {
 		if i == 0 {
@@ -204,12 +210,10 @@ func multiwayCost(cat Catalog, tree *jointree.Tree, paddedR int64) (Cost, error)
 		}
 		c.addIndex(idx, n*int64(idx.AccessesPerRetrieval))
 		c.addData(metas[i], n)
-		lanes = append(lanes, indexLane(metas[i], idx, node.Parent))
-		// Reset pass: ResetIndexes walks every index of the table, one
-		// access — one round — per node.
+		lanes = append(lanes, indexLane(metas[i], idx, waits[i]))
 		for _, im := range sortedIndexes(metas[i]) {
 			c.addIndex(im, im.ResetNodes)
-			reset += im.ResetNodes
+			reset = max(reset, im.ResetNodes)
 		}
 	}
 	c.setRounds(lanes, reset)

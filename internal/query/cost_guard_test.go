@@ -160,9 +160,12 @@ func TestPredictedCostBand(t *testing.T) {
 	}
 }
 
-// TestPredictedCostMultiway: Theorem 4 plus the post-query index reset, over
-// one-level indexes and over a chain of deeper ones, where a step takes a
-// stage per level of the join tree.
+// TestPredictedCostMultiway: Theorem 4 plus the post-query index reset, in
+// which every index moves in lockstep, over one-level indexes and over
+// chains of deeper ones: on k throughout, where c's probe is keyed by b's
+// leaf entry and a step takes a stage less than the join tree has levels,
+// and with c joining b's other column, where it waits for b's tuple and a
+// step takes a stage per level.
 func TestPredictedCostMultiway(t *testing.T) {
 	keys := func(n int, f func(i int) int64) []int64 {
 		out := make([]int64, n)
@@ -171,21 +174,25 @@ func TestPredictedCostMultiway(t *testing.T) {
 		}
 		return out
 	}
-	for _, rels := range []map[string]*relation.Relation{{
-		"a": makeRel("a", []int64{1, 2, 3}),
-		"b": makeRel("b", []int64{2, 2, 3, 4}),
-		"c": makeRel("c", []int64{3, 3, 2}),
-	}, {
+	deep := map[string]*relation.Relation{
 		"a": makeRel("a", keys(6, func(i int) int64 { return int64(3 * i) })),
 		"b": makeRel("b", keys(20, func(i int) int64 { return int64(i) })),
 		"c": makeRel("c", keys(30, func(i int) int64 { return int64(i % 15) })),
-	}} {
+	}
+	onK := jointree.Pred{Left: "b", LeftAttr: "k", Right: "c", RightAttr: "k"}
+	onID := jointree.Pred{Left: "b", LeftAttr: "id", Right: "c", RightAttr: "k"}
+	for _, tc := range []struct {
+		rels map[string]*relation.Relation
+		bc   jointree.Pred
+	}{{map[string]*relation.Relation{
+		"a": makeRel("a", []int64{1, 2, 3}),
+		"b": makeRel("b", []int64{2, 2, 3, 4}),
+		"c": makeRel("c", []int64{3, 3, 2}),
+	}, onK}, {deep, onK}, {deep, onID}} {
+		rels := tc.rels
 		q := jointree.Query{
 			Tables: []string{"a", "b", "c"},
-			Preds: []jointree.Pred{
-				{Left: "a", LeftAttr: "k", Right: "b", RightAttr: "k"},
-				{Left: "b", LeftAttr: "k", Right: "c", RightAttr: "k"},
-			},
+			Preds:  []jointree.Pred{{Left: "a", LeftAttr: "k", Right: "b", RightAttr: "k"}, tc.bc},
 		}
 		tree, err := jointree.Build(q)
 		if err != nil {

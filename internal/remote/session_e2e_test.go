@@ -286,12 +286,22 @@ func TestCloseDrainsActiveSessions(t *testing.T) {
 	}
 	defer c.Close()
 	// A second client dialed before the listener goes away, to probe
-	// admission during the drain.
+	// admission during the drain. Its connection must be served before the
+	// drain begins: one the server has not yet accepted when Close starts is
+	// dropped — with the listener, or by the accept loop, which closes what
+	// it accepts once closing — and every later probe would dial a closed
+	// port, never to see ErrBusy. A round trip makes sure it was accepted.
 	late, err := Dial(ClientOptions{Addr: addr.String(), RetryBase: time.Millisecond, MaxRetries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer late.Close()
+	if err := late.StartSession("x", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := late.EndSession(); err != nil {
+		t.Fatal(err)
+	}
 
 	if err := c.StartSession("t", 0); err != nil {
 		t.Fatal(err)
@@ -306,14 +316,15 @@ func TestCloseDrainsActiveSessions(t *testing.T) {
 	go func() { closed <- srv.Close() }()
 
 	// Wait until the drain has begun (new sessions refused).
+	var probe error
 	for i := 0; ; i++ {
-		if err := late.StartSession("x", 0); errors.Is(err, ErrBusy) {
+		if probe = late.StartSession("x", 0); errors.Is(probe, ErrBusy) {
 			break
-		} else if err == nil {
+		} else if probe == nil {
 			_ = late.EndSession()
 		}
 		if i > 500 {
-			t.Fatal("drain never started refusing sessions")
+			t.Fatalf("drain never started refusing sessions; last probe: %v", probe)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -252,7 +252,11 @@ func (c *IndexCursor) indexReq(mv Move, slot int8, k int) (oram.Req, error) {
 	d := &c.desc[slot]
 	if mv.src != nil && k == c.tree.KeyFree() {
 		var key int64
-		if mv.src.OK {
+		switch {
+		case !mv.src.OK:
+		case mv.col == EntryKey:
+			key = mv.src.Entry.Key
+		default:
 			key = mv.src.Tuple.Values[mv.col]
 		}
 		d.Target(key, mv.src.OK)
@@ -294,11 +298,16 @@ func (c *IndexCursor) landData(_ Move, row Row, loaded oram.Req) (Row, error) {
 	return c.t.landTuple(row, loaded)
 }
 
+// EntryKey is the column MoveKeyGE reads for the key of the source row's
+// index entry (Row.Entry.Key) rather than a tuple column.
+const EntryKey = -1
+
 // MoveKeyGE is the retrieval of the first live entry with key >= column col
-// of *src, read when the descent first needs it; a src without a tuple
-// (OK=false) makes it a miss with the same accesses. The step's pipeline
-// must have the cursor's keyed accesses wait for the retrieval landing in
-// *src (NewPipeline), or src must already be complete.
+// of *src, or with col EntryKey >= the key of src's entry, read when the
+// descent first needs it; a src without a tuple (OK=false) makes it a miss
+// with the same accesses. The step's pipeline must have the cursor's keyed
+// accesses wait for the retrieval landing in *src — for its entry, with
+// EntryKey (Wait) — or src must already be complete.
 func (c *IndexCursor) MoveKeyGE(src *Row, col int) Move {
 	return Move{c: c, kind: seekKeyGE, src: src, col: col}
 }

@@ -18,7 +18,7 @@ type Move struct {
 	c    stager
 	kind moveKind
 	arg  int64 // the key or ordinal a seek looks for
-	src  *Row  // IndexCursor: when set, the key is column col of *src
+	src  *Row  // IndexCursor: when set, the key is column col of *src (EntryKey: its entry's key)
 	col  int
 }
 
@@ -95,16 +95,19 @@ func (f *flight) landed() bool { return f.data && f.idx == f.sh.n }
 // and leaves its data accesses to ride the next step's rounds.
 // A step's first index access does not wait: the root of a descent, and the
 // leaf of a LeafCursor, are known before the step's keys are, so they travel
-// with the previous step's data accesses.
+// with the previous step's data accesses. A keyed access waits for the
+// earliest stage of another lane that holds its key (Wait): that lane's data
+// access, or, for a key that is the other lane's index entry key, its index
+// stage.
 //
 // The rounds a step takes are a function of the lanes' shapes (trees,
-// index accesses, KeyFree) and the declared key dependencies only — never of
-// which retrievals are real — so real, dummy and pad steps alike present the
-// same round shape, including across the boundary between them.
+// index accesses, KeyFree) and the declared key dependencies (Wait) only —
+// never of which retrievals are real — so real, dummy and pad steps alike
+// present the same round shape, including across the boundary between them.
 // PipelineRounds counts them from the same public geometry.
 type Pipeline struct {
 	lanes  int
-	after  []int   // after[j]: the lane whose data lane j's keyed accesses wait for (-1: none); nil: none waits
+	waits  []Wait  // waits[j]: what lane j's keyed accesses wait for; nil: none waits
 	begun  int64   // steps begun
 	done   int64   // steps landed in full
 	rounds int64   // rounds issued
@@ -124,13 +127,21 @@ type Pipeline struct {
 	ride *storage.RoundOp
 }
 
-// NewPipeline returns a pipeline over len(after) lanes whose keyed index
-// accesses — those past their descent's KeyFree — wait for lane after[j]'s
-// data access of the same step to land (after[j] < 0: they do not wait).
-// The dependency holds in every step, whatever the moves, which is what
-// keeps the round shape independent of the data.
-func NewPipeline(after ...int) *Pipeline {
-	p := &Pipeline{lanes: len(after), after: slices.Clone(after)}
+// Wait is a lane's key dependency: its keyed index accesses — those past
+// its descent's KeyFree — wait for lane After's retrieval of the same step
+// (After < 0: for nothing); for its entry, its index stage having landed,
+// when Entry is set, and else for its data access. A move keyed by that
+// entry (MoveKeyGE with EntryKey) needs only the former.
+type Wait struct {
+	After int
+	Entry bool
+}
+
+// NewPipeline returns a pipeline whose lane j's keyed accesses wait as
+// waits[j] says. The dependency holds in every step, whatever the moves,
+// which is what keeps the round shape independent of the data.
+func NewPipeline(waits ...Wait) *Pipeline {
+	p := &Pipeline{lanes: len(waits), waits: slices.Clone(waits)}
 	if p.lanes > len(p.few[0]) {
 		p.many = [2][]flight{make([]flight, p.lanes), make([]flight, p.lanes)}
 	}
@@ -147,12 +158,17 @@ func (p *Pipeline) flights(s int64) []flight {
 	return p.few[s&1][:p.lanes]
 }
 
-// waitsFor returns the lane whose data lane j's keyed accesses wait for.
-func (p *Pipeline) waitsFor(j int) int {
-	if p.after == nil {
-		return -1
+// keyed reports whether lane j's keyed accesses can be built: what they
+// wait for in step flights fl has landed.
+func (p *Pipeline) keyed(fl []flight, j int) bool {
+	if p.waits == nil || p.waits[j].After < 0 {
+		return true
 	}
-	return p.after[j]
+	w := p.waits[j]
+	if w.Entry {
+		return fl[w.After].decided
+	}
+	return fl[w.After].data
 }
 
 // Step begins a step: moves[j] is lane j's retrieval, landing in rows[j]. It
@@ -261,8 +277,7 @@ func (p *Pipeline) plan(claim []any) {
 			f := &fl[j]
 			f.inIdx, f.inData = false, false
 			if f.idx < f.sh.n && !claimed(f.sh.index) {
-				a := p.waitsFor(j)
-				f.inIdx = f.idx < f.sh.free || a < 0 || fl[a].data
+				f.inIdx = f.idx < f.sh.free || p.keyed(fl, j)
 			}
 			if !f.data && !claimed(f.sh.data) {
 				f.inData = f.idx == f.sh.n
@@ -402,19 +417,18 @@ type Lane struct {
 	// AccessesPerRetrieval; 1 for a leaf cursor), KeyFree how many lead
 	// without needing the key (btree KeyFree).
 	Accesses, KeyFree int
-	// After is the lane whose data access this lane's keyed index accesses
-	// wait for, or -1.
-	After int
+	// Wait is what the lane's keyed index accesses wait for.
+	Wait
 }
 
 // PipelineRounds returns the rounds a Pipeline over the given lanes takes
 // for steps steps and the Drain after them.
 func PipelineRounds(lanes []Lane, steps int64) int64 {
-	after := make([]int, len(lanes))
+	waits := make([]Wait, len(lanes))
 	for j, l := range lanes {
-		after[j] = l.After
+		waits[j] = l.Wait
 	}
-	p := NewPipeline(after...)
+	p := NewPipeline(waits...)
 	p.dry = make([]shape, len(lanes))
 	for j, l := range lanes {
 		p.dry[j] = shape{n: l.Accesses, free: l.KeyFree}

@@ -75,7 +75,7 @@ func TestPipelineStepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(-1, -1)
+	p := NewPipeline(Wait{After: -1}, Wait{After: -1})
 	var rows [2][2]Row
 	var n int
 	smj := func(real bool) func() {
@@ -120,7 +120,7 @@ func TestPipelineStepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p = NewPipeline(-1, 0)
+	p = NewPipeline(Wait{After: -1}, Wait{After: 0})
 	inlj := func(real bool) func() {
 		return func() {
 			n++
@@ -163,15 +163,18 @@ func TestPipelineStepAllocs(t *testing.T) {
 }
 
 // TestPipelineRoundsClosedForms pins the closed forms PipelineRounds
-// evaluates for the binary joins (n steps, the Drain included), and checks
-// that a long run costs what its repeating steps say.
+// evaluates for the binary joins and multiway chains (n steps, the Drain
+// included), and checks that a long run costs what its repeating steps say.
 func TestPipelineRoundsClosedForms(t *testing.T) {
 	leaf := func(s string) Lane {
-		return Lane{Index: s + ".idx", Data: s + ".data", Accesses: 1, KeyFree: 1, After: -1}
+		return Lane{Index: s + ".idx", Data: s + ".data", Accesses: 1, KeyFree: 1, Wait: Wait{After: -1}}
 	}
-	scan := Lane{Data: "t1.data", After: -1}
+	scan := Lane{Data: "t1.data", Wait: Wait{After: -1}}
 	descent := func(accesses, free, after int) Lane {
-		return Lane{Index: "t2.idx", Data: "t2.data", Accesses: accesses, KeyFree: free, After: after}
+		return Lane{Index: "t2.idx", Data: "t2.data", Accesses: accesses, KeyFree: free, Wait: Wait{After: after}}
+	}
+	grandchild := func(w Wait) Lane {
+		return Lane{Index: "t3.idx", Data: "t3.data", Accesses: 2, KeyFree: 1, Wait: w}
 	}
 	for _, tc := range []struct {
 		name  string
@@ -184,10 +187,17 @@ func TestPipelineRoundsClosedForms(t *testing.T) {
 		{"nested-loop, cached", []Lane{scan, descent(1, 0, 0)}, func(n int64) int64 { return 2*n + 1 }},
 		{"band, cached", []Lane{scan, descent(1, 0, -1)}, func(n int64) int64 { return n + 1 }},
 		{"nested-loop, h=2", []Lane{scan, descent(2, 1, 0)}, func(n int64) int64 { return 2*n + 1 }},
-		{"chained sort-merge", []Lane{{Data: "t1.chain", After: -1}, {Data: "t2.chain", After: -1}}, func(n int64) int64 { return n }},
+		{"chained sort-merge", []Lane{{Data: "t1.chain", Wait: Wait{After: -1}}, {Data: "t2.chain", Wait: Wait{After: -1}}}, func(n int64) int64 { return n }},
 		// An oblivious tree's lane has no data store and keys every access.
-		{"nested-loop, oblivious tree h=2", []Lane{scan, {Index: "t2.idx", Accesses: 2, After: 0}}, func(n int64) int64 { return 3 * n }},
-		{"nested-loop, oblivious tree h=3", []Lane{scan, {Index: "t2.idx", Accesses: 3, After: 0}}, func(n int64) int64 { return 4 * n }},
+		{"nested-loop, oblivious tree h=2", []Lane{scan, {Index: "t2.idx", Accesses: 2, Wait: Wait{After: 0}}}, func(n int64) int64 { return 3 * n }},
+		{"nested-loop, oblivious tree h=3", []Lane{scan, {Index: "t2.idx", Accesses: 3, Wait: Wait{After: 0}}}, func(n int64) int64 { return 4 * n }},
+		// A multiway chain T1 → T2 → T3 at h = 2. Keyed by T2's entry, T3's
+		// leaf rides T2's data access: {T1.data, T2 root, T3 root,
+		// T3.data(i−1)}, {T2 leaf}, {T2.data, T3 leaf}. Keyed by T2's tuple
+		// (it joins on another attribute of T2, as TM1's grandchild does), it
+		// waits a stage more.
+		{"multiway chain, entry-keyed, h=2", []Lane{scan, descent(2, 1, 0), grandchild(Wait{After: 1, Entry: true})}, func(n int64) int64 { return 3*n + 1 }},
+		{"multiway chain, tuple-keyed, h=2", []Lane{scan, descent(2, 1, 0), grandchild(Wait{After: 1})}, func(n int64) int64 { return 4*n + 1 }},
 	} {
 		for _, n := range []int64{1, 2, 3, 10, 1000} {
 			if got, want := PipelineRounds(tc.lanes, n), tc.want(n); got != want {

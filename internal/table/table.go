@@ -430,8 +430,19 @@ func (t *StoredTable) DummyData() error { return t.data.DummyAccess() }
 func (t *StoredTable) ORAMs() []oram.ORAM {
 	out := make([]oram.ORAM, 0, 1+len(t.indexes))
 	out = append(out, t.data)
+	for _, tr := range t.Indexes() {
+		out = append(out, tr.ORAM())
+	}
+	return out
+}
+
+// Indexes lists the table's indexes in canonical order, by attribute name:
+// the order in which the multiway join's reset pass (btree.Reset) carries
+// their nodes, which is server-visible.
+func (t *StoredTable) Indexes() []*btree.Tree {
+	out := make([]*btree.Tree, 0, len(t.indexes))
 	for _, attr := range t.IndexAttrs() {
-		out = append(out, t.indexes[attr].ORAM())
+		out = append(out, t.indexes[attr])
 	}
 	return out
 }
@@ -470,18 +481,6 @@ func (t *StoredTable) ClientBytes() int64 {
 		total += tr.ClientCacheBytes() + treeClientBytes(tr)
 	}
 	return total
-}
-
-// ResetIndexes restores liveness tags on every index (the multiway join's
-// post-query cleanup), in attribute order: which index store is walked first
-// is server-visible.
-func (t *StoredTable) ResetIndexes() error {
-	for _, attr := range t.IndexAttrs() {
-		if err := t.indexes[attr].Reset(); err != nil {
-			return fmt.Errorf("table: resetting %s.%s: %w", t.rel.Schema.Table, attr, err)
-		}
-	}
-	return nil
 }
 
 // Relation exposes the client-side plaintext relation (tests and reference

@@ -459,7 +459,7 @@ func TestResetIndexes(t *testing.T) {
 	if err := idx.Disable(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ResetIndexes(); err != nil {
+	if err := btree.Reset(st.Indexes()...); err != nil {
 		t.Fatal(err)
 	}
 	e, ok, err := idx.LookupGE(1)
@@ -612,9 +612,9 @@ func TestStoreChainedValidation(t *testing.T) {
 // TestSettleOrderIsCanonical: which of a table's stores is walked or written
 // first is server-visible, so it must not follow the iteration order of the
 // index map. ORAMs lists the data ORAM and then the indexes by attribute
-// name, ResetIndexes walks the indexes in that order, and settling the list
-// (oram.Settle) writes every touched tree's queued path back in one round,
-// in that order — run after run.
+// name, Indexes lists the indexes so, the reset pass over them carries them
+// in that order, and settling the list (oram.Settle) writes every touched
+// tree's queued path back in one round, in that order — run after run.
 func TestSettleOrderIsCanonical(t *testing.T) {
 	var first string
 	for rep := 0; rep < 8; rep++ { // a two-entry map walk comes out either way round
@@ -636,7 +636,7 @@ func TestSettleOrderIsCanonical(t *testing.T) {
 		if err := st.DummyData(); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.ResetIndexes(); err != nil {
+		if err := btree.Reset(st.Indexes()...); err != nil {
 			t.Fatal(err)
 		}
 		if err := oram.Settle(orams...); err != nil {
