@@ -48,8 +48,11 @@ type pathStep struct {
 //
 // Only the first KeyFree accesses can be built before the target is known;
 // a descent started with Defer gets its target from Target before then.
-// A Descent is reusable: its decode buffers carry over from one descent to
-// the next.
+// A descent opened ahead (Open) may issue them before even its mode is
+// known: they are then real reads of the root, whatever the mode. A Dummy
+// descent discards what they read and releases its pin; a descent that never
+// gets its mode is parked (Park) for Reset. A Descent is reusable: its
+// decode buffers carry over from one descent to the next.
 //
 // On a tagged tree every access of a real descent is an update that routes
 // with the node in hand and writes the chosen child's fresh position tag
@@ -60,6 +63,8 @@ type Descent struct {
 	t      *Tree
 	mode   Mode
 	target int64
+	ahead  bool // the KeyFree accesses read the root, whatever the mode
+	moded  bool // the mode is known
 	keyed  bool // the target is known
 	found  bool
 	done   int // accesses landed
@@ -79,7 +84,15 @@ func (d *Descent) Start(t *Tree, m Mode, target int64) {
 
 // Defer begins a descent whose target follows (Target).
 func (d *Descent) Defer(t *Tree, m Mode) {
-	d.t, d.mode, d.keyed, d.found, d.done, d.ent = t, m, false, true, 0, Entry{}
+	d.Open(t, false)
+	d.mode, d.moded = m, true
+}
+
+// Open begins a descent whose mode follows (Begin). With ahead set its
+// KeyFree accesses read the root for real whatever the mode, so they can be
+// built, and travel, before the mode is known.
+func (d *Descent) Open(t *Tree, ahead bool) {
+	d.t, d.ahead, d.moded, d.keyed, d.found, d.done, d.ent = t, ahead, false, false, true, 0, Entry{}
 	d.path = d.path[:0]
 	if cap(d.path) < t.Height() {
 		d.path = make([]pathStep, 0, t.Height())
@@ -93,6 +106,18 @@ func (d *Descent) Defer(t *Tree, m Mode) {
 	if d.rotateFn == nil {
 		d.rotateFn = d.rotate
 	}
+}
+
+// Begin gives an opened descent its mode, keeping what has landed. A Dummy
+// discards the root it read ahead, releasing the node's pin.
+func (d *Descent) Begin(m Mode) error {
+	d.mode, d.moded = m, true
+	if m != Dummy {
+		return nil
+	}
+	err := d.release(false)
+	d.path = d.path[:0]
+	return err
 }
 
 // Target gives the descent its target; ok=false says there is none, and the
@@ -115,6 +140,10 @@ func (d *Descent) Req() (oram.Req, error) {
 	t := d.t
 	req := oram.Req{ORAM: t.cfg.ORAM}
 	switch {
+	case d.ahead && d.done < t.KeyFree(): // the root, whatever the mode
+		req.Key, req.Pin = t.rootID(), t.cfg.WriteBackDescents
+	case !d.moded:
+		return req, fmt.Errorf("btree: access %d of a descent built before its mode", d.done)
 	case d.mode == Dummy:
 		req.Dummy = true
 	case d.mode == DisableOrd && !t.cfg.WriteBackDescents:
@@ -201,7 +230,10 @@ func (d *Descent) land(req oram.Req) error {
 		}
 		return fmt.Errorf("btree: node %d: %w", req.Key, req.Err)
 	}
-	if d.mode == Dummy {
+	if d.moded && d.mode == Dummy {
+		if req.Pin { // a root read ahead
+			return t.pins().Release(req.Key, nil)
+		}
 		return nil
 	}
 	if t.width > 0 && k == 0 {
@@ -254,6 +286,16 @@ func (d *Descent) land(req oram.Req) error {
 // releases the nodes it holds pinned, unchanged.
 func (d *Descent) Abort() error { return d.release(false) }
 
+// Park ends a descent opened ahead whose retrieval never comes: a root it
+// read and holds pinned goes to its tree, which Reset visits with it rather
+// than with an access of its own.
+func (d *Descent) Park() {
+	if len(d.path) > 0 && d.path[0].held != nil && d.t.cfg.WriteBackDescents {
+		d.t.parked = d.path[0].held
+	}
+	d.path = d.path[:0]
+}
+
 // release unpins a write-back descent's nodes. With edit — a disable whose
 // leaf has landed — every parent's live aggregates are first refreshed from
 // the child it was descended through, bottom-up, and each outsourced node is
@@ -270,7 +312,7 @@ func (d *Descent) release(edit bool) error {
 			e.maxLiveKey, e.maxLiveOrd, e.minLiveOrd = d.path[i].node.liveAgg()
 		}
 	}
-	pins := d.t.cfg.ORAM.(interface{ Release(uint64, []byte) error }) // attach checked
+	pins := d.t.pins()
 	var errs error
 	for i := range d.path {
 		s := &d.path[i]
@@ -297,6 +339,12 @@ func (t *Tree) KeyFree() int {
 		return 0
 	}
 	return 1
+}
+
+// pins is the tree's ORAM as a store of pinned blocks (attach checks it is
+// one under WriteBackDescents).
+func (t *Tree) pins() interface{ Release(uint64, []byte) error } {
+	return t.cfg.ORAM.(interface{ Release(uint64, []byte) error })
 }
 
 // drawTag draws a fresh position tag in a tagged tree's ORAM.

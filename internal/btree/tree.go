@@ -2,6 +2,7 @@ package btree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -43,6 +44,8 @@ type Tree struct {
 
 	width   int    // the layout (node.width): 0 plain, > 0 tagged
 	rootTag uint32 // tagged: the root's position tag, all the client keeps
+
+	parked []byte // the root as a descent read it ahead, pinned (Descent.Park)
 }
 
 type levelRange struct {
@@ -446,22 +449,36 @@ func LeafEntry(payload []byte, i int) (Entry, error) {
 // given (oram.Together), so the pass takes as many rounds as the largest
 // tree has outsourced nodes, and each tree's own access sequence is that of
 // walking it alone. The order is server-visible, so the caller makes it
-// canonical. Cached nodes are reset client-side. Each node is
-// self-resetting (static aggregates are stored alongside live ones), so the
-// pass needs no cross-node information.
+// canonical. Cached nodes are reset client-side, and so is a root a descent
+// parked (Descent.Park): it was read, and is still pinned, so the pass
+// edits it in the stash and releases it, and the walk ends one node short
+// of that root, the last node. Each node is self-resetting (static
+// aggregates are stored alongside live ones), so the pass needs no
+// cross-node information.
 func Reset(trees ...*Tree) error {
 	var rounds uint64
-	for _, t := range trees {
+	visits := make([]uint64, len(trees))
+	var errs error
+	for i, t := range trees {
 		for _, n := range t.cache {
 			n.reset()
 		}
-		rounds = max(rounds, t.outsourcedNodes())
+		visits[i] = t.outsourcedNodes()
+		if t.parked != nil {
+			errs = errors.Join(errs, resetNode(t.parked), t.pins().Release(t.rootID(), t.parked))
+			t.parked = nil
+			visits[i]--
+		}
+		rounds = max(rounds, visits[i])
+	}
+	if errs != nil {
+		return errs
 	}
 	reqs := make([]oram.Req, 0, len(trees))
 	for id := uint64(0); id < rounds; id++ {
 		reqs = reqs[:0]
-		for _, t := range trees {
-			if id < t.outsourcedNodes() {
+		for i, t := range trees {
+			if id < visits[i] {
 				reqs = append(reqs, oram.Req{ORAM: t.cfg.ORAM, Key: id, Update: resetNode})
 			}
 		}

@@ -521,10 +521,45 @@ func TestJoinStatsPopulated(t *testing.T) {
 // are the bound itself: the pad tail is empty (Steps == PaddedSteps). The
 // retrievals are one per table and step in the SepORAM setting, and the
 // NumtrOne* totals in the OneORAM setting, where a binary join skips the
-// dummy partner of a real retrieval.
+// dummy partner of a real retrieval. In the SepORAM setting every store
+// serves exactly its retrievals' accesses — an index store h a retrieval —
+// and a scanned table's data store one more where the index nested-loop
+// join looks ahead (its index one level deep: table.Pipeline).
 func TestTheoremsQuick(t *testing.T) {
 	exact := func(res *Result, err error, theorem, retrievals int64) bool {
 		return err == nil && res.Steps == theorem && res.PaddedSteps == res.Steps && res.Retrievals == retrievals
+	}
+	// accesses returns the accesses each ORAM of the tables has served:
+	// t1's data and index, then t2's.
+	accesses := func(s1, s2 *table.StoredTable) []int64 {
+		var out []int64
+		for _, st := range []*table.StoredTable{s1, s2} {
+			for _, ps := range st.PathTelemetry() {
+				out = append(out, ps.Accesses)
+			}
+		}
+		return out
+	}
+	// served reports whether the stores served what the steps of a join
+	// that went from before to now owe them: steps data accesses each,
+	// outer more on t1's data store, and h each of t2's index steps.
+	served := func(s1, s2 *table.StoredTable, before []int64, steps, outer int64, idx1 bool) bool {
+		now := accesses(s1, s2)
+		i2, err := s2.Index("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []int64{steps + outer, 0, steps, steps * int64(i2.AccessesPerRetrieval())}
+		if idx1 {
+			want[1], want[3] = steps, steps
+		}
+		for i := range now {
+			if now[i]-before[i] != want[i] {
+				t.Logf("store %d served %d accesses, want %d", i, now[i]-before[i], want[i])
+				return false
+			}
+		}
+		return true
 	}
 	check := func(k1, k2 []int64, one bool) bool {
 		opts := testJoinOpts(t, nil)
@@ -548,14 +583,25 @@ func TestTheoremsQuick(t *testing.T) {
 		if one {
 			oneSMJ, oneINLJ, oneBand = NumtrOneSortMerge(n1, n2, want), NumtrOneINLJ(n1, want), NumtrOneBand(n1, bandWant)
 		}
-		if res, err := SortMergeJoin(s1, s2, "k", "k", opts); !exact(res, err, smj, oneSMJ) {
+		before := accesses(s1, s2)
+		if res, err := SortMergeJoin(s1, s2, "k", "k", opts); !exact(res, err, smj, oneSMJ) || !one && !served(s1, s2, before, smj, 0, true) {
 			return false
 		}
-		if res, err := IndexNestedLoopJoin(s1, s2, "k", "k", opts); !exact(res, err, inlj, oneINLJ) {
+		before = accesses(s1, s2)
+		i2, err := s2.Index("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ahead int64
+		if i2.KeyFree() == 0 { // a one-level index keys its only access: the scan holds its next tuple
+			ahead = 1
+		}
+		if res, err := IndexNestedLoopJoin(s1, s2, "k", "k", opts); !exact(res, err, inlj, oneINLJ) || !one && !served(s1, s2, before, inlj, ahead, false) {
 			return false
 		}
+		before = accesses(s1, s2)
 		res, err := BandJoin(s1, s2, "k", "k", BandGreaterEq, opts)
-		return exact(res, err, band, oneBand)
+		return exact(res, err, band, oneBand) && (one || served(s1, s2, before, band, 0, false))
 	}
 	f := func(a, b []uint8) bool {
 		if len(a) == 0 || len(b) == 0 {

@@ -360,32 +360,45 @@ func storesPerRound(trace []storage.Access, inputs ...string) map[int64][]string
 //   - band and index nested-loop alike: {T1.data, T2.idx} once, n−1 rounds of
 //     {T2.data(i−1), T1.data(i), T2.idx root(i)}, n leaf rounds {T2.idx} and
 //     {T2.data} — 2n + 1 (the equi-join's leaf access waits for T1's tuple,
-//     the band join's for nothing, and the shape is the same);
-//   - index nested-loop over the oblivious tree: {T1.data(i)}, {T2 root(i)},
-//     {T2 leaf(i)} — 3n, every access of the descent keyed, since it rotates
-//     the tag of the child it routes to, and no data access after it;
+//     the band join's for nothing, and the shape is the same; looking ahead
+//     would save neither a round);
+//
+// and the joins whose pipeline looks ahead (table.Pipeline), where T1, the
+// scan, holds its next tuple — its first fetched by an access of its own,
+// {T1.data} — so a probe keyed by it leaves in the step's first round:
+//
+//   - index nested-loop over a cached index: {T1.data(1), T2 leaf(0)}, n−1
+//     rounds of {T2.data(i−1), T1.data(t+1), T2 leaf(i)}, and {T2.data} —
+//     n + 2 in all, a round a step;
+//   - index nested-loop over the oblivious tree: n rounds of
+//     {T1.data(t+1), T2 root(i)} and n of {T2 leaf(i)}, every access of the
+//     descent keyed, since it rotates the tag of the child it routes to, and
+//     no data access after it — 2n + 1;
 //   - multiway over Figure 6's join tree (T1 → T2, T1 → T3 → T4, one-level
-//     write-back indexes: a disable, like a lookup, is one leaf access): one
-//     stage per level of the join tree — T1's tuple, the leaves of T2 and
-//     T3, their data, T4's leaf, T4's data beside the next step's T1 — four
-//     rounds a step where the accesses one after another took seven (T4
-//     joins T3 on D, not on B, T3's index attribute, so its probe waits for
-//     T3's tuple), then the reset pass, every index in lockstep: one round,
-//     each index being one node;
+//     write-back indexes: a disable, like a lookup, is one leaf access): the
+//     leaves of T2 and T3 beside T1's next tuple, their data, T4's leaf,
+//     T4's data beside the next step's first round — three rounds a step
+//     where the accesses one after another took seven (T4 joins T3 on D, not
+//     on B, T3's index attribute, so its probe waits for T3's tuple), then
+//     the reset pass, every index in lockstep: one round, each index being
+//     one node;
 //   - multiway along a chain T1 → T2 → T3 on k with two-level indexes: T3's
-//     probe takes its key from T2's leaf entry, so it rides T2's data
-//     access — {T3.data(i−1), T1.data(i), T2 root, T3 root}, {T2 leaf},
-//     {T2.data, T3 leaf}, three rounds a step — and the reset pass walks
-//     both three-node indexes in three rounds.
+//     probe takes its key from T2's leaf entry, and T2's root is read ahead
+//     in the step before — {T3.data(i−1), T1.data(t+1), T2 leaf(i), T3
+//     root(i)}, {T2.data(i), T3 leaf(i), T2 root(i+1)}, two rounds a step
+//     (step 0's root of T2 rides the first fetch) — and the reset pass walks
+//     both three-node indexes in three rounds, T2's parked root (read ahead
+//     for a step that never came) reset client-side in place of its third.
 //
 // Every operator ends with the one settle round, which carries the last
 // write-back of every tree it touched, in canonical order: tables as listed,
 // data before indexes.
 func TestLockstepRoundShape(t *testing.T) {
-	trace := func(join func(s1, s2 *table.StoredTable, jopts Options) (*Result, error)) ([]storage.Access, *Result) {
+	trace := func(cache bool, join func(s1, s2 *table.StoredTable, jopts Options) (*Result, error)) ([]storage.Access, *Result) {
 		m := storage.NewMeter()
 		topts := testTableOpts(t, m, false)
 		topts.BlockPayload = twinPayload
+		topts.CacheIndex = cache
 		s1, s2, _ := storeWith(t, equiTwin.a1, equiTwin.a2, topts, false)
 		m.Reset()
 		m.SetTracing(true)
@@ -423,7 +436,7 @@ func TestLockstepRoundShape(t *testing.T) {
 	}
 	inputs := []string{"t1.idx.k", "t1.data", "t2.idx.k", "t2.data"}
 
-	tr, res := trace(func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
+	tr, res := trace(false, func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
 		return SortMergeJoin(s1, s2, "k", "k", jopts)
 	})
 	n := res.PaddedSteps
@@ -441,7 +454,7 @@ func TestLockstepRoundShape(t *testing.T) {
 			return IndexNestedLoopJoin(s1, s2, "k", "k", jopts)
 		},
 	} {
-		tr, res = trace(join)
+		tr, res = trace(false, join)
 		n = res.PaddedSteps
 		check(name, shapes(name, tr, inputs, "[t1.data t2.data t2.idx.k]"), map[string]int64{
 			"[t1.data t2.idx.k]":         1,
@@ -450,6 +463,17 @@ func TestLockstepRoundShape(t *testing.T) {
 			"[t2.data]":                  1,
 		})
 	}
+
+	tr, res = trace(true, func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
+		return IndexNestedLoopJoin(s1, s2, "k", "k", jopts)
+	})
+	n = res.PaddedSteps
+	check("cached nested-loop", shapes("cached nested-loop", tr, inputs, "[t1.data t2.data t2.idx.k]"), map[string]int64{
+		"[t1.data]":                  1,
+		"[t1.data t2.idx.k]":         1,
+		"[t2.data t1.data t2.idx.k]": n - 1,
+		"[t2.data]":                  1,
+	})
 
 	tr, res = func() ([]storage.Access, *Result) {
 		m := storage.NewMeter()
@@ -470,8 +494,9 @@ func TestLockstepRoundShape(t *testing.T) {
 	}()
 	n = res.PaddedSteps
 	check("oblivious tree", shapes("oblivious tree", tr, inputs, "[t1.data t2.idx.k]"), map[string]int64{
-		"[t1.data]":  n,
-		"[t2.idx.k]": 2 * n,
+		"[t1.data]":          1,
+		"[t1.data t2.idx.k]": n,
+		"[t2.idx.k]":         n,
 	})
 
 	rels, q := figure6Data()
@@ -486,13 +511,13 @@ func TestLockstepRoundShape(t *testing.T) {
 	n = res.PaddedSteps
 	inputs = []string{"T1.data", "T2.data", "T2.idx.A", "T3.data", "T3.idx.B", "T4.data", "T4.idx.D"}
 	check("multiway", shapes("multiway", m.Trace(), inputs, "[T1.data T2.data T2.idx.A T3.data T3.idx.B T4.data T4.idx.D]"), map[string]int64{
-		"[T1.data]":                    1,
-		"[T2.idx.A T3.idx.B]":          n,
-		"[T2.data T3.data]":            n,
-		"[T4.idx.D]":                   n,
-		"[T4.data T1.data]":            n - 1,
-		"[T4.data]":                    1,
-		"[T2.idx.A T3.idx.B T4.idx.D]": 1, // the reset pass
+		"[T1.data]":                           1,
+		"[T1.data T2.idx.A T3.idx.B]":         1,
+		"[T4.data T1.data T2.idx.A T3.idx.B]": n - 1,
+		"[T2.data T3.data]":                   n,
+		"[T4.idx.D]":                          n,
+		"[T4.data]":                           1,
+		"[T2.idx.A T3.idx.B T4.idx.D]":        1, // the reset pass
 	})
 
 	m = storage.NewMeter()
@@ -523,12 +548,13 @@ func TestLockstepRoundShape(t *testing.T) {
 	n = res.PaddedSteps
 	inputs = []string{"t1.data", "t2.data", "t2.idx.k", "t3.data", "t3.idx.k"}
 	check("multiway chain", shapes("multiway chain", m.Trace(), inputs, "[t1.data t2.data t2.idx.k t3.data t3.idx.k]"), map[string]int64{
+		"[t1.data t2.idx.k]":                  1,
 		"[t1.data t2.idx.k t3.idx.k]":         1,
 		"[t3.data t1.data t2.idx.k t3.idx.k]": n - 1,
-		"[t2.idx.k]":                          n,
-		"[t2.data t3.idx.k]":                  n,
+		"[t2.data t3.idx.k t2.idx.k]":         n,
 		"[t3.data]":                           1,
-		"[t2.idx.k t3.idx.k]":                 3, // the reset pass
+		"[t2.idx.k t3.idx.k]":                 2, // the reset pass ...
+		"[t3.idx.k]":                          1, // ... T2's root reset client-side
 	})
 }
 

@@ -82,15 +82,12 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 	}
 	pad.End()
 
-	tuples, realCount, paddedOut, err := m.w.finish(opts, cart, sp)
-	if err != nil {
-		return nil, err
-	}
-
 	// The paper's post-query cleanup: "go over all index blocks and reset
 	// boolean tags in each entry" — every index in lockstep, tables as
 	// listed and each table's indexes by attribute, so the pass takes as
-	// many rounds as the largest index has nodes.
+	// many rounds as the largest index has nodes. It runs as the steps have
+	// drained, so a root the last step read ahead for a step that never came
+	// (table.Pipeline) serves as its tree's root visit at once.
 	reset := sp.Child("reset")
 	var indexes []*btree.Tree
 	for _, t := range in.Tables[1:] {
@@ -100,6 +97,11 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 		return nil, err
 	}
 	reset.End()
+
+	tuples, realCount, paddedOut, err := m.w.finish(opts, cart, sp)
+	if err != nil {
+		return nil, err
+	}
 
 	// Settle after the reset pass so its index writes are flushed too.
 	fs := make([]settler, len(in.Tables))
@@ -218,10 +220,28 @@ func newMultiwayState(in MultiwayInput, opts Options) (*multiwayState, error) {
 }
 
 // targetKey returns the join key position j must match: the parent's
-// current attribute value.
-func (m *multiwayState) targetKey(j int) int64 {
-	parent := m.in.Tree.Order[j].Parent
-	return m.cur[parent].Tuple.Values[m.parentCols[j]]
+// current entry key when j's probe is keyed by it, and otherwise the
+// parent's current attribute value, which is an error while the parent's
+// tuple is still landing.
+func (m *multiwayState) targetKey(j int) (int64, error) {
+	parent := &m.cur[m.in.Tree.Order[j].Parent]
+	if m.keyCols[j] == table.EntryKey {
+		return parent.Entry.Key, nil
+	}
+	if parent.Tuple.Values == nil {
+		return 0, fmt.Errorf("core: position %d's parent tuple is still landing", j)
+	}
+	return parent.Tuple.Values[m.parentCols[j]], nil
+}
+
+// matches reports whether position j's row of the step just performed
+// matches its parent's current row.
+func (m *multiwayState) matches(rows []table.Row, j int) (bool, error) {
+	if !rows[j].OK {
+		return false, nil
+	}
+	key, err := m.targetKey(j)
+	return rows[j].Entry.Key == key, err
 }
 
 // action is the pending next step of the machine.
@@ -388,7 +408,9 @@ func (m *multiwayState) advance(s *stepper, a int) (action, error) {
 		}
 		m.rootSeen++
 		s.take(&m.cur[0], rows, 0)
-	} else if rows[a].OK && rows[a].Entry.Key == m.targetKey(a) {
+	} else if ok, err := m.matches(rows, a); err != nil {
+		return action{}, err
+	} else if ok {
 		s.take(&m.cur[a], rows, a)
 	} else {
 		// No live same-key successor: memoize so the discovery step is never
@@ -397,7 +419,11 @@ func (m *multiwayState) advance(s *stepper, a int) (action, error) {
 		matched, failAt = false, -2
 	}
 	for j := a + 1; j < m.l && matched; j++ {
-		if rows[j].OK && rows[j].Entry.Key == m.targetKey(j) {
+		ok, err := m.matches(rows, j)
+		if err != nil {
+			return action{}, err
+		}
+		if ok {
 			s.take(&m.cur[j], rows, j)
 		} else {
 			// Zero live matches for the parent tuple: Observations 1/2.

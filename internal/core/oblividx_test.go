@@ -95,9 +95,9 @@ func TestObliviousIndexUniformSteps(t *testing.T) {
 }
 
 // TestObliviousIndexPredictedRounds: the oblivious-tree join runs the
-// pipelined INLJ driver, so its input rounds are what table.PipelineRounds
-// says of a scan beside a lane with no data store — the outer's data round,
-// then the descent's accesses, every one keyed — plus the settle round in
+// pipelined INLJ driver, so its input rounds are what table.PlanPipeline
+// says of a scan beside a lane with no data store — the scan holding its
+// next tuple, the descent's accesses, every one keyed — plus the settle round in
 // which the tree settles with the outer. On the twin fixture padded to the
 // Cartesian product (42 steps over a two-level tree) the join takes fewer
 // rounds in all than the 192 of the serial loop it replaced, which settled
@@ -135,7 +135,7 @@ func TestObliviousIndexPredictedRounds(t *testing.T) {
 		{Data: "t1.data", Wait: table.Wait{After: -1}},
 		{Index: store, Accesses: tree.AccessesPerRetrieval(), KeyFree: tree.KeyFree(), Wait: table.Wait{After: 0}},
 	}
-	if want := table.PipelineRounds(lanes, res.PaddedSteps) + 1; int64(len(rounds)) != want {
+	if want := table.PlanPipeline(lanes, res.PaddedSteps).Rounds + 1; int64(len(rounds)) != want {
 		t.Fatalf("the inputs travelled in %d rounds, predicted %d", len(rounds), want)
 	}
 	if got := m.Snapshot().NetworkRounds; got >= 192 {

@@ -34,21 +34,25 @@ type Cost struct {
 	// its path download, which carries the write-back the tree has queued.
 	// The join steps run in a table.Pipeline — every tree serves one access
 	// per round, and a step's first index accesses ride the previous step's
-	// last round — so the rounds are table.PipelineRounds over the inputs'
-	// public geometry. With n the padded step count and h the inner index's
-	// accesses per retrieval, that is
+	// last round — so the rounds are table.PlanPipeline's over the inputs'
+	// public geometry, which looks ahead where the pipeline does: a scanned
+	// table then holds its next tuple, fetching the first by one access more,
+	// and an uncached descent reads the next step's root in this step's
+	// rounds. With n the padded step count and h the inner index's accesses
+	// per retrieval, that is
 	//
-	//	sort-merge          n + 1      {T1.idx(i+1), T2.idx(i+1), T1.data(i), T2.data(i)}
-	//	band                h·n + 1    T1.data(i) and T2.data(i−1) ride T2's root access
-	//	index nested-loop   h·n + 1    the same, the probe keyed from the root down
-	//	multiway            one stage per join-tree level per step, fewer where
-	//	                    children are keyed by their parent's leaf entry
+	//	sort-merge                  n + 1      {T1.idx(i+1), T2.idx(i+1), T1.data(i), T2.data(i)}
+	//	band, h ≥ 1                 h·n + 1    T1.data(i) and T2.data(i−1) ride T2's first access
+	//	index nested-loop, h ≥ 2    h·n + 1    the same, the probe keyed below the root
+	//	index nested-loop, cached   n + 2      looks ahead: {T1.data(t+1), T2.leaf(i), T2.data(i−1)}
+	//	multiway                    a stage per level of keyed dependencies below the scan,
+	//	                            an entry-keyed child's free (a chain at h = 2: 2n + 2)
 	//
-	// for an uncached index (h ≥ 2; a cached index keys its only read, so an
-	// equi-join step takes 2), plus the multiway join's reset pass, which
-	// walks every index in lockstep, one round per node of the largest, and
-	// one settle round, in which every touched tree's last write-back
-	// travels when the query ends (core.settle).
+	// plus the multiway join's reset pass, which walks every index in
+	// lockstep, one round per node of the largest (a root read ahead for a
+	// step that never came is reset without one), and one settle round, in
+	// which every touched tree's last write-back travels when the query ends
+	// (core.settle).
 	Rounds int64
 	// PerStore maps store name to predicted block operations — the exact
 	// counts the predicted-vs-measured guard checks against the Meter's
@@ -85,11 +89,24 @@ func (c *Cost) Time() time.Duration {
 	return storage.DefaultCostModel().Cost(storage.Stats{BytesRead: c.Bytes, NetworkRounds: c.Rounds})
 }
 
-// setRounds records the operator's round count: the rounds its steps take
-// over the given lanes, extra rounds of its own, and the one that settles
-// the trees they touched.
-func (c *Cost) setRounds(lanes []table.Lane, extra int64) {
-	c.Rounds = table.PipelineRounds(lanes, c.Steps) + extra
+// price adds the accesses of the operator's pipelined steps over the given
+// lanes (table.PlanPipeline), at the per-access costs of the lanes' tables
+// and indexes, and returns the plan.
+func (c *Cost) price(lanes []table.Lane, metas []TableMeta, indexes []IndexMeta) table.PipelinePlan {
+	plan := table.PlanPipeline(lanes, c.Steps)
+	for j, l := range lanes {
+		if l.Index != "" {
+			c.addIndex(indexes[j], plan.IndexAccesses[j])
+		}
+		c.addData(metas[j], plan.DataAccesses[j])
+	}
+	return plan
+}
+
+// setRounds records the operator's round count: the given rounds and the
+// one that settles the trees they touched.
+func (c *Cost) setRounds(rounds int64) {
+	c.Rounds = rounds
 	if c.ORAMOps > 0 {
 		c.Rounds++
 	}
@@ -134,13 +151,8 @@ func smjCost(cat Catalog, t1, a1, t2, a2 string, paddedR int64) (Cost, error) {
 	if !ok {
 		return Cost{}, fmt.Errorf("no index on %s.%s", t2, a2)
 	}
-	n := core.NumtrSortMerge(m1.Rows, m2.Rows, paddedR)
-	c := Cost{Steps: n}
-	c.addIndex(i1, n)
-	c.addData(m1, n)
-	c.addIndex(i2, n)
-	c.addData(m2, n)
-	c.setRounds([]table.Lane{leafLane(m1, i1), leafLane(m2, i2)}, 0)
+	c := Cost{Steps: core.NumtrSortMerge(m1.Rows, m2.Rows, paddedR)}
+	c.setRounds(c.price([]table.Lane{leafLane(m1, i1), leafLane(m2, i2)}, []TableMeta{m1, m2}, []IndexMeta{i1, i2}).Rounds)
 	return c, nil
 }
 
@@ -164,16 +176,12 @@ func inljCost(cat Catalog, outer, inner, innerAttr string, paddedR int64, band b
 	if !ok {
 		return Cost{}, fmt.Errorf("no index on %s.%s", inner, innerAttr)
 	}
-	n := core.NumtrINLJ(mo.Rows, paddedR)
-	c := Cost{Steps: n}
-	c.addData(mo, n)
-	c.addIndex(idx, n*int64(idx.AccessesPerRetrieval))
-	c.addData(mi, n)
+	c := Cost{Steps: core.NumtrINLJ(mo.Rows, paddedR)}
 	w := table.Wait{After: 0}
 	if band {
 		w.After = -1
 	}
-	c.setRounds([]table.Lane{scanLane(mo), indexLane(mi, idx, w)}, 0)
+	c.setRounds(c.price([]table.Lane{scanLane(mo), indexLane(mi, idx, w)}, []TableMeta{mo, mi}, []IndexMeta{{}, idx}).Rounds)
 	return c, nil
 }
 
@@ -183,7 +191,8 @@ func inljCost(cat Catalog, outer, inner, innerAttr string, paddedR int64, band b
 // waiting as core.MultiwayWaits derives from the tree, plus the post-query
 // reset pass over every index of every non-root table: one ORAM access per
 // non-cached node, every index in lockstep (btree.Reset), so the pass takes
-// the rounds of the largest index.
+// the rounds of the largest index; a root the last step read ahead for a
+// step that never came (table.PipelinePlan.Parked) is reset without one.
 func multiwayCost(cat Catalog, tree *jointree.Tree, paddedR int64) (Cost, error) {
 	sizes := make([]int64, tree.Len())
 	metas := make([]TableMeta, tree.Len())
@@ -194,29 +203,32 @@ func multiwayCost(cat Catalog, tree *jointree.Tree, paddedR int64) (Cost, error)
 		}
 		metas[i], sizes[i] = m, m.Rows
 	}
-	n := core.NumtrMultiway(sizes, paddedR)
-	c := Cost{Steps: n}
-	c.addData(metas[0], n)
+	c := Cost{Steps: core.NumtrMultiway(sizes, paddedR)}
 	lanes := []table.Lane{scanLane(metas[0])}
+	indexes := make([]IndexMeta, tree.Len())
 	waits := core.MultiwayWaits(tree)
-	var reset int64
-	for i, node := range tree.Order {
-		if i == 0 {
-			continue
-		}
+	for i := 1; i < tree.Len(); i++ {
+		node := tree.Order[i]
 		idx, ok := metas[i].Index(node.Attr)
 		if !ok {
 			return Cost{}, fmt.Errorf("no index on %s.%s", node.Table, node.Attr)
 		}
-		c.addIndex(idx, n*int64(idx.AccessesPerRetrieval))
-		c.addData(metas[i], n)
+		indexes[i] = idx
 		lanes = append(lanes, indexLane(metas[i], idx, waits[i]))
+	}
+	plan := c.price(lanes, metas, indexes)
+	var reset int64
+	for i := 1; i < tree.Len(); i++ {
 		for _, im := range sortedIndexes(metas[i]) {
-			c.addIndex(im, im.ResetNodes)
-			reset = max(reset, im.ResetNodes)
+			nodes := im.ResetNodes
+			if im.Attr == tree.Order[i].Attr && plan.Parked[i] {
+				nodes-- // the root the last step read ahead is reset client-side
+			}
+			c.addIndex(im, nodes)
+			reset = max(reset, nodes)
 		}
 	}
-	c.setRounds(lanes, reset)
+	c.setRounds(plan.Rounds + reset)
 	return c, nil
 }
 

@@ -163,9 +163,12 @@ func TestPredictedCostBand(t *testing.T) {
 // TestPredictedCostMultiway: Theorem 4 plus the post-query index reset, in
 // which every index moves in lockstep, over one-level indexes and over
 // chains of deeper ones: on k throughout, where c's probe is keyed by b's
-// leaf entry and a step takes a stage less than the join tree has levels,
-// and with c joining b's other column, where it waits for b's tuple and a
-// step takes a stage per level.
+// leaf entry and b's root is read a step ahead, so a step takes a stage per
+// level below the scanned root, b's level free, and with c joining b's
+// other column, where it waits for b's tuple; and over stars, whose
+// children all wait for the root's tuple. The scan holds its next tuple
+// wherever that saves rounds (table.PlanPipeline), and the prediction
+// prices its one more access and the reset pass's root read ahead exactly.
 func TestPredictedCostMultiway(t *testing.T) {
 	keys := func(n int, f func(i int) int64) []int64 {
 		out := make([]int64, n)
@@ -174,26 +177,26 @@ func TestPredictedCostMultiway(t *testing.T) {
 		}
 		return out
 	}
+	small := map[string]*relation.Relation{
+		"a": makeRel("a", []int64{1, 2, 3}),
+		"b": makeRel("b", []int64{2, 2, 3, 4}),
+		"c": makeRel("c", []int64{3, 3, 2}),
+	}
 	deep := map[string]*relation.Relation{
 		"a": makeRel("a", keys(6, func(i int) int64 { return int64(3 * i) })),
 		"b": makeRel("b", keys(20, func(i int) int64 { return int64(i) })),
 		"c": makeRel("c", keys(30, func(i int) int64 { return int64(i % 15) })),
 	}
+	ab := jointree.Pred{Left: "a", LeftAttr: "k", Right: "b", RightAttr: "k"}
 	onK := jointree.Pred{Left: "b", LeftAttr: "k", Right: "c", RightAttr: "k"}
 	onID := jointree.Pred{Left: "b", LeftAttr: "id", Right: "c", RightAttr: "k"}
+	star := jointree.Pred{Left: "a", LeftAttr: "k", Right: "c", RightAttr: "k"}
 	for _, tc := range []struct {
 		rels map[string]*relation.Relation
-		bc   jointree.Pred
-	}{{map[string]*relation.Relation{
-		"a": makeRel("a", []int64{1, 2, 3}),
-		"b": makeRel("b", []int64{2, 2, 3, 4}),
-		"c": makeRel("c", []int64{3, 3, 2}),
-	}, onK}, {deep, onK}, {deep, onID}} {
+		last jointree.Pred
+	}{{small, onK}, {deep, onK}, {deep, onID}, {small, star}, {deep, star}} {
 		rels := tc.rels
-		q := jointree.Query{
-			Tables: []string{"a", "b", "c"},
-			Preds:  []jointree.Pred{{Left: "a", LeftAttr: "k", Right: "b", RightAttr: "k"}, tc.bc},
-		}
+		q := jointree.Query{Tables: []string{"a", "b", "c"}, Preds: []jointree.Pred{ab, tc.last}}
 		tree, err := jointree.Build(q)
 		if err != nil {
 			t.Fatal(err)

@@ -59,11 +59,13 @@ func equiSpec(t1, t2 string) Spec {
 // fewer blocks at a shallow index (Numtr2 = t+R̂ steps at Δ+2 ops each
 // against Numtr1 = 2t+R̂+1 at 2 ops per table) and SMJ, whose leaf-level
 // cursors never pay the descent, at a deep one; but a pipelined INLJ step is
-// max(Δ, 2) rounds — its descent, keyed by the outer tuple below the root —
-// where a pipelined SMJ step is one, so what a shallow index buys depends on
-// what a block costs beside a round: 16 KB blocks are bandwidth-bound and the
-// fewer blocks win, 512 B blocks are round-bound and SMJ wins with more
-// blocks — the choice a block count alone gets wrong.
+// Δ rounds — its descent, keyed by the outer tuple, which the scan holds
+// ahead (table.Pipeline) — where a pipelined SMJ step is one, so what a
+// two-level index buys depends on what a block costs beside a round: 16 KB
+// blocks are bandwidth-bound and the fewer blocks win, 512 B blocks are
+// round-bound and SMJ wins with more blocks — the choice a block count alone
+// gets wrong. At Δ = 1 an INLJ step is one round too, and INLJ wins at
+// either block size.
 func TestOperatorChoiceCrossover(t *testing.T) {
 	rows := map[string]int64{"a": 1000, "b": 1000}
 	idx := map[string][]string{"a": {"k"}, "b": {"k"}}
@@ -75,7 +77,7 @@ func TestOperatorChoiceCrossover(t *testing.T) {
 		want              OpKind
 		fewestBlocks      bool
 	}{
-		{depth: 1, blockBytes: 512, want: OpSMJ, fewestBlocks: false},
+		{depth: 1, blockBytes: 512, want: OpINLJ, fewestBlocks: true},
 		{depth: 1, blockBytes: 16 << 10, want: OpINLJ, fewestBlocks: true},
 		{depth: 2, blockBytes: 16 << 10, want: OpINLJ, fewestBlocks: true},
 		{depth: 2, blockBytes: 512, want: OpSMJ, fewestBlocks: false},

@@ -174,7 +174,9 @@ func (c *ChainCursor) Dummy() error {
 
 func (c *ChainCursor) shape() shape { return shape{data: c.t.data} }
 
-func (c *ChainCursor) begin(Move) (int8, error) { return 0, nil }
+func (c *ChainCursor) open(bool) int8 { return 0 }
+
+func (c *ChainCursor) begin(Move, int8) error { return nil }
 
 // indexReq: the chain has no index stage, the previous record named this one.
 func (c *ChainCursor) indexReq(Move, int8, int) (oram.Req, error) { return oram.Req{}, errNoIndex }

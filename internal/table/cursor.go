@@ -21,9 +21,16 @@ type Row struct {
 // (root) table role of the index nested-loop joins, where "we retrieve
 // tuples from T1 one by one according to sequential block IDs". Every
 // retrieval, real or dummy, performs exactly one data-ORAM access.
+//
+// In a pipeline that looks ahead (Pipeline) the cursor holds its next
+// tuple: a retrieval that advances takes the held tuple, and its access
+// fetches the one after it; the first tuple is fetched by an access of its
+// own, before the first retrieval's.
 type ScanCursor struct {
-	t   *StoredTable
-	pos int
+	t     *StoredTable
+	pos   int
+	ahead bool
+	next  Row // ahead: tuple pos, once fetched
 }
 
 // NewScanCursor returns a cursor at the first tuple.
@@ -51,7 +58,12 @@ func (c *ScanCursor) ref() btree.Ref {
 
 func (c *ScanCursor) shape() shape { return shape{data: c.t.data} }
 
-func (c *ScanCursor) begin(Move) (int8, error) { return 0, nil }
+func (c *ScanCursor) open(ahead bool) int8 {
+	c.ahead = ahead
+	return 0
+}
+
+func (c *ScanCursor) begin(Move, int8) error { return nil }
 
 func (c *ScanCursor) indexReq(Move, int8, int) (oram.Req, error) { return oram.Req{}, errNoIndex }
 
@@ -59,26 +71,60 @@ func (c *ScanCursor) landIndex(Move, int8, oram.Req) (Row, bool, error) {
 	return Row{}, false, errNoIndex
 }
 
-func (c *ScanCursor) dataReq(mv Move, _ Row) oram.Req {
-	if mv.kind == hold || c.pos >= c.t.NumTuples() {
+// dataReq is the retrieval's access: of the tuple at the cursor, or ahead
+// of the one after the tuple the retrieval took (take), real exactly when it
+// took one.
+func (c *ScanCursor) dataReq(mv Move, row Row) oram.Req {
+	if c.ahead {
+		return c.fetchReq(row.OK)
+	}
+	return c.fetchReq(mv.kind != hold)
+}
+
+// fetchReq is the access of the tuple at the cursor when real, and a dummy
+// when not or past the end.
+func (c *ScanCursor) fetchReq(real bool) oram.Req {
+	if !real || c.pos >= c.t.NumTuples() {
 		return c.t.dummyReq()
 	}
 	return c.t.tupleReq(c.ref())
 }
 
-func (c *ScanCursor) landData(_ Move, _ Row, loaded oram.Req) (Row, error) {
+func (c *ScanCursor) landData(_ Move, row Row, loaded oram.Req) (Row, error) {
+	if c.ahead {
+		return row, c.landFetch(loaded)
+	}
+	if err := c.landFetch(loaded); err != nil || loaded.Dummy {
+		return Row{}, err
+	}
+	c.pos++
+	return c.next, nil
+}
+
+// landFetch decodes the tuple a fetchReq brought into next.
+func (c *ScanCursor) landFetch(loaded oram.Req) error {
 	if loaded.Err != nil || loaded.Dummy {
-		return Row{}, loaded.Err
+		return loaded.Err
 	}
 	tu, ok, err := c.t.tupleAt(c.ref(), loaded.Data)
 	if err != nil {
-		return Row{}, err
+		return err
 	}
 	if !ok {
-		return Row{}, fmt.Errorf("table: scan hit dummy slot at %d", c.pos)
+		return fmt.Errorf("table: scan hit dummy slot at %d", c.pos)
+	}
+	c.next = Row{Tuple: tu, OK: true}
+	return nil
+}
+
+// take is an ahead retrieval's row: the held tuple, which an advance takes,
+// moving the cursor on; nothing for a hold or past the end.
+func (c *ScanCursor) take(mv Move) Row {
+	if mv.kind == hold || c.pos >= c.t.NumTuples() {
+		return Row{}
 	}
 	c.pos++
-	return Row{Tuple: tu, OK: true}, nil
+	return c.next
 }
 
 // Pos returns the number of tuples consumed.
@@ -127,7 +173,9 @@ func (c *LeafCursor) shape() shape {
 	return shape{index: c.tree.ORAM(), data: c.t.data, n: 1, free: 1}
 }
 
-func (c *LeafCursor) begin(Move) (int8, error) { return 0, nil }
+func (c *LeafCursor) open(bool) int8 { return 0 }
+
+func (c *LeafCursor) begin(Move, int8) error { return nil }
 
 // indexReq is the leaf access: the leaf holding the entry at the cursor, or
 // a dummy past the end.
@@ -213,37 +261,44 @@ func (c *IndexCursor) shape() shape {
 	return sh
 }
 
-// begin starts the retrieval's descent on the cursor's next descent slot.
-func (c *IndexCursor) begin(mv Move) (int8, error) {
+// open opens the retrieval's descent on the cursor's next descent slot;
+// ahead, its key-free access reads the root whatever the move.
+func (c *IndexCursor) open(ahead bool) int8 {
 	slot := c.flip
 	c.flip ^= 1
+	c.desc[slot].Open(c.tree, ahead)
+	return slot
+}
+
+// begin gives the descent opened on slot its move.
+func (c *IndexCursor) begin(mv Move, slot int8) error {
 	d := &c.desc[slot]
+	mode, target := btree.Dummy, mv.arg
 	switch mv.kind {
-	case hold:
-		d.Start(c.tree, btree.Dummy, 0)
 	case seekKeyGE:
-		if mv.src != nil {
-			d.Defer(c.tree, btree.KeyGE)
-		} else {
-			d.Start(c.tree, btree.KeyGE, mv.arg)
-		}
+		mode = btree.KeyGE
 	case seekOrdGE:
-		d.Start(c.tree, btree.OrdGE, mv.arg)
+		mode = btree.OrdGE
 	case seekOrdLE:
-		d.Start(c.tree, btree.OrdLE, mv.arg)
+		mode = btree.OrdLE
 	case disable:
-		d.Start(c.tree, btree.DisableOrd, mv.arg)
+		mode = btree.DisableOrd
 	case advance, retreat:
 		if !c.ok {
-			return 0, fmt.Errorf("table: Next or Prev on unpositioned cursor")
+			return fmt.Errorf("table: Next or Prev on unpositioned cursor")
 		}
-		if mv.kind == advance {
-			d.Start(c.tree, btree.OrdGE, c.cur.Ord+1)
-		} else {
-			d.Start(c.tree, btree.OrdLE, c.cur.Ord-1)
+		mode, target = btree.OrdGE, c.cur.Ord+1
+		if mv.kind == retreat {
+			mode, target = btree.OrdLE, c.cur.Ord-1
 		}
 	}
-	return slot, nil
+	if err := d.Begin(mode); err != nil {
+		return err
+	}
+	if mv.kind != seekKeyGE || mv.src == nil { // a deferred key comes with the first keyed access
+		d.Target(target, true)
+	}
+	return nil
 }
 
 // indexReq builds access k of the descent; the first keyed one takes a

@@ -49,18 +49,27 @@ const (
 // its accesses use and how they depend on one another — public geometry,
 // the same for every retrieval of a cursor, real or dummy.
 type shape struct {
-	index, data any // the trees: ORAMs, or store names for PipelineRounds; nil without index accesses, or a data access
+	index, data any // the trees: ORAMs, or store names for PlanPipeline; nil without index accesses, or a data access
 	n           int // index accesses, after which the entry is known and the data access can be built
 	free        int // leading index accesses that need no key
 }
+
+// readsAhead reports whether the retrieval is a descent whose key-free
+// accesses, the root read of an untagged, uncached tree, may travel before
+// its move is known. A leaf cursor's one access (free == n) reads the leaf
+// its move picks.
+func (sh shape) readsAhead() bool { return sh.free > 0 && sh.free < sh.n }
 
 // stager is a cursor, seen as the accesses of its retrievals. Everything
 // passes by value, so a one-off Step keeps its scratch on the stack.
 type stager interface {
 	shape() shape
-	// begin starts a retrieval; the result names the cursor's state for it
-	// (an IndexCursor's descent), handed back to the calls below.
-	begin(mv Move) (slot int8, err error)
+	// open starts a retrieval whose move follows (begin), reading ahead
+	// when ahead is set: a scan's next tuple, a descent's root; the result
+	// names the cursor's state for it (an IndexCursor's descent), handed
+	// back to the calls below.
+	open(ahead bool) (slot int8)
+	begin(mv Move, slot int8) error
 	// indexReq builds index access k; landIndex takes it and returns the row
 	// once the last one has landed (ok=false before).
 	indexReq(mv Move, slot int8, k int) (oram.Req, error)
@@ -79,8 +88,10 @@ type flight struct {
 	slot    int8
 	idx     int  // index accesses landed
 	data    bool // the data access has landed
+	first   bool // a scan that looks ahead, first step: its first tuple is yet to land
 	inIdx   bool // the round being formed carries an index access ...
 	inData  bool // ... the data access
+	inFirst bool // ... the fetch of the first tuple
 	decided bool // row.Entry and row.OK are known
 }
 
@@ -100,22 +111,40 @@ func (f *flight) landed() bool { return f.data && f.idx == f.sh.n }
 // access, or, for a key that is the other lane's index entry key, its index
 // stage.
 //
+// A pipeline looks ahead when that takes fewer rounds a step over its lanes'
+// geometry (PlanPipeline decides the same way). Two more rules then hold:
+//   - A scan that another lane waits for holds its next tuple. Its access in
+//     step s fetches the tuple after the one step s takes, real exactly when
+//     step s advances the scan, and one access more, in the first step's
+//     first round, fetches the first tuple. Lanes keyed by the scan wait only
+//     for its access of the step before.
+//   - Once step s−1 has landed, step s+1's key-free descent accesses travel
+//     in step s's rounds, on trees step s has no access pending on. They are
+//     real root reads whatever the move: a Hold discards its root and
+//     releases its pin, and a root read for a step that never comes is
+//     parked on its tree at Drain (btree Descent.Park) for btree.Reset.
+//
 // The rounds a step takes are a function of the lanes' shapes (trees,
 // index accesses, KeyFree) and the declared key dependencies (Wait) only —
 // never of which retrievals are real — so real, dummy and pad steps alike
 // present the same round shape, including across the boundary between them.
-// PipelineRounds counts them from the same public geometry.
+// PlanPipeline counts them from the same public geometry.
 type Pipeline struct {
 	lanes  int
 	waits  []Wait  // waits[j]: what lane j's keyed accesses wait for; nil: none waits
+	ahead  bool    // the pipeline looks ahead
+	looks  []bool  // looks[j]: lane j is a scan that holds its next tuple; nil: a one-off Step, which never looks ahead
+	opened bool    // step begun's retrievals are open, reading ahead of its moves
 	begun  int64   // steps begun
 	done   int64   // steps landed in full
 	rounds int64   // rounds issued
-	dry    []shape // PipelineRounds: the lanes' shapes; plan rounds, perform nothing
+	dry    []shape // PlanPipeline: the lanes' shapes; plan rounds, perform nothing
+	parked []bool  // PlanPipeline: the lanes that parked a root at Drain
 
 	// The flights of the steps in flight, by step parity (at most two steps
-	// are), and the scratch of a round: in few and round's own buffers for up
-	// to four lanes, so that a one-off Step keeps all of it on the stack.
+	// are, or one and the next one's reads ahead), and the scratch of a
+	// round: in few and round's own buffers for up to four lanes, so that a
+	// one-off Step keeps all of it on the stack.
 	few   [2][4]flight
 	many  [2][]flight
 	reqs  []oram.Req
@@ -130,8 +159,9 @@ type Pipeline struct {
 // Wait is a lane's key dependency: its keyed index accesses — those past
 // its descent's KeyFree — wait for lane After's retrieval of the same step
 // (After < 0: for nothing); for its entry, its index stage having landed,
-// when Entry is set, and else for its data access. A move keyed by that
-// entry (MoveKeyGE with EntryKey) needs only the former.
+// when Entry is set, and else for its tuple: its data access, or the row a
+// scan that looks ahead holds. A move keyed by that entry (MoveKeyGE with
+// EntryKey) needs only the former.
 type Wait struct {
 	After int
 	Entry bool
@@ -141,7 +171,7 @@ type Wait struct {
 // waits[j] says. The dependency holds in every step, whatever the moves,
 // which is what keeps the round shape independent of the data.
 func NewPipeline(waits ...Wait) *Pipeline {
-	p := &Pipeline{lanes: len(waits), waits: slices.Clone(waits)}
+	p := &Pipeline{lanes: len(waits), waits: slices.Clone(waits), looks: make([]bool, len(waits))}
 	if p.lanes > len(p.few[0]) {
 		p.many = [2][]flight{make([]flight, p.lanes), make([]flight, p.lanes)}
 	}
@@ -158,6 +188,18 @@ func (p *Pipeline) flights(s int64) []flight {
 	return p.few[s&1][:p.lanes]
 }
 
+// last returns the end of the steps with flights: those begun, and the next
+// one when it is open.
+func (p *Pipeline) last() int64 {
+	if p.opened {
+		return p.begun + 1
+	}
+	return p.begun
+}
+
+// look reports whether lane j is a scan that holds its next tuple.
+func (p *Pipeline) look(j int) bool { return p.looks != nil && p.looks[j] }
+
 // keyed reports whether lane j's keyed accesses can be built: what they
 // wait for in step flights fl has landed.
 func (p *Pipeline) keyed(fl []flight, j int) bool {
@@ -165,10 +207,39 @@ func (p *Pipeline) keyed(fl []flight, j int) bool {
 		return true
 	}
 	w := p.waits[j]
-	if w.Entry {
-		return fl[w.After].decided
+	f := &fl[w.After]
+	if w.Entry || f.sh.data == nil || p.look(w.After) {
+		return f.decided
 	}
-	return fl[w.After].data
+	return f.data
+}
+
+// scans reports whether lane j could hold its next tuple: a scan, with no
+// index stage, whose tuple another lane's keys wait for.
+func scans(shapes []shape, waits []Wait, j int) bool {
+	sh := shapes[j]
+	return sh.n == 0 && sh.index == nil && sh.data != nil &&
+		slices.ContainsFunc(waits, func(w Wait) bool { return w.After == j && !w.Entry })
+}
+
+// lookahead reports whether a pipeline over lanes of the given shapes and
+// waits looks ahead: whether a step then takes fewer rounds once the steps
+// repeat. The Pipeline and PlanPipeline both decide by it.
+func lookahead(shapes []shape, waits []Wait) bool {
+	const probe = 64
+	perStep := func(ahead bool) int64 {
+		return dryRun(shapes, waits, ahead, 2*probe).rounds - dryRun(shapes, waits, ahead, probe).rounds
+	}
+	return perStep(true) < perStep(false)
+}
+
+// lookAhead sets whether the pipeline, over lanes of the given shapes,
+// looks ahead, and so which of its lanes hold their next tuple.
+func (p *Pipeline) lookAhead(ahead bool, shapes []shape) {
+	p.ahead = ahead
+	for j := range p.looks {
+		p.looks[j] = ahead && scans(shapes, p.waits, j)
+	}
 }
 
 // Step begins a step: moves[j] is lane j's retrieval, landing in rows[j]. It
@@ -189,39 +260,94 @@ func (p *Pipeline) Step(rows []Row, moves ...Move) error {
 // run begins a step of the given moves and issues rounds until it is decided
 // and its predecessor has landed.
 func (p *Pipeline) run(moves []Move) error {
-	fl := p.flights(p.begun)
-	for j, mv := range moves {
-		fl[j] = flight{mv: mv}
-		if p.dry != nil {
-			fl[j].sh = p.dry[j]
-		} else {
-			slot, err := mv.c.begin(mv)
-			if err != nil {
-				return p.abort(err)
-			}
-			fl[j].sh, fl[j].slot = mv.c.shape(), slot
+	if p.begun == 0 && p.dry == nil && p.looks != nil { // decide at the first step whether to look ahead
+		shapes := make([]shape, len(moves))
+		for j, mv := range moves {
+			shapes[j] = mv.c.shape()
 		}
-		fl[j].data = fl[j].sh.data == nil // a lane without a data store has no data access to land
+		p.lookAhead(lookahead(shapes, p.waits), shapes)
 	}
+	if !p.opened {
+		p.open(p.begun, func(j int) stager { return moves[j].c })
+	}
+	p.opened = false
+	fl := p.flights(p.begun)
 	p.begun++
-	for !p.decided(p.begun-1) || p.done < p.begun-1 {
-		if err := p.round(); err != nil {
+	for j, mv := range moves {
+		if p.dry != nil {
+			continue
+		}
+		if mv.c != fl[j].mv.c {
+			return p.abort(fmt.Errorf("table: lane %d changed cursors between steps", j))
+		}
+		fl[j].mv = mv
+		if err := mv.c.begin(mv, fl[j].slot); err != nil {
 			return p.abort(err)
 		}
 	}
-	return nil
+	for {
+		p.resolve()
+		if p.decided(p.begun-1) && p.done >= p.begun-1 {
+			return nil
+		}
+		if err := p.round(true); err != nil {
+			return p.abort(err)
+		}
+	}
 }
 
-// abort gives up the retrievals in flight after err: their descents release
-// what they hold pinned (btree WriteBackDescents), so the trees can settle.
-func (p *Pipeline) abort(err error) error {
+// open readies step s's flights, lane j's retrieval on cursor cur(j), as or
+// before its moves are known.
+func (p *Pipeline) open(s int64, cur func(j int) stager) {
+	fl := p.flights(s)
+	for j := range fl {
+		f := flight{first: s == 0 && p.look(j)}
+		if p.dry != nil {
+			f.sh = p.dry[j]
+		} else {
+			f.mv.c = cur(j)
+			f.sh = f.mv.c.shape()
+			f.slot = f.mv.c.open(p.look(j) || p.ahead && f.sh.readsAhead())
+		}
+		f.data = f.sh.data == nil // a lane without a data store has no data access to land
+		fl[j] = f
+	}
+}
+
+// resolve decides the rows of the scans that look ahead: step s's is the
+// tuple the scan holds once its access of step s−1, or the fetch of its
+// first tuple, has landed.
+func (p *Pipeline) resolve() {
 	for s := p.done; s < p.begun; s++ {
+		fl := p.flights(s)
+		for j := range fl {
+			f := &fl[j]
+			if !p.look(j) || f.decided || f.first || s > p.done && !p.flights(s - 1)[j].data {
+				continue
+			}
+			f.decided = true
+			if p.dry == nil {
+				f.row = f.mv.c.(*ScanCursor).take(f.mv)
+				if out := p.rows[s&1]; out != nil {
+					out[j] = f.row
+				}
+			}
+		}
+	}
+}
+
+// abort gives up the retrievals in flight after err, and those read ahead:
+// their descents release what they hold pinned (btree WriteBackDescents),
+// so the trees can settle.
+func (p *Pipeline) abort(err error) error {
+	for s := p.done; s < p.last(); s++ {
 		for _, f := range p.flights(s) {
 			if c, ok := f.mv.c.(*IndexCursor); ok {
 				err = errors.Join(err, c.desc[f.slot].Abort())
 			}
 		}
 	}
+	p.opened = false
 	return err
 }
 
@@ -233,13 +359,28 @@ func (p *Pipeline) abort(err error) error {
 // leaves it unissued.
 func (p *Pipeline) Carry(op *storage.RoundOp) { p.ride = op }
 
-// Drain issues rounds until every step begun has landed.
+// Drain issues rounds until every step begun has landed. Its rounds read no
+// root ahead; one read ahead in the last step's rounds, for a step that
+// never comes, is parked on its tree (btree Descent.Park), held pinned until
+// btree.Reset visits the root with it.
 func (p *Pipeline) Drain() error {
 	var err error
 	for p.done < p.begun && err == nil {
-		err = p.round()
+		err = p.round(false)
 	}
 	p.ride = nil
+	if err == nil && p.opened {
+		p.opened = false
+		for j, f := range p.flights(p.begun) {
+			switch {
+			case f.idx == 0:
+			case p.dry != nil:
+				p.parked[j] = true
+			default:
+				f.mv.c.(*IndexCursor).desc[f.slot].Park()
+			}
+		}
+	}
 	return p.abort(err) // nothing is in flight unless err is set
 }
 
@@ -259,9 +400,10 @@ func (p *Pipeline) decided(s int64) bool {
 // plan marks the accesses the next round carries: for every step in flight,
 // oldest first, and every lane in order, the retrieval's next index access
 // and its data access, each if it can be built and its tree has no earlier
-// access waiting. An access that cannot be built yet still holds its tree,
-// so a tree serves its accesses in the order the steps issue them.
-func (p *Pipeline) plan(claim []any) {
+// access waiting; then, with prefetch set, the next step's key-free accesses
+// on the trees left. An access that cannot be built yet still holds its
+// tree, so a tree serves its accesses in the order the steps issue them.
+func (p *Pipeline) plan(claim []any, prefetch bool) {
 	// claimed reports whether tree already has a place in the round, and
 	// gives it one if not.
 	claimed := func(tree any) bool {
@@ -275,32 +417,56 @@ func (p *Pipeline) plan(claim []any) {
 		fl := p.flights(s)
 		for j := range fl {
 			f := &fl[j]
-			f.inIdx, f.inData = false, false
+			f.inIdx, f.inData, f.inFirst = false, false, false
 			if f.idx < f.sh.n && !claimed(f.sh.index) {
 				f.inIdx = f.idx < f.sh.free || p.keyed(fl, j)
 			}
 			if !f.data && !claimed(f.sh.data) {
-				f.inData = f.idx == f.sh.n
+				switch {
+				case f.first:
+					f.inFirst = true
+				case p.look(j):
+					f.inData = f.decided
+				default:
+					f.inData = f.idx == f.sh.n
+				}
 			}
 		}
+	}
+	if !p.opened {
+		if !prefetch || !p.ahead || p.begun == 0 || p.done < p.begun-1 {
+			return
+		}
+		prev := p.flights(p.begun - 1)
+		p.open(p.begun, func(j int) stager { return prev[j].mv.c })
+		p.opened = true
+	}
+	fl := p.flights(p.begun)
+	for j := range fl {
+		f := &fl[j]
+		f.inIdx = prefetch && f.sh.readsAhead() && f.idx < f.sh.free && !claimed(f.sh.index)
 	}
 }
 
 // round plans a round, issues it through oram.Together and lands what it
 // carried.
-func (p *Pipeline) round() error {
+func (p *Pipeline) round(prefetch bool) error {
 	var claimBuf [8]any
 	var reqBuf [8]oram.Req
 	claim, reqs := claimBuf[:0], reqBuf[:0]
 	if p.claim != nil {
 		claim, reqs = p.claim[:0], p.reqs[:0]
 	}
-	p.plan(claim)
+	p.plan(claim, prefetch)
+	last := p.last()
 	var err error
-	for s := p.done; s < p.begun && p.dry == nil; s++ {
+	for s := p.done; s < last && p.dry == nil; s++ {
 		fl := p.flights(s)
 		for j := range fl {
 			f := &fl[j]
+			if f.inFirst {
+				reqs = append(reqs, f.mv.c.(*ScanCursor).fetchReq(true))
+			}
 			if f.inIdx {
 				req, rerr := f.mv.c.indexReq(f.mv, f.slot, f.idx)
 				reqs = append(reqs, req)
@@ -320,10 +486,20 @@ func (p *Pipeline) round() error {
 	}
 	p.rounds++
 	k, progress := 0, false
-	for s := p.done; s < p.begun; s++ {
+	for s := p.done; s < last; s++ {
 		fl := p.flights(s)
 		for j := range fl {
 			f := &fl[j]
+			if f.inFirst {
+				progress = true
+				f.first = false
+				if p.dry == nil {
+					if lerr := f.mv.c.(*ScanCursor).landFetch(reqs[k]); err == nil {
+						err = lerr
+					}
+					k++
+				}
+			}
 			if f.inIdx {
 				progress = true
 				f.idx++
@@ -350,7 +526,10 @@ func (p *Pipeline) round() error {
 					f.row = row
 				}
 			}
-			f.decided = f.idx == f.sh.n && (f.sh.n > 0 || f.data)
+			if s == p.begun { // read ahead of its move: nothing to decide yet
+				continue
+			}
+			f.decided = f.decided || f.idx == f.sh.n && (f.sh.n > 0 || f.data)
 			if out := p.rows[s&1]; out != nil && (f.inIdx || f.inData) {
 				out[j] = f.row
 			}
@@ -379,7 +558,8 @@ func (p *Pipeline) stepLanded(s int64) bool {
 // tables' leaf accesses share a round, then their data accesses do — and
 // returns with the rows complete. Its first round carries ride when it is
 // not nil (Pipeline.Carry). Which cursors take part in a step, and in which
-// order, is the operator's choice and must not depend on the data.
+// order, is the operator's choice and must not depend on the data. A step
+// on its own never looks ahead.
 func Step(rows []Row, ride *storage.RoundOp, moves ...Move) error {
 	p := Pipeline{lanes: len(moves), ride: ride}
 	if p.lanes > len(p.few[0]) {
@@ -405,7 +585,7 @@ func step1(mv Move) (Row, error) {
 	return row[0], err
 }
 
-// Lane is one input of a pipelined join as PipelineRounds sees it: the
+// Lane is one input of a pipelined join as PlanPipeline sees it: the
 // stores its retrievals use and the shape of its index stage, all public
 // geometry.
 type Lane struct {
@@ -421,25 +601,67 @@ type Lane struct {
 	Wait
 }
 
-// PipelineRounds returns the rounds a Pipeline over the given lanes takes
-// for steps steps and the Drain after them.
-func PipelineRounds(lanes []Lane, steps int64) int64 {
+// PipelinePlan is what a Pipeline over some lanes does in a number of steps
+// and the Drain after them.
+type PipelinePlan struct {
+	// Rounds is the rounds it issues.
+	Rounds int64
+	// IndexAccesses and DataAccesses are the accesses each lane's index and
+	// data store serve: a retrieval's every step; on the data store of a scan
+	// that looks ahead one more, the fetch of its first tuple; and on the
+	// index store of a lane that parked a root (Parked) one more, its read
+	// ahead for a step that never came.
+	IndexAccesses, DataAccesses []int64
+	// Parked says which lanes' trees hold a parked root for btree.Reset.
+	Parked []bool
+}
+
+// PlanPipeline returns what a Pipeline over the given lanes does in steps
+// steps and the Drain after them, looking ahead exactly when the Pipeline
+// would.
+func PlanPipeline(lanes []Lane, steps int64) PipelinePlan {
+	shapes := make([]shape, len(lanes))
 	waits := make([]Wait, len(lanes))
 	for j, l := range lanes {
-		waits[j] = l.Wait
-	}
-	p := NewPipeline(waits...)
-	p.dry = make([]shape, len(lanes))
-	for j, l := range lanes {
-		p.dry[j] = shape{n: l.Accesses, free: l.KeyFree}
+		shapes[j], waits[j] = shape{n: l.Accesses, free: l.KeyFree}, l.Wait
 		if l.Index != "" {
-			p.dry[j].index = l.Index
+			shapes[j].index = l.Index
 		}
 		if l.Data != "" {
-			p.dry[j].data = l.Data
+			shapes[j].data = l.Data
 		}
 	}
-	moves := make([]Move, len(lanes))
+	p := dryRun(shapes, waits, lookahead(shapes, waits), steps)
+	plan := PipelinePlan{
+		Rounds:        p.rounds,
+		IndexAccesses: make([]int64, len(lanes)),
+		DataAccesses:  make([]int64, len(lanes)),
+		Parked:        p.parked,
+	}
+	for j, l := range lanes {
+		if l.Index != "" {
+			plan.IndexAccesses[j] = steps * int64(l.Accesses)
+			if p.parked[j] {
+				plan.IndexAccesses[j]++
+			}
+		}
+		if l.Data != "" {
+			plan.DataAccesses[j] = steps
+			if p.looks[j] && steps > 0 {
+				plan.DataAccesses[j]++
+			}
+		}
+	}
+	return plan
+}
+
+// dryRun plans the rounds of steps steps over lanes of the given shapes and
+// waits and the Drain after them, looking ahead as ahead says.
+func dryRun(shapes []shape, waits []Wait, ahead bool, steps int64) *Pipeline {
+	p := NewPipeline(waits...)
+	p.dry, p.parked = shapes, make([]bool, len(shapes))
+	p.lookAhead(ahead, shapes)
+	moves := make([]Move, len(shapes))
 	// Every step has the same shape, so once a step begins from the state
 	// its predecessor began from, the rest repeat its rounds.
 	var prev []int
@@ -454,21 +676,30 @@ func PipelineRounds(lanes []Lane, steps int64) int64 {
 		p.run(moves) // a dry round cannot fail
 	}
 	p.Drain()
-	return p.rounds
+	return p
 }
 
 // state describes what the pipeline has in flight between steps: the
-// landed accesses of the last step begun, and whether it has landed.
+// progress of the last step begun and of the next one's reads ahead, and
+// whether the last has landed.
 func (p *Pipeline) state() []int {
-	st := []int{int(p.begun - p.done)}
-	if p.begun > 0 {
-		for _, f := range p.flights(p.begun - 1) {
-			d := 0
-			if f.data {
-				d = 1
-			}
-			st = append(st, f.idx, d)
+	b := func(v bool) int {
+		if v {
+			return 1
 		}
+		return 0
+	}
+	st := []int{int(p.begun - p.done), b(p.opened)}
+	add := func(fl []flight) {
+		for _, f := range fl {
+			st = append(st, f.idx, b(f.data), b(f.decided), b(f.first))
+		}
+	}
+	if p.begun > 0 {
+		add(p.flights(p.begun - 1))
+	}
+	if p.opened {
+		add(p.flights(p.begun))
 	}
 	return st
 }

@@ -3,6 +3,7 @@ package table
 import (
 	"testing"
 
+	"oblivjoin/internal/btree"
 	"oblivjoin/internal/oram"
 	"oblivjoin/internal/relation"
 	"oblivjoin/internal/storage"
@@ -57,7 +58,8 @@ func alone(t *testing.T, st *StoredTable, tuples int, reqs ...oram.Req) float64 
 // step — the pipeline's flights, rounds and rows are set up once per join,
 // an index cursor's descents keep their decode buffers, and a leaf cursor
 // decodes only the entry it retrieves. Dummy steps, the pad tail, allocate
-// nothing at all.
+// nothing at all, unless the pipeline looks ahead: their root reads are
+// then real, and allocate what real reads do.
 func TestPipelineStepAllocs(t *testing.T) {
 	if storetest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -160,11 +162,54 @@ func TestPipelineStepAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(50, inlj(false)); got != dummy || got != 0 {
 		t.Errorf("a dummy nested-loop step allocated %.1f, its accesses alone %.1f", got, dummy)
 	}
+	if err := p.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A multiway chain that looks ahead: its descents read their roots for
+	// real whatever the move, so a dummy step allocates what those reads
+	// alone do, and nothing for looking ahead.
+	t3, err := Store(testRelation("t3", make([]int64, 64)), []string{"k"}, testOpts(t, storage.NewMeter()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i3, _ := t3.Index("k")
+	c3, err := NewIndexCursor(t3, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = NewPipeline(Wait{After: -1}, Wait{After: 0}, Wait{After: 1, Entry: true})
+	var rows3 [2][3]Row
+	chain := func() {
+		n++
+		if err := p.Step(rows3[n&1][:], scan.Hold(), ic.Hold(), c3.Hold()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		chain()
+	}
+	if !p.ahead {
+		t.Fatal("the chain does not look ahead")
+	}
+	reqs = []oram.Req{t1.dummyReq(), t2.dummyReq(), t3.dummyReq()}
+	for _, tr := range []*btree.Tree{i2, i3} {
+		reqs = append(reqs, oram.Req{ORAM: tr.ORAM(), Key: uint64(tr.NumNodes() - 1)}) // the root
+		for i := 1; i < tr.AccessesPerRetrieval(); i++ {
+			reqs = append(reqs, tr.DummyReq())
+		}
+	}
+	dummy = alone(t, t1, 0, reqs...)
+	if got := testing.AllocsPerRun(50, chain); got != dummy {
+		t.Errorf("a dummy step of a chain that looks ahead allocated %.1f, its accesses alone %.1f", got, dummy)
+	}
+	t.Logf("a dummy step of a chain that looks ahead allocates %.0f, as its two root reads do", dummy)
 }
 
-// TestPipelineRoundsClosedForms pins the closed forms PipelineRounds
+// TestPipelineRoundsClosedForms pins the closed forms PlanPipeline
 // evaluates for the binary joins and multiway chains (n steps, the Drain
-// included), and checks that a long run costs what its repeating steps say.
+// included), which of them look ahead — a scan's one more access — and
+// checks that a long run costs what its repeating steps say.
 func TestPipelineRoundsClosedForms(t *testing.T) {
 	leaf := func(s string) Lane {
 		return Lane{Index: s + ".idx", Data: s + ".data", Accesses: 1, KeyFree: 1, Wait: Wait{After: -1}}
@@ -179,29 +224,39 @@ func TestPipelineRoundsClosedForms(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		lanes []Lane
+		ahead bool
 		want  func(n int64) int64
 	}{
-		{"sort-merge", []Lane{leaf("t1"), leaf("t2")}, func(n int64) int64 { return n + 1 }},
-		{"nested-loop, h=3", []Lane{scan, descent(3, 1, 0)}, func(n int64) int64 { return 3*n + 1 }},
-		{"band, h=3", []Lane{scan, descent(3, 1, -1)}, func(n int64) int64 { return 3*n + 1 }},
-		{"nested-loop, cached", []Lane{scan, descent(1, 0, 0)}, func(n int64) int64 { return 2*n + 1 }},
-		{"band, cached", []Lane{scan, descent(1, 0, -1)}, func(n int64) int64 { return n + 1 }},
-		{"nested-loop, h=2", []Lane{scan, descent(2, 1, 0)}, func(n int64) int64 { return 2*n + 1 }},
-		{"chained sort-merge", []Lane{{Data: "t1.chain", Wait: Wait{After: -1}}, {Data: "t2.chain", Wait: Wait{After: -1}}}, func(n int64) int64 { return n }},
+		{"sort-merge", []Lane{leaf("t1"), leaf("t2")}, false, func(n int64) int64 { return n + 1 }},
+		// Looking ahead saves an uncached descent nothing: its tree is busy
+		// every round of the step.
+		{"nested-loop, h=3", []Lane{scan, descent(3, 1, 0)}, false, func(n int64) int64 { return 3*n + 1 }},
+		{"band, h=3", []Lane{scan, descent(3, 1, -1)}, false, func(n int64) int64 { return 3*n + 1 }},
+		{"nested-loop, h=2", []Lane{scan, descent(2, 1, 0)}, false, func(n int64) int64 { return 2*n + 1 }},
+		// A cached index keys its only access, which leaves with the step
+		// once the scan holds its tuple ahead: {T1.data(t+1), T2 leaf(i),
+		// T2.data(i−1)}.
+		{"nested-loop, cached", []Lane{scan, descent(1, 0, 0)}, true, func(n int64) int64 { return n + 2 }},
+		{"band, cached", []Lane{scan, descent(1, 0, -1)}, false, func(n int64) int64 { return n + 1 }},
+		{"chained sort-merge", []Lane{{Data: "t1.chain", Wait: Wait{After: -1}}, {Data: "t2.chain", Wait: Wait{After: -1}}}, false, func(n int64) int64 { return n }},
 		// An oblivious tree's lane has no data store and keys every access.
-		{"nested-loop, oblivious tree h=2", []Lane{scan, {Index: "t2.idx", Accesses: 2, Wait: Wait{After: 0}}}, func(n int64) int64 { return 3 * n }},
-		{"nested-loop, oblivious tree h=3", []Lane{scan, {Index: "t2.idx", Accesses: 3, Wait: Wait{After: 0}}}, func(n int64) int64 { return 4 * n }},
+		{"nested-loop, oblivious tree h=2", []Lane{scan, {Index: "t2.idx", Accesses: 2, Wait: Wait{After: 0}}}, true, func(n int64) int64 { return 2*n + 1 }},
+		{"nested-loop, oblivious tree h=3", []Lane{scan, {Index: "t2.idx", Accesses: 3, Wait: Wait{After: 0}}}, true, func(n int64) int64 { return 3*n + 1 }},
 		// A multiway chain T1 → T2 → T3 at h = 2. Keyed by T2's entry, T3's
-		// leaf rides T2's data access: {T1.data, T2 root, T3 root,
-		// T3.data(i−1)}, {T2 leaf}, {T2.data, T3 leaf}. Keyed by T2's tuple
-		// (it joins on another attribute of T2, as TM1's grandchild does), it
-		// waits a stage more.
-		{"multiway chain, entry-keyed, h=2", []Lane{scan, descent(2, 1, 0), grandchild(Wait{After: 1, Entry: true})}, func(n int64) int64 { return 3*n + 1 }},
-		{"multiway chain, tuple-keyed, h=2", []Lane{scan, descent(2, 1, 0), grandchild(Wait{After: 1})}, func(n int64) int64 { return 4*n + 1 }},
+		// leaf rides T2's data access, and T2's root, read ahead, the step
+		// before: {T1.data(t+1), T2 leaf, T3 root, T3.data(i−1)}, {T2.data,
+		// T3 leaf, T2 root(i+1)}. Keyed by T2's tuple (it joins on another
+		// attribute of T2, as TM1's grandchild does), it waits a stage more.
+		{"multiway chain, entry-keyed, h=2", []Lane{scan, descent(2, 1, 0), grandchild(Wait{After: 1, Entry: true})}, true, func(n int64) int64 { return 2*n + 2 }},
+		{"multiway chain, tuple-keyed, h=2", []Lane{scan, descent(2, 1, 0), grandchild(Wait{After: 1})}, true, func(n int64) int64 { return 3*n + 2 }},
 	} {
 		for _, n := range []int64{1, 2, 3, 10, 1000} {
-			if got, want := PipelineRounds(tc.lanes, n), tc.want(n); got != want {
+			plan := PlanPipeline(tc.lanes, n)
+			if got, want := plan.Rounds, tc.want(n); got != want {
 				t.Errorf("%s, %d steps: %d rounds, want %d", tc.name, n, got, want)
+			}
+			if ahead := plan.DataAccesses[0] == n+1; ahead != tc.ahead || !ahead && plan.DataAccesses[0] != n {
+				t.Errorf("%s, %d steps: %d accesses of lane 0's data store, want looking ahead %v", tc.name, n, plan.DataAccesses[0], tc.ahead)
 			}
 		}
 	}
