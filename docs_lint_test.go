@@ -67,10 +67,11 @@ func TestEveryPackageHasDocComment(t *testing.T) {
 }
 
 // docIdent matches a backticked reference to an exported Go identifier in
-// the docs: `pkg.Ident` or `pkg.Type.Member`, optionally called
+// the docs: `pkg.Ident` or `pkg.Type.Member`, the package optionally
+// path-qualified (`internal/pkg.Ident`) and the name optionally called
 // (`pkg.Func()`). Lower-case names after the package are metric and span
 // names (`oram.stash_peak`, `oram.flush`), not identifiers.
-var docIdent = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*)(?:\\.([A-Za-z_][A-Za-z0-9_]*))?(?:\\(\\))?`")
+var docIdent = regexp.MustCompile("`(?:internal/)?([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*)(?:\\.([A-Za-z_][A-Za-z0-9_]*))?(?:\\(\\))?`")
 
 // docIdentPlaceholders are references that name a pattern, not a
 // declaration: the shard metrics' per-shard names.
@@ -218,6 +219,149 @@ func TestDocsIdentifiersResolve(t *testing.T) {
 			case m[3] != "" && !decls.members[m[2]][m[3]]:
 				t.Errorf("%s: `%s` names no method or field of %s.%s", doc, ref, m[1], m[2])
 			}
+		}
+	}
+}
+
+// optionType names the structs the option lint covers: exported types
+// whose name ends in Options or Config.
+var optionType = regexp.MustCompile(`(Options|Config)$`)
+
+// optionExceptions are the option fields allowed without a production
+// setter, each with the reason it stays.
+var optionExceptions = map[string]string{
+	"remote.ClientOptions.PoolSize":       "transport deployment setting: a deployment tunes it, the defaults serve every caller here",
+	"remote.ClientOptions.DialTimeout":    "transport deployment setting (see PoolSize)",
+	"remote.ClientOptions.RequestTimeout": "transport deployment setting (see PoolSize)",
+	"remote.ClientOptions.MaxRetries":     "transport deployment setting (see PoolSize)",
+	"remote.ClientOptions.RetryBase":      "transport deployment setting (see PoolSize)",
+	"remote.ClientOptions.MaxFrame":       "transport deployment setting (see PoolSize)",
+	"remote.ServerOptions.SlowLog":        "log destination of a deployment; slog.Default() otherwise",
+	"diskstore.Options.FS":                "the crash-test seam, until the CrashFS kill-point sweep moves to a test-support package",
+	"diskstore.Options.CheckpointBytes":   "to be derived from public geometry instead of a flat default",
+}
+
+// TestOptionsHaveProductionSetters is the option lint: every exported field
+// of an exported *Options or *Config struct must be set, to something other
+// than a literal zero, by some non-test file of the module — commands,
+// examples and the benchmark included — either as a composite-literal key
+// or by an `x.F = v` assignment. A field that only tests set is a knob the
+// program never turns: derive its value, or delete it. The match is by
+// name (go/parser, no type checking): a literal of a named type counts for
+// that package's type only, an elided-type literal or an assignment counts
+// for every field of that name, and a literal that forwards `F: x.F` counts
+// only if some field named F is set to a value of its own.
+func TestOptionsHaveProductionSetters(t *testing.T) {
+	type field struct{ pkg, typ, name string }
+	var fields []field
+	typed := map[field]bool{}     // set in a literal of a named type
+	named := map[string]bool{}    // set in an elided-type literal or by assignment
+	forwarded := map[field]bool{} // set in a literal of a named type to x.F, F its own name
+	direct := map[string]bool{}   // some field of this name is set to a value of its own
+	// zero reports a literal zero value: it sets nothing.
+	zero := func(e ast.Expr) bool {
+		switch x := e.(type) {
+		case *ast.BasicLit:
+			return x.Value == "0" || x.Value == "0.0" || x.Value == `""`
+		case *ast.Ident:
+			return x.Name == "nil" || x.Name == "false"
+		}
+		return false
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		pkg := f.Name.Name
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || !n.Name.IsExported() || !optionType.MatchString(n.Name.Name) {
+					return true
+				}
+				for _, fl := range st.Fields.List {
+					for _, nm := range fl.Names {
+						if nm.IsExported() {
+							fields = append(fields, field{pkg, n.Name.Name, nm.Name})
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				lit := field{}
+				switch x := n.Type.(type) {
+				case *ast.Ident:
+					lit.pkg, lit.typ = pkg, x.Name
+				case *ast.SelectorExpr:
+					if id, ok := x.X.(*ast.Ident); ok {
+						lit.pkg, lit.typ = id.Name, x.Sel.Name
+					}
+				}
+				for _, e := range n.Elts {
+					kv, ok := e.(*ast.KeyValueExpr)
+					if !ok || zero(kv.Value) {
+						continue
+					}
+					key, ok := kv.Key.(*ast.Ident)
+					if !ok {
+						continue
+					}
+					lit.name = key.Name
+					if sel, ok := kv.Value.(*ast.SelectorExpr); ok && sel.Sel.Name == key.Name && n.Type != nil {
+						forwarded[lit] = true
+						continue
+					}
+					direct[key.Name] = true
+					if n.Type == nil {
+						named[key.Name] = true
+					} else {
+						typed[lit] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					sel, ok := lhs.(*ast.SelectorExpr)
+					if ok && (len(n.Rhs) != len(n.Lhs) || !zero(n.Rhs[i])) {
+						named[sel.Sel.Name] = true
+						direct[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fields) == 0 {
+		t.Fatal("found no option structs")
+	}
+	for _, f := range fields {
+		ref := f.pkg + "." + f.typ + "." + f.name
+		set := typed[f] || named[f.name] || forwarded[f] && direct[f.name]
+		if _, ok := optionExceptions[ref]; ok {
+			if set {
+				t.Errorf("%s has a production setter now: drop its exception", ref)
+			}
+			continue
+		}
+		if !set {
+			t.Errorf("%s is set by no non-test code: derive it or delete it", ref)
 		}
 	}
 }

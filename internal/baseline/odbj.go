@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"math"
 
+	"oblivjoin/internal/obliv"
 	"oblivjoin/internal/relation"
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/table"
@@ -23,8 +24,9 @@ import (
 
 // Options configures baseline executions.
 type Options struct {
-	// Mem is the trusted client memory in records (ODBJ runs with the
-	// paper's M = 2B equivalent by default; ObliDB baselines get more).
+	// Mem is the trusted client memory in records (0 = the paper's
+	// M = 2B, obliv.ClientMem). ObliDB's hash select runs with more, and
+	// Table 1's 0-OM join with O(1).
 	Mem int
 	// BlockSize is the total encrypted block size for intermediate vectors.
 	BlockSize int
@@ -48,11 +50,7 @@ func (o Options) mem(recSize int) int {
 	if o.Mem > 0 {
 		return o.Mem
 	}
-	per := (o.blockSize() - xcrypto.Overhead) / recSize
-	if per < 1 {
-		per = 1
-	}
-	return 2 * per
+	return obliv.ClientMem(recSize, o.blockSize())
 }
 
 // Result reports a baseline join's outcome.

@@ -634,7 +634,6 @@ func TestPadDP(t *testing.T) {
 	want := ReferenceEquiJoin(r1, r2, "k", "k") // 5 records
 	opts := testJoinOpts(t, nil)
 	opts.Padding = PadDP
-	opts.DPEpsilon = 0.5
 	// Deterministic noise for the test.
 	opts.DPRand = func() float64 { return 0.25 }
 	res, err := IndexNestedLoopJoin(s1, s2, "k", "k", opts)
@@ -654,23 +653,49 @@ func TestPadDP(t *testing.T) {
 }
 
 func TestDPNoiseDistribution(t *testing.T) {
-	// With crypto-backed noise, draws are positive and epsilon controls the
-	// scale: smaller epsilon yields larger mean noise.
-	tight := Options{Padding: PadDP, DPEpsilon: 2.0}
-	loose := Options{Padding: PadDP, DPEpsilon: 0.1}
-	sum := func(o Options) int64 {
-		var s int64
-		for i := 0; i < 400; i++ {
-			n := o.dpNoise()
-			if n < 1 {
-				t.Fatalf("non-positive noise %d", n)
-			}
-			s += n
+	// With crypto-backed noise, draws are positive, and their mean is the
+	// geometric mean 1/(1-e^-ε) ≈ 2.54 at ε = 0.5: the planning form's
+	// ⌈1/ε⌉+1 = 3 sits just above it.
+	o := Options{Padding: PadDP}
+	const draws = 400
+	var sum int64
+	for i := 0; i < draws; i++ {
+		n := o.dpNoise()
+		if n < 1 {
+			t.Fatalf("non-positive noise %d", n)
 		}
-		return s
+		sum += n
 	}
-	if st, sl := sum(tight), sum(loose); sl <= st {
-		t.Fatalf("eps=0.1 total noise %d not larger than eps=2.0 total %d", sl, st)
+	if mean := float64(sum) / draws; mean < 2 || mean > 3.1 {
+		t.Fatalf("mean noise %.2f, want ≈ 2.54", mean)
+	}
+}
+
+// TestPlannedSize pins the deterministic planning form of PadSize: the
+// same target for every mode but PadDP, which plans at ⌈1/ε⌉+1 extra.
+func TestPlannedSize(t *testing.T) {
+	cases := []struct {
+		mode PaddingMode
+		est  int64
+		cart int64
+		want int64
+	}{
+		{PadNone, 5, 100, 5},
+		{PadClosestPower, 5, 100, 8},
+		{PadCartesian, 5, 100, 100},
+		{PadDP, 5, 100, 8},              // 5 + ceil(1/0.5) + 1
+		{PadClosestPower, 90, 100, 100}, // capped at cart
+		{PadDP, 98, 100, 100},
+	}
+	for i, c := range cases {
+		if got := c.mode.PlannedSize(c.est, c.cart); got != c.want {
+			t.Errorf("case %d: %v.PlannedSize = %d, want %d", i, c.mode, got, c.want)
+		}
+		if c.mode != PadDP {
+			if got := (Options{Padding: c.mode}).PadSize(c.est, c.cart); got != c.want {
+				t.Errorf("case %d: PadSize = %d, want the planned %d", i, got, c.want)
+			}
+		}
 	}
 }
 

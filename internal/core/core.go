@@ -54,9 +54,6 @@ import (
 	"oblivjoin/internal/xcrypto"
 )
 
-func mathExp(x float64) float64 { return math.Exp(x) }
-func mathLog(x float64) float64 { return math.Log(x) }
-
 // cryptoUniform draws a uniform float in (0,1] from crypto/rand.
 func cryptoUniform() float64 {
 	var b [8]byte
@@ -75,7 +72,7 @@ const (
 	// "non-padded mode").
 	PadNone PaddingMode = iota
 	// PadClosestPower pads the result size (and the join-step count derived
-	// from it) to the closest power of Options.PadBase.
+	// from it) to the closest power of 2.
 	PadClosestPower
 	// PadCartesian pads to the Cartesian product of the input sizes — the
 	// maximal, query-independent bound.
@@ -105,16 +102,8 @@ func (p PaddingMode) String() string {
 
 // Options configures a join execution.
 type Options struct {
-	// Mem is the trusted client memory of the output filter, in output
-	// records — the paper's M (default: two blocks' worth, M = 2B).
-	Mem int
 	// Padding selects the Section 8 output padding strategy.
 	Padding PaddingMode
-	// PadBase is the power base for PadClosestPower (0 means 2).
-	PadBase int
-	// DPEpsilon is the privacy parameter of PadDP (0 means 0.5); smaller
-	// epsilon adds more noise.
-	DPEpsilon float64
 	// DPRand draws the PadDP noise; nil means crypto/rand-backed.
 	DPRand func() float64
 	// OutBlockSize is the total byte size of output-table blocks (0 means
@@ -139,17 +128,6 @@ type Options struct {
 	Span *telemetry.Span
 }
 
-func (o Options) mem(recSize, blockSize int) int {
-	if o.Mem > 0 {
-		return o.Mem
-	}
-	per := (blockSize - xcrypto.Overhead) / recSize
-	if per < 1 {
-		per = 1
-	}
-	return 2 * per // M = 2B, as in the paper's default configuration
-}
-
 func (o Options) outBlockSize() int {
 	if o.OutBlockSize > 0 {
 		return o.OutBlockSize
@@ -157,38 +135,42 @@ func (o Options) outBlockSize() int {
 	return table.DefaultBlockPayload + xcrypto.Overhead
 }
 
-func (o Options) padBase() int {
-	if o.PadBase >= 2 {
-		return o.PadBase
-	}
-	return 2
-}
+// The Section 8 padding parameters, fixed as in every figure of the paper:
+// PadClosestPower pads to the closest power of padBase, and PadDP draws its
+// noise at privacy parameter dpEpsilon.
+const (
+	padBase   = 2
+	dpEpsilon = 0.5
+)
 
 // PadSize applies the padding mode to the real result size given the
 // Cartesian bound — exported so baselines and harnesses can mirror the
 // engine's padding targets.
 func (o Options) PadSize(real int64, cartesian int64) int64 {
-	switch o.Padding {
+	if o.Padding == PadDP {
+		return min(real+o.dpNoise(), cartesian)
+	}
+	return o.Padding.PlannedSize(real, cartesian)
+}
+
+// PlannedSize is the deterministic planning form of Options.PadSize:
+// identical for every mode except PadDP, where the random draw is replaced
+// by ⌈1/ε⌉+1, so that planning never consumes randomness (a plan must be a
+// pure function of public metadata).
+func (p PaddingMode) PlannedSize(est, cartesian int64) int64 {
+	switch p {
 	case PadClosestPower:
-		b := int64(o.padBase())
-		p := int64(1)
-		for p < real {
-			p *= b
+		pow := int64(1)
+		for pow < est {
+			pow *= padBase
 		}
-		if p > cartesian {
-			p = cartesian
-		}
-		return p
+		return min(pow, cartesian)
 	case PadCartesian:
 		return cartesian
 	case PadDP:
-		padded := real + o.dpNoise()
-		if padded > cartesian {
-			padded = cartesian
-		}
-		return padded
+		return min(est+int64(math.Ceil(1/dpEpsilon))+1, cartesian)
 	default:
-		return real
+		return est
 	}
 }
 
@@ -196,21 +178,17 @@ func (o Options) PadSize(real int64, cartesian int64) int64 {
 // output is always ≥ 1 extra record (one-sided noise keeps the padded size
 // an upper bound on the real size, as Shrinkwrap requires).
 func (o Options) dpNoise() int64 {
-	eps := o.DPEpsilon
-	if eps <= 0 {
-		eps = 0.5
-	}
 	uniform := o.DPRand
 	if uniform == nil {
 		uniform = cryptoUniform
 	}
 	// Geometric with success probability p = 1 - e^-ε via inversion.
-	p := 1 - mathExp(-eps)
+	p := 1 - math.Exp(-dpEpsilon)
 	u := uniform()
 	if u <= 0 {
 		u = 1e-12
 	}
-	n := int64(mathLog(u)/mathLog(1-p)) + 1
+	n := int64(math.Log(u)/math.Log(1-p)) + 1
 	if n < 1 {
 		n = 1
 	}

@@ -72,7 +72,7 @@ func (w *outWriter) finish(opts Options, cartesian int64, join *telemetry.Span) 
 	if err := w.vec.PadTo(int(padded), dummy); err != nil {
 		return nil, 0, 0, err
 	}
-	mem := opts.mem(w.recSize, opts.outBlockSize())
+	mem := obliv.ClientMem(w.recSize, opts.outBlockSize())
 	if err := (obliv.Sorter{Span: filter}).CompactReal(w.vec, mem, relation.IsDummy, int(padded), dummy); err != nil {
 		return nil, 0, 0, err
 	}

@@ -1,6 +1,19 @@
 package obliv
 
-import "fmt"
+import (
+	"fmt"
+
+	"oblivjoin/internal/xcrypto"
+)
+
+// ClientMem is the paper's trusted client memory M = 2B, in records: two
+// blocks' worth of recSize-byte records in blockSize-byte encrypted blocks
+// (at least one record a block). Every oblivious sort and compaction of the
+// engine runs at this budget; only the baselines that model another
+// system's trusted memory set their own.
+func ClientMem(recSize, blockSize int) int {
+	return 2 * max(1, (blockSize-xcrypto.Overhead)/recSize)
+}
 
 // ChunkShape returns the padded length and chunk size SortVector requires
 // for an n-record vector with mem records of trusted memory: records are

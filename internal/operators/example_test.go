@@ -16,19 +16,21 @@ func sealed() *xcrypto.Sealer {
 	return s
 }
 
-func ExampleSelect() {
+func ExampleSelectPadded() {
 	rel := &relation.Relation{Schema: relation.Schema{Table: "emp", Columns: []string{"id", "dept"}}}
 	for i := int64(0); i < 8; i++ {
 		rel.Tuples = append(rel.Tuples, relation.Tuple{Values: []int64{i, i % 3}})
 	}
-	res, err := operators.Select(rel,
+	// Pad the declared size to the next multiple of 4.
+	padTo := func(real int) int { return (real + 3) / 4 * 4 }
+	res, err := operators.SelectPadded(rel,
 		[]operators.Pred{{Column: "dept", Op: operators.EQ, Value: 1}},
-		operators.Options{BlockSize: 512, Sealer: sealed()})
+		padTo, operators.Options{BlockSize: 512, Sealer: sealed()})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("matching rows:", res.RealCount)
-	// Output: matching rows: 3
+	fmt.Println("matching rows:", res.RealCount, "declared:", res.PaddedCount)
+	// Output: matching rows: 3 declared: 4
 }
 
 func ExampleGroupAggregate() {

@@ -1,19 +1,21 @@
 // Package operators provides the oblivious relational operators a complete
-// encrypted query engine needs around joins: selection (Select — the
-// "oblivious filter" the paper configures as ObliDB's Hash Select in
-// Section 9.1), projection (Project), and sort-based grouping aggregation
-// (GroupAggregate, the standard Opaque-style fold over an obliviously
-// sorted vector).
+// encrypted query engine needs around joins: padded selection (SelectPadded
+// — the "oblivious filter" the paper configures as ObliDB's Hash Select in
+// Section 9.1, which the query layer's pushdown runs below every filtered
+// join) and sort-based grouping aggregation (GroupAggregate, the standard
+// Opaque-style fold over an obliviously sorted vector).
 //
 // Every operator follows the same discipline as the joins: it scans or
 // sorts server-resident encrypted vectors with an access pattern that
 // depends only on public sizes, emits exactly one (real or dummy) record
 // per input record, and removes dummies with the oblivious compaction of
-// internal/obliv. The output size is the only new information revealed,
-// matching the leakage profile of Definition 1.
+// internal/obliv. The (padded) output size is the only new information
+// revealed, matching the leakage profile of Definition 1.
 //
-// GroupAggregate's sort and the compactions (Select's, GroupAggregate's)
-// run on the serial oblivious sort engine (see DESIGN.md §2.7).
+// GroupAggregate's sort and the compactions (SelectPadded's,
+// GroupAggregate's) run at the paper's client budget M = 2B
+// (obliv.ClientMem) on the serial oblivious sort engine (see DESIGN.md
+// §2.7).
 package operators
 
 import (
@@ -31,9 +33,6 @@ import (
 
 // Options configures operator executions.
 type Options struct {
-	// Mem is the trusted memory for oblivious sorts and compactions, in
-	// records (0 = two blocks' worth, the paper's M = 2B).
-	Mem int
 	// BlockSize is the total encrypted block size for intermediates.
 	BlockSize int
 	// Meter receives traffic accounting.
@@ -61,17 +60,6 @@ func (o Options) blockSize() int {
 		return o.BlockSize
 	}
 	return table.DefaultBlockPayload + xcrypto.Overhead
-}
-
-func (o Options) mem(recSize int) int {
-	if o.Mem > 0 {
-		return o.Mem
-	}
-	per := (o.blockSize() - xcrypto.Overhead) / recSize
-	if per < 1 {
-		per = 1
-	}
-	return 2 * per
 }
 
 // CompareOp is a selection comparison.
@@ -141,7 +129,7 @@ type Result struct {
 	// except through SelectPadded, which declares only PaddedCount).
 	RealCount int
 	// PaddedCount is the server-visible output size: equal to RealCount for
-	// the plain operators, and the padding target for SelectPadded.
+	// GroupAggregate, and the padding target for SelectPadded.
 	PaddedCount int
 	Stats       storage.Stats
 }
@@ -160,31 +148,22 @@ func finishStats(o Options, s storage.Stats) storage.Stats {
 	return o.Meter.Snapshot().Sub(s)
 }
 
-// Select obliviously filters rel by the conjunction of preds: a single
-// fixed-pattern scan writes one (real or dummy) record per input tuple to
-// an encrypted output vector, then dummies are compacted away. The server
-// learns only the input and output sizes.
-func Select(rel *relation.Relation, preds []Pred, opts Options) (*Result, error) {
-	return selectPadded(rel, preds, nil, opts)
-}
-
-// SelectPadded is Select with the server-visible output size held at a
-// padding target instead of the real count: padTo receives the real match
-// count (client-side knowledge) and returns the declared size to reveal,
-// real ≤ padTo(real) ≤ len(rel.Tuples). The scan and compaction traces are
-// functions of the input size alone; the only size-dependent accesses — the
-// final read-back of the compacted prefix — cover exactly padTo(real)
-// records, so selectivity leaks no further than the declared padding
-// policy. The query layer's selection pushdown runs every pre-join filter
-// through this entry point with padTo = core.Options.PadSize.
+// SelectPadded obliviously filters rel by the conjunction of preds: a
+// single fixed-pattern scan writes one (real or dummy) record per input
+// tuple to an encrypted output vector, then dummies are compacted away. The
+// server-visible output size is a padding target instead of the real count:
+// padTo receives the real match count (client-side knowledge) and returns
+// the declared size to reveal, real ≤ padTo(real) ≤ len(rel.Tuples). The
+// scan and compaction traces are functions of the input size alone; the
+// only size-dependent accesses — the final read-back of the compacted
+// prefix — cover exactly padTo(real) records, so selectivity leaks no
+// further than the declared padding policy. The query layer's selection
+// pushdown runs every pre-join filter through it with padTo =
+// core.Options.PadSize; padTo returning its argument reveals the real count.
 func SelectPadded(rel *relation.Relation, preds []Pred, padTo func(real int) int, opts Options) (*Result, error) {
 	if padTo == nil {
 		return nil, fmt.Errorf("operators: SelectPadded requires a padding target")
 	}
-	return selectPadded(rel, preds, padTo, opts)
-}
-
-func selectPadded(rel *relation.Relation, preds []Pred, padTo func(real int) int, opts Options) (*Result, error) {
 	if opts.Sealer == nil {
 		return nil, fmt.Errorf("operators: sealer required")
 	}
@@ -226,15 +205,12 @@ func selectPadded(rel *relation.Relation, preds []Pred, padTo func(real int) int
 		}
 	}
 	scan.End()
-	declared := real
-	if padTo != nil {
-		declared = padTo(real)
-		if declared < real {
-			return nil, fmt.Errorf("operators: padding target %d below real count %d", declared, real)
-		}
+	declared := padTo(real)
+	if declared < real {
+		return nil, fmt.Errorf("operators: padding target %d below real count %d", declared, real)
 	}
 	dummy := make([]byte, recSize)
-	if err := opts.sorter(sp).CompactReal(vec, opts.mem(recSize), relation.IsDummy, declared, dummy); err != nil {
+	if err := opts.sorter(sp).CompactReal(vec, obliv.ClientMem(recSize, opts.blockSize()), relation.IsDummy, declared, dummy); err != nil {
 		return nil, err
 	}
 	out := &Result{Schema: rel.Schema, RealCount: real, PaddedCount: declared}
@@ -257,50 +233,6 @@ func selectPadded(rel *relation.Relation, preds []Pred, padTo func(real int) int
 			out.Tuples = append(out.Tuples, tu)
 		}
 	}
-	out.Stats = finishStats(opts, st)
-	return out, nil
-}
-
-// Project obliviously projects rel onto the named columns: one sequential
-// pass re-encodes every tuple into the narrower schema. The access pattern
-// is a fixed scan; output size equals input size, so nothing new leaks.
-func Project(rel *relation.Relation, columns []string, opts Options) (*Result, error) {
-	if opts.Sealer == nil {
-		return nil, fmt.Errorf("operators: sealer required")
-	}
-	st := start(opts)
-	sp := opts.span("op.project")
-	sp.SetAttr("n", int64(len(rel.Tuples)))
-	defer sp.End()
-	cols := make([]int, len(columns))
-	for i, c := range columns {
-		cols[i] = rel.Schema.MustCol(c)
-	}
-	outSchema := relation.Schema{Table: rel.Schema.Table, Columns: append([]string(nil), columns...)}
-	recSize := outSchema.TupleSize()
-	vec, err := obliv.NewBlockVector("project", 64, recSize, opts.blockSize(), opts.Meter, opts.Sealer)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Schema: outSchema}
-	buf := make([]byte, recSize)
-	for _, tu := range rel.Tuples {
-		proj := relation.Tuple{Values: make([]int64, len(cols))}
-		for i, c := range cols {
-			proj.Values[i] = tu.Values[c]
-		}
-		if err := relation.Encode(outSchema, proj, buf); err != nil {
-			return nil, err
-		}
-		if err := vec.Append(buf); err != nil {
-			return nil, err
-		}
-		out.Tuples = append(out.Tuples, proj)
-	}
-	if err := vec.Flush(); err != nil {
-		return nil, err
-	}
-	out.RealCount = len(out.Tuples)
 	out.Stats = finishStats(opts, st)
 	return out, nil
 }
@@ -403,7 +335,7 @@ func GroupAggregate(rel *relation.Relation, groupCol, valueCol string, fn AggFun
 		return out, nil
 	}
 
-	mem := opts.mem(aggRecSize)
+	mem := obliv.ClientMem(aggRecSize, opts.blockSize())
 	// Oblivious sort by (dummy-last, group key).
 	padded, _ := obliv.ChunkShape(n, mem)
 	pad := make([]byte, aggRecSize)

@@ -19,6 +19,9 @@ func testOpts(t testing.TB, m *storage.Meter) Options {
 	return Options{BlockSize: 256, Meter: m, Sealer: s}
 }
 
+// realSize is the padding target that declares the real match count.
+func realSize(real int) int { return real }
+
 func testRel(n int, seed int64) *relation.Relation {
 	r := mrand.New(mrand.NewSource(seed))
 	rel := &relation.Relation{Schema: relation.Schema{
@@ -34,7 +37,7 @@ func testRel(n int, seed int64) *relation.Relation {
 
 func TestSelect(t *testing.T) {
 	rel := testRel(60, 1)
-	res, err := Select(rel, []Pred{{Column: "g", Op: EQ, Value: 2}}, testOpts(t, nil))
+	res, err := SelectPadded(rel, []Pred{{Column: "g", Op: EQ, Value: 2}}, realSize, testOpts(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +63,7 @@ func TestSelectConjunction(t *testing.T) {
 		{Column: "g", Op: GE, Value: 2},
 		{Column: "v", Op: LT, Value: 50},
 	}
-	res, err := Select(rel, preds, testOpts(t, nil))
+	res, err := SelectPadded(rel, preds, realSize, testOpts(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +81,7 @@ func TestSelectConjunction(t *testing.T) {
 func TestSelectAllOps(t *testing.T) {
 	rel := testRel(30, 3)
 	for _, op := range []CompareOp{EQ, NE, LT, LE, GT, GE} {
-		res, err := Select(rel, []Pred{{Column: "v", Op: op, Value: 40}}, testOpts(t, nil))
+		res, err := SelectPadded(rel, []Pred{{Column: "v", Op: op, Value: 40}}, realSize, testOpts(t, nil))
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
@@ -103,7 +106,7 @@ func TestSelectTrafficLeaksOnlySizes(t *testing.T) {
 			rel.Tuples = append(rel.Tuples, relation.Tuple{Values: []int64{int64(i % 2)}})
 		}
 		m := storage.NewMeter()
-		res, err := Select(rel, []Pred{{Column: "a", Op: EQ, Value: value}}, testOpts(t, m))
+		res, err := SelectPadded(rel, []Pred{{Column: "a", Op: EQ, Value: value}}, realSize, testOpts(t, m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,25 +117,6 @@ func TestSelectTrafficLeaksOnlySizes(t *testing.T) {
 	}
 	if a, b := run(0), run(1); a != b {
 		t.Fatalf("selection traffic differs: %+v vs %+v", a, b)
-	}
-}
-
-func TestProject(t *testing.T) {
-	rel := testRel(25, 4)
-	res, err := Project(rel, []string{"w", "g"}, testOpts(t, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RealCount != 25 {
-		t.Fatalf("projected %d", res.RealCount)
-	}
-	for i, tu := range res.Tuples {
-		if len(tu.Values) != 2 || tu.Values[0] != rel.Tuples[i].Values[2] || tu.Values[1] != rel.Tuples[i].Values[0] {
-			t.Fatalf("row %d: %v", i, tu.Values)
-		}
-	}
-	if res.Schema.Columns[0] != "w" || res.Schema.Columns[1] != "g" {
-		t.Fatalf("schema %v", res.Schema.Columns)
 	}
 }
 
@@ -214,11 +198,8 @@ func TestAggregateTrafficLeaksOnlySizes(t *testing.T) {
 
 func TestOperatorsRequireSealer(t *testing.T) {
 	rel := testRel(3, 6)
-	if _, err := Select(rel, nil, Options{}); err == nil {
+	if _, err := SelectPadded(rel, nil, realSize, Options{}); err == nil {
 		t.Fatal("select without sealer accepted")
-	}
-	if _, err := Project(rel, []string{"g"}, Options{}); err == nil {
-		t.Fatal("project without sealer accepted")
 	}
 	if _, err := GroupAggregate(rel, "g", "v", Sum, Options{}); err == nil {
 		t.Fatal("aggregate without sealer accepted")

@@ -208,15 +208,14 @@ func TestLinearAuthFailureWrapped(t *testing.T) {
 // construction and access work end-to-end with only a Keyring configured.
 func TestKeyringRecursivePosMapSubkeys(t *testing.T) {
 	kr := testKeyring(t, 2)
-	o, err := NewPathORAM(PathConfig{
+	o, err := newPathORAM(PathConfig{
 		Name:          "rec",
 		Capacity:      256,
 		PayloadSize:   16,
 		Keyring:       kr,
 		Rand:          NewSeededSource(99),
 		RecursePosMap: true,
-		RecurseCutoff: 8,
-	})
+	}, treetopLevels, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func TestKnownBucketsDifferential(t *testing.T) {
 					cfg := PathConfig{
 						Name: "diff", Capacity: capacity, PayloadSize: payload, Meter: m,
 						Sealer: testSealer(t), Rand: NewSeededSource(uint64(77 + batch)),
-						EvictionBatch: batch, RecursePosMap: recurse, RecurseCutoff: 4,
+						EvictionBatch: batch, RecursePosMap: recurse,
 						OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
 							st := storage.NewMemStore(name, slots, blockSize, m)
 							if exchange {
@@ -173,7 +173,7 @@ func TestKnownBucketsDifferential(t *testing.T) {
 						}
 						tree, o = h, callerHeld{h, map[uint64]uint32{}}
 					} else {
-						p, err := NewPathORAM(cfg)
+						p, err := newPathORAM(cfg, treetopLevels, 4)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -184,7 +184,7 @@ func TestKnownBucketsDifferential(t *testing.T) {
 						// filtered by store name below is the tree's alone.
 						pcfg := cfg
 						pcfg.Name, pcfg.Rand = "diff.partner", NewSeededSource(5)
-						partner, err := NewPathORAM(pcfg)
+						partner, err := newPathORAM(pcfg, treetopLevels, 4)
 						if err != nil {
 							t.Fatal(err)
 						}

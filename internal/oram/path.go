@@ -48,12 +48,9 @@ type PathConfig struct {
 	// Rand supplies leaf randomness; nil means a crypto/rand source.
 	Rand LeafSource
 	// RecursePosMap outsources the position map to recursively built
-	// Path-ORAMs until it fits in RecurseCutoff entries, reducing client
+	// Path-ORAMs until it fits in posMapCutoff entries, reducing client
 	// memory from O(N) to O(log N) at extra per-access cost (Section 4.1).
 	RecursePosMap bool
-	// RecurseCutoff is the position-map size kept client-side when recursing;
-	// 0 means 64 entries.
-	RecurseCutoff int64
 	// OpenStore provisions the server-side bucket store (and, when
 	// recursing, the position-map stores). Nil means an in-process MemStore
 	// reporting to Meter; a remote deployment passes a transport-backed
@@ -156,12 +153,18 @@ type PathORAM struct {
 // preprocessing step; callers reset meters afterwards so setup traffic is
 // not charged to queries.
 func NewPathORAM(cfg PathConfig) (*PathORAM, error) {
-	return newPathORAM(cfg, treetopLevels)
+	return newPathORAM(cfg, treetopLevels, posMapCutoff)
 }
 
-// newPathORAM is NewPathORAM with the treetop rule as an argument, so that
-// tests can build the vanilla tree (noTreetop) the rule is checked against.
-func newPathORAM(cfg PathConfig, treetop func(height int) int) (*PathORAM, error) {
+// posMapCutoff is the position-map size, in entries, a recursive position
+// map keeps client-side: the recursion stops at the first level whose map
+// fits.
+const posMapCutoff = 64
+
+// newPathORAM is NewPathORAM with the treetop rule and the position-map
+// cutoff as arguments, so that tests can build the vanilla tree (noTreetop)
+// the rule is checked against, and recurse deeply on small trees.
+func newPathORAM(cfg PathConfig, treetop func(height int) int, cutoff int64) (*PathORAM, error) {
 	o, err := newTree(cfg, treetop)
 	if err != nil {
 		return nil, err
@@ -169,10 +172,6 @@ func newPathORAM(cfg PathConfig, treetop func(height int) int) (*PathORAM, error
 	if !cfg.RecursePosMap {
 		o.pos = newFlatPosMap(cfg.Capacity)
 		return o, nil
-	}
-	cutoff := cfg.RecurseCutoff
-	if cutoff <= 0 {
-		cutoff = 64
 	}
 	if o.pos, err = newORAMPosMap(cfg, cfg.Capacity, cutoff, o.rand, treetop); err != nil {
 		return nil, err
@@ -201,8 +200,8 @@ func noTreetop(int) int { return 0 }
 // whose nodes carry their children's tags, so the client keeps only the
 // root's. Read, Write and Update, which have no positions to hand in, fail;
 // DummyAccess, Flush and everything else behave as on any tree, and so do
-// the PathConfig settings, but for RecursePosMap and RecurseCutoff, which
-// have no map to act on. Load it with BulkLoadAt.
+// the PathConfig settings, but for RecursePosMap, which has no map to act
+// on. Load it with BulkLoadAt.
 func NewTagged(cfg PathConfig) (*PathORAM, error) {
 	return newTagged(cfg, treetopLevels)
 }

@@ -535,15 +535,14 @@ func TestPathORAMNonBatchStoreFallback(t *testing.T) {
 
 func TestDeepRecursivePosMap(t *testing.T) {
 	// A tiny cutoff forces multiple recursion levels; correctness must hold.
-	o, err := NewPathORAM(PathConfig{
+	o, err := newPathORAM(PathConfig{
 		Name:          "deep",
 		Capacity:      256,
 		PayloadSize:   16, // 4 posmap entries per block -> several levels
 		Sealer:        testSealer(t),
 		Rand:          NewSeededSource(77),
 		RecursePosMap: true,
-		RecurseCutoff: 4,
-	})
+	}, treetopLevels, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

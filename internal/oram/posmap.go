@@ -106,12 +106,11 @@ func newORAMPosMap(parent PathConfig, capacity, cutoff int64, rnd LeafSource, tr
 		Keyring:       parent.Keyring,
 		Rand:          rnd,
 		RecursePosMap: numBlocks > cutoff,
-		RecurseCutoff: cutoff,
 		OpenStore:     parent.OpenStore,
 		EvictionBatch: parent.EvictionBatch,
 		Flight:        parent.Flight,
 	}
-	child, err := newPathORAM(childCfg, treetop)
+	child, err := newPathORAM(childCfg, treetop, cutoff)
 	if err != nil {
 		return nil, err
 	}

@@ -272,7 +272,7 @@ func stashPeak(t *testing.T, batch int, treetop func(int) int) int {
 	o, err := newPathORAM(PathConfig{
 		Name: "sched", Capacity: stashCapacity, PayloadSize: 8,
 		Sealer: testSealer(t), Rand: NewSeededSource(31), EvictionBatch: batch,
-	}, treetop)
+	}, treetop, posMapCutoff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,10 +491,10 @@ func TestFailedFetchIsRetryable(t *testing.T) {
 		for _, k := range []int{1, 4} {
 			t.Run(fmt.Sprintf("recurse=%v/k=%d", recurse, k), func(t *testing.T) {
 				var stores []*downStore
-				o, err := NewPathORAM(PathConfig{
+				o, err := newPathORAM(PathConfig{
 					Name: "down", Capacity: capacity, PayloadSize: 16,
 					Sealer: testSealer(t), Rand: NewSeededSource(uint64(40 + k)),
-					RecursePosMap: recurse, RecurseCutoff: 4, EvictionBatch: k,
+					RecursePosMap: recurse, EvictionBatch: k,
 					OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
 						st := &downStore{MemStore: storage.NewMemStore(name, slots, blockSize, nil)}
 						if name == "down" { // the map's trees stay up: a remap can always be taken back
@@ -502,7 +502,7 @@ func TestFailedFetchIsRetryable(t *testing.T) {
 						}
 						return st, nil
 					},
-				})
+				}, treetopLevels, 4)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -399,10 +399,10 @@ func TestTogetherFallsBackOneByOne(t *testing.T) {
 		"recursive": func(m *storage.Meter) [2]ORAM {
 			var out [2]ORAM
 			for i := range out {
-				o, err := NewPathORAM(PathConfig{
+				o, err := newPathORAM(PathConfig{
 					Name: fmt.Sprint("rec", i), Capacity: capacity, PayloadSize: payload, Meter: m,
-					Sealer: testSealer(t), Rand: NewSeededSource(uint64(i + 1)), RecursePosMap: true, RecurseCutoff: 2,
-				})
+					Sealer: testSealer(t), Rand: NewSeededSource(uint64(i + 1)), RecursePosMap: true,
+				}, treetopLevels, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -506,9 +506,9 @@ func TestSettleTogetherIsOneRound(t *testing.T) {
 		m := storage.NewMeter()
 		var flaky *failOnce
 		tree := func(name string, recurse bool) *PathORAM {
-			o, err := NewPathORAM(PathConfig{
+			o, err := newPathORAM(PathConfig{
 				Name: name, Capacity: capacity, PayloadSize: payload, Meter: m, Sealer: testSealer(t),
-				Rand: NewSeededSource(uint64(len(name))), EvictionBatch: k, RecursePosMap: recurse, RecurseCutoff: 2,
+				Rand: NewSeededSource(uint64(len(name))), EvictionBatch: k, RecursePosMap: recurse,
 				OpenStore: func(store string, slots int64, blockSize int) (storage.Store, error) {
 					st := storage.NewMemStore(store, slots, blockSize, m)
 					if store != "c" {
@@ -517,7 +517,7 @@ func TestSettleTogetherIsOneRound(t *testing.T) {
 					flaky = &failOnce{MemStore: st}
 					return flaky, nil
 				},
-			})
+			}, treetopLevels, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

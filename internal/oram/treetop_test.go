@@ -72,7 +72,7 @@ func treetopRun(t *testing.T, positions string, batch int, treetop func(int) int
 	cfg := PathConfig{
 		Name: "top", Capacity: capacity, PayloadSize: payload, Meter: m,
 		Sealer: testSealer(t), Rand: NewSeededSource(uint64(11 + batch)),
-		EvictionBatch: batch, RecursePosMap: positions == "recursive", RecurseCutoff: 4,
+		EvictionBatch: batch, RecursePosMap: positions == "recursive",
 	}
 	var tree *PathORAM
 	var o diffClient
@@ -83,7 +83,7 @@ func treetopRun(t *testing.T, positions string, batch int, treetop func(int) int
 		}
 		o = callerHeld{tree, map[uint64]uint32{}}
 	} else {
-		if tree, err = newPathORAM(cfg, treetop); err != nil {
+		if tree, err = newPathORAM(cfg, treetop, 4); err != nil {
 			t.Fatal(err)
 		}
 		o = tree

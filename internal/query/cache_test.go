@@ -22,7 +22,7 @@ func TestSignatureCoversInputDescription(t *testing.T) {
 	c := NewCache(testCacheKey(1))
 	schema := relation.Schema{Table: "a", Columns: []string{"k", "id"}}
 	base := func() string {
-		return c.signature(schema, 100, 256, []operators.Pred{{Column: "k", Op: operators.LE, Value: 5}}, []string{"k"}, "none/b0/e0", false)
+		return c.signature(schema, 100, 256, []operators.Pred{{Column: "k", Op: operators.LE, Value: 5}}, []string{"k"}, "RealSize", false)
 	}
 	sig := base()
 	if sig != base() {
@@ -32,15 +32,15 @@ func TestSignatureCoversInputDescription(t *testing.T) {
 		t.Fatalf("signature %q is %d hex chars, want the full 64-char digest", sig, len(sig))
 	}
 	variants := []string{
-		c.signature(schema, 101, 256, []operators.Pred{{Column: "k", Op: operators.LE, Value: 5}}, []string{"k"}, "none/b0/e0", false),
-		c.signature(schema, 100, 512, []operators.Pred{{Column: "k", Op: operators.LE, Value: 5}}, []string{"k"}, "none/b0/e0", false),
-		c.signature(schema, 100, 256, []operators.Pred{{Column: "k", Op: operators.LE, Value: 6}}, []string{"k"}, "none/b0/e0", false),
-		c.signature(schema, 100, 256, []operators.Pred{{Column: "k", Op: operators.LT, Value: 5}}, []string{"k"}, "none/b0/e0", false),
-		c.signature(schema, 100, 256, []operators.Pred{{Column: "k", Op: operators.LE, Value: 5}}, []string{"id", "k"}, "none/b0/e0", false),
-		c.signature(schema, 100, 256, []operators.Pred{{Column: "k", Op: operators.LE, Value: 5}}, []string{"k"}, "cart/b0/e0", false),
+		c.signature(schema, 101, 256, []operators.Pred{{Column: "k", Op: operators.LE, Value: 5}}, []string{"k"}, "RealSize", false),
+		c.signature(schema, 100, 512, []operators.Pred{{Column: "k", Op: operators.LE, Value: 5}}, []string{"k"}, "RealSize", false),
+		c.signature(schema, 100, 256, []operators.Pred{{Column: "k", Op: operators.LE, Value: 6}}, []string{"k"}, "RealSize", false),
+		c.signature(schema, 100, 256, []operators.Pred{{Column: "k", Op: operators.LT, Value: 5}}, []string{"k"}, "RealSize", false),
+		c.signature(schema, 100, 256, []operators.Pred{{Column: "k", Op: operators.LE, Value: 5}}, []string{"id", "k"}, "RealSize", false),
+		c.signature(schema, 100, 256, []operators.Pred{{Column: "k", Op: operators.LE, Value: 5}}, []string{"k"}, "CartesianProduct", false),
 		// Sentinel polarity: the low side of a band join needs different
 		// fillers than an equi join over the same filtered table.
-		c.signature(schema, 100, 256, []operators.Pred{{Column: "k", Op: operators.LE, Value: 5}}, []string{"k"}, "none/b0/e0", true),
+		c.signature(schema, 100, 256, []operators.Pred{{Column: "k", Op: operators.LE, Value: 5}}, []string{"k"}, "RealSize", true),
 	}
 	seen := map[string]bool{sig: true}
 	for i, v := range variants {
@@ -59,7 +59,7 @@ func TestSignatureIsKeyed(t *testing.T) {
 	schema := relation.Schema{Table: "a", Columns: []string{"k"}}
 	preds := []operators.Pred{{Column: "k", Op: operators.LE, Value: 30}}
 	sig := func(c *Cache) string {
-		return c.signature(schema, 100, 256, preds, []string{"k"}, "none/b0/e0", false)
+		return c.signature(schema, 100, 256, preds, []string{"k"}, "RealSize", false)
 	}
 	c1, c2 := NewCache(testCacheKey(1)), NewCache(testCacheKey(2))
 	if sig(c1) == sig(c2) {

@@ -122,8 +122,6 @@ func (e *Executor) plan(spec Spec) (*Plan, map[string]*table.StoredTable, *Outpu
 	}
 	po := PlanOptions{
 		Padding:        e.JoinOpts.Padding,
-		PadBase:        e.JoinOpts.PadBase,
-		DPEpsilon:      e.JoinOpts.DPEpsilon,
 		EnableMultiway: e.EnableMultiway,
 	}
 	p, err := planSpec(Describe(inputs), spec, po)
@@ -168,7 +166,7 @@ func (e *Executor) prepare(spec Spec) (map[string]*table.StoredTable, []InputPla
 		}
 		attrs := spec.joinAttrs(tbl)
 		low := spec.sentinelLow(tbl)
-		sig := e.Cache.signature(base.Schema(), base.NumTuples(), e.TableOpts.BlockPayload, filters, attrs, e.paddingDesc(), low)
+		sig := e.Cache.signature(base.Schema(), base.NumTuples(), e.TableOpts.BlockPayload, filters, attrs, e.JoinOpts.Padding.String(), low)
 		ip.Signature = sig
 		st, hit, err := e.Cache.getOrBuild(sig, func(slot buildSlot) (*table.StoredTable, error) {
 			return e.buildInput(base, filters, attrs, slot, low)
@@ -289,11 +287,6 @@ func (e *Executor) executeJoin(p *Plan, in map[string]*table.StoredTable) (*core
 	default:
 		return nil, fmt.Errorf("query: unknown operator %v", c.Kind)
 	}
-}
-
-// paddingDesc canonically describes the padding policy for signatures.
-func (e *Executor) paddingDesc() string {
-	return fmt.Sprintf("%s/b%d/e%g", e.JoinOpts.Padding, e.JoinOpts.PadBase, e.JoinOpts.DPEpsilon)
 }
 
 // project keeps the requested output columns (all, when none requested).

@@ -75,10 +75,6 @@ type InputPlan struct {
 type PlanOptions struct {
 	// Padding is the Section 8 output-padding mode in force.
 	Padding core.PaddingMode
-	// PadBase is the PadClosestPower base (0 = 2).
-	PadBase int
-	// DPEpsilon is the PadDP privacy parameter (0 = 0.5).
-	DPEpsilon float64
 	// EnableMultiway reports whether indexes are in write-back mode, which
 	// multiway execution requires; it changes no other candidate's cost.
 	EnableMultiway bool
@@ -129,7 +125,7 @@ func planSpec(cat Catalog, spec Spec, po PlanOptions) (*Plan, error) {
 	if est > cart {
 		est = cart
 	}
-	planned := plannedPad(po, est, cart)
+	planned := po.Padding.PlannedSize(est, cart)
 
 	p := &Plan{Spec: spec, EstimatedResult: est, PlannedResult: planned, Padding: po.Padding}
 	switch {
@@ -275,42 +271,6 @@ func estimateResult(spec Spec, sizes []int64, cart int64) int64 {
 		}
 	}
 	return max
-}
-
-// plannedPad is the deterministic planning form of core.Options.PadSize:
-// identical for every mode except PadDP, where the randomized draw is
-// replaced by its ⌈1/ε⌉+1 mean so planning never consumes randomness (a
-// plan must be a pure function of public metadata).
-func plannedPad(po PlanOptions, est, cart int64) int64 {
-	switch po.Padding {
-	case core.PadClosestPower:
-		base := int64(po.PadBase)
-		if base < 2 {
-			base = 2
-		}
-		p := int64(1)
-		for p < est {
-			p *= base
-		}
-		if p > cart {
-			p = cart
-		}
-		return p
-	case core.PadCartesian:
-		return cart
-	case core.PadDP:
-		eps := po.DPEpsilon
-		if eps <= 0 {
-			eps = 0.5
-		}
-		padded := est + int64(math.Ceil(1/eps)) + 1
-		if padded > cart {
-			padded = cart
-		}
-		return padded
-	default:
-		return est
-	}
 }
 
 // saturatingProduct multiplies sizes, clamping at MaxInt64 instead of

@@ -241,27 +241,6 @@ func TestEstimateHeuristics(t *testing.T) {
 	}
 }
 
-func TestPlannedPad(t *testing.T) {
-	cases := []struct {
-		po   PlanOptions
-		est  int64
-		cart int64
-		want int64
-	}{
-		{PlanOptions{Padding: core.PadNone}, 5, 100, 5},
-		{PlanOptions{Padding: core.PadClosestPower}, 5, 100, 8},
-		{PlanOptions{Padding: core.PadClosestPower, PadBase: 10}, 5, 100, 10},
-		{PlanOptions{Padding: core.PadCartesian}, 5, 100, 100},
-		{PlanOptions{Padding: core.PadDP, DPEpsilon: 0.5}, 5, 100, 8}, // 5 + ceil(1/0.5) + 1
-		{PlanOptions{Padding: core.PadClosestPower}, 90, 100, 100},    // capped at cart
-	}
-	for i, c := range cases {
-		if got := plannedPad(c.po, c.est, c.cart); got != c.want {
-			t.Errorf("case %d: plannedPad = %d, want %d", i, got, c.want)
-		}
-	}
-}
-
 func TestSaturatingProduct(t *testing.T) {
 	if got := saturatingProduct([]int64{1 << 40, 1 << 40}); got != math.MaxInt64 {
 		t.Errorf("overflow product = %d, want MaxInt64", got)

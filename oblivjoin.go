@@ -57,8 +57,6 @@ type (
 	Result = core.Result
 	// Stats is measured traffic.
 	Stats = storage.Stats
-	// CostModel converts traffic to simulated time.
-	CostModel = storage.CostModel
 	// BandOp is a band-join comparison operator.
 	BandOp = core.BandOp
 	// PaddingMode selects the output-size padding strategy (Section 8).
@@ -131,9 +129,6 @@ const (
 	SepORAM Setting = iota
 	// OneORAM stores every table in a single shared Path-ORAM (Section 7).
 	OneORAM
-	// Insecure disables encryption and ORAM entirely — the paper's "Raw
-	// Index" baseline, useful only for comparisons.
-	Insecure
 )
 
 // Config configures a Database.
@@ -150,7 +145,7 @@ type Config struct {
 	// passes the deployment's current epoch; blocks sealed under earlier
 	// epochs stay readable and migrate lazily on write-back. See RotateKeys.
 	KeyEpoch uint8
-	// Setting selects SepORAM (default), OneORAM, or Insecure.
+	// Setting selects SepORAM (default) or OneORAM.
 	Setting Setting
 	// CacheIndexes keeps all index levels above the leaves client-side —
 	// the paper's "+Cache" mode (Δ = 1).
@@ -161,9 +156,6 @@ type Config struct {
 	EnableMultiway bool
 	// Padding selects the Section 8 output padding strategy.
 	Padding PaddingMode
-	// Cost converts traffic into simulated time; zero value uses the
-	// paper's 1 Gbps model.
-	Cost CostModel
 	// EvictionBatch is how many fetched paths a Path-ORAM write-back unions:
 	// the write-back of the last k paths rides the tree's next download,
 	// each bucket they share near the root written once (DESIGN.md §2.9).
@@ -219,13 +211,6 @@ func (db *Database) blockPayload() int {
 	return table.DefaultBlockPayload
 }
 
-func (db *Database) costModel() CostModel {
-	if db.cfg.Cost.BandwidthBps > 0 {
-		return db.cfg.Cost
-	}
-	return storage.DefaultCostModel()
-}
-
 // AddTable registers a plaintext relation and the attributes to index
 // (every attribute a query will join on). Must be called before Seal.
 func (db *Database) AddTable(rel *Relation, indexAttrs ...string) error {
@@ -258,25 +243,23 @@ func (db *Database) Seal() error {
 	if len(db.pending) == 0 {
 		return fmt.Errorf("oblivjoin: no tables added")
 	}
-	if db.cfg.Setting != Insecure {
-		key := db.cfg.Key
-		if key == nil {
-			key = make([]byte, xcrypto.KeySize)
-			if _, err := rand.Read(key); err != nil {
-				return err
-			}
-		}
-		var err error
-		db.keyring, err = xcrypto.NewKeyring(key, db.cfg.KeyEpoch, nil)
-		if err != nil {
+	key := db.cfg.Key
+	if key == nil {
+		key = make([]byte, xcrypto.KeySize)
+		if _, err := rand.Read(key); err != nil {
 			return err
 		}
-		// The query-output path (core's oblivious filter) seals transient
-		// result blocks under its own subkey, separate from every table store.
-		db.sealer, err = db.keyring.Sealer("query")
-		if err != nil {
-			return err
-		}
+	}
+	var err error
+	db.keyring, err = xcrypto.NewKeyring(key, db.cfg.KeyEpoch, nil)
+	if err != nil {
+		return err
+	}
+	// The query-output path (core's oblivious filter) seals transient
+	// result blocks under its own subkey, separate from every table store.
+	db.sealer, err = db.keyring.Sealer("query")
+	if err != nil {
+		return err
 	}
 	opts := table.Options{
 		BlockPayload:      db.blockPayload(),
@@ -284,7 +267,6 @@ func (db *Database) Seal() error {
 		Keyring:           db.keyring,
 		CacheIndex:        db.cfg.CacheIndexes,
 		WriteBackDescents: db.cfg.EnableMultiway,
-		Raw:               db.cfg.Setting == Insecure,
 		EvictionBatch:     db.cfg.EvictionBatch,
 		Flight:            db.flight,
 	}
@@ -340,7 +322,6 @@ func (db *Database) lookup(name string) (*table.StoredTable, error) {
 
 func (db *Database) joinOpts() core.Options {
 	return core.Options{
-		Mem:          0, // paper default M = 2B
 		Padding:      db.cfg.Padding,
 		Meter:        db.meter,
 		Sealer:       db.sealer,
@@ -457,20 +438,20 @@ func (db *Database) WatchShards(w io.Writer, every time.Duration) (stop func()) 
 
 // RotateKeys advances the keyring to the next epoch: blocks written from now
 // on are sealed under the new epoch's subkey, while blocks sealed under every
-// earlier epoch (and under the pre-keyring format) remain readable and
-// migrate lazily as ORAM write-back re-seals them. Rotation changes only key
+// earlier epoch remain readable and migrate lazily as ORAM write-back
+// re-seals them. Rotation changes only key
 // material, never the access schedule, so the server-visible trace is
 // byte-identical with or without it (see the oram trace-identity test).
 // Returns the new epoch.
 func (db *Database) RotateKeys() (uint8, error) {
 	if db.keyring == nil {
-		return 0, fmt.Errorf("oblivjoin: no keyring (Insecure setting or not sealed)")
+		return 0, fmt.Errorf("oblivjoin: no keyring (not sealed)")
 	}
 	return db.keyring.Rotate()
 }
 
-// KeyEpoch reports the epoch new blocks are currently sealed under (0 when
-// running Insecure or before Seal).
+// KeyEpoch reports the epoch new blocks are currently sealed under (0 before
+// Seal).
 func (db *Database) KeyEpoch() uint8 {
 	if db.keyring == nil {
 		return 0
@@ -632,9 +613,6 @@ func (db *Database) SortMergeJoin(t1, a1, t2, a2 string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if db.cfg.Setting == Insecure {
-		return nil, fmt.Errorf("oblivjoin: the Insecure setting supports comparisons only; use the baseline package")
-	}
 	return core.SortMergeJoin(s1, s2, a1, a2, db.joinOpts())
 }
 
@@ -649,9 +627,6 @@ func (db *Database) IndexNestedLoopJoin(t1, a1, t2, a2 string) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	if db.cfg.Setting == Insecure {
-		return nil, fmt.Errorf("oblivjoin: the Insecure setting supports comparisons only; use the baseline package")
-	}
 	return core.IndexNestedLoopJoin(s1, s2, a1, a2, db.joinOpts())
 }
 
@@ -665,9 +640,6 @@ func (db *Database) BandJoin(t1, a1 string, op BandOp, t2, a2 string) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	if db.cfg.Setting == Insecure {
-		return nil, fmt.Errorf("oblivjoin: the Insecure setting supports comparisons only; use the baseline package")
-	}
 	return core.BandJoin(s1, s2, a1, a2, op, db.joinOpts())
 }
 
@@ -680,9 +652,6 @@ func (db *Database) MultiwayJoin(q Query) (*Result, error) {
 	}
 	if !db.cfg.EnableMultiway {
 		return nil, fmt.Errorf("oblivjoin: configure EnableMultiway for multiway joins")
-	}
-	if db.cfg.Setting == Insecure {
-		return nil, fmt.Errorf("oblivjoin: the Insecure setting supports comparisons only; use the baseline package")
 	}
 	tree, err := jointree.Build(q.JoinQuery())
 	if err != nil {
@@ -704,9 +673,6 @@ func (db *Database) MultiwayJoin(q Query) (*Result, error) {
 func (db *Database) executor() (*query.Executor, error) {
 	if !db.sealed {
 		return nil, fmt.Errorf("oblivjoin: Seal the database before querying")
-	}
-	if db.cfg.Setting == Insecure {
-		return nil, fmt.Errorf("oblivjoin: the Insecure setting supports comparisons only; use the baseline package")
 	}
 	if db.cfg.Setting != SepORAM {
 		return nil, fmt.Errorf("oblivjoin: the query planner requires the SepORAM setting (per-table stores); call the join methods directly under OneORAM")
@@ -785,9 +751,10 @@ func (db *Database) Stats() Stats { return db.meter.Snapshot() }
 func (db *Database) ResetStats() { db.meter.Reset() }
 
 // QueryCost converts a result's traffic into simulated wall-clock seconds
-// under the configured cost model.
+// under storage.DefaultCostModel (the paper's 1 Gbps link), the model the
+// planner prices plans with and every figure is rendered with.
 func (db *Database) QueryCost(res *Result) float64 {
-	return db.costModel().CostSeconds(res.Stats)
+	return storage.DefaultCostModel().CostSeconds(res.Stats)
 }
 
 // CloudBytes returns the server-side storage footprint.
