@@ -7,8 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"oblivjoin/internal/bench"
 )
 
 // TestEveryPackageHasDocComment is the docs lint: every package in this
@@ -218,6 +222,93 @@ func TestDocsIdentifiersResolve(t *testing.T) {
 				t.Errorf("%s: `%s` names nothing package %s declares", doc, ref, m[1])
 			case m[3] != "" && !decls.members[m[2]][m[3]]:
 				t.Errorf("%s: `%s` names no method or field of %s.%s", doc, ref, m[1], m[2])
+			}
+		}
+	}
+}
+
+// fence matches a fenced code block, which holds no code spans.
+var fence = regexp.MustCompile("(?ms)^```.*?^```")
+
+// codeSpan matches an inline code span; docFlag a span that starts with a
+// command-line flag, and docExperiment an experiment ID anywhere in a span
+// (`ablation-*` names the family, not an ID).
+var (
+	codeSpan      = regexp.MustCompile("`([^`]+)`")
+	docFlag       = regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
+	docExperiment = regexp.MustCompile(`\b(table[0-9]+|fig[0-9]+|ablation-[a-z0-9-]+)\b`)
+)
+
+// goTestFlags are the go command's own flags the docs show in test
+// invocations; no command of this module registers them.
+var goTestFlags = []string{"race", "run", "count", "bench", "fuzz", "tags"}
+
+// TestDocsFlagsAndExperimentsResolve is the docs lint for the command
+// line: in README.md, DESIGN.md and EXPERIMENTS.md, every code span that
+// starts with `-name` must name a flag some cmd/*/main.go registers (or one
+// of the go command's test flags), and every experiment ID a code span
+// names must be one ojoinbench runs (bench.Experiments) — so that deleting
+// a flag or an experiment cannot leave the docs telling anyone to use it.
+func TestDocsFlagsAndExperimentsResolve(t *testing.T) {
+	flags := map[string]bool{}
+	for _, f := range goTestFlags {
+		flags[f] = true
+	}
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range mains {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			// The flag's name is the call's first string literal:
+			// flag.Int("n", …) and flag.Var(&v, "n", …) alike.
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					flags[name] = true
+					break
+				}
+			}
+			return true
+		})
+	}
+	if len(flags) == len(goTestFlags) {
+		t.Fatal("found no flags in cmd/*/main.go")
+	}
+	experiments := bench.Experiments()
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range codeSpan.FindAllStringSubmatch(fence.ReplaceAllString(string(text), ""), -1) {
+			span := m[1]
+			if f := docFlag.FindStringSubmatch(span); f != nil && !flags[f[1]] {
+				t.Errorf("%s: `%s` names flag -%s, which no command registers", doc, span, f[1])
+			}
+			for _, id := range docExperiment.FindAllString(span, -1) {
+				if !slices.Contains(experiments, id) {
+					t.Errorf("%s: `%s` names experiment %s, which ojoinbench does not run", doc, span, id)
+				}
 			}
 		}
 	}

@@ -47,153 +47,6 @@ func AblationBlockSize(e *Env) (*Figure, error) {
 	return fig, nil
 }
 
-// AblationBucketSize sweeps Path-ORAM's Z and reports the query cost and
-// the high-water stash occupancy of the data ORAM — the classic Path-ORAM
-// trade-off (larger buckets move more bytes per path but keep the stash
-// smaller).
-func AblationBucketSize(e *Env) (*Figure, error) {
-	fig := &Figure{
-		ID: "ablation-z", Title: "Path-ORAM bucket size ablation on Query TE1",
-		Config: fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.PadSuppliers, e.payload()),
-		ALabel: "query cost (s)", BLabel: "max stash (blocks)",
-	}
-	r1, r2 := e.ablationRelations()
-	sealer, err := e.sealer()
-	if err != nil {
-		return nil, err
-	}
-	for _, z := range []int{2, 4, 8} {
-		m := storage.NewMeter()
-		opts := table.Options{
-			BlockPayload: e.payload(), Meter: m, Sealer: sealer,
-			Rand: oram.NewSeededSource(uint64(e.Seed)), Z: z,
-		}
-		s1, err := table.Store(r1, []string{"s_nationkey"}, opts)
-		if err != nil {
-			return nil, err
-		}
-		s2, err := table.Store(r2, []string{"c_nationkey"}, opts)
-		if err != nil {
-			return nil, err
-		}
-		m.Reset()
-		copts, err := e.coreOpts(m)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.IndexNestedLoopJoin(s1, s2, "s_nationkey", "c_nationkey", copts)
-		if err != nil {
-			return nil, err
-		}
-		// The stash high-water mark lives on the ORAMs; surface the data
-		// ORAM of the probed table via its index tree's backing store. The
-		// data ORAM is not directly reachable, so report client bytes as a
-		// proxy plus the measured cost.
-		fig.Points = append(fig.Points, Point{
-			Series: "Sep INLJ", X: fmt.Sprintf("Z=%d", z),
-			A: e.Cost.CostSeconds(res.Stats),
-			B: float64(s2.ClientBytes()) / 1e3,
-		})
-	}
-	fig.BLabel = "client state (KB)"
-	return fig, nil
-}
-
-// AblationPosMap compares the flat (client-side) position map against the
-// recursive one (Section 4.1): client memory shrinks, per-access cost
-// grows.
-func AblationPosMap(e *Env) (*Figure, error) {
-	fig := &Figure{
-		ID: "ablation-posmap", Title: "position map ablation on Query TE1",
-		Config: fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.PadSuppliers, e.payload()),
-		ALabel: "query cost (s)", BLabel: "client memory (KB)",
-	}
-	r1, r2 := e.ablationRelations()
-	sealer, err := e.sealer()
-	if err != nil {
-		return nil, err
-	}
-	for _, recurse := range []bool{false, true} {
-		m := storage.NewMeter()
-		opts := table.Options{
-			BlockPayload: e.payload(), Meter: m, Sealer: sealer,
-			Rand: oram.NewSeededSource(uint64(e.Seed)), RecursePosMap: recurse,
-		}
-		s1, err := table.Store(r1, []string{"s_nationkey"}, opts)
-		if err != nil {
-			return nil, err
-		}
-		s2, err := table.Store(r2, []string{"c_nationkey"}, opts)
-		if err != nil {
-			return nil, err
-		}
-		m.Reset()
-		copts, err := e.coreOpts(m)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.IndexNestedLoopJoin(s1, s2, "s_nationkey", "c_nationkey", copts)
-		if err != nil {
-			return nil, err
-		}
-		name := "flat posmap"
-		if recurse {
-			name = "recursive posmap"
-		}
-		fig.Points = append(fig.Points, Point{
-			Series: name, X: "TE1",
-			A: e.Cost.CostSeconds(res.Stats),
-			B: float64(s1.ClientBytes()+s2.ClientBytes()) / 1e3,
-		})
-	}
-	return fig, nil
-}
-
-// AblationScheme swaps the ORAM construction under an unchanged join — the
-// paper's "ORAM scheme can be viewed as a blackbox" claim (Section 1) made
-// executable: Path-ORAM's O(log N) accesses against the trivial linear
-// ORAM's O(N) full scans.
-func AblationScheme(e *Env) (*Figure, error) {
-	fig := queryFigure(e, "ablation-scheme", "ORAM scheme ablation on Query TE1",
-		fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.PadSuppliers*2, e.payload()))
-	db := tpch.Generate(tpch.Config{Suppliers: e.Scales.PadSuppliers * 2, Seed: e.Seed})
-	q := db.TE1()
-	sealer, err := e.sealer()
-	if err != nil {
-		return nil, err
-	}
-	for _, scheme := range []table.Scheme{table.SchemePath, table.SchemeLinear} {
-		m := storage.NewMeter()
-		opts := table.Options{
-			BlockPayload: e.payload(), Meter: m, Sealer: sealer,
-			Rand: oram.NewSeededSource(uint64(e.Seed)), Scheme: scheme,
-		}
-		s1, err := table.Store(q.R1, []string{q.A1}, opts)
-		if err != nil {
-			return nil, err
-		}
-		s2, err := table.Store(q.R2, []string{q.A2}, opts)
-		if err != nil {
-			return nil, err
-		}
-		m.Reset()
-		copts, err := e.coreOpts(m)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.IndexNestedLoopJoin(s1, s2, q.A1, q.A2, copts)
-		if err != nil {
-			return nil, err
-		}
-		name := "Path-ORAM"
-		if scheme == table.SchemeLinear {
-			name = "Linear ORAM"
-		}
-		e.measurePoint(fig, Measure{Method: name, Query: "TE1", Stats: res.Stats, Real: res.RealCount}, "TE1")
-	}
-	return fig, nil
-}
-
 // AblationChained compares Algorithm 1 over the two storage layouts the
 // paper describes: B-tree leaf chains (one index + one data access per
 // retrieval) versus embedded next-tuple pointers (a single data access per

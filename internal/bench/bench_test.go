@@ -35,8 +35,8 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestExperimentsList(t *testing.T) {
 	ids := Experiments()
-	if len(ids) != 22 {
-		t.Fatalf("%d experiments, want 22 (table1 + fig7..fig21 + 6 ablations)", len(ids))
+	if len(ids) != 19 {
+		t.Fatalf("%d experiments, want 19 (table1 + fig7..fig21 + 3 ablations)", len(ids))
 	}
 }
 

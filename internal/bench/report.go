@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -106,29 +105,55 @@ func WriteFigureCSV(w io.Writer, fig *Figure) {
 	}
 }
 
-// figureRunners maps experiment IDs to their runners.
-func figureRunners() map[string]func(*Env) (*Figure, error) {
-	return map[string]func(*Env) (*Figure, error){
-		"fig7": Fig7, "fig8": Fig8, "fig9": Fig9, "fig10": Fig10,
-		"fig11": Fig11, "fig12": Fig12, "fig13": Fig13, "fig14": Fig14,
-		"fig15": Fig15, "fig16": Fig16, "fig17": Fig17, "fig18": Fig18,
-		"fig19": Fig19, "fig20": Fig20, "fig21": Fig21,
-		"ablation-blocksize": AblationBlockSize,
-		"ablation-z":         AblationBucketSize,
-		"ablation-posmap":    AblationPosMap,
-		"ablation-scheme":    AblationScheme,
-		"ablation-chained":   AblationChained,
-		"ablation-dppad":     AblationDPPad,
+// experiment is one runnable experiment: its ID and the runner of its
+// figure, nil for table1, which writes tables of its own (Run).
+type experiment struct {
+	id  string
+	fig func(*Env) (*Figure, error)
+}
+
+// experiments is the registry, in the order -exp all runs it: the paper's
+// Table 1 and Figures 7–21, then this repo's ablations.
+var experiments = []experiment{
+	{"table1", nil},
+	{"fig7", Fig7}, {"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10},
+	{"fig11", Fig11}, {"fig12", Fig12}, {"fig13", Fig13}, {"fig14", Fig14},
+	{"fig15", Fig15}, {"fig16", Fig16}, {"fig17", Fig17}, {"fig18", Fig18},
+	{"fig19", Fig19}, {"fig20", Fig20}, {"fig21", Fig21},
+	{"ablation-blocksize", AblationBlockSize},
+	{"ablation-chained", AblationChained},
+	{"ablation-dppad", AblationDPPad},
+}
+
+// Experiments lists every runnable experiment by ID, in registry order.
+func Experiments() []string {
+	ids := make([]string, len(experiments))
+	for i, x := range experiments {
+		ids[i] = x.id
 	}
+	return ids
+}
+
+// lookup finds the experiment registered under id.
+func lookup(id string) (experiment, error) {
+	for _, x := range experiments {
+		if x.id == id {
+			return x, nil
+		}
+	}
+	return experiment{}, fmt.Errorf("bench: unknown experiment %q (valid: %s)", id, strings.Join(Experiments(), ", "))
 }
 
 // RunCSV executes one figure experiment and writes CSV instead of tables.
 func RunCSV(w io.Writer, e *Env, id string) error {
-	f, ok := figureRunners()[id]
-	if !ok {
+	x, err := lookup(id)
+	if err != nil {
+		return err
+	}
+	if x.fig == nil {
 		return fmt.Errorf("bench: experiment %q has no CSV form", id)
 	}
-	fig, err := f(e)
+	fig, err := x.fig(e)
 	if err != nil {
 		return err
 	}
@@ -150,21 +175,13 @@ func WriteTable1(w io.Writer, rows []Table1Row) {
 	fmt.Fprintln(w)
 }
 
-// Experiments lists every runnable experiment by ID: the paper's Table 1
-// and Figures 7–21, plus this repo's ablations.
-func Experiments() []string {
-	ids := []string{"table1"}
-	for i := 7; i <= 21; i++ {
-		ids = append(ids, fmt.Sprintf("fig%d", i))
-	}
-	return append(ids,
-		"ablation-blocksize", "ablation-z", "ablation-posmap",
-		"ablation-scheme", "ablation-chained", "ablation-dppad")
-}
-
 // Run executes one experiment by ID and writes its report.
 func Run(w io.Writer, e *Env, id string) error {
-	if id == "table1" {
+	x, err := lookup(id)
+	if err != nil {
+		return err
+	}
+	if x.fig == nil {
 		rows, err := Table1(e)
 		if err != nil {
 			return err
@@ -178,13 +195,7 @@ func Run(w io.Writer, e *Env, id string) error {
 		fmt.Fprintln(w)
 		return CheckTable1(rows)
 	}
-	f, ok := figureRunners()[id]
-	if !ok {
-		valid := Experiments()
-		sort.Strings(valid)
-		return fmt.Errorf("bench: unknown experiment %q (valid: %s)", id, strings.Join(valid, ", "))
-	}
-	fig, err := f(e)
+	fig, err := x.fig(e)
 	if err != nil {
 		return err
 	}

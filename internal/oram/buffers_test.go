@@ -239,7 +239,7 @@ func TestPathORAMAccessAllocs(t *testing.T) {
 // full-chunk upload buffer (uploadChunk sealed buckets, 4 MB at 4 KB
 // payloads) for a handful of nodes.
 func TestUploaderSizedToTree(t *testing.T) {
-	o := newTestORAM(t, 4, 4096, nil, false) // 7 nodes
+	o := newTestORAM(t, 4, 4096, nil) // 7 nodes
 	up := newUploader(o, 7)
 	if want := 7 * len(mustSeal(t, o)); cap(up.buf) != want {
 		t.Fatalf("uploader for a 7-node tree holds %d bytes, want %d", cap(up.buf), want)
@@ -251,7 +251,7 @@ func TestUploaderSizedToTree(t *testing.T) {
 
 func mustSeal(t *testing.T, o *PathORAM) []byte {
 	t.Helper()
-	sealed, err := o.sealer.Seal(make([]byte, o.bucketSize))
+	sealed, err := o.cfg.Sealer.Seal(make([]byte, o.bucketSize))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,17 @@ func testKeyring(t testing.TB, epoch uint8) *xcrypto.Keyring {
 	return kr
 }
 
+// ringSealer is the ring's sealer for store name, as the table layer hands
+// it to each tree it builds: an epoch rotation on the ring reaches it.
+func ringSealer(t testing.TB, kr *xcrypto.Keyring, name string) *xcrypto.Sealer {
+	t.Helper()
+	s, err := kr.Sealer(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestKeyringRotationTraceIdentity is the rotation security guard: rotating
 // the keyring mid-run must leave the server-visible access sequence —
 // store names, access kinds, block indices, transfer sizes, in order —
@@ -38,7 +49,7 @@ func TestKeyringRotationTraceIdentity(t *testing.T) {
 			Capacity:    64,
 			PayloadSize: 32,
 			Meter:       meter,
-			Keyring:     kr,
+			Sealer:      ringSealer(t, kr, "rot"),
 			Rand:        NewSeededSource(1234),
 		})
 		if err != nil {
@@ -98,7 +109,7 @@ func TestKeyringRotationLazyMigration(t *testing.T) {
 		Name:        "mig",
 		Capacity:    32,
 		PayloadSize: 24,
-		Keyring:     kr,
+		Sealer:      ringSealer(t, kr, "mig"),
 		Rand:        NewSeededSource(7),
 	})
 	if err != nil {
@@ -171,66 +182,5 @@ func TestAuthFailureWrappedWithContext(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `"tampered"`) || !strings.Contains(err.Error(), "bucket") {
 		t.Fatalf("error %q lacks store/bucket context", err)
-	}
-}
-
-// TestLinearAuthFailureWrapped covers the same contract on the linear-scan
-// ORAM's error path.
-func TestLinearAuthFailureWrapped(t *testing.T) {
-	o, err := NewLinearORAM(PathConfig{
-		Name:        "lin",
-		Capacity:    8,
-		PayloadSize: 16,
-		Sealer:      testSealer(t),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk, err := o.store.Read(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk[0] ^= 0xFF
-	if err := o.store.Write(3, blk); err != nil {
-		t.Fatal(err)
-	}
-	_, err = o.Read(0)
-	if !errors.Is(err, xcrypto.ErrAuthFailed) {
-		t.Fatalf("error %v does not match xcrypto.ErrAuthFailed", err)
-	}
-	if !strings.Contains(err.Error(), `"lin"`) || !strings.Contains(err.Error(), "block 3") {
-		t.Fatalf("error %q lacks store/block context", err)
-	}
-}
-
-// TestKeyringRecursivePosMapSubkeys checks the recursive position map's
-// child ORAM derives its own subkey through the keyring (name + ".pos"):
-// construction and access work end-to-end with only a Keyring configured.
-func TestKeyringRecursivePosMapSubkeys(t *testing.T) {
-	kr := testKeyring(t, 2)
-	o, err := newPathORAM(PathConfig{
-		Name:          "rec",
-		Capacity:      256,
-		PayloadSize:   16,
-		Keyring:       kr,
-		Rand:          NewSeededSource(99),
-		RecursePosMap: true,
-	}, treetopLevels, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 32; i++ {
-		if err := o.Write(i, bytes.Repeat([]byte{byte(i)}, 16)); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	for i := uint64(0); i < 32; i++ {
-		got, err := o.Read(i)
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 16)) {
-			t.Fatalf("read %d: wrong payload", i)
-		}
 	}
 }

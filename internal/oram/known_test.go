@@ -15,20 +15,6 @@ import (
 	"oblivjoin/internal/xcrypto"
 )
 
-// oramStack lists o and the Path-ORAMs of its recursive position map,
-// outermost first.
-func oramStack(o *PathORAM) []*PathORAM {
-	stack := []*PathORAM{o}
-	for {
-		pm, ok := o.pos.(*oramPosMap)
-		if !ok {
-			return stack
-		}
-		o = pm.child
-		stack = append(stack, o)
-	}
-}
-
 // fetchedLeaves recovers, from the recorded trace of o's store, the leaves
 // each download round named — what the server sees. The leaf level is the
 // one level every tree keeps on the server, so the reads of one round at or
@@ -129,13 +115,13 @@ func (p pinning) Flush() error {
 
 // TestKnownBucketsDifferential is the data path's end-to-end check: a
 // seeded random mix of every operation against a map model, at every
-// eviction batch, over stores with and without exchanges, with a flat, a
-// recursive and a caller-held position map (the one path NewPathORAM and
-// NewTagged share, the latter's positions handed in with each Req), and with the accesses issued in lockstep with a second
-// tree's (Together), and with reads that pin their blocks for a while
-// (pinning). Every result must equal the model; after every access,
-// failed ones included, no tree has more than k paths pending; each store's
-// recorded trace must be the one tracecheck.PathORAMSim computes from the
+// eviction batch, over stores with and without exchanges, with a client-side
+// and a caller-held position map (the one path NewPathORAM and NewTagged
+// share, the latter's positions handed in with each Req), with the accesses
+// issued in lockstep with a second tree's (Together), and with reads that pin
+// their blocks for a while (pinning). Every result must equal the model;
+// after every access, failed ones included, the tree has no more than k
+// paths pending; the store's recorded trace must be the one tracecheck.PathORAMSim computes from the
 // leaves that trace itself names (so skipping decryption moved no
 // server-visible index, and at every batch, 1 included, each write-back
 // rides the next download); every downloaded bucket must still be counted in
@@ -145,15 +131,14 @@ func TestKnownBucketsDifferential(t *testing.T) {
 	const capacity, payload, steps = 64, 16, 800
 	for _, batch := range []int{1, 4, 16} {
 		for _, exchange := range []bool{true, false} {
-			for _, positions := range []string{"recursive=false", "recursive=true", "positions=caller", "driver=together", "driver=pin"} {
-				recurse := positions == "recursive=true"
+			for _, positions := range []string{"recursive=false", "positions=caller", "driver=together", "driver=pin"} {
 				name := fmt.Sprintf("k=%d/exchange=%v/%s", batch, exchange, positions)
 				t.Run(name, func(t *testing.T) {
 					m := storage.NewMeter()
 					cfg := PathConfig{
 						Name: "diff", Capacity: capacity, PayloadSize: payload, Meter: m,
 						Sealer: testSealer(t), Rand: NewSeededSource(uint64(77 + batch)),
-						EvictionBatch: batch, RecursePosMap: recurse,
+						EvictionBatch: batch,
 						OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
 							st := storage.NewMemStore(name, slots, blockSize, m)
 							if exchange {
@@ -173,7 +158,7 @@ func TestKnownBucketsDifferential(t *testing.T) {
 						}
 						tree, o = h, callerHeld{h, map[uint64]uint32{}}
 					} else {
-						p, err := newPathORAM(cfg, treetopLevels, 4)
+						p, err := NewPathORAM(cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -184,7 +169,7 @@ func TestKnownBucketsDifferential(t *testing.T) {
 						// filtered by store name below is the tree's alone.
 						pcfg := cfg
 						pcfg.Name, pcfg.Rand = "diff.partner", NewSeededSource(5)
-						partner, err := newPathORAM(pcfg, treetopLevels, 4)
+						partner, err := NewPathORAM(pcfg)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -193,25 +178,14 @@ func TestKnownBucketsDifferential(t *testing.T) {
 					if positions == "driver=pin" {
 						o = pinning{tree, new([]uint64)}
 					}
-					stack := oramStack(tree)
-					if recurse && len(stack) != 3 {
-						t.Fatalf("recursive position map is %d ORAMs deep, want 3", len(stack))
-					}
-					// Building a recursive position map already accesses its
-					// inner ORAMs: settle them, and count from here.
 					if err := o.Flush(); err != nil {
 						t.Fatal(err)
 					}
-					built := make([]int64, len(stack))
-					for depth, lvl := range stack {
-						built[depth] = lvl.Telemetry().BucketsRead
-					}
+					built := tree.Telemetry().BucketsRead
 					m.Reset()
 					m.SetTracing(true)
 
-					// events is the top-level schedule: true a Flush, false an
-					// access. Level d of the stack makes 2^d accesses per
-					// top-level access.
+					// events is the schedule: true a Flush, false an access.
 					var events []bool
 					ref := map[uint64][]byte{}
 					r := mrand.New(mrand.NewSource(int64(batch)))
@@ -280,13 +254,11 @@ func TestKnownBucketsDifferential(t *testing.T) {
 							check(step, key, data, err)
 							events = append(events, false)
 						}
-						for _, lvl := range stack {
-							if n := lvl.PendingEvictions(); n > batch {
-								t.Fatalf("step %d: %s has %d paths pending, more than k = %d", step, lvl.cfg.Name, n, batch)
-							}
+						if n := tree.PendingEvictions(); n > batch {
+							t.Fatalf("step %d: %d paths pending, more than k = %d", step, n, batch)
 						}
 						if step%8 == 0 {
-							assertBuffersDisjoint(t, tree)
+							assertFreeListDisjoint(t, tree)
 						}
 						if p, ok := o.(pinning); ok {
 							for _, key := range *p.held {
@@ -308,71 +280,58 @@ func TestKnownBucketsDifferential(t *testing.T) {
 						}
 					}
 
-					for depth, lvl := range stack {
-						var own []storage.Access
-						for _, a := range trace {
-							if a.Store == lvl.cfg.Name {
-								own = append(own, a)
-							}
+					var own []storage.Access
+					for _, a := range trace {
+						if a.Store == tree.cfg.Name {
+							own = append(own, a)
 						}
-						rounds := fetchedLeaves(own, lvl)
-						sim := &tracecheck.PathORAMSim{
-							Store: lvl.cfg.Name, Bytes: xcrypto.SealedLen(lvl.bucketSize),
-							Levels: lvl.top + lvl.levels, Treetop: lvl.top, Batch: batch, Exchange: exchange,
+					}
+					rounds := fetchedLeaves(own, tree)
+					sim := &tracecheck.PathORAMSim{
+						Store: tree.cfg.Name, Bytes: xcrypto.SealedLen(tree.bucketSize),
+						Levels: tree.top + tree.levels, Treetop: tree.top, Batch: batch, Exchange: exchange,
+					}
+					for _, flush := range events {
+						if flush {
+							sim.Flush()
+							continue
 						}
-						for _, flush := range events {
-							if flush {
-								sim.Flush()
-								continue
-							}
-							for i := 0; i < 1<<uint(depth); i++ {
-								sim.Access(rounds[0][0])
-								rounds = rounds[1:]
-							}
+						sim.Access(rounds[0][0])
+						rounds = rounds[1:]
+					}
+					if len(rounds) != 0 {
+						t.Fatalf("%d download rounds the schedule does not explain", len(rounds))
+					}
+					if d := tracecheck.DiffExact(sim.Trace(), own); d != "" {
+						t.Fatalf("trace is not the simulator's: %s", d)
+					}
+					// A tree alone on its meter also takes its rounds where the
+					// simulator puts them: a write-back in the round of the next
+					// download (before it, over a store without exchanges), or
+					// in one of its own at a Flush.
+					if positions != "driver=together" {
+						if d := tracecheck.Diff(sim.Trace(), own); d != "" {
+							t.Fatalf("round boundaries are not the simulator's: %s", d)
 						}
-						if len(rounds) != 0 {
-							t.Fatalf("%s: %d download rounds the schedule does not explain", lvl.cfg.Name, len(rounds))
+					}
+					var reads int64
+					for _, a := range own {
+						if a.Kind == storage.KindRead {
+							reads++
 						}
-						if d := tracecheck.DiffExact(sim.Trace(), own); d != "" {
-							t.Fatalf("%s: trace is not the simulator's: %s", lvl.cfg.Name, d)
-						}
-						// A tree alone on its meter also takes its rounds where the
-						// simulator puts them: a write-back in the round of the next
-						// download (before it, over a store without exchanges), or
-						// in one of its own at a Flush.
-						if len(stack) == 1 && positions != "driver=together" {
-							if d := tracecheck.Diff(sim.Trace(), own); d != "" {
-								t.Fatalf("%s: round boundaries are not the simulator's: %s", lvl.cfg.Name, d)
-							}
-						}
-						var reads int64
-						for _, a := range own {
-							if a.Kind == storage.KindRead {
-								reads++
-							}
-						}
-						// The final read-back ran after the trace was taken.
-						ps := lvl.Telemetry()
-						if ps.BucketsOpened >= ps.BucketsRead {
-							t.Fatalf("%s: opened %d of %d downloaded buckets; nothing was skipped", lvl.cfg.Name, ps.BucketsOpened, ps.BucketsRead)
-						}
-						tail := int64(len(ref)<<uint(depth)) * int64(lvl.levels)
-						if got := ps.BucketsRead - built[depth]; got != reads+tail {
-							t.Fatalf("%s: BucketsRead = %d, the server served %d", lvl.cfg.Name, got, reads+tail)
-						}
+					}
+					// The final read-back ran after the trace was taken.
+					ps := tree.Telemetry()
+					if ps.BucketsOpened >= ps.BucketsRead {
+						t.Fatalf("opened %d of %d downloaded buckets; nothing was skipped", ps.BucketsOpened, ps.BucketsRead)
+					}
+					tail := int64(len(ref)) * int64(tree.levels)
+					if got := ps.BucketsRead - built; got != reads+tail {
+						t.Fatalf("BucketsRead = %d, the server served %d", got, reads+tail)
 					}
 				})
 			}
 		}
-	}
-}
-
-// assertBuffersDisjoint runs assertFreeListDisjoint down the whole
-// position-map stack.
-func assertBuffersDisjoint(t *testing.T, o *PathORAM) {
-	t.Helper()
-	for _, lvl := range oramStack(o) {
-		assertFreeListDisjoint(t, lvl)
 	}
 }
 
@@ -440,9 +399,8 @@ func TestKnownBucketTamperIsIgnored(t *testing.T) {
 					corrupt(t, o.store, i)
 				}
 			}
-			leaves := o.pos.(*flatPosMap).leaves
 			key := uint64(1)
-			for o.onPath(o.leaves-1-o.skip+int64(leaves[key]), skipped) {
+			for o.onPath(o.leaves-1-o.skip+int64(o.pos[key]), skipped) {
 				key++
 			}
 			_, err := o.Read(key)
@@ -534,7 +492,7 @@ func TestClassicWriteBackFailureKeepsBlocks(t *testing.T) {
 						return err
 					})
 				}
-				assertBuffersDisjoint(t, o)
+				assertFreeListDisjoint(t, o)
 			}
 			if fs.failures == 0 {
 				t.Fatal("no write-back failed; the test exercised nothing")
@@ -570,7 +528,7 @@ func TestKnownSetLifetime(t *testing.T) {
 		}
 	}
 	perBlock := int64(12 + o.PayloadSize())
-	quiet := func() int64 { return int64(o.StashSize())*perBlock + o.pos.clientBytes() }
+	quiet := func() int64 { return int64(o.StashSize())*perBlock + 4*int64(len(o.pos)) }
 	for _, settle := range []func() error{o.Flush, o.Close, func() error { return o.BulkLoad(nil) }} {
 		if err := o.DummyAccess(); err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
-// Package oram implements the Oblivious RAM constructions used by the
-// oblivious join engine: Path-ORAM (Stefanov et al., CCS'13), a recursive
-// Path-ORAM that outsources the position map, and a raw (non-oblivious)
-// store used by the paper's insecure "Raw Index" baseline.
+// Package oram implements the Oblivious RAM the oblivious join engine runs
+// on: Path-ORAM (Stefanov et al., CCS'13) with Z = 4 buckets and the
+// position map on the client, as the paper evaluates it, and a raw
+// (non-oblivious) store used by the paper's insecure "Raw Index" baseline.
 //
 // The paper treats ORAM as a black box with read/write of fixed-size blocks
 // (Section 1: "ORAM scheme can be viewed as a blackbox, providing read and
@@ -12,10 +12,9 @@
 // There is one Path-ORAM data path (plan the leaves, fetch a path, apply the
 // operation to the stash, queue the path with the scheduler). Who holds the
 // position of each block is a choice made at construction, not a second
-// implementation: NewPathORAM keeps a position map (client-side, or
-// recursively outsourced), NewTagged keeps none and each access's Req
-// carries the positions its caller holds — the store under the paper's
-// Section 4.2 oblivious B-tree. Either way it is a *PathORAM, which lives
+// implementation: NewPathORAM keeps the client-side position map, NewTagged
+// keeps none and each access's Req carries the positions its caller holds —
+// the store under the paper's Section 4.2 oblivious B-tree. Either way it is a *PathORAM, which lives
 // wherever PathConfig.OpenStore puts it and takes part in Together's and
 // Settle's rounds like any other.
 //

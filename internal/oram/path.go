@@ -2,7 +2,6 @@ package oram
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -12,14 +11,14 @@ import (
 	"oblivjoin/internal/xcrypto"
 )
 
-// DefaultZ is the bucket capacity used throughout the paper's evaluation
-// ("we set the number of blocks in each bucket of Path-ORAM to Z = 4").
+// DefaultZ is the bucket capacity of every tree, the paper's ("we set the
+// number of blocks in each bucket of Path-ORAM to Z = 4").
 const DefaultZ = 4
 
 const (
 	// Each slot stores: valid byte, 8-byte key, 4-byte assigned leaf, payload.
 	// Carrying the leaf in the slot lets eviction proceed without consulting
-	// the position map, which matters when the map itself is outsourced.
+	// a position map, which a tree built by NewTagged does not have.
 	slotHeader = 1 + 8 + 4
 	noLeaf     = ^uint32(0)
 )
@@ -32,30 +31,19 @@ type PathConfig struct {
 	Capacity int64
 	// PayloadSize is the usable bytes per logical block.
 	PayloadSize int
-	// Z is the bucket capacity; 0 means DefaultZ.
-	Z int
 	// Meter receives traffic accounting; may be nil.
 	Meter *storage.Meter
-	// Sealer encrypts buckets; required unless Keyring is set.
+	// Sealer encrypts buckets; required. A keyring's per-store sealer
+	// (xcrypto.Keyring.Sealer of Name) puts every tree under its own subkey
+	// and applies an epoch rotation on the ring to this tree's write-backs
+	// from the next access on.
 	Sealer *xcrypto.Sealer
-	// Keyring, when non-nil, supplies the bucket sealer instead: the store's
-	// sealer is HKDF-derived from Name, so every ORAM tree (and each
-	// recursive position-map level, via the ".pos" name suffix) is sealed
-	// under an independent subkey, and an epoch rotation on the ring applies
-	// to this ORAM's write-backs from the next access on. Takes precedence
-	// over Sealer.
-	Keyring *xcrypto.Keyring
 	// Rand supplies leaf randomness; nil means a crypto/rand source.
 	Rand LeafSource
-	// RecursePosMap outsources the position map to recursively built
-	// Path-ORAMs until it fits in posMapCutoff entries, reducing client
-	// memory from O(N) to O(log N) at extra per-access cost (Section 4.1).
-	RecursePosMap bool
-	// OpenStore provisions the server-side bucket store (and, when
-	// recursing, the position-map stores). Nil means an in-process MemStore
-	// reporting to Meter; a remote deployment passes a transport-backed
-	// opener (e.g. remote.Client.Opener) so the tree lives on a networked
-	// block server.
+	// OpenStore provisions the server-side bucket store. Nil means an
+	// in-process MemStore reporting to Meter; a remote deployment passes a
+	// transport-backed opener (e.g. remote.Client.Opener) so the tree lives
+	// on a networked block server.
 	OpenStore storage.Opener
 	// EvictionBatch is how many fetched paths a write-back unions: once k
 	// paths are queued their write-back rides the next path download,
@@ -64,7 +52,7 @@ type PathConfig struct {
 	// every k an access is one round. Values <= 1 mean 1 — every download
 	// carries the path fetched before it. The price of a larger k is client
 	// memory: up to Z·Levels·k unevicted blocks wait in the stash between
-	// accesses. The setting propagates to recursive position-map ORAMs.
+	// accesses.
 	EvictionBatch int
 	// Flight, when non-nil, carries the distributed-trace context: the
 	// scheduler pushes the declared-public "oram.flush" phase around the
@@ -72,7 +60,7 @@ type PathConfig struct {
 	// server spans attribute them apart from the engine phases; a download
 	// keeps the phase of its access whether or not a write-back rides it.
 	// Phase labels are a function of public schedule state only, so the
-	// annotation leaks nothing. Propagates to recursive position-map ORAMs.
+	// annotation leaks nothing.
 	Flight *telemetry.Flight
 }
 
@@ -96,17 +84,15 @@ type knownBlock struct {
 // to the leaf the position map assigns it.
 type PathORAM struct {
 	cfg        PathConfig
-	sealer     *xcrypto.Sealer // resolved from cfg.Keyring (per store name) or cfg.Sealer
 	store      storage.Store
 	leaves     int64
 	top        int   // treetop: tree levels 0..top-1 never leave the client, their blocks live in the stash
 	skip       int64 // the 2^top - 1 treetop buckets: store index = 0-based heap index - skip
 	levels     int   // path length in buckets as stored and moved: tree levels top..top+levels-1
-	z          int
 	slotSize   int
 	bucketSize int // plaintext bucket bytes
 
-	pos      posMap
+	pos      []uint32 // key → leaf (noLeaf: never written); nil on a tree built by NewTagged
 	stash    map[uint64]stashEntry
 	maxStash int
 	rand     LeafSource
@@ -153,28 +139,21 @@ type PathORAM struct {
 // preprocessing step; callers reset meters afterwards so setup traffic is
 // not charged to queries.
 func NewPathORAM(cfg PathConfig) (*PathORAM, error) {
-	return newPathORAM(cfg, treetopLevels, posMapCutoff)
+	return newPathORAM(cfg, treetopLevels)
 }
 
-// posMapCutoff is the position-map size, in entries, a recursive position
-// map keeps client-side: the recursion stops at the first level whose map
-// fits.
-const posMapCutoff = 64
-
-// newPathORAM is NewPathORAM with the treetop rule and the position-map
-// cutoff as arguments, so that tests can build the vanilla tree (noTreetop)
-// the rule is checked against, and recurse deeply on small trees.
-func newPathORAM(cfg PathConfig, treetop func(height int) int, cutoff int64) (*PathORAM, error) {
+// newPathORAM is NewPathORAM with the treetop rule as an argument, so that
+// tests can build the vanilla tree (noTreetop) the rule is checked against.
+// The position map is the client-side one of the paper's basic protocol:
+// O(N) client memory (Table 1, footnote d), no round of its own.
+func newPathORAM(cfg PathConfig, treetop func(height int) int) (*PathORAM, error) {
 	o, err := newTree(cfg, treetop)
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.RecursePosMap {
-		o.pos = newFlatPosMap(cfg.Capacity)
-		return o, nil
-	}
-	if o.pos, err = newORAMPosMap(cfg, cfg.Capacity, cutoff, o.rand, treetop); err != nil {
-		return nil, err
+	o.pos = make([]uint32, cfg.Capacity)
+	for i := range o.pos {
+		o.pos[i] = noLeaf
 	}
 	return o, nil
 }
@@ -200,20 +179,9 @@ func noTreetop(int) int { return 0 }
 // whose nodes carry their children's tags, so the client keeps only the
 // root's. Read, Write and Update, which have no positions to hand in, fail;
 // DummyAccess, Flush and everything else behave as on any tree, and so do
-// the PathConfig settings, but for RecursePosMap, which has no map to act
-// on. Load it with BulkLoadAt.
+// the PathConfig settings. Load it with BulkLoadAt.
 func NewTagged(cfg PathConfig) (*PathORAM, error) {
-	return newTagged(cfg, treetopLevels)
-}
-
-// newTagged is NewTagged with the treetop rule as an argument (newPathORAM).
-func newTagged(cfg PathConfig, treetop func(height int) int) (*PathORAM, error) {
-	o, err := newTree(cfg, treetop)
-	if err != nil {
-		return nil, err
-	}
-	o.pos = noPosMap{}
-	return o, nil
+	return newTree(cfg, treetopLevels)
 }
 
 // newTree is NewPathORAM short of the position map: who holds positions is
@@ -226,16 +194,8 @@ func newTree(cfg PathConfig, treetop func(height int) int) (*PathORAM, error) {
 	if cfg.PayloadSize <= 0 {
 		return nil, fmt.Errorf("oram: payload size must be positive, got %d", cfg.PayloadSize)
 	}
-	sealer, err := resolveSealer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	z := cfg.Z
-	if z == 0 {
-		z = DefaultZ
-	}
-	if z < 1 {
-		return nil, fmt.Errorf("oram: bucket size Z must be >= 1, got %d", cfg.Z)
+	if cfg.Sealer == nil {
+		return nil, fmt.Errorf("oram: sealer is required")
 	}
 	rnd := cfg.Rand
 	if rnd == nil {
@@ -247,16 +207,14 @@ func newTree(cfg PathConfig, treetop func(height int) int) (*PathORAM, error) {
 	levels := height - top
 	skip := int64(1)<<top - 1
 	slotSize := slotHeader + cfg.PayloadSize
-	bucketSize := z * slotSize
+	bucketSize := DefaultZ * slotSize
 	nodes := 2*leaves - 1 - skip
 	o := &PathORAM{
 		cfg:        cfg,
-		sealer:     sealer,
 		leaves:     leaves,
 		top:        top,
 		skip:       skip,
 		levels:     levels,
-		z:          z,
 		slotSize:   slotSize,
 		bucketSize: bucketSize,
 		stash:      make(map[uint64]stashEntry),
@@ -290,23 +248,6 @@ func newTree(cfg PathConfig, treetop func(height int) int) (*PathORAM, error) {
 		return nil, err
 	}
 	return o, nil
-}
-
-// resolveSealer picks the bucket sealer for a config: the keyring's
-// per-store-name subkey sealer when a ring is set, the explicit Sealer
-// otherwise.
-func resolveSealer(cfg PathConfig) (*xcrypto.Sealer, error) {
-	if cfg.Keyring != nil {
-		s, err := cfg.Keyring.Sealer(cfg.Name)
-		if err != nil {
-			return nil, fmt.Errorf("oram: deriving sealer for store %q: %w", cfg.Name, err)
-		}
-		return s, nil
-	}
-	if cfg.Sealer == nil {
-		return nil, fmt.Errorf("oram: sealer or keyring is required")
-	}
-	return cfg.Sealer, nil
 }
 
 func nextPow2(n int64) int64 {
@@ -345,7 +286,7 @@ func newUploader(o *PathORAM, nodes int64) *uploader {
 
 func (u *uploader) add(i int64, plain []byte) error {
 	off := len(u.buf)
-	buf, err := u.o.sealer.SealTo(u.buf, plain)
+	buf, err := u.o.cfg.Sealer.SealTo(u.buf, plain)
 	if err != nil {
 		return err
 	}
@@ -382,9 +323,8 @@ func (o *PathORAM) Capacity() int64 { return o.cfg.Capacity }
 
 // AccessesPerOp implements ORAM: each access reads the Levels() stored
 // buckets of one root-to-leaf path and has them rewritten — in the round of
-// the next download, or at Flush — plus whatever the (possibly outsourced)
-// position map costs.
-func (o *PathORAM) AccessesPerOp() int { return 2*o.levels + o.pos.accessesPerOp() }
+// the next download, or at Flush.
+func (o *PathORAM) AccessesPerOp() int { return 2 * o.levels }
 
 // BlockBytes implements ORAM: one sealed bucket.
 func (o *PathORAM) BlockBytes() int { return o.store.BlockSize() }
@@ -395,25 +335,13 @@ func (o *PathORAM) BlockBytes() int { return o.store.BlockSize() }
 // instance) — plus, between a stand-alone write-back and the next fetch, the
 // blocks of the known-bucket set.
 func (o *PathORAM) ClientBytes() int64 {
-	return int64(len(o.stash)+len(o.known))*int64(12+o.cfg.PayloadSize) + o.pos.clientBytes()
+	return int64(len(o.stash)+len(o.known))*int64(12+o.cfg.PayloadSize) + 4*int64(len(o.pos))
 }
 
 // ServerBytes implements ORAM.
 func (o *PathORAM) ServerBytes() int64 {
-	return o.store.Len()*int64(o.store.BlockSize()) + o.pos.serverBytes()
+	return o.store.Len() * int64(o.store.BlockSize())
 }
-
-// RoundsPerOp is the number of network round trips one access costs when
-// issued on its own over a store that serves exchanges: the path download,
-// which carries the write-back the previous accesses left queued, plus
-// whatever the (possibly outsourced) position map adds. Like AccessesPerOp
-// it is constant for a given instance — dummy and real operations cost the
-// same number of rounds — and the same at every EvictionBatch, which only
-// says how many paths a write-back unions. Not in it: the one round in which
-// Flush writes the last paths back; the second request per write-back that
-// a store without exchanges costs (storage.ExchangeTo's fallback rung); and
-// what Together saves by putting several trees' downloads into one round.
-func (o *PathORAM) RoundsPerOp() int { return 1 + o.pos.roundsPerOp() }
 
 // MaxStash reports the high-water stash occupancy, a standard Path-ORAM
 // health metric (stays O(log N)·ω(1) w.h.p. for Z=4). The treetop's blocks
@@ -491,37 +419,29 @@ type accessPlan struct {
 	dummy    bool
 	pin      bool // the block stays in the stash until Release
 	notFound bool
-	mapped   bool   // plan remapped the position map for it (unplan takes that back)
 	leaf     uint32 // path to fetch (old position, or fresh random)
 	newLeaf  uint32 // position installed in the map (real accesses)
 }
 
 // plan runs the position-remap stage on p, whose operation is filled in:
-// pick the new leaf, read-and-replace the position-map entry (or a dummy
-// position-map operation), and record which path the access must fetch.
+// pick the new leaf, read-and-replace the position-map entry, and record
+// which path the access must fetch.
 func (o *PathORAM) plan(p *accessPlan) error {
 	o.accesses++
-	p.mapped = true
 	key := p.key
-	if p.dummy {
+	switch {
+	case p.dummy:
 		o.dummyAccesses++
 		p.leaf = o.RandomPos()
-		// Keep position-map access counts uniform across real and dummy
-		// operations so they remain indistinguishable even when the position
-		// map itself lives in a recursive ORAM.
-		return o.pos.dummyOp()
-	}
-	if key >= uint64(o.cfg.Capacity) {
+		return nil
+	case o.pos == nil:
+		return fmt.Errorf("oram: key %d: the tree keeps no position map; its accesses carry their positions (Together, Req.Pos)", key)
+	case key >= uint64(o.cfg.Capacity):
 		return fmt.Errorf("oram: key %d out of capacity %d", key, o.cfg.Capacity)
 	}
 	p.newLeaf = o.RandomPos()
-	old, ok, err := o.pos.getAndSet(key, p.newLeaf)
-	if err != nil {
-		return err
-	}
-	if ok {
-		p.leaf = old
-	} else {
+	p.leaf, o.pos[key] = o.pos[key], p.newLeaf
+	if p.leaf == noLeaf {
 		p.leaf = o.RandomPos()
 		p.notFound = true
 	}
@@ -534,7 +454,7 @@ func (o *PathORAM) plan(p *accessPlan) error {
 // come from plan.
 func (o *PathORAM) planReq(r *Req, key uint64, put []byte) error {
 	o.planBuf = accessPlan{key: key, newData: put, update: r.Update, dummy: r.Dummy, pin: r.Pin}
-	if _, tagged := o.pos.(noPosMap); !tagged || r.Dummy {
+	if o.pos != nil || r.Dummy {
 		return o.plan(&o.planBuf)
 	}
 	switch {
@@ -602,26 +522,17 @@ func (o *PathORAM) Release(key uint64, payload []byte) error {
 // failed, so that the access can be retried: the block is still where it
 // was — on its old path or in the stash — and the map must keep saying so.
 // The fetch carries the previous access's write-back, so a refused write
-// fails a download, before the operation has reached the stash. A dummy
-// repeats its dummy map operation, so that over an outsourced map a failed
-// access looks the same either way; a plan whose positions the caller holds
-// (planReq on a tree built by NewTagged) has nothing here to take back.
-// The result is fetchErr, joined with the map's error if it has one.
-func (o *PathORAM) unplan(p *accessPlan, fetchErr error) error {
-	var err error
+// fails a download, before the operation has reached the stash. A dummy, or
+// a plan whose positions the caller holds (planReq on a tree built by
+// NewTagged), has nothing here to take back.
+func (o *PathORAM) unplan(p *accessPlan) {
 	switch {
-	case !p.mapped:
-	case p.dummy:
-		err = o.pos.dummyOp()
+	case p.dummy || o.pos == nil:
 	case p.notFound:
-		err = o.pos.set(p.key, noLeaf)
+		o.pos[p.key] = noLeaf
 	default:
-		err = o.pos.set(p.key, p.leaf)
+		o.pos[p.key] = p.leaf
 	}
-	if err != nil {
-		return errors.Join(fetchErr, err)
-	}
-	return fetchErr
 }
 
 // access is the Path-ORAM protocol core, staged as plan → fetch → apply →
@@ -638,7 +549,8 @@ func (o *PathORAM) access(op accessPlan) ([]byte, error) {
 		return nil, err
 	}
 	if err := o.sched.fetch(p.leaf); err != nil {
-		return nil, o.unplan(p, err)
+		o.unplan(p)
+		return nil, err
 	}
 	return o.finish(p)
 }
@@ -685,7 +597,7 @@ func (o *PathORAM) openFetched(buf []byte, nodes []int64) error {
 			continue
 		}
 		o.bucketsOpened++
-		plain, err := o.sealer.OpenTo(o.openBuf[:0], buf[k*stride:(k+1)*stride])
+		plain, err := o.cfg.Sealer.OpenTo(o.openBuf[:0], buf[k*stride:(k+1)*stride])
 		if err != nil {
 			return fmt.Errorf("oram: store %q bucket %d: %w", o.cfg.Name, node, err)
 		}
@@ -743,7 +655,7 @@ func putSlotHeader(slot []byte, key uint64, leaf uint32) {
 }
 
 func (o *PathORAM) parseBucketInto(plain []byte) {
-	for s := 0; s < o.z; s++ {
+	for s := 0; s < DefaultZ; s++ {
 		slot := plain[s*o.slotSize : (s+1)*o.slotSize]
 		if slot[0] == 0 {
 			continue
@@ -822,7 +734,7 @@ func (o *PathORAM) sealNodes(nodes []int64) ([][]byte, error) {
 		bucket := o.bucketScratch()
 		filled := 0
 		for key, entry := range o.stash {
-			if filled == o.z {
+			if filled == DefaultZ {
 				break
 			}
 			if entry.pinned || (o.leaves+int64(entry.leaf))>>shift != heap {
@@ -838,7 +750,7 @@ func (o *PathORAM) sealNodes(nodes []int64) ([][]byte, error) {
 		}
 		off := len(seal)
 		var err error
-		if seal, err = o.sealer.SealTo(seal, bucket); err != nil {
+		if seal, err = o.cfg.Sealer.SealTo(seal, bucket); err != nil {
 			o.restoreKnown()
 			return nil, err
 		}
@@ -882,9 +794,12 @@ func (o *PathORAM) releaseKnown() {
 // directly into the tree, modeling the client-side preprocessing upload.
 // It must be called before any access; it overwrites the whole tree.
 func (o *PathORAM) BulkLoad(payloads [][]byte) error {
+	if o.pos == nil {
+		return fmt.Errorf("oram: the tree keeps no position map; load it with BulkLoadAt")
+	}
 	return o.bulkLoad(payloads, func(i int) (uint32, error) {
-		leaf := o.RandomPos()
-		return leaf, o.pos.set(uint64(i), leaf)
+		o.pos[i] = o.RandomPos()
+		return o.pos[i], nil
 	})
 }
 
@@ -901,7 +816,10 @@ func (o *PathORAM) BulkLoadAt(payloads [][]byte, positions []uint32) error {
 		if int64(positions[i]) >= o.leaves {
 			return 0, fmt.Errorf("oram: position %d out of %d leaves", positions[i], o.leaves)
 		}
-		return positions[i], o.pos.set(uint64(i), positions[i])
+		if o.pos != nil {
+			o.pos[i] = positions[i]
+		}
+		return positions[i], nil
 	})
 }
 
@@ -938,7 +856,7 @@ func (o *PathORAM) bulkLoad(payloads [][]byte, leafOf func(i int) (uint32, error
 		done := false
 		for lvl := o.levels - 1; lvl >= 0; lvl-- {
 			n := nodes[lvl]
-			if len(buckets[n]) < o.z {
+			if len(buckets[n]) < DefaultZ {
 				buckets[n] = append(buckets[n], placed{key, leaf})
 				done = true
 				break

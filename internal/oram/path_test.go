@@ -20,16 +20,15 @@ func testSealer(t testing.TB) *xcrypto.Sealer {
 	return s
 }
 
-func newTestORAM(t testing.TB, capacity int64, payload int, meter *storage.Meter, recurse bool) *PathORAM {
+func newTestORAM(t testing.TB, capacity int64, payload int, meter *storage.Meter) *PathORAM {
 	t.Helper()
 	o, err := NewPathORAM(PathConfig{
-		Name:          "test",
-		Capacity:      capacity,
-		PayloadSize:   payload,
-		Meter:         meter,
-		Sealer:        testSealer(t),
-		Rand:          NewSeededSource(42),
-		RecursePosMap: recurse,
+		Name:        "test",
+		Capacity:    capacity,
+		PayloadSize: payload,
+		Meter:       meter,
+		Sealer:      testSealer(t),
+		Rand:        NewSeededSource(42),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +37,7 @@ func newTestORAM(t testing.TB, capacity int64, payload int, meter *storage.Meter
 }
 
 func TestPathORAMReadWrite(t *testing.T) {
-	o := newTestORAM(t, 64, 32, nil, false)
+	o := newTestORAM(t, 64, 32, nil)
 	for i := uint64(0); i < 64; i++ {
 		if err := o.Write(i, []byte(fmt.Sprintf("block-%02d", i))); err != nil {
 			t.Fatalf("write %d: %v", i, err)
@@ -59,7 +58,7 @@ func TestPathORAMReadWrite(t *testing.T) {
 }
 
 func TestPathORAMOverwrite(t *testing.T) {
-	o := newTestORAM(t, 8, 16, nil, false)
+	o := newTestORAM(t, 8, 16, nil)
 	if err := o.Write(3, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +75,13 @@ func TestPathORAMOverwrite(t *testing.T) {
 }
 
 func TestPathORAMReadMissing(t *testing.T) {
-	o := newTestORAM(t, 8, 16, nil, false)
+	o := newTestORAM(t, 8, 16, nil)
 	if _, err := o.Read(5); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("got %v, want ErrNotFound", err)
 	}
 	// The failed read must still be a full-length access (uniformity).
 	m := storage.NewMeter()
-	o2 := newTestORAM(t, 8, 16, m, false)
+	o2 := newTestORAM(t, 8, 16, m)
 	m.Reset()
 	_, _ = o2.Read(5)
 	if err := o2.Flush(); err != nil { // its write-back had no next download to ride
@@ -94,7 +93,7 @@ func TestPathORAMReadMissing(t *testing.T) {
 }
 
 func TestPathORAMKeyOutOfRange(t *testing.T) {
-	o := newTestORAM(t, 8, 16, nil, false)
+	o := newTestORAM(t, 8, 16, nil)
 	if _, err := o.Read(8); err == nil {
 		t.Fatal("read of out-of-capacity key succeeded")
 	}
@@ -108,7 +107,7 @@ func TestPathORAMKeyOutOfRange(t *testing.T) {
 
 func TestPathORAMUniformAccessCost(t *testing.T) {
 	m := storage.NewMeter()
-	o := newTestORAM(t, 32, 24, m, false)
+	o := newTestORAM(t, 32, 24, m)
 	for i := uint64(0); i < 32; i++ {
 		if err := o.Write(i, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -133,8 +132,8 @@ func TestPathORAMUniformAccessCost(t *testing.T) {
 		}
 		// An access is exactly one round trip: the path download, carrying
 		// the previous access's write-back.
-		if d.NetworkRounds != int64(o.RoundsPerOp()) || d.NetworkRounds != 1 {
-			t.Fatalf("op %d used %d rounds, want %d", i, d.NetworkRounds, o.RoundsPerOp())
+		if d.NetworkRounds != 1 {
+			t.Fatalf("op %d used %d rounds, want 1", i, d.NetworkRounds)
 		}
 		// Reads and writes are balanced: a path is rewritten, a path read.
 		if d.BlockReads != d.BlockWrites {
@@ -153,7 +152,7 @@ func TestPathORAMLevels(t *testing.T) {
 		{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 2}, {64, 4}, {100, 5},
 	}
 	for _, c := range cases {
-		o := newTestORAM(t, c.capacity, 8, nil, false)
+		o := newTestORAM(t, c.capacity, 8, nil)
 		if o.Levels() != c.levels {
 			t.Errorf("capacity %d: levels = %d, want %d", c.capacity, o.Levels(), c.levels)
 		}
@@ -161,7 +160,7 @@ func TestPathORAMLevels(t *testing.T) {
 }
 
 func TestPathORAMBulkLoad(t *testing.T) {
-	o := newTestORAM(t, 128, 16, nil, false)
+	o := newTestORAM(t, 128, 16, nil)
 	payloads := make([][]byte, 100)
 	for i := range payloads {
 		payloads[i] = []byte(fmt.Sprintf("p%03d", i))
@@ -181,14 +180,14 @@ func TestPathORAMBulkLoad(t *testing.T) {
 }
 
 func TestPathORAMBulkLoadTooMany(t *testing.T) {
-	o := newTestORAM(t, 4, 16, nil, false)
+	o := newTestORAM(t, 4, 16, nil)
 	if err := o.BulkLoad(make([][]byte, 5)); err == nil {
 		t.Fatal("overfull bulk load accepted")
 	}
 }
 
 func TestPathORAMSingleBlock(t *testing.T) {
-	o := newTestORAM(t, 1, 8, nil, false)
+	o := newTestORAM(t, 1, 8, nil)
 	if err := o.Write(0, []byte("solo")); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +201,7 @@ func TestPathORAMSingleBlock(t *testing.T) {
 }
 
 func TestPathORAMStashBounded(t *testing.T) {
-	o := newTestORAM(t, 256, 8, nil, false)
+	o := newTestORAM(t, 256, 8, nil)
 	for i := uint64(0); i < 256; i++ {
 		if err := o.Write(i, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -221,59 +220,11 @@ func TestPathORAMStashBounded(t *testing.T) {
 	}
 }
 
-func TestRecursivePathORAM(t *testing.T) {
-	o := newTestORAM(t, 512, 64, nil, true)
-	for i := uint64(0); i < 512; i += 7 {
-		if err := o.Write(i, []byte(fmt.Sprintf("r%d", i))); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	for i := uint64(0); i < 512; i += 7 {
-		got, err := o.Read(i)
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		want := fmt.Sprintf("r%d", i)
-		if string(got[:len(want)]) != want {
-			t.Fatalf("read %d = %q", i, got[:len(want)])
-		}
-	}
-	// Recursion shrinks the client map: 512 entries would be 2 KiB flat; the
-	// recursive client state must be below that.
-	flat := newTestORAM(t, 512, 64, nil, false)
-	if o.ClientBytes() >= flat.ClientBytes()+2048 {
-		t.Logf("recursive client bytes %d, flat %d", o.ClientBytes(), flat.ClientBytes())
-	}
-}
-
-func TestRecursiveUniformCost(t *testing.T) {
-	m := storage.NewMeter()
-	o := newTestORAM(t, 256, 64, m, true)
-	if err := o.Write(1, []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	per := int64(o.AccessesPerOp())
-	before := m.Snapshot()
-	if _, err := o.Read(1); err != nil {
-		t.Fatal(err)
-	}
-	if d := m.Snapshot().Sub(before); d.BlocksMoved() != per {
-		t.Fatalf("read moved %d, want %d", d.BlocksMoved(), per)
-	}
-	before = m.Snapshot()
-	if err := o.DummyAccess(); err != nil {
-		t.Fatal(err)
-	}
-	if d := m.Snapshot().Sub(before); d.BlocksMoved() != per {
-		t.Fatalf("dummy moved %d, want %d", d.BlocksMoved(), per)
-	}
-}
-
 func TestPathORAMServerSeesOnlyCiphertext(t *testing.T) {
 	// Write a recognizable plaintext and scan the raw server bytes for it.
 	m := storage.NewMeter()
 	m.SetTracing(true)
-	o := newTestORAM(t, 16, 32, m, false)
+	o := newTestORAM(t, 16, 32, m)
 	marker := []byte("SECRET-TUPLE-VALUE")
 	if err := o.Write(5, marker); err != nil {
 		t.Fatal(err)
@@ -296,7 +247,6 @@ func TestPathORAMRejectsBadConfig(t *testing.T) {
 		{Capacity: 0, PayloadSize: 8, Sealer: s},
 		{Capacity: 4, PayloadSize: 0, Sealer: s},
 		{Capacity: 4, PayloadSize: 8, Sealer: nil},
-		{Capacity: 4, PayloadSize: 8, Sealer: s, Z: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewPathORAM(cfg); err == nil {
@@ -389,7 +339,7 @@ func TestCryptoSource(t *testing.T) {
 }
 
 func BenchmarkPathORAMRead(b *testing.B) {
-	o := newTestORAM(b, 1024, 4096, nil, false)
+	o := newTestORAM(b, 1024, 4096, nil)
 	payloads := make([][]byte, 1024)
 	for i := range payloads {
 		payloads[i] = make([]byte, 4096)
@@ -407,7 +357,7 @@ func BenchmarkPathORAMRead(b *testing.B) {
 
 func TestPathORAMUpdate(t *testing.T) {
 	m := storage.NewMeter()
-	o := newTestORAM(t, 16, 16, m, false)
+	o := newTestORAM(t, 16, 16, m)
 	if err := o.Write(2, []byte{10}); err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +373,7 @@ func TestPathORAMUpdate(t *testing.T) {
 		t.Fatalf("update returned %d", got[0])
 	}
 	// An Update is a single access, indistinguishable from a Read.
-	if d := m.Snapshot().Sub(before); d.BlocksMoved() != int64(o.AccessesPerOp()) || d.NetworkRounds != int64(o.RoundsPerOp()) {
+	if d := m.Snapshot().Sub(before); d.BlocksMoved() != int64(o.AccessesPerOp()) || d.NetworkRounds != 1 {
 		t.Fatalf("update cost %+v", d)
 	}
 	r, err := o.Read(2)
@@ -461,7 +411,7 @@ func TestRawStoreUpdate(t *testing.T) {
 }
 
 func TestPathORAMDetectsTampering(t *testing.T) {
-	o := newTestORAM(t, 8, 16, nil, false)
+	o := newTestORAM(t, 8, 16, nil)
 	if err := o.Write(3, []byte("tuple")); err != nil {
 		t.Fatal(err)
 	}
@@ -533,41 +483,8 @@ func TestPathORAMNonBatchStoreFallback(t *testing.T) {
 	}
 }
 
-func TestDeepRecursivePosMap(t *testing.T) {
-	// A tiny cutoff forces multiple recursion levels; correctness must hold.
-	o, err := newPathORAM(PathConfig{
-		Name:          "deep",
-		Capacity:      256,
-		PayloadSize:   16, // 4 posmap entries per block -> several levels
-		Sealer:        testSealer(t),
-		Rand:          NewSeededSource(77),
-		RecursePosMap: true,
-	}, treetopLevels, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 256; i += 5 {
-		if err := o.Write(i, []byte{byte(i)}); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	for i := uint64(0); i < 256; i += 5 {
-		got, err := o.Read(i)
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if got[0] != byte(i) {
-			t.Fatalf("read %d = %d", i, got[0])
-		}
-	}
-	// The client map footprint must be tiny despite 256 logical blocks.
-	if o.ClientBytes() > 8192 {
-		t.Fatalf("deep recursion client bytes %d", o.ClientBytes())
-	}
-}
-
 func TestViewIsolation(t *testing.T) {
-	base := newTestORAM(t, 32, 16, nil, false)
+	base := newTestORAM(t, 32, 16, nil)
 	v1, err := NewView(base, 0, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -622,67 +539,6 @@ func TestViewIsolation(t *testing.T) {
 	}
 	if err := v1.BulkLoad([][]byte{[]byte("a")}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLinearORAM(t *testing.T) {
-	m := storage.NewMeter()
-	o, err := NewLinearORAM(PathConfig{
-		Name: "lin", Capacity: 8, PayloadSize: 16, Meter: m, Sealer: testSealer(t),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 8; i++ {
-		if err := o.Write(i, []byte{byte(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := uint64(0); i < 8; i++ {
-		got, err := o.Read(i)
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if got[0] != byte(i+1) {
-			t.Fatalf("read %d = %d", i, got[0])
-		}
-	}
-	// Every access reads and rewrites all N blocks, regardless of target.
-	per := int64(o.AccessesPerOp())
-	for i, op := range []func() error{
-		func() error { _, err := o.Read(3); return err },
-		func() error { return o.Write(5, []byte{9}) },
-		o.DummyAccess,
-		func() error { _, err := o.Update(2, func(p []byte) error { p[0]++; return nil }); return err },
-	} {
-		before := m.Snapshot()
-		if err := op(); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-		if d := m.Snapshot().Sub(before).BlocksMoved(); d != per {
-			t.Fatalf("op %d moved %d, want %d", i, d, per)
-		}
-	}
-	got, _ := o.Read(2)
-	if got[0] != 4 {
-		t.Fatalf("update lost: %d", got[0])
-	}
-	if _, err := o.Read(99); err == nil {
-		t.Fatal("out-of-range read accepted")
-	}
-	if err := o.BulkLoad([][]byte{{7}, {8}}); err != nil {
-		t.Fatal(err)
-	}
-	b0, _ := o.Read(0)
-	if b0[0] != 7 {
-		t.Fatal("bulk load failed")
-	}
-	missing, err := NewLinearORAM(PathConfig{Name: "l2", Capacity: 2, PayloadSize: 8, Sealer: testSealer(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := missing.Read(0); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing read: %v", err)
 	}
 }
 
@@ -751,6 +607,9 @@ func TestTaggedPathORAMBasics(t *testing.T) {
 	}
 	if _, err := o.Read(1); err == nil {
 		t.Fatal("a read without positions succeeded")
+	}
+	if err := o.BulkLoad([][]byte{{1}}); err == nil {
+		t.Fatal("a bulk load without positions succeeded")
 	}
 	if err := o.DummyAccess(); err != nil {
 		t.Fatal(err)

@@ -236,8 +236,7 @@ func (s *scheduler) commit() {
 }
 
 // Flush writes every queued eviction path back to the server in a round of
-// its own, including the recursive position map's, and lets go of the
-// known-bucket set. Callers settle the instance at the end of a query (or
+// its own and lets go of the known-bucket set. Callers settle the instance at the end of a query (or
 // before reading ClientBytes-style footprints) so no client state is held
 // by pending paths or by the last write-back; Settle does it for several
 // trees in one round.
@@ -246,7 +245,7 @@ func (o *PathORAM) Flush() error {
 		return err
 	}
 	o.releaseKnown()
-	return o.pos.flush()
+	return nil
 }
 
 // PendingEvictions reports the number of fetched paths whose write-back is
@@ -254,8 +253,7 @@ func (o *PathORAM) Flush() error {
 func (o *PathORAM) PendingEvictions() int { return len(o.sched.pending) }
 
 // Close settles the instance at a session boundary: every queued
-// eviction path — the tree's and the recursive position map's — is written
-// back, so no stash state is pinned by pending paths when the serving
+// eviction path is written back, so no stash state is pinned by pending paths when the serving
 // layer checkpoints the backing store or hands the tree to another
 // session. Close is idempotent (a settled instance flushes vacuously) and
 // the instance remains usable afterwards; it implements io.Closer so a

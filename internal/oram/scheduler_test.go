@@ -185,11 +185,6 @@ func TestSchedulerDeferredRounds(t *testing.T) {
 	if got := m.Snapshot().NetworkRounds; got != want {
 		t.Fatalf("%d deferred accesses used %d rounds, want %d (1+1/k amortized)", n, got, want)
 	}
-	// The constant the cost model uses is the cost over an exchange store,
-	// whatever the batch.
-	if o.RoundsPerOp() != 1 {
-		t.Fatalf("RoundsPerOp = %d, want 1", o.RoundsPerOp())
-	}
 	stats := o.Telemetry()
 	flushes, paths := stats.Flushes-setup.Flushes, stats.FlushedPaths-setup.FlushedPaths
 	if flushes != int64(n/k) || paths != int64(n) {
@@ -272,7 +267,7 @@ func stashPeak(t *testing.T, batch int, treetop func(int) int) int {
 	o, err := newPathORAM(PathConfig{
 		Name: "sched", Capacity: stashCapacity, PayloadSize: 8,
 		Sealer: testSealer(t), Rand: NewSeededSource(31), EvictionBatch: batch,
-	}, treetop, posMapCutoff)
+	}, treetop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,143 +474,97 @@ func (d *downStore) WriteMany(idxs []int64, data [][]byte) error {
 }
 
 // TestFailedFetchIsRetryable: an access whose download fails has changed
-// nothing — the position remap it planned is taken back, in the client-side
-// map, in an outsourced one (only the data tree goes down here, so the map
-// can be reached to take the remap back), and for a run of reads that reads
-// one key twice. Every operation that failed during an outage succeeds when
-// retried after it, on the first download after a Flush (nothing riding) as
-// on later ones.
+// nothing — the position remap it planned is taken back, for a single
+// access and for a run of reads that reads one key twice. Every operation
+// that failed during an outage succeeds when retried after it, on the first
+// download after a Flush (nothing riding) as on later ones.
 func TestFailedFetchIsRetryable(t *testing.T) {
 	const capacity = 64
-	for _, recurse := range []bool{false, true} {
-		for _, k := range []int{1, 4} {
-			t.Run(fmt.Sprintf("recurse=%v/k=%d", recurse, k), func(t *testing.T) {
-				var stores []*downStore
-				o, err := newPathORAM(PathConfig{
-					Name: "down", Capacity: capacity, PayloadSize: 16,
-					Sealer: testSealer(t), Rand: NewSeededSource(uint64(40 + k)),
-					RecursePosMap: recurse, EvictionBatch: k,
-					OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
-						st := &downStore{MemStore: storage.NewMemStore(name, slots, blockSize, nil)}
-						if name == "down" { // the map's trees stay up: a remap can always be taken back
-							stores = append(stores, st)
-						}
-						return st, nil
-					},
-				}, treetopLevels, 4)
-				if err != nil {
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("recurse=false/k=%d", k), func(t *testing.T) {
+			var store *downStore
+			o, err := NewPathORAM(PathConfig{
+				Name: "down", Capacity: capacity, PayloadSize: 16,
+				Sealer: testSealer(t), Rand: NewSeededSource(uint64(40 + k)),
+				EvictionBatch: k,
+				OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
+					store = &downStore{MemStore: storage.NewMemStore(name, slots, blockSize, nil)}
+					return store, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < capacity/2; i++ { // the upper half stays unwritten
+				if err := o.Write(i, []byte{byte(i)}); err != nil {
 					t.Fatal(err)
 				}
-				for i := uint64(0); i < capacity/2; i++ { // the upper half stays unwritten
-					if err := o.Write(i, []byte{byte(i)}); err != nil {
+			}
+			outage := func(down bool) { store.down = down }
+			ops := []struct {
+				name string
+				do   func() error
+			}{
+				{"read", func() error {
+					got, err := o.Read(7)
+					if err == nil && got[0] != 7 {
+						t.Fatalf("key 7 = %d", got[0])
+					}
+					return err
+				}},
+				{"write-new", func() error { return o.Write(capacity-1, []byte{200}) }},
+				{"dummy", o.DummyAccess},
+				{"reads", func() error {
+					for _, key := range []uint64{3, 9, 3} {
+						got, err := o.Read(key)
+						if err != nil {
+							return err
+						}
+						if got[0] != byte(key) {
+							t.Fatalf("key %d = %d", key, got[0])
+						}
+					}
+					return nil
+				}},
+			}
+			for round := 0; round < 3; round++ {
+				if round == 1 {
+					if err := o.Flush(); err != nil {
 						t.Fatal(err)
 					}
 				}
-				outage := func(down bool) {
-					for _, st := range stores {
-						st.down = down
+				for _, op := range ops {
+					outage(true)
+					if err := op.do(); err == nil {
+						t.Fatalf("round %d: %s succeeded against a store that is down", round, op.name)
+					}
+					if n := o.PendingEvictions(); n > k {
+						t.Fatalf("round %d: the failed %s left %d paths pending, more than k = %d", round, op.name, n, k)
+					}
+					if _, err := o.Read(capacity - 2); err == nil || errors.Is(err, ErrNotFound) {
+						t.Fatalf("round %d: read of a missing key during the outage: %v", round, err)
+					}
+					outage(false)
+					if err := op.do(); err != nil {
+						t.Fatalf("round %d: %s retried after the outage: %v", round, op.name, err)
+					}
+					if _, err := o.Read(capacity - 2); !errors.Is(err, ErrNotFound) {
+						t.Fatalf("round %d: a never-written key reads %v, want ErrNotFound", round, err)
 					}
 				}
-				ops := []struct {
-					name string
-					do   func() error
-				}{
-					{"read", func() error {
-						got, err := o.Read(7)
-						if err == nil && got[0] != 7 {
-							t.Fatalf("key 7 = %d", got[0])
-						}
-						return err
-					}},
-					{"write-new", func() error { return o.Write(capacity-1, []byte{200}) }},
-					{"dummy", o.DummyAccess},
-					{"reads", func() error {
-						for _, key := range []uint64{3, 9, 3} {
-							got, err := o.Read(key)
-							if err != nil {
-								return err
-							}
-							if got[0] != byte(key) {
-								t.Fatalf("key %d = %d", key, got[0])
-							}
-						}
-						return nil
-					}},
+			}
+			if err := o.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < capacity/2; i++ {
+				if got, err := o.Read(i); err != nil || got[0] != byte(i) {
+					t.Fatalf("key %d = %v, %v after the outages", i, got, err)
 				}
-				for round := 0; round < 3; round++ {
-					if round == 1 {
-						if err := o.Flush(); err != nil {
-							t.Fatal(err)
-						}
-					}
-					for _, op := range ops {
-						outage(true)
-						if err := op.do(); err == nil {
-							t.Fatalf("round %d: %s succeeded against a store that is down", round, op.name)
-						}
-						if n := o.PendingEvictions(); n > k {
-							t.Fatalf("round %d: the failed %s left %d paths pending, more than k = %d", round, op.name, n, k)
-						}
-						if _, err := o.Read(capacity - 2); err == nil || errors.Is(err, ErrNotFound) {
-							t.Fatalf("round %d: read of a missing key during the outage: %v", round, err)
-						}
-						outage(false)
-						if err := op.do(); err != nil {
-							t.Fatalf("round %d: %s retried after the outage: %v", round, op.name, err)
-						}
-						if _, err := o.Read(capacity - 2); !errors.Is(err, ErrNotFound) {
-							t.Fatalf("round %d: a never-written key reads %v, want ErrNotFound", round, err)
-						}
-					}
-				}
-				if err := o.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				for i := uint64(0); i < capacity/2; i++ {
-					if got, err := o.Read(i); err != nil || got[0] != byte(i) {
-						t.Fatalf("key %d = %v, %v after the outages", i, got, err)
-					}
-				}
-				if got, err := o.Read(capacity - 1); err != nil || got[0] != 200 {
-					t.Fatalf("the key written across an outage = %v, %v", got, err)
-				}
-			})
-		}
-	}
-}
-
-// TestSchedulerRecursivePosMap checks that eviction deferral propagates to
-// recursive position-map ORAMs and that Flush settles the whole stack.
-func TestSchedulerRecursivePosMap(t *testing.T) {
-	o, err := NewPathORAM(PathConfig{
-		Name:          "rec",
-		Capacity:      512,
-		PayloadSize:   64,
-		Sealer:        testSealer(t),
-		Rand:          NewSeededSource(13),
-		RecursePosMap: true,
-		EvictionBatch: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 512; i += 3 {
-		if err := o.Write(i, []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	if err := o.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 512; i += 3 {
-		got, err := o.Read(i)
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		want := fmt.Sprintf("v%d", i)
-		if string(got[:len(want)]) != want {
-			t.Fatalf("read %d = %q, want %q", i, got[:len(want)], want)
-		}
+			}
+			if got, err := o.Read(capacity - 1); err != nil || got[0] != 200 {
+				t.Fatalf("the key written across an outage = %v, %v", got, err)
+			}
+		})
 	}
 }
 

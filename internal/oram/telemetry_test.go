@@ -9,7 +9,7 @@ import "testing"
 // the treetop's blocks are stash entries and nothing else (so ClientBytes
 // counts them as it counts the stash), and the snapshot is a copy.
 func TestPathTelemetry(t *testing.T) {
-	o := newTestORAM(t, 64, 32, nil, false)
+	o := newTestORAM(t, 64, 32, nil)
 	const writes, dummies = 20, 5
 	for i := uint64(0); i < writes; i++ {
 		if err := o.Write(i, []byte{byte(i)}); err != nil {
@@ -68,18 +68,18 @@ func TestPathTelemetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := o.sealer.Open(sealed)
+		plain, err := o.cfg.Sealer.Open(sealed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for slot := 0; slot < o.z; slot++ {
+		for slot := 0; slot < DefaultZ; slot++ {
 			stored += int(plain[slot*o.slotSize])
 		}
 	}
 	if stored+s.StashSize != writes {
 		t.Fatalf("%d blocks on the server and %d in the stash, %d written", stored, s.StashSize, writes)
 	}
-	if got, want := o.ClientBytes(), int64(s.StashSize)*int64(12+o.PayloadSize())+o.pos.clientBytes(); got != want {
+	if got, want := o.ClientBytes(), int64(s.StashSize)*int64(12+o.PayloadSize())+4*int64(len(o.pos)); got != want {
 		t.Fatalf("settled ClientBytes = %d, want stash + position map = %d", got, want)
 	}
 	// Snapshot isolation: mutating the returned slice must not affect the

@@ -35,18 +35,16 @@ type Req struct {
 
 // Together performs the given accesses, one per ORAM, and returns the first
 // error among them in request order. When every request addresses its own
-// Path-ORAM with client-held positions (a position map on the client, or
-// none: NewTagged), directly or through a View — the
-// SepORAM setting, where the paper's join step retrieves one tuple from
-// every table and each retrieval's path is fixed by client state before the
-// step begins, or a single retrieval on the OneORAM setting's shared tree —
-// the accesses run in lockstep: all position remaps are planned in request
+// Path-ORAM, directly or through a View, all on one meter — the SepORAM
+// setting, where the paper's join step retrieves one tuple from every table
+// and each retrieval's path is fixed by client state before the step
+// begins, or a single retrieval on the OneORAM setting's shared tree — the
+// accesses run in lockstep: all position remaps are planned in request
 // order, every tree's path download — each carrying the write-back its tree
 // has queued — travels in one network round, and the operations are applied
 // to the stashes: one path of each of k trees in a round. Any other group
-// (two requests on one tree, a recursive position map, LinearORAM,
-// RawStore) runs its accesses one after another, exactly as separate calls
-// would.
+// (two requests on one tree, trees on separate meters, a RawStore) runs its
+// accesses one after another, exactly as separate calls would.
 //
 // Per-store access sequences are those of the accesses issued one after
 // another; only which stores share a round changes, and that grouping is
@@ -116,7 +114,7 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 			continue
 		}
 		if r.Err = o.sched.prepareFetch(o.planBuf.leaf); r.Err != nil {
-			r.Err = o.unplan(&o.planBuf, r.Err)
+			o.unplan(&o.planBuf)
 			continue
 		}
 		ops = append(ops, &o.sched.op)
@@ -134,8 +132,8 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 	for i, o := range group {
 		r := &reqs[i]
 		if r.Err == nil {
-			if err := o.sched.completeFetch(); err != nil {
-				r.Err = o.unplan(&o.planBuf, err)
+			if r.Err = o.sched.completeFetch(); r.Err != nil {
+				o.unplan(&o.planBuf)
 			} else {
 				r.Data, r.Err = o.finish(&o.planBuf)
 			}
@@ -152,10 +150,10 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 // shares in the order given: the end of a query costs one round, not one per
 // tree. Which trees have a write-back queued depends on how many accesses
 // each has served since it was last settled, which is public; the order is
-// the caller's and must be canonical. Trees that cannot run in lockstep (a
-// recursive position map, a meter of their own) and other ORAMs are flushed
-// on their own, where they stand in the order. A tree with a block pinned
-// fails. Every ORAM is attempted; the first error is returned.
+// the caller's and must be canonical. Trees on a meter other than the first
+// tree's, and other ORAMs, are flushed on their own, where they stand in the
+// order. A tree with a block pinned fails. Every ORAM is attempted; the
+// first error is returned.
 func Settle(orams ...ORAM) error {
 	var few [8]*PathORAM
 	group := few[:0] // the trees with a share in the round
@@ -166,7 +164,7 @@ func Settle(orams ...ORAM) error {
 			continue
 		}
 		var err error
-		if !ok || !o.holdsPositions() || (len(group) > 0 && group[0].cfg.Meter != o.cfg.Meter) {
+		if !ok || (len(group) > 0 && group[0].cfg.Meter != o.cfg.Meter) {
 			err = Flush(x)
 		} else if owed, perr := o.sched.prepareFlush(); owed {
 			group = append(group, o)
@@ -197,28 +195,16 @@ func Settle(orams ...ORAM) error {
 	return first
 }
 
-// holdsPositions reports whether the tree's positions are on the client —
-// in its position map, or with its caller (NewTagged) — so that planning an
-// access or settling the tree costs no round of its own.
-func (o *PathORAM) holdsPositions() bool {
-	switch o.pos.(type) {
-	case *flatPosMap, noPosMap:
-		return true
-	}
-	return false
-}
-
 // lockstep returns the requests' trees, appended to group, when they can run
-// in lockstep: every request on a Path-ORAM that holds its own positions
-// client-side (directly or through a View), all distinct, all reporting to
-// one meter. Otherwise it returns nil.
+// in lockstep: every request on a Path-ORAM (directly or through a View), all
+// distinct, all reporting to one meter. Otherwise it returns nil.
 func lockstep(group []*PathORAM, reqs []Req) []*PathORAM {
 	if len(reqs) == 0 {
 		return nil
 	}
 	for i := range reqs {
 		o, _, _ := onTree(&reqs[i])
-		if o == nil || !o.holdsPositions() || slices.Contains(group, o) ||
+		if o == nil || slices.Contains(group, o) ||
 			(len(group) > 0 && group[0].cfg.Meter != o.cfg.Meter) {
 			return nil
 		}

@@ -340,7 +340,7 @@ func TestTogetherShareFailure(t *testing.T) {
 						if trees[1].PendingEvictions() != pending {
 							t.Fatalf("step %d: the failed share left %d paths pending, %d before it", step, trees[1].PendingEvictions(), pending)
 						}
-						assertBuffersDisjoint(t, trees[1])
+						assertFreeListDisjoint(t, trees[1])
 						// The same access, retried on its own.
 						reqs[1].Data, reqs[1].Err = trees[1].Update(keys[1], bump)
 						if reqs[1].Err != nil {
@@ -376,11 +376,10 @@ func TestTogetherShareFailure(t *testing.T) {
 	}
 }
 
-// TestTogetherFallsBackOneByOne: groups that are not distinct Path-ORAMs
-// with client-held positions — views of one shared tree, a recursive
-// position map, the linear-scan ORAM, the raw store, the same tree twice —
-// run their accesses one after another, moving exactly the blocks and
-// rounds of separate calls, in the same order.
+// TestTogetherFallsBackOneByOne: groups that are not distinct Path-ORAMs on
+// one meter — views of one shared tree, a tree on a meter of its own, the
+// raw store, the same tree twice — run their accesses one after another,
+// moving exactly the blocks and rounds of separate calls, in the same order.
 func TestTogetherFallsBackOneByOne(t *testing.T) {
 	const capacity, payload = 16, 16
 	build := map[string]func(m *storage.Meter) [2]ORAM{
@@ -396,26 +395,22 @@ func TestTogetherFallsBackOneByOne(t *testing.T) {
 			}
 			return [2]ORAM{a, b}
 		},
-		"recursive": func(m *storage.Meter) [2]ORAM {
+		"own-meter": func(m *storage.Meter) [2]ORAM {
+			// The second tree rounds on a meter of its own, but its store
+			// records on m: a round the two shared would show in m's trace.
 			var out [2]ORAM
 			for i := range out {
-				o, err := newPathORAM(PathConfig{
-					Name: fmt.Sprint("rec", i), Capacity: capacity, PayloadSize: payload, Meter: m,
-					Sealer: testSealer(t), Rand: NewSeededSource(uint64(i + 1)), RecursePosMap: true,
-				}, treetopLevels, 2)
-				if err != nil {
-					t.Fatal(err)
+				cfg := PathConfig{
+					Name: fmt.Sprint("own", i), Capacity: capacity, PayloadSize: payload, Meter: m,
+					Sealer: testSealer(t), Rand: NewSeededSource(uint64(i + 1)),
 				}
-				out[i] = o
-			}
-			return out
-		},
-		"linear": func(m *storage.Meter) [2]ORAM {
-			var out [2]ORAM
-			for i := range out {
-				o, err := NewLinearORAM(PathConfig{
-					Name: fmt.Sprint("lin", i), Capacity: capacity, PayloadSize: payload, Meter: m, Sealer: testSealer(t),
-				})
+				if i == 1 {
+					cfg.Meter = storage.NewMeter()
+					cfg.OpenStore = func(name string, slots int64, blockSize int) (storage.Store, error) {
+						return storage.NewMemStore(name, slots, blockSize, m), nil
+					}
+				}
+				o, err := NewPathORAM(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -494,21 +489,21 @@ func TestTogetherFallsBackOneByOne(t *testing.T) {
 // TestSettleTogetherIsOneRound: Settle writes back what the given trees
 // still have queued in one round, shares in the order the trees were given;
 // a tree with nothing queued has no share, a tree listed twice has one, and
-// ORAMs that cannot share a round — a recursive position map (its map's
-// trees owe write-backs too), the linear-scan ORAM — are flushed where they
-// stand, each in rounds of its own. Afterwards nothing is pending and
-// nothing known anywhere, and the data is all there. A share that fails
-// fails alone: the other trees are settled, the failed one keeps its paths
-// pending and its blocks, and settles when retried.
+// a tree that cannot share the round — one on a meter of its own — is
+// flushed where it stands, in a round of its own. Afterwards nothing is
+// pending and nothing known anywhere, and the data is all there. A share
+// that fails fails alone: the other trees are settled, the failed one keeps
+// its paths pending and its blocks, and settles when retried.
 func TestSettleTogetherIsOneRound(t *testing.T) {
 	const capacity, payload = 16, 16
 	for _, k := range []int{1, 4} {
 		m := storage.NewMeter()
 		var flaky *failOnce
-		tree := func(name string, recurse bool) *PathORAM {
-			o, err := newPathORAM(PathConfig{
-				Name: name, Capacity: capacity, PayloadSize: payload, Meter: m, Sealer: testSealer(t),
-				Rand: NewSeededSource(uint64(len(name))), EvictionBatch: k, RecursePosMap: recurse,
+		tree := func(name string, meter *storage.Meter) *PathORAM {
+			// Every store records on m, whatever meter its tree rounds on.
+			o, err := NewPathORAM(PathConfig{
+				Name: name, Capacity: capacity, PayloadSize: payload, Meter: meter, Sealer: testSealer(t),
+				Rand: NewSeededSource(uint64(len(name))), EvictionBatch: k,
 				OpenStore: func(store string, slots int64, blockSize int) (storage.Store, error) {
 					st := storage.NewMemStore(store, slots, blockSize, m)
 					if store != "c" {
@@ -517,18 +512,14 @@ func TestSettleTogetherIsOneRound(t *testing.T) {
 					flaky = &failOnce{MemStore: st}
 					return flaky, nil
 				},
-			}, treetopLevels, 2)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return o
 		}
-		a, b, c, idle, rec := tree("a", false), tree("bb", false), tree("c", false), tree("idle", false), tree("rec", true)
-		lin, err := NewLinearORAM(PathConfig{Name: "lin", Capacity: capacity, PayloadSize: payload, Meter: m, Sealer: testSealer(t)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		touched := []ORAM{a, b, c, rec, lin}
+		a, b, c, idle, own := tree("a", m), tree("bb", m), tree("c", m), tree("idle", m), tree("own", storage.NewMeter())
+		touched := []*PathORAM{a, b, c, own}
 		for _, o := range touched {
 			for key := uint64(0); key < capacity; key++ {
 				if err := o.Write(key, []byte{byte(key)}); err != nil {
@@ -536,24 +527,18 @@ func TestSettleTogetherIsOneRound(t *testing.T) {
 				}
 			}
 		}
-		if err := rec.Flush(); err != nil { // so that what it owes below is one access's worth
-			t.Fatal(err)
-		}
-		if _, err := rec.Read(3); err != nil {
-			t.Fatal(err)
-		}
 		m.Reset()
 		m.SetTracing(true)
 		flaky.failWrite = true
-		err = Settle(b, a, idle, rec, lin, c, a)
+		err := Settle(b, a, idle, own, c, a)
 		if err == nil || !strings.Contains(err.Error(), "injected") {
 			t.Fatalf("k=%d: Settle = %v, want the injected failure of c's share", k, err)
 		}
-		if a.PendingEvictions() != 0 || b.PendingEvictions() != 0 || rec.PendingEvictions() != 0 || c.PendingEvictions() == 0 {
-			t.Fatalf("k=%d: pending after the failed settle: a %d, b %d, rec %d, c %d; want only c's kept",
-				k, a.PendingEvictions(), b.PendingEvictions(), rec.PendingEvictions(), c.PendingEvictions())
+		if a.PendingEvictions() != 0 || b.PendingEvictions() != 0 || own.PendingEvictions() != 0 || c.PendingEvictions() == 0 {
+			t.Fatalf("k=%d: pending after the failed settle: a %d, b %d, own %d, c %d; want only c's kept",
+				k, a.PendingEvictions(), b.PendingEvictions(), own.PendingEvictions(), c.PendingEvictions())
 		}
-		// rec and its map's two trees each flushed alone, then the shared round.
+		// own flushed alone, then the shared round.
 		var order []string
 		rounds := map[int64][]string{}
 		for _, x := range m.Trace() {
@@ -568,24 +553,24 @@ func TestSettleTogetherIsOneRound(t *testing.T) {
 				order = append(order, x.Store)
 			}
 		}
-		if got, want := strings.Join(order, " "), "| rec | rec.pos | rec.pos.pos | bb a c"; got != want {
+		if got, want := strings.Join(order, " "), "| own | bb a c"; got != want {
 			t.Fatalf("k=%d: settle rounds carried %q, want %q", k, got, want)
 		}
-		if got := m.Snapshot().NetworkRounds; got != 4 {
-			t.Fatalf("k=%d: %d rounds, want 4", k, got)
+		if got := m.Snapshot().NetworkRounds; got != 2 {
+			t.Fatalf("k=%d: %d rounds, want 2", k, got)
 		}
 		before := m.Snapshot().NetworkRounds
-		if err := Settle(b, a, idle, rec, lin, c, a); err != nil {
+		if err := Settle(b, a, idle, own, c, a); err != nil {
 			t.Fatalf("k=%d: retried settle: %v", k, err)
 		}
 		if got := m.Snapshot().NetworkRounds - before; got != 1 || c.PendingEvictions() != 0 {
 			t.Fatalf("k=%d: the retry took %d rounds and left c %d paths pending; want c's share alone", k, got, c.PendingEvictions())
 		}
 		before = m.Snapshot().NetworkRounds
-		if err := Settle(b, a, idle, rec, lin, c, a); err != nil || m.Snapshot().NetworkRounds != before {
+		if err := Settle(b, a, idle, own, c, a); err != nil || m.Snapshot().NetworkRounds != before {
 			t.Fatalf("k=%d: settling settled trees: %v, %d rounds", k, err, m.Snapshot().NetworkRounds-before)
 		}
-		for _, o := range []*PathORAM{a, b, c, idle, rec} {
+		for _, o := range []*PathORAM{a, b, c, idle, own} {
 			if len(o.known) != 0 || len(o.knownLeaves) != 0 {
 				t.Fatalf("k=%d: %s still knows %d blocks", k, o.cfg.Name, len(o.known))
 			}

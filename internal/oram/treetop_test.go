@@ -30,7 +30,7 @@ func TestTreetopGeometry(t *testing.T) {
 	for height := 1; height <= 8; height++ {
 		capacity := int64(1) << (height - 1)
 		m := storage.NewMeter()
-		o := newTestORAM(t, capacity, 8, m, false)
+		o := newTestORAM(t, capacity, 8, m)
 		top := treetopLevels(height)
 		if ps := o.Telemetry(); ps.TreetopLevels != top || o.Levels() != height-top {
 			t.Fatalf("height %d: treetop %d over %d stored levels, want %d over %d", height, ps.TreetopLevels, o.Levels(), top, height-top)
@@ -64,26 +64,26 @@ func TestTreetopGeometry(t *testing.T) {
 
 // treetopRun drives a seeded mix of every operation through a tree built
 // under the given treetop rule, checks every result against a map model,
-// and returns the position-map stack and the trace the stores recorded.
-func treetopRun(t *testing.T, positions string, batch int, treetop func(int) int) ([]*PathORAM, []storage.Access) {
+// and returns the tree and the trace its store recorded.
+func treetopRun(t *testing.T, positions string, batch int, treetop func(int) int) (*PathORAM, []storage.Access) {
 	t.Helper()
 	const capacity, payload, steps = 64, 16, 600
 	m := storage.NewMeter()
 	cfg := PathConfig{
 		Name: "top", Capacity: capacity, PayloadSize: payload, Meter: m,
 		Sealer: testSealer(t), Rand: NewSeededSource(uint64(11 + batch)),
-		EvictionBatch: batch, RecursePosMap: positions == "recursive",
+		EvictionBatch: batch,
 	}
 	var tree *PathORAM
 	var o diffClient
 	var err error
 	if positions == "caller" {
-		if tree, err = newTagged(cfg, treetop); err != nil {
+		if tree, err = newTree(cfg, treetop); err != nil {
 			t.Fatal(err)
 		}
 		o = callerHeld{tree, map[uint64]uint32{}}
 	} else {
-		if tree, err = newPathORAM(cfg, treetop, 4); err != nil {
+		if tree, err = newPathORAM(cfg, treetop); err != nil {
 			t.Fatal(err)
 		}
 		o = tree
@@ -154,7 +154,7 @@ func treetopRun(t *testing.T, positions string, batch int, treetop func(int) int
 	if err := o.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return oramStack(tree), m.Trace()
+	return tree, m.Trace()
 }
 
 // TestTreetopTraceIsPathSuffix is the treetop's obliviousness argument
@@ -166,35 +166,25 @@ func treetopRun(t *testing.T, positions string, batch int, treetop func(int) int
 // results are those of a plain map either way.
 func TestTreetopTraceIsPathSuffix(t *testing.T) {
 	for _, batch := range []int{1, 4} {
-		for _, positions := range []string{"flat", "recursive", "caller"} {
+		for _, positions := range []string{"flat", "caller"} {
 			t.Run(fmt.Sprintf("k=%d/positions=%s", batch, positions), func(t *testing.T) {
-				vanillaStack, vanilla := treetopRun(t, positions, batch, noTreetop)
-				stack, trace := treetopRun(t, positions, batch, treetopLevels)
-				if len(stack) != len(vanillaStack) {
-					t.Fatalf("position-map stacks are %d and %d trees deep", len(vanillaStack), len(stack))
+				v, vanilla := treetopRun(t, positions, batch, noTreetop)
+				tree, trace := treetopRun(t, positions, batch, treetopLevels)
+				if tree.top == 0 {
+					t.Fatal("the rule gave the tree no treetop; nothing was compared")
 				}
-				if stack[0].top == 0 {
-					t.Fatal("the rule gave the outer tree no treetop; nothing was compared")
+				if v.top != 0 || v.levels != tree.top+tree.levels {
+					t.Fatalf("vanilla tree keeps %d levels of %d on the client", v.top, v.levels)
 				}
-				for depth, lvl := range stack {
-					if v := vanillaStack[depth]; v.top != 0 || v.levels != lvl.top+lvl.levels {
-						t.Fatalf("%s: vanilla tree keeps %d levels of %d on the client", v.cfg.Name, v.top, v.levels)
+				var want []storage.Access
+				for _, a := range vanilla {
+					if a.Index >= tree.skip {
+						a.Index -= tree.skip
+						want = append(want, a)
 					}
-					var want, got []storage.Access
-					for _, a := range vanilla {
-						if a.Store == lvl.cfg.Name && a.Index >= lvl.skip {
-							a.Index -= lvl.skip
-							want = append(want, a)
-						}
-					}
-					for _, a := range trace {
-						if a.Store == lvl.cfg.Name {
-							got = append(got, a)
-						}
-					}
-					if d := tracecheck.DiffExact(want, got); d != "" {
-						t.Fatalf("%s (t = %d): trace is not the vanilla trace less the treetop: %s", lvl.cfg.Name, lvl.top, d)
-					}
+				}
+				if d := tracecheck.DiffExact(want, trace); d != "" {
+					t.Fatalf("t = %d: trace is not the vanilla trace less the treetop: %s", tree.top, d)
 				}
 			})
 		}

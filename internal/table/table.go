@@ -40,10 +40,9 @@ type Options struct {
 	// Sealer encrypts blocks; required unless Raw or Keyring is set.
 	Sealer *xcrypto.Sealer
 	// Keyring, when non-nil, supplies per-store sealers instead of Sealer:
-	// every ORAM store ("T.data", "T.idx.attr", "shared", and recursive
-	// ".pos" position maps) gets an independent HKDF-derived subkey, and an
-	// epoch rotation on the ring migrates all of them lazily. Takes
-	// precedence over Sealer.
+	// every ORAM store ("T.data", "T.idx.attr", "shared") gets an
+	// independent HKDF-derived subkey, and an epoch rotation on the ring
+	// migrates all of them lazily. Takes precedence over Sealer.
 	Keyring *xcrypto.Keyring
 	// Rand supplies ORAM randomness; nil means crypto/rand.
 	Rand oram.LeafSource
@@ -52,19 +51,10 @@ type Options struct {
 	CacheIndex bool
 	// WriteBackDescents builds indexes that admit the multiway join's
 	// disable operations (btree.Config.WriteBackDescents), at no extra
-	// accesses. Their ORAM must be a Path-ORAM: Raw and SchemeLinear are
-	// refused.
+	// accesses. Their ORAM must be a Path-ORAM: Raw is refused.
 	WriteBackDescents bool
 	// Raw disables encryption and ORAM — the insecure baseline.
 	Raw bool
-	// RecursePosMap outsources Path-ORAM position maps recursively.
-	RecursePosMap bool
-	// Z overrides the Path-ORAM bucket size (0 = default 4).
-	Z int
-	// Scheme selects the ORAM construction. The join algorithms treat the
-	// ORAM as a blackbox (Section 1), so any scheme yields identical results
-	// with different costs.
-	Scheme Scheme
 	// OpenStore provisions the Path-ORAM bucket stores; nil means in-process
 	// MemStores. A remote deployment passes a transport-backed opener (e.g.
 	// remote.Client.Opener) so every table lives on a networked block server.
@@ -86,18 +76,6 @@ type Options struct {
 	// oram.PathConfig.Flight.
 	Flight *telemetry.Flight
 }
-
-// Scheme identifies an ORAM construction.
-type Scheme int
-
-// Supported ORAM schemes.
-const (
-	// SchemePath is Path-ORAM, the paper's choice.
-	SchemePath Scheme = iota
-	// SchemeLinear is the trivial scan-everything ORAM — O(N) per access
-	// but zero client state; the classic baseline.
-	SchemeLinear
-)
 
 func (o Options) payload() int {
 	if o.BlockPayload == 0 {
@@ -199,7 +177,11 @@ func StoreShared(rels []*relation.Relation, indexAttrs map[string][]string, opts
 		pieces = append(pieces, piece{t: t, built: built, attrs: attrs})
 	}
 
-	shared, err := oram.NewPathORAM(pathConfig(opts.StorePrefix+"shared", int64(len(allPayloads)), opts))
+	cfg, err := pathConfig(opts.StorePrefix+"shared", int64(len(allPayloads)), opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	shared, err := oram.NewPathORAM(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -315,36 +297,35 @@ func newStore(name string, capacity int64, opts Options) (oram.ORAM, error) {
 	if opts.Raw {
 		return oram.NewRawStore(name, capacity, opts.payload(), opts.Meter, opts.Rand)
 	}
-	if opts.Scheme == SchemeLinear {
-		return oram.NewLinearORAM(oram.PathConfig{
-			Name:        name,
-			Capacity:    capacity,
-			PayloadSize: opts.payload(),
-			Meter:       opts.Meter,
-			Sealer:      opts.Sealer,
-			Keyring:     opts.Keyring,
-		})
+	cfg, err := pathConfig(name, capacity, opts)
+	if err != nil {
+		return nil, err
 	}
-	return oram.NewPathORAM(pathConfig(name, capacity, opts))
+	return oram.NewPathORAM(cfg)
 }
 
 // pathConfig is the Path-ORAM configuration of a store the table
-// provisions.
-func pathConfig(name string, capacity int64, opts Options) oram.PathConfig {
+// provisions: sealed under the keyring's sealer for its name when there is
+// a keyring, under opts.Sealer otherwise.
+func pathConfig(name string, capacity int64, opts Options) (oram.PathConfig, error) {
+	sealer := opts.Sealer
+	if opts.Keyring != nil {
+		var err error
+		if sealer, err = opts.Keyring.Sealer(name); err != nil {
+			return oram.PathConfig{}, fmt.Errorf("table: deriving sealer for store %q: %w", name, err)
+		}
+	}
 	return oram.PathConfig{
 		Name:          name,
 		Capacity:      capacity,
 		PayloadSize:   opts.payload(),
-		Z:             opts.Z,
 		Meter:         opts.Meter,
-		Sealer:        opts.Sealer,
-		Keyring:       opts.Keyring,
+		Sealer:        sealer,
 		Rand:          opts.Rand,
-		RecursePosMap: opts.RecursePosMap,
 		OpenStore:     opts.OpenStore,
 		EvictionBatch: opts.EvictionBatch,
 		Flight:        opts.Flight,
-	}
+	}, nil
 }
 
 func bulkLoad(o oram.ORAM, payloads [][]byte) error {

@@ -367,19 +367,13 @@ func TestStoreSharedRejectsRaw(t *testing.T) {
 }
 
 // TestWriteBackNeedsPathORAM: write-back indexes pin their descents' paths
-// in a Path-ORAM's stash, so over the raw store or the linear ORAM they are
-// refused.
+// in a Path-ORAM's stash, so over the raw store they are refused.
 func TestWriteBackNeedsPathORAM(t *testing.T) {
-	for name, set := range map[string]func(*Options){
-		"raw":    func(o *Options) { o.Raw, o.Sealer = true, nil },
-		"linear": func(o *Options) { o.Scheme = SchemeLinear },
-	} {
-		opts := testOpts(t, nil)
-		opts.WriteBackDescents = true
-		set(&opts)
-		if _, err := Store(testRelation("t", []int64{2, 1, 3}), []string{"k"}, opts); err == nil {
-			t.Errorf("%s: write-back indexes accepted", name)
-		}
+	opts := testOpts(t, nil)
+	opts.WriteBackDescents = true
+	opts.Raw, opts.Sealer = true, nil
+	if _, err := Store(testRelation("t", []int64{2, 1, 3}), []string{"k"}, opts); err == nil {
+		t.Error("raw: write-back indexes accepted")
 	}
 }
 
@@ -492,45 +486,6 @@ func TestEmptyTable(t *testing.T) {
 	}
 	if row.OK {
 		t.Fatal("empty table seek returned a row")
-	}
-}
-
-// TestLinearSchemeBlackbox: the paper treats the ORAM as a blackbox; tables
-// (and therefore joins) must work unchanged over the trivial linear ORAM.
-func TestLinearSchemeBlackbox(t *testing.T) {
-	m := storage.NewMeter()
-	opts := testOpts(t, m)
-	opts.Scheme = SchemeLinear
-	rel := testRelation("t", []int64{3, 1, 4, 1, 5})
-	st, err := Store(rel, []string{"k"}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := st.Index("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok, err := idx.LookupGE(4)
-	if err != nil || !ok || e.Key != 4 {
-		t.Fatalf("linear lookup: %+v ok=%v err=%v", e, ok, err)
-	}
-	tu, ok, err := st.ReadTuple(e.Ref)
-	if err != nil || !ok || tu.Values[0] != 4 {
-		t.Fatalf("linear deref: %+v", tu)
-	}
-	// Linear ORAM: zero client state.
-	if st.ClientBytes() != 0 {
-		t.Fatalf("linear client bytes %d", st.ClientBytes())
-	}
-	// Every access costs a full scan of the store.
-	m.Reset()
-	before := m.Snapshot()
-	if _, _, err := idx.LookupGE(1); err != nil {
-		t.Fatal(err)
-	}
-	d := m.Snapshot().Sub(before)
-	if d.BlocksMoved() < 2*int64(idx.Height()) {
-		t.Fatalf("linear lookup moved only %d blocks", d.BlocksMoved())
 	}
 }
 

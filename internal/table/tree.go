@@ -23,12 +23,12 @@ type TreeTable struct {
 // StoreObliviousTree uploads rel as an oblivious B-tree keyed on attr, in a
 // store named as Store names the index on attr. The tree has no cached
 // levels and admits no disables, so opts.CacheIndex and
-// opts.WriteBackDescents are refused; and it is a Path-ORAM, so Raw and SchemeLinear are too.
+// opts.WriteBackDescents are refused; and it is a Path-ORAM, so Raw is too.
 func StoreObliviousTree(rel *relation.Relation, attr string, opts Options) (*TreeTable, error) {
 	switch {
 	case rel == nil:
 		return nil, fmt.Errorf("table: nil relation")
-	case opts.Raw || opts.Scheme != SchemePath:
+	case opts.Raw:
 		return nil, fmt.Errorf("table: an oblivious tree lives in a Path-ORAM")
 	case opts.Sealer == nil && opts.Keyring == nil:
 		return nil, fmt.Errorf("table: sealer or keyring required")
@@ -49,7 +49,11 @@ func StoreObliviousTree(rel *relation.Relation, attr string, opts Options) (*Tre
 	if err != nil {
 		return nil, err
 	}
-	store, err := oram.NewTagged(pathConfig(IndexStoreName(opts.StorePrefix, rel.Schema.Table, attr), b.NumNodes(), opts))
+	cfg, err := pathConfig(IndexStoreName(opts.StorePrefix, rel.Schema.Table, attr), b.NumNodes(), opts)
+	if err != nil {
+		return nil, err
+	}
+	store, err := oram.NewTagged(cfg)
 	if err != nil {
 		return nil, err
 	}
