@@ -1,10 +1,11 @@
 package oblivjoin
 
-// One testing.B benchmark per table and figure of the paper's evaluation.
-// Each iteration regenerates the experiment end to end (database build,
-// every method, every query of that figure) at the quick scale; the printed
-// rows/series come from `go run ./cmd/ojoinbench -exp <id>`, which runs the
-// same code at the full default scale.
+// One testing.B sub-benchmark per table, figure and ablation of the paper's
+// evaluation, one per entry of bench.Experiments. Each iteration
+// regenerates the experiment end to end (database build, every method,
+// every query of that figure) at the quick scale; the printed rows/series
+// come from `go run ./cmd/ojoinbench -exp <id>`, which runs the same code at
+// the full default scale.
 
 import (
 	"io"
@@ -13,66 +14,21 @@ import (
 	"oblivjoin/internal/bench"
 )
 
-func benchFigure(b *testing.B, id string) {
-	b.Helper()
-	e := bench.Quick()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := bench.Run(io.Discard, e, id); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments regenerates every registered experiment
+// (BenchmarkExperiments/fig9 and so on).
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range bench.Experiments() {
+		b.Run(id, func(b *testing.B) {
+			e := bench.Quick()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bench.Run(io.Discard, e, id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkTable1 verifies the retrieval-count formulas of Theorems 1–4
-// (the "Ours" rows of the paper's Table 1).
-func BenchmarkTable1(b *testing.B) { benchFigure(b, "table1") }
-
-// BenchmarkFig7StorageTPCH regenerates Figure 7 (storage cost, TPC-H).
-func BenchmarkFig7StorageTPCH(b *testing.B) { benchFigure(b, "fig7") }
-
-// BenchmarkFig8StorageSocial regenerates Figure 8 (storage cost, social).
-func BenchmarkFig8StorageSocial(b *testing.B) { benchFigure(b, "fig8") }
-
-// BenchmarkFig9BinaryTPCH regenerates Figure 9 (binary equi-join, TPC-H).
-func BenchmarkFig9BinaryTPCH(b *testing.B) { benchFigure(b, "fig9") }
-
-// BenchmarkFig10BinarySocial regenerates Figure 10 (binary equi-join,
-// social graph).
-func BenchmarkFig10BinarySocial(b *testing.B) { benchFigure(b, "fig10") }
-
-// BenchmarkFig11ScaleTE2 regenerates Figure 11 (TE2 vs raw data size).
-func BenchmarkFig11ScaleTE2(b *testing.B) { benchFigure(b, "fig11") }
-
-// BenchmarkFig12ScaleSE2 regenerates Figure 12 (SE2 vs raw data size).
-func BenchmarkFig12ScaleSE2(b *testing.B) { benchFigure(b, "fig12") }
-
-// BenchmarkFig13BandTPCH regenerates Figure 13 (band joins).
-func BenchmarkFig13BandTPCH(b *testing.B) { benchFigure(b, "fig13") }
-
-// BenchmarkFig14ScaleTB1 regenerates Figure 14 (TB1 vs raw data size).
-func BenchmarkFig14ScaleTB1(b *testing.B) { benchFigure(b, "fig14") }
-
-// BenchmarkFig15MultiwayTPCH regenerates Figure 15 (multiway, TPC-H).
-func BenchmarkFig15MultiwayTPCH(b *testing.B) { benchFigure(b, "fig15") }
-
-// BenchmarkFig16MultiwaySocial regenerates Figure 16 (multiway, social).
-func BenchmarkFig16MultiwaySocial(b *testing.B) { benchFigure(b, "fig16") }
-
-// BenchmarkFig17ScaleTM2 regenerates Figure 17 (TM2 vs raw data size).
-func BenchmarkFig17ScaleTM2(b *testing.B) { benchFigure(b, "fig17") }
-
-// BenchmarkFig18ScaleSM2 regenerates Figure 18 (SM2 vs raw data size).
-func BenchmarkFig18ScaleSM2(b *testing.B) { benchFigure(b, "fig18") }
-
-// BenchmarkFig19PaddingBinary regenerates Figure 19 (padding, binary).
-func BenchmarkFig19PaddingBinary(b *testing.B) { benchFigure(b, "fig19") }
-
-// BenchmarkFig20PaddingBand regenerates Figure 20 (padding, band).
-func BenchmarkFig20PaddingBand(b *testing.B) { benchFigure(b, "fig20") }
-
-// BenchmarkFig21PaddingMultiway regenerates Figure 21 (padding, multiway).
-func BenchmarkFig21PaddingMultiway(b *testing.B) { benchFigure(b, "fig21") }
 
 // BenchmarkQuickstartINLJ measures the public API on the quickstart
 // workload: one oblivious index nested-loop join per iteration.

@@ -2,11 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"oblivjoin/internal/baseline"
 	"oblivjoin/internal/core"
+	"oblivjoin/internal/jointree"
 	"oblivjoin/internal/relation"
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/telemetry"
@@ -40,6 +42,17 @@ func TestExperimentsList(t *testing.T) {
 	}
 }
 
+// figure runs the registered figure id on e.
+func figure(t *testing.T, e *Env, id string) *Figure {
+	t.Helper()
+	i := slices.IndexFunc(experiments, func(x experiment) bool { return x.id == id })
+	fig, err := e.plot(id, experiments[i].plot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig
+}
+
 // TestQuickFiguresRun smoke-tests every figure runner end to end at tiny
 // scale and sanity-checks the headline relationships the paper reports.
 func TestQuickFiguresRun(t *testing.T) {
@@ -48,10 +61,7 @@ func TestQuickFiguresRun(t *testing.T) {
 	}
 	e := Quick()
 
-	fig9, err := Fig9(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig9 := figure(t, e, "fig9")
 	byKey := map[string]Point{}
 	for _, p := range fig9.Points {
 		byKey[p.Series+"/"+p.X] = p
@@ -70,13 +80,10 @@ func TestQuickFiguresRun(t *testing.T) {
 		}
 	}
 
-	fig7, err := Fig7(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig7 := figure(t, e, "fig7")
 	cloud := map[string]float64{}
 	for _, p := range fig7.Points {
-		if p.X == orderedXs(fig7.Points)[0] {
+		if p.X == distinct(fig7.Points, func(p Point) string { return p.X })[0] {
 			cloud[p.Series] = p.A
 		}
 	}
@@ -86,11 +93,8 @@ func TestQuickFiguresRun(t *testing.T) {
 		t.Errorf("cloud storage ordering violated: %v", cloud)
 	}
 
-	fig15, err := Fig15(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range orderedXs(fig15.Points) {
+	fig15 := figure(t, e, "fig15")
+	for _, x := range distinct(fig15.Points, func(p Point) string { return p.X }) {
 		var oblidb, sep float64
 		for _, p := range fig15.Points {
 			if p.X != x {
@@ -248,12 +252,36 @@ func TestMeasurePanels(t *testing.T) {
 	}
 }
 
+// TestRunBinaryUnknownMethod checks that each join shape refuses an
+// unknown method and every method it does not run, rather than measuring
+// some other method's join under that label.
 func TestRunBinaryUnknownMethod(t *testing.T) {
 	e := Quick()
 	r := &relation.Relation{Schema: relation.Schema{Table: "a", Columns: []string{"x"}},
 		Tuples: []relation.Tuple{{Values: []int64{1}}}}
-	if _, err := e.RunBinary("NoSuch", "q", r, r.Alias("b"), "x", "x"); err == nil {
-		t.Fatal("unknown method accepted")
+	rels := map[string]*relation.Relation{"a": r, "b": r.Alias("b")}
+	q := jointree.Query{Tables: []string{"a", "b"},
+		Preds: []jointree.Pred{{Left: "a", LeftAttr: "x", Right: "b", RightAttr: "x"}}}
+	runs := map[string]func(method string) (Measure, error){
+		"binary": func(m string) (Measure, error) { return e.RunBinary(m, "q", r, r.Alias("b"), "x", "x") },
+		"band": func(m string) (Measure, error) {
+			return e.RunBand(m, "q", r, r.Alias("b"), "x", "x", core.BandLess)
+		},
+		"multiway": func(m string) (Measure, error) { return e.RunMultiway(m, "q", rels, q) },
+	}
+	for _, c := range []struct {
+		shape   string
+		refused []string
+	}{
+		{"binary", []string{"NoSuch", "SepORAM"}},
+		{"band", []string{"NoSuch", MODBJ, MObliDB, MSepSMJ, MOneSMJ, MRawSMJ}},
+		{"multiway", []string{"NoSuch", MODBJ, MSepSMJ, MOneSMJ, MRawSMJ}},
+	} {
+		for _, m := range c.refused {
+			if _, err := runs[c.shape](m); err == nil {
+				t.Errorf("%s join accepted method %q", c.shape, m)
+			}
+		}
 	}
 }
 

@@ -40,21 +40,112 @@ const (
 	MRawINLJCache = "Raw INLJ+Cache"
 )
 
-// BinaryMethods is the 11-method lineup of Figures 9–12.
-var BinaryMethods = []string{
-	MObliDB, MODBJ, MSepSMJ, MSepINLJ, MSepINLJCache,
-	MOneSMJ, MOneINLJ, MOneINLJCache, MRawSMJ, MRawINLJ, MRawINLJCache,
+// layout is where a method keeps its tables; the first three index them
+// with B-trees.
+type layout int
+
+const (
+	sepORAM  layout = iota // one Path-ORAM per table and index (SepORAM)
+	oneORAM                // every table and index in one Path-ORAM (OneORAM)
+	rawIndex               // plain blocks and B-trees, no ORAM: the insecure baseline
+	odbj                   // ODBJ streams its inputs: nothing stored ahead
+	obliDB                 // plain encrypted data blocks, no index, no ORAM
+)
+
+// layoutNames are the storage series of Figures 7–8.
+var layoutNames = [...]string{
+	sepORAM: "SepORAM", oneORAM: "OneORAM", rawIndex: "Raw Index", odbj: MODBJ, obliDB: MObliDB,
 }
 
-// BandMethods is the 6-method lineup of Figures 13–14.
-var BandMethods = []string{
-	MSepINLJ, MSepINLJCache, MOneINLJ, MOneINLJCache, MRawINLJ, MRawINLJCache,
+// method is one series of the figures: the layout it stores its tables
+// in, whether it caches the top index levels on the client, and whether
+// it is a sort-merge join rather than an index nested-loop join.
+type method struct {
+	name   string
+	layout layout
+	cache  bool
+	merge  bool
 }
 
-// MultiwayMethods is the 7-method lineup of Figures 15–18.
-var MultiwayMethods = []string{
-	MObliDB, MSepINLJ, MSepINLJCache, MOneINLJ, MOneINLJCache, MRawINLJ, MRawINLJCache,
+// methods is the paper's 11-method lineup, in legend order.
+var methods = []method{
+	{name: MObliDB, layout: obliDB},
+	{name: MODBJ, layout: odbj},
+	{name: MSepSMJ, layout: sepORAM, merge: true},
+	{name: MSepINLJ, layout: sepORAM},
+	{name: MSepINLJCache, layout: sepORAM, cache: true},
+	{name: MOneSMJ, layout: oneORAM, merge: true},
+	{name: MOneINLJ, layout: oneORAM},
+	{name: MOneINLJCache, layout: oneORAM, cache: true},
+	{name: MRawSMJ, layout: rawIndex, merge: true},
+	{name: MRawINLJ, layout: rawIndex},
+	{name: MRawINLJCache, layout: rawIndex, cache: true},
 }
+
+// shape is the kind of join a figure measures.
+type shape string
+
+const (
+	binary   shape = "binary"
+	band     shape = "band"
+	multiway shape = "multiway"
+)
+
+// joins reports whether m runs joins of shape s. Every method runs the
+// binary equi-join; band and multiway joins are index nested-loop joins
+// over an index layout, and ObliDB's Cartesian enumeration also runs the
+// multiway join.
+func (m method) joins(s shape) bool {
+	switch s {
+	case band:
+		return !m.merge && m.layout <= rawIndex
+	case multiway:
+		return !m.merge && m.layout != odbj
+	}
+	return true
+}
+
+// family is m's storage series in Figures 7–8: its layout, and whether it
+// caches index levels.
+func (m method) family() string {
+	if m.cache {
+		return layoutNames[m.layout] + "+Cache"
+	}
+	return layoutNames[m.layout]
+}
+
+// methodFor looks up the method named name for a join of shape s.
+func methodFor(name string, s shape) (method, error) {
+	for _, m := range methods {
+		if m.name != name {
+			continue
+		}
+		if !m.joins(s) {
+			return method{}, fmt.Errorf("bench: method %q runs no %s join", name, s)
+		}
+		return m, nil
+	}
+	return method{}, fmt.Errorf("bench: unknown method %q", name)
+}
+
+// lineup lists, in legend order, the methods keep accepts.
+func lineup(keep func(method) bool) []string {
+	var names []string
+	for _, m := range methods {
+		if keep(m) {
+			names = append(names, m.name)
+		}
+	}
+	return names
+}
+
+// Lineups: the 11 methods of Figures 9–12, the 6 of Figures 13–14 and the
+// 7 of Figures 15–18.
+var (
+	BinaryMethods   = lineup(func(m method) bool { return m.joins(binary) })
+	BandMethods     = lineup(func(m method) bool { return m.joins(band) })
+	MultiwayMethods = lineup(func(m method) bool { return m.joins(multiway) })
+)
 
 // Env fixes the benchmark configuration.
 type Env struct {
@@ -103,33 +194,40 @@ type Scales struct {
 	StorageUsers     []int // Fig 8
 }
 
-// DefaultScales sizes the standard run.
-func DefaultScales() Scales {
-	return Scales{
-		BinarySuppliers:  40,
-		BinaryUsers:      400,
-		BinarySweep:      []int{15, 45, 135},
-		UserSweep:        []int{150, 450, 1350},
-		BandSuppliers:    8,
-		BandSweep:        []int{6, 16, 44},
-		MultiSuppliers:   2,
-		MultiUsers:       250,
-		MultiSweep:       []int{2, 6, 18},
-		MultiUserSweep:   []int{100, 250, 600},
-		PadSuppliers:     16,
-		PadUsers:         30,
-		PadBandSuppliers: 6,
-		PadMultiSupp:     2,
-		PadMultiUsers:    24,
-		StorageSuppliers: []int{10, 40, 160},
-		StorageUsers:     []int{300, 1200, 5000},
+// Default returns the standard bench environment.
+func Default() *Env {
+	return &Env{
+		BlockPayload: 512,
+		Seed:         42,
+		Cost:         storage.DefaultCostModel(),
+		Scales: Scales{
+			BinarySuppliers:  40,
+			BinaryUsers:      400,
+			BinarySweep:      []int{15, 45, 135},
+			UserSweep:        []int{150, 450, 1350},
+			BandSuppliers:    8,
+			BandSweep:        []int{6, 16, 44},
+			MultiSuppliers:   2,
+			MultiUsers:       250,
+			MultiSweep:       []int{2, 6, 18},
+			MultiUserSweep:   []int{100, 250, 600},
+			PadSuppliers:     16,
+			PadUsers:         30,
+			PadBandSuppliers: 6,
+			PadMultiSupp:     2,
+			PadMultiUsers:    24,
+			StorageSuppliers: []int{10, 40, 160},
+			StorageUsers:     []int{300, 1200, 5000},
+		},
 	}
 }
 
-// QuickScales sizes a fast smoke run (used by the testing.B benchmarks so
-// `go test -bench=.` finishes promptly; shapes are preserved).
-func QuickScales() Scales {
-	return Scales{
+// Quick returns a smoke-test environment with tiny workloads (the testing.B
+// benchmarks use it so `go test -bench=.` finishes promptly; shapes are
+// preserved).
+func Quick() *Env {
+	e := Default()
+	e.Scales = Scales{
 		BinarySuppliers:  6,
 		BinaryUsers:      80,
 		BinarySweep:      []int{4, 8},
@@ -148,22 +246,6 @@ func QuickScales() Scales {
 		StorageSuppliers: []int{5, 20},
 		StorageUsers:     []int{100, 400},
 	}
-}
-
-// Default returns the standard bench environment.
-func Default() *Env {
-	return &Env{
-		BlockPayload: 512,
-		Seed:         42,
-		Cost:         storage.DefaultCostModel(),
-		Scales:       DefaultScales(),
-	}
-}
-
-// Quick returns a smoke-test environment with tiny workloads.
-func Quick() *Env {
-	e := Default()
-	e.Scales = QuickScales()
 	e.ObliDBSampleCap = 20_000
 	return e
 }
@@ -189,6 +271,9 @@ type Measure struct {
 	Stats        storage.Stats
 	Real         int
 	Extrapolated bool
+	// Steps and PaddedSteps are our join's step counts before and after
+	// padding to its theorem bound (core.Result); zero for the baselines.
+	Steps, PaddedSteps int64
 }
 
 // QueryCostSeconds is the figure's (a) panel value.
@@ -207,14 +292,21 @@ func (e *Env) sealer() (*xcrypto.Sealer, error) {
 	return xcrypto.NewSealer(key, nil)
 }
 
-// tableOpts builds table storage options for one run.
-func (e *Env) tableOpts(m *storage.Meter, raw, cache, writeBack bool) (table.Options, error) {
+// tableOpts builds the table storage options of mt's layout on meter m.
+// The Raw Index and ObliDB keep plain blocks: ObliDB's evaluation stores
+// encrypted data blocks without an ORAM tree (Figure 7 shows it at the
+// minimal cloud footprint), and its fixed-order Cartesian enumeration is
+// oblivious by construction, so direct block addressing is faithful (the
+// ~1% encryption overhead on transfers is negligible). writeBack builds the
+// multiway join's write-back indexes, which only a Path-ORAM carries.
+func (e *Env) tableOpts(m *storage.Meter, mt method, writeBack bool) (table.Options, error) {
+	raw := mt.layout != sepORAM && mt.layout != oneORAM
 	opts := table.Options{
 		BlockPayload:      e.payload(),
 		Meter:             m,
 		Rand:              oram.NewSeededSource(uint64(e.Seed)),
-		CacheIndex:        cache,
-		WriteBackDescents: writeBack,
+		CacheIndex:        mt.cache,
+		WriteBackDescents: writeBack && !raw,
 		Raw:               raw,
 	}
 	if !raw {
@@ -225,6 +317,92 @@ func (e *Env) tableOpts(m *storage.Meter, raw, cache, writeBack bool) (table.Opt
 		opts.Sealer = s
 	}
 	return opts, nil
+}
+
+// store uploads rels, each indexed on its attrs entry, where mt's layout
+// keeps them: each in ORAMs of its own, all in one shared ORAM (returned),
+// or as plain blocks.
+func (e *Env) store(mt method, m *storage.Meter, rels []*relation.Relation, attrs map[string][]string, writeBack bool) ([]*table.StoredTable, *oram.PathORAM, error) {
+	opts, err := e.tableOpts(m, mt, writeBack)
+	if err != nil {
+		return nil, nil, err
+	}
+	tables := make([]*table.StoredTable, len(rels))
+	if mt.layout == oneORAM {
+		byName, shared, err := table.StoreShared(rels, attrs, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, r := range rels {
+			tables[i] = byName[r.Schema.Table]
+		}
+		return tables, shared, nil
+	}
+	for i, r := range rels {
+		if tables[i], err = table.Store(r, attrs[r.Schema.Table], opts); err != nil {
+			return nil, nil, err
+		}
+	}
+	return tables, nil, nil
+}
+
+// query is one join over stored tables: rels with their index attributes,
+// and the two ways to run it — the Raw Index baseline and our core join.
+type query struct {
+	name      string
+	rels      []*relation.Relation
+	attrs     map[string][]string
+	writeBack bool
+	raw       func([]*table.StoredTable, baseline.Options) (*baseline.Result, error)
+	ours      func([]*table.StoredTable, core.Options) (*core.Result, error)
+}
+
+// pair is the two-table query joining r1 on a1 with r2 on a2.
+func pair(name string, r1, r2 *relation.Relation, a1, a2 string) query {
+	return query{
+		name:  name,
+		rels:  []*relation.Relation{r1, r2},
+		attrs: map[string][]string{r1.Schema.Table: {a1}, r2.Schema.Table: {a2}},
+	}
+}
+
+// run measures q under mt: it stores q's tables where mt's layout keeps
+// them, resets the meter, then runs the Raw Index baseline or, under an
+// Env.Trace span named "method query", our join.
+func (e *Env) run(mt method, q query) (Measure, error) {
+	meas := Measure{Method: mt.name, Query: q.name}
+	m := storage.NewMeter()
+	tables, shared, err := e.store(mt, m, q.rels, q.attrs, q.writeBack)
+	if err != nil {
+		return meas, err
+	}
+	m.Reset()
+	if mt.layout == rawIndex {
+		bopts, err := e.baseOpts(m)
+		if err != nil {
+			return meas, err
+		}
+		res, err := q.raw(tables, bopts)
+		if err != nil {
+			return meas, err
+		}
+		meas.Stats, meas.Real = res.Stats, res.RealCount
+		return meas, nil
+	}
+	copts, err := e.coreOpts(m)
+	if err != nil {
+		return meas, err
+	}
+	copts.OneORAM = shared
+	copts.Span = e.Trace.ChildMeter(mt.name+" "+q.name, m)
+	defer copts.Span.End()
+	res, err := q.ours(tables, copts)
+	if err != nil {
+		return meas, err
+	}
+	meas.Stats, meas.Real = res.Stats, res.RealCount
+	meas.Steps, meas.PaddedSteps = res.Steps, res.PaddedSteps
+	return meas, nil
 }
 
 func (e *Env) coreOpts(m *storage.Meter) (core.Options, error) {
@@ -271,11 +449,14 @@ func (e *Env) padTarget(realR, cartesian int64) int64 {
 // RunBinary executes one binary equi-join with the given method and
 // returns its measured traffic.
 func (e *Env) RunBinary(method string, name string, r1, r2 *relation.Relation, a1, a2 string) (Measure, error) {
-	meas := Measure{Method: method, Query: name}
-	m := storage.NewMeter()
-	switch method {
-	case MODBJ:
-		opts, err := e.baseOpts(m)
+	mt, err := methodFor(method, binary)
+	if err != nil {
+		return Measure{}, err
+	}
+	switch mt.layout {
+	case odbj:
+		meas := Measure{Method: method, Query: name}
+		opts, err := e.baseOpts(storage.NewMeter())
 		if err != nil {
 			return meas, err
 		}
@@ -289,112 +470,22 @@ func (e *Env) RunBinary(method string, name string, r1, r2 *relation.Relation, a
 		}
 		meas.Stats, meas.Real = res.Stats, res.RealCount
 		return meas, nil
-
-	case MObliDB:
+	case obliDB:
 		return e.runObliDB(name, []*relation.Relation{r1, r2},
 			[]baseline.EquiPred{{A: 0, AAttr: a1, B: 1, BAttr: a2}})
-
-	case MSepSMJ, MSepINLJ, MSepINLJCache, MRawSMJ, MRawINLJ, MRawINLJCache:
-		raw := method == MRawSMJ || method == MRawINLJ || method == MRawINLJCache
-		cache := method == MSepINLJCache || method == MRawINLJCache
-		topts, err := e.tableOpts(m, raw, cache, false)
-		if err != nil {
-			return meas, err
-		}
-		s1, err := table.Store(r1, []string{a1}, topts)
-		if err != nil {
-			return meas, err
-		}
-		s2, err := table.Store(r2, []string{a2}, topts)
-		if err != nil {
-			return meas, err
-		}
-		m.Reset()
-		switch method {
-		case MRawSMJ:
-			bopts, err := e.baseOpts(m)
-			if err != nil {
-				return meas, err
-			}
-			res, err := baseline.RawSortMergeJoin(s1, s2, a1, a2, bopts)
-			if err != nil {
-				return meas, err
-			}
-			meas.Stats, meas.Real = res.Stats, res.RealCount
-		case MRawINLJ, MRawINLJCache:
-			bopts, err := e.baseOpts(m)
-			if err != nil {
-				return meas, err
-			}
-			res, err := baseline.RawINLJ(s1, s2, a1, a2, bopts)
-			if err != nil {
-				return meas, err
-			}
-			meas.Stats, meas.Real = res.Stats, res.RealCount
-		case MSepSMJ:
-			copts, err := e.coreOpts(m)
-			if err != nil {
-				return meas, err
-			}
-			sp := e.Trace.ChildMeter(method+" "+name, m)
-			copts.Span = sp
-			defer sp.End()
-			res, err := core.SortMergeJoin(s1, s2, a1, a2, copts)
-			if err != nil {
-				return meas, err
-			}
-			meas.Stats, meas.Real = res.Stats, res.RealCount
-		default:
-			copts, err := e.coreOpts(m)
-			if err != nil {
-				return meas, err
-			}
-			sp := e.Trace.ChildMeter(method+" "+name, m)
-			copts.Span = sp
-			defer sp.End()
-			res, err := core.IndexNestedLoopJoin(s1, s2, a1, a2, copts)
-			if err != nil {
-				return meas, err
-			}
-			meas.Stats, meas.Real = res.Stats, res.RealCount
-		}
-		return meas, nil
-
-	case MOneSMJ, MOneINLJ, MOneINLJCache:
-		cache := method == MOneINLJCache
-		topts, err := e.tableOpts(m, false, cache, false)
-		if err != nil {
-			return meas, err
-		}
-		tables, shared, err := table.StoreShared(
-			[]*relation.Relation{r1, r2},
-			map[string][]string{r1.Schema.Table: {a1}, r2.Schema.Table: {a2}},
-			topts)
-		if err != nil {
-			return meas, err
-		}
-		m.Reset()
-		copts, err := e.coreOpts(m)
-		if err != nil {
-			return meas, err
-		}
-		copts.OneORAM = shared
-		sp := e.Trace.ChildMeter(method+" "+name, m)
-		copts.Span = sp
-		defer sp.End()
-		var res *core.Result
-		if method == MOneSMJ {
-			res, err = core.SortMergeJoin(tables[r1.Schema.Table], tables[r2.Schema.Table], a1, a2, copts)
-		} else {
-			res, err = core.IndexNestedLoopJoin(tables[r1.Schema.Table], tables[r2.Schema.Table], a1, a2, copts)
-		}
-		if err != nil {
-			return meas, err
-		}
-		meas.Stats, meas.Real = res.Stats, res.RealCount
-		return meas, nil
 	}
-	return meas, fmt.Errorf("bench: unknown binary method %q", method)
+	ours, raw := core.IndexNestedLoopJoin, baseline.RawINLJ
+	if mt.merge {
+		ours, raw = core.SortMergeJoin, baseline.RawSortMergeJoin
+	}
+	q := pair(name, r1, r2, a1, a2)
+	q.raw = func(t []*table.StoredTable, o baseline.Options) (*baseline.Result, error) {
+		return raw(t[0], t[1], a1, a2, o)
+	}
+	q.ours = func(t []*table.StoredTable, o core.Options) (*core.Result, error) {
+		return ours(t[0], t[1], a1, a2, o)
+	}
+	return e.run(mt, q)
 }
 
 // runObliDB executes the Cartesian-product baseline, truncating the inputs
@@ -407,42 +498,28 @@ func (e *Env) runObliDB(name string, rels []*relation.Relation, preds []baseline
 		combos *= int64(r.Len())
 	}
 	scale := 1.0
-	run := rels
+	run, runCombos := rels, combos
 	if combos > e.sampleCap() {
 		// Shrink every table by the same factor so the sample keeps the
 		// original shape.
 		f := float64(e.sampleCap()) / float64(combos)
 		shrink := math.Pow(f, 1.0/float64(len(rels)))
-		run = make([]*relation.Relation, len(rels))
-		sampleCombos := int64(1)
+		run, runCombos = make([]*relation.Relation, len(rels)), 1
 		for i, r := range rels {
 			n := int(float64(r.Len()) * shrink)
 			if n < 1 {
 				n = 1
 			}
 			run[i] = &relation.Relation{Schema: r.Schema, Tuples: r.Tuples[:n]}
-			sampleCombos *= int64(n)
+			runCombos *= int64(n)
 		}
-		scale = float64(combos) / float64(sampleCombos)
+		scale = float64(combos) / float64(runCombos)
 		meas.Extrapolated = true
 	}
 	m := storage.NewMeter()
-	// ObliDB's evaluation stores plain encrypted data blocks without an
-	// ORAM tree (Figure 7 shows it at the minimal cloud footprint); its
-	// fixed-order Cartesian enumeration is oblivious by construction, so
-	// direct block addressing is faithful. We model it with the raw store
-	// (the ~1% encryption overhead on transfers is negligible).
-	topts, err := e.tableOpts(m, true, false, false)
+	stored, _, err := e.store(method{layout: obliDB}, m, run, nil, false)
 	if err != nil {
 		return meas, err
-	}
-	var stored []*table.StoredTable
-	for _, r := range run {
-		st, err := table.Store(r, nil, topts)
-		if err != nil {
-			return meas, err
-		}
-		stored = append(stored, st)
 	}
 	m.Reset()
 	bopts, err := e.baseOpts(m)
@@ -451,21 +528,12 @@ func (e *Env) runObliDB(name string, rels []*relation.Relation, preds []baseline
 	}
 	// ObliDB's hash-select trusted memory is far larger (M = 50 log N).
 	bopts.Mem = 4096
-	if e.Padding != core.PadNone {
-		combosRun := int64(1)
-		for _, st := range stored {
-			combosRun *= int64(st.NumTuples())
-		}
-		if e.Padding == core.PadCartesian {
-			bopts.PadTo = combosRun
-		} else {
-			var ordered []*relation.Relation
-			for _, st := range stored {
-				ordered = append(ordered, st.Relation())
-			}
-			realR := referenceCount(ordered, preds)
-			bopts.PadTo = e.padTarget(realR, combosRun)
-		}
+	switch e.Padding {
+	case core.PadNone:
+	case core.PadCartesian:
+		bopts.PadTo = runCombos
+	default:
+		bopts.PadTo = e.padTarget(referenceCount(run, preds), runCombos)
 	}
 	res, err := baseline.ObliDBHashJoin(stored, preds, bopts)
 	if err != nil {
@@ -518,151 +586,54 @@ func scaleStats(s storage.Stats, f float64) storage.Stats {
 
 // RunBand executes one band join with the given method.
 func (e *Env) RunBand(method string, name string, r1, r2 *relation.Relation, a1, a2 string, op core.BandOp) (Measure, error) {
-	meas := Measure{Method: method, Query: name}
-	m := storage.NewMeter()
-	raw := method == MRawINLJ || method == MRawINLJCache
-	cache := method == MSepINLJCache || method == MOneINLJCache || method == MRawINLJCache
-	one := method == MOneINLJ || method == MOneINLJCache
-	topts, err := e.tableOpts(m, raw, cache, false)
+	mt, err := methodFor(method, band)
 	if err != nil {
-		return meas, err
+		return Measure{}, err
 	}
-	var s1, s2 *table.StoredTable
-	var shared *oram.PathORAM
-	if one {
-		tables, sh, err := table.StoreShared(
-			[]*relation.Relation{r1, r2},
-			map[string][]string{r1.Schema.Table: {a1}, r2.Schema.Table: {a2}},
-			topts)
-		if err != nil {
-			return meas, err
-		}
-		s1, s2, shared = tables[r1.Schema.Table], tables[r2.Schema.Table], sh
-	} else {
-		if s1, err = table.Store(r1, []string{a1}, topts); err != nil {
-			return meas, err
-		}
-		if s2, err = table.Store(r2, []string{a2}, topts); err != nil {
-			return meas, err
-		}
+	q := pair(name, r1, r2, a1, a2)
+	q.raw = func(t []*table.StoredTable, o baseline.Options) (*baseline.Result, error) {
+		return baseline.RawBandJoin(t[0], t[1], a1, a2, op, o)
 	}
-	m.Reset()
-	if raw {
-		bopts, err := e.baseOpts(m)
-		if err != nil {
-			return meas, err
-		}
-		res, err := baseline.RawBandJoin(s1, s2, a1, a2, op, bopts)
-		if err != nil {
-			return meas, err
-		}
-		meas.Stats, meas.Real = res.Stats, res.RealCount
-		return meas, nil
+	q.ours = func(t []*table.StoredTable, o core.Options) (*core.Result, error) {
+		return core.BandJoin(t[0], t[1], a1, a2, op, o)
 	}
-	copts, err := e.coreOpts(m)
-	if err != nil {
-		return meas, err
-	}
-	copts.OneORAM = shared
-	sp := e.Trace.ChildMeter(method+" "+name, m)
-	copts.Span = sp
-	defer sp.End()
-	res, err := core.BandJoin(s1, s2, a1, a2, op, copts)
-	if err != nil {
-		return meas, err
-	}
-	meas.Stats, meas.Real = res.Stats, res.RealCount
-	return meas, nil
+	return e.run(mt, q)
 }
 
 // RunMultiway executes one acyclic multiway equi-join with the given method.
-func (e *Env) RunMultiway(method string, name string, rels map[string]*relation.Relation, q jointree.Query) (Measure, error) {
-	meas := Measure{Method: method, Query: name}
-	tree, err := jointree.Build(q)
+func (e *Env) RunMultiway(method string, name string, rels map[string]*relation.Relation, jq jointree.Query) (Measure, error) {
+	mt, err := methodFor(method, multiway)
 	if err != nil {
-		return meas, err
+		return Measure{}, err
 	}
-	if method == MObliDB {
-		ordered := make([]*relation.Relation, tree.Len())
-		idx := map[string]int{}
-		for i, n := range tree.Order {
-			ordered[i] = rels[n.Table]
-			idx[n.Table] = i
+	tree, err := jointree.Build(jq)
+	if err != nil {
+		return Measure{}, err
+	}
+	q := query{name: name, rels: make([]*relation.Relation, tree.Len()), attrs: map[string][]string{}, writeBack: true}
+	idx := map[string]int{}
+	for i, n := range tree.Order {
+		q.rels[i] = rels[n.Table]
+		idx[n.Table] = i
+		if n.Attr != "" {
+			q.attrs[n.Table] = []string{n.Attr}
 		}
+	}
+	if mt.layout == obliDB {
 		var preds []baseline.EquiPred
-		for _, p := range q.Preds {
+		for _, p := range jq.Preds {
 			preds = append(preds, baseline.EquiPred{
 				A: idx[p.Left], AAttr: p.LeftAttr, B: idx[p.Right], BAttr: p.RightAttr,
 			})
 		}
-		return e.runObliDB(name, ordered, preds)
+		return e.runObliDB(name, q.rels, preds)
 	}
-
-	m := storage.NewMeter()
-	raw := method == MRawINLJ || method == MRawINLJCache
-	cache := method == MSepINLJCache || method == MOneINLJCache || method == MRawINLJCache
-	one := method == MOneINLJ || method == MOneINLJCache
-	topts, err := e.tableOpts(m, raw, cache, !raw)
-	if err != nil {
-		return meas, err
+	in := func(t []*table.StoredTable) core.MultiwayInput { return core.MultiwayInput{Tree: tree, Tables: t} }
+	q.raw = func(t []*table.StoredTable, o baseline.Options) (*baseline.Result, error) {
+		return baseline.RawMultiwayINLJ(in(t), o)
 	}
-	in := core.MultiwayInput{Tree: tree, Tables: make([]*table.StoredTable, tree.Len())}
-	var shared *oram.PathORAM
-	if one {
-		attrs := map[string][]string{}
-		ordered := make([]*relation.Relation, tree.Len())
-		for i, n := range tree.Order {
-			ordered[i] = rels[n.Table]
-			if n.Attr != "" {
-				attrs[n.Table] = []string{n.Attr}
-			}
-		}
-		tables, sh, err := table.StoreShared(ordered, attrs, topts)
-		if err != nil {
-			return meas, err
-		}
-		for i, n := range tree.Order {
-			in.Tables[i] = tables[n.Table]
-		}
-		shared = sh
-	} else {
-		for i, n := range tree.Order {
-			var attrs []string
-			if n.Attr != "" {
-				attrs = []string{n.Attr}
-			}
-			st, err := table.Store(rels[n.Table], attrs, topts)
-			if err != nil {
-				return meas, err
-			}
-			in.Tables[i] = st
-		}
+	q.ours = func(t []*table.StoredTable, o core.Options) (*core.Result, error) {
+		return core.MultiwayJoin(in(t), o)
 	}
-	m.Reset()
-	if raw {
-		bopts, err := e.baseOpts(m)
-		if err != nil {
-			return meas, err
-		}
-		res, err := baseline.RawMultiwayINLJ(in, bopts)
-		if err != nil {
-			return meas, err
-		}
-		meas.Stats, meas.Real = res.Stats, res.RealCount
-		return meas, nil
-	}
-	copts, err := e.coreOpts(m)
-	if err != nil {
-		return meas, err
-	}
-	copts.OneORAM = shared
-	sp := e.Trace.ChildMeter(method+" "+name, m)
-	copts.Span = sp
-	defer sp.End()
-	res, err := core.MultiwayJoin(in, copts)
-	if err != nil {
-		return meas, err
-	}
-	meas.Stats, meas.Real = res.Stats, res.RealCount
-	return meas, nil
+	return e.run(mt, q)
 }

@@ -2,11 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"oblivjoin/internal/core"
-	"oblivjoin/internal/jointree"
-	"oblivjoin/internal/relation"
 	"oblivjoin/internal/socialgraph"
+	"oblivjoin/internal/storage"
+	"oblivjoin/internal/table"
 	"oblivjoin/internal/tpch"
 )
 
@@ -31,293 +32,340 @@ type Figure struct {
 	Points []Point
 }
 
-func (e *Env) measurePoint(fig *Figure, m Measure, x string) {
-	fig.Points = append(fig.Points, Point{
-		Series:       m.Method,
-		X:            x,
-		A:            m.QueryCostSeconds(e.Cost),
-		B:            m.CommMB(),
-		Real:         m.Real,
-		Extrapolated: m.Extrapolated,
+// plot is how a figure is measured: (*Env).plot runs every method of the
+// lineup at every instance the cases build, under every setting of the
+// sweep.
+type plot struct {
+	title string
+	// storage plots cloud storage and client memory (Figures 7–8) rather
+	// than query cost and communication.
+	storage bool
+	lineup  []string
+	// sweep lists the Env settings each instance runs under; nil runs it
+	// once, under the Env as given.
+	sweep []setting
+	// cases builds the figure's instances and its configuration line.
+	cases func(e *Env) (config string, cs []instance)
+}
+
+// instance is one x of a figure: its label and the runner of one method
+// there.
+type instance struct {
+	x   string
+	run func(method string) (Point, error)
+}
+
+// setting is one step of a sweep: the label it adds to each x and the
+// change it makes to the Env.
+type setting struct {
+	label string
+	apply func(*Env)
+}
+
+// paddings sweeps the Section 8 padding strategies.
+func paddings(modes ...core.PaddingMode) []setting {
+	var out []setting
+	for _, p := range modes {
+		out = append(out, setting{p.String(), func(e *Env) { e.Padding = p }})
+	}
+	return out
+}
+
+// payloads sweeps the block payload.
+func payloads(bytes ...int) []setting {
+	var out []setting
+	for _, b := range bytes {
+		out = append(out, setting{fmt.Sprintf("%dB", b), func(e *Env) { e.BlockPayload = b }})
+	}
+	return out
+}
+
+// plot runs p as the figure id; the Env's padding and payload are restored
+// afterwards.
+func (e *Env) plot(id string, p *plot) (*Figure, error) {
+	config, cases := p.cases(e)
+	fig := &Figure{ID: id, Title: p.title, Config: config,
+		ALabel: "query cost (s)", BLabel: "communication (MB)"}
+	if p.storage {
+		fig.ALabel, fig.BLabel = "cloud storage (MB)", "client memory (MB)"
+	}
+	sweep := p.sweep
+	if sweep == nil {
+		sweep = []setting{{apply: func(*Env) {}}}
+	}
+	defer func(pad core.PaddingMode, payload int) {
+		e.Padding, e.BlockPayload = pad, payload
+	}(e.Padding, e.BlockPayload)
+	for _, c := range cases {
+		for _, s := range sweep {
+			s.apply(e)
+			x := c.x
+			switch {
+			case x == "":
+				x = s.label
+			case s.label != "":
+				x += "/" + s.label
+			}
+			for _, method := range p.lineup {
+				pt, err := c.run(method)
+				if err != nil {
+					return nil, fmt.Errorf("%s %s: %w", x, method, err)
+				}
+				pt.X = x
+				fig.Points = append(fig.Points, pt)
+			}
+		}
+	}
+	return fig, nil
+}
+
+// measured labels the instance x and plots each method's Measure there.
+func (e *Env) measured(x string, run func(method string) (Measure, error)) instance {
+	return instance{x, func(method string) (Point, error) {
+		m, err := run(method)
+		return Point{
+			Series:       m.Method,
+			A:            m.QueryCostSeconds(e.Cost),
+			B:            m.CommMB(),
+			Real:         m.Real,
+			Extrapolated: m.Extrapolated,
+		}, err
+	}}
+}
+
+// binary, banded and multi are the instances of one query, labelled by its
+// name. socialgraph's query types share tpch's fields, so they convert.
+func (e *Env) binary(q tpch.BinaryQuery) instance {
+	return e.measured(q.Name, func(method string) (Measure, error) {
+		return e.RunBinary(method, q.Name, q.R1, q.R2, q.A1, q.A2)
 	})
 }
 
-func queryFigure(e *Env, id, title, config string) *Figure {
-	return &Figure{
-		ID: id, Title: title, Config: config,
-		ALabel: "query cost (s)", BLabel: "communication (MB)",
-	}
+func (e *Env) banded(q tpch.BandQuery) instance {
+	return e.measured(q.Name, func(method string) (Measure, error) {
+		return e.RunBand(method, q.Name, q.R1, q.R2, q.A1, q.A2, q.Op)
+	})
 }
 
-// Fig9 reproduces Figure 9: binary equi-join on TPC-H, default setting.
-func Fig9(e *Env) (*Figure, error) {
-	db := tpch.Generate(tpch.Config{Suppliers: e.Scales.BinarySuppliers, Seed: e.Seed})
-	fig := queryFigure(e, "fig9", "binary equi-join on TPC-H",
-		fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.BinarySuppliers, e.payload()))
-	for _, q := range []tpch.BinaryQuery{db.TE1(), db.TE2(), db.TE3()} {
-		for _, method := range BinaryMethods {
-			m, err := e.RunBinary(method, q.Name, q.R1, q.R2, q.A1, q.A2)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", q.Name, method, err)
-			}
-			e.measurePoint(fig, m, q.Name)
+func (e *Env) multi(q tpch.MultiQuery) instance {
+	return e.measured(q.Name, func(method string) (Measure, error) {
+		return e.RunMultiway(method, q.Name, q.Rels, q.Query)
+	})
+}
+
+func (e *Env) tpchDB(suppliers int) *tpch.DB {
+	return tpch.Generate(tpch.Config{Suppliers: suppliers, Seed: e.Seed})
+}
+
+func (e *Env) socialDB(users int) *socialgraph.DB {
+	return socialgraph.Generate(socialgraph.Config{Users: users, Seed: e.Seed})
+}
+
+// tpchSizes builds one instance per TPC-H scale, labelled by its raw size.
+func (e *Env) tpchSizes(suppliers []int, at func(*tpch.DB) instance) []instance {
+	var out []instance
+	for _, s := range suppliers {
+		db := e.tpchDB(s)
+		c := at(db)
+		c.x = fmt.Sprintf("%.1fMB", float64(db.RawBytes())/1e6)
+		out = append(out, c)
+	}
+	return out
+}
+
+// socialSizes builds one instance per social-graph scale, labelled by its
+// user count.
+func (e *Env) socialSizes(users []int, at func(*socialgraph.DB) instance) []instance {
+	var out []instance
+	for _, u := range users {
+		c := at(e.socialDB(u))
+		c.x = fmt.Sprintf("%dusers", u)
+		out = append(out, c)
+	}
+	return out
+}
+
+var paddingStrategies = paddings(core.PadNone, core.PadClosestPower, core.PadCartesian)
+
+// secured drops the insecure Raw Index from a lineup: the padding figures
+// compare the oblivious methods only.
+func secured(names []string) []string {
+	return lineup(func(m method) bool {
+		return m.layout != rawIndex && slices.Contains(names, m.name)
+	})
+}
+
+// Chained-layout series of the ablation-chained figure.
+const (
+	leafChains  = "SMJ over B-tree leaves"
+	tupleChains = "SMJ over tuple chains"
+)
+
+// chained runs Algorithm 1 on q over the two storage layouts the paper
+// describes: B-tree leaf chains (one index and one data access per
+// retrieval: the Sep SMJ) versus embedded next-tuple pointers (a single
+// data access per retrieval, no index at all).
+func (e *Env) chained(q tpch.BinaryQuery) instance {
+	return e.measured(q.Name, func(series string) (Measure, error) {
+		if series == leafChains {
+			m, err := e.RunBinary(MSepSMJ, q.Name, q.R1, q.R2, q.A1, q.A2)
+			m.Method = series
+			return m, err
 		}
-	}
-	return fig, nil
-}
-
-// Fig10 reproduces Figure 10: binary equi-join on the social graph.
-func Fig10(e *Env) (*Figure, error) {
-	db := socialgraph.Generate(socialgraph.Config{Users: e.Scales.BinaryUsers, Seed: e.Seed})
-	fig := queryFigure(e, "fig10", "binary equi-join on social graph",
-		fmt.Sprintf("users=%d payload=%dB", e.Scales.BinaryUsers, e.payload()))
-	for _, q := range []socialgraph.BinaryQuery{db.SE1(), db.SE2(), db.SE3()} {
-		for _, method := range BinaryMethods {
-			m, err := e.RunBinary(method, q.Name, q.R1, q.R2, q.A1, q.A2)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", q.Name, method, err)
-			}
-			e.measurePoint(fig, m, q.Name)
+		meas := Measure{Method: series, Query: q.Name}
+		m := storage.NewMeter()
+		opts, err := e.tableOpts(m, method{layout: sepORAM}, false)
+		if err != nil {
+			return meas, err
 		}
-	}
-	return fig, nil
-}
-
-// Fig11 reproduces Figure 11: Query TE2 against raw data size.
-func Fig11(e *Env) (*Figure, error) {
-	fig := queryFigure(e, "fig11", "Query TE2 against raw data size", fmt.Sprintf("payload=%dB", e.payload()))
-	for _, s := range e.Scales.BinarySweep {
-		db := tpch.Generate(tpch.Config{Suppliers: s, Seed: e.Seed})
-		q := db.TE2()
-		x := fmt.Sprintf("%.1fMB", float64(db.RawBytes())/1e6)
-		for _, method := range BinaryMethods {
-			m, err := e.RunBinary(method, q.Name, q.R1, q.R2, q.A1, q.A2)
-			if err != nil {
-				return nil, fmt.Errorf("TE2@%d %s: %w", s, method, err)
-			}
-			e.measurePoint(fig, m, x)
+		c1, err := table.StoreChained(q.R1, q.A1, opts)
+		if err != nil {
+			return meas, err
 		}
-	}
-	return fig, nil
-}
-
-// Fig12 reproduces Figure 12: Query SE2 against raw data size.
-func Fig12(e *Env) (*Figure, error) {
-	fig := queryFigure(e, "fig12", "Query SE2 against raw data size", fmt.Sprintf("payload=%dB", e.payload()))
-	for _, u := range e.Scales.UserSweep {
-		db := socialgraph.Generate(socialgraph.Config{Users: u, Seed: e.Seed})
-		q := db.SE2()
-		x := fmt.Sprintf("%dusers", u)
-		for _, method := range BinaryMethods {
-			m, err := e.RunBinary(method, q.Name, q.R1, q.R2, q.A1, q.A2)
-			if err != nil {
-				return nil, fmt.Errorf("SE2@%d %s: %w", u, method, err)
-			}
-			e.measurePoint(fig, m, x)
+		c2, err := table.StoreChained(q.R2, q.A2, opts)
+		if err != nil {
+			return meas, err
 		}
-	}
-	return fig, nil
-}
-
-// Fig13 reproduces Figure 13: band joins on TPC-H.
-func Fig13(e *Env) (*Figure, error) {
-	db := tpch.Generate(tpch.Config{Suppliers: e.Scales.BandSuppliers, Seed: e.Seed})
-	fig := queryFigure(e, "fig13", "band join on TPC-H",
-		fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.BandSuppliers, e.payload()))
-	for _, q := range []tpch.BandQuery{db.TB1(), db.TB2()} {
-		for _, method := range BandMethods {
-			m, err := e.RunBand(method, q.Name, q.R1, q.R2, q.A1, q.A2, q.Op)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", q.Name, method, err)
-			}
-			e.measurePoint(fig, m, q.Name)
+		m.Reset()
+		copts, err := e.coreOpts(m)
+		if err != nil {
+			return meas, err
 		}
-	}
-	return fig, nil
-}
-
-// Fig14 reproduces Figure 14: Query TB1 against raw data size.
-func Fig14(e *Env) (*Figure, error) {
-	fig := queryFigure(e, "fig14", "Query TB1 against raw data size", fmt.Sprintf("payload=%dB", e.payload()))
-	for _, s := range e.Scales.BandSweep {
-		db := tpch.Generate(tpch.Config{Suppliers: s, Seed: e.Seed})
-		q := db.TB1()
-		x := fmt.Sprintf("%.1fMB", float64(db.RawBytes())/1e6)
-		for _, method := range BandMethods {
-			m, err := e.RunBand(method, q.Name, q.R1, q.R2, q.A1, q.A2, q.Op)
-			if err != nil {
-				return nil, fmt.Errorf("TB1@%d %s: %w", s, method, err)
-			}
-			e.measurePoint(fig, m, x)
+		res, err := core.SortMergeJoinChained(c1, c2, copts)
+		if err != nil {
+			return meas, err
 		}
-	}
-	return fig, nil
+		meas.Stats, meas.Real = res.Stats, res.RealCount
+		return meas, nil
+	})
 }
 
-// Fig15 reproduces Figure 15: multiway equi-join on TPC-H.
-func Fig15(e *Env) (*Figure, error) {
-	db := tpch.Generate(tpch.Config{Suppliers: e.Scales.MultiSuppliers, Seed: e.Seed})
-	fig := queryFigure(e, "fig15", "multiway equi-join on TPC-H",
-		fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.MultiSuppliers, e.payload()))
-	for _, q := range []tpch.MultiQuery{db.TM1(), db.TM2(), db.TM3()} {
-		for _, method := range MultiwayMethods {
-			m, err := e.RunMultiway(method, q.Name, q.Rels, q.Query)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", q.Name, method, err)
+// experiment is one registry row: an ID and its figure, nil for table1,
+// which writes tables of its own.
+type experiment struct {
+	id   string
+	plot *plot
+}
+
+// experiments is the registry, in the order -exp all runs it: the paper's
+// Table 1 and Figures 7–21, then this repo's ablations, each of which
+// isolates one design knob and reports its effect on cost.
+var experiments = []experiment{
+	{"table1", nil},
+	{"fig7", &plot{title: "storage cost against raw data size on TPC-H", storage: true, lineup: storageLineup,
+		cases: func(e *Env) (string, []instance) {
+			return fmt.Sprintf("payload=%dB", e.payload()), e.tpchSizes(e.Scales.StorageSuppliers,
+				func(db *tpch.DB) instance { return e.stored(db.Tables(), tpchIndexAttrs) })
+		}}},
+	{"fig8", &plot{title: "storage cost against raw data size on social graph", storage: true, lineup: storageLineup,
+		cases: func(e *Env) (string, []instance) {
+			return fmt.Sprintf("payload=%dB", e.payload()), e.socialSizes(e.Scales.StorageUsers,
+				func(db *socialgraph.DB) instance { return e.stored(db.Tables(), socialIndexAttrs) })
+		}}},
+	{"fig9", &plot{title: "binary equi-join on TPC-H", lineup: BinaryMethods,
+		cases: func(e *Env) (string, []instance) {
+			db := e.tpchDB(e.Scales.BinarySuppliers)
+			return fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.BinarySuppliers, e.payload()),
+				[]instance{e.binary(db.TE1()), e.binary(db.TE2()), e.binary(db.TE3())}
+		}}},
+	{"fig10", &plot{title: "binary equi-join on social graph", lineup: BinaryMethods,
+		cases: func(e *Env) (string, []instance) {
+			db := e.socialDB(e.Scales.BinaryUsers)
+			return fmt.Sprintf("users=%d payload=%dB", e.Scales.BinaryUsers, e.payload()), []instance{
+				e.binary(tpch.BinaryQuery(db.SE1())), e.binary(tpch.BinaryQuery(db.SE2())), e.binary(tpch.BinaryQuery(db.SE3())),
 			}
-			e.measurePoint(fig, m, q.Name)
-		}
-	}
-	return fig, nil
-}
-
-// Fig16 reproduces Figure 16: multiway equi-join on the social graph.
-func Fig16(e *Env) (*Figure, error) {
-	db := socialgraph.Generate(socialgraph.Config{Users: e.Scales.MultiUsers, Seed: e.Seed})
-	fig := queryFigure(e, "fig16", "multiway equi-join on social graph",
-		fmt.Sprintf("users=%d payload=%dB", e.Scales.MultiUsers, e.payload()))
-	for _, q := range []socialgraph.MultiQuery{db.SM1(), db.SM2(), db.SM3()} {
-		for _, method := range MultiwayMethods {
-			m, err := e.RunMultiway(method, q.Name, q.Rels, q.Query)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", q.Name, method, err)
+		}}},
+	{"fig11", &plot{title: "Query TE2 against raw data size", lineup: BinaryMethods,
+		cases: func(e *Env) (string, []instance) {
+			return fmt.Sprintf("payload=%dB", e.payload()), e.tpchSizes(e.Scales.BinarySweep,
+				func(db *tpch.DB) instance { return e.binary(db.TE2()) })
+		}}},
+	{"fig12", &plot{title: "Query SE2 against raw data size", lineup: BinaryMethods,
+		cases: func(e *Env) (string, []instance) {
+			return fmt.Sprintf("payload=%dB", e.payload()), e.socialSizes(e.Scales.UserSweep,
+				func(db *socialgraph.DB) instance { return e.binary(tpch.BinaryQuery(db.SE2())) })
+		}}},
+	{"fig13", &plot{title: "band join on TPC-H", lineup: BandMethods,
+		cases: func(e *Env) (string, []instance) {
+			db := e.tpchDB(e.Scales.BandSuppliers)
+			return fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.BandSuppliers, e.payload()),
+				[]instance{e.banded(db.TB1()), e.banded(db.TB2())}
+		}}},
+	{"fig14", &plot{title: "Query TB1 against raw data size", lineup: BandMethods,
+		cases: func(e *Env) (string, []instance) {
+			return fmt.Sprintf("payload=%dB", e.payload()), e.tpchSizes(e.Scales.BandSweep,
+				func(db *tpch.DB) instance { return e.banded(db.TB1()) })
+		}}},
+	{"fig15", &plot{title: "multiway equi-join on TPC-H", lineup: MultiwayMethods,
+		cases: func(e *Env) (string, []instance) {
+			db := e.tpchDB(e.Scales.MultiSuppliers)
+			return fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.MultiSuppliers, e.payload()),
+				[]instance{e.multi(db.TM1()), e.multi(db.TM2()), e.multi(db.TM3())}
+		}}},
+	{"fig16", &plot{title: "multiway equi-join on social graph", lineup: MultiwayMethods,
+		cases: func(e *Env) (string, []instance) {
+			db := e.socialDB(e.Scales.MultiUsers)
+			return fmt.Sprintf("users=%d payload=%dB", e.Scales.MultiUsers, e.payload()), []instance{
+				e.multi(tpch.MultiQuery(db.SM1())), e.multi(tpch.MultiQuery(db.SM2())), e.multi(tpch.MultiQuery(db.SM3())),
 			}
-			e.measurePoint(fig, m, q.Name)
-		}
-	}
-	return fig, nil
-}
-
-// Fig17 reproduces Figure 17: Query TM2 against raw data size.
-func Fig17(e *Env) (*Figure, error) {
-	fig := queryFigure(e, "fig17", "Query TM2 against raw data size", fmt.Sprintf("payload=%dB", e.payload()))
-	for _, s := range e.Scales.MultiSweep {
-		db := tpch.Generate(tpch.Config{Suppliers: s, Seed: e.Seed})
-		q := db.TM2()
-		x := fmt.Sprintf("%.1fMB", float64(db.RawBytes())/1e6)
-		for _, method := range MultiwayMethods {
-			m, err := e.RunMultiway(method, q.Name, q.Rels, q.Query)
-			if err != nil {
-				return nil, fmt.Errorf("TM2@%d %s: %w", s, method, err)
-			}
-			e.measurePoint(fig, m, x)
-		}
-	}
-	return fig, nil
-}
-
-// Fig18 reproduces Figure 18: Query SM2 against raw data size.
-func Fig18(e *Env) (*Figure, error) {
-	fig := queryFigure(e, "fig18", "Query SM2 against raw data size", fmt.Sprintf("payload=%dB", e.payload()))
-	for _, u := range e.Scales.MultiUserSweep {
-		db := socialgraph.Generate(socialgraph.Config{Users: u, Seed: e.Seed})
-		q := db.SM2()
-		x := fmt.Sprintf("%dusers", u)
-		for _, method := range MultiwayMethods {
-			m, err := e.RunMultiway(method, q.Name, q.Rels, q.Query)
-			if err != nil {
-				return nil, fmt.Errorf("SM2@%d %s: %w", u, method, err)
-			}
-			e.measurePoint(fig, m, x)
-		}
-	}
-	return fig, nil
-}
-
-var paddingStrategies = []core.PaddingMode{core.PadNone, core.PadClosestPower, core.PadCartesian}
-
-// paddingBinaryMethods is Figure 19's lineup: all secured binary methods.
-var paddingBinaryMethods = []string{
-	MObliDB, MODBJ, MSepSMJ, MSepINLJ, MSepINLJCache, MOneSMJ, MOneINLJ, MOneINLJCache,
-}
-
-// Fig19 reproduces Figure 19: padded vs non-padded binary equi-joins
-// (Query TE2 and SE2).
-func Fig19(e *Env) (*Figure, error) {
-	fig := queryFigure(e, "fig19", "padding strategies, binary equi-join (TE2, SE2)",
-		fmt.Sprintf("suppliers=%d users=%d payload=%dB", e.Scales.PadSuppliers, e.Scales.PadUsers, e.payload()))
-	tdb := tpch.Generate(tpch.Config{Suppliers: e.Scales.PadSuppliers, Seed: e.Seed})
-	sdb := socialgraph.Generate(socialgraph.Config{Users: e.Scales.PadUsers, Seed: e.Seed})
-	queries := []struct {
-		name   string
-		r1, r2 *relation.Relation
-		a1, a2 string
-	}{
-		{"TE2", tdb.TE2().R1, tdb.TE2().R2, "s_nationkey", "s_nationkey"},
-		{"SE2", sdb.SE2().R1, sdb.SE2().R2, "dst", "src"},
-	}
-	saved := e.Padding
-	defer func() { e.Padding = saved }()
-	for _, q := range queries {
-		for _, strat := range paddingStrategies {
-			e.Padding = strat
-			for _, method := range paddingBinaryMethods {
-				m, err := e.RunBinary(method, q.name, q.r1, q.r2, q.a1, q.a2)
-				if err != nil {
-					return nil, fmt.Errorf("%s %s %v: %w", q.name, method, strat, err)
-				}
-				e.measurePoint(fig, m, q.name+"/"+strat.String())
-			}
-		}
-	}
-	return fig, nil
-}
-
-// paddingBandMethods is Figure 20's lineup.
-var paddingBandMethods = []string{MSepINLJ, MSepINLJCache, MOneINLJ, MOneINLJCache}
-
-// Fig20 reproduces Figure 20: padded vs non-padded band joins (TB1, TB2).
-func Fig20(e *Env) (*Figure, error) {
-	fig := queryFigure(e, "fig20", "padding strategies, band join (TB1, TB2)",
-		fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.PadBandSuppliers, e.payload()))
-	db := tpch.Generate(tpch.Config{Suppliers: e.Scales.PadBandSuppliers, Seed: e.Seed})
-	saved := e.Padding
-	defer func() { e.Padding = saved }()
-	for _, q := range []tpch.BandQuery{db.TB1(), db.TB2()} {
-		for _, strat := range paddingStrategies {
-			e.Padding = strat
-			for _, method := range paddingBandMethods {
-				m, err := e.RunBand(method, q.Name, q.R1, q.R2, q.A1, q.A2, q.Op)
-				if err != nil {
-					return nil, fmt.Errorf("%s %s %v: %w", q.Name, method, strat, err)
-				}
-				e.measurePoint(fig, m, q.Name+"/"+strat.String())
-			}
-		}
-	}
-	return fig, nil
-}
-
-// paddingMultiMethods is Figure 21's lineup.
-var paddingMultiMethods = []string{MObliDB, MSepINLJ, MSepINLJCache, MOneINLJ, MOneINLJCache}
-
-// Fig21 reproduces Figure 21: padded vs non-padded multiway joins (TM2, SM2).
-func Fig21(e *Env) (*Figure, error) {
-	fig := queryFigure(e, "fig21", "padding strategies, multiway equi-join (TM2, SM2)",
-		fmt.Sprintf("suppliers=%d users=%d payload=%dB", e.Scales.PadMultiSupp, e.Scales.PadMultiUsers, e.payload()))
-	tdb := tpch.Generate(tpch.Config{Suppliers: e.Scales.PadMultiSupp, Seed: e.Seed})
-	sdb := socialgraph.Generate(socialgraph.Config{Users: e.Scales.PadMultiUsers, Seed: e.Seed})
-	queries := []struct {
-		name string
-		rels map[string]*relation.Relation
-		q    jointree.Query
-	}{
-		{"TM2", tdb.TM2().Rels, tdb.TM2().Query},
-		{"SM2", sdb.SM2().Rels, sdb.SM2().Query},
-	}
-	saved := e.Padding
-	defer func() { e.Padding = saved }()
-	for _, q := range queries {
-		for _, strat := range paddingStrategies {
-			e.Padding = strat
-			for _, method := range paddingMultiMethods {
-				m, err := e.RunMultiway(method, q.name, q.rels, q.q)
-				if err != nil {
-					return nil, fmt.Errorf("%s %s %v: %w", q.name, method, strat, err)
-				}
-				e.measurePoint(fig, m, q.name+"/"+strat.String())
-			}
-		}
-	}
-	return fig, nil
+		}}},
+	{"fig17", &plot{title: "Query TM2 against raw data size", lineup: MultiwayMethods,
+		cases: func(e *Env) (string, []instance) {
+			return fmt.Sprintf("payload=%dB", e.payload()), e.tpchSizes(e.Scales.MultiSweep,
+				func(db *tpch.DB) instance { return e.multi(db.TM2()) })
+		}}},
+	{"fig18", &plot{title: "Query SM2 against raw data size", lineup: MultiwayMethods,
+		cases: func(e *Env) (string, []instance) {
+			return fmt.Sprintf("payload=%dB", e.payload()), e.socialSizes(e.Scales.MultiUserSweep,
+				func(db *socialgraph.DB) instance { return e.multi(tpch.MultiQuery(db.SM2())) })
+		}}},
+	{"fig19", &plot{title: "padding strategies, binary equi-join (TE2, SE2)",
+		lineup: secured(BinaryMethods), sweep: paddingStrategies,
+		cases: func(e *Env) (string, []instance) {
+			s, u := e.Scales.PadSuppliers, e.Scales.PadUsers
+			return fmt.Sprintf("suppliers=%d users=%d payload=%dB", s, u, e.payload()),
+				[]instance{e.binary(e.tpchDB(s).TE2()), e.binary(tpch.BinaryQuery(e.socialDB(u).SE2()))}
+		}}},
+	{"fig20", &plot{title: "padding strategies, band join (TB1, TB2)",
+		lineup: secured(BandMethods), sweep: paddingStrategies,
+		cases: func(e *Env) (string, []instance) {
+			db := e.tpchDB(e.Scales.PadBandSuppliers)
+			return fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.PadBandSuppliers, e.payload()),
+				[]instance{e.banded(db.TB1()), e.banded(db.TB2())}
+		}}},
+	{"fig21", &plot{title: "padding strategies, multiway equi-join (TM2, SM2)",
+		lineup: secured(MultiwayMethods), sweep: paddingStrategies,
+		cases: func(e *Env) (string, []instance) {
+			s, u := e.Scales.PadMultiSupp, e.Scales.PadMultiUsers
+			return fmt.Sprintf("suppliers=%d users=%d payload=%dB", s, u, e.payload()),
+				[]instance{e.multi(e.tpchDB(s).TM2()), e.multi(tpch.MultiQuery(e.socialDB(u).SM2()))}
+		}}},
+	// The block payload behind Section 9.3.1's "data tuples only contain
+	// 100-200 bytes, much less than 4 KB block size": with large blocks the
+	// index joins' per-tuple ORAM retrievals grow expensive relative to
+	// ODBJ's packed streaming.
+	{"ablation-blocksize", &plot{title: "block-size ablation on Query TE1",
+		lineup: []string{MODBJ, MSepSMJ, MSepINLJ, MSepINLJCache}, sweep: payloads(256, 1024, 4096),
+		cases: func(e *Env) (string, []instance) {
+			c := e.binary(e.tpchDB(e.Scales.PadSuppliers).TE1())
+			c.x = ""
+			return fmt.Sprintf("suppliers=%d", e.Scales.PadSuppliers), []instance{c}
+		}}},
+	{"ablation-chained", &plot{title: "SMJ storage-layout ablation on Query TE1",
+		lineup: []string{leafChains, tupleChains},
+		cases: func(e *Env) (string, []instance) {
+			return fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.PadSuppliers, e.payload()),
+				[]instance{e.chained(e.tpchDB(e.Scales.PadSuppliers).TE1())}
+		}}},
+	// Figure 19's comparison extended with the differentially-private
+	// padding Section 8 points at: one-sided geometric noise on the output
+	// size instead of full Cartesian padding.
+	{"ablation-dppad", &plot{title: "padding strategies incl. DP noise on Query TE2",
+		lineup: []string{MSepINLJ, MSepINLJCache},
+		sweep:  paddings(core.PadNone, core.PadClosestPower, core.PadDP, core.PadCartesian),
+		cases: func(e *Env) (string, []instance) {
+			c := e.binary(e.tpchDB(e.Scales.PadSuppliers).TE2())
+			c.x = ""
+			return fmt.Sprintf("suppliers=%d payload=%dB", e.Scales.PadSuppliers, e.payload()), []instance{c}
+		}}},
 }

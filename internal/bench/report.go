@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -10,8 +11,8 @@ import (
 // series as rows and x values as columns — the same series the paper plots.
 func WriteFigure(w io.Writer, fig *Figure) {
 	fmt.Fprintf(w, "== %s: %s (%s)\n", strings.ToUpper(fig.ID), fig.Title, fig.Config)
-	xs := orderedXs(fig.Points)
-	series := orderedSeries(fig.Points)
+	xs := distinct(fig.Points, func(p Point) string { return p.X })
+	series := distinct(fig.Points, func(p Point) string { return p.Series })
 	byKey := map[string]Point{}
 	for _, p := range fig.Points {
 		byKey[p.Series+"\x00"+p.X] = p
@@ -31,11 +32,11 @@ func WriteFigure(w io.Writer, fig *Figure) {
 					fmt.Fprintf(w, " %14s", "-")
 					continue
 				}
-				mark := ""
+				mark := " "
 				if p.Extrapolated {
 					mark = "~"
 				}
-				fmt.Fprintf(w, " %13s%s", formatSI(pick(p)), orSpace(mark))
+				fmt.Fprintf(w, " %13s%s", formatSI(pick(p)), mark)
 			}
 			fmt.Fprintln(w)
 		}
@@ -43,13 +44,6 @@ func WriteFigure(w io.Writer, fig *Figure) {
 	panel("(a) "+fig.ALabel, func(p Point) float64 { return p.A })
 	panel("(b) "+fig.BLabel, func(p Point) float64 { return p.B })
 	fmt.Fprintln(w)
-}
-
-func orSpace(s string) string {
-	if s == "" {
-		return " "
-	}
-	return s
 }
 
 func formatSI(v float64) string {
@@ -71,25 +65,14 @@ func formatSI(v float64) string {
 	}
 }
 
-func orderedXs(points []Point) []string {
-	var xs []string
-	seen := map[string]bool{}
-	for _, p := range points {
-		if !seen[p.X] {
-			seen[p.X] = true
-			xs = append(xs, p.X)
-		}
-	}
-	return xs
-}
-
-func orderedSeries(points []Point) []string {
+// distinct lists each point's key once, in order of first appearance.
+func distinct(points []Point, key func(Point) string) []string {
 	var out []string
 	seen := map[string]bool{}
 	for _, p := range points {
-		if !seen[p.Series] {
-			seen[p.Series] = true
-			out = append(out, p.Series)
+		if k := key(p); !seen[k] {
+			seen[k] = true
+			out = append(out, k)
 		}
 	}
 	return out
@@ -105,26 +88,6 @@ func WriteFigureCSV(w io.Writer, fig *Figure) {
 	}
 }
 
-// experiment is one runnable experiment: its ID and the runner of its
-// figure, nil for table1, which writes tables of its own (Run).
-type experiment struct {
-	id  string
-	fig func(*Env) (*Figure, error)
-}
-
-// experiments is the registry, in the order -exp all runs it: the paper's
-// Table 1 and Figures 7–21, then this repo's ablations.
-var experiments = []experiment{
-	{"table1", nil},
-	{"fig7", Fig7}, {"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10},
-	{"fig11", Fig11}, {"fig12", Fig12}, {"fig13", Fig13}, {"fig14", Fig14},
-	{"fig15", Fig15}, {"fig16", Fig16}, {"fig17", Fig17}, {"fig18", Fig18},
-	{"fig19", Fig19}, {"fig20", Fig20}, {"fig21", Fig21},
-	{"ablation-blocksize", AblationBlockSize},
-	{"ablation-chained", AblationChained},
-	{"ablation-dppad", AblationDPPad},
-}
-
 // Experiments lists every runnable experiment by ID, in registry order.
 func Experiments() []string {
 	ids := make([]string, len(experiments))
@@ -134,31 +97,45 @@ func Experiments() []string {
 	return ids
 }
 
-// lookup finds the experiment registered under id.
-func lookup(id string) (experiment, error) {
-	for _, x := range experiments {
-		if x.id == id {
-			return x, nil
-		}
-	}
-	return experiment{}, fmt.Errorf("bench: unknown experiment %q (valid: %s)", id, strings.Join(Experiments(), ", "))
-}
+// Run executes one experiment by ID and writes its report.
+func Run(w io.Writer, e *Env, id string) error { return report(w, e, id, false) }
 
 // RunCSV executes one figure experiment and writes CSV instead of tables.
-func RunCSV(w io.Writer, e *Env, id string) error {
-	x, err := lookup(id)
-	if err != nil {
-		return err
-	}
-	if x.fig == nil {
+func RunCSV(w io.Writer, e *Env, id string) error { return report(w, e, id, true) }
+
+// report runs the experiment registered under id and writes its report:
+// Table 1's tables, or the figure as text or CSV.
+func report(w io.Writer, e *Env, id string, csv bool) error {
+	i := slices.IndexFunc(experiments, func(x experiment) bool { return x.id == id })
+	switch {
+	case i < 0:
+		return fmt.Errorf("bench: unknown experiment %q (valid: %s)", id, strings.Join(Experiments(), ", "))
+	case experiments[i].plot != nil:
+		fig, err := e.plot(id, experiments[i].plot)
+		if err != nil {
+			return err
+		}
+		if csv {
+			WriteFigureCSV(w, fig)
+		} else {
+			WriteFigure(w, fig)
+		}
+		return nil
+	case csv:
 		return fmt.Errorf("bench: experiment %q has no CSV form", id)
 	}
-	fig, err := x.fig(e)
+	rows, err := Table1(e)
 	if err != nil {
 		return err
 	}
-	WriteFigureCSV(w, fig)
-	return nil
+	WriteTable1(w, rows)
+	costs, err := Table1Costs(e)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, WriteTable1Costs(costs))
+	fmt.Fprintln(w)
+	return CheckTable1(rows)
 }
 
 // WriteTable1 renders the Table 1 verification.
@@ -173,32 +150,4 @@ func WriteTable1(w io.Writer, rows []Table1Row) {
 		fmt.Fprintf(w, "%-36s %-18s %12d %12d %s\n", r.Algorithm, r.Formula, r.Predicted, r.Measured, ok)
 	}
 	fmt.Fprintln(w)
-}
-
-// Run executes one experiment by ID and writes its report.
-func Run(w io.Writer, e *Env, id string) error {
-	x, err := lookup(id)
-	if err != nil {
-		return err
-	}
-	if x.fig == nil {
-		rows, err := Table1(e)
-		if err != nil {
-			return err
-		}
-		WriteTable1(w, rows)
-		costs, err := Table1Costs(e)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, WriteTable1Costs(costs))
-		fmt.Fprintln(w)
-		return CheckTable1(rows)
-	}
-	fig, err := x.fig(e)
-	if err != nil {
-		return err
-	}
-	WriteFigure(w, fig)
-	return nil
 }

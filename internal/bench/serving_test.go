@@ -35,7 +35,7 @@ func servedRelation(name string, seed int64) *relation.Relation {
 // on m (the meter the store accounts to; upload traffic excluded) and its
 // ORAM accesses.
 func joinOver(e *Env, m *storage.Meter, open storage.Opener, seed int64, beforeJoin func()) (rounds, accesses int64, err error) {
-	topts, err := e.tableOpts(m, false, false, false)
+	topts, err := e.tableOpts(m, method{layout: sepORAM}, false)
 	if err != nil {
 		return 0, 0, err
 	}

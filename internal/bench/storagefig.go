@@ -1,23 +1,15 @@
 package bench
 
 import (
-	"fmt"
 	"math"
 
 	"oblivjoin/internal/relation"
-	"oblivjoin/internal/socialgraph"
-	"oblivjoin/internal/table"
-	"oblivjoin/internal/tpch"
 	"oblivjoin/internal/xcrypto"
 )
 
-// Storage families of Figures 7–8.
-var storageFamilies = []string{
-	"ObliDB", "ODBJ",
-	"SepORAM", "SepORAM+Cache",
-	"OneORAM", "OneORAM+Cache",
-	"Raw Index", "Raw Index+Cache",
-}
+// storageLineup is the 8 storage series of Figures 7–8: each layout, with
+// and without cached index levels.
+var storageLineup = lineup(func(m method) bool { return !m.merge })
 
 // tpchIndexAttrs lists the attributes the paper's TPC-H queries probe, so
 // the storage figures account for every index a deployment would build.
@@ -37,116 +29,56 @@ var socialIndexAttrs = map[string][]string{
 	"inactive-user": {"src", "dst"},
 }
 
-// storageOf measures one family's cloud and client bytes for a dataset.
-func (e *Env) storageOf(family string, rels []*relation.Relation, attrs map[string][]string) (cloud, client int64, err error) {
+// stored is the storage instance of a dataset: each method plots its
+// family's cloud and client megabytes.
+func (e *Env) stored(rels []*relation.Relation, attrs map[string][]string) instance {
+	return instance{run: func(name string) (Point, error) {
+		mt, err := methodFor(name, binary)
+		if err != nil {
+			return Point{}, err
+		}
+		cloud, client, err := e.storageOf(mt, rels, attrs)
+		return Point{Series: mt.family(), A: float64(cloud) / 1e6, B: float64(client) / 1e6}, err
+	}}
+}
+
+// storageOf measures one layout's cloud and client bytes for a dataset.
+func (e *Env) storageOf(mt method, rels []*relation.Relation, attrs map[string][]string) (cloud, client int64, err error) {
 	payload := e.payload()
 	blockBytes := int64(payload + xcrypto.Overhead)
-	switch family {
-	case "ObliDB", "ODBJ":
+	switch mt.layout {
+	case obliDB, odbj:
 		// Encrypted data blocks only — no indexes, no ORAM tree.
 		var blocks int64
-		var dataBlocksTotal int64
 		for _, r := range rels {
 			per := payload / r.Schema.TupleSize()
 			if per < 1 {
 				per = 1
 			}
-			b := int64((r.Len() + per - 1) / per)
-			blocks += b
-			dataBlocksTotal += b
+			blocks += int64((r.Len() + per - 1) / per)
 		}
 		cloud = blocks * blockBytes
-		if family == "ODBJ" {
+		if mt.layout == odbj {
 			client = 2 * blockBytes // O(1): the paper's M = 2B working set
 		} else {
 			// ObliDB's trusted memory M = 50·log2(N) blocks.
-			logN := math.Log2(float64(dataBlocksTotal) + 2)
+			logN := math.Log2(float64(blocks) + 2)
 			client = int64(50*logN) * blockBytes
 		}
 		return cloud, client, nil
-
-	case "SepORAM", "SepORAM+Cache", "Raw Index", "Raw Index+Cache":
-		raw := family == "Raw Index" || family == "Raw Index+Cache"
-		cache := family == "SepORAM+Cache" || family == "Raw Index+Cache"
-		opts, err := e.tableOpts(nil, raw, cache, false)
-		if err != nil {
-			return 0, 0, err
-		}
-		for _, r := range rels {
-			st, err := table.Store(r, attrs[r.Schema.Table], opts)
-			if err != nil {
-				return 0, 0, err
-			}
+	}
+	tables, shared, err := e.store(mt, nil, rels, attrs, false)
+	if err != nil {
+		return 0, 0, err
+	}
+	if shared != nil {
+		cloud, client = shared.ServerBytes(), shared.ClientBytes()
+	}
+	for _, st := range tables {
+		if shared == nil {
 			cloud += st.CloudBytes()
-			client += st.ClientBytes()
 		}
-		return cloud, client, nil
-
-	case "OneORAM", "OneORAM+Cache":
-		cache := family == "OneORAM+Cache"
-		opts, err := e.tableOpts(nil, false, cache, false)
-		if err != nil {
-			return 0, 0, err
-		}
-		tables, shared, err := table.StoreShared(rels, attrs, opts)
-		if err != nil {
-			return 0, 0, err
-		}
-		cloud = shared.ServerBytes()
-		client = shared.ClientBytes()
-		for _, st := range tables {
-			client += st.ClientBytes() // cached index levels (views add no ORAM state)
-		}
-		return cloud, client, nil
+		client += st.ClientBytes() // cached index levels; OneORAM views add no ORAM state
 	}
-	return 0, 0, fmt.Errorf("bench: unknown storage family %q", family)
-}
-
-// Fig7 reproduces Figure 7: storage cost against raw data size on TPC-H.
-func Fig7(e *Env) (*Figure, error) {
-	fig := &Figure{
-		ID: "fig7", Title: "storage cost against raw data size on TPC-H",
-		Config: fmt.Sprintf("payload=%dB", e.payload()),
-		ALabel: "cloud storage (MB)", BLabel: "client memory (MB)",
-	}
-	for _, s := range e.Scales.StorageSuppliers {
-		db := tpch.Generate(tpch.Config{Suppliers: s, Seed: e.Seed})
-		x := fmt.Sprintf("%.1fMB", float64(db.RawBytes())/1e6)
-		for _, fam := range storageFamilies {
-			cloud, client, err := e.storageOf(fam, db.Tables(), tpchIndexAttrs)
-			if err != nil {
-				return nil, fmt.Errorf("%s@%d: %w", fam, s, err)
-			}
-			fig.Points = append(fig.Points, Point{
-				Series: fam, X: x,
-				A: float64(cloud) / 1e6, B: float64(client) / 1e6,
-			})
-		}
-	}
-	return fig, nil
-}
-
-// Fig8 reproduces Figure 8: storage cost against raw data size on the
-// social graph.
-func Fig8(e *Env) (*Figure, error) {
-	fig := &Figure{
-		ID: "fig8", Title: "storage cost against raw data size on social graph",
-		Config: fmt.Sprintf("payload=%dB", e.payload()),
-		ALabel: "cloud storage (MB)", BLabel: "client memory (MB)",
-	}
-	for _, u := range e.Scales.StorageUsers {
-		db := socialgraph.Generate(socialgraph.Config{Users: u, Seed: e.Seed})
-		x := fmt.Sprintf("%dusers", u)
-		for _, fam := range storageFamilies {
-			cloud, client, err := e.storageOf(fam, db.Tables(), socialIndexAttrs)
-			if err != nil {
-				return nil, fmt.Errorf("%s@%d: %w", fam, u, err)
-			}
-			fig.Points = append(fig.Points, Point{
-				Series: fam, X: x,
-				A: float64(cloud) / 1e6, B: float64(client) / 1e6,
-			})
-		}
-	}
-	return fig, nil
+	return cloud, client, nil
 }

@@ -9,8 +9,6 @@ import (
 	"oblivjoin/internal/oram"
 	"oblivjoin/internal/relation"
 	"oblivjoin/internal/storage"
-	"oblivjoin/internal/table"
-	"oblivjoin/internal/tpch"
 )
 
 // Table1Row is one verified line of the paper's Table 1: an algorithm, the
@@ -26,10 +24,6 @@ type Table1Row struct {
 // paper's Table 1 "Ours" block on a randomized instance and checks the
 // measured per-table retrieval count against the closed form.
 func Table1(e *Env) ([]Table1Row, error) {
-	sealer, err := e.sealer()
-	if err != nil {
-		return nil, err
-	}
 	mk := func(name string, n, dom int, seed int64) *relation.Relation {
 		rel := &relation.Relation{Schema: relation.Schema{Table: name, Columns: []string{"a", "b"}}}
 		src := oram.NewSeededSource(uint64(seed))
@@ -44,100 +38,45 @@ func Table1(e *Env) ([]Table1Row, error) {
 	r2 := mk("y", 29, 9, e.Seed+1)
 	r3 := mk("z", 23, 9, e.Seed+2)
 
-	topts := table.Options{BlockPayload: e.payload(), Sealer: sealer, Rand: oram.NewSeededSource(uint64(e.Seed))}
-	copts := core.Options{Sealer: sealer, OutBlockSize: e.payload()}
-	store := func(rel *relation.Relation, attrs []string, wb bool) (*table.StoredTable, error) {
-		o := topts
-		o.WriteBackDescents = wb
-		return table.Store(rel, attrs, o)
-	}
-
-	var rows []Table1Row
-	s1, err := store(r1, []string{"a"}, false)
+	smj, err := e.RunBinary(MSepSMJ, "x⋈y", r1, r2, "a", "a")
 	if err != nil {
 		return nil, err
 	}
-	s2, err := store(r2, []string{"a"}, false)
+	inlj, err := e.RunBinary(MSepINLJ, "x⋈y", r1, r2, "a", "a")
 	if err != nil {
 		return nil, err
 	}
-
-	smj, err := core.SortMergeJoin(s1, s2, "a", "a", copts)
+	band, err := e.RunBand(MSepINLJ, "x⋈y", r1, r2, "a", "a", core.BandLess)
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, Table1Row{
-		Algorithm: "SMJ (Theorem 1)",
-		Formula:   "|T1|+|T2|+|R|+1",
-		Predicted: core.NumtrSortMerge(37, 29, int64(smj.RealCount)),
-		Measured:  smj.Steps,
-	})
-
-	inlj, err := core.IndexNestedLoopJoin(s1, s2, "a", "a", copts)
+	multi, err := e.RunMultiway(MSepINLJ, "x⋈y⋈z",
+		map[string]*relation.Relation{"x": r1, "y": r2, "z": r3},
+		jointree.Query{
+			Tables: []string{"x", "y", "z"},
+			Preds: []jointree.Pred{
+				{Left: "x", LeftAttr: "a", Right: "y", RightAttr: "a"},
+				{Left: "y", LeftAttr: "b", Right: "z", RightAttr: "b"},
+			},
+		})
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, Table1Row{
-		Algorithm: "INLJ (Theorem 2)",
-		Formula:   "|T1|+|R|",
-		Predicted: core.NumtrINLJ(37, int64(inlj.RealCount)),
-		Measured:  inlj.Steps,
-	})
-
-	band, err := core.BandJoin(s1, s2, "a", "a", core.BandLess, copts)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, Table1Row{
-		Algorithm: "Band INLJ (Theorem 3)",
-		Formula:   "|T1|+|R|",
-		Predicted: core.NumtrBand(37, int64(band.RealCount)),
-		Measured:  band.Steps,
-	})
-
-	tree, err := jointree.Build(jointree.Query{
-		Tables: []string{"x", "y", "z"},
-		Preds: []jointree.Pred{
-			{Left: "x", LeftAttr: "a", Right: "y", RightAttr: "a"},
-			{Left: "y", LeftAttr: "b", Right: "z", RightAttr: "b"},
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	m1, err := store(r1, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	m2, err := store(r2, []string{"a"}, true)
-	if err != nil {
-		return nil, err
-	}
-	m3, err := store(r3, []string{"b"}, true)
-	if err != nil {
-		return nil, err
-	}
-	multi, err := core.MultiwayJoin(core.MultiwayInput{Tree: tree, Tables: []*table.StoredTable{m1, m2, m3}}, copts)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, Table1Row{
-		Algorithm: "Multiway INLJ (Theorem 4, padded)",
-		Formula:   "|T1|+2Σ|Tj|+|R|",
-		Predicted: core.NumtrMultiway([]int64{37, 29, 23}, int64(multi.RealCount)),
-		Measured:  multi.PaddedSteps,
-	})
-	return rows, nil
+	return []Table1Row{
+		{"SMJ (Theorem 1)", "|T1|+|T2|+|R|+1", core.NumtrSortMerge(37, 29, int64(smj.Real)), smj.Steps},
+		{"INLJ (Theorem 2)", "|T1|+|R|", core.NumtrINLJ(37, int64(inlj.Real)), inlj.Steps},
+		{"Band INLJ (Theorem 3)", "|T1|+|R|", core.NumtrBand(37, int64(band.Real)), band.Steps},
+		{"Multiway INLJ (Theorem 4, padded)", "|T1|+2Σ|Tj|+|R|",
+			core.NumtrMultiway([]int64{37, 29, 23}, int64(multi.Real)), multi.PaddedSteps},
+	}, nil
 }
 
 // Table1Cost is one measured-cost line of the comparison table: an
-// algorithm executed on the common instance with its traffic and client
-// memory, mirroring the computation/cloud/client columns of the paper's
-// Table 1.
+// algorithm executed on the common instance with its traffic, mirroring
+// the communication column of the paper's Table 1.
 type Table1Cost struct {
-	Algorithm   string
-	CommMB      float64
-	ClientBytes int64
+	Algorithm string
+	CommMB    float64
 }
 
 // Table1Costs measures every algorithm of the paper's Table 1 on a common
@@ -145,7 +84,7 @@ type Table1Cost struct {
 // baseline, ODBJ, the PF sort-merge joins (on a PF-shaped instance, their
 // only supported case), and our SMJ/INLJ(+Cache) in both ORAM settings.
 func Table1Costs(e *Env) ([]Table1Cost, error) {
-	db := tpch.Generate(tpch.Config{Suppliers: e.Scales.PadSuppliers, Seed: e.Seed})
+	db := e.tpchDB(e.Scales.PadSuppliers)
 	q := db.TE1()
 	var out []Table1Cost
 	for _, method := range BinaryMethods {
@@ -187,16 +126,11 @@ func WriteTable1Costs(rows []Table1Cost) string {
 	return s
 }
 
-// CheckTable1 returns an error if any measured count exceeds its bound, or
-// if the exact theorems (1–3) are violated.
+// CheckTable1 returns an error unless every measured count equals its
+// closed form: exactly for Theorems 1–3, and for Theorem 4 after padding to
+// its bound.
 func CheckTable1(rows []Table1Row) error {
 	for _, r := range rows {
-		if r.Algorithm == "Multiway INLJ (Theorem 4, padded)" {
-			if r.Measured != r.Predicted {
-				return fmt.Errorf("%s: measured %d != padded bound %d", r.Algorithm, r.Measured, r.Predicted)
-			}
-			continue
-		}
 		if r.Measured != r.Predicted {
 			return fmt.Errorf("%s: measured %d != predicted %d", r.Algorithm, r.Measured, r.Predicted)
 		}

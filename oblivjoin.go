@@ -26,6 +26,7 @@ package oblivjoin
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -334,12 +335,13 @@ func (db *Database) joinOpts() core.Options {
 // ConnectRemote points the database's server-side storage at a networked
 // block server (cmd/ojoinserver): every store Seal provisions is created
 // over the wire and all ORAM traffic flows through batched path RPCs. Must
-// be called before Seal; traffic accounting still lands in Stats.
+// be called before Seal and is mutually exclusive with ConnectShards;
+// traffic accounting still lands in Stats.
 func (db *Database) ConnectRemote(addr string) error {
 	if db.sealed {
 		return fmt.Errorf("oblivjoin: connect before sealing")
 	}
-	if db.remote != nil {
+	if db.remote != nil || db.pool != nil {
 		return fmt.Errorf("oblivjoin: already connected")
 	}
 	c, err := remote.Dial(remote.ClientOptions{Addr: addr, Meter: db.meter})
@@ -459,19 +461,20 @@ func (db *Database) KeyEpoch() uint8 {
 	return db.keyring.Epoch()
 }
 
-// Close releases the remote connection pool, if any, and zeroizes the
-// keyring's derived key material.
+// Close releases every connected backend — the remote client and the shard
+// pool — and zeroizes the keyring's derived key material.
 func (db *Database) Close() error {
 	if db.keyring != nil {
 		db.keyring.Close()
 	}
+	var errs []error
 	if db.remote != nil {
-		return db.remote.Close()
+		errs = append(errs, db.remote.Close())
 	}
 	if db.pool != nil {
-		return db.pool.Close()
+		errs = append(errs, db.pool.Close())
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // StartTrace opens a telemetry root span: until EndTrace, every query run

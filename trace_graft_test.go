@@ -2,6 +2,7 @@ package oblivjoin
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -221,4 +222,28 @@ func (b *syncBuffer) String() string {
 
 func (b *syncBuffer) count(sub string) int {
 	return strings.Count(b.String(), sub)
+}
+
+// TestConnectRemoteAfterShardsRefused checks that a database holds one
+// backend: ConnectRemote after ConnectShards is refused (Seal would
+// otherwise route through the pool while Close released only the remote
+// client), and Close releases the shard pool's connections.
+func TestConnectRemoteAfterShardsRefused(t *testing.T) {
+	addrs := startShardServers(t, 3)
+	db := NewDatabase(Config{BlockPayload: 512})
+	if err := db.ConnectShards(addrs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ConnectRemote(addrs[2]); err == nil {
+		t.Fatal("ConnectRemote accepted after ConnectShards")
+	}
+	pool := db.pool
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range pool.Clients() {
+		if _, err := c.Open("probe"); !errors.Is(err, remote.ErrClosed) {
+			t.Fatalf("shard %d client still open after Close: %v", i, err)
+		}
+	}
 }
