@@ -270,7 +270,7 @@ func main() {
 		res.PaddedSteps, float64(res.Stats.BytesMoved())/1e6, db.QueryCost(res))
 	if *shardAddrs != "" {
 		fmt.Print("shard fan-out (ojoin_shard_* metrics):\n")
-		db.WriteShardMetrics(os.Stdout)
+		db.WriteMetrics(os.Stdout) //nolint:errcheck // stdout, like the records above
 	}
 
 	if *traceOut != "" {

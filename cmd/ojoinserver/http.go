@@ -10,20 +10,18 @@ import (
 
 	"oblivjoin/internal/diskstore"
 	"oblivjoin/internal/remote"
+	"oblivjoin/internal/telemetry"
 )
 
 // startHTTP serves the observability endpoints next to the block protocol:
 //
 //	/healthz      liveness probe ("ok")
-//	/metrics      Prometheus text exposition: per-store counters, session
-//	              and broker tallies (aggregate and per store), per-op
-//	              latency histograms with the queue-wait / store-I/O
-//	              decomposition, and (with -data-dir) the persistence
-//	              counters plus the log and segment fsync latency
-//	              histograms
+//	/metrics      Prometheus text exposition of the server's metric
+//	              families (remote.Server.Metrics) and, with -data-dir, the
+//	              directory's (diskstore.Dir.Metrics)
 //	/debug/trace  recent server spans as JSON, ?trace=<id> filters to one
 //	              distributed trace (see DESIGN.md §2.13)
-//	/debug/vars   the same counters as expvar JSON
+//	/debug/vars   the same families as expvar JSON
 //	/debug/pprof  the standard pprof profiles
 //
 // Counter snapshots are atomic reads and histogram observation is
@@ -31,51 +29,27 @@ import (
 // The endpoints expose only aggregate request counts, op kinds, and
 // timings — quantities the untrusted server observes anyway, so nothing
 // beyond Definition 1's leakage is published.
+//
+// The families are published to expvar as "ojoinserver_metrics", and
+// expvar.Publish panics on a duplicate name, so startHTTP runs once per
+// process.
 func startHTTP(addr string, srv *remote.Server, dir *diskstore.Dir) (net.Addr, error) {
-	expvar.Publish("ojoinserver_stores", expvar.Func(func() any {
-		_, counts := srv.CountsAll()
-		return counts
-	}))
-	if dir != nil {
-		expvar.Publish("ojoinserver_disk", expvar.Func(func() any {
-			_, perStore, _ := dir.Stats()
-			return perStore
-		}))
+	metrics := func() []telemetry.Family {
+		fams := srv.Metrics()
+		if dir != nil {
+			fams = append(fams, dir.Metrics()...)
+		}
+		return fams
 	}
+	expvar.Publish("ojoinserver_metrics", expvar.Func(func() any { return metrics() }))
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
-	expvar.Publish("ojoinserver_sessions", expvar.Func(func() any {
-		return srv.Sessions().Snapshot()
-	}))
-	// Per-session rows: ID, tenant, and traffic so far. All quantities the
-	// untrusted server observes on the wire anyway.
-	expvar.Publish("ojoinserver_session_table", expvar.Func(func() any {
-		type row struct {
-			ID       int64  `json:"id"`
-			Tenant   string `json:"tenant"`
-			Requests int64  `json:"requests"`
-			Stores   int    `json:"stores"`
-		}
-		var rows []row
-		for _, s := range srv.Sessions().Sessions() {
-			rows = append(rows, row{
-				ID: s.ID(), Tenant: s.Tenant(),
-				Requests: s.Requests(), Stores: len(s.Touched()),
-			})
-		}
-		return rows
-	}))
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		remote.WriteStoreMetrics(w, srv)
-		remote.WriteSessionMetrics(w, srv)
-		remote.WriteHistogramMetrics(w, srv)
-		if dir != nil {
-			diskstore.WriteMetrics(w, dir)
-		}
+		telemetry.WritePrometheus(w, metrics()...) //nolint:errcheck // the client went away
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		var traceID uint64

@@ -9,9 +9,10 @@
 // argument and clients' retry paths can be exercised deterministically.
 //
 // With -http the server additionally serves live observability endpoints:
-// /metrics (Prometheus text of the per-store request counters, updated
-// atomically while requests are in flight), /healthz, /debug/vars (expvar),
-// and /debug/pprof. The per-store counters are still printed at shutdown.
+// /metrics (Prometheus text of every metric family, updated atomically
+// while requests are in flight), /healthz, /debug/vars (the same families
+// as expvar JSON), /debug/trace, and /debug/pprof. The per-store counters
+// are still printed at shutdown.
 //
 // The server is multi-tenant: clients that open a session (remote.Client
 // StartSession) get their stores qualified into a per-tenant namespace and

@@ -193,9 +193,18 @@ func TestLatencyBenchSmoke(t *testing.T) {
 		if len(stats) != shards {
 			t.Fatalf("%d shards: router reports %d shards", shards, len(stats))
 		}
-		for s, st := range stats {
-			if st.P95MS <= 0 {
-				t.Fatalf("%d shards: shard %d sub-call p95 = %v", shards, s, st.P95MS)
+		var latency []telemetry.Sample
+		for _, f := range r.pool.Metrics() {
+			if f.Name == "ojoin_shard_latency_seconds" {
+				latency = f.Samples
+			}
+		}
+		if len(latency) != shards {
+			t.Fatalf("%d shards: %d sub-call latency histograms", shards, len(latency))
+		}
+		for s, h := range latency {
+			if p95 := h.Hist.Quantile(0.95); p95 <= 0 {
+				t.Fatalf("%d shards: shard %d sub-call p95 = %v", shards, s, p95)
 			}
 		}
 		if skew := shard.Skew(stats); skew <= 0 {

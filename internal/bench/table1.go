@@ -100,7 +100,6 @@ func Table1Costs(e *Env) ([]Table1Cost, error) {
 	if err != nil {
 		return nil, err
 	}
-	bopts.Meter = storage.NewMeter()
 	pf, err := baseline.PFSortMergeJoin(db.Nation, db.Supplier, "n_nationkey", "s_nationkey", bopts)
 	if err != nil {
 		return nil, err

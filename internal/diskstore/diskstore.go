@@ -44,9 +44,6 @@ type Options struct {
 	// this, the segment is fsynced and the next generation starts in the
 	// other log file. 0 means 1 MiB.
 	CheckpointBytes int64
-	// Meter, when non-nil, receives the same traffic accounting a MemStore
-	// reports — used when the disk store backs an in-process benchmark.
-	Meter *storage.Meter
 	// FS substitutes the filesystem; nil means the operating system. Tests
 	// inject one that kills the store at exact operation boundaries.
 	FS FS
@@ -645,9 +642,6 @@ func (s *Store) Read(i int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m := s.opts.Meter; m != nil {
-		m.CountBatch(s.name, storage.KindRead, idxs, s.blockSize)
-	}
 	return blk, nil
 }
 
@@ -669,9 +663,6 @@ func (s *Store) Write(i int64, data []byte) error {
 	}
 	if err := s.commit([]int64{i}, [][]byte{data}); err != nil {
 		return err
-	}
-	if m := s.opts.Meter; m != nil {
-		m.CountBatch(s.name, storage.KindWrite, []int64{i}, s.blockSize)
 	}
 	return nil
 }
@@ -702,9 +693,6 @@ func (s *Store) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m := s.opts.Meter; m != nil {
-		m.CountBatch(s.name, storage.KindRead, idxs, s.blockSize)
-	}
 	return dst, nil
 }
 
@@ -733,9 +721,6 @@ func (s *Store) WriteMany(idxs []int64, data [][]byte) error {
 	}
 	if err := s.commit(idxs, data); err != nil {
 		return err
-	}
-	if m := s.opts.Meter; m != nil {
-		m.CountBatch(s.name, storage.KindWrite, idxs, s.blockSize)
 	}
 	return nil
 }
@@ -783,9 +768,6 @@ func (s *Store) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, re
 	dst, err := s.readSlotsTo(dst, readIdxs)
 	if err != nil {
 		return nil, err
-	}
-	if m := s.opts.Meter; m != nil {
-		m.CountExchange(s.name, writeIdxs, readIdxs, s.blockSize)
 	}
 	return dst, nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"oblivjoin/internal/remote"
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/storage/storetest"
 )
@@ -328,11 +329,29 @@ func TestEscapeNameInjective(t *testing.T) {
 	}
 }
 
-// TestMeterAccounting checks the disk backend meters exactly like MemStore:
-// one round per batch, per-block transfer counts.
+// TestMeterAccounting checks the disk backend, served over a loopback
+// connection, meters exactly like MemStore: one round per batch, per-block
+// transfer counts. The store itself meters nothing; the client does.
 func TestMeterAccounting(t *testing.T) {
 	m := storage.NewMeter()
-	s := openTemp(t, 8, 32, Options{Meter: m})
+	srv := remote.NewServer(remote.ServerOptions{})
+	if err := srv.Register("s", openTemp(t, 8, 32, Options{})); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := remote.Dial(remote.ClientOptions{Addr: addr.String(), Meter: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.Open("s")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.WriteMany([]int64{0, 1, 2}, [][]byte{block(32, 1), block(32, 2), block(32, 3)}); err != nil {
 		t.Fatal(err)
 	}

@@ -168,11 +168,12 @@ func TestJoinSurvivesServerRestart(t *testing.T) {
 }
 
 // TestBackendInvisibleToObliviousCost runs one seeded sort-merge join over
-// in-memory stores and over a diskstore.Dir syncing every commit and every
-// 16th. Persistence sits below the access pattern, so the join's ORAM
-// accesses, network rounds and blocks moved must be identical on all three
-// backends — a backend that changed them would be a leak — while group
-// commit must cost fewer WAL fsyncs than per-commit sync.
+// in-memory stores and, through a loopback server, over a diskstore.Dir
+// syncing every commit and every 16th. Persistence sits below the access
+// pattern, so the join's ORAM accesses, network rounds and blocks moved
+// must be identical on all three backends — a backend that changed them
+// would be a leak — while group commit must cost fewer WAL fsyncs than
+// per-commit sync.
 func TestBackendInvisibleToObliviousCost(t *testing.T) {
 	sealer, err := xcrypto.NewSealer(bytes.Repeat([]byte{9}, xcrypto.KeySize), nil)
 	if err != nil {
@@ -193,13 +194,24 @@ func TestBackendInvisibleToObliviousCost(t *testing.T) {
 		}
 		var dir *diskstore.Dir
 		if syncEvery > 0 {
-			d, err := diskstore.Open(t.TempDir(), diskstore.Options{SyncEvery: syncEvery, Meter: m})
+			d, err := diskstore.Open(t.TempDir(), diskstore.Options{SyncEvery: syncEvery})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer d.Close()
 			dir = d
-			topts.OpenStore = d.Opener()
+			srv := remote.NewServer(remote.ServerOptions{OpenStore: d.Opener()})
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := remote.Dial(remote.ClientOptions{Addr: addr.String(), Meter: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			topts.OpenStore = c.Opener()
 		}
 		t1, err := table.Store(e2eRel("t1", k1), []string{"k"}, topts)
 		if err != nil {

@@ -4,149 +4,95 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"strconv"
 
-	"oblivjoin/internal/storage"
 	"oblivjoin/internal/telemetry"
 )
 
-// This file renders the server's observability surfaces: Prometheus text
-// exposition for /metrics (counters and fixed-boundary latency
-// histograms) and the JSON span batches behind OpTrace / /debug/trace.
-// Everything rendered is a function of request sizes, kinds, and timing —
-// quantities the untrusted server observes anyway, so nothing beyond
-// Definition 1's leakage is published.
+// This file renders the server's observability surfaces: the metric
+// families behind /metrics and /debug/vars, and the JSON span batches
+// behind OpTrace / /debug/trace. Everything rendered is a function of
+// request sizes, kinds, and timing — quantities the untrusted server
+// observes anyway, so nothing beyond Definition 1's leakage is published.
 
-// WriteStoreMetrics renders the per-store request counters in the
-// Prometheus text exposition format, one labeled sample per store plus a
-// server total.
-func WriteStoreMetrics(w io.Writer, srv *Server) {
-	names, counts := srv.CountsAll()
-	type metric struct {
-		name, help string
-		value      func(Counters) int64
+// Metrics returns the server's families: per-store request counters and a
+// server total; the session table's admission counters and per-session
+// traffic; the access broker's round, contention and queue-wait counters,
+// aggregate and per guarded store; and the latency histograms — service
+// time per wire op, broker queue wait, and wrapped-store execution time.
+func (s *Server) Metrics() []telemetry.Family {
+	counter, gauge, hist := telemetry.NewCounter, telemetry.NewGauge, telemetry.NewHistogramFamily
+	store := []telemetry.Family{
+		counter("ojoin_store_requests_total", "RPCs served against the store (one request = one round trip)."),
+		counter("ojoin_store_reads_total", "Single-block read requests."),
+		counter("ojoin_store_writes_total", "Single-block write requests."),
+		counter("ojoin_store_batch_reads_total", "Batched read requests (e.g. ORAM path downloads)."),
+		counter("ojoin_store_batch_writes_total", "Batched write requests (e.g. ORAM path write-backs)."),
+		counter("ojoin_store_blocks_read_total", "Individual blocks sent to clients."),
+		counter("ojoin_store_blocks_written_total", "Individual blocks received from clients."),
 	}
-	metrics := []metric{
-		{"ojoin_store_requests_total", "RPCs served against the store (one request = one round trip).",
-			func(c Counters) int64 { return c.Requests }},
-		{"ojoin_store_reads_total", "Single-block read requests.",
-			func(c Counters) int64 { return c.Reads }},
-		{"ojoin_store_writes_total", "Single-block write requests.",
-			func(c Counters) int64 { return c.Writes }},
-		{"ojoin_store_batch_reads_total", "Batched read requests (e.g. ORAM path downloads).",
-			func(c Counters) int64 { return c.BatchReads }},
-		{"ojoin_store_batch_writes_total", "Batched write requests (e.g. ORAM path write-backs).",
-			func(c Counters) int64 { return c.BatchWrites }},
-		{"ojoin_store_blocks_read_total", "Individual blocks sent to clients.",
-			func(c Counters) int64 { return c.BlocksRead }},
-		{"ojoin_store_blocks_written_total", "Individual blocks received from clients.",
-			func(c Counters) int64 { return c.BlocksWritten }},
-	}
-	for _, m := range metrics {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", m.name, m.help, m.name)
-		for _, n := range names {
-			fmt.Fprintf(w, "%s{store=%q} %d\n", m.name, n, m.value(counts[n]))
+	names, counts := s.CountsAll()
+	for _, n := range names {
+		c := counts[n]
+		for i, v := range []int64{c.Requests, c.Reads, c.Writes, c.BatchReads, c.BatchWrites, c.BlocksRead, c.BlocksWritten} {
+			store[i].Add(float64(v), "store", n)
 		}
 	}
-	fmt.Fprintf(w, "# HELP ojoin_server_requests_total RPCs served across all stores.\n")
-	fmt.Fprintf(w, "# TYPE ojoin_server_requests_total counter\n")
-	fmt.Fprintf(w, "ojoin_server_requests_total %d\n", srv.TotalRequests())
-}
+	total := counter("ojoin_server_requests_total", "RPCs served across all stores.")
+	total.Add(float64(s.TotalRequests()))
 
-// WriteSessionMetrics renders the serving layer's admission and broker
-// counters, including the per-store broker decomposition (rounds,
-// contention, and queue wait per guarded store). Session counts,
-// rejection totals, and broker tallies are functions of request arrival
-// timing only — the same public schedule the untrusted server already
-// observes.
-func WriteSessionMetrics(w io.Writer, srv *Server) {
-	ss := srv.Sessions().Snapshot()
-	bs := srv.BrokerStats()
-	type sample struct {
-		name, typ, help string
-		value           int64
+	ss, bs := s.sessions.Snapshot(), s.broker.Stats()
+	scalars := []telemetry.Family{
+		gauge("ojoin_sessions_active", "Live client sessions."),
+		gauge("ojoin_sessions_peak", "High-water concurrent session count."),
+		counter("ojoin_sessions_opened_total", "Sessions admitted."),
+		counter("ojoin_sessions_closed_total", "Sessions ended by their clients."),
+		counter("ojoin_sessions_rejected_total", "Hellos refused at the admission cap."),
+		counter("ojoin_sessions_expired_total", "Sessions reaped by their idle deadline."),
+		counter("ojoin_sessions_requests_total", "Session-scoped requests served."),
+		counter("ojoin_broker_rounds_total", "Batch rounds serialized by the ORAM access broker."),
+		counter("ojoin_broker_contended_total", "Rounds that waited behind another session's round."),
+		{Name: "ojoin_broker_wait_seconds_total", Help: "Total time rounds spent queued behind other sessions' rounds.", Type: telemetry.CounterType, Seconds: true},
+		gauge("ojoin_broker_stores", "Stores owned by the ORAM access broker."),
 	}
-	samples := []sample{
-		{"ojoin_sessions_active", "gauge", "Live client sessions.", int64(ss.Active)},
-		{"ojoin_sessions_peak", "gauge", "High-water concurrent session count.", int64(ss.Peak)},
-		{"ojoin_sessions_opened_total", "counter", "Sessions admitted.", ss.Opened},
-		{"ojoin_sessions_closed_total", "counter", "Sessions ended by their clients.", ss.Closed},
-		{"ojoin_sessions_rejected_total", "counter", "Hellos refused at the admission cap.", ss.Rejected},
-		{"ojoin_sessions_expired_total", "counter", "Sessions reaped by their idle deadline.", ss.Expired},
-		{"ojoin_sessions_requests_total", "counter", "Session-scoped requests served.", ss.Requests},
-		{"ojoin_broker_rounds_total", "counter", "Batch rounds serialized by the ORAM access broker.", bs.Rounds},
-		{"ojoin_broker_contended_total", "counter", "Rounds that waited behind another session's round.", bs.Contended},
-		{"ojoin_broker_wait_seconds_total", "counter", "Total time rounds spent queued behind other sessions' rounds.", bs.WaitNS},
-		{"ojoin_broker_stores", "gauge", "Stores owned by the ORAM access broker.", int64(bs.Stores)},
+	for i, v := range []int64{int64(ss.Active), int64(ss.Peak), ss.Opened, ss.Closed, ss.Rejected, ss.Expired, ss.Requests,
+		bs.Rounds, bs.Contended, bs.WaitNS, int64(bs.Stores)} {
+		scalars[i].Add(float64(v))
 	}
-	for _, s := range samples {
-		if s.name == "ojoin_broker_wait_seconds_total" {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %s\n",
-				s.name, s.help, s.name, s.name, telemetry.Seconds(s.value))
-			continue
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", s.name, s.help, s.name, s.typ, s.name, s.value)
-	}
-	// Per-store broker rows: where the contention actually is.
-	guards := srv.broker.Guards()
-	fmt.Fprintf(w, "# HELP ojoin_broker_store_rounds_total Batch rounds serialized per guarded store.\n")
-	fmt.Fprintf(w, "# TYPE ojoin_broker_store_rounds_total counter\n")
-	for _, g := range guards {
-		fmt.Fprintf(w, "ojoin_broker_store_rounds_total{store=%q} %d\n", g.Name(), g.Rounds())
-	}
-	fmt.Fprintf(w, "# HELP ojoin_broker_store_contended_total Rounds that waited, per guarded store.\n")
-	fmt.Fprintf(w, "# TYPE ojoin_broker_store_contended_total counter\n")
-	for _, g := range guards {
-		fmt.Fprintf(w, "ojoin_broker_store_contended_total{store=%q} %d\n", g.Name(), g.Contended())
-	}
-	fmt.Fprintf(w, "# HELP ojoin_broker_store_wait_seconds_total Queue wait accumulated per guarded store.\n")
-	fmt.Fprintf(w, "# TYPE ojoin_broker_store_wait_seconds_total counter\n")
-	for _, g := range guards {
-		fmt.Fprintf(w, "ojoin_broker_store_wait_seconds_total{store=%q} %s\n", g.Name(), telemetry.Seconds(g.WaitNS()))
-	}
-}
 
-// WriteHistogramMetrics renders the server's latency histograms: per-op
-// service time (fault shaping included), broker queue wait, and
-// wrapped-store execution time, in Prometheus histogram exposition
-// (cumulative _bucket{le=...} in seconds, _sum, _count).
-func WriteHistogramMetrics(w io.Writer, srv *Server) {
-	snaps := srv.HistogramSnapshots()
-	ops := make([]string, 0, len(snaps))
-	for k := range snaps {
-		if len(k) > 3 && k[:3] == "op." {
-			ops = append(ops, k)
+	perSession := []telemetry.Family{
+		counter("ojoin_session_requests_total", "Requests served in the live session."),
+		gauge("ojoin_session_stores", "Stores the live session has touched."),
+	}
+	for _, se := range s.sessions.Sessions() {
+		id := strconv.FormatInt(se.ID(), 10)
+		perSession[0].Add(float64(se.Requests()), "session", id, "tenant", se.Tenant())
+		perSession[1].Add(float64(len(se.Touched())), "session", id, "tenant", se.Tenant())
+	}
+
+	guards := []telemetry.Family{
+		counter("ojoin_broker_store_rounds_total", "Batch rounds serialized per guarded store."),
+		counter("ojoin_broker_store_contended_total", "Rounds that waited, per guarded store."),
+		{Name: "ojoin_broker_store_wait_seconds_total", Help: "Queue wait accumulated per guarded store.", Type: telemetry.CounterType, Seconds: true},
+	}
+	for _, g := range s.broker.Guards() {
+		for i, v := range []int64{g.Rounds(), g.Contended(), g.WaitNS()} {
+			guards[i].Add(float64(v), "store", g.Name())
 		}
 	}
-	sort.Strings(ops)
-	fmt.Fprintf(w, "# HELP ojoin_op_duration_seconds Server-side service time per wire op.\n")
-	fmt.Fprintf(w, "# TYPE ojoin_op_duration_seconds histogram\n")
-	for _, k := range ops {
-		telemetry.WriteHistogramText(w, "ojoin_op_duration_seconds", fmt.Sprintf("op=%q", k[3:]), snaps[k])
-	}
-	fmt.Fprintf(w, "# HELP ojoin_broker_queue_wait_seconds Time store rounds queued behind other sessions' rounds.\n")
-	fmt.Fprintf(w, "# TYPE ojoin_broker_queue_wait_seconds histogram\n")
-	telemetry.WriteHistogramText(w, "ojoin_broker_queue_wait_seconds", "", snaps["queue_wait"])
-	fmt.Fprintf(w, "# HELP ojoin_store_io_seconds Wrapped-store execution time per round.\n")
-	fmt.Fprintf(w, "# TYPE ojoin_store_io_seconds histogram\n")
-	telemetry.WriteHistogramText(w, "ojoin_store_io_seconds", "", snaps["store_io"])
-}
 
-// WriteMeterMetrics renders a client-side storage.Meter's trace-cap
-// accounting in the Prometheus text format — the Dropped count that was
-// previously reachable only in-process. The meter lives on the trusted
-// client, so this renders into client-side surfaces (ojoin -shards /
-// -watch output), not the untrusted server's endpoint.
-func WriteMeterMetrics(w io.Writer, m *storage.Meter) {
-	if m == nil {
-		return
+	ops := hist("ojoin_op_duration_seconds", "Server-side service time per wire op.")
+	for _, op := range timedOps {
+		ops.AddHist(s.opHists[op].Snapshot(), "op", op.String())
 	}
-	fmt.Fprintf(w, "# HELP ojoin_meter_trace_dropped_total Trace entries dropped at the meter's trace cap.\n")
-	fmt.Fprintf(w, "# TYPE ojoin_meter_trace_dropped_total counter\n")
-	fmt.Fprintf(w, "ojoin_meter_trace_dropped_total %d\n", m.Dropped())
-	fmt.Fprintf(w, "# HELP ojoin_meter_trace_len Trace entries currently buffered by the meter.\n")
-	fmt.Fprintf(w, "# TYPE ojoin_meter_trace_len gauge\n")
-	fmt.Fprintf(w, "ojoin_meter_trace_len %d\n", m.TraceLen())
+	queue := hist("ojoin_broker_queue_wait_seconds", "Time store rounds queued behind other sessions' rounds.")
+	queue.AddHist(s.queueWait.Snapshot())
+	storeIO := hist("ojoin_store_io_seconds", "Wrapped-store execution time per round.")
+	storeIO.AddHist(s.storeIO.Snapshot())
+
+	fams := append(append(store, total), scalars...)
+	fams = append(append(fams, perSession...), guards...)
+	return append(fams, ops, queue, storeIO)
 }
 
 // MarshalSpans encodes a server-span batch as JSON — the OpTrace payload

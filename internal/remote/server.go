@@ -179,10 +179,14 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
+// timedOps are the wire ops with a service-time histogram, in the order
+// Metrics exports them.
+var timedOps = []Op{OpRead, OpWrite, OpReadMany, OpWriteMany, OpStat, OpExchange}
+
 // NewServer returns a server with no stores registered.
 func NewServer(opts ServerOptions) *Server {
-	opHists := make(map[Op]*telemetry.Histogram, 6)
-	for _, op := range []Op{OpRead, OpWrite, OpReadMany, OpWriteMany, OpStat, OpExchange} {
+	opHists := make(map[Op]*telemetry.Histogram, len(timedOps))
+	for _, op := range timedOps {
 		opHists[op] = telemetry.NewHistogram()
 	}
 	return &Server{

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/telemetry"
@@ -216,9 +217,10 @@ func TestPhaseAnnotationsArePublic(t *testing.T) {
 	}
 }
 
-// TestServerMetricsRenderSmoke renders every Prometheus writer after real
-// traffic and checks the families — including the histogram expositions
-// and the meter trace-cap counters — are present and well-formed.
+// TestServerMetricsRenderSmoke renders the server's and the meter's
+// families after real traffic and checks they — including the histogram
+// expositions and the meter trace-cap counters — are present and
+// well-formed.
 func TestServerMetricsRenderSmoke(t *testing.T) {
 	m := storage.NewMeter()
 	m.SetTracing(true)
@@ -241,14 +243,15 @@ func TestServerMetricsRenderSmoke(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	WriteStoreMetrics(&buf, srv)
-	WriteSessionMetrics(&buf, srv)
-	WriteHistogramMetrics(&buf, srv)
-	WriteMeterMetrics(&buf, m)
+	if err := telemetry.WritePrometheus(&buf, append(srv.Metrics(), telemetry.MeterMetrics(m)...)...); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	for _, want := range []string{
 		"ojoin_store_requests_total{store=\"t:acme/mx\"}",
 		"ojoin_sessions_active 1",
+		"ojoin_session_requests_total{session=\"1\",tenant=\"acme\"} 10",
+		"ojoin_session_stores{session=\"1\",tenant=\"acme\"} 1",
 		"ojoin_broker_store_rounds_total{store=\"t:acme/mx\"}",
 		"ojoin_broker_wait_seconds_total 0.",
 		"ojoin_op_duration_seconds_bucket{op=\"read\",le=\"",
@@ -277,6 +280,48 @@ func TestServerMetricsRenderSmoke(t *testing.T) {
 	}
 	if got := strings.TrimSpace(tb.String()); got != "[]" {
 		t.Fatalf("empty trace body = %q, want []", got)
+	}
+}
+
+// TestMetricsLabelEscaping creates stores whose names hold a control
+// byte, invalid UTF-8, and each of the three characters the Prometheus text
+// format escapes, then checks the rendered exposition is valid UTF-8 and
+// every backslash in it starts one of the three escapes (\\, \", \n).
+// Go's %q — \x01, \xff — would make a scraper reject the whole page.
+func TestMetricsLabelEscaping(t *testing.T) {
+	srv, c := startServer(t, ServerOptions{}, ClientOptions{})
+	for _, name := range []string{"a\x01b", "c\xffd", "e\"f\\g\nh"} {
+		if _, err := c.Create(name, 4, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := telemetry.WritePrometheus(&buf, srv.Metrics()...); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !utf8.ValidString(out) {
+		t.Fatal("exposition is not valid UTF-8")
+	}
+	for _, line := range strings.Split(out, "\n") {
+		for i := 0; i < len(line); i++ {
+			if line[i] != '\\' {
+				continue
+			}
+			if i+1 == len(line) || !strings.ContainsRune(`\"n`, rune(line[i+1])) {
+				t.Fatalf("line uses an escape the text format does not define: %q", line)
+			}
+			i++
+		}
+	}
+	for _, want := range []string{
+		"ojoin_store_requests_total{store=\"a\x01b\"} 1",
+		"ojoin_store_requests_total{store=\"c\uFFFDd\"} 1",
+		`ojoin_store_requests_total{store="e\"f\\g\nh"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
 	}
 }
 

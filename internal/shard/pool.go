@@ -2,7 +2,7 @@ package shard
 
 import (
 	"fmt"
-	"io"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -12,21 +12,14 @@ import (
 )
 
 // Stat is one shard's cumulative fan-out traffic across every store of a
-// Pool: how many sub-batches it was sent, how many blocks they carried,
-// and how long the sub-calls took (quantiles over the per-shard latency
-// histogram). These are the quantities shard s observes on its own wire —
-// a projection of the global (already-public) schedule plus timing the
-// untrusted shard controls anyway, so exposing them leaks nothing beyond
-// Definition 1.
+// Pool: how many sub-batches it was sent and how many blocks they carried.
+// These are the quantities shard s observes on its own wire — a projection
+// of the global (already-public) schedule, so exposing them leaks nothing
+// beyond Definition 1.
 type Stat struct {
-	Addr    string `json:"addr,omitempty"`
-	Batches int64  `json:"batches"`
-	Blocks  int64  `json:"blocks"`
-	// Sub-call latency quantiles in milliseconds (0 when no batches yet).
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MeanMS float64 `json:"mean_ms"`
+	Addr    string
+	Batches int64
+	Blocks  int64
 }
 
 // Stats holds per-shard fan-out counters and latency histograms, shared
@@ -57,30 +50,6 @@ func (s *Stats) add(shard, blocks int, d time.Duration) {
 	s.batches[shard].Add(1)
 	s.blocks[shard].Add(int64(blocks))
 	s.hists[shard].Observe(d)
-}
-
-// Histogram returns shard s's sub-call latency snapshot.
-func (s *Stats) Histogram(shard int) telemetry.HistogramSnapshot {
-	return s.hists[shard].Snapshot()
-}
-
-const msPerNS = 1e-6
-
-// Snapshot returns one Stat per shard, quantiles included.
-func (s *Stats) Snapshot() []Stat {
-	out := make([]Stat, len(s.batches))
-	for i := range out {
-		h := s.hists[i].Snapshot()
-		out[i] = Stat{
-			Batches: s.batches[i].Load(),
-			Blocks:  s.blocks[i].Load(),
-			P50MS:   float64(h.Quantile(0.50)) * msPerNS,
-			P95MS:   float64(h.Quantile(0.95)) * msPerNS,
-			P99MS:   float64(h.Quantile(0.99)) * msPerNS,
-			MeanMS:  float64(h.Mean()) * msPerNS,
-		}
-	}
-	return out
 }
 
 // Skew returns the max/mean ratio of per-shard block counts — 1.0 is a
@@ -161,17 +130,15 @@ func DialPool(addrs []string, opts remote.ClientOptions) (*Pool, error) {
 // Shards returns the shard count.
 func (p *Pool) Shards() int { return len(p.openers) }
 
-// Addrs returns the dialed addresses (nil for NewPool pools).
-func (p *Pool) Addrs() []string { return p.addrs }
-
 // Clients returns the per-shard remote clients (nil for NewPool pools).
 func (p *Pool) Clients() []*remote.Client { return p.clients }
 
 // Stats returns the per-shard fan-out counters, with addresses filled in
 // when the pool was dialed.
 func (p *Pool) Stats() []Stat {
-	out := p.stats.Snapshot()
+	out := make([]Stat, len(p.stats.batches))
 	for i := range out {
+		out[i] = Stat{Batches: p.stats.batches[i].Load(), Blocks: p.stats.blocks[i].Load()}
 		if i < len(p.addrs) {
 			out[i].Addr = p.addrs[i]
 		}
@@ -259,26 +226,24 @@ func (p *Pool) Close() error {
 	return first
 }
 
-// WriteMetrics renders the per-shard counters in the Prometheus text
-// exposition format under the ojoin_shard_* namespace (the client-side
-// counterpart of ojoinserver's ojoin_store_* metrics).
-func (p *Pool) WriteMetrics(w io.Writer) {
+// Metrics returns the router's ojoin_shard_* families (the client-side
+// counterpart of ojoinserver's ojoin_store_* families): the shard count,
+// per-shard sub-batches and blocks, the block skew ratio, and per-shard
+// sub-call latency histograms.
+func (p *Pool) Metrics() []telemetry.Family {
 	stats := p.Stats()
-	fmt.Fprintf(w, "# HELP ojoin_shard_count Shards the router fans out to.\n# TYPE ojoin_shard_count gauge\n")
-	fmt.Fprintf(w, "ojoin_shard_count %d\n", len(stats))
-	fmt.Fprintf(w, "# HELP ojoin_shard_batches_total Sub-batches sent to the shard.\n# TYPE ojoin_shard_batches_total counter\n")
+	count := telemetry.NewGauge("ojoin_shard_count", "Shards the router fans out to.")
+	count.Add(float64(len(stats)))
+	batches := telemetry.NewCounter("ojoin_shard_batches_total", "Sub-batches sent to the shard.")
+	blocks := telemetry.NewCounter("ojoin_shard_blocks_total", "Blocks carried by those sub-batches.")
+	latency := telemetry.NewHistogramFamily("ojoin_shard_latency_seconds", "Sub-call latency per shard as seen by the router.")
 	for s, st := range stats {
-		fmt.Fprintf(w, "ojoin_shard_batches_total{shard=\"%d\",addr=%q} %d\n", s, st.Addr, st.Batches)
+		id := strconv.Itoa(s)
+		batches.Add(float64(st.Batches), "shard", id, "addr", st.Addr)
+		blocks.Add(float64(st.Blocks), "shard", id, "addr", st.Addr)
+		latency.AddHist(p.stats.hists[s].Snapshot(), "shard", id, "addr", st.Addr)
 	}
-	fmt.Fprintf(w, "# HELP ojoin_shard_blocks_total Blocks carried by those sub-batches.\n# TYPE ojoin_shard_blocks_total counter\n")
-	for s, st := range stats {
-		fmt.Fprintf(w, "ojoin_shard_blocks_total{shard=\"%d\",addr=%q} %d\n", s, st.Addr, st.Blocks)
-	}
-	fmt.Fprintf(w, "# HELP ojoin_shard_skew_ratio Max/mean per-shard block traffic (1.0 = balanced stripe).\n# TYPE ojoin_shard_skew_ratio gauge\n")
-	fmt.Fprintf(w, "ojoin_shard_skew_ratio %.6f\n", Skew(stats))
-	fmt.Fprintf(w, "# HELP ojoin_shard_latency_seconds Sub-call latency per shard as seen by the router.\n# TYPE ojoin_shard_latency_seconds histogram\n")
-	for s, st := range stats {
-		telemetry.WriteHistogramText(w, "ojoin_shard_latency_seconds",
-			fmt.Sprintf("shard=\"%d\",addr=%q", s, st.Addr), p.stats.Histogram(s))
-	}
+	skew := telemetry.NewGauge("ojoin_shard_skew_ratio", "Max/mean per-shard block traffic (1.0 = balanced stripe).")
+	skew.Add(Skew(stats))
+	return []telemetry.Family{count, batches, blocks, skew, latency}
 }

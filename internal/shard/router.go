@@ -114,8 +114,8 @@ func (r *Router) BlockSize() int { return r.blockSize }
 func (r *Router) Shards() int { return len(r.subs) }
 
 // record accounts one sub-call against shard: batch and block counters
-// plus the per-shard latency histogram that feeds Pool.Stats quantiles
-// and the ojoin_shard_latency_seconds metric.
+// plus the per-shard latency histogram behind the
+// ojoin_shard_latency_seconds family.
 func (r *Router) record(shard, blocks int, d time.Duration) {
 	if r.stats != nil {
 		r.stats.add(shard, blocks, d)

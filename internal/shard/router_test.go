@@ -12,6 +12,7 @@ import (
 	"oblivjoin/internal/remote"
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/storage/storetest"
+	"oblivjoin/internal/telemetry"
 )
 
 // memOpeners builds n in-process shard backends, each reporting to the
@@ -346,7 +347,9 @@ func TestRouterOneLogicalRound(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	pool.WriteMetrics(&buf)
+	if err := telemetry.WritePrometheus(&buf, pool.Metrics()...); err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"ojoin_shard_count 4", "ojoin_shard_batches_total", "ojoin_shard_blocks_total"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, buf.String())

@@ -42,12 +42,3 @@ func (n *Node) Log(l *slog.Logger) {
 		l.LogAttrs(context.Background(), slog.LevelInfo, "span", attrs...)
 	})
 }
-
-// LogSpan exports s and logs the resulting tree — a convenience for call
-// sites holding a live span.
-func LogSpan(l *slog.Logger, s *Span) {
-	if s == nil {
-		return
-	}
-	s.Export().Log(l)
-}

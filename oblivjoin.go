@@ -377,33 +377,22 @@ func (db *Database) ConnectShards(addrs []string) error {
 	return nil
 }
 
-// ShardStats reports each shard's share of the fan-out traffic (sub-batches
-// served and blocks carried) since the last reset. Empty without
-// ConnectShards. These are public quantities: they are a fixed geometric
-// projection of the already-public access pattern.
-func (db *Database) ShardStats() []shard.Stat {
-	if db.pool == nil {
-		return nil
-	}
-	return db.pool.Stats()
-}
-
-// WriteShardMetrics writes the shard router's ojoin_shard_* metrics
+// WriteMetrics writes the client's metric families in Prometheus text
+// format: with ConnectShards the shard router's ojoin_shard_* families
 // (shard count, per-shard batches, blocks, skew ratio, and sub-call
-// latency histograms) plus the client meter's trace-cap accounting in
-// Prometheus text format. No-op without ConnectShards.
-func (db *Database) WriteShardMetrics(w io.Writer) {
+// latency histograms), and always the meter's trace-cap accounting.
+func (db *Database) WriteMetrics(w io.Writer) error {
+	var fams []telemetry.Family
 	if db.pool != nil {
-		db.pool.WriteMetrics(w)
-		remote.WriteMeterMetrics(w, db.meter)
+		fams = db.pool.Metrics()
 	}
+	return telemetry.WritePrometheus(w, append(fams, telemetry.MeterMetrics(db.meter)...)...)
 }
 
-// WatchShards polls the per-shard stats every interval and renders the
-// ojoin_shard_* metrics (and meter trace accounting) to w until the
-// returned stop function is called — the engine behind ojoin -watch. Each
-// frame is one full Prometheus text exposition preceded by a comment line
-// with the frame index, so the output doubles as a scrape-format log.
+// WatchShards renders WriteMetrics to w every interval until the returned
+// stop function is called — the engine behind ojoin -watch. Each frame is
+// one full Prometheus text exposition preceded by a comment line with the
+// frame index, so the output doubles as a scrape-format log.
 func (db *Database) WatchShards(w io.Writer, every time.Duration) (stop func()) {
 	if db.pool == nil {
 		return func() {}
@@ -421,7 +410,7 @@ func (db *Database) WatchShards(w io.Writer, every time.Duration) (stop func()) 
 		// interval leaves one frame behind.
 		for frame := 0; ; frame++ {
 			fmt.Fprintf(w, "# frame %d\n", frame)
-			db.WriteShardMetrics(w)
+			db.WriteMetrics(w) //nolint:errcheck // best-effort telemetry frame
 			select {
 			case <-done:
 				return
