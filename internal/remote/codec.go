@@ -25,6 +25,13 @@
 // latency and transient faults for tests and WAN experiments. See DESIGN.md
 // §2.6 for the batching semantics and failure model in full.
 //
+// A round (storage.DoRound) travels as one OpExchange request per server:
+// its payload is the list of the round's shares bound for that server —
+// store, write indices, write blocks, read indices — which the server
+// applies in order, and the reply carries each share's status and blocks,
+// so a share the server refuses fails alone. The plain batch ops remain for
+// single-store calls.
+//
 // Block memory on the hot path (DESIGN.md §2.14, storage package comment):
 // nothing block-sized is allocated per request on either side. The server
 // decodes each request in place into a per-connection Request whose Blocks
@@ -62,7 +69,7 @@ import (
 // sits above every op and status code, so a payload of the unversioned
 // grammars this one replaced — which led with its op or status — fails the
 // version check instead of being misparsed.
-const wireVersion = 0x20
+const wireVersion = 0x21
 
 // DefaultMaxFrame bounds a single wire frame (64 MiB), comfortably above
 // any realistic batched ORAM path while preventing a malformed length
@@ -71,6 +78,11 @@ const DefaultMaxFrame = 64 << 20
 
 // maxStoreName bounds store-name lengths on the wire.
 const maxStoreName = 4096
+
+// maxShareMsg bounds a share's error message in a round reply: the server
+// cuts a longer one, so a client can bound the reply to a frame before it
+// sends it.
+const maxShareMsg = 512
 
 // maxPhase bounds trace phase labels on the wire (generous over
 // telemetry.MaxPhaseLen so the codec stays decoupled from the registry).
@@ -89,9 +101,11 @@ const (
 	OpWriteMany
 	OpStat
 	OpCreate
-	// OpExchange applies a batch of writes, then serves a batch of reads,
+	// OpExchange is the round op: Shares lists one round's shares for this
+	// server, each a batch of writes applied before a batch of reads, all
 	// in one round trip — the RPC behind a Path-ORAM write-back riding the
-	// next path download.
+	// next path download, and behind the trees of a lockstep round sharing
+	// it. The reply's Shares answers them one for one.
 	OpExchange
 	// OpHello opens a client session: Tenant names the namespace every
 	// store the session touches is qualified into, Slots carries the
@@ -156,18 +170,18 @@ const (
 type Request struct {
 	Op    Op
 	Store string
-	// Indices carries the target block index (single ops), the batch
-	// index list, or — for OpExchange — the read index list.
+	// Indices carries the target block index (single ops) or the batch
+	// index list.
 	Indices []int64
-	// Blocks carries write payloads, aligned with Indices (or with
-	// WriteIndices for OpExchange).
+	// Blocks carries write payloads, aligned with Indices.
 	Blocks [][]byte
 	// Slots and BlockSize carry store geometry for OpCreate.
 	Slots     int64
 	BlockSize int64
-	// WriteIndices carries the write index list for OpExchange, aligned
-	// with Blocks; empty for every other op.
-	WriteIndices []int64
+	// Shares carries the shares of an OpExchange, in the order the server
+	// applies them; empty for every other op, and an OpExchange names its
+	// stores here, not in Store.
+	Shares []Share
 	// Tenant carries the namespace for OpHello; empty otherwise.
 	Tenant string
 	// Session is the session this request executes under (0 = none). The
@@ -191,6 +205,38 @@ type Request struct {
 	Phase string
 }
 
+// blocks counts the block indices a request names, its shares' included.
+func (req *Request) blocks() int {
+	n := len(req.Indices)
+	for k := range req.Shares {
+		n += len(req.Shares[k].WriteIndices) + len(req.Shares[k].ReadIndices)
+	}
+	return n
+}
+
+// Share is one store's part of an OpExchange: writes the server applies
+// before it serves the reads, like a batch write and a batch read in one.
+type Share struct {
+	Store string
+	// WriteIndices and Blocks are the writes, aligned.
+	WriteIndices []int64
+	Blocks       [][]byte
+	ReadIndices  []int64
+	// SpanID is the share's trace span (0 = untraced): the server records
+	// one span per share, under the request's TraceID and Phase.
+	SpanID uint64
+}
+
+// ShareReply answers one share of an OpExchange.
+type ShareReply struct {
+	Status Status
+	// Msg is the error message when Status != StatusOK, at most
+	// maxShareMsg bytes.
+	Msg string
+	// Blocks carries the share's reads.
+	Blocks [][]byte
+}
+
 // Response is one server→client reply.
 type Response struct {
 	Status Status
@@ -198,6 +244,8 @@ type Response struct {
 	Msg string
 	// Blocks carries read results.
 	Blocks [][]byte
+	// Shares answers an OpExchange's shares one for one; empty otherwise.
+	Shares []ShareReply
 	// Slots and BlockSize carry store geometry for OpStat/OpCreate replies
 	// (and the granted idle timeout in milliseconds for OpHello).
 	Slots     int64
@@ -323,6 +371,13 @@ func (r *reader) length(itemSize int) (int, error) {
 // str decodes a length-prefixed string of at most max bytes (0 = no bound
 // beyond the payload itself); what names the field in the error.
 func (r *reader) str(max int, what string) (string, error) {
+	return r.strAs("", max, what)
+}
+
+// strAs is str into the previous value of the field: when the bytes spell
+// old again — the same store in the same place of the next frame — old is
+// kept and nothing is allocated.
+func (r *reader) strAs(old string, max int, what string) (string, error) {
 	n, err := r.length(1)
 	if err != nil {
 		return "", err
@@ -330,55 +385,72 @@ func (r *reader) str(max int, what string) (string, error) {
 	if max > 0 && n > max {
 		return "", fmt.Errorf("%w: %s of %d bytes", ErrMalformed, what, n)
 	}
-	out := string(r.b[:n])
+	out := old
+	if string(r.b[:n]) != old {
+		out = string(r.b[:n])
+	}
 	r.b = r.b[n:]
 	return out, nil
 }
 
-// bytesSlab copies the next length-prefixed field into slab and returns
-// the carved full-capacity subslice. slab must be pre-sized to at least
-// the remaining payload so it never reallocates (earlier carvings would
-// dangle otherwise); the decode loops guarantee that by sizing it to
-// len(r.b). One slab per block batch means one allocation instead of one
-// per block — the blocks share a backing array, so retaining any one of
-// them retains the batch, which is how ORAM path payloads live anyway.
-func (r *reader) bytesSlab(slab *[]byte) ([]byte, error) {
-	n, err := r.length(1)
-	if err != nil {
-		return nil, err
+// shares decodes an OpExchange's share list into dst's capacity, reusing
+// the lists of the shares it held before (see decodeRequest).
+func (r *reader) shares(dst []Share, view bool) ([]Share, error) {
+	// A share is at least five bytes: four empty fields and a span ID.
+	n, err := r.length(5)
+	if err != nil || n == 0 {
+		return dst, err
 	}
-	start := len(*slab)
-	*slab = append(*slab, r.b[:n]...)
-	r.b = r.b[n:]
-	return (*slab)[start : start+n : start+n], nil
+	dst = slices.Grow(dst, n)[:n]
+	for k := range dst {
+		sh := &dst[k]
+		if sh.Store, err = r.strAs(sh.Store, maxStoreName, "store name"); err != nil {
+			return nil, err
+		}
+		if sh.WriteIndices, err = r.int64s(sh.WriteIndices[:0]); err != nil {
+			return nil, err
+		}
+		if sh.Blocks, err = r.blocks(sh.Blocks[:0], view); err != nil {
+			return nil, err
+		}
+		if sh.ReadIndices, err = r.int64s(sh.ReadIndices[:0]); err != nil {
+			return nil, err
+		}
+		if sh.SpanID, err = r.uvarint(); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // blocks decodes a counted list of length-prefixed blocks into dst's
 // capacity. With view set the blocks alias the payload (capacity-limited,
 // so an append to one can never reach the bytes after it) and live exactly
-// as long as the frame buffer that holds it; otherwise they are carved from
-// one fresh slab.
+// as long as the frame buffer that holds it; otherwise they are copied into
+// one fresh slab of their total size — one allocation instead of one per
+// block, the blocks sharing a backing array, so retaining any one of them
+// retains the batch, which is how ORAM path payloads live anyway.
 func (r *reader) blocks(dst [][]byte, view bool) ([][]byte, error) {
 	n, err := r.length(1)
 	if err != nil || n == 0 {
 		return dst, err
 	}
 	dst = slices.Grow(dst, n)[:n]
-	if view {
-		for k := range dst {
-			size, err := r.length(1)
-			if err != nil {
-				return nil, err
-			}
-			dst[k] = r.b[:size:size]
-			r.b = r.b[size:]
-		}
-		return dst, nil
-	}
-	slab := make([]byte, 0, len(r.b))
+	total := 0
 	for k := range dst {
-		if dst[k], err = r.bytesSlab(&slab); err != nil {
+		size, err := r.length(1)
+		if err != nil {
 			return nil, err
+		}
+		dst[k] = r.b[:size:size]
+		r.b = r.b[size:]
+		total += size
+	}
+	if !view {
+		slab := make([]byte, 0, total)
+		for k, blk := range dst {
+			slab = append(slab, blk...)
+			dst[k] = slab[len(slab)-len(blk) : len(slab) : len(slab)]
 		}
 	}
 	return dst, nil
@@ -419,18 +491,17 @@ func AppendRequest(b []byte, req *Request) []byte {
 	b = append(b, req.Store...)
 	b = binary.AppendUvarint(b, uint64(req.Slots))
 	b = binary.AppendUvarint(b, uint64(req.BlockSize))
-	b = binary.AppendUvarint(b, uint64(len(req.Indices)))
-	for _, i := range req.Indices {
-		b = binary.AppendUvarint(b, uint64(i))
-	}
-	b = binary.AppendUvarint(b, uint64(len(req.Blocks)))
-	for _, blk := range req.Blocks {
-		b = binary.AppendUvarint(b, uint64(len(blk)))
-		b = append(b, blk...)
-	}
-	b = binary.AppendUvarint(b, uint64(len(req.WriteIndices)))
-	for _, i := range req.WriteIndices {
-		b = binary.AppendUvarint(b, uint64(i))
+	b = appendIndices(b, req.Indices)
+	b = appendBlocks(b, req.Blocks)
+	b = binary.AppendUvarint(b, uint64(len(req.Shares)))
+	for k := range req.Shares {
+		sh := &req.Shares[k]
+		b = binary.AppendUvarint(b, uint64(len(sh.Store)))
+		b = append(b, sh.Store...)
+		b = appendIndices(b, sh.WriteIndices)
+		b = appendBlocks(b, sh.Blocks)
+		b = appendIndices(b, sh.ReadIndices)
+		b = binary.AppendUvarint(b, sh.SpanID)
 	}
 	b = binary.AppendUvarint(b, uint64(len(req.Tenant)))
 	b = append(b, req.Tenant...)
@@ -440,6 +511,25 @@ func AppendRequest(b []byte, req *Request) []byte {
 	b = binary.AppendUvarint(b, req.SpanID)
 	b = binary.AppendUvarint(b, uint64(len(req.Phase)))
 	return append(b, req.Phase...)
+}
+
+// appendIndices appends a counted index list.
+func appendIndices(b []byte, idxs []int64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(idxs)))
+	for _, i := range idxs {
+		b = binary.AppendUvarint(b, uint64(i))
+	}
+	return b
+}
+
+// appendBlocks appends a counted list of length-prefixed blocks.
+func appendBlocks(b []byte, blocks [][]byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(blocks)))
+	for _, blk := range blocks {
+		b = binary.AppendUvarint(b, uint64(len(blk)))
+		b = append(b, blk...)
+	}
+	return b
 }
 
 // DecodeRequest parses a frame payload into a Request that shares no memory
@@ -454,7 +544,8 @@ func DecodeRequest(payload []byte) (*Request, error) {
 }
 
 // decodeRequest is DecodeRequest into a caller-owned Request, overwriting
-// every field and reusing the capacity of its index and block lists, with
+// every field and reusing the capacity of its index, block and share lists
+// (a share's own lists included), with
 // the choice of how Blocks are held: with view set they alias payload — the
 // server's mode, where the frame buffer outlives the handler and every store
 // consumes write payloads before returning (storage package comment), so
@@ -470,8 +561,11 @@ func decodeRequest(req *Request, payload []byte, view bool) error {
 	if op < OpRead || op > OpTrace {
 		return fmt.Errorf("%w: unknown op %d", ErrMalformed, op)
 	}
-	*req = Request{Op: op, Indices: req.Indices[:0], Blocks: req.Blocks[:0], WriteIndices: req.WriteIndices[:0]}
-	if req.Store, err = r.str(maxStoreName, "store name"); err != nil {
+	// The names keep their old values until decoded, so a name the frame
+	// repeats is not allocated again (strAs).
+	*req = Request{Op: op, Store: req.Store, Tenant: req.Tenant, Phase: req.Phase,
+		Indices: req.Indices[:0], Blocks: req.Blocks[:0], Shares: req.Shares[:0]}
+	if req.Store, err = r.strAs(req.Store, maxStoreName, "store name"); err != nil {
 		return err
 	}
 	if req.Slots, err = r.int64(); err != nil {
@@ -486,10 +580,10 @@ func decodeRequest(req *Request, payload []byte, view bool) error {
 	if req.Blocks, err = r.blocks(req.Blocks, view); err != nil {
 		return err
 	}
-	if req.WriteIndices, err = r.int64s(req.WriteIndices); err != nil {
+	if req.Shares, err = r.shares(req.Shares, view); err != nil {
 		return err
 	}
-	if req.Tenant, err = r.str(maxStoreName, "tenant name"); err != nil {
+	if req.Tenant, err = r.strAs(req.Tenant, maxStoreName, "tenant name"); err != nil {
 		return err
 	}
 	if req.Session, err = r.int64(); err != nil {
@@ -504,7 +598,7 @@ func decodeRequest(req *Request, payload []byte, view bool) error {
 	if req.SpanID, err = r.uvarint(); err != nil {
 		return err
 	}
-	if req.Phase, err = r.str(maxPhase, "phase label"); err != nil {
+	if req.Phase, err = r.strAs(req.Phase, maxPhase, "phase label"); err != nil {
 		return err
 	}
 	if len(r.b) != 0 {
@@ -519,10 +613,14 @@ func AppendResponse(b []byte, resp *Response) []byte {
 	b = append(b, wireVersion, byte(resp.Status))
 	b = binary.AppendUvarint(b, uint64(len(resp.Msg)))
 	b = append(b, resp.Msg...)
-	b = binary.AppendUvarint(b, uint64(len(resp.Blocks)))
-	for _, blk := range resp.Blocks {
-		b = binary.AppendUvarint(b, uint64(len(blk)))
-		b = append(b, blk...)
+	b = appendBlocks(b, resp.Blocks)
+	b = binary.AppendUvarint(b, uint64(len(resp.Shares)))
+	for k := range resp.Shares {
+		sr := &resp.Shares[k]
+		b = append(b, byte(sr.Status))
+		b = binary.AppendUvarint(b, uint64(len(sr.Msg)))
+		b = append(b, sr.Msg...)
+		b = appendBlocks(b, sr.Blocks)
 	}
 	b = binary.AppendUvarint(b, uint64(resp.Slots))
 	b = binary.AppendUvarint(b, uint64(resp.BlockSize))
@@ -532,40 +630,75 @@ func AppendResponse(b []byte, resp *Response) []byte {
 // DecodeResponse parses a frame payload into a Response that shares no
 // memory with it.
 func DecodeResponse(payload []byte) (*Response, error) {
-	return decodeResponse(payload, false)
+	resp := new(Response)
+	if err := decodeResponse(resp, payload, false); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
-// decodeResponse is DecodeResponse with Blocks optionally held as views into
-// payload (see decodeRequest) — the client's mode, which then moves them
-// from its pooled frame into the caller's buffer.
-func decodeResponse(payload []byte, view bool) (*Response, error) {
+// decodeResponse is DecodeResponse into a caller-owned Response, reusing the
+// capacity of its lists as decodeRequest does, with Blocks optionally held
+// as views into payload — the client's mode, which then moves them from its
+// pooled frame into the caller's buffer. On error resp is garbage.
+func decodeResponse(resp *Response, payload []byte, view bool) error {
 	r := &reader{b: payload}
 	kind, err := r.head("response")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	status := Status(kind)
-	if status > StatusBusy {
-		return nil, fmt.Errorf("%w: unknown status %d", ErrMalformed, status)
+	*resp = Response{Status: Status(kind), Blocks: resp.Blocks[:0], Shares: resp.Shares[:0]}
+	if resp.Status > StatusBusy {
+		return fmt.Errorf("%w: unknown status %d", ErrMalformed, resp.Status)
 	}
-	resp := &Response{Status: status}
 	if resp.Msg, err = r.str(0, "message"); err != nil {
-		return nil, err
+		return err
 	}
-	if resp.Blocks, err = r.blocks(nil, view); err != nil {
-		return nil, err
+	if resp.Blocks, err = r.blocks(resp.Blocks, view); err != nil {
+		return err
+	}
+	if resp.Shares, err = r.shareReplies(resp.Shares, view); err != nil {
+		return err
 	}
 	if resp.Slots, err = r.int64(); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.BlockSize, err = r.int64(); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Session, err = r.int64(); err != nil {
-		return nil, err
+		return err
 	}
 	if len(r.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.b))
+		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.b))
 	}
-	return resp, nil
+	return nil
+}
+
+// shareReplies decodes a round reply's share list into dst's capacity,
+// reusing the block lists of the replies it held before.
+func (r *reader) shareReplies(dst []ShareReply, view bool) ([]ShareReply, error) {
+	// A share reply is at least three bytes: status, message, blocks.
+	n, err := r.length(3)
+	if err != nil || n == 0 {
+		return dst, err
+	}
+	dst = slices.Grow(dst, n)[:n]
+	for k := range dst {
+		sr := &dst[k]
+		if len(r.b) == 0 {
+			return nil, fmt.Errorf("%w: share reply cut short", ErrMalformed)
+		}
+		if sr.Status = Status(r.b[0]); sr.Status > StatusBusy {
+			return nil, fmt.Errorf("%w: unknown share status %d", ErrMalformed, sr.Status)
+		}
+		r.b = r.b[1:]
+		if sr.Msg, err = r.str(maxShareMsg, "share message"); err != nil {
+			return nil, err
+		}
+		if sr.Blocks, err = r.blocks(sr.Blocks[:0], view); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }

@@ -19,25 +19,29 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpWriteMany, Store: "x", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("a"), []byte("bb")}},
 		{Op: OpStat, Store: "idx.k"},
 		{Op: OpCreate, Store: "fresh", Slots: 128, BlockSize: 4096},
-		// Multi-path exchange: Indices carries the read set, WriteIndices
-		// the write set aligned with Blocks.
-		{Op: OpExchange, Store: "t1.data", Indices: []int64{0, 3, 7},
-			WriteIndices: []int64{1, 2}, Blocks: [][]byte{[]byte("wa"), []byte("wb")}},
-		{Op: OpExchange, Store: "t1.data", Indices: []int64{5},
-			WriteIndices: []int64{9}, Blocks: [][]byte{[]byte("solo")}},
+		// A round: each share's writes (aligned with its Blocks) and reads,
+		// one-sided shares included.
+		{Op: OpExchange, Shares: []Share{
+			{Store: "t1.data", WriteIndices: []int64{1, 2}, Blocks: [][]byte{[]byte("wa"), []byte("wb")}, ReadIndices: []int64{0, 3, 7}},
+			{Store: "t1.idx.k", ReadIndices: []int64{4}},
+			{Store: "t2.data", WriteIndices: []int64{6}, Blocks: [][]byte{[]byte("w")}},
+		}},
+		{Op: OpExchange, Shares: []Share{{Store: "t1.data", WriteIndices: []int64{9}, Blocks: [][]byte{[]byte("solo")}, ReadIndices: []int64{5}}}},
 		// Session handshake and session-scoped traffic.
 		{Op: OpHello, Tenant: "acme", Slots: 30_000},
 		{Op: OpHello, Tenant: "weird/tenant:name"},
 		{Op: OpBye, Session: 17},
 		{Op: OpRead, Store: "t1.data", Indices: []int64{7}, Session: 3, DeadlineMS: 2500},
-		{Op: OpExchange, Store: "t1.data", Indices: []int64{0, 3},
-			WriteIndices: []int64{1}, Blocks: [][]byte{[]byte("w")}, Session: 9},
+		{Op: OpExchange, Shares: []Share{{Store: "t1.data", WriteIndices: []int64{1}, Blocks: [][]byte{[]byte("w")},
+			ReadIndices: []int64{0, 3}}}, Session: 9},
 		// Distributed-trace context.
 		{Op: OpRead, Store: "t1.data", Indices: []int64{7}, TraceID: 0xDEAD, SpanID: 3, Phase: "join.smj"},
 		{Op: OpReadMany, Store: "x", Indices: []int64{0, 5}, Session: 4, DeadlineMS: 900,
 			TraceID: 1, SpanID: 99, Phase: "sort.runs"},
-		{Op: OpExchange, Store: "t1.data", Indices: []int64{0, 3}, WriteIndices: []int64{1},
-			Blocks: [][]byte{[]byte("w")}, TraceID: 7, SpanID: 1, Phase: "oram.flush"},
+		{Op: OpExchange, Shares: []Share{
+			{Store: "t1.data", WriteIndices: []int64{1}, Blocks: [][]byte{[]byte("w")}, ReadIndices: []int64{0, 3}, SpanID: 1},
+			{Store: "t2.data", ReadIndices: []int64{2}, SpanID: 2},
+		}, TraceID: 7, Phase: "oram.flush"},
 		{Op: OpWriteMany, Store: "x", Indices: []int64{1}, Blocks: [][]byte{[]byte("a")},
 			TraceID: 12345678901234567890, SpanID: 2}, // no phase label
 		{Op: OpTrace, TraceID: 55},
@@ -62,6 +66,12 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Status: StatusTransient, Msg: "injected"},
 		{Status: StatusBusy, Msg: "remote: session table full"},
 		{Status: StatusOK, Slots: 60_000, Session: 42},
+		// A round's reply: a share answered, a share refused, a write.
+		{Status: StatusOK, Shares: []ShareReply{
+			{Blocks: [][]byte{[]byte("b1"), []byte("b2")}},
+			{Status: StatusError, Msg: "remote: unknown store \"x\""},
+			{},
+		}},
 	}
 	for i, resp := range cases {
 		got, err := DecodeResponse(AppendResponse(nil, resp))
@@ -110,12 +120,12 @@ func TestReadFrameTruncated(t *testing.T) {
 }
 
 // The request grammar ends with seven fields that are a single zero byte
-// each when unused: WriteIndices count | tenant length, session, deadline |
+// each when unused: Shares count | tenant length, session, deadline |
 // trace ID, span ID, phase length. The optional-tail decoders this grammar
 // replaced accepted a payload cut before any of the three groups.
 const (
 	cutPreExchange = 7 // ends after Blocks
-	cutSessionless = 6 // ends after WriteIndices
+	cutSessionless = 6 // ends after Shares
 	cutTraceless   = 3 // ends after the session section
 )
 
@@ -127,8 +137,8 @@ func mustBeMalformed(t *testing.T, what string, payload []byte) {
 }
 
 // TestDecodeRequestLegacyFormat: the short form a peer from before
-// OpExchange sent — a request that ends after Blocks, with no WriteIndices
-// field — is not part of the grammar, and neither is a payload of the
+// OpExchange sent — a request that ends after Blocks, with no Shares field
+// — is not part of the grammar, and neither is a payload of the
 // unversioned grammars, which led with the op: that one is refused at the
 // version byte, by name.
 func TestDecodeRequestLegacyFormat(t *testing.T) {
@@ -169,7 +179,7 @@ func TestSessionlessWireCompat(t *testing.T) {
 	if sb := AppendRequest(nil, &withSession); len(sb) != len(b) {
 		t.Fatalf("a session ID changed the frame length: %d vs %d bytes", len(sb), len(b))
 	}
-	mustBeMalformed(t, "request cut after WriteIndices", b[:len(b)-cutSessionless])
+	mustBeMalformed(t, "request cut after Shares", b[:len(b)-cutSessionless])
 
 	resp := &Response{Status: StatusOK, Slots: 8, BlockSize: 32}
 	rb := AppendResponse(nil, resp)
@@ -276,8 +286,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	add(&Request{Op: OpRead, Store: "t", Indices: []int64{1}})
 	add(&Request{Op: OpWriteMany, Store: "t", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("a"), []byte("b")}})
 	add(&Request{Op: OpCreate, Store: "t", Slots: 8, BlockSize: 64})
-	add(&Request{Op: OpExchange, Store: "t", Indices: []int64{0, 2},
-		WriteIndices: []int64{1, 3}, Blocks: [][]byte{[]byte("x"), []byte("y")}})
+	add(&Request{Op: OpExchange, Shares: []Share{
+		{Store: "t", WriteIndices: []int64{1, 3}, Blocks: [][]byte{[]byte("x"), []byte("y")}, ReadIndices: []int64{0, 2}},
+		{Store: "u", ReadIndices: []int64{5}},
+	}})
 	// The three short forms the optional-tail decoders accepted, and a
 	// version this side does not speak: all malformed now.
 	plain := AppendRequest(nil, &Request{Op: OpReadMany, Store: "t", Indices: []int64{4, 1}})
@@ -299,8 +311,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	add(&Request{Op: OpRead, Store: "t", Indices: []int64{1},
 		Session: 5, TraceID: 9, SpanID: 2, Phase: "join.smj"})
 	add(&Request{Op: OpTrace, TraceID: 9})
-	add(&Request{Op: OpExchange, Store: "t", Indices: []int64{0},
-		WriteIndices: []int64{1}, Blocks: [][]byte{[]byte("x")}, TraceID: 1, SpanID: 1, Phase: "oram.flush"})
+	add(&Request{Op: OpExchange, Shares: []Share{{Store: "t", WriteIndices: []int64{1}, Blocks: [][]byte{[]byte("x")},
+		ReadIndices: []int64{0}, SpanID: 1}}, TraceID: 1, Phase: "oram.flush"})
+	f.Add(AppendResponse(nil, &Response{Status: StatusOK, Shares: []ShareReply{
+		{Blocks: [][]byte{[]byte("blk")}}, {Status: StatusError, Msg: "no"}}}))
 	f.Add(AppendFramedRequest(nil, &Request{Op: OpStat, Store: "t"}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -326,33 +340,65 @@ func FuzzDecodeFrame(f *testing.F) {
 // zeros included — and to itself when appending after an existing prefix
 // (the reused-buffer case).
 func TestAppendCodecMatchesEncode(t *testing.T) {
-	req := &Request{Op: OpExchange, Store: "t1", Indices: []int64{0, 300},
-		WriteIndices: []int64{1, 2}, Blocks: [][]byte{[]byte("wa"), []byte("wb")},
-		Session: 9, DeadlineMS: 500, TraceID: 3, SpanID: 8, Phase: "oram.flush"}
-	want := []byte{wireVersion, byte(OpExchange),
-		2, 't', '1', // store
-		0, 0, // slots, block size
-		2, 0, 0xAC, 0x02, // indices
-		2, 2, 'w', 'a', 2, 'w', 'b', // blocks
-		2, 1, 2, // write indices
-		0, 9, 0xF4, 0x03, // tenant, session, deadline
-		3, 8, 10, 'o', 'r', 'a', 'm', '.', 'f', 'l', 'u', 's', 'h'} // trace ID, span ID, phase
-	if got := AppendRequest(nil, req); !bytes.Equal(got, want) {
-		t.Fatalf("AppendRequest(nil) = % x, want % x", got, want)
+	reqs := []struct {
+		req  *Request
+		want []byte
+	}{
+		{&Request{Op: OpWriteMany, Store: "t1", Indices: []int64{0, 300}, Blocks: [][]byte{[]byte("wa"), []byte("wb")},
+			Session: 9, DeadlineMS: 500, TraceID: 3, SpanID: 8, Phase: "oram.flush"},
+			[]byte{wireVersion, byte(OpWriteMany),
+				2, 't', '1', // store
+				0, 0, // slots, block size
+				2, 0, 0xAC, 0x02, // indices
+				2, 2, 'w', 'a', 2, 'w', 'b', // blocks
+				0,                // shares
+				0, 9, 0xF4, 0x03, // tenant, session, deadline
+				3, 8, 10, 'o', 'r', 'a', 'm', '.', 'f', 'l', 'u', 's', 'h'}}, // trace ID, span ID, phase
+		{&Request{Op: OpExchange, Shares: []Share{
+			{Store: "a", WriteIndices: []int64{1}, Blocks: [][]byte{[]byte("w")}, ReadIndices: []int64{0, 300}, SpanID: 5},
+			{Store: "b", ReadIndices: []int64{2}, SpanID: 6},
+		}, Session: 9, TraceID: 3, Phase: "m"},
+			[]byte{wireVersion, byte(OpExchange),
+				0, 0, 0, 0, 0, // store, slots, block size, indices, blocks
+				2,                                            // shares
+				1, 'a', 1, 1, 1, 1, 'w', 2, 0, 0xAC, 0x02, 5, // store, writes, blocks, reads, span ID
+				1, 'b', 0, 0, 1, 2, 6,
+				0, 9, 0, // tenant, session, deadline
+				3, 0, 1, 'm'}}, // trace ID, span ID, phase
 	}
-	if got := AppendRequest([]byte("prefix"), req); !bytes.Equal(got, append([]byte("prefix"), want...)) {
-		t.Fatal("AppendRequest after a prefix diverges")
+	for _, c := range reqs {
+		if got := AppendRequest(nil, c.req); !bytes.Equal(got, c.want) {
+			t.Fatalf("AppendRequest(nil) = % x, want % x", got, c.want)
+		}
+		if got := AppendRequest([]byte("prefix"), c.req); !bytes.Equal(got, append([]byte("prefix"), c.want...)) {
+			t.Fatal("AppendRequest after a prefix diverges")
+		}
 	}
-	resp := &Response{Status: StatusOK, Blocks: [][]byte{[]byte("blk"), []byte("b2")}, Slots: 7, Session: 42}
-	wantR := []byte{wireVersion, byte(StatusOK),
-		0,                                // message
-		2, 3, 'b', 'l', 'k', 2, 'b', '2', // blocks
-		7, 0, 42} // slots, block size, session
-	if got := AppendResponse(nil, resp); !bytes.Equal(got, wantR) {
-		t.Fatalf("AppendResponse(nil) = % x, want % x", got, wantR)
+	resps := []struct {
+		resp *Response
+		want []byte
+	}{
+		{&Response{Status: StatusOK, Blocks: [][]byte{[]byte("blk"), []byte("b2")}, Slots: 7, Session: 42},
+			[]byte{wireVersion, byte(StatusOK),
+				0,                                // message
+				2, 3, 'b', 'l', 'k', 2, 'b', '2', // blocks
+				0,          // shares
+				7, 0, 42}}, // slots, block size, session
+		{&Response{Status: StatusOK, Shares: []ShareReply{{Blocks: [][]byte{[]byte("bk")}}, {Status: StatusError, Msg: "no"}}},
+			[]byte{wireVersion, byte(StatusOK),
+				0, 0, // message, blocks
+				2,                    // shares
+				0, 0, 1, 2, 'b', 'k', // status, message, blocks
+				byte(StatusError), 2, 'n', 'o', 0,
+				0, 0, 0}}, // slots, block size, session
 	}
-	if got := AppendResponse([]byte("prefix"), resp); !bytes.Equal(got, append([]byte("prefix"), wantR...)) {
-		t.Fatal("AppendResponse after a prefix diverges")
+	for _, c := range resps {
+		if got := AppendResponse(nil, c.resp); !bytes.Equal(got, c.want) {
+			t.Fatalf("AppendResponse(nil) = % x, want % x", got, c.want)
+		}
+		if got := AppendResponse([]byte("prefix"), c.resp); !bytes.Equal(got, append([]byte("prefix"), c.want...)) {
+			t.Fatal("AppendResponse after a prefix diverges")
+		}
 	}
 }
 

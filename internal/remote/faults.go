@@ -23,8 +23,8 @@ type Shaper struct {
 	// protocol is one request per round trip, this is exactly a simulated
 	// one-way server delay; set it to the target RTT to model a WAN link.
 	Latency time.Duration
-	// PerBlock is added once per block the request names (read indices
-	// plus write indices), modeling per-block server work — the serialized
+	// PerBlock is added once per block the request names (its indices and
+	// its shares' read and write indices), modeling per-block server work — the serialized
 	// cost the shard bench shows shrinking ~N× when batches fan out to N
 	// servers in parallel, while the fixed Latency is paid once per round
 	// regardless of shard count.
@@ -41,7 +41,7 @@ func (s *Shaper) Next(req *Request) (time.Duration, bool) {
 	k := s.n.Add(1)
 	delay := s.Latency
 	if s.PerBlock > 0 && req != nil {
-		delay += s.PerBlock * time.Duration(len(req.Indices)+len(req.WriteIndices))
+		delay += s.PerBlock * time.Duration(req.blocks())
 	}
 	return delay, s.FailEvery > 0 && k%s.FailEvery == 0
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,12 +17,13 @@ import (
 	"oblivjoin/internal/telemetry"
 )
 
-// Counters is a per-store snapshot of server-side access accounting. Each
-// request is one network round trip, so Requests is the server's view of
-// the round count the paper's cost argument is about — tests assert ORAM
-// accesses against it rather than against client-side simulation.
+// Counters is a per-store snapshot of server-side access accounting. A
+// request against one store, or one store's share of an OpExchange, counts
+// once, under the op its shape names: a share with nothing to write is a
+// batch read, one with nothing to read a batch write, one with both an
+// exchange. The round trips are Server.TotalRequests.
 type Counters struct {
-	// Requests counts RPCs served against this store (= round trips).
+	// Requests counts the RPCs and shares served against this store.
 	Requests int64
 	// Per-op request counts.
 	Reads, Writes, BatchReads, BatchWrites, Stats, Exchanges int64
@@ -55,31 +57,38 @@ func (c *counterSet) snapshot() Counters {
 	}
 }
 
-// count records one request against the set.
-func (c *counterSet) count(req *Request) {
+// count records one op against the set: a request, or a share counted as
+// the op its shape names.
+func (c *counterSet) count(op Op, read, written int) {
 	c.requests.Add(1)
-	blocks := int64(len(req.Indices))
-	switch req.Op {
+	switch op {
 	case OpRead:
 		c.reads.Add(1)
-		c.blocksRead.Add(blocks)
 	case OpWrite:
 		c.writes.Add(1)
-		c.blocksWritten.Add(blocks)
 	case OpReadMany:
 		c.batchReads.Add(1)
-		c.blocksRead.Add(blocks)
 	case OpWriteMany:
 		c.batchWrites.Add(1)
-		c.blocksWritten.Add(blocks)
 	case OpStat:
 		c.stats.Add(1)
 	case OpExchange:
-		// Indices carries the read set, WriteIndices the write set.
 		c.exchanges.Add(1)
-		c.blocksRead.Add(blocks)
-		c.blocksWritten.Add(int64(len(req.WriteIndices)))
 	}
+	c.blocksRead.Add(int64(read))
+	c.blocksWritten.Add(int64(written))
+}
+
+// op is the op a share's shape names: a batch read, a batch write, or an
+// exchange.
+func (sh *Share) op() Op {
+	switch {
+	case len(sh.ReadIndices) == 0:
+		return OpWriteMany
+	case len(sh.WriteIndices) == 0:
+		return OpReadMany
+	}
+	return OpExchange
 }
 
 // ServerOptions configures a Server.
@@ -167,6 +176,9 @@ type Server struct {
 	ring *telemetry.SpanRing
 	// slowLast is the UnixNano of the last slow-op line (rate limiting).
 	slowLast atomic.Int64
+	// requests counts the requests served against stores — the round
+	// trips, an OpExchange counting once however many shares it carries.
+	requests atomic.Int64
 
 	mu        sync.Mutex
 	stores    map[string]storage.Store
@@ -289,20 +301,10 @@ func (s *Server) CountsAll() ([]string, map[string]Counters) {
 	return names, out
 }
 
-// TotalRequests sums Requests across all stores.
-func (s *Server) TotalRequests() int64 {
-	s.mu.Lock()
-	sets := make([]*counterSet, 0, len(s.counts))
-	for _, c := range s.counts {
-		sets = append(sets, c)
-	}
-	s.mu.Unlock()
-	var total int64
-	for _, c := range sets {
-		total += c.requests.Load()
-	}
-	return total
-}
+// TotalRequests counts the requests served against stores: the round trips
+// clients paid, an OpExchange counting once however many stores its shares
+// touch.
+func (s *Server) TotalRequests() int64 { return s.requests.Load() }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts serving in the
 // background. The bound address is returned so callers can use port 0.
@@ -355,11 +357,12 @@ func (s *Server) serveConn(cs *connState) {
 	}()
 	// Per-connection buffers: one goroutine serves the connection, so reuse
 	// across iterations is race-free. The request's write payloads are views
-	// into inBuf and the response's read blocks views into readBuf; both are
-	// dead once the response is encoded into outBuf, before the next frame
-	// is read.
-	var inBuf, outBuf, readBuf []byte
-	var req Request // decoded in place: its index and block lists are reused too
+	// into inBuf and the response's read blocks views into sc; both are dead
+	// once the response is encoded into outBuf, before the next frame is
+	// read.
+	var inBuf, outBuf []byte
+	var sc scratch
+	var req Request // decoded in place: its index, block and share lists are reused too
 	for {
 		payload, err := ReadFrameInto(cs.c, s.opts.MaxFrame, inBuf[:0])
 		if err != nil {
@@ -375,7 +378,7 @@ func (s *Server) serveConn(cs *connState) {
 		if derr != nil {
 			resp = &Response{Status: StatusError, Msg: derr.Error()}
 		} else {
-			resp = s.handle(&req, &readBuf)
+			resp = s.handle(&req, &sc)
 		}
 		outBuf = AppendFramedResponse(outBuf[:0], resp)
 		_, werr := cs.c.Write(outBuf)
@@ -390,12 +393,21 @@ func (s *Server) serveConn(cs *connState) {
 	}
 }
 
-// handle executes one request. The fault model runs first so injected
-// latency and transient failures shape every operation uniformly. req.Blocks
-// may alias the connection's frame buffer and the response's Blocks alias
-// *readBuf (the connection's reusable read scratch): neither may be
-// retained past the encoding of the response.
-func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
+// scratch is a connection's reusable reply memory: batch reads land in
+// read, and a round's reply is built in round. Both are dead once the reply
+// is encoded.
+type scratch struct {
+	read  []byte
+	round Response
+}
+
+// handle executes one request. The fault model runs first — once per
+// request, so an OpExchange pays one draw and one deadline for all its
+// shares — so injected latency and transient failures shape every
+// operation uniformly. req.Blocks may alias the connection's frame buffer
+// and the response's Blocks alias sc: neither may be retained past the
+// encoding of the response.
+func (s *Server) handle(req *Request, sc *scratch) *Response {
 	start := time.Now()
 	if f := s.opts.Faults; f != nil {
 		delay, transient := f.Next(req)
@@ -422,33 +434,36 @@ func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
 		// fetching a trace never perturbs the trace being fetched.
 		return s.handleTrace(req)
 	}
-	// Resolve the store name through the session layer: session-scoped
-	// requests are qualified into their tenant's namespace; sessionless
-	// requests may not address qualified names directly.
-	name := req.Store
-	tenant := ""
+	var sess *session.Session
 	if req.Session != 0 {
-		sess, err := s.sessions.Get(req.Session)
-		if err != nil {
+		var err error
+		if sess, err = s.sessions.Get(req.Session); err != nil {
 			return &Response{Status: StatusError, Msg: err.Error()}
 		}
-		tenant = sess.Tenant()
-		name = sess.Qualify(req.Store)
-		sess.CountRequest(name)
-	} else if session.Reserved(name) {
-		return &Response{Status: StatusError, Msg: fmt.Sprintf("remote: store %q is in a tenant namespace", name)}
+	}
+	if req.Op == OpExchange {
+		return s.serveRound(req, sess, start, sc)
+	}
+	name, err := s.resolve(sess, req.Store)
+	if err != nil {
+		return &Response{Status: StatusError, Msg: err.Error()}
 	}
 	if req.Op == OpCreate {
 		return s.handleCreate(req, name)
 	}
-	s.mu.Lock()
-	st, ok := s.stores[name]
-	c := s.counts[name]
-	s.mu.Unlock()
+	st, c, ok := s.lookup(name)
 	if !ok {
 		return &Response{Status: StatusError, Msg: fmt.Sprintf("remote: unknown store %q", req.Store)}
 	}
-	c.count(req)
+	read, written := 0, 0
+	switch req.Op {
+	case OpRead, OpReadMany:
+		read = len(req.Indices)
+	case OpWrite, OpWriteMany:
+		written = len(req.Indices)
+	}
+	c.count(req.Op, read, written)
+	s.requests.Add(1)
 
 	// Dispatch through a timed view of the broker guard so the round's
 	// cost decomposes into queue wait and store I/O. The view performs the
@@ -457,26 +472,104 @@ func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
 	if g, ok := st.(*session.Guard); ok {
 		st = g.Timed(&tm)
 	}
-	resp := s.dispatch(st, req, readBuf)
-	s.observe(req, tenant, time.Since(start), tm)
+	resp := s.dispatch(st, req, &sc.read)
+	s.observe(req, served{op: req.Op, store: req.Store, blocks: len(req.Indices), bytes: payloadBytes(req.Blocks), spanID: req.SpanID},
+		sess, time.Since(start), tm)
 	return resp
 }
 
-// dispatch executes a store-scoped op against the (possibly timed) store.
+// resolve qualifies a store name through the session layer: a
+// session-scoped name is qualified into its tenant's namespace (and counted
+// against the session), and a sessionless one may not address a qualified
+// name directly.
+func (s *Server) resolve(sess *session.Session, store string) (string, error) {
+	if sess != nil {
+		name := sess.Qualify(store)
+		sess.CountRequest(name)
+		return name, nil
+	}
+	if session.Reserved(store) {
+		return "", fmt.Errorf("remote: store %q is in a tenant namespace", store)
+	}
+	return store, nil
+}
+
+// lookup finds a hosted store and its counters by resolved name.
+func (s *Server) lookup(name string) (storage.Store, *counterSet, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.stores[name]
+	return st, s.counts[name], ok
+}
+
+// serveRound serves an OpExchange: its shares one after another, in order,
+// each share's writes before its reads, and each accounted as the op its
+// shape names — counters, op histogram, session request count and one span
+// per share, so the server's tables read as if the shares had come one
+// request each. A share the server refuses fails alone; the reply answers
+// the shares one for one. It is built in sc and its blocks are views into
+// sc.read.
+func (s *Server) serveRound(req *Request, sess *session.Session, start time.Time, sc *scratch) *Response {
+	s.requests.Add(1)
+	resp := &sc.round
+	n := len(req.Shares)
+	*resp = Response{Shares: slices.Grow(resp.Shares[:0], n)[:n]}
+	buf := sc.read[:0]
+	for k := range req.Shares {
+		sh, sr := &req.Shares[k], &resp.Shares[k]
+		*sr = ShareReply{Blocks: sr.Blocks[:0]}
+		var err error
+		if buf, err = s.serveShare(req, sh, sr, sess, start, buf); err != nil {
+			msg := err.Error()
+			sr.Status, sr.Msg = StatusError, msg[:min(len(msg), maxShareMsg)]
+		}
+		start = time.Now()
+	}
+	sc.read = buf[:0]
+	return resp
+}
+
+// serveShare serves one share of an OpExchange, its reads appended to buf
+// and carved into sr.Blocks; it returns the grown buf.
+func (s *Server) serveShare(req *Request, sh *Share, sr *ShareReply, sess *session.Session, start time.Time, buf []byte) ([]byte, error) {
+	name, err := s.resolve(sess, sh.Store)
+	if err != nil {
+		return buf, err
+	}
+	st, c, ok := s.lookup(name)
+	if !ok {
+		return buf, fmt.Errorf("remote: unknown store %q", sh.Store)
+	}
+	op := sh.op()
+	c.count(op, len(sh.ReadIndices), len(sh.WriteIndices))
+	var tm session.Timing
+	var out []byte
+	if g, ok := st.(*session.Guard); ok {
+		out, err = g.ExchangeToTimed(&tm, buf, sh.WriteIndices, sh.Blocks, sh.ReadIndices)
+	} else {
+		out, err = storage.ExchangeTo(st, nil, buf, sh.WriteIndices, sh.Blocks, sh.ReadIndices)
+	}
+	bs := st.BlockSize()
+	if err == nil && len(out) != len(buf)+len(sh.ReadIndices)*bs {
+		err = fmt.Errorf("remote: store %q returned %d bytes for %d blocks", sh.Store, len(out)-len(buf), len(sh.ReadIndices))
+	}
+	if err == nil {
+		for off := len(buf); off < len(out); off += bs {
+			sr.Blocks = append(sr.Blocks, out[off:off+bs:off+bs])
+		}
+		buf = out
+	}
+	s.observe(req, served{op: op, store: sh.Store, blocks: len(sh.ReadIndices) + len(sh.WriteIndices), bytes: payloadBytes(sh.Blocks), spanID: sh.SpanID},
+		sess, time.Since(start), tm)
+	return buf, err
+}
+
+// dispatch executes a single-store op against the (possibly timed) store.
 // Batch ops go through storage.ReadManyTo / storage.ExchangeTo, which use
 // the hosted store's best form — either way the client paid exactly one
 // round trip — and read into the connection's scratch.
 func (s *Server) dispatch(st storage.Store, req *Request, readBuf *[]byte) *Response {
 	fail := func(err error) *Response { return &Response{Status: StatusError, Msg: err.Error()} }
-	// blocks wraps a batch read's result for the response and keeps the
-	// grown scratch for the connection's next request.
-	blocks := func(flat []byte, err error) *Response {
-		if err != nil {
-			return fail(err)
-		}
-		*readBuf = flat[:0]
-		return &Response{Blocks: storage.Carve(flat, st.BlockSize())}
-	}
 	switch req.Op {
 	case OpRead:
 		if len(req.Indices) != 1 {
@@ -496,14 +589,18 @@ func (s *Server) dispatch(st storage.Store, req *Request, readBuf *[]byte) *Resp
 		}
 		return &Response{}
 	case OpReadMany:
-		return blocks(storage.ReadManyTo(st, nil, (*readBuf)[:0], req.Indices))
+		flat, err := storage.ReadManyTo(st, nil, (*readBuf)[:0], req.Indices)
+		if err != nil {
+			return fail(err)
+		}
+		// Keep the grown scratch for the connection's next request.
+		*readBuf = flat[:0]
+		return &Response{Blocks: storage.Carve(flat, st.BlockSize())}
 	case OpWriteMany:
 		if _, err := storage.ExchangeTo(st, nil, nil, req.Indices, req.Blocks, nil); err != nil {
 			return fail(err)
 		}
 		return &Response{}
-	case OpExchange:
-		return blocks(storage.ExchangeTo(st, nil, (*readBuf)[:0], req.WriteIndices, req.Blocks, req.Indices))
 	case OpStat:
 		return &Response{Slots: st.Len(), BlockSize: int64(st.BlockSize())}
 	default:
@@ -511,40 +608,62 @@ func (s *Server) dispatch(st storage.Store, req *Request, readBuf *[]byte) *Resp
 	}
 }
 
+// served describes one served store op — a request, or a share of an
+// OpExchange — for observe.
+type served struct {
+	op     Op
+	store  string
+	blocks int   // block indices named
+	bytes  int64 // write payload bytes
+	spanID uint64
+}
+
+func payloadBytes(blocks [][]byte) int64 {
+	var n int64
+	for _, b := range blocks {
+		n += int64(len(b))
+	}
+	return n
+}
+
 // observe records one served store op into the latency histograms, the
-// span ring (traced requests only), and the slow-op log. Everything here
-// is client-visible already — op kind, block count, wall time — so the
-// instrumentation records strictly less than the adversary observes.
-func (s *Server) observe(req *Request, tenant string, d time.Duration, tm session.Timing) {
-	if h := s.opHists[req.Op]; h != nil {
+// span ring (traced requests only), and the slow-op log; req supplies the
+// trace and session context. Everything here is client-visible already —
+// op kind, block count, wall time — so the instrumentation records
+// strictly less than the adversary observes.
+func (s *Server) observe(req *Request, sv served, sess *session.Session, d time.Duration, tm session.Timing) {
+	if h := s.opHists[sv.op]; h != nil {
 		h.Observe(d)
 	}
 	s.queueWait.Observe(tm.QueueWait)
 	s.storeIO.Observe(tm.StoreIO)
-	blocks := len(req.Indices) + len(req.WriteIndices)
+	tenant := ""
+	if sess != nil {
+		tenant = sess.Tenant()
+	}
 	if req.TraceID != 0 {
 		s.ring.Append(telemetry.ServerSpan{
 			TraceID:     req.TraceID,
-			SpanID:      req.SpanID,
+			SpanID:      sv.spanID,
 			Phase:       req.Phase,
 			Tenant:      tenant,
 			Session:     req.Session,
-			Store:       req.Store,
-			Op:          req.Op.String(),
-			Blocks:      blocks,
+			Store:       sv.store,
+			Op:          sv.op.String(),
+			Blocks:      sv.blocks,
 			QueueWaitNS: int64(tm.QueueWait),
 			StoreIONS:   int64(tm.StoreIO),
 			DurationNS:  int64(d),
 		})
 	}
 	if t := s.opts.SlowOpThreshold; t > 0 && d >= t {
-		s.logSlow(req, tenant, d, blocks)
+		s.logSlow(req, sv, tenant, d)
 	}
 }
 
 // logSlow emits one structured line for an over-threshold op, rate-limited
 // to one line per 100ms so a saturated server cannot flood its own log.
-func (s *Server) logSlow(req *Request, tenant string, d time.Duration, blocks int) {
+func (s *Server) logSlow(req *Request, sv served, tenant string, d time.Duration) {
 	now := time.Now().UnixNano()
 	last := s.slowLast.Load()
 	if now-last < int64(100*time.Millisecond) || !s.slowLast.CompareAndSwap(last, now) {
@@ -554,18 +673,14 @@ func (s *Server) logSlow(req *Request, tenant string, d time.Duration, blocks in
 	if lg == nil {
 		lg = slog.Default()
 	}
-	var bytes int64
-	for _, b := range req.Blocks {
-		bytes += int64(len(b))
-	}
 	lg.Warn("slow op",
 		"tenant", tenant,
 		"session", req.Session,
-		"op", req.Op.String(),
-		"store", req.Store,
+		"op", sv.op.String(),
+		"store", sv.store,
 		"duration", d,
-		"blocks", blocks,
-		"bytes", bytes,
+		"blocks", sv.blocks,
+		"bytes", sv.bytes,
 	)
 }
 
@@ -646,6 +761,7 @@ func (s *Server) handleCreate(req *Request, name string) *Response {
 	c := &counterSet{}
 	c.requests.Add(1)
 	s.counts[name] = c
+	s.requests.Add(1)
 	return &Response{Slots: req.Slots, BlockSize: req.BlockSize}
 }
 

@@ -29,11 +29,15 @@ func within(blk, frame []byte) bool {
 // frame.
 func FuzzDecodeViewMatchesSlab(f *testing.F) {
 	f.Add(AppendRequest(nil, &Request{Op: OpWriteMany, Store: "t", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("a"), []byte("bb")}}))
-	f.Add(AppendRequest(nil, &Request{Op: OpExchange, Store: "t", Indices: []int64{0, 2},
-		WriteIndices: []int64{1, 3}, Blocks: [][]byte{[]byte("x"), {}}, Session: 3, DeadlineMS: 50}))
+	f.Add(AppendRequest(nil, &Request{Op: OpExchange, Shares: []Share{
+		{Store: "t", WriteIndices: []int64{1, 3}, Blocks: [][]byte{[]byte("x"), {}}, ReadIndices: []int64{0, 2}},
+		{Store: "u", ReadIndices: []int64{1}, SpanID: 4},
+	}, Session: 3, DeadlineMS: 50}))
 	f.Add(AppendRequest(nil, &Request{Op: OpReadMany, Store: "t", Indices: []int64{4, 1}, TraceID: 7, SpanID: 1, Phase: "merge"}))
 	f.Add(AppendResponse(nil, &Response{Status: StatusOK, Blocks: [][]byte{[]byte("blk"), []byte("other")}}))
 	f.Add(AppendResponse(nil, &Response{Status: StatusError, Msg: "no"}))
+	f.Add(AppendResponse(nil, &Response{Status: StatusOK, Shares: []ShareReply{
+		{Blocks: [][]byte{[]byte("b")}}, {Status: StatusError, Msg: "no"}, {}}}))
 	f.Add([]byte{wireVersion, byte(OpWriteMany), 0, 0, 0, 0, 2, 1, 'a', 200}) // second block overruns the frame
 	// A request cut at each point where the optional-tail decoders once let
 	// one end, and a version this side does not speak.
@@ -43,9 +47,15 @@ func FuzzDecodeViewMatchesSlab(f *testing.F) {
 	}
 	f.Add(append([]byte{wireVersion + 1}, short[1:]...))
 
-	dirty := AppendRequest(nil, &Request{Op: OpExchange, Store: "previous", Indices: []int64{9, 8, 7}, WriteIndices: []int64{6, 5},
+	dirty := AppendRequest(nil, &Request{Op: OpExchange, Store: "previous", Indices: []int64{9, 8, 7},
 		Blocks: [][]byte{[]byte("old"), []byte("older")}, Slots: 3, BlockSize: 4, Tenant: "them", Session: 11, DeadlineMS: 12,
-		TraceID: 13, SpanID: 14, Phase: "stale"})
+		TraceID: 13, SpanID: 14, Phase: "stale", Shares: []Share{
+			{Store: "s0", WriteIndices: []int64{6, 5}, Blocks: [][]byte{[]byte("w")}, ReadIndices: []int64{4}, SpanID: 2},
+			{Store: "s1", ReadIndices: []int64{3, 2}}, {Store: "s2"},
+		}})
+
+	dirtyResp := AppendResponse(nil, &Response{Status: StatusError, Msg: "stale", Blocks: [][]byte{[]byte("old")},
+		Shares: []ShareReply{{Blocks: [][]byte{[]byte("a"), []byte("b")}}, {Status: StatusBusy, Msg: "m"}}, Slots: 1, BlockSize: 2, Session: 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame := bytes.Clone(data)
@@ -83,19 +93,24 @@ func FuzzDecodeViewMatchesSlab(f *testing.F) {
 				t.Fatalf("request re-encodes to % x, was % x", back, frame)
 			}
 			check("request", vreq.Blocks, sreq.Blocks)
-			vreq.Blocks, sreq.Blocks = nil, nil
-			if len(vreq.Indices) == 0 { // reused capacity: empty, where a fresh decode has nil
-				vreq.Indices = sreq.Indices
+			if len(vreq.Shares) != len(sreq.Shares) {
+				t.Fatalf("request: %d shares in view mode, %d in slab mode", len(vreq.Shares), len(sreq.Shares))
 			}
-			if len(vreq.WriteIndices) == 0 {
-				vreq.WriteIndices = sreq.WriteIndices
+			for k := range vreq.Shares {
+				check("request share", vreq.Shares[k].Blocks, sreq.Shares[k].Blocks)
 			}
+			normRequest(vreq)
+			normRequest(sreq)
 			if !reflect.DeepEqual(vreq, sreq) {
 				t.Fatalf("request fields differ: %+v vs %+v", vreq, sreq)
 			}
 		}
-		vresp, verr := decodeResponse(frame, true)
-		sresp, serr := decodeResponse(frame, false)
+		vresp, sresp := new(Response), new(Response)
+		if err := decodeResponse(vresp, dirtyResp, true); err != nil {
+			t.Fatal(err)
+		}
+		verr = decodeResponse(vresp, frame, true)
+		serr = decodeResponse(sresp, frame, false)
 		if (verr == nil) != (serr == nil) {
 			t.Fatalf("response: view mode err %v, slab mode err %v", verr, serr)
 		}
@@ -104,7 +119,14 @@ func FuzzDecodeViewMatchesSlab(f *testing.F) {
 				t.Fatalf("response re-encodes to % x, was % x", back, frame)
 			}
 			check("response", vresp.Blocks, sresp.Blocks)
-			vresp.Blocks, sresp.Blocks = nil, nil
+			if len(vresp.Shares) != len(sresp.Shares) {
+				t.Fatalf("response: %d shares in view mode, %d in slab mode", len(vresp.Shares), len(sresp.Shares))
+			}
+			for k := range vresp.Shares {
+				check("response share", vresp.Shares[k].Blocks, sresp.Shares[k].Blocks)
+			}
+			normResponse(vresp)
+			normResponse(sresp)
 			if !reflect.DeepEqual(vresp, sresp) {
 				t.Fatalf("response fields differ: %+v vs %+v", vresp, sresp)
 			}
@@ -113,6 +135,40 @@ func FuzzDecodeViewMatchesSlab(f *testing.F) {
 			t.Fatal("decoding wrote to the frame")
 		}
 	})
+}
+
+// normRequest makes a decoded request comparable across the two decodes:
+// its blocks are compared apart, and a reused list decodes empty where a
+// fresh one is nil.
+func normRequest(req *Request) {
+	req.Blocks = nil
+	if len(req.Indices) == 0 {
+		req.Indices = nil
+	}
+	if len(req.Shares) == 0 {
+		req.Shares = nil
+	}
+	for k := range req.Shares {
+		sh := &req.Shares[k]
+		sh.Blocks = nil
+		if len(sh.WriteIndices) == 0 {
+			sh.WriteIndices = nil
+		}
+		if len(sh.ReadIndices) == 0 {
+			sh.ReadIndices = nil
+		}
+	}
+}
+
+// normResponse is normRequest for responses.
+func normResponse(resp *Response) {
+	resp.Blocks = nil
+	if len(resp.Shares) == 0 {
+		resp.Shares = nil
+	}
+	for k := range resp.Shares {
+		resp.Shares[k].Blocks = nil
+	}
 }
 
 // TestServerConsumesViewsBeforeNextFrame: request payloads reach the hosted
@@ -172,7 +228,7 @@ func TestAppendReadRejectsMissizedBlocks(t *testing.T) {
 		t.Fatalf("mis-sized batch read accepted: %d bytes, %v", len(got), err)
 	}
 	resp := &Response{Blocks: [][]byte{make([]byte, 31), make([]byte, 33)}}
-	if err := st.checkBlocks("batch read", resp, 2); err == nil {
+	if err := st.checkBlocks("batch read", resp.Blocks, 2); err == nil {
 		t.Fatal("checkBlocks accepted 31- and 33-byte blocks for a 32-byte store")
 	}
 }

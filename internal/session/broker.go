@@ -297,6 +297,13 @@ func (g *Guard) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, re
 	return g.exchangeTo(dst, writeIdxs, writeData, readIdxs, nil)
 }
 
+// ExchangeToTimed is ExchangeTo through a Timed view on t, without the
+// view: the server serves a round's shares one after another, and a view
+// per share would cost an allocation each.
+func (g *Guard) ExchangeToTimed(t *Timing, dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
+	return g.exchangeTo(dst, writeIdxs, writeData, readIdxs, t)
+}
+
 func (g *Guard) exchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64, t *Timing) ([]byte, error) {
 	if len(writeIdxs) == 0 && len(writeData) == 0 && len(readIdxs) == 0 {
 		return dst, nil

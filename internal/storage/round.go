@@ -22,14 +22,43 @@ func (op *RoundOp) run(m *Meter) {
 	op.Out, op.Err = ExchangeTo(op.Store, m, op.Dst, op.WriteIdxs, op.WriteData, op.ReadIdxs)
 }
 
-// RoundStarter is a store that may have latency worth overlapping:
-// StartExchangeTo sends the request of an ExchangeTo call and returns at
-// once; finish waits for the reply and returns what ExchangeTo would have.
-// The arguments stay the caller's but must not change until finish has
+// Carrier is a transport that takes several stores' shares of a round to
+// one server as one request (remote.Client). DoRound opens one Frame per
+// carrier in the round and hands it, in the round's order, every share whose
+// store it carries (Carried).
+type Carrier interface {
+	OpenFrame() Frame
+}
+
+// Frame is one carrier's part of a round: one request and its reply.
+type Frame interface {
+	// Add appends a share; nothing travels yet. The share's arguments stay
+	// the caller's but must not change until it has been settled.
+	Add(op *RoundOp)
+	// Send puts the request on the wire and returns without waiting for
+	// the reply.
+	Send()
+	// Settle fills in the next share's Out and Err — the shares in the
+	// order they were added, each once — and does its accounting; the first
+	// call waits for the reply. A transient failure resends the whole
+	// request, which is safe for the reason a retried batch write is:
+	// absolute indices, absolute contents. Settling the last share releases
+	// the frame.
+	Settle()
+}
+
+// Carried is a store whose requests travel on a Carrier.
+type Carried interface {
+	Store
+	Carrier() Carrier
+}
+
+// RoundStarter is a store that fans its share out itself (shard.Router):
+// StartExchangeTo starts the request of an ExchangeTo call and returns at
+// once; finish waits for it and returns what ExchangeTo would have. The
+// arguments stay the caller's but must not change until finish has
 // returned, and finish must be called exactly once. Accounting happens in
-// finish. A store that sees nothing to gain right now — its replies come
-// back faster than a second request in flight is worth — returns a nil
-// finish and sends nothing: the share is then issued through ExchangeTo.
+// finish.
 type RoundStarter interface {
 	Store
 	StartExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) (finish func() ([]byte, error))
@@ -43,13 +72,12 @@ type RoundStarter interface {
 // is the canonical order, part of what the server may observe, and must
 // depend on public information only.
 //
-// Everything runs on the calling goroutine. Stores that can split sending
-// from receiving (RoundStarter) are all started first, then each share is
-// settled in order: a started one by waiting for its reply, any other (one
-// whose store cannot start, or declined to) by running it through
-// ExchangeTo. A store with no latency to hide loses nothing that way, and
-// the recorded trace needs no reordering. A round of one share is exactly an
-// ExchangeTo call.
+// Everything runs on the calling goroutine. First every share leaves: the
+// shares of stores on one carrier as one frame, a RoundStarter's share
+// started. Then each share is settled in order: from its frame's reply, by
+// its starter's finish, or — any other store — by running it through
+// ExchangeTo. The recorded trace needs no reordering, and a round of one
+// share is exactly an ExchangeTo call.
 func DoRound(m *Meter, ops ...*RoundOp) {
 	if len(ops) == 1 {
 		ops[0].run(m)
@@ -59,21 +87,44 @@ func DoRound(m *Meter, ops ...*RoundOp) {
 		m.BeginRound()
 		defer m.EndRound()
 	}
-	var few [4]func() ([]byte, error)
-	finish := few[:]
-	if len(ops) > len(few) {
-		finish = make([]func() ([]byte, error), len(ops))
+	// For each share, the frame it travels in or the starter's finish.
+	var fewFrames [4]Frame
+	var fewFinish [4]func() ([]byte, error)
+	frames, finish := fewFrames[:], fewFinish[:]
+	if len(ops) > len(fewFrames) {
+		frames, finish = make([]Frame, len(ops)), make([]func() ([]byte, error), len(ops))
 	}
 	for k, op := range ops {
-		if st, ok := op.Store.(RoundStarter); ok {
+		switch st := op.Store.(type) {
+		case Carried:
+			if frames[k] == nil {
+				openFrame(st.Carrier(), ops[k:], frames[k:])
+			}
+		case RoundStarter:
 			finish[k] = st.StartExchangeTo(op.Dst, op.WriteIdxs, op.WriteData, op.ReadIdxs)
 		}
 	}
 	for k, op := range ops {
-		if finish[k] != nil {
+		switch {
+		case frames[k] != nil:
+			frames[k].Settle()
+		case finish[k] != nil:
 			op.Out, op.Err = finish[k]()
-		} else {
+		default:
 			op.run(m)
 		}
 	}
+}
+
+// openFrame sends c's frame: ops[0] and every later share on c, each marked
+// in frames.
+func openFrame(c Carrier, ops []*RoundOp, frames []Frame) {
+	f := c.OpenFrame()
+	for k, op := range ops {
+		if st, ok := op.Store.(Carried); ok && st.Carrier() == c {
+			f.Add(op)
+			frames[k] = f
+		}
+	}
+	f.Send()
 }

@@ -25,10 +25,52 @@ func (s startable) StartExchangeTo(dst []byte, wi []int64, wd [][]byte, ri []int
 	}
 }
 
+// carried is a MemStore whose shares travel on a carrier, recording what
+// the carrier's frames are asked to do.
+type carried struct {
+	*storage.MemStore
+	car *logCarrier
+}
+
+func (s carried) Carrier() storage.Carrier { return s.car }
+
+type logCarrier struct{ log *[]string }
+
+func (c *logCarrier) OpenFrame() storage.Frame { return &logFrame{log: c.log} }
+
+// logFrame settles each share through its MemStore, once sent.
+type logFrame struct {
+	log  *[]string
+	ops  []*storage.RoundOp
+	sent bool
+	next int
+}
+
+func (f *logFrame) Add(op *storage.RoundOp) {
+	*f.log = append(*f.log, "add "+op.Store.(carried).Name())
+	f.ops = append(f.ops, op)
+}
+
+func (f *logFrame) Send() {
+	*f.log = append(*f.log, "send")
+	f.sent = true
+}
+
+func (f *logFrame) Settle() {
+	op := f.ops[f.next]
+	f.next++
+	if !f.sent {
+		panic("share settled before its frame was sent")
+	}
+	*f.log = append(*f.log, "settle "+op.Store.(carried).Name())
+	op.Out, op.Err = op.Store.(carried).ExchangeTo(op.Dst, op.WriteIdxs, op.WriteData, op.ReadIdxs)
+}
+
 // TestDoRoundIsOneRound: shares on distinct stores cost one network round
 // in all, whatever form each store offers — native, decorated down to the
 // slice forms or to single-block operations (counting belongs to the issuer
-// of the round, not to a store capability), or split into start and finish —
+// of the round, not to a store capability), carried in one frame, or split
+// into start and finish —
 // while blocks, bytes and trace entries are those of the shares issued one
 // after another, stamped with the one round they travelled in.
 func TestDoRoundIsOneRound(t *testing.T) {
@@ -40,6 +82,7 @@ func TestDoRoundIsOneRound(t *testing.T) {
 		"slice-forms":  func(s *storage.MemStore) storage.Store { return storetest.HideAppend(s) },
 		"single-block": func(s *storage.MemStore) storage.Store { return singleOps{s} },
 		"startable":    func(s *storage.MemStore) storage.Store { return startable{s, &log} },
+		"carried":      func(s *storage.MemStore) storage.Store { return carried{s, &logCarrier{&log}} },
 	}
 	for name, wrap := range wraps {
 		t.Run(name, func(t *testing.T) {
@@ -101,6 +144,14 @@ func TestDoRoundIsOneRound(t *testing.T) {
 			if !reflect.DeepEqual(trace, apartTrace) {
 				t.Fatalf("grouping changed the accesses:\n%v\n%v", trace, apartTrace)
 			}
+			if name == "carried" {
+				// Each store has a carrier of its own here: three frames,
+				// all sent before any share is settled.
+				want := []string{"add a", "send", "add b", "send", "add c", "send", "settle a", "settle b", "settle c"}
+				if !reflect.DeepEqual(log, want) {
+					t.Fatalf("frame calls %v, want %v", log, want)
+				}
+			}
 			if name == "startable" {
 				// Every share is on its way before any reply is waited for;
 				// the run of one-share rounds that followed used ExchangeTo.
@@ -147,5 +198,36 @@ func TestDoRoundSharesFailAlone(t *testing.T) {
 	}
 	if got := m.Snapshot().NetworkRounds; got != 2 {
 		t.Fatalf("%d rounds after a further batch, want 2", got)
+	}
+}
+
+// TestDoRoundFramesPerCarrier: the shares of stores on one carrier travel in
+// one frame, sent before any share of the round is settled, while the other
+// shares of the round are issued in between — settlement, and so the meter's
+// trace, follows the order given.
+func TestDoRoundFramesPerCarrier(t *testing.T) {
+	m := storage.NewMeter()
+	m.SetTracing(true)
+	var log []string
+	car := &logCarrier{&log}
+	a := carried{storage.NewMemStore("a", 4, 8, m), car}
+	b := storage.NewMemStore("b", 4, 8, m)
+	c := carried{storage.NewMemStore("c", 4, 8, m), car}
+	ops := []*storage.RoundOp{{Store: a, ReadIdxs: []int64{0}}, {Store: b, ReadIdxs: []int64{1}}, {Store: c, ReadIdxs: []int64{2}}}
+	storage.DoRound(m, ops...)
+	for i, op := range ops {
+		if op.Err != nil || len(op.Out) != 8 {
+			t.Fatalf("share %d: %d bytes, %v", i, len(op.Out), op.Err)
+		}
+	}
+	if want := []string{"add a", "add c", "send", "settle a", "settle c"}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("frame calls %v, want %v", log, want)
+	}
+	var stores []string
+	for _, acc := range m.Trace() {
+		stores = append(stores, acc.Store)
+	}
+	if !reflect.DeepEqual(stores, []string{"a", "b", "c"}) || m.Snapshot().NetworkRounds != 1 {
+		t.Fatalf("trace %v in %d rounds, want a b c in one", stores, m.Snapshot().NetworkRounds)
 	}
 }
