@@ -1,9 +1,14 @@
 // Package operators provides the oblivious relational operators a complete
 // encrypted query engine needs around joins: padded selection (SelectPadded
 // — the "oblivious filter" the paper configures as ObliDB's Hash Select in
-// Section 9.1, which the query layer's pushdown runs below every filtered
-// join) and sort-based grouping aggregation (GroupAggregate, the standard
-// Opaque-style fold over an obliviously sorted vector).
+// Section 9.1) and sort-based grouping aggregation (GroupAggregate, the
+// standard Opaque-style fold over an obliviously sorted vector).
+//
+// SelectPadded is off the query path: the query layer's pushdown reads a
+// filtered input's base table back with one oblivious scan of its data ORAM
+// and filters it in client memory (query.Executor), which needs no
+// selection vector and no compaction. SelectPadded stays for the
+// benchmark's ladder rung, until a benchmark-only change retires both.
 //
 // Every operator follows the same discipline as the joins: it scans or
 // sorts server-resident encrypted vectors with an access pattern that
@@ -157,9 +162,8 @@ func finishStats(o Options, s storage.Stats) storage.Stats {
 // scan and compaction traces are functions of the input size alone; the
 // only size-dependent accesses — the final read-back of the compacted
 // prefix — cover exactly padTo(real) records, so selectivity leaks no
-// further than the declared padding policy. The query layer's selection
-// pushdown runs every pre-join filter through it with padTo =
-// core.Options.PadSize; padTo returning its argument reveals the real count.
+// further than the declared padding policy. padTo returning its argument
+// reveals the real count.
 func SelectPadded(rel *relation.Relation, preds []Pred, padTo func(real int) int, opts Options) (*Result, error) {
 	if padTo == nil {
 		return nil, fmt.Errorf("operators: SelectPadded requires a padding target")

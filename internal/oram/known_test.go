@@ -173,10 +173,16 @@ func TestKnownBucketsDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						if err := partner.BulkLoad(nil); err != nil {
+							t.Fatal(err)
+						}
 						o = paired{tree, partner}
 					}
 					if positions == "driver=pin" {
 						o = pinning{tree, new([]uint64)}
+					}
+					if err := tree.BulkLoadAt(nil, nil); err != nil { // the empty tree's upload
+						t.Fatal(err)
 					}
 					if err := o.Flush(); err != nil {
 						t.Fatal(err)

@@ -93,6 +93,7 @@ type PathORAM struct {
 	bucketSize int // plaintext bucket bytes
 
 	pos      []uint32 // key → leaf (noLeaf: never written); nil on a tree built by NewTagged
+	uploaded bool     // every stored bucket has been written once (upload)
 	stash    map[uint64]stashEntry
 	maxStash int
 	rand     LeafSource
@@ -134,8 +135,11 @@ type PathORAM struct {
 	levelPlaced    []int64
 }
 
-// NewPathORAM builds the server tree (all buckets initialized to sealed
-// empty) and returns the client handle. Construction models the paper's
+// NewPathORAM provisions the server tree and returns the client handle.
+// Nothing is uploaded yet: BulkLoad writes every bucket, and a tree that is
+// never loaded uploads its buckets sealed empty before its first access, so
+// that either way the adversary sees a fully populated, uniformly encrypted
+// tree, each bucket written once. Construction and load model the paper's
 // preprocessing step; callers reset meters afterwards so setup traffic is
 // not charged to queries.
 func NewPathORAM(cfg PathConfig) (*PathORAM, error) {
@@ -234,19 +238,6 @@ func newTree(cfg PathConfig, treetop func(height int) int) (*PathORAM, error) {
 	o.store = st
 	o.pathBuf = make([]int64, levels)
 	o.sched = newScheduler(o, cfg.EvictionBatch)
-	// Initialize every stored bucket to a sealed empty bucket so the adversary
-	// sees a fully populated, uniformly encrypted tree from the start. Each
-	// bucket gets its own fresh ciphertext; the upload itself is batched.
-	empty := make([]byte, bucketSize)
-	up := newUploader(o, nodes)
-	for i := int64(0); i < nodes; i++ {
-		if err := up.add(i, empty); err != nil {
-			return nil, err
-		}
-	}
-	if err := up.flush(); err != nil {
-		return nil, err
-	}
 	return o, nil
 }
 
@@ -258,13 +249,18 @@ func nextPow2(n int64) int64 {
 	return p
 }
 
-// uploadChunk bounds the client memory held by one bulk-upload batch.
+// uploadChunk bounds the client memory held by one bulk-upload batch, and
+// by one round of a scan.
 const uploadChunk = 256
+
+// BatchRounds is the rounds an upload or a scan of n stored buckets takes:
+// ⌈n/256⌉, uploadChunk buckets a round.
+func BatchRounds(n int64) int64 { return (n + uploadChunk - 1) / uploadChunk }
 
 // uploader seals plaintext buckets into one reusable batch buffer and
 // streams them to the server in bounded batches, one round per batch. Only
-// the preprocessing paths (construction, BulkLoad) use it; query-time
-// accesses always move exactly one path per batch.
+// the tree's first upload (upload) uses it; query-time accesses always move
+// exactly one path per batch.
 type uploader struct {
 	o    *PathORAM
 	idxs []int64
@@ -308,6 +304,37 @@ func (u *uploader) flush() error {
 	u.buf = u.buf[:0]
 	u.data = u.data[:0]
 	return err
+}
+
+// upload is the tree's first and only upload: every stored bucket, its
+// plaintext filled in by fill (nil: every bucket empty), sealed and written
+// once, uploadChunk buckets a round in store order.
+func (o *PathORAM) upload(fill func(node int64, bucket []byte)) error {
+	stored := o.store.Len()
+	up := newUploader(o, stored)
+	for n := int64(0); n < stored; n++ {
+		bucket := o.bucketScratch()
+		if fill != nil {
+			fill(n, bucket)
+		}
+		if err := up.add(n, bucket); err != nil {
+			return err
+		}
+	}
+	if err := up.flush(); err != nil {
+		return err
+	}
+	o.uploaded = true
+	return nil
+}
+
+// ensureUploaded uploads the empty tree before the first access of a tree
+// that was never loaded.
+func (o *PathORAM) ensureUploaded() error {
+	if o.uploaded {
+		return nil
+	}
+	return o.upload(nil)
 }
 
 // Levels returns the path length in buckets: what one access moves in each
@@ -792,7 +819,8 @@ func (o *PathORAM) releaseKnown() {
 
 // BulkLoad places the given dense key space (payloads[i] stored under key i)
 // directly into the tree, modeling the client-side preprocessing upload.
-// It must be called before any access; it overwrites the whole tree.
+// It must be called before any access; it overwrites the whole tree, each
+// stored bucket written once, which is the tree's only upload.
 func (o *PathORAM) BulkLoad(payloads [][]byte) error {
 	if o.pos == nil {
 		return fmt.Errorf("oram: the tree keeps no position map; load it with BulkLoadAt")
@@ -868,22 +896,15 @@ func (o *PathORAM) bulkLoad(payloads [][]byte, leafOf func(i int) (uint32, error
 			o.stash[key] = stashEntry{leaf: leaf, payload: buf}
 		}
 	}
-	// Serialize and upload every bucket once, in batched rounds; the
-	// uploader seals each bucket into its batch buffer.
-	up := newUploader(o, stored)
-	for n := int64(0); n < stored; n++ {
-		bucket := o.bucketScratch()
+	// Serialize and upload every bucket once, in batched rounds.
+	if err := o.upload(func(n int64, bucket []byte) {
 		for s, pl := range buckets[n] {
 			slot := bucket[s*o.slotSize:]
 			slot[0] = 1
 			putSlotHeader(slot, pl.key, pl.leaf)
 			copy(slot[slotHeader:], payloads[pl.key])
 		}
-		if err := up.add(n, bucket); err != nil {
-			return err
-		}
-	}
-	if err := up.flush(); err != nil {
+	}); err != nil {
 		return err
 	}
 	if len(o.stash) > o.maxStash {

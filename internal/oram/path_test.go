@@ -82,6 +82,9 @@ func TestPathORAMReadMissing(t *testing.T) {
 	// The failed read must still be a full-length access (uniformity).
 	m := storage.NewMeter()
 	o2 := newTestORAM(t, 8, 16, m)
+	if err := o2.BulkLoad(nil); err != nil { // the empty tree's upload
+		t.Fatal(err)
+	}
 	m.Reset()
 	_, _ = o2.Read(5)
 	if err := o2.Flush(); err != nil { // its write-back had no next download to ride

@@ -98,29 +98,30 @@ func newScheduler(o *PathORAM, batch int) *scheduler {
 // half that settles the share once its round has been issued (commit and
 // openFetched, or restoreKnown). A single access issues its own share alone
 // (fetch); Together and Settle put the prepared shares of several trees into
-// one round.
+// one round. A tree is uploaded before its first share is staged
+// (ensureUploaded), by fetch, Together and Scan.
 
-// prepareFetch stages the download of the path to leaf. Once k paths are
-// queued their write-back rides along: the share carries the pending
-// eviction writes too, and the server applies them before serving the reads.
-func (s *scheduler) prepareFetch(leaf uint32) error {
-	s.op = storage.RoundOp{Store: s.o.store, Dst: s.o.fetchBuf[:0]}
-	if s.riding = len(s.pending) >= s.batch; s.riding {
+// prepareRead stages a share that reads the buckets in nodes into dst. Once
+// at least rideAt paths are queued their write-back rides along: the share
+// carries the pending eviction writes too, and the server applies them
+// before serving the reads. A fetch lets a write-back ride once k paths are
+// queued, a scan as soon as one is.
+func (s *scheduler) prepareRead(nodes []int64, dst []byte, rideAt int) error {
+	s.op = storage.RoundOp{Store: s.o.store, Dst: dst, ReadIdxs: nodes}
+	if s.riding = len(s.pending) >= rideAt; s.riding {
 		sealed, err := s.sealPending()
 		if err != nil {
 			return err
 		}
 		s.op.WriteIdxs, s.op.WriteData = s.writeNodes, sealed
 	}
-	s.readNodes = append(s.readNodes[:0], s.o.pathNodes(leaf)...)
-	s.op.ReadIdxs = s.readNodes
 	return nil
 }
 
-// completeFetch settles an issued fetch share: the downloaded buckets enter
-// the stash. On a transport error a write-back that rode along stays queued
-// (and its blocks in the stash) for the next fetch.
-func (s *scheduler) completeFetch() error {
+// completeRead settles an issued read share. On a transport error a
+// write-back that rode along stays queued (and its blocks in the stash) for
+// the next share; otherwise it is committed.
+func (s *scheduler) completeRead() error {
 	if s.op.Err != nil {
 		if s.riding {
 			s.o.restoreKnown()
@@ -128,17 +129,34 @@ func (s *scheduler) completeFetch() error {
 		return s.op.Err
 	}
 	if s.riding {
-		// Commit before taking the read buckets in: a bucket written by this
-		// very exchange may be re-read by it, and its blocks re-enter the
-		// stash from the known set the commit has just established.
 		s.commit()
 		s.exchanges++
+	}
+	return nil
+}
+
+// prepareFetch stages the download of the path to leaf.
+func (s *scheduler) prepareFetch(leaf uint32) error {
+	s.readNodes = append(s.readNodes[:0], s.o.pathNodes(leaf)...)
+	return s.prepareRead(s.readNodes, s.o.fetchBuf[:0], s.batch)
+}
+
+// completeFetch settles an issued fetch share: the downloaded buckets enter
+// the stash. Commit comes first: a bucket written by this very exchange may
+// be re-read by it, and its blocks re-enter the stash from the known set the
+// commit has just established.
+func (s *scheduler) completeFetch() error {
+	if err := s.completeRead(); err != nil {
+		return err
 	}
 	return s.o.openFetched(s.op.Out, s.readNodes)
 }
 
 // fetch downloads the path to leaf into the stash in one round of its own.
 func (s *scheduler) fetch(leaf uint32) error {
+	if err := s.o.ensureUploaded(); err != nil {
+		return err
+	}
 	if err := s.prepareFetch(leaf); err != nil {
 		return err
 	}
@@ -213,15 +231,20 @@ func (s *scheduler) flushNow() error {
 // buckets: shared upper-tree buckets appear once, in ascending store-index
 // order — for a single path, root to leaf.
 func (s *scheduler) sealPending() ([][]byte, error) {
-	s.writeNodes = s.writeNodes[:0]
+	s.writeNodes = s.pendingNodes(s.writeNodes[:0])
+	return s.o.sealNodes(s.writeNodes)
+}
+
+// pendingNodes appends the union of the pending paths' buckets to dst.
+func (s *scheduler) pendingNodes(dst []int64) []int64 {
 	for _, leaf := range s.pending {
-		s.writeNodes = append(s.writeNodes, s.o.pathNodes(leaf)...)
+		dst = append(dst, s.o.pathNodes(leaf)...)
 	}
 	if len(s.pending) > 1 {
-		slices.Sort(s.writeNodes)
-		s.writeNodes = slices.Compact(s.writeNodes)
+		slices.Sort(dst)
+		dst = slices.Compact(dst)
 	}
-	return s.o.sealNodes(s.writeNodes)
+	return dst
 }
 
 // commit settles a stored write-back of the pending paths: their buckets
@@ -251,6 +274,11 @@ func (o *PathORAM) Flush() error {
 // PendingEvictions reports the number of fetched paths whose write-back is
 // still queued.
 func (o *PathORAM) PendingEvictions() int { return len(o.sched.pending) }
+
+// PendingWrites reports how many buckets the queued write-back writes when
+// it is stored — the union of the pending paths — a function of their
+// leaves, which the server saw fetched.
+func (o *PathORAM) PendingWrites() int64 { return int64(len(o.sched.pendingNodes(nil))) }
 
 // Close settles the instance at a session boundary: every queued
 // eviction path is written back, so no stash state is pinned by pending paths when the serving

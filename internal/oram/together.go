@@ -99,10 +99,18 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 		ops = make([]*storage.RoundOp, 0, len(reqs)+len(ride))
 	}
 
+	// A tree never loaded uploads its empty buckets first, in rounds of its
+	// own, so that staging sends nothing.
+	for i, o := range group {
+		reqs[i].Data, reqs[i].Err = nil, o.ensureUploaded()
+	}
+
 	// Plan every access and stage every download; one round.
 	for i, o := range group {
 		r := &reqs[i]
-		r.Data = nil
+		if r.Err != nil {
+			continue
+		}
 		_, key, _ := onTree(r) // lockstep has resolved every request
 		var put []byte
 		if r.Put != nil && !r.Dummy {

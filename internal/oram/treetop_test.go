@@ -31,6 +31,9 @@ func TestTreetopGeometry(t *testing.T) {
 		capacity := int64(1) << (height - 1)
 		m := storage.NewMeter()
 		o := newTestORAM(t, capacity, 8, m)
+		if err := o.BulkLoad(nil); err != nil { // the empty tree's upload
+			t.Fatal(err)
+		}
 		top := treetopLevels(height)
 		if ps := o.Telemetry(); ps.TreetopLevels != top || o.Levels() != height-top {
 			t.Fatalf("height %d: treetop %d over %d stored levels, want %d over %d", height, ps.TreetopLevels, o.Levels(), top, height-top)

@@ -18,8 +18,8 @@ import (
 )
 
 // DefaultMaxEntries is the plan cache's default entry cap. Each entry
-// retains a full prepared input client-side (plaintext relation, ORAM
-// stash, and position-map state), so the cache is bounded: past the cap
+// retains a prepared input's client-side state (ORAM stashes, position
+// maps, and cached index levels), so the cache is bounded: past the cap
 // the least-recently-used entry is dropped. See Cache for what eviction
 // releases and what it leaves behind.
 const DefaultMaxEntries = 64
@@ -27,8 +27,8 @@ const DefaultMaxEntries = 64
 // Cache holds prepared join inputs — filtered, padded, re-indexed copies of
 // base tables — keyed by a keyed-MAC signature of the public input
 // description. A hit hands the second query in a session the already
-// sorted-and-indexed intermediate, skipping the oblivious filter, its
-// compaction, and the ORAM re-upload entirely (the dominant costs
+// sorted-and-indexed intermediate, skipping the scan, the re-upload, and
+// the index build entirely (the dominant costs
 // Shafieinejad et al. amortize across query series).
 //
 // Invalidation: a signature covers the table name, its row count, its

@@ -7,6 +7,7 @@ import (
 
 	"oblivjoin/internal/core"
 	"oblivjoin/internal/jointree"
+	"oblivjoin/internal/oram"
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/table"
 )
@@ -58,6 +59,43 @@ type Cost struct {
 	// counts the predicted-vs-measured guard checks against the Meter's
 	// trace, store by store.
 	PerStore map[string]int64
+}
+
+// PrepareCost is the predicted traffic of building one filtered input. The
+// scan reads every stored bucket of the base table's data tree once, and
+// the upload writes every stored bucket of each prepared tree once, each in
+// batched rounds (oram.BatchRounds). A write-back the base tree still has
+// queued rides the scan's first round; joins settle their inputs, so it is
+// zero unless the base was accessed outside one. The build is common to
+// every candidate plan, so it does not enter their ranking.
+type PrepareCost struct {
+	ScanBlocks, ScanRounds     int64
+	WriteBackBlocks            int64
+	UploadBlocks, UploadRounds int64
+}
+
+// storedBuckets is the number of buckets o keeps on the server.
+func storedBuckets(o oram.ORAM) int64 { return o.ServerBytes() / int64(o.BlockBytes()) }
+
+// scanCost prices the scan of base's data tree: public geometry, and the
+// union of the paths its queued write-back covers. Read it before the
+// build, whose scan settles that write-back.
+func scanCost(base *table.StoredTable) PrepareCost {
+	data := base.ORAMs()[0]
+	scan := storedBuckets(data)
+	c := PrepareCost{ScanBlocks: scan, ScanRounds: oram.BatchRounds(scan)}
+	if o, ok := data.(*oram.PathORAM); ok {
+		c.WriteBackBlocks = o.PendingWrites()
+	}
+	return c
+}
+
+// addUpload prices the upload of built's trees: the stored buckets of each.
+func (c *PrepareCost) addUpload(built *table.StoredTable) {
+	for _, o := range built.ORAMs() {
+		c.UploadBlocks += storedBuckets(o)
+		c.UploadRounds += oram.BatchRounds(storedBuckets(o))
+	}
 }
 
 // addData prices oramOps accesses to a table's data ORAM; addIndex to one of

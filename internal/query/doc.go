@@ -4,9 +4,9 @@
 // that enumerates the candidate physical operators (sort-merge, index
 // nested-loop, multiway), prices each with the paper's Theorem 1–4
 // retrieval bounds expanded into per-store block-access counts, bytes and
-// rounds, and ranks them by the paper's cost model (Cost.Time), oblivious
-// selection pushdown that filters join inputs under the configured padding
-// policy, and a cache of filtered-and-indexed intermediates so a series of
+// rounds, and ranks them by the paper's cost model (Cost.Time), selection
+// pushdown that reads a filtered input's base table back with one oblivious
+// scan and pads the matches under the configured padding policy, and a cache of filtered-and-indexed intermediates so a series of
 // queries amortizes the dominant build cost (Shafieinejad et al.; see
 // DESIGN.md §2.15).
 //

@@ -46,7 +46,8 @@ type Executor struct {
 	TableOpts table.Options
 	// JoinOpts configures join execution and supplies the padding policy.
 	JoinOpts core.Options
-	// OpOpts configures the pushdown selection operator.
+	// OpOpts carries the telemetry the pushdown reports to: its Span is the
+	// parent of each build's "op.pushdown" span, metered by its Meter.
 	OpOpts operators.Options
 	// EnableMultiway mirrors the database's index write-back mode.
 	EnableMultiway bool
@@ -66,8 +67,10 @@ type Output struct {
 	Tuples  []relation.Tuple
 	// CacheHits and CacheMisses count this query's prepared-input lookups.
 	CacheHits, CacheMisses int
-	// PrepareStats is the traffic the pushdown phase consumed (selection
-	// scans, compactions, intermediate uploads); zero on full reuse.
+	// PrepareStats is the traffic the pushdown phase consumed: for each
+	// input the query built, the scan of its base table's data tree and the
+	// upload of the prepared trees — what InputPlan.Prepare predicts,
+	// exactly. Zero when every filtered input is a cache hit.
 	PrepareStats storage.Stats
 }
 
@@ -133,9 +136,9 @@ func (e *Executor) plan(spec Spec) (*Plan, map[string]*table.StoredTable, *Outpu
 }
 
 // prepare resolves every input table: unfiltered tables are used as sealed,
-// filtered tables are obliviously selected, padded to the policy's target
-// with matchless sentinel fillers, re-indexed on the spec's join
-// attributes, and cached under their public signature.
+// filtered tables are read back by one oblivious scan, filtered, padded to
+// the policy's target with matchless sentinel fillers, re-indexed on the
+// spec's join attributes, and cached under their public signature.
 func (e *Executor) prepare(spec Spec) (map[string]*table.StoredTable, []InputPlan, *Output, error) {
 	out := &Output{}
 	start := snapshot(e.JoinOpts.Meter)
@@ -168,6 +171,7 @@ func (e *Executor) prepare(spec Spec) (map[string]*table.StoredTable, []InputPla
 		low := spec.sentinelLow(tbl)
 		sig := e.Cache.signature(base.Schema(), base.NumTuples(), e.TableOpts.BlockPayload, filters, attrs, e.JoinOpts.Padding.String(), low)
 		ip.Signature = sig
+		pc := scanCost(base)
 		st, hit, err := e.Cache.getOrBuild(sig, func(slot buildSlot) (*table.StoredTable, error) {
 			return e.buildInput(base, filters, attrs, slot, low)
 		})
@@ -180,6 +184,10 @@ func (e *Executor) prepare(spec Spec) (map[string]*table.StoredTable, []InputPla
 			out.CacheMisses++
 		}
 		ip.Cached = hit
+		if !hit {
+			pc.addUpload(st)
+			ip.Prepare = pc
+		}
 		ip.Rows = int64(st.NumTuples())
 		inputs[tbl] = st
 		plans = append(plans, ip)
@@ -188,44 +196,76 @@ func (e *Executor) prepare(spec Spec) (map[string]*table.StoredTable, []InputPla
 	return inputs, plans, out, nil
 }
 
-// buildInput runs the oblivious selection under the padding policy and
-// stores the filtered relation — real tuples plus matchless sentinel
-// fillers up to the padded size — with indexes on the join attributes,
-// under the build slot's reserved plan-cache store prefix.
+// buildInput reads the base table back with one oblivious scan of its data
+// ORAM (table.StoredTable.Scan), keeps the tuples that satisfy every filter
+// — in client memory, where the scan put them — pads them with matchless
+// sentinel fillers to PadSize(real, n), and stores the result with indexes
+// on the join attributes under the build slot's reserved plan-cache store
+// prefix. The server sees the scan and the upload, both functions of (n,
+// the padded size) and the trees' geometry. No encrypted selection vector
+// is needed: table.Store holds the whole prepared relation in client memory
+// to build its B-trees anyway, so sealing and compacting the matches on the
+// server would buy no memory bound, only rounds.
 func (e *Executor) buildInput(base *table.StoredTable, filters []operators.Pred, attrs []string, slot buildSlot, low bool) (*table.StoredTable, error) {
-	rel := base.Relation()
-	n := len(rel.Tuples)
-	padTo := func(real int) int {
-		return int(e.JoinOpts.PadSize(int64(real), int64(n)))
-	}
-	res, err := operators.SelectPadded(rel, filters, padTo, e.OpOpts)
+	schema := base.Schema()
+	n := base.NumTuples()
+	sp := e.OpOpts.Span.ChildMeter("op.pushdown", e.OpOpts.Meter)
+	sp.SetAttr("n", int64(n))
+	defer sp.End()
+	tuples, err := base.Scan()
 	if err != nil {
-		return nil, fmt.Errorf("query: pushdown on %s: %w", base.Schema().Table, err)
+		return nil, fmt.Errorf("query: pushdown on %s: %w", schema.Table, err)
 	}
-	if fillers := int64(res.PaddedCount - res.RealCount); fillers > fillerRangeSize {
-		return nil, fmt.Errorf("query: %s needs %d fillers, more than the %d a sentinel range holds",
-			base.Schema().Table, fillers, fillerRangeSize)
+	cols := make([]int, len(filters))
+	for i, f := range filters {
+		cols[i] = schema.MustCol(f.Column)
 	}
-	padded := &relation.Relation{Schema: rel.Schema, Tuples: res.Tuples}
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		cols[i] = rel.Schema.MustCol(a)
-	}
-	for k := res.RealCount; k < res.PaddedCount; k++ {
-		tu := relation.Tuple{Values: make([]int64, len(rel.Schema.Columns))}
-		v := sentinelKey(slot.FillerBase, int64(k-res.RealCount), low)
-		for i := range attrs {
-			tu.Values[cols[i]] = v
+	kept := tuples[:0]
+	for _, tu := range tuples {
+		if matchesAll(tu, filters, cols) {
+			kept = append(kept, tu)
 		}
-		padded.Tuples = append(padded.Tuples, tu)
+	}
+	real := len(kept)
+	declared := int(e.JoinOpts.PadSize(int64(real), int64(n)))
+	switch fillers := int64(declared - real); {
+	case fillers < 0:
+		return nil, fmt.Errorf("query: %s: padding target %d below real count %d", schema.Table, declared, real)
+	case fillers > fillerRangeSize:
+		return nil, fmt.Errorf("query: %s needs %d fillers, more than the %d a sentinel range holds",
+			schema.Table, fillers, fillerRangeSize)
+	}
+	sp.SetAttr("padded", int64(declared))
+	keyCols := make([]int, len(attrs))
+	for i, a := range attrs {
+		keyCols[i] = schema.MustCol(a)
+	}
+	for k := range declared - real {
+		tu := relation.Tuple{Values: make([]int64, len(schema.Columns))}
+		v := sentinelKey(slot.FillerBase, int64(k), low)
+		for _, c := range keyCols {
+			tu.Values[c] = v
+		}
+		kept = append(kept, tu)
 	}
 	topts := e.TableOpts
 	topts.StorePrefix = slot.StorePrefix
-	st, err := table.Store(padded, attrs, topts)
+	st, err := table.Store(&relation.Relation{Schema: schema, Tuples: kept}, attrs, topts)
 	if err != nil {
-		return nil, fmt.Errorf("query: storing prepared %s: %w", base.Schema().Table, err)
+		return nil, fmt.Errorf("query: storing prepared %s: %w", schema.Table, err)
 	}
 	return st, nil
+}
+
+// matchesAll reports whether tu satisfies every filter, filters[i] reading
+// column cols[i].
+func matchesAll(tu relation.Tuple, filters []operators.Pred, cols []int) bool {
+	for i, f := range filters {
+		if !f.Op.Matches(tu.Values[cols[i]], f.Value) {
+			return false
+		}
+	}
+	return true
 }
 
 // sentinelKey returns the join-key value of filler row k of a prepared
@@ -247,17 +287,17 @@ func sentinelKey(base, k int64, low bool) int64 {
 }
 
 // checkKeyDomain verifies every join-attribute value of every input lies
-// inside (-2^62, 2^62), the domain the sentinel ranges are disjoint from.
+// inside (-2^62, 2^62), the domain the sentinel ranges are disjoint from. It
+// reads the column domains table.Store recorded, not the tuples.
 func (e *Executor) checkKeyDomain(spec Spec) error {
 	for _, tbl := range spec.Tables {
-		rel := e.Tables[tbl].Relation()
 		for _, attr := range spec.joinAttrs(tbl) {
-			col := rel.Schema.MustCol(attr)
-			for _, tu := range rel.Tuples {
-				v := tu.Values[col]
-				if v >= sentinelFloor || v <= -sentinelFloor {
-					return fmt.Errorf("query: %s.%s value %d outside the |key| < 2^62 domain pushdown padding requires", tbl, attr, v)
-				}
+			d, err := e.Tables[tbl].Domain(attr)
+			if err != nil {
+				return err
+			}
+			if d.Min <= -sentinelFloor || d.Max >= sentinelFloor {
+				return fmt.Errorf("query: %s.%s holds values in [%d, %d], outside the |key| < 2^62 domain pushdown padding requires", tbl, attr, d.Min, d.Max)
 			}
 		}
 	}

@@ -8,7 +8,8 @@ import (
 )
 
 // Explain renders the plan deterministically: the query shape, the
-// per-input pushdown decisions, the chosen operator with its predicted
+// per-input pushdown decisions with the predicted cost of each input built,
+// the chosen operator with its predicted
 // block-access and round counts and the cost-model time they rank by, and
 // the full candidate slate. Identical public metadata produces
 // byte-identical output — the property the trace-identity test pins.
@@ -33,6 +34,13 @@ func (p *Plan) Explain() string {
 		}
 		fmt.Fprintf(&b, "  %s: σ(%s) %d rows -> %d padded%s\n",
 			in.Table, strings.Join(in.Filters, " and "), in.BaseRows, in.Rows, cached)
+		if pc := in.Prepare; pc != (PrepareCost{}) {
+			fmt.Fprintf(&b, "    prepare: scan blocks=%d rounds=%d", pc.ScanBlocks, pc.ScanRounds)
+			if pc.WriteBackBlocks > 0 {
+				fmt.Fprintf(&b, " (queued write-back blocks=%d)", pc.WriteBackBlocks)
+			}
+			fmt.Fprintf(&b, ", upload blocks=%d rounds=%d\n", pc.UploadBlocks, pc.UploadRounds)
+		}
 	}
 	best := p.Best()
 	fmt.Fprintf(&b, "plan: %s\n", best.Desc)

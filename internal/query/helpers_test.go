@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"testing"
 
@@ -37,6 +38,7 @@ type envConfig struct {
 	seed          uint64
 	evictionBatch int
 	cacheIndex    bool
+	blockPayload  int // 0: 256
 }
 
 // newEnv stores each relation with indexes on the given attributes and
@@ -50,7 +52,7 @@ func newEnv(t testing.TB, cfg envConfig, rels map[string]*relation.Relation, ind
 		seed = 7
 	}
 	topts := table.Options{
-		BlockPayload:      256,
+		BlockPayload:      cmp.Or(cfg.blockPayload, 256),
 		Meter:             m,
 		Sealer:            sealer,
 		Rand:              oram.NewSeededSource(seed),

@@ -69,6 +69,9 @@ type InputPlan struct {
 	Signature string
 	// Cached reports whether this query reused a cached prepared input.
 	Cached bool
+	// Prepare is the predicted traffic of building the input: zero when it
+	// is unfiltered or a cache hit.
+	Prepare PrepareCost
 }
 
 // PlanOptions carries the database configuration the planner needs.

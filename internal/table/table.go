@@ -16,6 +16,7 @@ package table
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"oblivjoin/internal/btree"
@@ -85,14 +86,22 @@ func (o Options) payload() int {
 }
 
 // StoredTable is a relation stored in oblivious (or raw) cloud blocks with
-// B-tree indices over selected attributes.
+// B-tree indices over selected attributes. The client keeps no copy of the
+// tuples: they are read back from the cloud (ReadTuple, cursors, Scan).
 type StoredTable struct {
-	rel      *relation.Relation
+	schema   relation.Schema
+	n        int // tuples stored
+	domains  []Domain
 	opts     Options
 	data     oram.ORAM
 	perBlock int
 	indexes  map[string]*btree.Tree
 }
+
+// Domain is the least and greatest value a column held when it was stored:
+// client-side metadata, recorded by Store so that a key-domain check needs
+// no tuple. An empty table's domain is {0, 0}.
+type Domain struct{ Min, Max int64 }
 
 // Store uploads rel with its own ORAMs (SepORAM setting, or Raw when
 // opts.Raw): one for data blocks and one per indexed attribute.
@@ -107,7 +116,7 @@ func Store(rel *relation.Relation, indexAttrs []string, opts Options) (*StoredTa
 	if err != nil {
 		return nil, err
 	}
-	if err := bulkLoad(dataORAM, t.dataPayloads()); err != nil {
+	if err := bulkLoad(dataORAM, t.dataPayloads(rel)); err != nil {
 		return nil, err
 	}
 	t.data = dataORAM
@@ -163,7 +172,7 @@ func StoreShared(rels []*relation.Relation, indexAttrs map[string][]string, opts
 			return nil, nil, err
 		}
 		dataSpans[i] = span{offset: int64(len(allPayloads)), count: t.dataBlockCount()}
-		allPayloads = append(allPayloads, t.dataPayloads()...)
+		allPayloads = append(allPayloads, t.dataPayloads(rel)...)
 		idxSpans[i] = make(map[string]span, len(attrs))
 		for _, attr := range attrs {
 			b := built[attr]
@@ -217,8 +226,10 @@ func StoreShared(rels []*relation.Relation, indexAttrs map[string][]string, opts
 	return out, shared, nil
 }
 
-// prepare validates the relation, computes geometry, and constructs index
-// node sets (client-side; nothing uploaded yet).
+// prepare validates the relation, computes geometry, records the column
+// domains, and constructs index node sets (client-side; nothing uploaded
+// yet). The table keeps its own copy of the schema and none of the tuples,
+// so nothing the caller does to rel afterwards reaches it.
 func prepare(rel *relation.Relation, indexAttrs []string, opts Options) (*StoredTable, map[string]*btree.Built, error) {
 	if rel == nil {
 		return nil, nil, fmt.Errorf("table: nil relation")
@@ -235,11 +246,28 @@ func prepare(rel *relation.Relation, indexAttrs []string, opts Options) (*Stored
 	if perBlock > 0xFFFF {
 		perBlock = 0xFFFF // Ref.Slot is serialized as uint16
 	}
+	schema := rel.Schema
+	schema.Columns = slices.Clone(schema.Columns)
 	t := &StoredTable{
-		rel:      rel,
+		schema:   schema,
+		n:        len(rel.Tuples),
+		domains:  make([]Domain, len(schema.Columns)),
 		opts:     opts,
 		perBlock: perBlock,
 		indexes:  make(map[string]*btree.Tree, len(indexAttrs)),
+	}
+	for i, tu := range rel.Tuples {
+		if len(tu.Values) != len(schema.Columns) || len(tu.Payload) > schema.PayloadBytes {
+			return nil, nil, fmt.Errorf("table: %s tuple %d has %d values and %d payload bytes, the schema %d and at most %d",
+				schema.Table, i, len(tu.Values), len(tu.Payload), len(schema.Columns), schema.PayloadBytes)
+		}
+		for c := range t.domains {
+			d, v := &t.domains[c], tu.Values[c]
+			if i == 0 {
+				*d = Domain{v, v}
+			}
+			d.Min, d.Max = min(d.Min, v), max(d.Max, v)
+		}
 	}
 	built := make(map[string]*btree.Built, len(indexAttrs))
 	for _, attr := range indexAttrs {
@@ -264,28 +292,28 @@ func prepare(rel *relation.Relation, indexAttrs []string, opts Options) (*Stored
 }
 
 func (t *StoredTable) dataBlockCount() int64 {
-	n := (len(t.rel.Tuples) + t.perBlock - 1) / t.perBlock
+	n := (t.n + t.perBlock - 1) / t.perBlock
 	if n == 0 {
 		n = 1
 	}
 	return int64(n)
 }
 
-// dataPayloads encodes the tuples into data-block payloads.
-func (t *StoredTable) dataPayloads() [][]byte {
+// dataPayloads encodes rel's tuples into data-block payloads.
+func (t *StoredTable) dataPayloads(rel *relation.Relation) [][]byte {
 	payload := t.opts.payload()
-	ts := t.rel.Schema.TupleSize()
+	ts := t.schema.TupleSize()
 	blocks := make([][]byte, t.dataBlockCount())
 	for b := range blocks {
 		buf := make([]byte, payload)
 		for s := 0; s < t.perBlock; s++ {
 			i := b*t.perBlock + s
-			if i >= len(t.rel.Tuples) {
+			if i >= t.n {
 				break
 			}
 			// Encoding errors are impossible here: prepare validated widths.
-			if err := relation.Encode(t.rel.Schema, t.rel.Tuples[i], buf[s*ts:]); err != nil {
-				panic(fmt.Sprintf("table: encoding tuple %d of %s: %v", i, t.rel.Schema.Table, err))
+			if err := relation.Encode(t.schema, rel.Tuples[i], buf[s*ts:]); err != nil {
+				panic(fmt.Sprintf("table: encoding tuple %d of %s: %v", i, t.schema.Table, err))
 			}
 		}
 		blocks[b] = buf
@@ -338,10 +366,19 @@ func bulkLoad(o oram.ORAM, payloads [][]byte) error {
 }
 
 // Schema returns the stored relation's schema.
-func (t *StoredTable) Schema() relation.Schema { return t.rel.Schema }
+func (t *StoredTable) Schema() relation.Schema { return t.schema }
 
 // NumTuples returns the row count (public sizing information).
-func (t *StoredTable) NumTuples() int { return len(t.rel.Tuples) }
+func (t *StoredTable) NumTuples() int { return t.n }
+
+// Domain returns the domain column attr held when the table was stored.
+func (t *StoredTable) Domain(attr string) (Domain, error) {
+	col := t.schema.Col(attr)
+	if col < 0 {
+		return Domain{}, fmt.Errorf("table: %s has no column %q", t.schema.Table, attr)
+	}
+	return t.domains[col], nil
+}
 
 // TuplesPerBlock returns the data-block packing factor.
 func (t *StoredTable) TuplesPerBlock() int { return t.perBlock }
@@ -350,7 +387,7 @@ func (t *StoredTable) TuplesPerBlock() int { return t.perBlock }
 func (t *StoredTable) Index(attr string) (*btree.Tree, error) {
 	tr, ok := t.indexes[attr]
 	if !ok {
-		return nil, fmt.Errorf("table: %s has no index on %q", t.rel.Schema.Table, attr)
+		return nil, fmt.Errorf("table: %s has no index on %q", t.schema.Table, attr)
 	}
 	return tr, nil
 }
@@ -393,12 +430,12 @@ func (t *StoredTable) landTuple(row Row, loaded oram.Req) (Row, error) {
 }
 
 func (t *StoredTable) tupleAt(ref btree.Ref, buf []byte) (relation.Tuple, bool, error) {
-	ts := t.rel.Schema.TupleSize()
+	ts := t.schema.TupleSize()
 	off := ref.Slot * ts
 	if off+ts > len(buf) {
 		return relation.Tuple{}, false, fmt.Errorf("table: slot %d out of block", ref.Slot)
 	}
-	return relation.Decode(t.rel.Schema, buf[off:off+ts])
+	return relation.Decode(t.schema, buf[off:off+ts])
 }
 
 // DummyData performs one data-ORAM access indistinguishable from ReadTuple.
@@ -464,9 +501,34 @@ func (t *StoredTable) ClientBytes() int64 {
 	return total
 }
 
-// Relation exposes the client-side plaintext relation (tests and reference
-// joins only; a real deployment would not retain it).
-func (t *StoredTable) Relation() *relation.Relation { return t.rel }
+// Scan reads the table back from its data ORAM in one oblivious scan
+// (oram.PathORAM.Scan) and returns its tuples in key order, which is the
+// order they were stored in. The server sees every stored bucket of the
+// data tree read once, in rounds its geometry fixes; the tuples' values
+// reach only the client.
+func (t *StoredTable) Scan() ([]relation.Tuple, error) {
+	o, ok := t.data.(*oram.PathORAM)
+	if !ok {
+		return nil, fmt.Errorf("table: %s: a %T cannot be scanned", t.schema.Table, t.data)
+	}
+	blocks, err := o.Scan()
+	if err != nil {
+		return nil, err
+	}
+	tuples := make([]relation.Tuple, t.n)
+	for i := range tuples {
+		ref := btree.Ref{Block: uint64(i / t.perBlock), Slot: i % t.perBlock}
+		tu, real, err := t.tupleAt(ref, blocks[ref.Block])
+		if err == nil && !real {
+			err = errors.New("a dummy slot")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("table: scanning tuple %d of %s: %w", i, t.schema.Table, err)
+		}
+		tuples[i] = tu
+	}
+	return tuples, nil
+}
 
 // DataStoreName is the store name Store provisions for a table's data ORAM.
 // The planner's catalog reconstructs it to attribute predicted block

@@ -102,6 +102,13 @@ func TestStoreRejectsBadInput(t *testing.T) {
 	if _, err := Store(wide, nil, opts); err == nil {
 		t.Fatal("tuple wider than block accepted")
 	}
+	for _, tu := range []relation.Tuple{{Values: []int64{1}}, {Values: []int64{1, 2, 3}}, {Values: []int64{1, 2}, Payload: []byte{1}}} {
+		bad := testRelation("t", []int64{1, 2})
+		bad.Tuples[1] = tu
+		if _, err := Store(bad, []string{"k"}, opts); err == nil {
+			t.Fatalf("tuple %v accepted under a two-column schema without payload", tu)
+		}
+	}
 }
 
 func TestScanCursor(t *testing.T) {

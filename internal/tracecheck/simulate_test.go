@@ -75,6 +75,9 @@ func simRun(t *testing.T, capacity int, batch int, exchange bool, ops []simOp) (
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := o.BulkLoad(nil); err != nil { // the empty tree's upload
+		t.Fatal(err)
+	}
 	m.SetTracing(true)
 	for _, op := range ops {
 		switch op.kind {

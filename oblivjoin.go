@@ -236,7 +236,9 @@ func (db *Database) AddTable(rel *Relation, indexAttrs ...string) error {
 }
 
 // Seal encrypts, uploads, and indexes every registered table — the paper's
-// preprocessing step. After Seal the database answers join queries.
+// preprocessing step. After Seal the database answers join queries from the
+// sealed data alone: it holds no reference to the registered relations, so
+// the caller may change or drop them.
 func (db *Database) Seal() error {
 	if db.sealed {
 		return fmt.Errorf("oblivjoin: database already sealed")
@@ -301,6 +303,7 @@ func (db *Database) Seal() error {
 		}
 	}
 	db.sealed = true
+	db.pending = nil // the client keeps no copy of the relations it sealed
 	db.setupStats = db.meter.Snapshot()
 	db.meter.Reset() // setup traffic is not query cost
 	return nil
@@ -679,17 +682,11 @@ func (db *Database) executor() (*query.Executor, error) {
 		}
 		db.planCache = query.NewCache(sigKey)
 	}
-	jopts := db.joinOpts()
 	return &query.Executor{
-		Tables:    db.tables,
-		TableOpts: db.topts,
-		JoinOpts:  jopts,
-		OpOpts: operators.Options{
-			BlockSize: jopts.OutBlockSize,
-			Meter:     db.meter,
-			Sealer:    db.sealer,
-			Span:      db.span,
-		},
+		Tables:         db.tables,
+		TableOpts:      db.topts,
+		JoinOpts:       db.joinOpts(),
+		OpOpts:         operators.Options{Meter: db.meter, Span: db.span},
 		EnableMultiway: db.cfg.EnableMultiway,
 		Cache:          db.planCache,
 	}, nil

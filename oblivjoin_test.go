@@ -2,7 +2,11 @@ package oblivjoin
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
+
+	"oblivjoin/internal/core"
 )
 
 func demoRelations() (*Relation, *Relation) {
@@ -260,5 +264,74 @@ func TestDatabaseDPPadding(t *testing.T) {
 	}
 	if res.PaddedCount <= res.RealCount {
 		t.Fatalf("DP padding added no noise: %d", res.PaddedCount)
+	}
+}
+
+// TestSealForgetsTheRelation: after Seal the database answers from the
+// sealed data alone. Editing the caller's relations and appending to them
+// afterwards must reach no query, filtered or not: both still equal the
+// reference computed on a copy taken before the edit.
+func TestSealForgetsTheRelation(t *testing.T) {
+	passengers, watch := demoRelations()
+	copyOf := func(r *Relation) *Relation {
+		c := &Relation{Schema: r.Schema}
+		for _, tu := range r.Tuples {
+			c.Tuples = append(c.Tuples, Tuple{Values: slices.Clone(tu.Values)})
+		}
+		return c
+	}
+	before := []*Relation{copyOf(passengers), copyOf(watch)}
+	db := NewDatabase(Config{BlockPayload: 512})
+	for _, rel := range []*Relation{passengers, watch} {
+		if err := db.AddTable(rel, "passport"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []*Relation{passengers, watch} {
+		for _, tu := range rel.Tuples {
+			for c := range tu.Values {
+				tu.Values[c] = -1
+			}
+		}
+		rel.Tuples = append(rel.Tuples, Tuple{Values: []int64{1003, 0}}, Tuple{Values: []int64{-1, -1}})
+	}
+
+	filter := []SelectPred{{Column: "flight", Op: LE, Value: 1}}
+	kept := &Relation{Schema: before[0].Schema}
+	for _, tu := range before[0].Tuples {
+		if tu.Values[1] <= 1 {
+			kept.Tuples = append(kept.Tuples, tu)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		filters []Filter
+		outer   *Relation
+	}{
+		{"unfiltered", nil, before[0]},
+		{"filtered", []Filter{{Table: "passengers", Preds: filter}}, kept},
+	} {
+		out, err := db.Run(Query{
+			Tables:  []string{"passengers", "watchlist"},
+			Preds:   []Pred{{Left: "passengers", LeftAttr: "passport", Right: "watchlist", RightAttr: "passport"}},
+			Filters: c.filters,
+			Project: []string{"passengers.passport", "passengers.flight", "watchlist.passport", "watchlist.level"},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, want := map[string]int{}, map[string]int{}
+		for _, tu := range out.Tuples {
+			got[fmt.Sprint(tu.Values)]++
+		}
+		for _, tu := range core.ReferenceEquiJoin(c.outer, before[1], "passport", "passport") {
+			want[fmt.Sprint(tu.Values)]++
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("%s query answered %v, the sealed data %v", c.name, got, want)
+		}
 	}
 }
