@@ -56,12 +56,14 @@ func (w *outWriter) putDummy() error {
 // finish applies the Section 8 padding strategy and the paper's final
 // oblivious filter: the output vector is compacted so real records precede
 // dummies in their emission order (obliv.CompactReal with mem trusted
-// records) and truncated to the padded size. The padding is appended in
-// client memory, so the partly filled last block is written once, riding
-// the compaction's first load, and the compaction's closing write-back rides
-// the decode read. It returns the decoded real join tuples. join is the
-// algorithm's telemetry span (may be nil); the filter and decode phases
-// attach under it, with the compaction's own span nesting under the filter.
+// records) and truncated to the padded size. The compaction's plan packs
+// its transfers into rounds that read at most the padded prefix, the same
+// blocks the decode reads. The padding is appended in client memory, so the
+// partly filled last block is written once, riding the compaction's first
+// round, and the compaction's last round's write-back rides the decode read.
+// It returns the decoded real join tuples. join is the algorithm's telemetry
+// span (may be nil); the filter and decode phases attach under it, with the
+// compaction's own span nesting under the filter.
 func (w *outWriter) finish(opts Options, cartesian int64, join *telemetry.Span) (tuples []relation.Tuple, realCount, paddedCount int, err error) {
 	filter := join.Child("filter")
 	padded := opts.PadSize(int64(w.real), cartesian)

@@ -181,8 +181,9 @@ func padAppends(from, to, perBlock int) (blocks, rounds int64) {
 // TestFilterSpanIsTheCompactionFormula: the filter phase of every operator
 // moves exactly what its public sizes say — the output vector's last block,
 // the appends that pad it (to the padded result size, then to its last unit
-// boundary), and obliv.CompactTransfers of the padded vector at M = 2B, less
-// the closing write-back, which rides the decode read.
+// boundary), and obliv.CompactTransfers of the padded vector at M = 2B
+// keeping the padded result, less the closing write-back, which rides the
+// decode read.
 func TestFilterSpanIsTheCompactionFormula(t *testing.T) {
 	k1 := []int64{1, 2, 2, 3, 5, 8, 8, 9, 9, 9, 12, 14}
 	k2 := []int64{1, 2, 2, 2, 8, 9, 9, 13}
@@ -227,13 +228,13 @@ func TestFilterSpanIsTheCompactionFormula(t *testing.T) {
 			perBlock := (opts.outBlockSize() - xcrypto.Overhead) / res.Schema.TupleSize()
 			n := max(out, padded)
 			nb := (n + perBlock - 1) / perBlock
-			to, closing := n, nb
+			to := n
 			if nb > 2 {
-				to, closing = nb*perBlock, 2
+				to = nb * perBlock
 			}
 			blocks, rounds := padAppends(out, to, perBlock)
-			b, r := obliv.CompactTransfers(nb, 2)
-			blocks, rounds = blocks+int64(b-closing), rounds+int64(r)
+			cost := obliv.CompactTransfers(nb, 2, (padded+perBlock-1)/perBlock)
+			blocks, rounds = blocks+int64(cost.Blocks-cost.Closing), rounds+int64(cost.Rounds)
 			if got := filter.Stats; got.BlocksMoved() != blocks || got.NetworkRounds != rounds {
 				t.Errorf("%s %v (%d records, padded %d, %d per block): filter moved %d blocks in %d rounds, want %d in %d",
 					op, mode, out, padded, perBlock, got.BlocksMoved(), got.NetworkRounds, blocks, rounds)

@@ -7,10 +7,12 @@
 // BlockVector, MemVector).
 //
 // The dummy filter is not a sort: it is an order-preserving compaction of
-// any length with a fixed O(c log c) schedule over units of whole blocks,
-// each transfer one round carrying the previous transfer's write-back. Sorter
-// runs the external sort and the compaction with their phases attached to a
-// telemetry span. See DESIGN.md §2.7 for the cost model of both.
+// any length with a fixed O(c log c) schedule over units of whole blocks.
+// One plan, a function of the unit count and the kept length alone, packs
+// its transfers into rounds of at most the kept prefix read, each round
+// carrying the previous round's write-back. Sorter runs the external sort
+// and the compaction with their phases attached to a telemetry span. See
+// DESIGN.md §2.7 for the cost model of both.
 package obliv
 
 import (
@@ -110,10 +112,11 @@ func (v *MemVector) StoreRange(lo int, recs [][]byte) error {
 // A block that fills is sealed and held, one at most, rather than written at
 // once: it rides a round already going — one its owner issues (Ride), such
 // as a join step's, or the vector's own next read exchange (LoadRange, the
-// compaction's first load) — and is written in a round of its own only when
-// the next block fills first, or at Flush. The compaction's closing
-// write-back is held the same way. Which round a held block travels in
-// depends on when its owner issues rounds and on the vector's length alone.
+// compaction's first round) — and is written in a round of its own only when
+// the next block fills first, or at Flush. The write-back of the
+// compaction's last round is held the same way. Which round a held block
+// travels in depends on when its owner issues rounds and on the vector's
+// length alone.
 //
 // Concurrency: a BlockVector supports concurrent LoadRange/StoreRange calls
 // over pairwise disjoint record ranges. Record ranges need not be

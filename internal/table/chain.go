@@ -16,9 +16,11 @@ import (
 // needed through ORAM using the pointers." Every stored record carries the
 // reference of its successor in join-attribute order; the client keeps only
 // the head reference. A retrieval is then a single data-ORAM access (versus
-// the leaf+data pair of the indexed layout).
+// the leaf+data pair of the indexed layout). It keeps the schema and row
+// count it was stored with and none of the caller's relation.
 type ChainedTable struct {
-	rel      *relation.Relation
+	schema   relation.Schema
+	n        int
 	attrCol  int
 	data     oram.ORAM
 	perBlock int
@@ -93,7 +95,8 @@ func StoreChained(rel *relation.Relation, attr string, opts Options) (*ChainedTa
 		return nil, err
 	}
 	ct := &ChainedTable{
-		rel:      rel,
+		schema:   ownSchema(rel.Schema),
+		n:        n,
 		attrCol:  col,
 		data:     store,
 		perBlock: perBlock,
@@ -107,10 +110,10 @@ func StoreChained(rel *relation.Relation, attr string, opts Options) (*ChainedTa
 }
 
 // Schema returns the stored relation's schema.
-func (c *ChainedTable) Schema() relation.Schema { return c.rel.Schema }
+func (c *ChainedTable) Schema() relation.Schema { return c.schema }
 
 // NumTuples returns the row count.
-func (c *ChainedTable) NumTuples() int { return len(c.rel.Tuples) }
+func (c *ChainedTable) NumTuples() int { return c.n }
 
 // CloudBytes returns the server footprint.
 func (c *ChainedTable) CloudBytes() int64 { return c.data.ServerBytes() }
@@ -126,11 +129,11 @@ func (c *ChainedTable) recordAt(ref btree.Ref, buf []byte) (relation.Tuple, btre
 		return relation.Tuple{}, btree.Ref{}, false, fmt.Errorf("table: chained slot %d out of block", ref.Slot)
 	}
 	rec := buf[off : off+c.recSize]
-	tu, ok, err := relation.Decode(c.rel.Schema, rec[:c.rel.Schema.TupleSize()])
+	tu, ok, err := relation.Decode(c.schema, rec[:c.schema.TupleSize()])
 	if err != nil || !ok {
 		return relation.Tuple{}, btree.Ref{}, false, fmt.Errorf("table: chained slot holds dummy (%v)", err)
 	}
-	ptr := rec[c.rel.Schema.TupleSize():]
+	ptr := rec[c.schema.TupleSize():]
 	var next btree.Ref
 	hasNext := ptr[10] == 1
 	if hasNext {

@@ -226,6 +226,13 @@ func StoreShared(rels []*relation.Relation, indexAttrs map[string][]string, opts
 	return out, shared, nil
 }
 
+// ownSchema returns a copy of s that shares no memory with it, so a table
+// keeps the schema it was stored with.
+func ownSchema(s relation.Schema) relation.Schema {
+	s.Columns = slices.Clone(s.Columns)
+	return s
+}
+
 // prepare validates the relation, computes geometry, records the column
 // domains, and constructs index node sets (client-side; nothing uploaded
 // yet). The table keeps its own copy of the schema and none of the tuples,
@@ -246,8 +253,7 @@ func prepare(rel *relation.Relation, indexAttrs []string, opts Options) (*Stored
 	if perBlock > 0xFFFF {
 		perBlock = 0xFFFF // Ref.Slot is serialized as uint16
 	}
-	schema := rel.Schema
-	schema.Columns = slices.Clone(schema.Columns)
+	schema := ownSchema(rel.Schema)
 	t := &StoredTable{
 		schema:   schema,
 		n:        len(rel.Tuples),

@@ -675,3 +675,60 @@ func TestStoreObliviousTree(t *testing.T) {
 		t.Fatal("unknown attribute accepted")
 	}
 }
+
+// TestLayoutsKeepTheirSize: a chained table and an oblivious tree keep the
+// row count and schema they were stored with. Tuples appended to the
+// caller's relation afterwards, and a column renamed there, reach neither
+// NumTuples nor Schema, and the chain still walks only what was stored.
+func TestLayoutsKeepTheirSize(t *testing.T) {
+	keys := []int64{4, 1, 3, 1, 2}
+	for _, layout := range []string{"chained", "tree"} {
+		rel := testRelation("t", keys)
+		var num func() int
+		var schema func() relation.Schema
+		var walk func() (int, error)
+		switch layout {
+		case "chained":
+			ct, err := StoreChained(rel, "k", testOpts(t, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			num, schema = ct.NumTuples, ct.Schema
+			walk = func() (int, error) {
+				c := NewChainCursor(ct)
+				for rows := 0; ; rows++ {
+					row, err := c.Next()
+					if err != nil || !row.OK {
+						return rows, err
+					}
+				}
+			}
+		case "tree":
+			tt, err := StoreObliviousTree(rel, "k", testOpts(t, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			num, schema = tt.NumTuples, tt.Schema
+			walk = func() (int, error) {
+				c := tt.Cursor()
+				row, err := c.SeekGE(0)
+				rows := 0
+				for ; err == nil && row.OK; rows++ {
+					row, err = c.Next()
+				}
+				return rows, err
+			}
+		}
+		rel.Tuples = append(rel.Tuples, relation.Tuple{Values: []int64{9, 9}}, relation.Tuple{Values: []int64{0, 0}})
+		rel.Schema.Columns[0] = "renamed"
+		if got := num(); got != len(keys) {
+			t.Errorf("%s: NumTuples %d after the caller appended, stored %d", layout, got, len(keys))
+		}
+		if got := schema().Col("k"); got != 0 {
+			t.Errorf("%s: the stored schema took the caller's column rename", layout)
+		}
+		if rows, err := walk(); err != nil || rows != len(keys) {
+			t.Errorf("%s: walked %d rows (%v), stored %d", layout, rows, err, len(keys))
+		}
+	}
+}

@@ -13,11 +13,13 @@ import (
 // keeps no position map. Every internal entry carries its child's position
 // tag, so the client holds only the root's, and every leaf entry carries its
 // tuple (the tree is clustered), so there is no data ORAM and a retrieval is
-// the descent alone.
+// the descent alone. It keeps the schema and row count it was stored with
+// and none of the caller's relation.
 type TreeTable struct {
-	rel   *relation.Relation
-	tree  *btree.Tree
-	store *oram.PathORAM
+	schema relation.Schema
+	n      int
+	tree   *btree.Tree
+	store  *oram.PathORAM
 }
 
 // StoreObliviousTree uploads rel as an oblivious B-tree keyed on attr, in a
@@ -65,14 +67,14 @@ func StoreObliviousTree(rel *relation.Relation, attr string, opts Options) (*Tre
 	if err != nil {
 		return nil, err
 	}
-	return &TreeTable{rel: rel, tree: tree, store: store}, nil
+	return &TreeTable{schema: ownSchema(rel.Schema), n: len(rel.Tuples), tree: tree, store: store}, nil
 }
 
 // Schema returns the stored relation's schema.
-func (t *TreeTable) Schema() relation.Schema { return t.rel.Schema }
+func (t *TreeTable) Schema() relation.Schema { return t.schema }
 
 // NumTuples returns the row count (public sizing information).
-func (t *TreeTable) NumTuples() int { return len(t.rel.Tuples) }
+func (t *TreeTable) NumTuples() int { return t.n }
 
 // Tree exposes the tree.
 func (t *TreeTable) Tree() *btree.Tree { return t.tree }
@@ -80,7 +82,7 @@ func (t *TreeTable) Tree() *btree.Tree { return t.tree }
 // Cursor returns a cursor over the tree: an IndexCursor without a data
 // stage, whose every retrieval is one descent of Height() accesses.
 func (t *TreeTable) Cursor() *IndexCursor {
-	return &IndexCursor{tree: t.tree, schema: t.rel.Schema}
+	return &IndexCursor{tree: t.tree, schema: t.schema}
 }
 
 // ORAMs lists the table's one ORAM, for the query's settle round.
