@@ -44,7 +44,8 @@ type pathStep struct {
 //
 // In WriteBackDescents mode every read pins its node in the ORAM stash
 // (Req.Pin) until the leaf lands; a disable then edits the path and
-// releases it re-encoded, so it makes exactly a lookup's accesses.
+// releases it re-encoded, so it makes exactly a lookup's accesses. A
+// descent opened for lookups only (OpenLookup) pins nothing on any tree.
 //
 // Only the first KeyFree accesses can be built before the target is known;
 // a descent started with Defer gets its target from Target before then.
@@ -64,6 +65,7 @@ type Descent struct {
 	mode   Mode
 	target int64
 	ahead  bool // the KeyFree accesses read the root, whatever the mode
+	pin    bool // every read pins its node until the leaf lands
 	moded  bool // the mode is known
 	keyed  bool // the target is known
 	found  bool
@@ -91,8 +93,15 @@ func (d *Descent) Defer(t *Tree, m Mode) {
 // Open begins a descent whose mode follows (Begin). With ahead set its
 // KeyFree accesses read the root for real whatever the mode, so they can be
 // built, and travel, before the mode is known.
-func (d *Descent) Open(t *Tree, ahead bool) {
-	d.t, d.ahead, d.moded, d.keyed, d.found, d.done, d.ent = t, ahead, false, false, true, 0, Entry{}
+func (d *Descent) Open(t *Tree, ahead bool) { d.open(t, ahead, t.cfg.WriteBackDescents) }
+
+// OpenLookup is Open for a descent that will not disable: it pins nothing,
+// even on a WriteBackDescents tree, so it holds no node that the next
+// descent may read — the descents of a cursor that only looks up.
+func (d *Descent) OpenLookup(t *Tree, ahead bool) { d.open(t, ahead, false) }
+
+func (d *Descent) open(t *Tree, ahead, pin bool) {
+	d.t, d.ahead, d.pin, d.moded, d.keyed, d.found, d.done, d.ent = t, ahead, pin, false, false, true, 0, Entry{}
 	d.path = d.path[:0]
 	if cap(d.path) < t.Height() {
 		d.path = make([]pathStep, 0, t.Height())
@@ -141,13 +150,13 @@ func (d *Descent) Req() (oram.Req, error) {
 	req := oram.Req{ORAM: t.cfg.ORAM}
 	switch {
 	case d.ahead && d.done < t.KeyFree(): // the root, whatever the mode
-		req.Key, req.Pin = t.rootID(), t.cfg.WriteBackDescents
+		req.Key, req.Pin = t.rootID(), d.pin
 	case !d.moded:
 		return req, fmt.Errorf("btree: access %d of a descent built before its mode", d.done)
 	case d.mode == Dummy:
 		req.Dummy = true
-	case d.mode == DisableOrd && !t.cfg.WriteBackDescents:
-		return req, fmt.Errorf("btree: Disable requires WriteBackDescents")
+	case d.mode == DisableOrd && !d.pin:
+		return req, fmt.Errorf("btree: Disable requires WriteBackDescents and a descent that pins")
 	case !d.keyed && d.done >= t.KeyFree():
 		return req, fmt.Errorf("btree: access %d of a descent built before its target", d.done)
 	default:
@@ -159,7 +168,7 @@ func (d *Descent) Req() (oram.Req, error) {
 			d.path = append(d.path, pathStep{id: id, node: n})
 			id = d.route(&d.path[len(d.path)-1])
 		}
-		req.Key, req.Pin = id, t.cfg.WriteBackDescents
+		req.Key, req.Pin = id, d.pin
 		if t.width > 0 {
 			req.Update, req.Pos, req.NewPos = d.rotateFn, t.rootTag, t.drawTag()
 			if d.done > 0 {
@@ -290,7 +299,7 @@ func (d *Descent) Abort() error { return d.release(false) }
 // read and holds pinned goes to its tree, which Reset visits with it rather
 // than with an access of its own.
 func (d *Descent) Park() {
-	if len(d.path) > 0 && d.path[0].held != nil && d.t.cfg.WriteBackDescents {
+	if len(d.path) > 0 && d.path[0].held != nil && d.pin {
 		d.t.parked = d.path[0].held
 	}
 	d.path = d.path[:0]
@@ -302,7 +311,7 @@ func (d *Descent) Park() {
 // released with its new encoding (cached nodes are edited in place);
 // otherwise the nodes go back as they were read.
 func (d *Descent) release(edit bool) error {
-	if !d.t.cfg.WriteBackDescents {
+	if !d.pin {
 		return nil
 	}
 	if edit {

@@ -312,6 +312,11 @@ func NodeCount(n int, payload int) (int64, error) {
 // Height returns the number of levels (1 for a single-leaf tree).
 func (t *Tree) Height() int { return len(t.levels) }
 
+// WriteBackDescents reports whether the tree's descents pin the nodes they
+// read until their leaf lands (Config.WriteBackDescents): public
+// configuration, like its geometry.
+func (t *Tree) WriteBackDescents() bool { return t.cfg.WriteBackDescents }
+
 // NumEntries returns the number of leaf entries.
 func (t *Tree) NumEntries() int64 { return t.nEnts }
 

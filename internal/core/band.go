@@ -12,7 +12,7 @@ import (
 // Retrievals from the two tables stay in lock-step with dummies, one output
 // record per join step, padded to Theorem 3's bound |T1| + |R|.
 func BandJoin(t1, t2 *table.StoredTable, a1, a2 string, op BandOp, opts Options) (*Result, error) {
-	ic, err := table.NewIndexCursor(t2, a2)
+	ic, err := table.NewLookupCursor(t2, a2)
 	if err != nil {
 		return nil, err
 	}

@@ -524,7 +524,9 @@ func TestJoinStatsPopulated(t *testing.T) {
 // dummy partner of a real retrieval. In the SepORAM setting every store
 // serves exactly its retrievals' accesses — an index store h a retrieval —
 // and a scanned table's data store one more where the index nested-loop
-// join looks ahead (its index one level deep: table.Pipeline).
+// join looks ahead, which it does at every index depth (table.Pipeline); an
+// index whose root the joins read ahead serves one more as well, the root
+// read for a step that never came.
 func TestTheoremsQuick(t *testing.T) {
 	exact := func(res *Result, err error, theorem, retrievals int64) bool {
 		return err == nil && res.Steps == theorem && res.PaddedSteps == res.Steps && res.Retrievals == retrievals
@@ -542,14 +544,15 @@ func TestTheoremsQuick(t *testing.T) {
 	}
 	// served reports whether the stores served what the steps of a join
 	// that went from before to now owe them: steps data accesses each,
-	// outer more on t1's data store, and h each of t2's index steps.
-	served := func(s1, s2 *table.StoredTable, before []int64, steps, outer int64, idx1 bool) bool {
+	// outer more on t1's data store, and h each of t2's index steps and
+	// parked more.
+	served := func(s1, s2 *table.StoredTable, before []int64, steps, outer, parked int64, idx1 bool) bool {
 		now := accesses(s1, s2)
 		i2, err := s2.Index("k")
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := []int64{steps + outer, 0, steps, steps * int64(i2.AccessesPerRetrieval())}
+		want := []int64{steps + outer, 0, steps, steps*int64(i2.AccessesPerRetrieval()) + parked}
 		if idx1 {
 			want[1], want[3] = steps, steps
 		}
@@ -584,7 +587,7 @@ func TestTheoremsQuick(t *testing.T) {
 			oneSMJ, oneINLJ, oneBand = NumtrOneSortMerge(n1, n2, want), NumtrOneINLJ(n1, want), NumtrOneBand(n1, bandWant)
 		}
 		before := accesses(s1, s2)
-		if res, err := SortMergeJoin(s1, s2, "k", "k", opts); !exact(res, err, smj, oneSMJ) || !one && !served(s1, s2, before, smj, 0, true) {
+		if res, err := SortMergeJoin(s1, s2, "k", "k", opts); !exact(res, err, smj, oneSMJ) || !one && !served(s1, s2, before, smj, 0, 0, true) {
 			return false
 		}
 		before = accesses(s1, s2)
@@ -592,16 +595,13 @@ func TestTheoremsQuick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ahead int64
-		if i2.KeyFree() == 0 { // a one-level index keys its only access: the scan holds its next tuple
-			ahead = 1
-		}
-		if res, err := IndexNestedLoopJoin(s1, s2, "k", "k", opts); !exact(res, err, inlj, oneINLJ) || !one && !served(s1, s2, before, inlj, ahead, false) {
+		parked := int64(i2.KeyFree()) // the root read ahead for the step after the last
+		if res, err := IndexNestedLoopJoin(s1, s2, "k", "k", opts); !exact(res, err, inlj, oneINLJ) || !one && !served(s1, s2, before, inlj, 1, parked, false) {
 			return false
 		}
 		before = accesses(s1, s2)
 		res, err := BandJoin(s1, s2, "k", "k", BandGreaterEq, opts)
-		return exact(res, err, band, oneBand) && (one || served(s1, s2, before, band, 0, false))
+		return exact(res, err, band, oneBand) && (one || served(s1, s2, before, band, 0, parked, false))
 	}
 	f := func(a, b []uint8) bool {
 		if len(a) == 0 || len(b) == 0 {

@@ -16,16 +16,20 @@
 // function of the public input/output sizes only.
 //
 // In the SepORAM setting every operator runs its steps through a
-// table.Pipeline: each tree serves one access per round, every access
-// travels in the first round in which what it is built from has landed, and
-// a step returns once its index stages have — the next step is decided from
-// Row.Entry and Row.OK while the step's data accesses still ride the next
-// step's first round, and a step's output record is written when its data
-// lands. A descent's first access, the root, needs no key, so it rides
-// there too. A sort-merge step is one round, an index nested-loop or band
-// step the inner descent's accesses, a multiway step one stage per level of
-// the join tree, or fewer where children take their key from their parent's
-// index entry (MultiwayWaits). Which rounds a step takes depends on the
+// table.Pipeline: each tree serves one access per round, but for a root
+// read ahead, every access travels in the first round in which what it is
+// built from has landed, and a step returns once its index stages have —
+// the next step is decided from Row.Entry and Row.OK while the step's data
+// accesses still ride the next step's first round, and a step's output
+// record is written when its data lands. A descent's first access, the root, needs no key, so it is read
+// ahead in the step before: beside that step's first keyed access on the
+// tree, in one share of two paths, where the descents pin nothing — the
+// lookup-only cursors of the index nested-loop and band joins — and on a
+// tree with no access pending otherwise. A sort-merge step is one round, an
+// index nested-loop or band step the inner descent's accesses below the
+// root, a multiway step one stage per level of the join tree, or fewer
+// where children take their key from their parent's index entry
+// (MultiwayWaits). Which rounds a step takes depends on the
 // operator, the step index and public sizes only — real, dummy and pad
 // steps alike. Every operator ends with one settle round that carries the
 // last write-back of every tree it touched.

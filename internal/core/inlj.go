@@ -15,7 +15,7 @@ import (
 // lock-step, and one output record is written per join step. The per-table
 // retrieval count is padded to Theorem 2's bound |T1| + |R|.
 func IndexNestedLoopJoin(t1, t2 *table.StoredTable, a1, a2 string, opts Options) (*Result, error) {
-	ic, err := table.NewIndexCursor(t2, a2)
+	ic, err := table.NewLookupCursor(t2, a2)
 	if err != nil {
 		return nil, err
 	}

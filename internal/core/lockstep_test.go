@@ -48,6 +48,15 @@ var (
 // the root, which needs no key, and then the leaf.
 const twinPayload = 140
 
+// lockstepOperator is a join as the twin tests run it.
+type lockstepOperator struct {
+	name              string
+	data              twin
+	boundary1, bound2 []int64
+	noOne, noCache    bool
+	run               func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result
+}
+
 // lockstepOperators are the joins, each as a function from two key columns
 // to a trace — the tables in their own trees, or with one set in one shared
 // tree (the OneORAM setting) — with twin data for it and boundary data: the
@@ -57,13 +66,7 @@ const twinPayload = 140
 // A layout of its own may lack a setting: a pointer chain and an oblivious
 // tree have no OneORAM form (noOne), and an oblivious tree no cached levels
 // (noCache).
-var lockstepOperators = []struct {
-	name              string
-	data              twin
-	boundary1, bound2 []int64
-	noOne, noCache    bool
-	run               func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result
-}{
+var lockstepOperators = []lockstepOperator{
 	{"smj", equiTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 13, 14, 15, 16}, false, false, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
 		s1, s2, shared := storeWith(t, k1, k2, topts, one)
 		jopts.OneORAM = shared
@@ -121,12 +124,6 @@ var lockstepOperators = []struct {
 		return must(t)(MultiwayJoin(MultiwayInput{Tree: tree, Tables: []*table.StoredTable{s1, s2}}, jopts))
 	}},
 	{"multiway-chain", chainTwin, []int64{3, 1, 5, 6, 5, 4}, []int64{3, 7, 1, 6, 8, 7}, false, false, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
-		if !slices.ContainsFunc(k1, func(k int64) bool { return k%2 == 0 && slices.Contains(k2, k) }) {
-			t.Fatalf("no T2 tuple of %v is disabled", k2)
-		}
-		if !slices.ContainsFunc(k1, func(k int64) bool { return !slices.Contains(k2, k) }) {
-			t.Fatalf("T2 %v misses no T1 key of %v: T3 never probes with a key T2's retrieval missed", k2, k1)
-		}
 		topts.WriteBackDescents = true
 		rels := []*relation.Relation{makeRel("t1", k1), makeRel("t2", k2), makeRel("t3", chainT3)}
 		attrs := map[string][]string{"t2": {"k"}, "t3": {"k"}}
@@ -159,6 +156,23 @@ var lockstepOperators = []struct {
 		topts.Meter.SetTracing(true)
 		return must(t)(MultiwayJoin(MultiwayInput{Tree: tree, Tables: tables}, jopts))
 	}},
+}
+
+// TestChainTwinDisablesAndMisses: the multiway-chain twins and its boundary
+// database run the steps the twin tests are about: both sides disable a T2
+// tuple (an even key T1 matches, which odd-keyed T3 lacks), and both have a
+// T1 key that T2 misses, where T3 probes with a key T2's retrieval missed.
+func TestChainTwinDisablesAndMisses(t *testing.T) {
+	op := lockstepOperators[slices.IndexFunc(lockstepOperators, func(op lockstepOperator) bool { return op.name == "multiway-chain" })]
+	for _, keys := range [][2][]int64{{op.data.a1, op.data.a2}, {op.data.b1, op.data.b2}, {op.boundary1, op.bound2}} {
+		k1, k2 := keys[0], keys[1]
+		if !slices.ContainsFunc(k1, func(k int64) bool { return k%2 == 0 && slices.Contains(k2, k) }) {
+			t.Errorf("no T2 tuple of %v is disabled", k2)
+		}
+		if !slices.ContainsFunc(k1, func(k int64) bool { return !slices.Contains(k2, k) }) {
+			t.Errorf("T2 %v misses no T1 key of %v: T3 never probes with a key T2's retrieval missed", k2, k1)
+		}
+	}
 }
 
 func must(t *testing.T) func(*Result, error) *Result {
@@ -350,23 +364,28 @@ func storesPerRound(trace []storage.Access, inputs ...string) map[int64][]string
 
 // TestLockstepRoundShape pins which stores share a round, per operator, with
 // two-level indexes (a descent is a root access, which needs no key, and a
-// leaf access) and n padded steps. Every tree serves at most one access per
-// round, and a step's first accesses ride the round of the previous step's
-// last ones:
+// leaf access) and n padded steps. Every tree serves one access per round
+// but for a root read ahead, which shares its tree's round with the keyed
+// access of the descent before it (one share of two paths, oram.Together),
+// and a step's first accesses ride the round of the previous step's last
+// ones:
 //
 //   - sort-merge: {T1.idx, T2.idx} once, then n−1 rounds of {T1.data(i),
 //     T2.data(i), T1.idx(i+1), T2.idx(i+1)}, then {T1.data, T2.data} —
 //     n + 1 in all;
-//   - band and index nested-loop alike: {T1.data, T2.idx} once, n−1 rounds of
-//     {T2.data(i−1), T1.data(i), T2.idx root(i)}, n leaf rounds {T2.idx} and
-//     {T2.data} — 2n + 1 (the equi-join's leaf access waits for T1's tuple,
-//     the band join's for nothing, and the shape is the same; looking ahead
-//     would save neither a round);
+//   - band: {T1.data(0), T2 root(0)}, {T2 leaf(0) + root(1)}, n−1 rounds of
+//     {T2.data(i−1), T1.data(i), T2 leaf(i) + root(i+1)}, and {T2.data} —
+//     n + 2 (its first inner retrieval waits for no key, and the next root
+//     rides each leaf);
 //
 // and the joins whose pipeline looks ahead (table.Pipeline), where T1, the
 // scan, holds its next tuple — its first fetched by an access of its own,
 // {T1.data} — so a probe keyed by it leaves in the step's first round:
 //
+//   - index nested-loop: {T1.data(first), T2 root(0)}, {T1.data(t+1),
+//     T2 leaf(0) + root(1)}, n−1 rounds of {T2.data(i−1), T1.data(t+1),
+//     T2 leaf(i) + root(i+1)}, and {T2.data} — n + 2 in all, a round a step
+//     where the descent's two accesses one after another took two;
 //   - index nested-loop over a cached index: {T1.data(1), T2 leaf(0)}, n−1
 //     rounds of {T2.data(i−1), T1.data(t+1), T2 leaf(i)}, and {T2.data} —
 //     n + 2 in all, a round a step;
@@ -389,6 +408,11 @@ func storesPerRound(trace []storage.Access, inputs ...string) map[int64][]string
 //     (step 0's root of T2 rides the first fetch) — and the reset pass walks
 //     both three-node indexes in three rounds, T2's parked root (read ahead
 //     for a step that never came) reset client-side in place of its third.
+//     Its write-back descents pin what they read, so no root read ahead
+//     shares a round with the descent before it.
+//
+// The rounds in which T2's index downloads two paths are counted too: the n
+// leaf rounds of the band and index nested-loop joins, and none elsewhere.
 //
 // Every operator ends with the one settle round, which carries the last
 // write-back of every tree it touched, in canonical order: tables as listed,
@@ -446,22 +470,35 @@ func TestLockstepRoundShape(t *testing.T) {
 		"[t1.data t2.data]":                   1,
 	})
 
-	for name, join := range map[string]func(s1, s2 *table.StoredTable, jopts Options) (*Result, error){
-		"band": func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
-			return BandJoin(s1, s2, "k", "k", BandGreaterEq, jopts)
-		},
-		"index nested-loop": func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
-			return IndexNestedLoopJoin(s1, s2, "k", "k", jopts)
-		},
-	} {
-		tr, res = trace(false, join)
-		n = res.PaddedSteps
-		check(name, shapes(name, tr, inputs, "[t1.data t2.data t2.idx.k]"), map[string]int64{
-			"[t1.data t2.idx.k]":         1,
-			"[t2.data t1.data t2.idx.k]": n - 1,
-			"[t2.idx.k]":                 n,
-			"[t2.data]":                  1,
-		})
+	if got := twoPaths(tr, "t1.idx.k") + twoPaths(tr, "t2.idx.k"); got != 0 {
+		t.Errorf("sort-merge: %d rounds download two paths of an index", got)
+	}
+
+	tr, res = trace(false, func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
+		return BandJoin(s1, s2, "k", "k", BandGreaterEq, jopts)
+	})
+	n = res.PaddedSteps
+	check("band", shapes("band", tr, inputs, "[t1.data t2.data t2.idx.k]"), map[string]int64{
+		"[t1.data t2.idx.k]":         1,
+		"[t2.idx.k]":                 1,
+		"[t2.data t1.data t2.idx.k]": n - 1,
+		"[t2.data]":                  1,
+	})
+	if got := twoPaths(tr, "t2.idx.k"); got != n {
+		t.Errorf("band: %d rounds download two paths of T2's index, want %d", got, n)
+	}
+
+	tr, res = trace(false, func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
+		return IndexNestedLoopJoin(s1, s2, "k", "k", jopts)
+	})
+	n = res.PaddedSteps
+	check("index nested-loop", shapes("index nested-loop", tr, inputs, "[t1.data t2.data t2.idx.k]"), map[string]int64{
+		"[t1.data t2.idx.k]":         2,
+		"[t2.data t1.data t2.idx.k]": n - 1,
+		"[t2.data]":                  1,
+	})
+	if got := twoPaths(tr, "t2.idx.k"); got != n {
+		t.Errorf("index nested-loop: %d rounds download two paths of T2's index, want %d", got, n)
 	}
 
 	tr, res = trace(true, func(s1, s2 *table.StoredTable, jopts Options) (*Result, error) {
@@ -556,6 +593,33 @@ func TestLockstepRoundShape(t *testing.T) {
 		"[t2.idx.k t3.idx.k]":                 2, // the reset pass ...
 		"[t3.idx.k]":                          1, // ... T2's root reset client-side
 	})
+	if got := twoPaths(m.Trace(), "t2.idx.k") + twoPaths(m.Trace(), "t3.idx.k"); got != 0 {
+		t.Errorf("multiway chain: %d rounds download two paths of a write-back index", got)
+	}
+}
+
+// twoPaths counts the rounds of a trace in which store downloads two paths:
+// twice the reads of its fewest in a round.
+func twoPaths(trace []storage.Access, store string) int64 {
+	reads := map[int64]int{}
+	for _, a := range trace {
+		if a.Store == store && a.Kind == storage.KindRead {
+			reads[a.Round]++
+		}
+	}
+	path := 0
+	for _, n := range reads {
+		if path == 0 || n < path {
+			path = n
+		}
+	}
+	var two int64
+	for _, n := range reads {
+		if n == 2*path {
+			two++
+		}
+	}
+	return two
 }
 
 // TestSettleRoundTwinTraces: a query ends with every touched tree owing a

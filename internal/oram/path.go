@@ -103,13 +103,17 @@ type PathORAM struct {
 	// nothing but the result copy it hands the caller. Safe because a
 	// PathORAM serves one access at a time and every store consumes batch
 	// payloads and index lists before returning (storage package comment).
-	fetchBuf []byte     // ReadManyTo/ExchangeTo target: one download's sealed buckets
-	openBuf  []byte     // OpenTo target, one bucket at a time out of fetchBuf
-	plainBuf []byte     // one plaintext bucket, reused per level
-	sealBuf  []byte     // SealTo target for one write-back's buckets
-	sealView [][]byte   // per-bucket views into sealBuf
-	pathBuf  []int64    // pathNodes result
-	planBuf  accessPlan // the single-access plan
+	fetchBuf []byte   // ReadManyTo/ExchangeTo target: one download's sealed buckets
+	openBuf  []byte   // OpenTo target, one bucket at a time out of fetchBuf
+	plainBuf []byte   // one plaintext bucket, reused per level
+	sealBuf  []byte   // SealTo target for one write-back's buckets
+	sealView [][]byte // per-bucket views into sealBuf
+	pathBuf  []int64  // pathNodes result
+	// plans are the accesses of the share being formed: plans[0] a single
+	// access's, and both when Together gives the tree two requests; planned
+	// counts those staged.
+	plans   [2]accessPlan
+	planned int
 	// free holds stash payload buffers no block lives in any more;
 	// parseBucketInto and Write take from it before allocating.
 	free [][]byte
@@ -448,6 +452,7 @@ type accessPlan struct {
 	notFound bool
 	leaf     uint32 // path to fetch (old position, or fresh random)
 	newLeaf  uint32 // position installed in the map (real accesses)
+	req      int    // Together: the index of the request it serves
 }
 
 // plan runs the position-remap stage on p, whose operation is filled in:
@@ -476,13 +481,13 @@ func (o *PathORAM) plan(p *accessPlan) error {
 }
 
 // planReq plans r's access to key (on this tree; put is r.Put padded) into
-// o.planBuf. On a tree that keeps no position map a real access fetches the
-// path of r.Pos and moves its block to r.NewPos; anywhere else the leaves
-// come from plan.
-func (o *PathORAM) planReq(r *Req, key uint64, put []byte) error {
-	o.planBuf = accessPlan{key: key, newData: put, update: r.Update, dummy: r.Dummy, pin: r.Pin}
+// p. On a tree that keeps no position map a real access fetches the path of
+// r.Pos and moves its block to r.NewPos; anywhere else the leaves come from
+// plan.
+func (o *PathORAM) planReq(p *accessPlan, r *Req, key uint64, put []byte) error {
+	*p = accessPlan{key: key, newData: put, update: r.Update, dummy: r.Dummy, pin: r.Pin}
 	if o.pos != nil || r.Dummy {
-		return o.plan(&o.planBuf)
+		return o.plan(p)
 	}
 	switch {
 	case key >= uint64(o.cfg.Capacity):
@@ -491,7 +496,7 @@ func (o *PathORAM) planReq(r *Req, key uint64, put []byte) error {
 		return fmt.Errorf("oram: key %d: positions %d, %d out of %d leaves", key, r.Pos, r.NewPos, o.leaves)
 	}
 	o.accesses++
-	o.planBuf.leaf, o.planBuf.newLeaf = r.Pos, r.NewPos
+	p.leaf, p.newLeaf = r.Pos, r.NewPos
 	return nil
 }
 
@@ -570,12 +575,12 @@ func (o *PathORAM) unplan(p *accessPlan) {
 // queues the path just fetched for the next one. A fetch that fails leaves
 // the access undone and retryable.
 func (o *PathORAM) access(op accessPlan) ([]byte, error) {
-	p := &o.planBuf
+	p := &o.plans[0]
 	*p = op
 	if err := o.plan(p); err != nil {
 		return nil, err
 	}
-	if err := o.sched.fetch(p.leaf); err != nil {
+	if err := o.sched.fetch(o.plans[:1]); err != nil {
 		o.unplan(p)
 		return nil, err
 	}
@@ -594,15 +599,17 @@ func (o *PathORAM) finish(p *accessPlan) ([]byte, error) {
 	return result, err
 }
 
-// openFetched moves a download — the sealed buckets of nodes (ascending),
-// back to back in buf — into the stash, and keeps the (possibly grown)
-// buffer for the next round. A bucket whose plaintext the client already
-// holds is not decrypted: one the last write-back wrote gives its blocks
-// back from the known set by pointer, and one on a still-pending eviction
-// path has held nothing but stale copies of stash blocks since it was last
-// fetched. Their downloaded bytes are never looked at, so whatever the
-// server put there cannot reach the client.
-func (o *PathORAM) openFetched(buf []byte, nodes []int64) error {
+// openFetched moves a download — the sealed buckets of nodes, the paths to
+// leaves one after another, each topmost first, back to back in buf — into
+// the stash, and keeps the (possibly grown) buffer for the next round. A
+// bucket whose plaintext the client already holds is not decrypted: one the
+// last write-back wrote gives its blocks back from the known set by
+// pointer, one on a still-pending eviction path has held nothing but stale
+// copies of stash blocks since it was last fetched, and one an earlier path
+// of the same download shares has just been opened. Their downloaded bytes
+// are never looked at, so whatever the server put there cannot reach the
+// client.
+func (o *PathORAM) openFetched(buf []byte, nodes []int64, leaves []uint32) error {
 	o.fetchBuf = buf[:0]
 	o.bucketsRead += int64(len(nodes))
 	stride := xcrypto.SealedLen(o.bucketSize)
@@ -610,7 +617,7 @@ func (o *PathORAM) openFetched(buf []byte, nodes []int64) error {
 		return fmt.Errorf("oram: store %q returned %d bytes for %d buckets of %d", o.cfg.Name, len(buf), len(nodes), stride)
 	}
 	for _, b := range o.known {
-		if _, fetched := slices.BinarySearch(nodes, b.node); fetched {
+		if o.onPath(b.node, leaves) {
 			o.stash[b.key] = b.entry
 		} else {
 			o.free = append(o.free, b.entry.payload)
@@ -620,7 +627,7 @@ func (o *PathORAM) openFetched(buf []byte, nodes []int64) error {
 	written := o.knownLeaves
 	o.knownLeaves = o.knownLeaves[:0]
 	for k, node := range nodes {
-		if o.onPath(node, written) || o.onPath(node, o.sched.pending) {
+		if o.onPath(node, written) || o.onPath(node, o.sched.pending) || o.onPath(node, leaves[:k/o.levels]) {
 			continue
 		}
 		o.bucketsOpened++

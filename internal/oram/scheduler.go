@@ -19,7 +19,9 @@ import (
 // write-back unions (k = 1: the single path just fetched) — never whether it
 // gets a round of its own. A download that finds k paths queued carries them
 // all and the path it fetches is queued alone, so at most k paths are ever
-// pending after an access, failed ones included.
+// pending after an access, failed ones included — k + 1 after a round that
+// fetched two paths of the tree (Together), whose write-back rides the
+// tree's next download alike.
 //
 // A write-back travels alone only when there is no next download to carry
 // it: at Flush/Close (Settle puts those of several trees into one round),
@@ -37,9 +39,18 @@ import (
 // they move by a fixed rule of position in the tree's access sequence: the
 // write-back of access i shares the round of the download of access i+1
 // (of the k accesses up to i, with the one after them). No data and no
-// client timing enters that rule. The trace stays
-// reproducible from public sizes plus the recorded leaf randomness
-// (tracecheck.PathORAMSim).
+// client timing enters that rule. A round may download two paths of the
+// tree — a descent's keyed access and the next descent's root, read ahead
+// (Together) — when the caller's public schedule puts them there: both are
+// uniform random paths like any other, each read in full, and at k = 1
+// their write-back writes each path in full, a bucket they share twice with
+// the same contents (sealPending). The store still sees exactly the
+// textbook protocol's bucket reads and writes, the first path's write-back
+// moved behind the second path's download: again only round boundaries
+// move, by position in the access sequence. Writes are never deduplicated
+// at k = 1: how many buckets two paths share follows the leaf randomness,
+// and the block counts must not. The trace stays reproducible from public
+// sizes plus the recorded leaf randomness (tracecheck.PathORAMSim, Round).
 //
 // Correctness invariant: a server bucket may hold a stale copy of a block
 // whose authoritative copy sits in the stash only while the path through
@@ -72,10 +83,15 @@ type scheduler struct {
 
 	pending []uint32 // leaves of fetched paths awaiting write-back
 
-	// Scratch for the bucket unions of one round: the write-back's write set
-	// and the fetch's read set, both alive during an exchange.
+	// Scratch for the bucket lists of one round: the write-back's write set
+	// and the fetch's read set, both alive during an exchange, the leaves
+	// the fetch reads, and at k = 1 the union of several queued paths, which
+	// is sealed once (sealPending), and the writes' views of it.
 	writeNodes []int64
 	readNodes  []int64
+	fetched    []uint32
+	union      []int64
+	writeData  [][]byte
 
 	// op is this tree's share of the round being prepared, issued or
 	// settled; riding says the share of a fetch carries a write-back.
@@ -135,9 +151,14 @@ func (s *scheduler) completeRead() error {
 	return nil
 }
 
-// prepareFetch stages the download of the path to leaf.
-func (s *scheduler) prepareFetch(leaf uint32) error {
-	s.readNodes = append(s.readNodes[:0], s.o.pathNodes(leaf)...)
+// prepareFetch stages the download of the paths the plans fetch: each path
+// in full, in plan order — a bucket two of them share is read twice.
+func (s *scheduler) prepareFetch(plans []accessPlan) error {
+	s.fetched, s.readNodes = s.fetched[:0], s.readNodes[:0]
+	for i := range plans {
+		s.fetched = append(s.fetched, plans[i].leaf)
+		s.readNodes = append(s.readNodes, s.o.pathNodes(plans[i].leaf)...)
+	}
 	return s.prepareRead(s.readNodes, s.o.fetchBuf[:0], s.batch)
 }
 
@@ -149,15 +170,16 @@ func (s *scheduler) completeFetch() error {
 	if err := s.completeRead(); err != nil {
 		return err
 	}
-	return s.o.openFetched(s.op.Out, s.readNodes)
+	return s.o.openFetched(s.op.Out, s.readNodes, s.fetched)
 }
 
-// fetch downloads the path to leaf into the stash in one round of its own.
-func (s *scheduler) fetch(leaf uint32) error {
+// fetch downloads the paths the plans fetch into the stash in one round of
+// its own.
+func (s *scheduler) fetch(plans []accessPlan) error {
 	if err := s.o.ensureUploaded(); err != nil {
 		return err
 	}
-	if err := s.prepareFetch(leaf); err != nil {
+	if err := s.prepareFetch(plans); err != nil {
 		return err
 	}
 	issueRound(&s.o.cfg, false, &s.op)
@@ -227,20 +249,40 @@ func (s *scheduler) flushNow() error {
 	return s.completeFlush()
 }
 
-// sealPending seals the union of the pending paths into writeNodes-aligned
-// buckets: shared upper-tree buckets appear once, in ascending store-index
-// order — for a single path, root to leaf.
+// sealPending seals the buckets the queued write-back writes (pendingNodes)
+// and returns their views, aligned with writeNodes. At k = 1 a write-back
+// of several paths — a round that fetched two — writes each in full, so a
+// bucket they share is written once per path, with the same sealed bytes:
+// their union is sealed once and each write takes its bucket's seal.
 func (s *scheduler) sealPending() ([][]byte, error) {
 	s.writeNodes = s.pendingNodes(s.writeNodes[:0])
-	return s.o.sealNodes(s.writeNodes)
+	if s.batch > 1 || len(s.pending) < 2 {
+		return s.o.sealNodes(s.writeNodes)
+	}
+	s.union = append(s.union[:0], s.writeNodes...)
+	slices.Sort(s.union)
+	s.union = slices.Compact(s.union)
+	sealed, err := s.o.sealNodes(s.union)
+	if err != nil {
+		return nil, err
+	}
+	s.writeData = s.writeData[:0]
+	for _, node := range s.writeNodes {
+		k, _ := slices.BinarySearch(s.union, node)
+		s.writeData = append(s.writeData, sealed[k])
+	}
+	return s.writeData, nil
 }
 
-// pendingNodes appends the union of the pending paths' buckets to dst.
+// pendingNodes appends the buckets the queued write-back writes to dst: at
+// k = 1 every queued path in full, in queue order, as the textbook protocol
+// writes each path back; at k > 1 their union, each bucket once, in
+// ascending store-index order. A single path is root to leaf either way.
 func (s *scheduler) pendingNodes(dst []int64) []int64 {
 	for _, leaf := range s.pending {
 		dst = append(dst, s.o.pathNodes(leaf)...)
 	}
-	if len(s.pending) > 1 {
+	if s.batch > 1 && len(s.pending) > 1 {
 		slices.Sort(dst)
 		dst = slices.Compact(dst)
 	}

@@ -33,25 +33,32 @@ type Req struct {
 	Err  error
 }
 
-// Together performs the given accesses, one per ORAM, and returns the first
-// error among them in request order. When every request addresses its own
-// Path-ORAM, directly or through a View, all on one meter — the SepORAM
-// setting, where the paper's join step retrieves one tuple from every table
-// and each retrieval's path is fixed by client state before the step
-// begins, or a single retrieval on the OneORAM setting's shared tree — the
-// accesses run in lockstep: all position remaps are planned in request
-// order, every tree's path download — each carrying the write-back its tree
-// has queued — travels in one network round, and the operations are applied
-// to the stashes: one path of each of k trees in a round. Any other group
-// (two requests on one tree, trees on separate meters, a RawStore) runs its
-// accesses one after another, exactly as separate calls would.
+// Together performs the given accesses and returns the first error among
+// them in request order. When every request addresses a Path-ORAM,
+// directly or through a View, all on one meter — the SepORAM setting, where
+// the paper's join step retrieves one tuple from every table and each
+// retrieval's path is fixed by client state before the step begins, or a
+// single retrieval on the OneORAM setting's shared tree — the accesses run
+// in lockstep: all position remaps are planned in request order, every
+// tree's share — its path downloads, carrying the write-back the tree has
+// queued — travels in one network round, and the operations are applied to
+// the stashes. A tree serves one request of the round, or two through one
+// ORAM handle that name distinct blocks (a dummy names none): a descent's
+// access beside the next descent's root, read ahead. Its share then
+// downloads both paths in full, in request order, the operations apply in
+// that order, and both paths are queued for write-back. Any other group (a
+// tree named twice through two handles, or for one block, or three times;
+// trees on separate meters; a RawStore) runs its accesses one after
+// another, exactly as separate calls would.
 //
 // Per-store access sequences are those of the accesses issued one after
-// another; only which stores share a round changes, and that grouping is
-// decided by the caller's choice to group — so callers must make that
-// choice from public information only, and present real and dummy requests
-// alike. Whether a tree's share carries a write-back is its own scheduler's
-// business, decided by how many paths it has queued (EvictionBatch).
+// another, but for the write-back of a tree's two paths, which follows both
+// downloads instead of coming between them; only which accesses share a
+// round changes, and that grouping is decided by the caller's choice to
+// group — so callers must make that choice from public information only,
+// and present real and dummy requests alike. Whether a tree's share carries
+// a write-back is its own scheduler's business, decided by how many paths
+// it has queued (EvictionBatch).
 //
 // ride are shares of other stores (nil entries are skipped) that travel in
 // the round too, after the trees' shares: writes that have been waiting for
@@ -60,16 +67,17 @@ type Req struct {
 // another issues none of them, and leaves each untouched.
 //
 // Failure atomicity is per tree, as for separate accesses: each share of a
-// round reports its own error, a tree whose share failed is left as a failed
-// access leaves it (stash authoritative, paths pending), and the others
-// complete. A ride share's outcome is its own (RoundOp.Err).
+// round reports its own error, to every request it serves; a tree whose
+// share failed is left as a failed access leaves it (stash authoritative,
+// paths pending), and the others complete. A ride share's outcome is its
+// own (RoundOp.Err).
 func Together(reqs []Req, ride ...*storage.RoundOp) error {
 	var few [4]*PathORAM
-	group := few[:0]
+	trees := few[:0]
 	if len(reqs) > len(few) {
-		group = make([]*PathORAM, 0, len(reqs))
+		trees = make([]*PathORAM, 0, len(reqs))
 	}
-	if group = lockstep(group, reqs); group == nil {
+	if trees = lockstep(trees, reqs); trees == nil {
 		var first error
 		for i := range reqs {
 			r := &reqs[i]
@@ -101,12 +109,14 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 
 	// A tree never loaded uploads its empty buckets first, in rounds of its
 	// own, so that staging sends nothing.
-	for i, o := range group {
+	for i, o := range trees {
 		reqs[i].Data, reqs[i].Err = nil, o.ensureUploaded()
+		o.planned = 0
 	}
 
-	// Plan every access and stage every download; one round.
-	for i, o := range group {
+	// Plan every access, in request order, then stage every tree's download
+	// once; one round.
+	for i, o := range trees {
 		r := &reqs[i]
 		if r.Err != nil {
 			continue
@@ -118,11 +128,19 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 				continue
 			}
 		}
-		if r.Err = o.planReq(r, key, put); r.Err != nil {
+		p := &o.plans[o.planned]
+		if r.Err = o.planReq(p, r, key, put); r.Err != nil {
 			continue
 		}
-		if r.Err = o.sched.prepareFetch(o.planBuf.leaf); r.Err != nil {
-			o.unplan(&o.planBuf)
+		p.req = i
+		o.planned++
+	}
+	for i, o := range trees {
+		if !o.firstIn(trees, i) || o.planned == 0 {
+			continue
+		}
+		if err := o.sched.prepareFetch(o.plans[:o.planned]); err != nil {
+			o.unplanAll(reqs, err)
 			continue
 		}
 		ops = append(ops, &o.sched.op)
@@ -132,25 +150,46 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 			ops = append(ops, op)
 		}
 	}
-	issueRound(&group[0].cfg, false, ops...)
+	issueRound(&trees[0].cfg, false, ops...)
 
 	// Settle the downloads, apply the operations, and queue the fetched
 	// paths: their write-backs ride each tree's next download.
-	var first error
-	for i, o := range group {
-		r := &reqs[i]
-		if r.Err == nil {
-			if r.Err = o.sched.completeFetch(); r.Err != nil {
-				o.unplan(&o.planBuf)
-			} else {
-				r.Data, r.Err = o.finish(&o.planBuf)
-			}
+	for i, o := range trees {
+		if !o.firstIn(trees, i) || o.planned == 0 {
+			continue
 		}
+		if err := o.sched.completeFetch(); err != nil {
+			o.unplanAll(reqs, err)
+			continue
+		}
+		for k := range o.plans[:o.planned] {
+			p := &o.plans[k]
+			reqs[p.req].Data, reqs[p.req].Err = o.finish(p)
+		}
+	}
+	var first error
+	for i := range reqs {
 		if first == nil {
-			first = r.Err
+			first = reqs[i].Err
 		}
 	}
 	return first
+}
+
+// firstIn reports whether trees[i], o, is o's first place in trees: the
+// request whose turn stages and settles the tree's share.
+func (o *PathORAM) firstIn(trees []*PathORAM, i int) bool {
+	return slices.Index(trees, o) == i
+}
+
+// unplanAll takes back the tree's planned accesses after its share failed
+// with err, which each of their requests reports.
+func (o *PathORAM) unplanAll(reqs []Req, err error) {
+	for k := o.planned - 1; k >= 0; k-- {
+		o.unplan(&o.plans[k])
+		reqs[o.plans[k].req].Err = err
+	}
+	o.planned = 0
 }
 
 // Settle flushes the given ORAMs (Flush), with the write-backs the
@@ -203,18 +242,27 @@ func Settle(orams ...ORAM) error {
 	return first
 }
 
-// lockstep returns the requests' trees, appended to group, when they can run
-// in lockstep: every request on a Path-ORAM (directly or through a View), all
-// distinct, all reporting to one meter. Otherwise it returns nil.
+// lockstep returns the requests' trees, request i's at i, appended to
+// group, when they can run in lockstep: every request on a Path-ORAM
+// (directly or through a View), all reporting to one meter, and no tree
+// named more than twice — twice only through one ORAM handle, for two
+// distinct blocks. Otherwise it returns nil.
 func lockstep(group []*PathORAM, reqs []Req) []*PathORAM {
 	if len(reqs) == 0 {
 		return nil
 	}
 	for i := range reqs {
-		o, _, _ := onTree(&reqs[i])
-		if o == nil || slices.Contains(group, o) ||
-			(len(group) > 0 && group[0].cfg.Meter != o.cfg.Meter) {
+		r := &reqs[i]
+		o, key, _ := onTree(r)
+		if o == nil || (len(group) > 0 && group[0].cfg.Meter != o.cfg.Meter) {
 			return nil
+		}
+		if at := slices.Index(group, o); at >= 0 {
+			q := &reqs[at]
+			_, qkey, _ := onTree(q)
+			if q.ORAM != r.ORAM || !q.Dummy && !r.Dummy && qkey == key || slices.Contains(group[at+1:], o) {
+				return nil
+			}
 		}
 		group = append(group, o)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	mrand "math/rand"
 	"strings"
 	"testing"
@@ -429,7 +430,7 @@ func TestTogetherFallsBackOneByOne(t *testing.T) {
 			}
 			return out
 		},
-		"same-tree": func(m *storage.Meter) [2]ORAM {
+		"same-block": func(m *storage.Meter) [2]ORAM {
 			o := newEvictionORAM(t, capacity, payload, m, 1, 3)
 			return [2]ORAM{o, o}
 		},
@@ -450,6 +451,9 @@ func TestTogetherFallsBackOneByOne(t *testing.T) {
 				m.SetTracing(true)
 				for k := uint64(0); k < capacity; k++ {
 					reqs := []Req{{ORAM: orams[0], Key: k}, {ORAM: orams[1], Dummy: k%2 == 0, Key: capacity - 1 - k}}
+					if name == "same-block" { // one tree, one block: a dummy would name none
+						reqs[1].Dummy, reqs[1].Key = false, k
+					}
 					if together {
 						if err := Together(reqs); err != nil {
 							t.Fatal(err)
@@ -481,6 +485,125 @@ func TestTogetherFallsBackOneByOne(t *testing.T) {
 			}
 			if d := tracecheck.Diff(grouped, separate); d != "" {
 				t.Fatalf("Together is not the separate calls: %s", d)
+			}
+		})
+	}
+}
+
+// TestTogetherTwoPathsOneTree: two requests on one tree, through one handle
+// and for distinct blocks (or a dummy), share the tree's round — a
+// descent's access beside the next descent's root, read ahead. The share
+// downloads both paths in full, in request order, and the operations apply
+// in that order, so the data is the model's. Under the leaf randomness of
+// the same accesses issued one at a time the store reads the same buckets
+// in the same order, and at k = 1 writes each bucket as often; the trace is
+// PathORAMSim's replay of the rounds, from the leaves the downloads name,
+// round ordinals included: at k = 1 a round's write-back writes both paths
+// in full, a bucket they share twice.
+func TestTogetherTwoPathsOneTree(t *testing.T) {
+	const capacity, payload, rounds = 32, 16, 60
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			run := func(together bool) (*PathORAM, []storage.Access) {
+				m := storage.NewMeter()
+				o := newEvictionORAM(t, capacity, payload, m, k, 5)
+				model := make([][]byte, capacity)
+				for key := range model {
+					model[key] = bytes.Repeat([]byte{byte(key)}, payload)
+				}
+				if err := o.BulkLoad(model); err != nil {
+					t.Fatal(err)
+				}
+				m.SetTracing(true)
+				rng := mrand.New(mrand.NewSource(11))
+				bump := func(p []byte) error { p[0]++; return nil }
+				for i := 0; i < rounds; i++ {
+					a := uint64(rng.Intn(capacity))
+					b := (a + 1 + uint64(rng.Intn(capacity-1))) % capacity
+					reqs := []Req{{ORAM: o, Key: a, Dummy: i%5 == 4}, {ORAM: o, Key: b, Update: bump}}
+					model[b][0]++
+					if together {
+						if err := Together(reqs); err != nil {
+							t.Fatalf("round %d: %v", i, err)
+						}
+					} else {
+						for j := range reqs {
+							if err := Together(reqs[j : j+1]); err != nil {
+								t.Fatalf("round %d, request %d: %v", i, j, err)
+							}
+						}
+					}
+					if !reqs[0].Dummy && !bytes.Equal(reqs[0].Data, model[a]) {
+						t.Fatalf("round %d: key %d = %v, want %v", i, a, reqs[0].Data[:2], model[a][:2])
+					}
+					if !bytes.Equal(reqs[1].Data, model[b]) {
+						t.Fatalf("round %d: key %d = %v, want %v", i, b, reqs[1].Data[:2], model[b][:2])
+					}
+				}
+				if err := o.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				trace := m.Trace()
+				m.SetTracing(false)
+				for key := range model {
+					if got, err := o.Read(uint64(key)); err != nil || !bytes.Equal(got, model[key]) {
+						t.Fatalf("key %d = %v (%v) after the rounds, want %v", key, got[:2], err, model[key][:2])
+					}
+				}
+				return o, trace
+			}
+			o, shared := run(true)
+			_, apart := run(false)
+			if got := shared[len(shared)-1].Round; got != rounds+1 {
+				t.Fatalf("%d rounds of two requests and a flush took %d rounds, want %d", rounds, got, rounds+1)
+			}
+			kinds := func(trace []storage.Access, kind storage.AccessKind) []storage.Access {
+				var out []storage.Access
+				for _, a := range trace {
+					if a.Kind == kind {
+						out = append(out, a)
+					}
+				}
+				return out
+			}
+			if d := tracecheck.DiffExact(kinds(shared, storage.KindRead), kinds(apart, storage.KindRead)); d != "" {
+				t.Fatalf("the shared rounds read other buckets: %s", d)
+			}
+			if k == 1 {
+				count := func(trace []storage.Access) map[int64]int {
+					n := map[int64]int{}
+					for _, a := range kinds(trace, storage.KindWrite) {
+						n[a.Index]++
+					}
+					return n
+				}
+				if got, want := count(shared), count(apart); !maps.Equal(got, want) {
+					t.Fatalf("the shared rounds write buckets %v times, one at a time %v", got, want)
+				}
+			}
+
+			// Replay the rounds from the leaves their downloads name.
+			levels, top := o.Levels(), o.Telemetry().TreetopLevels
+			leafBase := int64(1)<<(top+levels-1) - int64(1)<<top
+			sim := &tracecheck.PathORAMSim{Store: shared[0].Store, Bytes: shared[0].Bytes, Levels: top + levels, Treetop: top, Batch: k, Exchange: true}
+			for r := int64(1); r <= rounds; r++ {
+				var leaves []uint32
+				for _, a := range shared {
+					if a.Round == r && a.Kind == storage.KindRead && a.Index >= leafBase {
+						leaves = append(leaves, uint32(a.Index-leafBase))
+					}
+				}
+				if len(leaves) != 2 {
+					t.Fatalf("round %d downloaded %d paths, want 2", r, len(leaves))
+				}
+				sim.Round(leaves...)
+			}
+			sim.Flush()
+			if d := tracecheck.Diff(sim.Trace(), shared); d != "" {
+				t.Fatalf("the shared rounds are not PathORAMSim's: %s", d)
+			}
+			if d := tracecheck.DiffExact(sim.Trace(), shared); d != "" {
+				t.Fatalf("the shared rounds are not PathORAMSim's: %s", d)
 			}
 		})
 	}

@@ -18,6 +18,13 @@ type IndexMeta struct {
 	// KeyFree is how many leading accesses of a descent need no key
 	// (btree.Tree.KeyFree): the root read, when the root is not cached.
 	KeyFree int
+	// WriteBackDescents says the index admits disables
+	// (btree.Tree.WriteBackDescents): the multiway join's descents then pin
+	// the nodes they read until their leaf lands, so the next descent's
+	// root, read ahead, never shares the index's round with them
+	// (table.Lane.Pins). The lookup-only cursors of the index nested-loop
+	// and band joins pin nothing.
+	WriteBackDescents bool
 	// OramAccessesPerOp is the server block operations one index-ORAM
 	// access moves (for Path-ORAM 2·Levels(): the path's levels below the
 	// treetop, down and up).
@@ -89,6 +96,7 @@ func Describe(tables map[string]*table.StoredTable) Catalog {
 				Attr:                 attr,
 				AccessesPerRetrieval: tr.AccessesPerRetrieval(),
 				KeyFree:              tr.KeyFree(),
+				WriteBackDescents:    tr.WriteBackDescents(),
 				OramAccessesPerOp:    tr.ORAM().AccessesPerOp(),
 				BlockBytes:           tr.ORAM().BlockBytes(),
 				ResetNodes:           resetNodes,

@@ -33,23 +33,29 @@ type Cost struct {
 	// at every EvictionBatch — priced per operator because operators differ
 	// in which accesses share a round. A Path-ORAM access costs one round:
 	// its path download, which carries the write-back the tree has queued.
-	// The join steps run in a table.Pipeline — every tree serves one access
-	// per round, and a step's first index accesses ride the previous step's
-	// last round — so the rounds are table.PlanPipeline's over the inputs'
-	// public geometry, which looks ahead where the pipeline does: a scanned
-	// table then holds its next tuple, fetching the first by one access more,
-	// and an uncached descent reads the next step's root in this step's
-	// rounds. With n the padded step count and h the inner index's accesses
-	// per retrieval, that is
+	// The join steps run in a table.Pipeline — a tree serves one access per
+	// round, but for a root read ahead, and a step's first index accesses
+	// ride the previous step's last round — so the rounds are
+	// table.PlanPipeline's over the inputs' public geometry, which looks
+	// ahead where the pipeline does: a scanned table then holds its next
+	// tuple, fetching the first by one access more, and an uncached descent
+	// reads the next step's root in this step's rounds — beside its own
+	// first keyed access, in one share of the index's tree, unless its
+	// descents pin what they read (the multiway join's, on write-back
+	// indexes). With n the padded step count and h the inner index's
+	// accesses per retrieval, that is
 	//
-	//	sort-merge                  n + 1      {T1.idx(i+1), T2.idx(i+1), T1.data(i), T2.data(i)}
-	//	band, h ≥ 1                 h·n + 1    T1.data(i) and T2.data(i−1) ride T2's first access
-	//	index nested-loop, h ≥ 2    h·n + 1    the same, the probe keyed below the root
-	//	index nested-loop, cached   n + 2      looks ahead: {T1.data(t+1), T2.leaf(i), T2.data(i−1)}
+	//	sort-merge                  n + 1         {T1.idx(i+1), T2.idx(i+1), T1.data(i), T2.data(i)}
+	//	band, h ≥ 2                 (h−1)·n + 2   {T2.data(i−1), T1.data(i), T2.leaf(i) + T2.root(i+1)} at h = 2
+	//	band, cached                n + 1         T1.data(i) and T2.data(i−1) ride T2's access
+	//	index nested-loop, h ≥ 2    (h−1)·n + 2   looks ahead: {T1.data(t+1), T2.leaf(i) + T2.root(i+1), T2.data(i−1)} at h = 2
+	//	index nested-loop, cached   n + 2         looks ahead: {T1.data(t+1), T2.leaf(i), T2.data(i−1)}
 	//	multiway                    a stage per level of keyed dependencies below the scan,
 	//	                            an entry-keyed child's free (a chain at h = 2: 2n + 2)
 	//
-	// plus the multiway join's reset pass, which walks every index in
+	// The root read ahead for the step after the last is parked: one index
+	// access more (table.PipelinePlan.Parked). Add to the table above the
+	// multiway join's reset pass, which walks every index in
 	// lockstep, one round per node of the largest (a root read ahead for a
 	// step that never came is reset without one), and one settle round, in
 	// which every touched tree's last write-back travels when the query ends
@@ -151,15 +157,16 @@ func (c *Cost) setRounds(rounds int64) {
 }
 
 // scanLane is a table scanned by block, indexLane a table retrieved through
-// a descent of the given index whose keyed accesses wait as w says.
+// a descent of the given index whose keyed accesses wait as w says, pinning
+// what it reads when pins is set (a multiway join's disabling descent).
 func scanLane(m TableMeta) table.Lane {
 	return table.Lane{Data: m.DataStore, Wait: table.Wait{After: -1}}
 }
 
-func indexLane(m TableMeta, idx IndexMeta, w table.Wait) table.Lane {
+func indexLane(m TableMeta, idx IndexMeta, w table.Wait, pins bool) table.Lane {
 	return table.Lane{
 		Index: idx.Store, Data: m.DataStore,
-		Accesses: idx.AccessesPerRetrieval, KeyFree: idx.KeyFree, Wait: w,
+		Accesses: idx.AccessesPerRetrieval, KeyFree: idx.KeyFree, Pins: pins, Wait: w,
 	}
 }
 
@@ -219,7 +226,7 @@ func inljCost(cat Catalog, outer, inner, innerAttr string, paddedR int64, band b
 	if band {
 		w.After = -1
 	}
-	c.setRounds(c.price([]table.Lane{scanLane(mo), indexLane(mi, idx, w)}, []TableMeta{mo, mi}, []IndexMeta{{}, idx}).Rounds)
+	c.setRounds(c.price([]table.Lane{scanLane(mo), indexLane(mi, idx, w, false)}, []TableMeta{mo, mi}, []IndexMeta{{}, idx}).Rounds)
 	return c, nil
 }
 
@@ -252,7 +259,7 @@ func multiwayCost(cat Catalog, tree *jointree.Tree, paddedR int64) (Cost, error)
 			return Cost{}, fmt.Errorf("no index on %s.%s", node.Table, node.Attr)
 		}
 		indexes[i] = idx
-		lanes = append(lanes, indexLane(metas[i], idx, waits[i]))
+		lanes = append(lanes, indexLane(metas[i], idx, waits[i], idx.WriteBackDescents))
 	}
 	plan := c.price(lanes, metas, indexes)
 	var reset int64

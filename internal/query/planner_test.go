@@ -59,12 +59,13 @@ func equiSpec(t1, t2 string) Spec {
 // fewer blocks at a shallow index (Numtr2 = t+R̂ steps at Δ+2 ops each
 // against Numtr1 = 2t+R̂+1 at 2 ops per table) and SMJ, whose leaf-level
 // cursors never pay the descent, at a deep one; but a pipelined INLJ step is
-// Δ rounds — its descent, keyed by the outer tuple, which the scan holds
-// ahead (table.Pipeline) — where a pipelined SMJ step is one, so what a
-// two-level index buys depends on what a block costs beside a round: 16 KB
-// blocks are bandwidth-bound and the fewer blocks win, 512 B blocks are
-// round-bound and SMJ wins with more blocks — the choice a block count alone
-// gets wrong. At Δ = 1 an INLJ step is one round too, and INLJ wins at
+// Δ−1 rounds — its descent, keyed by the outer tuple, which the scan holds
+// ahead, with the next descent's root riding the first keyed access
+// (table.Pipeline) — where a pipelined SMJ step is one, so what a
+// three-level index buys depends on what a block costs beside a round:
+// 16 KB blocks are bandwidth-bound and the fewer blocks win, 512 B blocks
+// are round-bound and SMJ wins with more blocks — the choice a block count
+// alone gets wrong. At Δ ≤ 2 an INLJ step is one round too, and INLJ wins at
 // either block size.
 func TestOperatorChoiceCrossover(t *testing.T) {
 	rows := map[string]int64{"a": 1000, "b": 1000}
@@ -79,8 +80,10 @@ func TestOperatorChoiceCrossover(t *testing.T) {
 	}{
 		{depth: 1, blockBytes: 512, want: OpINLJ, fewestBlocks: true},
 		{depth: 1, blockBytes: 16 << 10, want: OpINLJ, fewestBlocks: true},
+		{depth: 2, blockBytes: 512, want: OpINLJ, fewestBlocks: true},
 		{depth: 2, blockBytes: 16 << 10, want: OpINLJ, fewestBlocks: true},
-		{depth: 2, blockBytes: 512, want: OpSMJ, fewestBlocks: false},
+		{depth: 3, blockBytes: 16 << 10, want: OpINLJ, fewestBlocks: true},
+		{depth: 3, blockBytes: 512, want: OpSMJ, fewestBlocks: false},
 		{depth: 6, blockBytes: 16 << 10, want: OpSMJ, fewestBlocks: true},
 	} {
 		p, err := planSpec(synthCatalogOf(tc.depth, tc.blockBytes, rows, idx), spec, PlanOptions{})
@@ -101,23 +104,26 @@ func TestOperatorChoiceCrossover(t *testing.T) {
 	}
 }
 
-// TestRoundBoundEquiJoinChoosesSMJ is the benchmark's planner_mix equi-join
-// (24 suppliers against a filtered customer input of 360 rows padded to a
-// result of 512, 512 B payloads, write-back descents) at its catalog's own
-// geometry: probing the small supplier index from the customer side moves
-// the fewest blocks, 15 696 against sort-merge's 21 528, in 1 746 rounds
-// against 899 — 1.14 s against 0.82 s under the cost model. The planner
-// ranks by that time.
-func TestRoundBoundEquiJoinChoosesSMJ(t *testing.T) {
+// TestPlannerMixEquiJoinChoosesINLJ is the benchmark's planner_mix
+// equi-join (24 suppliers against a filtered customer input of 360 rows
+// padded to a result of 512, 512 B payloads, write-back indexes) at its
+// catalog's own geometry: probing the small supplier index from the
+// customer side moves the fewest blocks, 15 708 against sort-merge's
+// 21 528, and now in the fewest rounds too, 875 against 899 — its h = 2
+// descent is a round a step, the next root riding the leaf access, where it
+// was two (1 746 rounds, 1.14 s, and sort-merge chosen). The lookup-only
+// cursor pins nothing on the write-back index, so the root read ahead
+// shares the round. 0.71 s against 0.82 s under the cost model.
+func TestPlannerMixEquiJoinChoosesINLJ(t *testing.T) {
 	bucket := xcrypto.SealedLen(4 * (13 + 512))
 	cat := Catalog{
 		"supplier": {
 			Name: "supplier", Rows: 24, DataAccessesPerOp: 4, DataBlockBytes: bucket, DataStore: "supplier.data",
-			Indexes: map[string]IndexMeta{"k": {Attr: "k", AccessesPerRetrieval: 2, KeyFree: 1, OramAccessesPerOp: 2, BlockBytes: bucket, Store: "supplier.idx.k"}},
+			Indexes: map[string]IndexMeta{"k": {Attr: "k", AccessesPerRetrieval: 2, KeyFree: 1, OramAccessesPerOp: 2, BlockBytes: bucket, Store: "supplier.idx.k", WriteBackDescents: true}},
 		},
 		"customer": {
 			Name: "customer", Rows: 360, DataAccessesPerOp: 10, DataBlockBytes: bucket, DataStore: "customer.data",
-			Indexes: map[string]IndexMeta{"k": {Attr: "k", AccessesPerRetrieval: 3, KeyFree: 1, OramAccessesPerOp: 8, BlockBytes: bucket, Store: "customer.idx.k"}},
+			Indexes: map[string]IndexMeta{"k": {Attr: "k", AccessesPerRetrieval: 3, KeyFree: 1, OramAccessesPerOp: 8, BlockBytes: bucket, Store: "customer.idx.k", WriteBackDescents: true}},
 		},
 	}
 	spec := equiSpec("supplier", "customer")
@@ -127,13 +133,13 @@ func TestRoundBoundEquiJoinChoosesSMJ(t *testing.T) {
 		t.Fatal(err)
 	}
 	smj, inlj := p.Candidates[0], p.Candidates[2]
-	if smj.Cost.Blocks != 21528 || smj.Cost.Rounds != 899 || inlj.Cost.Blocks != 15696 || inlj.Cost.Rounds != 1746 || inlj.Outer != "customer" {
+	if smj.Cost.Blocks != 21528 || smj.Cost.Rounds != 899 || inlj.Cost.Blocks != 15708 || inlj.Cost.Rounds != 875 || inlj.Outer != "customer" {
 		t.Fatalf("the candidates are not the benchmark's:\n%s", p.Explain())
 	}
-	if p.Best().Kind != OpSMJ || smj.Cost.Time() >= inlj.Cost.Time() {
-		t.Fatalf("chose %s, want smj\n%s", p.Best().Desc, p.Explain())
+	if p.Best().Kind != OpINLJ || p.Best().Outer != "customer" || inlj.Cost.Time() >= smj.Cost.Time() {
+		t.Fatalf("chose %s, want inlj(outer=customer)\n%s", p.Best().Desc, p.Explain())
 	}
-	for _, want := range []string{"rounds=899 time=816.68", "rounds=1746 time=1.14"} {
+	for _, want := range []string{"rounds=899 time=816.68", "rounds=875 time=705.41"} {
 		if !strings.Contains(p.Explain(), want) {
 			t.Errorf("Explain does not print %q:\n%s", want, p.Explain())
 		}

@@ -172,7 +172,7 @@ func TestPrepareLeavesTheRankingAlone(t *testing.T) {
 		},
 	}
 	want := map[string]string{
-		"filtered": "smj(supplier.s_nationkey, customer.c_nationkey) < inlj(outer=customer, inner=supplier.s_nationkey) < inlj(outer=supplier, inner=customer.c_nationkey)",
+		"filtered": "inlj(outer=customer, inner=supplier.s_nationkey) < smj(supplier.s_nationkey, customer.c_nationkey) < inlj(outer=supplier, inner=customer.c_nationkey)",
 		"multiway": "multiway(root=customer) < multiway(root=nation) < multiway(root=supplier)",
 		"band":     "band(outer=supplier, supplier.s_nationkey < nation.n_nationkey) < band(outer=nation, nation.n_nationkey > supplier.s_nationkey)",
 	}

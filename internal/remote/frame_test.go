@@ -3,12 +3,15 @@ package remote
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"oblivjoin/internal/core"
+	"oblivjoin/internal/diskstore"
 	"oblivjoin/internal/oram"
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/storage/storetest"
@@ -380,5 +383,75 @@ func TestShortReplyBlockIsMalformed(t *testing.T) {
 		if !errors.Is(op.Err, ErrMalformed) || op.Out != nil {
 			t.Errorf("round share %d: %d bytes, %v; want ErrMalformed", i, len(op.Out), op.Err)
 		}
+	}
+}
+
+// TestRoundFrameRepeatedBucket: a Path-ORAM share that downloads two paths
+// of one tree reads the buckets they share twice, and at k = 1 its
+// write-back writes them twice (oram.Together). One storage.DoRound share
+// that writes a bucket twice and reads it twice — beside a share of another
+// store, so that the round travels as one frame — gets both reads back, each
+// the last of the writes, through the remote round frame to a server on
+// MemStores and to one on a diskstore.Dir, and from an in-process MemStore;
+// afterwards the bucket holds the last write.
+func TestRoundFrameRepeatedBucket(t *testing.T) {
+	const slots, size = 8, 32
+	block := func(b byte) []byte { return bytes.Repeat([]byte{b}, size) }
+	backends := map[string]func(t *testing.T) storage.Opener{
+		"local": nil,
+		"remote-mem": func(t *testing.T) storage.Opener {
+			_, c := startServer(t, ServerOptions{}, ClientOptions{})
+			return c.Opener()
+		},
+		"remote-diskstore": func(t *testing.T) storage.Opener {
+			dir, err := diskstore.Open(t.TempDir(), diskstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { dir.Close() })
+			_, c := startServer(t, ServerOptions{OpenStore: dir.Opener()}, ClientOptions{})
+			return c.Opener()
+		},
+	}
+	for name, backend := range backends {
+		t.Run(name, func(t *testing.T) {
+			open := func(name string, slots int64, blockSize int) (storage.Store, error) {
+				return storage.NewMemStore(name, slots, blockSize, nil), nil
+			}
+			if backend != nil {
+				open = backend(t)
+			}
+			var stores [2]storage.Store
+			for i := range stores {
+				st, err := open(fmt.Sprint("repeat", i), slots, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := storage.ExchangeTo(st, nil, nil, []int64{3, 5}, [][]byte{block(1), block(1)}, nil); err != nil {
+					t.Fatal(err)
+				}
+				stores[i] = st
+			}
+			ops := []*storage.RoundOp{
+				{Store: stores[0], WriteIdxs: []int64{3, 5, 3}, WriteData: [][]byte{block(2), block(3), block(4)}, ReadIdxs: []int64{3, 5, 3}},
+				{Store: stores[1], ReadIdxs: []int64{3, 3}},
+			}
+			storage.DoRound(storage.NewMeter(), ops...)
+			for i, op := range ops {
+				if op.Err != nil {
+					t.Fatalf("share %d: %v", i, op.Err)
+				}
+			}
+			if want := slices.Concat(block(4), block(3), block(4)); !bytes.Equal(ops[0].Out, want) {
+				t.Fatalf("the twice-written bucket read back %v, want the last write twice", ops[0].Out)
+			}
+			if want := slices.Concat(block(1), block(1)); !bytes.Equal(ops[1].Out, want) {
+				t.Fatalf("the twice-read bucket read back %v, want it twice", ops[1].Out)
+			}
+			got, err := storage.ExchangeTo(stores[0], nil, nil, nil, nil, []int64{3})
+			if err != nil || !bytes.Equal(got, block(4)) {
+				t.Fatalf("afterwards the bucket holds %v (%v), want the last write", got, err)
+			}
+		})
 	}
 }

@@ -229,10 +229,14 @@ type IndexCursor struct {
 	schema relation.Schema // TreeTable: the tuples' schema
 	cur    btree.Entry
 	ok     bool
-	// desc are the cursor's descents: it has at most two retrievals in
-	// flight, a step's and its successor's.
+	// desc are the cursor's descents: it has at most two descents in
+	// flight, a step's and its successor's, read ahead; the retrieval of
+	// the step before, still landing its data, has finished its descent.
 	desc [2]btree.Descent
 	flip int8
+	// lookup: the cursor never disables, so its descents pin nothing
+	// (btree Descent.OpenLookup).
+	lookup bool
 }
 
 // NewIndexCursor returns a cursor over the index on attr.
@@ -242,6 +246,19 @@ func NewIndexCursor(t *StoredTable, attr string) (*IndexCursor, error) {
 		return nil, err
 	}
 	return &IndexCursor{t: t, tree: tree}, nil
+}
+
+// NewLookupCursor returns a cursor over the index on attr that only looks
+// up — seeks, advances and holds, never a disable — so its descents pin no
+// node even on a write-back index, and a root read ahead for its next
+// retrieval may share the index's round with the retrieval before it
+// (Pipeline). The index nested-loop and band joins probe through one.
+func NewLookupCursor(t *StoredTable, attr string) (*IndexCursor, error) {
+	c, err := NewIndexCursor(t, attr)
+	if err == nil {
+		c.lookup = true
+	}
+	return c, err
 }
 
 // Tree exposes the underlying index (for disable operations).
@@ -254,6 +271,7 @@ func (c *IndexCursor) shape() shape {
 	sh := shape{
 		index: c.tree.ORAM(),
 		n:     c.tree.AccessesPerRetrieval(), free: c.tree.KeyFree(),
+		pins: c.tree.WriteBackDescents() && !c.lookup,
 	}
 	if c.t != nil {
 		sh.data = c.t.data
@@ -266,7 +284,11 @@ func (c *IndexCursor) shape() shape {
 func (c *IndexCursor) open(ahead bool) int8 {
 	slot := c.flip
 	c.flip ^= 1
-	c.desc[slot].Open(c.tree, ahead)
+	if c.lookup {
+		c.desc[slot].OpenLookup(c.tree, ahead)
+	} else {
+		c.desc[slot].Open(c.tree, ahead)
+	}
 	return slot
 }
 

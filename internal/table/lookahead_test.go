@@ -106,7 +106,7 @@ func genLanes(t *testing.T, g []genLane, m *storage.Meter, open storage.Opener) 
 			tr := ic.Tree()
 			cursors[j], orams[j] = ic, [2]*oram.PathORAM{tr.ORAM().(*oram.PathORAM), st.data.(*oram.PathORAM)}
 			lanes[j].Index, lanes[j].Data = IndexStoreName("", name, "k"), DataStoreName("", name)
-			lanes[j].Accesses, lanes[j].KeyFree = tr.AccessesPerRetrieval(), tr.KeyFree()
+			lanes[j].Accesses, lanes[j].KeyFree, lanes[j].Pins = tr.AccessesPerRetrieval(), tr.KeyFree(), gl.writeBack
 		}
 	}
 	return cursors, lanes, orams
@@ -249,7 +249,7 @@ func accessCounts(orams [][2]*oram.PathORAM) [][2]int64 {
 // (tracecheck.Diff).
 func TestPipelineLiveMatchesDry(t *testing.T) {
 	r := rand.New(rand.NewSource(36))
-	var ahead, plain, parked int
+	var ahead, plain, parked, shared int
 	heights := map[int]bool{}
 	for c := 0; c < 60; c++ {
 		g := genGeometry(r)
@@ -276,15 +276,48 @@ func TestPipelineLiveMatchesDry(t *testing.T) {
 		} else {
 			plain++
 		}
+		if sharesATree(m.Trace(), lanes) {
+			shared++
+		}
 		_, twin, _, _ := genRun(t, g, steps, int64(c)+1000)
 		if d := tracecheck.Diff(m.Trace(), twin.Trace()); d != "" {
 			t.Errorf("%v, %d steps: two move sequences are distinguishable: %s", g, steps, d)
 		}
 	}
-	if ahead == 0 || plain == 0 || parked == 0 || !heights[1] || !heights[2] || !heights[3] {
-		t.Errorf("the geometries cover too little: %d looked ahead, %d did not, %d parked roots, plain heights %v", ahead, plain, parked, heights)
+	if ahead == 0 || plain == 0 || parked == 0 || shared == 0 || !heights[1] || !heights[2] || !heights[3] {
+		t.Errorf("the geometries cover too little: %d looked ahead, %d did not, %d parked roots, %d read a root ahead beside a descent, plain heights %v",
+			ahead, plain, parked, shared, heights)
 	}
-	t.Logf("%d geometries looked ahead, %d did not; %d roots parked", ahead, plain, parked)
+	t.Logf("%d geometries looked ahead, %d did not; %d roots parked; %d read a root ahead beside a descent", ahead, plain, parked, shared)
+}
+
+// sharesATree reports whether a round of the trace downloaded two paths of
+// one lane's index: a root read ahead beside the descent before it.
+func sharesATree(trace []storage.Access, lanes []Lane) bool {
+	type roundStore struct {
+		round int64
+		store string
+	}
+	reads := map[roundStore]int{}
+	fewest := map[string]int{}
+	for _, a := range trace {
+		if a.Kind == storage.KindRead {
+			reads[roundStore{a.Round, a.Store}]++
+		}
+	}
+	for rs, n := range reads {
+		if f, ok := fewest[rs.store]; !ok || n < f {
+			fewest[rs.store] = n
+		}
+	}
+	for rs, n := range reads {
+		for _, l := range lanes {
+			if l.Index == rs.store && n == 2*fewest[rs.store] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // failingReads is a store whose read number failAt, counted over every store
@@ -306,35 +339,68 @@ func (s failingReads) Read(i int64) ([]byte, error) {
 // pinned — whether the failure strikes while a root read ahead is held for
 // a step whose move is not yet known, or in the step that makes it a Hold
 // (which releases it) or a disable (which edits the path it pins). The
-// geometry is the multiway chain T0 → T1 → T2 on write-back indexes two
-// levels deep, T2 keyed by T1's entry; steps 1 and 3 hold or disable on T1.
+// "hold" and "disable" geometry is the multiway chain T0 → T1 → T2 on
+// write-back indexes two levels deep, T2 keyed by T1's entry; steps 1 and 3
+// hold or disable on T1. The "shared" geometry is an index nested-loop
+// join, T1 probed by T0's tuple through a lookup cursor on a two-level
+// index: every round of its steps downloads two paths of T1's index in one
+// share, a leaf and the next root, so the failures strike shared rounds.
 func TestPipelineAbortReadAhead(t *testing.T) {
-	g := []genLane{
+	chain := []genLane{
 		{kind: scanKind, rows: 6, wait: Wait{After: -1}},
 		{kind: plainKind, rows: 40, writeBack: true, wait: Wait{After: 0}},
 		{kind: plainKind, rows: 40, writeBack: true, wait: Wait{After: 1, Entry: true}},
 	}
-	for _, variant := range []string{"hold", "disable"} {
+	inlj := []genLane{
+		{kind: scanKind, rows: 6, wait: Wait{After: -1}},
+		{kind: plainKind, rows: 40, writeBack: true, wait: Wait{After: 0}},
+	}
+	for _, variant := range []string{"hold", "disable", "shared"} {
+		g := chain
+		if variant == "shared" {
+			g = inlj
+		}
 		struck := map[string]bool{}
+		sharedRounds := 0
 		for fail := 1; ; fail++ {
 			reads, failAt := 0, -1
+			m := storage.NewMeter()
 			open := func(name string, slots int64, blockSize int) (storage.Store, error) {
-				return failingReads{storage.NewMemStore(name, slots, blockSize, nil), &reads, &failAt}, nil
+				return failingReads{storage.NewMemStore(name, slots, blockSize, m), &reads, &failAt}, nil
 			}
-			cursors, _, orams := genLanes(t, g, storage.NewMeter(), open)
-			scan, c1, c2 := cursors[0].(*ScanCursor), cursors[1].(*IndexCursor), cursors[2].(*IndexCursor)
+			cursors, lanes, orams := genLanes(t, g, m, open)
+			scan, c1 := cursors[0].(*ScanCursor), cursors[1].(*IndexCursor)
+			var trees []*btree.Tree
+			for _, c := range cursors[1:] {
+				trees = append(trees, c.(*IndexCursor).Tree())
+			}
+			waits := make([]Wait, len(g))
+			for j := range g {
+				waits[j] = g[j].wait
+			}
+			if variant == "shared" {
+				c1.lookup, lanes[1].Pins = true, false // the nested-loop join's lookup cursor
+			}
 			failAt = reads + fail
-			p := NewPipeline(g[0].wait, g[1].wait, g[2].wait)
-			rows := [2][]Row{make([]Row, 3), make([]Row, 3)}
+			m.SetTracing(true)
+			p := NewPipeline(waits...)
+			rows := [2][]Row{make([]Row, len(g)), make([]Row, len(g))}
 			var err error
 			var at string
 			for s := 0; s < 4 && err == nil; s++ {
 				r := rows[s&1]
-				moves := []Move{scan.Advance(), c1.MoveKeyGE(&r[0], 0), c2.MoveKeyGE(&r[1], EntryKey)}
+				moves := []Move{scan.Advance(), c1.MoveKeyGE(&r[0], 0)}
 				if s%2 == 1 {
-					moves = []Move{scan.Hold(), c1.Hold(), c2.Hold()}
+					moves = []Move{scan.Hold(), c1.Hold()}
 					if variant == "disable" {
 						moves[1] = c1.MoveDisable(int64(s))
+					}
+				}
+				if len(g) == 3 {
+					c2 := cursors[2].(*IndexCursor)
+					moves = append(moves, c2.MoveKeyGE(&r[1], EntryKey))
+					if s%2 == 1 {
+						moves[2] = c2.Hold()
 					}
 				}
 				at = fmt.Sprintf("step %d", s)
@@ -351,11 +417,11 @@ func TestPipelineAbortReadAhead(t *testing.T) {
 				err = p.Drain()
 			}
 			if !p.ahead {
-				t.Fatal("the chain's pipeline does not look ahead")
+				t.Fatalf("%s: the pipeline does not look ahead", variant)
 			}
 			if err == nil {
 				at = "reset"
-				err = btree.Reset(c1.Tree(), c2.Tree())
+				err = btree.Reset(trees...)
 			}
 			var all []oram.ORAM
 			for _, pair := range orams {
@@ -369,10 +435,16 @@ func TestPipelineAbortReadAhead(t *testing.T) {
 				t.Fatalf("%s, read %d failing (%s: %v): the trees do not settle: %v", variant, fail, at, err, serr)
 			}
 			if err == nil {
+				if variant == "shared" && !sharesATree(m.Trace(), lanes) {
+					t.Fatal("shared: no round downloaded two paths of T1's index")
+				}
 				break
 			}
 			if !strings.Contains(err.Error(), "injected") {
 				t.Fatalf("%s, read %d failing: %v", variant, fail, err)
+			}
+			if sharesATree(m.Trace(), lanes) {
+				sharedRounds++
 			}
 			struck[at] = true
 		}
@@ -380,6 +452,9 @@ func TestPipelineAbortReadAhead(t *testing.T) {
 			if !struck[want] {
 				t.Errorf("%s: no failure struck in %s; struck in %v", variant, want, struck)
 			}
+		}
+		if variant == "shared" && sharedRounds == 0 {
+			t.Error("shared: no failure struck after a shared round")
 		}
 	}
 }

@@ -49,9 +49,10 @@ const (
 // its accesses use and how they depend on one another — public geometry,
 // the same for every retrieval of a cursor, real or dummy.
 type shape struct {
-	index, data any // the trees: ORAMs, or store names for PlanPipeline; nil without index accesses, or a data access
-	n           int // index accesses, after which the entry is known and the data access can be built
-	free        int // leading index accesses that need no key
+	index, data any  // the trees: ORAMs, or store names for PlanPipeline; nil without index accesses, or a data access
+	n           int  // index accesses, after which the entry is known and the data access can be built
+	free        int  // leading index accesses that need no key
+	pins        bool // the descent pins what it reads until its leaf lands (btree WriteBackDescents)
 }
 
 // readsAhead reports whether the retrieval is a descent whose key-free
@@ -59,6 +60,13 @@ type shape struct {
 // its move is known. A leaf cursor's one access (free == n) reads the leaf
 // its move picks.
 func (sh shape) readsAhead() bool { return sh.free > 0 && sh.free < sh.n }
+
+// sharesAhead reports whether the retrieval's read ahead may share its
+// tree's round with the keyed access k of the retrieval before it: a
+// descent's access below the root names another block than the root, and a
+// descent that pins what it reads still holds the root pinned until its
+// leaf lands.
+func (sh shape) sharesAhead(k int) bool { return k >= sh.free && !sh.pins }
 
 // stager is a cursor, seen as the accesses of its retrievals. Everything
 // passes by value, so a one-off Step keeps its scratch on the stack.
@@ -98,12 +106,13 @@ type flight struct {
 func (f *flight) landed() bool { return f.data && f.idx == f.sh.n }
 
 // Pipeline runs a join's steps — one retrieval per input table each, lane j
-// being table j — so that consecutive steps overlap: every tree serves at
-// most one access per round, and an access travels in the first round in
-// which what it is built from has landed and its tree is free, its tree's
-// earlier accesses going first. Step returns as soon as the step's index
-// stages have landed — Row.Entry and Row.OK, which decide the next step —
-// and leaves its data accesses to ride the next step's rounds.
+// being table j — so that consecutive steps overlap: a tree serves one
+// access per round, but for a root read ahead (below), and an access
+// travels in the first round in which what it is built from has landed and
+// its tree is free, its tree's earlier accesses going first. Step returns
+// as soon as the step's index stages have landed — Row.Entry and Row.OK,
+// which decide the next step — and leaves its data accesses to ride the
+// next step's rounds.
 // A step's first index access does not wait: the root of a descent, and the
 // leaf of a LeafCursor, are known before the step's keys are, so they travel
 // with the previous step's data accesses. A keyed access waits for the
@@ -118,16 +127,22 @@ func (f *flight) landed() bool { return f.data && f.idx == f.sh.n }
 //     step s advances the scan, and one access more, in the first step's
 //     first round, fetches the first tuple. Lanes keyed by the scan wait only
 //     for its access of the step before.
-//   - Once step s−1 has landed, step s+1's key-free descent accesses travel
-//     in step s's rounds, on trees step s has no access pending on. They are
-//     real root reads whatever the move: a Hold discards its root and
-//     releases its pin, and a root read for a step that never comes is
-//     parked on its tree at Drain (btree Descent.Park) for btree.Reset.
+//   - Once step s−2 has landed, step s+1's key-free descent accesses travel
+//     in step s's rounds: on a tree step s has no access pending on, or
+//     beside step s's keyed access on that tree, in one share of two paths
+//     (oram.Together) — unless the lane's descents pin what they read
+//     (sharesAhead), whose root step s still holds. They are real root
+//     reads whatever the move: a Hold discards its root and releases its
+//     pin, and a root read for a step that never comes is parked on its
+//     tree at Drain (btree Descent.Park) for btree.Reset. Three steps are
+//     then in flight: step s−1 landing its data, step s deciding, step s+1
+//     reading its root.
 //
 // The rounds a step takes are a function of the lanes' shapes (trees,
-// index accesses, KeyFree) and the declared key dependencies (Wait) only —
-// never of which retrievals are real — so real, dummy and pad steps alike
-// present the same round shape, including across the boundary between them.
+// index accesses, KeyFree, whether descents pin) and the declared key
+// dependencies (Wait) only — never of which retrievals are real — so real,
+// dummy and pad steps alike present the same round shape, including across
+// the boundary between them.
 // PlanPipeline counts them from the same public geometry.
 type Pipeline struct {
 	lanes  int
@@ -141,12 +156,12 @@ type Pipeline struct {
 	dry    []shape // PlanPipeline: the lanes' shapes; plan rounds, perform nothing
 	parked []bool  // PlanPipeline: the lanes that parked a root at Drain
 
-	// The flights of the steps in flight, by step parity (at most two steps
-	// are, or one and the next one's reads ahead), and the scratch of a
-	// round: in few and round's own buffers for up to four lanes, so that a
-	// one-off Step keeps all of it on the stack.
-	few   [2][4]flight
-	many  [2][]flight
+	// The flights of the steps in flight, by step number modulo 3 (at most
+	// three steps are: one landing, one deciding, the next reading ahead),
+	// and the scratch of a round: in few and round's own buffers for up to
+	// four lanes, so that a one-off Step keeps all of it on the stack.
+	few   [3][4]flight
+	many  [3][]flight
 	reqs  []oram.Req
 	claim []any
 	// rows are the caller's rows of the steps in flight, by step parity:
@@ -173,7 +188,7 @@ type Wait struct {
 func NewPipeline(waits ...Wait) *Pipeline {
 	p := &Pipeline{lanes: len(waits), waits: slices.Clone(waits), looks: make([]bool, len(waits))}
 	if p.lanes > len(p.few[0]) {
-		p.many = [2][]flight{make([]flight, p.lanes), make([]flight, p.lanes)}
+		p.many = [3][]flight{make([]flight, p.lanes), make([]flight, p.lanes), make([]flight, p.lanes)}
 	}
 	p.reqs = make([]oram.Req, 0, 4*p.lanes)
 	p.claim = make([]any, 0, 4*p.lanes)
@@ -183,9 +198,9 @@ func NewPipeline(waits ...Wait) *Pipeline {
 // flights returns step s's flights.
 func (p *Pipeline) flights(s int64) []flight {
 	if p.many[0] != nil {
-		return p.many[s&1]
+		return p.many[s%3]
 	}
-	return p.few[s&1][:p.lanes]
+	return p.few[s%3][:p.lanes]
 }
 
 // last returns the end of the steps with flights: those begun, and the next
@@ -361,8 +376,9 @@ func (p *Pipeline) Carry(op *storage.RoundOp) { p.ride = op }
 
 // Drain issues rounds until every step begun has landed. Its rounds read no
 // root ahead; one read ahead in the last step's rounds, for a step that
-// never comes, is parked on its tree (btree Descent.Park), held pinned until
-// btree.Reset visits the root with it.
+// never comes, is parked on its tree (btree Descent.Park): held pinned until
+// btree.Reset visits the root with it where the lane's descents pin, and
+// dropped where they pin nothing.
 func (p *Pipeline) Drain() error {
 	var err error
 	for p.done < p.begun && err == nil {
@@ -400,9 +416,11 @@ func (p *Pipeline) decided(s int64) bool {
 // plan marks the accesses the next round carries: for every step in flight,
 // oldest first, and every lane in order, the retrieval's next index access
 // and its data access, each if it can be built and its tree has no earlier
-// access waiting; then, with prefetch set, the next step's key-free accesses
-// on the trees left. An access that cannot be built yet still holds its
-// tree, so a tree serves its accesses in the order the steps issue them.
+// access waiting; then, with prefetch set, the next step's key-free
+// accesses, on the trees left or beside the keyed access the step before
+// carries on the tree (shape.sharesAhead). An access that cannot be built
+// yet still holds its tree, so a tree serves its accesses in the order the
+// steps issue them.
 func (p *Pipeline) plan(claim []any, prefetch bool) {
 	// claimed reports whether tree already has a place in the round, and
 	// gives it one if not.
@@ -434,17 +452,19 @@ func (p *Pipeline) plan(claim []any, prefetch bool) {
 		}
 	}
 	if !p.opened {
-		if !prefetch || !p.ahead || p.begun == 0 || p.done < p.begun-1 {
+		if !prefetch || !p.ahead || p.begun == 0 || p.done < p.begun-2 {
 			return
 		}
 		prev := p.flights(p.begun - 1)
 		p.open(p.begun, func(j int) stager { return prev[j].mv.c })
 		p.opened = true
 	}
-	fl := p.flights(p.begun)
+	prev, fl := p.flights(p.begun-1), p.flights(p.begun)
+	deciding := p.done < p.begun // prev's flags are this round's
 	for j := range fl {
-		f := &fl[j]
-		f.inIdx = prefetch && f.sh.readsAhead() && f.idx < f.sh.free && !claimed(f.sh.index)
+		f, b := &fl[j], &prev[j]
+		f.inIdx = prefetch && f.sh.readsAhead() && f.idx < f.sh.free &&
+			(deciding && b.inIdx && f.sh.sharesAhead(b.idx) || !claimed(f.sh.index))
 	}
 }
 
@@ -563,7 +583,7 @@ func (p *Pipeline) stepLanded(s int64) bool {
 func Step(rows []Row, ride *storage.RoundOp, moves ...Move) error {
 	p := Pipeline{lanes: len(moves), ride: ride}
 	if p.lanes > len(p.few[0]) {
-		p.many = [2][]flight{make([]flight, p.lanes), make([]flight, p.lanes)}
+		p.many = [3][]flight{make([]flight, p.lanes), make([]flight, p.lanes), make([]flight, p.lanes)}
 	}
 	if len(rows) < len(moves) {
 		return fmt.Errorf("table: a step of %d moves into %d rows", len(moves), len(rows))
@@ -597,6 +617,10 @@ type Lane struct {
 	// AccessesPerRetrieval; 1 for a leaf cursor), KeyFree how many lead
 	// without needing the key (btree KeyFree).
 	Accesses, KeyFree int
+	// Pins says the index's descents pin what they read until their leaf
+	// lands (btree WriteBackDescents), so a root read ahead never shares
+	// the tree's round with the descent before it.
+	Pins bool
 	// Wait is what the lane's keyed index accesses wait for.
 	Wait
 }
@@ -612,7 +636,9 @@ type PipelinePlan struct {
 	// index store of a lane that parked a root (Parked) one more, its read
 	// ahead for a step that never came.
 	IndexAccesses, DataAccesses []int64
-	// Parked says which lanes' trees hold a parked root for btree.Reset.
+	// Parked says which lanes read a root ahead for a step that never came.
+	// A lane whose descents pin (Lane.Pins) leaves it parked on its tree for
+	// btree.Reset; any other drops it.
 	Parked []bool
 }
 
@@ -623,7 +649,7 @@ func PlanPipeline(lanes []Lane, steps int64) PipelinePlan {
 	shapes := make([]shape, len(lanes))
 	waits := make([]Wait, len(lanes))
 	for j, l := range lanes {
-		shapes[j], waits[j] = shape{n: l.Accesses, free: l.KeyFree}, l.Wait
+		shapes[j], waits[j] = shape{n: l.Accesses, free: l.KeyFree, pins: l.Pins}, l.Wait
 		if l.Index != "" {
 			shapes[j].index = l.Index
 		}

@@ -58,8 +58,9 @@ func alone(t *testing.T, st *StoredTable, tuples int, reqs ...oram.Req) float64 
 // step — the pipeline's flights, rounds and rows are set up once per join,
 // an index cursor's descents keep their decode buffers, and a leaf cursor
 // decodes only the entry it retrieves. Dummy steps, the pad tail, allocate
-// nothing at all, unless the pipeline looks ahead: their root reads are
-// then real, and allocate what real reads do.
+// nothing at all, unless the pipeline looks ahead, as the nested-loop join
+// over an uncached index does: their root reads are then real, and allocate
+// what real reads do.
 func TestPipelineStepAllocs(t *testing.T) {
 	if storetest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -154,12 +155,16 @@ func TestPipelineStepAllocs(t *testing.T) {
 		t.Fatalf("the real nested-loop step retrieved %+v", r)
 	}
 	t.Logf("a real nested-loop step (%d index accesses) allocates %.0f, as its accesses and decodes do", h, real)
-	reqs = []oram.Req{t1.dummyReq(), t2.dummyReq()}
-	for i := 0; i < h; i++ {
+	// It looks ahead, so a dummy step's root read is real.
+	if !p.ahead {
+		t.Fatal("the nested-loop join does not look ahead")
+	}
+	reqs = []oram.Req{t1.dummyReq(), t2.dummyReq(), {ORAM: i2.ORAM(), Key: uint64(i2.NumNodes() - 1)}}
+	for i := 1; i < h; i++ {
 		reqs = append(reqs, i2.DummyReq())
 	}
 	dummy = alone(t, t1, 0, reqs...)
-	if got := testing.AllocsPerRun(50, inlj(false)); got != dummy || got != 0 {
+	if got := testing.AllocsPerRun(50, inlj(false)); got != dummy {
 		t.Errorf("a dummy nested-loop step allocated %.1f, its accesses alone %.1f", got, dummy)
 	}
 	if err := p.Drain(); err != nil {
@@ -221,6 +226,10 @@ func TestPipelineRoundsClosedForms(t *testing.T) {
 	grandchild := func(w Wait) Lane {
 		return Lane{Index: "t3.idx", Data: "t3.data", Accesses: 2, KeyFree: 1, Wait: w}
 	}
+	pinned := func(l Lane) Lane {
+		l.Pins = true
+		return l
+	}
 	for _, tc := range []struct {
 		name  string
 		lanes []Lane
@@ -228,11 +237,19 @@ func TestPipelineRoundsClosedForms(t *testing.T) {
 		want  func(n int64) int64
 	}{
 		{"sort-merge", []Lane{leaf("t1"), leaf("t2")}, false, func(n int64) int64 { return n + 1 }},
-		// Looking ahead saves an uncached descent nothing: its tree is busy
-		// every round of the step.
-		{"nested-loop, h=3", []Lane{scan, descent(3, 1, 0)}, false, func(n int64) int64 { return 3*n + 1 }},
-		{"band, h=3", []Lane{scan, descent(3, 1, -1)}, false, func(n int64) int64 { return 3*n + 1 }},
-		{"nested-loop, h=2", []Lane{scan, descent(2, 1, 0)}, false, func(n int64) int64 { return 2*n + 1 }},
+		// An uncached descent reads the next step's root beside its first
+		// keyed access, in one share of its tree: (h−1)·n + 2, the
+		// nested-loop join looking ahead so that its probe leaves in the
+		// step's first round — at h = 2 {T2 leaf(i), T2 root(i+1),
+		// T1.data(t+1), T2.data(i−1)}, a round a step.
+		{"nested-loop, h=3", []Lane{scan, descent(3, 1, 0)}, true, func(n int64) int64 { return 2*n + 2 }},
+		{"band, h=3", []Lane{scan, descent(3, 1, -1)}, false, func(n int64) int64 { return 2*n + 2 }},
+		{"nested-loop, h=2", []Lane{scan, descent(2, 1, 0)}, true, func(n int64) int64 { return n + 2 }},
+		{"band, h=2", []Lane{scan, descent(2, 1, -1)}, false, func(n int64) int64 { return n + 2 }},
+		// Descents that pin what they read (write-back indexes) never share
+		// their tree with the next root: the tree is busy every round of
+		// the step, and looking ahead saves nothing.
+		{"nested-loop, h=2, pinned", []Lane{scan, pinned(descent(2, 1, 0))}, false, func(n int64) int64 { return 2*n + 1 }},
 		// A cached index keys its only access, which leaves with the step
 		// once the scan holds its tuple ahead: {T1.data(t+1), T2 leaf(i),
 		// T2.data(i−1)}.
@@ -249,6 +266,9 @@ func TestPipelineRoundsClosedForms(t *testing.T) {
 		// attribute of T2, as TM1's grandchild does), it waits a stage more.
 		{"multiway chain, entry-keyed, h=2", []Lane{scan, descent(2, 1, 0), grandchild(Wait{After: 1, Entry: true})}, true, func(n int64) int64 { return 2*n + 2 }},
 		{"multiway chain, tuple-keyed, h=2", []Lane{scan, descent(2, 1, 0), grandchild(Wait{After: 1})}, true, func(n int64) int64 { return 3*n + 2 }},
+		// The multiway join's write-back indexes pin: the same rounds.
+		{"multiway chain, entry-keyed, h=2, pinned", []Lane{scan, pinned(descent(2, 1, 0)), pinned(grandchild(Wait{After: 1, Entry: true}))}, true, func(n int64) int64 { return 2*n + 2 }},
+		{"multiway chain, tuple-keyed, h=2, pinned", []Lane{scan, pinned(descent(2, 1, 0)), pinned(grandchild(Wait{After: 1}))}, true, func(n int64) int64 { return 3*n + 2 }},
 	} {
 		for _, n := range []int64{1, 2, 3, 10, 1000} {
 			plan := PlanPipeline(tc.lanes, n)

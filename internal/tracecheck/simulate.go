@@ -20,7 +20,11 @@ import (
 // entire trace from what any single run already reveals. The rule that
 // places the round boundaries is all here, and no data enters it: the
 // write-back of the k paths queued so far shares the round of the next
-// download.
+// download. A round may download two paths of the tree (oram.Together: a
+// descent's access beside the next descent's root, read ahead); both are
+// read in full and queued, and at k = 1 their write-back writes each path
+// in full, a bucket they share twice — the textbook protocol's reads and
+// writes, the write-back of the first path following the second's download.
 type PathORAMSim struct {
 	// Store names the simulated store and Bytes its sealed bucket size; both
 	// are copied verbatim into the emitted accesses.
@@ -52,19 +56,30 @@ type PathORAMSim struct {
 // Access replays one ORAM access that fetched the path to the given leaf:
 // its download, carrying the write-back of the k paths queued before it,
 // then the path queued in turn.
-func (s *PathORAMSim) Access(leaf uint32) {
+func (s *PathORAMSim) Access(leaf uint32) { s.Round(leaf) }
+
+// Round replays one round in which the tree fetched the paths to the given
+// leaves, in order: the downloads, carrying the write-back of the paths
+// queued before them once k are, then the paths queued in turn.
+func (s *PathORAMSim) Round(leaves ...uint32) {
 	s.round++
 	if len(s.pending) >= max(s.Batch, 1) {
 		// The queued write-back rides the fetch: writes applied before reads.
-		s.emit(storage.KindWrite, s.unionNodes(s.pending))
+		s.emit(storage.KindWrite, s.writeNodes(s.pending))
 		s.pending = s.pending[:0]
 		if !s.Exchange {
 			s.round++
 		}
 	}
-	s.emit(storage.KindRead, s.pathNodes(leaf))
-	s.pending = append(s.pending, leaf)
+	for _, leaf := range leaves {
+		s.emit(storage.KindRead, s.pathNodes(leaf))
+	}
+	s.pending = append(s.pending, leaves...)
 }
+
+// Idle replays rounds in which the tree had no share: other stores' rounds,
+// which the pipeline's public schedule places.
+func (s *PathORAMSim) Idle(rounds int64) { s.round += rounds }
 
 // Flush replays the settling flush that writes the queued paths back in a
 // round of their own.
@@ -73,7 +88,7 @@ func (s *PathORAMSim) Flush() {
 		return
 	}
 	s.round++
-	s.emit(storage.KindWrite, s.unionNodes(s.pending))
+	s.emit(storage.KindWrite, s.writeNodes(s.pending))
 	s.pending = s.pending[:0]
 }
 
@@ -97,6 +112,19 @@ func (s *PathORAMSim) pathNodes(leaf uint32) []int64 {
 	nodes := make([]int64, s.Levels-s.Treetop)
 	for i := range nodes {
 		nodes[i] = s.nodeAtLevel(leaf, s.Treetop+i)
+	}
+	return nodes
+}
+
+// writeNodes is what the write-back of the queued leaves writes: at k = 1
+// each path in full, in queue order; at k > 1 their union (unionNodes).
+func (s *PathORAMSim) writeNodes(leaves []uint32) []int64 {
+	if s.Batch > 1 {
+		return s.unionNodes(leaves)
+	}
+	var nodes []int64
+	for _, leaf := range leaves {
+		nodes = append(nodes, s.pathNodes(leaf)...)
 	}
 	return nodes
 }

@@ -3,10 +3,14 @@ package tracecheck
 import (
 	"bytes"
 	mrand "math/rand"
+	"slices"
 	"testing"
 
+	"oblivjoin/internal/core"
 	"oblivjoin/internal/oram"
+	"oblivjoin/internal/relation"
 	"oblivjoin/internal/storage"
+	"oblivjoin/internal/table"
 	"oblivjoin/internal/xcrypto"
 )
 
@@ -189,6 +193,113 @@ func TestBatchedEvictionTraceSimulable(t *testing.T) {
 	if batchedWrites >= classicWrites {
 		t.Fatalf("dedup saved nothing: %d batched writes vs %d classic", batchedWrites, classicWrites)
 	}
+
+	// An index nested-loop join's inner index: its rounds download two
+	// paths, a descent's keyed access and the next root read ahead.
+	classic, levels, treetop = inljIndexRun(t, 1)
+	batched, _, _ = inljIndexRun(t, batch)
+	sim = &PathORAMSim{Store: classic[0].Store, Bytes: classic[0].Bytes, Levels: levels, Treetop: treetop, Batch: batch, Exchange: true}
+	replayRounds(t, sim, classic, levels, treetop)
+	if d := Diff(sim.Trace(), batched); d != "" {
+		t.Fatalf("the batched INLJ index trace is not reproduced from public data: %s", d)
+	}
+	if d := DiffExact(sim.Trace(), batched); d != "" {
+		t.Fatalf("the batched INLJ index trace is not reproduced from public data: %s", d)
+	}
+}
+
+// inljIndexRun runs an index nested-loop join whose inner index is four
+// levels deep over in-process stores, with fixed leaf randomness and the
+// given eviction batch, and returns the trace of the index's store — round
+// ordinals as the join's meter counted them — and the store's geometry.
+func inljIndexRun(t *testing.T, batch int) (trace []storage.Access, levels, treetop int) {
+	t.Helper()
+	sealer, err := xcrypto.NewSealer(bytes.Repeat([]byte{9}, xcrypto.KeySize), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := func(name string, rows int, key func(i int) int64) *relation.Relation {
+		r := &relation.Relation{Schema: relation.Schema{Table: name, Columns: []string{"k", "id"}}}
+		for i := 0; i < rows; i++ {
+			r.Tuples = append(r.Tuples, relation.Tuple{Values: []int64{key(i), int64(i)}})
+		}
+		return r
+	}
+	m := storage.NewMeter()
+	topts := table.Options{BlockPayload: 140, Meter: m, Sealer: sealer, Rand: oram.NewSeededSource(17), EvictionBatch: batch}
+	t1, err := table.Store(rel("t1", 12, func(i int) int64 { return int64(i * 5 % 13) }), nil, topts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := table.Store(rel("t2", 32, func(i int) int64 { return int64(i % 10) }), []string{"k"}, topts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := t2.Index("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx.AccessesPerRetrieval() != 4 || idx.KeyFree() != 1 {
+		t.Fatalf("the index is %d accesses deep, %d of them key-free; want 4 and 1", idx.AccessesPerRetrieval(), idx.KeyFree())
+	}
+	m.Reset()
+	m.SetTracing(true)
+	if _, err := core.IndexNestedLoopJoin(t1, t2, "k", "k", core.Options{Meter: m, Sealer: sealer, OutBlockSize: 256}); err != nil {
+		t.Fatal(err)
+	}
+	store := table.IndexStoreName("", "t2", "k")
+	for _, a := range m.Trace() {
+		if a.Store == store {
+			trace = append(trace, a)
+		}
+	}
+	o := idx.ORAM().(*oram.PathORAM)
+	treetop = o.Telemetry().TreetopLevels
+	return trace, treetop + o.Levels(), treetop
+}
+
+// replayRounds replays into sim the rounds of a one-store trace at
+// EvictionBatch 1 — the leaves its downloads name, one path per Levels
+// reads, deepest last, and the settle round that writes the last paths back
+// — with the rounds in which the store had no share (other stores' rounds)
+// left idle. It checks that some round downloaded two paths.
+func replayRounds(t *testing.T, sim *PathORAMSim, trace []storage.Access, levels, treetop int) {
+	t.Helper()
+	stored := levels - treetop
+	leafBase := int64(1)<<uint(levels-1) - int64(1)<<uint(treetop)
+	var rounds []int64
+	reads := map[int64][]int64{}
+	for _, a := range trace {
+		if !slices.Contains(rounds, a.Round) {
+			rounds = append(rounds, a.Round)
+		}
+		if a.Kind == storage.KindRead {
+			reads[a.Round] = append(reads[a.Round], a.Index)
+		}
+	}
+	var last int64
+	two := false
+	for _, r := range rounds {
+		sim.Idle(r - last - 1)
+		last = r
+		idxs := reads[r]
+		if len(idxs) == 0 { // the settle round
+			sim.Flush()
+			continue
+		}
+		if len(idxs)%stored != 0 {
+			t.Fatalf("round %d reads %d buckets, not whole paths of %d", r, len(idxs), stored)
+		}
+		var leaves []uint32
+		for at := stored - 1; at < len(idxs); at += stored {
+			leaves = append(leaves, uint32(idxs[at]-leafBase))
+		}
+		two = two || len(leaves) == 2
+		sim.Round(leaves...)
+	}
+	if !two {
+		t.Fatal("no round downloaded two paths of the index")
+	}
 }
 
 // TestClassicTraceSimulable pins the simulator at Batch = 1, where every
@@ -228,5 +339,30 @@ func TestClassicTraceSimulable(t *testing.T) {
 		if last := tc.trace[len(tc.trace)-1].Round; last != tc.rounds {
 			t.Fatalf("exchange=%v: %d accesses took %d rounds, want %d", tc.exchange, n, last, tc.rounds)
 		}
+	}
+
+	// An index nested-loop join's inner index, whose rounds download two
+	// paths: the trace is the textbook protocol's reads and writes, each
+	// path written back in full, and the rounds are where the replay puts
+	// them.
+	index, levels, treetop := inljIndexRun(t, 1)
+	sim := &PathORAMSim{Store: index[0].Store, Bytes: index[0].Bytes, Levels: levels, Treetop: treetop, Batch: 1, Exchange: true}
+	replayRounds(t, sim, index, levels, treetop)
+	if d := Diff(sim.Trace(), index); d != "" {
+		t.Fatalf("the INLJ index trace is not reproduced: %s", d)
+	}
+	if d := DiffExact(sim.Trace(), index); d != "" {
+		t.Fatalf("the INLJ index trace is not reproduced: %s", d)
+	}
+	var reads, writes int
+	for _, a := range index {
+		if a.Kind == storage.KindRead {
+			reads++
+		} else {
+			writes++
+		}
+	}
+	if reads != writes {
+		t.Fatalf("the INLJ index read %d buckets and wrote %d: a path written back in part", reads, writes)
 	}
 }
