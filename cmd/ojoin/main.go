@@ -26,9 +26,9 @@
 // span-tree trace (JSON) of the query; with -remote the sealed tables live
 // on a networked ojoinserver instead of in-process stores; with
 // -shards addr1,addr2,... they are striped across several ojoinservers
-// and every batch fans out in parallel (still one logical round). Adding
-// -watch 500ms polls live per-shard latency/skew metrics to stderr while
-// the query runs; with -trace-out and a remote backend the written trace
+// and each round sends every shard it touches one request (still one
+// logical round). Adding -watch 500ms polls live per-shard latency/skew
+// metrics to stderr while the query runs; with -trace-out and a remote backend the written trace
 // also contains the servers' per-op spans grafted under server.shard.<s>
 // subtrees (distributed tracing, DESIGN.md §2.13).
 package main

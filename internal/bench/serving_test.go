@@ -122,8 +122,9 @@ func runSharded(t *testing.T, e *Env, shards int, perBlock time.Duration) sharde
 
 // TestShardBenchSmoke runs the seeded join at 1 and 2 latency-shaped
 // shards: the logical protocol must be identical at both shard counts —
-// same rounds, same accesses — and with two shards both must serve blocks
-// and the batches must fan out into more physical trips than rounds.
+// same rounds, same accesses — and with two shards both must serve blocks,
+// the rounds must fan out to both servers, more physical trips than rounds
+// in all, and no server may be sent more than one request per round.
 func TestShardBenchSmoke(t *testing.T) {
 	e := Quick()
 	p1 := runSharded(t, e, 1, 2*time.Microsecond)
@@ -145,7 +146,10 @@ func TestShardBenchSmoke(t *testing.T) {
 		}
 	}
 	var reqs int64
-	for _, n := range p2.requests {
+	for s, n := range p2.requests {
+		if n > p2.rounds {
+			t.Fatalf("shard %d saw %d physical requests for %d logical rounds — a round sent it more than one frame", s, n, p2.rounds)
+		}
 		reqs += n
 	}
 	if reqs <= p2.rounds {

@@ -93,15 +93,15 @@ type binaryJoin func(t1, t2 *table.StoredTable, a1, a2 string, opts core.Options
 // its own trees (SepORAM), or both in one shared tree (OneORAM) — runs the
 // given oblivious join over the wire, checks the result, and returns the
 // network rounds and Path-ORAM accesses it cost, the write-backs that rode a
-// download, and the join's wall-clock. The tables' ORAM traffic is metered
+// download, the requests the server served, and the join's wall-clock. The tables' ORAM traffic is metered
 // on the client transport while the output filter is metered apart, so the
 // ratio of the two counts is exact; setup traffic is excluded by resetting
 // the meter after Store (bulk load bypasses the access path, so telemetry
 // accesses start at zero there too).
-func runShapedLoopbackJoin(t *testing.T, k int, join binaryJoin, faults FaultModel, oneORAM bool) (rounds, accesses, exchanges int64, wall time.Duration) {
+func runShapedLoopbackJoin(t *testing.T, k int, join binaryJoin, faults FaultModel, oneORAM bool) (rounds, accesses, exchanges, requests int64, wall time.Duration) {
 	t.Helper()
 	mTab := storage.NewMeter()
-	_, c := startServer(t, ServerOptions{Faults: faults}, ClientOptions{Meter: mTab})
+	srv, c := startServer(t, ServerOptions{Faults: faults}, ClientOptions{Meter: mTab})
 	sealer, err := xcrypto.NewSealer(bytes.Repeat([]byte{5}, xcrypto.KeySize), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -147,9 +147,11 @@ func runShapedLoopbackJoin(t *testing.T, k int, join binaryJoin, faults FaultMod
 		}
 	}
 	mTab.Reset() // setup traffic is not query cost
+	requests = srv.TotalRequests()
 	start := time.Now()
 	res, err := join(t1, t2, "k", "k", jopts)
 	wall = time.Since(start)
+	requests = srv.TotalRequests() - requests
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func runShapedLoopbackJoin(t *testing.T, k int, join binaryJoin, faults FaultMod
 	if accesses == 0 {
 		t.Fatal("no ORAM accesses recorded")
 	}
-	return mTab.Snapshot().NetworkRounds, accesses, exchanges, wall
+	return mTab.Snapshot().NetworkRounds, accesses, exchanges, requests, wall
 }
 
 // peakShaper is a Shaper that serves its latency itself, so it can see how
@@ -202,36 +204,36 @@ func (s *peakShaper) Next(req *Request) (time.Duration, bool) {
 // out at four times that per round — twice, had only pairs of them
 // travelled together — not within half of it, the margin being the client
 // work of four accesses against one. And an access is one round trip, not
-// two: the yardstick's accesses take little more than one latency each,
-// where a write-back round of their own would make it two.
+// two: the yardstick's server serves one request per metered round, and one
+// round per access but for the settle round, where a write-back round of
+// their own would make it two per access.
 func TestLoopbackLockstepRoundIsARealRound(t *testing.T) {
 	const latency = 2 * time.Millisecond
-	perRound := func(oneORAM bool) (time.Duration, time.Duration) {
+	perRound := func(oneORAM bool) (time.Duration, int64, int64, int64) {
 		t.Helper()
 		shaper := &peakShaper{Shaper: Shaper{Latency: latency}}
-		rounds, accesses, _, wall := runShapedLoopbackJoin(t, 1, core.SortMergeJoin, shaper, oneORAM)
+		rounds, accesses, _, requests, wall := runShapedLoopbackJoin(t, 1, core.SortMergeJoin, shaper, oneORAM)
 		if got := shaper.peak.Load(); got != 1 {
 			t.Fatalf("the server saw at most %d requests of the client in flight, want 1", got)
 		}
 		if floor := time.Duration(rounds) * latency; wall < floor {
 			t.Fatalf("join took %v, less than its %d rounds of %v", wall, rounds, latency)
 		}
-		t.Logf("%d rounds in %v: %v per round, %v per access",
-			rounds, wall, wall/time.Duration(rounds), wall/time.Duration(accesses))
-		return wall / time.Duration(rounds), wall / time.Duration(accesses)
+		t.Logf("%d rounds, %d requests, %d accesses in %v: %v per round",
+			rounds, requests, accesses, wall, wall/time.Duration(rounds))
+		return wall / time.Duration(rounds), rounds, accesses, requests
 	}
-	sequential, perAccess := perRound(true)
-	lockstep, _ := perRound(false)
+	sequential, rounds, accesses, requests := perRound(true)
+	if requests != rounds || rounds != accesses+1 {
+		t.Fatalf("the yardstick's %d accesses took %d rounds and %d requests, want one each per access and one to settle",
+			accesses, rounds, requests)
+	}
+	lockstep, _, _, _ := perRound(false)
 	if storetest.RaceEnabled {
 		return
 	}
 	if lockstep > sequential+sequential/2 {
 		t.Fatalf("a lockstep round took %v, a sequential round trip %v: a counted round cost more than one round trip", lockstep, sequential)
-	}
-	// Two round trips per access cost 2 × latency at the very least; one
-	// and a half leaves half a latency for everything that is not waiting.
-	if limit := latency * 3 / 2; perAccess > limit {
-		t.Fatalf("a sequential access took %v, want at most %v (one round trip of %v, not two)", perAccess, limit, latency)
 	}
 }
 
@@ -254,7 +256,7 @@ func TestLoopbackLockstepRoundIsARealRound(t *testing.T) {
 // EvictionBatch is a flat line.
 func TestLoopbackSMJDeferredRounds(t *testing.T) {
 	for _, k := range []int{1, 4, 16} {
-		rounds, accesses, exchanges, _ := runShapedLoopbackJoin(t, k, core.SortMergeJoin, nil, false)
+		rounds, accesses, exchanges, _, _ := runShapedLoopbackJoin(t, k, core.SortMergeJoin, nil, false)
 		if want := accesses/4 + 2; rounds != want {
 			t.Fatalf("k=%d, pipelined SMJ: %d rounds for %d accesses, want %d", k, rounds, accesses, want)
 		}
@@ -262,7 +264,7 @@ func TestLoopbackSMJDeferredRounds(t *testing.T) {
 			t.Fatalf("k=%d: no write-back rode a path download", k)
 		}
 		smj := float64(rounds) / float64(accesses)
-		rounds, accesses, _, _ = runShapedLoopbackJoin(t, k, core.IndexNestedLoopJoin, nil, false)
+		rounds, accesses, _, _, _ = runShapedLoopbackJoin(t, k, core.IndexNestedLoopJoin, nil, false)
 		if want := (accesses-2)/4 + 3; rounds != want {
 			t.Fatalf("k=%d, pipelined INLJ: %d rounds for %d accesses, want %d", k, rounds, accesses, want)
 		}

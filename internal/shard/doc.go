@@ -2,13 +2,15 @@
 // logical block store over N independent block servers — the step from one
 // ojoinserver box toward Jodes-style distributed scale (PAPERS.md).
 //
-// A Router implements storage.BatchStore and storage.ExchangeStore over N
-// sub-stores. Global block index i lives on shard i mod N at local index
-// i div N (ShardOf / LocalIndex), a striping that is a pure function of the
-// index and the shard count. Each ReadMany/WriteMany/Exchange batch is
-// split by that function into per-shard sub-batches, fanned out to the
-// owning shards in parallel goroutines, and merged back position-by-
-// position into one logical response. A Pool owns the per-shard transports
+// A Router implements storage.AppendExchangeStore over N sub-stores. Global
+// block index i lives on shard i mod N at local index i div N (ShardOf /
+// LocalIndex), a striping that is a pure function of the index and the
+// shard count. A Router is storage.Striped: each batch is split by that
+// function into one sub-share per owning shard, the sub-shares travel as
+// one round (storage.DoRound) — in a round of several stores, every
+// sub-share for one shard server in that server's one frame — and the
+// replies are merged back position by position into one logical response.
+// A Pool owns the per-shard transports
 // and hands out Routers through the storage.Opener seam, so the ORAM
 // layer, the table layer, and the deferred-eviction scheduler run over
 // shards without modification.
@@ -32,16 +34,17 @@
 //
 // A Router is safe for concurrent use exactly when its sub-stores are
 // (remote.Client and storage.MemStore both are): it holds no mutable state
-// of its own besides atomic per-shard counters, and a single logical batch
-// runs one goroutine per involved shard. Merging writes only
-// disjoint positions of the result slice, so no locks are needed on the
-// response path.
+// of its own besides atomic per-shard counters. It starts no goroutine: a
+// batch is split, sent and joined on the calling goroutine, so each shard
+// receives the sub-shares of a round in the round's order, and the shards'
+// requests of one round overlap on the wire because every frame is sent
+// before any reply is awaited.
 //
 // # Failure atomicity
 //
 // A batch is validated in full — range and payload sizes, using the global
 // geometry — before anything is sent, so a malformed batch touches no
-// shard. After fan-out, each sub-batch commits or fails atomically on its
+// shard. Once sent, each sub-batch commits or fails atomically on its
 // own shard (every backend validates a whole batch before applying it, and
 // the disk backend's WAL makes application all-or-nothing); a transport
 // failure on one shard therefore never leaves THAT shard partially

@@ -104,7 +104,7 @@ func NewPool(openers []storage.Opener, meter *storage.Meter) (*Pool, error) {
 
 // DialPool connects one remote client per address. opts.Addr is taken from
 // addrs, and opts.Meter becomes the pool's LOGICAL meter (the per-shard
-// clients are dialed meterless — the Router accounts each fanned-out batch
+// clients are dialed meterless — the Router accounts each striped batch
 // as one round with global indices, which is the whole point).
 func DialPool(addrs []string, opts remote.ClientOptions) (*Pool, error) {
 	if len(addrs) == 0 {
@@ -154,17 +154,13 @@ func (p *Pool) ResetStats() { p.stats.Reset() }
 // oram.PathConfig, and the access scheduler above them.
 func (p *Pool) Opener() storage.Opener {
 	return func(name string, slots int64, blockSize int) (storage.Store, error) {
-		subs := make([]storage.BatchStore, len(p.openers))
+		subs := make([]storage.Store, len(p.openers))
 		for s, open := range p.openers {
 			st, err := open(name, LocalSlots(slots, s, len(p.openers)), blockSize)
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: opening %q: %w", s, name, err)
 			}
-			b, ok := st.(storage.BatchStore)
-			if !ok {
-				return nil, fmt.Errorf("shard %d: store %q does not support batches", s, name)
-			}
-			subs[s] = b
+			subs[s] = st
 		}
 		return New(RouterConfig{
 			Name: name, Slots: slots, BlockSize: blockSize,
@@ -229,14 +225,14 @@ func (p *Pool) Close() error {
 // Metrics returns the router's ojoin_shard_* families (the client-side
 // counterpart of ojoinserver's ojoin_store_* families): the shard count,
 // per-shard sub-batches and blocks, the block skew ratio, and per-shard
-// sub-call latency histograms.
+// histograms of the time from split to join of each sub-share.
 func (p *Pool) Metrics() []telemetry.Family {
 	stats := p.Stats()
 	count := telemetry.NewGauge("ojoin_shard_count", "Shards the router fans out to.")
 	count.Add(float64(len(stats)))
 	batches := telemetry.NewCounter("ojoin_shard_batches_total", "Sub-batches sent to the shard.")
 	blocks := telemetry.NewCounter("ojoin_shard_blocks_total", "Blocks carried by those sub-batches.")
-	latency := telemetry.NewHistogramFamily("ojoin_shard_latency_seconds", "Sub-call latency per shard as seen by the router.")
+	latency := telemetry.NewHistogramFamily("ojoin_shard_latency_seconds", "Time from split to join of each sub-share sent to the shard.")
 	for s, st := range stats {
 		id := strconv.Itoa(s)
 		batches.Add(float64(st.Batches), "shard", id, "addr", st.Addr)

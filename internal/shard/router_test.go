@@ -212,7 +212,7 @@ func TestPartialShardFailure(t *testing.T) {
 	f0, f1 := mk(0), mk(1)
 	m := storage.NewMeter()
 	r, err := New(RouterConfig{Name: "t", Slots: slots, BlockSize: bs,
-		Subs: []storage.BatchStore{f0, f1}, Meter: m})
+		Subs: []storage.Store{f0, f1}, Meter: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,9 +358,9 @@ func TestRouterOneLogicalRound(t *testing.T) {
 }
 
 // TestRoutersShareOneRound: two striped stores' shares of one round
-// (storage.DoRound) are started through the fan-out and finished on the
-// caller's goroutine, so the round is one logical round and the trace lists
-// the shares in the order they were issued, every time.
+// (storage.DoRound) are split into sub-shares that travel with the round and
+// are joined on the caller's goroutine, so the round is one logical round and
+// the trace lists the shares in the order they were issued, every time.
 func TestRoutersShareOneRound(t *testing.T) {
 	m := storage.NewMeter()
 	pool, err := NewPool(memOpeners(3, nil), m)
@@ -372,8 +372,8 @@ func TestRoutersShareOneRound(t *testing.T) {
 		if routers[i], err = pool.Opener()(name, 16, 8); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := routers[i].(storage.RoundStarter); !ok {
-			t.Fatalf("%T does not split start from finish", routers[i])
+		if _, ok := routers[i].(storage.Striped); !ok {
+			t.Fatalf("%T does not split its share into sub-shares", routers[i])
 		}
 	}
 	blk := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 8) }
@@ -432,15 +432,15 @@ func TestRouterGeometryValidation(t *testing.T) {
 		t.Fatal("router with no shards built")
 	}
 	if _, err := New(RouterConfig{Name: "x", Slots: 8, BlockSize: 16,
-		Subs: []storage.BatchStore{mem(4, 16), mem(3, 16)}}); err == nil {
+		Subs: []storage.Store{mem(4, 16), mem(3, 16)}}); err == nil {
 		t.Fatal("router with wrong striped slot counts built")
 	}
 	if _, err := New(RouterConfig{Name: "x", Slots: 8, BlockSize: 16,
-		Subs: []storage.BatchStore{mem(4, 16), mem(4, 8)}}); err == nil {
+		Subs: []storage.Store{mem(4, 16), mem(4, 8)}}); err == nil {
 		t.Fatal("router with mismatched block sizes built")
 	}
 	if _, err := New(RouterConfig{Name: "x", Slots: 8, BlockSize: 16,
-		Subs: []storage.BatchStore{mem(4, 16), mem(4, 16)}}); err != nil {
+		Subs: []storage.Store{mem(4, 16), mem(4, 16)}}); err != nil {
 		t.Fatalf("valid router rejected: %v", err)
 	}
 }

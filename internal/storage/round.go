@@ -53,15 +53,17 @@ type Carried interface {
 	Carrier() Carrier
 }
 
-// RoundStarter is a store that fans its share out itself (shard.Router):
-// StartExchangeTo starts the request of an ExchangeTo call and returns at
-// once; finish waits for it and returns what ExchangeTo would have. The
-// arguments stay the caller's but must not change until finish has
-// returned, and finish must be called exactly once. Accounting happens in
-// finish.
-type RoundStarter interface {
+// Striped is a store laid over other stores (shard.Router): its share of a
+// round travels as sub-shares on the stores beneath it, which DoRound sends
+// with the rest of the round — those on one carrier in that carrier's frame.
+type Striped interface {
 	Store
-	StartExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) (finish func() ([]byte, error))
+	// Split returns op's parts — shares on the stores beneath, in an order
+	// that depends on op's indices only — and join, which fills in op's Out
+	// and Err from the settled parts and does op's accounting. A share
+	// refused before anything is sent has no parts. DoRound settles the
+	// parts unmetered: join meters op.
+	Split(op *RoundOp) (parts []*RoundOp, join func())
 }
 
 // DoRound issues one round made of per-store shares: requests that are all
@@ -73,9 +75,9 @@ type RoundStarter interface {
 // depend on public information only.
 //
 // Everything runs on the calling goroutine. First every share leaves: the
-// shares of stores on one carrier as one frame, a RoundStarter's share
-// started. Then each share is settled in order: from its frame's reply, by
-// its starter's finish, or — any other store — by running it through
+// shares of stores on one carrier as one frame, a Striped store's share as
+// its parts. Then each share is settled in order: from its frame's reply,
+// by joining its parts, or — any other store — by running it through
 // ExchangeTo. The recorded trace needs no reordering, and a round of one
 // share is exactly an ExchangeTo call.
 func DoRound(m *Meter, ops ...*RoundOp) {
@@ -87,32 +89,76 @@ func DoRound(m *Meter, ops ...*RoundOp) {
 		m.BeginRound()
 		defer m.EndRound()
 	}
-	// For each share, the frame it travels in or the starter's finish.
-	var fewFrames [4]Frame
-	var fewFinish [4]func() ([]byte, error)
-	frames, finish := fewFrames[:], fewFinish[:]
-	if len(ops) > len(fewFrames) {
-		frames, finish = make([]Frame, len(ops)), make([]func() ([]byte, error), len(ops))
-	}
-	for k, op := range ops {
-		switch st := op.Store.(type) {
-		case Carried:
-			if frames[k] == nil {
-				openFrame(st.Carrier(), ops[k:], frames[k:])
-			}
-		case RoundStarter:
-			finish[k] = st.StartExchangeTo(op.Dst, op.WriteIdxs, op.WriteData, op.ReadIdxs)
+	for _, op := range ops {
+		if _, ok := op.Store.(Striped); ok {
+			doStriped(m, ops)
+			return
 		}
 	}
+	// For each share, the frame it travels in.
+	var few [4]Frame
+	frames := few[:]
+	if len(ops) > len(few) {
+		frames = make([]Frame, len(ops))
+	}
+	send(ops, frames)
 	for k, op := range ops {
-		switch {
-		case frames[k] != nil:
-			frames[k].Settle()
-		case finish[k] != nil:
-			op.Out, op.Err = finish[k]()
-		default:
-			op.run(m)
+		settle(m, op, frames[k])
+	}
+}
+
+// doStriped is DoRound's round that holds a Striped share. Each Striped
+// share is replaced by its parts, which leave with the other shares, and is
+// joined where it stands in the settle order, right after its parts.
+func doStriped(m *Meter, ops []*RoundOp) {
+	var flat []*RoundOp
+	joins := make([]func(), len(ops))
+	ends := make([]int, len(ops)) // ops[k] leaves as flat[ends[k-1]:ends[k]]
+	for k, op := range ops {
+		if st, ok := op.Store.(Striped); ok {
+			var parts []*RoundOp
+			parts, joins[k] = st.Split(op)
+			flat = append(flat, parts...)
+		} else {
+			flat = append(flat, op)
 		}
+		ends[k] = len(flat)
+	}
+	frames := make([]Frame, len(flat))
+	send(flat, frames)
+	j := 0
+	for k := range ops {
+		if joins[k] == nil {
+			settle(m, flat[j], frames[j])
+			j++
+			continue
+		}
+		for ; j < ends[k]; j++ {
+			settle(nil, flat[j], frames[j])
+		}
+		joins[k]()
+	}
+}
+
+// send sends the frame of every carrier in ops, marking in frames the one
+// each share travels in.
+func send(ops []*RoundOp, frames []Frame) {
+	for k, op := range ops {
+		if frames[k] != nil {
+			continue
+		}
+		if st, ok := op.Store.(Carried); ok {
+			openFrame(st.Carrier(), ops[k:], frames[k:])
+		}
+	}
+}
+
+// settle fills in op's Out and Err: from its frame f, or through ExchangeTo.
+func settle(m *Meter, op *RoundOp, f Frame) {
+	if f != nil {
+		f.Settle()
+	} else {
+		op.run(m)
 	}
 }
 

@@ -10,18 +10,59 @@ import (
 	"oblivjoin/internal/storage/storetest"
 )
 
-// startable is a MemStore with the start/finish split, recording the order
-// in which its halves run.
-type startable struct {
+// striped lays a MemStore's slots over two unmetered MemStores, even
+// indices on one and odd on the other, recording the order in which its
+// shares are split and joined; a join meters its share on m. A round of its
+// one share is the MemStore's own.
+type striped struct {
 	*storage.MemStore
-	log *[]string
+	m      *storage.Meter
+	halves [2]*storage.MemStore
+	log    *[]string
 }
 
-func (s startable) StartExchangeTo(dst []byte, wi []int64, wd [][]byte, ri []int64) func() ([]byte, error) {
-	*s.log = append(*s.log, "start "+s.Name())
-	return func() ([]byte, error) {
-		*s.log = append(*s.log, "finish "+s.Name())
-		return s.MemStore.ExchangeTo(dst, wi, wd, ri)
+func stripe(s *storage.MemStore, m *storage.Meter, log *[]string) striped {
+	st := striped{MemStore: s, m: m, log: log}
+	for h := range st.halves {
+		st.halves[h] = storage.NewMemStore(s.Name(), (s.Len()+1-int64(h))/2, s.BlockSize(), nil)
+	}
+	for i := int64(0); i < s.Len(); i++ {
+		blk, err := s.Read(i)
+		if err == nil {
+			err = st.halves[i%2].Write(i/2, blk)
+		}
+		if err != nil {
+			panic(err)
+		}
+	}
+	return st
+}
+
+func (s striped) Split(op *storage.RoundOp) ([]*storage.RoundOp, func()) {
+	*s.log = append(*s.log, "split "+s.Name())
+	var parts [2]storage.RoundOp
+	for k, i := range op.WriteIdxs {
+		p := &parts[i%2]
+		p.WriteIdxs, p.WriteData = append(p.WriteIdxs, i/2), append(p.WriteData, op.WriteData[k])
+	}
+	for _, i := range op.ReadIdxs {
+		parts[i%2].ReadIdxs = append(parts[i%2].ReadIdxs, i/2)
+	}
+	parts[0].Store, parts[1].Store = s.halves[0], s.halves[1]
+	return []*storage.RoundOp{&parts[0], &parts[1]}, func() {
+		*s.log = append(*s.log, "join "+s.Name())
+		for _, p := range parts {
+			if p.Err != nil {
+				op.Out, op.Err = nil, p.Err
+				return
+			}
+		}
+		op.Out = op.Dst
+		for _, i := range op.ReadIdxs {
+			p := &parts[i%2]
+			op.Out, p.Out = append(op.Out, p.Out[:s.BlockSize()]...), p.Out[s.BlockSize():]
+		}
+		s.m.CountExchange(s.Name(), op.WriteIdxs, op.ReadIdxs, s.BlockSize())
 	}
 }
 
@@ -77,12 +118,12 @@ func TestDoRoundIsOneRound(t *testing.T) {
 	const bs = 16
 	blk := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, bs) }
 	var log []string
-	wraps := map[string]func(*storage.MemStore) storage.Store{
-		"native":       func(s *storage.MemStore) storage.Store { return s },
-		"slice-forms":  func(s *storage.MemStore) storage.Store { return storetest.HideAppend(s) },
-		"single-block": func(s *storage.MemStore) storage.Store { return singleOps{s} },
-		"startable":    func(s *storage.MemStore) storage.Store { return startable{s, &log} },
-		"carried":      func(s *storage.MemStore) storage.Store { return carried{s, &logCarrier{&log}} },
+	wraps := map[string]func(*storage.MemStore, *storage.Meter) storage.Store{
+		"native":       func(s *storage.MemStore, _ *storage.Meter) storage.Store { return s },
+		"slice-forms":  func(s *storage.MemStore, _ *storage.Meter) storage.Store { return storetest.HideAppend(s) },
+		"single-block": func(s *storage.MemStore, _ *storage.Meter) storage.Store { return singleOps{s} },
+		"striped":      func(s *storage.MemStore, m *storage.Meter) storage.Store { return stripe(s, m, &log) },
+		"carried":      func(s *storage.MemStore, _ *storage.Meter) storage.Store { return carried{s, &logCarrier{&log}} },
 	}
 	for name, wrap := range wraps {
 		t.Run(name, func(t *testing.T) {
@@ -95,7 +136,7 @@ func TestDoRoundIsOneRound(t *testing.T) {
 					if err := st.WriteMany([]int64{1, 2}, [][]byte{blk(byte(10 * i)), blk(byte(10*i + 1))}); err != nil {
 						t.Fatal(err)
 					}
-					ops[i] = &storage.RoundOp{Store: wrap(st), ReadIdxs: []int64{2, 1}}
+					ops[i] = &storage.RoundOp{Store: wrap(st, m), ReadIdxs: []int64{2, 1}}
 				}
 				ops[1].WriteIdxs, ops[1].WriteData = []int64{2}, [][]byte{blk(99)} // an exchange
 				ops[2].ReadIdxs, ops[2].WriteIdxs, ops[2].WriteData = nil, []int64{5}, [][]byte{blk(7)}
@@ -152,12 +193,12 @@ func TestDoRoundIsOneRound(t *testing.T) {
 					t.Fatalf("frame calls %v, want %v", log, want)
 				}
 			}
-			if name == "startable" {
+			if name == "striped" {
 				// Every share is on its way before any reply is waited for;
 				// the run of one-share rounds that followed used ExchangeTo.
-				want := []string{"start a", "start b", "start c", "finish a", "finish b", "finish c"}
+				want := []string{"split a", "split b", "split c", "join a", "join b", "join c"}
 				if !reflect.DeepEqual(log, want) {
-					t.Fatalf("start/finish order %v, want %v", log, want)
+					t.Fatalf("split/join order %v, want %v", log, want)
 				}
 			}
 		})

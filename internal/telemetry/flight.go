@@ -61,9 +61,8 @@ func PublicPhase(name string) bool {
 // active trace ID, a span-ID allocator, and the current public phase
 // label. One Flight is shared by a Database, its remote clients, and the
 // ORAM scheduler; clients stamp its state onto outgoing requests. All
-// methods are nil-safe and goroutine-safe — the shard router's fan-out
-// goroutines read the phase concurrently with the query goroutine
-// setting it.
+// methods are nil-safe and goroutine-safe, so the goroutine setting the
+// phase and any goroutine stamping a request need no lock of their own.
 //
 // A Flight never performs server accesses and never influences which
 // accesses happen: it only annotates requests the engine was already

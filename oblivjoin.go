@@ -358,9 +358,9 @@ func (db *Database) ConnectRemote(addr string) error {
 
 // ConnectShards stripes the database's server-side storage over several
 // networked block servers: every store Seal provisions is partitioned by
-// the public function block i ↦ shard i mod N, and each ORAM batch fans
-// out to the owning shards in parallel while still counting as one logical
-// round (DESIGN.md §2.12). Must be called before Seal and is mutually
+// the public function block i ↦ shard i mod N, and each round sends every
+// shard it touches one request, all sent before any reply is awaited,
+// while still counting as one logical round (DESIGN.md §2.12). Must be called before Seal and is mutually
 // exclusive with ConnectRemote. Traffic accounting still lands in Stats —
 // the router meters at the transport, exactly like the single-server
 // client, so Stats are identical at any shard count.
@@ -382,7 +382,7 @@ func (db *Database) ConnectShards(addrs []string) error {
 
 // WriteMetrics writes the client's metric families in Prometheus text
 // format: with ConnectShards the shard router's ojoin_shard_* families
-// (shard count, per-shard batches, blocks, skew ratio, and sub-call
+// (shard count, per-shard batches, blocks, skew ratio, and sub-share
 // latency histograms), and always the meter's trace-cap accounting.
 func (db *Database) WriteMetrics(w io.Writer) error {
 	var fams []telemetry.Family
