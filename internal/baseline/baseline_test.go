@@ -12,6 +12,7 @@ import (
 	"oblivjoin/internal/relation"
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/table"
+	"oblivjoin/internal/tracecheck"
 	"oblivjoin/internal/xcrypto"
 )
 
@@ -248,6 +249,126 @@ func TestPFSortMergeRejectsManyToMany(t *testing.T) {
 	r2 := makeRel("f", []int64{2})
 	if _, err := PFSortMergeJoin(r1, r2, "k", "k", testOpts(t, nil)); err == nil {
 		t.Fatal("many-to-many accepted — Example 1's limitation should reject it")
+	}
+}
+
+// tracedJoin runs join with a tracing meter and returns its trace and result.
+func tracedJoin(t *testing.T, m *storage.Meter, join func(Options) (*Result, error), padTo int64) ([]storage.Access, *Result) {
+	t.Helper()
+	if m == nil {
+		m = storage.NewMeter()
+	}
+	m.Reset()
+	m.SetTracing(true)
+	opts := testOpts(t, m)
+	opts.PadTo = padTo
+	res, err := join(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Trace(), res
+}
+
+// TestBaselinesPaddedTraceHidesRealCount: under an output padding the
+// baselines' traces, round ordinals included, are those of any other input
+// of the same sizes whatever its real count: the decode reads the padded
+// prefix, not the real one. Twin inputs differ in their real counts by
+// blocks of output, and share the padded size.
+func TestBaselinesPaddedTraceHidesRealCount(t *testing.T) {
+	six := []int64{1, 2, 3, 4, 5, 6}
+	for _, tc := range []struct {
+		name  string
+		padTo int64
+		run   func(t *testing.T, keys []int64) ([]storage.Access, *Result)
+	}{
+		{"ObliDB", 20, func(t *testing.T, keys []int64) ([]storage.Access, *Result) {
+			m := storage.NewMeter()
+			s1, s2, _, _ := storedPair(t, []int64{1, 1, 2, 2, 3, 3}, keys, m, false)
+			return tracedJoin(t, m, func(o Options) (*Result, error) {
+				return ObliDBHashJoin([]*table.StoredTable{s1, s2}, []EquiPred{{A: 0, AAttr: "k", B: 1, BAttr: "k"}}, o)
+			}, 20)
+		}},
+		{"Opaque", 10, func(t *testing.T, keys []int64) ([]storage.Access, *Result) {
+			return tracedJoin(t, nil, func(o Options) (*Result, error) {
+				return PFSortMergeJoin(makeRel("p", six), makeRel("f", keys), "k", "k", o)
+			}, 10)
+		}},
+		{"ODBJ", 20, func(t *testing.T, keys []int64) ([]storage.Access, *Result) {
+			return tracedJoin(t, nil, func(o Options) (*Result, error) {
+				return ODBJJoin(makeRel("a", []int64{1, 1, 2, 2, 3, 3}), makeRel("b", keys), "k", "k", o)
+			}, 20)
+		}},
+	} {
+		many, rm := tc.run(t, []int64{1, 1, 2, 2, 3, 3})
+		few, rf := tc.run(t, []int64{1, 7, 8, 8, 9, 9})
+		if rm.RealCount == rf.RealCount || len(rm.Tuples) != rm.RealCount || len(rf.Tuples) != rf.RealCount {
+			t.Fatalf("%s: real counts %d and %d (%d and %d tuples)", tc.name, rm.RealCount, rf.RealCount, len(rm.Tuples), len(rf.Tuples))
+		}
+		if d := tracecheck.Diff(many, few); d != "" {
+			t.Errorf("%s padded to %d: %d reals against %d: %s", tc.name, tc.padTo, rm.RealCount, rf.RealCount, d)
+		}
+	}
+}
+
+// TestODBJScanPassesArePublic: ODBJ's forward and backward degree passes
+// over the sorted union read and write the same blocks in the same rounds
+// whatever the keys, block indices included, and no round reads more than
+// the trusted memory in whole blocks.
+func TestODBJScanPassesArePublic(t *testing.T) {
+	pass := func(keys []int64, backward bool) []storage.Access {
+		m := storage.NewMeter()
+		opts := testOpts(t, m)
+		s, err := opts.newWVec("odbj.s", 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			r := wrec{flag: wflagReal, key: k, tup: make([]byte, 16)}
+			if err := s.Append(marshalW(&r, 16)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.SetTracing(true)
+		var last int64
+		var run int64
+		if err := scanW(s, opts.mem(wheader+16), backward, func(_ int, r *wrec) {
+			if r.key != last {
+				last, run = r.key, 0
+			}
+			run++
+			r.c0 = run
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Trace()
+	}
+	r := mrand.New(mrand.NewSource(5))
+	for _, n := range []int{1, 3, 17, 40} {
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = int64(r.Intn(4))
+		}
+		for _, backward := range []bool{false, true} {
+			a, b := pass(keys, backward), pass(make([]int64, n), backward)
+			if d := tracecheck.Diff(a, b) + tracecheck.DiffExact(a, b); d != "" {
+				t.Fatalf("n=%d backward=%v: %s", n, backward, d)
+			}
+			reads := map[int64]int{}
+			for _, acc := range a {
+				if acc.Kind == storage.KindRead {
+					reads[acc.Round]++
+				}
+			}
+			perBlock := (256 - xcrypto.Overhead) / (wheader + 16)
+			for round, k := range reads {
+				if budget := max(1, testOpts(t, nil).mem(wheader+16)/perBlock); k > budget {
+					t.Fatalf("n=%d backward=%v: round %d reads %d blocks, budget %d", n, backward, round, k, budget)
+				}
+			}
+		}
 	}
 }
 

@@ -145,16 +145,16 @@ func ObliDBHashJoin(tables []*table.StoredTable, preds []EquiPred, opts Options)
 		if err := vec.Truncate(int(keep)); err != nil {
 			return nil, err
 		}
-		if real > 0 {
-			recs, err := vec.LoadRange(0, real)
-			if err != nil {
-				return nil, err
+		recs, err := vec.LoadRange(0, decodeLen(real, keep, opts))
+		if err != nil {
+			return nil, err
+		}
+		for i, rec := range recs {
+			tu, ok, err := relation.Decode(outSchema, rec)
+			if err != nil || !ok && i < real {
+				return nil, fmt.Errorf("baseline: bad record %d in hash join output (%v)", i, err)
 			}
-			for _, rec := range recs {
-				tu, ok, err := relation.Decode(outSchema, rec)
-				if err != nil || !ok {
-					return nil, fmt.Errorf("baseline: bad record in hash join output (%v)", err)
-				}
+			if ok {
 				out.Tuples = append(out.Tuples, tu)
 			}
 		}

@@ -46,6 +46,17 @@ func (o Options) blockSize() int {
 	return table.DefaultBlockPayload + xcrypto.Overhead
 }
 
+// decodeLen is how many output records a baseline reads back to decode its
+// real ones, keep of them kept: the real prefix when nothing is padded,
+// whose count is then declared leakage, and the kept prefix otherwise, as
+// the engine's joins do.
+func decodeLen(real int, keep int64, o Options) int {
+	if o.PadTo > 0 {
+		return int(keep)
+	}
+	return real
+}
+
 func (o Options) mem(recSize int) int {
 	if o.Mem > 0 {
 		return o.Mem

@@ -13,56 +13,14 @@ func (o Options) newWVec(name string, tupSize int) (*obliv.BlockVector, error) {
 	return obliv.NewBlockVector(name, 64, wheader+tupSize, o.blockSize(), o.Meter, o.Sealer)
 }
 
-// scanW streams v chunk-wise (forward or backward), letting fn mutate each
-// record in place. The access pattern is a fixed sequential sweep.
+// scanW runs fn over every record of v, forward or backward, letting it
+// mutate the record in place: obliv.Sweep, a fixed sequential pass.
 func scanW(v *obliv.BlockVector, mem int, backward bool, fn func(idx int, r *wrec)) error {
-	n := v.Len()
-	if mem < 1 {
-		mem = 1
-	}
-	apply := func(lo, cnt int) error {
-		recs, err := v.LoadRange(lo, cnt)
-		if err != nil {
-			return err
-		}
-		if backward {
-			for i := cnt - 1; i >= 0; i-- {
-				r := unmarshalW(recs[i])
-				fn(lo+i, &r)
-				recs[i] = marshalW(&r, len(r.tup))
-			}
-		} else {
-			for i := 0; i < cnt; i++ {
-				r := unmarshalW(recs[i])
-				fn(lo+i, &r)
-				recs[i] = marshalW(&r, len(r.tup))
-			}
-		}
-		return v.StoreRange(lo, recs)
-	}
-	if backward {
-		for hi := n; hi > 0; {
-			lo := hi - mem
-			if lo < 0 {
-				lo = 0
-			}
-			if err := apply(lo, hi-lo); err != nil {
-				return err
-			}
-			hi = lo
-		}
-		return nil
-	}
-	for lo := 0; lo < n; lo += mem {
-		cnt := mem
-		if lo+cnt > n {
-			cnt = n - lo
-		}
-		if err := apply(lo, cnt); err != nil {
-			return err
-		}
-	}
-	return nil
+	return obliv.Sweep(v, mem, backward, func(i int, rec []byte) {
+		r := unmarshalW(rec)
+		fn(i, &r)
+		copy(rec, marshalW(&r, len(r.tup)))
+	})
 }
 
 // scanEmitW streams src forward, emitting exactly one record per input into
@@ -103,11 +61,6 @@ func sortW(v *obliv.BlockVector, mem int, less func(a, b wrec) bool) error {
 	tupSize := v.RecordSize() - wheader
 	pad := marshalW(&wrec{flag: wflagDummy, key: posInf, pos: posInf, seq: posInf, tup: make([]byte, tupSize)}, tupSize)
 	if err := v.PadTo(padded, pad); err != nil {
-		return err
-	}
-	// ODBJ writes every block in a round of its own; the padding goes out
-	// before the sort starts.
-	if err := v.Flush(); err != nil {
 		return err
 	}
 	lessB := func(a, b []byte) bool { return less(unmarshalW(a), unmarshalW(b)) }

@@ -113,23 +113,24 @@ func PFSortMergeJoin(r1, r2 *relation.Relation, a1, a2 string, opts Options) (*R
 	if err := joined.Truncate(int(keep)); err != nil {
 		return nil, err
 	}
-	if out.RealCount > 0 {
-		recs, err := joined.LoadRange(0, out.RealCount)
-		if err != nil {
-			return nil, err
+	recs, err := joined.LoadRange(0, decodeLen(out.RealCount, keep, opts))
+	if err != nil {
+		return nil, err
+	}
+	for _, rec := range recs {
+		r := unmarshalW(rec)
+		if r.flag != wflagReal {
+			continue // padding past the real prefix
 		}
-		for _, rec := range recs {
-			r := unmarshalW(rec)
-			lt, ok1, err := relation.Decode(r1.Schema, r.tup[:tupSize])
-			if err != nil || !ok1 {
-				return nil, fmt.Errorf("baseline: bad PF record (%v)", err)
-			}
-			rt, ok2, err := relation.Decode(r2.Schema, r.tup[tupSize:])
-			if err != nil || !ok2 {
-				return nil, fmt.Errorf("baseline: bad PF record (%v)", err)
-			}
-			out.Tuples = append(out.Tuples, relation.Concat(lt, rt))
+		lt, ok1, err := relation.Decode(r1.Schema, r.tup[:tupSize])
+		if err != nil || !ok1 {
+			return nil, fmt.Errorf("baseline: bad PF record (%v)", err)
 		}
+		rt, ok2, err := relation.Decode(r2.Schema, r.tup[tupSize:])
+		if err != nil || !ok2 {
+			return nil, fmt.Errorf("baseline: bad PF record (%v)", err)
+		}
+		out.Tuples = append(out.Tuples, relation.Concat(lt, rt))
 	}
 	if opts.Meter != nil {
 		out.Stats = opts.Meter.Snapshot().Sub(start)

@@ -130,11 +130,11 @@ func TestCompactRealMatchesModel(t *testing.T) {
 		in := pattern(n, func(int) bool { return r.Intn(3) > 0 })
 		v := compactVector(t, perBlock, nil, in)
 		z := r.Intn(n)
-		c := newCompactor(v, 2*unit*perBlock, isDummyRec)
 		p := &compactPlan{unit: unit, recs: unit * perBlock, units: units, blocks: units * unit}
 		p.off(0, units, 0, z)
-		p.schedule(unit * (2 + r.Intn(units)))
-		if err := c.run(p); err != nil {
+		p.schedule(p.blocks, unit*(2+r.Intn(units)))
+		c := newCompactor(p, v, isDummyRec)
+		if err := v.run(&p.plan, c.apply); err != nil {
 			t.Fatal(err)
 		}
 		got := c.between(0, units)

@@ -2,6 +2,7 @@ package obliv
 
 import (
 	"fmt"
+	"sort"
 
 	"oblivjoin/internal/xcrypto"
 )
@@ -40,12 +41,17 @@ func errUnpadded(padded, chunk, n int) error {
 // trusted client memory — the external oblivious sort of Opaque/ObliDB with
 // O(n log²(n/m)) record transfers (Section 4.1 of the paper).
 //
-// If v fits in memory it is loaded, sorted locally, and stored back (one
-// fixed-pattern pass). Otherwise v.Len() must equal the padded length from
-// ChunkShape (callers pad with records that sort last); the sort then runs
-// a bitonic network over sorted chunks with in-memory merge-splits. Every
-// server access depends only on v.Len() and mem.
-func SortVector(v Vector, mem int, less func(a, b []byte) bool) error {
+// If v fits in memory it is one transfer: loaded, sorted locally, and
+// stored back. Otherwise v.Len() must equal the padded length from
+// ChunkShape (callers pad with records that sort last); the sort then sorts
+// every chunk locally and runs a bitonic network over the sorted chunks
+// with in-memory merge-splits. Each local sort and each merge-split is a
+// transfer of the blocks its chunks cover, and the runner packs them into
+// rounds of at most ⌊mem/B⌋ blocks read (one transfer at least), B records
+// a block; chunks that share an edge block wait for each other's rounds.
+// Every server access, and the round it travels in, depends only on
+// v.Len(), mem and the vector's geometry — SortTransfers counts them.
+func SortVector(v *BlockVector, mem int, less func(a, b []byte) bool) error {
 	return Sorter{}.SortVector(v, mem, less)
 }
 
@@ -69,20 +75,129 @@ func mergeSplit(a, b [][]byte, less func(x, y []byte) bool) (lo, hi [][]byte) {
 	return merged[:c], merged[c:]
 }
 
-// SortTransfers returns the number of record loads+stores SortVector
-// performs for n records with mem trusted memory — used by cost analyses
-// and tests that pin the oblivious access pattern.
-func SortTransfers(n, mem int) int {
+// sortStep is the rule of one transfer of the external sort: sort chunk i
+// locally (j < 0), or merge-split chunks i and j, the lower half to i when
+// asc and to j otherwise.
+type sortStep struct {
+	i, j int
+	asc  bool
+}
+
+// sortPlan is the plan of one phase of the external sort, over chunks of
+// chunk records.
+type sortPlan struct {
+	plan
+	chunk int
+	steps []sortStep
+}
+
+// sortPhases returns the plans of the external sort of n records, the
+// padded length of ChunkShape, with mem records of trusted memory and
+// perBlock records a block: the local sorts of the chunks (one chunk of n
+// records when they fit in memory), then the merge network over them, nil
+// for a single chunk.
+func sortPhases(n, mem, perBlock int) (runs, merge *sortPlan) {
+	_, chunk := ChunkShape(n, mem)
+	chunks := n / chunk
+	steps := make([]sortStep, chunks)
+	for c := range steps {
+		steps[c] = sortStep{i: c, j: -1}
+	}
+	runs = planSort(n, chunk, perBlock, mem, steps)
+	if chunks == 1 {
+		return runs, nil
+	}
+	steps = make([]sortStep, 0, NetworkSize(chunks))
+	_ = Network(chunks, func(i, j int, asc bool) error {
+		steps = append(steps, sortStep{i: i, j: j, asc: asc})
+		return nil
+	})
+	return runs, planSort(n, chunk, perBlock, mem, steps)
+}
+
+// planSort plans steps over n records in chunks of chunk records, perBlock
+// to a block, in rounds of at most ⌊mem/perBlock⌋ blocks read.
+func planSort(n, chunk, perBlock, mem int, steps []sortStep) *sortPlan {
+	p := &sortPlan{plan: plan{moves: make([]transfer, len(steps))}, chunk: chunk, steps: steps}
+	blocks := func(c int) span {
+		first := c * chunk / perBlock
+		return span{first, ((c+1)*chunk-1)/perBlock - first + 1}
+	}
+	for k, s := range steps {
+		var b span
+		if s.j >= 0 {
+			b = blocks(s.j)
+		}
+		p.moves[k] = newTransfer(k, blocks(s.i), b)
+	}
+	p.schedule(ceilDiv(n, perBlock), mem/perBlock)
+	return p
+}
+
+// SortTransfers returns what SortVector spends sorting n records with mem
+// records of trusted memory, perBlock records a block, read off its plans:
+// the transfers, the blocks they read and write back, and the rounds. n is
+// padded to ChunkShape's length first, as SortVector requires. The last
+// round's write-back is counted in Blocks but not in Rounds: it rides the
+// vector's next exchange.
+func SortTransfers(n, mem, perBlock int) Cost {
 	if n <= 1 {
-		return 0
+		return Cost{}
 	}
-	if mem < 2 {
-		mem = 2
+	mem = max(mem, 2)
+	padded, _ := ChunkShape(n, mem)
+	runs, merge := sortPhases(padded, mem, perBlock)
+	if merge == nil {
+		return runs.cost()
 	}
-	if n <= mem {
-		return 2 * n
+	return runs.cost().then(merge.cost())
+}
+
+// sorter is the client side of a phase of the external sort: the rule the
+// runner applies to each transfer's records.
+type sorter struct {
+	*sortPlan
+	less func(a, b []byte) bool
+	buf  []byte   // the records of a transfer's chunks, copied out
+	recs [][]byte // views of buf, one a record
+}
+
+// apply runs the rule of transfer t on its records.
+func (s *sorter) apply(w *window, t transfer) {
+	st := s.steps[t.step]
+	if st.j < 0 {
+		recs := s.load(w, st.i)
+		sort.SliceStable(recs, func(i, j int) bool { return s.less(recs[i], recs[j]) })
+		s.store(w, st.i, recs)
+		return
 	}
-	padded, chunk := ChunkShape(n, mem)
-	chunks := padded / chunk
-	return 2*padded + NetworkSize(chunks)*4*chunk
+	recs := s.load(w, st.i, st.j)
+	lo, hi := mergeSplit(recs[:s.chunk], recs[s.chunk:], s.less)
+	if !st.asc {
+		lo, hi = hi, lo
+	}
+	s.store(w, st.i, lo)
+	s.store(w, st.j, hi)
+}
+
+// load copies the records of the given chunks out of the window, in order.
+func (s *sorter) load(w *window, chunks ...int) [][]byte {
+	s.buf, s.recs = s.buf[:0], s.recs[:0]
+	for _, c := range chunks {
+		for i := c * s.chunk; i < (c+1)*s.chunk; i++ {
+			s.buf = append(s.buf, w.rec(i)...)
+		}
+	}
+	rs := w.recSize
+	for k := 0; k < len(s.buf); k += rs {
+		s.recs = append(s.recs, s.buf[k:k+rs:k+rs])
+	}
+	return s.recs
+}
+
+// store writes recs over the records of chunk c in the window.
+func (s *sorter) store(w *window, c int, recs [][]byte) {
+	for k, r := range recs {
+		copy(w.rec(c*s.chunk+k), r)
+	}
 }

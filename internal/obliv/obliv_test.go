@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"oblivjoin/internal/storage"
+	"oblivjoin/internal/tracecheck"
 	"oblivjoin/internal/xcrypto"
 )
 
@@ -147,43 +148,6 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-func TestMemVector(t *testing.T) {
-	v := NewMemVector(8)
-	for i := uint64(0); i < 10; i++ {
-		if err := v.Append(u64rec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v.Len() != 10 || v.RecordSize() != 8 {
-		t.Fatalf("geometry %d/%d", v.Len(), v.RecordSize())
-	}
-	recs, err := v.LoadRange(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range recs {
-		if u64of(r) != uint64(3+i) {
-			t.Fatalf("load[%d] = %d", i, u64of(r))
-		}
-	}
-	if err := v.StoreRange(0, [][]byte{u64rec(99), u64rec(98)}); err != nil {
-		t.Fatal(err)
-	}
-	recs, _ = v.LoadRange(0, 2)
-	if u64of(recs[0]) != 99 || u64of(recs[1]) != 98 {
-		t.Fatal("store range failed")
-	}
-	if _, err := v.LoadRange(8, 5); err == nil {
-		t.Fatal("out-of-range load accepted")
-	}
-	if err := v.StoreRange(9, [][]byte{u64rec(0), u64rec(0)}); err == nil {
-		t.Fatal("out-of-range store accepted")
-	}
-	if err := v.Append(make([]byte, 9)); err == nil {
-		t.Fatal("oversized record accepted")
-	}
-}
-
 func newTestBlockVector(t testing.TB, capacity, recSize, blockSize int, m *storage.Meter) *BlockVector {
 	t.Helper()
 	sealer, err := xcrypto.NewSealer(bytes.Repeat([]byte{3}, xcrypto.KeySize), nil)
@@ -245,35 +209,6 @@ func TestBlockVectorAutoFlushOnLoad(t *testing.T) {
 	}
 	if u64of(recs[4]) != 4 {
 		t.Fatal("buffered records invisible to load")
-	}
-}
-
-func TestBlockVectorStoreRange(t *testing.T) {
-	v := newTestBlockVector(t, 64, 8, 96, nil)
-	for i := uint64(0); i < 64; i++ {
-		if err := v.Append(u64rec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	upd := make([][]byte, 20)
-	for i := range upd {
-		upd[i] = u64rec(uint64(1000 + i))
-	}
-	if err := v.StoreRange(5, upd); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := v.LoadRange(0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range recs {
-		want := uint64(i)
-		if i >= 5 && i < 25 {
-			want = uint64(1000 + i - 5)
-		}
-		if u64of(r) != want {
-			t.Fatalf("rec %d = %d, want %d", i, u64of(r), want)
-		}
 	}
 }
 
@@ -352,177 +287,290 @@ func TestChunkShape(t *testing.T) {
 	}
 }
 
-func TestSortVectorInMemoryPath(t *testing.T) {
-	v := NewMemVector(8)
-	r := mrand.New(mrand.NewSource(4))
-	want := make([]uint64, 30)
-	for i := range want {
-		want[i] = uint64(r.Intn(100))
-		if err := v.Append(u64rec(want[i])); err != nil {
+// sortVector builds a vector of recSize-byte records in blockSize-byte
+// blocks holding n random keys below 1000 and, up to padded, keys that sort
+// last, appended and flushed when flush is set. It returns the vector and
+// its keys sorted.
+func sortVector(t testing.TB, n, padded, recSize, blockSize int, seed int64, m *storage.Meter, flush bool) (*BlockVector, []uint64) {
+	t.Helper()
+	v := newTestBlockVector(t, padded, recSize, blockSize, m)
+	r := mrand.New(mrand.NewSource(seed))
+	want := make([]uint64, 0, padded)
+	rec := make([]byte, recSize)
+	for i := 0; i < padded; i++ {
+		x := ^uint64(0)
+		if i < n {
+			x = uint64(r.Intn(1000))
+		}
+		want = append(want, x)
+		copy(rec, u64rec(x))
+		if err := v.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if flush {
+		if err := v.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if err := SortVector(v, 64, lessU64); err != nil {
+	return v, want
+}
+
+// checkSorted asserts that v holds want, in order.
+func checkSorted(t *testing.T, what string, v *BlockVector, want []uint64) {
+	t.Helper()
+	recs, err := v.LoadRange(0, v.Len())
+	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _ := v.LoadRange(0, 30)
+	if len(recs) != len(want) {
+		t.Fatalf("%s: %d records, want %d", what, len(recs), len(want))
+	}
 	for i, rec := range recs {
 		if u64of(rec) != want[i] {
-			t.Fatalf("pos %d = %d, want %d", i, u64of(rec), want[i])
+			t.Fatalf("%s: pos %d = %d, want %d", what, i, u64of(rec), want[i])
 		}
 	}
 }
 
-func TestSortVectorExternal(t *testing.T) {
-	for _, tc := range []struct{ n, mem int }{
-		{128, 16}, {64, 4}, {256, 32}, {32, 2},
-	} {
-		v := NewMemVector(8)
-		r := mrand.New(mrand.NewSource(int64(tc.n)))
+// sortShapes are the external-sort shapes of the tests: record and block
+// sizes (8-byte records eight to a 96-byte block, 12-byte records five to
+// one, so chunks straddle blocks and neighbouring chunks share an edge
+// block), the records, and the trusted memory, from below a block to many
+// blocks, and one vector that fits in memory.
+var sortShapes = []struct{ recSize, blockSize, n, mem int }{
+	{8, 96, 30, 64},
+	{8, 96, 128, 16}, {8, 96, 64, 4}, {8, 96, 256, 32}, {8, 96, 32, 2},
+	{8, 96, 100, 16}, {8, 96, 64, 8}, {8, 96, 200, 48},
+	{12, 96, 64, 16}, {12, 96, 37, 6}, {12, 96, 90, 22}, {12, 96, 20, 30},
+}
+
+// testSort sorts a vector of each shape that fits in memory, or each that
+// does not, and checks the result.
+func testSort(t *testing.T, inMemory bool) {
+	for _, tc := range sortShapes {
+		if (tc.n <= tc.mem) != inMemory {
+			continue
+		}
+		what := fmt.Sprintf("rec=%d n=%d mem=%d", tc.recSize, tc.n, tc.mem)
 		padded, _ := ChunkShape(tc.n, tc.mem)
-		want := make([]uint64, 0, padded)
-		for i := 0; i < tc.n; i++ {
-			x := uint64(r.Intn(1000))
-			want = append(want, x)
-			if err := v.Append(u64rec(x)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := tc.n; i < padded; i++ {
-			want = append(want, ^uint64(0))
-			if err := v.Append(u64rec(^uint64(0))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		v, want := sortVector(t, tc.n, padded, tc.recSize, tc.blockSize, int64(tc.n), nil, false)
 		if err := SortVector(v, tc.mem, lessU64); err != nil {
-			t.Fatalf("n=%d mem=%d: %v", tc.n, tc.mem, err)
+			t.Fatalf("%s: %v", what, err)
 		}
-		recs, _ := v.LoadRange(0, padded)
-		for i, rec := range recs {
-			if u64of(rec) != want[i] {
-				t.Fatalf("n=%d mem=%d pos %d: %d want %d", tc.n, tc.mem, i, u64of(rec), want[i])
-			}
-		}
+		checkSorted(t, what, v, want)
 	}
 }
 
-func TestSortVectorExternalRejectsUnpadded(t *testing.T) {
-	v := NewMemVector(8)
-	for i := 0; i < 100; i++ {
-		if err := v.Append(u64rec(uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := SortVector(v, 16, lessU64); err == nil {
-		t.Fatal("unpadded external sort accepted")
-	}
-}
+func TestSortVectorInMemoryPath(t *testing.T) { testSort(t, true) }
 
+func TestSortVectorExternal(t *testing.T) { testSort(t, false) }
+
+// TestSortVectorOnBlockVector sorts a vector padded to its chunk shape by
+// PadTo, its padding appended in client memory and riding the first round.
 func TestSortVectorOnBlockVector(t *testing.T) {
-	m := storage.NewMeter()
-	v := newTestBlockVector(t, 512, 8, 96, m)
-	r := mrand.New(mrand.NewSource(7))
-	n, mem := 100, 16
+	const n, mem = 100, 16
+	v, want := sortVector(t, n, n, 8, 96, 7, storage.NewMeter(), false)
 	padded, _ := ChunkShape(n, mem)
-	want := make([]uint64, 0, padded)
-	for i := 0; i < n; i++ {
-		x := uint64(r.Intn(500))
-		want = append(want, x)
-		if err := v.Append(u64rec(x)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := v.PadTo(padded, u64rec(^uint64(0))); err != nil {
 		t.Fatal(err)
 	}
 	for i := n; i < padded; i++ {
 		want = append(want, ^uint64(0))
 	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	if err := SortVector(v, mem, lessU64); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := v.LoadRange(0, padded)
-	if err != nil {
+	checkSorted(t, "padded", v, want)
+}
+
+func TestSortVectorExternalRejectsUnpadded(t *testing.T) {
+	v, _ := sortVector(t, 100, 100, 8, 96, 1, nil, true)
+	if err := SortVector(v, 16, lessU64); err == nil {
+		t.Fatal("unpadded external sort accepted")
+	}
+}
+
+// TestSorterSortVectorUnalignedChunks exercises chunks that share edge
+// blocks: 12-byte records in 96-byte blocks hold (96-32)/12 = 5 records per
+// block, so the 8-record chunks of the external sort straddle block
+// boundaries, and a transfer waits for every earlier transfer on its edge
+// blocks.
+func TestSorterSortVectorUnalignedChunks(t *testing.T) {
+	const n, mem = 64, 16
+	padded, _ := ChunkShape(n, mem)
+	v, want := sortVector(t, n, padded, 12, 96, 9, nil, false)
+	if err := (Sorter{}).SortVector(v, mem, lessU64); err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range recs {
-		if u64of(rec) != want[i] {
-			t.Fatalf("pos %d = %d, want %d", i, u64of(rec), want[i])
+	checkSorted(t, "unaligned", v, want)
+}
+
+// sortTrace sorts a vector of the shape's records, appended and not
+// flushed, flushes it and returns the trace of both.
+func sortTrace(t *testing.T, recSize, blockSize, n, mem int, seed int64) []storage.Access {
+	t.Helper()
+	m := storage.NewMeter()
+	padded, _ := ChunkShape(n, mem)
+	v, want := sortVector(t, n, padded, recSize, blockSize, seed, m, false)
+	m.Reset()
+	m.SetTracing(true)
+	if err := SortVector(v, mem, lessU64); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	trace := m.Trace()
+	checkSorted(t, fmt.Sprintf("rec=%d n=%d mem=%d seed=%d", recSize, n, mem, seed), v, want)
+	return trace
+}
+
+// TestSortVectorPatternDependsOnlyOnSize: vectors of one shape with
+// different keys give identical traces, block indices and round ordinals
+// included, over aligned and unaligned chunks.
+func TestSortVectorPatternDependsOnlyOnSize(t *testing.T) {
+	for _, tc := range sortShapes {
+		a := sortTrace(t, tc.recSize, tc.blockSize, tc.n, tc.mem, 1)
+		b := sortTrace(t, tc.recSize, tc.blockSize, tc.n, tc.mem, 2)
+		if d := tracecheck.Diff(a, b) + tracecheck.DiffExact(a, b); d != "" {
+			t.Fatalf("rec=%d n=%d mem=%d: %s", tc.recSize, tc.n, tc.mem, d)
 		}
 	}
 }
 
-// TestSorterSortVectorUnalignedChunks exercises the edge-block
-// read-modify-write path: 12-byte records in 96-byte blocks hold
-// (96-32)/12 = 5 records per block, so the 8-record chunks of the external
-// sort straddle block boundaries and neighbouring chunks share edge blocks.
-func TestSorterSortVectorUnalignedChunks(t *testing.T) {
-	const n, mem = 64, 16
-	v := newTestBlockVector(t, 256, 12, 96, nil)
-	r := mrand.New(mrand.NewSource(9))
-	padded, _ := ChunkShape(n, mem)
-	want := make([]uint64, 0, padded)
+// readsPerRound counts the blocks each round of trace reads.
+func readsPerRound(trace []storage.Access) map[int64]int {
+	reads := map[int64]int{}
+	for _, a := range trace {
+		if a.Kind == storage.KindRead {
+			reads[a.Round]++
+		}
+	}
+	return reads
+}
+
+// TestSortRoundBudget: no round of the external sort reads more than its
+// trusted memory in whole blocks, ⌊mem/B⌋, unless it carries one transfer
+// that alone reads more: a chunk of c records covers at most
+// ⌈(c−1)/B⌉ + 1 blocks, a merge-split two chunks.
+func TestSortRoundBudget(t *testing.T) {
+	for _, tc := range sortShapes {
+		perBlock := (tc.blockSize - xcrypto.Overhead) / tc.recSize
+		padded, chunk := ChunkShape(tc.n, tc.mem)
+		one := ceilDiv(padded, perBlock)
+		if padded > max(tc.mem, 2) {
+			one = 2 * (ceilDiv(chunk-1, perBlock) + 1)
+		}
+		budget := max(tc.mem/perBlock, one)
+		for round, k := range readsPerRound(sortTrace(t, tc.recSize, tc.blockSize, tc.n, tc.mem, 3)) {
+			if k > budget {
+				t.Fatalf("rec=%d n=%d mem=%d: round %d reads %d blocks, budget %d", tc.recSize, tc.n, tc.mem, round, k, budget)
+			}
+		}
+	}
+}
+
+// TestSortTransfersMatchesActual: the Meter's blocks and rounds of a sort of
+// a flushed vector, and of the Flush that then writes its closing
+// write-back, equal SortTransfers read off the sort's plans.
+func TestSortTransfersMatchesActual(t *testing.T) {
+	for _, tc := range sortShapes {
+		m := storage.NewMeter()
+		padded, _ := ChunkShape(tc.n, tc.mem)
+		v, _ := sortVector(t, tc.n, padded, tc.recSize, tc.blockSize, 4, m, true)
+		before := m.Snapshot()
+		if err := SortVector(v, tc.mem, lessU64); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got := m.Snapshot().Sub(before)
+		cost := SortTransfers(tc.n, tc.mem, v.RecordsPerBlock())
+		if got.BlocksMoved() != int64(cost.Blocks) || got.NetworkRounds != int64(cost.Rounds+1) {
+			t.Errorf("rec=%d n=%d mem=%d: measured %d blocks in %d rounds, predicted %d in %d (and the Flush)",
+				tc.recSize, tc.n, tc.mem, got.BlocksMoved(), got.NetworkRounds, cost.Blocks, cost.Rounds)
+		}
+	}
+}
+
+// sweepVector is a vector of n records, 8-byte keys i in 12-byte records
+// five to a 96-byte block, appended and not flushed.
+func sweepVector(t *testing.T, n int, m *storage.Meter) *BlockVector {
+	t.Helper()
+	v := newTestBlockVector(t, n, 12, 96, m)
+	rec := make([]byte, 12)
 	for i := 0; i < n; i++ {
-		x := uint64(r.Intn(500))
-		want = append(want, x)
-		rec := make([]byte, 12)
-		copy(rec, u64rec(x))
+		copy(rec, u64rec(uint64(i)))
 		if err := v.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pad := make([]byte, 12)
-	copy(pad, u64rec(^uint64(0)))
-	if err := v.PadTo(padded, pad); err != nil {
-		t.Fatal(err)
-	}
-	for i := n; i < padded; i++ {
-		want = append(want, ^uint64(0))
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if err := (Sorter{}).SortVector(v, mem, lessU64); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := v.LoadRange(0, padded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rec := range recs {
-		if u64of(rec) != want[i] {
-			t.Fatalf("pos %d = %d, want %d", i, u64of(rec), want[i])
-		}
-	}
+	return v
 }
 
-func TestSortVectorPatternDependsOnlyOnSize(t *testing.T) {
-	run := func(seed int64) []storage.Access {
-		m := storage.NewMeter()
-		m.SetTracing(true)
-		v := newTestBlockVector(t, 256, 8, 96, m)
-		r := mrand.New(mrand.NewSource(seed))
-		padded, _ := ChunkShape(64, 8)
-		for i := 0; i < padded; i++ {
-			if err := v.Append(u64rec(uint64(r.Intn(1000)))); err != nil {
-				t.Fatal(err)
+// TestSweep: a forward sweep visits every record in order and a backward
+// one in reverse, each seeing the change the sweep before it made, at
+// trusted memories below a block, of one block and of several; vectors of
+// one length give one trace whatever their records; and no round reads more
+// than max(1, ⌊mem/B⌋) blocks.
+func TestSweep(t *testing.T) {
+	for _, n := range []int{0, 1, 5, 7, 23, 60} {
+		for _, mem := range []int{1, 5, 12, 40} {
+			what := fmt.Sprintf("n=%d mem=%d", n, mem)
+			var traces [2][]storage.Access
+			for twin := range traces {
+				m := storage.NewMeter()
+				v := sweepVector(t, n, m)
+				m.SetTracing(true)
+				next := 0
+				err := Sweep(v, mem, false, func(i int, rec []byte) {
+					if i != next || u64of(rec) != uint64(i) {
+						t.Fatalf("%s: forward visit %d (key %d), want %d", what, i, u64of(rec), next)
+					}
+					next++
+					copy(rec, u64rec(uint64(2*i+twin)))
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next != n {
+					t.Fatalf("%s: forward sweep visited %d records", what, next)
+				}
+				err = Sweep(v, mem, true, func(i int, rec []byte) {
+					next--
+					if i != next || u64of(rec) != uint64(2*i+twin) {
+						t.Fatalf("%s: backward visit %d (key %d), want %d", what, i, u64of(rec), next)
+					}
+					copy(rec, u64rec(uint64(3*i)))
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := v.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				traces[twin] = m.Trace()
+				recs, err := v.LoadRange(0, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, rec := range recs {
+					if u64of(rec) != uint64(3*i) {
+						t.Fatalf("%s: record %d holds %d after both sweeps", what, i, u64of(rec))
+					}
+				}
 			}
-		}
-		m.Reset()
-		m.SetTracing(true)
-		if err := SortVector(v, 8, lessU64); err != nil {
-			t.Fatal(err)
-		}
-		return m.Trace()
-	}
-	a, b := run(1), run(2)
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("access %d differs: %+v vs %+v", i, a[i], b[i])
+			if d := tracecheck.Diff(traces[0], traces[1]) + tracecheck.DiffExact(traces[0], traces[1]); d != "" {
+				t.Fatalf("%s: %s", what, d)
+			}
+			for round, k := range readsPerRound(traces[0]) {
+				if budget := max(1, mem/5); k > budget {
+					t.Fatalf("%s: round %d reads %d blocks, budget %d", what, round, k, budget)
+				}
+			}
 		}
 	}
 }
@@ -566,56 +614,5 @@ func TestCompactRealCountTooLarge(t *testing.T) {
 	_ = v.Append(u64rec(1))
 	if err := CompactReal(v, 4, func([]byte) bool { return false }, 5, u64rec(0)); err == nil {
 		t.Fatal("oversized realCount accepted")
-	}
-}
-
-func TestSortTransfersMatchesActual(t *testing.T) {
-	for _, tc := range []struct{ n, mem int }{{64, 8}, {10, 32}, {128, 16}} {
-		v := NewMemVector(8)
-		padded, _ := ChunkShape(tc.n, tc.mem)
-		for i := 0; i < padded; i++ {
-			_ = v.Append(u64rec(uint64(padded - i)))
-		}
-		loads, stores := 0, 0
-		cv := &countingVector{v: v, loads: &loads, stores: &stores}
-		if err := SortVector(cv, tc.mem, lessU64); err != nil {
-			t.Fatal(err)
-		}
-		if got := loads + stores; got != SortTransfers(padded, tc.mem) {
-			t.Errorf("n=%d mem=%d: transfers %d, predicted %d", padded, tc.mem, got, SortTransfers(padded, tc.mem))
-		}
-	}
-}
-
-type countingVector struct {
-	v             Vector
-	loads, stores *int
-}
-
-func (c *countingVector) Len() int        { return c.v.Len() }
-func (c *countingVector) RecordSize() int { return c.v.RecordSize() }
-func (c *countingVector) LoadRange(lo, n int) ([][]byte, error) {
-	*c.loads += n
-	return c.v.LoadRange(lo, n)
-}
-func (c *countingVector) StoreRange(lo int, recs [][]byte) error {
-	*c.stores += len(recs)
-	return c.v.StoreRange(lo, recs)
-}
-
-func BenchmarkSortVectorExternal(b *testing.B) {
-	mem := 64
-	padded, _ := ChunkShape(1000, mem)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		v := NewMemVector(8)
-		r := mrand.New(mrand.NewSource(int64(i)))
-		for j := 0; j < padded; j++ {
-			_ = v.Append(u64rec(uint64(r.Intn(1 << 30))))
-		}
-		b.StartTimer()
-		if err := SortVector(v, mem, lessU64); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
