@@ -181,8 +181,8 @@ func main() {
 	}
 	for _, name := range srv.StoreNames() {
 		c := srv.Counts(name)
-		log.Printf("%s: %d requests (%d reads, %d writes, %d batch reads, %d batch writes); %d blocks down, %d blocks up",
-			name, c.Requests, c.Reads, c.Writes, c.BatchReads, c.BatchWrites, c.BlocksRead, c.BlocksWritten)
+		log.Printf("%s: %d requests (%d batch reads, %d batch writes, %d exchanges); %d blocks down, %d blocks up",
+			name, c.Requests, c.BatchReads, c.BatchWrites, c.Exchanges, c.BlocksRead, c.BlocksWritten)
 	}
 }
 

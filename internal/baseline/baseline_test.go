@@ -273,38 +273,49 @@ func tracedJoin(t *testing.T, m *storage.Meter, join func(Options) (*Result, err
 // baselines' traces, round ordinals included, are those of any other input
 // of the same sizes whatever its real count: the decode reads the padded
 // prefix, not the real one. Twin inputs differ in their real counts by
-// blocks of output, and share the padded size.
+// blocks of output, and share the padded size. ODBJ's twins also run 12
+// reals against none — an empty result still expands and zips every padded
+// slot — and match index for index (DiffExact): its blocks are laid out by
+// public sizes alone.
 func TestBaselinesPaddedTraceHidesRealCount(t *testing.T) {
 	six := []int64{1, 2, 3, 4, 5, 6}
+	odbj := func(t *testing.T, keys []int64) ([]storage.Access, *Result) {
+		return tracedJoin(t, nil, func(o Options) (*Result, error) {
+			return ODBJJoin(makeRel("a", []int64{1, 1, 2, 2, 3, 3}), makeRel("b", keys), "k", "k", o)
+		}, 20)
+	}
 	for _, tc := range []struct {
 		name  string
 		padTo int64
+		few   []int64
+		exact bool
 		run   func(t *testing.T, keys []int64) ([]storage.Access, *Result)
 	}{
-		{"ObliDB", 20, func(t *testing.T, keys []int64) ([]storage.Access, *Result) {
+		{"ObliDB", 20, []int64{1, 7, 8, 8, 9, 9}, false, func(t *testing.T, keys []int64) ([]storage.Access, *Result) {
 			m := storage.NewMeter()
 			s1, s2, _, _ := storedPair(t, []int64{1, 1, 2, 2, 3, 3}, keys, m, false)
 			return tracedJoin(t, m, func(o Options) (*Result, error) {
 				return ObliDBHashJoin([]*table.StoredTable{s1, s2}, []EquiPred{{A: 0, AAttr: "k", B: 1, BAttr: "k"}}, o)
 			}, 20)
 		}},
-		{"Opaque", 10, func(t *testing.T, keys []int64) ([]storage.Access, *Result) {
+		{"Opaque", 10, []int64{1, 7, 8, 8, 9, 9}, false, func(t *testing.T, keys []int64) ([]storage.Access, *Result) {
 			return tracedJoin(t, nil, func(o Options) (*Result, error) {
 				return PFSortMergeJoin(makeRel("p", six), makeRel("f", keys), "k", "k", o)
 			}, 10)
 		}},
-		{"ODBJ", 20, func(t *testing.T, keys []int64) ([]storage.Access, *Result) {
-			return tracedJoin(t, nil, func(o Options) (*Result, error) {
-				return ODBJJoin(makeRel("a", []int64{1, 1, 2, 2, 3, 3}), makeRel("b", keys), "k", "k", o)
-			}, 20)
-		}},
+		{"ODBJ", 20, []int64{1, 7, 8, 8, 9, 9}, false, odbj},
+		{"ODBJ empty", 20, []int64{7, 7, 8, 8, 9, 9}, true, odbj},
 	} {
 		many, rm := tc.run(t, []int64{1, 1, 2, 2, 3, 3})
-		few, rf := tc.run(t, []int64{1, 7, 8, 8, 9, 9})
+		few, rf := tc.run(t, tc.few)
 		if rm.RealCount == rf.RealCount || len(rm.Tuples) != rm.RealCount || len(rf.Tuples) != rf.RealCount {
 			t.Fatalf("%s: real counts %d and %d (%d and %d tuples)", tc.name, rm.RealCount, rf.RealCount, len(rm.Tuples), len(rf.Tuples))
 		}
-		if d := tracecheck.Diff(many, few); d != "" {
+		d := tracecheck.Diff(many, few)
+		if tc.exact {
+			d += tracecheck.DiffExact(many, few)
+		}
+		if d != "" {
 			t.Errorf("%s padded to %d: %d reals against %d: %s", tc.name, tc.padTo, rm.RealCount, rf.RealCount, d)
 		}
 	}

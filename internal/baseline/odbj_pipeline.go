@@ -113,21 +113,23 @@ func (o Options) expandW(name string, src *obliv.BlockVector, slots int64, mem i
 	}
 	// Fill-forward: placeholders copy the last seen header. Every input
 	// yields one output (copies are real, headers and dummies emit dummies),
-	// then the copies are compacted to the front.
+	// then the copies are compacted to the front. A slot no header precedes
+	// lies past the real result, which may be empty: it is a padding copy
+	// of the zero header, never a gap, so the count emitted is slots
+	// whatever the real count.
 	filled, err := o.newWVec(name+".fill", tupSize)
 	if err != nil {
 		return nil, err
 	}
 	var last wrec
-	var haveLast bool
 	var c int64
 	var emitted int64
 	if err := scanEmitW(work, filled, mem, func(_ int, r wrec) wrec {
-		switch {
-		case r.flag == wflagReal:
-			last, haveLast, c = r, true, 0
+		switch r.flag {
+		case wflagReal:
+			last, c = r, 0
 			return wrec{flag: wflagDummy, key: posInf, seq: posInf}
-		case r.flag == wflagPlaceholder && haveLast:
+		case wflagPlaceholder:
 			out := copyFn(last, c)
 			out.flag = wflagReal
 			out.seq = emitted
@@ -267,7 +269,9 @@ func ODBJJoin(r1, r2 *relation.Relation, a1, a2 string, opts Options) (*Result, 
 
 	out := &Result{Schema: relation.JoinedSchema(
 		fmt.Sprintf("%s⋈%s", r1.Schema.Table, r2.Schema.Table), r1.Schema, r2.Schema)}
-	if realR > 0 {
+	// The expansions and the zip run whenever there is a slot, padding
+	// included: an empty result padded to slots costs what any other does.
+	if slots > 0 {
 		// Phase B: expand the T1 side; tuple rank k0 = c0-1 occupies slots
 		// group + k0*t1 .. group + k0*t1 + t1 - 1 contiguously.
 		if err := scanW(s, mem, false, func(_ int, r *wrec) {

@@ -133,6 +133,26 @@ func figures9to16(figure string) bool {
 	return err == nil && n >= 9 && n <= 16
 }
 
+// cell returns the value series prints in column col, and whether both are
+// in the table.
+func (tb *figureTable) cell(series, col string) (float64, bool) {
+	row, ok := tb.rows[series]
+	if !ok {
+		return 0, false
+	}
+	for i, c := range tb.cols {
+		if c == col {
+			return row[i], true
+		}
+	}
+	return 0, false
+}
+
+// figures19to21 admits the padding-mode figures.
+func figures19to21(figure string) bool {
+	return figure == "FIG19" || figure == "FIG20" || figure == "FIG21"
+}
+
 // TestPaperClaims asserts the paper's claims, and the known deviations from
 // them, on the cells of the committed figures_output.txt: a regenerated file
 // that breaks an ordering fails here, not only the byte-for-byte figure
@@ -217,5 +237,90 @@ func TestPaperClaims(t *testing.T) {
 		t.Errorf("§9 Raw inversion widened: %d query-cost cells of fig9–fig16 price a Sep row below its Raw row, at most %d: %v", inverted, rawInverted, where)
 	} else if inverted < rawInverted {
 		t.Logf("§9 Raw inversion narrowed to %d cells (ratchet %d): tighten rawInverted", inverted, rawInverted)
+	}
+
+	// §9, Figures 19–21 (EXPERIMENTS.md line 200, "Closest Power vs Real
+	// Size"): padding to the closest power of two costs at most twice the
+	// real size, for every series and query of the padding figures.
+	padCells := 0
+	for _, tb := range queryCost(tables, figures19to21) {
+		for series := range tb.rows {
+			for _, col := range tb.cols {
+				q, ok := strings.CutSuffix(col, "/RealSize")
+				if !ok {
+					continue
+				}
+				real, _ := tb.cell(series, col)
+				cp, okCP := tb.cell(series, q+"/ClosestPower")
+				if !okCP {
+					t.Fatalf("%s %s: no ClosestPower column for %s", tb.figure, series, q)
+				}
+				padCells++
+				if cp > 2*real {
+					t.Errorf("§9 Closest Power within 2× of Real Size: %s %s %s costs %g, Real Size %g", tb.figure, series, q, cp, real)
+				}
+			}
+		}
+	}
+	if padCells != 34 {
+		t.Errorf("§9 Closest Power within 2× of Real Size: %d cells, want 34", padCells)
+	}
+
+	// §9, Figures 19 and 21 (EXPERIMENTS.md lines 201–203, "ObliDB
+	// Cartesian mode is cheaper than its Real Size mode"): ObliDB skips its
+	// Cartesian-sized filter under Cartesian padding, so that mode never
+	// costs more than Real Size. The paper's saving is ~5×; the TM2 ratio
+	// below is a ratchet at the committed 1.17×, which may only grow.
+	const oblidbCartesianTM2 = 1.17
+	pairs := 0
+	for _, tb := range queryCost(tables, func(f string) bool { return f == "FIG19" || f == "FIG21" }) {
+		for _, col := range tb.cols {
+			q, ok := strings.CutSuffix(col, "/RealSize")
+			if !ok {
+				continue
+			}
+			real, okR := tb.cell("ObliDB", col)
+			cart, okC := tb.cell("ObliDB", q+"/CartesianProduct")
+			if !okR || !okC {
+				t.Fatalf("%s: no ObliDB Real Size and Cartesian pair for %s", tb.figure, q)
+			}
+			pairs++
+			if cart > real {
+				t.Errorf("§9 ObliDB Cartesian at most Real Size: %s %s Cartesian %g, Real Size %g", tb.figure, q, cart, real)
+			}
+			if q != "TM2" {
+				continue
+			}
+			if r := real / cart; r < oblidbCartesianTM2 {
+				t.Errorf("§9 ObliDB's Cartesian saving on TM2 shrank to %.4f×, ratchet %.2f×", r, oblidbCartesianTM2)
+			} else if r >= oblidbCartesianTM2+0.01 {
+				t.Logf("§9 ObliDB's Cartesian saving on TM2 grew to %.4f× (ratchet %.2f×): raise oblidbCartesianTM2", r, oblidbCartesianTM2)
+			}
+		}
+	}
+	if pairs != 4 {
+		t.Errorf("§9 ObliDB Cartesian at most Real Size: %d pairs, want 4", pairs)
+	}
+
+	// §9, Figure 15 (EXPERIMENTS.md lines 169–174, "TM2 only 84×, the
+	// exception"): on TM2 the result tracks the Cartesian product and our
+	// speedup over ObliDB is smallest. The paper's is ~280×; ours is a
+	// ratchet at the committed 84.07×, which may only grow.
+	const tm2Speedup = 84.07
+	var tm2 float64
+	for _, tb := range queryCost(tables, func(f string) bool { return f == "FIG15" }) {
+		oblidb, ok1 := tb.cell("ObliDB", "TM2")
+		sep, ok2 := tb.cell("Sep INLJ", "TM2")
+		if ok1 && ok2 {
+			tm2 = oblidb / sep
+		}
+	}
+	switch {
+	case tm2 == 0:
+		t.Error("§9 TM2 speedup: FIG15 has no ObliDB and Sep INLJ cells for TM2")
+	case tm2 < tm2Speedup:
+		t.Errorf("§9 TM2 speedup over ObliDB shrank to %.4f×, ratchet %.2f×", tm2, tm2Speedup)
+	case tm2 >= tm2Speedup+0.01:
+		t.Logf("§9 TM2 speedup over ObliDB grew to %.4f× (ratchet %.2f×): raise tm2Speedup", tm2, tm2Speedup)
 	}
 }

@@ -109,7 +109,8 @@ func (s Stats) Add(o Stats) Stats {
 // storage.BatchStore, and storage.ExchangeStore with the same semantics as
 // MemStore — batches apply in order, so duplicate indices resolve
 // last-writer-wins both live and through log replay — plus Close/Sync
-// lifecycle and crash recovery. It is safe for concurrent use.
+// lifecycle and crash recovery; every block method is a form of ExchangeTo.
+// It is safe for concurrent use.
 type Store struct {
 	mu        sync.Mutex
 	name      string
@@ -528,13 +529,6 @@ func (s *Store) checkRange(op string, i int64) error {
 	return nil
 }
 
-func (s *Store) checkBlock(op string, data []byte) error {
-	if len(data) != s.blockSize {
-		return fmt.Errorf("diskstore: %s of %d bytes to %d-byte block (%s)", op, len(data), s.blockSize, s.name)
-	}
-	return nil
-}
-
 // commit runs the atomic batch protocol: append one log record, fsync per
 // the group-commit knob, apply the slots in order (duplicate indices:
 // last-writer-wins, matching replay), maybe checkpoint. Callers hold s.mu
@@ -627,44 +621,19 @@ func (s *Store) syncLocked() error {
 	return s.checkpoint()
 }
 
-// Read implements storage.Store. The returned slice is a copy.
+// Read implements storage.Store: an exchange of one read. The returned
+// slice is the caller's.
 func (s *Store) Read(i int64) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usable(); err != nil {
-		return nil, err
-	}
-	if err := s.checkRange("read", i); err != nil {
-		return nil, err
-	}
-	idxs := []int64{i}
-	blk, err := s.readSlotsTo(nil, idxs)
-	if err != nil {
-		return nil, err
-	}
-	return blk, nil
+	return s.ExchangeTo(nil, nil, nil, []int64{i})
 }
 
-// Write implements storage.Store. Even a single-block write goes through
-// the log: an in-place slot update could tear mid-block, and only the log
-// (whose record CRC detects its own torn tail) can repair it to a whole
-// value on replay.
+// Write implements storage.Store: an exchange of one write. Even a
+// single-block write goes through the log: an in-place slot update could
+// tear mid-block, and only the log (whose record CRC detects its own torn
+// tail) can repair it to a whole value on replay.
 func (s *Store) Write(i int64, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usable(); err != nil {
-		return err
-	}
-	if err := s.checkRange("write", i); err != nil {
-		return err
-	}
-	if err := s.checkBlock("write", data); err != nil {
-		return err
-	}
-	if err := s.commit([]int64{i}, [][]byte{data}); err != nil {
-		return err
-	}
-	return nil
+	_, err := s.ExchangeTo(nil, []int64{i}, [][]byte{data}, nil)
+	return err
 }
 
 // ReadMany implements storage.BatchStore: ReadManyTo into fresh memory,
@@ -674,55 +643,16 @@ func (s *Store) ReadMany(idxs []int64) ([][]byte, error) {
 	return storage.Carve(flat, s.blockSize), err
 }
 
-// ReadManyTo implements storage.AppendStore.
+// ReadManyTo implements storage.AppendStore: an exchange with nothing to
+// write.
 func (s *Store) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
-	if len(idxs) == 0 {
-		return dst, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usable(); err != nil {
-		return nil, err
-	}
-	for _, i := range idxs {
-		if err := s.checkRange("batch read", i); err != nil {
-			return nil, err
-		}
-	}
-	dst, err := s.readSlotsTo(dst, idxs)
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return s.ExchangeTo(dst, nil, nil, idxs)
 }
 
-// WriteMany implements storage.BatchStore: the whole batch commits
-// atomically through one WAL record — after a crash, every block holds
-// either its pre-batch or post-batch value consistently across the batch.
+// WriteMany implements storage.BatchStore: an exchange with nothing to read.
 func (s *Store) WriteMany(idxs []int64, data [][]byte) error {
-	if len(idxs) != len(data) {
-		return fmt.Errorf("diskstore: batch write of %d blocks with %d payloads (%s)", len(idxs), len(data), s.name)
-	}
-	if len(idxs) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usable(); err != nil {
-		return err
-	}
-	for k, i := range idxs {
-		if err := s.checkRange("batch write", i); err != nil {
-			return err
-		}
-		if err := s.checkBlock("batch write", data[k]); err != nil {
-			return err
-		}
-	}
-	if err := s.commit(idxs, data); err != nil {
-		return err
-	}
-	return nil
+	_, err := s.ExchangeTo(nil, idxs, data, nil)
+	return err
 }
 
 // Exchange implements storage.ExchangeStore: ExchangeTo into fresh memory,
@@ -732,9 +662,12 @@ func (s *Store) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64
 	return storage.Carve(flat, s.blockSize), err
 }
 
-// ExchangeTo implements storage.AppendExchangeStore: the writes commit as
-// one atomic WAL record, then the reads are served, all under one lock so
-// the reads observe the freshly written blocks.
+// ExchangeTo implements storage.AppendExchangeStore, and is the one block
+// implementation of the store: the whole exchange is validated, the writes
+// commit atomically through one WAL record — after a crash, every block
+// holds either its pre-batch or post-batch value consistently across the
+// batch — and then the reads are served, all under one lock so the reads
+// observe the freshly written blocks.
 func (s *Store) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if len(writeIdxs) != len(writeData) {
 		return nil, fmt.Errorf("diskstore: exchange of %d write blocks with %d payloads (%s)", len(writeIdxs), len(writeData), s.name)
@@ -751,8 +684,8 @@ func (s *Store) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, re
 		if err := s.checkRange("exchange write", i); err != nil {
 			return nil, err
 		}
-		if err := s.checkBlock("exchange write", writeData[k]); err != nil {
-			return nil, err
+		if len(writeData[k]) != s.blockSize {
+			return nil, fmt.Errorf("diskstore: exchange write of %d bytes to %d-byte block (%s)", len(writeData[k]), s.blockSize, s.name)
 		}
 	}
 	for _, i := range readIdxs {
@@ -765,11 +698,7 @@ func (s *Store) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, re
 			return nil, err
 		}
 	}
-	dst, err := s.readSlotsTo(dst, readIdxs)
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return s.readSlotsTo(dst, readIdxs)
 }
 
 // Sync checkpoints the store: every committed batch becomes durable in the

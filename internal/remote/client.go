@@ -590,29 +590,15 @@ func (s *RemoteStore) BlockSize() int { return s.blockSize }
 // client.
 func (s *RemoteStore) Carrier() storage.Carrier { return s.c }
 
-// Read implements storage.Store: one block, one round trip.
+// Read implements storage.Store: an exchange of one read.
 func (s *RemoteStore) Read(i int64) ([]byte, error) {
-	idxs := []int64{i}
-	blk, err := s.batch(nil, &Request{Op: OpRead, Store: s.name, Indices: idxs}, 1)
-	if err != nil {
-		return nil, err
-	}
-	if m := s.c.opts.Meter; m != nil {
-		m.CountBatch(s.name, storage.KindRead, idxs, s.blockSize)
-	}
-	return blk, nil
+	return s.ExchangeTo(nil, nil, nil, []int64{i})
 }
 
-// Write implements storage.Store.
+// Write implements storage.Store: an exchange of one write.
 func (s *RemoteStore) Write(i int64, data []byte) error {
-	_, err := s.c.call(&Request{Op: OpWrite, Store: s.name, Indices: []int64{i}, Blocks: [][]byte{data}})
-	if err != nil {
-		return err
-	}
-	if m := s.c.opts.Meter; m != nil {
-		m.CountBatch(s.name, storage.KindWrite, []int64{i}, s.blockSize)
-	}
-	return nil
+	_, err := s.ExchangeTo(nil, []int64{i}, [][]byte{data}, nil)
+	return err
 }
 
 // ReadMany implements storage.BatchStore: ReadManyTo into fresh memory,
@@ -622,54 +608,13 @@ func (s *RemoteStore) ReadMany(idxs []int64) ([][]byte, error) {
 	return storage.Carve(flat, s.blockSize), err
 }
 
-// ReadManyTo implements storage.AppendStore: the whole batch is one request,
-// hence one round trip — the fast path that lets Path-ORAM fetch a full
-// tree path per round.
+// ReadManyTo implements storage.AppendStore: an exchange with nothing to
+// write.
 func (s *RemoteStore) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
 	return s.ExchangeTo(dst, nil, nil, idxs)
 }
 
-// checkBlocks refuses a reply the caller could not carve at blockSize
-// stride: the server is untrusted, and a short block would shift every
-// block after it.
-func (s *RemoteStore) checkBlocks(op string, blocks [][]byte, want int) error {
-	if len(blocks) != want {
-		return fmt.Errorf("%w: %s returned %d of %d blocks", ErrMalformed, op, len(blocks), want)
-	}
-	for _, blk := range blocks {
-		if len(blk) != s.blockSize {
-			return fmt.Errorf("%w: %s returned a %d-byte block, want %d", ErrMalformed, op, len(blk), s.blockSize)
-		}
-	}
-	return nil
-}
-
-// take checks a reply's want blocks and appends them to dst, growing it at
-// most once.
-func (s *RemoteStore) take(dst []byte, op string, blocks [][]byte, want int) ([]byte, error) {
-	if err := s.checkBlocks(op, blocks, want); err != nil {
-		return nil, err
-	}
-	dst = slices.Grow(dst, want*s.blockSize)
-	for _, blk := range blocks {
-		dst = append(dst, blk...)
-	}
-	return dst, nil
-}
-
-// batch makes a single-store request whose reply carries want blocks and
-// appends them to dst.
-func (s *RemoteStore) batch(dst []byte, req *Request, want int) ([]byte, error) {
-	ctx, a := s.c.start(req)
-	f, err := s.c.await(ctx, req, a)
-	if err != nil {
-		return nil, err
-	}
-	defer framePool.Put(f)
-	return s.take(dst, req.Op.String(), f.resp.Blocks, want)
-}
-
-// WriteMany implements storage.BatchStore.
+// WriteMany implements storage.BatchStore: an exchange with nothing to read.
 func (s *RemoteStore) WriteMany(idxs []int64, data [][]byte) error {
 	_, err := s.ExchangeTo(nil, idxs, data, nil)
 	return err
@@ -682,43 +627,48 @@ func (s *RemoteStore) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs [
 	return storage.Carve(flat, s.blockSize), err
 }
 
-// ExchangeTo implements storage.AppendExchangeStore: the writes and reads
-// travel as one OpExchange share, and the server applies the writes before
-// serving the reads. One-sided forms travel as the plain batch ops (and skip
-// the wire entirely when empty), and a retried exchange is idempotent for
-// the same reason batch writes are: absolute indices, absolute contents. It
-// is the one implementation of every batch form of the store.
+// ExchangeTo implements storage.AppendExchangeStore, and is the one block
+// implementation of the store: a frame of its own carrying one OpExchange
+// of one share, whose writes the server applies before it serves the reads
+// — one round trip, whichever side is empty. An empty exchange skips the
+// wire. A retried exchange is idempotent: absolute indices, absolute
+// contents.
 func (s *RemoteStore) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
-	var req Request
-	switch {
-	case len(writeIdxs) != len(writeData):
-		return nil, fmt.Errorf("remote: batch write of %d blocks with %d payloads", len(writeIdxs), len(writeData))
-	case len(writeIdxs) == 0 && len(readIdxs) == 0:
+	if len(writeIdxs) != len(writeData) {
+		return nil, fmt.Errorf("remote: exchange of %d write blocks with %d payloads", len(writeIdxs), len(writeData))
+	}
+	if len(writeIdxs) == 0 && len(readIdxs) == 0 {
 		return dst, nil
-	case len(readIdxs) == 0:
-		req = Request{Op: OpWriteMany, Store: s.name, Indices: writeIdxs, Blocks: writeData}
-	case len(writeIdxs) == 0:
-		req = Request{Op: OpReadMany, Store: s.name, Indices: readIdxs}
-	default:
-		// A frame of one share, which is an exchange.
-		rf := s.c.openFrame()
-		op := &rf.solo
-		*op = storage.RoundOp{Store: s, Dst: dst, WriteIdxs: writeIdxs, WriteData: writeData, ReadIdxs: readIdxs}
-		rf.Add(op)
-		rf.Send()
-		rf.settle()
-		out, err := op.Out, op.Err
-		rf.release()
-		return out, err
 	}
-	out, err := s.batch(dst, &req, len(readIdxs))
-	if err != nil {
-		return nil, err
+	rf := s.c.openFrame()
+	op := &rf.solo
+	*op = storage.RoundOp{Store: s, Dst: dst, WriteIdxs: writeIdxs, WriteData: writeData, ReadIdxs: readIdxs}
+	rf.Add(op)
+	rf.Send()
+	rf.settle()
+	out, err := op.Out, op.Err
+	rf.release()
+	return out, err
+}
+
+// take checks a share reply's want blocks and appends them to dst, growing
+// it at most once. The server is untrusted: a reply the caller could not
+// carve at blockSize stride — a short block would shift every block after
+// it — is refused.
+func (s *RemoteStore) take(dst []byte, blocks [][]byte, want int) ([]byte, error) {
+	if len(blocks) != want {
+		return nil, fmt.Errorf("%w: exchange returned %d of %d blocks", ErrMalformed, len(blocks), want)
 	}
-	if m := s.c.opts.Meter; m != nil {
-		m.CountExchange(s.name, writeIdxs, readIdxs, s.blockSize)
+	for _, blk := range blocks {
+		if len(blk) != s.blockSize {
+			return nil, fmt.Errorf("%w: exchange returned a %d-byte block, want %d", ErrMalformed, len(blk), s.blockSize)
+		}
 	}
-	return out, nil
+	dst = slices.Grow(dst, want*s.blockSize)
+	for _, blk := range blocks {
+		dst = append(dst, blk...)
+	}
+	return dst, nil
 }
 
 // roundFrame is a client's part of a round (storage.Frame): its shares
@@ -877,7 +827,7 @@ func (rf *roundFrame) receive(p int) {
 		if sr := &f.resp.Shares[j]; sr.Status != StatusOK {
 			op.Out, op.Err = nil, &RemoteError{Msg: sr.Msg, Busy: sr.Status == StatusBusy}
 		} else {
-			op.Out, op.Err = op.Store.(*RemoteStore).take(op.Dst, "exchange", sr.Blocks, len(op.ReadIdxs))
+			op.Out, op.Err = op.Store.(*RemoteStore).take(op.Dst, sr.Blocks, len(op.ReadIdxs))
 		}
 		j++
 	}

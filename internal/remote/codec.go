@@ -29,20 +29,24 @@
 // its payload is the list of the round's shares bound for that server —
 // store, write indices, write blocks, read indices — which the server
 // applies in order, and the reply carries each share's status and blocks,
-// so a share the server refuses fails alone. The plain batch ops remain for
-// single-store calls.
+// so a share the server refuses fails alone. It is the only way blocks
+// travel: a call on one RemoteStore, a single-block Read included, is a
+// frame of one share, whichever side of it is empty. Beside OpExchange the
+// server serves only the control ops (create, stat, hello, bye, trace);
+// OpReadMany and OpWriteMany survive as the names of a share's shape in its
+// counters, histograms and spans.
 //
 // Block memory on the hot path (DESIGN.md §2.14, storage package comment):
 // nothing block-sized is allocated per request on either side. The server
-// decodes each request in place into a per-connection Request whose Blocks
-// are views into the connection's frame buffer, and serves batch reads from
-// a per-connection scratch the Response's Blocks point into; both are valid
-// only until the response has been encoded, which is why hosted stores must
-// consume write payloads before returning and a handler must never retain a
-// Request, its index lists or its Blocks. The client decodes a response's
-// blocks as views into a pooled frame and copies them into the caller's
-// buffer (RemoteStore.ReadManyTo / ExchangeTo) before the frame returns to
-// the pool. DecodeRequest and DecodeResponse, the exported entry points,
+// decodes each request in place into a per-connection Request whose shares'
+// Blocks are views into the connection's frame buffer, and serves their
+// reads from a per-connection scratch the reply's blocks point into; both
+// are valid only until the response has been encoded, which is why hosted
+// stores must consume write payloads before returning and a handler must
+// never retain a Request, its index lists or its Blocks. The client decodes
+// a response's blocks as views into a pooled frame and copies them into the
+// caller's buffer (RemoteStore.ExchangeTo) before the frame returns to the
+// pool. DecodeRequest and DecodeResponse, the exported entry points,
 // always copy blocks out of the payload.
 //
 // There is one codec and one grammar. Messages are encoded by appending
@@ -91,21 +95,26 @@ const maxPhase = 128
 // Op identifies a request type.
 type Op uint8
 
-// Wire operations. OpCreate provisions a named store server-side (the
-// client computes ORAM tree geometry and allocates accordingly); OpStat
-// fetches the geometry of an existing store; the rest move blocks.
+// Wire operations. OpExchange is the one op that moves blocks. OpCreate
+// provisions a named store server-side (the client computes ORAM tree
+// geometry and allocates accordingly); OpStat fetches the geometry of an
+// existing store. Codes 1 and 2 are unassigned.
 const (
-	OpRead Op = iota + 1
-	OpWrite
-	OpReadMany
+	// OpReadMany and OpWriteMany name the shapes of an exchange share —
+	// nothing to write, nothing to read — in the server's counters,
+	// histograms and spans. The codec still carries them as requests with
+	// Indices and Blocks, but the server serves no block traffic outside
+	// OpExchange and refuses them.
+	OpReadMany Op = iota + 3
 	OpWriteMany
 	OpStat
 	OpCreate
-	// OpExchange is the round op: Shares lists one round's shares for this
+	// OpExchange is the block op: Shares lists one round's shares for this
 	// server, each a batch of writes applied before a batch of reads, all
-	// in one round trip — the RPC behind a Path-ORAM write-back riding the
-	// next path download, and behind the trees of a lockstep round sharing
-	// it. The reply's Shares answers them one for one.
+	// in one round trip — every store call's request, from a single-block
+	// read to a Path-ORAM write-back riding the next path download and the
+	// trees of a lockstep round sharing it. The reply's Shares answers them
+	// one for one.
 	OpExchange
 	// OpHello opens a client session: Tenant names the namespace every
 	// store the session touches is qualified into, Slots carries the
@@ -126,10 +135,6 @@ const (
 
 func (o Op) String() string {
 	switch o {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
 	case OpReadMany:
 		return "read-many"
 	case OpWriteMany:
@@ -170,11 +175,11 @@ const (
 type Request struct {
 	Op    Op
 	Store string
-	// Indices carries the target block index (single ops) or the batch
-	// index list.
+	// Indices and Blocks, aligned, are a batch outside any share: a codec
+	// field the server serves no op with (block traffic travels in
+	// Shares), always empty on the wire between Client and Server.
 	Indices []int64
-	// Blocks carries write payloads, aligned with Indices.
-	Blocks [][]byte
+	Blocks  [][]byte
 	// Slots and BlockSize carry store geometry for OpCreate.
 	Slots     int64
 	BlockSize int64
@@ -558,7 +563,7 @@ func decodeRequest(req *Request, payload []byte, view bool) error {
 		return err
 	}
 	op := Op(kind)
-	if op < OpRead || op > OpTrace {
+	if op < OpReadMany || op > OpTrace {
 		return fmt.Errorf("%w: unknown op %d", ErrMalformed, op)
 	}
 	// The names keep their old values until decoded, so a name the frame

@@ -13,8 +13,8 @@ import (
 
 func TestRequestRoundTrip(t *testing.T) {
 	cases := []*Request{
-		{Op: OpRead, Store: "t1.data", Indices: []int64{7}},
-		{Op: OpWrite, Store: "t1.data", Indices: []int64{3}, Blocks: [][]byte{[]byte("payload")}},
+		{Op: OpReadMany, Store: "t1.data", Indices: []int64{7}},
+		{Op: OpWriteMany, Store: "t1.data", Indices: []int64{3}, Blocks: [][]byte{[]byte("payload")}},
 		{Op: OpReadMany, Store: "x", Indices: []int64{0, 5, 2, 9}},
 		{Op: OpWriteMany, Store: "x", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("a"), []byte("bb")}},
 		{Op: OpStat, Store: "idx.k"},
@@ -31,11 +31,11 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpHello, Tenant: "acme", Slots: 30_000},
 		{Op: OpHello, Tenant: "weird/tenant:name"},
 		{Op: OpBye, Session: 17},
-		{Op: OpRead, Store: "t1.data", Indices: []int64{7}, Session: 3, DeadlineMS: 2500},
+		{Op: OpReadMany, Store: "t1.data", Indices: []int64{7}, Session: 3, DeadlineMS: 2500},
 		{Op: OpExchange, Shares: []Share{{Store: "t1.data", WriteIndices: []int64{1}, Blocks: [][]byte{[]byte("w")},
 			ReadIndices: []int64{0, 3}}}, Session: 9},
 		// Distributed-trace context.
-		{Op: OpRead, Store: "t1.data", Indices: []int64{7}, TraceID: 0xDEAD, SpanID: 3, Phase: "join.smj"},
+		{Op: OpReadMany, Store: "t1.data", Indices: []int64{7}, TraceID: 0xDEAD, SpanID: 3, Phase: "join.smj"},
 		{Op: OpReadMany, Store: "x", Indices: []int64{0, 5}, Session: 4, DeadlineMS: 900,
 			TraceID: 1, SpanID: 99, Phase: "sort.runs"},
 		{Op: OpExchange, Shares: []Share{
@@ -85,7 +85,7 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	req := &Request{Op: OpWrite, Store: "hello", Indices: []int64{3}, Blocks: [][]byte{[]byte("frames")}}
+	req := &Request{Op: OpWriteMany, Store: "hello", Indices: []int64{3}, Blocks: [][]byte{[]byte("frames")}}
 	stream := bytes.NewReader(AppendFramedRequest(nil, req))
 	payload, err := ReadFrameInto(stream, 0, nil)
 	if err != nil {
@@ -143,8 +143,8 @@ func mustBeMalformed(t *testing.T, what string, payload []byte) {
 // version byte, by name.
 func TestDecodeRequestLegacyFormat(t *testing.T) {
 	cases := []*Request{
-		{Op: OpRead, Store: "t1.data", Indices: []int64{7}},
-		{Op: OpWrite, Store: "t1.data", Indices: []int64{3}, Blocks: [][]byte{[]byte("payload")}},
+		{Op: OpReadMany, Store: "t1.data", Indices: []int64{7}},
+		{Op: OpWriteMany, Store: "t1.data", Indices: []int64{3}, Blocks: [][]byte{[]byte("payload")}},
 		{Op: OpReadMany, Store: "x", Indices: []int64{0, 5, 2, 9}},
 		{Op: OpWriteMany, Store: "x", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("a"), []byte("bb")}},
 		{Op: OpStat, Store: "idx.k"},
@@ -201,9 +201,9 @@ func TestSessionlessWireCompat(t *testing.T) {
 func TestTracelessWireCompat(t *testing.T) {
 	cases := []*Request{
 		{Op: OpReadMany, Store: "x", Indices: []int64{0, 5}},
-		{Op: OpRead, Store: "t1.data", Indices: []int64{7}, Session: 3, DeadlineMS: 2500},
+		{Op: OpReadMany, Store: "t1.data", Indices: []int64{7}, Session: 3, DeadlineMS: 2500},
 		{Op: OpHello, Tenant: "acme", Slots: 30_000},
-		{Op: OpRead, Store: "s", Indices: []int64{1}, Session: 2, SpanID: 5},
+		{Op: OpReadMany, Store: "s", Indices: []int64{1}, Session: 2, SpanID: 5},
 	}
 	for _, req := range cases {
 		b := AppendRequest(nil, req)
@@ -226,14 +226,14 @@ func TestTracelessWireCompat(t *testing.T) {
 // TestDecodeRequestLegacyTraceless: a request cut after the session section
 // — what a peer from before tracing sent — is not part of the grammar.
 func TestDecodeRequestLegacyTraceless(t *testing.T) {
-	b := AppendRequest(nil, &Request{Op: OpRead, Store: "t1.data", Indices: []int64{7}, Session: 3, DeadlineMS: 100})
+	b := AppendRequest(nil, &Request{Op: OpReadMany, Store: "t1.data", Indices: []int64{7}, Session: 3, DeadlineMS: 100})
 	mustBeMalformed(t, "request cut after the session section", b[:len(b)-cutTraceless])
 }
 
 func TestDecodeRequestTraceMalformed(t *testing.T) {
-	base := AppendRequest(nil, &Request{Op: OpRead, Store: "s", Indices: []int64{1},
+	base := AppendRequest(nil, &Request{Op: OpReadMany, Store: "s", Indices: []int64{1},
 		Session: 2, TraceID: 9, SpanID: 1, Phase: "load"})
-	longPhase := AppendRequest(nil, &Request{Op: OpRead, Store: "s", Indices: []int64{1},
+	longPhase := AppendRequest(nil, &Request{Op: OpReadMany, Store: "s", Indices: []int64{1},
 		TraceID: 9, SpanID: 1, Phase: string(bytes.Repeat([]byte{'p'}, 300))})
 	mustBeMalformed(t, "truncated trace section", base[:len(base)-2])
 	mustBeMalformed(t, "over-long phase", longPhase)
@@ -283,7 +283,7 @@ func TestDecodeResponseMalformed(t *testing.T) {
 // either decoder accepts re-encodes to exactly the bytes it was given.
 func FuzzDecodeFrame(f *testing.F) {
 	add := func(req *Request) { f.Add(AppendRequest(nil, req)) }
-	add(&Request{Op: OpRead, Store: "t", Indices: []int64{1}})
+	add(&Request{Op: OpReadMany, Store: "t", Indices: []int64{1}})
 	add(&Request{Op: OpWriteMany, Store: "t", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("a"), []byte("b")}})
 	add(&Request{Op: OpCreate, Store: "t", Slots: 8, BlockSize: 64})
 	add(&Request{Op: OpExchange, Shares: []Share{
@@ -304,11 +304,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendResponse(nil, &Response{Status: StatusTransient, Msg: "retry"}))
 	// Sessions: handshake, session-scoped op, busy reply, granted session.
 	add(&Request{Op: OpHello, Tenant: "acme", Slots: 30_000})
-	add(&Request{Op: OpRead, Store: "t", Indices: []int64{1}, Session: 5, DeadlineMS: 900})
+	add(&Request{Op: OpReadMany, Store: "t", Indices: []int64{1}, Session: 5, DeadlineMS: 900})
 	f.Add(AppendResponse(nil, &Response{Status: StatusBusy, Msg: "full"}))
 	f.Add(AppendResponse(nil, &Response{Status: StatusOK, Slots: 60_000, Session: 7}))
 	// Tracing: traced op, trace fetch, traced exchange.
-	add(&Request{Op: OpRead, Store: "t", Indices: []int64{1},
+	add(&Request{Op: OpReadMany, Store: "t", Indices: []int64{1},
 		Session: 5, TraceID: 9, SpanID: 2, Phase: "join.smj"})
 	add(&Request{Op: OpTrace, TraceID: 9})
 	add(&Request{Op: OpExchange, Shares: []Share{{Store: "t", WriteIndices: []int64{1}, Blocks: [][]byte{[]byte("x")},

@@ -19,22 +19,20 @@ import (
 // server total; the session table's admission counters and per-session
 // traffic; the access broker's round, contention and queue-wait counters,
 // aggregate and per guarded store; and the latency histograms — service
-// time per wire op, broker queue wait, and wrapped-store execution time.
+// time per share shape and stat, broker queue wait, and wrapped-store execution time.
 func (s *Server) Metrics() []telemetry.Family {
 	counter, gauge, hist := telemetry.NewCounter, telemetry.NewGauge, telemetry.NewHistogramFamily
 	store := []telemetry.Family{
-		counter("ojoin_store_requests_total", "RPCs served against the store (one request = one round trip)."),
-		counter("ojoin_store_reads_total", "Single-block read requests."),
-		counter("ojoin_store_writes_total", "Single-block write requests."),
-		counter("ojoin_store_batch_reads_total", "Batched read requests (e.g. ORAM path downloads)."),
-		counter("ojoin_store_batch_writes_total", "Batched write requests (e.g. ORAM path write-backs)."),
+		counter("ojoin_store_requests_total", "Requests and exchange shares served against the store."),
+		counter("ojoin_store_batch_reads_total", "Exchange shares that only read (e.g. ORAM path downloads)."),
+		counter("ojoin_store_batch_writes_total", "Exchange shares that only write (e.g. ORAM path write-backs)."),
 		counter("ojoin_store_blocks_read_total", "Individual blocks sent to clients."),
 		counter("ojoin_store_blocks_written_total", "Individual blocks received from clients."),
 	}
 	names, counts := s.CountsAll()
 	for _, n := range names {
 		c := counts[n]
-		for i, v := range []int64{c.Requests, c.Reads, c.Writes, c.BatchReads, c.BatchWrites, c.BlocksRead, c.BlocksWritten} {
+		for i, v := range []int64{c.Requests, c.BatchReads, c.BatchWrites, c.BlocksRead, c.BlocksWritten} {
 			store[i].Add(float64(v), "store", n)
 		}
 	}
@@ -81,7 +79,7 @@ func (s *Server) Metrics() []telemetry.Family {
 		}
 	}
 
-	ops := hist("ojoin_op_duration_seconds", "Server-side service time per wire op.")
+	ops := hist("ojoin_op_duration_seconds", "Server-side service time per share shape and stat request.")
 	for _, op := range timedOps {
 		ops.AddHist(s.opHists[op].Snapshot(), "op", op.String())
 	}

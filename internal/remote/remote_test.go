@@ -73,9 +73,10 @@ func TestRemoteSingleOps(t *testing.T) {
 	if err != nil || !bytes.Equal(got, blk) {
 		t.Fatalf("cross-client read: %v", err)
 	}
-	// Server-side counters saw every request.
+	// Server-side counters saw every request: a single-block read or write
+	// is an exchange share of that shape.
 	counts := srv.Counts("blocks")
-	if counts.Reads != 2 || counts.Writes != 1 || counts.Stats != 1 {
+	if counts.BatchReads != 2 || counts.BatchWrites != 1 || counts.Stats != 1 {
 		t.Fatalf("counters: %+v", counts)
 	}
 }
@@ -209,7 +210,7 @@ func TestRemoteRetryOnTransientFaults(t *testing.T) {
 	if reqs := shaper.Requests(); reqs < 30 {
 		t.Fatalf("shaper saw %d requests; retries did not happen", reqs)
 	}
-	if counts := srv.Counts("flaky"); counts.Reads != 8 || counts.Writes != 8 {
+	if counts := srv.Counts("flaky"); counts.BatchReads != 8 || counts.BatchWrites != 8 {
 		t.Fatalf("executed ops: %+v", counts)
 	}
 }

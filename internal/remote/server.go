@@ -3,7 +3,6 @@ package remote
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"slices"
@@ -18,15 +17,15 @@ import (
 )
 
 // Counters is a per-store snapshot of server-side access accounting. A
-// request against one store, or one store's share of an OpExchange, counts
-// once, under the op its shape names: a share with nothing to write is a
-// batch read, one with nothing to read a batch write, one with both an
-// exchange. The round trips are Server.TotalRequests.
+// request against one store (OpCreate, OpStat), or one store's share of an
+// OpExchange, counts once, under the op its shape names: a share with
+// nothing to write is a batch read, one with nothing to read a batch write,
+// one with both an exchange. The round trips are Server.TotalRequests.
 type Counters struct {
-	// Requests counts the RPCs and shares served against this store.
+	// Requests counts the requests and shares served against this store.
 	Requests int64
-	// Per-op request counts.
-	Reads, Writes, BatchReads, BatchWrites, Stats, Exchanges int64
+	// Per-op counts: shares by shape, and stat requests.
+	BatchReads, BatchWrites, Stats, Exchanges int64
 	// BlocksRead / BlocksWritten count individual block transfers.
 	BlocksRead, BlocksWritten int64
 }
@@ -35,9 +34,8 @@ type Counters struct {
 // increment it atomically outside the server mutex, so a metrics endpoint
 // polling snapshots mid-join never contends with request serving.
 type counterSet struct {
-	requests, reads, writes, batchReads, batchWrites, stats atomic.Int64
-	exchanges                                               atomic.Int64
-	blocksRead, blocksWritten                               atomic.Int64
+	requests, batchReads, batchWrites, stats, exchanges atomic.Int64
+	blocksRead, blocksWritten                           atomic.Int64
 }
 
 // snapshot reads the set atomically field-by-field. Values observed
@@ -46,8 +44,6 @@ type counterSet struct {
 func (c *counterSet) snapshot() Counters {
 	return Counters{
 		Requests:      c.requests.Load(),
-		Reads:         c.reads.Load(),
-		Writes:        c.writes.Load(),
 		BatchReads:    c.batchReads.Load(),
 		BatchWrites:   c.batchWrites.Load(),
 		Stats:         c.stats.Load(),
@@ -57,15 +53,11 @@ func (c *counterSet) snapshot() Counters {
 	}
 }
 
-// count records one op against the set: a request, or a share counted as
-// the op its shape names.
+// count records one op against the set: a stat request, or a share counted
+// as the op its shape names.
 func (c *counterSet) count(op Op, read, written int) {
 	c.requests.Add(1)
 	switch op {
-	case OpRead:
-		c.reads.Add(1)
-	case OpWrite:
-		c.writes.Add(1)
 	case OpReadMany:
 		c.batchReads.Add(1)
 	case OpWriteMany:
@@ -79,8 +71,8 @@ func (c *counterSet) count(op Op, read, written int) {
 	c.blocksWritten.Add(int64(written))
 }
 
-// op is the op a share's shape names: a batch read, a batch write, or an
-// exchange.
+// op is the op a share's shape names — a batch read, a batch write, or an
+// exchange: its label in the counters, the op histograms and the spans.
 func (sh *Share) op() Op {
 	switch {
 	case len(sh.ReadIndices) == 0:
@@ -166,7 +158,7 @@ type Server struct {
 	broker   *session.Broker
 
 	// Latency histograms (fixed-boundary, lock-free observation): one per
-	// wire op, plus the broker queue-wait and store-I/O decomposition of
+	// share shape and one for stat (timedOps), plus the broker queue-wait and store-I/O decomposition of
 	// every guarded round. opHists is built once and never mutated, so
 	// request handlers index it without a lock.
 	opHists   map[Op]*telemetry.Histogram
@@ -181,7 +173,7 @@ type Server struct {
 	requests atomic.Int64
 
 	mu        sync.Mutex
-	stores    map[string]storage.Store
+	stores    map[string]*session.Guard
 	counts    map[string]*counterSet
 	conns     map[*connState]struct{}
 	ln        net.Listener
@@ -191,9 +183,9 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// timedOps are the wire ops with a service-time histogram, in the order
-// Metrics exports them.
-var timedOps = []Op{OpRead, OpWrite, OpReadMany, OpWriteMany, OpStat, OpExchange}
+// timedOps are the ops with a service-time histogram — the three share
+// shapes and stat — in the order Metrics exports them.
+var timedOps = []Op{OpReadMany, OpWriteMany, OpStat, OpExchange}
 
 // NewServer returns a server with no stores registered.
 func NewServer(opts ServerOptions) *Server {
@@ -212,15 +204,15 @@ func NewServer(opts ServerOptions) *Server {
 		queueWait: telemetry.NewHistogram(),
 		storeIO:   telemetry.NewHistogram(),
 		ring:      telemetry.NewSpanRing(opts.TraceBuffer),
-		stores:    make(map[string]storage.Store),
+		stores:    make(map[string]*session.Guard),
 		counts:    make(map[string]*counterSet),
 		conns:     make(map[*connState]struct{}),
 	}
 }
 
 // HistogramSnapshots returns the server's latency histograms keyed by a
-// stable metric name: "op.<wire-op>" for per-op service time (fault
-// shaping included), "queue_wait" for broker queue wait, and "store_io"
+// stable metric name: "op.<op>" for the service time of each share shape
+// and of stat (fault shaping included), "queue_wait" for broker queue wait, and "store_io"
 // for wrapped-store execution time.
 func (s *Server) HistogramSnapshots() map[string]telemetry.HistogramSnapshot {
 	out := make(map[string]telemetry.HistogramSnapshot, len(s.opHists)+2)
@@ -441,8 +433,12 @@ func (s *Server) handle(req *Request, sc *scratch) *Response {
 			return &Response{Status: StatusError, Msg: err.Error()}
 		}
 	}
-	if req.Op == OpExchange {
+	switch req.Op {
+	case OpExchange:
 		return s.serveRound(req, sess, start, sc)
+	case OpCreate, OpStat:
+	default:
+		return &Response{Status: StatusError, Msg: fmt.Sprintf("remote: unsupported op %s", req.Op)}
 	}
 	name, err := s.resolve(sess, req.Store)
 	if err != nil {
@@ -455,26 +451,10 @@ func (s *Server) handle(req *Request, sc *scratch) *Response {
 	if !ok {
 		return &Response{Status: StatusError, Msg: fmt.Sprintf("remote: unknown store %q", req.Store)}
 	}
-	read, written := 0, 0
-	switch req.Op {
-	case OpRead, OpReadMany:
-		read = len(req.Indices)
-	case OpWrite, OpWriteMany:
-		written = len(req.Indices)
-	}
-	c.count(req.Op, read, written)
+	c.count(OpStat, 0, 0)
 	s.requests.Add(1)
-
-	// Dispatch through a timed view of the broker guard so the round's
-	// cost decomposes into queue wait and store I/O. The view performs the
-	// exact same serialized rounds — instrumentation adds no accesses.
-	var tm session.Timing
-	if g, ok := st.(*session.Guard); ok {
-		st = g.Timed(&tm)
-	}
-	resp := s.dispatch(st, req, &sc.read)
-	s.observe(req, served{op: req.Op, store: req.Store, blocks: len(req.Indices), bytes: payloadBytes(req.Blocks), spanID: req.SpanID},
-		sess, time.Since(start), tm)
+	resp := &Response{Slots: st.Len(), BlockSize: int64(st.BlockSize())}
+	s.observe(req, served{op: OpStat, store: req.Store, spanID: req.SpanID}, sess, time.Since(start), session.Timing{})
 	return resp
 }
 
@@ -494,8 +474,8 @@ func (s *Server) resolve(sess *session.Session, store string) (string, error) {
 	return store, nil
 }
 
-// lookup finds a hosted store and its counters by resolved name.
-func (s *Server) lookup(name string) (storage.Store, *counterSet, bool) {
+// lookup finds a hosted store's guard and its counters by resolved name.
+func (s *Server) lookup(name string) (*session.Guard, *counterSet, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.stores[name]
@@ -543,12 +523,7 @@ func (s *Server) serveShare(req *Request, sh *Share, sr *ShareReply, sess *sessi
 	op := sh.op()
 	c.count(op, len(sh.ReadIndices), len(sh.WriteIndices))
 	var tm session.Timing
-	var out []byte
-	if g, ok := st.(*session.Guard); ok {
-		out, err = g.ExchangeToTimed(&tm, buf, sh.WriteIndices, sh.Blocks, sh.ReadIndices)
-	} else {
-		out, err = storage.ExchangeTo(st, nil, buf, sh.WriteIndices, sh.Blocks, sh.ReadIndices)
-	}
+	out, err := st.ExchangeToTimed(&tm, buf, sh.WriteIndices, sh.Blocks, sh.ReadIndices)
 	bs := st.BlockSize()
 	if err == nil && len(out) != len(buf)+len(sh.ReadIndices)*bs {
 		err = fmt.Errorf("remote: store %q returned %d bytes for %d blocks", sh.Store, len(out)-len(buf), len(sh.ReadIndices))
@@ -562,50 +537,6 @@ func (s *Server) serveShare(req *Request, sh *Share, sr *ShareReply, sess *sessi
 	s.observe(req, served{op: op, store: sh.Store, blocks: len(sh.ReadIndices) + len(sh.WriteIndices), bytes: payloadBytes(sh.Blocks), spanID: sh.SpanID},
 		sess, time.Since(start), tm)
 	return buf, err
-}
-
-// dispatch executes a single-store op against the (possibly timed) store.
-// Batch ops go through storage.ReadManyTo / storage.ExchangeTo, which use
-// the hosted store's best form — either way the client paid exactly one
-// round trip — and read into the connection's scratch.
-func (s *Server) dispatch(st storage.Store, req *Request, readBuf *[]byte) *Response {
-	fail := func(err error) *Response { return &Response{Status: StatusError, Msg: err.Error()} }
-	switch req.Op {
-	case OpRead:
-		if len(req.Indices) != 1 {
-			return fail(fmt.Errorf("remote: read wants 1 index, got %d", len(req.Indices)))
-		}
-		blk, err := st.Read(req.Indices[0])
-		if err != nil {
-			return fail(err)
-		}
-		return &Response{Blocks: [][]byte{blk}}
-	case OpWrite:
-		if len(req.Indices) != 1 || len(req.Blocks) != 1 {
-			return fail(fmt.Errorf("remote: write wants 1 index and 1 block, got %d/%d", len(req.Indices), len(req.Blocks)))
-		}
-		if err := st.Write(req.Indices[0], req.Blocks[0]); err != nil {
-			return fail(err)
-		}
-		return &Response{}
-	case OpReadMany:
-		flat, err := storage.ReadManyTo(st, nil, (*readBuf)[:0], req.Indices)
-		if err != nil {
-			return fail(err)
-		}
-		// Keep the grown scratch for the connection's next request.
-		*readBuf = flat[:0]
-		return &Response{Blocks: storage.Carve(flat, st.BlockSize())}
-	case OpWriteMany:
-		if _, err := storage.ExchangeTo(st, nil, nil, req.Indices, req.Blocks, nil); err != nil {
-			return fail(err)
-		}
-		return &Response{}
-	case OpStat:
-		return &Response{Slots: st.Len(), BlockSize: int64(st.BlockSize())}
-	default:
-		return fail(fmt.Errorf("remote: unsupported op %s", req.Op))
-	}
 }
 
 // served describes one served store op — a request, or a share of an
@@ -808,16 +739,14 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	// No request can be in flight now, so the stores are quiescent.
 	s.mu.Lock()
-	stores := make([]storage.Store, 0, len(s.stores))
-	for _, st := range s.stores {
-		stores = append(stores, st)
+	guards := make([]*session.Guard, 0, len(s.stores))
+	for _, g := range s.stores {
+		guards = append(guards, g)
 	}
 	s.mu.Unlock()
-	for _, st := range stores {
-		if c, ok := st.(io.Closer); ok {
-			if cerr := c.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
+	for _, g := range guards {
+		if cerr := g.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
 	return err

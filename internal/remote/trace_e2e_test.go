@@ -59,7 +59,7 @@ func TestTraceSpansEndToEnd(t *testing.T) {
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3: %+v", len(spans), spans)
 	}
-	wantOps := []string{"write", "read-many", "exchange"}
+	wantOps := []string{"write-many", "read-many", "exchange"}
 	wantPhases := []string{"load", "load", "join.smj"}
 	wantBlocks := []int{1, 2, 3}
 	var lastSpanID uint64
@@ -99,10 +99,12 @@ func TestTraceSpansEndToEnd(t *testing.T) {
 	if io <= 0 {
 		t.Fatal("no store I/O time attributed across spans")
 	}
-	// Per-op histograms saw every request, traced or not.
+	// Per-op histograms saw every share, traced or not, under its shape: the
+	// single-block write is a write share, the single-block read a read share.
 	hs := srv.HistogramSnapshots()
-	if hs["op.write"].Count != 2 || hs["op.read"].Count != 1 {
-		t.Fatalf("op histograms: write=%d read=%d", hs["op.write"].Count, hs["op.read"].Count)
+	if hs["op.write-many"].Count != 2 || hs["op.read-many"].Count != 2 || hs["op.exchange"].Count != 1 {
+		t.Fatalf("op histograms: write-many=%d read-many=%d exchange=%d",
+			hs["op.write-many"].Count, hs["op.read-many"].Count, hs["op.exchange"].Count)
 	}
 }
 
@@ -254,10 +256,10 @@ func TestServerMetricsRenderSmoke(t *testing.T) {
 		"ojoin_session_stores{session=\"1\",tenant=\"acme\"} 1",
 		"ojoin_broker_store_rounds_total{store=\"t:acme/mx\"}",
 		"ojoin_broker_wait_seconds_total 0.",
-		"ojoin_op_duration_seconds_bucket{op=\"read\",le=\"",
-		"ojoin_op_duration_seconds_bucket{op=\"read\",le=\"+Inf\"}",
-		"ojoin_op_duration_seconds_sum{op=\"read\"}",
-		"ojoin_op_duration_seconds_count{op=\"read\"} 4",
+		"ojoin_op_duration_seconds_bucket{op=\"read-many\",le=\"",
+		"ojoin_op_duration_seconds_bucket{op=\"read-many\",le=\"+Inf\"}",
+		"ojoin_op_duration_seconds_sum{op=\"read-many\"}",
+		"ojoin_op_duration_seconds_count{op=\"read-many\"} 4",
 		"ojoin_broker_queue_wait_seconds_bucket{le=\"",
 		"ojoin_store_io_seconds_count",
 		"ojoin_meter_trace_dropped_total",
@@ -349,7 +351,7 @@ func TestSlowOpLogging(t *testing.T) {
 	if n := strings.Count(out, "slow op"); n != 1 {
 		t.Fatalf("slow-op lines = %d, want exactly 1 (rate limit): %s", n, out)
 	}
-	for _, field := range []string{"op=write", "store=sl", "duration=", "blocks=1", "bytes=16"} {
+	for _, field := range []string{"op=write-many", "store=sl", "duration=", "blocks=1", "bytes=16"} {
 		if !strings.Contains(out, field) {
 			t.Fatalf("slow-op line missing %q: %s", field, out)
 		}
@@ -392,7 +394,7 @@ func TestTracelessClientEndToEnd(t *testing.T) {
 	if spans, err := c.FetchServerSpans(0); err != nil || len(spans) != 0 {
 		t.Fatalf("traceless run buffered %d spans (err %v)", len(spans), err)
 	}
-	if ct := srv.Counts("untraced"); ct.Reads != 1 || ct.Writes != 1 {
-		t.Fatalf("counters = %+v, want 1 read + 1 write", ct)
+	if ct := srv.Counts("untraced"); ct.BatchReads != 1 || ct.BatchWrites != 1 {
+		t.Fatalf("counters = %+v, want 1 read share + 1 write share", ct)
 	}
 }

@@ -228,8 +228,8 @@ func TestAppendReadRejectsMissizedBlocks(t *testing.T) {
 		t.Fatalf("mis-sized batch read accepted: %d bytes, %v", len(got), err)
 	}
 	resp := &Response{Blocks: [][]byte{make([]byte, 31), make([]byte, 33)}}
-	if err := st.checkBlocks("batch read", resp.Blocks, 2); err == nil {
-		t.Fatal("checkBlocks accepted 31- and 33-byte blocks for a 32-byte store")
+	if got, err := st.take(nil, resp.Blocks, 2); err == nil || got != nil {
+		t.Fatal("take accepted 31- and 33-byte blocks for a 32-byte store")
 	}
 }
 

@@ -141,10 +141,11 @@ func (b *Broker) Checkpoint(names []string) error {
 
 // Guard serializes all traffic against one store. It implements the full
 // AppendExchangeStore surface regardless of the wrapped store's
-// capabilities: whatever form the wrapped store lacks, storage.ReadManyTo
-// and storage.ExchangeTo emulate *inside* the critical section, which keeps
-// even an emulated round atomic. Error semantics pass through unchanged
-// (out-of-range errors still match storage.ErrOutOfRange via errors.Is).
+// capabilities, every block method through one locked exchange: whatever
+// form the wrapped store lacks, storage.ExchangeTo emulates *inside* the
+// critical section, which keeps even an emulated round atomic. Error
+// semantics pass through unchanged (out-of-range errors still match
+// storage.ErrOutOfRange via errors.Is).
 type Guard struct {
 	name string
 	st   storage.Store
@@ -160,8 +161,8 @@ func (g *Guard) Name() string { return g.name }
 // it directly — the accessor exists for capability checks and tests.
 func (g *Guard) Unwrap() storage.Store { return g.st }
 
-// Timing receives the cost decomposition of guarded rounds performed
-// through a Timed view: how long the round queued behind other sessions'
+// Timing receives the cost decomposition of a round performed through
+// ExchangeToTimed: how long the round queued behind other sessions'
 // rounds, and how long the wrapped store took to execute it. Both are
 // public under Definition 1 — they are exactly the wall-clock gaps the
 // untrusted server observes anyway.
@@ -196,20 +197,10 @@ func (g *Guard) Contended() int64 { return g.contended.Load() }
 // guard, in nanoseconds.
 func (g *Guard) WaitNS() int64 { return g.waitNS.Load() }
 
-// Timed returns a view of the guard that performs the same serialized
-// rounds but additionally decomposes each round's cost into t. The view
-// is cheap (two words) and single-use-friendly: the server builds one per
-// request around its dispatch. The underlying guard, counters, and lock
-// are shared with every other view of the same store.
-func (g *Guard) Timed(t *Timing) storage.AppendExchangeStore { return timedGuard{g: g, t: t} }
-
 // Len implements storage.Store.
-func (g *Guard) Len() int64 { return g.len(nil) }
-
-func (g *Guard) len(t *Timing) int64 {
-	g.lock(t)
+func (g *Guard) Len() int64 {
+	g.lock(nil)
 	defer g.mu.Unlock()
-	defer ioDone(t, ioStart(t))
 	return g.st.Len()
 }
 
@@ -217,76 +208,40 @@ func (g *Guard) len(t *Timing) int64 {
 // is taken.
 func (g *Guard) BlockSize() int { return g.st.BlockSize() }
 
-// ioStart reads the store-I/O clock for a round and ioDone, deferred with
-// that reading, charges the round to t; a nil Timing costs a pointer test
-// each and no clock read. Two plain functions, not one returning a closure,
-// so timing a round allocates nothing.
-func ioStart(t *Timing) time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return time.Now()
+// Read implements storage.Store: an exchange of one read.
+func (g *Guard) Read(i int64) ([]byte, error) { return g.exchange(nil, nil, nil, nil, []int64{i}) }
+
+// Write implements storage.Store: an exchange of one write.
+func (g *Guard) Write(i int64, data []byte) error {
+	_, err := g.exchange(nil, nil, []int64{i}, [][]byte{data}, nil)
+	return err
 }
 
-func ioDone(t *Timing, start time.Time) {
-	if t != nil {
-		t.StoreIO += time.Since(start)
-	}
-}
-
-// Read implements storage.Store.
-func (g *Guard) Read(i int64) ([]byte, error) { return g.read(i, nil) }
-
-func (g *Guard) read(i int64, t *Timing) ([]byte, error) {
-	g.lock(t)
-	defer g.mu.Unlock()
-	defer ioDone(t, ioStart(t))
-	return g.st.Read(i)
-}
-
-// Write implements storage.Store.
-func (g *Guard) Write(i int64, data []byte) error { return g.write(i, data, nil) }
-
-func (g *Guard) write(i int64, data []byte, t *Timing) error {
-	g.lock(t)
-	defer g.mu.Unlock()
-	defer ioDone(t, ioStart(t))
-	return g.st.Write(i, data)
-}
-
-// ReadMany implements storage.BatchStore: ReadManyTo into fresh memory,
-// carved.
+// ReadMany implements storage.BatchStore: an exchange with nothing to
+// write, into fresh memory, carved.
 func (g *Guard) ReadMany(idxs []int64) ([][]byte, error) {
-	flat, err := g.readManyTo(nil, idxs, nil)
+	flat, err := g.exchange(nil, nil, nil, nil, idxs)
 	return storage.Carve(flat, g.BlockSize()), err
 }
 
-// ReadManyTo implements storage.AppendStore as one atomic round.
+// ReadManyTo implements storage.AppendStore: an exchange with nothing to
+// write.
 func (g *Guard) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
-	return g.readManyTo(dst, idxs, nil)
+	return g.exchange(nil, dst, nil, nil, idxs)
 }
 
-func (g *Guard) readManyTo(dst []byte, idxs []int64, t *Timing) ([]byte, error) {
-	if len(idxs) == 0 {
-		return dst, nil
-	}
-	g.lock(t)
-	defer g.mu.Unlock()
-	defer ioDone(t, ioStart(t))
-	return storage.ReadManyTo(g.st, nil, dst, idxs)
-}
-
-// WriteMany implements storage.BatchStore as one atomic round, applying
-// positions in slice order so duplicate indices stay last-writer-wins.
+// WriteMany implements storage.BatchStore: an exchange with nothing to
+// read, applying positions in slice order so duplicate indices stay
+// last-writer-wins.
 func (g *Guard) WriteMany(idxs []int64, data [][]byte) error {
-	_, err := g.exchangeTo(nil, idxs, data, nil, nil)
+	_, err := g.exchange(nil, nil, idxs, data, nil)
 	return err
 }
 
 // Exchange implements storage.ExchangeStore: ExchangeTo into fresh memory,
 // carved.
 func (g *Guard) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
-	flat, err := g.exchangeTo(nil, writeIdxs, writeData, readIdxs, nil)
+	flat, err := g.exchange(nil, nil, writeIdxs, writeData, readIdxs)
 	return storage.Carve(flat, g.BlockSize()), err
 }
 
@@ -294,24 +249,31 @@ func (g *Guard) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64
 // writes land, then the reads are served, with no other session's round
 // in between — exactly the ordering the deferred-eviction flush relies on.
 func (g *Guard) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
-	return g.exchangeTo(dst, writeIdxs, writeData, readIdxs, nil)
+	return g.exchange(nil, dst, writeIdxs, writeData, readIdxs)
 }
 
-// ExchangeToTimed is ExchangeTo through a Timed view on t, without the
-// view: the server serves a round's shares one after another, and a view
-// per share would cost an allocation each.
+// ExchangeToTimed is ExchangeTo with the round's cost decomposed into t:
+// the server times every share it serves this way.
 func (g *Guard) ExchangeToTimed(t *Timing, dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
-	return g.exchangeTo(dst, writeIdxs, writeData, readIdxs, t)
+	return g.exchange(t, dst, writeIdxs, writeData, readIdxs)
 }
 
-func (g *Guard) exchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64, t *Timing) ([]byte, error) {
+// exchange is the guard's one round: the lock, then storage.ExchangeTo on
+// the wrapped store, its execution time charged to t (which may be nil —
+// then no clock is read). An empty exchange takes no round.
+func (g *Guard) exchange(t *Timing, dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if len(writeIdxs) == 0 && len(writeData) == 0 && len(readIdxs) == 0 {
 		return dst, nil
 	}
 	g.lock(t)
 	defer g.mu.Unlock()
-	defer ioDone(t, ioStart(t))
-	return storage.ExchangeTo(g.st, nil, dst, writeIdxs, writeData, readIdxs)
+	if t == nil {
+		return storage.ExchangeTo(g.st, nil, dst, writeIdxs, writeData, readIdxs)
+	}
+	start := time.Now()
+	out, err := storage.ExchangeTo(g.st, nil, dst, writeIdxs, writeData, readIdxs)
+	t.StoreIO += time.Since(start)
+	return out, err
 }
 
 // Close implements io.Closer, forwarding to the wrapped store if it is
@@ -326,38 +288,7 @@ func (g *Guard) Close() error {
 	return nil
 }
 
-// timedGuard is the view Timed returns: every round goes through the
-// shared guard with its cost decomposed into t.
-type timedGuard struct {
-	g *Guard
-	t *Timing
-}
-
-func (v timedGuard) Len() int64                       { return v.g.len(v.t) }
-func (v timedGuard) BlockSize() int                   { return v.g.BlockSize() }
-func (v timedGuard) Read(i int64) ([]byte, error)     { return v.g.read(i, v.t) }
-func (v timedGuard) Write(i int64, data []byte) error { return v.g.write(i, data, v.t) }
-func (v timedGuard) ReadMany(i []int64) ([][]byte, error) {
-	flat, err := v.g.readManyTo(nil, i, v.t)
-	return storage.Carve(flat, v.g.BlockSize()), err
-}
-func (v timedGuard) ReadManyTo(dst []byte, i []int64) ([]byte, error) {
-	return v.g.readManyTo(dst, i, v.t)
-}
-func (v timedGuard) WriteMany(i []int64, d [][]byte) error {
-	_, err := v.g.exchangeTo(nil, i, d, nil, v.t)
-	return err
-}
-func (v timedGuard) Exchange(wi []int64, wd [][]byte, ri []int64) ([][]byte, error) {
-	flat, err := v.g.exchangeTo(nil, wi, wd, ri, v.t)
-	return storage.Carve(flat, v.g.BlockSize()), err
-}
-func (v timedGuard) ExchangeTo(dst []byte, wi []int64, wd [][]byte, ri []int64) ([]byte, error) {
-	return v.g.exchangeTo(dst, wi, wd, ri, v.t)
-}
-
 var (
 	_ storage.AppendExchangeStore = (*Guard)(nil)
 	_ io.Closer                   = (*Guard)(nil)
-	_ storage.AppendExchangeStore = timedGuard{}
 )

@@ -25,7 +25,7 @@ func TestGuardTimedDecomposesRoundCost(t *testing.T) {
 	g := b.Wrap("t", &slowStore{Store: mem, delay: 2 * time.Millisecond})
 
 	var tm Timing
-	if _, err := g.Timed(&tm).Read(0); err != nil {
+	if _, err := g.ExchangeToTimed(&tm, nil, nil, nil, []int64{0}); err != nil {
 		t.Fatal(err)
 	}
 	if tm.StoreIO < 2*time.Millisecond {
@@ -43,7 +43,7 @@ func TestGuardTimedDecomposesRoundCost(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			if _, err := g.Timed(&timings[k]).Read(0); err != nil {
+			if _, err := g.ExchangeToTimed(&timings[k], nil, nil, nil, []int64{0}); err != nil {
 				t.Error(err)
 			}
 		}(k)
@@ -72,24 +72,23 @@ func TestGuardTimedSharesSerialization(t *testing.T) {
 	mem := storage.NewMemStore("t", 4, 8, nil)
 	g := b.Wrap("t", mem)
 	var tm Timing
-	v := g.Timed(&tm)
-	if err := v.Write(1, []byte("12345678")); err != nil {
+	if _, err := g.ExchangeToTimed(&tm, nil, []int64{1}, [][]byte{[]byte("12345678")}, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Read(1) // untimed view sees the same store
+	got, err := g.Read(1) // an untimed round sees the same store
 	if err != nil || string(got) != "12345678" {
 		t.Fatalf("read through plain guard: %q, %v", got, err)
 	}
 	if g.Rounds() < 2 {
-		t.Fatalf("rounds = %d, want >= 2 (both views count)", g.Rounds())
+		t.Fatalf("rounds = %d, want >= 2 (timed and untimed rounds both count)", g.Rounds())
 	}
-	if _, err := v.ReadMany([]int64{0, 1}); err != nil {
+	if _, err := g.ExchangeToTimed(&tm, nil, nil, nil, []int64{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Exchange([]int64{0}, [][]byte{[]byte("abcdefgh")}, []int64{0}); err != nil {
+	if _, err := g.ExchangeToTimed(&tm, nil, []int64{0}, [][]byte{[]byte("abcdefgh")}, []int64{0}); err != nil {
 		t.Fatal(err)
 	}
-	if v.Len() != 4 || v.BlockSize() != 8 {
+	if g.Len() != 4 || g.BlockSize() != 8 {
 		t.Fatal("geometry passthrough")
 	}
 }

@@ -33,11 +33,14 @@
 //     Inside PathORAM a stash payload buffer is recycled only after the store
 //     has accepted the round that evicted its block.
 //
-// ReadMany and Exchange are the same rounds in slice-of-blocks form: every
-// backend implements them as ReadManyTo(nil, …) / ExchangeTo(nil, …) carved
-// by Carve, so each backend has one read implementation. Callers holding a
-// plain Store go through the package-level ReadManyTo and ExchangeTo, the
-// one place that picks the best form a store offers.
+// Every backend has one block implementation, ExchangeTo, and its other
+// batch methods are forms of it: ReadManyTo and WriteMany the one-sided
+// exchanges, ReadMany and Exchange the same rounds into fresh memory carved
+// by Carve. On every backend but MemStore, Read and Write are exchanges of
+// one block too; MemStore's count no round, which oram.RawStore and the
+// ObliDB baseline price on. Callers holding a plain Store go through the
+// package-level ReadManyTo and ExchangeTo, the one place that picks the
+// best form a store offers.
 package storage
 
 import (
@@ -329,63 +332,15 @@ func (s *MemStore) ReadMany(idxs []int64) ([][]byte, error) {
 	return Carve(flat, s.blockSize), err
 }
 
-// ReadManyTo implements AppendStore. All blocks are copied under one lock
-// acquisition and metered as a single network round.
+// ReadManyTo implements AppendStore: an exchange with nothing to write.
 func (s *MemStore) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
-	if len(idxs) == 0 {
-		return dst, nil
-	}
-	s.mu.RLock()
-	for _, i := range idxs {
-		if i < 0 || i >= s.n {
-			s.mu.RUnlock()
-			return nil, fmt.Errorf("%w: batch read %d of %d (%s)", ErrOutOfRange, i, s.n, s.name)
-		}
-	}
-	dst = s.appendLocked(dst, idxs)
-	s.mu.RUnlock()
-	if s.meter != nil {
-		s.meter.CountBatch(s.name, KindRead, idxs, s.blockSize)
-	}
-	return dst, nil
+	return s.ExchangeTo(dst, nil, nil, idxs)
 }
 
-// appendLocked appends the (already range-checked) blocks at idxs to dst,
-// growing it at most once. Callers hold s.mu.
-func (s *MemStore) appendLocked(dst []byte, idxs []int64) []byte {
-	bs := int64(s.blockSize)
-	dst = slices.Grow(dst, len(idxs)*s.blockSize)
-	for _, i := range idxs {
-		dst = append(dst, s.data[i*bs:(i+1)*bs]...)
-	}
-	return dst
-}
-
-// WriteMany implements BatchStore.
+// WriteMany implements BatchStore: an exchange with nothing to read.
 func (s *MemStore) WriteMany(idxs []int64, data [][]byte) error {
-	if len(idxs) != len(data) {
-		return fmt.Errorf("storage: batch write of %d blocks with %d payloads (%s)", len(idxs), len(data), s.name)
-	}
-	if len(idxs) == 0 {
-		return nil
-	}
-	for k, i := range idxs {
-		if i < 0 || i >= s.n {
-			return fmt.Errorf("%w: batch write %d of %d (%s)", ErrOutOfRange, i, s.n, s.name)
-		}
-		if len(data[k]) != s.blockSize {
-			return fmt.Errorf("storage: batch write of %d bytes to %d-byte block (%s)", len(data[k]), s.blockSize, s.name)
-		}
-	}
-	s.mu.Lock()
-	for k, i := range idxs {
-		copy(s.data[i*int64(s.blockSize):], data[k])
-	}
-	s.mu.Unlock()
-	if s.meter != nil {
-		s.meter.CountBatch(s.name, KindWrite, idxs, s.blockSize)
-	}
-	return nil
+	_, err := s.ExchangeTo(nil, idxs, data, nil)
+	return err
 }
 
 // Exchange implements ExchangeStore: ExchangeTo into fresh memory, carved.
@@ -394,14 +349,23 @@ func (s *MemStore) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []in
 	return Carve(flat, s.blockSize), err
 }
 
-// ExchangeTo implements AppendExchangeStore: the writes are applied, then
-// the reads served, under a single lock acquisition, metered as one round.
+// ExchangeTo implements AppendExchangeStore, and is the one batch
+// implementation of the store: the writes are applied, then the reads
+// served, under a single lock acquisition — the read lock when there is
+// nothing to write — metered as one round.
 func (s *MemStore) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if len(writeIdxs) != len(writeData) {
 		return nil, fmt.Errorf("storage: exchange of %d write blocks with %d payloads (%s)", len(writeIdxs), len(writeData), s.name)
 	}
 	if len(writeIdxs) == 0 && len(readIdxs) == 0 {
 		return dst, nil
+	}
+	if len(writeIdxs) == 0 {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	} else {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 	}
 	// Validate the whole exchange — writes and reads — before touching any
 	// slot, so a malformed request can never commit a partial batch.
@@ -418,12 +382,14 @@ func (s *MemStore) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte,
 			return nil, fmt.Errorf("%w: exchange read %d of %d (%s)", ErrOutOfRange, i, s.n, s.name)
 		}
 	}
-	s.mu.Lock()
+	bs := int64(s.blockSize)
 	for k, i := range writeIdxs {
-		copy(s.data[i*int64(s.blockSize):], writeData[k])
+		copy(s.data[i*bs:], writeData[k])
 	}
-	dst = s.appendLocked(dst, readIdxs)
-	s.mu.Unlock()
+	dst = slices.Grow(dst, len(readIdxs)*s.blockSize)
+	for _, i := range readIdxs {
+		dst = append(dst, s.data[i*bs:(i+1)*bs]...)
+	}
 	if s.meter != nil {
 		s.meter.CountExchange(s.name, writeIdxs, readIdxs, s.blockSize)
 	}

@@ -169,12 +169,6 @@ func (c *ChainCursor) Hold() Move { return Move{c: c} }
 // Next retrieves the next tuple in attribute order, or a dummy past the end.
 func (c *ChainCursor) Next() (Row, error) { return step1(c.Advance()) }
 
-// Dummy performs an access indistinguishable from Next without advancing.
-func (c *ChainCursor) Dummy() error {
-	_, err := step1(c.Hold())
-	return err
-}
-
 func (c *ChainCursor) shape() shape { return shape{data: c.t.data} }
 
 func (c *ChainCursor) open(bool) int8 { return 0 }

@@ -46,12 +46,6 @@ func (c *ScanCursor) Hold() Move { return Move{c: c} }
 // Next retrieves the next tuple, or a dummy once past the end.
 func (c *ScanCursor) Next() (Row, error) { return step1(c.Advance()) }
 
-// Dummy performs an access indistinguishable from Next without advancing.
-func (c *ScanCursor) Dummy() error {
-	_, err := step1(c.Hold())
-	return err
-}
-
 func (c *ScanCursor) ref() btree.Ref {
 	return btree.Ref{Block: uint64(c.pos / c.t.perBlock), Slot: c.pos % c.t.perBlock}
 }
@@ -163,12 +157,6 @@ func (c *LeafCursor) Hold() Move { return Move{c: c} }
 // performs the same accesses and returns a dummy Row.
 func (c *LeafCursor) Next() (Row, error) { return step1(c.Advance()) }
 
-// Dummy performs accesses indistinguishable from Next without advancing.
-func (c *LeafCursor) Dummy() error {
-	_, err := step1(c.Hold())
-	return err
-}
-
 func (c *LeafCursor) shape() shape {
 	return shape{index: c.tree.ORAM(), data: c.t.data, n: 1, free: 1}
 }
@@ -263,9 +251,6 @@ func NewLookupCursor(t *StoredTable, attr string) (*IndexCursor, error) {
 
 // Tree exposes the underlying index (for disable operations).
 func (c *IndexCursor) Tree() *btree.Tree { return c.tree }
-
-// Current returns the entry the cursor rests on.
-func (c *IndexCursor) Current() (btree.Entry, bool) { return c.cur, c.ok }
 
 func (c *IndexCursor) shape() shape {
 	sh := shape{
@@ -389,7 +374,10 @@ func (c *IndexCursor) MoveKeyGE(src *Row, col int) Move {
 	return Move{c: c, kind: seekKeyGE, src: src, col: col}
 }
 
-// MoveDisable is the operation Disable performs.
+// MoveDisable marks the cursor's table entry with the given ordinal
+// disabled and performs the uniform dummy data access that keeps a disable
+// step indistinguishable from a retrieval (Section 6: "a tuple disabling
+// operation, which is indistinguishable from a tuple retrieval").
 func (c *IndexCursor) MoveDisable(ord int64) Move { return Move{c: c, kind: disable, arg: ord} }
 
 // MoveOrdGE is the retrieval SeekOrdGE performs.
@@ -427,18 +415,3 @@ func (c *IndexCursor) Next() (Row, error) { return step1(c.MoveNext()) }
 
 // Prev advances to the previous live entry in ordinal order.
 func (c *IndexCursor) Prev() (Row, error) { return step1(c.MovePrev()) }
-
-// Dummy performs accesses indistinguishable from a seek or advance.
-func (c *IndexCursor) Dummy() error {
-	_, err := step1(c.Hold())
-	return err
-}
-
-// Disable marks the cursor's table entry with the given ordinal disabled and
-// performs the uniform dummy data access that keeps a disable step
-// indistinguishable from a retrieval (Section 6: "a tuple disabling
-// operation, which is indistinguishable from a tuple retrieval").
-func (c *IndexCursor) Disable(ord int64) error {
-	_, err := step1(c.MoveDisable(ord))
-	return err
-}

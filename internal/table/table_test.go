@@ -154,9 +154,9 @@ func TestScanCursor(t *testing.T) {
 	if d := m.Snapshot().Sub(before).BlocksMoved(); d != per {
 		t.Fatalf("past-end moved %d, want %d", d, per)
 	}
-	// Dummy: same cost.
+	// A held retrieval: same cost.
 	before = m.Snapshot()
-	if err := c.Dummy(); err != nil {
+	if err := Step(make([]Row, 1), nil, c.Hold()); err != nil {
 		t.Fatal(err)
 	}
 	if d := m.Snapshot().Sub(before).BlocksMoved(); d != per {
@@ -178,7 +178,7 @@ func TestLeafCursorSortedTraversal(t *testing.T) {
 	}
 	// Every access moves a path down and the previous access's path up, so
 	// a tree's first access after the build is a path short: warm up.
-	if err := c.Dummy(); err != nil {
+	if err := Step(make([]Row, 1), nil, c.Hold()); err != nil {
 		t.Fatal(err)
 	}
 	m.Reset()
@@ -206,10 +206,10 @@ func TestLeafCursorSortedTraversal(t *testing.T) {
 			t.Fatalf("not sorted at %d: %v", i, got)
 		}
 	}
-	// Past-the-end and Dummy cost the same.
+	// Past-the-end and a held retrieval cost the same.
 	for name, op := range map[string]func() error{
 		"past-end": func() error { _, err := c.Next(); return err },
-		"dummy":    c.Dummy,
+		"dummy":    func() error { return Step(make([]Row, 1), nil, c.Hold()) },
 	} {
 		before := m.Snapshot()
 		if err := op(); err != nil {
@@ -250,7 +250,7 @@ func TestIndexCursorUniformCost(t *testing.T) {
 	}
 	// Every access moves a path down and the previous access's path up, so
 	// a tree's first access after the build is a path short: warm up.
-	if err := c.Dummy(); err != nil {
+	if err := Step(make([]Row, 1), nil, c.Hold()); err != nil {
 		t.Fatal(err)
 	}
 	m.Reset()
@@ -268,8 +268,8 @@ func TestIndexCursorUniformCost(t *testing.T) {
 		{"seekOrd0", func() (Row, error) { return c.SeekOrdGE(0) }, 1},
 		{"seekOrdLE", func() (Row, error) { return c.SeekOrdLE(int64(len(keys) - 1)) }, 12},
 		{"prev", c.Prev, 11},
-		{"dummy", func() (Row, error) { return Row{}, c.Dummy() }, -1},
-		{"disable", func() (Row, error) { return Row{}, c.Disable(0) }, -1},
+		{"dummy", func() (Row, error) { return Row{}, Step(make([]Row, 1), nil, c.Hold()) }, -1},
+		{"disable", func() (Row, error) { return Row{}, Step(make([]Row, 1), nil, c.MoveDisable(0)) }, -1},
 		{"seek1", func() (Row, error) { return c.SeekGE(1) }, 2}, // ord 0 disabled
 	}
 	per := int64(-1)
@@ -670,7 +670,7 @@ func TestStoreObliviousTree(t *testing.T) {
 	if want := []int64{3, 3, 4, 5, 6, 7, 7, 8, 9}; !slices.Equal(got, want) {
 		t.Fatalf("walked %v, want %v", got, want)
 	}
-	retrieval("dummy", func() (Row, error) { return Row{}, c.Dummy() })
+	retrieval("dummy", func() (Row, error) { return Row{}, Step(make([]Row, 1), nil, c.Hold()) })
 	if _, err := StoreObliviousTree(rel, "nope", testOpts(t, m)); err == nil {
 		t.Fatal("unknown attribute accepted")
 	}

@@ -85,7 +85,7 @@ func TestMetricsArePublic(t *testing.T) {
 	for _, s := range storesA {
 		allowed["store"][s] = true
 	}
-	for op := remote.OpRead; op <= remote.OpTrace; op++ {
+	for op := remote.OpReadMany; op <= remote.OpTrace; op++ {
 		allowed["op"][op.String()] = true
 	}
 	if len(a) != len(b) {
