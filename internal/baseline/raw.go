@@ -11,13 +11,12 @@ import (
 )
 
 // rawOut collects join output into plaintext blocks, counting the traffic a
-// non-oblivious system would pay: one block write per packed block, no
-// dummies, no filtering pass.
+// non-oblivious system would pay: one block write, in a round of its own,
+// per packed block, no dummies, no filtering pass.
 type rawOut struct {
 	schema   relation.Schema
 	tuples   []relation.Tuple
 	store    *storage.MemStore
-	meter    *storage.Meter
 	perBlock int
 	buf      []byte
 	inBuf    int
@@ -36,7 +35,6 @@ func newRawOut(name string, opts Options, schemas ...relation.Schema) *rawOut {
 	return &rawOut{
 		schema:   schema,
 		store:    st,
-		meter:    opts.Meter,
 		perBlock: per,
 		buf:      make([]byte, bs),
 	}
@@ -62,9 +60,6 @@ func (o *rawOut) flush() error {
 	}
 	if o.blocks >= o.store.Len() {
 		o.store.Grow(o.blocks - o.store.Len() + 1)
-	}
-	if o.meter != nil {
-		o.meter.CountRound()
 	}
 	if err := o.store.Write(o.blocks, o.buf); err != nil {
 		return err

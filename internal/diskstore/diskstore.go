@@ -105,11 +105,11 @@ func (s Stats) Add(o Stats) Stats {
 	return s
 }
 
-// Store is one named, file-backed block store. It implements storage.Store,
-// storage.BatchStore, and storage.ExchangeStore with the same semantics as
-// MemStore — batches apply in order, so duplicate indices resolve
-// last-writer-wins both live and through log replay — plus Close/Sync
-// lifecycle and crash recovery; every block method is a form of ExchangeTo.
+// Store is one named, file-backed block store. It implements
+// storage.AppendExchangeStore with the same semantics as MemStore — batches
+// apply in order, so duplicate indices resolve last-writer-wins both live
+// and through log replay — plus Close/Sync lifecycle and crash recovery;
+// every block method is a form of ExchangeTo.
 // It is safe for concurrent use.
 type Store struct {
 	mu        sync.Mutex
@@ -636,20 +636,15 @@ func (s *Store) Write(i int64, data []byte) error {
 	return err
 }
 
-// ReadMany implements storage.BatchStore: ReadManyTo into fresh memory,
-// carved.
+// ReadMany implements storage.ExchangeStore: an exchange with nothing to
+// write, into fresh memory, carved.
 func (s *Store) ReadMany(idxs []int64) ([][]byte, error) {
-	flat, err := s.ReadManyTo(nil, idxs)
+	flat, err := s.ExchangeTo(nil, nil, nil, idxs)
 	return storage.Carve(flat, s.blockSize), err
 }
 
-// ReadManyTo implements storage.AppendStore: an exchange with nothing to
-// write.
-func (s *Store) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
-	return s.ExchangeTo(dst, nil, nil, idxs)
-}
-
-// WriteMany implements storage.BatchStore: an exchange with nothing to read.
+// WriteMany implements storage.ExchangeStore: an exchange with nothing to
+// read.
 func (s *Store) WriteMany(idxs []int64, data [][]byte) error {
 	_, err := s.ExchangeTo(nil, idxs, data, nil)
 	return err

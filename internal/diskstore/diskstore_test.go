@@ -30,8 +30,39 @@ func openTemp(t *testing.T, slots int64, blockSize int, opts Options) *Store {
 // (duplicate-index last-writer-wins, exchange read-after-write, wrapped
 // ErrOutOfRange) that MemStore and the remote client also run.
 func TestDiskStoreBatchContract(t *testing.T) {
-	storetest.TestBatchContract(t, "disk", func(t *testing.T, slots int64, blockSize int) storage.BatchStore {
+	storetest.TestBatchContract(t, "disk", func(t *testing.T, slots int64, blockSize int) storage.ExchangeStore {
 		return openTemp(t, slots, blockSize, Options{})
+	})
+}
+
+// TestDiskStoreRoundPerCall: a disk store meters nothing itself — the
+// rounds it serves are its server's — so it runs behind a loopback server
+// whose client meters them: every block method is one round.
+func TestDiskStoreRoundPerCall(t *testing.T) {
+	storetest.TestRoundPerCall(t, "disk", func(t *testing.T, slots int64, blockSize int, m *storage.Meter) storage.ExchangeStore {
+		dir, err := Open(t.TempDir(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := remote.NewServer(remote.ServerOptions{OpenStore: dir.Opener()})
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := remote.Dial(remote.ClientOptions{Addr: addr.String(), Meter: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			c.Close()
+			srv.Close()
+			dir.Close()
+		})
+		st, err := c.Create("rounds", slots, blockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	})
 }
 

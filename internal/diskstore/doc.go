@@ -6,9 +6,9 @@
 // The paper's server is a MongoDB instance that persists the encrypted
 // B-tree/ORAM blocks across sessions (Section 9.1); the simulated MemStore
 // loses every tree on restart. This package implements the same
-// storage.Store / BatchStore / ExchangeStore interfaces against files, so
-// cmd/ojoinserver -data-dir survives restarts: clients reconnect and rerun
-// joins against the recovered trees with identical results and traffic.
+// storage.AppendExchangeStore interface against files, so cmd/ojoinserver
+// -data-dir survives restarts: clients reconnect and rerun joins against the
+// recovered trees with identical results and traffic.
 //
 // Layout (one store = three files, <escaped-name>.seg, .wal0 and .wal1):
 //

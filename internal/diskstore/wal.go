@@ -51,7 +51,7 @@ var (
 
 // walRecord is one atomic batch, decoded as a view: body aliases the parsed
 // bytes and holds Count × (idx u64 | block), applied in order (so duplicate
-// indices resolve last-writer-wins, the storage.BatchStore contract).
+// indices resolve last-writer-wins, the storage.ExchangeStore contract).
 type walRecord struct {
 	Gen, Seq uint64
 	Count    int

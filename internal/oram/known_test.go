@@ -115,7 +115,7 @@ func (p pinning) Flush() error {
 
 // TestKnownBucketsDifferential is the data path's end-to-end check: a
 // seeded random mix of every operation against a map model, at every
-// eviction batch, over stores with and without exchanges, with a client-side
+// eviction batch, with a client-side
 // and a caller-held position map (the one path NewPathORAM and NewTagged
 // share, the latter's positions handed in with each Req), with the accesses
 // issued in lockstep with a second tree's (Together), and with reads that pin
@@ -130,213 +130,205 @@ func (p pinning) Flush() error {
 func TestKnownBucketsDifferential(t *testing.T) {
 	const capacity, payload, steps = 64, 16, 800
 	for _, batch := range []int{1, 4, 16} {
-		for _, exchange := range []bool{true, false} {
-			for _, positions := range []string{"recursive=false", "positions=caller", "driver=together", "driver=pin"} {
-				name := fmt.Sprintf("k=%d/exchange=%v/%s", batch, exchange, positions)
-				t.Run(name, func(t *testing.T) {
-					m := storage.NewMeter()
-					cfg := PathConfig{
-						Name: "diff", Capacity: capacity, PayloadSize: payload, Meter: m,
-						Sealer: testSealer(t), Rand: NewSeededSource(uint64(77 + batch)),
-						EvictionBatch: batch,
-						OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
-							st := storage.NewMemStore(name, slots, blockSize, m)
-							if exchange {
-								return st, nil
-							}
-							return batchOnlyStore{st}, nil
-						},
-					}
-					// tree is the PathORAM the trace and telemetry checks read;
-					// o is what the operations go through.
-					var tree *PathORAM
-					var o diffClient
-					if positions == "positions=caller" {
-						h, err := NewTagged(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						tree, o = h, callerHeld{h, map[uint64]uint32{}}
-					} else {
-						p, err := NewPathORAM(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						tree, o = p, p
-					}
-					if positions == "driver=together" {
-						// The partner lives in its own store, so the trace
-						// filtered by store name below is the tree's alone.
-						pcfg := cfg
-						pcfg.Name, pcfg.Rand = "diff.partner", NewSeededSource(5)
-						partner, err := NewPathORAM(pcfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := partner.BulkLoad(nil); err != nil {
-							t.Fatal(err)
-						}
-						o = paired{tree, partner}
-					}
-					if positions == "driver=pin" {
-						o = pinning{tree, new([]uint64)}
-					}
-					if err := tree.BulkLoadAt(nil, nil); err != nil { // the empty tree's upload
+		for _, positions := range []string{"recursive=false", "positions=caller", "driver=together", "driver=pin"} {
+			// Every store exchanges; the legs keep the names they had when
+			// stores without exchanges ran beside them.
+			name := fmt.Sprintf("k=%d/exchange=true/%s", batch, positions)
+			t.Run(name, func(t *testing.T) {
+				m := storage.NewMeter()
+				cfg := PathConfig{
+					Name: "diff", Capacity: capacity, PayloadSize: payload, Meter: m,
+					Sealer: testSealer(t), Rand: NewSeededSource(uint64(77 + batch)),
+					EvictionBatch: batch,
+				}
+				// tree is the PathORAM the trace and telemetry checks read;
+				// o is what the operations go through.
+				var tree *PathORAM
+				var o diffClient
+				if positions == "positions=caller" {
+					h, err := NewTagged(cfg)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if err := o.Flush(); err != nil {
+					tree, o = h, callerHeld{h, map[uint64]uint32{}}
+				} else {
+					p, err := NewPathORAM(cfg)
+					if err != nil {
 						t.Fatal(err)
 					}
-					built := tree.Telemetry().BucketsRead
-					m.Reset()
-					m.SetTracing(true)
+					tree, o = p, p
+				}
+				if positions == "driver=together" {
+					// The partner lives in its own store, so the trace
+					// filtered by store name below is the tree's alone.
+					pcfg := cfg
+					pcfg.Name, pcfg.Rand = "diff.partner", NewSeededSource(5)
+					partner, err := NewPathORAM(pcfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := partner.BulkLoad(nil); err != nil {
+						t.Fatal(err)
+					}
+					o = paired{tree, partner}
+				}
+				if positions == "driver=pin" {
+					o = pinning{tree, new([]uint64)}
+				}
+				if err := tree.BulkLoadAt(nil, nil); err != nil { // the empty tree's upload
+					t.Fatal(err)
+				}
+				if err := o.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				built := tree.Telemetry().BucketsRead
+				m.Reset()
+				m.SetTracing(true)
 
-					// events is the schedule: true a Flush, false an access.
-					var events []bool
-					ref := map[uint64][]byte{}
-					r := mrand.New(mrand.NewSource(int64(batch)))
-					check := func(step int, key uint64, data []byte, err error) {
-						t.Helper()
-						want, ok := ref[key]
-						if !ok {
-							if !errors.Is(err, ErrNotFound) {
-								t.Fatalf("step %d: absent key %d: err = %v, want ErrNotFound", step, key, err)
-							}
-							return
+				// events is the schedule: true a Flush, false an access.
+				var events []bool
+				ref := map[uint64][]byte{}
+				r := mrand.New(mrand.NewSource(int64(batch)))
+				check := func(step int, key uint64, data []byte, err error) {
+					t.Helper()
+					want, ok := ref[key]
+					if !ok {
+						if !errors.Is(err, ErrNotFound) {
+							t.Fatalf("step %d: absent key %d: err = %v, want ErrNotFound", step, key, err)
 						}
-						if err != nil {
-							t.Fatalf("step %d key %d: %v", step, key, err)
-						}
-						if !bytes.Equal(data, want) {
-							t.Fatalf("step %d: key %d = %v, want %v", step, key, data, want)
-						}
+						return
 					}
-					for step := 0; step < steps; step++ {
-						key := uint64(r.Intn(capacity))
-						switch r.Intn(8) {
-						case 0, 1:
-							val := []byte{byte(step), byte(step >> 8), byte(key)}[:1+r.Intn(3)]
-							if err := o.Write(key, val); err != nil {
-								t.Fatalf("step %d write: %v", step, err)
-							}
-							ref[key] = append(val, make([]byte, payload-len(val))...)
+					if err != nil {
+						t.Fatalf("step %d key %d: %v", step, key, err)
+					}
+					if !bytes.Equal(data, want) {
+						t.Fatalf("step %d: key %d = %v, want %v", step, key, data, want)
+					}
+				}
+				for step := 0; step < steps; step++ {
+					key := uint64(r.Intn(capacity))
+					switch r.Intn(8) {
+					case 0, 1:
+						val := []byte{byte(step), byte(step >> 8), byte(key)}[:1+r.Intn(3)]
+						if err := o.Write(key, val); err != nil {
+							t.Fatalf("step %d write: %v", step, err)
+						}
+						ref[key] = append(val, make([]byte, payload-len(val))...)
+						events = append(events, false)
+					case 2:
+						data, err := o.Update(key, func(p []byte) error { p[0]++; return nil })
+						if ref[key] != nil {
+							ref[key][0]++
+						}
+						check(step, key, data, err)
+						events = append(events, false)
+					case 3:
+						if err := o.DummyAccess(); err != nil {
+							t.Fatalf("step %d dummy: %v", step, err)
+						}
+						events = append(events, false)
+					case 4: // a run of reads of neighbouring keys, misses included
+						for d := uint64(0); d <= key%4; d++ {
+							k := (key + d) % capacity
+							data, err := o.Read(k)
+							check(step, k, data, err)
 							events = append(events, false)
-						case 2:
-							data, err := o.Update(key, func(p []byte) error { p[0]++; return nil })
-							if ref[key] != nil {
-								ref[key][0]++
-							}
-							check(step, key, data, err)
-							events = append(events, false)
-						case 3:
+						}
+					case 5: // a run of dummies
+						for n := 1 + int(key%4); n > 0; n-- {
 							if err := o.DummyAccess(); err != nil {
 								t.Fatalf("step %d dummy: %v", step, err)
 							}
 							events = append(events, false)
-						case 4: // a run of reads of neighbouring keys, misses included
-							for d := uint64(0); d <= key%4; d++ {
-								k := (key + d) % capacity
-								data, err := o.Read(k)
-								check(step, k, data, err)
-								events = append(events, false)
-							}
-						case 5: // a run of dummies
-							for n := 1 + int(key%4); n > 0; n-- {
-								if err := o.DummyAccess(); err != nil {
-									t.Fatalf("step %d dummy: %v", step, err)
-								}
-								events = append(events, false)
-							}
-						case 6:
-							if step%5 != 0 {
-								continue // a flush every step would leave nothing deferred
-							}
-							if err := o.Flush(); err != nil {
-								t.Fatalf("step %d flush: %v", step, err)
-							}
-							events = append(events, true)
-						default:
-							data, err := o.Read(key)
-							check(step, key, data, err)
-							events = append(events, false)
 						}
-						if n := tree.PendingEvictions(); n > batch {
-							t.Fatalf("step %d: %d paths pending, more than k = %d", step, n, batch)
+					case 6:
+						if step%5 != 0 {
+							continue // a flush every step would leave nothing deferred
 						}
-						if step%8 == 0 {
-							assertFreeListDisjoint(t, tree)
+						if err := o.Flush(); err != nil {
+							t.Fatalf("step %d flush: %v", step, err)
 						}
-						if p, ok := o.(pinning); ok {
-							for _, key := range *p.held {
-								if e, in := tree.stash[key]; !in || !e.pinned {
-									t.Fatalf("step %d: pinned key %d left the stash", step, key)
-								}
-							}
-						}
-					}
-					if err := o.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					events = append(events, true)
-					trace := m.Trace()
-					for key, want := range ref {
+						events = append(events, true)
+					default:
 						data, err := o.Read(key)
-						if err != nil || !bytes.Equal(data, want) {
-							t.Fatalf("final read %d = %v, %v; want %v", key, data, err, want)
+						check(step, key, data, err)
+						events = append(events, false)
+					}
+					if n := tree.PendingEvictions(); n > batch {
+						t.Fatalf("step %d: %d paths pending, more than k = %d", step, n, batch)
+					}
+					if step%8 == 0 {
+						assertFreeListDisjoint(t, tree)
+					}
+					if p, ok := o.(pinning); ok {
+						for _, key := range *p.held {
+							if e, in := tree.stash[key]; !in || !e.pinned {
+								t.Fatalf("step %d: pinned key %d left the stash", step, key)
+							}
 						}
 					}
+				}
+				if err := o.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				events = append(events, true)
+				trace := m.Trace()
+				for key, want := range ref {
+					data, err := o.Read(key)
+					if err != nil || !bytes.Equal(data, want) {
+						t.Fatalf("final read %d = %v, %v; want %v", key, data, err, want)
+					}
+				}
 
-					var own []storage.Access
-					for _, a := range trace {
-						if a.Store == tree.cfg.Name {
-							own = append(own, a)
-						}
+				var own []storage.Access
+				for _, a := range trace {
+					if a.Store == tree.cfg.Name {
+						own = append(own, a)
 					}
-					rounds := fetchedLeaves(own, tree)
-					sim := &tracecheck.PathORAMSim{
-						Store: tree.cfg.Name, Bytes: xcrypto.SealedLen(tree.bucketSize),
-						Levels: tree.top + tree.levels, Treetop: tree.top, Batch: batch, Exchange: exchange,
+				}
+				rounds := fetchedLeaves(own, tree)
+				sim := &tracecheck.PathORAMSim{
+					Store: tree.cfg.Name, Bytes: xcrypto.SealedLen(tree.bucketSize),
+					Levels: tree.top + tree.levels, Treetop: tree.top, Batch: batch,
+				}
+				for _, flush := range events {
+					if flush {
+						sim.Flush()
+						continue
 					}
-					for _, flush := range events {
-						if flush {
-							sim.Flush()
-							continue
-						}
-						sim.Access(rounds[0][0])
-						rounds = rounds[1:]
+					sim.Access(rounds[0][0])
+					rounds = rounds[1:]
+				}
+				if len(rounds) != 0 {
+					t.Fatalf("%d download rounds the schedule does not explain", len(rounds))
+				}
+				if d := tracecheck.DiffExact(sim.Trace(), own); d != "" {
+					t.Fatalf("trace is not the simulator's: %s", d)
+				}
+				// A tree alone on its meter also takes its rounds where the
+				// simulator puts them: a write-back in the round of the next
+				// download, or in one of its own at a Flush.
+				if positions != "driver=together" {
+					if d := tracecheck.Diff(sim.Trace(), own); d != "" {
+						t.Fatalf("round boundaries are not the simulator's: %s", d)
 					}
-					if len(rounds) != 0 {
-						t.Fatalf("%d download rounds the schedule does not explain", len(rounds))
+				}
+				var reads int64
+				for _, a := range own {
+					if a.Kind == storage.KindRead {
+						reads++
 					}
-					if d := tracecheck.DiffExact(sim.Trace(), own); d != "" {
-						t.Fatalf("trace is not the simulator's: %s", d)
-					}
-					// A tree alone on its meter also takes its rounds where the
-					// simulator puts them: a write-back in the round of the next
-					// download (before it, over a store without exchanges), or
-					// in one of its own at a Flush.
-					if positions != "driver=together" {
-						if d := tracecheck.Diff(sim.Trace(), own); d != "" {
-							t.Fatalf("round boundaries are not the simulator's: %s", d)
-						}
-					}
-					var reads int64
-					for _, a := range own {
-						if a.Kind == storage.KindRead {
-							reads++
-						}
-					}
-					// The final read-back ran after the trace was taken.
-					ps := tree.Telemetry()
-					if ps.BucketsOpened >= ps.BucketsRead {
-						t.Fatalf("opened %d of %d downloaded buckets; nothing was skipped", ps.BucketsOpened, ps.BucketsRead)
-					}
-					tail := int64(len(ref)) * int64(tree.levels)
-					if got := ps.BucketsRead - built; got != reads+tail {
-						t.Fatalf("BucketsRead = %d, the server served %d", got, reads+tail)
-					}
-				})
-			}
+				}
+				// The final read-back ran after the trace was taken.
+				ps := tree.Telemetry()
+				if ps.BucketsOpened >= ps.BucketsRead {
+					t.Fatalf("opened %d of %d downloaded buckets; nothing was skipped", ps.BucketsOpened, ps.BucketsRead)
+				}
+				tail := int64(len(ref)) * int64(tree.levels)
+				if got := ps.BucketsRead - built; got != reads+tail {
+					t.Fatalf("BucketsRead = %d, the server served %d", got, reads+tail)
+				}
+			})
 		}
 	}
 }
@@ -420,28 +412,37 @@ func TestKnownBucketTamperIsIgnored(t *testing.T) {
 	}
 }
 
-// flakyWriteStore fails every period-th batch write after applying the
-// first half of it: a write-back torn by a transport error.
+// flakyWriteStore fails every period-th exchange that writes after
+// applying the first half of its writes and serving none of its reads: a
+// write-back torn by a transport error.
 type flakyWriteStore struct {
-	batchOnlyStore
+	*storage.MemStore
 	period, calls, failures int
 }
 
-func (w *flakyWriteStore) WriteMany(idxs []int64, d [][]byte) error {
+func (w *flakyWriteStore) ExchangeTo(dst []byte, idxs []int64, d [][]byte, readIdxs []int64) ([]byte, error) {
+	if len(idxs) == 0 {
+		return w.MemStore.ExchangeTo(dst, idxs, d, readIdxs)
+	}
 	if w.calls++; w.calls%w.period != 0 {
-		return w.s.WriteMany(idxs, d)
+		return w.MemStore.ExchangeTo(dst, idxs, d, readIdxs)
 	}
 	w.failures++
 	half := len(idxs) / 2
-	if err := w.s.WriteMany(idxs[:half], d[:half]); err != nil {
-		return err
+	if _, err := w.MemStore.ExchangeTo(nil, idxs[:half], d[:half], nil); err != nil {
+		return nil, err
 	}
-	return fmt.Errorf("injected write failure")
+	return nil, fmt.Errorf("injected write failure")
+}
+
+func (w *flakyWriteStore) WriteMany(idxs []int64, d [][]byte) error {
+	_, err := w.ExchangeTo(nil, idxs, d, nil)
+	return err
 }
 
 // TestClassicWriteBackFailureKeepsBlocks: with EvictionBatch <= 1 — every
-// download carries the previous path's write-back, here as a WriteMany of
-// its own in front of the read — a write-back the store refuses must lose
+// download carries the previous path's write-back, in the same exchange —
+// a write-back the store refuses must lose
 // nothing: the evicted blocks return to the stash, the torn path stays
 // queued until a later write-back has rewritten all of it, and the access
 // that carried it takes its remap back, so a retried operation succeeds and
@@ -455,7 +456,7 @@ func TestClassicWriteBackFailureKeepsBlocks(t *testing.T) {
 				Name: "flaky", Capacity: capacity, PayloadSize: 16,
 				Sealer: testSealer(t), Rand: NewSeededSource(uint64(period)),
 				OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
-					fs = &flakyWriteStore{batchOnlyStore: batchOnlyStore{storage.NewMemStore(name, slots, blockSize, nil)}, period: period}
+					fs = &flakyWriteStore{MemStore: storage.NewMemStore(name, slots, blockSize, nil), period: period}
 					return fs, nil
 				},
 			})

@@ -43,7 +43,8 @@ type PathConfig struct {
 	// OpenStore provisions the server-side bucket store. Nil means an
 	// in-process MemStore reporting to Meter; a remote deployment passes a
 	// transport-backed opener (e.g. remote.Client.Opener) so the tree lives
-	// on a networked block server.
+	// on a networked block server. A store it returns with no exchange form
+	// (storage.ExchangeStore) is refused at construction.
 	OpenStore storage.Opener
 	// EvictionBatch is how many fetched paths a write-back unions: once k
 	// paths are queued their write-back rides the next path download,
@@ -84,7 +85,7 @@ type knownBlock struct {
 // to the leaf the position map assigns it.
 type PathORAM struct {
 	cfg        PathConfig
-	store      storage.Store
+	store      storage.ExchangeStore
 	leaves     int64
 	top        int   // treetop: tree levels 0..top-1 never leave the client, their blocks live in the stash
 	skip       int64 // the 2^top - 1 treetop buckets: store index = 0-based heap index - skip
@@ -103,7 +104,7 @@ type PathORAM struct {
 	// nothing but the result copy it hands the caller. Safe because a
 	// PathORAM serves one access at a time and every store consumes batch
 	// payloads and index lists before returning (storage package comment).
-	fetchBuf []byte   // ReadManyTo/ExchangeTo target: one download's sealed buckets
+	fetchBuf []byte   // ExchangeTo target: one download's sealed buckets
 	openBuf  []byte   // OpenTo target, one bucket at a time out of fetchBuf
 	plainBuf []byte   // one plaintext bucket, reused per level
 	sealBuf  []byte   // SealTo target for one write-back's buckets
@@ -239,7 +240,11 @@ func newTree(cfg PathConfig, treetop func(height int) int) (*PathORAM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oram: open store %q: %w", cfg.Name, err)
 	}
-	o.store = st
+	x, ok := st.(storage.ExchangeStore)
+	if !ok {
+		return nil, fmt.Errorf("oram: store %q has no exchange form", cfg.Name)
+	}
+	o.store = x
 	o.pathBuf = make([]int64, levels)
 	o.sched = newScheduler(o, cfg.EvictionBatch)
 	return o, nil
@@ -719,10 +724,10 @@ func (o *PathORAM) bucketScratch() []byte {
 	return bucket
 }
 
-// writeBuckets stores sealed buckets in one round through the best write
-// form the store offers (storage.ExchangeTo with nothing to read).
+// writeBuckets stores sealed buckets in one round: an exchange with nothing
+// to read.
 func (o *PathORAM) writeBuckets(idxs []int64, sealed [][]byte) error {
-	_, err := storage.ExchangeTo(o.store, o.cfg.Meter, nil, idxs, sealed, nil)
+	_, err := storage.ExchangeTo(o.store, nil, idxs, sealed, nil)
 	return err
 }
 

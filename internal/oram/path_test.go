@@ -435,57 +435,6 @@ func TestPathORAMDetectsTampering(t *testing.T) {
 	}
 }
 
-// singleOpStore hides MemStore's batch methods, forcing Path-ORAM onto the
-// per-bucket fallback path a non-batching backend would take.
-type singleOpStore struct{ s *storage.MemStore }
-
-func (w singleOpStore) Read(i int64) ([]byte, error)  { return w.s.Read(i) }
-func (w singleOpStore) Write(i int64, d []byte) error { return w.s.Write(i, d) }
-func (w singleOpStore) Len() int64                    { return w.s.Len() }
-func (w singleOpStore) BlockSize() int                { return w.s.BlockSize() }
-
-func TestPathORAMNonBatchStoreFallback(t *testing.T) {
-	m := storage.NewMeter()
-	o, err := NewPathORAM(PathConfig{
-		Name:        "fallback",
-		Capacity:    32,
-		PayloadSize: 16,
-		Meter:       m,
-		Sealer:      testSealer(t),
-		Rand:        NewSeededSource(8),
-		OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
-			return singleOpStore{storage.NewMemStore(name, slots, blockSize, m)}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 32; i++ {
-		if err := o.Write(i, []byte{byte(i)}); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	before := m.Snapshot()
-	got, err := o.Read(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 7 {
-		t.Fatalf("read = %d", got[0])
-	}
-	// A single-block store has no exchange: the fallback rung simulates two
-	// rounds per access — the write-back the access carries, then its
-	// download — so accounting stays comparable with a batch store that has
-	// none either.
-	d := m.Snapshot().Sub(before)
-	if d.NetworkRounds != 2 {
-		t.Fatalf("fallback rounds %d, want 2", d.NetworkRounds)
-	}
-	if d.BlocksMoved() != int64(o.AccessesPerOp()) {
-		t.Fatalf("fallback moved %d blocks, want %d", d.BlocksMoved(), o.AccessesPerOp())
-	}
-}
-
 func TestViewIsolation(t *testing.T) {
 	base := newTestORAM(t, 32, 16, nil)
 	v1, err := NewView(base, 0, 16)

@@ -15,7 +15,6 @@ import (
 type RawStore struct {
 	store *storage.MemStore
 	size  int
-	meter *storage.Meter
 	rand  LeafSource
 }
 
@@ -33,33 +32,22 @@ func NewRawStore(name string, capacity int64, payloadSize int, meter *storage.Me
 	return &RawStore{
 		store: storage.NewMemStore(name, capacity, payloadSize, meter),
 		size:  payloadSize,
-		meter: meter,
 		rand:  rnd,
 	}, nil
 }
 
-// Read implements ORAM.
+// Read implements ORAM: one block in one round.
 func (r *RawStore) Read(key uint64) ([]byte, error) {
-	data, err := r.store.Read(int64(key))
-	if err != nil {
-		return nil, err
-	}
-	if r.meter != nil {
-		r.meter.CountRound()
-	}
-	return data, nil
+	return r.store.Read(int64(key))
 }
 
-// Write implements ORAM.
+// Write implements ORAM: one block in one round.
 func (r *RawStore) Write(key uint64, payload []byte) error {
 	if len(payload) > r.size {
 		return fmt.Errorf("oram: payload %d exceeds block size %d", len(payload), r.size)
 	}
 	buf := make([]byte, r.size)
 	copy(buf, payload)
-	if r.meter != nil {
-		r.meter.CountRound()
-	}
 	return r.store.Write(int64(key), buf)
 }
 
@@ -104,14 +92,16 @@ func (r *RawStore) ClientBytes() int64 { return 0 }
 // ServerBytes implements ORAM.
 func (r *RawStore) ServerBytes() int64 { return r.store.SizeBytes() }
 
-// BulkLoad stores payloads[i] under key i, mirroring PathORAM.BulkLoad.
+// BulkLoad stores payloads[i] under key i, mirroring PathORAM.BulkLoad, in
+// one batch write.
 func (r *RawStore) BulkLoad(payloads [][]byte) error {
+	idxs := make([]int64, len(payloads))
+	bufs := make([][]byte, len(payloads))
+	flat := make([]byte, len(payloads)*r.size)
 	for i, p := range payloads {
-		buf := make([]byte, r.size)
-		copy(buf, p)
-		if err := r.store.Write(int64(i), buf); err != nil {
-			return err
-		}
+		idxs[i] = int64(i)
+		bufs[i] = flat[i*r.size : (i+1)*r.size]
+		copy(bufs[i], p)
 	}
-	return nil
+	return r.store.WriteMany(idxs, bufs)
 }

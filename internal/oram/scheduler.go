@@ -24,10 +24,9 @@ import (
 // tree's next download alike.
 //
 // A write-back travels alone only when there is no next download to carry
-// it: at Flush/Close (Settle puts those of several trees into one round),
-// and — below this layer — over a store that cannot serve an exchange, where
-// storage.ExchangeTo's fallback rung issues the writes and then the reads as
-// two requests.
+// it: at Flush/Close (Settle puts those of several trees into one round).
+// Every store the tree opens serves an exchange (newTree refuses one that
+// cannot), so a carried write-back never costs a round of its own.
 //
 // Security: every queued eviction path is the path of a completed fetch,
 // and Path-ORAM fetch paths are uniform random and independent of the data

@@ -32,17 +32,21 @@ func newEvictionORAM(t testing.TB, capacity int64, payload int, meter *storage.M
 	return o
 }
 
-// batchOnlyStore hides MemStore's Exchange method, leaving a plain
-// BatchStore: a write-back that rides a fetch then goes out as a WriteMany
-// round of its own in front of it (storage.ExchangeTo's fallback rung).
-type batchOnlyStore struct{ s *storage.MemStore }
+// twoRoundStore serves an exchange that both writes and reads the way the
+// textbook protocol sends it, as two requests: the writes in a round of
+// their own, then the reads. The store sees the same bucket reads and
+// writes in the same order as a MemStore does; only round boundaries move.
+type twoRoundStore struct{ *storage.MemStore }
 
-func (w batchOnlyStore) Read(i int64) ([]byte, error)             { return w.s.Read(i) }
-func (w batchOnlyStore) Write(i int64, d []byte) error            { return w.s.Write(i, d) }
-func (w batchOnlyStore) Len() int64                               { return w.s.Len() }
-func (w batchOnlyStore) BlockSize() int                           { return w.s.BlockSize() }
-func (w batchOnlyStore) ReadMany(idxs []int64) ([][]byte, error)  { return w.s.ReadMany(idxs) }
-func (w batchOnlyStore) WriteMany(idxs []int64, d [][]byte) error { return w.s.WriteMany(idxs, d) }
+func (s twoRoundStore) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
+	if len(writeIdxs) > 0 && len(readIdxs) > 0 {
+		if _, err := s.MemStore.ExchangeTo(nil, writeIdxs, writeData, nil); err != nil {
+			return nil, err
+		}
+		writeIdxs, writeData = nil, nil
+	}
+	return s.MemStore.ExchangeTo(dst, writeIdxs, writeData, readIdxs)
+}
 
 // TestSchedulerMatchesReference drives randomized workloads through every
 // eviction-batch setting and checks the ORAM against a plain map: deferring
@@ -143,9 +147,9 @@ func TestSchedulerMatchesReference(t *testing.T) {
 }
 
 // TestSchedulerDeferredRounds pins the amortized round count on a store
-// without exchange support: each access costs its one download round, and
-// every k-th download carries a write-back that storage.ExchangeTo's
-// fallback rung has to send as a request of its own — 1 + 1/k.
+// that serves a carried write-back as a request of its own (twoRoundStore):
+// each access costs its one download round, and every k-th download carries
+// a write-back that costs one more — 1 + 1/k.
 func TestSchedulerDeferredRounds(t *testing.T) {
 	const k, n, capacity = 4, 40, 64
 	m := storage.NewMeter()
@@ -158,7 +162,7 @@ func TestSchedulerDeferredRounds(t *testing.T) {
 		Rand:          NewSeededSource(5),
 		EvictionBatch: k,
 		OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
-			return batchOnlyStore{storage.NewMemStore(name, slots, blockSize, m)}, nil
+			return twoRoundStore{storage.NewMemStore(name, slots, blockSize, m)}, nil
 		},
 	})
 	if err != nil {
@@ -199,8 +203,8 @@ func TestSchedulerDeferredRounds(t *testing.T) {
 	}
 }
 
-// TestSchedulerExchangeRounds pins the round count when the store supports
-// exchanges: every write-back rides the next access's path download, so n
+// TestSchedulerExchangeRounds pins the round count when the store serves
+// an exchange in one round: every write-back rides the next access's path download, so n
 // accesses cost exactly n rounds, at k = 1 as at k = 4.
 func TestSchedulerExchangeRounds(t *testing.T) {
 	const n, capacity = 40, 64
@@ -328,22 +332,6 @@ func (w *faultableStore) Exchange(widxs []int64, wdata [][]byte, ridxs []int64) 
 	return w.s.Exchange(widxs, wdata, ridxs)
 }
 
-// exchangelessFaultableStore forwards to a faultableStore through a named
-// field (not embedding, which would promote Exchange into the method set),
-// so due flushes go through standalone WriteMany rounds.
-type exchangelessFaultableStore struct{ fs *faultableStore }
-
-func (w exchangelessFaultableStore) Read(i int64) ([]byte, error)  { return w.fs.Read(i) }
-func (w exchangelessFaultableStore) Write(i int64, d []byte) error { return w.fs.Write(i, d) }
-func (w exchangelessFaultableStore) Len() int64                    { return w.fs.Len() }
-func (w exchangelessFaultableStore) BlockSize() int                { return w.fs.BlockSize() }
-func (w exchangelessFaultableStore) ReadMany(idxs []int64) ([][]byte, error) {
-	return w.fs.ReadMany(idxs)
-}
-func (w exchangelessFaultableStore) WriteMany(idxs []int64, d [][]byte) error {
-	return w.fs.WriteMany(idxs, d)
-}
-
 // TestSchedulerFlushFailureKeepsState: a failed write-back must not strand
 // blocks. sealNodes stages the evicted blocks out of the stash and a
 // refused store round puts them straight back, pending queue untouched; the
@@ -357,96 +345,87 @@ func (w exchangelessFaultableStore) WriteMany(idxs []int64, d [][]byte) error {
 func TestSchedulerFlushFailureKeepsState(t *testing.T) {
 	const capacity = 64
 	for _, k := range []int{1, 4} {
-		for _, tc := range []struct {
-			name string
-			open func(fs *faultableStore) storage.Store
-		}{
-			// Fallback rung: the riding write-back goes out as a WriteMany, which fails.
-			{"write-many", func(fs *faultableStore) storage.Store { return exchangelessFaultableStore{fs} }},
-			// Exchange: the write-back and the download are one request, which fails.
-			{"exchange", func(fs *faultableStore) storage.Store { return fs }},
-		} {
-			name := tc.name // the k = 4 legs keep the names they had before k = 1 joined
-			if k != 4 {
-				name = fmt.Sprintf("k=%d/%s", k, tc.name)
-			}
-			t.Run(name, func(t *testing.T) {
-				var fs *faultableStore
-				o, err := NewPathORAM(PathConfig{
-					Name:          "fault",
-					Capacity:      capacity,
-					PayloadSize:   16,
-					Sealer:        testSealer(t),
-					Rand:          NewSeededSource(23),
-					EvictionBatch: k,
-					OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
-						fs = &faultableStore{s: storage.NewMemStore(name, slots, blockSize, nil)}
-						return tc.open(fs), nil
-					},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := uint64(0); i < capacity; i++ {
-					if err := o.Write(i, []byte{byte(i)}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := o.Flush(); err != nil {
-					t.Fatal(err)
-				}
-
-				// Queue k-1 evictions cleanly, then drive reads into the outage
-				// until a download that carries a write-back surfaces the store
-				// error.
-				for i := uint64(0); i < uint64(k-1); i++ {
-					if _, err := o.Read(i); err != nil {
-						t.Fatal(err)
-					}
-				}
-				fs.fail = true
-				freeBefore := len(o.free)
-				failures := 0
-				for i := uint64(0); i < uint64(2*k+2); i++ {
-					if _, err := o.Read(capacity - 1 - i); err != nil {
-						failures++
-					}
-				}
-				if failures == 0 {
-					t.Fatal("no write-back reached the failing store")
-				}
-				if o.PendingEvictions() == 0 {
-					t.Fatal("failed write-back cleared the pending queue")
-				}
-				// Nothing was committed during the outage, so nothing may have
-				// been recycled: the sealed-but-unstored blocks' buffers are
-				// still the stash's.
-				if len(o.free) > freeBefore {
-					t.Fatalf("failed write-back recycled %d stash buffers", len(o.free)-freeBefore)
-				}
-				assertFreeListDisjoint(t, o)
-
-				// The outage ends: every block must still be readable (stash
-				// copies were never dropped, no remap was stranded) and a
-				// retried flush settles.
-				fs.fail = false
-				for i := uint64(0); i < capacity; i++ {
-					got, err := o.Read(i)
-					if err != nil {
-						t.Fatalf("read %d after failed write-back: %v", i, err)
-					}
-					if got[0] != byte(i) {
-						t.Fatalf("read %d = %d after failed write-back", i, got[0])
-					}
-				}
-				if err := o.Flush(); err != nil {
-					t.Fatalf("retried flush: %v", err)
-				}
-				if o.PendingEvictions() != 0 {
-					t.Fatalf("pending after retried flush: %d", o.PendingEvictions())
-				}
-			})
+		// The write-back and the download are one exchange, which fails.
+		name := "exchange" // the k = 4 leg keeps the name it had before k = 1 joined
+		if k != 4 {
+			name = fmt.Sprintf("k=%d/exchange", k)
 		}
+		t.Run(name, func(t *testing.T) {
+			var fs *faultableStore
+			o, err := NewPathORAM(PathConfig{
+				Name:          "fault",
+				Capacity:      capacity,
+				PayloadSize:   16,
+				Sealer:        testSealer(t),
+				Rand:          NewSeededSource(23),
+				EvictionBatch: k,
+				OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
+					fs = &faultableStore{s: storage.NewMemStore(name, slots, blockSize, nil)}
+					return fs, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < capacity; i++ {
+				if err := o.Write(i, []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := o.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Queue k-1 evictions cleanly, then drive reads into the outage
+			// until a download that carries a write-back surfaces the store
+			// error.
+			for i := uint64(0); i < uint64(k-1); i++ {
+				if _, err := o.Read(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fs.fail = true
+			freeBefore := len(o.free)
+			failures := 0
+			for i := uint64(0); i < uint64(2*k+2); i++ {
+				if _, err := o.Read(capacity - 1 - i); err != nil {
+					failures++
+				}
+			}
+			if failures == 0 {
+				t.Fatal("no write-back reached the failing store")
+			}
+			if o.PendingEvictions() == 0 {
+				t.Fatal("failed write-back cleared the pending queue")
+			}
+			// Nothing was committed during the outage, so nothing may have
+			// been recycled: the sealed-but-unstored blocks' buffers are
+			// still the stash's.
+			if len(o.free) > freeBefore {
+				t.Fatalf("failed write-back recycled %d stash buffers", len(o.free)-freeBefore)
+			}
+			assertFreeListDisjoint(t, o)
+
+			// The outage ends: every block must still be readable (stash
+			// copies were never dropped, no remap was stranded) and a
+			// retried flush settles.
+			fs.fail = false
+			for i := uint64(0); i < capacity; i++ {
+				got, err := o.Read(i)
+				if err != nil {
+					t.Fatalf("read %d after failed write-back: %v", i, err)
+				}
+				if got[0] != byte(i) {
+					t.Fatalf("read %d = %d after failed write-back", i, got[0])
+				}
+			}
+			if err := o.Flush(); err != nil {
+				t.Fatalf("retried flush: %v", err)
+			}
+			if o.PendingEvictions() != 0 {
+				t.Fatalf("pending after retried flush: %d", o.PendingEvictions())
+			}
+		})
 	}
 }
 
@@ -462,10 +441,6 @@ func (d *downStore) ExchangeTo(dst []byte, wi []int64, wd [][]byte, ri []int64) 
 		return nil, fmt.Errorf("injected outage")
 	}
 	return d.MemStore.ExchangeTo(dst, wi, wd, ri)
-}
-
-func (d *downStore) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
-	return d.ExchangeTo(dst, nil, nil, idxs)
 }
 
 func (d *downStore) WriteMany(idxs []int64, data [][]byte) error {
@@ -603,9 +578,9 @@ func TestCloseSettlesPendingEvictions(t *testing.T) {
 }
 
 // TestRideAlongMatchesTwoRoundProtocol is the parent-equivalence check of
-// "every download carries the previous write-back": over a store that hides
-// its exchange forms the scheduler's ExchangeTo falls to the fallback rung —
-// the write-back in a round, then the download in a round — which at k = 1
+// "every download carries the previous write-back": over a store that
+// serves a carried write-back as a request of its own (twoRoundStore) — the
+// write-back in a round, then the download in a round — which at k = 1
 // is the textbook protocol request for request: read a path, write it back,
 // 2n rounds for n accesses. Over the exchange store the same tree under the
 // same leaf randomness shows the store exactly the same sequence of bucket
@@ -624,7 +599,7 @@ func TestRideAlongMatchesTwoRoundProtocol(t *testing.T) {
 				if exchange {
 					return st, nil
 				}
-				return batchOnlyStore{st}, nil
+				return twoRoundStore{st}, nil
 			},
 		})
 		if err != nil {
@@ -672,7 +647,7 @@ func TestRideAlongMatchesTwoRoundProtocol(t *testing.T) {
 			t.Fatalf("k=%d: %d accesses over an exchange store took %d rounds, want %d", k, n, ridingRounds, want)
 		}
 		if want := int64(n + (n-1)/k + 1); apartRounds != want {
-			t.Fatalf("k=%d: %d accesses over a store without exchanges took %d rounds, want %d", k, n, apartRounds, want)
+			t.Fatalf("k=%d: %d accesses over a two-round store took %d rounds, want %d", k, n, apartRounds, want)
 		}
 		// The reads of a round and the writes it carries keep their order:
 		// writes first, so the download sees what was just written.

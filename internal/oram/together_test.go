@@ -94,7 +94,7 @@ func runTogetherSchedule(t *testing.T, batch int, exchange, together bool, ops [
 				if exchange {
 					return st, nil
 				}
-				return batchOnlyStore{st}, nil
+				return twoRoundStore{st}, nil
 			},
 		})
 		if err != nil {
@@ -157,8 +157,8 @@ func runTogetherSchedule(t *testing.T, batch int, exchange, together bool, ops [
 // rounds. A step is one round — both trees' downloads, each carrying its
 // tree's queued write-back — so n steps and the two closing flushes cost
 // n + 2 rounds at every eviction batch, against 2n + 2 one at a time (4n
-// over stores without exchanges, where every carried write-back is a
-// request of its own).
+// at k = 1 over stores that send every carried write-back as a request of
+// its own, twoRoundStore: the exchange=false legs).
 func TestTogetherMatchesAlone(t *testing.T) {
 	r := mrand.New(mrand.NewSource(9))
 	ops := make([]togetherOp, 300)
@@ -249,17 +249,6 @@ func (f *failOnce) ExchangeTo(dst []byte, wi []int64, wd [][]byte, ri []int64) (
 	}
 	return f.MemStore.ExchangeTo(dst, wi, wd, ri)
 }
-
-func (f *failOnce) Exchange(wi []int64, wd [][]byte, ri []int64) ([][]byte, error) {
-	flat, err := f.ExchangeTo(nil, wi, wd, ri)
-	return storage.Carve(flat, f.BlockSize()), err
-}
-
-func (f *failOnce) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
-	return f.ExchangeTo(dst, nil, nil, idxs)
-}
-
-func (f *failOnce) ReadMany(idxs []int64) ([][]byte, error) { return f.Exchange(nil, nil, idxs) }
 
 func (f *failOnce) WriteMany(idxs []int64, d [][]byte) error {
 	_, err := f.ExchangeTo(nil, idxs, d, nil)
@@ -585,7 +574,7 @@ func TestTogetherTwoPathsOneTree(t *testing.T) {
 			// Replay the rounds from the leaves their downloads name.
 			levels, top := o.Levels(), o.Telemetry().TreetopLevels
 			leafBase := int64(1)<<(top+levels-1) - int64(1)<<top
-			sim := &tracecheck.PathORAMSim{Store: shared[0].Store, Bytes: shared[0].Bytes, Levels: top + levels, Treetop: top, Batch: k, Exchange: true}
+			sim := &tracecheck.PathORAMSim{Store: shared[0].Store, Bytes: shared[0].Bytes, Levels: top + levels, Treetop: top, Batch: k}
 			for r := int64(1); r <= rounds; r++ {
 				var leaves []uint32
 				for _, a := range shared {

@@ -601,20 +601,15 @@ func (s *RemoteStore) Write(i int64, data []byte) error {
 	return err
 }
 
-// ReadMany implements storage.BatchStore: ReadManyTo into fresh memory,
-// carved.
+// ReadMany implements storage.ExchangeStore: an exchange with nothing to
+// write, into fresh memory, carved.
 func (s *RemoteStore) ReadMany(idxs []int64) ([][]byte, error) {
-	flat, err := s.ReadManyTo(nil, idxs)
+	flat, err := s.ExchangeTo(nil, nil, nil, idxs)
 	return storage.Carve(flat, s.blockSize), err
 }
 
-// ReadManyTo implements storage.AppendStore: an exchange with nothing to
-// write.
-func (s *RemoteStore) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
-	return s.ExchangeTo(dst, nil, nil, idxs)
-}
-
-// WriteMany implements storage.BatchStore: an exchange with nothing to read.
+// WriteMany implements storage.ExchangeStore: an exchange with nothing to
+// read.
 func (s *RemoteStore) WriteMany(idxs []int64, data [][]byte) error {
 	_, err := s.ExchangeTo(nil, idxs, data, nil)
 	return err

@@ -371,8 +371,8 @@ func TestShortReplyBlockIsMalformed(t *testing.T) {
 	if blk, err := a.Read(0); !errors.Is(err, ErrMalformed) {
 		t.Errorf("Read: %d-byte block, %v; want ErrMalformed", len(blk), err)
 	}
-	if _, err := a.ReadManyTo(nil, []int64{0}); !errors.Is(err, ErrMalformed) {
-		t.Errorf("ReadManyTo: %v, want ErrMalformed", err)
+	if _, err := a.ReadMany([]int64{0}); !errors.Is(err, ErrMalformed) {
+		t.Errorf("ReadMany: %v, want ErrMalformed", err)
 	}
 	if _, err := a.ExchangeTo(nil, []int64{1}, [][]byte{make([]byte, 32)}, []int64{0}); !errors.Is(err, ErrMalformed) {
 		t.Errorf("ExchangeTo: %v, want ErrMalformed", err)
@@ -427,7 +427,7 @@ func TestRoundFrameRepeatedBucket(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := storage.ExchangeTo(st, nil, nil, []int64{3, 5}, [][]byte{block(1), block(1)}, nil); err != nil {
+				if _, err := storage.ExchangeTo(st, nil, []int64{3, 5}, [][]byte{block(1), block(1)}, nil); err != nil {
 					t.Fatal(err)
 				}
 				stores[i] = st
@@ -448,7 +448,7 @@ func TestRoundFrameRepeatedBucket(t *testing.T) {
 			if want := slices.Concat(block(1), block(1)); !bytes.Equal(ops[1].Out, want) {
 				t.Fatalf("the twice-read bucket read back %v, want it twice", ops[1].Out)
 			}
-			got, err := storage.ExchangeTo(stores[0], nil, nil, nil, nil, []int64{3})
+			got, err := storage.ExchangeTo(stores[0], nil, nil, nil, []int64{3})
 			if err != nil || !bytes.Equal(got, block(4)) {
 				t.Fatalf("afterwards the bucket holds %v (%v), want the last write", got, err)
 			}

@@ -238,14 +238,19 @@ func (s *Server) BrokerStats() session.BrokerStats { return s.broker.Stats() }
 
 // Register hosts an existing store under the given name. The store is
 // placed under the access broker, so traffic against it is serialized
-// round-by-round with every other connection's.
+// round-by-round with every other connection's. A store with no exchange
+// form is refused.
 func (s *Server) Register(name string, st storage.Store) error {
+	x, err := exchangeForm(st)
+	if err != nil {
+		return fmt.Errorf("remote: register %q: %w", name, err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.stores[name]; ok {
 		return fmt.Errorf("remote: store %q already registered", name)
 	}
-	s.stores[name] = s.broker.Wrap(name, st)
+	s.stores[name] = s.broker.Wrap(name, x)
 	s.counts[name] = &counterSet{}
 	return nil
 }
@@ -677,10 +682,12 @@ func (s *Server) handleCreate(req *Request, name string) *Response {
 	s.createdBy += need
 	// The server-side store carries no meter: accounting is the client's
 	// concern, the server only counts requests.
-	var st storage.Store
+	var st storage.ExchangeStore
 	if open := s.opts.OpenStore; open != nil {
-		var err error
-		st, err = open(name, req.Slots, int(req.BlockSize))
+		opened, err := open(name, req.Slots, int(req.BlockSize))
+		if err == nil {
+			st, err = exchangeForm(opened)
+		}
 		if err != nil {
 			s.createdBy -= need
 			return &Response{Status: StatusError, Msg: fmt.Sprintf("remote: create %q: %v", req.Store, err)}
@@ -694,6 +701,15 @@ func (s *Server) handleCreate(req *Request, name string) *Response {
 	s.counts[name] = c
 	s.requests.Add(1)
 	return &Response{Slots: req.Slots, BlockSize: req.BlockSize}
+}
+
+// exchangeForm returns st as an ExchangeStore, or refuses it: every share
+// the server serves is an exchange.
+func exchangeForm(st storage.Store) (storage.ExchangeStore, error) {
+	if x, ok := st.(storage.ExchangeStore); ok {
+		return x, nil
+	}
+	return nil, fmt.Errorf("a %T store has no exchange form", st)
 }
 
 // Close gracefully shuts the server down in three phases. First it stops

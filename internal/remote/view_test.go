@@ -224,7 +224,7 @@ func TestAppendReadRejectsMissizedBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := st.ReadManyTo(nil, []int64{0, 1}); err == nil || got != nil {
+	if got, err := st.ExchangeTo(nil, nil, nil, []int64{0, 1}); err == nil || got != nil {
 		t.Fatalf("mis-sized batch read accepted: %d bytes, %v", len(got), err)
 	}
 	resp := &Response{Blocks: [][]byte{make([]byte, 31), make([]byte, 33)}}
@@ -234,7 +234,7 @@ func TestAppendReadRejectsMissizedBlocks(t *testing.T) {
 }
 
 // TestLoopbackReadPathAllocs is the allocation guard for the wire: one
-// path's ReadManyTo over loopback TCP, client and server in this process,
+// path's read-only ExchangeTo over loopback TCP, client and server in this process,
 // stays within the framed codec's 7 allocations per round trip, and none of
 // them is block-sized on either side — the path's blocks travel socket →
 // pooled frame → caller's buffer and store → connection scratch → frame.
@@ -249,21 +249,21 @@ func TestLoopbackReadPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := st.ReadManyTo(nil, path) // warm both sides' buffers
+	buf, err := st.ExchangeTo(nil, nil, nil, path) // warm both sides' buffers
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs, perRun := storetest.AllocsAndBytes(300, func() {
-		if buf, err = st.ReadManyTo(buf[:0], path); err != nil {
+		if buf, err = st.ExchangeTo(buf[:0], nil, nil, path); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("loopback ReadManyTo of %d blocks: %v allocs, %d bytes per round trip", len(path), allocs, perRun)
+	t.Logf("loopback read-only ExchangeTo of %d blocks: %v allocs, %d bytes per round trip", len(path), allocs, perRun)
 	if allocs > 7 {
-		t.Errorf("loopback ReadManyTo: %v allocs per round trip, want <= 7", allocs)
+		t.Errorf("loopback read-only ExchangeTo: %v allocs per round trip, want <= 7", allocs)
 	}
 	if perRun >= bs {
-		t.Errorf("loopback ReadManyTo allocates %d bytes per round trip: something block-sized (%d) is still allocated", perRun, bs)
+		t.Errorf("loopback read-only ExchangeTo allocates %d bytes per round trip: something block-sized (%d) is still allocated", perRun, bs)
 	}
 	if len(buf) != len(path)*bs {
 		t.Fatalf("read %d bytes, want %d", len(buf), len(path)*bs)

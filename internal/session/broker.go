@@ -44,7 +44,7 @@ func NewBroker() *Broker {
 // all traffic must go through. Wrapping the same name twice returns the
 // original Guard — the second store is ignored, so concurrent opens of one
 // name cannot split its traffic across two locks.
-func (b *Broker) Wrap(name string, st storage.Store) *Guard {
+func (b *Broker) Wrap(name string, st storage.ExchangeStore) *Guard {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if g, ok := b.guards[name]; ok {
@@ -140,15 +140,14 @@ func (b *Broker) Checkpoint(names []string) error {
 }
 
 // Guard serializes all traffic against one store. It implements the full
-// AppendExchangeStore surface regardless of the wrapped store's
-// capabilities, every block method through one locked exchange: whatever
-// form the wrapped store lacks, storage.ExchangeTo emulates *inside* the
-// critical section, which keeps even an emulated round atomic. Error
-// semantics pass through unchanged (out-of-range errors still match
-// storage.ErrOutOfRange via errors.Is).
+// AppendExchangeStore surface whether or not the wrapped store has the
+// append form, every block method through one locked exchange
+// (storage.ExchangeTo inside the critical section). Error semantics pass
+// through unchanged (out-of-range errors still match storage.ErrOutOfRange
+// via errors.Is).
 type Guard struct {
 	name string
-	st   storage.Store
+	st   storage.ExchangeStore
 	mu   sync.Mutex
 
 	rounds, contended, waitNS atomic.Int64
@@ -159,7 +158,7 @@ func (g *Guard) Name() string { return g.name }
 
 // Unwrap returns the guarded store. Callers must not perform traffic on
 // it directly — the accessor exists for capability checks and tests.
-func (g *Guard) Unwrap() storage.Store { return g.st }
+func (g *Guard) Unwrap() storage.ExchangeStore { return g.st }
 
 // Timing receives the cost decomposition of a round performed through
 // ExchangeToTimed: how long the round queued behind other sessions'
@@ -217,20 +216,14 @@ func (g *Guard) Write(i int64, data []byte) error {
 	return err
 }
 
-// ReadMany implements storage.BatchStore: an exchange with nothing to
+// ReadMany implements storage.ExchangeStore: an exchange with nothing to
 // write, into fresh memory, carved.
 func (g *Guard) ReadMany(idxs []int64) ([][]byte, error) {
 	flat, err := g.exchange(nil, nil, nil, nil, idxs)
 	return storage.Carve(flat, g.BlockSize()), err
 }
 
-// ReadManyTo implements storage.AppendStore: an exchange with nothing to
-// write.
-func (g *Guard) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
-	return g.exchange(nil, dst, nil, nil, idxs)
-}
-
-// WriteMany implements storage.BatchStore: an exchange with nothing to
+// WriteMany implements storage.ExchangeStore: an exchange with nothing to
 // read, applying positions in slice order so duplicate indices stay
 // last-writer-wins.
 func (g *Guard) WriteMany(idxs []int64, data [][]byte) error {
@@ -268,10 +261,10 @@ func (g *Guard) exchange(t *Timing, dst []byte, writeIdxs []int64, writeData [][
 	g.lock(t)
 	defer g.mu.Unlock()
 	if t == nil {
-		return storage.ExchangeTo(g.st, nil, dst, writeIdxs, writeData, readIdxs)
+		return storage.ExchangeTo(g.st, dst, writeIdxs, writeData, readIdxs)
 	}
 	start := time.Now()
-	out, err := storage.ExchangeTo(g.st, nil, dst, writeIdxs, writeData, readIdxs)
+	out, err := storage.ExchangeTo(g.st, dst, writeIdxs, writeData, readIdxs)
 	t.StoreIO += time.Since(start)
 	return out, err
 }

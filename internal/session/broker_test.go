@@ -13,9 +13,17 @@ import (
 // against a broker-guarded MemStore: the guard is a transparent store to
 // its single session.
 func TestBrokerGuardContract(t *testing.T) {
-	storetest.TestBatchContract(t, "broker", func(t *testing.T, slots int64, blockSize int) storage.BatchStore {
+	storetest.TestBatchContract(t, "broker", func(t *testing.T, slots int64, blockSize int) storage.ExchangeStore {
 		b := NewBroker()
 		return b.Wrap("conformance", storage.NewMemStore("conformance", slots, blockSize, nil))
+	})
+}
+
+// TestBrokerGuardRoundPerCall: every block method of a guard is one round
+// on the guarded store's meter — the guard adds none and splits none.
+func TestBrokerGuardRoundPerCall(t *testing.T) {
+	storetest.TestRoundPerCall(t, "broker", func(t *testing.T, slots int64, blockSize int, m *storage.Meter) storage.ExchangeStore {
+		return NewBroker().Wrap("rounds", storage.NewMemStore("rounds", slots, blockSize, m))
 	})
 }
 
@@ -26,7 +34,7 @@ func TestBrokerGuardContract(t *testing.T) {
 // session sharing the guard, and no data race may exist in the broker.
 func TestBrokerGuardContractConcurrent(t *testing.T) {
 	const extra = 8 // high slots reserved for the rival session
-	storetest.TestBatchContract(t, "broker-contended", func(t *testing.T, slots int64, blockSize int) storage.BatchStore {
+	storetest.TestBatchContract(t, "broker-contended", func(t *testing.T, slots int64, blockSize int) storage.ExchangeStore {
 		b := NewBroker()
 		g := b.Wrap("contended", storage.NewMemStore("contended", slots+extra, blockSize, nil))
 

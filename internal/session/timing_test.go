@@ -8,21 +8,22 @@ import (
 	"oblivjoin/internal/storage"
 )
 
-// slowStore delays every read so a rival round measurably holds the guard.
+// slowStore delays every exchange so a rival round measurably holds the
+// guard.
 type slowStore struct {
-	storage.Store
+	*storage.MemStore
 	delay time.Duration
 }
 
-func (s *slowStore) Read(i int64) ([]byte, error) {
+func (s *slowStore) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	time.Sleep(s.delay)
-	return s.Store.Read(i)
+	return s.MemStore.ExchangeTo(dst, writeIdxs, writeData, readIdxs)
 }
 
 func TestGuardTimedDecomposesRoundCost(t *testing.T) {
 	b := NewBroker()
 	mem := storage.NewMemStore("t", 8, 16, nil)
-	g := b.Wrap("t", &slowStore{Store: mem, delay: 2 * time.Millisecond})
+	g := b.Wrap("t", &slowStore{MemStore: mem, delay: 2 * time.Millisecond})
 
 	var tm Timing
 	if _, err := g.ExchangeToTimed(&tm, nil, nil, nil, []int64{0}); err != nil {

@@ -127,19 +127,15 @@ func (r *Router) Write(i int64, data []byte) error {
 	return err
 }
 
-// ReadMany implements storage.BatchStore: ReadManyTo into fresh memory,
-// carved.
+// ReadMany implements storage.ExchangeStore: an exchange with nothing to
+// write, into fresh memory, carved.
 func (r *Router) ReadMany(idxs []int64) ([][]byte, error) {
-	flat, err := r.ReadManyTo(nil, idxs)
+	flat, err := r.ExchangeTo(nil, nil, nil, idxs)
 	return storage.Carve(flat, r.blockSize), err
 }
 
-// ReadManyTo implements storage.AppendStore.
-func (r *Router) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
-	return r.ExchangeTo(dst, nil, nil, idxs)
-}
-
-// WriteMany implements storage.BatchStore.
+// WriteMany implements storage.ExchangeStore: an exchange with nothing to
+// read.
 func (r *Router) WriteMany(idxs []int64, data [][]byte) error {
 	_, err := r.ExchangeTo(nil, idxs, data, nil)
 	return err

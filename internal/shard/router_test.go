@@ -73,15 +73,31 @@ func TestRouterBatchContractMem(t *testing.T) {
 		open := pool.Opener()
 		k := 0
 		storetest.TestBatchContract(t, fmt.Sprintf("router-%dshard", n),
-			func(t *testing.T, slots int64, blockSize int) storage.BatchStore {
+			func(t *testing.T, slots int64, blockSize int) storage.ExchangeStore {
 				k++
 				st, err := open(fmt.Sprintf("contract%d", k), slots, blockSize)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return st.(storage.BatchStore)
+				return st.(storage.ExchangeStore)
 			})
 	}
+}
+
+// TestRouterRoundPerCall: every block method of a router over two shards
+// is one round on its logical meter, however many shards the call touches.
+func TestRouterRoundPerCall(t *testing.T) {
+	storetest.TestRoundPerCall(t, "router-2shard", func(t *testing.T, slots int64, blockSize int, m *storage.Meter) storage.ExchangeStore {
+		pool, err := NewPool(memOpeners(2, nil), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := pool.Opener()("rounds", slots, blockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.(storage.ExchangeStore)
+	})
 }
 
 // TestRouterBatchContractRemote runs the conformance suite against a
@@ -152,13 +168,13 @@ func TestRouterBatchContractRemote(t *testing.T) {
 	open := pool.Opener()
 	k := 0
 	storetest.TestBatchContract(t, "router-remote",
-		func(t *testing.T, slots int64, blockSize int) storage.BatchStore {
+		func(t *testing.T, slots int64, blockSize int) storage.ExchangeStore {
 			k++
 			st, err := open(fmt.Sprintf("contract%d", k), slots, blockSize)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return st.(storage.BatchStore)
+			return st.(storage.ExchangeStore)
 		})
 }
 
@@ -425,7 +441,7 @@ func TestRoutersShareOneRound(t *testing.T) {
 
 // TestRouterGeometryValidation pins constructor checks.
 func TestRouterGeometryValidation(t *testing.T) {
-	mem := func(slots int64, bs int) storage.BatchStore {
+	mem := func(slots int64, bs int) storage.ExchangeStore {
 		return storage.NewMemStore("x", slots, bs, nil)
 	}
 	if _, err := New(RouterConfig{Name: "x", Slots: 8, BlockSize: 16}); err == nil {

@@ -9,29 +9,19 @@ import (
 	"oblivjoin/internal/storage/storetest"
 )
 
-// singleOps exposes only the single-block Store surface.
-type singleOps struct{ storage.Store }
-
-// TestHelperRungsMeterIdentically drives the same rounds through every rung
-// of storage.ReadManyTo / storage.ExchangeTo — native append forms, the
-// slice forms behind a wrapper that hides them, and single-block operations
-// — and requires identical results, counters and traces: a store that hides
-// the faster forms is slower, never different.
+// TestHelperRungsMeterIdentically drives the same rounds through both forms
+// storage.ExchangeTo takes — the native append form, and the slice forms
+// behind a wrapper that hides it — and requires identical results,
+// counters and traces: a store that hides the append form is slower, never
+// different. A store with neither form is refused.
 func TestHelperRungsMeterIdentically(t *testing.T) {
 	const bs = 16
 	rungs := []struct {
 		name string
 		wrap func(*storage.MemStore) storage.Store
-		// A store without the exchange op pays a two-sided exchange as a
-		// write round and a read round: same blocks, same accesses, one
-		// round more (the ORAM scheduler never defers onto such a store).
-		// Single-block operations are recorded before their round is
-		// counted, so that rung's round ordinals are not compared.
-		extraRounds int64
 	}{
-		{"native", func(s *storage.MemStore) storage.Store { return s }, 0},
-		{"slice-forms", func(s *storage.MemStore) storage.Store { return storetest.HideAppend(s) }, 0},
-		{"single-block", func(s *storage.MemStore) storage.Store { return singleOps{s} }, 1},
+		{"native", func(s *storage.MemStore) storage.Store { return s }},
+		{"slice-forms", func(s *storage.MemStore) storage.Store { return storetest.HideAppend(s) }},
 	}
 	var wantOut []byte
 	var wantStats storage.Stats
@@ -49,18 +39,11 @@ func TestHelperRungsMeterIdentically(t *testing.T) {
 			out = got
 		}
 		blk := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, bs) }
-		step(storage.ExchangeTo(st, m, out, []int64{1, 2, 1}, [][]byte{blk(1), blk(2), blk(3)}, nil))
-		step(storage.ReadManyTo(st, m, out, []int64{2, 1, 1}))
-		step(storage.ReadManyTo(st, m, out, nil))
-		step(storage.ExchangeTo(st, m, out, nil, nil, nil))
-		step(storage.ExchangeTo(st, m, out, []int64{5}, [][]byte{blk(5)}, []int64{5, 2}))
+		step(storage.ExchangeTo(st, out, []int64{1, 2, 1}, [][]byte{blk(1), blk(2), blk(3)}, nil))
+		step(storage.ExchangeTo(st, out, nil, nil, []int64{2, 1, 1}))
+		step(storage.ExchangeTo(st, out, nil, nil, nil))
+		step(storage.ExchangeTo(st, out, []int64{5}, [][]byte{blk(5)}, []int64{5, 2}))
 		stats, trace := m.Snapshot(), m.Trace()
-		stats.NetworkRounds -= r.extraRounds
-		if r.extraRounds != 0 && len(trace) == len(wantTrace) {
-			for i := range trace {
-				trace[i].Round = wantTrace[i].Round
-			}
-		}
 		if k == 0 {
 			wantOut, wantStats, wantTrace = out, stats, trace
 			if stats.NetworkRounds != 3 {
@@ -78,6 +61,10 @@ func TestHelperRungsMeterIdentically(t *testing.T) {
 			t.Fatalf("%s: trace differs from native:\n%v\n%v", r.name, trace, wantTrace)
 		}
 	}
+	storeOnly := struct{ storage.Store }{storage.NewMemStore("bare", 8, bs, nil)}
+	if got, err := storage.ExchangeTo(storeOnly, nil, nil, nil, []int64{0}); err == nil || got != nil {
+		t.Fatalf("a store with no exchange form was served: %d bytes, %v", len(got), err)
+	}
 }
 
 // TestHelperRejectsUncarvableResult: a store whose slice form returns a
@@ -86,10 +73,10 @@ func TestHelperRungsMeterIdentically(t *testing.T) {
 func TestHelperRejectsUncarvableResult(t *testing.T) {
 	for _, bad := range [][][]byte{{make([]byte, 15)}, {make([]byte, 16), make([]byte, 16)}} {
 		st := badReads{storage.NewMemStore("bad", 4, 16, nil), bad}
-		if got, err := storage.ReadManyTo(st, nil, nil, []int64{0}); err == nil || got != nil {
-			t.Fatalf("ReadManyTo accepted %d blocks of %d bytes", len(bad), len(bad[0]))
+		if got, err := storage.ExchangeTo(st, nil, nil, nil, []int64{0}); err == nil || got != nil {
+			t.Fatalf("read-only ExchangeTo accepted %d blocks of %d bytes", len(bad), len(bad[0]))
 		}
-		if got, err := storage.ExchangeTo(st, nil, nil, []int64{1}, [][]byte{make([]byte, 16)}, []int64{0}); err == nil || got != nil {
+		if got, err := storage.ExchangeTo(st, nil, []int64{1}, [][]byte{make([]byte, 16)}, []int64{0}); err == nil || got != nil {
 			t.Fatalf("ExchangeTo accepted %d blocks of %d bytes", len(bad), len(bad[0]))
 		}
 	}
@@ -118,16 +105,16 @@ func TestMemStoreAppendFormsAllocs(t *testing.T) {
 	for k := range data {
 		data[k] = make([]byte, bs)
 	}
-	buf, err := s.ReadManyTo(nil, path) // warm
+	buf, err := s.ExchangeTo(nil, nil, nil, path) // warm
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if buf, err = s.ReadManyTo(buf[:0], path); err != nil {
+		if buf, err = s.ExchangeTo(buf[:0], nil, nil, path); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("MemStore.ReadManyTo into a warm buffer: %v allocs, want 0", n)
+		t.Errorf("read-only MemStore.ExchangeTo into a warm buffer: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		if buf, err = s.ExchangeTo(buf[:0], path, data, path); err != nil {

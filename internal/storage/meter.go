@@ -31,9 +31,7 @@ type Access struct {
 	Bytes int
 	// Round is the ordinal of the network round the access travelled in,
 	// counted from 1 since tracing was enabled: accesses that share a value
-	// shared a round trip, whichever stores they touched (DoRound). Accesses
-	// made through single-block operations are recorded before their layer
-	// counts the round (CountRound) and carry the number of rounds before it.
+	// shared a round trip, whichever stores they touched (DoRound).
 	Round int64
 }
 
@@ -123,27 +121,12 @@ func (m *Meter) appendTrace(a Access) {
 	m.trace = append(m.trace, a)
 }
 
-// countRound adds one network round, or joins the open round of BeginRound:
-// whatever is counted between BeginRound and EndRound is one round in all.
-// Caller holds mu.
-func (m *Meter) countRound() {
-	if m.inRound {
-		if m.counted {
-			return
-		}
-		m.counted = true
-	}
-	m.rounds++
-}
-
-// BeginRound opens a round that spans several stores: until EndRound, every
-// CountBatch, CountExchange and CountRound together add one to
-// NetworkRounds, while blocks, bytes and trace entries are recorded exactly
-// as outside a round. The issuer of the round calls it (DoRound), never a
-// store: a store decorated by something that hides its faster forms still
-// counts into the round its caller opened. A round belongs to the goroutine
-// that opened it — concurrent issuers each need their own Meter, which is
-// how every concurrent client in this module is built.
+// BeginRound opens a round that spans several stores: until EndRound, the
+// CountExchange calls together add one to NetworkRounds, while blocks,
+// bytes and trace entries are recorded exactly as outside a round. The
+// issuer of the round calls it (DoRound), never a store. A round belongs to
+// the goroutine that opened it — concurrent issuers each need their own
+// Meter, which is how every concurrent client in this module is built.
 func (m *Meter) BeginRound() {
 	m.mu.Lock()
 	m.inRound, m.counted = true, false
@@ -157,74 +140,23 @@ func (m *Meter) EndRound() {
 	m.mu.Unlock()
 }
 
-func (m *Meter) countRead(store string, idx int64, n int) {
-	m.mu.Lock()
-	m.reads++
-	m.bytesRead += int64(n)
-	if m.tracing {
-		m.appendTrace(Access{Store: store, Kind: KindRead, Index: idx, Bytes: n})
-	}
-	m.mu.Unlock()
-}
-
-func (m *Meter) countWrite(store string, idx int64, n int) {
-	m.mu.Lock()
-	m.writes++
-	m.bytesWrite += int64(n)
-	if m.tracing {
-		m.appendTrace(Access{Store: store, Kind: KindWrite, Index: idx, Bytes: n})
-	}
-	m.mu.Unlock()
-}
-
-// CountRound records one client↔server round trip. Layers that move blocks
-// through single-block Store operations call this once per logical round;
-// BatchStore implementations instead use CountBatch, which accounts the
-// round and its block traffic together.
-func (m *Meter) CountRound() {
-	m.mu.Lock()
-	m.countRound()
-	m.mu.Unlock()
-}
-
-// CountBatch records a batched transfer of the given blocks as one network
-// round (or as part of the issuer's open round, see BeginRound) with
-// len(idxs) accesses of blockBytes each. Transports call
-// this once per batch RPC so NetworkRounds counts real round trips rather
-// than simulated ones; when tracing, every block in the batch is appended
-// to the trace individually so obliviousness checks see the full access
-// sequence. An empty batch records nothing.
-func (m *Meter) CountBatch(store string, kind AccessKind, idxs []int64, blockBytes int) {
-	if len(idxs) == 0 {
-		return
-	}
-	m.mu.Lock()
-	m.countRound()
-	if kind == KindRead {
-		m.reads += int64(len(idxs))
-		m.bytesRead += int64(len(idxs)) * int64(blockBytes)
-	} else {
-		m.writes += int64(len(idxs))
-		m.bytesWrite += int64(len(idxs)) * int64(blockBytes)
-	}
-	if m.tracing {
-		for _, i := range idxs {
-			m.appendTrace(Access{Store: store, Kind: kind, Index: i, Bytes: blockBytes})
-		}
-	}
-	m.mu.Unlock()
-}
-
-// CountExchange records a combined write+read batch (ExchangeStore) as one
-// network round (or as part of the issuer's open round, see BeginRound). The trace records the writes before the reads,
-// matching the order the server applies them. A fully empty exchange
+// CountExchange records one exchange (ExchangeStore) — a combined
+// write+read batch, or a one-sided one — as one network round, or as part
+// of the issuer's open round (BeginRound), with one access per block. It is
+// how every store counts a round: a transport calls it once per exchange it
+// puts on the wire, so NetworkRounds counts real round trips. When tracing,
+// every block is appended to the trace individually, the writes before the
+// reads, matching the order the server applies them. A fully empty exchange
 // records nothing.
 func (m *Meter) CountExchange(store string, writeIdxs, readIdxs []int64, blockBytes int) {
 	if len(writeIdxs) == 0 && len(readIdxs) == 0 {
 		return
 	}
 	m.mu.Lock()
-	m.countRound()
+	if !m.inRound || !m.counted {
+		m.rounds++
+		m.counted = m.inRound
+	}
 	m.writes += int64(len(writeIdxs))
 	m.bytesWrite += int64(len(writeIdxs)) * int64(blockBytes)
 	m.reads += int64(len(readIdxs))

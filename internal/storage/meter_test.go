@@ -85,9 +85,8 @@ func TestTraceLimitUnlimited(t *testing.T) {
 func TestCountBatchEmpty(t *testing.T) {
 	m := NewMeter()
 	m.SetTracing(true)
-	m.CountBatch("s", KindRead, nil, 64)
-	m.CountBatch("s", KindWrite, []int64{}, 64)
 	m.CountExchange("s", nil, nil, 64)
+	m.CountExchange("s", []int64{}, []int64{}, 64)
 	if s := m.Snapshot(); s != (Stats{}) {
 		t.Fatalf("empty batches recorded traffic: %+v", s)
 	}

@@ -17,9 +17,9 @@ type RoundOp struct {
 	Err error
 }
 
-// run issues the share alone through the fallback ladder.
-func (op *RoundOp) run(m *Meter) {
-	op.Out, op.Err = ExchangeTo(op.Store, m, op.Dst, op.WriteIdxs, op.WriteData, op.ReadIdxs)
+// run issues the share alone, as one ExchangeTo call.
+func (op *RoundOp) run() {
+	op.Out, op.Err = ExchangeTo(op.Store, op.Dst, op.WriteIdxs, op.WriteData, op.ReadIdxs)
 }
 
 // Carrier is a transport that takes several stores' shares of a round to
@@ -61,8 +61,8 @@ type Striped interface {
 	// Split returns op's parts — shares on the stores beneath, in an order
 	// that depends on op's indices only — and join, which fills in op's Out
 	// and Err from the settled parts and does op's accounting. A share
-	// refused before anything is sent has no parts. DoRound settles the
-	// parts unmetered: join meters op.
+	// refused before anything is sent has no parts. The stores beneath
+	// meter nothing of op's: join meters op.
 	Split(op *RoundOp) (parts []*RoundOp, join func())
 }
 
@@ -82,7 +82,7 @@ type Striped interface {
 // share is exactly an ExchangeTo call.
 func DoRound(m *Meter, ops ...*RoundOp) {
 	if len(ops) == 1 {
-		ops[0].run(m)
+		ops[0].run()
 		return
 	}
 	if m != nil {
@@ -91,7 +91,7 @@ func DoRound(m *Meter, ops ...*RoundOp) {
 	}
 	for _, op := range ops {
 		if _, ok := op.Store.(Striped); ok {
-			doStriped(m, ops)
+			doStriped(ops)
 			return
 		}
 	}
@@ -103,14 +103,14 @@ func DoRound(m *Meter, ops ...*RoundOp) {
 	}
 	send(ops, frames)
 	for k, op := range ops {
-		settle(m, op, frames[k])
+		settle(op, frames[k])
 	}
 }
 
 // doStriped is DoRound's round that holds a Striped share. Each Striped
 // share is replaced by its parts, which leave with the other shares, and is
 // joined where it stands in the settle order, right after its parts.
-func doStriped(m *Meter, ops []*RoundOp) {
+func doStriped(ops []*RoundOp) {
 	var flat []*RoundOp
 	joins := make([]func(), len(ops))
 	ends := make([]int, len(ops)) // ops[k] leaves as flat[ends[k-1]:ends[k]]
@@ -129,12 +129,12 @@ func doStriped(m *Meter, ops []*RoundOp) {
 	j := 0
 	for k := range ops {
 		if joins[k] == nil {
-			settle(m, flat[j], frames[j])
+			settle(flat[j], frames[j])
 			j++
 			continue
 		}
 		for ; j < ends[k]; j++ {
-			settle(nil, flat[j], frames[j])
+			settle(flat[j], frames[j])
 		}
 		joins[k]()
 	}
@@ -154,11 +154,11 @@ func send(ops []*RoundOp, frames []Frame) {
 }
 
 // settle fills in op's Out and Err: from its frame f, or through ExchangeTo.
-func settle(m *Meter, op *RoundOp, f Frame) {
+func settle(op *RoundOp, f Frame) {
 	if f != nil {
 		f.Settle()
 	} else {
-		op.run(m)
+		op.run()
 	}
 }
 

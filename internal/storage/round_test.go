@@ -109,9 +109,8 @@ func (f *logFrame) Settle() {
 
 // TestDoRoundIsOneRound: shares on distinct stores cost one network round
 // in all, whatever form each store offers — native, decorated down to the
-// slice forms or to single-block operations (counting belongs to the issuer
-// of the round, not to a store capability), carried in one frame, or split
-// into start and finish —
+// slice forms (counting belongs to the issuer of the round, not to a store
+// capability), carried in one frame, or split into start and finish —
 // while blocks, bytes and trace entries are those of the shares issued one
 // after another, stamped with the one round they travelled in.
 func TestDoRoundIsOneRound(t *testing.T) {
@@ -119,11 +118,10 @@ func TestDoRoundIsOneRound(t *testing.T) {
 	blk := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, bs) }
 	var log []string
 	wraps := map[string]func(*storage.MemStore, *storage.Meter) storage.Store{
-		"native":       func(s *storage.MemStore, _ *storage.Meter) storage.Store { return s },
-		"slice-forms":  func(s *storage.MemStore, _ *storage.Meter) storage.Store { return storetest.HideAppend(s) },
-		"single-block": func(s *storage.MemStore, _ *storage.Meter) storage.Store { return singleOps{s} },
-		"striped":      func(s *storage.MemStore, m *storage.Meter) storage.Store { return stripe(s, m, &log) },
-		"carried":      func(s *storage.MemStore, _ *storage.Meter) storage.Store { return carried{s, &logCarrier{&log}} },
+		"native":      func(s *storage.MemStore, _ *storage.Meter) storage.Store { return s },
+		"slice-forms": func(s *storage.MemStore, _ *storage.Meter) storage.Store { return storetest.HideAppend(s) },
+		"striped":     func(s *storage.MemStore, m *storage.Meter) storage.Store { return stripe(s, m, &log) },
+		"carried":     func(s *storage.MemStore, _ *storage.Meter) storage.Store { return carried{s, &logCarrier{&log}} },
 	}
 	for name, wrap := range wraps {
 		t.Run(name, func(t *testing.T) {
@@ -177,7 +175,7 @@ func TestDoRoundIsOneRound(t *testing.T) {
 				t.Fatalf("trace lengths %d vs %d", len(trace), len(apartTrace))
 			}
 			for i := range trace {
-				if trace[i].Round != 1 && name != "single-block" {
+				if trace[i].Round != 1 {
 					t.Fatalf("access %d travelled in round %d of a one-round trace", i, trace[i].Round)
 				}
 				trace[i].Round, apartTrace[i].Round = 0, 0
@@ -234,7 +232,7 @@ func TestDoRoundSharesFailAlone(t *testing.T) {
 		t.Fatalf("%d rounds, want 1", got)
 	}
 	// The round is closed: the next batch is a round of its own.
-	if _, err := good.ReadManyTo(nil, []int64{0}); err != nil {
+	if _, err := good.ReadMany([]int64{0}); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Snapshot().NetworkRounds; got != 2 {

@@ -16,10 +16,10 @@
 //
 // # Buffer ownership on the block path
 //
-// Batch reads come in an append form, ReadManyTo and ExchangeTo, which
-// append the blocks read back to back to a caller-owned dst and return the
-// extended slice; the caller carves it at BlockSize() stride and reuses it
-// for the next round, so a steady-state round allocates nothing. The rules,
+// Batch reads come in an append form, ExchangeTo, which appends the blocks
+// read back to back to a caller-owned dst and returns the extended slice;
+// the caller carves it at BlockSize() stride and reuses it for the next
+// round, so a steady-state round allocates nothing. The rules,
 // which every backend and every caller in this module follow:
 //
 //   - dst belongs to the caller before and after the call. A store never
@@ -33,14 +33,15 @@
 //     Inside PathORAM a stash payload buffer is recycled only after the store
 //     has accepted the round that evicted its block.
 //
-// Every backend has one block implementation, ExchangeTo, and its other
-// batch methods are forms of it: ReadManyTo and WriteMany the one-sided
-// exchanges, ReadMany and Exchange the same rounds into fresh memory carved
-// by Carve. On every backend but MemStore, Read and Write are exchanges of
-// one block too; MemStore's count no round, which oram.RawStore and the
-// ObliDB baseline price on. Callers holding a plain Store go through the
-// package-level ReadManyTo and ExchangeTo, the one place that picks the
-// best form a store offers.
+// Every block method of every backend is one metered exchange: each
+// backend has one block implementation, ExchangeTo, and its other methods
+// are forms of it — Read and Write the exchanges of one block, WriteMany
+// the one with nothing to read, ReadMany and Exchange the one-sided and
+// two-sided rounds into fresh memory carved by Carve. A non-empty call of
+// any of them is one network round on the store's Meter (CountExchange).
+// Callers holding a plain Store go through the package-level ExchangeTo,
+// which takes a store's native ExchangeTo or else its slice forms, and
+// refuses a store with neither.
 package storage
 
 import (
@@ -73,14 +74,21 @@ type Store interface {
 	BlockSize() int
 }
 
-// BatchStore is a Store that can move many blocks per network round trip.
-// The paper argues oblivious join cost in round trips (Section 9.1): a
-// Path-ORAM access touches O(log n) buckets, and a transport that batches
-// the whole path pays one round instead of O(log n). Implementations that
-// report to a Meter must account each batch with one CountBatch or
-// CountExchange call — one round, unless the issuer has opened a round
-// that spans several stores (Meter.BeginRound), which is the issuer's
-// business and never the store's.
+// ExchangeStore is a Store that moves many blocks per network round trip,
+// and can apply a batch of writes and serve a batch of reads in the same
+// round trip — the transport primitive behind every Path-ORAM write-back
+// riding along the next path download (DESIGN.md §2.9). The paper argues
+// oblivious join cost in round trips (Section 9.1): a Path-ORAM access
+// touches O(log n) buckets, and a transport that batches the whole path
+// pays one round instead of O(log n). Implementations that report to a
+// Meter account each non-empty call, Read and Write included, with one
+// CountExchange — one round, unless the issuer has opened a round that
+// spans several stores (Meter.BeginRound), which is the issuer's business
+// and never the store's. An empty batch performs no round.
+//
+// Implementations MUST apply every write before serving any read: the ORAM
+// layer relies on reads observing the freshly written buckets, never stale
+// pre-write copies.
 //
 // Duplicate-index contract: a batch MAY name the same index more than once,
 // and implementations MUST apply the batch in slice order, so the highest
@@ -89,29 +97,18 @@ type Store interface {
 // a persistent backend re-applies whole logged batches verbatim — both
 // backends agreeing on this ordering is what makes replayed state equal
 // live state (see storetest.TestBatchContract, which every backend runs).
-type BatchStore interface {
+type ExchangeStore interface {
 	Store
 	// ReadMany returns the blocks at the given indices, in order, in a single
 	// round trip. The blocks are the caller's: fresh memory no later call
 	// touches (in-tree backends carve them from one allocation, so retaining
-	// one retains the batch). An empty batch performs no round. A repeated
-	// index yields the same block at each of its positions.
+	// one retains the batch). A repeated index yields the same block at each
+	// of its positions.
 	ReadMany(idxs []int64) ([][]byte, error)
 	// WriteMany replaces the block at idxs[i] with data[i] for every i, in a
 	// single round trip, applying positions in increasing i so duplicate
 	// indices resolve last-writer-wins. len(data) must equal len(idxs).
 	WriteMany(idxs []int64, data [][]byte) error
-}
-
-// ExchangeStore is a BatchStore that can apply a batch of writes and serve
-// a batch of reads in the same round trip — the transport primitive behind
-// every Path-ORAM write-back riding along the next path download
-// (DESIGN.md §2.9). Implementations MUST apply every write before
-// serving any read: the ORAM layer relies on reads observing the freshly
-// written buckets, never stale pre-write copies. A fully empty exchange
-// performs no round.
-type ExchangeStore interface {
-	BatchStore
 	// Exchange writes writeData[i] to writeIdxs[i] for every i — in slice
 	// order, so duplicate write indices resolve last-writer-wins exactly as
 	// in WriteMany — then returns the blocks at readIdxs, caller-owned as in
@@ -119,26 +116,16 @@ type ExchangeStore interface {
 	Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error)
 }
 
-// AppendStore is a BatchStore with the append form of the batch read (see
-// the package comment for the ownership rules).
-type AppendStore interface {
-	BatchStore
-	// ReadManyTo appends the blocks at idxs, in order and back to back, to
-	// dst and returns the extended slice — the same single metered round as
-	// ReadMany. An empty batch performs no round and returns dst unchanged;
-	// an out-of-range index rejects the whole batch.
-	ReadManyTo(dst []byte, idxs []int64) ([]byte, error)
-}
-
 // AppendExchangeStore is an ExchangeStore with the append form of the
-// exchange.
+// exchange (see the package comment for the ownership rules).
 type AppendExchangeStore interface {
 	ExchangeStore
-	AppendStore
 	// ExchangeTo applies the writes exactly as Exchange does, then appends
-	// the blocks at readIdxs to dst as ReadManyTo does — one metered round,
-	// accounted identically to Exchange. The whole exchange is validated
-	// before any slot is written.
+	// the blocks at readIdxs, in order and back to back, to dst and returns
+	// the extended slice — one metered round, accounted identically to
+	// Exchange. The whole exchange is validated before any slot is written,
+	// and an out-of-range index rejects all of it. An empty exchange
+	// performs no round and returns dst unchanged.
 	ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error)
 }
 
@@ -155,79 +142,42 @@ func Carve(flat []byte, blockSize int) [][]byte {
 	return out
 }
 
-// ReadManyTo appends the blocks at idxs to dst through the best form st
-// offers: its native ReadManyTo, else ReadMany, else one Read per block.
-// Batch forms meter their own round; single-block operations account none,
-// so the last rung counts the one simulated round on m (nil where nothing
-// is metered, as on a server). Whichever rung runs, the meter and the store
-// see the same round — a store that hides the faster forms is only slower.
-func ReadManyTo(st Store, m *Meter, dst []byte, idxs []int64) ([]byte, error) {
-	if len(idxs) == 0 {
-		return dst, nil
-	}
-	switch b := st.(type) {
-	case AppendStore:
-		return b.ReadManyTo(dst, idxs)
-	case BatchStore:
-		blocks, err := b.ReadMany(idxs)
-		if err != nil {
-			return nil, err
-		}
-		return appendBlocks(dst, blocks, len(idxs), st.BlockSize())
-	}
-	for _, i := range idxs {
-		blk, err := st.Read(i)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, blk...)
-	}
-	if m != nil {
-		m.CountRound()
-	}
-	return dst, nil
-}
-
 // ExchangeTo applies the writes, then appends the blocks at readIdxs to dst,
-// through the best form st offers: its native ExchangeTo, else Exchange,
-// else the writes in their own round (WriteMany, else one Write per block
-// plus a simulated round on m) followed by ReadManyTo. An exchange with
-// nothing to read is a plain batch write and one with nothing to write a
-// plain batch read, on every rung — a one-sided exchange meters exactly as
-// the one-sided batch op, so nothing depends on which ran.
-func ExchangeTo(st Store, m *Meter, dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
+// in one round the store meters itself. A share with nothing to read is a
+// WriteMany on every store: nothing comes back to append. Any other share
+// goes through st's native ExchangeTo, else its slice forms — ReadMany when
+// there is nothing to write, Exchange when there is. A store with neither
+// form is refused.
+func ExchangeTo(st Store, dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if len(writeIdxs) != len(writeData) {
 		return nil, fmt.Errorf("storage: batch write of %d blocks with %d payloads", len(writeIdxs), len(writeData))
 	}
-	if len(writeIdxs) > 0 && len(readIdxs) > 0 {
-		switch x := st.(type) {
-		case AppendExchangeStore:
-			return x.ExchangeTo(dst, writeIdxs, writeData, readIdxs)
-		case ExchangeStore:
-			blocks, err := x.Exchange(writeIdxs, writeData, readIdxs)
-			if err != nil {
+	x, ok := st.(ExchangeStore)
+	if !ok {
+		return nil, fmt.Errorf("storage: a %T store has no exchange form", st)
+	}
+	if len(readIdxs) == 0 {
+		if len(writeIdxs) > 0 {
+			if err := x.WriteMany(writeIdxs, writeData); err != nil {
 				return nil, err
 			}
-			return appendBlocks(dst, blocks, len(readIdxs), st.BlockSize())
 		}
+		return dst, nil
 	}
-	if len(writeIdxs) > 0 {
-		if b, ok := st.(BatchStore); ok {
-			if err := b.WriteMany(writeIdxs, writeData); err != nil {
-				return nil, err
-			}
-		} else {
-			for k, i := range writeIdxs {
-				if err := st.Write(i, writeData[k]); err != nil {
-					return nil, err
-				}
-			}
-			if m != nil {
-				m.CountRound()
-			}
-		}
+	if a, ok := x.(AppendExchangeStore); ok {
+		return a.ExchangeTo(dst, writeIdxs, writeData, readIdxs)
 	}
-	return ReadManyTo(st, m, dst, readIdxs)
+	var blocks [][]byte
+	var err error
+	if len(writeIdxs) == 0 {
+		blocks, err = x.ReadMany(readIdxs)
+	} else {
+		blocks, err = x.Exchange(writeIdxs, writeData, readIdxs)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return appendBlocks(dst, blocks, len(readIdxs), st.BlockSize())
 }
 
 // appendBlocks flattens a slice-form batch result onto dst, refusing a
@@ -294,50 +244,26 @@ func (s *MemStore) Len() int64 {
 // BlockSize implements Store.
 func (s *MemStore) BlockSize() int { return s.blockSize }
 
-// Read implements Store.
+// Read implements Store: an exchange of one read. The returned slice is a
+// copy.
 func (s *MemStore) Read(i int64) ([]byte, error) {
-	if i < 0 || i >= s.n {
-		return nil, fmt.Errorf("%w: read %d of %d (%s)", ErrOutOfRange, i, s.n, s.name)
-	}
-	out := make([]byte, s.blockSize)
-	s.mu.RLock()
-	copy(out, s.data[i*int64(s.blockSize):])
-	s.mu.RUnlock()
-	if s.meter != nil {
-		s.meter.countRead(s.name, i, s.blockSize)
-	}
-	return out, nil
+	return s.ExchangeTo(nil, nil, nil, []int64{i})
 }
 
-// Write implements Store.
+// Write implements Store: an exchange of one write.
 func (s *MemStore) Write(i int64, data []byte) error {
-	if i < 0 || i >= s.n {
-		return fmt.Errorf("%w: write %d of %d (%s)", ErrOutOfRange, i, s.n, s.name)
-	}
-	if len(data) != s.blockSize {
-		return fmt.Errorf("storage: write of %d bytes to %d-byte block (%s)", len(data), s.blockSize, s.name)
-	}
-	s.mu.Lock()
-	copy(s.data[i*int64(s.blockSize):], data)
-	s.mu.Unlock()
-	if s.meter != nil {
-		s.meter.countWrite(s.name, i, len(data))
-	}
-	return nil
+	_, err := s.ExchangeTo(nil, []int64{i}, [][]byte{data}, nil)
+	return err
 }
 
-// ReadMany implements BatchStore: ReadManyTo into fresh memory, carved.
+// ReadMany implements ExchangeStore: an exchange with nothing to write,
+// into fresh memory, carved.
 func (s *MemStore) ReadMany(idxs []int64) ([][]byte, error) {
-	flat, err := s.ReadManyTo(nil, idxs)
+	flat, err := s.ExchangeTo(nil, nil, nil, idxs)
 	return Carve(flat, s.blockSize), err
 }
 
-// ReadManyTo implements AppendStore: an exchange with nothing to write.
-func (s *MemStore) ReadManyTo(dst []byte, idxs []int64) ([]byte, error) {
-	return s.ExchangeTo(dst, nil, nil, idxs)
-}
-
-// WriteMany implements BatchStore: an exchange with nothing to read.
+// WriteMany implements ExchangeStore: an exchange with nothing to read.
 func (s *MemStore) WriteMany(idxs []int64, data [][]byte) error {
 	_, err := s.ExchangeTo(nil, idxs, data, nil)
 	return err
@@ -349,7 +275,7 @@ func (s *MemStore) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []in
 	return Carve(flat, s.blockSize), err
 }
 
-// ExchangeTo implements AppendExchangeStore, and is the one batch
+// ExchangeTo implements AppendExchangeStore, and is the one block
 // implementation of the store: the writes are applied, then the reads
 // served, under a single lock acquisition — the read lock when there is
 // nothing to write — metered as one round.

@@ -78,7 +78,6 @@ func TestMeterCountsAndTrace(t *testing.T) {
 	if _, err := s.Read(2); err != nil {
 		t.Fatal(err)
 	}
-	m.CountRound()
 	st := m.Snapshot()
 	if st.BlockReads != 2 || st.BlockWrites != 1 {
 		t.Fatalf("counts: %+v", st)
@@ -86,7 +85,7 @@ func TestMeterCountsAndTrace(t *testing.T) {
 	if st.BytesRead != 32 || st.BytesWritten != 16 {
 		t.Fatalf("bytes: %+v", st)
 	}
-	if st.NetworkRounds != 1 {
+	if st.NetworkRounds != 3 { // every single-block call is a round of its own
 		t.Fatalf("rounds: %+v", st)
 	}
 	if st.BlocksMoved() != 3 || st.BytesMoved() != 48 {
@@ -94,9 +93,9 @@ func TestMeterCountsAndTrace(t *testing.T) {
 	}
 	tr := m.Trace()
 	want := []Access{
-		{Store: "data", Kind: KindWrite, Index: 1, Bytes: 16},
-		{Store: "data", Kind: KindRead, Index: 1, Bytes: 16},
-		{Store: "data", Kind: KindRead, Index: 2, Bytes: 16},
+		{Store: "data", Kind: KindWrite, Index: 1, Bytes: 16, Round: 1},
+		{Store: "data", Kind: KindRead, Index: 1, Bytes: 16, Round: 2},
+		{Store: "data", Kind: KindRead, Index: 2, Bytes: 16, Round: 3},
 	}
 	if len(tr) != len(want) {
 		t.Fatalf("trace length %d", len(tr))
@@ -184,6 +183,41 @@ func TestMemStoreConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestMemStoreGrowBesideReadWrite: Grow on one goroutine beside
+// single-block reads and writes on another. Read and Write check their index
+// under the store's lock, as every exchange does, so the race detector finds
+// nothing and no call misses a slot that exists.
+func TestMemStoreGrowBesideReadWrite(t *testing.T) {
+	const grows = 200
+	s := NewMemStore("grow", 1, 8, NewMeter())
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < grows; i++ {
+			s.Grow(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		blk := make([]byte, 8)
+		for i := 0; i < grows; i++ {
+			if err := s.Write(0, blk); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := s.Read(0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if n := s.Len(); n != 1+grows {
+		t.Fatalf("store has %d slots after %d grows of one", n, grows)
+	}
+}
+
 func TestMemStoreBatchOps(t *testing.T) {
 	m := NewMeter()
 	s := NewMemStore("b", 16, 8, m)
@@ -210,10 +244,11 @@ func TestMemStoreBatchOps(t *testing.T) {
 	if again[0] != 1 {
 		t.Fatal("ReadMany did not return copies")
 	}
-	// Each batch is one round with len(idxs) block accesses.
+	// Each batch is one round with len(idxs) block accesses, and the
+	// single-block read one round of one access.
 	st := m.Snapshot()
-	if st.NetworkRounds != 2 {
-		t.Fatalf("rounds %d, want 2", st.NetworkRounds)
+	if st.NetworkRounds != 3 {
+		t.Fatalf("rounds %d, want 3", st.NetworkRounds)
 	}
 	if st.BlockReads != 4+1 || st.BlockWrites != 4 {
 		t.Fatalf("counts: %+v", st)
@@ -252,9 +287,9 @@ func TestMemStoreBatchOps(t *testing.T) {
 func TestMeterCountBatchTrace(t *testing.T) {
 	m := NewMeter()
 	m.SetTracing(true)
-	m.CountBatch("tree", KindRead, []int64{5, 2, 8}, 16)
-	m.CountBatch("tree", KindWrite, []int64{5, 2, 8}, 16)
-	m.CountBatch("tree", KindRead, nil, 16) // no-op
+	m.CountExchange("tree", nil, []int64{5, 2, 8}, 16)
+	m.CountExchange("tree", []int64{5, 2, 8}, nil, 16)
+	m.CountExchange("tree", nil, nil, 16) // no-op
 	st := m.Snapshot()
 	if st.NetworkRounds != 2 {
 		t.Fatalf("rounds %d, want 2", st.NetworkRounds)
@@ -295,11 +330,9 @@ func TestMeterConcurrent(t *testing.T) {
 			defer wg.Done()
 			idxs := []int64{int64(g), int64(g + 1)}
 			for i := 0; i < iters; i++ {
-				m.countRead("s", int64(i), 8)
-				m.countWrite("s", int64(i), 8)
-				m.CountBatch("s", KindRead, idxs, 8)
-				m.CountBatch("s", KindWrite, idxs, 8)
-				m.CountRound()
+				m.CountExchange("s", []int64{int64(i)}, []int64{int64(i)}, 8)
+				m.CountExchange("s", nil, idxs, 8)
+				m.CountExchange("s", idxs, nil, 8)
 				_ = m.Snapshot()
 				if i%50 == 0 {
 					_ = m.Trace()
@@ -313,7 +346,7 @@ func TestMeterConcurrent(t *testing.T) {
 	if st.BlockReads != wantOps || st.BlockWrites != wantOps {
 		t.Fatalf("counts: %+v, want %d each", st, wantOps)
 	}
-	if st.NetworkRounds != int64(goroutines*iters*3) { // 2 batches + 1 CountRound
+	if st.NetworkRounds != int64(goroutines*iters*3) { // 3 exchanges per iter
 		t.Fatalf("rounds: %d", st.NetworkRounds)
 	}
 	if len(m.Trace()) != int(wantOps*2) {

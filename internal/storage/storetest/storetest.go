@@ -1,4 +1,4 @@
-// Package storetest holds the conformance suite every storage.BatchStore
+// Package storetest holds the conformance suite every storage.ExchangeStore
 // backend shares. MemStore, the disk-backed store, and the remote client
 // all run the same assertions, so contracts the layers above rely on —
 // last-writer-wins duplicate-index batches, read-after-write exchanges,
@@ -7,11 +7,12 @@
 // WAL replay path in particular re-applies logged batches verbatim and is
 // only correct because live application agrees on this ordering.
 //
-// The append forms (storage.ReadManyTo / storage.ExchangeTo) are checked
-// through the package-level helpers, so a backend with native ReadManyTo /
-// ExchangeTo methods is checked on those and one without (the shard router)
-// on the fallback — both against the same expectations, and both against
-// the slice forms byte for byte.
+// The append form is checked through the package-level storage.ExchangeTo,
+// so a backend is checked on its native ExchangeTo and a decorator that
+// hides it (HideAppend) on its slice forms — both against the same
+// expectations, and both against the slice forms byte for byte. The round
+// contract (TestRoundPerCall) pins that every non-empty block call is one
+// metered round.
 package storetest
 
 import (
@@ -25,14 +26,14 @@ import (
 )
 
 // Factory builds a fresh store for one subtest with the given geometry.
-type Factory func(t *testing.T, slots int64, blockSize int) storage.BatchStore
+type Factory func(t *testing.T, slots int64, blockSize int) storage.ExchangeStore
 
 // block builds a recognizable blockSize-byte payload.
 func block(blockSize int, fill byte) []byte {
 	return bytes.Repeat([]byte{fill}, blockSize)
 }
 
-// TestBatchContract runs the shared BatchStore conformance suite against
+// TestBatchContract runs the shared ExchangeStore conformance suite against
 // one backend.
 func TestBatchContract(t *testing.T, name string, mk Factory) {
 	t.Run(name+"/duplicate-index-last-writer-wins", func(t *testing.T) {
@@ -93,11 +94,7 @@ func testDuplicateIndexWriteMany(t *testing.T, mk Factory) {
 
 func testDuplicateIndexExchange(t *testing.T, mk Factory) {
 	const bs = 32
-	x, ok := mk(t, 8, bs).(storage.ExchangeStore)
-	if !ok {
-		t.Skip("backend does not implement ExchangeStore")
-	}
-	got, err := x.Exchange(
+	got, err := mk(t, 8, bs).Exchange(
 		[]int64{2, 2, 4},
 		[][]byte{block(bs, 0x01), block(bs, 0x02), block(bs, 0x44)},
 		[]int64{2, 4})
@@ -114,12 +111,8 @@ func testDuplicateIndexExchange(t *testing.T, mk Factory) {
 
 func testExchangeReadAfterWrite(t *testing.T, mk Factory) {
 	const bs = 16
-	x, ok := mk(t, 4, bs).(storage.ExchangeStore)
-	if !ok {
-		t.Skip("backend does not implement ExchangeStore")
-	}
 	// Every write must be visible to the same exchange's reads.
-	got, err := x.Exchange([]int64{0, 1}, [][]byte{block(bs, 0x10), block(bs, 0x20)}, []int64{1, 0})
+	got, err := mk(t, 4, bs).Exchange([]int64{0, 1}, [][]byte{block(bs, 0x10), block(bs, 0x20)}, []int64{1, 0})
 	if err != nil {
 		t.Fatalf("Exchange: %v", err)
 	}
@@ -146,12 +139,10 @@ func testOutOfRange(t *testing.T, mk Factory) {
 	_, err = s.ReadMany([]int64{0, 99})
 	check("ReadMany", err)
 	check("WriteMany", s.WriteMany([]int64{0, 99}, [][]byte{block(bs, 1), block(bs, 2)}))
-	if x, ok := s.(storage.ExchangeStore); ok {
-		_, err = x.Exchange([]int64{99}, [][]byte{block(bs, 1)}, nil)
-		check("Exchange write", err)
-		_, err = x.Exchange([]int64{0}, [][]byte{block(bs, 1)}, []int64{99})
-		check("Exchange read", err)
-	}
+	_, err = s.Exchange([]int64{99}, [][]byte{block(bs, 1)}, nil)
+	check("Exchange write", err)
+	_, err = s.Exchange([]int64{0}, [][]byte{block(bs, 1)}, []int64{99})
+	check("Exchange read", err)
 	// A failed batch must not have applied a prefix: every in-tree backend
 	// validates the whole batch before touching any slot, so pin it here.
 	blk, err := s.Read(0)
@@ -171,10 +162,8 @@ func testEmptyBatches(t *testing.T, mk Factory) {
 	if err := s.WriteMany(nil, nil); err != nil {
 		t.Fatalf("empty WriteMany: %v", err)
 	}
-	if x, ok := s.(storage.ExchangeStore); ok {
-		if blks, err := x.Exchange(nil, nil, nil); err != nil || blks != nil {
-			t.Fatalf("empty Exchange: %v, %v", blks, err)
-		}
+	if blks, err := s.Exchange(nil, nil, nil); err != nil || blks != nil {
+		t.Fatalf("empty Exchange: %v, %v", blks, err)
 	}
 }
 
@@ -199,22 +188,22 @@ func testAppendForms(t *testing.T, mk Factory) {
 	}
 	prefix := []byte("already here")
 	dst := append(make([]byte, 0, 4096), prefix...)
-	got, err := storage.ReadManyTo(s, nil, dst, idxs)
+	got, err := storage.ExchangeTo(s, dst, nil, nil, idxs)
 	if err != nil {
-		t.Fatalf("ReadManyTo: %v", err)
+		t.Fatalf("read-only ExchangeTo: %v", err)
 	}
 	if !bytes.Equal(got[:len(prefix)], prefix) {
-		t.Fatalf("ReadManyTo clobbered dst's existing content: %q", got[:len(prefix)])
+		t.Fatalf("read-only ExchangeTo clobbered dst's existing content: %q", got[:len(prefix)])
 	}
 	if !bytes.Equal(got[len(prefix):], flat(want)) {
-		t.Fatal("ReadManyTo differs from ReadMany")
+		t.Fatal("read-only ExchangeTo differs from ReadMany")
 	}
 	if &got[0] != &dst[0] {
-		t.Fatal("ReadManyTo reallocated a dst with room to spare")
+		t.Fatal("read-only ExchangeTo reallocated a dst with room to spare")
 	}
 	// Into nil: fresh memory, same bytes.
-	if got, err = storage.ReadManyTo(s, nil, nil, idxs); err != nil || !bytes.Equal(got, flat(want)) {
-		t.Fatalf("ReadManyTo(nil): %v", err)
+	if got, err = storage.ExchangeTo(s, nil, nil, nil, idxs); err != nil || !bytes.Equal(got, flat(want)) {
+		t.Fatalf("read-only ExchangeTo(nil): %v", err)
 	}
 
 	// ExchangeTo: duplicate write index (last writer wins) and a read of the
@@ -223,7 +212,7 @@ func testAppendForms(t *testing.T, mk Factory) {
 	wIdxs := []int64{2, 2, 4}
 	wData := [][]byte{block(bs, 0x01), block(bs, 0x02), block(bs, 0x44)}
 	rIdxs := []int64{4, 2, 2, 1}
-	got, err = storage.ExchangeTo(s, nil, dst, wIdxs, wData, rIdxs)
+	got, err = storage.ExchangeTo(s, dst, wIdxs, wData, rIdxs)
 	if err != nil {
 		t.Fatalf("ExchangeTo: %v", err)
 	}
@@ -231,20 +220,18 @@ func testAppendForms(t *testing.T, mk Factory) {
 	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], wantX) {
 		t.Fatal("ExchangeTo: reads did not observe the exchange's own writes after dst's content")
 	}
-	if x, ok := s.(storage.ExchangeStore); ok {
-		blocks, err := x.Exchange(wIdxs, wData, rIdxs)
-		if err != nil {
-			t.Fatalf("Exchange: %v", err)
-		}
-		if !bytes.Equal(flat(blocks), wantX) {
-			t.Fatal("ExchangeTo differs from Exchange")
-		}
+	blocks, err := s.Exchange(wIdxs, wData, rIdxs)
+	if err != nil {
+		t.Fatalf("Exchange: %v", err)
+	}
+	if !bytes.Equal(flat(blocks), wantX) {
+		t.Fatal("ExchangeTo differs from Exchange")
 	}
 	// One-sided exchanges are the plain batch ops.
-	if got, err = storage.ExchangeTo(s, nil, nil, []int64{6}, [][]byte{block(bs, 0x66)}, nil); err != nil || len(got) != 0 {
+	if got, err = storage.ExchangeTo(s, nil, []int64{6}, [][]byte{block(bs, 0x66)}, nil); err != nil || len(got) != 0 {
 		t.Fatalf("write-only ExchangeTo: %d bytes, %v", len(got), err)
 	}
-	if got, err = storage.ExchangeTo(s, nil, nil, nil, nil, []int64{6}); err != nil || !bytes.Equal(got, block(bs, 0x66)) {
+	if got, err = storage.ExchangeTo(s, nil, nil, nil, []int64{6}); err != nil || !bytes.Equal(got, block(bs, 0x66)) {
 		t.Fatalf("read-only ExchangeTo: %v", err)
 	}
 }
@@ -264,11 +251,11 @@ func testAppendFormsReject(t *testing.T, mk Factory) {
 			t.Fatalf("%s: returned %d bytes alongside its error", op, len(got))
 		}
 	}
-	got, err := storage.ReadManyTo(s, nil, dst, []int64{0, 99})
-	check("ReadManyTo", got, err)
-	got, err = storage.ExchangeTo(s, nil, dst, []int64{0, 99}, [][]byte{block(bs, 1), block(bs, 2)}, []int64{1})
+	got, err := storage.ExchangeTo(s, dst, nil, nil, []int64{0, 99})
+	check("read-only ExchangeTo", got, err)
+	got, err = storage.ExchangeTo(s, dst, []int64{0, 99}, [][]byte{block(bs, 1), block(bs, 2)}, []int64{1})
 	check("ExchangeTo write", got, err)
-	got, err = storage.ExchangeTo(s, nil, dst, []int64{0}, [][]byte{block(bs, 1)}, []int64{1, 99})
+	got, err = storage.ExchangeTo(s, dst, []int64{0}, [][]byte{block(bs, 1)}, []int64{1, 99})
 	check("ExchangeTo read", got, err)
 	blk, err := s.Read(0)
 	if err != nil {
@@ -284,20 +271,72 @@ func testAppendFormsReject(t *testing.T, mk Factory) {
 func testAppendFormsEmpty(t *testing.T, mk Factory) {
 	s := mk(t, 4, 16)
 	dst := []byte("keep")
-	got, err := storage.ReadManyTo(s, nil, dst, nil)
-	if err != nil || !bytes.Equal(got, dst) {
-		t.Fatalf("empty ReadManyTo: %q, %v", got, err)
-	}
-	got, err = storage.ExchangeTo(s, nil, dst, nil, nil, nil)
+	got, err := storage.ExchangeTo(s, dst, nil, nil, nil)
 	if err != nil || !bytes.Equal(got, dst) {
 		t.Fatalf("empty ExchangeTo: %q, %v", got, err)
 	}
 }
 
-// HideAppend returns st with its ReadManyTo / ExchangeTo methods hidden
-// behind the plain ExchangeStore interface — the shape of any decorator
-// written against the slice forms. Through the storage helpers it must
-// behave and meter exactly as st does, only slower.
+// MeteredFactory builds a fresh store for one subtest that reports its
+// traffic to m.
+type MeteredFactory func(t *testing.T, slots int64, blockSize int, m *storage.Meter) storage.ExchangeStore
+
+// TestRoundPerCall pins the round contract of one backend: a non-empty call
+// of any block method — Read, Write, ReadMany, WriteMany, Exchange and the
+// append form — meters exactly one round, with one access per block, each
+// access stamped with that round's ordinal.
+func TestRoundPerCall(t *testing.T, name string, mk MeteredFactory) {
+	t.Run(name+"/round-per-call", func(t *testing.T) {
+		const bs = 16
+		m := storage.NewMeter()
+		s := mk(t, 8, bs, m)
+		m.SetTracing(true)
+		calls := []struct {
+			op     string
+			blocks int
+			call   func() error
+		}{
+			{"Write", 1, func() error { return s.Write(3, block(bs, 3)) }},
+			{"Read", 1, func() error { _, err := s.Read(3); return err }},
+			{"WriteMany", 3, func() error {
+				return s.WriteMany([]int64{1, 2, 1}, [][]byte{block(bs, 1), block(bs, 2), block(bs, 4)})
+			}},
+			{"ReadMany", 2, func() error { _, err := s.ReadMany([]int64{2, 1}); return err }},
+			{"Exchange", 3, func() error {
+				_, err := s.Exchange([]int64{5}, [][]byte{block(bs, 5)}, []int64{5, 3})
+				return err
+			}},
+			{"ExchangeTo", 2, func() error {
+				_, err := storage.ExchangeTo(s, nil, []int64{6}, [][]byte{block(bs, 6)}, []int64{6})
+				return err
+			}},
+		}
+		for k, c := range calls {
+			before, seen := m.Snapshot(), m.TraceLen()
+			if err := c.call(); err != nil {
+				t.Fatalf("%s: %v", c.op, err)
+			}
+			d := m.Snapshot().Sub(before)
+			if d.NetworkRounds != 1 || d.BlocksMoved() != int64(c.blocks) {
+				t.Fatalf("%s metered %d rounds and %d blocks, want 1 and %d", c.op, d.NetworkRounds, d.BlocksMoved(), c.blocks)
+			}
+			trace := m.Trace()[seen:]
+			if len(trace) != c.blocks {
+				t.Fatalf("%s traced %d accesses, want %d", c.op, len(trace), c.blocks)
+			}
+			for _, a := range trace {
+				if a.Round != int64(k+1) {
+					t.Fatalf("%s: access %+v carries round %d, want %d", c.op, a, a.Round, k+1)
+				}
+			}
+		}
+	})
+}
+
+// HideAppend returns st with its ExchangeTo method hidden behind the plain
+// ExchangeStore interface — the shape of any decorator written against the
+// slice forms. Through storage.ExchangeTo it must behave and meter exactly
+// as st does, only slower.
 func HideAppend(st storage.ExchangeStore) storage.ExchangeStore {
 	return struct{ storage.ExchangeStore }{st}
 }

@@ -320,18 +320,24 @@ func sharesATree(trace []storage.Access, lanes []Lane) bool {
 	return false
 }
 
-// failingReads is a store whose read number failAt, counted over every store
-// sharing the counter, fails.
+// failingReads is a store whose block read number failAt, counted over
+// every store sharing the counter, fails: the exchange that reads it is
+// refused whole.
 type failingReads struct {
-	storage.Store
+	*storage.MemStore
 	reads, failAt *int
 }
 
-func (s failingReads) Read(i int64) ([]byte, error) {
-	if *s.reads++; *s.reads == *s.failAt {
+func (s failingReads) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
+	failed := false
+	for range readIdxs {
+		*s.reads++
+		failed = failed || *s.reads == *s.failAt
+	}
+	if failed {
 		return nil, errors.New("injected read failure")
 	}
-	return s.Store.Read(i)
+	return s.MemStore.ExchangeTo(dst, writeIdxs, writeData, readIdxs)
 }
 
 // TestPipelineAbortReadAhead: a store failure at any read of a join whose

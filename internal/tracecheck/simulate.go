@@ -8,11 +8,11 @@ import (
 )
 
 // PathORAMSim replays the server-visible trace of the staged Path-ORAM data
-// path (oram.PathORAM over a batching store) — bucket indices and round
-// boundaries — from public information alone: the tree geometry (depth and
-// how much of the top the client keeps), the scheduler's eviction batch, and
-// the sequence of fetched leaves — which the server observes directly, since
-// every path download names its buckets.
+// path (oram.PathORAM, over a store that serves each exchange in one round)
+// — bucket indices and round boundaries — from public information alone:
+// the tree geometry (depth and how much of the top the client keeps), the
+// scheduler's eviction batch, and the sequence of fetched leaves — which the
+// server observes directly, since every path download names its buckets.
 // Recovering the leaves from one recorded trace and obtaining any other
 // setting's exact trace back is the simulator argument of DESIGN.md §2.9:
 // unioned, riding write-backs leak nothing beyond the textbook protocol that
@@ -42,11 +42,6 @@ type PathORAMSim struct {
 	// Batch is the eviction batch k, the number of queued paths a write-back
 	// unions; <= 1 means 1, every download carries the previous path.
 	Batch int
-	// Exchange simulates a store with combined write+read rounds: a riding
-	// write-back shares its download's round. Without it the same accesses
-	// take two rounds, the writes' then the reads' (storage.ExchangeTo's
-	// fallback rung).
-	Exchange bool
 
 	pending []uint32
 	round   int64
@@ -67,9 +62,6 @@ func (s *PathORAMSim) Round(leaves ...uint32) {
 		// The queued write-back rides the fetch: writes applied before reads.
 		s.emit(storage.KindWrite, s.writeNodes(s.pending))
 		s.pending = s.pending[:0]
-		if !s.Exchange {
-			s.round++
-		}
 	}
 	for _, leaf := range leaves {
 		s.emit(storage.KindRead, s.pathNodes(leaf))

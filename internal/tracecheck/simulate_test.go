@@ -36,24 +36,12 @@ func simWorkload(capacity int) []simOp {
 	return ops
 }
 
-// noExchange hides a MemStore's combined write+read forms, leaving a store
-// that takes a write-back and a download as two requests.
-type noExchange struct{ s *storage.MemStore }
-
-func (w noExchange) Read(i int64) ([]byte, error)             { return w.s.Read(i) }
-func (w noExchange) Write(i int64, d []byte) error            { return w.s.Write(i, d) }
-func (w noExchange) Len() int64                               { return w.s.Len() }
-func (w noExchange) BlockSize() int                           { return w.s.BlockSize() }
-func (w noExchange) ReadMany(idxs []int64) ([][]byte, error)  { return w.s.ReadMany(idxs) }
-func (w noExchange) WriteMany(idxs []int64, d [][]byte) error { return w.s.WriteMany(idxs, d) }
-
 // simRun drives the workload through a fresh Path-ORAM with the given
-// eviction batch and a fixed randomness seed, over a store with or without
-// exchanges, returning the recorded trace and the tree's public geometry:
+// eviction batch and a fixed randomness seed, returning the recorded trace and the tree's public geometry:
 // its depth and how many of its top levels the client keeps. Identical seeds
 // give identical leaf draws across settings, because the scheduler never
 // consumes randomness — that is the point under test.
-func simRun(t *testing.T, capacity int, batch int, exchange bool, ops []simOp) (trace []storage.Access, levels, treetop int) {
+func simRun(t *testing.T, capacity int, batch int, ops []simOp) (trace []storage.Access, levels, treetop int) {
 	t.Helper()
 	sealer, err := xcrypto.NewSealer(bytes.Repeat([]byte{9}, xcrypto.KeySize), nil)
 	if err != nil {
@@ -68,13 +56,6 @@ func simRun(t *testing.T, capacity int, batch int, exchange bool, ops []simOp) (
 		Sealer:        sealer,
 		Rand:          oram.NewSeededSource(321),
 		EvictionBatch: batch,
-		OpenStore: func(name string, slots int64, blockSize int) (storage.Store, error) {
-			st := storage.NewMemStore(name, slots, blockSize, m)
-			if exchange {
-				return st, nil
-			}
-			return noExchange{st}, nil
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,20 +120,19 @@ func TestBatchedEvictionTraceSimulable(t *testing.T) {
 	const capacity, batch = 64, 4
 	ops := simWorkload(capacity)
 
-	classic, levels, treetop := simRun(t, capacity, 1, true, ops)
-	batched, _, _ := simRun(t, capacity, batch, true, ops)
+	classic, levels, treetop := simRun(t, capacity, 1, ops)
+	batched, _, _ := simRun(t, capacity, batch, ops)
 	if levels != 7 || treetop != 3 { // capacity 64 -> 64 leaves, 7 levels, the top 3 client-side
 		t.Fatalf("tree is %d levels deep with a treetop of %d, want 7 and 3", levels, treetop)
 	}
 	leaves := leavesFromClassicTrace(t, classic, levels, treetop)
 
 	sim := &PathORAMSim{
-		Store:    classic[0].Store,
-		Bytes:    classic[0].Bytes,
-		Levels:   levels,
-		Treetop:  treetop,
-		Batch:    batch,
-		Exchange: true, // MemStore supports combined write+read rounds
+		Store:   classic[0].Store,
+		Bytes:   classic[0].Bytes,
+		Levels:  levels,
+		Treetop: treetop,
+		Batch:   batch,
 	}
 	for _, leaf := range leaves {
 		sim.Access(leaf)
@@ -198,7 +178,7 @@ func TestBatchedEvictionTraceSimulable(t *testing.T) {
 	// paths, a descent's keyed access and the next root read ahead.
 	classic, levels, treetop = inljIndexRun(t, 1)
 	batched, _, _ = inljIndexRun(t, batch)
-	sim = &PathORAMSim{Store: classic[0].Store, Bytes: classic[0].Bytes, Levels: levels, Treetop: treetop, Batch: batch, Exchange: true}
+	sim = &PathORAMSim{Store: classic[0].Store, Bytes: classic[0].Bytes, Levels: levels, Treetop: treetop, Batch: batch}
 	replayRounds(t, sim, classic, levels, treetop)
 	if d := Diff(sim.Trace(), batched); d != "" {
 		t.Fatalf("the batched INLJ index trace is not reproduced from public data: %s", d)
@@ -305,40 +285,29 @@ func replayRounds(t *testing.T, sim *PathORAMSim, trace []storage.Access, levels
 // TestClassicTraceSimulable pins the simulator at Batch = 1, where every
 // download carries the path before it: the store sees the sequence of the
 // textbook protocol that writes each path straight back — read a path, write
-// it, read the next — and what the simulator adds is where the rounds fall.
-// Over an exchange store a write-back shares the round of the download that
-// follows it, n + 1 rounds for n accesses; over a store without exchanges
-// the same accesses take 2n rounds, the textbook's count. One simulator,
-// one leaf sequence, both traces, indices and round ordinals alike.
+// it, read the next — and what the simulator adds is where the rounds fall:
+// a write-back shares the round of the download that follows it, n + 1
+// rounds for n accesses. One simulator, one leaf sequence, indices and
+// round ordinals alike.
 func TestClassicTraceSimulable(t *testing.T) {
 	const capacity = 64
 	ops := simWorkload(capacity)
-	riding, levels, treetop := simRun(t, capacity, 1, true, ops)
-	apart, _, _ := simRun(t, capacity, 1, false, ops)
+	riding, levels, treetop := simRun(t, capacity, 1, ops)
 	leaves := leavesFromClassicTrace(t, riding, levels, treetop)
-	if d := DiffExact(riding, apart); d != "" {
-		t.Fatalf("the store sees a different sequence when write-backs ride: %s", d)
-	}
 	n := int64(len(ops))
-	for _, tc := range []struct {
-		exchange bool
-		trace    []storage.Access
-		rounds   int64
-	}{{true, riding, n + 1}, {false, apart, 2 * n}} {
-		sim := &PathORAMSim{Store: "sim", Bytes: riding[0].Bytes, Levels: levels, Treetop: treetop, Batch: 1, Exchange: tc.exchange}
-		for _, leaf := range leaves {
-			sim.Access(leaf)
-		}
-		sim.Flush()
-		if d := DiffExact(sim.Trace(), tc.trace); d != "" {
-			t.Fatalf("exchange=%v: trace not reproduced: %s", tc.exchange, d)
-		}
-		if d := Diff(sim.Trace(), tc.trace); d != "" {
-			t.Fatalf("exchange=%v: round boundaries not reproduced: %s", tc.exchange, d)
-		}
-		if last := tc.trace[len(tc.trace)-1].Round; last != tc.rounds {
-			t.Fatalf("exchange=%v: %d accesses took %d rounds, want %d", tc.exchange, n, last, tc.rounds)
-		}
+	sim := &PathORAMSim{Store: "sim", Bytes: riding[0].Bytes, Levels: levels, Treetop: treetop, Batch: 1}
+	for _, leaf := range leaves {
+		sim.Access(leaf)
+	}
+	sim.Flush()
+	if d := DiffExact(sim.Trace(), riding); d != "" {
+		t.Fatalf("trace not reproduced: %s", d)
+	}
+	if d := Diff(sim.Trace(), riding); d != "" {
+		t.Fatalf("round boundaries not reproduced: %s", d)
+	}
+	if last := riding[len(riding)-1].Round; last != n+1 {
+		t.Fatalf("%d accesses took %d rounds, want %d", n, last, n+1)
 	}
 
 	// An index nested-loop join's inner index, whose rounds download two
@@ -346,7 +315,7 @@ func TestClassicTraceSimulable(t *testing.T) {
 	// path written back in full, and the rounds are where the replay puts
 	// them.
 	index, levels, treetop := inljIndexRun(t, 1)
-	sim := &PathORAMSim{Store: index[0].Store, Bytes: index[0].Bytes, Levels: levels, Treetop: treetop, Batch: 1, Exchange: true}
+	sim = &PathORAMSim{Store: index[0].Store, Bytes: index[0].Bytes, Levels: levels, Treetop: treetop, Batch: 1}
 	replayRounds(t, sim, index, levels, treetop)
 	if d := Diff(sim.Trace(), index); d != "" {
 		t.Fatalf("the INLJ index trace is not reproduced: %s", d)
