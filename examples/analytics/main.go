@@ -1,7 +1,7 @@
 // Analytics runs a multi-query oblivious analytics session through the
 // cost-based query planner — logical queries with selection pushdown,
 // cost-based operator choice, plan-cache reuse across queries, and a
-// grouping aggregation over the decoded output:
+// grouping aggregation over the decoded output in client memory:
 //
 //	Q1: SELECT s_nationkey, COUNT(*)
 //	    FROM   supplier, customer
@@ -23,12 +23,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"oblivjoin"
-	"oblivjoin/internal/operators"
-	"oblivjoin/internal/storage"
 	"oblivjoin/internal/tpch"
-	"oblivjoin/internal/xcrypto"
 )
 
 func main() {
@@ -71,26 +69,27 @@ func main() {
 	fmt.Printf("-- Q1: %d records (prepare moved %d blocks, %d cache hits)\n\n",
 		len(out1.Tuples), out1.PrepareStats.BlocksMoved(), out1.CacheHits)
 
-	// COUNT(*) GROUP BY nationkey over the decoded join output, using the
-	// oblivious aggregation operator directly.
-	meter := storage.NewMeter()
-	sealer, _, err := xcrypto.NewRandomSealer()
-	if err != nil {
-		log.Fatal(err)
+	// COUNT(*) GROUP BY nationkey: Run has decoded Q1's rows into client
+	// memory, so the client counts the groups there, and the server sees
+	// nothing more.
+	col := out1.Result.Schema.MustCol("supplier.s_nationkey")
+	counts := map[int64]int{}
+	var keys []int64
+	for _, tu := range out1.Tuples {
+		k := tu.Values[col]
+		if counts[k] == 0 {
+			keys = append(keys, k)
+		}
+		counts[k]++
 	}
-	joined := &oblivjoin.Relation{Schema: out1.Result.Schema, Tuples: out1.Result.Tuples}
-	agg, err := operators.GroupAggregate(joined, "supplier.s_nationkey", "", operators.Count,
-		operators.Options{BlockSize: 1024, Meter: meter, Sealer: sealer})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("γ COUNT(*) BY nationkey: %d groups\n", agg.RealCount)
-	for i, tu := range agg.Tuples {
+	slices.Sort(keys)
+	fmt.Printf("γ COUNT(*) BY nationkey: %d groups\n", len(keys))
+	for i, k := range keys {
 		if i >= 5 {
-			fmt.Printf("  ... %d more groups\n", agg.RealCount-5)
+			fmt.Printf("  ... %d more groups\n", len(keys)-5)
 			break
 		}
-		fmt.Printf("  nation %2d: %d supplier-customer pairs\n", tu.Values[0], tu.Values[1])
+		fmt.Printf("  nation %2d: %d supplier-customer pairs\n", k, counts[k])
 	}
 	fmt.Println()
 

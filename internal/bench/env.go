@@ -320,30 +320,30 @@ func (e *Env) tableOpts(m *storage.Meter, mt method, writeBack bool) (table.Opti
 }
 
 // store uploads rels, each indexed on its attrs entry, where mt's layout
-// keeps them: each in ORAMs of its own, all in one shared ORAM (returned),
-// or as plain blocks.
-func (e *Env) store(mt method, m *storage.Meter, rels []*relation.Relation, attrs map[string][]string, writeBack bool) ([]*table.StoredTable, *oram.PathORAM, error) {
+// keeps them: each in ORAMs of its own, all in one shared ORAM, or as plain
+// blocks.
+func (e *Env) store(mt method, m *storage.Meter, rels []*relation.Relation, attrs map[string][]string, writeBack bool) ([]*table.StoredTable, error) {
 	opts, err := e.tableOpts(m, mt, writeBack)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tables := make([]*table.StoredTable, len(rels))
 	if mt.layout == oneORAM {
-		byName, shared, err := table.StoreShared(rels, attrs, opts)
+		byName, err := table.StoreShared(rels, attrs, opts)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for i, r := range rels {
 			tables[i] = byName[r.Schema.Table]
 		}
-		return tables, shared, nil
+		return tables, nil
 	}
 	for i, r := range rels {
 		if tables[i], err = table.Store(r, attrs[r.Schema.Table], opts); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return tables, nil, nil
+	return tables, nil
 }
 
 // query is one join over stored tables: rels with their index attributes,
@@ -372,7 +372,7 @@ func pair(name string, r1, r2 *relation.Relation, a1, a2 string) query {
 func (e *Env) run(mt method, q query) (Measure, error) {
 	meas := Measure{Method: mt.name, Query: q.name}
 	m := storage.NewMeter()
-	tables, shared, err := e.store(mt, m, q.rels, q.attrs, q.writeBack)
+	tables, err := e.store(mt, m, q.rels, q.attrs, q.writeBack)
 	if err != nil {
 		return meas, err
 	}
@@ -393,7 +393,6 @@ func (e *Env) run(mt method, q query) (Measure, error) {
 	if err != nil {
 		return meas, err
 	}
-	copts.OneORAM = shared
 	copts.Span = e.Trace.ChildMeter(mt.name+" "+q.name, m)
 	defer copts.Span.End()
 	res, err := q.ours(tables, copts)
@@ -517,7 +516,7 @@ func (e *Env) runObliDB(name string, rels []*relation.Relation, preds []baseline
 		meas.Extrapolated = true
 	}
 	m := storage.NewMeter()
-	stored, _, err := e.store(method{layout: obliDB}, m, run, nil, false)
+	stored, err := e.store(method{layout: obliDB}, m, run, nil, false)
 	if err != nil {
 		return meas, err
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"oblivjoin/internal/relation"
+	"oblivjoin/internal/table"
 	"oblivjoin/internal/xcrypto"
 )
 
@@ -67,18 +68,10 @@ func (e *Env) storageOf(mt method, rels []*relation.Relation, attrs map[string][
 		}
 		return cloud, client, nil
 	}
-	tables, shared, err := e.store(mt, nil, rels, attrs, false)
+	tables, err := e.store(mt, nil, rels, attrs, false)
 	if err != nil {
 		return 0, 0, err
 	}
-	if shared != nil {
-		cloud, client = shared.ServerBytes(), shared.ClientBytes()
-	}
-	for _, st := range tables {
-		if shared == nil {
-			cloud += st.CloudBytes()
-		}
-		client += st.ClientBytes() // cached index levels; OneORAM views add no ORAM state
-	}
+	cloud, client = table.Footprint(tables...)
 	return cloud, client, nil
 }

@@ -16,14 +16,10 @@ func BandJoin(t1, t2 *table.StoredTable, a1, a2 string, op BandOp, opts Options)
 	if err != nil {
 		return nil, err
 	}
-	pr := &probe{
-		join: "band join", theorem: "Theorem 3", ic: ic,
-		first: ic.MoveOrdLE(ic.Tree().NumEntries() - 1),
-		next:  ic.MovePrev,
-		match: op.Matches,
-	}
+	pr := newProbe(t1, a1, ic)
+	pr.first, pr.next, pr.match = ic.MoveOrdLE(ic.Tree().NumEntries()-1), ic.MovePrev, op.Matches
 	if op == BandGreater || op == BandGreaterEq {
 		pr.first, pr.next = ic.MoveOrdGE(0), ic.MoveNext
 	}
-	return pr.run("join.band", t1, a1, t2, opts)
+	return run(algorithm{"join.band", "scan", "band join", "Theorem 3"}, pr, opts, t1, t2)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"oblivjoin/internal/jointree"
 	"oblivjoin/internal/oram"
 	"oblivjoin/internal/relation"
 	"oblivjoin/internal/storage"
@@ -338,7 +339,7 @@ func TestOneORAMBinaryJoins(t *testing.T) {
 	m := storage.NewMeter()
 	r1 := makeRel("t1", []int64{1, 2, 2, 3, 5, 5})
 	r2 := makeRel("t2", []int64{2, 2, 3, 5, 8})
-	tables, shared, err := table.StoreShared(
+	tables, err := table.StoreShared(
 		[]*relation.Relation{r1, r2},
 		map[string][]string{"t1": {"k"}, "t2": {"k"}},
 		testTableOpts(t, m, false),
@@ -347,7 +348,6 @@ func TestOneORAMBinaryJoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := testJoinOpts(t, m)
-	opts.OneORAM = shared
 
 	want := ReferenceEquiJoin(r1, r2, "k", "k")
 	res, err := SortMergeJoin(tables["t1"], tables["t2"], "k", "k", opts)
@@ -376,6 +376,59 @@ func TestOneORAMBinaryJoins(t *testing.T) {
 	equalMultiset(t, res.Tuples, wantBand)
 }
 
+// TestMixedSettingsRefused: a join reads its setting off its inputs, and
+// refuses inputs in mixed settings — a table in trees of its own beside one
+// in a shared tree, or tables in two shared trees — before any access.
+func TestMixedSettingsRefused(t *testing.T) {
+	m := storage.NewMeter()
+	topts := testTableOpts(t, m, true) // write-back indexes, for the multiway join
+	rels := func() []*relation.Relation {
+		return []*relation.Relation{makeRel("t1", []int64{1, 2, 3}), makeRel("t2", []int64{2, 3, 4})}
+	}
+	attrs := map[string][]string{"t1": {"k"}, "t2": {"k"}}
+	one, err := table.StoreShared(rels(), attrs, topts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := table.StoreShared(rels(), attrs, topts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sep := mustStore(t)(table.Store(rels()[0], []string{"k"}, topts))
+	tree, err := jointree.Build(jointree.Query{
+		Tables: []string{"t1", "t2"},
+		Preds:  []jointree.Pred{{Left: "t1", LeftAttr: "k", Right: "t2", RightAttr: "k"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct {
+		name   string
+		t1, t2 *table.StoredTable
+	}{
+		{"own trees beside a shared tree", sep, one["t2"]},
+		{"two shared trees", one["t1"], other["t2"]},
+	} {
+		opts := testJoinOpts(t, m)
+		m.Reset()
+		for name, join := range map[string]func() (*Result, error){
+			"smj":  func() (*Result, error) { return SortMergeJoin(in.t1, in.t2, "k", "k", opts) },
+			"inlj": func() (*Result, error) { return IndexNestedLoopJoin(in.t1, in.t2, "k", "k", opts) },
+			"band": func() (*Result, error) { return BandJoin(in.t1, in.t2, "k", "k", BandLess, opts) },
+			"multiway": func() (*Result, error) {
+				return MultiwayJoin(MultiwayInput{Tree: tree, Tables: []*table.StoredTable{in.t1, in.t2}}, opts)
+			},
+		} {
+			if _, err := join(); err == nil {
+				t.Errorf("%s: %s ran over inputs in mixed settings", in.name, name)
+			}
+		}
+		if rounds := m.Snapshot().NetworkRounds; rounds != 0 {
+			t.Errorf("%s: the refused joins made %d rounds", in.name, rounds)
+		}
+	}
+}
+
 // TestOneORAMRetrievalWidth pins the OneORAM padding rule: every retrieval
 // is topped up with dummy accesses to the widest of its join's lanes, so the
 // shared tree serves exactly Retrievals × that width accesses — a leaf and a
@@ -388,14 +441,17 @@ func TestOneORAMRetrievalWidth(t *testing.T) {
 		topts := testTableOpts(t, nil, false)
 		topts.BlockPayload = twinPayload
 		topts.CacheIndex = cache
-		s1, s2, shared := storeWith(t, k1, k2, topts, true)
+		s1, s2 := storeWith(t, k1, k2, topts, true)
+		shared, err := oram.Shared(append(s1.ORAMs(), s2.ORAMs()...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		idx, err := s2.Index("k")
 		if err != nil {
 			t.Fatal(err)
 		}
 		descent := idx.AccessesPerRetrieval() + 1
 		opts := testJoinOpts(t, nil)
-		opts.OneORAM = shared
 		for _, tc := range []struct {
 			name string
 			wide int64
@@ -435,9 +491,8 @@ func TestWriteBackIndexCostsNothing(t *testing.T) {
 				topts.BlockPayload = twinPayload
 				topts.EvictionBatch = tc.batch
 				topts.CacheIndex = tc.cache
-				s1, s2, shared := storeWith(t, k1, k2, topts, tc.one)
+				s1, s2 := storeWith(t, k1, k2, topts, tc.one)
 				jopts := testJoinOpts(t, m)
-				jopts.OneORAM = shared
 				m.Reset()
 				m.SetTracing(true)
 				res := must(t)(IndexNestedLoopJoin(s1, s2, "k", "k", jopts))
@@ -492,7 +547,7 @@ func TestFailedJoinReleasesPins(t *testing.T) {
 		}
 		return failingReads{st, &reads, &failAt}, nil
 	}
-	s1, s2, _ := storeWith(t, k1, k2, topts, false)
+	s1, s2 := storeWith(t, k1, k2, topts, false)
 	failAt = reads + 10 // a few steps into the join
 	if _, err := IndexNestedLoopJoin(s1, s2, "k", "k", testJoinOpts(t, nil)); err == nil {
 		t.Fatal("the join survived a failed read")
@@ -575,12 +630,12 @@ func TestTheoremsQuick(t *testing.T) {
 		var s1, s2 *table.StoredTable
 		r1, r2 := makeRel("t1", k1), makeRel("t2", k2)
 		if one {
-			tables, shared, err := table.StoreShared([]*relation.Relation{r1, r2},
+			tables, err := table.StoreShared([]*relation.Relation{r1, r2},
 				map[string][]string{"t1": {"k"}, "t2": {"k"}}, testTableOpts(t, nil, false))
 			if err != nil {
 				t.Fatal(err)
 			}
-			s1, s2, opts.OneORAM = tables["t1"], tables["t2"], shared
+			s1, s2 = tables["t1"], tables["t2"]
 		} else {
 			s1, s2, _, _ = storePair(t, k1, k2, nil)
 		}

@@ -31,14 +31,19 @@
 // where children take their key from their parent's index entry
 // (MultiwayWaits). Which rounds a step takes depends on the
 // operator, the step index and public sizes only — real, dummy and pad
-// steps alike. Every operator ends with one settle round that carries the
-// last write-back of every tree it touched.
+// steps alike.
 //
-// The OneORAM setting of Section 7 is selected by Options.OneORAM: all
-// tables share a single Path-ORAM. Every operator runs the same driver in
-// both settings; only the stepper that performs its steps reads the
-// setting. There a step's retrievals run one after another, each padded
-// with dummy accesses on the shared tree to the widest of the join's lanes,
+// All four joins run on one driver (run): it pads an operator's steps to
+// its theorem's bound, then filters and decodes the output, and ends the
+// query with one settle round that carries the last write-back of every
+// tree the join touched.
+//
+// The OneORAM setting of Section 7 is the inputs' own: every table is a
+// view of one shared Path-ORAM (table.StoreShared). The driver reads the
+// setting off its inputs (oram.Shared), and only the stepper that performs
+// the steps acts on it. There a step's retrievals run one after another,
+// each padded with dummy accesses on the shared tree to the widest of the
+// join's lanes,
 // and the binary joins skip a dummy partner beside a real retrieval — which
 // the output table would betray were it not for one output record written
 // after every retrieval rather than every step.
@@ -49,6 +54,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"oblivjoin/internal/oram"
 	"oblivjoin/internal/relation"
@@ -118,12 +124,6 @@ type Options struct {
 	Meter *storage.Meter
 	// Sealer encrypts the output table; required.
 	Sealer *xcrypto.Sealer
-	// OneORAM, when non-nil, is the shared Path-ORAM all input tables live
-	// in: the join runs in the Section 7 OneORAM setting, one retrieval at a
-	// time, each padded to the widest of the join's tables; a binary join
-	// skips the dummy partner of a real retrieval and writes an output
-	// record after every retrieval.
-	OneORAM *oram.PathORAM
 	// Span, when non-nil, is the parent telemetry span: the join attaches a
 	// phase-attributed sub-tree (load → scan/merge → pad → filter → decode)
 	// under it, each phase carrying wall time, Meter deltas, and public
@@ -203,58 +203,143 @@ func (o Options) dpNoise() int64 {
 	return n
 }
 
-// padPhase opens the pad phase under sp once the executed steps are checked
-// against the theorem's bound, target.
-func padPhase(sp *telemetry.Span, join, theorem string, steps, target int64) (*telemetry.Span, error) {
+// input is a join's input table: a stored table, a chained table, or an
+// oblivious tree. Its ORAMs are what a finished query has to settle.
+type input interface {
+	ORAMs() []oram.ORAM
+	Schema() relation.Schema
+	NumTuples() int
+}
+
+// operator is a join as the driver runs it: Algorithm 1 (merge), Algorithm
+// 2 and the band join (probe), or the multiway join.
+type operator interface {
+	// stepper returns the stepper over the join's lanes, writing to w, in
+	// the setting one says: the inputs' shared tree, nil in SepORAM.
+	stepper(w *outWriter, one *oram.PathORAM) *stepper
+	// decide runs the join's decision procedure to its end, a step at a time.
+	decide(s *stepper) error
+	// pad performs one pad step, with the round shape of a real one.
+	pad(s *stepper) error
+	// bound is the theorem's step bound over inputs of the given sizes at
+	// the padded result size r.
+	bound(sizes []int64, r int64) int64
+}
+
+// algorithm names a join: its telemetry span and the span of its decision
+// phase, and, for the bound check, the join and its theorem.
+type algorithm struct{ span, phase, name, theorem string }
+
+// run is the driver every join runs on. Under the join's span it opens the
+// output writer and the operator's stepper in the setting the inputs share
+// (load); runs the decision procedure; pads the steps to the theorem's bound
+// at the padded result size and drains them (pad); for the multiway join,
+// resets the indexes; and then filters and decodes the output and settles
+// every input tree, the query's last round.
+func run(alg algorithm, op operator, opts Options, inputs ...input) (*Result, error) {
+	var orams []oram.ORAM
+	for _, t := range inputs {
+		orams = append(orams, t.ORAMs()...)
+	}
+	one, err := oram.Shared(orams...)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", alg.name, err)
+	}
+	if one != nil {
+		orams = append(orams, one)
+	}
+	start := snapshot(opts.Meter)
+	sp := opts.span(alg.span)
+	defer sp.End()
+	load := sp.Child("load")
+	sizes := make([]int64, len(inputs))
+	names := make([]string, len(inputs))
+	schemas := make([]relation.Schema, len(inputs))
+	for i, t := range inputs {
+		sizes[i], names[i], schemas[i] = int64(t.NumTuples()), t.Schema().Table, t.Schema()
+		sp.SetAttr(fmt.Sprintf("n%d", i+1), sizes[i])
+	}
+	w, err := newOutWriter(strings.Join(names, "⋈"), opts, schemas...)
+	if err != nil {
+		return nil, err
+	}
+	s := op.stepper(w, one)
+	load.End()
+
+	phase := sp.Child(alg.phase)
+	if err := op.decide(s); err != nil {
+		return nil, err
+	}
+	steps := s.steps
+	phase.SetAttr("steps", steps)
+	phase.End()
+
+	cart := Cartesian(sizes...)
+	target := op.bound(sizes, opts.PadSize(s.real(), cart))
 	if steps > target {
-		return nil, fmt.Errorf("core: %s executed %d steps, exceeding the %s bound %d", join, steps, theorem, target)
+		return nil, fmt.Errorf("core: %s executed %d steps, exceeding the %s bound %d", alg.name, steps, alg.theorem, target)
 	}
 	pad := sp.Child("pad")
 	pad.SetAttr("steps", steps)
 	pad.SetAttr("target", target)
-	return pad, nil
-}
-
-// settler is an input table, seen as the ORAMs a finished query has to
-// settle: every tree an access touched still has its last path queued (the
-// write-back rides the tree's next download, and there is none).
-type settler interface{ ORAMs() []oram.ORAM }
-
-// pathTelemeter exposes per-ORAM path statistics for phase attribution.
-type pathTelemeter interface{ PathTelemetry() []oram.PathStats }
-
-// settle writes back what every input table's ORAMs (and the shared
-// OneORAM, when set) still have queued, in one round for all of them
-// (oram.Settle) under a "flush" child span, so the write-backs are charged
-// to the query and the stashes return to their steady-state bound. The
-// shares travel in canonical order: tables as the operator lists them, each
-// table's ORAMs as StoredTable.ORAMs does. It then attaches the cumulative
-// eviction-scheduler counters (write-backs, paths per write-back,
-// upper-tree buckets deduped, write-backs that rode a download) to the span.
-func settle(sp *telemetry.Span, opts Options, tables ...settler) error {
-	fl := sp.Child("flush")
-	defer fl.End()
-	var all []oram.ORAM
-	for _, t := range tables {
-		all = append(all, t.ORAMs()...)
-	}
-	if opts.OneORAM != nil {
-		all = append(all, opts.OneORAM)
-	}
-	if err := oram.Settle(all...); err != nil {
-		return err
-	}
-	var stats []oram.PathStats
-	for _, t := range tables {
-		if pt, ok := t.(pathTelemeter); ok {
-			stats = append(stats, pt.PathTelemetry()...)
+	for s.steps < target {
+		if err := op.pad(s); err != nil {
+			return nil, err
 		}
 	}
-	if opts.OneORAM != nil {
-		stats = append(stats, opts.OneORAM.Telemetry())
+	if err := s.drain(); err != nil {
+		return nil, err
+	}
+	pad.End()
+
+	if r, ok := op.(interface{ reset() error }); ok {
+		reset := sp.Child("reset")
+		if err := r.reset(); err != nil {
+			return nil, err
+		}
+		reset.End()
+	}
+	tuples, real, padded, err := w.finish(opts, cart, sp)
+	if err != nil {
+		return nil, err
+	}
+	if err := settle(sp, orams); err != nil {
+		return nil, err
+	}
+	return &Result{
+		Schema:      w.schema,
+		Tuples:      tuples,
+		RealCount:   real,
+		PaddedCount: padded,
+		Steps:       steps,
+		PaddedSteps: target,
+		Retrievals:  s.retrievals,
+		Stats:       diff(opts.Meter, start),
+	}, nil
+}
+
+// settle writes back what every ORAM of the query — its inputs', and the
+// shared tree in the OneORAM setting — still has queued, in one round for
+// all of them (oram.Settle) under a "flush" child span, so the write-backs
+// are charged to the query and the stashes return to their steady-state
+// bound. The shares travel in canonical order: tables as the operator lists
+// them, each table's ORAMs as StoredTable.ORAMs does. It then attaches the
+// cumulative eviction-scheduler counters (write-backs, paths per
+// write-back, upper-tree buckets deduped, write-backs that rode a download)
+// to the span.
+func settle(sp *telemetry.Span, orams []oram.ORAM) error {
+	fl := sp.Child("flush")
+	defer fl.End()
+	if err := oram.Settle(orams...); err != nil {
+		return err
 	}
 	var flushes, paths, deduped, exchanges int64
-	for _, s := range stats {
+	for _, o := range orams {
+		t, ok := o.(interface{ Telemetry() oram.PathStats })
+		if !ok {
+			continue
+		}
+		s := t.Telemetry()
 		flushes += s.Flushes
 		paths += s.FlushedPaths
 		deduped += s.DedupedBuckets
@@ -314,11 +399,6 @@ type Result struct {
 	// totals; PaddedSteps × tables for multiway), and for a binary join also
 	// the number of output records the steps wrote.
 	Retrievals int64
-	// BoundExceeded reports that the executed steps exceeded the theorem
-	// bound before padding (never observed on the paper's workloads; see
-	// DESIGN.md on the Observation 3 corner case). The result is still
-	// correct, but the trace is longer than the bound.
-	BoundExceeded bool
 	// Stats is the traffic consumed by the join (when Options.Meter was
 	// set): the communication cost the paper's figures plot.
 	Stats storage.Stats

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"oblivjoin/internal/jointree"
-	"oblivjoin/internal/oram"
 	"oblivjoin/internal/relation"
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/table"
@@ -68,8 +67,7 @@ type lockstepOperator struct {
 // (noCache).
 var lockstepOperators = []lockstepOperator{
 	{"smj", equiTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 13, 14, 15, 16}, false, false, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
-		s1, s2, shared := storeWith(t, k1, k2, topts, one)
-		jopts.OneORAM = shared
+		s1, s2 := storeWith(t, k1, k2, topts, one)
 		topts.Meter.Reset()
 		topts.Meter.SetTracing(true)
 		return must(t)(SortMergeJoin(s1, s2, "k", "k", jopts))
@@ -82,15 +80,13 @@ var lockstepOperators = []lockstepOperator{
 		return must(t)(SortMergeJoinChained(c1, c2, jopts))
 	}},
 	{"band", bandTwin, []int64{1, 1, 1, 1, 1, 1}, []int64{1, 2, 3, 4, 5, 6}, false, false, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
-		s1, s2, shared := storeWith(t, k1, k2, topts, one)
-		jopts.OneORAM = shared
+		s1, s2 := storeWith(t, k1, k2, topts, one)
 		topts.Meter.Reset()
 		topts.Meter.SetTracing(true)
 		return must(t)(BandJoin(s1, s2, "k", "k", BandGreaterEq, jopts))
 	}},
 	{"inlj", equiTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 13, 14, 15, 16}, false, false, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
-		s1, s2, shared := storeWith(t, k1, k2, topts, one)
-		jopts.OneORAM = shared
+		s1, s2 := storeWith(t, k1, k2, topts, one)
 		topts.Meter.Reset()
 		topts.Meter.SetTracing(true)
 		return must(t)(IndexNestedLoopJoin(s1, s2, "k", "k", jopts))
@@ -107,8 +103,7 @@ var lockstepOperators = []lockstepOperator{
 	}},
 	{"multiway", multiwayTwin, []int64{1, 2, 3, 4, 5, 6}, []int64{7, 8, 9, 10, 11, 12}, false, false, func(t *testing.T, k1, k2 []int64, topts table.Options, jopts Options, one bool) *Result {
 		topts.WriteBackDescents = true
-		s1, s2, shared := storeWith(t, k1, k2, topts, one)
-		jopts.OneORAM = shared
+		s1, s2 := storeWith(t, k1, k2, topts, one)
 		tree, err := jointree.Build(jointree.Query{
 			Tables: []string{"t1", "t2"},
 			Preds:  []jointree.Pred{{Left: "t1", LeftAttr: "k", Right: "t2", RightAttr: "k"}},
@@ -129,14 +124,13 @@ var lockstepOperators = []lockstepOperator{
 		attrs := map[string][]string{"t2": {"k"}, "t3": {"k"}}
 		tables := make([]*table.StoredTable, len(rels))
 		if one {
-			byName, shared, err := table.StoreShared(rels, attrs, topts)
+			byName, err := table.StoreShared(rels, attrs, topts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, rel := range rels {
 				tables[i] = byName[rel.Schema.Table]
 			}
-			jopts.OneORAM = shared
 		} else {
 			for i, rel := range rels {
 				tables[i] = mustStore(t)(table.Store(rel, attrs[rel.Schema.Table], topts))
@@ -206,16 +200,16 @@ func mustChain(t *testing.T) func(*table.ChainedTable, error) *table.ChainedTabl
 }
 
 // storeWith stores t1 and t2 with an index on k, each in its own trees or,
-// with one set, both in one shared tree, which it returns.
-func storeWith(t *testing.T, k1, k2 []int64, topts table.Options, one bool) (*table.StoredTable, *table.StoredTable, *oram.PathORAM) {
+// with one set, both in one shared tree.
+func storeWith(t *testing.T, k1, k2 []int64, topts table.Options, one bool) (*table.StoredTable, *table.StoredTable) {
 	t.Helper()
 	if one {
-		tables, shared, err := table.StoreShared([]*relation.Relation{makeRel("t1", k1), makeRel("t2", k2)},
+		tables, err := table.StoreShared([]*relation.Relation{makeRel("t1", k1), makeRel("t2", k2)},
 			map[string][]string{"t1": {"k"}, "t2": {"k"}}, topts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tables["t1"], tables["t2"], shared
+		return tables["t1"], tables["t2"]
 	}
 	s1, err := table.Store(makeRel("t1", k1), []string{"k"}, topts)
 	if err != nil {
@@ -225,7 +219,7 @@ func storeWith(t *testing.T, k1, k2 []int64, topts table.Options, one bool) (*ta
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s1, s2, nil
+	return s1, s2
 }
 
 // TestLockstepTwinTraces: the grouping of a step's accesses into rounds is
@@ -423,7 +417,7 @@ func TestLockstepRoundShape(t *testing.T) {
 		topts := testTableOpts(t, m, false)
 		topts.BlockPayload = twinPayload
 		topts.CacheIndex = cache
-		s1, s2, _ := storeWith(t, equiTwin.a1, equiTwin.a2, topts, false)
+		s1, s2 := storeWith(t, equiTwin.a1, equiTwin.a2, topts, false)
 		m.Reset()
 		m.SetTracing(true)
 		res := must(t)(join(s1, s2, testJoinOpts(t, m)))
@@ -623,15 +617,31 @@ func twoPaths(trace []storage.Access, store string) int64 {
 }
 
 // TestSettleRoundTwinTraces: a query ends with every touched tree owing a
-// write-back, and the round that carries them lists the trees in an order
-// the server sees. The order is canonical — tables as the operator lists
-// them, each table's data ORAM and then its indexes by attribute name — not
-// the iteration order of the table's index map: a multiway join over a table
-// with two indexes (the reset pass walks both) gives twin databases
-// identical traces, round ordinals included, run after run, at k = 1
+// write-back, and the round that carries them — the query's last, after the
+// output filter and decode — lists the trees in an order the server sees.
+// The order is canonical — tables as the operator lists them, each table's
+// data ORAM and then its indexes by attribute name — not the iteration
+// order of the table's index map: a multiway join over a table with two
+// indexes (the reset pass walks both) gives twin databases identical
+// traces, round ordinals included, run after run, at k = 1
 // (tracecheck.Diff) and at k = 4 (batch by batch, tracecheck.DiffRounds: the
-// size of a unioned write-back follows the leaf randomness).
+// size of a unioned write-back follows the leaf randomness). The binary
+// joins end the same way.
 func TestSettleRoundTwinTraces(t *testing.T) {
+	for _, leg := range []struct{ op, settle string }{
+		{"smj", "t1.data t1.idx.k t2.data t2.idx.k"},
+		{"inlj", "t1.data t2.data t2.idx.k"}, // the outer is scanned: its index is never touched
+	} {
+		op := lockstepOperators[slices.IndexFunc(lockstepOperators, func(op lockstepOperator) bool { return op.name == leg.op })]
+		for _, tc := range twinConfigs[:2] { // k = 1 and k = 4
+			t.Run(leg.op+"/"+tc.name, func(t *testing.T) {
+				tr := twinTrace(t, op.run, op.data.a1, op.data.a2, PadNone, tc)
+				if got := lastRound(tr.trace); got != leg.settle {
+					t.Fatalf("the last round carried %s; want the settle round, %s", got, leg.settle)
+				}
+			})
+		}
+	}
 	for _, batch := range []int{1, 4} {
 		t.Run(fmt.Sprintf("k=%d", batch), func(t *testing.T) {
 			run := func(shift int64) []storage.Access {
@@ -671,13 +681,7 @@ func TestSettleRoundTwinTraces(t *testing.T) {
 				diff = tracecheck.DiffRounds
 			}
 			a := run(100)
-			var settle []string
-			for _, x := range a {
-				if x.Round == a[len(a)-1].Round && (len(settle) == 0 || settle[len(settle)-1] != x.Store) {
-					settle = append(settle, x.Store)
-				}
-			}
-			if got := strings.Join(settle, " "); !strings.Contains(got, "T3.data T3.idx.B T3.idx.D") {
+			if got := lastRound(a); !strings.Contains(got, "T3.data T3.idx.B T3.idx.D") {
 				t.Fatalf("the settle round carried %s; want T3's data, idx.B, idx.D in that order", got)
 			}
 			for rep := 0; rep < 8; rep++ { // a two-entry map walk comes out either way round
@@ -689,14 +693,27 @@ func TestSettleRoundTwinTraces(t *testing.T) {
 	}
 }
 
+// lastRound lists the stores a trace's last round touches, in the order its
+// shares travel.
+func lastRound(trace []storage.Access) string {
+	var stores []string
+	for _, x := range trace {
+		if x.Round == trace[len(trace)-1].Round && (len(stores) == 0 || stores[len(stores)-1] != x.Store) {
+			stores = append(stores, x.Store)
+		}
+	}
+	return strings.Join(stores, " ")
+}
+
 // TestOutputWritesRide: a join never spends a round on its output table
 // alone while it runs. A block of output records that fills is held and
 // rides the next round the join issues — a pipelined step's, or in the
 // OneORAM setting a retrieval's on the shared tree — so, for every operator
 // in both settings, no round up to the join's last input access before the
 // output filter carries output-table writes without an input access beside
-// them. (The multiway join resets its indexes after the filter; the filter
-// reads the output table, so its first read is where the join has ended.)
+// them. (The multiway join resets its indexes before the filter, and the
+// filter reads the output table first, so its first read is where the
+// join's steps and reset have ended.)
 func TestOutputWritesRide(t *testing.T) {
 	for _, op := range lockstepOperators {
 		for _, tc := range []twinConfig{{"sep", 1, false, false}, {"one", 1, false, true}} {

@@ -5,7 +5,7 @@ import (
 
 	"oblivjoin/internal/btree"
 	"oblivjoin/internal/jointree"
-	"oblivjoin/internal/relation"
+	"oblivjoin/internal/oram"
 	"oblivjoin/internal/table"
 )
 
@@ -32,97 +32,18 @@ func MultiwayJoin(in MultiwayInput, opts Options) (*Result, error) {
 	if in.Tree == nil || len(in.Tables) != in.Tree.Len() {
 		return nil, fmt.Errorf("core: multiway input needs one table per join-tree node")
 	}
-	l := in.Tree.Len()
-	if l < 2 {
+	if in.Tree.Len() < 2 {
 		return nil, fmt.Errorf("core: multiway join needs at least 2 tables")
 	}
-	start := snapshot(opts.Meter)
-	sp := opts.span("join.multiway")
-	sp.SetAttr("tables", int64(l))
-	defer sp.End()
-
-	load := sp.Child("load")
-	m, err := newMultiwayState(in, opts)
+	m, err := newMultiwayState(in)
 	if err != nil {
 		return nil, err
 	}
-	load.End()
-	scan := sp.Child("scan")
-	cur := make([]*held, l)
-	for j := range cur {
-		cur[j] = &m.cur[j]
-	}
-	st := newStepper(m.w, opts, false, cur, m.waits...)
-	if err := m.run(st); err != nil {
-		return nil, err
-	}
-	rawSteps := st.steps
-	scan.SetAttr("steps", rawSteps)
-	scan.End()
-
-	// Pad steps to the Theorem 4 bound for the padded output size.
-	sizes := make([]int64, l)
+	inputs := make([]input, len(in.Tables))
 	for i, t := range in.Tables {
-		sizes[i] = int64(t.NumTuples())
+		inputs[i] = t
 	}
-	cart := Cartesian(sizes...)
-	paddedR := opts.PadSize(st.real(), cart)
-	target := NumtrMultiway(sizes, paddedR)
-	pad := sp.Child("pad")
-	pad.SetAttr("steps", rawSteps)
-	pad.SetAttr("target", target)
-	// Dummy steps have the round shape of real ones.
-	for st.steps < target {
-		if err := m.blankStep(st, m.holds()); err != nil {
-			return nil, err
-		}
-	}
-	if err := st.drain(); err != nil {
-		return nil, err
-	}
-	pad.End()
-
-	// The paper's post-query cleanup: "go over all index blocks and reset
-	// boolean tags in each entry" — every index in lockstep, tables as
-	// listed and each table's indexes by attribute, so the pass takes as
-	// many rounds as the largest index has nodes. It runs as the steps have
-	// drained, so a root the last step read ahead for a step that never came
-	// (table.Pipeline) serves as its tree's root visit at once.
-	reset := sp.Child("reset")
-	var indexes []*btree.Tree
-	for _, t := range in.Tables[1:] {
-		indexes = append(indexes, t.Indexes()...)
-	}
-	if err := btree.Reset(indexes...); err != nil {
-		return nil, err
-	}
-	reset.End()
-
-	tuples, realCount, paddedOut, err := m.w.finish(opts, cart, sp)
-	if err != nil {
-		return nil, err
-	}
-
-	// Settle after the reset pass so its index writes are flushed too.
-	fs := make([]settler, len(in.Tables))
-	for i, t := range in.Tables {
-		fs[i] = t
-	}
-	if err := settle(sp, opts, fs...); err != nil {
-		return nil, err
-	}
-
-	return &Result{
-		Schema:        m.w.schema,
-		Tuples:        tuples,
-		RealCount:     realCount,
-		PaddedCount:   paddedOut,
-		Steps:         rawSteps,
-		PaddedSteps:   st.steps,
-		Retrievals:    st.retrievals,
-		BoundExceeded: rawSteps > target,
-		Stats:         diff(opts.Meter, start),
-	}, nil
+	return run(algorithm{"join.multiway", "scan", "multiway join", "Theorem 4"}, m, opts, inputs...)
 }
 
 // MultiwayWaits returns the key dependencies of a multiway join's lanes over
@@ -166,11 +87,9 @@ type multiwayState struct {
 	// discover exhaustion (keeping the step count at the paper's Figure 6
 	// walkthrough level).
 	disabledSameNext []map[int64]bool
-
-	w *outWriter
 }
 
-func newMultiwayState(in MultiwayInput, opts Options) (*multiwayState, error) {
+func newMultiwayState(in MultiwayInput) (*multiwayState, error) {
 	l := in.Tree.Len()
 	m := &multiwayState{
 		in:               in,
@@ -185,17 +104,13 @@ func newMultiwayState(in MultiwayInput, opts Options) (*multiwayState, error) {
 		exhausted:        make([]map[int64]bool, l),
 		disabledSameNext: make([]map[int64]bool, l),
 	}
-	schemas := make([]relation.Schema, l)
-	var names string
 	for j := 0; j < l; j++ {
 		node := in.Tree.Order[j]
 		st := in.Tables[j]
 		if st.Schema().Table != node.Table {
 			return nil, fmt.Errorf("core: table %d is %q, join tree expects %q", j, st.Schema().Table, node.Table)
 		}
-		schemas[j] = st.Schema()
 		if j > 0 {
-			names += "⋈"
 			ic, err := table.NewIndexCursor(st, node.Attr)
 			if err != nil {
 				return nil, err
@@ -209,14 +124,35 @@ func newMultiwayState(in MultiwayInput, opts Options) (*multiwayState, error) {
 			m.exhausted[j] = make(map[int64]bool)
 			m.disabledSameNext[j] = make(map[int64]bool)
 		}
-		names += node.Table
 	}
-	w, err := newOutWriter(names, opts, schemas...)
-	if err != nil {
-		return nil, err
-	}
-	m.w = w
 	return m, nil
+}
+
+// stepper retrieves from every table every step, the root's lane first.
+func (m *multiwayState) stepper(w *outWriter, one *oram.PathORAM) *stepper {
+	cur := make([]*held, m.l)
+	for j := range cur {
+		cur[j] = &m.cur[j]
+	}
+	return newStepper(w, one, false, cur, m.waits...)
+}
+
+func (m *multiwayState) pad(s *stepper) error { return m.blankStep(s, m.holds()) }
+
+func (*multiwayState) bound(n []int64, r int64) int64 { return NumtrMultiway(n, r) }
+
+// reset is the paper's post-query cleanup: "go over all index blocks and
+// reset boolean tags in each entry" — every index in lockstep, tables as
+// listed and each table's indexes by attribute, so the pass takes as many
+// rounds as the largest index has nodes. It runs as the steps have drained,
+// so a root the last step read ahead for a step that never came
+// (table.Pipeline) serves as its tree's root visit at once.
+func (m *multiwayState) reset() error {
+	var indexes []*btree.Tree
+	for _, t := range m.in.Tables[1:] {
+		indexes = append(indexes, t.Indexes()...)
+	}
+	return btree.Reset(indexes...)
 }
 
 // targetKey returns the join key position j must match: the parent's
@@ -322,7 +258,7 @@ func (m *multiwayState) after(a int, matched bool, failAt int) action {
 	return action{kind: aDisable, pos: p, disable: m.cur[p].Entry.Ord}
 }
 
-// run executes the main join loop, every step one retrieval per table. In
+// decide executes the main join loop, every step one retrieval per table. In
 // the SepORAM setting the steps run through the stepper's table.Pipeline: a
 // child's descent starts with the step — its root access needs no key — and
 // its keyed accesses wait for the earliest stage of its parent that holds
@@ -335,7 +271,7 @@ func (m *multiwayState) after(a int, matched bool, failAt int) action {
 // the server, and the outcome is only committed up to the first failure in
 // pre-order. The key an entry holds is the parent tuple's join column, so
 // the probe is the same either way.
-func (m *multiwayState) run(s *stepper) error {
+func (m *multiwayState) decide(s *stepper) error {
 	next := m.scheduleAdvance(0)
 	for next.kind != aDone {
 		switch next.kind {

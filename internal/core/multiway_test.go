@@ -62,14 +62,13 @@ func storeMultiwayWith(t testing.TB, rels map[string]*relation.Relation, q joint
 				attrs[n.Table] = []string{n.Attr}
 			}
 		}
-		tables, sh, err := table.StoreShared(ordered, attrs, tblOpts)
+		tables, err := table.StoreShared(ordered, attrs, tblOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, n := range tree.Order {
 			in.Tables[i] = tables[n.Table]
 		}
-		jopts.OneORAM = sh
 		return in, jopts
 	}
 	for i, n := range tree.Order {
@@ -108,7 +107,7 @@ func TestFigure6Walkthrough(t *testing.T) {
 	if res.PaddedSteps != 26 {
 		t.Fatalf("padded steps %d, want 26", res.PaddedSteps)
 	}
-	if res.BoundExceeded {
+	if res.Steps > res.PaddedSteps {
 		t.Fatalf("bound exceeded: %d raw steps", res.Steps)
 	}
 	// The paper's Figure 6 walks through exactly 8 join steps before padding.
@@ -151,7 +150,7 @@ func TestMultiwayMatchesReferenceRandomized(t *testing.T) {
 			t.Fatal(err)
 		}
 		equalMultiset(t, res.Tuples, want)
-		if res.BoundExceeded {
+		if res.Steps > res.PaddedSteps {
 			t.Fatalf("trial %d: steps %d exceeded Theorem 4 bound", trial, res.Steps)
 		}
 		sizes := []int64{int64(rels["x"].Len()), int64(rels["y"].Len()), int64(rels["z"].Len())}
@@ -226,7 +225,7 @@ func TestMultiwayEntryKeyedMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					equalMultiset(t, res.Tuples, want)
-					if res.BoundExceeded || res.PaddedSteps != NumtrMultiway(sizes, int64(res.PaddedCount)) {
+					if res.Steps > res.PaddedSteps || res.PaddedSteps != NumtrMultiway(sizes, int64(res.PaddedCount)) {
 						t.Fatalf("%s/%v/shared=%v/%d: %d steps, padded to %d for %d records", tc.name, mode, shared, trial,
 							res.Steps, res.PaddedSteps, res.PaddedCount)
 					}
@@ -279,7 +278,7 @@ func TestMultiwayStarAndDeepTrees(t *testing.T) {
 			t.Fatal(err)
 		}
 		equalMultiset(t, res.Tuples, want)
-		if res.BoundExceeded {
+		if res.Steps > res.PaddedSteps {
 			t.Fatalf("query %d: bound exceeded (%d steps)", qi, res.Steps)
 		}
 	}
@@ -318,7 +317,7 @@ func TestMultiwayEmptyTables(t *testing.T) {
 	if res.RealCount != 0 {
 		t.Fatalf("real count %d, want 0", res.RealCount)
 	}
-	if res.BoundExceeded {
+	if res.Steps > res.PaddedSteps {
 		t.Fatalf("bound exceeded with empty table (%d steps)", res.Steps)
 	}
 }
@@ -463,14 +462,12 @@ func TestMultiwayOneORAMWithCache(t *testing.T) {
 			attrs[n.Table] = []string{n.Attr}
 		}
 	}
-	tables, shared, err := table.StoreShared(ordered, attrs, tblOpts)
+	tables, err := table.StoreShared(ordered, attrs, tblOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := core2MultiwayInput(tree, tables)
-	opts := testJoinOpts(t, nil)
-	opts.OneORAM = shared
-	res, err := MultiwayJoin(in, opts)
+	res, err := MultiwayJoin(in, testJoinOpts(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +523,7 @@ func TestMultiwayFiveTableTwoBranch(t *testing.T) {
 		t.Fatal(err)
 	}
 	equalMultiset(t, res.Tuples, want)
-	if res.BoundExceeded {
+	if res.Steps > res.PaddedSteps {
 		t.Fatalf("bound exceeded: %d steps", res.Steps)
 	}
 }

@@ -173,13 +173,11 @@ func TestBuildObliviousIndexValidation(t *testing.T) {
 			t.Fatalf("options %+v accepted for an oblivious tree", opts)
 		}
 	}
-	tables, shared, err := table.StoreShared([]*relation.Relation{makeRel("t1", []int64{1})}, nil, testTableOpts(t, nil, false))
+	tables, err := table.StoreShared([]*relation.Relation{makeRel("t1", []int64{1})}, nil, testTableOpts(t, nil, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jopts := testJoinOpts(t, nil)
-	jopts.OneORAM = shared
-	if _, err := IndexNestedLoopJoinObliviousIndex(tables["t1"], "k", buildObliviousInner(t, []int64{1}, nil), jopts); err == nil {
+	if _, err := IndexNestedLoopJoinObliviousIndex(tables["t1"], "k", buildObliviousInner(t, []int64{1}, nil), testJoinOpts(t, nil)); err == nil {
 		t.Fatal("an oblivious-tree join ran in the OneORAM setting")
 	}
 }

@@ -26,12 +26,12 @@ func (h *held) land(done int64) {
 	}
 }
 
-// stepper drives a join's steps, and is all of a join that knows which
-// setting it runs in. A step returns once its entries are known; the
-// operator decides from them — which record the step writes, which moves
-// the next step makes — and the record is written once the step's data
-// stage has landed, with the tuples of the current rows (cur, in output
-// order). Every step owes one record and writes it at the same point of the
+// stepper drives a join's steps, and is all of a join that acts on the
+// setting its inputs share (the driver reads it off them). A step returns
+// once its entries are known; the operator decides from them — which
+// record the step writes, which moves the next step makes — and the record
+// is written once the step's data stage has landed, with the tuples of the
+// current rows (cur, in output order). Every step owes one record and writes it at the same point of the
 // step sequence, real, dummy or pad alike. The output block a record fills
 // is held (obliv.BlockVector.Ride) and rides the next round the stepper
 // issues, so no round of the join carries output writes alone; which round
@@ -72,13 +72,13 @@ const (
 	owesJoin  = 2
 )
 
-// newStepper returns a stepper over one lane per current row in the setting
-// opts selects; waits is the pipeline's key dependencies (table.NewPipeline),
-// and elide says the join is binary, which in the OneORAM setting skips
-// partner holds.
-func newStepper(w *outWriter, opts Options, elide bool, cur []*held, waits ...table.Wait) *stepper {
+// newStepper returns a stepper over one lane per current row, in the
+// OneORAM setting when one, the inputs' shared tree, is set; waits is the
+// pipeline's key dependencies (table.NewPipeline), and elide says the join
+// is binary, which in the OneORAM setting skips partner holds.
+func newStepper(w *outWriter, one *oram.PathORAM, elide bool, cur []*held, waits ...table.Wait) *stepper {
 	s := &stepper{
-		one: opts.OneORAM, elide: elide && opts.OneORAM != nil,
+		one: one, elide: elide && one != nil,
 		w: w, cur: cur, tuples: make([]relation.Tuple, len(cur)),
 	}
 	if s.one == nil {

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
-	"oblivjoin/internal/storage"
+	"oblivjoin/internal/oram"
 	"oblivjoin/internal/table"
-	"oblivjoin/internal/telemetry"
 )
 
 // cmpRows compares two retrieval results by join key, ranking a dummy (⊥)
@@ -88,80 +85,69 @@ func (m *merge) next() (join, adv1, done bool) {
 	return false, res < 0, false
 }
 
-// moves returns the step's retrievals: real where the flag says so, a dummy
-// otherwise.
-func (m *merge) moves(real1, real2 bool) (table.Move, table.Move) {
-	m1, m2 := m.c1.Hold(), m.c2.Hold()
-	if real1 {
-		m1 = m.c1.Advance()
-	}
-	if real2 {
-		m2 = m.c2.Advance()
-	}
-	return m1, m2
+// stepper retrieves from both tables every step: in the SepORAM setting
+// the steps overlap in a table.Pipeline, step i+1's leaf accesses riding
+// the round of step i's data accesses.
+func (m *merge) stepper(w *outWriter, one *oram.PathORAM) *stepper {
+	s := newStepper(w, one, true, []*held{&m.row1, &m.row2}, table.Wait{After: -1}, table.Wait{After: -1})
+	s.also = []*held{&m.begin}
+	return s
 }
 
-// drive executes Algorithm 1 and pads it to Theorem 1's bound: a retrieval
-// from each table per step — in the SepORAM setting the steps overlap in a
-// table.Pipeline, step i+1's leaf accesses riding the round of step i's data
-// accesses — and each comparison's record written once the step's tuples
-// are in. Every step but the last owes one record, so a step's record is
-// written at the same point of the sequence whether it is real, dummy or
-// pad. It returns the executed and padded step counts and the retrievals
-// made.
-func (m *merge) drive(w *outWriter, opts Options, cart int64, bound func(paddedR int64) int64, sp *telemetry.Span) (steps, padded, retrievals int64, err error) {
-	s := newStepper(w, opts, true, []*held{&m.row1, &m.row2}, table.Wait{After: -1}, table.Wait{After: -1})
-	s.also = []*held{&m.begin}
-	step := func(adv1, adv2 bool) error {
-		rows, err := s.step(m.moves(adv1, adv2))
-		if err != nil {
-			return err
-		}
-		if adv1 {
-			s.take(&m.row1, rows, 0)
-		}
-		if adv2 {
-			s.take(&m.row2, rows, 1)
-		}
-		return nil
+// step performs a join step: a retrieval from each table, real where the
+// flag says so and a dummy otherwise.
+func (m *merge) step(s *stepper, adv1, adv2 bool) error {
+	m1, m2 := m.c1.Hold(), m.c2.Hold()
+	if adv1 {
+		m1 = m.c1.Advance()
 	}
-	merge := sp.Child("merge")
-	// Lines 3-4: retrieve the first tuple from each table (one join step).
-	if err := step(true, true); err != nil {
-		return 0, 0, 0, err
+	if adv2 {
+		m2 = m.c2.Advance()
+	}
+	rows, err := s.step(m1, m2)
+	if err != nil {
+		return err
+	}
+	if adv1 {
+		s.take(&m.row1, rows, 0)
+	}
+	if adv2 {
+		s.take(&m.row2, rows, 1)
+	}
+	return nil
+}
+
+// decide executes Algorithm 1: the first step retrieves the first tuple
+// of each table (lines 3-4), and every comparison after a step owes that
+// step its record and decides the next. Every step but the last owes one
+// record, so a step's record is written at the same point of the sequence
+// whether it is real, dummy or pad.
+func (m *merge) decide(s *stepper) error {
+	if err := m.step(s, true, true); err != nil {
+		return err
 	}
 	for {
 		join, adv1, done := m.next()
 		if done {
-			break
+			return nil
 		}
 		if err := s.record(join); err != nil {
-			return 0, 0, 0, err
+			return err
 		}
-		if err := step(adv1, !adv1); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	steps = s.steps
-	merge.SetAttr("steps", steps)
-	merge.End()
-
-	target := bound(opts.PadSize(s.real(), cart))
-	pad, err := padPhase(sp, "sort-merge", "Theorem 1", steps, target)
-	if err != nil {
-		return steps, 0, 0, err
-	}
-	defer pad.End()
-	for s.steps < target {
-		if err := s.record(false); err != nil {
-			return steps, 0, 0, err
-		}
-		if err := step(false, false); err != nil {
-			return steps, 0, 0, err
+		if err := m.step(s, adv1, !adv1); err != nil {
+			return err
 		}
 	}
-	return steps, target, s.retrievals, s.drain()
 }
+
+func (m *merge) pad(s *stepper) error {
+	if err := s.record(false); err != nil {
+		return err
+	}
+	return m.step(s, false, false)
+}
+
+func (*merge) bound(n []int64, r int64) int64 { return NumtrSortMerge(n[0], n[1], r) }
 
 // SortMergeJoin computes T1 ⋈ T2 on a1 = a2 with the paper's oblivious
 // sort-merge equi-join (Algorithm 1) over B-tree leaf chains. Both tables
@@ -170,12 +156,6 @@ func (m *merge) drive(w *outWriter, opts Options, cart int64, bound func(paddedR
 // join step, and one output record is written per comparison. The per-table
 // retrieval count is padded to Theorem 1's bound |T1| + |T2| + |R| + 1.
 func SortMergeJoin(t1, t2 *table.StoredTable, a1, a2 string, opts Options) (*Result, error) {
-	start := snapshot(opts.Meter)
-	sp := opts.span("join.smj")
-	sp.SetAttr("n1", int64(t1.NumTuples()))
-	sp.SetAttr("n2", int64(t2.NumTuples()))
-	defer sp.End()
-	load := sp.Child("load")
 	c1, err := table.NewLeafCursor(t1, a1)
 	if err != nil {
 		return nil, err
@@ -184,14 +164,8 @@ func SortMergeJoin(t1, t2 *table.StoredTable, a1, a2 string, opts Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	w, err := newOutWriter(fmt.Sprintf("%s⋈%s", t1.Schema().Table, t2.Schema().Table),
-		opts, t1.Schema(), t2.Schema())
-	if err != nil {
-		return nil, err
-	}
-	load.End()
-	m := &merge{c1: leafMerge{c1}, c2: leafMerge{c2}}
-	return m.run(w, int64(t1.NumTuples()), int64(t2.NumTuples()), opts, start, sp, t1, t2)
+	return run(algorithm{"join.smj", "merge", "sort-merge", "Theorem 1"},
+		&merge{c1: leafMerge{c1}, c2: leafMerge{c2}}, opts, t1, t2)
 }
 
 // SortMergeJoinChained is Algorithm 1 over the index-free pointer-chain
@@ -203,47 +177,6 @@ func SortMergeJoin(t1, t2 *table.StoredTable, a1, a2 string, opts Options) (*Res
 // unchanged. A chained step decides from its data, so the next step cannot
 // start before it lands: one round per step.
 func SortMergeJoinChained(t1, t2 *table.ChainedTable, opts Options) (*Result, error) {
-	start := snapshot(opts.Meter)
-	sp := opts.span("join.smj.chain")
-	sp.SetAttr("n1", int64(t1.NumTuples()))
-	sp.SetAttr("n2", int64(t2.NumTuples()))
-	defer sp.End()
-	load := sp.Child("load")
-	w, err := newOutWriter(fmt.Sprintf("%s⋈%s", t1.Schema().Table, t2.Schema().Table),
-		opts, t1.Schema(), t2.Schema())
-	if err != nil {
-		return nil, err
-	}
-	load.End()
-	m := &merge{c1: chainMerge{table.NewChainCursor(t1)}, c2: chainMerge{table.NewChainCursor(t2)}}
-	return m.run(w, int64(t1.NumTuples()), int64(t2.NumTuples()), opts, start, sp, t1, t2)
-}
-
-// run executes Algorithm 1, pads it to Theorem 1's bound, settles the input
-// trees and filters the output.
-func (m *merge) run(w *outWriter, n1, n2 int64, opts Options, start storage.Stats,
-	sp *telemetry.Span, tables ...settler) (*Result, error) {
-	cart := Cartesian(n1, n2)
-	bound := func(paddedR int64) int64 { return NumtrSortMerge(n1, n2, paddedR) }
-	steps, padded, retrievals, err := m.drive(w, opts, cart, bound, sp)
-	if err != nil {
-		return nil, err
-	}
-	if err := settle(sp, opts, tables...); err != nil {
-		return nil, err
-	}
-	tuples, real, paddedOut, err := w.finish(opts, cart, sp)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Schema:      w.schema,
-		Tuples:      tuples,
-		RealCount:   real,
-		PaddedCount: paddedOut,
-		Steps:       steps,
-		PaddedSteps: padded,
-		Retrievals:  retrievals,
-		Stats:       diff(opts.Meter, start),
-	}, nil
+	return run(algorithm{"join.smj.chain", "merge", "sort-merge", "Theorem 1"},
+		&merge{c1: chainMerge{table.NewChainCursor(t1)}, c2: chainMerge{table.NewChainCursor(t2)}}, opts, t1, t2)
 }

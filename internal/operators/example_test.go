@@ -32,22 +32,3 @@ func ExampleSelectPadded() {
 	fmt.Println("matching rows:", res.RealCount, "declared:", res.PaddedCount)
 	// Output: matching rows: 3 declared: 4
 }
-
-func ExampleGroupAggregate() {
-	rel := &relation.Relation{Schema: relation.Schema{Table: "sales", Columns: []string{"region", "amount"}}}
-	for i := int64(0); i < 9; i++ {
-		rel.Tuples = append(rel.Tuples, relation.Tuple{Values: []int64{i % 3, 10}})
-	}
-	res, err := operators.GroupAggregate(rel, "region", "amount", operators.Sum,
-		operators.Options{BlockSize: 512, Sealer: sealed()})
-	if err != nil {
-		panic(err)
-	}
-	for _, t := range res.Tuples {
-		fmt.Printf("region %d: %d\n", t.Values[0], t.Values[1])
-	}
-	// Output:
-	// region 0: 30
-	// region 1: 30
-	// region 2: 30
-}

@@ -120,89 +120,10 @@ func TestSelectTrafficLeaksOnlySizes(t *testing.T) {
 	}
 }
 
-func TestGroupAggregate(t *testing.T) {
-	rel := testRel(70, 5)
-	for _, fn := range []AggFunc{Count, Sum, Min, Max} {
-		res, err := GroupAggregate(rel, "g", "v", fn, testOpts(t, nil))
-		if err != nil {
-			t.Fatalf("%v: %v", fn, err)
-		}
-		// Reference.
-		ref := map[int64]int64{}
-		seen := map[int64]bool{}
-		for _, tu := range rel.Tuples {
-			g, v := tu.Values[0], tu.Values[1]
-			if fn == Count {
-				v = 1
-			}
-			if !seen[g] {
-				ref[g], seen[g] = v, true
-				continue
-			}
-			ref[g] = fold(fn, ref[g], v)
-		}
-		if res.RealCount != len(ref) {
-			t.Fatalf("%v: %d groups, want %d", fn, res.RealCount, len(ref))
-		}
-		for _, tu := range res.Tuples {
-			if ref[tu.Values[0]] != tu.Values[1] {
-				t.Fatalf("%v: group %d = %d, want %d", fn, tu.Values[0], tu.Values[1], ref[tu.Values[0]])
-			}
-		}
-	}
-}
-
-func TestGroupAggregateSingleGroupAndEmpty(t *testing.T) {
-	rel := &relation.Relation{Schema: relation.Schema{Table: "t", Columns: []string{"g", "v"}}}
-	res, err := GroupAggregate(rel, "g", "v", Sum, testOpts(t, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RealCount != 0 {
-		t.Fatalf("empty input gave %d groups", res.RealCount)
-	}
-	for i := 0; i < 9; i++ {
-		rel.Tuples = append(rel.Tuples, relation.Tuple{Values: []int64{7, int64(i)}})
-	}
-	res, err = GroupAggregate(rel, "g", "v", Sum, testOpts(t, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RealCount != 1 || res.Tuples[0].Values[1] != 36 {
-		t.Fatalf("single group: %+v", res.Tuples)
-	}
-}
-
-// TestAggregateTrafficLeaksOnlySizes: same input size and group count,
-// different group memberships — identical traffic.
-func TestAggregateTrafficLeaksOnlySizes(t *testing.T) {
-	run := func(shift int64) storage.Stats {
-		rel := &relation.Relation{Schema: relation.Schema{Table: "t", Columns: []string{"g", "v"}}}
-		for i := 0; i < 24; i++ {
-			rel.Tuples = append(rel.Tuples, relation.Tuple{Values: []int64{(int64(i) + shift) % 4, 1}})
-		}
-		m := storage.NewMeter()
-		res, err := GroupAggregate(rel, "g", "v", Count, testOpts(t, m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.RealCount != 4 {
-			t.Fatalf("groups %d", res.RealCount)
-		}
-		return res.Stats
-	}
-	if a, b := run(0), run(1); a != b {
-		t.Fatalf("aggregate traffic differs: %+v vs %+v", a, b)
-	}
-}
-
 func TestOperatorsRequireSealer(t *testing.T) {
 	rel := testRel(3, 6)
 	if _, err := SelectPadded(rel, nil, realSize, Options{}); err == nil {
 		t.Fatal("select without sealer accepted")
-	}
-	if _, err := GroupAggregate(rel, "g", "v", Sum, Options{}); err == nil {
-		t.Fatal("aggregate without sealer accepted")
 	}
 }
 
@@ -210,11 +131,6 @@ func TestCompareOpStrings(t *testing.T) {
 	for op, want := range map[CompareOp]string{EQ: "=", NE: "!=", LT: "<", LE: "<=", GT: ">", GE: ">="} {
 		if op.String() != want {
 			t.Fatalf("%d: %s", int(op), op)
-		}
-	}
-	for fn, want := range map[AggFunc]string{Count: "COUNT", Sum: "SUM", Min: "MIN", Max: "MAX"} {
-		if fn.String() != want {
-			t.Fatalf("%d: %s", int(fn), fn)
 		}
 	}
 }

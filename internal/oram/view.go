@@ -16,6 +16,45 @@ type View struct {
 	capacity int64
 }
 
+// Base returns the ORAM o keeps its blocks in: for a View the ORAM it
+// carves its keys out of — in the OneORAM setting, the one tree every
+// table's views share — and o itself otherwise.
+func Base(o ORAM) ORAM {
+	for {
+		v, ok := o.(*View)
+		if !ok {
+			return o
+		}
+		o = v.base
+	}
+}
+
+// Shared returns the Path-ORAM that every one of orams is a view of — the
+// OneORAM setting of Section 7 — or nil when none is a view, each ORAM a
+// tree of its own (the SepORAM setting). ORAMs in mixed settings are
+// refused: a view beside an ORAM of its own, or views of two trees.
+func Shared(orams ...ORAM) (*PathORAM, error) {
+	var tree ORAM
+	for i, o := range orams {
+		b := Base(o)
+		if b == o {
+			b = nil
+		}
+		if i > 0 && b != tree {
+			return nil, errors.New("oram: ORAMs in mixed settings: a view of a shared tree beside an ORAM of its own, or views of two trees")
+		}
+		tree = b
+	}
+	if tree == nil {
+		return nil, nil
+	}
+	o, ok := tree.(*PathORAM)
+	if !ok {
+		return nil, fmt.Errorf("oram: views of a %T share no Path-ORAM", tree)
+	}
+	return o, nil
+}
+
 // NewView carves [offset, offset+capacity) out of base.
 func NewView(base ORAM, offset uint64, capacity int64) (*View, error) {
 	if capacity <= 0 {

@@ -125,12 +125,16 @@ func runShapedLoopbackJoin(t *testing.T, k int, join binaryJoin, faults FaultMod
 	var t1, t2 *table.StoredTable
 	var trees []interface{ Telemetry() oram.PathStats }
 	if oneORAM {
-		tabs, shared, err := table.StoreShared([]*relation.Relation{e2eRel("t1", k1), e2eRel("t2", k2)},
+		tabs, err := table.StoreShared([]*relation.Relation{e2eRel("t1", k1), e2eRel("t2", k2)},
 			map[string][]string{"t1": {"k"}, "t2": {"k"}}, topts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t1, t2, jopts.OneORAM = tabs["t1"], tabs["t2"], shared
+		t1, t2 = tabs["t1"], tabs["t2"]
+		shared, err := oram.Shared(append(t1.ORAMs(), t2.ORAMs()...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		trees = append(trees, shared)
 	} else {
 		var err error

@@ -67,7 +67,7 @@ func (r *opRecorder) check(t *testing.T, what string) {
 }
 
 // wireTables uploads the two tables of a join to c's server.
-func wireTables(t *testing.T, c *Client, m *storage.Meter, sealer *xcrypto.Sealer, oneORAM bool) (t1, t2 *table.StoredTable, shared *oram.PathORAM, topts table.Options) {
+func wireTables(t *testing.T, c *Client, m *storage.Meter, sealer *xcrypto.Sealer, oneORAM bool) (t1, t2 *table.StoredTable, topts table.Options) {
 	t.Helper()
 	k1 := []int64{1, 2, 2, 4, 6, 7, 7, 9, 12, 15}
 	k2 := []int64{2, 2, 3, 4, 7, 7, 7, 10, 12, 14}
@@ -79,12 +79,12 @@ func wireTables(t *testing.T, c *Client, m *storage.Meter, sealer *xcrypto.Seale
 		OpenStore:    c.Opener(),
 	}
 	if oneORAM {
-		tabs, sh, err := table.StoreShared([]*relation.Relation{e2eRel("t1", k1), e2eRel("t2", k2)},
+		tabs, err := table.StoreShared([]*relation.Relation{e2eRel("t1", k1), e2eRel("t2", k2)},
 			map[string][]string{"t1": {"k"}, "t2": {"k"}}, topts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tabs["t1"], tabs["t2"], sh, topts
+		return tabs["t1"], tabs["t2"], topts
 	}
 	var err error
 	if t1, err = table.Store(e2eRel("t1", k1), []string{"k"}, topts); err != nil {
@@ -93,7 +93,7 @@ func wireTables(t *testing.T, c *Client, m *storage.Meter, sealer *xcrypto.Seale
 	if t2, err = table.Store(e2eRel("t2", k2), []string{"k"}, topts); err != nil {
 		t.Fatal(err)
 	}
-	return t1, t2, nil, topts
+	return t1, t2, topts
 }
 
 // TestWireGrammarIsExchangeOnly: every block a client moves reaches the
@@ -123,7 +123,7 @@ func TestWireGrammarIsExchangeOnly(t *testing.T) {
 		rec := newOpRecorder()
 		_, c := startServer(t, ServerOptions{Faults: rec}, ClientOptions{})
 		m := storage.NewMeter()
-		t1, t2, _, _ := wireTables(t, c, m, sealer, false)
+		t1, t2, _ := wireTables(t, c, m, sealer, false)
 		if _, err := core.SortMergeJoin(t1, t2, "k", "k", jopts(m)); err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestWireGrammarIsExchangeOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := storage.NewMeter()
-		t1, t2, _, topts := wireTables(t, c, m, sealer, false)
+		t1, t2, topts := wireTables(t, c, m, sealer, false)
 		ex := &query.Executor{
 			Tables:    map[string]*table.StoredTable{"t1": t1, "t2": t2},
 			TableOpts: topts,
@@ -166,10 +166,8 @@ func TestWireGrammarIsExchangeOnly(t *testing.T) {
 		rec := newOpRecorder()
 		_, c := startServer(t, ServerOptions{Faults: rec}, ClientOptions{})
 		m := storage.NewMeter()
-		t1, t2, shared, _ := wireTables(t, c, m, sealer, true)
-		o := jopts(m)
-		o.OneORAM = shared
-		if _, err := core.IndexNestedLoopJoin(t1, t2, "k", "k", o); err != nil {
+		t1, t2, _ := wireTables(t, c, m, sealer, true)
+		if _, err := core.IndexNestedLoopJoin(t1, t2, "k", "k", jopts(m)); err != nil {
 			t.Fatal(err)
 		}
 		rec.check(t, "OneORAM index nested-loop join")
@@ -193,7 +191,7 @@ func TestWireGrammarIsExchangeOnly(t *testing.T) {
 		}
 		defer c.Close()
 		m := storage.NewMeter()
-		t1, t2, _, _ := wireTables(t, c, m, sealer, false)
+		t1, t2, _ := wireTables(t, c, m, sealer, false)
 		if _, err := core.SortMergeJoin(t1, t2, "k", "k", jopts(m)); err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,8 @@ var (
 )
 
 // New builds a Router after checking every sub-store's geometry against
-// the striping function.
+// the striping function, and refuses a sub-store with no exchange form: every
+// sub-share a round gives a shard is an exchange.
 func New(cfg RouterConfig) (*Router, error) {
 	n := len(cfg.Subs)
 	if n == 0 {
@@ -87,6 +88,9 @@ func New(cfg RouterConfig) (*Router, error) {
 		if sub.BlockSize() != cfg.BlockSize {
 			return nil, fmt.Errorf("shard: router %q shard %d block size %d, want %d",
 				cfg.Name, s, sub.BlockSize(), cfg.BlockSize)
+		}
+		if _, ok := sub.(storage.ExchangeStore); !ok {
+			return nil, fmt.Errorf("shard: router %q shard %d: a %T store has no exchange form", cfg.Name, s, sub)
 		}
 	}
 	if cfg.Stats != nil && cfg.Stats.Shards() != n {

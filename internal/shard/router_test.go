@@ -181,8 +181,10 @@ func TestRouterBatchContractRemote(t *testing.T) {
 // faultStore wraps a MemStore: while fail is set, every mutating batch op
 // returns an error WITHOUT applying anything — the same whole-batch-
 // validation semantics every real backend has, standing in for a shard
-// whose transport died mid-fan-out. writes counts batches that were
-// actually applied.
+// whose transport died mid-fan-out. The fault sits at the two forms
+// storage.ExchangeTo gives a share: WriteMany for a share with nothing to
+// read, ExchangeTo for any share that reads. writes counts batches that
+// were actually applied.
 type faultStore struct {
 	*storage.MemStore
 	fail   atomic.Bool
@@ -202,11 +204,11 @@ func (f *faultStore) WriteMany(idxs []int64, data [][]byte) error {
 	return nil
 }
 
-func (f *faultStore) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
+func (f *faultStore) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if f.fail.Load() {
 		return nil, errors.New("injected shard failure")
 	}
-	out, err := f.MemStore.Exchange(writeIdxs, writeData, readIdxs)
+	out, err := f.MemStore.ExchangeTo(dst, writeIdxs, writeData, readIdxs)
 	if err != nil {
 		return nil, err
 	}
@@ -214,6 +216,18 @@ func (f *faultStore) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []
 		f.writes.Add(1)
 	}
 	return out, nil
+}
+
+// TestSubStoreWithoutExchangeRefusedAtOpen: a sub-store with no exchange
+// form is refused when the router is built, not at its first round.
+func TestSubStoreWithoutExchangeRefusedAtOpen(t *testing.T) {
+	subs := []storage.Store{
+		storage.NewMemStore("t@0", 4, 16, nil),
+		struct{ storage.Store }{storage.NewMemStore("t@1", 4, 16, nil)},
+	}
+	if _, err := New(RouterConfig{Name: "t", Slots: 8, BlockSize: 16, Subs: subs}); err == nil {
+		t.Fatal("New accepted a sub-store with no exchange form")
+	}
 }
 
 // TestPartialShardFailure pins the failure-atomicity story: a fan-out that
@@ -293,13 +307,22 @@ func TestPartialShardFailure(t *testing.T) {
 	if f0.writes.Load() != w0 || f1.writes.Load() != w1 {
 		t.Fatal("a batch that failed validation reached a shard")
 	}
-	// Same for a failed exchange: the failing shard applies nothing.
+	// Same for a failed exchange: the failing shard applies nothing, whether
+	// its sub-share only writes or, two-sided, also reads.
 	f1.fail.Store(true)
-	if _, err := r.Exchange([]int64{1, 2}, [][]byte{blk(5), blk(5)}, []int64{0}); err == nil {
-		t.Fatal("exchange with a dead shard succeeded")
+	before1 = snapshot(f1)
+	for _, read := range []int64{0, 3} { // 3 lives on shard 1
+		if _, err := r.Exchange([]int64{1, 2}, [][]byte{blk(5), blk(5)}, []int64{read}); err == nil {
+			t.Fatalf("exchange reading %d with a dead shard succeeded", read)
+		}
+		if f1.writes.Load() != w1 {
+			t.Fatalf("failed exchange reading %d committed on the dead shard", read)
+		}
 	}
-	if f1.writes.Load() != w1 {
-		t.Fatal("failed exchange committed on the dead shard")
+	for i, blkNow := range snapshot(f1) {
+		if !bytes.Equal(blkNow, before1[i]) {
+			t.Fatalf("failed exchange changed the dead shard's slot %d", i)
+		}
 	}
 }
 

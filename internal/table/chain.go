@@ -207,15 +207,6 @@ func (c *ChainCursor) landData(_ Move, _ Row, loaded oram.Req) (Row, error) {
 // the query's settle round.
 func (c *ChainedTable) ORAMs() []oram.ORAM { return []oram.ORAM{c.data} }
 
-// PathTelemetry returns the data ORAM's path statistics when it exposes
-// them (the chained layout has no index ORAMs).
-func (c *ChainedTable) PathTelemetry() []oram.PathStats {
-	if t, ok := c.data.(interface{ Telemetry() oram.PathStats }); ok {
-		return []oram.PathStats{t.Telemetry()}
-	}
-	return nil
-}
-
 // Mark captures the cursor position for Algorithm 1's "begin" rewind.
 func (c *ChainCursor) Mark() ChainMark { return ChainMark{next: c.next, hasNext: c.hasNext} }
 

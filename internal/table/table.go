@@ -149,10 +149,11 @@ func Store(rel *relation.Relation, indexAttrs []string, opts Options) (*StoredTa
 
 // StoreShared uploads several relations into one shared Path-ORAM — the
 // OneORAM setting of Section 7. indexAttrs maps table name to the attributes
-// to index. The returned map is keyed by table name.
-func StoreShared(rels []*relation.Relation, indexAttrs map[string][]string, opts Options) (map[string]*StoredTable, *oram.PathORAM, error) {
+// to index. The returned map is keyed by table name; every table's data and
+// indexes are views of the shared tree (oram.Shared finds it).
+func StoreShared(rels []*relation.Relation, indexAttrs map[string][]string, opts Options) (map[string]*StoredTable, error) {
 	if opts.Raw {
-		return nil, nil, fmt.Errorf("table: OneORAM setting is incompatible with Raw")
+		return nil, fmt.Errorf("table: OneORAM setting is incompatible with Raw")
 	}
 	type piece struct {
 		t     *StoredTable
@@ -169,7 +170,7 @@ func StoreShared(rels []*relation.Relation, indexAttrs map[string][]string, opts
 		attrs := indexAttrs[rel.Schema.Table]
 		t, built, err := prepare(rel, attrs, opts)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		dataSpans[i] = span{offset: int64(len(allPayloads)), count: t.dataBlockCount()}
 		allPayloads = append(allPayloads, t.dataPayloads(rel)...)
@@ -178,7 +179,7 @@ func StoreShared(rels []*relation.Relation, indexAttrs map[string][]string, opts
 			b := built[attr]
 			payloads, err := b.Payloads()
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			idxSpans[i][attr] = span{offset: int64(len(allPayloads)), count: b.NumNodes()}
 			allPayloads = append(allPayloads, payloads...)
@@ -188,28 +189,28 @@ func StoreShared(rels []*relation.Relation, indexAttrs map[string][]string, opts
 
 	cfg, err := pathConfig(opts.StorePrefix+"shared", int64(len(allPayloads)), opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	shared, err := oram.NewPathORAM(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := shared.BulkLoad(allPayloads); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	out := make(map[string]*StoredTable, len(rels))
 	for i, p := range pieces {
 		dv, err := oram.NewView(shared, uint64(dataSpans[i].offset), dataSpans[i].count)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		p.t.data = dv
 		for _, attr := range p.attrs {
 			s := idxSpans[i][attr]
 			iv, err := oram.NewView(shared, uint64(s.offset), s.count)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			tree, err := btree.New(btree.Config{
 				ORAM:              iv,
@@ -217,13 +218,13 @@ func StoreShared(rels []*relation.Relation, indexAttrs map[string][]string, opts
 				WriteBackDescents: opts.WriteBackDescents,
 			}, p.built[attr])
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			p.t.indexes[attr] = tree
 		}
 		out[rels[i].Schema.Table] = p.t
 	}
-	return out, shared, nil
+	return out, nil
 }
 
 // ownSchema returns a copy of s that shares no memory with it, so a table
@@ -485,6 +486,27 @@ func (t *StoredTable) PathTelemetry() []oram.PathStats {
 		}
 	}
 	return out
+}
+
+// Footprint returns the cloud and client bytes of tables: their ORAMs'
+// footprints and their cached index levels, a tree they share (the OneORAM
+// setting) counted once — its views add no client state, and each reports
+// only a pro-rated share of its cloud bytes.
+func Footprint(tables ...*StoredTable) (cloud, client int64) {
+	var counted []oram.ORAM
+	for _, t := range tables {
+		for _, tr := range t.indexes {
+			client += tr.ClientCacheBytes()
+		}
+		for _, o := range t.ORAMs() {
+			if b := oram.Base(o); !slices.Contains(counted, b) {
+				counted = append(counted, b)
+				cloud += b.ServerBytes()
+				client += b.ClientBytes()
+			}
+		}
+	}
+	return cloud, client
 }
 
 // CloudBytes returns the server-side footprint of the table's data and

@@ -314,7 +314,7 @@ func TestStoreShared(t *testing.T) {
 	r1 := testRelation("a", []int64{1, 2, 3, 4, 5})
 	r2 := testRelation("b", []int64{3, 3, 4, 9})
 	opts := testOpts(t, m)
-	tables, shared, err := StoreShared(
+	tables, err := StoreShared(
 		[]*relation.Relation{r1, r2},
 		map[string][]string{"a": {"k"}, "b": {"k"}},
 		opts,
@@ -322,11 +322,20 @@ func TestStoreShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared == nil || len(tables) != 2 {
+	if len(tables) != 2 {
 		t.Fatal("shared store incomplete")
 	}
-	// Tuples and index lookups work through the views.
 	ta, tb := tables["a"], tables["b"]
+	shared, err := oram.Shared(append(ta.ORAMs(), tb.ORAMs()...)...)
+	if err != nil || shared == nil {
+		t.Fatalf("the tables share no tree: %v", err)
+	}
+	// The footprint counts the shared tree once, whose views add no client
+	// state, beside the tables' cached index levels (none here).
+	if cloud, client := Footprint(ta, tb); cloud != shared.ServerBytes() || client != shared.ClientBytes() {
+		t.Fatalf("footprint %d/%d bytes, want the shared tree's %d/%d", cloud, client, shared.ServerBytes(), shared.ClientBytes())
+	}
+	// Tuples and index lookups work through the views.
 	ia, err := ta.Index("k")
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +377,7 @@ func TestStoreShared(t *testing.T) {
 func TestStoreSharedRejectsRaw(t *testing.T) {
 	opts := testOpts(t, nil)
 	opts.Raw = true
-	if _, _, err := StoreShared(nil, nil, opts); err == nil {
+	if _, err := StoreShared(nil, nil, opts); err == nil {
 		t.Fatal("raw shared accepted")
 	}
 }

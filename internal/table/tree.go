@@ -87,8 +87,3 @@ func (t *TreeTable) Cursor() *IndexCursor {
 
 // ORAMs lists the table's one ORAM, for the query's settle round.
 func (t *TreeTable) ORAMs() []oram.ORAM { return []oram.ORAM{t.store} }
-
-// PathTelemetry returns the tree's Path-ORAM statistics.
-func (t *TreeTable) PathTelemetry() []oram.PathStats {
-	return []oram.PathStats{t.store.Telemetry()}
-}

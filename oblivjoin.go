@@ -35,7 +35,6 @@ import (
 	"oblivjoin/internal/core"
 	"oblivjoin/internal/jointree"
 	"oblivjoin/internal/operators"
-	"oblivjoin/internal/oram"
 	"oblivjoin/internal/query"
 	"oblivjoin/internal/relation"
 	"oblivjoin/internal/remote"
@@ -179,7 +178,6 @@ type Database struct {
 	sealer     *xcrypto.Sealer
 	pending    []pendingTable
 	tables     map[string]*table.StoredTable
-	shared     *oram.PathORAM
 	sealed     bool
 	setupStats storage.Stats
 	span       *telemetry.Span
@@ -288,11 +286,11 @@ func (db *Database) Seal() error {
 			rels[i] = p.rel
 			attrs[p.rel.Schema.Table] = p.attrs
 		}
-		tables, shared, err := table.StoreShared(rels, attrs, opts)
+		tables, err := table.StoreShared(rels, attrs, opts)
 		if err != nil {
 			return err
 		}
-		db.tables, db.shared = tables, shared
+		db.tables = tables
 	default:
 		for _, p := range db.pending {
 			st, err := table.Store(p.rel, p.attrs, opts)
@@ -330,7 +328,6 @@ func (db *Database) joinOpts() core.Options {
 		Meter:        db.meter,
 		Sealer:       db.sealer,
 		OutBlockSize: db.blockPayload() + xcrypto.Overhead,
-		OneORAM:      db.shared,
 		Span:         db.span,
 	}
 }
@@ -748,25 +745,21 @@ func (db *Database) QueryCost(res *Result) float64 {
 
 // CloudBytes returns the server-side storage footprint.
 func (db *Database) CloudBytes() int64 {
-	if db.shared != nil {
-		return db.shared.ServerBytes()
-	}
-	var total int64
-	for _, st := range db.tables {
-		total += st.CloudBytes()
-	}
-	return total
+	cloud, _ := db.footprint()
+	return cloud
 }
 
 // ClientBytes returns the client-side memory footprint (ORAM stash and
 // position maps, cached index levels).
 func (db *Database) ClientBytes() int64 {
-	var total int64
-	if db.shared != nil {
-		total += db.shared.ClientBytes()
-	}
+	_, client := db.footprint()
+	return client
+}
+
+func (db *Database) footprint() (cloud, client int64) {
+	tables := make([]*table.StoredTable, 0, len(db.tables))
 	for _, st := range db.tables {
-		total += st.ClientBytes()
+		tables = append(tables, st)
 	}
-	return total
+	return table.Footprint(tables...)
 }
