@@ -11,8 +11,9 @@
 // figure prints both panels: (a) simulated query cost derived from measured
 // communication via the cost model, and (b) the raw communication. Points
 // marked "~" were extrapolated from a capped sample (only the
-// Cartesian-product ObliDB baseline ever needs this). With -trace-out every
-// oblivious join's span tree is also written as JSON.
+// Cartesian-product ObliDB baseline ever needs this). With -trace-out the
+// span tree of every join over stored tables — ours and the Raw Index
+// baseline's — is also written as JSON.
 //
 // Standard output is a function of the flags alone, so a regeneration can
 // be diffed against figures_output.txt exactly; the timing trailers go to

@@ -132,17 +132,14 @@ func TestODBJTraceSizeOnly(t *testing.T) {
 	}
 }
 
-func storedPair(t *testing.T, k1, k2 []int64, m *storage.Meter, raw bool) (*table.StoredTable, *table.StoredTable, *relation.Relation, *relation.Relation) {
+func storedPair(t *testing.T, k1, k2 []int64, m *storage.Meter) (*table.StoredTable, *table.StoredTable, *relation.Relation, *relation.Relation) {
 	t.Helper()
 	r1, r2 := makeRel("a", k1), makeRel("b", k2)
 	opts := table.Options{
 		BlockPayload: 256,
 		Meter:        m,
 		Rand:         oram.NewSeededSource(3),
-		Raw:          raw,
-	}
-	if !raw {
-		opts.Sealer = testSealer(t)
+		Sealer:       testSealer(t),
 	}
 	s1, err := table.Store(r1, []string{"k"}, opts)
 	if err != nil {
@@ -156,7 +153,7 @@ func storedPair(t *testing.T, k1, k2 []int64, m *storage.Meter, raw bool) (*tabl
 }
 
 func TestObliDBHashJoinBinary(t *testing.T) {
-	s1, s2, r1, r2 := storedPair(t, []int64{1, 2, 2, 3}, []int64{2, 2, 3, 9}, nil, false)
+	s1, s2, r1, r2 := storedPair(t, []int64{1, 2, 2, 3}, []int64{2, 2, 3, 9}, nil)
 	res, err := ObliDBHashJoin([]*table.StoredTable{s1, s2},
 		[]EquiPred{{A: 0, AAttr: "k", B: 1, BAttr: "k"}}, testOpts(t, nil))
 	if err != nil {
@@ -212,7 +209,7 @@ func TestObliDBHashJoinMultiway(t *testing.T) {
 
 func TestObliDBHashJoinIsCartesian(t *testing.T) {
 	m := storage.NewMeter()
-	s1, s2, _, _ := storedPair(t, make([]int64, 8), make([]int64, 8), m, false)
+	s1, s2, _, _ := storedPair(t, make([]int64, 8), make([]int64, 8), m)
 	m.Reset()
 	res, err := ObliDBHashJoin([]*table.StoredTable{s1, s2},
 		[]EquiPred{{A: 0, AAttr: "k", B: 1, BAttr: "k"}}, testOpts(t, m))
@@ -293,7 +290,7 @@ func TestBaselinesPaddedTraceHidesRealCount(t *testing.T) {
 	}{
 		{"ObliDB", 20, []int64{1, 7, 8, 8, 9, 9}, false, func(t *testing.T, keys []int64) ([]storage.Access, *Result) {
 			m := storage.NewMeter()
-			s1, s2, _, _ := storedPair(t, []int64{1, 1, 2, 2, 3, 3}, keys, m, false)
+			s1, s2, _, _ := storedPair(t, []int64{1, 1, 2, 2, 3, 3}, keys, m)
 			return tracedJoin(t, m, func(o Options) (*Result, error) {
 				return ObliDBHashJoin([]*table.StoredTable{s1, s2}, []EquiPred{{A: 0, AAttr: "k", B: 1, BAttr: "k"}}, o)
 			}, 20)
@@ -380,127 +377,6 @@ func TestODBJScanPassesArePublic(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestRawSortMergeJoin(t *testing.T) {
-	r := mrand.New(mrand.NewSource(71))
-	for trial := 0; trial < 8; trial++ {
-		n1, n2 := 1+r.Intn(25), 1+r.Intn(25)
-		k1 := make([]int64, n1)
-		k2 := make([]int64, n2)
-		for i := range k1 {
-			k1[i] = int64(r.Intn(6))
-		}
-		for i := range k2 {
-			k2[i] = int64(r.Intn(6))
-		}
-		s1, s2, r1, r2 := storedPair(t, k1, k2, nil, true)
-		res, err := RawSortMergeJoin(s1, s2, "k", "k", testOpts(t, nil))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		equalMultiset(t, res.Tuples, core.ReferenceEquiJoin(r1, r2, "k", "k"))
-	}
-}
-
-func TestRawINLJ(t *testing.T) {
-	s1, s2, r1, r2 := storedPair(t, []int64{1, 2, 2, 3, 7}, []int64{2, 2, 3, 5}, nil, true)
-	res, err := RawINLJ(s1, s2, "k", "k", testOpts(t, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalMultiset(t, res.Tuples, core.ReferenceEquiJoin(r1, r2, "k", "k"))
-}
-
-func TestRawBandJoin(t *testing.T) {
-	for _, op := range []core.BandOp{core.BandLess, core.BandGreater, core.BandLessEq, core.BandGreaterEq} {
-		s1, s2, r1, r2 := storedPair(t, []int64{1, 3, 5}, []int64{2, 4, 4}, nil, true)
-		res, err := RawBandJoin(s1, s2, "k", "k", op, testOpts(t, nil))
-		if err != nil {
-			t.Fatalf("%v: %v", op, err)
-		}
-		equalMultiset(t, res.Tuples, core.ReferenceBandJoin(r1, r2, "k", "k", op))
-	}
-}
-
-func TestRawMultiwayINLJ(t *testing.T) {
-	r := mrand.New(mrand.NewSource(73))
-	mk := func(name string, n int) *relation.Relation {
-		rel := &relation.Relation{Schema: relation.Schema{Table: name, Columns: []string{"a", "b"}}}
-		for i := 0; i < n; i++ {
-			rel.Tuples = append(rel.Tuples, relation.Tuple{Values: []int64{int64(r.Intn(3)), int64(r.Intn(3))}})
-		}
-		return rel
-	}
-	rels := map[string]*relation.Relation{"x": mk("x", 6), "y": mk("y", 6), "z": mk("z", 6)}
-	q := jointree.Query{
-		Tables: []string{"x", "y", "z"},
-		Preds: []jointree.Pred{
-			{Left: "x", LeftAttr: "a", Right: "y", RightAttr: "a"},
-			{Left: "y", LeftAttr: "b", Right: "z", RightAttr: "b"},
-		},
-	}
-	tree, err := jointree.Build(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := table.Options{BlockPayload: 256, Rand: oram.NewSeededSource(5), Raw: true}
-	in := core.MultiwayInput{Tree: tree}
-	for i, n := range tree.Order {
-		var attrs []string
-		if n.Attr != "" {
-			attrs = []string{n.Attr}
-		}
-		st, err := table.Store(rels[n.Table], attrs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in.Tables = append(in.Tables, st)
-		_ = i
-	}
-	res, err := RawMultiwayINLJ(in, testOpts(t, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.ReferenceMultiwayJoin(rels, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalMultiset(t, res.Tuples, want)
-}
-
-// TestRawIsMuchCheaperThanOblivious pins the headline relationship of
-// Figures 9-10: the oblivious join pays orders of magnitude more traffic
-// than the raw baseline on the same query.
-func TestRawIsMuchCheaperThanOblivious(t *testing.T) {
-	keys1 := make([]int64, 40)
-	keys2 := make([]int64, 40)
-	for i := range keys1 {
-		keys1[i] = int64(i % 10)
-		keys2[i] = int64(i % 10)
-	}
-	mr := storage.NewMeter()
-	rs1, rs2, _, _ := storedPair(t, keys1, keys2, mr, true)
-	mr.Reset()
-	rawRes, err := RawINLJ(rs1, rs2, "k", "k", testOpts(t, mr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mo := storage.NewMeter()
-	os1, os2, _, _ := storedPair(t, keys1, keys2, mo, false)
-	mo.Reset()
-	cOpts := core.Options{Meter: mo, Sealer: testSealer(t), OutBlockSize: 256}
-	oRes, err := core.IndexNestedLoopJoin(os1, os2, "k", "k", cOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oRes.RealCount != rawRes.RealCount {
-		t.Fatalf("result counts differ: %d vs %d", oRes.RealCount, rawRes.RealCount)
-	}
-	if oRes.Stats.BytesMoved() < 10*rawRes.Stats.BytesMoved() {
-		t.Fatalf("oblivious %d bytes vs raw %d bytes — blowup too small",
-			oRes.Stats.BytesMoved(), rawRes.Stats.BytesMoved())
 	}
 }
 

@@ -6,9 +6,11 @@
 //   - ObliDB's hash join — the general multiway baseline that is
 //     "equivalent to a Cartesian product" (paper Table 1);
 //   - Opaque's sort-merge join and ObliDB's 0-OM join — correct only for
-//     primary–foreign-key (one-to-many) joins;
-//   - the insecure Raw Index joins — plain B-tree joins over unencrypted
-//     blocks with no ORAM and no dummies.
+//     primary–foreign-key (one-to-many) joins.
+//
+// The insecure Raw Index baseline has no code here: it is package core's
+// joins over raw tables (table.Options.Raw), which run the same algorithms
+// with nothing oblivious around them.
 package baseline
 
 import (
@@ -32,7 +34,7 @@ type Options struct {
 	BlockSize int
 	// Meter receives traffic accounting.
 	Meter *storage.Meter
-	// Sealer encrypts intermediates; required for the oblivious baselines.
+	// Sealer encrypts intermediates; required.
 	Sealer *xcrypto.Sealer
 	// PadTo optionally pads the output size (Section 8 comparisons); 0
 	// means no padding.

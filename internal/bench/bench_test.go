@@ -299,7 +299,8 @@ func runTE2(t *testing.T, e *Env, methods ...string) string {
 }
 
 // TestRunPhases checks the per-phase span tree cmd/ojoinbench -trace-out
-// writes: with Env.Trace set, every oblivious join attaches one child named
+// writes: with Env.Trace set, every join over stored tables — the Raw
+// Index baseline's included — attaches one child named
 // "method query" carrying the pipeline's phases, and the meterless root
 // aggregates the children's traffic.
 func TestRunPhases(t *testing.T) {
@@ -309,11 +310,11 @@ func TestRunPhases(t *testing.T) {
 	qname := runTE2(t, e, MSepSMJ, MSepINLJ, MRawINLJ)
 	root.End()
 	node := root.Export()
-	// The raw baseline is not an oblivious join and is not traced.
-	if len(node.Children) != 2 {
-		t.Fatalf("children = %d, want 2 (Sep SMJ, Sep INLJ)", len(node.Children))
+	// The raw baseline runs our join over raw tables, traced like the rest.
+	if len(node.Children) != 3 {
+		t.Fatalf("children = %d, want 3 (Sep SMJ, Sep INLJ, Raw INLJ)", len(node.Children))
 	}
-	smj, inlj := node.Children[0], node.Children[1]
+	smj, inlj, raw := node.Children[0], node.Children[1], node.Children[2]
 	if smj.Name != MSepSMJ+" "+qname {
 		t.Fatalf("first child %q, want %q", smj.Name, MSepSMJ+" "+qname)
 	}
@@ -324,6 +325,10 @@ func TestRunPhases(t *testing.T) {
 	}
 	if inlj.Find("join.inlj") == nil {
 		t.Fatal("INLJ trace missing join.inlj")
+	}
+	// Nothing oblivious runs over raw tables: no output filter, no decode.
+	if raw.Name != MRawINLJ+" "+qname || raw.Find("join.inlj") == nil || raw.Find("filter") != nil || raw.Find("decode") != nil {
+		t.Fatalf("Raw INLJ trace %q: want join.inlj without filter or decode", raw.Name)
 	}
 	if sum := node.ChildSum(); node.Stats != sum || sum.BytesMoved() == 0 {
 		t.Fatalf("root stats %+v != child sum %+v (or zero)", node.Stats, sum)

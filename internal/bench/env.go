@@ -163,9 +163,10 @@ type Env struct {
 	ObliDBSampleCap int64
 	// Padding applies a Section 8 strategy to the oblivious methods.
 	Padding core.PaddingMode
-	// Trace, when non-nil, attaches one child span per oblivious execution
-	// (named "method query") under it, so every measured join carries a
-	// phase-attributed breakdown (cmd/ojoinbench -trace-out).
+	// Trace, when non-nil, attaches one child span per join over stored
+	// tables — ours and the Raw Index baseline's — (named "method query")
+	// under it, so each carries a phase-attributed breakdown
+	// (cmd/ojoinbench -trace-out).
 	Trace *telemetry.Span
 	// Scales sizes the workloads per figure.
 	Scales Scales
@@ -347,14 +348,14 @@ func (e *Env) store(mt method, m *storage.Meter, rels []*relation.Relation, attr
 }
 
 // query is one join over stored tables: rels with their index attributes,
-// and the two ways to run it — the Raw Index baseline and our core join.
+// and our core join, which runs it over any index layout — the Raw Index
+// baseline's plain tables included.
 type query struct {
 	name      string
 	rels      []*relation.Relation
 	attrs     map[string][]string
 	writeBack bool
-	raw       func([]*table.StoredTable, baseline.Options) (*baseline.Result, error)
-	ours      func([]*table.StoredTable, core.Options) (*core.Result, error)
+	join      func([]*table.StoredTable, core.Options) (*core.Result, error)
 }
 
 // pair is the two-table query joining r1 on a1 with r2 on a2.
@@ -367,8 +368,9 @@ func pair(name string, r1, r2 *relation.Relation, a1, a2 string) query {
 }
 
 // run measures q under mt: it stores q's tables where mt's layout keeps
-// them, resets the meter, then runs the Raw Index baseline or, under an
-// Env.Trace span named "method query", our join.
+// them, resets the meter, then runs our join under an Env.Trace span named
+// "method query" — over the Raw Index's plain tables, the join with nothing
+// oblivious around it (core.run).
 func (e *Env) run(mt method, q query) (Measure, error) {
 	meas := Measure{Method: mt.name, Query: q.name}
 	m := storage.NewMeter()
@@ -377,25 +379,13 @@ func (e *Env) run(mt method, q query) (Measure, error) {
 		return meas, err
 	}
 	m.Reset()
-	if mt.layout == rawIndex {
-		bopts, err := e.baseOpts(m)
-		if err != nil {
-			return meas, err
-		}
-		res, err := q.raw(tables, bopts)
-		if err != nil {
-			return meas, err
-		}
-		meas.Stats, meas.Real = res.Stats, res.RealCount
-		return meas, nil
-	}
 	copts, err := e.coreOpts(m)
 	if err != nil {
 		return meas, err
 	}
 	copts.Span = e.Trace.ChildMeter(mt.name+" "+q.name, m)
 	defer copts.Span.End()
-	res, err := q.ours(tables, copts)
+	res, err := q.join(tables, copts)
 	if err != nil {
 		return meas, err
 	}
@@ -473,16 +463,13 @@ func (e *Env) RunBinary(method string, name string, r1, r2 *relation.Relation, a
 		return e.runObliDB(name, []*relation.Relation{r1, r2},
 			[]baseline.EquiPred{{A: 0, AAttr: a1, B: 1, BAttr: a2}})
 	}
-	ours, raw := core.IndexNestedLoopJoin, baseline.RawINLJ
+	join := core.IndexNestedLoopJoin
 	if mt.merge {
-		ours, raw = core.SortMergeJoin, baseline.RawSortMergeJoin
+		join = core.SortMergeJoin
 	}
 	q := pair(name, r1, r2, a1, a2)
-	q.raw = func(t []*table.StoredTable, o baseline.Options) (*baseline.Result, error) {
-		return raw(t[0], t[1], a1, a2, o)
-	}
-	q.ours = func(t []*table.StoredTable, o core.Options) (*core.Result, error) {
-		return ours(t[0], t[1], a1, a2, o)
+	q.join = func(t []*table.StoredTable, o core.Options) (*core.Result, error) {
+		return join(t[0], t[1], a1, a2, o)
 	}
 	return e.run(mt, q)
 }
@@ -590,10 +577,7 @@ func (e *Env) RunBand(method string, name string, r1, r2 *relation.Relation, a1,
 		return Measure{}, err
 	}
 	q := pair(name, r1, r2, a1, a2)
-	q.raw = func(t []*table.StoredTable, o baseline.Options) (*baseline.Result, error) {
-		return baseline.RawBandJoin(t[0], t[1], a1, a2, op, o)
-	}
-	q.ours = func(t []*table.StoredTable, o core.Options) (*core.Result, error) {
+	q.join = func(t []*table.StoredTable, o core.Options) (*core.Result, error) {
 		return core.BandJoin(t[0], t[1], a1, a2, op, o)
 	}
 	return e.run(mt, q)
@@ -627,12 +611,8 @@ func (e *Env) RunMultiway(method string, name string, rels map[string]*relation.
 		}
 		return e.runObliDB(name, q.rels, preds)
 	}
-	in := func(t []*table.StoredTable) core.MultiwayInput { return core.MultiwayInput{Tree: tree, Tables: t} }
-	q.raw = func(t []*table.StoredTable, o baseline.Options) (*baseline.Result, error) {
-		return baseline.RawMultiwayINLJ(in(t), o)
-	}
-	q.ours = func(t []*table.StoredTable, o core.Options) (*core.Result, error) {
-		return core.MultiwayJoin(in(t), o)
+	q.join = func(t []*table.StoredTable, o core.Options) (*core.Result, error) {
+		return core.MultiwayJoin(core.MultiwayInput{Tree: tree, Tables: t}, o)
 	}
 	return e.run(mt, q)
 }

@@ -378,7 +378,8 @@ func TestOneORAMBinaryJoins(t *testing.T) {
 
 // TestMixedSettingsRefused: a join reads its setting off its inputs, and
 // refuses inputs in mixed settings — a table in trees of its own beside one
-// in a shared tree, or tables in two shared trees — before any access.
+// in a shared tree, tables in two shared trees, or a raw table beside an
+// oblivious one — before any access.
 func TestMixedSettingsRefused(t *testing.T) {
 	m := storage.NewMeter()
 	topts := testTableOpts(t, m, true) // write-back indexes, for the multiway join
@@ -395,6 +396,7 @@ func TestMixedSettingsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	sep := mustStore(t)(table.Store(rels()[0], []string{"k"}, topts))
+	raw := mustStore(t)(table.Store(rels()[1], []string{"k"}, rawTableOpts(m)))
 	tree, err := jointree.Build(jointree.Query{
 		Tables: []string{"t1", "t2"},
 		Preds:  []jointree.Pred{{Left: "t1", LeftAttr: "k", Right: "t2", RightAttr: "k"}},
@@ -408,6 +410,7 @@ func TestMixedSettingsRefused(t *testing.T) {
 	}{
 		{"own trees beside a shared tree", sep, one["t2"]},
 		{"two shared trees", one["t1"], other["t2"]},
+		{"an oblivious table beside a raw one", sep, raw},
 	} {
 		opts := testJoinOpts(t, m)
 		m.Reset()
@@ -710,6 +713,54 @@ func TestPadDP(t *testing.T) {
 	}
 	if res.PaddedSteps != NumtrINLJ(5, int64(res.PaddedCount)) {
 		t.Fatalf("steps %d for padded %d", res.PaddedSteps, res.PaddedCount)
+	}
+}
+
+// TestPadDPDrawsOnce: a PadDP join draws its noise once, and pads its steps
+// and its output to that one size — PaddedSteps is its theorem's bound at
+// PaddedCount — in every join. The draws differ, so a second draw would
+// show as a step count of another size.
+func TestPadDPDrawsOnce(t *testing.T) {
+	s1, s2, _, _ := storePair(t, []int64{1, 2, 3, 4, 5}, []int64{1, 2, 3}, nil)
+	rels, q := figure6Data()
+	in, _ := storeMultiway(t, rels, q, nil, false)
+	var sizes []int64
+	for _, st := range in.Tables {
+		sizes = append(sizes, int64(st.NumTuples()))
+	}
+	for name, c := range map[string]struct {
+		join  func(Options) (*Result, error)
+		bound func(r int64) int64
+	}{
+		"smj": {func(o Options) (*Result, error) { return SortMergeJoin(s1, s2, "k", "k", o) },
+			func(r int64) int64 { return NumtrSortMerge(5, 3, r) }},
+		"inlj": {func(o Options) (*Result, error) { return IndexNestedLoopJoin(s1, s2, "k", "k", o) },
+			func(r int64) int64 { return NumtrINLJ(5, r) }},
+		"band": {func(o Options) (*Result, error) { return BandJoin(s1, s2, "k", "k", BandLess, o) },
+			func(r int64) int64 { return NumtrBand(5, r) }},
+		"multiway": {func(o Options) (*Result, error) { return MultiwayJoin(in, o) },
+			func(r int64) int64 { return NumtrMultiway(sizes, r) }},
+	} {
+		opts := testJoinOpts(t, nil)
+		opts.Padding = PadDP
+		draws := 0
+		opts.DPRand = func() float64 {
+			draws++
+			if draws == 1 {
+				return 0.9
+			}
+			return 0.01
+		}
+		res, err := c.join(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if draws != 1 {
+			t.Errorf("%s: %d PadDP draws, want 1", name, draws)
+		}
+		if want := c.bound(int64(res.PaddedCount)); res.PaddedSteps != want {
+			t.Errorf("%s: %d padded steps for %d padded records, the bound is %d", name, res.PaddedSteps, res.PaddedCount, want)
+		}
 	}
 }
 

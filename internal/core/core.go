@@ -47,11 +47,20 @@
 // and the binary joins skip a dummy partner beside a real retrieval — which
 // the output table would betray were it not for one output record written
 // after every retrieval rather than every step.
+//
+// Raw mode is the inputs' own too: over raw tables (table.Options.Raw, every
+// ORAM an oram.RawStore) the driver is the paper's insecure Raw Index
+// baseline. The decision procedures run unchanged with nothing oblivious
+// around them — a hold touches no block, no step is padded, the output
+// holds the join records alone and is not filtered, and the multiway join
+// neither disables nor resets — so the blowup over Raw is the price of
+// obliviousness alone.
 package core
 
 import (
 	crand "crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -236,12 +245,21 @@ type algorithm struct{ span, phase, name, theorem string }
 // at the padded result size and drains them (pad); for the multiway join,
 // resets the indexes; and then filters and decodes the output and settles
 // every input tree, the query's last round.
+//
+// Over raw tables (oram.RawStore, the insecure Raw Index baseline) the same
+// decision procedure runs with nothing oblivious around it: holds touch no
+// block, the steps are not padded, the output holds the join records alone
+// and is not filtered, and the multiway join neither disables nor resets.
 func run(alg algorithm, op operator, opts Options, inputs ...input) (*Result, error) {
 	var orams []oram.ORAM
 	for _, t := range inputs {
 		orams = append(orams, t.ORAMs()...)
 	}
 	one, err := oram.Shared(orams...)
+	var raw bool
+	if err == nil {
+		raw, err = rawTables(orams)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", alg.name, err)
 	}
@@ -259,7 +277,7 @@ func run(alg algorithm, op operator, opts Options, inputs ...input) (*Result, er
 		sizes[i], names[i], schemas[i] = int64(t.NumTuples()), t.Schema().Table, t.Schema()
 		sp.SetAttr(fmt.Sprintf("n%d", i+1), sizes[i])
 	}
-	w, err := newOutWriter(strings.Join(names, "⋈"), opts, schemas...)
+	w, err := newOutWriter(strings.Join(names, "⋈"), opts, raw, schemas...)
 	if err != nil {
 		return nil, err
 	}
@@ -274,8 +292,13 @@ func run(alg algorithm, op operator, opts Options, inputs ...input) (*Result, er
 	phase.SetAttr("steps", steps)
 	phase.End()
 
-	cart := Cartesian(sizes...)
-	target := op.bound(sizes, opts.PadSize(s.real(), cart))
+	// The padded result size is drawn once: the step bound and the output
+	// filter pad to the same size.
+	target, padded := steps, int64(0)
+	if !raw {
+		padded = opts.PadSize(s.real(), Cartesian(sizes...))
+		target = op.bound(sizes, padded)
+	}
 	if steps > target {
 		return nil, fmt.Errorf("core: %s executed %d steps, exceeding the %s bound %d", alg.name, steps, alg.theorem, target)
 	}
@@ -292,14 +315,14 @@ func run(alg algorithm, op operator, opts Options, inputs ...input) (*Result, er
 	}
 	pad.End()
 
-	if r, ok := op.(interface{ reset() error }); ok {
+	if r, ok := op.(interface{ reset() error }); ok && !raw {
 		reset := sp.Child("reset")
 		if err := r.reset(); err != nil {
 			return nil, err
 		}
 		reset.End()
 	}
-	tuples, real, padded, err := w.finish(opts, cart, sp)
+	tuples, real, paddedCount, err := w.finish(opts, padded, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -310,12 +333,27 @@ func run(alg algorithm, op operator, opts Options, inputs ...input) (*Result, er
 		Schema:      w.schema,
 		Tuples:      tuples,
 		RealCount:   real,
-		PaddedCount: padded,
+		PaddedCount: paddedCount,
 		Steps:       steps,
 		PaddedSteps: target,
 		Retrievals:  s.retrievals,
 		Stats:       diff(opts.Meter, start),
 	}, nil
+}
+
+// rawTables reports whether every one of orams is an oram.RawStore, the
+// insecure baseline's tables, and refuses a mix of raw and oblivious ones.
+func rawTables(orams []oram.ORAM) (bool, error) {
+	n := 0
+	for _, o := range orams {
+		if _, ok := o.(*oram.RawStore); ok {
+			n++
+		}
+	}
+	if n > 0 && n < len(orams) {
+		return false, errors.New("raw tables beside oblivious ones")
+	}
+	return n > 0, nil
 }
 
 // settle writes back what every ORAM of the query — its inputs', and the

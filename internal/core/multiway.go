@@ -278,10 +278,13 @@ func (m *multiwayState) decide(s *stepper) error {
 		case aDisable:
 			j, ord := next.pos, next.disable
 			m.disabledSameNext[j][ord] = m.cur[j].Entry.SameNext
-			mv := m.holds()
-			mv[j] = m.cursors[j].MoveDisable(ord)
-			if err := m.blankStep(s, mv); err != nil {
-				return err
+			// A raw index is not written: the client's memo is the disable.
+			if !s.w.raw {
+				mv := m.holds()
+				mv[j] = m.cursors[j].MoveDisable(ord)
+				if err := m.blankStep(s, mv); err != nil {
+					return err
+				}
 			}
 			// The disabled entry is dead; try the rest of its key run.
 			next = m.scheduleAdvance(j)

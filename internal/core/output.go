@@ -10,16 +10,20 @@ import (
 
 // outWriter accumulates the join's output table: one fixed-size encrypted
 // record per join step (real join tuple or dummy), appended to a
-// server-resident block vector, then obliviously filtered.
+// server-resident block vector, then obliviously filtered. Over raw tables
+// (the insecure baseline) it writes the join records alone and filters
+// nothing, keeping the tuples it wrote.
 type outWriter struct {
 	schema  relation.Schema
 	vec     *obliv.BlockVector
 	recSize int
 	real    int
 	total   int
+	raw     bool
+	tuples  []relation.Tuple // raw: the join records written
 }
 
-func newOutWriter(name string, opts Options, schemas ...relation.Schema) (*outWriter, error) {
+func newOutWriter(name string, opts Options, raw bool, schemas ...relation.Schema) (*outWriter, error) {
 	if opts.Sealer == nil {
 		return nil, fmt.Errorf("core: output sealer is required")
 	}
@@ -29,22 +33,30 @@ func newOutWriter(name string, opts Options, schemas ...relation.Schema) (*outWr
 	if err != nil {
 		return nil, err
 	}
-	return &outWriter{schema: schema, vec: vec, recSize: recSize}, nil
+	return &outWriter{schema: schema, vec: vec, recSize: recSize, raw: raw}, nil
 }
 
 // putJoin writes the concatenation of the given tuples as one real record.
 func (w *outWriter) putJoin(tuples ...relation.Tuple) error {
 	rec := make([]byte, w.recSize)
-	if err := relation.Encode(w.schema, relation.Concat(tuples...), rec); err != nil {
+	tu := relation.Concat(tuples...)
+	if err := relation.Encode(w.schema, tu, rec); err != nil {
 		return err
+	}
+	if w.raw {
+		w.tuples = append(w.tuples, tu)
 	}
 	w.real++
 	w.total++
 	return w.vec.Append(rec)
 }
 
-// putDummy writes one dummy record, indistinguishable from a real one.
+// putDummy writes one dummy record, indistinguishable from a real one; a
+// raw output writes none.
 func (w *outWriter) putDummy() error {
+	if w.raw {
+		return nil
+	}
 	rec := make([]byte, w.recSize)
 	if err := relation.EncodeDummy(w.schema, rec); err != nil {
 		return err
@@ -56,17 +68,23 @@ func (w *outWriter) putDummy() error {
 // finish applies the Section 8 padding strategy and the paper's final
 // oblivious filter: the output vector is compacted so real records precede
 // dummies in their emission order (obliv.CompactReal with mem trusted
-// records) and truncated to the padded size. The compaction's plan packs
-// its transfers into rounds that read at most the padded prefix, the same
-// blocks the decode reads. The padding is appended in client memory, so the
+// records) and truncated to padded, the padded result size the driver drew.
+// The compaction's plan packs its transfers into rounds that read at most
+// the padded prefix, the same blocks the decode reads. The padding is appended in client memory, so the
 // partly filled last block is written once, riding the compaction's first
 // round, and the compaction's last round's write-back rides the decode read.
 // It returns the decoded real join tuples. join is the algorithm's telemetry
 // span (may be nil); the filter and decode phases attach under it, with the
-// compaction's own span nesting under the filter.
-func (w *outWriter) finish(opts Options, cartesian int64, join *telemetry.Span) (tuples []relation.Tuple, realCount, paddedCount int, err error) {
+// compaction's own span nesting under the filter. A raw output holds join
+// records only: it is flushed, and the tuples written are its result.
+func (w *outWriter) finish(opts Options, padded int64, join *telemetry.Span) (tuples []relation.Tuple, realCount, paddedCount int, err error) {
+	if w.raw {
+		if err := w.vec.Flush(); err != nil {
+			return nil, 0, 0, err
+		}
+		return w.tuples, w.real, w.real, nil
+	}
 	filter := join.Child("filter")
-	padded := opts.PadSize(int64(w.real), cartesian)
 	filter.SetAttr("out", int64(w.total))
 	filter.SetAttr("padded", padded)
 	// A heavily padded target can exceed the records the join steps emitted.

@@ -260,7 +260,7 @@ func TestPathORAMRejectsBadConfig(t *testing.T) {
 
 func TestRawStore(t *testing.T) {
 	m := storage.NewMeter()
-	r, err := NewRawStore("raw", 16, 32, m, NewSeededSource(1))
+	r, err := NewRawStore("raw", 16, 32, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +289,13 @@ func TestRawStore(t *testing.T) {
 	if d := m.Snapshot().Sub(before); d.BlocksMoved() != 1 {
 		t.Fatalf("raw read moved %d blocks", d.BlocksMoved())
 	}
+	// A dummy hides nothing on a raw store, so it touches no block.
+	before = m.Snapshot()
 	if err := r.DummyAccess(); err != nil {
 		t.Fatal(err)
+	}
+	if d := m.Snapshot().Sub(before); d != (storage.Stats{}) {
+		t.Fatalf("raw dummy moved %+v", d)
 	}
 	if err := r.BulkLoad([][]byte{[]byte("a"), []byte("b")}); err != nil {
 		t.Fatal(err)
@@ -302,10 +307,10 @@ func TestRawStore(t *testing.T) {
 }
 
 func TestRawStoreRejectsBadConfig(t *testing.T) {
-	if _, err := NewRawStore("x", 0, 8, nil, nil); err == nil {
+	if _, err := NewRawStore("x", 0, 8, nil); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := NewRawStore("x", 4, 0, nil, nil); err == nil {
+	if _, err := NewRawStore("x", 4, 0, nil); err == nil {
 		t.Error("zero payload accepted")
 	}
 }
@@ -393,7 +398,7 @@ func TestPathORAMUpdate(t *testing.T) {
 }
 
 func TestRawStoreUpdate(t *testing.T) {
-	r, err := NewRawStore("raw", 4, 8, nil, NewSeededSource(2))
+	r, err := NewRawStore("raw", 4, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

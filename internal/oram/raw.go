@@ -8,31 +8,29 @@ import (
 
 // RawStore implements the ORAM interface with no obliviousness and no
 // encryption: every logical block sits at a fixed server location and each
-// access is a single plaintext block transfer. It backs the paper's insecure
-// "Raw Index(+Cache)" baseline, which "builds B-tree indices over data
-// blocks and stores them in the cloud without using any encryption and ORAM
-// protocol" (Section 9.1).
+// access is a single plaintext block transfer, and a dummy none. It backs
+// the paper's insecure "Raw Index(+Cache)" baseline, which "builds B-tree
+// indices over data blocks and stores them in the cloud without using any
+// encryption and ORAM protocol" (Section 9.1). Together runs a group of raw
+// reads as one round, as it does a join step's accesses on Path-ORAMs.
 type RawStore struct {
 	store *storage.MemStore
 	size  int
-	rand  LeafSource
+	meter *storage.Meter // the store's: a raw round is metered on it
 }
 
 // NewRawStore creates a raw store with capacity blocks of payloadSize bytes.
-func NewRawStore(name string, capacity int64, payloadSize int, meter *storage.Meter, rnd LeafSource) (*RawStore, error) {
+func NewRawStore(name string, capacity int64, payloadSize int, meter *storage.Meter) (*RawStore, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("oram: capacity must be positive, got %d", capacity)
 	}
 	if payloadSize <= 0 {
 		return nil, fmt.Errorf("oram: payload size must be positive, got %d", payloadSize)
 	}
-	if rnd == nil {
-		rnd = NewCryptoSource()
-	}
 	return &RawStore{
 		store: storage.NewMemStore(name, capacity, payloadSize, meter),
 		size:  payloadSize,
-		rand:  rnd,
+		meter: meter,
 	}, nil
 }
 
@@ -67,12 +65,9 @@ func (r *RawStore) Update(key uint64, fn func(payload []byte) error) ([]byte, er
 	return data, nil
 }
 
-// DummyAccess implements ORAM; the raw baseline never issues dummies, but
-// for interface completeness it reads a random block.
-func (r *RawStore) DummyAccess() error {
-	_, err := r.Read(uint64(r.rand.Uint64() % uint64(r.store.Len())))
-	return err
-}
+// DummyAccess implements ORAM: the raw baseline hides nothing, so a dummy
+// touches no block.
+func (r *RawStore) DummyAccess() error { return nil }
 
 // PayloadSize implements ORAM.
 func (r *RawStore) PayloadSize() int { return r.size }

@@ -46,10 +46,12 @@ type Req struct {
 // ORAM handle that name distinct blocks (a dummy names none): a descent's
 // access beside the next descent's root, read ahead. Its share then
 // downloads both paths in full, in request order, the operations apply in
-// that order, and both paths are queued for write-back. Any other group (a
-// tree named twice through two handles, or for one block, or three times;
-// trees on separate meters; a RawStore) runs its accesses one after
-// another, exactly as separate calls would.
+// that order, and both paths are queued for write-back. A group of plain
+// reads and dummies on RawStores, all on one meter, is one round too: a
+// single-block share per read and none per dummy. Any other group (a tree
+// named twice through two handles, or for one block, or three times; trees
+// on separate meters; a write, update or pin on a RawStore) runs its
+// accesses one after another, exactly as separate calls would.
 //
 // Per-store access sequences are those of the accesses issued one after
 // another, but for the write-back of a tree's two paths, which follows both
@@ -63,8 +65,9 @@ type Req struct {
 // ride are shares of other stores (nil entries are skipped) that travel in
 // the round too, after the trees' shares: writes that have been waiting for
 // a round to carry them. A single request on such a tree is a round of one
-// tree, so it carries them as well. A group that runs one access after
-// another issues none of them, and leaves each untouched.
+// tree, so it carries them as well, and so does a raw round. A group that
+// runs one access after another issues none of them, and leaves each
+// untouched.
 //
 // Failure atomicity is per tree, as for separate accesses: each share of a
 // round reports its own error, to every request it serves; a tree whose
@@ -78,7 +81,9 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 		trees = make([]*PathORAM, 0, len(reqs))
 	}
 	if trees = lockstep(trees, reqs); trees == nil {
-		var first error
+		if rawRound(reqs, ride) {
+			return firstErr(reqs)
+		}
 		for i := range reqs {
 			r := &reqs[i]
 			o, key, _ := onTree(r) // a key outside its view fails below
@@ -94,11 +99,8 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 			default:
 				r.Data, r.Err = r.ORAM.Read(r.Key)
 			}
-			if first == nil {
-				first = r.Err
-			}
 		}
-		return first
+		return firstErr(reqs)
 	}
 
 	var fewOps [8]*storage.RoundOp
@@ -167,13 +169,60 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 			reqs[p.req].Data, reqs[p.req].Err = o.finish(p)
 		}
 	}
-	var first error
+	return firstErr(reqs)
+}
+
+// firstErr returns the first error among reqs, in request order.
+func firstErr(reqs []Req) error {
 	for i := range reqs {
-		if first == nil {
-			first = reqs[i].Err
+		if reqs[i].Err != nil {
+			return reqs[i].Err
 		}
 	}
-	return first
+	return nil
+}
+
+// rawRound performs reqs as one round when every request is a plain read or
+// a dummy on a RawStore, all on one meter — the raw baseline's join step: a
+// single-block share per read, none per dummy, then the ride shares. It
+// reports false, having done nothing, for any other group.
+func rawRound(reqs []Req, ride []*storage.RoundOp) bool {
+	if len(reqs) == 0 {
+		return false
+	}
+	var meter *storage.Meter
+	for i := range reqs {
+		r := &reqs[i]
+		raw, ok := r.ORAM.(*RawStore)
+		if !ok || r.Put != nil || r.Update != nil || r.Pin || i > 0 && raw.meter != meter {
+			return false
+		}
+		meter = raw.meter
+	}
+	shares := make([]storage.RoundOp, len(reqs))
+	var ops []*storage.RoundOp
+	for i := range reqs {
+		r := &reqs[i]
+		r.Data, r.Err = nil, nil
+		if !r.Dummy {
+			shares[i] = storage.RoundOp{Store: r.ORAM.(*RawStore).store, ReadIdxs: []int64{int64(r.Key)}}
+			ops = append(ops, &shares[i])
+		}
+	}
+	for _, op := range ride {
+		if op != nil {
+			ops = append(ops, op)
+		}
+	}
+	if len(ops) > 0 {
+		storage.DoRound(meter, ops...)
+	}
+	for i := range reqs {
+		if !reqs[i].Dummy {
+			reqs[i].Data, reqs[i].Err = shares[i].Out, shares[i].Err
+		}
+	}
+	return true
 }
 
 // firstIn reports whether trees[i], o, is o's first place in trees: the

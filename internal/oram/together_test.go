@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	mrand "math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -368,7 +369,7 @@ func TestTogetherShareFailure(t *testing.T) {
 
 // TestTogetherFallsBackOneByOne: groups that are not distinct Path-ORAMs on
 // one meter — views of one shared tree, a tree on a meter of its own, the
-// raw store, the same tree twice — run their accesses one after another,
+// same tree twice — run their accesses one after another,
 // moving exactly the blocks and rounds of separate calls, in the same order.
 func TestTogetherFallsBackOneByOne(t *testing.T) {
 	const capacity, payload = 16, 16
@@ -401,17 +402,6 @@ func TestTogetherFallsBackOneByOne(t *testing.T) {
 					}
 				}
 				o, err := NewPathORAM(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out[i] = o
-			}
-			return out
-		},
-		"raw": func(m *storage.Meter) [2]ORAM {
-			var out [2]ORAM
-			for i := range out {
-				o, err := NewRawStore(fmt.Sprint("raw", i), capacity, payload, m, NewSeededSource(1))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -476,6 +466,70 @@ func TestTogetherFallsBackOneByOne(t *testing.T) {
 				t.Fatalf("Together is not the separate calls: %s", d)
 			}
 		})
+	}
+}
+
+// TestTogetherRawRound: a group of plain reads and dummies on RawStores is
+// one metered round — a block per read, nothing per dummy — carrying the
+// ride shares after the reads, and each read gets its own block. A group
+// with a write on a RawStore runs one access after another and leaves its
+// ride share unissued.
+func TestTogetherRawRound(t *testing.T) {
+	const capacity, payload = 8, 16
+	m := storage.NewMeter()
+	var raws [3]*RawStore
+	for i := range raws {
+		r, err := NewRawStore(fmt.Sprint("raw", i), capacity, payload, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(0); k < capacity; k++ {
+			if err := r.Write(k, []byte{byte(10*i) + byte(k)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		raws[i] = r
+	}
+	out := storage.NewMemStore("out", 1, payload, m)
+	m.Reset()
+	m.SetTracing(true)
+	ride := &storage.RoundOp{Store: out, WriteIdxs: []int64{0}, WriteData: [][]byte{make([]byte, payload)}}
+	reqs := []Req{{ORAM: raws[0], Key: 3}, {ORAM: raws[1], Dummy: true}, {ORAM: raws[2], Key: 5}, {ORAM: raws[0], Key: 6}}
+	if err := Together(reqs, ride); err != nil {
+		t.Fatal(err)
+	}
+	if ride.Err != nil {
+		t.Fatalf("ride share: %v", ride.Err)
+	}
+	for i, want := range map[int]byte{0: 3, 2: 25, 3: 6} {
+		if reqs[i].Data[0] != want {
+			t.Fatalf("request %d read %d, want %d", i, reqs[i].Data[0], want)
+		}
+	}
+	if reqs[1].Data != nil {
+		t.Fatalf("dummy returned data")
+	}
+	if got, want := m.Snapshot(), (storage.Stats{BlockReads: 3, BlockWrites: 1, BytesRead: 3 * payload, BytesWritten: payload, NetworkRounds: 1}); got != want {
+		t.Fatalf("raw round moved %+v, want %+v", got, want)
+	}
+	var order []string
+	for _, a := range m.Trace() {
+		order = append(order, fmt.Sprintf("%s:%d@%d", a.Store, a.Index, a.Round))
+	}
+	if want := []string{"raw0:3@1", "raw2:5@1", "raw0:6@1", "out:0@1"}; !slices.Equal(order, want) {
+		t.Fatalf("trace %v, want %v", order, want)
+	}
+
+	// A write on a RawStore keeps the one-by-one rule: a round per access,
+	// and the ride share is not issued.
+	m.Reset()
+	ride = &storage.RoundOp{Store: out, WriteIdxs: []int64{0}, WriteData: [][]byte{make([]byte, payload)}}
+	reqs = []Req{{ORAM: raws[0], Key: 1}, {ORAM: raws[1], Key: 2, Put: []byte{7}}}
+	if err := Together(reqs, ride); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Snapshot(); got.NetworkRounds != 2 || got.BlockWrites != 1 {
+		t.Fatalf("raw group with a write moved %+v, want 2 rounds and 1 write", got)
 	}
 }
 

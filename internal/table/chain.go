@@ -115,12 +115,6 @@ func (c *ChainedTable) Schema() relation.Schema { return c.schema }
 // NumTuples returns the row count.
 func (c *ChainedTable) NumTuples() int { return c.n }
 
-// CloudBytes returns the server footprint.
-func (c *ChainedTable) CloudBytes() int64 { return c.data.ServerBytes() }
-
-// ClientBytes returns the client footprint.
-func (c *ChainedTable) ClientBytes() int64 { return c.data.ClientBytes() }
-
 // recordAt decodes the record at ref out of its fetched block: the tuple
 // plus its successor.
 func (c *ChainedTable) recordAt(ref btree.Ref, buf []byte) (relation.Tuple, btree.Ref, bool, error) {
@@ -165,9 +159,6 @@ func (c *ChainCursor) Advance() Move { return Move{c: c, kind: advance} }
 // Hold is a retrieval indistinguishable from Advance that leaves the cursor
 // where it is.
 func (c *ChainCursor) Hold() Move { return Move{c: c} }
-
-// Next retrieves the next tuple in attribute order, or a dummy past the end.
-func (c *ChainCursor) Next() (Row, error) { return step1(c.Advance()) }
 
 func (c *ChainCursor) shape() shape { return shape{data: c.t.data} }
 

@@ -43,9 +43,6 @@ func (c *ScanCursor) Advance() Move { return Move{c: c, kind: advance} }
 // where it is.
 func (c *ScanCursor) Hold() Move { return Move{c: c} }
 
-// Next retrieves the next tuple, or a dummy once past the end.
-func (c *ScanCursor) Next() (Row, error) { return step1(c.Advance()) }
-
 func (c *ScanCursor) ref() btree.Ref {
 	return btree.Ref{Block: uint64(c.pos / c.t.perBlock), Slot: c.pos % c.t.perBlock}
 }
@@ -152,10 +149,6 @@ func (c *LeafCursor) Advance() Move { return Move{c: c, kind: advance} }
 // Hold is a retrieval indistinguishable from Advance that leaves the cursor
 // where it is.
 func (c *LeafCursor) Hold() Move { return Move{c: c} }
-
-// Next retrieves the tuple at the cursor and advances; past the end it
-// performs the same accesses and returns a dummy Row.
-func (c *LeafCursor) Next() (Row, error) { return step1(c.Advance()) }
 
 func (c *LeafCursor) shape() shape {
 	return shape{index: c.tree.ORAM(), data: c.t.data, n: 1, free: 1}
@@ -380,38 +373,20 @@ func (c *IndexCursor) MoveKeyGE(src *Row, col int) Move {
 // operation, which is indistinguishable from a tuple retrieval").
 func (c *IndexCursor) MoveDisable(ord int64) Move { return Move{c: c, kind: disable, arg: ord} }
 
-// MoveOrdGE is the retrieval SeekOrdGE performs.
+// MoveOrdGE is the retrieval of the first live entry with ordinal >= o
+// (band joins start ascending passes at ordinal 0).
 func (c *IndexCursor) MoveOrdGE(o int64) Move { return Move{c: c, kind: seekOrdGE, arg: o} }
 
-// MoveOrdLE is the retrieval SeekOrdLE performs.
+// MoveOrdLE is the retrieval of the last live entry with ordinal <= o (band
+// joins start descending passes at the last entry).
 func (c *IndexCursor) MoveOrdLE(o int64) Move { return Move{c: c, kind: seekOrdLE, arg: o} }
 
-// MoveNext is the retrieval Next performs.
+// MoveNext is the retrieval of the next live entry in ordinal order.
 func (c *IndexCursor) MoveNext() Move { return Move{c: c, kind: advance} }
 
-// MovePrev is the retrieval Prev performs.
+// MovePrev is the retrieval of the previous live entry in ordinal order.
 func (c *IndexCursor) MovePrev() Move { return Move{c: c, kind: retreat} }
 
 // Hold is a retrieval indistinguishable from a seek or advance that leaves
 // the cursor where it is.
 func (c *IndexCursor) Hold() Move { return Move{c: c} }
-
-// SeekGE positions at the first live entry with key >= k and retrieves its
-// tuple (Algorithm 2's getFirst(tuple.key)).
-func (c *IndexCursor) SeekGE(k int64) (Row, error) {
-	return step1(Move{c: c, kind: seekKeyGE, arg: k})
-}
-
-// SeekOrdGE positions at the first live entry with ordinal >= o (band joins
-// start ascending passes at ordinal 0).
-func (c *IndexCursor) SeekOrdGE(o int64) (Row, error) { return step1(c.MoveOrdGE(o)) }
-
-// SeekOrdLE positions at the last live entry with ordinal <= o (band joins
-// start descending passes at the last entry).
-func (c *IndexCursor) SeekOrdLE(o int64) (Row, error) { return step1(c.MoveOrdLE(o)) }
-
-// Next advances to the next live entry in ordinal order.
-func (c *IndexCursor) Next() (Row, error) { return step1(c.MoveNext()) }
-
-// Prev advances to the previous live entry in ordinal order.
-func (c *IndexCursor) Prev() (Row, error) { return step1(c.MovePrev()) }

@@ -598,13 +598,6 @@ func Step(rows []Row, ride *storage.RoundOp, moves ...Move) error {
 	return err
 }
 
-// step1 performs a single retrieval on its own.
-func step1(mv Move) (Row, error) {
-	var row [1]Row
-	err := Step(row[:], nil, mv)
-	return row[0], err
-}
-
 // Lane is one input of a pipelined join as PlanPipeline sees it: the
 // stores its retrievals use and the shape of its index stage, all public
 // geometry.

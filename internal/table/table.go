@@ -330,7 +330,7 @@ func (t *StoredTable) dataPayloads(rel *relation.Relation) [][]byte {
 
 func newStore(name string, capacity int64, opts Options) (oram.ORAM, error) {
 	if opts.Raw {
-		return oram.NewRawStore(name, capacity, opts.payload(), opts.Meter, opts.Rand)
+		return oram.NewRawStore(name, capacity, opts.payload(), opts.Meter)
 	}
 	cfg, err := pathConfig(name, capacity, opts)
 	if err != nil {

@@ -27,6 +27,17 @@ func testOpts(t testing.TB, m *storage.Meter) Options {
 	}
 }
 
+// retrieve performs the retrieval mv on its own (Step) and returns its row.
+func retrieve(mv Move) (Row, error) {
+	var row [1]Row
+	err := Step(row[:], nil, mv)
+	return row[0], err
+}
+
+// seekGE is the retrieval of c's first live entry with key >= k
+// (Algorithm 2's getFirst(tuple.key)).
+func seekGE(c *IndexCursor, k int64) Move { return Move{c: c, kind: seekKeyGE, arg: k} }
+
 func testRelation(name string, keys []int64) *relation.Relation {
 	rel := &relation.Relation{Schema: relation.Schema{
 		Table:   name,
@@ -128,7 +139,7 @@ func TestScanCursor(t *testing.T) {
 	per := int64(0)
 	for i := 0; i < len(rel.Tuples); i++ {
 		before := m.Snapshot()
-		row, err := c.Next()
+		row, err := retrieve(c.Advance())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +155,7 @@ func TestScanCursor(t *testing.T) {
 	}
 	// Past the end: dummy row, same cost.
 	before := m.Snapshot()
-	row, err := c.Next()
+	row, err := retrieve(c.Advance())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +197,7 @@ func TestLeafCursorSortedTraversal(t *testing.T) {
 	per := int64(-1)
 	for i := 0; i < len(keys); i++ {
 		before := m.Snapshot()
-		row, err := c.Next()
+		row, err := retrieve(c.Advance())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +219,7 @@ func TestLeafCursorSortedTraversal(t *testing.T) {
 	}
 	// Past-the-end and a held retrieval cost the same.
 	for name, op := range map[string]func() error{
-		"past-end": func() error { _, err := c.Next(); return err },
+		"past-end": func() error { _, err := retrieve(c.Advance()); return err },
 		"dummy":    func() error { return Step(make([]Row, 1), nil, c.Hold()) },
 	} {
 		before := m.Snapshot()
@@ -225,7 +236,7 @@ func TestLeafCursorSortedTraversal(t *testing.T) {
 	if d := m.Snapshot().Sub(before).BlocksMoved(); d != 0 {
 		t.Fatalf("seek moved %d blocks", d)
 	}
-	row, err := c.Next()
+	row, err := retrieve(c.Advance())
 	if err != nil || !row.OK {
 		t.Fatal(err)
 	}
@@ -260,17 +271,17 @@ func TestIndexCursorUniformCost(t *testing.T) {
 		key  int64 // expected key, -1 for dummy expected
 	}
 	steps := []step{
-		{"seek2", func() (Row, error) { return c.SeekGE(2) }, 2},
-		{"next", c.Next, 2},
-		{"next", c.Next, 2},
-		{"next", c.Next, 3},
-		{"seek100", func() (Row, error) { return c.SeekGE(100) }, -1},
-		{"seekOrd0", func() (Row, error) { return c.SeekOrdGE(0) }, 1},
-		{"seekOrdLE", func() (Row, error) { return c.SeekOrdLE(int64(len(keys) - 1)) }, 12},
-		{"prev", c.Prev, 11},
+		{"seek2", func() (Row, error) { return retrieve(seekGE(c, 2)) }, 2},
+		{"next", func() (Row, error) { return retrieve(c.MoveNext()) }, 2},
+		{"next", func() (Row, error) { return retrieve(c.MoveNext()) }, 2},
+		{"next", func() (Row, error) { return retrieve(c.MoveNext()) }, 3},
+		{"seek100", func() (Row, error) { return retrieve(seekGE(c, 100)) }, -1},
+		{"seekOrd0", func() (Row, error) { return retrieve(c.MoveOrdGE(0)) }, 1},
+		{"seekOrdLE", func() (Row, error) { return retrieve(c.MoveOrdLE(int64(len(keys) - 1))) }, 12},
+		{"prev", func() (Row, error) { return retrieve(c.MovePrev()) }, 11},
 		{"dummy", func() (Row, error) { return Row{}, Step(make([]Row, 1), nil, c.Hold()) }, -1},
 		{"disable", func() (Row, error) { return Row{}, Step(make([]Row, 1), nil, c.MoveDisable(0)) }, -1},
-		{"seek1", func() (Row, error) { return c.SeekGE(1) }, 2}, // ord 0 disabled
+		{"seek1", func() (Row, error) { return retrieve(seekGE(c, 1)) }, 2}, // ord 0 disabled
 	}
 	per := int64(-1)
 	for _, s := range steps {
@@ -301,10 +312,10 @@ func TestIndexCursorUnpositioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Next(); err == nil {
+	if _, err := retrieve(c.MoveNext()); err == nil {
 		t.Fatal("Next on unpositioned cursor accepted")
 	}
-	if _, err := c.Prev(); err == nil {
+	if _, err := retrieve(c.MovePrev()); err == nil {
 		t.Fatal("Prev on unpositioned cursor accepted")
 	}
 }
@@ -485,7 +496,7 @@ func TestEmptyTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewScanCursor(st)
-	row, err := c.Next()
+	row, err := retrieve(c.Advance())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +507,7 @@ func TestEmptyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err = ic.SeekGE(0)
+	row, err = retrieve(seekGE(ic, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +527,7 @@ func TestStoreChainedOrderAndRewind(t *testing.T) {
 	var mark ChainMark
 	var marked bool
 	for i := 0; i < 5; i++ {
-		row, err := c.Next()
+		row, err := retrieve(c.Advance())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,7 +545,7 @@ func TestStoreChainedOrderAndRewind(t *testing.T) {
 		}
 	}
 	// Past the end: dummy.
-	row, err := c.Next()
+	row, err := retrieve(c.Advance())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +557,7 @@ func TestStoreChainedOrderAndRewind(t *testing.T) {
 		t.Fatal("no mark")
 	}
 	c.Restore(mark)
-	row, err = c.Next()
+	row, err = retrieve(c.Advance())
 	if err != nil || !row.OK {
 		t.Fatal(err)
 	}
@@ -574,7 +585,7 @@ func TestStoreChainedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := NewChainCursor(ct).Next()
+	row, err := retrieve(NewChainCursor(ct).Advance())
 	if err != nil || row.OK {
 		t.Fatalf("empty chain: %+v %v", row, err)
 	}
@@ -667,19 +678,19 @@ func TestStoreObliviousTree(t *testing.T) {
 		}
 		return row
 	}
-	row := retrieval("seek", func() (Row, error) { return c.SeekGE(3) })
+	row := retrieval("seek", func() (Row, error) { return retrieve(seekGE(c, 3)) })
 	var got []int64
 	for row.OK {
 		if row.Tuple.Values[0] != row.Entry.Key || rel.Tuples[row.Tuple.Values[1]].Values[0] != row.Entry.Key {
 			t.Fatalf("entry %+v holds tuple %v", row.Entry, row.Tuple.Values)
 		}
 		got = append(got, row.Entry.Key)
-		row = retrieval("next", c.Next)
+		row = retrieval("next", func() (Row, error) { return retrieve(c.MoveNext()) })
 	}
 	if want := []int64{3, 3, 4, 5, 6, 7, 7, 8, 9}; !slices.Equal(got, want) {
 		t.Fatalf("walked %v, want %v", got, want)
 	}
-	retrieval("dummy", func() (Row, error) { return Row{}, Step(make([]Row, 1), nil, c.Hold()) })
+	retrieval("dummy", func() (Row, error) { return retrieve(c.Hold()) })
 	if _, err := StoreObliviousTree(rel, "nope", testOpts(t, m)); err == nil {
 		t.Fatal("unknown attribute accepted")
 	}
@@ -706,7 +717,7 @@ func TestLayoutsKeepTheirSize(t *testing.T) {
 			walk = func() (int, error) {
 				c := NewChainCursor(ct)
 				for rows := 0; ; rows++ {
-					row, err := c.Next()
+					row, err := retrieve(c.Advance())
 					if err != nil || !row.OK {
 						return rows, err
 					}
@@ -720,10 +731,10 @@ func TestLayoutsKeepTheirSize(t *testing.T) {
 			num, schema = tt.NumTuples, tt.Schema
 			walk = func() (int, error) {
 				c := tt.Cursor()
-				row, err := c.SeekGE(0)
+				row, err := retrieve(seekGE(c, 0))
 				rows := 0
 				for ; err == nil && row.OK; rows++ {
-					row, err = c.Next()
+					row, err = retrieve(c.MoveNext())
 				}
 				return rows, err
 			}
