@@ -207,21 +207,30 @@ func TestObliDBHashJoinMultiway(t *testing.T) {
 	equalMultiset(t, res.Tuples, want)
 }
 
+// TestObliDBHashJoinIsCartesian: the enumeration costs Θ(|T1|·|T2|) ORAM
+// reads whatever the keys. The tables span two blocks each: a table of one
+// block is a Path-ORAM of one leaf, whose reads run in the client's stash
+// and take no round.
 func TestObliDBHashJoinIsCartesian(t *testing.T) {
 	m := storage.NewMeter()
-	s1, s2, _, _ := storedPair(t, make([]int64, 8), make([]int64, 8), m)
+	s1, s2, _, _ := storedPair(t, make([]int64, 16), make([]int64, 16), m)
+	for _, st := range []*table.StoredTable{s1, s2} {
+		if oram.Local(st.ORAMs()[0]) {
+			t.Fatalf("%s is one block", st.Schema().Table)
+		}
+	}
 	m.Reset()
 	res, err := ObliDBHashJoin([]*table.StoredTable{s1, s2},
 		[]EquiPred{{A: 0, AAttr: "k", B: 1, BAttr: "k"}}, testOpts(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All 64 combinations match (all keys zero) — and the enumeration cost
+	// All 256 combinations match (all keys zero) — and the enumeration cost
 	// is Θ(|T1|·|T2|) ORAM reads regardless.
-	if res.RealCount != 64 {
+	if res.RealCount != 256 {
 		t.Fatalf("real %d", res.RealCount)
 	}
-	if res.Stats.NetworkRounds < 64 {
+	if res.Stats.NetworkRounds < 256 {
 		t.Fatalf("rounds %d, expected at least the Cartesian enumeration", res.Stats.NetworkRounds)
 	}
 }

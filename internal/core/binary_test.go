@@ -46,6 +46,46 @@ func testJoinOpts(t testing.TB, m *storage.Meter) Options {
 	}
 }
 
+// widen gives every tuple of rel an n-byte payload: the same keys in more
+// blocks. A table of one block is stored in a Path-ORAM of one leaf, which
+// keeps nothing on the server (its accesses run in the client's stash);
+// widened past a block, its data tree keeps levels there.
+func widen(rel *relation.Relation, n int) *relation.Relation {
+	if n == 0 {
+		return rel
+	}
+	rel.Schema.PayloadBytes = n
+	for i := range rel.Tuples {
+		rel.Tuples[i].Payload = make([]byte, n)
+		rel.Tuples[i].Payload[0] = byte(i)
+	}
+	return rel
+}
+
+// onServer fails unless every table's data tree keeps a level on the
+// server.
+func onServer(t *testing.T, tables ...*table.StoredTable) {
+	t.Helper()
+	for _, st := range tables {
+		if oram.Local(st.ORAMs()[0]) {
+			t.Fatalf("%s's data tree is one leaf: it keeps nothing on the server", st.Schema().Table)
+		}
+	}
+}
+
+// inStash fails unless every table's trees — data and indexes — are one
+// leaf, keeping nothing on the server.
+func inStash(t *testing.T, tables ...*table.StoredTable) {
+	t.Helper()
+	for _, st := range tables {
+		for _, o := range st.ORAMs() {
+			if !oram.Local(o) {
+				t.Fatalf("a tree of %s keeps a level on the server", st.Schema().Table)
+			}
+		}
+	}
+}
+
 func makeRel(name string, keys []int64) *relation.Relation {
 	rel := &relation.Relation{Schema: relation.Schema{Table: name, Columns: []string{"k", "id"}}}
 	for i, k := range keys {
@@ -550,7 +590,8 @@ func TestFailedJoinReleasesPins(t *testing.T) {
 		}
 		return failingReads{st, &reads, &failAt}, nil
 	}
-	s1, s2 := storeWith(t, k1, k2, topts, false)
+	s1, s2 := storeRels(t, widen(makeRel("t1", k1), wideTwin), makeRel("t2", k2), topts, false)
+	onServer(t, s1)
 	failAt = reads + 10 // a few steps into the join
 	if _, err := IndexNestedLoopJoin(s1, s2, "k", "k", testJoinOpts(t, nil)); err == nil {
 		t.Fatal("the join survived a failed read")
@@ -588,9 +629,13 @@ func TestJoinStatsPopulated(t *testing.T) {
 // dummy partner of a real retrieval. In the SepORAM setting every store
 // serves exactly its retrievals' accesses — an index store h a retrieval —
 // and a scanned table's data store one more where the index nested-loop
-// join looks ahead, which it does at every index depth (table.Pipeline); an
-// index whose root the joins read ahead serves one more as well, the root
-// read for a step that never came.
+// join looks ahead (table.Pipeline); an index whose root the joins read
+// ahead serves one more as well, the root read for a step that never came.
+// The index nested-loop join looks ahead (one tuple more) exactly where
+// t2's index keeps a level on the server: a descent of a one-leaf index
+// runs in the stash, its rounds none, and a tuple fetched ahead would
+// overlap no round of it. Both joins read ahead the roots of an index whose
+// first level is key-free (KeyFree), a one-leaf index's none.
 func TestTheoremsQuick(t *testing.T) {
 	exact := func(res *Result, err error, theorem, retrievals int64) bool {
 		return err == nil && res.Steps == theorem && res.PaddedSteps == res.Steps && res.Retrievals == retrievals
@@ -654,18 +699,28 @@ func TestTheoremsQuick(t *testing.T) {
 		if res, err := SortMergeJoin(s1, s2, "k", "k", opts); !exact(res, err, smj, oneSMJ) || !one && !served(s1, s2, before, smj, 0, 0, true) {
 			return false
 		}
-		before = accesses(s1, s2)
 		i2, err := s2.Index("k")
 		if err != nil {
 			t.Fatal(err)
 		}
-		parked := int64(i2.KeyFree()) // the root read ahead for the step after the last
-		if res, err := IndexNestedLoopJoin(s1, s2, "k", "k", opts); !exact(res, err, inlj, oneINLJ) || !one && !served(s1, s2, before, inlj, 1, parked, false) {
+		// extra returns the accesses beyond one a step that a probe join
+		// gives the scan's data store (a first tuple fetched ahead) and the
+		// index store (a root read ahead for the step after the last).
+		extra := func(keyed bool) (outer, parked int64) {
+			if keyed && !oram.Local(i2.ORAM()) {
+				outer = 1
+			}
+			return outer, int64(i2.KeyFree())
+		}
+		before = accesses(s1, s2)
+		outer, parked := extra(true)
+		if res, err := IndexNestedLoopJoin(s1, s2, "k", "k", opts); !exact(res, err, inlj, oneINLJ) || !one && !served(s1, s2, before, inlj, outer, parked, false) {
 			return false
 		}
 		before = accesses(s1, s2)
+		outer, parked = extra(false)
 		res, err := BandJoin(s1, s2, "k", "k", BandGreaterEq, opts)
-		return exact(res, err, band, oneBand) && (one || served(s1, s2, before, band, 0, parked, false))
+		return exact(res, err, band, oneBand) && (one || served(s1, s2, before, band, outer, parked, false))
 	}
 	f := func(a, b []uint8) bool {
 		if len(a) == 0 || len(b) == 0 {
@@ -851,12 +906,23 @@ func TestSortMergeJoinChained(t *testing.T) {
 // it decides the next step from them; an indexed step decides from its leaf
 // accesses, so its data accesses ride the next step's leaf round and only
 // the last step's data has a round of its own. The settle round and the
-// output table cost both the same.
+// output table cost both the same. The tables and their indexes span
+// several blocks: a tree of one leaf keeps nothing on the server, and its
+// accesses take no round.
 func TestChainedCheaperPerRetrieval(t *testing.T) {
 	k1 := []int64{1, 2, 2, 3, 4, 5, 5, 6}
 	k2 := []int64{2, 3, 3, 5, 7, 8, 9, 9}
 	mi := storage.NewMeter()
-	s1, s2, _, _ := storePair(t, k1, k2, mi)
+	r1, r2 := widen(makeRel("t1", k1), wideTwin), widen(makeRel("t2", k2), wideTwin)
+	topts := testTableOpts(t, mi, false)
+	topts.BlockPayload = twinPayload
+	s1, s2 := storeRels(t, r1, r2, topts, false)
+	onServer(t, s1, s2)
+	for _, st := range []*table.StoredTable{s1, s2} {
+		if idx, err := st.Index("k"); err != nil || oram.Local(idx.ORAM()) {
+			t.Fatalf("%s's index is one leaf (%v)", st.Schema().Table, err)
+		}
+	}
 	mi.Reset()
 	indexed, err := SortMergeJoin(s1, s2, "k", "k", testJoinOpts(t, mi))
 	if err != nil {
@@ -864,7 +930,7 @@ func TestChainedCheaperPerRetrieval(t *testing.T) {
 	}
 	mc := storage.NewMeter()
 	opts := testTableOpts(t, mc, false)
-	r1, r2 := makeRel("t1", k1), makeRel("t2", k2)
+	opts.BlockPayload = twinPayload
 	c1, err := table.StoreChained(r1, "k", opts)
 	if err != nil {
 		t.Fatal(err)

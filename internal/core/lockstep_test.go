@@ -199,23 +199,34 @@ func mustChain(t *testing.T) func(*table.ChainedTable, error) *table.ChainedTabl
 	}
 }
 
+// wideTwin is the payload (widen) that spreads a six-row twin table over
+// two blocks at twinPayload, so that its data tree keeps a level on the
+// server.
+const wideTwin = 24
+
 // storeWith stores t1 and t2 with an index on k, each in its own trees or,
 // with one set, both in one shared tree.
 func storeWith(t *testing.T, k1, k2 []int64, topts table.Options, one bool) (*table.StoredTable, *table.StoredTable) {
 	t.Helper()
+	return storeRels(t, makeRel("t1", k1), makeRel("t2", k2), topts, one)
+}
+
+// storeRels is storeWith over the relations r1 and r2.
+func storeRels(t *testing.T, r1, r2 *relation.Relation, topts table.Options, one bool) (*table.StoredTable, *table.StoredTable) {
+	t.Helper()
 	if one {
-		tables, err := table.StoreShared([]*relation.Relation{makeRel("t1", k1), makeRel("t2", k2)},
-			map[string][]string{"t1": {"k"}, "t2": {"k"}}, topts)
+		tables, err := table.StoreShared([]*relation.Relation{r1, r2},
+			map[string][]string{r1.Schema.Table: {"k"}, r2.Schema.Table: {"k"}}, topts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tables["t1"], tables["t2"]
+		return tables[r1.Schema.Table], tables[r2.Schema.Table]
 	}
-	s1, err := table.Store(makeRel("t1", k1), []string{"k"}, topts)
+	s1, err := table.Store(r1, []string{"k"}, topts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := table.Store(makeRel("t2", k2), []string{"k"}, topts)
+	s2, err := table.Store(r2, []string{"k"}, topts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,13 +399,15 @@ func storesPerRound(trace []storage.Access, inputs ...string) map[int64][]string
 //     descent keyed, since it rotates the tag of the child it routes to, and
 //     no data access after it — 2n + 1;
 //   - multiway over Figure 6's join tree (T1 → T2, T1 → T3 → T4, one-level
-//     write-back indexes: a disable, like a lookup, is one leaf access): the
-//     leaves of T2 and T3 beside T1's next tuple, their data, T4's leaf,
-//     T4's data beside the next step's first round — three rounds a step
-//     where the accesses one after another took seven (T4 joins T3 on D, not
-//     on B, T3's index attribute, so its probe waits for T3's tuple), then
-//     the reset pass, every index in lockstep: one round, each index being
-//     one node;
+//     write-back indexes: a disable, like a lookup, is one leaf access). An
+//     index of one node is a tree of one leaf, which keeps nothing on the
+//     server: its accesses run in the stash and take no round. So a step is
+//     T1's tuple beside T4's data of the step before, then — T2's and T3's
+//     leaves read in the stash — their data, then T4's leaf in the stash,
+//     T4's data riding the next step's first round: two rounds a step where
+//     the accesses one after another took seven (T4 joins T3 on D, not on B,
+//     T3's index attribute, so its probe waits for T3's tuple), and the
+//     reset pass takes none;
 //   - multiway along a chain T1 → T2 → T3 on k with two-level indexes: T3's
 //     probe takes its key from T2's leaf entry, and T2's root is read ahead
 //     in the step before — {T3.data(i−1), T1.data(t+1), T2 leaf(i), T3
@@ -417,7 +430,8 @@ func TestLockstepRoundShape(t *testing.T) {
 		topts := testTableOpts(t, m, false)
 		topts.BlockPayload = twinPayload
 		topts.CacheIndex = cache
-		s1, s2 := storeWith(t, equiTwin.a1, equiTwin.a2, topts, false)
+		s1, s2 := storeRels(t, widen(makeRel("t1", equiTwin.a1), wideTwin), widen(makeRel("t2", equiTwin.a2), wideTwin), topts, false)
+		onServer(t, s1, s2)
 		m.Reset()
 		m.SetTracing(true)
 		res := must(t)(join(s1, s2, testJoinOpts(t, m)))
@@ -510,7 +524,8 @@ func TestLockstepRoundShape(t *testing.T) {
 		m := storage.NewMeter()
 		topts := testTableOpts(t, m, false)
 		topts.BlockPayload = twinPayload
-		s1 := mustStore(t)(table.Store(makeRel("t1", equiTwin.a1), nil, topts))
+		s1 := mustStore(t)(table.Store(widen(makeRel("t1", equiTwin.a1), wideTwin), nil, topts))
+		onServer(t, s1)
 		t2, err := table.StoreObliviousTree(makeRel("t2", equiTwin.a2), "k", topts)
 		if err != nil {
 			t.Fatal(err)
@@ -531,8 +546,13 @@ func TestLockstepRoundShape(t *testing.T) {
 	})
 
 	rels, q := figure6Data()
+	for _, rel := range rels {
+		widen(rel, 70) // two tuples a block: every data tree keeps a level on the server
+	}
 	m := storage.NewMeter()
 	in, jopts := storeMultiway(t, rels, q, m, false)
+	onServer(t, in.Tables...)
+	jopts.OutBlockSize = 512 // a record of four wide tuples
 	if got := fmt.Sprintln(in.Tree.Order[0].Table, in.Tree.Order[1].Table, in.Tree.Order[2].Table, in.Tree.Order[3].Table); got != "T1 T2 T3 T4\n" {
 		t.Fatalf("pre-order %s", got)
 	}
@@ -541,14 +561,11 @@ func TestLockstepRoundShape(t *testing.T) {
 	res = must(t)(MultiwayJoin(in, jopts))
 	n = res.PaddedSteps
 	inputs = []string{"T1.data", "T2.data", "T2.idx.A", "T3.data", "T3.idx.B", "T4.data", "T4.idx.D"}
-	check("multiway", shapes("multiway", m.Trace(), inputs, "[T1.data T2.data T2.idx.A T3.data T3.idx.B T4.data T4.idx.D]"), map[string]int64{
-		"[T1.data]":                           1,
-		"[T1.data T2.idx.A T3.idx.B]":         1,
-		"[T4.data T1.data T2.idx.A T3.idx.B]": n - 1,
-		"[T2.data T3.data]":                   n,
-		"[T4.idx.D]":                          n,
-		"[T4.data]":                           1,
-		"[T2.idx.A T3.idx.B T4.idx.D]":        1, // the reset pass
+	check("multiway", shapes("multiway", m.Trace(), inputs, "[T1.data T2.data T3.data T4.data]"), map[string]int64{
+		"[T1.data]":         1,
+		"[T4.data T1.data]": n - 1,
+		"[T2.data T3.data]": n,
+		"[T4.data]":         1,
 	})
 
 	m = storage.NewMeter()
@@ -556,10 +573,11 @@ func TestLockstepRoundShape(t *testing.T) {
 	topts.BlockPayload = twinPayload
 	topts.WriteBackDescents = true
 	chain := MultiwayInput{Tables: []*table.StoredTable{
-		mustStore(t)(table.Store(makeRel("t1", chainTwin.a1), nil, topts)),
-		mustStore(t)(table.Store(makeRel("t2", chainTwin.a2), []string{"k"}, topts)),
-		mustStore(t)(table.Store(makeRel("t3", chainT3), []string{"k"}, topts)),
+		mustStore(t)(table.Store(widen(makeRel("t1", chainTwin.a1), wideTwin), nil, topts)),
+		mustStore(t)(table.Store(widen(makeRel("t2", chainTwin.a2), wideTwin), []string{"k"}, topts)),
+		mustStore(t)(table.Store(widen(makeRel("t3", chainT3), wideTwin), []string{"k"}, topts)),
 	}}
+	onServer(t, chain.Tables...)
 	var err error
 	if chain.Tree, err = jointree.Build(jointree.Query{
 		Tables: []string{"t1", "t2", "t3"},
@@ -626,18 +644,39 @@ func twoPaths(trace []storage.Access, store string) int64 {
 // traces, round ordinals included, run after run, at k = 1
 // (tracecheck.Diff) and at k = 4 (batch by batch, tracecheck.DiffRounds: the
 // size of a unioned write-back follows the leaf randomness). The binary
-// joins end the same way.
+// joins end the same way. The trees must keep levels on the server for the
+// order to show — a tree of one leaf has no write-back to settle — so T3
+// has rows that join nothing, enough for its indexes to span several
+// nodes, and the binary joins' tables are widened past a block; their
+// one-leaf variants (at k = 1: deferred eviction keeps every leaf level on
+// the server) settle the trees that are left in the same order.
 func TestSettleRoundTwinTraces(t *testing.T) {
-	for _, leg := range []struct{ op, settle string }{
-		{"smj", "t1.data t1.idx.k t2.data t2.idx.k"},
-		{"inlj", "t1.data t2.data t2.idx.k"}, // the outer is scanned: its index is never touched
+	for _, leg := range []struct {
+		op, settle, oneLeaf string
+		join                func(s1, s2 *table.StoredTable, a1, a2 string, opts Options) (*Result, error)
+	}{
+		{"smj", "t1.data t1.idx.k t2.data t2.idx.k", "t1.idx.k t2.idx.k", SortMergeJoin},
+		{"inlj", "t1.data t2.data t2.idx.k", "t2.idx.k", IndexNestedLoopJoin}, // the outer is scanned: its index is never touched
 	} {
-		op := lockstepOperators[slices.IndexFunc(lockstepOperators, func(op lockstepOperator) bool { return op.name == leg.op })]
 		for _, tc := range twinConfigs[:2] { // k = 1 and k = 4
 			t.Run(leg.op+"/"+tc.name, func(t *testing.T) {
-				tr := twinTrace(t, op.run, op.data.a1, op.data.a2, PadNone, tc)
-				if got := lastRound(tr.trace); got != leg.settle {
-					t.Fatalf("the last round carried %s; want the settle round, %s", got, leg.settle)
+				for _, wide := range []int{0, wideTwin} {
+					m := storage.NewMeter()
+					topts := testTableOpts(t, m, false)
+					topts.BlockPayload = twinPayload
+					topts.EvictionBatch = tc.batch
+					s1, s2 := storeRels(t, widen(makeRel("t1", equiTwin.a1), wide), widen(makeRel("t2", equiTwin.a2), wide), topts, false)
+					want := leg.oneLeaf
+					if wide > 0 || tc.batch > 1 {
+						onServer(t, s1, s2)
+						want = leg.settle
+					}
+					m.Reset()
+					m.SetTracing(true)
+					must(t)(leg.join(s1, s2, "k", "k", testJoinOpts(t, m)))
+					if got := lastRound(m.Trace()); got != want {
+						t.Fatalf("widened by %d: the last round carried %s; want the settle round, %s", wide, got, want)
+					}
 				}
 			})
 		}
@@ -649,6 +688,9 @@ func TestSettleRoundTwinTraces(t *testing.T) {
 				rels, q := figure6Data()
 				for i := range rels["T4"].Tuples { // no T4 match either way: |R| = 0
 					rels["T4"].Tuples[i].Values[0] += shift
+				}
+				for i := range int64(16) { // T3 rows that join nothing: T3 spans several blocks, its indexes several nodes
+					rels["T3"].Tuples = append(rels["T3"].Tuples, relation.Tuple{Values: []int64{1000 + i, 1000 + i}})
 				}
 				tree, err := jointree.Build(q)
 				if err != nil {
@@ -670,6 +712,11 @@ func TestSettleRoundTwinTraces(t *testing.T) {
 						t.Fatal(err)
 					}
 					in.Tables = append(in.Tables, st)
+				}
+				for _, st := range in.Tables {
+					if st.Schema().Table == "T3" {
+						onServer(t, st)
+					}
 				}
 				m.Reset()
 				m.SetTracing(true)

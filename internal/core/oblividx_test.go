@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	mrand "math/rand"
 	"testing"
 
@@ -102,13 +103,26 @@ func TestObliviousIndexUniformSteps(t *testing.T) {
 // Cartesian product (42 steps over a two-level tree) the join takes fewer
 // rounds in all than the 192 of the serial loop it replaced, which settled
 // the tree in a round of its own and wrote every output block alone.
+//
+// The outer's data tree is one leaf on the twin fixture, kept in the
+// client, so its accesses alone are no round (table.Lane.DataLocal); the
+// outer widened past a block puts it on the server.
 func TestObliviousIndexPredictedRounds(t *testing.T) {
+	for _, wide := range []int{0, wideTwin} {
+		t.Run(fmt.Sprintf("wide=%d", wide), func(t *testing.T) { obliviousIndexPredictedRounds(t, wide) })
+	}
+}
+
+func obliviousIndexPredictedRounds(t *testing.T, wide int) {
 	m := storage.NewMeter()
 	topts := testTableOpts(t, m, false)
 	topts.BlockPayload = twinPayload
-	s1, err := table.Store(makeRel("t1", equiTwin.a1), nil, topts)
+	s1, err := table.Store(widen(makeRel("t1", equiTwin.a1), wide), nil, topts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if local := oram.Local(s1.ORAMs()[0]); local != (wide == 0) {
+		t.Fatalf("widened by %d, the outer's data tree is one leaf: %v", wide, local)
 	}
 	tr, err := table.StoreObliviousTree(makeRel("t2", equiTwin.a2), "k", topts)
 	if err != nil {
@@ -132,7 +146,7 @@ func TestObliviousIndexPredictedRounds(t *testing.T) {
 	}
 	tree := tr.Tree()
 	lanes := []table.Lane{
-		{Data: "t1.data", Wait: table.Wait{After: -1}},
+		{Data: "t1.data", DataLocal: oram.Local(s1.ORAMs()[0]), Wait: table.Wait{After: -1}},
 		{Index: store, Accesses: tree.AccessesPerRetrieval(), KeyFree: tree.KeyFree(), Wait: table.Wait{After: 0}},
 	}
 	if want := table.PlanPipeline(lanes, res.PaddedSteps).Rounds + 1; int64(len(rounds)) != want {

@@ -172,12 +172,17 @@ func (s *stepper) real() int64 {
 // drain lands every step begun and writes what is owed: in a binary join in
 // the OneORAM setting that includes the last step's record, which
 // sort-merge, deciding nothing after its last comparison, leaves unwritten.
+// The output block the steps left held rides the Drain's first network
+// round; where it has none — its accesses all on trees of one leaf, which
+// run in the stash — no step is left to carry the block, and it is held
+// over for the output's next round (obliv.BlockVector.HoldOver).
 func (s *stepper) drain() error {
 	if s.p != nil {
 		s.p.Carry(s.w.vec.Ride())
 		if err := errors.Join(s.p.Drain(), s.w.vec.Rode()); err != nil {
 			return err
 		}
+		s.w.vec.HoldOver()
 	}
 	if err := s.landed(); err != nil {
 		return err

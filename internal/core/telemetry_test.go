@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"oblivjoin/internal/obliv"
+	"oblivjoin/internal/oram"
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/table"
 	"oblivjoin/internal/telemetry"
@@ -183,7 +184,12 @@ func padAppends(from, to, perBlock int) (blocks, rounds int64) {
 // the appends that pad it (to the padded result size, then to its last unit
 // boundary), and obliv.CompactTransfers of the padded vector at M = 2B
 // keeping the padded result, less the closing write-back, which rides the
-// decode read.
+// decode read. The inputs are taken as given, and widened past a block. As
+// given, the trees the steps read are one leaf — t1's data tree, t2's trees,
+// every tree of the multiway tables — so each step but sort-merge's (whose
+// steps read its sorted runs on the server) runs in the stash: the block the
+// steps left held rides no round of theirs and is held over to the filter's
+// first write (obliv.BlockVector.HoldOver), one block more, no round more.
 func TestFilterSpanIsTheCompactionFormula(t *testing.T) {
 	k1 := []int64{1, 2, 2, 3, 5, 8, 8, 9, 9, 9, 12, 14}
 	k2 := []int64{1, 2, 2, 2, 8, 9, 9, 13}
@@ -198,46 +204,74 @@ func TestFilterSpanIsTheCompactionFormula(t *testing.T) {
 			return BandJoin(s1, s2, "k", "k", BandLess, opts)
 		},
 	}
-	for _, mode := range []PaddingMode{PadNone, PadCartesian} {
-		for _, op := range []string{"smj", "inlj", "band", "multiway"} {
-			m := storage.NewMeter()
-			var run func(opts Options) (*Result, error)
-			opts := testJoinOpts(t, m)
-			if op == "multiway" {
-				rels, q := figure6Data()
-				in, mopts := storeMultiway(t, rels, q, m, false)
-				opts = mopts
-				run = func(opts Options) (*Result, error) { return MultiwayJoin(in, opts) }
-			} else {
-				s1, s2, _, _ := storePair(t, k1, k2, m)
-				run = func(opts Options) (*Result, error) { return binary[op](s1, s2, opts) }
-			}
-			opts.Padding = mode
-			root := telemetry.Start("query", m)
-			opts.Span = root
-			res, err := run(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			root.End()
-			filter := root.Export().Find("filter")
-			if filter == nil {
-				t.Fatalf("%s: no filter span", op)
-			}
-			out, padded := int(filter.Attrs["out"]), int(filter.Attrs["padded"])
-			perBlock := (opts.outBlockSize() - xcrypto.Overhead) / res.Schema.TupleSize()
-			n := max(out, padded)
-			nb := (n + perBlock - 1) / perBlock
-			to := n
-			if nb > 2 {
-				to = nb * perBlock
-			}
-			blocks, rounds := padAppends(out, to, perBlock)
-			cost := obliv.CompactTransfers(nb, 2, (padded+perBlock-1)/perBlock)
-			blocks, rounds = blocks+int64(cost.Blocks-cost.Closing), rounds+int64(cost.Rounds)
-			if got := filter.Stats; got.BlocksMoved() != blocks || got.NetworkRounds != rounds {
-				t.Errorf("%s %v (%d records, padded %d, %d per block): filter moved %d blocks in %d rounds, want %d in %d",
-					op, mode, out, padded, perBlock, got.BlocksMoved(), got.NetworkRounds, blocks, rounds)
+	for _, wide := range []bool{false, true} {
+		for _, mode := range []PaddingMode{PadNone, PadCartesian} {
+			for _, op := range []string{"smj", "inlj", "band", "multiway"} {
+				m := storage.NewMeter()
+				var run func(opts Options) (*Result, error)
+				opts := testJoinOpts(t, m)
+				if op == "multiway" {
+					rels, q := figure6Data()
+					if wide {
+						for _, rel := range rels {
+							widen(rel, 70)
+						}
+					}
+					in, mopts := storeMultiway(t, rels, q, m, false)
+					opts = mopts
+					if wide {
+						onServer(t, in.Tables...)
+						opts.OutBlockSize = 512
+					} else {
+						inStash(t, in.Tables...)
+					}
+					run = func(opts Options) (*Result, error) { return MultiwayJoin(in, opts) }
+				} else {
+					payload := 0
+					if wide {
+						payload = wideTwin
+					}
+					s1, s2 := storeRels(t, widen(makeRel("t1", k1), payload), widen(makeRel("t2", k2), payload), testTableOpts(t, m, false), false)
+					if wide {
+						onServer(t, s1, s2)
+					} else {
+						inStash(t, s2)
+						if !oram.Local(s1.ORAMs()[0]) { // the probe joins never read t1's index
+							t.Fatal("t1's data tree keeps a level on the server")
+						}
+					}
+					run = func(opts Options) (*Result, error) { return binary[op](s1, s2, opts) }
+				}
+				opts.Padding = mode
+				root := telemetry.Start("query", m)
+				opts.Span = root
+				res, err := run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				root.End()
+				filter := root.Export().Find("filter")
+				if filter == nil {
+					t.Fatalf("%s: no filter span", op)
+				}
+				out, padded := int(filter.Attrs["out"]), int(filter.Attrs["padded"])
+				perBlock := (opts.outBlockSize() - xcrypto.Overhead) / res.Schema.TupleSize()
+				n := max(out, padded)
+				nb := (n + perBlock - 1) / perBlock
+				to := n
+				if nb > 2 {
+					to = nb * perBlock
+				}
+				blocks, rounds := padAppends(out, to, perBlock)
+				cost := obliv.CompactTransfers(nb, 2, (padded+perBlock-1)/perBlock)
+				blocks, rounds = blocks+int64(cost.Blocks-cost.Closing), rounds+int64(cost.Rounds)
+				if !wide && op != "smj" && out > perBlock {
+					blocks++ // held over
+				}
+				if got := filter.Stats; got.BlocksMoved() != blocks || got.NetworkRounds != rounds {
+					t.Errorf("wide=%v %s %v (%d records, padded %d, %d per block): filter moved %d blocks in %d rounds, want %d in %d",
+						wide, op, mode, out, padded, perBlock, got.BlocksMoved(), got.NetworkRounds, blocks, rounds)
+				}
 			}
 		}
 	}

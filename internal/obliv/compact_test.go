@@ -492,3 +492,41 @@ func TestCompactRealAllocs(t *testing.T) {
 		t.Errorf("%v allocs over %d transfers, %v over %d: more than one per transfer", small, t16, one, t64)
 	}
 }
+
+// TestHoldOverRidesTheNextRound: a held block offered to a round that did
+// not go out, and held over, is not written alone when the next block
+// fills: both travel in the vector's next round. Without HoldOver the fill
+// writes the held block in a round of its own.
+func TestHoldOverRidesTheNextRound(t *testing.T) {
+	for _, over := range []bool{false, true} {
+		m := storage.NewMeter()
+		v := compactVector(t, 4, m, pattern(4, func(int) bool { return true }))
+		if v.Ride() == nil {
+			t.Fatal("a full block is not held")
+		}
+		if err := v.Rode(); err != nil { // no round carried the share
+			t.Fatal(err)
+		}
+		if over {
+			v.HoldOver()
+		}
+		for i := 0; i < 4; i++ {
+			if err := v.Append(u64rec(uint64(4 + i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		alone := m.Snapshot()
+		if _, err := v.LoadRange(0, 8); err != nil {
+			t.Fatal(err)
+		}
+		load := m.Snapshot().Sub(alone)
+		want := [2]int64{1, 1} // the fill's round, with block 0; the load's, with block 1
+		if over {
+			want = [2]int64{0, 2}
+		}
+		if alone.NetworkRounds != want[0] || load.NetworkRounds != 1 || load.BlockWrites != want[1] {
+			t.Errorf("held over %v: the fill took %d rounds, the load %d writing %d blocks; want %d, 1, %d",
+				over, alone.NetworkRounds, load.NetworkRounds, load.BlockWrites, want[0], want[1])
+		}
+	}
+}

@@ -35,8 +35,12 @@ import (
 // as a join step's, or the vector's own next read exchange (LoadRange, the
 // first round of a plan) — and is written in a round of its own only when
 // the next block fills first, or at Flush. The write-back of a plan's last
-// round is held the same way. Which round a held block travels in depends on
-// when its owner issues rounds and on the vector's length alone.
+// round is held the same way. A block its owner offered to rounds that then
+// did not go out — a join's last steps, run in the stash on trees of one
+// leaf — is held over (HoldOver): the next block that fills joins it, and
+// the two travel together in the vector's next round. Which round a held
+// block travels in depends on when its owner issues rounds and on the
+// vector's length alone.
 //
 // A BlockVector has one owner: it is not safe for concurrent use.
 type BlockVector struct {
@@ -52,9 +56,11 @@ type BlockVector struct {
 	pendingStart int      // slot within pendingBlock of pending[0]
 
 	// held is what is sealed but not yet written, heldData[k] block held[k];
-	// ride is the share Ride hands out for it.
+	// the first over of them are held over (HoldOver), and ride is the share
+	// Ride hands out for them.
 	held     []int64
 	heldData [][]byte
+	over     int
 	ride     storage.RoundOp
 }
 
@@ -130,12 +136,21 @@ func (v *BlockVector) Append(rec []byte) error {
 	if v.pendingStart+len(v.pending) < v.perBlock {
 		return nil
 	}
-	// The block is full: hold it, one block at most.
-	if err := v.writeHeld(); err != nil {
-		return err
+	// The block is full: hold it, one block at most beside those held over.
+	if len(v.held) > v.over {
+		if err := v.writeHeld(); err != nil {
+			return err
+		}
 	}
 	return v.sealPending()
 }
+
+// HoldOver lets the blocks now held wait for the vector's next round — its
+// next write or read exchange, or the next round its owner issues (Ride) —
+// instead of being written alone when the next block fills: for blocks that
+// rode no round of their owner because none went out, when the owner issues
+// no further round for them.
+func (v *BlockVector) HoldOver() { v.over = len(v.held) }
 
 // Flush writes everything the vector holds back to the server: the held
 // write-back, then the partly filled block being appended to, each in a round
@@ -191,7 +206,7 @@ func (v *BlockVector) writeHeld() error {
 	if err := v.store.WriteMany(v.held, v.heldData); err != nil {
 		return err
 	}
-	v.held, v.heldData = v.held[:0], v.heldData[:0]
+	v.held, v.heldData, v.over = v.held[:0], v.heldData[:0], 0
 	return nil
 }
 
@@ -202,7 +217,7 @@ func (v *BlockVector) exchangeHeld(dst []byte, reads []int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.held, v.heldData = v.held[:0], v.heldData[:0]
+	v.held, v.heldData, v.over = v.held[:0], v.heldData[:0], 0
 	return out, nil
 }
 
@@ -243,7 +258,7 @@ func (v *BlockVector) Rode() error {
 	case errUnissued:
 		return nil
 	case nil:
-		v.held, v.heldData = v.held[:0], v.heldData[:0]
+		v.held, v.heldData, v.over = v.held[:0], v.heldData[:0], 0
 	}
 	return err
 }

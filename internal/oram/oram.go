@@ -59,7 +59,8 @@ type ORAM interface {
 	Capacity() int64
 	// AccessesPerOp is the number of server block operations a single
 	// Read/Write/DummyAccess performs; constant for a given instance, which
-	// is the uniformity property the security proofs rely on.
+	// is the uniformity property the security proofs rely on. 0 for a store
+	// that keeps nothing on the server (Local).
 	AccessesPerOp() int
 	// BlockBytes is the size of one of those server block operations: the
 	// sealed block (for Path-ORAM, bucket) the store holds. Public geometry.

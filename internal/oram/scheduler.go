@@ -173,8 +173,12 @@ func (s *scheduler) completeFetch() error {
 }
 
 // fetch downloads the paths the plans fetch into the stash in one round of
-// its own.
+// its own. A tree with no stored level has nothing to download, and its
+// accesses issue no round.
 func (s *scheduler) fetch(plans []accessPlan) error {
+	if !s.o.stored() {
+		return nil
+	}
 	if err := s.o.ensureUploaded(); err != nil {
 		return err
 	}
@@ -201,8 +205,13 @@ func issueRound(cfg *PathConfig, flush bool, ops ...*storage.RoundOp) {
 }
 
 // evict queues the fetched path for write-back; the write-back rides the
-// next fetch once k are queued.
-func (s *scheduler) evict(leaf uint32) { s.pending = append(s.pending, leaf) }
+// next fetch once k are queued. A tree with no stored level queues nothing:
+// its path has no bucket to write.
+func (s *scheduler) evict(leaf uint32) {
+	if s.o.stored() {
+		s.pending = append(s.pending, leaf)
+	}
+}
 
 // prepareFlush stages the write-back of every pending path as a share with
 // nothing to read, and reports whether there was anything to stage. A tree

@@ -69,6 +69,10 @@ type Req struct {
 // runs one access after another issues none of them, and leaves each
 // untouched.
 //
+// A tree of one leaf keeps no level on the server (Levels() == 0): its
+// accesses run in the stash and have no share. A lockstep group of such
+// trees alone issues no round, and leaves its ride shares untouched too.
+//
 // Failure atomicity is per tree, as for separate accesses: each share of a
 // round reports its own error, to every request it serves; a tree whose
 // share failed is left as a failed access leaves it (stash authoritative,
@@ -138,7 +142,7 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 		o.planned++
 	}
 	for i, o := range trees {
-		if !o.firstIn(trees, i) || o.planned == 0 {
+		if !o.firstIn(trees, i) || o.planned == 0 || !o.stored() {
 			continue
 		}
 		if err := o.sched.prepareFetch(o.plans[:o.planned]); err != nil {
@@ -147,12 +151,14 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 		}
 		ops = append(ops, &o.sched.op)
 	}
-	for _, op := range ride {
-		if op != nil {
-			ops = append(ops, op)
+	if len(ops) > 0 {
+		for _, op := range ride {
+			if op != nil {
+				ops = append(ops, op)
+			}
 		}
+		issueRound(&trees[0].cfg, false, ops...)
 	}
-	issueRound(&trees[0].cfg, false, ops...)
 
 	// Settle the downloads, apply the operations, and queue the fetched
 	// paths: their write-backs ride each tree's next download.
@@ -160,9 +166,11 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 		if !o.firstIn(trees, i) || o.planned == 0 {
 			continue
 		}
-		if err := o.sched.completeFetch(); err != nil {
-			o.unplanAll(reqs, err)
-			continue
+		if o.stored() {
+			if err := o.sched.completeFetch(); err != nil {
+				o.unplanAll(reqs, err)
+				continue
+			}
 		}
 		for k := range o.plans[:o.planned] {
 			p := &o.plans[k]

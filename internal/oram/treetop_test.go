@@ -11,14 +11,16 @@ import (
 	"oblivjoin/internal/tracecheck"
 )
 
-// TestTreetopGeometry pins the rule — t = floor(log2(L+1)) capped at L-1 —
-// and what it does to a tree at every height from the single bucket up: the
-// store holds the levels below the treetop and nothing else, an access moves
-// exactly those levels in one round, and trees too shallow to keep more than
-// their leaves on the server (L = 2, 3) still read back what was written.
+// TestTreetopGeometry pins the rule — t = floor(log2(L+1)) — and what it
+// does to a tree at every height from the single bucket up: the store holds
+// the levels below the treetop and nothing else, an access moves exactly
+// those levels in one round, trees too shallow to keep more than their
+// leaves on the server (L = 2, 3) still read back what was written, and the
+// tree of one leaf (L = 1) keeps nothing there: its accesses read back what
+// was written in no round at all.
 func TestTreetopGeometry(t *testing.T) {
 	for _, c := range []struct{ height, top int }{
-		{1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 2}, {6, 2}, {7, 3}, {8, 3}, {14, 3}, {15, 4}, {20, 4}, {30, 4}, {31, 5},
+		{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 2}, {6, 2}, {7, 3}, {8, 3}, {14, 3}, {15, 4}, {20, 4}, {30, 4}, {31, 5},
 	} {
 		if got := treetopLevels(c.height); got != c.top {
 			t.Errorf("treetopLevels(%d) = %d, want %d", c.height, got, c.top)
@@ -57,8 +59,12 @@ func TestTreetopGeometry(t *testing.T) {
 					t.Fatal(err)
 				}
 				d := m.Snapshot().Sub(before)
-				if d.NetworkRounds != 1 || d.BlockReads != int64(o.Levels()) {
-					t.Fatalf("height %d: an access took %d rounds and read %d buckets, want 1 and %d", height, d.NetworkRounds, d.BlockReads, o.Levels())
+				rounds := int64(1)
+				if height == 1 {
+					rounds = 0
+				}
+				if d.NetworkRounds != rounds || d.BlockReads != int64(o.Levels()) {
+					t.Fatalf("height %d: an access took %d rounds and read %d buckets, want %d and %d", height, d.NetworkRounds, d.BlockReads, rounds, o.Levels())
 				}
 			}
 		}

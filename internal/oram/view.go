@@ -55,6 +55,12 @@ func Shared(orams ...ORAM) (*PathORAM, error) {
 	return o, nil
 }
 
+// Local reports whether o keeps nothing on the server — a Path-ORAM of one
+// leaf, whose treetop is the whole tree, or a view of one — so that its
+// accesses run in the client's stash, move no block and have no share in a
+// round.
+func Local(o ORAM) bool { return o.AccessesPerOp() == 0 }
+
 // NewView carves [offset, offset+capacity) out of base.
 func NewView(base ORAM, offset uint64, capacity int64) (*View, error) {
 	if capacity <= 0 {

@@ -27,7 +27,13 @@ type IndexMeta struct {
 	WriteBackDescents bool
 	// OramAccessesPerOp is the server block operations one index-ORAM
 	// access moves (for Path-ORAM 2·Levels(): the path's levels below the
-	// treetop, down and up).
+	// treetop, down and up). It is 0 for an index of one node at
+	// EvictionBatch 1: a Path-ORAM of one leaf, whose treetop is the whole
+	// tree (under deferred eviction it keeps its leaf on the server,
+	// oram.PathConfig.EvictionBatch) and whose accesses run
+	// in the client's stash (every access would name the same path, so
+	// leaving none is no leak), and then the index's accesses take no round
+	// of their own (table.Lane.IndexLocal).
 	OramAccessesPerOp int
 	// BlockBytes is the size of one of those block operations: the index
 	// store's sealed block.
@@ -47,7 +53,8 @@ type TableMeta struct {
 	// Rows is the (padded, for prepared inputs) tuple count the join sees.
 	Rows int64
 	// DataAccessesPerOp is the server block operations one data-ORAM
-	// access moves.
+	// access moves: 0 for a table of one block at EvictionBatch 1, whose
+	// data tree is one leaf and lives in the client (table.Lane.DataLocal).
 	DataAccessesPerOp int
 	// DataBlockBytes is the size of one of those block operations: the
 	// data store's sealed block.

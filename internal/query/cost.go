@@ -53,13 +53,18 @@ type Cost struct {
 	//	multiway                    a stage per level of keyed dependencies below the scan,
 	//	                            an entry-keyed child's free (a chain at h = 2: 2n + 2)
 	//
+	// A round whose accesses all fall on trees of one leaf, which run in the
+	// client's stash (table.Lane.IndexLocal, DataLocal), is no round, so the
+	// table holds where every lane keeps its trees on the server.
+	//
 	// The root read ahead for the step after the last is parked: one index
 	// access more (table.PipelinePlan.Parked). Add to the table above the
 	// multiway join's reset pass, which walks every index in
-	// lockstep, one round per node of the largest (a root read ahead for a
-	// step that never came is reset without one), and one settle round, in
-	// which every touched tree's last write-back travels when the query ends
-	// (core.settle).
+	// lockstep, one round per node of the largest index kept on the server
+	// (a root read ahead for a step that never came is reset without one),
+	// and one settle round, in which every touched tree's last write-back
+	// travels when the query ends (core.settle) — none when no touched tree
+	// keeps anything on the server.
 	Rounds int64
 	// PerStore maps store name to predicted block operations — the exact
 	// counts the predicted-vs-measured guard checks against the Meter's
@@ -148,10 +153,11 @@ func (c *Cost) price(lanes []table.Lane, metas []TableMeta, indexes []IndexMeta)
 }
 
 // setRounds records the operator's round count: the given rounds and the
-// one that settles the trees they touched.
+// one that settles the trees they touched — none when every tree they
+// touched keeps nothing on the server, so has no write-back to settle.
 func (c *Cost) setRounds(rounds int64) {
 	c.Rounds = rounds
-	if c.ORAMOps > 0 {
+	if c.Blocks > 0 {
 		c.Rounds++
 	}
 }
@@ -159,21 +165,27 @@ func (c *Cost) setRounds(rounds int64) {
 // scanLane is a table scanned by block, indexLane a table retrieved through
 // a descent of the given index whose keyed accesses wait as w says, pinning
 // what it reads when pins is set (a multiway join's disabling descent).
+// A store whose accesses move no block (a Path-ORAM of one leaf) is local to
+// the client (table.Lane.IndexLocal, DataLocal).
 func scanLane(m TableMeta) table.Lane {
-	return table.Lane{Data: m.DataStore, Wait: table.Wait{After: -1}}
+	return table.Lane{Data: m.DataStore, DataLocal: m.DataAccessesPerOp == 0, Wait: table.Wait{After: -1}}
 }
 
 func indexLane(m TableMeta, idx IndexMeta, w table.Wait, pins bool) table.Lane {
 	return table.Lane{
 		Index: idx.Store, Data: m.DataStore,
 		Accesses: idx.AccessesPerRetrieval, KeyFree: idx.KeyFree, Pins: pins, Wait: w,
+		IndexLocal: idx.OramAccessesPerOp == 0, DataLocal: m.DataAccessesPerOp == 0,
 	}
 }
 
 // leafLane is a table walked along its index's leaves (table.LeafCursor):
 // one leaf access, keyed by nothing.
 func leafLane(m TableMeta, idx IndexMeta) table.Lane {
-	return table.Lane{Index: idx.Store, Data: m.DataStore, Accesses: 1, KeyFree: 1, Wait: table.Wait{After: -1}}
+	return table.Lane{
+		Index: idx.Store, Data: m.DataStore, Accesses: 1, KeyFree: 1, Wait: table.Wait{After: -1},
+		IndexLocal: idx.OramAccessesPerOp == 0, DataLocal: m.DataAccessesPerOp == 0,
+	}
 }
 
 // smjCost prices the sort-merge equi-join t1.a1 = t2.a2: Numtr1 = |T1| +
@@ -270,7 +282,9 @@ func multiwayCost(cat Catalog, tree *jointree.Tree, paddedR int64) (Cost, error)
 				nodes-- // the root the last step read ahead is reset client-side
 			}
 			c.addIndex(im, nodes)
-			reset = max(reset, nodes)
+			if im.OramAccessesPerOp > 0 { // a local index resets in the stash
+				reset = max(reset, nodes)
+			}
 		}
 	}
 	c.setRounds(plan.Rounds + reset)

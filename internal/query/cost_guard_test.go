@@ -85,24 +85,65 @@ func guardEnvOf(t *testing.T, cfg envConfig, rels map[string]*relation.Relation,
 	return env
 }
 
-// TestPredictedCostSMJ: the Theorem 1 formula evaluated at the actual
-// padded result size must equal the Meter's per-store counts exactly.
-func TestPredictedCostSMJ(t *testing.T) {
-	rels := map[string]*relation.Relation{
-		"a": makeRel("a", []int64{1, 2, 2, 3}),
-		"b": makeRel("b", []int64{1, 2, 2, 2}),
+// spread returns n keys, i mod m: at 256-byte blocks a table of several
+// blocks once n passes a dozen.
+func spread(n int, m int64) []int64 {
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i) % m
 	}
-	for _, k := range guardBatches {
-		env := guardEnv(t, false, k, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
-		res, err := core.SortMergeJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", env.ex.JoinOpts)
-		if err != nil {
-			t.Fatal(err)
+	return keys
+}
+
+// guardPairs are the inputs a and b of a binary cost guard: as given —
+// tables of one block, whose data trees are one leaf each and, at k = 1,
+// keep nothing on the server — then a beside the larger b2, then a2 beside
+// b2, every tree of those two on the server.
+func guardPairs(a, b, a2, b2 []int64) []map[string]*relation.Relation {
+	return []map[string]*relation.Relation{
+		{"a": makeRel("a", a), "b": makeRel("b", b)},
+		{"a": makeRel("a", a), "b": makeRel("b", b2)},
+		{"a": makeRel("a", a2), "b": makeRel("b", b2)},
+	}
+}
+
+// oneLeaf reports whether table name's data tree keeps nothing on the
+// server: a Path-ORAM of one leaf, whose accesses move no block.
+func oneLeaf(env *testEnv, name string) bool {
+	return env.ex.Tables[name].ORAMs()[0].AccessesPerOp() == 0
+}
+
+// checkPairGeometry fails unless the pair's geometry is what guardPairs
+// says: at k = 1, a's data tree one leaf but in the last pair, b's in the
+// first only; under deferred eviction every tree keeps its leaf level on
+// the server.
+func checkPairGeometry(t *testing.T, env *testEnv, pair, k int) {
+	t.Helper()
+	if a, b := oneLeaf(env, "a"), oneLeaf(env, "b"); a != (k == 1 && pair < 2) || b != (k == 1 && pair == 0) {
+		t.Fatalf("pair %d, k=%d: data trees of one leaf: a %v, b %v", pair, k, a, b)
+	}
+}
+
+// TestPredictedCostSMJ: the Theorem 1 formula evaluated at the actual
+// padded result size must equal the Meter's per-store counts exactly, over
+// one-leaf data trees, which move no block and whose accesses alone are no
+// round, beside larger ones and without them.
+func TestPredictedCostSMJ(t *testing.T) {
+	pairs := guardPairs([]int64{1, 2, 2, 3}, []int64{1, 2, 2, 2}, spread(30, 10), spread(40, 8))
+	for pair, rels := range pairs {
+		for _, k := range guardBatches {
+			env := guardEnv(t, false, k, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
+			checkPairGeometry(t, env, pair, k)
+			res, err := core.SortMergeJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", env.ex.JoinOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost, err := smjCost(Describe(env.ex.Tables), "a", "k", "b", "k", int64(res.PaddedCount))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 		}
-		cost, err := smjCost(Describe(env.ex.Tables), "a", "k", "b", "k", int64(res.PaddedCount))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 	}
 }
 
@@ -113,49 +154,55 @@ func TestPredictedCostSMJ(t *testing.T) {
 // is keyed.
 var guardConfigs = []envConfig{{}, {multiway: true}, {cacheIndex: true}}
 
-// TestPredictedCostINLJ: Theorem 2, with the inner's full index descents.
+// TestPredictedCostINLJ: Theorem 2, with the inner's full index descents,
+// over the pairs of TestPredictedCostSMJ.
 func TestPredictedCostINLJ(t *testing.T) {
-	rels := map[string]*relation.Relation{
-		"a": makeRel("a", []int64{1, 2, 2, 3}),
-		"b": makeRel("b", []int64{1, 2, 2, 2, 5, 7, 9, 11, 13, 15, 17, 19}),
-	}
-	for _, cfg := range guardConfigs {
-		for _, k := range guardBatches {
-			cfg.evictionBatch = k
-			env := guardEnvOf(t, cfg, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
-			res, err := core.IndexNestedLoopJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", env.ex.JoinOpts)
-			if err != nil {
-				t.Fatal(err)
+	pairs := guardPairs([]int64{1, 2, 2, 3}, []int64{1, 2, 2, 2, 5, 7, 9, 11, 13, 15, 17, 19}, spread(30, 10), spread(40, 20))
+	for pair, rels := range pairs {
+		for _, cfg := range guardConfigs {
+			for _, k := range guardBatches {
+				cfg.evictionBatch = k
+				env := guardEnvOf(t, cfg, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
+				checkPairGeometry(t, env, pair, k)
+				res, err := core.IndexNestedLoopJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", env.ex.JoinOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 			}
-			cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 		}
 	}
 }
 
 // TestPredictedCostBand: Theorem 3 shares the INLJ formula for blocks; its
-// inner descents wait for nothing.
+// inner descents wait for nothing. The pairs are TestPredictedCostSMJ's, the
+// larger a's keys above most of b's, so few pairs join.
 func TestPredictedCostBand(t *testing.T) {
-	rels := map[string]*relation.Relation{
-		"a": makeRel("a", []int64{1, 4, 7}),
-		"b": makeRel("b", []int64{2, 5, 6, 8, 10, 12, 14, 16, 18, 20}),
+	high := spread(20, 20)
+	for i := range high {
+		high[i] += 30
 	}
-	for _, cfg := range guardConfigs {
-		for _, k := range guardBatches {
-			cfg.evictionBatch = k
-			env := guardEnvOf(t, cfg, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
-			res, err := core.BandJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", core.BandLess, env.ex.JoinOpts)
-			if err != nil {
-				t.Fatal(err)
+	pairs := guardPairs([]int64{1, 4, 7}, []int64{2, 5, 6, 8, 10, 12, 14, 16, 18, 20}, high, spread(40, 40))
+	for pair, rels := range pairs {
+		for _, cfg := range guardConfigs {
+			for _, k := range guardBatches {
+				cfg.evictionBatch = k
+				env := guardEnvOf(t, cfg, rels, map[string][]string{"a": {"k"}, "b": {"k"}})
+				checkPairGeometry(t, env, pair, k)
+				res, err := core.BandJoin(env.ex.Tables["a"], env.ex.Tables["b"], "k", "k", core.BandLess, env.ex.JoinOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 			}
-			cost, err := inljCost(Describe(env.ex.Tables), "a", "b", "k", int64(res.PaddedCount), true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkPredicted(t, k, cost, env.meter.Trace(), res.PaddedSteps)
 		}
 	}
 }
@@ -225,11 +272,12 @@ func TestPredictedCostMultiway(t *testing.T) {
 // the planner's round prediction is the same number at every batch, Explain
 // prints it as an equality, and the Meter counts exactly it — one round per
 // pipelined sort-merge step, the round that lands the last step's data, and
-// the settle round.
+// the settle round. Both tables span several blocks, so that every tree
+// keeps levels on the server (a one-leaf tree's accesses are no round).
 func TestPredictedRoundsUnderDeferredEviction(t *testing.T) {
 	rels := map[string]*relation.Relation{
-		"a": makeRel("a", []int64{1, 2, 2, 3}),
-		"b": makeRel("b", []int64{1, 2, 2, 2}),
+		"a": makeRel("a", spread(30, 10)),
+		"b": makeRel("b", spread(40, 8)),
 	}
 	idx := map[string][]string{"a": {"k"}, "b": {"k"}}
 	spec := Spec{Tables: []string{"a", "b"}, Preds: []jointree.Pred{{Left: "a", LeftAttr: "k", Right: "b", RightAttr: "k"}}}

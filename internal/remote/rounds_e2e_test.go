@@ -299,8 +299,11 @@ func TestJoinRequestsCarryTheirEnginePhase(t *testing.T) {
 				BlockPayload: 256, Meter: m, Sealer: sealer, Rand: oram.NewSeededSource(7),
 				OpenStore: c.Opener(), EvictionBatch: k, Flight: f,
 			}
-			k1 := []int64{1, 2, 2, 4, 6, 7, 7, 9}
-			k2 := []int64{2, 2, 3, 4, 7, 7, 7, 10}
+			// Twenty rows a table: two blocks, and an index of three leaves,
+			// so that every tree keeps levels on the server (a tree of one
+			// leaf keeps nothing there, and settles nothing).
+			k1 := []int64{1, 2, 2, 4, 6, 7, 7, 9, 11, 12, 13, 15, 16, 18, 18, 20, 21, 23, 24, 26}
+			k2 := []int64{2, 2, 3, 4, 7, 7, 7, 10, 12, 12, 14, 15, 17, 18, 19, 20, 22, 24, 25, 26}
 			t1, err := table.Store(e2eRel("t1", k1), []string{"k"}, topts)
 			if err != nil {
 				t.Fatal(err)
@@ -308,6 +311,11 @@ func TestJoinRequestsCarryTheirEnginePhase(t *testing.T) {
 			t2, err := table.Store(e2eRel("t2", k2), []string{"k"}, topts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, o := range append(t1.ORAMs(), t2.ORAMs()...) {
+				if oram.Local(o) {
+					t.Fatal("a tree of the fixture is one leaf")
+				}
 			}
 			id := f.Activate(0)
 			root := telemetry.Start("query", m)

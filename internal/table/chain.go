@@ -160,7 +160,7 @@ func (c *ChainCursor) Advance() Move { return Move{c: c, kind: advance} }
 // where it is.
 func (c *ChainCursor) Hold() Move { return Move{c: c} }
 
-func (c *ChainCursor) shape() shape { return shape{data: c.t.data} }
+func (c *ChainCursor) shape() shape { return shape{data: c.t.data, dataLocal: oram.Local(c.t.data)} }
 
 func (c *ChainCursor) open(bool) int8 { return 0 }
 

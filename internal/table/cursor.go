@@ -47,7 +47,7 @@ func (c *ScanCursor) ref() btree.Ref {
 	return btree.Ref{Block: uint64(c.pos / c.t.perBlock), Slot: c.pos % c.t.perBlock}
 }
 
-func (c *ScanCursor) shape() shape { return shape{data: c.t.data} }
+func (c *ScanCursor) shape() shape { return shape{data: c.t.data, dataLocal: oram.Local(c.t.data)} }
 
 func (c *ScanCursor) open(ahead bool) int8 {
 	c.ahead = ahead
@@ -151,7 +151,10 @@ func (c *LeafCursor) Advance() Move { return Move{c: c, kind: advance} }
 func (c *LeafCursor) Hold() Move { return Move{c: c} }
 
 func (c *LeafCursor) shape() shape {
-	return shape{index: c.tree.ORAM(), data: c.t.data, n: 1, free: 1}
+	return shape{
+		index: c.tree.ORAM(), data: c.t.data, n: 1, free: 1,
+		indexLocal: oram.Local(c.tree.ORAM()), dataLocal: oram.Local(c.t.data),
+	}
 }
 
 func (c *LeafCursor) open(bool) int8 { return 0 }
@@ -249,10 +252,11 @@ func (c *IndexCursor) shape() shape {
 	sh := shape{
 		index: c.tree.ORAM(),
 		n:     c.tree.AccessesPerRetrieval(), free: c.tree.KeyFree(),
-		pins: c.tree.WriteBackDescents() && !c.lookup,
+		pins:       c.tree.WriteBackDescents() && !c.lookup,
+		indexLocal: oram.Local(c.tree.ORAM()),
 	}
 	if c.t != nil {
-		sh.data = c.t.data
+		sh.data, sh.dataLocal = c.t.data, oram.Local(c.t.data)
 	}
 	return sh
 }

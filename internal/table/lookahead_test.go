@@ -40,13 +40,14 @@ func (g genLane) String() string {
 }
 
 // genGeometry draws 1–4 lanes, each a scan or a plain, cached or tagged
-// index over a table whose size gives it one to three levels, each waiting
-// for nothing, for an earlier lane's tuple, or for an earlier index lane's
-// entry.
+// index over a table whose size gives it one to three levels — at 6 and 12
+// rows a data tree of one leaf, kept in the client, at 20 and 40 one on the
+// server — each waiting for nothing, for an earlier lane's tuple, or for an
+// earlier index lane's entry.
 func genGeometry(r *rand.Rand) []genLane {
 	lanes := make([]genLane, 1+r.Intn(4))
 	for j := range lanes {
-		g := genLane{kind: laneKind(r.Intn(4)), rows: []int{6, 12, 40}[r.Intn(3)], wait: Wait{After: -1}}
+		g := genLane{kind: laneKind(r.Intn(4)), rows: []int{6, 12, 20, 40}[r.Intn(4)], wait: Wait{After: -1}}
 		g.writeBack = (g.kind == plainKind || g.kind == cachedKind) && r.Intn(2) == 0
 		if j > 0 && r.Intn(3) > 0 {
 			g.wait.After = r.Intn(j)
@@ -108,6 +109,8 @@ func genLanes(t *testing.T, g []genLane, m *storage.Meter, open storage.Opener) 
 			lanes[j].Index, lanes[j].Data = IndexStoreName("", name, "k"), DataStoreName("", name)
 			lanes[j].Accesses, lanes[j].KeyFree, lanes[j].Pins = tr.AccessesPerRetrieval(), tr.KeyFree(), gl.writeBack
 		}
+		lanes[j].IndexLocal = orams[j][0] != nil && orams[j][0].Levels() == 0
+		lanes[j].DataLocal = orams[j][1] != nil && orams[j][1].Levels() == 0
 	}
 	return cursors, lanes, orams
 }
@@ -238,8 +241,9 @@ func accessCounts(orams [][2]*oram.PathORAM) [][2]int64 {
 }
 
 // TestPipelineLiveMatchesDry: over generated lane geometries — one to four
-// lanes, indexes of one to three levels, plain, cached and tagged, lanes
-// waiting for nothing, a tuple or an entry — and generated moves (real and
+// lanes, indexes of one to three levels, plain, cached and tagged, data
+// trees of one leaf, which keep nothing on the server, beside larger ones,
+// lanes waiting for nothing, a tuple or an entry — and generated moves (real and
 // dummy retrievals, keyed and ordinal seeks, disables) over in-process
 // stores, a pipeline retrieves what the moves say and issues exactly the
 // rounds PlanPipeline plans, and each store serves the accesses the plan
@@ -249,7 +253,7 @@ func accessCounts(orams [][2]*oram.PathORAM) [][2]int64 {
 // (tracecheck.Diff).
 func TestPipelineLiveMatchesDry(t *testing.T) {
 	r := rand.New(rand.NewSource(36))
-	var ahead, plain, parked, shared int
+	var ahead, plain, parked, shared, local, remote int
 	heights := map[int]bool{}
 	for c := 0; c < 60; c++ {
 		g := genGeometry(r)
@@ -270,6 +274,11 @@ func TestPipelineLiveMatchesDry(t *testing.T) {
 			if g[j].kind == plainKind {
 				heights[lanes[j].Accesses] = true
 			}
+			if lanes[j].DataLocal {
+				local++
+			} else if lanes[j].Data != "" {
+				remote++
+			}
 		}
 		if p.ahead {
 			ahead++
@@ -284,11 +293,12 @@ func TestPipelineLiveMatchesDry(t *testing.T) {
 			t.Errorf("%v, %d steps: two move sequences are distinguishable: %s", g, steps, d)
 		}
 	}
-	if ahead == 0 || plain == 0 || parked == 0 || shared == 0 || !heights[1] || !heights[2] || !heights[3] {
-		t.Errorf("the geometries cover too little: %d looked ahead, %d did not, %d parked roots, %d read a root ahead beside a descent, plain heights %v",
-			ahead, plain, parked, shared, heights)
+	if ahead == 0 || plain == 0 || parked == 0 || shared == 0 || local == 0 || remote == 0 || !heights[1] || !heights[2] || !heights[3] {
+		t.Errorf("the geometries cover too little: %d looked ahead, %d did not, %d parked roots, %d read a root ahead beside a descent, %d data trees of one leaf and %d larger, plain heights %v",
+			ahead, plain, parked, shared, local, remote, heights)
 	}
-	t.Logf("%d geometries looked ahead, %d did not; %d roots parked; %d read a root ahead beside a descent", ahead, plain, parked, shared)
+	t.Logf("%d geometries looked ahead, %d did not; %d roots parked; %d read a root ahead beside a descent; %d data trees of one leaf, %d larger",
+		ahead, plain, parked, shared, local, remote)
 }
 
 // sharesATree reports whether a round of the trace downloaded two paths of

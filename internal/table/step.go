@@ -53,6 +53,10 @@ type shape struct {
 	n           int  // index accesses, after which the entry is known and the data access can be built
 	free        int  // leading index accesses that need no key
 	pins        bool // the descent pins what it reads until its leaf lands (btree WriteBackDescents)
+	// indexLocal and dataLocal say the tree keeps nothing on the server (a
+	// Path-ORAM of one leaf, oram.Local): its accesses run in the client's
+	// stash and have no share in a round.
+	indexLocal, dataLocal bool
 }
 
 // readsAhead reports whether the retrieval is a descent whose key-free
@@ -152,7 +156,7 @@ type Pipeline struct {
 	opened bool    // step begun's retrievals are open, reading ahead of its moves
 	begun  int64   // steps begun
 	done   int64   // steps landed in full
-	rounds int64   // rounds issued
+	rounds int64   // network rounds issued
 	dry    []shape // PlanPipeline: the lanes' shapes; plan rounds, perform nothing
 	parked []bool  // PlanPipeline: the lanes that parked a root at Drain
 
@@ -368,10 +372,11 @@ func (p *Pipeline) abort(err error) error {
 
 // Carry has the next round the pipeline issues carry op, a share of another
 // store (oram.Together): a write waiting for a round to ride, such as a full
-// block of the join's output. The round is the first of the next Step or
-// Drain call, and the caller settles the share once that call returns; a
-// call that issues no round, or a round that does not run in lockstep,
-// leaves it unissued.
+// block of the join's output. The round is the first network round of the
+// next Step or Drain call — one that reaches the server, not one whose
+// accesses all run in the stash — and the caller settles the share once
+// that call returns; a call that issues no such round, or a round that does
+// not run in lockstep, leaves it unissued.
 func (p *Pipeline) Carry(op *storage.RoundOp) { p.ride = op }
 
 // Drain issues rounds until every step begun has landed. Its rounds read no
@@ -500,11 +505,17 @@ func (p *Pipeline) round(prefetch bool) error {
 	if err != nil {
 		return err
 	}
-	if len(reqs) > 0 {
+	network := p.network(last)
+	switch {
+	case network && len(reqs) > 0:
 		oram.Together(reqs, p.ride)
 		p.ride = nil
+	case len(reqs) > 0:
+		oram.Together(reqs) // in the stash: no round, so the ride waits for the next
 	}
-	p.rounds++
+	if network {
+		p.rounds++
+	}
 	k, progress := 0, false
 	for s := p.done; s < last; s++ {
 		fl := p.flights(s)
@@ -564,6 +575,20 @@ func (p *Pipeline) round(prefetch bool) error {
 	return err
 }
 
+// network reports whether the round planned, of the steps before last, has
+// an access on a tree that keeps something on the server: a round of
+// accesses that all run in the stash is no network round.
+func (p *Pipeline) network(last int64) bool {
+	for s := p.done; s < last; s++ {
+		for _, f := range p.flights(s) {
+			if f.inIdx && !f.sh.indexLocal || (f.inData || f.inFirst) && !f.sh.dataLocal {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func (p *Pipeline) stepLanded(s int64) bool {
 	for i := range p.flights(s) {
 		if !p.flights(s)[i].landed() {
@@ -614,6 +639,11 @@ type Lane struct {
 	// lands (btree WriteBackDescents), so a root read ahead never shares
 	// the tree's round with the descent before it.
 	Pins bool
+	// IndexLocal and DataLocal say the store keeps nothing on the server: a
+	// Path-ORAM of one leaf, whose accesses run in the client's stash
+	// (oram.PathORAM.Levels() == 0). A round whose accesses are all on such
+	// stores is no network round.
+	IndexLocal, DataLocal bool
 	// Wait is what the lane's keyed index accesses wait for.
 	Wait
 }
@@ -642,7 +672,8 @@ func PlanPipeline(lanes []Lane, steps int64) PipelinePlan {
 	shapes := make([]shape, len(lanes))
 	waits := make([]Wait, len(lanes))
 	for j, l := range lanes {
-		shapes[j], waits[j] = shape{n: l.Accesses, free: l.KeyFree, pins: l.Pins}, l.Wait
+		shapes[j] = shape{n: l.Accesses, free: l.KeyFree, pins: l.Pins, indexLocal: l.IndexLocal, dataLocal: l.DataLocal}
+		waits[j] = l.Wait
 		if l.Index != "" {
 			shapes[j].index = l.Index
 		}

@@ -13,7 +13,15 @@ import (
 	"oblivjoin/internal/xcrypto"
 )
 
-func tracedJoin(t *testing.T, alg string, k1, k2 []int64) []storage.Access {
+// wide is the tuple payload tracedJoin spreads its tables over blocks with:
+// two tuples a block, so that a table of three or more keeps its data tree
+// on the server. A table of one block is a Path-ORAM of one leaf, whose
+// accesses run in the client's stash and leave no trace.
+const wide = 80
+
+// tracedJoin runs alg over tables a and b of the given keys, each tuple
+// carrying payload bytes (0: none), and returns the trace.
+func tracedJoin(t *testing.T, alg string, k1, k2 []int64, payload int) []storage.Access {
 	t.Helper()
 	sealer, err := xcrypto.NewSealer(bytes.Repeat([]byte{21}, xcrypto.KeySize), nil)
 	if err != nil {
@@ -21,9 +29,9 @@ func tracedJoin(t *testing.T, alg string, k1, k2 []int64) []storage.Access {
 	}
 	m := storage.NewMeter()
 	mk := func(name string, keys []int64) *relation.Relation {
-		rel := &relation.Relation{Schema: relation.Schema{Table: name, Columns: []string{"k", "v"}}}
+		rel := &relation.Relation{Schema: relation.Schema{Table: name, Columns: []string{"k", "v"}, PayloadBytes: payload}}
 		for i, k := range keys {
-			rel.Tuples = append(rel.Tuples, relation.Tuple{Values: []int64{k, int64(i)}})
+			rel.Tuples = append(rel.Tuples, relation.Tuple{Values: []int64{k, int64(i)}, Payload: make([]byte, payload)})
 		}
 		return rel
 	}
@@ -54,22 +62,26 @@ func tracedJoin(t *testing.T, alg string, k1, k2 []int64) []storage.Access {
 }
 
 // TestBinaryJoinsIndistinguishable is the Definition 1 check across all
-// three binary algorithms: equal sizes and |R|, different distributions.
+// three binary algorithms: equal sizes and |R|, different distributions,
+// over tables of one block, whose trees are one leaf each, and tables
+// spread over several.
 func TestBinaryJoinsIndistinguishable(t *testing.T) {
-	for _, alg := range []string{"smj", "inlj"} {
-		// Both have |T1|=5, |T2|=5, |R|=5: (a) degrees 2,2,1 on shared keys;
-		// (b) degrees 1,1,1,1,1.
-		a := tracedJoin(t, alg, []int64{1, 1, 2, 2, 3}, []int64{1, 2, 3, 7, 8})
-		b := tracedJoin(t, alg, []int64{1, 2, 3, 4, 5}, []int64{1, 2, 3, 4, 5})
-		if d := Diff(a, b); d != "" {
-			t.Errorf("%s: %s", alg, d)
+	for _, payload := range []int{0, wide} {
+		for _, alg := range []string{"smj", "inlj"} {
+			// Both have |T1|=5, |T2|=5, |R|=5: (a) degrees 2,2,1 on shared keys;
+			// (b) degrees 1,1,1,1,1.
+			a := tracedJoin(t, alg, []int64{1, 1, 2, 2, 3}, []int64{1, 2, 3, 7, 8}, payload)
+			b := tracedJoin(t, alg, []int64{1, 2, 3, 4, 5}, []int64{1, 2, 3, 4, 5}, payload)
+			if d := Diff(a, b); d != "" {
+				t.Errorf("%s, payload %d: %s", alg, payload, d)
+			}
 		}
-	}
-	// Band: |R| = 6 both ways.
-	a := tracedJoin(t, "band", []int64{1, 2, 3}, []int64{2, 3, 4})
-	b := tracedJoin(t, "band", []int64{0, 0, 9}, []int64{1, 3, 5})
-	if d := Diff(a, b); d != "" {
-		t.Errorf("band: %s", d)
+		// Band: |R| = 6 both ways.
+		a := tracedJoin(t, "band", []int64{1, 2, 3}, []int64{2, 3, 4}, payload)
+		b := tracedJoin(t, "band", []int64{0, 0, 9}, []int64{1, 3, 5}, payload)
+		if d := Diff(a, b); d != "" {
+			t.Errorf("band, payload %d: %s", payload, d)
+		}
 	}
 }
 
@@ -77,8 +89,8 @@ func TestBinaryJoinsIndistinguishable(t *testing.T) {
 // also agree on the per-store summaries (a weaker view an adversary might
 // take).
 func TestTraceRevealsNothingButStructure(t *testing.T) {
-	a := Summarize(tracedJoin(t, "inlj", []int64{5, 5, 5}, []int64{5, 9, 9}))
-	b := Summarize(tracedJoin(t, "inlj", []int64{1, 2, 3}, []int64{1, 2, 3}))
+	a := Summarize(tracedJoin(t, "inlj", []int64{5, 5, 5}, []int64{5, 9, 9}, wide))
+	b := Summarize(tracedJoin(t, "inlj", []int64{1, 2, 3}, []int64{1, 2, 3}, wide))
 	if len(a) != len(b) {
 		t.Fatalf("summary stores differ: %v vs %v", a, b)
 	}
@@ -169,7 +181,7 @@ func TestPeriodic(t *testing.T) {
 // output-vector prelude, an INLJ trace is a repetition of one fixed
 // step-shaped period per join step (until the final filter phase).
 func TestINLJStepsArePeriodic(t *testing.T) {
-	trace := tracedJoin(t, "inlj", []int64{1, 2, 3, 4}, []int64{9, 9, 9, 9})
+	trace := tracedJoin(t, "inlj", []int64{1, 2, 3, 4}, []int64{9, 9, 9, 9}, wide)
 	// Extract just the step phase: accesses against the input-table stores.
 	var steps []storage.Access
 	for _, a := range trace {

@@ -3,21 +3,24 @@ package oblivjoin
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"oblivjoin/internal/core"
 	"oblivjoin/internal/remote"
 )
 
-// startShardServers brings up n loopback ojoinservers and returns their
-// addresses.
-func startShardServers(t *testing.T, n int) []string {
+// startShardServers brings up n loopback ojoinservers with the given
+// options and returns their addresses.
+func startShardServers(t *testing.T, n int, opts remote.ServerOptions) []string {
 	t.Helper()
 	var addrs []string
 	for i := 0; i < n; i++ {
-		srv := remote.NewServer(remote.ServerOptions{})
+		srv := remote.NewServer(opts)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -33,7 +36,7 @@ func startShardServers(t *testing.T, n int) []string {
 // server.shard.<s> subtree per shard, phase groups below each, and the
 // queue-wait / store-I/O decomposition on every group and leaf.
 func TestDistributedTraceGraft(t *testing.T) {
-	addrs := startShardServers(t, 2)
+	addrs := startShardServers(t, 2, remote.ServerOptions{})
 	passengers, watch := demoRelations()
 	db := NewDatabase(Config{BlockPayload: 512})
 	if err := db.AddTable(passengers, "passport"); err != nil {
@@ -157,7 +160,7 @@ func TestDistributedTraceGraft(t *testing.T) {
 // TestWatchShards exercises the ojoin -watch poller: frames stream to the
 // writer while running and stop() is idempotent.
 func TestWatchShards(t *testing.T) {
-	addrs := startShardServers(t, 2)
+	addrs := startShardServers(t, 2, remote.ServerOptions{})
 	passengers, watch := demoRelations()
 	db := NewDatabase(Config{BlockPayload: 512})
 	if err := db.AddTable(passengers, "passport"); err != nil {
@@ -229,7 +232,7 @@ func (b *syncBuffer) count(sub string) int {
 // otherwise route through the pool while Close released only the remote
 // client), and Close releases the shard pool's connections.
 func TestConnectRemoteAfterShardsRefused(t *testing.T) {
-	addrs := startShardServers(t, 3)
+	addrs := startShardServers(t, 3, remote.ServerOptions{})
 	db := NewDatabase(Config{BlockPayload: 512})
 	if err := db.ConnectShards(addrs[:2]); err != nil {
 		t.Fatal(err)
@@ -245,5 +248,99 @@ func TestConnectRemoteAfterShardsRefused(t *testing.T) {
 		if _, err := c.Open("probe"); !errors.Is(err, remote.ErrClosed) {
 			t.Fatalf("shard %d client still open after Close: %v", i, err)
 		}
+	}
+}
+
+// storeRecorder is a remote.FaultModel that shapes nothing and, once on,
+// counts the stores the requests name: an exchange names its shares'.
+type storeRecorder struct {
+	mu     sync.Mutex
+	on     bool
+	stores map[string]int
+}
+
+func (r *storeRecorder) Next(req *remote.Request) (time.Duration, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.on {
+		if req.Store != "" {
+			r.stores[req.Store]++
+		}
+		for _, sh := range req.Shares {
+			r.stores[sh.Store]++
+		}
+	}
+	return 0, false
+}
+
+// TestOneBlockTableStaysInTheClient: the watchlist of demoRelations fits one
+// 512-byte block, so its data tree and its index are Path-ORAMs of one leaf,
+// which keep nothing on the server. Joined with the passengers by sort-merge
+// and by index nested-loop, twice each, over a loopback server
+// (ConnectRemote) and over two shards (ConnectShards), the joins answer
+// what core/reference.go does, name the passengers' stores on the wire, and
+// never the watchlist's.
+func TestOneBlockTableStaysInTheClient(t *testing.T) {
+	for _, servers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("servers=%d", servers), func(t *testing.T) {
+			rec := &storeRecorder{stores: map[string]int{}}
+			addrs := startShardServers(t, servers, remote.ServerOptions{Faults: rec})
+			passengers, watch := demoRelations()
+			db := NewDatabase(Config{BlockPayload: 512})
+			defer db.Close()
+			for _, rel := range []*Relation{passengers, watch} {
+				if err := db.AddTable(rel, "passport"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			connect := func() error { return db.ConnectShards(addrs) }
+			if servers == 1 {
+				connect = func() error { return db.ConnectRemote(addrs[0]) }
+			}
+			if err := connect(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			rec.mu.Lock()
+			rec.on = true
+			rec.mu.Unlock()
+			want := map[string]int{}
+			for _, tu := range core.ReferenceEquiJoin(passengers, watch, "passport", "passport") {
+				want[fmt.Sprint(tu.Values)]++
+			}
+			for rep := 0; rep < 2; rep++ {
+				for name, join := range map[string]func(t1, a1, t2, a2 string) (*Result, error){
+					"smj": db.SortMergeJoin, "inlj": db.IndexNestedLoopJoin,
+				} {
+					res, err := join("passengers", "passport", "watchlist", "passport")
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := map[string]int{}
+					for _, tu := range res.Tuples {
+						got[fmt.Sprint(tu.Values)]++
+					}
+					if !maps.Equal(got, want) {
+						t.Fatalf("%s, run %d: answered %v, the reference %v", name, rep, got, want)
+					}
+				}
+			}
+			rec.mu.Lock()
+			defer rec.mu.Unlock()
+			var passengerStores int
+			for store, n := range rec.stores {
+				if strings.Contains(store, "watchlist.") {
+					t.Errorf("%d requests named %s, a store of a one-block table", n, store)
+				}
+				if strings.Contains(store, "passengers.") {
+					passengerStores++
+				}
+			}
+			if passengerStores == 0 {
+				t.Errorf("no request named a store of the passengers: %v", rec.stores)
+			}
+		})
 	}
 }
