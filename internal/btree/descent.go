@@ -30,7 +30,7 @@ type pathStep struct {
 	id    uint64
 	node  *node
 	entry int    // entry index descended through (internal nodes) or picked (leaf)
-	held  []byte // an outsourced node's payload, its block pinned if WriteBackDescents
+	held  []byte // an outsourced node's payload (in the descent's bufs), its block pinned if WriteBackDescents
 }
 
 // Descent is one lookup, disable or dummy operation on a tree, performed one
@@ -53,7 +53,9 @@ type pathStep struct {
 // known: they are then real reads of the root, whatever the mode. A Dummy
 // descent discards what they read and releases its pin; a descent that never
 // gets its mode is parked (Park) for Reset. A Descent is reusable: its
-// decode buffers carry over from one descent to the next.
+// decode buffers, and the payload buffer of each level its accesses land in
+// (oram.Req.Into), carry over from one descent to the next, so a descent
+// allocates nothing once its buffers have grown.
 //
 // On a tagged tree every access of a real descent is an update that routes
 // with the node in hand and writes the chosen child's fresh position tag
@@ -72,7 +74,8 @@ type Descent struct {
 	done   int // accesses landed
 	ent    Entry
 	path   []pathStep
-	nodes  []node // decode buffers, one per outsourced level
+	nodes  []node   // decode buffers, one per outsourced level
+	bufs   [][]byte // payload buffers, one per outsourced level: access k lands in bufs[k]
 
 	pos      uint32             // tagged: the next node's tag before rotate replaced it
 	rotateFn func([]byte) error // d.rotate, bound once
@@ -107,7 +110,7 @@ func (d *Descent) open(t *Tree, ahead, pin bool) {
 		d.path = make([]pathStep, 0, t.Height())
 	}
 	if n := t.OutsourcedLevels(); cap(d.nodes) < n {
-		d.nodes = make([]node, n)
+		d.nodes, d.bufs = make([]node, n), make([][]byte, n)
 	}
 	for i := range d.nodes {
 		d.nodes[i].width = t.width
@@ -150,7 +153,7 @@ func (d *Descent) Req() (oram.Req, error) {
 	req := oram.Req{ORAM: t.cfg.ORAM}
 	switch {
 	case d.ahead && d.done < t.KeyFree(): // the root, whatever the mode
-		req.Key, req.Pin = t.rootID(), d.pin
+		req.Key, req.Pin, req.Into = t.rootID(), d.pin, d.bufs[d.done]
 	case !d.moded:
 		return req, fmt.Errorf("btree: access %d of a descent built before its mode", d.done)
 	case d.mode == Dummy:
@@ -168,7 +171,7 @@ func (d *Descent) Req() (oram.Req, error) {
 			d.path = append(d.path, pathStep{id: id, node: n})
 			id = d.route(&d.path[len(d.path)-1])
 		}
-		req.Key, req.Pin = id, d.pin
+		req.Key, req.Pin, req.Into = id, d.pin, d.bufs[d.done]
 		if t.width > 0 {
 			req.Update, req.Pos, req.NewPos = d.rotateFn, t.rootTag, t.drawTag()
 			if d.done > 0 {
@@ -239,6 +242,9 @@ func (d *Descent) land(req oram.Req) error {
 		}
 		return fmt.Errorf("btree: node %d: %w", req.Key, req.Err)
 	}
+	if req.Data != nil {
+		d.bufs[k] = req.Data // the level's buffer, grown if it was short
+	}
 	if d.moded && d.mode == Dummy {
 		if req.Pin { // a root read ahead
 			return t.pins().Release(req.Key, nil)
@@ -297,10 +303,12 @@ func (d *Descent) Abort() error { return d.release(false) }
 
 // Park ends a descent opened ahead whose retrieval never comes: a root it
 // read and holds pinned goes to its tree, which Reset visits with it rather
-// than with an access of its own.
+// than with an access of its own. The buffer the root landed in goes with
+// it: the descent's next root lands in a buffer of its own.
 func (d *Descent) Park() {
 	if len(d.path) > 0 && d.path[0].held != nil && d.pin {
 		d.t.parked = d.path[0].held
+		d.bufs[0] = nil
 	}
 	d.path = d.path[:0]
 }

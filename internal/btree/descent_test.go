@@ -6,6 +6,7 @@ import (
 
 	"oblivjoin/internal/oram"
 	"oblivjoin/internal/storage"
+	"oblivjoin/internal/storage/storetest"
 )
 
 // run performs a descent's accesses one per round, building the first
@@ -68,6 +69,50 @@ func TestDescentStaged(t *testing.T) {
 		}
 		if _, err := d.Req(); err == nil {
 			t.Fatalf("%+v: a keyed access was built before the target", cfg)
+		}
+	}
+}
+
+// TestDescentAllocs is the allocation guard of a reused descent: once its
+// decode buffers and its payload buffer per level have grown, a lookup, a
+// miss and a dummy descent allocate nothing — every access lands in the
+// level's buffer (oram.Req.Into) — on a plain tree, on one whose descents
+// pin what they read, and on a tagged tree, whose accesses rotate tags.
+func TestDescentAllocs(t *testing.T) {
+	if storetest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, tc := range []struct {
+		name string
+		tree *Tree
+	}{
+		{"plain", buildTree(t, dupKeys(40, 3), Config{}, storage.NewMeter(), smallPayload)},
+		{"write-back", buildTree(t, dupKeys(40, 3), Config{WriteBackDescents: true}, storage.NewMeter(), smallPayload)},
+		{"tagged", newTaggedTree(t, seqKeys(40), storage.NewMeter())},
+	} {
+		var d Descent
+		k := int64(0)
+		descend := func() {
+			k = (k + 7) % 160
+			switch k % 3 {
+			case 0:
+				run(t, &d, tc.tree, KeyGE, k, true)
+			case 1:
+				run(t, &d, tc.tree, KeyGE, k, false) // a miss
+			default:
+				run(t, &d, tc.tree, Dummy, 0, true)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			descend()
+		}
+		// The fewest over a few windows: the stash map grows now and then.
+		allocs := testing.AllocsPerRun(100, descend)
+		for rep := 0; rep < 4 && allocs != 0; rep++ {
+			allocs = min(allocs, testing.AllocsPerRun(100, descend))
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a steady-state descent allocates %.1f, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -479,16 +479,24 @@ func Reset(trees ...*Tree) error {
 	if errs != nil {
 		return errs
 	}
+	// Each tree's nodes land in one buffer of its own, reused every round.
 	reqs := make([]oram.Req, 0, len(trees))
+	bufs := make([][]byte, len(trees))
 	for id := uint64(0); id < rounds; id++ {
 		reqs = reqs[:0]
 		for i, t := range trees {
 			if id < visits[i] {
-				reqs = append(reqs, oram.Req{ORAM: t.cfg.ORAM, Key: id, Update: resetNode})
+				reqs = append(reqs, oram.Req{ORAM: t.cfg.ORAM, Key: id, Update: resetNode, Into: bufs[i]})
 			}
 		}
 		if err := oram.Together(reqs); err != nil {
 			return fmt.Errorf("btree: resetting node %d: %w", id, err)
+		}
+		k := 0
+		for i := range trees {
+			if id < visits[i] {
+				bufs[i], k = reqs[k].Data, k+1
+			}
 		}
 	}
 	return nil

@@ -17,6 +17,8 @@ type outWriter struct {
 	schema  relation.Schema
 	vec     *obliv.BlockVector
 	recSize int
+	rec     []byte         // every record is encoded here, then copied by Append
+	joined  relation.Tuple // the join record being written, its Values reused
 	real    int
 	total   int
 	raw     bool
@@ -33,22 +35,24 @@ func newOutWriter(name string, opts Options, raw bool, schemas ...relation.Schem
 	if err != nil {
 		return nil, err
 	}
-	return &outWriter{schema: schema, vec: vec, recSize: recSize, raw: raw}, nil
+	return &outWriter{schema: schema, vec: vec, recSize: recSize, rec: make([]byte, recSize), raw: raw}, nil
 }
 
 // putJoin writes the concatenation of the given tuples as one real record.
 func (w *outWriter) putJoin(tuples ...relation.Tuple) error {
-	rec := make([]byte, w.recSize)
-	tu := relation.Concat(tuples...)
-	if err := relation.Encode(w.schema, tu, rec); err != nil {
+	w.joined.Values = w.joined.Values[:0]
+	for _, t := range tuples {
+		w.joined.Values = append(w.joined.Values, t.Values...)
+	}
+	if err := relation.Encode(w.schema, w.joined, w.rec); err != nil {
 		return err
 	}
 	if w.raw {
-		w.tuples = append(w.tuples, tu)
+		w.tuples = append(w.tuples, relation.Concat(tuples...))
 	}
 	w.real++
 	w.total++
-	return w.vec.Append(rec)
+	return w.vec.Append(w.rec)
 }
 
 // putDummy writes one dummy record, indistinguishable from a real one; a
@@ -57,12 +61,11 @@ func (w *outWriter) putDummy() error {
 	if w.raw {
 		return nil
 	}
-	rec := make([]byte, w.recSize)
-	if err := relation.EncodeDummy(w.schema, rec); err != nil {
+	if err := relation.EncodeDummy(w.schema, w.rec); err != nil {
 		return err
 	}
 	w.total++
-	return w.vec.Append(rec)
+	return w.vec.Append(w.rec)
 }
 
 // finish applies the Section 8 padding strategy and the paper's final

@@ -51,9 +51,9 @@ type BlockVector struct {
 	capacity int
 	length   int
 
-	pending      [][]byte // buffered records not yet sealed
-	pendingBlock int      // block index the buffer belongs to
-	pendingStart int      // slot within pendingBlock of pending[0]
+	pending      []byte // buffered records not yet sealed, back to back
+	pendingBlock int    // block index the buffer belongs to
+	pendingStart int    // slot within pendingBlock of the first
 
 	// held is what is sealed but not yet written, heldData[k] block held[k];
 	// the first over of them are held over (HoldOver), and ride is the share
@@ -104,10 +104,12 @@ func (v *BlockVector) RecordsPerBlock() int { return v.perBlock }
 // payload is the plaintext bytes of a block.
 func (v *BlockVector) payload() int { return v.store.BlockSize() - xcrypto.Overhead }
 
-// Append adds a record at the end, sealing and holding a block each time one
-// fills and growing the server store as needed (the growth schedule depends
-// only on the public record count). The server sees one uniform encrypted
-// block write per perBlock appends regardless of record contents.
+// Append adds a copy of rec at the end, sealing and holding a block each
+// time one fills and growing the server store as needed (the growth
+// schedule depends only on the public record count). The server sees one
+// uniform encrypted block write per perBlock appends regardless of record
+// contents. The copy goes into the buffer of the block being appended to,
+// so an append allocates nothing of its own.
 func (v *BlockVector) Append(rec []byte) error {
 	if v.length >= v.capacity {
 		extra := v.capacity
@@ -129,11 +131,10 @@ func (v *BlockVector) Append(rec []byte) error {
 		v.pendingBlock = blk
 		v.pendingStart = v.length % v.perBlock
 	}
-	buf := make([]byte, v.recSize)
-	copy(buf, rec)
-	v.pending = append(v.pending, buf)
+	v.pending = append(v.pending, rec...)
+	v.pending = append(v.pending, make([]byte, v.recSize-len(rec))...) // a short record is zero-padded
 	v.length++
-	if v.pendingStart+len(v.pending) < v.perBlock {
+	if v.pendingStart+len(v.pending)/v.recSize < v.perBlock {
 		return nil
 	}
 	// The block is full: hold it, one block at most beside those held over.
@@ -182,9 +183,7 @@ func (v *BlockVector) sealPending() error {
 				return err
 			}
 		}
-		for i, r := range v.pending {
-			copy(payload[(v.pendingStart+i)*v.recSize:], r)
-		}
+		copy(payload[v.pendingStart*v.recSize:], v.pending)
 		sealed, err := v.sealer.Seal(payload)
 		if err != nil {
 			return err
@@ -192,7 +191,7 @@ func (v *BlockVector) sealPending() error {
 		v.held = append(v.held, int64(v.pendingBlock))
 		v.heldData = append(v.heldData, sealed)
 	}
-	v.pending = nil
+	v.pending = v.pending[:0]
 	v.pendingBlock = -1
 	v.pendingStart = 0
 	return nil

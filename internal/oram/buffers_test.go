@@ -77,7 +77,8 @@ func bufferWorkload(t *testing.T, o *PathORAM, capacity, steps int, seed int64, 
 // TestReturnedSlicesAreNeverRecycled keeps every slice Read and Update ever
 // returned and asserts no later access mutated one: a stash
 // payload buffer escaping to a caller and then being recycled would show
-// here as a returned block changing under its holder.
+// here as a returned block changing under its holder. The into legs do the
+// same for results landing in the caller's buffers (intoWorkload).
 func TestReturnedSlicesAreNeverRecycled(t *testing.T) {
 	for _, batch := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("k=%d", batch), func(t *testing.T) {
@@ -101,7 +102,85 @@ func TestReturnedSlicesAreNeverRecycled(t *testing.T) {
 			}
 			assertFreeListDisjoint(t, o)
 		})
+		t.Run(fmt.Sprintf("into/k=%d", batch), func(t *testing.T) { intoWorkload(t, batch) })
 	}
+}
+
+// intoWorkload is TestReturnedSlicesAreNeverRecycled's leg of the
+// caller-owned buffer (Req.Into): a seeded mix of 5 000 reads, updates,
+// writes and dummies through Together, directly and through a View, each
+// landing in one of a few buffers the caller rotates and scribbles over
+// once it has checked the result. Reads stay correct whatever the caller
+// does to its buffers, a result lands in the buffer it was given, and no
+// access writes a buffer it was not given: each idle buffer still holds the
+// caller's scribble when its turn comes again.
+func intoWorkload(t *testing.T, batch int) {
+	const capacity = 64
+	o := newEvictionORAM(t, capacity, 16, nil, batch, 37)
+	view, err := NewView(o, 16, capacity-16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bufs [4][]byte
+	for i := range bufs {
+		bufs[i] = make([]byte, o.PayloadSize())
+	}
+	scribble := func(i, step int) {
+		for k := range bufs[i] {
+			bufs[i][k] = byte(step) ^ 0xA5
+		}
+	}
+	ref := map[uint64][]byte{}
+	r := mrand.New(mrand.NewSource(int64(batch)))
+	bump := func(p []byte) error { p[0]++; return nil }
+	for step := 0; step < 5000; step++ {
+		b := step % len(bufs)
+		for i := range bufs {
+			if i == b || step < len(bufs) {
+				continue
+			}
+			last := step - (step-i+len(bufs))%len(bufs) // the step that last used bufs[i]
+			if want := bytes.Repeat([]byte{byte(last) ^ 0xA5}, len(bufs[i])); !bytes.Equal(bufs[i], want) {
+				t.Fatalf("step %d: idle buffer %d was written after its access returned", step, i)
+			}
+		}
+		key := uint64(r.Intn(capacity))
+		req := Req{ORAM: o, Key: key, Into: bufs[b]}
+		if key >= 16 && r.Intn(2) == 0 {
+			req.ORAM, req.Key = view, key-16
+		}
+		_, known := ref[key]
+		switch op := r.Intn(5); {
+		case op == 0 || !known:
+			val := []byte{byte(step), byte(step >> 8), byte(key)}
+			req.Put = val
+			ref[key] = append(append(make([]byte, 0, o.PayloadSize()), val...), make([]byte, o.PayloadSize()-len(val))...)
+		case op == 1:
+			req.Update = bump
+			ref[key][0]++
+		case op == 2:
+			req = Req{ORAM: req.ORAM, Dummy: true, Into: bufs[b]}
+		}
+		one := [1]Req{req}
+		if err := Together(one[:]); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if got := one[0]; !got.Dummy && got.Put == nil {
+			if !bytes.Equal(got.Data, ref[key]) {
+				t.Fatalf("step %d: key %d = %v, want %v", step, key, got.Data, ref[key])
+			}
+			if &got.Data[0] != &bufs[b][0] {
+				t.Fatalf("step %d: the result did not land in the caller's buffer", step)
+			}
+		} else if got.Data != nil {
+			t.Fatalf("step %d: a write or dummy handed back %d bytes", step, len(got.Data))
+		}
+		scribble(b, step)
+	}
+	if err := o.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	assertFreeListDisjoint(t, o)
 }
 
 // assertFreeListDisjoint fails if one payload buffer is held twice among
@@ -194,10 +273,12 @@ func TestHiddenAppendFormsTraceIdentical(t *testing.T) {
 }
 
 // TestPathORAMAccessAllocs is the allocation guard for a steady-state
-// access over MemStore at EvictionBatch 1: a Read allocates the result
-// copy it hands the caller and nothing else block-sized, a dummy access
-// nothing block-sized at all. (The budgets leave one allocation for the
-// stash map's occasional internal growth.)
+// access over MemStore at EvictionBatch 1. A read or update through
+// Together with the caller's buffer (Req.Into) allocates nothing at all, on
+// the tree, through a View and in a raw round; a Read, which brings no
+// buffer, allocates the one result copy it hands the caller, and a dummy
+// access nothing block-sized at all. (The budgets of the last two leave one
+// allocation for the stash map's occasional internal growth.)
 func TestPathORAMAccessAllocs(t *testing.T) {
 	if storetest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -209,6 +290,17 @@ func TestPathORAMAccessAllocs(t *testing.T) {
 		blocks[i] = make([]byte, payload)
 	}
 	if err := o.BulkLoad(blocks); err != nil {
+		t.Fatal(err)
+	}
+	view, err := NewView(o, capacity/2, capacity/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := NewRawStore("raw", capacity, payload, storage.NewMeter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.BulkLoad(blocks); err != nil {
 		t.Fatal(err)
 	}
 	key := uint64(0)
@@ -225,6 +317,45 @@ func TestPathORAMAccessAllocs(t *testing.T) {
 	if n > 2 || b > payload+payload/2 {
 		t.Errorf("steady-state Read: %v allocs and %d bytes per access, want <= 2 and one %d-byte result copy", n, b, payload)
 	}
+	into := make([]byte, payload)
+	bump := func(p []byte) error { p[0]++; return nil }
+	var one [1]Req
+	for _, tc := range []struct {
+		name string
+		req  func(k uint64) Req
+	}{
+		{"Together read", func(k uint64) Req { return Req{ORAM: o, Key: k, Into: into} }},
+		{"Together update", func(k uint64) Req { return Req{ORAM: o, Key: k, Update: bump, Into: into} }},
+		{"Together read through a View", func(k uint64) Req { return Req{ORAM: view, Key: k % (capacity / 2), Into: into} }},
+		{"Together update through a View", func(k uint64) Req { return Req{ORAM: view, Key: k % (capacity / 2), Update: bump, Into: into} }},
+		{"raw round read", func(k uint64) Req { return Req{ORAM: raw, Key: k, Into: into} }},
+	} {
+		access := func() {
+			key = (key + 1) % capacity
+			one[0] = tc.req(key)
+			if err := Together(one[:]); err != nil {
+				t.Fatal(err)
+			}
+			if &one[0].Data[0] != &into[0] {
+				t.Fatalf("%s: the result did not land in the caller's buffer", tc.name)
+			}
+		}
+		for i := 0; i < capacity; i++ {
+			access()
+		}
+		if n, b := quietest(access); n != 0 || b != 0 {
+			t.Errorf("steady-state %s with the caller's buffer: %v allocs and %d bytes per access, want none", tc.name, n, b)
+		}
+	}
+	n, b = storetest.AllocsAndBytes(500, func() {
+		one[0] = Req{ORAM: o, Key: key}
+		if err := Together(one[:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 2 || b > payload+payload/2 {
+		t.Errorf("steady-state Together read without a buffer: %v allocs and %d bytes per access, want <= 2 and one %d-byte result copy", n, b, payload)
+	}
 	n, b = storetest.AllocsAndBytes(500, func() {
 		if err := o.DummyAccess(); err != nil {
 			t.Fatal(err)
@@ -233,6 +364,19 @@ func TestPathORAMAccessAllocs(t *testing.T) {
 	if n > 1 || b > payload/2 {
 		t.Errorf("steady-state DummyAccess: %v allocs and %d bytes per access, want <= 1 and nothing block-sized", n, b)
 	}
+}
+
+// quietest returns the fewest allocations and bytes per call of access over
+// a few windows of 500 calls: a window in which the stash set no new peak,
+// so that neither its map nor the free list of payload buffers grew. An
+// allocation every access makes shows in every window.
+func quietest(access func()) (allocs float64, bytes uint64) {
+	allocs, bytes = storetest.AllocsAndBytes(500, access)
+	for rep := 0; rep < 4 && (allocs != 0 || bytes != 0); rep++ {
+		n, b := storetest.AllocsAndBytes(500, access)
+		allocs, bytes = min(allocs, n), min(bytes, b)
+	}
+	return allocs, bytes
 }
 
 // TestUploaderSizedToTree: building a small tree must not allocate a

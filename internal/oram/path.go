@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"oblivjoin/internal/storage"
 	"oblivjoin/internal/telemetry"
@@ -103,7 +102,8 @@ type PathORAM struct {
 	sched    *scheduler
 
 	// Scratch reused across accesses so a steady-state access allocates
-	// nothing but the result copy it hands the caller. Safe because a
+	// nothing; the result copy it hands the caller lands in the caller's
+	// buffer (Req.Into), or in fresh memory without one. Safe because a
 	// PathORAM serves one access at a time and every store consumes batch
 	// payloads and index lists before returning (storage package comment).
 	fetchBuf []byte   // ExchangeTo target: one download's sealed buckets
@@ -413,7 +413,7 @@ func (o *PathORAM) StashSize() int { return len(o.stash) }
 
 // Read implements ORAM.
 func (o *PathORAM) Read(key uint64) ([]byte, error) {
-	return o.access(accessPlan{key: key})
+	return o.access(accessPlan{key: key}, nil)
 }
 
 // Write implements ORAM.
@@ -422,7 +422,7 @@ func (o *PathORAM) Write(key uint64, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = o.access(accessPlan{key: key, newData: buf})
+	_, err = o.access(accessPlan{key: key, newData: buf}, nil)
 	return err
 }
 
@@ -450,14 +450,14 @@ func (o *PathORAM) payloadBuf() []byte {
 // Update implements ORAM: a single path access that reads, mutates, and
 // rewrites the block — indistinguishable from Read and Write.
 func (o *PathORAM) Update(key uint64, fn func(payload []byte) error) ([]byte, error) {
-	return o.access(accessPlan{key: key, update: fn})
+	return o.access(accessPlan{key: key, update: fn}, nil)
 }
 
 // DummyAccess implements ORAM: reads and rewrites a uniformly random path.
 // Indistinguishable from a real access because every access touches a fresh
 // uniformly random path and rewrites it re-encrypted.
 func (o *PathORAM) DummyAccess() error {
-	_, err := o.access(accessPlan{dummy: true})
+	_, err := o.access(accessPlan{dummy: true}, nil)
 	return err
 }
 
@@ -530,8 +530,11 @@ func (o *PathORAM) planReq(p *accessPlan, r *Req, key uint64, put []byte) error 
 
 // apply runs the stash-apply stage: with the plan's path already fetched
 // into the stash, perform the client-side read/write/update against the
-// stash copy, remap the block to its new leaf, and pin it if asked to.
-func (o *PathORAM) apply(p *accessPlan) ([]byte, error) {
+// stash copy, remap the block to its new leaf, and pin it if asked to. A
+// read or update hands back a copy of the payload, appended to into[:0] —
+// the caller's buffer (Req.Into), or nil for fresh memory: the stash buffer
+// itself never leaves the tree.
+func (o *PathORAM) apply(p *accessPlan, into []byte) ([]byte, error) {
 	if p.dummy {
 		return nil, nil
 	}
@@ -551,7 +554,7 @@ func (o *PathORAM) apply(p *accessPlan) ([]byte, error) {
 		err = p.update(entry.payload)
 		fallthrough
 	default:
-		result = slices.Clone(entry.payload)
+		result = append(into[:0], entry.payload...)
 	}
 	entry.leaf = p.newLeaf
 	entry.pinned = entry.pinned || p.pin && err == nil
@@ -598,11 +601,12 @@ func (o *PathORAM) unplan(p *accessPlan) {
 // access is the Path-ORAM protocol core, staged as plan → fetch → apply →
 // evict, of the operation op names: if newData is non-nil the access is a
 // write; if update is non-nil it mutates the fetched payload in place; if
-// dummy, no logical block is touched; pin keeps the block in the stash. The
-// fetch carries the write-back the scheduler has queued; the eviction stage
-// queues the path just fetched for the next one. A fetch that fails leaves
-// the access undone and retryable.
-func (o *PathORAM) access(op accessPlan) ([]byte, error) {
+// dummy, no logical block is touched; pin keeps the block in the stash. A
+// read or update lands its result in into (apply). The fetch carries the
+// write-back the scheduler has queued; the eviction stage queues the path
+// just fetched for the next one. A fetch that fails leaves the access undone
+// and retryable.
+func (o *PathORAM) access(op accessPlan, into []byte) ([]byte, error) {
 	p := &o.plans[0]
 	*p = op
 	if err := o.plan(p); err != nil {
@@ -612,14 +616,14 @@ func (o *PathORAM) access(op accessPlan) ([]byte, error) {
 		o.unplan(p)
 		return nil, err
 	}
-	return o.finish(p)
+	return o.finish(p, into)
 }
 
 // finish runs the stages of a planned access that follow its fetch: apply,
 // then queue the fetched path, whose write-back rides the tree's next fetch.
 // Together is plan, fetch and finish run for several trees at once.
-func (o *PathORAM) finish(p *accessPlan) ([]byte, error) {
-	result, err := o.apply(p)
+func (o *PathORAM) finish(p *accessPlan, into []byte) ([]byte, error) {
+	result, err := o.apply(p, into)
 	o.sched.evict(p.leaf)
 	if len(o.stash) > o.maxStash {
 		o.maxStash = len(o.stash)

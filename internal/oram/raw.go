@@ -17,6 +17,14 @@ type RawStore struct {
 	store *storage.MemStore
 	size  int
 	meter *storage.Meter // the store's: a raw round is metered on it
+
+	// The scratch of a raw round whose first request is on this store
+	// (rawRound): the reads' shares, their one-block index lists and the
+	// round's share list, reused so that a steady-state round allocates
+	// nothing. A RawStore serves one round at a time.
+	shares []storage.RoundOp
+	idxs   []int64
+	ops    []*storage.RoundOp
 }
 
 // NewRawStore creates a raw store with capacity blocks of payloadSize bytes.

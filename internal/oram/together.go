@@ -20,6 +20,14 @@ import (
 // the block's positions, which its caller holds: Pos is the path to fetch
 // (for a Put of a new block, any fresh tag) and NewPos the tag the block
 // moves to (RandomPos). Other ORAMs ignore them.
+//
+// Into is the caller's buffer for the payload a read or an update hands
+// back: on a Path-ORAM, directly or through a View, and in a raw round, the
+// payload lands in Into[:PayloadSize] — Into grown only if it is short —
+// and Data aliases it. Without one Data is a fresh copy, as ORAM.Read
+// returns. The ORAM keeps no reference to Into and writes it only while the
+// request runs, so the caller may reuse it once it has consumed Data; two
+// requests of one call must not share it.
 type Req struct {
 	ORAM        ORAM
 	Key         uint64
@@ -28,6 +36,7 @@ type Req struct {
 	Put         []byte
 	Pin         bool
 	Pos, NewPos uint32
+	Into        []byte
 
 	Data []byte
 	Err  error
@@ -96,8 +105,8 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 				r.Data, r.Err = nil, r.ORAM.DummyAccess()
 			case r.Put != nil:
 				r.Data, r.Err = nil, r.ORAM.Write(r.Key, r.Put)
-			case r.Pin && o != nil:
-				r.Data, r.Err = o.access(accessPlan{key: key, update: r.Update, pin: true})
+			case o != nil:
+				r.Data, r.Err = o.access(accessPlan{key: key, update: r.Update, pin: r.Pin}, r.Into)
 			case r.Update != nil:
 				r.Data, r.Err = r.ORAM.Update(r.Key, r.Update)
 			default:
@@ -174,7 +183,8 @@ func Together(reqs []Req, ride ...*storage.RoundOp) error {
 		}
 		for k := range o.plans[:o.planned] {
 			p := &o.plans[k]
-			reqs[p.req].Data, reqs[p.req].Err = o.finish(p)
+			r := &reqs[p.req]
+			r.Data, r.Err = o.finish(p, r.Into)
 		}
 	}
 	return firstErr(reqs)
@@ -192,8 +202,9 @@ func firstErr(reqs []Req) error {
 
 // rawRound performs reqs as one round when every request is a plain read or
 // a dummy on a RawStore, all on one meter — the raw baseline's join step: a
-// single-block share per read, none per dummy, then the ride shares. It
-// reports false, having done nothing, for any other group.
+// single-block share per read, none per dummy, then the ride shares. A read
+// lands in its request's Into (the share's Dst). It reports false, having
+// done nothing, for any other group.
 func rawRound(reqs []Req, ride []*storage.RoundOp) bool {
 	if len(reqs) == 0 {
 		return false
@@ -207,13 +218,17 @@ func rawRound(reqs []Req, ride []*storage.RoundOp) bool {
 		}
 		meter = raw.meter
 	}
-	shares := make([]storage.RoundOp, len(reqs))
-	var ops []*storage.RoundOp
+	lead := reqs[0].ORAM.(*RawStore)
+	n := len(reqs)
+	shares := slices.Grow(lead.shares[:0], n)[:n]
+	idxs := slices.Grow(lead.idxs[:0], n)[:n]
+	ops := lead.ops[:0]
 	for i := range reqs {
 		r := &reqs[i]
 		r.Data, r.Err = nil, nil
 		if !r.Dummy {
-			shares[i] = storage.RoundOp{Store: r.ORAM.(*RawStore).store, ReadIdxs: []int64{int64(r.Key)}}
+			idxs[i] = int64(r.Key)
+			shares[i] = storage.RoundOp{Store: r.ORAM.(*RawStore).store, Dst: r.Into[:0], ReadIdxs: idxs[i : i+1 : i+1]}
 			ops = append(ops, &shares[i])
 		}
 	}
@@ -230,6 +245,10 @@ func rawRound(reqs []Req, ride []*storage.RoundOp) bool {
 			reqs[i].Data, reqs[i].Err = shares[i].Out, shares[i].Err
 		}
 	}
+	// Keep the scratch, and nothing of the caller's it pointed at.
+	clear(shares)
+	clear(ops)
+	lead.shares, lead.idxs, lead.ops = shares, idxs, ops[:0]
 	return true
 }
 

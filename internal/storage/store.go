@@ -29,7 +29,9 @@
 //   - Write payloads are consumed before the call returns, so the caller may
 //     reuse them — and a server may pass views into its receive frame.
 //   - What ORAM clients hand their own callers (PathORAM.Read, Update) are
-//     copies the caller owns; no later access touches them.
+//     copies the caller owns; no later access touches them. A request that
+//     brings its own buffer (oram.Req.Into) gets the copy there, and owns
+//     it by the same rule as dst.
 //     Inside PathORAM a stash payload buffer is recycled only after the store
 //     has accepted the round that evicted its block.
 //

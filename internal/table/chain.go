@@ -145,6 +145,7 @@ type ChainCursor struct {
 	t       *ChainedTable
 	next    btree.Ref
 	hasNext bool
+	buf     []byte // the block its access reads lands here (landed)
 }
 
 // NewChainCursor returns a cursor at the chain head.
@@ -177,10 +178,11 @@ func (c *ChainCursor) dataReq(mv Move, _ Row) oram.Req {
 	if mv.kind == hold || !c.hasNext {
 		return oram.Req{ORAM: c.t.data, Dummy: true}
 	}
-	return oram.Req{ORAM: c.t.data, Key: c.next.Block}
+	return oram.Req{ORAM: c.t.data, Key: c.next.Block, Into: c.buf}
 }
 
 func (c *ChainCursor) landData(_ Move, _ Row, loaded oram.Req) (Row, error) {
+	c.buf = landed(c.buf, loaded)
 	if loaded.Err != nil || loaded.Dummy {
 		return Row{}, loaded.Err
 	}

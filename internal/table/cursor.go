@@ -30,7 +30,8 @@ type ScanCursor struct {
 	t     *StoredTable
 	pos   int
 	ahead bool
-	next  Row // ahead: tuple pos, once fetched
+	next  Row    // ahead: tuple pos, once fetched
+	buf   []byte // the block its access reads lands here (landed)
 }
 
 // NewScanCursor returns a cursor at the first tuple.
@@ -78,7 +79,7 @@ func (c *ScanCursor) fetchReq(real bool) oram.Req {
 	if !real || c.pos >= c.t.NumTuples() {
 		return c.t.dummyReq()
 	}
-	return c.t.tupleReq(c.ref())
+	return c.t.tupleReq(c.ref(), c.buf)
 }
 
 func (c *ScanCursor) landData(_ Move, row Row, loaded oram.Req) (Row, error) {
@@ -94,6 +95,7 @@ func (c *ScanCursor) landData(_ Move, row Row, loaded oram.Req) (Row, error) {
 
 // landFetch decodes the tuple a fetchReq brought into next.
 func (c *ScanCursor) landFetch(loaded oram.Req) error {
+	c.buf = landed(c.buf, loaded)
 	if loaded.Err != nil || loaded.Dummy {
 		return loaded.Err
 	}
@@ -126,9 +128,10 @@ func (c *ScanCursor) Pos() int { return c.pos }
 // retrieval is one index-ORAM access (the leaf) plus one data-ORAM access,
 // real or dummy, so all retrievals are indistinguishable.
 type LeafCursor struct {
-	t    *StoredTable
-	tree *btree.Tree
-	pos  int64 // ordinal of the next entry to retrieve
+	t         *StoredTable
+	tree      *btree.Tree
+	pos       int64  // ordinal of the next entry to retrieve
+	leaf, buf []byte // the leaf and the data block its accesses read land here (landed)
 }
 
 // NewLeafCursor returns a cursor over the index on attr, positioned before
@@ -167,12 +170,15 @@ func (c *LeafCursor) indexReq(mv Move, _ int8, _ int) (oram.Req, error) {
 	if mv.kind == hold || c.pos >= c.tree.NumEntries() {
 		return c.tree.DummyReq(), nil
 	}
-	return c.tree.LeafReq(c.tree.LeafFor(c.pos))
+	req, err := c.tree.LeafReq(c.tree.LeafFor(c.pos))
+	req.Into = c.leaf
+	return req, err
 }
 
 // landIndex picks the cursor's entry out of the fetched leaf and moves the
 // cursor on.
 func (c *LeafCursor) landIndex(_ Move, _ int8, located oram.Req) (Row, bool, error) {
+	c.leaf = landed(c.leaf, located)
 	if located.Err != nil || located.Dummy {
 		return Row{}, true, located.Err
 	}
@@ -188,10 +194,11 @@ func (c *LeafCursor) dataReq(_ Move, row Row) oram.Req {
 	if !row.OK {
 		return c.t.dummyReq()
 	}
-	return c.t.tupleReq(row.Entry.Ref)
+	return c.t.tupleReq(row.Entry.Ref, c.buf)
 }
 
 func (c *LeafCursor) landData(_ Move, row Row, loaded oram.Req) (Row, error) {
+	c.buf = landed(c.buf, loaded)
 	return c.t.landTuple(row, loaded)
 }
 
@@ -221,6 +228,7 @@ type IndexCursor struct {
 	// lookup: the cursor never disables, so its descents pin nothing
 	// (btree Descent.OpenLookup).
 	lookup bool
+	buf    []byte // the data block its data access reads lands here (landed)
 }
 
 // NewIndexCursor returns a cursor over the index on attr.
@@ -341,7 +349,9 @@ func (c *IndexCursor) landIndex(mv Move, slot int8, req oram.Req) (Row, bool, er
 		if err != nil || !ok {
 			return row, true, fmt.Errorf("table: tree entry ord %d holds no tuple (%v)", c.cur.Ord, err)
 		}
-		row.Tuple = tu
+		// The value's bytes are in the descent's buffer, which the cursor's
+		// later descents reuse; the row keeps the tuple decoded from them.
+		row.Tuple, row.Entry.Value, c.cur.Value = tu, nil, nil
 	}
 	return row, true, nil
 }
@@ -350,10 +360,11 @@ func (c *IndexCursor) dataReq(_ Move, row Row) oram.Req {
 	if !row.OK {
 		return c.t.dummyReq()
 	}
-	return c.t.tupleReq(row.Entry.Ref)
+	return c.t.tupleReq(row.Entry.Ref, c.buf)
 }
 
 func (c *IndexCursor) landData(_ Move, row Row, loaded oram.Req) (Row, error) {
+	c.buf = landed(c.buf, loaded)
 	return c.t.landTuple(row, loaded)
 }
 

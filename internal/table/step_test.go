@@ -30,21 +30,21 @@ func pipelineTables(t *testing.T) (*StoredTable, *StoredTable) {
 	return t1, t2
 }
 
-// alone returns what performing the given accesses one by one, and decoding
-// tuples tuples of t's schema, allocates.
+// alone returns what performing the given accesses one by one, each
+// landing in a buffer of its own (oram.Req.Into), and decoding tuples
+// tuples of t's schema, allocate: the accesses, once their buffers have
+// grown, allocate nothing (accessesAlloc), so this is what the decodes
+// allocate.
 func alone(t *testing.T, st *StoredTable, tuples int, reqs ...oram.Req) float64 {
 	t.Helper()
+	if got := accessesAlloc(t, reqs...); got != 0 {
+		t.Errorf("the accesses alone allocated %.1f with buffers of their own, want 0", got)
+	}
 	buf := make([]byte, st.Schema().TupleSize())
 	if err := relation.Encode(st.Schema(), relation.Tuple{Values: []int64{1, 2}}, buf); err != nil {
 		t.Fatal(err)
 	}
 	return testing.AllocsPerRun(50, func() {
-		for _, r := range reqs {
-			one := [1]oram.Req{r}
-			if err := oram.Together(one[:]); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for i := 0; i < tuples; i++ {
 			if _, _, err := relation.Decode(st.Schema(), buf); err != nil {
 				t.Fatal(err)
@@ -53,14 +53,34 @@ func alone(t *testing.T, st *StoredTable, tuples int, reqs ...oram.Req) float64 
 	})
 }
 
-// TestPipelineStepAllocs: a pipelined join step allocates what its ORAM
-// accesses and its tuple decodes allocate alone, and nothing for being a
-// step — the pipeline's flights, rounds and rows are set up once per join,
+// accessesAlloc returns what performing the given accesses one by one
+// allocates, each landing in a buffer of its own.
+func accessesAlloc(t *testing.T, reqs ...oram.Req) float64 {
+	t.Helper()
+	bufs := make([][]byte, len(reqs))
+	return testing.AllocsPerRun(50, func() {
+		for i, r := range reqs {
+			r.Into = bufs[i]
+			one := [1]oram.Req{r}
+			if err := oram.Together(one[:]); err != nil {
+				t.Fatal(err)
+			}
+			if one[0].Data != nil {
+				bufs[i] = one[0].Data
+			}
+		}
+	})
+}
+
+// TestPipelineStepAllocs: a pipelined join step allocates what its tuple
+// decodes allocate, and nothing for its accesses or for being a step — the
+// pipeline's flights, rounds and rows are set up once per join, a cursor's
+// accesses land in buffers the cursor owns (a descent's, one per level),
 // an index cursor's descents keep their decode buffers, and a leaf cursor
 // decodes only the entry it retrieves. Dummy steps, the pad tail, allocate
-// nothing at all, unless the pipeline looks ahead, as the nested-loop join
-// over an uncached index does: their root reads are then real, and allocate
-// what real reads do.
+// nothing at all, and neither do the root reads a pipeline that looks
+// ahead makes whatever the move, as the nested-loop join over an uncached
+// index does.
 func TestPipelineStepAllocs(t *testing.T) {
 	if storetest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -100,15 +120,15 @@ func TestPipelineStepAllocs(t *testing.T) {
 	}
 	leaf1, _ := i1.LeafReq(1)
 	leaf2, _ := i2.LeafReq(2)
-	real := alone(t, t1, 2, leaf1, leaf2, t1.tupleReq(rows[n&1][0].Entry.Ref), t2.tupleReq(rows[n&1][1].Entry.Ref))
+	real := alone(t, t1, 2, leaf1, leaf2, t1.tupleReq(rows[n&1][0].Entry.Ref, nil), t2.tupleReq(rows[n&1][1].Entry.Ref, nil))
 	if got := testing.AllocsPerRun(50, smj(true)); got != real {
-		t.Errorf("a real sort-merge step allocated %.1f, its accesses and decodes alone %.1f", got, real)
+		t.Errorf("a real sort-merge step allocated %.1f, its tuple decodes alone %.1f", got, real)
 	}
 	if r := rows[n&1]; !r[0].OK || !r[1].OK || r[0].Entry.Ord != 9 {
 		t.Fatalf("the real sort-merge step retrieved %+v", r)
 	}
-	t.Logf("a real sort-merge step allocates %.0f, as its accesses and decodes do", real)
-	dummy := alone(t, t1, 0, i1.DummyReq(), i2.DummyReq(), t1.dummyReq(), t2.dummyReq())
+	t.Logf("a real sort-merge step allocates %.0f, as its two tuple decodes do", real)
+	dummy := accessesAlloc(t, i1.DummyReq(), i2.DummyReq(), t1.dummyReq(), t2.dummyReq())
 	if got := testing.AllocsPerRun(50, smj(false)); got != dummy || got != 0 {
 		t.Errorf("a dummy sort-merge step allocated %.1f, its accesses alone %.1f", got, dummy)
 	}
@@ -142,19 +162,19 @@ func TestPipelineStepAllocs(t *testing.T) {
 		inlj(true)()
 	}
 	h := i2.AccessesPerRetrieval()
-	reqs := []oram.Req{t1.tupleReq(scan.ref())}
+	reqs := []oram.Req{t1.tupleReq(scan.ref(), nil)}
 	for i := 0; i < h; i++ {
 		reqs = append(reqs, oram.Req{ORAM: i2.ORAM(), Key: uint64(i2.NumNodes() - 1 - int64(i))}) // any h nodes
 	}
-	reqs = append(reqs, t2.tupleReq(rows[n&1][1].Entry.Ref))
+	reqs = append(reqs, t2.tupleReq(rows[n&1][1].Entry.Ref, nil))
 	real = alone(t, t1, 2, reqs...)
 	if got := testing.AllocsPerRun(50, inlj(true)); got != real {
-		t.Errorf("a real nested-loop step allocated %.1f, its accesses and decodes alone %.1f", got, real)
+		t.Errorf("a real nested-loop step allocated %.1f, its tuple decodes alone %.1f", got, real)
 	}
 	if r := rows[n&1]; !r[0].OK || !r[1].OK || r[1].Entry.Key != r[0].Tuple.Values[0] {
 		t.Fatalf("the real nested-loop step retrieved %+v", r)
 	}
-	t.Logf("a real nested-loop step (%d index accesses) allocates %.0f, as its accesses and decodes do", h, real)
+	t.Logf("a real nested-loop step (%d index accesses) allocates %.0f, as its two tuple decodes do", h, real)
 	// It looks ahead, so a dummy step's root read is real.
 	if !p.ahead {
 		t.Fatal("the nested-loop join does not look ahead")
@@ -163,8 +183,8 @@ func TestPipelineStepAllocs(t *testing.T) {
 	for i := 1; i < h; i++ {
 		reqs = append(reqs, i2.DummyReq())
 	}
-	dummy = alone(t, t1, 0, reqs...)
-	if got := testing.AllocsPerRun(50, inlj(false)); got != dummy {
+	dummy = accessesAlloc(t, reqs...)
+	if got := testing.AllocsPerRun(50, inlj(false)); got != dummy || got != 0 {
 		t.Errorf("a dummy nested-loop step allocated %.1f, its accesses alone %.1f", got, dummy)
 	}
 	if err := p.Drain(); err != nil {
@@ -172,8 +192,8 @@ func TestPipelineStepAllocs(t *testing.T) {
 	}
 
 	// A multiway chain that looks ahead: its descents read their roots for
-	// real whatever the move, so a dummy step allocates what those reads
-	// alone do, and nothing for looking ahead.
+	// real whatever the move, into their descents' buffers, so a dummy step
+	// allocates nothing.
 	t3, err := Store(testRelation("t3", make([]int64, 64)), []string{"k"}, testOpts(t, storage.NewMeter()))
 	if err != nil {
 		t.Fatal(err)
@@ -204,11 +224,11 @@ func TestPipelineStepAllocs(t *testing.T) {
 			reqs = append(reqs, tr.DummyReq())
 		}
 	}
-	dummy = alone(t, t1, 0, reqs...)
-	if got := testing.AllocsPerRun(50, chain); got != dummy {
+	dummy = accessesAlloc(t, reqs...)
+	if got := testing.AllocsPerRun(50, chain); got != dummy || got != 0 {
 		t.Errorf("a dummy step of a chain that looks ahead allocated %.1f, its accesses alone %.1f", got, dummy)
 	}
-	t.Logf("a dummy step of a chain that looks ahead allocates %.0f, as its two root reads do", dummy)
+	t.Logf("a dummy step of a chain that looks ahead allocates %.0f, its two root reads included", dummy)
 }
 
 // TestPipelineRoundsClosedForms pins the closed forms PlanPipeline

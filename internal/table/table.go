@@ -408,10 +408,23 @@ func (t *StoredTable) ReadTuple(ref btree.Ref) (relation.Tuple, bool, error) {
 	return t.tupleAt(ref, buf)
 }
 
-// tupleReq is ReadTuple's access, not yet performed, and dummyReq the one
-// indistinguishable from it; tupleAt decodes what tupleReq fetched.
-func (t *StoredTable) tupleReq(ref btree.Ref) oram.Req {
-	return oram.Req{ORAM: t.data, Key: ref.Block}
+// tupleReq is ReadTuple's access, not yet performed, landing the block in
+// into (oram.Req.Into: the buffer of the cursor that reads it), and dummyReq
+// the one indistinguishable from it; tupleAt decodes what tupleReq fetched.
+func (t *StoredTable) tupleReq(ref btree.Ref, into []byte) oram.Req {
+	return oram.Req{ORAM: t.data, Key: ref.Block, Into: into}
+}
+
+// landed returns the buffer a cursor's access landed in, for the cursor's
+// next access: the block it read (grown, if buf was short), else buf.
+// A cursor decodes what it needs out of the block before its next access is
+// built, so one buffer serves all of them: its tree serves one access a
+// round, and a round's accesses land before the next round is formed.
+func landed(buf []byte, r oram.Req) []byte {
+	if r.Data != nil {
+		return r.Data
+	}
+	return buf
 }
 
 func (t *StoredTable) dummyReq() oram.Req { return oram.Req{ORAM: t.data, Dummy: true} }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // KeySize is the AES key length in bytes (AES-128, as in the paper).
@@ -66,14 +67,23 @@ var (
 // concurrent use by multiple goroutines; per-epoch AEADs are derived lazily
 // under a lock and immutable afterwards. Seal always uses the current epoch;
 // Open accepts any epoch, which is what makes rotation lazy: blocks re-seal
-// at the new epoch whenever they are next written back.
+// at the new epoch whenever they are next written back. The current epoch's
+// AEAD sits behind one atomic pointer, so a seal, and an open of a block
+// sealed at the current epoch, take no lock; SetEpoch and Close swap it.
 type Sealer struct {
-	mu     sync.RWMutex
+	cur    atomic.Pointer[epochAEAD] // the current epoch's AEAD; nil once closed
+	mu     sync.Mutex
 	aeads  map[uint8]cipher.AEAD
 	epoch  uint8
 	keyFor func(epoch uint8) [KeySize]byte // epoch subkey derivation; nil after Close
 	rand   io.Reader
 	closed bool
+}
+
+// epochAEAD is an epoch with its AEAD.
+type epochAEAD struct {
+	epoch uint8
+	aead  cipher.AEAD
 }
 
 // NewSealer returns a Sealer using the given 16-byte key. The per-epoch GCM
@@ -106,9 +116,11 @@ func newSealer(root [sha256.Size]byte, epoch uint8, randSrc io.Reader) (*Sealer,
 		},
 		rand: randSrc,
 	}
-	if _, err := s.aead(epoch); err != nil {
+	a, err := s.aead(epoch)
+	if err != nil {
 		return nil, err
 	}
+	s.cur.Store(&epochAEAD{epoch: epoch, aead: a})
 	return s, nil
 }
 
@@ -152,18 +164,9 @@ func zero(b []byte) {
 }
 
 // aead returns the AEAD for the given epoch, deriving and caching it on
-// first use.
+// first use. The current epoch's is also behind s.cur, which is where the
+// steady state finds it.
 func (s *Sealer) aead(epoch uint8) (cipher.AEAD, error) {
-	s.mu.RLock()
-	a, ok := s.aeads[epoch]
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return nil, ErrSealerClosed
-	}
-	if ok {
-		return a, nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -178,7 +181,7 @@ func (s *Sealer) aead(epoch uint8) (cipher.AEAD, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: %w", err)
 	}
-	a, err = cipher.NewGCM(block)
+	a, err := cipher.NewGCM(block)
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: %w", err)
 	}
@@ -188,8 +191,8 @@ func (s *Sealer) aead(epoch uint8) (cipher.AEAD, error) {
 
 // Epoch reports the key epoch new seals are tagged with.
 func (s *Sealer) Epoch() uint8 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.epoch
 }
 
@@ -199,12 +202,17 @@ func (s *Sealer) Epoch() uint8 {
 // rewritten — and, because the epoch byte rides inside the fixed-size sealed
 // layout, invisible in the access sequence.
 func (s *Sealer) SetEpoch(epoch uint8) error {
-	if _, err := s.aead(epoch); err != nil {
+	a, err := s.aead(epoch)
+	if err != nil {
 		return err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrSealerClosed
+	}
 	s.epoch = epoch
-	s.mu.Unlock()
+	s.cur.Store(&epochAEAD{epoch: epoch, aead: a})
 	return nil
 }
 
@@ -217,6 +225,7 @@ func (s *Sealer) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.cur.Store(nil)
 	s.keyFor = nil
 	for e := range s.aeads {
 		delete(s.aeads, e)
@@ -238,12 +247,9 @@ func (s *Sealer) Seal(plaintext []byte) ([]byte, error) {
 // free path the ORAM write-back loops use. plaintext must not alias dst's
 // spare capacity.
 func (s *Sealer) SealTo(dst, plaintext []byte) ([]byte, error) {
-	s.mu.RLock()
-	epoch := s.epoch
-	s.mu.RUnlock()
-	aead, err := s.aead(epoch)
-	if err != nil {
-		return nil, err
+	cur := s.cur.Load()
+	if cur == nil {
+		return nil, ErrSealerClosed
 	}
 	off := len(dst)
 	need := off + SealedLen(len(plaintext))
@@ -255,13 +261,13 @@ func (s *Sealer) SealTo(dst, plaintext []byte) ([]byte, error) {
 	dst = dst[:off+headerSize+NonceSize]
 	hdr := dst[off : off+headerSize]
 	hdr[0] = FormatGCM
-	hdr[1] = epoch
+	hdr[1] = cur.epoch
 	hdr[2], hdr[3] = 0, 0
 	nonce := dst[off+headerSize : off+headerSize+NonceSize]
 	if _, err := io.ReadFull(s.rand, nonce); err != nil {
 		return nil, fmt.Errorf("xcrypto: reading nonce: %w", err)
 	}
-	return aead.Seal(dst, nonce, plaintext, hdr), nil
+	return cur.aead.Seal(dst, nonce, plaintext, hdr), nil
 }
 
 // Open verifies and decrypts a block produced by Seal at any epoch.
@@ -281,9 +287,16 @@ func (s *Sealer) OpenTo(dst, sealed []byte) ([]byte, error) {
 	if hdr[0] != FormatGCM || hdr[2] != 0 || hdr[3] != 0 {
 		return nil, ErrAuthFailed
 	}
-	aead, err := s.aead(hdr[1])
-	if err != nil {
-		return nil, err
+	cur := s.cur.Load()
+	if cur == nil {
+		return nil, ErrSealerClosed
+	}
+	aead := cur.aead
+	if hdr[1] != cur.epoch { // a block sealed before a rotation
+		var err error
+		if aead, err = s.aead(hdr[1]); err != nil {
+			return nil, err
+		}
 	}
 	nonce := sealed[headerSize : headerSize+NonceSize]
 	ct := sealed[headerSize+NonceSize:]

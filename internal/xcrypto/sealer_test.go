@@ -2,7 +2,9 @@ package xcrypto
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -267,6 +269,73 @@ func TestSealerClose(t *testing.T) {
 	}
 	if _, err := s.Open(ct); err != ErrSealerClosed {
 		t.Errorf("Open after Close: got %v, want ErrSealerClosed", err)
+	}
+}
+
+// TestSetEpochBesideSealOpen rotates a sealer while two goroutines seal and
+// open through it (run it under -race): every block carries an epoch the
+// sealer has been set to, opens to what was sealed, and a block sealed
+// before a rotation still opens after it. Close then refuses both.
+func TestSetEpochBesideSealOpen(t *testing.T) {
+	s := newTestSealer(t)
+	const rotations = 40
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var old [][]byte
+			plain := []byte{byte(g), 0, 0, 0}
+			for i := 0; i < 400; i++ {
+				plain[1] = byte(i)
+				ct, err := s.SealTo(nil, plain)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if ct[1] > rotations {
+					errs <- fmt.Errorf("sealed at epoch %d, never set", ct[1])
+					return
+				}
+				if i%50 == 0 {
+					old = append(old, ct)
+				}
+				got, err := s.OpenTo(nil, ct)
+				if err != nil || !bytes.Equal(got, plain) {
+					errs <- fmt.Errorf("open of a block sealed at epoch %d: %q, %v", ct[1], got, err)
+					return
+				}
+			}
+			for _, ct := range old {
+				if _, err := s.Open(ct); err != nil {
+					errs <- fmt.Errorf("open of an epoch-%d block after rotations: %v", ct[1], err)
+					return
+				}
+			}
+		}(g)
+	}
+	for e := uint8(1); e <= rotations; e++ {
+		if err := s.SetEpoch(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if s.Epoch() != rotations {
+		t.Fatalf("Epoch() = %d, want %d", s.Epoch(), rotations)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Seal([]byte("y")); err != ErrSealerClosed {
+		t.Errorf("Seal after Close: got %v, want ErrSealerClosed", err)
+	}
+	if err := s.SetEpoch(1); err != ErrSealerClosed {
+		t.Errorf("SetEpoch after Close: got %v, want ErrSealerClosed", err)
 	}
 }
 
