@@ -60,7 +60,7 @@ func main() {
 	alg := flag.String("alg", "inlj", "binary algorithm: inlj or smj (ignored with -where/-explain: the planner picks)")
 	cache := flag.Bool("cache", false, "cache index levels above the leaves (+Cache mode)")
 	one := flag.Bool("oneoram", false, "store all tables in a single shared ORAM (Section 7)")
-	evictBatch := flag.Int("evict-batch", 1, "paths an ORAM write-back unions before it rides the next download (1 = the path just fetched)")
+	evictBatch := flag.Int("evict-batch", 1, "paths an ORAM write-back queues before it rides the next download (1 = the path just fetched)")
 	maxPrint := flag.Int("n", 10, "print at most this many result rows")
 	traceOut := flag.String("trace-out", "", "write a phase-attributed span-tree JSON trace to this file")
 	remoteAddr := flag.String("remote", "", "store sealed tables on a networked ojoinserver at this address")

@@ -363,7 +363,8 @@ func rawTables(orams []oram.ORAM) (bool, error) {
 // bound. The shares travel in canonical order: tables as the operator lists
 // them, each table's ORAMs as StoredTable.ORAMs does. It then attaches the
 // cumulative eviction-scheduler counters (write-backs, paths per
-// write-back, upper-tree buckets deduped, write-backs that rode a download)
+// write-back, bucket seals saved by sealing a write-back's shared buckets
+// once, write-backs that rode a download)
 // to the span.
 func settle(sp *telemetry.Span, orams []oram.ORAM) error {
 	fl := sp.Child("flush")

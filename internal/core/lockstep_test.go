@@ -239,12 +239,10 @@ func storeRels(t *testing.T, r1, r2 *relation.Relation, topts table.Options, one
 // databases of equal geometry and different content give identical traces,
 // round boundaries included, for every operator, every padding mode,
 // eviction batches 1 and 4, and indexes whose root is read (and needs no
-// key) or cached (where the one read is keyed). At 4 a write-back's block
-// count follows the leaf randomness, so there the comparison is batch by
-// batch (tracecheck.DiffRounds). In the OneORAM setting the output table's
-// writes are what the check is about: a binary join skips a dummy partner
-// retrieval, so only a record after every retrieval keeps its schedule
-// from telling how many matches each outer tuple had.
+// key) or cached (where the one read is keyed). In the OneORAM setting the
+// output table's writes are what the check is about: a binary join skips a
+// dummy partner retrieval, so only a record after every retrieval keeps its
+// schedule from telling how many matches each outer tuple had.
 func TestLockstepTwinTraces(t *testing.T) {
 	for _, op := range lockstepOperators {
 		for _, mode := range []PaddingMode{PadNone, PadClosestPower, PadCartesian, PadDP} {
@@ -258,7 +256,7 @@ func TestLockstepTwinTraces(t *testing.T) {
 					if a.res.Steps != b.res.Steps || a.res.RealCount != b.res.RealCount {
 						t.Fatalf("the twins are not twins: %d/%d steps, %d/%d real", a.res.Steps, b.res.Steps, a.res.RealCount, b.res.RealCount)
 					}
-					sameTrace(t, tc.batch, a, b)
+					sameTrace(t, a, b)
 				})
 			}
 		}
@@ -285,7 +283,7 @@ func TestLockstepRealPadBoundary(t *testing.T) {
 					t.Fatalf("want different executed steps before the same padded total: %d/%d of %d/%d",
 						a.res.Steps, b.res.Steps, a.res.PaddedSteps, b.res.PaddedSteps)
 				}
-				sameTrace(t, tc.batch, a, b)
+				sameTrace(t, a, b)
 			})
 		}
 	}
@@ -329,16 +327,12 @@ func twinTrace(t *testing.T, run func(*testing.T, []int64, []int64, table.Option
 }
 
 // sameTrace fails unless the two runs are indistinguishable to the server.
-func sameTrace(t *testing.T, batch int, a, b traced) {
+func sameTrace(t *testing.T, a, b traced) {
 	t.Helper()
 	if a.stats.NetworkRounds != b.stats.NetworkRounds {
 		t.Fatalf("rounds differ: %d vs %d", a.stats.NetworkRounds, b.stats.NetworkRounds)
 	}
-	diff := tracecheck.Diff
-	if batch > 1 {
-		diff = tracecheck.DiffRounds
-	}
-	if d := diff(a.trace, b.trace); d != "" {
+	if d := tracecheck.Diff(a.trace, b.trace); d != "" {
 		t.Fatalf("twin databases are distinguishable: %s", d)
 	}
 }
@@ -641,15 +635,13 @@ func twoPaths(trace []storage.Access, store string) int64 {
 // data ORAM and then its indexes by attribute name — not the iteration
 // order of the table's index map: a multiway join over a table with two
 // indexes (the reset pass walks both) gives twin databases identical
-// traces, round ordinals included, run after run, at k = 1
-// (tracecheck.Diff) and at k = 4 (batch by batch, tracecheck.DiffRounds: the
-// size of a unioned write-back follows the leaf randomness). The binary
-// joins end the same way. The trees must keep levels on the server for the
-// order to show — a tree of one leaf has no write-back to settle — so T3
-// has rows that join nothing, enough for its indexes to span several
-// nodes, and the binary joins' tables are widened past a block; their
-// one-leaf variants (at k = 1: deferred eviction keeps every leaf level on
-// the server) settle the trees that are left in the same order.
+// traces, round ordinals included, run after run, at k = 1 and at k = 4
+// (tracecheck.Diff). The binary joins end the same way. The trees must keep
+// levels on the server for the order to show — a tree of one leaf has no
+// write-back to settle — so T3 has rows that join nothing, enough for its
+// indexes to span several nodes, and the binary joins' tables are widened
+// past a block; their one-leaf variants settle the trees that are left in
+// the same order.
 func TestSettleRoundTwinTraces(t *testing.T) {
 	for _, leg := range []struct {
 		op, settle, oneLeaf string
@@ -667,7 +659,7 @@ func TestSettleRoundTwinTraces(t *testing.T) {
 					topts.EvictionBatch = tc.batch
 					s1, s2 := storeRels(t, widen(makeRel("t1", equiTwin.a1), wide), widen(makeRel("t2", equiTwin.a2), wide), topts, false)
 					want := leg.oneLeaf
-					if wide > 0 || tc.batch > 1 {
+					if wide > 0 {
 						onServer(t, s1, s2)
 						want = leg.settle
 					}
@@ -723,16 +715,12 @@ func TestSettleRoundTwinTraces(t *testing.T) {
 				must(t)(MultiwayJoin(in, testJoinOpts(t, m)))
 				return m.Trace()
 			}
-			diff := tracecheck.Diff
-			if batch > 1 {
-				diff = tracecheck.DiffRounds
-			}
 			a := run(100)
 			if got := lastRound(a); !strings.Contains(got, "T3.data T3.idx.B T3.idx.D") {
 				t.Fatalf("the settle round carried %s; want T3's data, idx.B, idx.D in that order", got)
 			}
 			for rep := 0; rep < 8; rep++ { // a two-entry map walk comes out either way round
-				if d := diff(a, run(200)); d != "" {
+				if d := tracecheck.Diff(a, run(200)); d != "" {
 					t.Fatalf("run %d: twin databases are distinguishable: %s", rep, d)
 				}
 			}

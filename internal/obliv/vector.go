@@ -54,6 +54,7 @@ type BlockVector struct {
 	pending      []byte // buffered records not yet sealed, back to back
 	pendingBlock int    // block index the buffer belongs to
 	pendingStart int    // slot within pendingBlock of the first
+	plain        []byte // scratch: the plaintext of the block being sealed
 
 	// held is what is sealed but not yet written, heldData[k] block held[k];
 	// the first over of them are held over (HoldOver), and ride is the share
@@ -168,21 +169,28 @@ func (v *BlockVector) Flush() error {
 
 // sealPending seals the block being appended to, as it stands, into the held
 // write-back, keeping the records already stored in it when the buffer
-// started mid-block (a read of its own, carrying what was held).
+// started mid-block (a read of its own, carrying what was held). The
+// plaintext is assembled in the vector's scratch; the sealed bytes are
+// fresh, held until a round carries them.
 func (v *BlockVector) sealPending() error {
 	if len(v.pending) > 0 {
 		var payload []byte
 		if v.pendingStart == 0 {
-			payload = make([]byte, v.payload())
+			if cap(v.plain) < v.payload() {
+				v.plain = make([]byte, v.payload())
+			}
+			payload = v.plain[:v.payload()]
+			clear(payload[len(v.pending):])
 		} else {
 			sealed, err := v.exchangeHeld(nil, []int64{int64(v.pendingBlock)})
 			if err != nil {
 				return err
 			}
-			if payload, err = v.open(nil, int64(v.pendingBlock), sealed); err != nil {
+			if payload, err = v.open(v.plain[:0], int64(v.pendingBlock), sealed); err != nil {
 				return err
 			}
 		}
+		v.plain = payload[:0]
 		copy(payload[v.pendingStart*v.recSize:], v.pending)
 		sealed, err := v.sealer.Seal(payload)
 		if err != nil {

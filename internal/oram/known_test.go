@@ -562,7 +562,7 @@ func TestKnownSetLifetime(t *testing.T) {
 }
 
 // TestPathORAMDeferredAccessAllocs extends the block-path allocation guard
-// to unioned write-backs: a steady-state EvictionBatch=4 access allocates
+// to deferred write-backs: a steady-state EvictionBatch=4 access allocates
 // what an EvictionBatch=1 access does — the result copy — with the
 // write-back's bucket union, eviction staging and known set all living in
 // reused scratch.

@@ -11,13 +11,13 @@ import (
 	"oblivjoin/internal/tracecheck"
 )
 
-// oneLeafTree builds a tree of capacity 1 over m — one leaf, whose treetop
-// is the whole tree — by NewPathORAM, or by NewTagged with its position tag
-// held by the caller (positions "caller"), and returns it and the client
-// that drives it.
-func oneLeafTree(t *testing.T, positions, name string, m *storage.Meter, seed uint64) (*PathORAM, diffClient) {
+// oneLeafTree builds a tree of capacity 1 over m at the given eviction
+// batch — one leaf, whose treetop is the whole tree — by NewPathORAM, or by
+// NewTagged with its position tag held by the caller (positions "caller"),
+// and returns it and the client that drives it.
+func oneLeafTree(t *testing.T, positions, name string, m *storage.Meter, seed uint64, batch int) (*PathORAM, diffClient) {
 	t.Helper()
-	cfg := PathConfig{Name: name, Capacity: 1, PayloadSize: 16, Meter: m, Sealer: testSealer(t), Rand: NewSeededSource(seed)}
+	cfg := PathConfig{Name: name, Capacity: 1, PayloadSize: 16, Meter: m, Sealer: testSealer(t), Rand: NewSeededSource(seed), EvictionBatch: batch}
 	if positions == "caller" {
 		o, err := NewTagged(cfg)
 		if err != nil {
@@ -51,80 +51,84 @@ func pinReq(o *PathORAM, c diffClient) Req {
 // counts in ClientBytes; a scan reads it back from there.
 func TestOneLeafTreeMatchesAModel(t *testing.T) {
 	for _, positions := range []string{"flat", "caller"} {
-		t.Run(positions, func(t *testing.T) {
-			m := storage.NewMeter()
-			o, c := oneLeafTree(t, positions, "one", m, 3)
-			if o.Levels() != 0 || o.AccessesPerOp() != 0 || o.ServerBytes() != 0 || o.store.Len() != 0 || !Local(o) {
-				t.Fatalf("levels %d, %d blocks an access, %d server bytes, %d stored buckets", o.Levels(), o.AccessesPerOp(), o.ServerBytes(), o.store.Len())
+		t.Run(positions, func(t *testing.T) { checkOneLeafModel(t, positions, 1) })
+	}
+}
+
+// checkOneLeafModel drives a tree of one leaf at the given eviction batch
+// against a plain model (TestOneLeafTreeMatchesAModel).
+func checkOneLeafModel(t *testing.T, positions string, batch int) {
+	m := storage.NewMeter()
+	o, c := oneLeafTree(t, positions, "one", m, 3, batch)
+	if o.Levels() != 0 || o.AccessesPerOp() != 0 || o.ServerBytes() != 0 || o.store.Len() != 0 || !Local(o) {
+		t.Fatalf("levels %d, %d blocks an access, %d server bytes, %d stored buckets", o.Levels(), o.AccessesPerOp(), o.ServerBytes(), o.store.Len())
+	}
+	m.SetTracing(true)
+	posMap := int64(4 * len(o.pos))
+	var ref []byte // nil: never written
+	r := mrand.New(mrand.NewSource(7))
+	for step := 0; step < 1000; step++ {
+		var data []byte
+		var err error
+		switch op := r.Intn(6); {
+		case op == 0:
+			ref = bytes.Repeat([]byte{byte(step)}, 16)
+			err = c.Write(0, ref[:1+step%16])
+			clear(ref[1+step%16:])
+		case op == 1:
+			data, err = c.Update(0, func(p []byte) error { p[1]++; return nil })
+			if ref != nil {
+				ref[1]++
 			}
-			m.SetTracing(true)
-			posMap := int64(4 * len(o.pos))
-			var ref []byte // nil: never written
-			r := mrand.New(mrand.NewSource(7))
-			for step := 0; step < 1000; step++ {
-				var data []byte
-				var err error
-				switch op := r.Intn(6); {
-				case op == 0:
-					ref = bytes.Repeat([]byte{byte(step)}, 16)
-					err = c.Write(0, ref[:1+step%16])
-					clear(ref[1+step%16:])
-				case op == 1:
-					data, err = c.Update(0, func(p []byte) error { p[1]++; return nil })
-					if ref != nil {
-						ref[1]++
-					}
-				case op == 2 && ref != nil:
-					reqs := []Req{pinReq(o, c)}
-					if err = Together(reqs); err == nil {
-						if held, ok := c.(callerHeld); ok {
-							held.tags[0] = reqs[0].NewPos
-						}
-						if !bytes.Equal(reqs[0].Data, ref) {
-							t.Fatalf("step %d: the pinned block reads %v, want %v", step, reqs[0].Data, ref)
-						}
-						if err := o.Flush(); err == nil {
-							t.Fatalf("step %d: a tree with a pinned block flushed", step)
-						}
-						ref[2] = byte(step)
-						err = o.Release(0, ref)
-					}
-				case op == 3:
-					err = c.DummyAccess()
-				case op == 4 && step%7 == 0:
-					err = c.Flush()
-				default:
-					data, err = c.Read(0)
+		case op == 2 && ref != nil:
+			reqs := []Req{pinReq(o, c)}
+			if err = Together(reqs); err == nil {
+				if held, ok := c.(callerHeld); ok {
+					held.tags[0] = reqs[0].NewPos
 				}
-				switch {
-				case ref == nil && errors.Is(err, ErrNotFound):
-				case err != nil:
-					t.Fatalf("step %d: %v", step, err)
-				case data != nil && !bytes.Equal(data, ref):
-					t.Fatalf("step %d: read %v, want %v", step, data, ref)
+				if !bytes.Equal(reqs[0].Data, ref) {
+					t.Fatalf("step %d: the pinned block reads %v, want %v", step, reqs[0].Data, ref)
 				}
-				want := posMap
-				if ref != nil {
-					want += int64(12 + o.PayloadSize())
+				if err := o.Flush(); err == nil {
+					t.Fatalf("step %d: a tree with a pinned block flushed", step)
 				}
-				if got := o.ClientBytes(); got != want {
-					t.Fatalf("step %d: client bytes %d, want %d", step, got, want)
-				}
+				ref[2] = byte(step)
+				err = o.Release(0, ref)
 			}
-			if err := c.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			all, err := o.Scan()
-			if err != nil || !bytes.Equal(all[0], ref) {
-				t.Fatalf("scan: %v, %v; want %v", all, err, ref)
-			}
-			if s := m.Snapshot(); s.NetworkRounds != 0 || s.BlocksMoved() != 0 || len(m.Trace()) != 0 {
-				t.Fatalf("the tree of one leaf reached the server: %+v, %d trace entries", s, len(m.Trace()))
-			}
-			if got := o.Telemetry().Accesses; got == 0 {
-				t.Fatal("no access was counted")
-			}
-		})
+		case op == 3:
+			err = c.DummyAccess()
+		case op == 4 && step%7 == 0:
+			err = c.Flush()
+		default:
+			data, err = c.Read(0)
+		}
+		switch {
+		case ref == nil && errors.Is(err, ErrNotFound):
+		case err != nil:
+			t.Fatalf("step %d: %v", step, err)
+		case data != nil && !bytes.Equal(data, ref):
+			t.Fatalf("step %d: read %v, want %v", step, data, ref)
+		}
+		want := posMap
+		if ref != nil {
+			want += int64(12 + o.PayloadSize())
+		}
+		if got := o.ClientBytes(); got != want {
+			t.Fatalf("step %d: client bytes %d, want %d", step, got, want)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	all, err := o.Scan()
+	if err != nil || !bytes.Equal(all[0], ref) {
+		t.Fatalf("scan: %v, %v; want %v", all, err, ref)
+	}
+	if s := m.Snapshot(); s.NetworkRounds != 0 || s.BlocksMoved() != 0 || len(m.Trace()) != 0 {
+		t.Fatalf("the tree of one leaf reached the server: %+v, %d trace entries", s, len(m.Trace()))
+	}
+	if got := o.Telemetry().Accesses; got == 0 {
+		t.Fatal("no access was counted")
 	}
 }
 
@@ -139,8 +143,8 @@ func TestOneLeafTreeInALockstepRound(t *testing.T) {
 	unissued := errors.New("unissued")
 	run := func(t *testing.T, positions string, seed int64) []storage.Access {
 		m := storage.NewMeter()
-		one, c := oneLeafTree(t, positions, "one", m, 5)
-		two, _ := oneLeafTree(t, "flat", "two", m, 6)
+		one, c := oneLeafTree(t, positions, "one", m, 5, 1)
+		two, _ := oneLeafTree(t, "flat", "two", m, 6, 1)
 		deep, err := NewPathORAM(PathConfig{Name: "deep", Capacity: 64, PayloadSize: 16, Meter: m, Sealer: testSealer(t), Rand: NewSeededSource(9)})
 		if err != nil {
 			t.Fatal(err)
@@ -226,16 +230,22 @@ func TestOneLeafTreeOpensAnEmptyStore(t *testing.T) {
 	}
 }
 
-// TestOneLeafTreeUnderDeferredEviction: at EvictionBatch > 1 the treetop
-// keeps the leaf level on the server (newTree), so a tree of one leaf is
-// one stored bucket there, and an access is one round moving it; deeper
-// trees follow treetopLevels at every k.
-func TestOneLeafTreeUnderDeferredEviction(t *testing.T) {
+// TestOneLeafTreeAtEveryEvictionBatch: the treetop rule is the same at
+// every EvictionBatch, since a write-back writes each queued path in full
+// whatever k is. A tree of one leaf keeps no level on the server at any k —
+// it issues no round and matches the model — and deeper trees follow
+// treetopLevels alike.
+func TestOneLeafTreeAtEveryEvictionBatch(t *testing.T) {
+	for _, batch := range []int{2, 4, 16} {
+		for _, positions := range []string{"flat", "caller"} {
+			t.Run(fmt.Sprintf("k=%d/%s", batch, positions), func(t *testing.T) { checkOneLeafModel(t, positions, batch) })
+		}
+	}
 	for _, c := range []struct {
 		capacity int64
 		batch    int
 		levels   int
-	}{{1, 1, 0}, {1, 2, 1}, {1, 4, 1}, {2, 4, 1}, {4, 4, 1}, {64, 4, 7 - treetopLevels(7)}} {
+	}{{1, 1, 0}, {1, 2, 0}, {1, 4, 0}, {1, 16, 0}, {2, 4, 1}, {4, 4, 1}, {64, 4, 7 - treetopLevels(7)}} {
 		m := storage.NewMeter()
 		o, err := NewPathORAM(PathConfig{
 			Name: "k", Capacity: c.capacity, PayloadSize: 8, Meter: m, Sealer: testSealer(t),

@@ -45,16 +45,16 @@ type PathConfig struct {
 	// on a networked block server. A store it returns with no exchange form
 	// (storage.ExchangeStore) is refused at construction.
 	OpenStore storage.Opener
-	// EvictionBatch is how many fetched paths a write-back unions: once k
-	// paths are queued their write-back rides the next path download,
-	// writing each bucket they share near the root once (DESIGN.md §2.9).
-	// It never decides whether a write-back gets a round of its own: at
-	// every k an access is one round, on a tree that keeps a level on the
-	// server; at k > 1 every tree does, a tree of one leaf included
-	// (treetopLevels). Values <= 1 mean 1 — every download carries the path
-	// fetched before it. The price of a larger k is client
-	// memory: up to Z·Levels·k unevicted blocks wait in the stash between
-	// accesses.
+	// EvictionBatch is how many fetched paths a write-back queues: once k
+	// paths are queued their write-back rides the next path download and
+	// writes each of them in full, sealing a bucket they share once
+	// (DESIGN.md §2.9). k moves no server-visible count: each store sees
+	// the same reads and writes in the same order at every k, and an access
+	// is one round on a tree that keeps a level on the server; only the
+	// round that carries a write moves. Values <= 1 mean 1 — every download
+	// carries the path fetched before it. What k changes is seal work and
+	// client memory: up to Z·Levels·k unevicted blocks wait in the stash
+	// between accesses.
 	EvictionBatch int
 	// Flight, when non-nil, carries the distributed-trace context: the
 	// scheduler pushes the declared-public "oram.flush" phase around the
@@ -179,14 +179,6 @@ func newPathORAM(cfg PathConfig, treetop func(height int) int) (*PathORAM, error
 // one path would: every access to a one-leaf tree names the same path, so
 // its server trace is a function of the public access count, and no trace
 // at all is a function of less.
-//
-// Under deferred eviction (EvictionBatch > 1) newTree caps the rule at
-// height-1, keeping the leaf level on the server, for now: there a query's
-// block count follows the leaf randomness of its unioned write-backs, and
-// the benchmark's twin checks hold two runs' counts within 5 % of their
-// mean, which the small session workload's count keeps only while its
-// one-block tables' fixed traffic is part of it (ROADMAP.md, "Known flakes
-// in tier-1").
 func treetopLevels(height int) int {
 	return bits.Len(uint(height+1)) - 1
 }
@@ -226,9 +218,6 @@ func newTree(cfg PathConfig, treetop func(height int) int) (*PathORAM, error) {
 	leaves := nextPow2(cfg.Capacity)
 	height := bits.Len64(uint64(leaves))
 	top := treetop(height)
-	if cfg.EvictionBatch > 1 {
-		top = min(top, height-1) // the leaf level stays on the server (treetopLevels)
-	}
 	levels := height - top
 	skip := int64(1)<<top - 1
 	slotSize := slotHeader + cfg.PayloadSize
@@ -364,8 +353,8 @@ func (o *PathORAM) ensureUploaded() error {
 
 // Levels returns the path length in buckets: what one access moves in each
 // direction, the tree's levels below the treetop. It is 0 for a tree of one
-// leaf at EvictionBatch 1, whose treetop is all of it: its blocks live in
-// the stash, and its accesses send nothing to the server (treetopLevels).
+// leaf, whose treetop is all of it: its blocks live in the stash, and its
+// accesses send nothing to the server (treetopLevels).
 func (o *PathORAM) Levels() int { return o.levels }
 
 // stored reports whether the tree keeps a level on the server, and so

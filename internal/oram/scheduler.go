@@ -11,17 +11,18 @@ import (
 // eviction stages (DESIGN.md §2.9). It keeps one protocol: the write-back of
 // an access rides the path download of the next access on the same tree, in
 // one combined write+read round, so an access — one path — costs one round.
-// On top of that it owns one optimization (sharing a round with other trees
-// is Together's; the scheduler only stages its share): unioned write-backs.
+// On top of that it owns one knob (sharing a round with other trees is
+// Together's; the scheduler only stages its share): deferred write-backs.
 // Fetched paths queue until there are batch = k of them, and the write-back
-// that then rides the next download seals the union of the k paths, so each
-// bucket they share near the root is written once. k says how many paths a
-// write-back unions (k = 1: the single path just fetched) — never whether it
-// gets a round of its own. A download that finds k paths queued carries them
-// all and the path it fetches is queued alone, so at most k paths are ever
-// pending after an access, failed ones included — k + 1 after a round that
-// fetched two paths of the tree (Together), whose write-back rides the
-// tree's next download alike.
+// that then rides the next download writes each queued path in full, in
+// queue order, topmost first, sealing a bucket they share once. k says how
+// many paths a write-back carries (k = 1: the single path just fetched) —
+// never which buckets are written or whether a write-back gets a round of
+// its own. A download that finds k paths queued carries them all and the
+// path it fetches is queued alone, so at most k paths are ever pending
+// after an access, failed ones included — k + 1 after a round that fetched
+// two paths of the tree (Together), whose write-back rides the tree's next
+// download alike.
 //
 // A write-back travels alone only when there is no next download to carry
 // it: at Flush/Close (Settle puts those of several trees into one round).
@@ -33,23 +34,20 @@ import (
 // (real accesses follow the fresh uniform leaf installed by the previous
 // remap; dummies and misses draw a fresh uniform leaf directly). Each store
 // sees exactly the sequence of bucket reads and writes of the textbook
-// protocol that writes every path straight back (at k = 1; at k > 1 the
-// deduplicated union per window of k); only the round boundaries move, and
-// they move by a fixed rule of position in the tree's access sequence: the
-// write-back of access i shares the round of the download of access i+1
-// (of the k accesses up to i, with the one after them). No data and no
-// client timing enters that rule. A round may download two paths of the
-// tree — a descent's keyed access and the next descent's root, read ahead
-// (Together) — when the caller's public schedule puts them there: both are
-// uniform random paths like any other, each read in full, and at k = 1
-// their write-back writes each path in full, a bucket they share twice with
-// the same contents (sealPending). The store still sees exactly the
-// textbook protocol's bucket reads and writes, the first path's write-back
-// moved behind the second path's download: again only round boundaries
-// move, by position in the access sequence. Writes are never deduplicated
-// at k = 1: how many buckets two paths share follows the leaf randomness,
-// and the block counts must not. The trace stays reproducible from public
-// sizes plus the recorded leaf randomness (tracecheck.PathORAMSim, Round).
+// protocol that writes every path straight back, at every k; only the round
+// boundaries move, and they move by a fixed rule of position in the tree's
+// access sequence: the write-back of access i shares the round of the
+// download of access i+1 (of the k accesses up to i, with the one after
+// them). No data and no client timing enters that rule. A round may
+// download two paths of the tree — a descent's keyed access and the next
+// descent's root, read ahead (Together) — when the caller's public schedule
+// puts them there: both are uniform random paths like any other, each read
+// in full and each written back in full. A bucket several queued paths
+// share is written once per path with the same contents (sealPending).
+// Writes are never deduplicated: how many buckets two paths share follows
+// the leaf randomness, and the block counts must not. The trace stays
+// reproducible from public sizes plus the recorded leaf randomness
+// (tracecheck.PathORAMSim, Round).
 //
 // Correctness invariant: a server bucket may hold a stale copy of a block
 // whose authoritative copy sits in the stash only while the path through
@@ -78,14 +76,14 @@ import (
 // the planned remap back (PathORAM.unplan) so that it can be retried.
 type scheduler struct {
 	o     *PathORAM
-	batch int // paths a write-back unions, k >= 1
+	batch int // paths a write-back carries, k >= 1
 
 	pending []uint32 // leaves of fetched paths awaiting write-back
 
 	// Scratch for the bucket lists of one round: the write-back's write set
 	// and the fetch's read set, both alive during an exchange, the leaves
-	// the fetch reads, and at k = 1 the union of several queued paths, which
-	// is sealed once (sealPending), and the writes' views of it.
+	// the fetch reads, and the union of several queued paths, which is
+	// sealed once (sealPending), and the writes' views of it.
 	writeNodes []int64
 	readNodes  []int64
 	fetched    []uint32
@@ -100,7 +98,7 @@ type scheduler struct {
 	// Telemetry (client-side only).
 	flushes      int64 // write-backs stored
 	flushedPaths int64
-	dedupSaved   int64 // bucket writes avoided by the union within a write-back
+	dedupSaved   int64 // bucket seals saved by sealing a write-back's union once
 	exchanges    int64 // write-backs that rode a fetch
 }
 
@@ -257,14 +255,18 @@ func (s *scheduler) flushNow() error {
 	return s.completeFlush()
 }
 
-// sealPending seals the buckets the queued write-back writes (pendingNodes)
-// and returns their views, aligned with writeNodes. At k = 1 a write-back
-// of several paths — a round that fetched two — writes each in full, so a
-// bucket they share is written once per path, with the same sealed bytes:
-// their union is sealed once and each write takes its bucket's seal.
+// sealPending seals the buckets the queued write-back writes and returns
+// their views, aligned with writeNodes: every queued path in full, in queue
+// order, each topmost first, as the textbook protocol writes each path
+// back. A bucket several paths share is written once per path, with the
+// same sealed bytes: their union is sealed once and each write takes its
+// bucket's seal.
 func (s *scheduler) sealPending() ([][]byte, error) {
-	s.writeNodes = s.pendingNodes(s.writeNodes[:0])
-	if s.batch > 1 || len(s.pending) < 2 {
+	s.writeNodes = s.writeNodes[:0]
+	for _, leaf := range s.pending {
+		s.writeNodes = append(s.writeNodes, s.o.pathNodes(leaf)...)
+	}
+	if len(s.pending) < 2 {
 		return s.o.sealNodes(s.writeNodes)
 	}
 	s.union = append(s.union[:0], s.writeNodes...)
@@ -282,21 +284,6 @@ func (s *scheduler) sealPending() ([][]byte, error) {
 	return s.writeData, nil
 }
 
-// pendingNodes appends the buckets the queued write-back writes to dst: at
-// k = 1 every queued path in full, in queue order, as the textbook protocol
-// writes each path back; at k > 1 their union, each bucket once, in
-// ascending store-index order. A single path is root to leaf either way.
-func (s *scheduler) pendingNodes(dst []int64) []int64 {
-	for _, leaf := range s.pending {
-		dst = append(dst, s.o.pathNodes(leaf)...)
-	}
-	if s.batch > 1 && len(s.pending) > 1 {
-		slices.Sort(dst)
-		dst = slices.Compact(dst)
-	}
-	return dst
-}
-
 // commit settles a stored write-back of the pending paths: their buckets
 // join the known set, the pending queue empties, and the write-back
 // telemetry advances.
@@ -304,7 +291,9 @@ func (s *scheduler) commit() {
 	s.o.keepKnown(s.pending, len(s.writeNodes))
 	s.flushes++
 	s.flushedPaths += int64(len(s.pending))
-	s.dedupSaved += int64(len(s.pending)*s.o.levels - len(s.writeNodes))
+	if len(s.pending) > 1 {
+		s.dedupSaved += int64(len(s.writeNodes) - len(s.union))
+	}
 	s.pending = s.pending[:0]
 }
 
@@ -326,9 +315,9 @@ func (o *PathORAM) Flush() error {
 func (o *PathORAM) PendingEvictions() int { return len(o.sched.pending) }
 
 // PendingWrites reports how many buckets the queued write-back writes when
-// it is stored — the union of the pending paths — a function of their
-// leaves, which the server saw fetched.
-func (o *PathORAM) PendingWrites() int64 { return int64(len(o.sched.pendingNodes(nil))) }
+// it is stored: every pending path in full, a function of how many paths
+// are pending, which the server saw fetched.
+func (o *PathORAM) PendingWrites() int64 { return int64(len(o.sched.pending) * o.levels) }
 
 // Close settles the instance at a session boundary: every queued
 // eviction path is written back, so no stash state is pinned by pending paths when the serving

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	mrand "math/rand"
+	"slices"
 	"testing"
 
 	"oblivjoin/internal/storage"
@@ -50,7 +51,8 @@ func (s twoRoundStore) ExchangeTo(dst []byte, writeIdxs []int64, writeData [][]b
 
 // TestSchedulerMatchesReference drives randomized workloads through every
 // eviction-batch setting and checks the ORAM against a plain map: deferring
-// and deduplicating write-backs must never change the data the client reads.
+// write-backs and sealing their shared buckets once must never change the
+// data the client reads.
 func TestSchedulerMatchesReference(t *testing.T) {
 	for _, batch := range []int{1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("k=%d", batch), func(t *testing.T) {
@@ -245,7 +247,7 @@ func TestSchedulerExchangeRounds(t *testing.T) {
 	}
 }
 
-// TestSchedulerStashHighWater is the stash bound of unioned write-backs:
+// TestSchedulerStashHighWater is the stash bound of deferred write-backs:
 // between accesses at most k paths' worth of blocks wait client-side for
 // their write-back, so the high-water mark can exceed the k = 1 run's by at
 // most k·Z·L blocks (DESIGN.md §2.9). The randomized workload runs the same
@@ -655,6 +657,125 @@ func TestRideAlongMatchesTwoRoundProtocol(t *testing.T) {
 			if a, b := riding[i-1], riding[i]; a.Round == b.Round && a.Kind == storage.KindRead && b.Kind == storage.KindWrite {
 				t.Fatalf("k=%d: round %d reads before it writes", k, a.Round)
 			}
+		}
+	}
+}
+
+// TestEvictionBatchMovesNoCount: k moves no server-visible count. One op
+// sequence — reads, writes, dummies, pinned reads released later, rounds of
+// two paths of one tree (Together), lockstep rounds of both trees, Flush and
+// Settle — runs over two trees with the same seeded leaf randomness at every
+// k. Per store the reads, in order, are k = 1's, and so are the writes; so
+// are the round count, BucketsRead and BucketsWritten. A write-back writes
+// each queued path in full whatever k is: only the rounds the writes travel
+// in move.
+func TestEvictionBatchMovesNoCount(t *testing.T) {
+	type result struct {
+		trace  []storage.Access
+		rounds int64
+		stats  [2]PathStats
+	}
+	run := func(batch int) result {
+		m := storage.NewMeter()
+		var trees [2]*PathORAM
+		for i, name := range []string{"a", "b"} {
+			o, err := NewPathORAM(PathConfig{
+				Name: name, Capacity: int64(64 >> (2 * i)), PayloadSize: 16, Meter: m,
+				Sealer: testSealer(t), Rand: NewSeededSource(uint64(21 + i)), EvictionBatch: batch,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := o.BulkLoad(make([][]byte, o.Capacity())); err != nil {
+				t.Fatal(err)
+			}
+			trees[i] = o
+		}
+		m.Reset()
+		m.SetTracing(true)
+		pinned := map[*PathORAM][]uint64{}
+		release := func() {
+			for o, keys := range pinned {
+				for _, key := range keys {
+					if err := o.Release(key, []byte{byte(key)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				delete(pinned, o)
+			}
+		}
+		r := mrand.New(mrand.NewSource(3))
+		for step := 0; step < 600; step++ {
+			o := trees[r.Intn(2)]
+			key := uint64(r.Intn(int(o.Capacity())))
+			other := (key + 1 + uint64(r.Intn(int(o.Capacity())-1))) % uint64(o.Capacity())
+			op := r.Intn(9)
+			if slices.Contains(pinned[o], key) || slices.Contains(pinned[o], other) || slices.Contains(pinned[trees[0]], key%64) {
+				op = 3 // a pinned block is the caller's until it is released
+			}
+			var err error
+			switch op {
+			case 0, 1:
+				err = o.Write(key, []byte{byte(step), byte(key)})
+			case 2:
+				_, err = o.Read(key)
+			case 3:
+				err = o.DummyAccess()
+			case 4:
+				if err = Together([]Req{{ORAM: o, Key: key, Pin: true}}); err == nil {
+					pinned[o] = append(pinned[o], key)
+				}
+			case 5:
+				err = Together([]Req{{ORAM: o, Key: key, Dummy: step%3 == 0}, {ORAM: o, Key: other, Update: func(p []byte) error { p[0]++; return nil }}})
+			case 6:
+				err = Together([]Req{{ORAM: trees[0], Key: key % 64, Dummy: key%2 == 0}, {ORAM: trees[1], Dummy: true}})
+			case 7:
+				release()
+				err = o.Flush()
+			default:
+				release()
+				err = Settle(trees[0], trees[1])
+			}
+			if err != nil {
+				t.Fatalf("k=%d step %d (op %d): %v", batch, step, op, err)
+			}
+		}
+		release()
+		if err := Settle(trees[0], trees[1]); err != nil {
+			t.Fatal(err)
+		}
+		return result{m.Trace(), m.Snapshot().NetworkRounds, [2]PathStats{trees[0].Telemetry(), trees[1].Telemetry()}}
+	}
+	project := func(trace []storage.Access, store string, kind storage.AccessKind) []storage.Access {
+		var out []storage.Access
+		for _, a := range trace {
+			if a.Store == store && a.Kind == kind {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	base := run(1)
+	for _, batch := range []int{2, 4, 16} {
+		got := run(batch)
+		for i, store := range []string{"a", "b"} {
+			for _, kind := range []storage.AccessKind{storage.KindRead, storage.KindWrite} {
+				want := project(base.trace, store, kind)
+				if len(want) == 0 {
+					t.Fatalf("store %s saw no %s at k = 1; nothing is compared", store, kind)
+				}
+				if d := tracecheck.DiffExact(project(got.trace, store, kind), want); d != "" {
+					t.Errorf("k=%d: store %s's %ss are not k = 1's: %s", batch, store, kind, d)
+				}
+			}
+			b, s := base.stats[i], got.stats[i]
+			if s.BucketsRead != b.BucketsRead || s.BucketsWritten != b.BucketsWritten {
+				t.Errorf("k=%d: store %s read %d and wrote %d buckets, at k = 1 %d and %d",
+					batch, store, s.BucketsRead, s.BucketsWritten, b.BucketsRead, b.BucketsWritten)
+			}
+		}
+		if got.rounds != base.rounds {
+			t.Errorf("k=%d: %d rounds, at k = 1 %d", batch, got.rounds, base.rounds)
 		}
 	}
 }

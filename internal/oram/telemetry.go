@@ -42,8 +42,9 @@ type PathStats struct {
 	StashPeak int
 	StashSize int
 	// Flushes counts the write-backs the store has accepted; FlushedPaths
-	// the paths they wrote back; DedupedBuckets the bucket writes saved by
-	// writing the buckets those paths share once; Exchanges the write-backs
+	// the paths they wrote back; DedupedBuckets the bucket seals saved by
+	// sealing the buckets those paths share once (each is still written
+	// once per path): writes less distinct buckets; Exchanges the write-backs
 	// that rode a path download — all of them but the ones Flush and Settle
 	// sent in a round of their own.
 	Flushes        int64

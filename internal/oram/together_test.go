@@ -539,10 +539,10 @@ func TestTogetherRawRound(t *testing.T) {
 // downloads both paths in full, in request order, and the operations apply
 // in that order, so the data is the model's. Under the leaf randomness of
 // the same accesses issued one at a time the store reads the same buckets
-// in the same order, and at k = 1 writes each bucket as often; the trace is
+// in the same order, and writes each bucket as often; the trace is
 // PathORAMSim's replay of the rounds, from the leaves the downloads name,
-// round ordinals included: at k = 1 a round's write-back writes both paths
-// in full, a bucket they share twice.
+// round ordinals included: a write-back writes each of its paths in full,
+// a bucket two of them share twice.
 func TestTogetherTwoPathsOneTree(t *testing.T) {
 	const capacity, payload, rounds = 32, 16, 60
 	for _, k := range []int{1, 4} {
@@ -612,17 +612,15 @@ func TestTogetherTwoPathsOneTree(t *testing.T) {
 			if d := tracecheck.DiffExact(kinds(shared, storage.KindRead), kinds(apart, storage.KindRead)); d != "" {
 				t.Fatalf("the shared rounds read other buckets: %s", d)
 			}
-			if k == 1 {
-				count := func(trace []storage.Access) map[int64]int {
-					n := map[int64]int{}
-					for _, a := range kinds(trace, storage.KindWrite) {
-						n[a.Index]++
-					}
-					return n
+			count := func(trace []storage.Access) map[int64]int {
+				n := map[int64]int{}
+				for _, a := range kinds(trace, storage.KindWrite) {
+					n[a.Index]++
 				}
-				if got, want := count(shared), count(apart); !maps.Equal(got, want) {
-					t.Fatalf("the shared rounds write buckets %v times, one at a time %v", got, want)
-				}
+				return n
+			}
+			if got, want := count(shared), count(apart); !maps.Equal(got, want) {
+				t.Fatalf("the shared rounds write buckets %v times, one at a time %v", got, want)
 			}
 
 			// Replay the rounds from the leaves their downloads name.

@@ -89,8 +89,8 @@ type PrepareCost struct {
 func storedBuckets(o oram.ORAM) int64 { return o.ServerBytes() / int64(o.BlockBytes()) }
 
 // scanCost prices the scan of base's data tree: public geometry, and the
-// union of the paths its queued write-back covers. Read it before the
-// build, whose scan settles that write-back.
+// paths its queued write-back writes. Read it before the build, whose scan
+// settles that write-back.
 func scanCost(base *table.StoredTable) PrepareCost {
 	data := base.ORAMs()[0]
 	scan := storedBuckets(data)

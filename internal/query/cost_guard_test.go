@@ -35,14 +35,14 @@ func roundsOver(trace []storage.Access, stores map[string]int64) int64 {
 // checkPredicted compares a cost prediction against the measured trace. The
 // rounds the priced stores' accesses travelled in must be the predicted
 // rounds, at every eviction batch: no write-back outside the settle round
-// has a round of its own. At batch 1 every store the formula prices must
-// also match its measured block count exactly (the Theorem 1–4 bounds are
-// exact once the result size is fixed, and the per-op ORAM costs — the
+// has a round of its own. Every store the formula prices must also match
+// its measured block count exactly, at every batch (the Theorem 1–4 bounds
+// are exact once the result size is fixed, the per-op ORAM costs — the
 // levels below each tree's treetop, down and up — are deterministic with
-// in-process stores), and the bytes the planner ranks by must be the bytes
-// those blocks moved; a larger batch unions the paths of a write-back, which
-// only takes blocks away. Stores the formula does not price (the output
-// vector) are ignored.
+// in-process stores, and a write-back writes each of its paths in full
+// whatever the batch), and the bytes the planner ranks by must be the bytes
+// those blocks moved. Stores the formula does not price (the output vector)
+// are ignored.
 func checkPredicted(t *testing.T, batch int, predicted Cost, trace []storage.Access, steps int64) {
 	t.Helper()
 	if predicted.Steps != steps {
@@ -50,7 +50,7 @@ func checkPredicted(t *testing.T, batch int, predicted Cost, trace []storage.Acc
 	}
 	measured := perStoreCounts(trace)
 	for store, want := range predicted.PerStore {
-		if got := measured[store]; got > want || (batch == 1 && got != want) {
+		if got := measured[store]; got != want {
 			t.Errorf("k=%d: store %s: predicted %d block ops, measured %d", batch, store, want, got)
 		}
 	}
@@ -60,7 +60,7 @@ func checkPredicted(t *testing.T, batch int, predicted Cost, trace []storage.Acc
 			bytes += int64(a.Bytes)
 		}
 	}
-	if bytes > predicted.Bytes || (batch == 1 && bytes != predicted.Bytes) {
+	if bytes != predicted.Bytes {
 		t.Errorf("k=%d: predicted %d bytes, measured %d", batch, predicted.Bytes, bytes)
 	}
 	if got := roundsOver(trace, predicted.PerStore); got != predicted.Rounds {
@@ -96,9 +96,9 @@ func spread(n int, m int64) []int64 {
 }
 
 // guardPairs are the inputs a and b of a binary cost guard: as given —
-// tables of one block, whose data trees are one leaf each and, at k = 1,
-// keep nothing on the server — then a beside the larger b2, then a2 beside
-// b2, every tree of those two on the server.
+// tables of one block, whose data trees are one leaf each and keep nothing
+// on the server — then a beside the larger b2, then a2 beside b2, every
+// tree of those two on the server.
 func guardPairs(a, b, a2, b2 []int64) []map[string]*relation.Relation {
 	return []map[string]*relation.Relation{
 		{"a": makeRel("a", a), "b": makeRel("b", b)},
@@ -114,12 +114,11 @@ func oneLeaf(env *testEnv, name string) bool {
 }
 
 // checkPairGeometry fails unless the pair's geometry is what guardPairs
-// says: at k = 1, a's data tree one leaf but in the last pair, b's in the
-// first only; under deferred eviction every tree keeps its leaf level on
-// the server.
+// says, at every eviction batch k: a's data tree one leaf but in the last
+// pair, b's in the first only.
 func checkPairGeometry(t *testing.T, env *testEnv, pair, k int) {
 	t.Helper()
-	if a, b := oneLeaf(env, "a"), oneLeaf(env, "b"); a != (k == 1 && pair < 2) || b != (k == 1 && pair == 0) {
+	if a, b := oneLeaf(env, "a"), oneLeaf(env, "b"); a != (pair < 2) || b != (pair == 0) {
 		t.Fatalf("pair %d, k=%d: data trees of one leaf: a %v, b %v", pair, k, a, b)
 	}
 }
@@ -268,7 +267,7 @@ func TestPredictedCostMultiway(t *testing.T) {
 }
 
 // TestPredictedRoundsUnderDeferredEviction: EvictionBatch says how many
-// paths a write-back unions, never whether it gets a round of its own, so
+// paths a write-back carries, never whether it gets a round of its own, so
 // the planner's round prediction is the same number at every batch, Explain
 // prints it as an equality, and the Meter counts exactly it — one round per
 // pipelined sort-merge step, the round that lands the last step's data, and

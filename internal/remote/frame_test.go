@@ -387,8 +387,8 @@ func TestShortReplyBlockIsMalformed(t *testing.T) {
 }
 
 // TestRoundFrameRepeatedBucket: a Path-ORAM share that downloads two paths
-// of one tree reads the buckets they share twice, and at k = 1 its
-// write-back writes them twice (oram.Together). One storage.DoRound share
+// of one tree reads the buckets they share twice, and its write-back
+// writes them twice (oram.Together). One storage.DoRound share
 // that writes a bucket twice and reads it twice — beside a share of another
 // store, so that the round travels as one frame — gets both reads back, each
 // the last of the writes, through the remote round frame to a server on

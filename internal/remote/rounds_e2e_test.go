@@ -256,7 +256,7 @@ func TestLoopbackLockstepRoundIsARealRound(t *testing.T) {
 // tuple and the previous step's inner data — so n + 2, with two accesses
 // more: the scan's first tuple and the root read for a step that never
 // comes. Both add the one settle round. EvictionBatch only changes how many
-// paths a write-back unions — never the rounds: rounds per access against
+// paths a write-back carries — never the rounds: rounds per access against
 // EvictionBatch is a flat line.
 func TestLoopbackSMJDeferredRounds(t *testing.T) {
 	for _, k := range []int{1, 4, 16} {

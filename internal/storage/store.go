@@ -95,10 +95,11 @@ type Store interface {
 // Duplicate-index contract: a batch MAY name the same index more than once,
 // and implementations MUST apply the batch in slice order, so the highest
 // position wins deterministically (last-writer-wins). The ORAM scheduler's
-// flush dedupes shared buckets before writing, but crash-recovery replay in
-// a persistent backend re-applies whole logged batches verbatim — both
-// backends agreeing on this ordering is what makes replayed state equal
-// live state (see storetest.TestBatchContract, which every backend runs).
+// write-back names a bucket its paths share once per path, and
+// crash-recovery replay in a persistent backend re-applies whole logged
+// batches verbatim — both backends agreeing on this ordering is what makes
+// replayed state equal live state (see storetest.TestBatchContract, which
+// every backend runs).
 type ExchangeStore interface {
 	Store
 	// ReadMany returns the blocks at the given indices, in order, in a single

@@ -67,7 +67,7 @@ type Options struct {
 	// inputs never collide with base tables and tenant qualification can
 	// route them into an isolated per-tenant subtree.
 	StorePrefix string
-	// EvictionBatch is how many fetched paths a Path-ORAM write-back unions
+	// EvictionBatch is how many fetched paths a Path-ORAM write-back queues
 	// before it rides the next download (<= 1: the one path just fetched).
 	// See oram.PathConfig.EvictionBatch.
 	EvictionBatch int

@@ -2,7 +2,6 @@ package tracecheck
 
 import (
 	"fmt"
-	"sort"
 
 	"oblivjoin/internal/storage"
 )
@@ -15,16 +14,18 @@ import (
 // server observes directly, since every path download names its buckets.
 // Recovering the leaves from one recorded trace and obtaining any other
 // setting's exact trace back is the simulator argument of DESIGN.md §2.9:
-// unioned, riding write-backs leak nothing beyond the textbook protocol that
-// writes every path straight back, because an adversary can compute the
-// entire trace from what any single run already reveals. The rule that
+// deferred, riding write-backs leak nothing beyond the textbook protocol
+// that writes every path straight back, because an adversary can compute
+// the entire trace from what any single run already reveals. The rule that
 // places the round boundaries is all here, and no data enters it: the
 // write-back of the k paths queued so far shares the round of the next
-// download. A round may download two paths of the tree (oram.Together: a
-// descent's access beside the next descent's root, read ahead); both are
-// read in full and queued, and at k = 1 their write-back writes each path
-// in full, a bucket they share twice — the textbook protocol's reads and
-// writes, the write-back of the first path following the second's download.
+// download, and writes each of them in full, in queue order. A round may
+// download two paths of the tree (oram.Together: a descent's access beside
+// the next descent's root, read ahead); both are read in full and queued,
+// and written back in full, a bucket they share twice — the textbook
+// protocol's reads and writes, the write-back of the first path following
+// the second's download. So every k sees the same reads and the same
+// writes in the same order; k moves only the rounds the writes travel in.
 type PathORAMSim struct {
 	// Store names the simulated store and Bytes its sealed bucket size; both
 	// are copied verbatim into the emitted accesses.
@@ -40,7 +41,7 @@ type PathORAMSim struct {
 	// levels. Zero is the vanilla tree.
 	Treetop int
 	// Batch is the eviction batch k, the number of queued paths a write-back
-	// unions; <= 1 means 1, every download carries the previous path.
+	// carries; <= 1 means 1, every download carries the previous path.
 	Batch int
 
 	pending []uint32
@@ -108,36 +109,13 @@ func (s *PathORAMSim) pathNodes(leaf uint32) []int64 {
 	return nodes
 }
 
-// writeNodes is what the write-back of the queued leaves writes: at k = 1
-// each path in full, in queue order; at k > 1 their union (unionNodes).
+// writeNodes is what the write-back of the queued leaves writes: each path
+// in full, in queue order.
 func (s *PathORAMSim) writeNodes(leaves []uint32) []int64 {
-	if s.Batch > 1 {
-		return s.unionNodes(leaves)
-	}
 	var nodes []int64
 	for _, leaf := range leaves {
 		nodes = append(nodes, s.pathNodes(leaf)...)
 	}
-	return nodes
-}
-
-// unionNodes is the sorted union of the given leaves' paths; for one leaf it
-// is the path itself (topmost first, which is already ascending).
-func (s *PathORAMSim) unionNodes(leaves []uint32) []int64 {
-	if len(leaves) == 1 {
-		return s.pathNodes(leaves[0])
-	}
-	seen := map[int64]bool{}
-	var nodes []int64
-	for _, leaf := range leaves {
-		for _, n := range s.pathNodes(leaf) {
-			if !seen[n] {
-				seen[n] = true
-				nodes = append(nodes, n)
-			}
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	return nodes
 }
 

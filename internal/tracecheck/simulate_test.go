@@ -114,7 +114,7 @@ func leavesFromClassicTrace(t *testing.T, trace []storage.Access, levels, treeto
 // test: the k = 4 run's entire trace — which buckets are read and written,
 // in which order, grouped into which rounds — is computed by PathORAMSim
 // from public information alone (tree geometry, treetop included, batch
-// setting, and the leaf sequence the k = 1 run already reveals). Unioning
+// setting, and the leaf sequence the k = 1 run already reveals). Deferring
 // write-backs therefore leaks nothing the one-path write-back does not.
 func TestBatchedEvictionTraceSimulable(t *testing.T) {
 	const capacity, batch = 64, 4
@@ -145,33 +145,13 @@ func TestBatchedEvictionTraceSimulable(t *testing.T) {
 		t.Fatalf("batched round boundaries not reproduced from public data: %s", d)
 	}
 
-	// The two runs touch the same buckets overall: deferral changes when and
-	// how often buckets are written, never which buckets the access sequence
-	// reaches. Dedup makes the batched run strictly cheaper in writes.
-	var classicWrites, batchedWrites int
-	classicSet, batchedSet := map[int64]bool{}, map[int64]bool{}
-	for _, a := range classic {
-		if a.Kind == storage.KindWrite {
-			classicWrites++
-			classicSet[a.Index] = true
+	// The two runs read the same buckets in the same order and write the
+	// same buckets in the same order: deferral moves only the rounds the
+	// writes travel in, never which buckets are written or how often.
+	for _, kind := range []storage.AccessKind{storage.KindRead, storage.KindWrite} {
+		if d := DiffExact(only(classic, kind), only(batched, kind)); d != "" {
+			t.Fatalf("the batched run's %ss differ from the classic run's: %s", kind, d)
 		}
-	}
-	for _, a := range batched {
-		if a.Kind == storage.KindWrite {
-			batchedWrites++
-			batchedSet[a.Index] = true
-		}
-	}
-	if len(classicSet) != len(batchedSet) {
-		t.Fatalf("written bucket sets differ: %d vs %d buckets", len(classicSet), len(batchedSet))
-	}
-	for idx := range classicSet {
-		if !batchedSet[idx] {
-			t.Fatalf("bucket %d written classically but never by the batched run", idx)
-		}
-	}
-	if batchedWrites >= classicWrites {
-		t.Fatalf("dedup saved nothing: %d batched writes vs %d classic", batchedWrites, classicWrites)
 	}
 
 	// An index nested-loop join's inner index: its rounds download two
@@ -334,4 +314,15 @@ func TestClassicTraceSimulable(t *testing.T) {
 	if reads != writes {
 		t.Fatalf("the INLJ index read %d buckets and wrote %d: a path written back in part", reads, writes)
 	}
+}
+
+// only is the projection of a trace onto the accesses of one kind.
+func only(trace []storage.Access, kind storage.AccessKind) []storage.Access {
+	var out []storage.Access
+	for _, a := range trace {
+		if a.Kind == kind {
+			out = append(out, a)
+		}
+	}
+	return out
 }

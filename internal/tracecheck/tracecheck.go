@@ -53,40 +53,6 @@ func Diff(a, b []storage.Access) string {
 	return ""
 }
 
-// DiffRounds compares two traces batch by batch — a batch being the
-// consecutive accesses one store saw of one kind in one round — and
-// describes the first divergence, or returns "" when the same stores were
-// read and written in the same rounds in the same order. It is Diff minus
-// the number of blocks a batch moved: with EvictionBatch > 1 a write-back
-// writes the deduplicated union of its paths, whose size follows the leaf
-// randomness, not the data.
-func DiffRounds(a, b []storage.Access) string {
-	ba, bb := batches(a), batches(b)
-	if len(ba) != len(bb) {
-		return fmt.Sprintf("batch counts differ: %d vs %d", len(ba), len(bb))
-	}
-	for i := range ba {
-		if ba[i] != bb[i] {
-			return fmt.Sprintf("batch %d differs: %s/%s/%dB in round %d vs %s/%s/%dB in round %d", i,
-				ba[i].Store, ba[i].Kind, ba[i].Bytes, ba[i].Round, bb[i].Store, bb[i].Kind, bb[i].Bytes, bb[i].Round)
-		}
-	}
-	return ""
-}
-
-// batches collapses each run of accesses that differ only in index to its
-// first access, index dropped.
-func batches(trace []storage.Access) []storage.Access {
-	var out []storage.Access
-	for _, a := range trace {
-		a.Index = 0
-		if len(out) == 0 || out[len(out)-1] != a {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Summary aggregates a trace per store.
 type Summary struct {
 	Store  string

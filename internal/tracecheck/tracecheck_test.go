@@ -119,8 +119,8 @@ func TestDiffReportsDivergence(t *testing.T) {
 }
 
 // TestDiffSeesRoundBoundaries: the same accesses grouped into different
-// rounds are different traces to Diff and DiffRounds, and the same trace to
-// DiffExact, which projects the grouping out (one store's view).
+// rounds are different traces to Diff, and the same trace to DiffExact,
+// which projects the grouping out (one store's view).
 func TestDiffSeesRoundBoundaries(t *testing.T) {
 	lockstep := []storage.Access{
 		{Store: "x", Kind: storage.KindRead, Index: 1, Bytes: 8, Round: 1},
@@ -132,18 +132,15 @@ func TestDiffSeesRoundBoundaries(t *testing.T) {
 	for i := range oneByOne {
 		oneByOne[i].Round = int64(i + 1)
 	}
-	if Diff(lockstep, oneByOne) == "" || DiffRounds(lockstep, oneByOne) == "" {
+	if Diff(lockstep, oneByOne) == "" {
 		t.Fatal("a regrouping of rounds reported indistinguishable")
 	}
 	if d := DiffExact(lockstep, oneByOne); d != "" {
 		t.Fatalf("DiffExact compared round ordinals: %s", d)
 	}
-	// A batch that moved one more block is the same batch to DiffRounds.
+	// A batch that moved one more block is a different trace.
 	longer := append([]storage.Access{lockstep[0]}, lockstep...)
 	longer[1].Index = 9
-	if d := DiffRounds(lockstep, longer); d != "" {
-		t.Fatalf("DiffRounds compared batch sizes: %s", d)
-	}
 	if Diff(lockstep, longer) == "" {
 		t.Fatal("Diff ignored a batch size")
 	}

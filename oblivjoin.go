@@ -156,15 +156,15 @@ type Config struct {
 	EnableMultiway bool
 	// Padding selects the Section 8 output padding strategy.
 	Padding PaddingMode
-	// EvictionBatch is how many fetched paths a Path-ORAM write-back unions:
-	// the write-back of the last k paths rides the tree's next download,
-	// each bucket they share near the root written once (DESIGN.md §2.9).
-	// It never decides whether a write-back gets a round of its own — none
-	// does before the query settles, at any k; 0 or 1 means every download
-	// carries the one path before it. Eviction paths are uniform random and
-	// independent of the data, so k changes only when and how many times
-	// the public-path buckets are written, never which ones. The price of a
-	// larger k is client memory: up to k paths' blocks wait in the stash.
+	// EvictionBatch is how many fetched paths a Path-ORAM write-back
+	// queues: the write-back of the last k paths rides the tree's next
+	// download and writes each of them in full, sealing a bucket they share
+	// once (DESIGN.md §2.9). It never decides whether a write-back gets a
+	// round of its own — none does before the query settles, at any k; 0 or
+	// 1 means every download carries the one path before it. Each store
+	// sees the same reads and writes in the same order at every k; k moves
+	// only the round a write travels in. What it changes is seal work and
+	// client memory: up to k paths' blocks wait in the stash.
 	EvictionBatch int
 }
 
