@@ -186,6 +186,9 @@ type Database struct {
 	pool       *shard.Pool
 	topts      table.Options
 	planCache  *query.Cache
+	// dpRand draws PadDP's noise; nil is crypto/rand. Tests seed it, so
+	// that a PadDP query's counters are reproducible.
+	dpRand func() float64
 }
 
 type pendingTable struct {
@@ -325,6 +328,7 @@ func (db *Database) lookup(name string) (*table.StoredTable, error) {
 func (db *Database) joinOpts() core.Options {
 	return core.Options{
 		Padding:      db.cfg.Padding,
+		DPRand:       db.dpRand,
 		Meter:        db.meter,
 		Sealer:       db.sealer,
 		OutBlockSize: db.blockPayload() + xcrypto.Overhead,
