@@ -296,11 +296,11 @@ func TestPaperClaims(t *testing.T) {
 		t.Errorf("§9 ObliDB Cartesian at most Real Size: %d pairs, want 4", pairs)
 	}
 
-	// §9, Figure 15 (EXPERIMENTS.md lines 169–174, "TM2 only 84×, the
+	// §9, Figure 15 (EXPERIMENTS.md "Figures 15–18", "TM2 only 91×, the
 	// exception"): on TM2 the result tracks the Cartesian product and our
 	// speedup over ObliDB is smallest. The paper's is ~280×; ours is a
-	// ratchet at the committed 84.07×, which may only grow.
-	const tm2Speedup = 84.07
+	// ratchet at the committed 91.28×, which may only grow.
+	const tm2Speedup = 91.28
 	var tm2 float64
 	for _, tb := range queryCost(tables, func(f string) bool { return f == "FIG15" }) {
 		oblidb, ok1 := tb.cell("ObliDB", "TM2")

@@ -150,10 +150,11 @@ func (o Options) outBlockSize() int {
 
 // The Section 8 padding parameters, fixed as in every figure of the paper:
 // PadClosestPower pads to the closest power of padBase, and PadDP draws its
-// noise at privacy parameter dpEpsilon.
+// noise at privacy parameter DPEpsilon — the ε of each noisy count it
+// releases (a query's total is the sum over its releases, query.Plan.Epsilon).
 const (
 	padBase   = 2
-	dpEpsilon = 0.5
+	DPEpsilon = 0.5
 )
 
 // PadSize applies the padding mode to the real result size given the
@@ -181,7 +182,7 @@ func (p PaddingMode) PlannedSize(est, cartesian int64) int64 {
 	case PadCartesian:
 		return cartesian
 	case PadDP:
-		return min(est+int64(math.Ceil(1/dpEpsilon))+1, cartesian)
+		return min(est+int64(math.Ceil(1/DPEpsilon))+1, cartesian)
 	default:
 		return est
 	}
@@ -196,7 +197,7 @@ func (o Options) dpNoise() int64 {
 		uniform = cryptoUniform
 	}
 	// Geometric with success probability p = 1 - e^-ε via inversion.
-	p := 1 - math.Exp(-dpEpsilon)
+	p := 1 - math.Exp(-DPEpsilon)
 	u := uniform()
 	if u <= 0 {
 		u = 1e-12

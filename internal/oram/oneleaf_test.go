@@ -245,7 +245,7 @@ func TestOneLeafTreeAtEveryEvictionBatch(t *testing.T) {
 		capacity int64
 		batch    int
 		levels   int
-	}{{1, 1, 0}, {1, 2, 0}, {1, 4, 0}, {1, 16, 0}, {2, 4, 1}, {4, 4, 1}, {64, 4, 7 - treetopLevels(7)}} {
+	}{{1, 1, 0}, {1, 2, 0}, {1, 4, 0}, {1, 16, 0}, {2, 4, 1}, {4, 4, 1}, {64, 4, 6 - treetopLevels(6)}} {
 		m := storage.NewMeter()
 		o, err := NewPathORAM(PathConfig{
 			Name: "k", Capacity: c.capacity, PayloadSize: 8, Meter: m, Sealer: testSealer(t),

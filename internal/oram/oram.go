@@ -34,6 +34,14 @@ import (
 // ErrNotFound is returned when reading a key that was never written.
 var ErrNotFound = errors.New("oram: block not found")
 
+// ErrStashOverflow is returned, wrapped, by an access whose write-back would
+// leave more blocks in the stash than the tree's public bound allows. The
+// access is undone and nothing was sent: the stash, the store and the
+// queued write-back are as they were, and the access can be retried. With
+// Z = 4 and nextPow2(N)/2 leaves it is a failure probability, not an
+// expected outcome (DESIGN.md §2.9).
+var ErrStashOverflow = errors.New("oram: stash overflow")
+
 // ORAM is the client-side handle to an oblivious block store. Keys are
 // logical block IDs chosen by the caller; the implementation hides which key
 // an access touches (and for oblivious implementations, whether an access is

@@ -153,7 +153,7 @@ func TestPathORAMLevels(t *testing.T) {
 		capacity int64
 		levels   int
 	}{
-		{1, 0}, {2, 1}, {3, 1}, {4, 1}, {5, 2}, {64, 4}, {100, 5},
+		{1, 0}, {2, 1}, {3, 1}, {4, 1}, {5, 1}, {64, 4}, {100, 4},
 	}
 	for _, c := range cases {
 		o := newTestORAM(t, c.capacity, 8, nil)

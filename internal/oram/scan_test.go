@@ -192,18 +192,22 @@ func TestScanTraceIsPublic(t *testing.T) {
 	}
 }
 
-// TestScanMatchesTheModel is the differential check: trees of 1 to 3
-// stored levels and one of more than uploadChunk buckets, scanned at random
-// points of a random workload — queued write-backs and settles included —
-// yield exactly the logical contents, and keep serving it afterwards.
+// TestScanMatchesTheModel is the differential check: trees of 1 to 6
+// stored levels, one of them of more than uploadChunk buckets, scanned at
+// random points of a random workload — queued write-backs and settles
+// included — yield exactly the logical contents, and keep serving it
+// afterwards.
 func TestScanMatchesTheModel(t *testing.T) {
-	for _, capacity := range []int64{2, 8, 16, 256} {
+	for _, c := range []struct {
+		capacity, buckets int64
+		levels            int
+	}{{2, 2, 1}, {8, 4, 1}, {16, 12, 2}, {32, 28, 3}, {256, 248, 5}, {512, 504, 6}} {
+		capacity := c.capacity
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
 			m := storage.NewMeter()
 			o := newTestORAM(t, capacity, 16, m)
-			levels := map[int64]int{2: 1, 8: 2, 16: 3}
-			if want, ok := levels[capacity]; ok && o.Levels() != want || !ok && o.store.Len() <= uploadChunk {
-				t.Fatalf("capacity %d: %d stored levels, %d buckets", capacity, o.Levels(), o.store.Len())
+			if o.Levels() != c.levels || o.store.Len() != c.buckets {
+				t.Fatalf("capacity %d: %d stored levels, %d buckets; want %d, %d", capacity, o.Levels(), o.store.Len(), c.levels, c.buckets)
 			}
 			model := map[uint64][]byte{}
 			checkScan(t, o, m, model) // never loaded: every key absent

@@ -215,9 +215,11 @@ func (s *scheduler) evict(leaf uint32) {
 // nothing to read, and reports whether there was anything to stage. A tree
 // with a block still pinned (Req.Pin) fails: nobody would release it.
 func (s *scheduler) prepareFlush() (owed bool, err error) {
-	for key, entry := range s.o.stash {
-		if entry.pinned {
-			return false, fmt.Errorf("oram: store %q: block %d is still pinned", s.o.cfg.Name, key)
+	if s.o.pinned > 0 {
+		for key, entry := range s.o.stash {
+			if entry.pinned {
+				return false, fmt.Errorf("oram: store %q: block %d is still pinned", s.o.cfg.Name, key)
+			}
 		}
 	}
 	if len(s.pending) == 0 {

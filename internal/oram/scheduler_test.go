@@ -253,10 +253,10 @@ func TestSchedulerExchangeRounds(t *testing.T) {
 // most k·Z·L blocks (DESIGN.md §2.9). The randomized workload runs the same
 // seed at every setting so the k = 1 peak is a true baseline.
 func TestSchedulerStashHighWater(t *testing.T) {
-	base := stashPeak(t, 1, treetopLevels)
+	base := stashPeak(t, 1, shape)
 	levels := newEvictionORAM(t, stashCapacity, 8, nil, 1, 31).Levels()
 	for _, k := range []int{4, 16} {
-		peak := stashPeak(t, k, treetopLevels)
+		peak := stashPeak(t, k, shape)
 		bound := base + k*DefaultZ*levels
 		if peak > bound {
 			t.Fatalf("k=%d stash peak %d exceeds base %d + k·Z·L = %d", k, peak, base, bound)
@@ -268,12 +268,12 @@ const stashCapacity = 256
 
 // stashPeak is the stash high-water mark of 10 000 seeded random reads over
 // a full tree built with the given eviction batch and treetop rule.
-func stashPeak(t *testing.T, batch int, treetop func(int) int) int {
+func stashPeak(t *testing.T, batch int, rule func(int64) geometry) int {
 	t.Helper()
 	o, err := newPathORAM(PathConfig{
 		Name: "sched", Capacity: stashCapacity, PayloadSize: 8,
 		Sealer: testSealer(t), Rand: NewSeededSource(31), EvictionBatch: batch,
-	}, treetop)
+	}, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestTreetopStashBound(t *testing.T) {
 		t.Fatal("the tree has no treetop; nothing to bound")
 	}
 	for _, k := range []int{1, 4} {
-		vanilla, peak := stashPeak(t, k, noTreetop), stashPeak(t, k, treetopLevels)
+		vanilla, peak := stashPeak(t, k, noTreetop), stashPeak(t, k, shape)
 		if bound := vanilla + DefaultZ*(1<<top-1); peak > bound {
 			t.Fatalf("k=%d: stash peak %d exceeds vanilla %d + Z·(2^%d - 1) = %d", k, peak, vanilla, top, bound)
 		}

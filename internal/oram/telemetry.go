@@ -41,6 +41,11 @@ type PathStats struct {
 	// buckets.
 	StashPeak int
 	StashSize int
+	// StashTail is the most blocks a write-back has left in the stash
+	// beyond the treetop's Z·(2^TreetopLevels - 1) and the pinned ones
+	// (0 if none left more): how close the tree came to its stash bound,
+	// whose margin it may not pass (ErrStashOverflow).
+	StashTail int
 	// Flushes counts the write-backs the store has accepted; FlushedPaths
 	// the paths they wrote back; DedupedBuckets the bucket seals saved by
 	// sealing the buckets those paths share once (each is still written
@@ -68,6 +73,7 @@ func (o *PathORAM) Telemetry() PathStats {
 		TreetopLevels:    o.top,
 		StashPeak:        o.maxStash,
 		StashSize:        len(o.stash),
+		StashTail:        o.tailPeak,
 		Flushes:          o.sched.flushes,
 		FlushedPaths:     o.sched.flushedPaths,
 		DedupedBuckets:   o.sched.dedupSaved,

@@ -56,11 +56,12 @@ func TestPathTelemetry(t *testing.T) {
 	if s.StashPeak < s.StashSize {
 		t.Fatalf("StashPeak %d < StashSize %d", s.StashPeak, s.StashSize)
 	}
-	// The tree is 7 levels deep and keeps 3 of them client-side — in the
-	// stash: every block written is in a stored bucket or a stash entry, and
-	// a settled instance's footprint is its stash and its position map.
-	if s.TreetopLevels != 3 || s.TreetopLevels+o.Levels() != 7 {
-		t.Fatalf("treetop of %d levels over %d stored, want 3 over 4", s.TreetopLevels, o.Levels())
+	// The tree of 64 blocks has 32 leaves, is 6 levels deep and keeps 2 of
+	// them client-side — in the stash: every block written is in a stored
+	// bucket or a stash entry, and a settled instance's footprint is its
+	// stash and its position map.
+	if s.TreetopLevels != 2 || s.TreetopLevels+o.Levels() != 6 {
+		t.Fatalf("treetop of %d levels over %d stored, want 2 over 4", s.TreetopLevels, o.Levels())
 	}
 	stored := 0
 	for i := int64(0); i < o.store.Len(); i++ {

@@ -17,7 +17,8 @@ import (
 // those levels in one round, trees too shallow to keep more than their
 // leaves on the server (L = 2, 3) still read back what was written, and the
 // tree of one leaf (L = 1) keeps nothing there: its accesses read back what
-// was written in no round at all.
+// was written in no round at all. A tree of L ≥ 2 levels has 2^(L-1)
+// leaves, the shape of 2^L blocks; only one block has a tree of one leaf.
 func TestTreetopGeometry(t *testing.T) {
 	for _, c := range []struct{ height, top int }{
 		{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 2}, {6, 2}, {7, 3}, {8, 3}, {14, 3}, {15, 4}, {20, 4}, {30, 4}, {31, 5},
@@ -30,17 +31,21 @@ func TestTreetopGeometry(t *testing.T) {
 		}
 	}
 	for height := 1; height <= 8; height++ {
-		capacity := int64(1) << (height - 1)
+		leaves := int64(1) << (height - 1)
+		capacity := 2 * leaves
+		if height == 1 {
+			capacity = 1
+		}
 		m := storage.NewMeter()
 		o := newTestORAM(t, capacity, 8, m)
 		if err := o.BulkLoad(nil); err != nil { // the empty tree's upload
 			t.Fatal(err)
 		}
 		top := treetopLevels(height)
-		if ps := o.Telemetry(); ps.TreetopLevels != top || o.Levels() != height-top {
-			t.Fatalf("height %d: treetop %d over %d stored levels, want %d over %d", height, ps.TreetopLevels, o.Levels(), top, height-top)
+		if ps := o.Telemetry(); ps.TreetopLevels != top || o.Levels() != height-top || o.leaves != leaves {
+			t.Fatalf("height %d: %d leaves, treetop %d over %d stored levels, want %d, %d over %d", height, o.leaves, ps.TreetopLevels, o.Levels(), leaves, top, height-top)
 		}
-		if got, want := o.store.Len(), 2*capacity-int64(1)<<top; got != want {
+		if got, want := o.store.Len(), 2*leaves-int64(1)<<top; got != want {
 			t.Fatalf("height %d: store has %d buckets, want 2·leaves - 2^t = %d", height, got, want)
 		}
 		for round := 0; round < 3; round++ {
@@ -74,7 +79,7 @@ func TestTreetopGeometry(t *testing.T) {
 // treetopRun drives a seeded mix of every operation through a tree built
 // under the given treetop rule, checks every result against a map model,
 // and returns the tree and the trace its store recorded.
-func treetopRun(t *testing.T, positions string, batch int, treetop func(int) int) (*PathORAM, []storage.Access) {
+func treetopRun(t *testing.T, positions string, batch int, rule func(int64) geometry) (*PathORAM, []storage.Access) {
 	t.Helper()
 	const capacity, payload, steps = 64, 16, 600
 	m := storage.NewMeter()
@@ -87,12 +92,12 @@ func treetopRun(t *testing.T, positions string, batch int, treetop func(int) int
 	var o diffClient
 	var err error
 	if positions == "caller" {
-		if tree, err = newTree(cfg, treetop); err != nil {
+		if tree, err = newTree(cfg, rule); err != nil {
 			t.Fatal(err)
 		}
 		o = callerHeld{tree, map[uint64]uint32{}}
 	} else {
-		if tree, err = newPathORAM(cfg, treetop); err != nil {
+		if tree, err = newPathORAM(cfg, rule); err != nil {
 			t.Fatal(err)
 		}
 		o = tree
@@ -178,7 +183,7 @@ func TestTreetopTraceIsPathSuffix(t *testing.T) {
 		for _, positions := range []string{"flat", "caller"} {
 			t.Run(fmt.Sprintf("k=%d/positions=%s", batch, positions), func(t *testing.T) {
 				v, vanilla := treetopRun(t, positions, batch, noTreetop)
-				tree, trace := treetopRun(t, positions, batch, treetopLevels)
+				tree, trace := treetopRun(t, positions, batch, shape)
 				if tree.top == 0 {
 					t.Fatal("the rule gave the tree no treetop; nothing was compared")
 				}

@@ -5,11 +5,13 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"oblivjoin/internal/core"
 )
 
-// Explain renders the plan deterministically: the query shape, the
-// per-input pushdown decisions with the predicted cost of each input built,
-// the chosen operator with its predicted
+// Explain renders the plan deterministically: the query shape, under PadDP
+// the query's total ε, the per-input pushdown decisions with the predicted
+// cost of each input built, the chosen operator with its predicted
 // block-access and round counts and the cost-model time they rank by, and
 // the full candidate slate. Identical public metadata produces
 // byte-identical output — the property the trace-identity test pins.
@@ -18,6 +20,9 @@ func (p *Plan) Explain() string {
 	fmt.Fprintf(&b, "query: %s\n", p.Spec.describe())
 	fmt.Fprintf(&b, "padding: %s   estimated result: %d (planned %d)\n",
 		p.Padding, p.EstimatedResult, p.PlannedResult)
+	if n := p.DPReleases(); n > 0 {
+		fmt.Fprintf(&b, "privacy: ε = %g (%d noisy releases × %g, sequential composition)\n", p.Epsilon(), n, core.DPEpsilon)
+	}
 	fmt.Fprintf(&b, "inputs:\n")
 	for _, in := range p.Inputs {
 		cached := ""

@@ -106,6 +106,27 @@ type Plan struct {
 // Best returns the chosen candidate.
 func (p *Plan) Best() *Candidate { return &p.Candidates[p.Chosen] }
 
+// DPReleases counts the noisy counts the query releases under PadDP: one
+// per pushed-down input it built — a cache hit reuses the release of the
+// query that built it — and one for the join's output size. Under any other
+// padding mode it is 0.
+func (p *Plan) DPReleases() int {
+	if p.Padding != core.PadDP {
+		return 0
+	}
+	n := 1
+	for _, in := range p.Inputs {
+		if in.Signature != "" && !in.Cached {
+			n++
+		}
+	}
+	return n
+}
+
+// Epsilon is the query's total privacy loss under PadDP by sequential
+// composition: core.DPEpsilon for each of its DPReleases.
+func (p *Plan) Epsilon() float64 { return float64(p.DPReleases()) * core.DPEpsilon }
+
 // planSpec enumerates and prices the candidate slate over the catalog (all
 // public metadata) and picks the candidate the paper's cost model says is
 // fastest (Cost.Time: predicted bytes over the link plus predicted rounds at

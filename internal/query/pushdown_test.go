@@ -134,8 +134,8 @@ func TestPrepareStatsArePredicted(t *testing.T) {
 		switch {
 		case c.hit && pc != (PrepareCost{}):
 			t.Fatalf("a cache hit predicts %+v", pc)
-		case !c.hit && (pc.ScanBlocks != 1016 || pc.ScanRounds != 4 || pc.UploadRounds < 2):
-			t.Fatalf("%s: predicted %+v, want a 1016-bucket scan in 4 rounds and two trees uploaded", c.name, pc)
+		case !c.hit && (pc.ScanBlocks != 504 || pc.ScanRounds != 2 || pc.UploadRounds < 2):
+			t.Fatalf("%s: predicted %+v, want a 504-bucket scan in 2 rounds and two trees uploaded", c.name, pc)
 		case !c.hit && pc.WriteBackBlocks != writeBack:
 			t.Fatalf("%s: predicted a write-back of %d blocks, want %d", c.name, pc.WriteBackBlocks, writeBack)
 		}

@@ -122,8 +122,8 @@ func TestBatchedEvictionTraceSimulable(t *testing.T) {
 
 	classic, levels, treetop := simRun(t, capacity, 1, ops)
 	batched, _, _ := simRun(t, capacity, batch, ops)
-	if levels != 7 || treetop != 3 { // capacity 64 -> 64 leaves, 7 levels, the top 3 client-side
-		t.Fatalf("tree is %d levels deep with a treetop of %d, want 7 and 3", levels, treetop)
+	if levels != 6 || treetop != 2 { // capacity 64 -> 32 leaves, 6 levels, the top 2 client-side
+		t.Fatalf("tree is %d levels deep with a treetop of %d, want 6 and 2", levels, treetop)
 	}
 	leaves := leavesFromClassicTrace(t, classic, levels, treetop)
 

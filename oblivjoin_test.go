@@ -3,7 +3,9 @@ package oblivjoin
 import (
 	"fmt"
 	"maps"
+	mrand "math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"oblivjoin/internal/core"
@@ -332,6 +334,48 @@ func TestSealForgetsTheRelation(t *testing.T) {
 		}
 		if !maps.Equal(got, want) {
 			t.Fatalf("%s query answered %v, the sealed data %v", c.name, got, want)
+		}
+	}
+}
+
+// TestPadDPReleasesPerQuery counts the noisy counts a planned query draws
+// under PadDP: one per pushed-down input it builds and one for the join,
+// which is what Plan.DPReleases reports and Explain prices as the query's
+// ε by sequential composition. A repeat of the query finds its inputs in
+// the plan cache and releases only the join's count.
+func TestPadDPReleasesPerQuery(t *testing.T) {
+	db := NewDatabase(Config{BlockPayload: 256, Padding: PadDP})
+	draws := 0
+	r := mrand.New(mrand.NewSource(1))
+	db.dpRand = func() float64 { draws++; return r.Float64() }
+	indexes := map[string][]string{"users": {"uid"}, "orders": {"oid", "uid"}, "items": {"oid"}}
+	for _, rel := range countersRelations() {
+		if err := db.AddTable(rel, indexes[rel.Schema.Table]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{
+		Tables: []string{"orders", "users"},
+		Preds:  []Pred{{Left: "orders", LeftAttr: "uid", Right: "users", RightAttr: "uid"}},
+		Filters: []Filter{
+			{Table: "orders", Preds: []SelectPred{{Column: "oid", Op: GE, Value: 6}}},
+			{Table: "users", Preds: []SelectPred{{Column: "country", Op: NE, Value: 2}}},
+		},
+	}
+	for _, want := range []int{3, 1} {
+		draws = 0
+		out, err := db.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if draws != want || out.Plan.DPReleases() != want {
+			t.Fatalf("the query drew %d noisy counts and its plan counts %d releases; want %d", draws, out.Plan.DPReleases(), want)
+		}
+		if eps := fmt.Sprintf("ε = %g (%d noisy releases", float64(want)*core.DPEpsilon, want); !strings.Contains(out.Plan.Explain(), eps) {
+			t.Fatalf("Explain does not print %q:\n%s", eps, out.Plan.Explain())
 		}
 	}
 }
